@@ -1,8 +1,9 @@
 //! Criterion micro-benchmarks for the core kernels: GYO acyclicity,
 //! det-k/cost-k decomposition, the seed-vs-branch-and-bound cost-k memo
 //! (cloned-bitset std keys vs interned ids under the fx hasher), the
-//! hybrid planner on TPC-H Q5, hash join throughput, the
-//! seed-vs-overhauled join kernels (sequential and partitioned-parallel),
+//! hybrid planner on TPC-H Q5, base-table scans (shared columns, typed
+//! predicate kernels), hash join throughput, the seed-vs-overhauled join
+//! kernels (sequential and partitioned-parallel),
 //! the parallel q-hypertree schedule, and the q-hypertree evaluator vs the
 //! naive pipeline on a chain query.
 
@@ -153,6 +154,59 @@ fn bench_tpch_planning(c: &mut Criterion) {
     c.bench_function("plan_tpch_q5", |b| {
         b.iter(|| optimizer.plan_cq(&q).expect("Q5 decomposes"))
     });
+}
+
+fn bench_scans(c: &mut Criterion) {
+    // The scan layer on TPC-H SF 0.02 shapes (120k lineitems, 30k
+    // orders): a scan that keeps every row shares the stored columns, a
+    // filtered one pays its predicate kernels plus one gather per output
+    // column.
+    use htqo_cq::{CmpOp, CqBuilder, Literal};
+    use htqo_engine::scan::scan_query_atom_c;
+    let db = generate(&DbgenOptions {
+        scale: 0.02,
+        seed: 1,
+    });
+    let lineitem = [
+        ("l_orderkey", "OK"),
+        ("l_suppkey", "SK"),
+        ("l_extendedprice", "EP"),
+        ("l_discount", "DI"),
+    ];
+    let day = |y, m, d| htqo_cq::date::days_from_civil(y, m, d);
+    let cases = [
+        (
+            "scan_unfiltered",
+            CqBuilder::new().atom("lineitem", "l", &lineitem),
+        ),
+        (
+            "scan_date_range",
+            CqBuilder::new()
+                .atom("orders", "o", &[("o_orderkey", "OK"), ("o_custkey", "CK")])
+                .filter(0, "o_orderdate", CmpOp::Ge, Literal::Date(day(1994, 1, 1)))
+                .filter(0, "o_orderdate", CmpOp::Lt, Literal::Date(day(1995, 1, 1))),
+        ),
+        (
+            "scan_str_eq",
+            CqBuilder::new().atom("lineitem", "l", &lineitem).filter(
+                0,
+                "l_returnflag",
+                CmpOp::Eq,
+                Literal::Str("R".into()),
+            ),
+        ),
+    ];
+    let mut group = c.benchmark_group("scan");
+    for (name, builder) in cases {
+        let q = builder.out_var("OK").build();
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut budget = Budget::unlimited();
+                scan_query_atom_c(&db, &q, htqo_cq::AtomId(0), &mut budget).unwrap()
+            })
+        });
+    }
+    group.finish();
 }
 
 fn bench_hash_join(c: &mut Criterion) {
@@ -314,6 +368,7 @@ criterion_group!(
     bench_memo_lookup,
     bench_costk_engines,
     bench_tpch_planning,
+    bench_scans,
     bench_hash_join,
     bench_join_kernels,
     bench_parallel_eval,

@@ -107,8 +107,10 @@ pub fn finalize_c(
             .iter()
             .map(|v| projected.col_index(v).expect("just projected"))
             .collect();
-        let columns: Vec<crate::column::Column> =
-            idx.iter().map(|&i| projected.column(i).clone()).collect();
+        let columns = idx
+            .iter()
+            .map(|&i| projected.columns()[i].clone())
+            .collect();
         CRel::new(labels.clone(), columns, projected.len()).to_vrel()
     };
     finalize_tail(result, q, budget)

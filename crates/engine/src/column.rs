@@ -19,8 +19,10 @@
 //! code.
 
 use crate::dict::{self, DictReader, NULL_CODE};
+use crate::expr::cmp_matches;
 use crate::schema::ColumnType;
 use crate::value::{norm_f64, Value};
+use htqo_cq::CmpOp;
 use std::cmp::Ordering;
 
 /// Seed multiplier of the FxHasher fold (same constant as
@@ -172,6 +174,15 @@ impl Column {
     pub fn mixed_with_capacity(cap: usize) -> Column {
         Column {
             data: ColumnData::Mixed(Vec::with_capacity(cap)),
+            nulls: NullMask::default(),
+        }
+    }
+
+    /// An all-valid `Int` column over `data` — how scans and seek joins
+    /// write `__rowid` without boxing a `Value` per row.
+    pub fn from_ints(data: Vec<i64>) -> Column {
+        Column {
+            data: ColumnData::Int(data),
             nulls: NullMask::default(),
         }
     }
@@ -476,6 +487,65 @@ impl Column {
         }
     }
 
+    /// The predicate kernel of the scan: the rows among `sel` (every row
+    /// when `None`) whose cell satisfies `cell op v`, ascending. Row by
+    /// row this is exactly `cmp_matches(op, self.cmp_value(i, v, reader))`
+    /// — NULL and incomparable types never match — but the constant is
+    /// resolved once per column and the loop runs over the typed slice:
+    /// string `=`/`<>` compare dictionary codes, and the null mask is
+    /// consulted only when the column holds a NULL.
+    pub fn select(
+        &self,
+        op: CmpOp,
+        v: &Value,
+        sel: Option<Vec<u32>>,
+        reader: &DictReader,
+    ) -> Vec<u32> {
+        match (&self.data, v) {
+            (ColumnData::Int(a), Value::Int(c)) => {
+                select_ord(a, &self.nulls, sel, op, |x: i64| x.cmp(c))
+            }
+            (ColumnData::Int(a), Value::Float(c)) => {
+                select_ord(a, &self.nulls, sel, op, |x: i64| (x as f64).total_cmp(c))
+            }
+            (ColumnData::Float(a), Value::Int(c)) => {
+                let c = *c as f64;
+                select_ord(a, &self.nulls, sel, op, |x: f64| x.total_cmp(&c))
+            }
+            (ColumnData::Float(a), Value::Float(c)) => {
+                select_ord(a, &self.nulls, sel, op, |x: f64| x.total_cmp(c))
+            }
+            (ColumnData::Date(a), Value::Date(c)) => {
+                select_ord(a, &self.nulls, sel, op, |x: i32| x.cmp(c))
+            }
+            (ColumnData::Str(a), Value::Str(s)) => match (op, reader.code_of(s)) {
+                // One global dictionary: equal content iff equal code, and
+                // no cell can hold a string that was never interned.
+                (CmpOp::Eq, Some(c)) => refine(a.len(), sel, |i| a[i] == c),
+                (CmpOp::Eq, None) => Vec::new(),
+                (CmpOp::Ne, Some(c)) => refine(a.len(), sel, |i| a[i] != c && a[i] != NULL_CODE),
+                (CmpOp::Ne, None) => refine(a.len(), sel, |i| a[i] != NULL_CODE),
+                _ => refine(a.len(), sel, |i| {
+                    a[i] != NULL_CODE && cmp_matches(op, Some(reader.str_of(a[i]).cmp(s)))
+                }),
+            },
+            (ColumnData::Mixed(a), v) => refine(a.len(), sel, |i| cmp_matches(op, a[i].sql_cmp(v))),
+            _ => Vec::new(),
+        }
+    }
+
+    /// The within-tuple equality kernel (`r(X, X)`): the rows among `sel`
+    /// (every row when `None`) where this column's cell equals `other`'s,
+    /// with [`Column::eq_at`] semantics.
+    pub fn select_eq(
+        &self,
+        other: &Column,
+        sel: Option<Vec<u32>>,
+        reader: &DictReader,
+    ) -> Vec<u32> {
+        refine(self.len(), sel, |i| self.eq_at(i, other, i, reader))
+    }
+
     /// Gathers `idx` into a new column of the same variant — the columnar
     /// join's output constructor (one `memcpy`-like pass per column
     /// instead of per-row cell clones).
@@ -566,6 +636,63 @@ impl Column {
             ColumnData::Str(a) => a.len() * std::mem::size_of::<u32>(),
             ColumnData::Mixed(a) => a.len() * std::mem::size_of::<Value>(),
         }
+    }
+}
+
+/// Keeps the candidate rows that satisfy `keep`: the first predicate of a
+/// scan (`sel` is `None`) writes the selection vector for rows `0..n`
+/// without a branch per row, later ones shrink it in place.
+fn refine(n: usize, sel: Option<Vec<u32>>, keep: impl Fn(usize) -> bool) -> Vec<u32> {
+    match sel {
+        None => {
+            let mut out = vec![0u32; n];
+            let mut k = 0;
+            for i in 0..n {
+                out[k] = i as u32;
+                k += keep(i) as usize;
+            }
+            out.truncate(k);
+            out
+        }
+        Some(mut sel) => {
+            sel.retain(|&i| keep(i as usize));
+            sel
+        }
+    }
+}
+
+/// [`refine`] over a typed slice; the null mask is read only when the
+/// column holds a NULL.
+fn select_typed<T: Copy>(
+    a: &[T],
+    nulls: &NullMask,
+    sel: Option<Vec<u32>>,
+    pred: impl Fn(T) -> bool,
+) -> Vec<u32> {
+    if nulls.any() {
+        refine(a.len(), sel, |i| !nulls.get(i) && pred(a[i]))
+    } else {
+        refine(a.len(), sel, |i| pred(a[i]))
+    }
+}
+
+/// [`select_typed`] with `op` resolved to one comparison outside the loop
+/// (the same table as [`cmp_matches`]).
+fn select_ord<T: Copy>(
+    a: &[T],
+    nulls: &NullMask,
+    sel: Option<Vec<u32>>,
+    op: CmpOp,
+    cmp: impl Fn(T) -> Ordering,
+) -> Vec<u32> {
+    use Ordering::*;
+    match op {
+        CmpOp::Eq => select_typed(a, nulls, sel, |x| cmp(x) == Equal),
+        CmpOp::Ne => select_typed(a, nulls, sel, |x| cmp(x) != Equal),
+        CmpOp::Lt => select_typed(a, nulls, sel, |x| cmp(x) == Less),
+        CmpOp::Le => select_typed(a, nulls, sel, |x| cmp(x) != Greater),
+        CmpOp::Gt => select_typed(a, nulls, sel, |x| cmp(x) == Greater),
+        CmpOp::Ge => select_typed(a, nulls, sel, |x| cmp(x) != Less),
     }
 }
 

@@ -33,6 +33,7 @@ use crate::hash::{partition_of, FxHashMap};
 use crate::ops::{self, PARALLEL_ROW_THRESHOLD};
 use crate::value::Row;
 use crate::vrel::VRelation;
+use std::sync::Arc;
 
 /// Matching `(build, probe)` row index lists produced by a join kernel.
 type PairLists = (Vec<u32>, Vec<u32>);
@@ -106,15 +107,18 @@ fn rows_key_eq(
         .all(|(&x, &y)| a.column(x).eq_at(i, b.column(y), j, reader))
 }
 
-/// Permutes the columns of `r` to `desired` (must be a permutation) — a
-/// pointer shuffle, no row data is copied.
+/// Permutes the columns of `r` to `desired` (must be a permutation): the
+/// columns are moved out of `r` and back in, no cell is copied.
 fn reorder(r: CRel, desired: &[String]) -> CRel {
-    let mut columns: Vec<Option<Column>> = r.columns().to_vec().into_iter().map(Some).collect();
-    let len = r.len();
-    let out_columns: Vec<Column> = desired
+    let (cols, columns, len) = r.into_parts();
+    let mut columns: Vec<Option<Arc<Column>>> = columns.into_iter().map(Some).collect();
+    let out_columns = desired
         .iter()
         .map(|c| {
-            let i = r.col_index(c).expect("reorder: missing column");
+            let i = cols
+                .iter()
+                .position(|x| x == c)
+                .expect("reorder: missing column");
             columns[i].take().expect("reorder: duplicate column")
         })
         .collect();
@@ -176,12 +180,12 @@ pub fn natural_join(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, Eva
         let (build_idx, probe_idx) = result?;
 
         // Output construction: one gather pass per column.
-        let mut columns: Vec<Column> = Vec::with_capacity(out_cols.len());
+        let mut columns: Vec<Arc<Column>> = Vec::with_capacity(out_cols.len());
         for c in build.columns() {
-            columns.push(c.gather(&build_idx));
+            columns.push(Arc::new(c.gather(&build_idx)));
         }
         for &j in &probe_rest {
-            columns.push(probe.column(j).gather(&probe_idx));
+            columns.push(Arc::new(probe.column(j).gather(&probe_idx)));
         }
         let n = build_idx.len();
         let out = CRel::new(out_cols, columns, n);
@@ -320,8 +324,9 @@ pub fn semijoin(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalErr
         return if b.is_empty() {
             Ok(CRel::empty(a.cols().to_vec()))
         } else {
+            // The survivors are `a`'s own columns, shared: tuples are
+            // charged, no new bytes are resident.
             budget.charge(a.len() as u64)?;
-            budget.charge_bytes(crel_payload_bytes(a))?;
             Ok(a.clone())
         };
     }
@@ -386,7 +391,11 @@ pub fn semijoin(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalErr
         };
     budget.uncharge_bytes(table_bytes);
     let keep = keep_result?;
-    let columns: Vec<Column> = a.columns().iter().map(|c| c.gather(&keep)).collect();
+    let columns = a
+        .columns()
+        .iter()
+        .map(|c| Arc::new(c.gather(&keep)))
+        .collect();
     let out = CRel::new(a.cols().to_vec(), columns, keep.len());
     budget.charge_bytes(crel_payload_bytes(&out))?;
     Ok(out)
@@ -394,7 +403,7 @@ pub fn semijoin(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalErr
 
 /// Projects `a` onto `vars` — the columnar [`crate::ops::project`].
 /// Distinct mode dedups via per-row key hashes with typed verification;
-/// bag mode is a column clone (no per-cell work at all).
+/// bag mode shares `a`'s columns (no per-cell work, no bytes charged).
 pub fn project(
     a: &CRel,
     vars: &[String],
@@ -438,16 +447,17 @@ pub fn project(
         let result: Result<(), EvalError> = run();
         budget.uncharge_bytes(map_bytes);
         result?;
-        let columns: Vec<Column> = idx.iter().map(|&c| a.column(c).gather(&keep)).collect();
+        let columns = idx
+            .iter()
+            .map(|&c| Arc::new(a.column(c).gather(&keep)))
+            .collect();
         let out = CRel::new(vars.to_vec(), columns, keep.len());
         budget.charge_bytes(crel_payload_bytes(&out))?;
         Ok(out)
     } else {
         budget.charge(a.len() as u64)?;
-        let columns: Vec<Column> = idx.iter().map(|&c| a.column(c).clone()).collect();
-        let out = CRel::new(vars.to_vec(), columns, a.len());
-        budget.charge_bytes(crel_payload_bytes(&out))?;
-        Ok(out)
+        let columns = idx.iter().map(|&c| Arc::clone(&a.columns()[c])).collect();
+        Ok(CRel::new(vars.to_vec(), columns, a.len()))
     }
 }
 

@@ -11,6 +11,10 @@
 //! Zero-column relations are meaningful here just as for [`VRelation`]:
 //! [`CRel::neutral`] is one empty tuple (the join identity), so `len` is
 //! tracked explicitly rather than derived from a first column.
+//!
+//! Columns are immutable and shared ([`Arc`]): cloning a relation,
+//! permuting or dropping its columns, and scanning a base table without
+//! filters all move pointers, never cells.
 
 use crate::column::Column;
 use crate::dict;
@@ -18,12 +22,13 @@ use crate::schema::ColumnType;
 use crate::value::{Row, Value};
 use crate::vrel::VRelation;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// A columnar relation whose columns are named by query variables.
 #[derive(Clone, Debug)]
 pub struct CRel {
     cols: Vec<String>,
-    columns: Vec<Column>,
+    columns: Vec<Arc<Column>>,
     len: usize,
 }
 
@@ -32,7 +37,7 @@ impl CRel {
     ///
     /// # Panics
     /// Panics on duplicate variable names or column length mismatches.
-    pub fn new(cols: Vec<String>, columns: Vec<Column>, len: usize) -> Self {
+    pub fn new(cols: Vec<String>, columns: Vec<Arc<Column>>, len: usize) -> Self {
         assert_eq!(cols.len(), columns.len(), "name/column count mismatch");
         let mut seen = HashSet::new();
         for c in &cols {
@@ -50,7 +55,7 @@ impl CRel {
     pub fn empty(cols: Vec<String>) -> Self {
         let columns = cols
             .iter()
-            .map(|_| Column::mixed_with_capacity(0))
+            .map(|_| Arc::new(Column::mixed_with_capacity(0)))
             .collect();
         CRel::new(cols, columns, 0)
     }
@@ -71,8 +76,14 @@ impl CRel {
     }
 
     /// The columns, parallel to [`CRel::cols`].
-    pub fn columns(&self) -> &[Column] {
+    pub fn columns(&self) -> &[Arc<Column>] {
         &self.columns
+    }
+
+    /// Takes the relation apart into names, columns and row count (the
+    /// inverse of [`CRel::new`]), so columns can be moved, not cloned.
+    pub fn into_parts(self) -> (Vec<String>, Vec<Arc<Column>>, usize) {
+        (self.cols, self.columns, self.len)
     }
 
     /// Column `i`.
@@ -133,7 +144,7 @@ impl CRel {
             for row in rows {
                 col.push_value(&row[c]);
             }
-            columns.push(col);
+            columns.push(Arc::new(col));
         }
         CRel {
             cols: v.cols().to_vec(),

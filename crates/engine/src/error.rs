@@ -80,6 +80,21 @@ pub enum EvalError {
         /// The page id whose checksum failed.
         pid: u64,
     },
+    /// A valid update lengthened a row beyond what its heap page can
+    /// hold. Rows are not relocated, so the storage layer refuses the
+    /// whole mutation batch before logging anything. Final: nothing is
+    /// corrupt, and retrying the same batch fails the same way.
+    RowDoesNotFit {
+        /// The table being mutated.
+        table: String,
+        /// The row whose update does not fit.
+        rowid: u64,
+        /// Encoded size of the updated row (`u32`s keep this variant from
+        /// widening `EvalError`, the error type of every hot-path `Result`).
+        row_bytes: u32,
+        /// Bytes its page has left for that row.
+        free_bytes: u32,
+    },
     /// Anything else (plan inconsistencies, type errors in expressions).
     Internal(String),
 }
@@ -113,6 +128,16 @@ impl fmt::Display for EvalError {
             EvalError::CorruptPage { file, pid } => {
                 write!(f, "corrupt page {pid} in {file} (checksum mismatch)")
             }
+            EvalError::RowDoesNotFit {
+                table,
+                rowid,
+                row_bytes,
+                free_bytes,
+            } => write!(
+                f,
+                "table {table}: updated row {rowid} needs {row_bytes} B but its page has \
+                 {free_bytes} B free (rows are not relocated)"
+            ),
             EvalError::Internal(m) => write!(f, "internal error: {m}"),
         }
     }
@@ -139,7 +164,8 @@ impl EvalError {
     /// True for errors that a *different plan* (or a bigger budget) could
     /// plausibly avoid: resource limits, contained worker panics, and
     /// internal plan inconsistencies. Semantic errors (unknown
-    /// table/column/variable) and cancellation are final — no fallback
+    /// table/column/variable, a row that does not fit its page) and
+    /// cancellation are final — no fallback
     /// rung can answer them. This classification drives the hybrid
     /// optimizer's graceful-degradation ladder.
     pub fn is_retryable(&self) -> bool {

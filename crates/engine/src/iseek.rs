@@ -32,27 +32,18 @@ use crate::error::{Budget, EvalError};
 use crate::expr::cmp_matches;
 use crate::index::{encode_key, JoinIndex};
 use crate::relation::Relation;
-use crate::schema::{ColumnType, Database};
+use crate::scan::{AtomLayout, Source};
+use crate::schema::Database;
 use crate::value::{row_heap_bytes, Value};
 use crate::vrel::VRelation;
-use htqo_cq::isolator::ROWID_COLUMN;
-use htqo_cq::{Atom, AtomId, CmpOp, ConjunctiveQuery, Filter};
+use htqo_cq::{Atom, AtomId, ConjunctiveQuery, Filter};
 use std::sync::Arc;
-
-/// Where an output variable's value comes from (mirrors `scan`).
-enum Source {
-    Col(usize),
-    RowId,
-}
 
 /// A resolved seek join: the atom's scan metadata plus the chosen index
 /// and the accumulator column it is probed with.
 struct SeekPlan<'a> {
     rel: &'a Relation,
-    filters: Vec<(usize, CmpOp, Value)>,
-    out_vars: Vec<String>,
-    sources: Vec<Source>,
-    equalities: Vec<(usize, usize)>,
+    layout: AtomLayout,
     /// `(acc column, source position)` for every variable shared with the
     /// accumulator — all re-checked per fetched row.
     shared: Vec<(usize, usize)>,
@@ -79,49 +70,11 @@ impl<'a> SeekPlan<'a> {
         let rel = db
             .table(&atom.relation)
             .ok_or_else(|| EvalError::UnknownTable(atom.relation.clone()))?;
-        let schema = rel.schema();
-
-        let resolved_filters: Vec<(usize, CmpOp, Value)> = filters
-            .iter()
-            .map(|f| {
-                let idx = schema
-                    .index_of(&f.column)
-                    .ok_or_else(|| EvalError::UnknownColumn {
-                        relation: atom.relation.clone(),
-                        column: f.column.clone(),
-                    })?;
-                Ok((idx, f.op, Value::from(&f.value)))
-            })
-            .collect::<Result<_, EvalError>>()?;
-
-        let mut out_vars: Vec<String> = Vec::new();
-        let mut sources: Vec<Source> = Vec::new();
-        let mut equalities: Vec<(usize, usize)> = Vec::new();
-        for (column, var) in &atom.args {
-            let src =
-                if column == ROWID_COLUMN {
-                    Source::RowId
-                } else {
-                    Source::Col(schema.index_of(column).ok_or_else(|| {
-                        EvalError::UnknownColumn {
-                            relation: atom.relation.clone(),
-                            column: column.clone(),
-                        }
-                    })?)
-                };
-            if let Some(pos) = out_vars.iter().position(|v| v == var) {
-                if let (Source::Col(a), Source::Col(b)) = (&sources[pos], &src) {
-                    equalities.push((*a, *b));
-                }
-            } else {
-                out_vars.push(var.clone());
-                sources.push(src);
-            }
-        }
+        let layout = AtomLayout::resolve(rel, atom, &filters)?;
 
         let mut shared: Vec<(usize, usize)> = Vec::new();
         let mut rest: Vec<usize> = Vec::new();
-        for (pos, var) in out_vars.iter().enumerate() {
+        for (pos, var) in layout.out_vars.iter().enumerate() {
             match acc_cols.iter().position(|c| c == var) {
                 Some(acc_idx) => shared.push((acc_idx, pos)),
                 None => rest.push(pos),
@@ -131,8 +84,8 @@ impl<'a> SeekPlan<'a> {
         // Pick the first shared variable whose base column carries an
         // index (first-occurrence order keeps the choice deterministic).
         let chosen = shared.iter().find_map(|&(acc_idx, pos)| {
-            if let Source::Col(ci) = sources[pos] {
-                let name = &schema.columns()[ci].name;
+            if let Source::Col(ci) = layout.sources[pos] {
+                let name = &rel.schema().columns()[ci].name;
                 db.index_on(&atom.relation, name)
                     .map(|idx| (acc_idx, Arc::clone(idx)))
             } else {
@@ -145,10 +98,7 @@ impl<'a> SeekPlan<'a> {
 
         Ok(Some(SeekPlan {
             rel,
-            filters: resolved_filters,
-            out_vars,
-            sources,
-            equalities,
+            layout,
             shared,
             rest,
             index,
@@ -158,7 +108,7 @@ impl<'a> SeekPlan<'a> {
 
     /// The atom's cell for output-variable source `pos` at `rowid`.
     fn cell(&self, pos: usize, rowid: usize, reader: &DictReader) -> Value {
-        match self.sources[pos] {
+        match self.layout.sources[pos] {
             Source::Col(i) => self.rel.column(i).value_with(rowid, reader),
             Source::RowId => Value::Int(rowid as i64),
         }
@@ -166,10 +116,11 @@ impl<'a> SeekPlan<'a> {
 
     /// Constant filters and within-tuple equalities at `rowid`.
     fn base_matches(&self, rowid: usize, reader: &DictReader) -> bool {
-        self.filters
+        self.layout
+            .filters
             .iter()
             .all(|(i, op, v)| cmp_matches(*op, self.rel.column(*i).cmp_value(rowid, v, reader)))
-            && self.equalities.iter().all(|(a, b)| {
+            && self.layout.equalities.iter().all(|(a, b)| {
                 self.rel
                     .column(*a)
                     .eq_at(rowid, self.rel.column(*b), rowid, reader)
@@ -201,7 +152,7 @@ pub fn index_seek_join(
     let reader = dict::reader();
     let width = acc.cols().len() + plan.rest.len();
     let mut cols: Vec<String> = acc.cols().to_vec();
-    cols.extend(plan.rest.iter().map(|&p| plan.out_vars[p].clone()));
+    cols.extend(plan.rest.iter().map(|&p| plan.layout.out_vars[p].clone()));
     let mut out = VRelation::empty(cols);
     let mut key = Vec::with_capacity(9);
     for row in acc.rows() {
@@ -274,19 +225,17 @@ pub fn index_seek_join_c(
         }
     }
     let mut cols: Vec<String> = acc.cols().to_vec();
-    let mut columns: Vec<Column> = acc.columns().iter().map(|c| c.gather(&acc_sel)).collect();
+    let mut columns: Vec<Arc<Column>> = acc
+        .columns()
+        .iter()
+        .map(|c| Arc::new(c.gather(&acc_sel)))
+        .collect();
     for &p in &plan.rest {
-        cols.push(plan.out_vars[p].clone());
-        columns.push(match plan.sources[p] {
+        cols.push(plan.layout.out_vars[p].clone());
+        columns.push(Arc::new(match plan.layout.sources[p] {
             Source::Col(ci) => plan.rel.column(ci).gather(&base_sel),
-            Source::RowId => {
-                let mut c = Column::with_capacity(ColumnType::Int, base_sel.len());
-                for &r in &base_sel {
-                    c.push_value(&Value::Int(r as i64));
-                }
-                c
-            }
-        });
+            Source::RowId => Column::from_ints(base_sel.iter().map(|&r| r as i64).collect()),
+        }));
     }
     let out = CRel::new(cols, columns, acc_sel.len());
     budget.charge_bytes(cops::crel_payload_bytes(&out))?;
@@ -300,8 +249,8 @@ mod tests {
     use crate::index::MemIndex;
     use crate::ops;
     use crate::scan;
-    use crate::schema::Schema;
-    use htqo_cq::{CqBuilder, Literal};
+    use crate::schema::{ColumnType, Schema};
+    use htqo_cq::{CmpOp, CqBuilder, Literal};
 
     /// A catalog with an indexed fact table and a small probe table.
     fn db() -> Database {

@@ -4,12 +4,19 @@
 //! ([`Relation::row`], [`Relation::iter_rows`], [`Relation::to_rows`])
 //! materialize boxed rows on demand as the compatibility view for the
 //! row-based oracles, CSV export and tests.
+//!
+//! Each column sits behind an [`Arc`], so a scan that keeps every row
+//! hands the stored column to its output as a reference-count clone
+//! ([`Relation::shared_column`]). Appending takes the columns mutably once
+//! per batch (`Arc::make_mut`: free while the relation is the only owner,
+//! copy-on-write after a scan result or a clone shares the column).
 
 use crate::column::Column;
 use crate::dict::{self, DictReader};
 use crate::schema::{ColumnType, Schema};
 use crate::value::{Row, Value};
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors raised when mutating a relation.
 #[derive(Clone, Debug, PartialEq)]
@@ -56,7 +63,7 @@ impl std::error::Error for RelationError {}
 #[derive(Clone, Debug, Default)]
 pub struct Relation {
     schema: Schema,
-    columns: Vec<Column>,
+    columns: Vec<Arc<Column>>,
     len: usize,
     /// Total bytes of string payload pushed, counted per occurrence (the
     /// row representation stored one `Arc<str>` per cell, so duplicated
@@ -69,7 +76,11 @@ pub struct Relation {
 impl Relation {
     /// Creates an empty relation with the given schema.
     pub fn new(schema: Schema) -> Self {
-        let columns = schema.columns().iter().map(|c| Column::new(c.ty)).collect();
+        let columns = schema
+            .columns()
+            .iter()
+            .map(|c| Arc::new(Column::new(c.ty)))
+            .collect();
         Relation {
             schema,
             columns,
@@ -93,13 +104,13 @@ impl Relation {
         self.len == 0
     }
 
-    /// The stored columns, parallel to the schema.
-    pub fn columns_data(&self) -> &[Column] {
-        &self.columns
-    }
-
     /// Column `i` of the stored data.
     pub fn column(&self, i: usize) -> &Column {
+        &self.columns[i]
+    }
+
+    /// Column `i` as a shareable handle (what an unfiltered scan returns).
+    pub fn shared_column(&self, i: usize) -> &Arc<Column> {
         &self.columns[i]
     }
 
@@ -134,50 +145,40 @@ impl Relation {
         (0..self.len).map(|i| self.row_with(i, &reader)).collect()
     }
 
-    /// Validates `row` against the schema.
-    fn check_row(&self, row: &[Value]) -> Result<(), RelationError> {
-        if row.len() != self.schema.arity() {
-            return Err(RelationError::ArityMismatch {
-                expected: self.schema.arity(),
-                got: row.len(),
-            });
-        }
-        for (value, col) in row.iter().zip(self.schema.columns()) {
-            let ok = matches!(
-                (value, col.ty),
-                (Value::Null, _)
-                    | (Value::Int(_), ColumnType::Int)
-                    | (Value::Float(_), ColumnType::Float)
-                    | (Value::Str(_), ColumnType::Str)
-                    | (Value::Date(_), ColumnType::Date)
-            );
-            if !ok {
-                return Err(RelationError::TypeMismatch {
-                    column: col.name.clone(),
-                    expected: col.ty,
-                    got: value.type_name(),
-                });
+    /// Appends `rows`, taking the columns mutably once for the whole
+    /// batch. With `checked`, each row is validated first and the first
+    /// bad row stops the append (earlier rows stay); without, validation
+    /// is a `debug_assert!` only.
+    fn append<I: IntoIterator<Item = Vec<Value>>>(
+        &mut self,
+        rows: I,
+        checked: bool,
+    ) -> Result<(), RelationError> {
+        let mut cols: Vec<&mut Column> = self.columns.iter_mut().map(Arc::make_mut).collect();
+        for row in rows {
+            if checked {
+                check_row(&self.schema, &row)?;
+            } else {
+                debug_assert!(
+                    check_row(&self.schema, &row).is_ok(),
+                    "push_many_unchecked: row violates schema: {:?}",
+                    check_row(&self.schema, &row)
+                );
             }
+            for (col, value) in cols.iter_mut().zip(&row) {
+                if let Value::Str(s) = value {
+                    self.str_bytes += s.len();
+                }
+                col.push_value(value);
+            }
+            self.len += 1;
         }
         Ok(())
-    }
-
-    /// Appends a validated row to the columns (no checks here).
-    fn push_unchecked_inner(&mut self, row: &[Value]) {
-        for (col, value) in self.columns.iter_mut().zip(row) {
-            if let Value::Str(s) = value {
-                self.str_bytes += s.len();
-            }
-            col.push_value(value);
-        }
-        self.len += 1;
     }
 
     /// Appends a row after arity/type checking.
     pub fn push_row(&mut self, row: Vec<Value>) -> Result<(), RelationError> {
-        self.check_row(&row)?;
-        self.push_unchecked_inner(&row);
-        Ok(())
+        self.append(std::iter::once(row), true)
     }
 
     /// Appends many rows (each checked).
@@ -185,10 +186,7 @@ impl Relation {
         &mut self,
         rows: I,
     ) -> Result<(), RelationError> {
-        for r in rows {
-            self.push_row(r)?;
-        }
-        Ok(())
+        self.append(rows, true)
     }
 
     /// Appends many rows with schema checks compiled to `debug_assert!`s
@@ -196,20 +194,14 @@ impl Relation {
     /// correct by construction (`tpch::dbgen`). In release builds this
     /// skips the per-row arity/type validation entirely.
     pub fn push_many_unchecked<I: IntoIterator<Item = Vec<Value>>>(&mut self, rows: I) {
-        for row in rows {
-            debug_assert!(
-                self.check_row(&row).is_ok(),
-                "push_many_unchecked: row violates schema: {:?}",
-                self.check_row(&row)
-            );
-            self.push_unchecked_inner(&row);
-        }
+        self.append(rows, false)
+            .expect("unchecked append cannot fail");
     }
 
     /// Reserves capacity for `n` more rows.
     pub fn reserve(&mut self, n: usize) {
         for col in &mut self.columns {
-            col.reserve(n);
+            Arc::make_mut(col).reserve(n);
         }
     }
 
@@ -222,6 +214,34 @@ impl Relation {
         let cell = std::mem::size_of::<Value>();
         self.len * (std::mem::size_of::<Row>() + self.schema.arity() * cell) + self.str_bytes
     }
+}
+
+/// Validates `row` against `schema`.
+fn check_row(schema: &Schema, row: &[Value]) -> Result<(), RelationError> {
+    if row.len() != schema.arity() {
+        return Err(RelationError::ArityMismatch {
+            expected: schema.arity(),
+            got: row.len(),
+        });
+    }
+    for (value, col) in row.iter().zip(schema.columns()) {
+        let ok = matches!(
+            (value, col.ty),
+            (Value::Null, _)
+                | (Value::Int(_), ColumnType::Int)
+                | (Value::Float(_), ColumnType::Float)
+                | (Value::Str(_), ColumnType::Str)
+                | (Value::Date(_), ColumnType::Date)
+        );
+        if !ok {
+            return Err(RelationError::TypeMismatch {
+                column: col.name.clone(),
+                expected: col.ty,
+                got: value.type_name(),
+            });
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -3,34 +3,104 @@
 //! (selection push-down) and materializing the hidden `__rowid` column when
 //! the isolator's multiplicity guard asked for it.
 //!
-//! The scan is columnar end to end ([`scan_atom_c`]): filters compare
-//! typed cells against the resolved constants in place, the surviving row
-//! indices are gathered once per output column, and no boxed `Value` is
-//! touched. The row-returning [`scan_atom`] is the same scan followed by a
+//! The scan is columnar end to end ([`scan_atom_c`]) and costs what its
+//! filters cost, not what its width costs: each filter runs as a typed
+//! column-at-a-time kernel ([`Column::select`]) that produces or refines
+//! one selection vector, the survivors are tuple-charged in bulk, and only
+//! then is each output column gathered. A scan that keeps every row
+//! gathers nothing — its output shares the stored columns. The
+//! row-returning [`scan_atom`] is the same scan followed by a
 //! [`crate::crel::CRel::to_vrel`] conversion (identical budget charges).
 
 use crate::column::Column;
 use crate::crel::CRel;
 use crate::dict;
 use crate::error::{Budget, EvalError};
-use crate::expr::cmp_matches;
-use crate::schema::{ColumnType, Database};
+use crate::relation::Relation;
+use crate::schema::Database;
 use crate::value::Value;
 use crate::vrel::VRelation;
 use htqo_cq::isolator::ROWID_COLUMN;
-use htqo_cq::{Atom, ConjunctiveQuery, Filter};
+use htqo_cq::{Atom, CmpOp, ConjunctiveQuery, Filter};
+use std::sync::Arc;
 
 /// Where an output variable's value comes from.
-enum Source {
+pub(crate) enum Source {
     /// A column of the base relation.
     Col(usize),
     /// The hidden row identifier.
     RowId,
 }
 
+/// An atom resolved against its stored relation: what to filter on and
+/// where each output variable comes from (shared with the seek join).
+pub(crate) struct AtomLayout {
+    /// Constant filters as `(column index, op, constant)`.
+    pub(crate) filters: Vec<(usize, CmpOp, Value)>,
+    /// Distinct output variables in first-occurrence order.
+    pub(crate) out_vars: Vec<String>,
+    /// Source of each output variable, parallel to `out_vars`.
+    pub(crate) sources: Vec<Source>,
+    /// Column pairs a repeated variable (e.g. `r(X, X)`) forces equal.
+    pub(crate) equalities: Vec<(usize, usize)>,
+}
+
+impl AtomLayout {
+    /// Resolves `atom` and `filters` (which must all belong to the atom)
+    /// against `rel`'s schema.
+    pub(crate) fn resolve(
+        rel: &Relation,
+        atom: &Atom,
+        filters: &[&Filter],
+    ) -> Result<AtomLayout, EvalError> {
+        let index_of = |column: &String| {
+            rel.schema()
+                .index_of(column)
+                .ok_or_else(|| EvalError::UnknownColumn {
+                    relation: atom.relation.clone(),
+                    column: column.clone(),
+                })
+        };
+        let filters = filters
+            .iter()
+            .map(|f| Ok((index_of(&f.column)?, f.op, Value::from(&f.value))))
+            .collect::<Result<_, EvalError>>()?;
+
+        let mut out_vars: Vec<String> = Vec::new();
+        let mut sources: Vec<Source> = Vec::new();
+        let mut equalities: Vec<(usize, usize)> = Vec::new();
+        for (column, var) in &atom.args {
+            let src = if column == ROWID_COLUMN {
+                Source::RowId
+            } else {
+                Source::Col(index_of(column)?)
+            };
+            if let Some(pos) = out_vars.iter().position(|v| v == var) {
+                // Rowid repetition cannot add a constraint (it is unique).
+                if let (Source::Col(a), Source::Col(b)) = (&sources[pos], &src) {
+                    equalities.push((*a, *b));
+                }
+            } else {
+                out_vars.push(var.clone());
+                sources.push(src);
+            }
+        }
+        Ok(AtomLayout {
+            filters,
+            out_vars,
+            sources,
+            equalities,
+        })
+    }
+}
+
 /// Scans `atom` from `db` into a columnar relation, applying `filters`
 /// (which must all belong to the atom). Repeated variables within the
 /// atom (e.g. `r(X, X)`) impose within-tuple equality.
+///
+/// Charges one tuple per surviving row, and bytes only for the columns it
+/// materializes: a scan that keeps every row shares the stored columns
+/// and charges none.
 pub fn scan_atom_c(
     db: &Database,
     atom: &Atom,
@@ -41,90 +111,44 @@ pub fn scan_atom_c(
     let rel = db
         .table(&atom.relation)
         .ok_or_else(|| EvalError::UnknownTable(atom.relation.clone()))?;
-    let schema = rel.schema();
+    let layout = AtomLayout::resolve(rel, atom, filters)?;
 
-    // Resolve filters to column indices and values.
-    let resolved_filters: Vec<(usize, htqo_cq::CmpOp, Value)> = filters
-        .iter()
-        .map(|f| {
-            let idx = schema
-                .index_of(&f.column)
-                .ok_or_else(|| EvalError::UnknownColumn {
-                    relation: atom.relation.clone(),
-                    column: f.column.clone(),
-                })?;
-            Ok((idx, f.op, Value::from(&f.value)))
-        })
-        .collect::<Result<_, EvalError>>()?;
-
-    // Distinct output variables (first-occurrence order) and their sources.
-    let mut out_vars: Vec<String> = Vec::new();
-    let mut sources: Vec<Source> = Vec::new();
-    // For repeated variables: (first source position, other column index).
-    let mut equalities: Vec<(usize, usize)> = Vec::new();
-    for (column, var) in &atom.args {
-        let src = if column == ROWID_COLUMN {
-            Source::RowId
-        } else {
-            Source::Col(
-                schema
-                    .index_of(column)
-                    .ok_or_else(|| EvalError::UnknownColumn {
-                        relation: atom.relation.clone(),
-                        column: column.clone(),
-                    })?,
-            )
-        };
-        if let Some(pos) = out_vars.iter().position(|v| v == var) {
-            // Rowid repetition cannot add a constraint (it is unique).
-            if let (Source::Col(a), Source::Col(b)) = (&sources[pos], &src) {
-                equalities.push((*a, *b));
-            }
-        } else {
-            out_vars.push(var.clone());
-            sources.push(src);
-        }
-    }
-
-    // Selection: evaluate filters and within-tuple equalities against the
-    // typed columns in place, collecting surviving row indices.
+    // Selection: the first predicate writes the selection vector, later
+    // ones refine it. `None` means every row (no predicate ran).
     let reader = dict::reader();
-    let mut sel: Vec<u32> = Vec::new();
-    for rowid in 0..rel.len() {
-        if !resolved_filters
-            .iter()
-            .all(|(i, op, v)| cmp_matches(*op, rel.column(*i).cmp_value(rowid, v, &reader)))
-        {
-            continue;
-        }
-        if !equalities
-            .iter()
-            .all(|(a, b)| rel.column(*a).eq_at(rowid, rel.column(*b), rowid, &reader))
-        {
-            continue;
-        }
-        budget.charge(1)?;
-        sel.push(rowid as u32);
+    let mut sel: Option<Vec<u32>> = None;
+    for (i, op, v) in &layout.filters {
+        sel = Some(rel.column(*i).select(*op, v, sel, &reader));
+    }
+    for (a, b) in &layout.equalities {
+        sel = Some(rel.column(*a).select_eq(rel.column(*b), sel, &reader));
     }
     drop(reader);
+    // Ascending and duplicate-free, so full length means the identity.
+    let sel = sel.filter(|s| s.len() < rel.len());
+    let n = sel.as_ref().map_or(rel.len(), Vec::len);
+    budget.charge(n as u64)?;
 
-    // Projection: one gather per output column.
-    let columns: Vec<Column> = sources
+    // Projection: share the stored column, or gather the survivors.
+    let mut fresh_bytes = 0;
+    let columns = layout
+        .sources
         .iter()
-        .map(|s| match s {
-            Source::Col(i) => rel.column(*i).gather(&sel),
-            Source::RowId => {
-                let mut c = Column::with_capacity(ColumnType::Int, sel.len());
-                for &i in &sel {
-                    c.push_value(&Value::Int(i as i64));
+        .map(|s| {
+            let fresh = match (s, &sel) {
+                (Source::Col(i), None) => return Arc::clone(rel.shared_column(*i)),
+                (Source::Col(i), Some(sel)) => rel.column(*i).gather(sel),
+                (Source::RowId, None) => Column::from_ints((0..n as i64).collect()),
+                (Source::RowId, Some(sel)) => {
+                    Column::from_ints(sel.iter().map(|&i| i as i64).collect())
                 }
-                c
-            }
+            };
+            fresh_bytes += fresh.payload_bytes() as u64;
+            Arc::new(fresh)
         })
         .collect();
-    let out = CRel::new(out_vars, columns, sel.len());
-    budget.charge_bytes(crate::cops::crel_payload_bytes(&out))?;
-    Ok(out)
+    budget.charge_bytes(fresh_bytes)?;
+    Ok(CRel::new(layout.out_vars, columns, n))
 }
 
 /// Scans `atom` into a row relation: the columnar scan plus a row

@@ -7,10 +7,12 @@
 //! what the seed kernel allocates.
 //!
 //! (Integration test = its own binary, so the global allocator and the
-//! counter see only this file's work.)
+//! counters see only this file's work; the tests take [`serial`] so they
+//! do not see each other's.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use htqo_engine::cops;
 use htqo_engine::crel::CRel;
@@ -22,10 +24,13 @@ use htqo_engine::vrel::VRelation;
 struct CountingAlloc;
 
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+/// Bytes requested (a `realloc` counts its whole new size).
+static BYTES: AtomicUsize = AtomicUsize::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -35,6 +40,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -42,10 +48,23 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static A: CountingAlloc = CountingAlloc;
 
+/// The counters are process-wide and the harness runs tests on parallel
+/// threads: every test holds this for its whole body.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn allocs_of<R>(f: impl FnOnce() -> R) -> (usize, R) {
     let before = ALLOCS.load(Ordering::Relaxed);
     let r = f();
     (ALLOCS.load(Ordering::Relaxed) - before, r)
+}
+
+fn bytes_of<R>(f: impl FnOnce() -> R) -> (usize, R) {
+    let before = BYTES.load(Ordering::Relaxed);
+    let r = f();
+    (BYTES.load(Ordering::Relaxed) - before, r)
 }
 
 /// Two relations sharing column `x`, sized to stay on the sequential
@@ -68,6 +87,7 @@ fn inputs(rows: usize) -> (VRelation, VRelation) {
 
 #[test]
 fn hash_kernel_allocates_under_half_of_seed() {
+    let _serial = serial();
     let rows = PARALLEL_ROW_THRESHOLD / 2 - 100; // combined < threshold
     let (a, b) = inputs(rows);
 
@@ -116,6 +136,7 @@ fn dense_inputs(rows: usize) -> (VRelation, VRelation) {
 /// output row just to materialize it).
 #[test]
 fn columnar_join_allocates_fraction_per_joined_row() {
+    let _serial = serial();
     let rows = 1500usize; // combined < PARALLEL_ROW_THRESHOLD
     assert!(2 * rows < PARALLEL_ROW_THRESHOLD);
     let (a, b) = dense_inputs(rows);
@@ -145,5 +166,46 @@ fn columnar_join_allocates_fraction_per_joined_row() {
         col_allocs * 4 < row_allocs,
         "expected the columnar kernel to allocate <1/4 of the row kernel \
          on a dense join: row={row_allocs}, columnar={col_allocs} ({n} joined rows)"
+    );
+}
+
+/// `natural_join` builds on the smaller side and, when that is its second
+/// argument, permutes the output back to the caller's column order. The
+/// permutation moves column handles: after the gather, the swapped join
+/// must not copy the output again.
+#[test]
+fn swapped_join_reorders_without_copying_cells() {
+    let _serial = serial();
+    let rows = |n: i64, cols: &[&str]| {
+        let data = (0..n)
+            .map(|i| vec![Value::Int(i), Value::Int(i * 3)].into_boxed_slice())
+            .collect();
+        CRel::from_vrel(&VRelation::from_rows(
+            cols.iter().map(|c| c.to_string()).collect(),
+            data,
+        ))
+    };
+    let big = rows(2000, &["x", "y"]);
+    let small = rows(1000, &["x", "z"]);
+    assert!(big.len() + small.len() < PARALLEL_ROW_THRESHOLD);
+    let join = |a: &CRel, b: &CRel| {
+        let mut budget = Budget::unlimited();
+        cops::natural_join(a, b, &mut budget).unwrap()
+    };
+    let _ = (join(&small, &big), join(&big, &small)); // warm-up
+
+    // Same build side, same probe side, same pairs; only `big ⋈ small`
+    // has to reorder.
+    let (plain_bytes, plain) = bytes_of(|| join(&small, &big));
+    let (swapped_bytes, swapped) = bytes_of(|| join(&big, &small));
+    assert_eq!(plain.cols(), ["x", "z", "y"]);
+    assert_eq!(swapped.cols(), ["x", "y", "z"]);
+    let payload = swapped.len() * 3 * std::mem::size_of::<i64>();
+    assert_eq!(payload, 24_000);
+    assert!(
+        swapped_bytes < plain_bytes + payload / 8,
+        "reordering {payload} B of output allocated {} B more than not reordering \
+         (plain={plain_bytes}, swapped={swapped_bytes})",
+        swapped_bytes.saturating_sub(plain_bytes)
     );
 }

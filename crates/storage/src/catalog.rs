@@ -38,7 +38,7 @@ use crate::page::{self, PageBuilder, MAX_CELL};
 use crate::pager::PageFile;
 use crate::wal::{self, Wal, WalPolicy, WalRecord};
 use htqo_engine::{Budget, ColumnType, Database, EvalError, MemIndex, Relation, Schema, Value};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -986,6 +986,8 @@ impl StorageDb {
             };
         let mut appends: Vec<Vec<u8>> = Vec::new();
         let mut live_delta: i64 = 0;
+        // Last lengthened row per page: pid → (rowid, slot).
+        let mut grown: BTreeMap<u64, (u64, u16)> = BTreeMap::new();
         for op in &batch.ops {
             match op {
                 MutOp::Append(row) => {
@@ -1025,6 +1027,9 @@ impl StorageDb {
                                     cell.len()
                                 )));
                             }
+                            if cell.len() > cells[slot as usize].len() {
+                                grown.insert(pid, (*rowid, slot));
+                            }
                             cells[slot as usize] = cell;
                         }
                         MutOp::Delete(_) => {
@@ -1034,6 +1039,24 @@ impl StorageDb {
                         MutOp::Append(_) => unreachable!(),
                     }
                 }
+            }
+        }
+
+        // A lengthened row must still fit its page (rows are not
+        // relocated). Checked once every op is staged, so a delete in the
+        // same batch can make the room — and before appends top up the
+        // last page, which only ever take what is left.
+        for (pid, &(rowid, slot)) in &grown {
+            let cells = &changed[pid];
+            let used = page::used_bytes(cells);
+            if used > page::PAGE_DATA {
+                let row_bytes = cells[slot as usize].len();
+                return Err(EvalError::RowDoesNotFit {
+                    table: batch.table.clone(),
+                    rowid,
+                    row_bytes: row_bytes as u32,
+                    free_bytes: page::PAGE_DATA.saturating_sub(used - row_bytes) as u32,
+                });
             }
         }
 
@@ -1061,8 +1084,7 @@ impl StorageDb {
             fresh.last_mut().unwrap().push(cell);
         }
 
-        // Rebuild the page images (an update that overflows its page is
-        // rejected here, before anything is logged).
+        // Rebuild the page images (every staged page fits by now).
         let mut images: Vec<(u64, Vec<u8>)> = Vec::with_capacity(changed.len() + fresh.len());
         for (&pid, cells) in &changed {
             images.push((pid, page::rebuild(cells)?));
@@ -1151,24 +1173,36 @@ impl StorageDb {
         let arity = meta.columns.len();
         let mut rel = Relation::new(schema);
         rel.reserve(meta.rows);
+        let decode = |page: &[u8], i: u16| -> Result<Option<Vec<Value>>, EvalError> {
+            let cell = page::cell(page, i)?;
+            if cell.is_empty() {
+                return Ok(None); // tombstone
+            }
+            let row = codec::decode_row(cell, arity)?;
+            for (v, (col, ty)) in row.iter().zip(&meta.columns) {
+                if !codec::type_matches(v, *ty) {
+                    return Err(EvalError::SpillIo(format!(
+                        "table {name}: column {col} holds a value of the wrong type"
+                    )));
+                }
+            }
+            Ok(Some(row))
+        };
         for &(start, count) in &meta.heap {
             for pid in start..start + count {
                 let page = pool.pin(pid)?;
                 let n = page::cell_count(&page)?;
-                for i in 0..n {
-                    let cell = page::cell(&page, i)?;
-                    if cell.is_empty() {
-                        continue; // tombstone
-                    }
-                    let row = codec::decode_row(cell, arity)?;
-                    for (v, (col, ty)) in row.iter().zip(&meta.columns) {
-                        if !codec::type_matches(v, *ty) {
-                            return Err(EvalError::SpillIo(format!(
-                                "table {name}: column {col} holds a value of the wrong type"
-                            )));
-                        }
-                    }
-                    rel.push_many_unchecked(std::iter::once(row));
+                // One append per page (the columns are borrowed once),
+                // decoding each row as the append consumes it; the first
+                // bad cell ends the page.
+                let mut failed = None;
+                rel.push_many_unchecked(
+                    (0..n)
+                        .map_while(|i| decode(&page, i).map_err(|e| failed = Some(e)).ok())
+                        .flatten(),
+                );
+                if let Some(e) = failed {
+                    return Err(e);
                 }
             }
         }
@@ -1389,6 +1423,71 @@ mod tests {
         // Deleted and out-of-range rowids are typed errors.
         assert!(storage2.delete_rows("t", &[5]).is_err(), "double delete");
         assert!(storage2.delete_rows("t", &[999]).is_err(), "out of range");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn update_that_outgrows_its_page_is_refused_before_logging() {
+        let dir = tmpdir("outgrow");
+        let storage = StorageDb::open(&dir).unwrap();
+        let mut rel = Relation::new(Schema::new(&[
+            ("id", ColumnType::Int),
+            ("name", ColumnType::Str),
+        ]));
+        // Enough rows that the first heap page is full.
+        for i in 0..2000i64 {
+            rel.push_row(vec![Value::Int(i), Value::str("x")]).unwrap();
+        }
+        storage.ingest("t", &rel, &[]).unwrap();
+        let before = storage.load_table("t", 1 << 20, None).unwrap().0.to_rows();
+        let wal_len = || std::fs::metadata(dir.join("db.wal")).map_or(0, |m| m.len());
+        let wal_before = wal_len();
+
+        // A valid update, but row 0's page has no room for 600 more bytes.
+        let long = "y".repeat(600);
+        let mut batch = MutationBatch::new("t");
+        batch
+            .append(vec![Value::Int(-1), Value::str("appended")])
+            .update(0, vec![Value::Int(0), Value::str(&long)]);
+        let err = storage.apply(&batch).unwrap_err();
+        match &err {
+            EvalError::RowDoesNotFit {
+                table,
+                rowid,
+                row_bytes,
+                free_bytes,
+            } => {
+                assert_eq!((table.as_str(), *rowid), ("t", 0));
+                assert!(row_bytes > free_bytes && *row_bytes > 600, "{err}");
+            }
+            other => panic!("expected RowDoesNotFit, got {other:?}"),
+        }
+        assert!(!err.is_retryable() && !err.is_resource_limit());
+
+        // Nothing was logged or applied: same WAL, same rows, also after a
+        // restart; the table keeps accepting batches that fit.
+        assert_eq!(wal_len(), wal_before);
+        assert_eq!(
+            storage.load_table("t", 1 << 20, None).unwrap().0.to_rows(),
+            before
+        );
+        storage.simulate_crash();
+        let storage2 = StorageDb::open(&dir).unwrap();
+        storage2.recover().unwrap();
+        assert_eq!(
+            storage2.load_table("t", 1 << 20, None).unwrap().0.to_rows(),
+            before
+        );
+        // 24 bytes more than the page's slack (< one 19-byte row); two
+        // deletes in the same batch free 30 and make the room.
+        let mut batch = MutationBatch::new("t");
+        batch.update(0, vec![Value::Int(0), Value::str(&"y".repeat(25))]);
+        assert!(matches!(
+            storage2.apply(&batch),
+            Err(EvalError::RowDoesNotFit { .. })
+        ));
+        batch.delete(1).delete(2);
+        assert_eq!(storage2.apply(&batch).unwrap().rows, 1998);
         std::fs::remove_dir_all(&dir).ok();
     }
 

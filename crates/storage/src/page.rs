@@ -161,11 +161,17 @@ pub fn cells(page: &[u8]) -> Result<Vec<Vec<u8>>, EvalError> {
     Ok(out)
 }
 
+/// Bytes of the data region a page holding `cells` occupies (header,
+/// slot directory, payloads); the page can be rebuilt iff this is at most
+/// [`PAGE_DATA`].
+pub fn used_bytes(cells: &[Vec<u8>]) -> usize {
+    HEADER + cells.iter().map(|c| SLOT + c.len()).sum::<usize>()
+}
+
 /// True when one more `cell` still fits a page already holding `cells`
 /// — the planning half of a page rebuild.
 pub fn page_fits(cells: &[Vec<u8>], cell: &[u8]) -> bool {
-    let used: usize = cells.iter().map(|c| SLOT + c.len()).sum();
-    cell.len() <= MAX_CELL && HEADER + used + SLOT + cell.len() <= PAGE_DATA
+    cell.len() <= MAX_CELL && used_bytes(cells) + SLOT + cell.len() <= PAGE_DATA
 }
 
 /// Rebuilds one page image from a cell list (the mutation path: update a

@@ -263,14 +263,15 @@ fn multi_level_recursive_partitioning_matches_oracle() {
         let clean = opt.execute_cq(&db, &q, Budget::unlimited());
         let oracle = clean.result.as_ref().expect("unlimited run succeeds");
 
-        // ~700 KiB: above the resident floor (scan payloads), below the
-        // level-0 partition working set — so at least one partition must
+        // ~60 KiB: the unfiltered scans share the stored columns and
+        // charge no bytes, so the whole limit is join working set — below
+        // a level-0 partition's, so at least one partition must
         // re-partition to level 1 before it fits.
         let out = opt.execute_cq(
             &db,
             &q,
             Budget::unlimited()
-                .with_mem_limit(700_000)
+                .with_mem_limit(60_000)
                 .with_spill_mode(SpillMode::Auto),
         );
         assert!(!spill_dirs_leaked(), "spill temp files leaked");

@@ -186,6 +186,43 @@ proptest! {
         prop_assert!(file.read(other, &mut buf).is_ok());
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    /// Lengthening any row by any amount either applies and reads back,
+    /// or — when the row's page has no room, since rows are not
+    /// relocated — is refused whole as a typed, final `RowDoesNotFit`
+    /// that leaves the table as it was. Never a "page corruption" error.
+    #[test]
+    fn lengthening_update_applies_or_is_refused_whole(
+        rowid in 0u64..1200,
+        extra in 0usize..900,
+    ) {
+        let dir = scratch("grow");
+        let storage = StorageDb::open(&dir).unwrap();
+        let mut rel = Relation::new(Schema::new(&[
+            ("id", ColumnType::Int),
+            ("name", ColumnType::Str),
+        ]));
+        for i in 0..1200i64 {
+            rel.push_row(vec![Value::Int(i), Value::str(&format!("r{i}"))]).unwrap();
+        }
+        storage.ingest("t", &rel, &[]).unwrap();
+        let mut want = rel.to_rows();
+        let new_row = vec![
+            Value::Int(rowid as i64),
+            Value::str(&format!("r{rowid}{}", "z".repeat(extra))),
+        ];
+        match storage.update_row("t", rowid, new_row.clone()) {
+            Ok(_) => want[rowid as usize] = new_row.into_boxed_slice(),
+            Err(htqo_engine::EvalError::RowDoesNotFit { table, rowid: r, row_bytes, free_bytes }) => {
+                prop_assert_eq!((table.as_str(), r), ("t", rowid));
+                prop_assert!(row_bytes > free_bytes);
+            }
+            Err(other) => prop_assert!(false, "unexpected error {other:?}"),
+        }
+        let (got, _) = storage.load_table("t", 1 << 20, None).unwrap();
+        prop_assert_eq!(got.to_rows(), want);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 // ---------------------------------------------------------------------
