@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks for the core kernels: GYO acyclicity,
 //! det-k/cost-k decomposition, the seed-vs-branch-and-bound cost-k memo
 //! (cloned-bitset std keys vs interned ids under the fx hasher), the
-//! hybrid planner on TPC-H Q5, base-table scans (shared columns, typed
+//! hybrid planner on TPC-H Q5, separator pricing and cold planning under
+//! the statistics cost model, base-table scans (shared columns, typed
 //! predicate kernels), hash join throughput, the seed-vs-overhauled join
 //! kernels (sequential and partitioned-parallel),
 //! the parallel q-hypertree schedule, and the q-hypertree evaluator vs the
@@ -154,6 +155,49 @@ fn bench_tpch_planning(c: &mut Criterion) {
     c.bench_function("plan_tpch_q5", |b| {
         b.iter(|| optimizer.plan_cq(&q).expect("Q5 decomposes"))
     });
+}
+
+fn bench_planner(c: &mut Criterion) {
+    // Pricing and cold planning under the statistics cost model, on the
+    // e2e `plan_cold` shapes (12 relations x 40 rows over 80 values).
+    use htqo_core::{cost_k_decomp_with_cost, DecompCost, SearchOptions};
+    use htqo_hypergraph::{EdgeId, EdgeSet, VarSet};
+    use htqo_stats::StatsDecompCost;
+    let db = workload_db(&WorkloadSpec::new(12, 40, 80, 7));
+    let stats = htqo_stats::analyze(&db);
+    let cycle = chain_query(12);
+    let line = acyclic_query(12);
+    let mut group = c.benchmark_group("planner");
+
+    // One vertex: λ = {p0, p3, p4, p5}, enforcing p3 ⋈ p4 ⋈ p5.
+    let h = cycle.hypergraph().hypergraph;
+    let lambda: EdgeSet = [0, 3, 4, 5].into_iter().map(EdgeId).collect();
+    let assigned: EdgeSet = [3, 4, 5].into_iter().map(EdgeId).collect();
+    let chi = VarSet::new();
+    group.bench_function("vertex_cost_miss", |b| {
+        // A fresh model per pricing: what the first sight of a join-atom
+        // set costs, model construction included.
+        b.iter(|| StatsDecompCost::new(&stats, &cycle).vertex_cost(&h, &lambda, &assigned, &chi))
+    });
+    let model = StatsDecompCost::new(&stats, &cycle);
+    group.bench_function("vertex_cost_hit", |b| {
+        b.iter(|| model.vertex_cost(&h, &lambda, &assigned, &chi))
+    });
+
+    for (name, q) in [
+        ("plan_cycle12_k4_stats", &cycle),
+        ("plan_line12_k4_stats", &line),
+    ] {
+        let ch = q.hypergraph();
+        let opts = SearchOptions::width_with_root_cover(4, ch.out_var_set(q)).with_threads(1);
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let model = StatsDecompCost::new(&stats, q);
+                cost_k_decomp_with_cost(&ch.hypergraph, &opts, &model).expect("width 2 suffices")
+            })
+        });
+    }
+    group.finish();
 }
 
 fn bench_scans(c: &mut Criterion) {
@@ -368,6 +412,7 @@ criterion_group!(
     bench_memo_lookup,
     bench_costk_engines,
     bench_tpch_planning,
+    bench_planner,
     bench_scans,
     bench_hash_join,
     bench_join_kernels,

@@ -8,7 +8,9 @@
 //! Every row asserts that the optimal cost is identical and that on
 //! hypergraphs with ≥ 6 atoms the engineered search examines *strictly
 //! fewer* separators than the seed with nonzero pruning counters — the
-//! PR's acceptance criteria.
+//! PR's acceptance criteria. The last three columns repeat the
+//! branch-and-bound run under the statistics cost model (the one
+//! production plans with), again asserting the seed search's optimum.
 //!
 //! ```text
 //! cargo run -p htqo-bench --release --bin decomp [-- --threads N] [-- --mem-limit BYTES]
@@ -20,10 +22,10 @@ use std::time::Instant;
 use htqo_core::search::baseline;
 use htqo_core::{cost_k_decomp_instrumented, SearchOptions, SearchStats, StructuralCost};
 use htqo_cq::{isolate, parse_select, ConjunctiveQuery, IsolatorOptions};
-use htqo_hypergraph::Hypergraph;
+use htqo_stats::{analyze, DbStats, StatsDecompCost};
 use htqo_tpch::dbgen::{generate, DbgenOptions};
 use htqo_tpch::queries::q5;
-use htqo_workloads::{acyclic_query, chain_query, star_query};
+use htqo_workloads::{acyclic_query, chain_query, star_db, star_query, workload_db, WorkloadSpec};
 
 const REPS: usize = 3;
 
@@ -40,6 +42,12 @@ struct Row {
     seed_time: f64,
     seq_time: f64,
     par_time: f64,
+    /// Separators examined, distinct join-atom sets priced and best time
+    /// of the sequential B&B search under [`StatsDecompCost`] (a fresh
+    /// model per run, as the optimizer builds one per query).
+    stats_seps: usize,
+    stats_priced: usize,
+    stats_time: f64,
 }
 
 fn best_of<R>(mut f: impl FnMut() -> R) -> (f64, R) {
@@ -54,12 +62,18 @@ fn best_of<R>(mut f: impl FnMut() -> R) -> (f64, R) {
     (best, out.expect("REPS >= 1"))
 }
 
-fn measure(family: &'static str, h: &Hypergraph, opts: &SearchOptions) -> Option<Row> {
+fn measure(
+    family: &'static str,
+    q: &ConjunctiveQuery,
+    db_stats: &DbStats,
+    opts: &SearchOptions,
+) -> Option<Row> {
+    let h = &q.hypergraph().hypergraph;
     let k = opts.max_width;
     let (seed_time, seed) =
         best_of(|| baseline::cost_k_decomp_instrumented(h, opts, &StructuralCost));
-    let (seq_time, seq) =
-        best_of(|| cost_k_decomp_instrumented(h, &opts.clone().with_threads(1), &StructuralCost));
+    let seq_opts = opts.clone().with_threads(1);
+    let (seq_time, seq) = best_of(|| cost_k_decomp_instrumented(h, &seq_opts, &StructuralCost));
     let (par_time, par) =
         best_of(|| cost_k_decomp_instrumented(h, &opts.clone().with_threads(4), &StructuralCost));
 
@@ -79,6 +93,21 @@ fn measure(family: &'static str, h: &Hypergraph, opts: &SearchOptions) -> Option
     assert_eq!(
         seq_cost, par_cost,
         "{family} k={k}: sequential vs parallel cost"
+    );
+
+    let (stats_time, (stats_cost, stats_seps, stats_priced)) = best_of(|| {
+        let model = StatsDecompCost::new(db_stats, q);
+        let (cost, _, search) = cost_k_decomp_instrumented(h, &seq_opts, &model)
+            .expect("feasibility does not depend on the cost model");
+        (cost, search.separators_tried, model.priced_sets())
+    });
+    let (seed_stats_cost, _, _) =
+        baseline::cost_k_decomp_instrumented(h, opts, &StatsDecompCost::new(db_stats, q))
+            .expect("feasibility does not depend on the cost model");
+    assert_eq!(
+        seed_stats_cost.to_bits(),
+        stats_cost.to_bits(),
+        "{family} k={k}: seed vs B&B cost under the statistics model"
     );
 
     let atoms = h.num_edges();
@@ -109,16 +138,20 @@ fn measure(family: &'static str, h: &Hypergraph, opts: &SearchOptions) -> Option
         seed_time,
         seq_time,
         par_time,
+        stats_seps,
+        stats_priced,
+        stats_time,
     })
 }
 
-fn tpch_q5() -> ConjunctiveQuery {
+fn tpch_q5() -> (ConjunctiveQuery, DbStats) {
     let db = generate(&DbgenOptions {
         scale: 0.001,
         seed: 5,
     });
     let stmt = parse_select(&q5("ASIA", 1994)).expect("Q5 parses");
-    isolate(&stmt, &db, IsolatorOptions::default()).expect("Q5 isolates")
+    let q = isolate(&stmt, &db, IsolatorOptions::default()).expect("Q5 isolates");
+    (q, analyze(&db))
 }
 
 fn main() {
@@ -129,33 +162,28 @@ fn main() {
     // workload generation below does; honor the shared memory knob.
     let _ = htqo_bench::harness::mem_limit_from_args();
 
+    // Statistics for the synthetic families: the e2e `plan_cold` shape
+    // (40 rows over 80 values per relation).
+    let chain_stats = analyze(&workload_db(&WorkloadSpec::new(10, 40, 80, 3)));
     let mut rows: Vec<Row> = Vec::new();
     for k in 2..=4usize {
         for n in [4usize, 6, 8, 10] {
-            let q = acyclic_query(n);
-            let h = q.hypergraph().hypergraph;
-            rows.extend(measure("line", &h, &SearchOptions::width(k)));
-            let q = chain_query(n);
-            let h = q.hypergraph().hypergraph;
-            rows.extend(measure("cycle", &h, &SearchOptions::width(k)));
+            let opts = SearchOptions::width(k);
+            rows.extend(measure("line", &acyclic_query(n), &chain_stats, &opts));
+            rows.extend(measure("cycle", &chain_query(n), &chain_stats, &opts));
             if n <= 8 {
                 // star_query(n) has n satellites + 1 hub atom.
-                let q = star_query(n);
-                let h = q.hypergraph().hypergraph;
-                rows.extend(measure("star", &h, &SearchOptions::width(k)));
+                let star_stats = analyze(&star_db(n, 40, 80, 3));
+                rows.extend(measure("star", &star_query(n), &star_stats, &opts));
             }
         }
     }
     // TPC-H Q5 with the q-HD root-cover constraint (the paper's Example 1).
-    let q = tpch_q5();
-    let ch = q.hypergraph();
-    let out = ch.out_var_set(&q);
+    let (q, q5_stats) = tpch_q5();
+    let out = q.hypergraph().out_var_set(&q);
     for k in 2..=4usize {
-        rows.extend(measure(
-            "tpch-q5",
-            &ch.hypergraph,
-            &SearchOptions::width_with_root_cover(k, out.clone()),
-        ));
+        let opts = SearchOptions::width_with_root_cover(k, out.clone());
+        rows.extend(measure("tpch-q5", &q, &q5_stats, &opts));
     }
 
     let mut report = String::new();
@@ -169,26 +197,31 @@ fn main() {
     let _ = writeln!(
         report,
         "Machine: {cpus} CPU(s) visible to the process. Times are best of {REPS} runs \
-         (structural cost model). `seed` is the frozen exhaustive search; `B&B` is the \
-         interned + pruned branch-and-bound engine; `B&B 4t` solves independent component \
-         subproblems on four worker threads. On a single-CPU host the 4t column measures \
-         scheduling overhead only. Every row asserts identical optimal cost across all \
-         three engines, and rows with ≥ 6 atoms assert strictly fewer separators examined \
-         than the seed.\n"
+         (structural cost model unless a column says otherwise). `seed` is the frozen \
+         exhaustive search; `B&B` is the interned + pruned branch-and-bound engine; `B&B 4t` \
+         solves independent component subproblems on four worker threads. On a single-CPU \
+         host the 4t column measures scheduling overhead only. The `stats` columns rerun the \
+         sequential B&B search under the statistics cost model (gathered statistics of 40-row \
+         relations; TPC-H SF 0.001 for Q5), with a fresh model per run: separators examined, \
+         distinct join-atom sets the model derived a price for (every other pricing is a \
+         hash probe), and time. Every row asserts identical optimal cost across all three \
+         engines — and, under the statistics model, between seed and B&B — and rows with \
+         ≥ 6 atoms assert strictly fewer separators examined than the seed.\n"
     );
     let _ = writeln!(
         report,
         "| query | atoms | k | separators seed | separators B&B | subproblems seed | \
-         subproblems B&B | bound cuts | cover rejects | interned | seed | B&B | speedup | B&B 4t |"
+         subproblems B&B | bound cuts | cover rejects | interned | seed | B&B | speedup | B&B 4t | \
+         separators stats | sets priced | B&B stats |"
     );
     let _ = writeln!(
         report,
-        "|---|---|---|---|---|---|---|---|---|---|---|---|---|---|"
+        "|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|"
     );
     for r in &rows {
         let _ = writeln!(
             report,
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {:.2}ms | {:.2}ms | {:.2}x | {:.2}ms |",
+            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {:.2}ms | {:.2}ms | {:.2}x | {:.2}ms | {} | {} | {:.2}ms |",
             r.family,
             r.atoms,
             r.k,
@@ -203,6 +236,9 @@ fn main() {
             r.seq_time * 1e3,
             r.seed_time / r.seq_time,
             r.par_time * 1e3,
+            r.stats_seps,
+            r.stats_priced,
+            r.stats_time * 1e3,
         );
     }
     let _ = writeln!(report);

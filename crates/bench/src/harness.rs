@@ -128,25 +128,59 @@ pub fn run_budget() -> Budget {
         .with_max_tuples(tuples)
 }
 
+/// Finds `<flag> V` / `<flag>=V` in `args` (the last occurrence wins) and
+/// parses `V`. A flag with a missing or unparsable value is an error
+/// naming the flag and the value — never a silent default.
+fn flag_value<T>(
+    args: &[String],
+    flag: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Option<T>, String> {
+    let mut found = None;
+    let mut i = 0;
+    while i < args.len() {
+        let value = if args[i] == flag {
+            i += 1;
+            Some(
+                args.get(i)
+                    .ok_or_else(|| format!("{flag} needs a value"))?
+                    .as_str(),
+            )
+        } else {
+            args[i]
+                .strip_prefix(flag)
+                .and_then(|rest| rest.strip_prefix('='))
+        };
+        if let Some(v) = value {
+            found = Some(parse(v).ok_or_else(|| format!("invalid value '{v}' for {flag}"))?);
+        }
+        i += 1;
+    }
+    Ok(found)
+}
+
+/// [`flag_value`] over the process arguments; a malformed value prints a
+/// one-line error and exits with status 2.
+fn flag_from_args<T>(flag: &str, parse: impl Fn(&str) -> Option<T>) -> Option<T> {
+    let args: Vec<String> = std::env::args().collect();
+    flag_value(&args, flag, parse).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
+}
+
+fn parse_threads(v: &str) -> Option<usize> {
+    v.parse().ok().filter(|&n| n > 0)
+}
+
 /// Applies the `--threads N` (or `--threads=N`) command-line knob shared
 /// by the figure harnesses: parses the process arguments, pins the
 /// execution-layer thread count via [`htqo_engine::exec::set_threads`],
 /// and returns the count now in effect. Without the flag, the
-/// `HTQO_THREADS` env var / machine parallelism default stands.
+/// `HTQO_THREADS` env var / machine parallelism default stands; a value
+/// that is not a positive integer exits with status 2.
 pub fn threads_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    let mut parsed: Option<usize> = None;
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(v) = args[i].strip_prefix("--threads=") {
-            parsed = v.parse().ok();
-        } else if args[i] == "--threads" {
-            parsed = args.get(i + 1).and_then(|v| v.parse().ok());
-            i += 1;
-        }
-        i += 1;
-    }
-    if let Some(n) = parsed {
+    if let Some(n) = flag_from_args("--threads", parse_threads) {
         htqo_engine::exec::set_threads(n);
     }
     htqo_engine::exec::num_threads()
@@ -157,23 +191,9 @@ pub fn threads_from_args() -> usize {
 /// `K`/`M`/`G` suffix and pins the process-wide memory limit via
 /// [`htqo_engine::exec::set_mem_limit_default`], returning the limit now
 /// in effect. Without the flag, the `HTQO_MEM_LIMIT` env var / unlimited
-/// default stands.
+/// default stands; an unparsable value exits with status 2.
 pub fn mem_limit_from_args() -> Option<u64> {
-    let args: Vec<String> = std::env::args().collect();
-    let mut parsed: Option<u64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(v) = args[i].strip_prefix("--mem-limit=") {
-            parsed = htqo_engine::exec::parse_bytes(v);
-        } else if args[i] == "--mem-limit" {
-            parsed = args
-                .get(i + 1)
-                .and_then(|v| htqo_engine::exec::parse_bytes(v));
-            i += 1;
-        }
-        i += 1;
-    }
-    if let Some(n) = parsed {
+    if let Some(n) = flag_from_args("--mem-limit", htqo_engine::exec::parse_bytes) {
         htqo_engine::exec::set_mem_limit_default(Some(n));
     }
     htqo_engine::exec::mem_limit_default()
@@ -224,6 +244,40 @@ pub fn run_measured(f: impl FnOnce(Budget) -> QueryOutcome) -> Measurement {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn flag_values_parse_or_name_the_offender() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let threads = |v: &[&str]| flag_value(&args(v), "--threads", parse_threads);
+        assert_eq!(threads(&["bin", "--rows"]), Ok(None));
+        assert_eq!(threads(&["bin", "--threads", "4"]), Ok(Some(4)));
+        assert_eq!(
+            threads(&["bin", "--threads=2", "--threads", "3"]),
+            Ok(Some(3))
+        );
+        assert_eq!(threads(&["bin", "--threads-extra=9"]), Ok(None));
+        for bad in [
+            &["bin", "--threads", "abc"][..],
+            &["bin", "--threads=0"],
+            &["bin", "--threads="],
+            &["bin", "--threads"],
+        ] {
+            let err = threads(bad).unwrap_err();
+            assert!(err.contains("--threads"), "{err}");
+        }
+        assert!(threads(&["bin", "--threads", "abc"])
+            .unwrap_err()
+            .contains("'abc'"));
+
+        let mem = |v: &[&str]| flag_value(&args(v), "--mem-limit", htqo_engine::exec::parse_bytes);
+        assert_eq!(mem(&["bin", "--mem-limit", "12K"]), Ok(Some(12 << 10)));
+        assert_eq!(mem(&["bin", "--mem-limit=3M"]), Ok(Some(3 << 20)));
+        let err = mem(&["bin", "--mem-limit", "12Q"]).unwrap_err();
+        assert!(
+            err.contains("--mem-limit") && err.contains("'12Q'"),
+            "{err}"
+        );
+    }
 
     fn m(seconds: f64, dnf: bool) -> Measurement {
         Measurement {

@@ -183,10 +183,16 @@ struct AtomicStats {
 }
 
 /// Per-subproblem enumeration state: the incumbent, locally batched
-/// counters (flushed to the shared atomics once per subproblem), and the
-/// λ-dedup table.
+/// counters (flushed to the shared atomics once per subproblem), the
+/// λ-dedup table, and the separator being built. Pricing a separator
+/// reuses `sep_set` and `assigned` in place, so a separator that is
+/// bound-cut on its vertex cost allocates nothing.
 struct EnumCtx {
     best: MemoEntry,
+    /// The current separator prefix λ, maintained by [`Searcher::enumerate`].
+    sep_set: EdgeSet,
+    /// Scratch for the component edges the current separator enforces.
+    assigned: EdgeSet,
     separators_tried: usize,
     cover_rejects: usize,
     lambda_dedup: usize,
@@ -349,13 +355,14 @@ impl<'a> Searcher<'a> {
 
         let mut ctx = EnumCtx {
             best: None,
+            sep_set: EdgeSet::new(),
+            assigned: EdgeSet::new(),
             separators_tried: 0,
             cover_rejects: 0,
             lambda_dedup: 0,
             bound_cuts: 0,
             seen_covers: self.first_success.then(FxHashSet::default),
         };
-        let mut sep = Vec::with_capacity(self.k);
         // Per-depth χ scratch buffers: `scratch[d]` holds `var(sep) ∩
         // scope` for the current depth-d prefix, so extending a separator
         // never allocates (the buffers are reused across the whole
@@ -366,7 +373,7 @@ impl<'a> Searcher<'a> {
             &suffix_cover,
             &suffix_in_comp,
             0,
-            &mut sep,
+            0,
             &mut scratch,
             false,
             comp,
@@ -390,8 +397,10 @@ impl<'a> Searcher<'a> {
     }
 
     /// Recursive subset enumeration (sizes 1..=k) with branch pruning.
-    /// `scratch[sep.len()]` is `var(sep) ∩ scope`, maintained
-    /// incrementally — it is exactly the χ this separator would produce.
+    /// `ctx.sep_set` holds the `depth` edges chosen so far and
+    /// `scratch[depth]` is `var(sep) ∩ scope`, both maintained
+    /// incrementally — the latter is exactly the χ this separator would
+    /// produce.
     #[allow(clippy::too_many_arguments)]
     fn enumerate(
         &self,
@@ -399,7 +408,7 @@ impl<'a> Searcher<'a> {
         suffix_cover: &[VarSet],
         suffix_in_comp: &[bool],
         start: usize,
-        sep: &mut Vec<EdgeId>,
+        depth: usize,
         scratch: &mut [VarSet],
         has_comp_edge: bool,
         comp: &EdgeSet,
@@ -410,8 +419,7 @@ impl<'a> Searcher<'a> {
         if self.first_success && ctx.best.is_some() {
             return;
         }
-        let depth = sep.len();
-        if !sep.is_empty()
+        if depth > 0
             && has_comp_edge
             && conn.is_subset(&scratch[depth])
             && root_cover.is_none_or(|req| req.is_subset(&scratch[depth]))
@@ -429,7 +437,7 @@ impl<'a> Searcher<'a> {
                 ctx.lambda_dedup += 1;
             } else {
                 ctx.separators_tried += 1;
-                self.try_separator(sep, &scratch[depth], comp, ctx);
+                self.try_separator(&scratch[depth], comp, ctx);
             }
         }
         if depth == self.k {
@@ -452,7 +460,7 @@ impl<'a> Searcher<'a> {
                 return;
             }
             let cand = &candidates[i];
-            sep.push(cand.id);
+            ctx.sep_set.insert(cand.id);
             // scratch[depth+1] = scratch[depth] ∪ cover(cand), reusing the
             // buffer's allocation.
             let (lo, hi) = scratch.split_at_mut(depth + 1);
@@ -464,7 +472,7 @@ impl<'a> Searcher<'a> {
                 suffix_cover,
                 suffix_in_comp,
                 i + 1,
-                sep,
+                depth + 1,
                 scratch,
                 has_comp_edge || cand.in_comp,
                 comp,
@@ -472,22 +480,21 @@ impl<'a> Searcher<'a> {
                 root_cover,
                 ctx,
             );
-            sep.pop();
+            ctx.sep_set.remove(cand.id);
         }
     }
 
     /// Prices one full candidate separator: recurses on the
     /// `[χ]`-components and updates the incumbent. The separator has
     /// already passed the progress, connector-cover and root-cover checks.
-    fn try_separator(&self, sep: &[EdgeId], chi: &VarSet, comp: &EdgeSet, ctx: &mut EnumCtx) {
-        let sep_set: EdgeSet = sep.iter().copied().collect();
+    fn try_separator(&self, chi: &VarSet, comp: &EdgeSet, ctx: &mut EnumCtx) {
         // Edges of the component fully covered here are enforced here.
-        let assigned: EdgeSet = comp
-            .iter()
-            .filter(|&e| self.h.edge_vars(e).is_subset(chi))
-            .collect();
+        ctx.assigned.clear();
+        ctx.assigned
+            .extend(comp.iter().filter(|&e| self.h.edge_vars(e).is_subset(chi)));
+        let (sep_set, assigned) = (&ctx.sep_set, &ctx.assigned);
 
-        let mut total = self.cost.vertex_cost(self.h, &sep_set, &assigned, chi);
+        let mut total = self.cost.vertex_cost(self.h, sep_set, assigned, chi);
         // First bound cut on the vertex cost alone, before paying for the
         // component split.
         if let Some((bound, _)) = &ctx.best {
@@ -574,9 +581,9 @@ impl<'a> Searcher<'a> {
             ctx.best = Some((
                 total,
                 Arc::new(PlanNode {
-                    lambda: sep_set,
+                    lambda: sep_set.clone(),
                     chi: chi.clone(),
-                    assigned,
+                    assigned: assigned.clone(),
                     children,
                 }),
             ));

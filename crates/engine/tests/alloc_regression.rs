@@ -10,62 +10,16 @@
 //! counters see only this file's work; the tests take [`serial`] so they
 //! do not see each other's.)
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
+use counting_alloc::{allocs_of, bytes_of, serial};
 use htqo_engine::cops;
 use htqo_engine::crel::CRel;
 use htqo_engine::error::Budget;
 use htqo_engine::ops::{natural_join, natural_join_seed, PARALLEL_ROW_THRESHOLD};
 use htqo_engine::value::Value;
 use htqo_engine::vrel::VRelation;
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-/// Bytes requested (a `realloc` counts its whole new size).
-static BYTES: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static A: CountingAlloc = CountingAlloc;
-
-/// The counters are process-wide and the harness runs tests on parallel
-/// threads: every test holds this for its whole body.
-fn serial() -> MutexGuard<'static, ()> {
-    static SERIAL: Mutex<()> = Mutex::new(());
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn allocs_of<R>(f: impl FnOnce() -> R) -> (usize, R) {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let r = f();
-    (ALLOCS.load(Ordering::Relaxed) - before, r)
-}
-
-fn bytes_of<R>(f: impl FnOnce() -> R) -> (usize, R) {
-    let before = BYTES.load(Ordering::Relaxed);
-    let r = f();
-    (BYTES.load(Ordering::Relaxed) - before, r)
-}
 
 /// Two relations sharing column `x`, sized to stay on the sequential
 /// kernel path (below [`PARALLEL_ROW_THRESHOLD`]) so the count is

@@ -10,7 +10,7 @@
 //! than the left-deep optimum on estimates.
 
 use htqo_cq::{AtomId, ConjunctiveQuery};
-use htqo_stats::{atom_profile, join_profiles, DbStats, Profile};
+use htqo_stats::{join_profiles, DbStats, Profile, QueryProfiles};
 use std::fmt;
 
 /// A join tree over query atoms.
@@ -89,12 +89,13 @@ pub fn dp_bushy(q: &ConjunctiveQuery, stats: &DbStats) -> Option<(f64, JoinTree)
     if n == 0 || n > crate::dp::EXHAUSTIVE_LIMIT {
         return None;
     }
-    let profiles: Vec<Profile> = q.atom_ids().map(|a| atom_profile(stats, q, a)).collect();
+    let compiled = QueryProfiles::new(stats, q);
     let full: usize = (1 << n) - 1;
     // best[mask] = (cost so far, result profile, tree)
     let mut best: Vec<Option<(f64, Profile, JoinTree)>> = vec![None; full + 1];
-    for (i, p) in profiles.iter().enumerate() {
-        best[1 << i] = Some((p.card, p.clone(), JoinTree::Leaf(AtomId(i as u32))));
+    for (i, a) in q.atom_ids().enumerate() {
+        let p = compiled.atom(a);
+        best[1 << i] = Some((p.card, p.clone(), JoinTree::Leaf(a)));
     }
     // Enumerate subsets in increasing size; for each, all proper splits.
     for mask in 1..=full {

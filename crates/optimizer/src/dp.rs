@@ -8,7 +8,7 @@
 //! to the greedy heuristic, as real systems do.
 
 use htqo_cq::{AtomId, ConjunctiveQuery};
-use htqo_stats::{atom_profile, join_profiles, DbStats, Profile};
+use htqo_stats::{join_profiles, DbStats, Profile, QueryProfiles};
 
 /// Largest atom count planned exhaustively (2^n subset DP).
 pub const EXHAUSTIVE_LIMIT: usize = 14;
@@ -23,19 +23,20 @@ pub fn dp_join_order(q: &ConjunctiveQuery, stats: &DbStats) -> Vec<AtomId> {
     if n > EXHAUSTIVE_LIMIT {
         return greedy_join_order(q, stats);
     }
-    let profiles: Vec<Profile> = q.atom_ids().map(|a| atom_profile(stats, q, a)).collect();
+    let compiled = QueryProfiles::new(stats, q);
+    let profiles: Vec<&Profile> = q.atom_ids().map(|a| compiled.atom(a)).collect();
 
     // best[mask] = (cost, last atom added, profile)
     let full: usize = (1 << n) - 1;
     let mut best: Vec<Option<(f64, usize, Profile)>> = vec![None; full + 1];
-    for (i, p) in profiles.iter().enumerate() {
+    for (i, &p) in profiles.iter().enumerate() {
         best[1 << i] = Some((p.card, i, p.clone()));
     }
     for mask in 1..=full {
         let Some((cost, _, profile)) = best[mask].clone() else {
             continue;
         };
-        for (i, p) in profiles.iter().enumerate() {
+        for (i, &p) in profiles.iter().enumerate() {
             if mask & (1 << i) != 0 {
                 continue;
             }
@@ -69,7 +70,8 @@ pub fn dp_join_order(q: &ConjunctiveQuery, stats: &DbStats) -> Vec<AtomId> {
 /// exhaustive limit, like real planners switch to heuristics).
 pub fn greedy_join_order(q: &ConjunctiveQuery, stats: &DbStats) -> Vec<AtomId> {
     let n = q.atoms.len();
-    let profiles: Vec<Profile> = q.atom_ids().map(|a| atom_profile(stats, q, a)).collect();
+    let compiled = QueryProfiles::new(stats, q);
+    let profiles: Vec<&Profile> = q.atom_ids().map(|a| compiled.atom(a)).collect();
     let mut remaining: Vec<usize> = (0..n).collect();
     let mut order = Vec::with_capacity(n);
     // Smallest atom first.
@@ -81,11 +83,11 @@ pub fn greedy_join_order(q: &ConjunctiveQuery, stats: &DbStats) -> Vec<AtomId> {
         let (pos, _) = remaining
             .iter()
             .enumerate()
-            .map(|(pos, &i)| (pos, join_profiles(&acc, &profiles[i]).card))
+            .map(|(pos, &i)| (pos, join_profiles(&acc, profiles[i]).card))
             .min_by(|a, b| a.1.total_cmp(&b.1))
             .expect("non-empty");
         let i = remaining.remove(pos);
-        acc = join_profiles(&acc, &profiles[i]);
+        acc = join_profiles(&acc, profiles[i]);
         order.push(AtomId(i as u32));
     }
     order
@@ -97,16 +99,22 @@ pub fn greedy_join_order(q: &ConjunctiveQuery, stats: &DbStats) -> Vec<AtomId> {
 /// Adding the scans shifts all orders by the same constant, so rankings —
 /// and the DP/GEQO optima — are unaffected.
 pub fn order_cost(q: &ConjunctiveQuery, stats: &DbStats, order: &[AtomId]) -> f64 {
+    order_cost_compiled(&QueryProfiles::new(stats, q), order)
+}
+
+/// [`order_cost`] over an already compiled query, for callers that price
+/// many orders of one query.
+pub(crate) fn order_cost_compiled(profiles: &QueryProfiles<'_>, order: &[AtomId]) -> f64 {
     let mut iter = order.iter();
     let Some(&first) = iter.next() else {
         return 0.0;
     };
-    let mut acc = atom_profile(stats, q, first);
+    let mut acc = profiles.atom(first).clone();
     let mut cost = acc.card;
     for &a in iter {
-        let p = atom_profile(stats, q, a);
+        let p = profiles.atom(a);
         cost += p.card; // the probe-side scan
-        acc = join_profiles(&acc, &p);
+        acc = join_profiles(&acc, p);
         cost += acc.card;
     }
     cost

@@ -5,7 +5,7 @@
 
 use htqo_core::QhdPlan;
 use htqo_cq::{AtomId, ConjunctiveQuery};
-use htqo_stats::{atom_profile, join_profiles, DbStats, StatsDecompCost};
+use htqo_stats::{join_profiles, DbStats, QueryProfiles, StatsDecompCost};
 use std::fmt::Write as _;
 
 /// Renders a left-deep join order with estimated cardinalities:
@@ -21,7 +21,8 @@ pub fn explain_join_order(q: &ConjunctiveQuery, stats: &DbStats, order: &[AtomId
     let Some(&first) = iter.next() else {
         return "empty plan\n".into();
     };
-    let mut acc = atom_profile(stats, q, first);
+    let profiles = QueryProfiles::new(stats, q);
+    let mut acc = profiles.atom(first).clone();
     let _ = writeln!(
         out,
         "scan {:<24} est {:>12.0} rows",
@@ -29,7 +30,7 @@ pub fn explain_join_order(q: &ConjunctiveQuery, stats: &DbStats, order: &[AtomId
         acc.card
     );
     for &a in iter {
-        acc = join_profiles(&acc, &atom_profile(stats, q, a));
+        acc = join_profiles(&acc, profiles.atom(a));
         let _ = writeln!(out, "⋈ {:<27} est {:>12.0} rows", q.atom(a).alias, acc.card);
     }
     if q.has_aggregates() {
@@ -73,23 +74,14 @@ pub fn explain_qhd(plan: &QhdPlan, q: &ConjunctiveQuery, stats: Option<&DbStats>
     ) {
         let h = &plan.cq_hypergraph.hypergraph;
         let n = plan.tree.node(node);
-        let atoms: Vec<String> = n
-            .lambda
-            .union(&n.assigned)
+        let joined = n.lambda.union(&n.assigned);
+        let atoms: Vec<String> = joined
             .iter()
             .map(|e| q.atom(AtomId(e.0)).alias.clone())
             .collect();
         let est = model
             .as_ref()
-            .map(|m| {
-                let ids: Vec<AtomId> = n
-                    .lambda
-                    .union(&n.assigned)
-                    .iter()
-                    .map(|e| AtomId(e.0))
-                    .collect();
-                format!("  est {:.0} tuples", m.vertex_tuples(&ids))
-            })
+            .map(|m| format!("  est {:.0} tuples", m.vertex_tuples(&joined)))
             .unwrap_or_default();
         let support = if n.support_children.is_empty() {
             String::new()

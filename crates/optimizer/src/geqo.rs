@@ -6,9 +6,9 @@
 //! of intermediate sizes; reproduction uses order crossover (OX) and swap
 //! mutation with tournament selection. Fully deterministic given the seed.
 
-use crate::dp::order_cost;
+use crate::dp::order_cost_compiled;
 use htqo_cq::{AtomId, ConjunctiveQuery};
-use htqo_stats::DbStats;
+use htqo_stats::{DbStats, QueryProfiles};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -48,7 +48,8 @@ pub fn geqo_join_order(q: &ConjunctiveQuery, stats: &DbStats, cfg: &GeqoConfig) 
         return ids;
     }
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let fitness = |order: &[AtomId]| order_cost(q, stats, order);
+    let profiles = QueryProfiles::new(stats, q);
+    let fitness = |order: &[AtomId]| order_cost_compiled(&profiles, order);
 
     // Initial population: random permutations (plus the identity).
     let mut population: Vec<(f64, Vec<AtomId>)> = Vec::with_capacity(cfg.population);
@@ -123,7 +124,7 @@ fn order_crossover(p1: &[AtomId], p2: &[AtomId], rng: &mut StdRng) -> Vec<AtomId
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dp::dp_join_order;
+    use crate::dp::{dp_join_order, order_cost};
     use htqo_cq::CqBuilder;
     use htqo_engine::relation::Relation;
     use htqo_engine::schema::{ColumnType, Database, Schema};

@@ -48,14 +48,15 @@ pub fn estimate_answer_rows(
     stats: Option<&htqo_stats::DbStats>,
 ) -> Option<f64> {
     let stats = stats?;
-    let mut profiles = q.atom_ids().map(|a| htqo_stats::atom_profile(stats, q, a));
-    let mut joined = profiles.next()?;
-    for p in profiles {
-        joined = htqo_stats::join_profiles(&joined, &p);
+    let profiles = htqo_stats::QueryProfiles::new(stats, q);
+    let mut atoms = q.atom_ids().map(|a| profiles.atom(a));
+    let mut joined = atoms.next()?.clone();
+    for p in atoms {
+        joined = htqo_stats::join_profiles(&joined, p);
     }
     let distinct_bound = |vars: &[String]| -> f64 {
         vars.iter()
-            .map(|v| joined.distinct_of(v))
+            .map(|v| profiles.distinct_by_name(&joined, v))
             .product::<f64>()
             .min(joined.card)
             .max(1.0)

@@ -2,19 +2,25 @@
 //! paper's optimizer, plugging database statistics into the structural
 //! search (weighted hypertree decompositions, PODS'04).
 
-use crate::estimate::{atom_profile, join_profiles, Profile};
+use crate::estimate::{join_profiles, Profile, QueryProfiles, VarId};
 use crate::stats::DbStats;
 use htqo_core::DecompCost;
 use htqo_cq::{AtomId, ConjunctiveQuery};
+use htqo_hypergraph::fxhash::FxHashMap;
 use htqo_hypergraph::{EdgeSet, Hypergraph, VarSet};
+use std::sync::{Mutex, OnceLock};
 
 /// Statistics-driven [`DecompCost`]: a vertex costs the estimated number of
 /// tuples materialized while joining its atoms (greedy smallest-first
 /// order, the same strategy the evaluator uses), which makes the DP choose
 /// the decomposition with the cheapest overall `P′` phase.
+///
+/// The model is compiled per query ([`QueryProfiles`]) and remembers every
+/// join-atom set it has priced, so the search's thousands of separator
+/// pricings cost one hash probe each after the first.
 pub struct StatsDecompCost<'a> {
-    stats: &'a DbStats,
     query: &'a ConjunctiveQuery,
+    profiles: QueryProfiles<'a>,
     /// When `true` (the default — Algorithm q-HypertreeDecomp always runs
     /// `Optimize` after the search), λ atoms that are *not* enforced at the
     /// vertex are treated as nearly free: Procedure Optimize prunes them
@@ -30,6 +36,11 @@ pub struct StatsDecompCost<'a> {
     /// scan (mirroring the index-nested-loop kernel, which never charges
     /// the probed atom's scan).
     indexed: Vec<(String, String)>,
+    /// Per atom, the variables bound by one of its indexed columns,
+    /// resolved on first use.
+    seek_vars: Vec<OnceLock<Vec<VarId>>>,
+    /// [`Self::vertex_tuples`] by join-atom set, for the model's lifetime.
+    priced: Mutex<FxHashMap<EdgeSet, f64>>,
 }
 
 impl<'a> StatsDecompCost<'a> {
@@ -37,10 +48,12 @@ impl<'a> StatsDecompCost<'a> {
     /// (assumes Procedure Optimize will run).
     pub fn new(stats: &'a DbStats, query: &'a ConjunctiveQuery) -> Self {
         StatsDecompCost {
-            stats,
             query,
+            profiles: QueryProfiles::new(stats, query),
             assume_optimize: true,
             indexed: Vec::new(),
+            seek_vars: query.atoms.iter().map(|_| OnceLock::new()).collect(),
+            priced: Mutex::default(),
         }
     }
 
@@ -60,6 +73,9 @@ impl<'a> StatsDecompCost<'a> {
             .iter()
             .map(|(t, c)| (t.to_lowercase(), c.to_lowercase()))
             .collect();
+        // Prices and seek masks depend on the catalog.
+        self.seek_vars.iter_mut().for_each(|s| *s = OnceLock::new());
+        self.priced = Mutex::default();
         self
     }
 
@@ -67,38 +83,63 @@ impl<'a> StatsDecompCost<'a> {
     /// `acc`'s variables can run as an index seek: some indexed column
     /// of `a`'s relation binds a variable the accumulator already has.
     fn seekable(&self, a: AtomId, acc: &Profile) -> bool {
-        let atom = self.query.atom(a);
-        let rel = atom.relation.to_lowercase();
-        atom.args.iter().any(|(col, var)| {
-            acc.distinct.contains_key(var)
-                && self
-                    .indexed
-                    .iter()
-                    .any(|(t, c)| *t == rel && *c == col.to_lowercase())
-        })
+        let seek_vars = self.seek_vars[a.index()].get_or_init(|| {
+            let atom = self.query.atom(a);
+            let rel = atom.relation.to_lowercase();
+            atom.args
+                .iter()
+                .filter(|(col, _)| {
+                    let col = col.to_lowercase();
+                    self.indexed.iter().any(|(t, c)| *t == rel && *c == col)
+                })
+                .map(|(_, var)| {
+                    self.profiles
+                        .var_id(var)
+                        .expect("atom variables are interned")
+                })
+                .collect()
+        });
+        seek_vars.iter().any(|&v| acc.has_var(v))
     }
 
     /// Estimated number of tuples materialized at one decomposition
-    /// vertex joining `atoms`.
-    pub fn vertex_tuples(&self, atoms: &[AtomId]) -> f64 {
-        let mut profiles: Vec<(AtomId, Profile)> = atoms
+    /// vertex joining `atoms` (edge `i` is atom `i`). Each distinct set
+    /// is derived once; repeats are a hash probe.
+    pub fn vertex_tuples(&self, atoms: &EdgeSet) -> f64 {
+        let lock = || self.priced.lock().expect("pricing never panics");
+        if let Some(&tuples) = lock().get(atoms) {
+            return tuples;
+        }
+        // Priced outside the lock; racing workers compute the same value.
+        let tuples = self.price(atoms);
+        lock().insert(atoms.clone(), tuples);
+        tuples
+    }
+
+    /// Number of distinct join-atom sets priced so far.
+    pub fn priced_sets(&self) -> usize {
+        self.priced.lock().expect("pricing never panics").len()
+    }
+
+    fn price(&self, atoms: &EdgeSet) -> f64 {
+        let mut profiles: Vec<(AtomId, &Profile)> = atoms
             .iter()
-            .map(|&a| (a, atom_profile(self.stats, self.query, a)))
+            .map(|e| (AtomId(e.0), self.profiles.atom(AtomId(e.0))))
             .collect();
         profiles.sort_by(|a, b| a.1.card.total_cmp(&b.1.card));
-        let Some((_, first)) = profiles.first().cloned() else {
+        let Some(&(_, first)) = profiles.first() else {
             return 0.0;
         };
-        let mut acc = first;
+        let mut acc = first.clone();
         let mut cost = acc.card;
-        for (a, p) in &profiles[1..] {
+        for &(a, p) in &profiles[1..] {
             if !self.indexed.is_empty() {
                 // Index-aware pricing: a hash join first scans (and
                 // charges) the probed atom's base table; an index seek
                 // reads only the matching rows, so a seekable join with
                 // a decisively smaller accumulator (the evaluator's own
                 // profitability rule) skips the scan term.
-                let seek = self.seekable(*a, &acc) && acc.card * 4.0 <= p.card;
+                let seek = self.seekable(a, &acc) && acc.card * 4.0 <= p.card;
                 if !seek {
                     cost += p.card;
                 }
@@ -111,11 +152,18 @@ impl<'a> StatsDecompCost<'a> {
 }
 
 impl DecompCost for StatsDecompCost<'_> {
-    /// Every vertex pays at least the per-vertex constant of
-    /// [`StatsDecompCost::vertex_cost`] (cardinality estimates and the
-    /// bounding-atom term are non-negative), so `1.0` is admissible.
+    /// Every vertex the search builds joins at least one atom (a
+    /// normal-form vertex assigns ≥ 1 edge of its component, and λ is
+    /// never empty), the smallest-first join starts its sum with that
+    /// atom's cardinality and only adds non-negative terms, so no vertex
+    /// costs less than the constant plus the smallest atom cardinality.
     fn min_vertex_cost(&self, _h: &Hypergraph) -> f64 {
-        1.0
+        let min_card = self
+            .query
+            .atom_ids()
+            .map(|a| self.profiles.atom(a).card)
+            .fold(f64::INFINITY, f64::min);
+        1.0 + min_card
     }
 
     fn vertex_cost(
@@ -125,18 +173,18 @@ impl DecompCost for StatsDecompCost<'_> {
         assigned: &EdgeSet,
         _chi: &VarSet,
     ) -> f64 {
-        let (join_atoms, bounding) = if self.assume_optimize {
+        let (tuples, bounding) = if self.assume_optimize {
             // Optimize will prune bounding atoms supported by children;
             // price only the enforcing joins, plus a small per-atom term
             // so the search does not add gratuitous bounding atoms.
-            (assigned.clone(), lambda.difference(assigned).len())
+            let bounding = lambda.iter().filter(|&e| !assigned.contains(e)).count();
+            (self.vertex_tuples(assigned), bounding)
         } else {
-            (lambda.union(assigned), 0)
+            (self.vertex_tuples(&lambda.union(assigned)), 0)
         };
-        let atoms: Vec<AtomId> = join_atoms.iter().map(|e| AtomId(e.0)).collect();
         // A tiny per-vertex constant keeps degenerate zero-cost plans from
         // proliferating vertices.
-        1.0 + self.vertex_tuples(&atoms) + 10.0 * bounding as f64
+        1.0 + tuples + 10.0 * bounding as f64
     }
 }
 
@@ -149,6 +197,10 @@ mod tests {
     use htqo_engine::relation::Relation;
     use htqo_engine::schema::{ColumnType, Database, Schema};
     use htqo_engine::value::Value;
+
+    fn edges(ids: &[u32]) -> EdgeSet {
+        ids.iter().map(|&i| htqo_hypergraph::EdgeId(i)).collect()
+    }
 
     /// Triangle query over one big and two small relations: the cost-based
     /// search should prefer separators built from the small relations.
@@ -183,8 +235,8 @@ mod tests {
         let (db, q) = setup();
         let stats = analyze(&db);
         let model = StatsDecompCost::new(&stats, &q);
-        let big_only = model.vertex_tuples(&[AtomId(0)]);
-        let small_pair = model.vertex_tuples(&[AtomId(1), AtomId(2)]);
+        let big_only = model.vertex_tuples(&edges(&[0]));
+        let small_pair = model.vertex_tuples(&edges(&[1, 2]));
         assert!(small_pair < big_only, "{small_pair} vs {big_only}");
     }
 
@@ -195,7 +247,7 @@ mod tests {
         let legacy = StatsDecompCost::new(&stats, &q);
         // An empty catalog is bit-identical to the legacy model.
         let empty = StatsDecompCost::new(&stats, &q).with_indexes(&[]);
-        let atoms = [AtomId(1), AtomId(0)]; // small s1, then big
+        let atoms = edges(&[0, 1]); // small s1 joins first, then big
         assert_eq!(legacy.vertex_tuples(&atoms), empty.vertex_tuples(&atoms));
 
         // With "big" indexed on the shared column (s1 joins big on Y,

@@ -17,5 +17,5 @@ pub mod stats;
 
 pub use analyze::{analyze, analyze_sampled, analyze_with_buckets};
 pub use cost::StatsDecompCost;
-pub use estimate::{atom_profile, join_profiles, left_deep_cost, Profile};
+pub use estimate::{join_profiles, left_deep_cost, Profile, QueryProfiles, VarId};
 pub use stats::{ColumnStats, DbStats, EquiDepthHistogram, TableStats};
