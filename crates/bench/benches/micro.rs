@@ -3,7 +3,8 @@
 //! (cloned-bitset std keys vs interned ids under the fx hasher), the
 //! hybrid planner on TPC-H Q5, separator pricing and cold planning under
 //! the statistics cost model, base-table scans (shared columns, typed
-//! predicate kernels), hash join throughput, the seed-vs-overhauled join
+//! predicate kernels), the paged store's commit, reload and recovery
+//! paths, hash join throughput, the seed-vs-overhauled join
 //! kernels (sequential and partitioned-parallel),
 //! the parallel q-hypertree schedule, and the q-hypertree evaluator vs the
 //! naive pipeline on a chain query.
@@ -253,6 +254,114 @@ fn bench_scans(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_storage(c: &mut Criterion) {
+    // The three storage calls of an e2e `paged_rw` round, one at a time:
+    // a durable 16-op commit on a table far larger than its pool, the
+    // page → column reload, and recovery of a short committed WAL tail.
+    use htqo_engine::{ColumnType, Relation, Schema, Value};
+    use htqo_storage::{MutationBatch, StorageDb, WalPolicy, PAGE_SIZE};
+    let scratch = |name: &str| {
+        let dir = std::env::temp_dir().join(format!("htqo-micro-{}-{name}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        dir
+    };
+    let row = |k: i64| vec![Value::Int(k), Value::str(&format!("{k:0>96}"))];
+    let wide_table = |rows: i64| {
+        let mut rel = Relation::new(Schema::new(&[
+            ("k", ColumnType::Int),
+            ("pad", ColumnType::Str),
+        ]));
+        rel.push_many_unchecked((0..rows).map(row));
+        rel
+    };
+    let small_pool = 24 * PAGE_SIZE as u64;
+    let mut group = c.benchmark_group("storage");
+    group.sample_size(10);
+
+    {
+        // 6 appends, 4 in-place updates, 6 deletes (of the rows the
+        // previous batch appended, so live rows stay constant); the log
+        // checkpoints itself every ~1 MiB, inside the timed commits.
+        let dir = scratch("apply");
+        let storage = StorageDb::open_with(&dir, WalPolicy::Commit, 1 << 20).unwrap();
+        let base = 15_000i64;
+        let meta = storage.ingest("t", &wide_table(base), &[]).unwrap();
+        assert!(meta.heap_pages() >= 200, "{} heap pages", meta.heap_pages());
+        storage.load_table("t", small_pool, None).unwrap();
+        let mut slots = base as u64;
+        let mut doomed: Vec<u64> = (0..6).collect();
+        let mut round = 0i64;
+        group.bench_function("apply_16ops_commit", |b| {
+            b.iter(|| {
+                let mut batch = MutationBatch::new("t");
+                for d in doomed.drain(..) {
+                    batch.delete(d);
+                }
+                for u in 0..4 {
+                    let k = 100 + (round * 4 + u) * 997 % (base - 100);
+                    batch.update(k as u64, row(-k));
+                }
+                for a in 0..6 {
+                    batch.append(row(base + round * 6 + a));
+                    doomed.push(slots);
+                    slots += 1;
+                }
+                round += 1;
+                storage.apply(&batch).unwrap()
+            })
+        });
+        drop(storage);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    {
+        let dir = scratch("load");
+        let db = generate(&DbgenOptions {
+            scale: 0.01,
+            seed: 1,
+        });
+        let storage = StorageDb::open_with(&dir, WalPolicy::Commit, u64::MAX).unwrap();
+        storage
+            .ingest("lineitem", db.table("lineitem").unwrap(), &[])
+            .unwrap();
+        group.bench_function("load_table_lineitem_sf001", |b| {
+            b.iter(|| storage.load_table("lineitem", small_pool, None).unwrap())
+        });
+        drop(storage);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    {
+        // Three committed, never checkpointed batches; each iteration
+        // puts the same log back and recovers it (redo is idempotent).
+        let dir = scratch("recover");
+        let storage = StorageDb::open_with(&dir, WalPolicy::Commit, u64::MAX).unwrap();
+        storage.ingest("t", &wide_table(2_000), &[]).unwrap();
+        for i in 0..3i64 {
+            let mut batch = MutationBatch::new("t");
+            batch
+                .append(row(10_000 + i))
+                .update(300 * (i as u64 + 1), row(-i))
+                .delete(i as u64);
+            storage.apply(&batch).unwrap();
+        }
+        storage.simulate_crash();
+        let log = std::fs::read(dir.join("db.wal")).unwrap();
+        group.bench_function("recover_3_batches", |b| {
+            b.iter(|| {
+                std::fs::write(dir.join("db.wal"), &log).unwrap();
+                storage.simulate_crash();
+                let report = storage.recover().unwrap();
+                assert_eq!(report.batches_replayed, 3);
+                report
+            })
+        });
+        drop(storage);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    group.finish();
+}
+
 fn bench_hash_join(c: &mut Criterion) {
     let db = workload_db(&WorkloadSpec::new(2, 10_000, 100, 7));
     let q = acyclic_query(2);
@@ -414,6 +523,7 @@ criterion_group!(
     bench_tpch_planning,
     bench_planner,
     bench_scans,
+    bench_storage,
     bench_hash_join,
     bench_join_kernels,
     bench_parallel_eval,

@@ -110,6 +110,21 @@ impl NullMask {
         self.bits[word] |= 1 << (i % 64);
     }
 
+    /// Forgets every row from `n` on. Words left all-zero are dropped, so
+    /// [`NullMask::any`] stays exact.
+    pub fn truncate(&mut self, n: usize) {
+        let (words, tail) = (n.div_ceil(64), n % 64);
+        if self.bits.len() >= words {
+            self.bits.truncate(words);
+            if tail > 0 {
+                self.bits[words - 1] &= (1u64 << tail) - 1;
+            }
+        }
+        while self.bits.last() == Some(&0) {
+            self.bits.pop();
+        }
+    }
+
     /// True if row `i` is NULL. Rows past the allocated words are valid.
     #[inline]
     pub fn get(&self, i: usize) -> bool {
@@ -252,27 +267,111 @@ impl Column {
     /// Appends a cell. The value's variant must match the column's (NULL
     /// is accepted everywhere); base relations validate before calling.
     pub fn push_value(&mut self, v: &Value) {
-        match (&mut self.data, v) {
-            (ColumnData::Int(a), Value::Int(x)) => a.push(*x),
-            (ColumnData::Float(a), Value::Float(x)) => a.push(*x),
-            (ColumnData::Date(a), Value::Date(x)) => a.push(*x),
-            (ColumnData::Str(a), Value::Str(s)) => a.push(dict::intern_arc(s)),
-            (ColumnData::Str(a), Value::Null) => a.push(NULL_CODE),
-            (ColumnData::Mixed(a), v) => a.push(v.clone()),
-            (ColumnData::Int(a), Value::Null) => {
+        let accepted = match v {
+            Value::Null => {
+                self.push_null();
+                true
+            }
+            Value::Int(x) => self.push_int(*x),
+            Value::Float(x) => self.push_float(*x),
+            Value::Date(x) => self.push_date(*x),
+            // Not `push_str`: an already-allocated `Arc<str>` is interned
+            // without a copy.
+            Value::Str(s) => match &mut self.data {
+                ColumnData::Str(a) => {
+                    a.push(dict::intern_arc(s));
+                    true
+                }
+                ColumnData::Mixed(a) => {
+                    a.push(v.clone());
+                    true
+                }
+                _ => false,
+            },
+        };
+        assert!(
+            accepted,
+            "column variant does not accept a {}",
+            v.type_name()
+        );
+    }
+
+    /// Appends a NULL cell (every variant accepts one).
+    pub fn push_null(&mut self) {
+        match &mut self.data {
+            ColumnData::Int(a) => {
                 a.push(0);
                 self.nulls.set_null(a.len() - 1);
             }
-            (ColumnData::Float(a), Value::Null) => {
+            ColumnData::Float(a) => {
                 a.push(0.0);
                 self.nulls.set_null(a.len() - 1);
             }
-            (ColumnData::Date(a), Value::Null) => {
+            ColumnData::Date(a) => {
                 a.push(0);
                 self.nulls.set_null(a.len() - 1);
             }
-            (_, v) => panic!("column variant does not accept a {}", v.type_name()),
+            ColumnData::Str(a) => a.push(NULL_CODE),
+            ColumnData::Mixed(a) => a.push(Value::Null),
         }
+    }
+
+    /// Appends an integer cell. The typed pushes are the bulk-load path
+    /// (no boxed [`Value`] per cell); each returns `false`, appending
+    /// nothing, when the column's variant does not hold that type — the
+    /// loader's type check.
+    pub fn push_int(&mut self, x: i64) -> bool {
+        match &mut self.data {
+            ColumnData::Int(a) => a.push(x),
+            ColumnData::Mixed(a) => a.push(Value::Int(x)),
+            _ => return false,
+        }
+        true
+    }
+
+    /// Appends a float cell (see [`Column::push_int`]).
+    pub fn push_float(&mut self, x: f64) -> bool {
+        match &mut self.data {
+            ColumnData::Float(a) => a.push(x),
+            ColumnData::Mixed(a) => a.push(Value::Float(x)),
+            _ => return false,
+        }
+        true
+    }
+
+    /// Appends a date cell (see [`Column::push_int`]).
+    pub fn push_date(&mut self, x: i32) -> bool {
+        match &mut self.data {
+            ColumnData::Date(a) => a.push(x),
+            ColumnData::Mixed(a) => a.push(Value::Date(x)),
+            _ => return false,
+        }
+        true
+    }
+
+    /// Appends a string cell, interning the borrowed text (see
+    /// [`Column::push_int`]).
+    pub fn push_str(&mut self, s: &str) -> bool {
+        match &mut self.data {
+            ColumnData::Str(a) => a.push(dict::intern(s)),
+            ColumnData::Mixed(a) => a.push(Value::str(s)),
+            _ => return false,
+        }
+        true
+    }
+
+    /// Shortens the column to its first `n` cells (no-op when it holds
+    /// fewer) — how a bulk load drops the cells of a row it could not
+    /// finish.
+    pub fn truncate(&mut self, n: usize) {
+        match &mut self.data {
+            ColumnData::Int(a) => a.truncate(n),
+            ColumnData::Float(a) => a.truncate(n),
+            ColumnData::Date(a) => a.truncate(n),
+            ColumnData::Str(a) => a.truncate(n),
+            ColumnData::Mixed(a) => a.truncate(n),
+        }
+        self.nulls.truncate(n);
     }
 
     /// Cell `i` as a boxed [`Value`], resolving string codes through
@@ -798,6 +897,31 @@ mod tests {
         assert_eq!(d.len(), 7);
         assert_eq!(d.value(3), Value::Int(30));
         assert_eq!(d.value(6), Value::Null);
+    }
+
+    #[test]
+    fn truncate_forgets_cells_and_their_null_bits() {
+        let mut c = Column::new(ColumnType::Int);
+        for i in 0..130 {
+            if i % 64 == 1 {
+                c.push_null();
+            } else {
+                assert!(c.push_int(i));
+            }
+        }
+        assert!(!c.push_str("no"), "typed push checks the variant");
+        c.truncate(66);
+        assert_eq!(c.len(), 66);
+        assert!(c.is_null(1) && c.is_null(65) && !c.is_null(64));
+        // Pushing past the cut must not resurrect the NULL at 129.
+        for i in 66..130 {
+            assert!(c.push_int(i));
+        }
+        assert!(!c.is_null(129));
+        c.truncate(1);
+        assert!(!c.nulls().any(), "no NULL left, no mask left");
+        c.truncate(5);
+        assert_eq!(c.len(), 1);
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub use factorized::{
     build_cover, finalize_cover, Cover, CoverError, CoverInput, CoverRows, FactorizedCarrier,
 };
 pub use index::{JoinIndex, MemIndex};
-pub use relation::{Relation, RelationError};
+pub use relation::{Relation, RelationError, RowLoader};
 pub use schema::{Column, ColumnType, Database, Schema};
 pub use value::{Row, Value};
 pub use vrel::VRelation;

@@ -198,6 +198,20 @@ impl Relation {
             .expect("unchecked append cannot fail");
     }
 
+    /// Bulk-load access: the columns taken mutably once, for a loader
+    /// that appends rows cell by cell without boxing a [`Value`] per cell
+    /// (the paged storage reload).
+    pub fn loader(&mut self) -> RowLoader<'_> {
+        RowLoader {
+            schema: &self.schema,
+            cols: self.columns.iter_mut().map(Arc::make_mut).collect(),
+            len: &mut self.len,
+            str_bytes: &mut self.str_bytes,
+            next: 0,
+            row_str_bytes: 0,
+        }
+    }
+
     /// Reserves capacity for `n` more rows.
     pub fn reserve(&mut self, n: usize) {
         for col in &mut self.columns {
@@ -213,6 +227,92 @@ impl Relation {
     pub fn approx_bytes(&self) -> usize {
         let cell = std::mem::size_of::<Value>();
         self.len * (std::mem::size_of::<Row>() + self.schema.arity() * cell) + self.str_bytes
+    }
+}
+
+/// Appends rows to a [`Relation`] one typed cell at a time (see
+/// [`Relation::loader`]). Cells go into the columns in schema order: each
+/// push fills the next column of the row in progress, and
+/// [`RowLoader::end_row`] completes it. A typed push returns `false`,
+/// appending nothing, when that column holds another type. Cells of a row
+/// that was never ended are dropped by [`RowLoader::abort_row`] or when the
+/// loader goes away, so a failed load leaves the relation with whole rows
+/// only.
+pub struct RowLoader<'a> {
+    schema: &'a Schema,
+    cols: Vec<&'a mut Column>,
+    len: &'a mut usize,
+    str_bytes: &'a mut usize,
+    /// The column the next cell goes into.
+    next: usize,
+    /// String bytes of the row in progress.
+    row_str_bytes: usize,
+}
+
+impl RowLoader<'_> {
+    /// The schema of the relation being loaded.
+    pub fn schema(&self) -> &Schema {
+        self.schema
+    }
+
+    fn push(&mut self, push: impl FnOnce(&mut Column) -> bool) -> bool {
+        let pushed = push(self.cols[self.next]);
+        self.next += usize::from(pushed);
+        pushed
+    }
+
+    /// Appends NULL to the next column.
+    pub fn push_null(&mut self) {
+        self.cols[self.next].push_null();
+        self.next += 1;
+    }
+
+    /// Appends an integer to the next column.
+    pub fn push_int(&mut self, x: i64) -> bool {
+        self.push(|c| c.push_int(x))
+    }
+
+    /// Appends a float to the next column.
+    pub fn push_float(&mut self, x: f64) -> bool {
+        self.push(|c| c.push_float(x))
+    }
+
+    /// Appends a date to the next column.
+    pub fn push_date(&mut self, x: i32) -> bool {
+        self.push(|c| c.push_date(x))
+    }
+
+    /// Appends a string to the next column, interning the borrowed text.
+    pub fn push_str(&mut self, s: &str) -> bool {
+        let pushed = self.push(|c| c.push_str(s));
+        if pushed {
+            self.row_str_bytes += s.len();
+        }
+        pushed
+    }
+
+    /// Completes the row in progress, which must have a cell in every
+    /// column.
+    pub fn end_row(&mut self) {
+        assert_eq!(self.next, self.cols.len(), "end_row: row is incomplete");
+        self.next = 0;
+        *self.len += 1;
+        *self.str_bytes += std::mem::take(&mut self.row_str_bytes);
+    }
+
+    /// Drops the cells of the row in progress.
+    pub fn abort_row(&mut self) {
+        for col in &mut self.cols[..self.next] {
+            col.truncate(*self.len);
+        }
+        self.next = 0;
+        self.row_str_bytes = 0;
+    }
+}
+
+impl Drop for RowLoader<'_> {
+    fn drop(&mut self) {
+        self.abort_row();
     }
 }
 
@@ -338,6 +438,41 @@ mod tests {
         b.push_many_unchecked(rows);
         assert_eq!(a.to_rows(), b.to_rows());
         assert_eq!(a.approx_bytes(), b.approx_bytes());
+    }
+
+    #[test]
+    fn loader_matches_boxed_append_and_drops_unfinished_rows() {
+        let rows = vec![
+            vec![Value::Int(1), Value::str("loader-x")],
+            vec![Value::Null, Value::Null],
+            vec![Value::Int(3), Value::str("")],
+        ];
+        let mut boxed = Relation::new(schema());
+        boxed.extend_rows(rows).unwrap();
+
+        let mut typed = Relation::new(schema());
+        let mut l = typed.loader();
+        assert!(l.push_int(1) && l.push_str("loader-x"));
+        l.end_row();
+        l.push_null();
+        l.push_null();
+        l.end_row();
+        // A cell of the wrong type is refused and the row can be dropped…
+        assert!(l.push_int(2));
+        assert!(!l.push_int(2), "name is a string column");
+        l.abort_row();
+        assert!(l.push_int(3) && l.push_str(""));
+        l.end_row();
+        // …as is a row still open when the loader goes away.
+        l.push_null();
+        drop(l);
+        assert_eq!(typed.len(), 3);
+        assert_eq!(typed.to_rows(), boxed.to_rows());
+        assert_eq!(typed.approx_bytes(), boxed.approx_bytes());
+        for c in 0..2 {
+            assert_eq!(typed.column(c).len(), 3);
+            assert_eq!(typed.column(c).nulls().any(), boxed.column(c).nulls().any());
+        }
     }
 
     #[test]

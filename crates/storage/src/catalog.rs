@@ -20,6 +20,9 @@
 //! [`BufferPool`] — so the data files never contain uncommitted state,
 //! and recovery ([`StorageDb::recover`]) restores exactly the committed
 //! prefix by replaying the log (see [`crate::wal`] for the protocol).
+//! A commit writes nothing but the log: the new catalog entry is kept in
+//! memory, and catalog *files* are written at ingest, checkpoint and
+//! recovery only.
 //! Deletes leave zero-length **tombstone** cells so physical rowids
 //! (slot positions) stay stable; mutations drop a table's secondary
 //! indexes, which are bulk-loaded structures rebuilt at the next ingest.
@@ -38,6 +41,7 @@ use crate::page::{self, PageBuilder, MAX_CELL};
 use crate::pager::PageFile;
 use crate::wal::{self, Wal, WalPolicy, WalRecord};
 use htqo_engine::{Budget, ColumnType, Database, EvalError, MemIndex, Relation, Schema, Value};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -239,24 +243,75 @@ impl MutationBatch {
     }
 }
 
-/// A catalog update whose covering WAL commit is not yet durable
-/// (group commit / fsync-off): served to readers from memory and
-/// renamed into place only once the log is synced past `lsn`, so the
-/// on-disk catalog can never run ahead of the WAL records that redo
-/// the pages it describes.
-struct StagedCatalog {
-    text: String,
-    /// LSN of the commit record covering this catalog version.
-    lsn: u64,
+/// Where each heap page's slots start in the rowid space: `(pid, first
+/// rowid)` per heap page in extent order, plus the slot total. Tombstones
+/// keep their slot, so only appends move it — the last page's count grows
+/// or fresh pages follow.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct SlotDirectory {
+    pages: Vec<(u64, u64)>,
+    slots: u64,
+}
+
+impl SlotDirectory {
+    fn push_page(&mut self, pid: u64, cells: u16) {
+        self.pages.push((pid, self.slots));
+        self.slots += u64::from(cells);
+    }
+
+    /// The directory in `kept`, built first if there is none yet by
+    /// counting the cells of every heap page — one pin per page.
+    fn of<'a>(
+        pool: &BufferPool,
+        heap: &[(u64, u64)],
+        kept: &'a mut Option<Self>,
+    ) -> Result<&'a mut Self, EvalError> {
+        if kept.is_none() {
+            let mut dir = SlotDirectory::default();
+            for &(start, count) in heap {
+                for pid in start..start + count {
+                    dir.push_page(pid, page::cell_count(&pool.pin(pid)?)?);
+                }
+            }
+            *kept = Some(dir);
+        }
+        Ok(kept.as_mut().expect("slot directory just built"))
+    }
+
+    /// The page and slot holding `rowid`.
+    fn locate(&self, rowid: u64) -> Option<(u64, u16)> {
+        if rowid >= self.slots {
+            return None;
+        }
+        let i = self.pages.partition_point(|&(_, first)| first <= rowid) - 1;
+        let (pid, first) = self.pages[i];
+        Some((pid, (rowid - first) as u16))
+    }
+}
+
+/// What the handle family keeps per table between calls: created by the
+/// first `load_table`/`apply`, dropped whole by `simulate_crash`,
+/// `recover` and `ingest`.
+struct OpenTable {
+    pool: Arc<BufferPool>,
+    /// The committed catalog entry.
+    meta: TableMeta,
+    /// True while `meta` is newer than `<name>.cat`: a commit staged it
+    /// and the next checkpoint writes the file, after syncing the log —
+    /// the file never runs ahead of the WAL records that redo its pages.
+    staged: bool,
+    /// Built by whichever of `load_table`/`apply` first walks the pages,
+    /// kept current by `apply`.
+    slots: Option<SlotDirectory>,
 }
 
 /// Shared mutable state behind every clone of one [`StorageDb`].
 struct DbShared {
     wal: Mutex<Option<Arc<Wal>>>,
     recovery: Mutex<Option<RecoveryReport>>,
-    pools: Mutex<HashMap<String, Arc<BufferPool>>>,
+    /// Held for the length of a load or a commit, which serializes them.
+    tables: Mutex<HashMap<String, OpenTable>>,
     budget: Mutex<Option<Budget>>,
-    staged: Mutex<HashMap<String, StagedCatalog>>,
     recovered: AtomicBool,
 }
 
@@ -269,6 +324,9 @@ pub struct StorageDb {
     dir: PathBuf,
     policy: WalPolicy,
     checkpoint_bytes: u64,
+    /// Capacity of a pool `apply` has to create (`HTQO_PAGE_CACHE`,
+    /// resolved at open).
+    cache_bytes: u64,
     shared: Arc<DbShared>,
 }
 
@@ -301,12 +359,12 @@ impl StorageDb {
             dir: dir.to_path_buf(),
             policy,
             checkpoint_bytes,
+            cache_bytes: cache_bytes_from_env(),
             shared: Arc::new(DbShared {
                 wal: Mutex::new(None),
                 recovery: Mutex::new(None),
-                pools: Mutex::new(HashMap::new()),
+                tables: Mutex::new(HashMap::new()),
                 budget: Mutex::new(None),
-                staged: Mutex::new(HashMap::new()),
                 recovered: AtomicBool::new(false),
             }),
         })
@@ -411,10 +469,10 @@ impl StorageDb {
     }
 
     fn recover_inner(&self) -> Result<RecoveryReport, EvalError> {
-        // Any staged (in-memory) catalogs died with the crash being
-        // simulated or are about to be superseded by replay; they must
-        // not shadow the on-disk state while recovery runs.
-        lock(&self.shared.staged).clear();
+        // Open-table state (staged catalog entries, pools over pre-redo
+        // bytes) died with the crash or is superseded by the replay; it
+        // must not shadow the recovered files.
+        lock(&self.shared.tables).clear();
         let scan = wal::scan(&self.wal_path())?;
         let mut report = RecoveryReport {
             wal_bytes: scan.bytes,
@@ -423,21 +481,22 @@ impl StorageDb {
             ..RecoveryReport::default()
         };
         let mut files: HashMap<String, PageFile> = HashMap::new();
+        // Catalog records are full replacements: only each table's last
+        // one is worth writing.
+        let mut catalogs: BTreeMap<&str, &str> = BTreeMap::new();
         for batch in &scan.batches {
             for rec in batch {
                 match rec {
                     WalRecord::Page { file, pid, image } => {
                         let pf = match files.entry(file.clone()) {
-                            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                            std::collections::hash_map::Entry::Vacant(e) => {
-                                e.insert(open_repair(&self.dir.join(file))?)
-                            }
+                            Entry::Occupied(e) => e.into_mut(),
+                            Entry::Vacant(e) => e.insert(open_repair(&self.dir.join(file))?),
                         };
                         pf.write_extend(*pid, image)?;
                         report.pages_redone += 1;
                     }
                     WalRecord::Catalog { table, text } => {
-                        self.write_catalog_text(table, text)?;
+                        catalogs.insert(table, text);
                         report.catalogs_redone += 1;
                     }
                 }
@@ -447,6 +506,7 @@ impl StorageDb {
         for f in files.values_mut() {
             f.sync()?;
         }
+        self.write_catalogs(catalogs)?;
         // Everything replayed and durable: restart the log empty.
         if self.wal_path().exists() {
             drop(Wal::open(&self.wal_path(), self.policy, None)?);
@@ -454,9 +514,6 @@ impl StorageDb {
         let (removed, unreadable) = self.gc_orphans()?;
         report.orphans_removed = removed;
         report.unreadable_catalogs = unreadable;
-        // Pools (if any survived a simulated crash) point at pre-redo
-        // bytes; drop them so reads see the recovered files.
-        lock(&self.shared.pools).clear();
         Ok(report)
     }
 
@@ -506,28 +563,22 @@ impl StorageDb {
     /// point would leave; the next operation runs recovery.
     pub fn simulate_crash(&self) {
         let mut slot = lock(&self.shared.recovery);
-        {
-            let mut pools = lock(&self.shared.pools);
-            for p in pools.values() {
-                p.discard();
-            }
-            pools.clear();
+        // Staged catalog entries go with the pools (the WAL replays
+        // them if their commit survived).
+        for (_, table) in lock(&self.shared.tables).drain() {
+            table.pool.discard();
         }
         // Dropping the Wal discards its unflushed pending buffer — the
         // bytes a real crash would lose — without touching the file.
         *lock(&self.shared.wal) = None;
-        // Staged catalogs live only in memory until their WAL group is
-        // durable; a crash loses them (the WAL replays them if the
-        // group survived).
-        lock(&self.shared.staged).clear();
         *slot = None;
         self.shared.recovered.store(false, Ordering::Release);
     }
 
     // ---- shared infrastructure -----------------------------------------
 
-    /// The WAL handle, created lazily at the first mutation and attached
-    /// to every pool (existing and future).
+    /// The WAL handle, created lazily at the first mutation (`apply`
+    /// attaches it to the pool it is about to dirty).
     fn wal_handle(&self) -> Result<Arc<Wal>, EvalError> {
         let mut slot = lock(&self.shared.wal);
         if let Some(w) = slot.as_ref() {
@@ -535,32 +586,33 @@ impl StorageDb {
         }
         let budget = lock(&self.shared.budget).clone();
         let w = Arc::new(Wal::open(&self.wal_path(), self.policy, budget)?);
-        for pool in lock(&self.shared.pools).values() {
-            pool.attach_wal(Arc::clone(&w));
-        }
         *slot = Some(Arc::clone(&w));
         Ok(w)
     }
 
-    /// The shared buffer pool for `meta`'s page file, creating it (with
-    /// `cache_bytes` capacity and `budget`) on first use.
-    fn pool_for(
+    /// The open state of table `name`, created on first use: its catalog
+    /// file is read once and its pool gets `cache_bytes` capacity and
+    /// `budget`.
+    fn open_table<'a>(
         &self,
-        meta: &TableMeta,
+        tables: &'a mut HashMap<String, OpenTable>,
+        name: &str,
         cache_bytes: u64,
         budget: Option<Budget>,
-    ) -> Result<Arc<BufferPool>, EvalError> {
-        let mut pools = lock(&self.shared.pools);
-        if let Some(p) = pools.get(&meta.name) {
-            return Ok(Arc::clone(p));
-        }
-        let file = PageFile::open(&self.dir.join(&meta.file))?;
-        let pool = Arc::new(BufferPool::new(file, cache_bytes, budget));
-        if let Some(w) = lock(&self.shared.wal).as_ref() {
-            pool.attach_wal(Arc::clone(w));
-        }
-        pools.insert(meta.name.clone(), Arc::clone(&pool));
-        Ok(pool)
+    ) -> Result<&'a mut OpenTable, EvalError> {
+        Ok(match tables.entry(name.to_string()) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                let meta = self.read_catalog(name)?;
+                let file = PageFile::open(&self.dir.join(&meta.file))?;
+                e.insert(OpenTable {
+                    pool: Arc::new(BufferPool::new(file, cache_bytes, budget)),
+                    meta,
+                    staged: false,
+                    slots: None,
+                })
+            }
+        })
     }
 
     /// Checkpoint: makes the WAL durable, writes every dirty page back
@@ -572,14 +624,15 @@ impl StorageDb {
         if let Some(w) = &wal {
             w.sync_all()?;
         }
-        let pools: Vec<Arc<BufferPool>> = lock(&self.shared.pools).values().cloned().collect();
-        for p in &pools {
-            p.flush()?;
+        let mut tables = lock(&self.shared.tables);
+        for t in tables.values() {
+            t.pool.flush()?;
         }
         // The WAL is durable (sync_all above), so every staged catalog
-        // can now be renamed into place — and must be, before the
+        // entry can now be renamed into place — and must be, before the
         // truncation below discards the records that would redo it.
-        self.flush_staged(u64::MAX)?;
+        self.flush_staged(&mut tables)?;
+        drop(tables);
         // Crash window: data durable, log not yet truncated — recovery
         // replays the (idempotent) records onto identical bytes.
         htqo_engine::fail_point!("storage::checkpoint");
@@ -630,13 +683,7 @@ impl StorageDb {
         // the index postings built from it.
         let mut builder = PageBuilder::new();
         for row in rel.iter_rows() {
-            let cell = codec::encode_row(&row);
-            if cell.len() > MAX_CELL {
-                return Err(EvalError::SpillIo(format!(
-                    "table {name}: row of {} bytes exceeds page capacity",
-                    cell.len()
-                )));
-            }
+            let cell = encode_cell(name, &row)?;
             if !builder.push(&cell) {
                 file.append(&builder.finish())?;
                 builder = PageBuilder::new();
@@ -675,11 +722,11 @@ impl StorageDb {
         };
         // The switch point: after this rename the new generation is
         // live; before it, the old one is untouched.
-        self.write_catalog(&meta)?;
-        // Invalidate the cached pool (it reads the old generation) and
+        self.write_catalogs([(name, Self::catalog_text(&meta).as_str())])?;
+        // Drop the open state (its pool reads the old generation) and
         // delete the old file; a failure here just leaves an orphan for
         // the next recovery's GC.
-        lock(&self.shared.pools).remove(name);
+        lock(&self.shared.tables).remove(name);
         if let Some(old) = &old {
             if old.file != meta.file {
                 let _ = std::fs::remove_file(self.dir.join(&old.file));
@@ -711,77 +758,77 @@ impl StorageDb {
         text
     }
 
-    fn write_catalog(&self, meta: &TableMeta) -> Result<(), EvalError> {
-        self.write_catalog_text(&meta.name, &Self::catalog_text(meta))
+    /// Renames every staged catalog entry into place, between the
+    /// checkpoint's log sync and truncation. Entries stay staged until
+    /// all are durable: the next checkpoint retries a failure whole.
+    fn flush_staged(&self, tables: &mut HashMap<String, OpenTable>) -> Result<(), EvalError> {
+        let staged = tables.values().filter(|t| t.staged);
+        let texts: Vec<_> = staged
+            .map(|t| (t.meta.name.as_str(), Self::catalog_text(&t.meta)))
+            .collect();
+        self.write_catalogs(texts.iter().map(|(name, text)| (*name, text.as_str())))?;
+        tables.values_mut().for_each(|t| t.staged = false);
+        Ok(())
     }
 
-    /// Renames every staged catalog whose covering commit LSN is at or
-    /// below `durable` into place (pass `u64::MAX` once the whole log
-    /// is known synced).
-    fn flush_staged(&self, durable: u64) -> Result<(), EvalError> {
-        let mut staged = lock(&self.shared.staged);
-        let ready: Vec<String> = staged
-            .iter()
-            .filter(|(_, s)| s.lsn <= durable)
-            .map(|(name, _)| name.clone())
-            .collect();
-        for name in ready {
-            let text = staged[&name].text.clone();
-            self.write_catalog_text(&name, &text)?;
-            staged.remove(&name);
+    /// Durably replaces the catalog file of each `(table, text)`: temp
+    /// file fsynced, renamed over the old one, and one directory fsync
+    /// for them all (no fsync under `WalPolicy::Off`). Callers truncate
+    /// the WAL — or delete an old generation — only after this returns.
+    fn write_catalogs<'a>(
+        &self,
+        catalogs: impl IntoIterator<Item = (&'a str, &'a str)>,
+    ) -> Result<(), EvalError> {
+        let mut renamed = false;
+        for (name, text) in catalogs {
+            let path = self.cat_path(name);
+            let tmp = path.with_extension("cat.tmp");
+            let res = (|| {
+                use std::io::Write as _;
+                let mut f = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, "create", e))?;
+                f.write_all(text.as_bytes())
+                    .map_err(|e| io_err(&tmp, "write", e))?;
+                if self.policy != WalPolicy::Off {
+                    // The rename below must never become durable ahead of
+                    // its content (a power cut could otherwise persist an
+                    // empty/torn catalog under a completed rename).
+                    f.sync_all().map_err(|e| io_err(&tmp, "fsync", e))?;
+                }
+                drop(f);
+                htqo_engine::fail_point!("storage::catalog_rename");
+                std::fs::rename(&tmp, &path).map_err(|e| io_err(&path, "rename", e))
+            })();
+            if res.is_err() {
+                // A failed write or rename must not leave the temp file
+                // behind.
+                let _ = std::fs::remove_file(&tmp);
+            }
+            res?;
+            renamed = true;
+        }
+        if renamed && self.policy != WalPolicy::Off {
+            // Make the renames themselves durable: without it one could
+            // silently revert after the redo record covering it is gone.
+            let d = std::fs::File::open(&self.dir).map_err(|e| io_err(&self.dir, "open dir", e))?;
+            d.sync_all()
+                .map_err(|e| io_err(&self.dir, "fsync dir", e))?;
         }
         Ok(())
     }
 
-    fn write_catalog_text(&self, name: &str, text: &str) -> Result<(), EvalError> {
-        let path = self.cat_path(name);
-        let tmp = path.with_extension("cat.tmp");
-        let res = (|| {
-            use std::io::Write as _;
-            let mut f = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, "create", e))?;
-            f.write_all(text.as_bytes())
-                .map_err(|e| io_err(&tmp, "write", e))?;
-            if self.policy != WalPolicy::Off {
-                // The rename below must never become durable ahead of
-                // its content (a power cut could otherwise persist an
-                // empty/torn catalog under a completed rename).
-                f.sync_all().map_err(|e| io_err(&tmp, "fsync", e))?;
-            }
-            drop(f);
-            htqo_engine::fail_point!("storage::catalog_rename");
-            std::fs::rename(&tmp, &path).map_err(|e| io_err(&path, "rename", e))?;
-            if self.policy != WalPolicy::Off {
-                // Make the rename itself durable: checkpoint() and
-                // recovery truncate the WAL afterwards, at which point
-                // the redo record covering this catalog is gone.
-                let d =
-                    std::fs::File::open(&self.dir).map_err(|e| io_err(&self.dir, "open dir", e))?;
-                d.sync_all()
-                    .map_err(|e| io_err(&self.dir, "fsync dir", e))?;
-            }
-            Ok(())
-        })();
-        if res.is_err() {
-            // A failed write or rename must not leave the temp file
-            // behind.
-            let _ = std::fs::remove_file(&tmp);
-        }
-        res
-    }
-
-    /// Reads the catalog entry for `name` — from the in-memory staging
-    /// area when the latest committed version's WAL group is not yet
-    /// durable, else from the catalog file.
+    /// The committed catalog entry for `name`: an open table's in-memory
+    /// entry (which a commit may have moved past the file), else the
+    /// catalog file.
     pub fn table_meta(&self, name: &str) -> Result<TableMeta, EvalError> {
-        let path = self.cat_path(name);
-        if let Some(staged) = lock(&self.shared.staged).get(name) {
-            return Self::parse_catalog(name, &staged.text, &path);
+        match lock(&self.shared.tables).get(name) {
+            Some(t) => Ok(t.meta.clone()),
+            None => self.read_catalog(name),
         }
-        let text = std::fs::read_to_string(&path).map_err(|e| io_err(&path, "read", e))?;
-        Self::parse_catalog(name, &text, &path)
     }
 
-    fn parse_catalog(name: &str, text: &str, path: &Path) -> Result<TableMeta, EvalError> {
+    fn read_catalog(&self, name: &str) -> Result<TableMeta, EvalError> {
+        let path = &self.cat_path(name);
+        let text = std::fs::read_to_string(path).map_err(|e| io_err(path, "read", e))?;
         let mut lines = text.lines();
         match lines.next() {
             Some(CATALOG_HEADER) => {}
@@ -806,62 +853,38 @@ impl StorageDb {
         };
         for line in lines {
             let mut parts = line.split_whitespace();
-            match parts.next() {
-                Some("rows") => {
-                    meta.rows = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| bad_catalog(path, "rows"))?;
-                }
-                Some("file") => {
-                    meta.file = parts
-                        .next()
-                        .ok_or_else(|| bad_catalog(path, "file"))?
-                        .to_string();
-                }
+            let key = parts.next();
+            // The next field of the line, parsed (`what` names it in the error).
+            fn field<T: std::str::FromStr>(
+                parts: &mut std::str::SplitWhitespace<'_>,
+                path: &Path,
+                what: &str,
+            ) -> Result<T, EvalError> {
+                let parsed = parts.next().and_then(|s| s.parse().ok());
+                parsed.ok_or_else(|| bad_catalog(path, what))
+            }
+            match key {
+                Some("rows") => meta.rows = field(&mut parts, path, "rows")?,
+                Some("file") => meta.file = field(&mut parts, path, "file")?,
                 Some("heap") => {
-                    let start = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| bad_catalog(path, "heap start"))?;
-                    let count = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| bad_catalog(path, "heap count"))?;
-                    meta.heap.push((start, count));
+                    let start = field(&mut parts, path, "heap start")?;
+                    meta.heap
+                        .push((start, field(&mut parts, path, "heap count")?));
                 }
                 Some("col") => {
-                    let ty = parts
-                        .next()
-                        .and_then(ty_parse)
-                        .ok_or_else(|| bad_catalog(path, "col type"))?;
-                    let col = parts.next().ok_or_else(|| bad_catalog(path, "col name"))?;
-                    meta.columns.push((col.to_string(), ty));
+                    let ty = parts.next().and_then(ty_parse);
+                    let ty = ty.ok_or_else(|| bad_catalog(path, "col type"))?;
+                    meta.columns
+                        .push((field(&mut parts, path, "col name")?, ty));
                 }
                 Some("index") => {
-                    let root = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| bad_catalog(path, "index root"))?;
-                    let distinct = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| bad_catalog(path, "index distinct"))?;
-                    let entries = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| bad_catalog(path, "index entries"))?;
-                    let col = parts
-                        .next()
-                        .ok_or_else(|| bad_catalog(path, "index column"))?;
-                    meta.indexes.push((
-                        col.to_string(),
-                        IndexMeta {
-                            root,
-                            distinct,
-                            entries,
-                        },
-                    ));
+                    let idx = IndexMeta {
+                        root: field(&mut parts, path, "index root")?,
+                        distinct: field(&mut parts, path, "index distinct")?,
+                        entries: field(&mut parts, path, "index entries")?,
+                    };
+                    meta.indexes
+                        .push((field(&mut parts, path, "index column")?, idx));
                 }
                 Some(other) => return Err(bad_catalog(path, &format!("unknown key {other}"))),
                 None => {}
@@ -905,9 +928,10 @@ impl StorageDb {
     /// Applies one [`MutationBatch`] atomically: validates everything,
     /// logs full post-images of each touched page plus the new catalog
     /// text to the WAL, commits (fsync per policy), and only then
-    /// updates the shared buffer pool and catalog file. A crash before
-    /// the commit record is durable loses the whole batch; after, the
-    /// whole batch survives recovery — never a partial application.
+    /// updates the shared buffer pool and the in-memory catalog entry
+    /// (the catalog *file* waits for the next checkpoint). A crash
+    /// before the commit record is durable loses the whole batch; after,
+    /// the whole batch survives recovery — never a partial application.
     ///
     /// Rowids in a batch address the table state *before* the batch:
     /// rows appended by the same batch cannot be updated or deleted by
@@ -916,10 +940,29 @@ impl StorageDb {
     /// the new catalog entry.
     pub fn apply(&self, batch: &MutationBatch) -> Result<TableMeta, EvalError> {
         self.ensure_recovered()?;
-        let mut meta = self.table_meta(&batch.table)?;
         if batch.is_empty() {
-            return Ok(meta);
+            return self.table_meta(&batch.table);
         }
+        let budget = lock(&self.shared.budget).clone();
+        let meta = {
+            let mut tables = lock(&self.shared.tables);
+            let table = self.open_table(&mut tables, &batch.table, self.cache_bytes, budget)?;
+            self.commit_batch(table, batch)?
+        };
+        if self.wal_handle()?.size() > self.checkpoint_bytes {
+            self.checkpoint()?;
+        }
+        Ok(meta)
+    }
+
+    /// [`StorageDb::apply`] on the open table.
+    fn commit_batch(
+        &self,
+        st: &mut OpenTable,
+        batch: &MutationBatch,
+    ) -> Result<TableMeta, EvalError> {
+        let pool = &st.pool;
+        let mut meta = st.meta.clone();
         let arity = meta.columns.len();
         let validate = |row: &[Value]| -> Result<(), EvalError> {
             if row.len() != arity {
@@ -945,45 +988,23 @@ impl StorageDb {
                 MutOp::Delete(_) => {}
             }
         }
+        let slots = SlotDirectory::of(pool, &meta.heap, &mut st.slots)?;
 
-        let pool = self.pool_for(
-            &meta,
-            cache_bytes_from_env(),
-            lock(&self.shared.budget).clone(),
-        )?;
-
-        // Physical slot map: (pid, cell count) per heap page, in rowid
-        // order.
-        let mut slot_pages: Vec<(u64, u16)> = Vec::new();
-        for &(start, count) in &meta.heap {
-            for pid in start..start + count {
-                let n = {
-                    let p = pool.pin(pid)?;
-                    page::cell_count(&p)?
-                };
-                slot_pages.push((pid, n));
-            }
+        // Stage every change against in-memory cell lists; only the
+        // pages the batch changes are pinned.
+        type Cells = Vec<Vec<u8>>;
+        fn staged<'a>(
+            pool: &BufferPool,
+            changed: &'a mut BTreeMap<u64, Cells>,
+            pid: u64,
+        ) -> Result<&'a mut Cells, EvalError> {
+            use std::collections::btree_map::Entry;
+            Ok(match changed.entry(pid) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => e.insert(page::cells(&pool.pin(pid)?)?),
+            })
         }
-        let locate = |rowid: u64| -> Option<(u64, u16)> {
-            let mut base = 0u64;
-            for &(pid, n) in &slot_pages {
-                if rowid < base + n as u64 {
-                    return Some((pid, (rowid - base) as u16));
-                }
-                base += n as u64;
-            }
-            None
-        };
-
-        // Stage every change against in-memory cell lists.
-        let mut changed: HashMap<u64, Vec<Vec<u8>>> = HashMap::new();
-        let load_cells =
-            |pid: u64, changed: &mut HashMap<u64, Vec<Vec<u8>>>| -> Result<(), EvalError> {
-                if let std::collections::hash_map::Entry::Vacant(e) = changed.entry(pid) {
-                    e.insert(page::cells(&pool.pin(pid)?)?);
-                }
-                Ok(())
-            };
+        let mut changed = BTreeMap::new();
         let mut appends: Vec<Vec<u8>> = Vec::new();
         let mut live_delta: i64 = 0;
         // Last lengthened row per page: pid → (rowid, slot).
@@ -991,26 +1012,17 @@ impl StorageDb {
         for op in &batch.ops {
             match op {
                 MutOp::Append(row) => {
-                    let cell = codec::encode_row(row);
-                    if cell.len() > MAX_CELL {
-                        return Err(EvalError::SpillIo(format!(
-                            "table {}: row of {} bytes exceeds page capacity",
-                            batch.table,
-                            cell.len()
-                        )));
-                    }
-                    appends.push(cell);
+                    appends.push(encode_cell(&batch.table, row)?);
                     live_delta += 1;
                 }
                 MutOp::Update(rowid, _) | MutOp::Delete(rowid) => {
-                    let (pid, slot) = locate(*rowid).ok_or_else(|| {
+                    let (pid, slot) = slots.locate(*rowid).ok_or_else(|| {
                         EvalError::SpillIo(format!(
                             "table {}: rowid {rowid} out of range",
                             batch.table
                         ))
                     })?;
-                    load_cells(pid, &mut changed)?;
-                    let cells = changed.get_mut(&pid).unwrap();
+                    let cells = staged(pool, &mut changed, pid)?;
                     if cells[slot as usize].is_empty() {
                         return Err(EvalError::SpillIo(format!(
                             "table {}: rowid {rowid} is deleted",
@@ -1019,14 +1031,7 @@ impl StorageDb {
                     }
                     match op {
                         MutOp::Update(_, row) => {
-                            let cell = codec::encode_row(row);
-                            if cell.len() > MAX_CELL {
-                                return Err(EvalError::SpillIo(format!(
-                                    "table {}: row of {} bytes exceeds page capacity",
-                                    batch.table,
-                                    cell.len()
-                                )));
-                            }
+                            let cell = encode_cell(&batch.table, row)?;
                             if cell.len() > cells[slot as usize].len() {
                                 grown.insert(pid, (*rowid, slot));
                             }
@@ -1062,14 +1067,13 @@ impl StorageDb {
 
         // Place appends: top up the last heap page, then fresh pages.
         let mut append_iter = appends.into_iter().peekable();
-        if let Some(&(last_pid, _)) = slot_pages.last() {
-            load_cells(last_pid, &mut changed)?;
-            let cells = changed.get_mut(&last_pid).unwrap();
-            while let Some(cell) = append_iter.peek() {
-                if !page::page_fits(cells, cell) {
-                    break;
-                }
-                cells.push(append_iter.next().unwrap());
+        let mut topped_up = 0u64;
+        let last_page = slots.pages.last().map(|&(pid, _)| pid);
+        if let Some(last_pid) = last_page.filter(|_| append_iter.peek().is_some()) {
+            let cells = staged(pool, &mut changed, last_pid)?;
+            while let Some(cell) = append_iter.next_if(|cell| page::page_fits(cells, cell)) {
+                cells.push(cell);
+                topped_up += 1;
             }
         }
         let mut fresh: Vec<Vec<Vec<u8>>> = Vec::new();
@@ -1089,7 +1093,6 @@ impl StorageDb {
         for (&pid, cells) in &changed {
             images.push((pid, page::rebuild(cells)?));
         }
-        images.sort_by_key(|&(pid, _)| pid);
         let base = pool.next_pid();
         let fresh_count = fresh.len() as u64;
         for (k, cells) in fresh.iter().enumerate() {
@@ -1125,37 +1128,32 @@ impl StorageDb {
             }
             pool.update_logged(*pid, commit_lsn, |d| d.copy_from_slice(img))?;
         }
-        // The on-disk catalog rename must never become durable ahead of
-        // the WAL group that redoes the pages it describes (a power cut
-        // would otherwise leave a catalog whose row count is ahead of
-        // the data — a torn, unreadable table). Stage the new text and
-        // rename only what the log already covers durably: under
-        // `commit` that is always this batch; under `batch` the rename
-        // waits for the group fsync (readers are served from the
-        // staging area meanwhile); under `off` it waits for the next
-        // checkpoint. Recovery replays staged-but-unrenamed catalogs
-        // from the WAL, so a process crash loses nothing.
-        lock(&self.shared.staged).insert(
-            meta.name.clone(),
-            StagedCatalog {
-                text: Self::catalog_text(&meta),
-                lsn: commit_lsn,
-            },
-        );
-        self.flush_staged(wal.durable_lsn())?;
-
-        if wal.size() > self.checkpoint_bytes {
-            self.checkpoint()?;
+        slots.slots += topped_up;
+        for (k, cells) in fresh.iter().enumerate() {
+            slots.push_page(base + k as u64, cells.len() as u16);
         }
+        st.meta = meta.clone();
+        st.staged = true;
         Ok(meta)
+    }
+
+    /// The heap page and slot holding `rowid` of `table` (`None` past the
+    /// last slot) — the address `apply` resolves an update or delete to.
+    pub fn locate(&self, table: &str, rowid: u64) -> Result<Option<(u64, u16)>, EvalError> {
+        self.ensure_recovered()?;
+        let budget = lock(&self.shared.budget).clone();
+        let mut tables = lock(&self.shared.tables);
+        let t = self.open_table(&mut tables, table, self.cache_bytes, budget)?;
+        Ok(SlotDirectory::of(&t.pool, &t.meta.heap, &mut t.slots)?.locate(rowid))
     }
 
     // ---- loading -------------------------------------------------------
 
     /// Loads one table: decodes its heap extents through the shared
     /// [`BufferPool`] (created with `cache_bytes` capacity and
-    /// budget-charged when `budget` is given), skipping tombstoned
-    /// slots, and attaches its indexes to the same pool.
+    /// budget-charged when `budget` is given) straight into typed
+    /// columns, skipping tombstoned slots, and attaches its indexes to
+    /// the same pool.
     pub fn load_table(
         &self,
         name: &str,
@@ -1163,49 +1161,32 @@ impl StorageDb {
         budget: Option<Budget>,
     ) -> Result<(Relation, LoadedIndexes), EvalError> {
         self.ensure_recovered()?;
-        let meta = self.table_meta(name)?;
-        let pool = self.pool_for(&meta, cache_bytes, budget)?;
+        let mut tables = lock(&self.shared.tables);
+        let table = self.open_table(&mut tables, name, cache_bytes, budget)?;
+        let meta = &table.meta;
 
         let mut schema = Schema::default();
         for (col, ty) in &meta.columns {
             schema.push(col, *ty);
         }
-        let arity = meta.columns.len();
         let mut rel = Relation::new(schema);
         rel.reserve(meta.rows);
-        let decode = |page: &[u8], i: u16| -> Result<Option<Vec<Value>>, EvalError> {
-            let cell = page::cell(page, i)?;
-            if cell.is_empty() {
-                return Ok(None); // tombstone
-            }
-            let row = codec::decode_row(cell, arity)?;
-            for (v, (col, ty)) in row.iter().zip(&meta.columns) {
-                if !codec::type_matches(v, *ty) {
-                    return Err(EvalError::SpillIo(format!(
-                        "table {name}: column {col} holds a value of the wrong type"
-                    )));
-                }
-            }
-            Ok(Some(row))
-        };
+        let mut loader = rel.loader();
+        let mut slots = SlotDirectory::default();
         for &(start, count) in &meta.heap {
             for pid in start..start + count {
-                let page = pool.pin(pid)?;
+                let page = table.pool.pin(pid)?;
                 let n = page::cell_count(&page)?;
-                // One append per page (the columns are borrowed once),
-                // decoding each row as the append consumes it; the first
-                // bad cell ends the page.
-                let mut failed = None;
-                rel.push_many_unchecked(
-                    (0..n)
-                        .map_while(|i| decode(&page, i).map_err(|e| failed = Some(e)).ok())
-                        .flatten(),
-                );
-                if let Some(e) = failed {
-                    return Err(e);
+                slots.push_page(pid, n);
+                for i in 0..n {
+                    let cell = page::cell(&page, i)?;
+                    if !cell.is_empty() {
+                        codec::load_row(name, cell, &mut loader)?;
+                    }
                 }
             }
         }
+        drop(loader);
         if rel.len() != meta.rows {
             return Err(EvalError::SpillIo(format!(
                 "table {name}: catalog says {} rows, pages hold {}",
@@ -1215,9 +1196,16 @@ impl StorageDb {
         }
         let indexes = meta
             .indexes
-            .into_iter()
-            .map(|(col, m)| (col, Arc::new(PagedIndex::new(Arc::clone(&pool), m))))
+            .iter()
+            .map(|(col, m)| {
+                let idx = PagedIndex::new(Arc::clone(&table.pool), *m);
+                (col.clone(), Arc::new(idx))
+            })
             .collect();
+        match &table.slots {
+            Some(kept) => debug_assert_eq!(kept, &slots, "slot directory drifted from the pages"),
+            None => table.slots = Some(slots),
+        }
         Ok((rel, indexes))
     }
 
@@ -1247,6 +1235,18 @@ impl StorageDb {
         }
         Ok(db)
     }
+}
+
+/// Encodes `row` as one heap cell of `table` (a row no page can hold errs).
+fn encode_cell(table: &str, row: &[Value]) -> Result<Vec<u8>, EvalError> {
+    let cell = codec::encode_row(row);
+    if cell.len() > MAX_CELL {
+        return Err(EvalError::SpillIo(format!(
+            "table {table}: row of {} bytes exceeds page capacity",
+            cell.len()
+        )));
+    }
+    Ok(cell)
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -1518,37 +1518,103 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The commit contract under every policy: `Ok` from `apply` means
+    /// the batch is in the log and served from memory, and the catalog
+    /// file has not been touched — there is no step after the commit
+    /// that could fail a batch which is already durable. `checkpoint()`
+    /// is what writes the file.
     #[test]
-    fn batch_policy_serves_staged_catalog_and_checkpoint_renames_it() {
-        let dir = tmpdir("staged");
-        let storage = StorageDb::open_with(&dir, WalPolicy::Batch, u64::MAX).unwrap();
-        let mut rel = Relation::new(Schema::new(&[("id", ColumnType::Int)]));
-        for i in 0..3i64 {
-            rel.push_row(vec![Value::Int(i)]).unwrap();
+    fn apply_leaves_the_catalog_file_to_the_checkpoint_under_every_policy() {
+        for policy in [WalPolicy::Commit, WalPolicy::Batch, WalPolicy::Off] {
+            let dir = tmpdir(&format!("staged-{policy:?}"));
+            let storage = StorageDb::open_with(&dir, policy, u64::MAX).unwrap();
+            let mut rel = Relation::new(Schema::new(&[("id", ColumnType::Int)]));
+            for i in 0..3i64 {
+                rel.push_row(vec![Value::Int(i)]).unwrap();
+            }
+            storage.ingest("t", &rel, &[]).unwrap();
+            let on_disk = std::fs::read(dir.join("t.cat")).unwrap();
+            let meta = storage.append_rows("t", vec![vec![Value::Int(9)]]).unwrap();
+            assert_eq!(meta.rows, 4);
+            assert_eq!(
+                std::fs::read(dir.join("t.cat")).unwrap(),
+                on_disk,
+                "{policy:?}: apply wrote the catalog file"
+            );
+            assert!(!dir.join("t.cat.tmp").exists());
+            // Readers see the committed state, including a second batch
+            // stacked on the first.
+            let (rel2, _) = storage.load_table("t", 1 << 20, None).unwrap();
+            assert_eq!(rel2.len(), 4);
+            storage
+                .append_rows("t", vec![vec![Value::Int(10)]])
+                .unwrap();
+            assert_eq!(storage.table_meta("t").unwrap().rows, 5);
+            assert_eq!(std::fs::read(dir.join("t.cat")).unwrap(), on_disk);
+            // Checkpoint syncs the log, so the staged entry lands on disk
+            // (once: a second checkpoint has nothing staged).
+            storage.checkpoint().unwrap();
+            let flushed = std::fs::read_to_string(dir.join("t.cat")).unwrap();
+            assert!(flushed.contains("rows 5"), "{policy:?}: {flushed}");
+            std::fs::remove_file(dir.join("t.cat")).unwrap();
+            storage.checkpoint().unwrap();
+            assert!(!dir.join("t.cat").exists(), "nothing left staged");
+            std::fs::remove_dir_all(&dir).ok();
         }
-        storage.ingest("t", &rel, &[]).unwrap();
-        let on_disk = std::fs::read_to_string(dir.join("t.cat")).unwrap();
-        // One commit < group size: the WAL group is not durable yet, so
-        // the catalog switch stays in memory…
-        let meta = storage.append_rows("t", vec![vec![Value::Int(9)]]).unwrap();
-        assert_eq!(meta.rows, 4);
-        assert_eq!(
-            std::fs::read_to_string(dir.join("t.cat")).unwrap(),
-            on_disk,
-            "rename must wait for the group fsync"
-        );
-        // …while readers see the committed state through the staging
-        // area, including a second batch stacked on the first.
-        let (rel2, _) = storage.load_table("t", 1 << 20, None).unwrap();
-        assert_eq!(rel2.len(), 4);
+    }
+
+    /// Once the slot directory exists a commit pins exactly the pages it
+    /// changes, however many heap pages the table has.
+    #[test]
+    fn apply_pins_only_the_pages_it_changes() {
+        let dir = tmpdir("pins");
+        let storage = StorageDb::open_with(&dir, WalPolicy::Off, u64::MAX).unwrap();
+        let mut rel = Relation::new(Schema::new(&[
+            ("id", ColumnType::Int),
+            ("name", ColumnType::Str),
+        ]));
+        for i in 0..20_000i64 {
+            rel.push_row(vec![Value::Int(i), Value::str("x")]).unwrap();
+        }
+        let meta = storage.ingest("t", &rel, &[]).unwrap();
+        let heap_pages = meta.heap_pages();
+        assert!(heap_pages > 40, "{heap_pages} heap pages");
+        // A pool far smaller than the table, as after a reload.
         storage
-            .append_rows("t", vec![vec![Value::Int(10)]])
+            .load_table("t", 8 * crate::page::PAGE_SIZE as u64, None)
             .unwrap();
-        assert_eq!(storage.table_meta("t").unwrap().rows, 5);
-        // Checkpoint syncs the log, so the staged text lands on disk.
-        storage.checkpoint().unwrap();
-        let flushed = std::fs::read_to_string(dir.join("t.cat")).unwrap();
-        assert!(flushed.contains("rows 5"), "checkpoint flushes the rename");
+        let pool = Arc::clone(&lock(&storage.shared.tables)["t"].pool);
+        let pins = || {
+            let s = pool.stats();
+            s.hits + s.misses
+        };
+        let (first, _) = storage.locate("t", 0).unwrap().unwrap();
+        let (mid, _) = storage.locate("t", 10_000).unwrap().unwrap();
+        let (last, _) = storage.locate("t", 19_999).unwrap().unwrap();
+        assert!(first < mid && mid < last);
+
+        // Two ops on one page and one on another: two pages pinned, then
+        // the same two updated.
+        let before = pins();
+        let mut batch = MutationBatch::new("t");
+        batch
+            .update(0, vec![Value::Int(-1), Value::str("y")])
+            .delete(1)
+            .delete(10_000);
+        storage.apply(&batch).unwrap();
+        assert_eq!(pins() - before, 2 + 2);
+
+        // Appends alone touch the last page only.
+        let before = pins();
+        storage
+            .append_rows("t", vec![vec![Value::Int(7), Value::str("z")]])
+            .unwrap();
+        assert_eq!(pins() - before, 1 + 1);
+        assert_eq!(
+            storage.locate("t", 20_000).unwrap().map(|(pid, _)| pid),
+            Some(last)
+        );
+        assert_eq!(storage.locate("t", 20_001).unwrap(), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -4,11 +4,16 @@
 //! one-byte tag followed by a fixed- or length-prefixed payload. The
 //! encoding is self-describing (the tag disambiguates), so corruption is
 //! detected on decode instead of silently reinterpreted. Strings are
-//! stored as raw UTF-8 bytes and re-wrapped (and re-interned by the
-//! engine's dictionary on insert) at load time; dictionary codes are a
-//! process-local detail and never reach disk.
+//! stored as raw UTF-8 bytes and interned by the engine's dictionary at
+//! load time; dictionary codes are a process-local detail and never reach
+//! disk.
+//!
+//! Two decoders read the format: [`load_row`] pushes a cell's values
+//! straight into a relation's typed columns (the reload path), and
+//! [`decode_row`] boxes them into a `Vec<Value>` — the reference the tests
+//! hold the loader to.
 
-use htqo_engine::{ColumnType, EvalError, Value};
+use htqo_engine::{ColumnType, EvalError, RowLoader, Value};
 use std::sync::Arc;
 
 const TAG_NULL: u8 = 0;
@@ -67,30 +72,27 @@ fn take<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], EvalEr
     Ok(s)
 }
 
+fn fixed<const N: usize>(buf: &[u8], pos: &mut usize) -> Result<[u8; N], EvalError> {
+    Ok(take(buf, pos, N)?.try_into().expect("take returns N bytes"))
+}
+
 /// Decodes one value starting at `pos`, advancing it past the value.
 pub fn decode_value(buf: &[u8], pos: &mut usize) -> Result<Value, EvalError> {
     let tag = take(buf, pos, 1)?[0];
     match tag {
         TAG_NULL => Ok(Value::Null),
-        TAG_INT => {
-            let b: [u8; 8] = take(buf, pos, 8)?.try_into().unwrap();
-            Ok(Value::Int(i64::from_le_bytes(b)))
-        }
+        TAG_INT => Ok(Value::Int(i64::from_le_bytes(fixed(buf, pos)?))),
         TAG_FLOAT => {
-            let b: [u8; 8] = take(buf, pos, 8)?.try_into().unwrap();
-            Ok(Value::Float(f64::from_bits(u64::from_le_bytes(b))))
+            let bits = u64::from_le_bytes(fixed(buf, pos)?);
+            Ok(Value::Float(f64::from_bits(bits)))
         }
         TAG_STR => {
-            let b: [u8; 4] = take(buf, pos, 4)?.try_into().unwrap();
-            let len = u32::from_le_bytes(b) as usize;
+            let len = u32::from_le_bytes(fixed(buf, pos)?) as usize;
             let bytes = take(buf, pos, len)?;
             let s = std::str::from_utf8(bytes).map_err(|_| corrupt("non-utf8 string"))?;
             Ok(Value::Str(Arc::from(s)))
         }
-        TAG_DATE => {
-            let b: [u8; 4] = take(buf, pos, 4)?.try_into().unwrap();
-            Ok(Value::Date(i32::from_le_bytes(b)))
-        }
+        TAG_DATE => Ok(Value::Date(i32::from_le_bytes(fixed(buf, pos)?))),
         t => Err(corrupt(&format!("unknown value tag {t}"))),
     }
 }
@@ -107,6 +109,73 @@ pub fn decode_row(cell: &[u8], arity: usize) -> Result<Vec<Value>, EvalError> {
         return Err(corrupt("trailing bytes in row cell"));
     }
     Ok(row)
+}
+
+/// Decodes one row cell of `table` straight into `loader`'s columns: the
+/// tag of each value is checked against its column's type (NULL is legal
+/// everywhere) and the payload is pushed typed — strings interned from the
+/// bytes in the page, no `Value` built. The cell must hold exactly one
+/// value per column. Errors are those of [`decode_row`] followed by a
+/// [`type_matches`] pass, in that order of precedence; a failed row leaves
+/// nothing behind in the columns.
+pub fn load_row(table: &str, cell: &[u8], loader: &mut RowLoader<'_>) -> Result<(), EvalError> {
+    let res = push_cells(table, cell, loader);
+    match res {
+        Ok(()) => loader.end_row(),
+        Err(_) => loader.abort_row(),
+    }
+    res
+}
+
+fn push_cells(table: &str, cell: &[u8], loader: &mut RowLoader<'_>) -> Result<(), EvalError> {
+    let mut pos = 0;
+    // First column holding a value of another type; reported only once
+    // the whole cell has parsed, as the reference does.
+    let mut mistyped = None;
+    for col in 0..loader.schema().arity() {
+        let tag = take(cell, &mut pos, 1)?[0];
+        let skip = mistyped.is_some();
+        let pushed = match tag {
+            TAG_NULL => {
+                if !skip {
+                    loader.push_null();
+                }
+                true
+            }
+            TAG_INT => {
+                let x = i64::from_le_bytes(fixed(cell, &mut pos)?);
+                skip || loader.push_int(x)
+            }
+            TAG_FLOAT => {
+                let x = f64::from_bits(u64::from_le_bytes(fixed(cell, &mut pos)?));
+                skip || loader.push_float(x)
+            }
+            TAG_STR => {
+                let len = u32::from_le_bytes(fixed(cell, &mut pos)?) as usize;
+                let bytes = take(cell, &mut pos, len)?;
+                let s = std::str::from_utf8(bytes).map_err(|_| corrupt("non-utf8 string"))?;
+                skip || loader.push_str(s)
+            }
+            TAG_DATE => {
+                let x = i32::from_le_bytes(fixed(cell, &mut pos)?);
+                skip || loader.push_date(x)
+            }
+            t => return Err(corrupt(&format!("unknown value tag {t}"))),
+        };
+        if !pushed {
+            mistyped = Some(col);
+        }
+    }
+    if pos != cell.len() {
+        return Err(corrupt("trailing bytes in row cell"));
+    }
+    if let Some(col) = mistyped {
+        return Err(EvalError::SpillIo(format!(
+            "table {table}: column {} holds a value of the wrong type",
+            loader.schema().columns()[col].name
+        )));
+    }
+    Ok(())
 }
 
 /// True when a decoded value is legal for a column of type `ty`
@@ -156,6 +225,35 @@ mod tests {
         let mut cell = encode_row(&[Value::Null]);
         cell.push(0);
         assert!(decode_row(&cell, 1).is_err());
+    }
+
+    #[test]
+    fn load_row_pushes_typed_cells_or_nothing() {
+        use htqo_engine::{Relation, Schema};
+        let mut rel = Relation::new(Schema::new(&[
+            ("i", ColumnType::Int),
+            ("s", ColumnType::Str),
+        ]));
+        let mut loader = rel.loader();
+        let good = encode_row(&[Value::Int(4), Value::str("codec-load")]);
+        load_row("t", &good, &mut loader).unwrap();
+        load_row("t", &encode_row(&[Value::Null, Value::Null]), &mut loader).unwrap();
+        // Truncated, over-long, unknown tag, wrong type: each an error,
+        // each leaving the columns as they were.
+        assert!(load_row("t", &good[..good.len() - 1], &mut loader).is_err());
+        assert!(load_row("t", &[&good[..], &[0]].concat(), &mut loader).is_err());
+        assert!(load_row("t", &[TAG_INT, 0, 0, 0, 0, 0, 0, 0, 0, 9], &mut loader).is_err());
+        let swapped = encode_row(&[Value::str("x"), Value::Int(1)]);
+        let err = load_row("t", &swapped, &mut loader).unwrap_err();
+        assert!(format!("{err}").contains("column i holds a value of the wrong type"));
+        drop(loader);
+        assert_eq!(
+            rel.to_rows(),
+            vec![
+                vec![Value::Int(4), Value::str("codec-load")].into_boxed_slice(),
+                vec![Value::Null, Value::Null].into_boxed_slice(),
+            ]
+        );
     }
 
     #[test]

@@ -403,16 +403,6 @@ impl Wal {
         inner.written + inner.pending.len() as u64
     }
 
-    /// The offset known durable (fsynced). Records at or below this LSN
-    /// survive a power cut; anything past it is only as safe as the OS
-    /// page cache. The catalog layer uses this as the barrier for
-    /// renaming a new catalog into place under group commit: the rename
-    /// must never become durable ahead of the WAL group that redoes the
-    /// pages it describes.
-    pub fn durable_lsn(&self) -> u64 {
-        self.lock().durable
-    }
-
     /// Checkpoint truncation: every logged change is already durable in
     /// the data files, so the log restarts empty.
     pub fn reset(&self) -> Result<(), EvalError> {

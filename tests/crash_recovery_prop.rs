@@ -17,15 +17,18 @@
 //!   OS-survives sub-case and a simulated power cut that truncates the
 //!   un-fsynced tail are checked);
 //! - `storage::page_write` (torn data-page write during checkpoint),
-//!   `storage::catalog_rename`, `storage::checkpoint`: the batch
-//!   committed before the failure — it must be fully **present**.
+//!   `storage::catalog_rename` (catalog files are written by checkpoint
+//!   and recovery only — a commit leaves them alone),
+//!   `storage::checkpoint`: every batch committed before the failure —
+//!   all must be fully **present**.
 //!
 //! No case may ever observe a partial batch, a lost committed batch, or
 //! a corrupt row. On top of the matrix: recovery idempotence (crash
-//! *during* recovery, recover again), torn-tail tolerance, the
-//! catalog-rename temp-file cleanup regression, and a warm-restart
-//! query oracle (a join over recovered tables must equal the same join
-//! over the in-memory model).
+//! *during* recovery, recover again), commits that never saw a
+//! checkpoint (stale catalog file on disk, recovery rewrites it once per
+//! table), torn-tail tolerance, the catalog-rename temp-file cleanup
+//! regression, and a warm-restart query oracle (a join over recovered
+//! tables must equal the same join over the in-memory model).
 //!
 //! Case count per property is `HTQO_CRASH_CASES` (default 12; CI uses a
 //! deterministic small count).
@@ -238,7 +241,6 @@ enum Outcome {
 const APPLY_SITES: &[(&str, Outcome)] = &[
     ("storage::wal_append", Outcome::Absent),
     ("storage::wal_fsync", Outcome::Either),
-    ("storage::catalog_rename", Outcome::Present),
 ];
 
 fn assert_committed_prefix(
@@ -272,14 +274,12 @@ proptest! {
         let _g = lock();
         for &(site, outcome) in APPLY_SITES {
             for policy in [WalPolicy::Commit, WalPolicy::Batch] {
-                // Under `batch` (group commit) the per-commit fsync —
-                // and the catalog rename, which is deferred until the
-                // covering group fsync — only fire on the group
-                // boundary; with fewer commits than the group size the
-                // site stays dormant and the batch simply commits — the
-                // "present" outcome covers it.
-                let site_may_be_dormant = policy == WalPolicy::Batch
-                    && matches!(site, "storage::wal_fsync" | "storage::catalog_rename");
+                // Under `batch` (group commit) the per-commit fsync only
+                // fires on the group boundary; with fewer commits than
+                // the group size the site stays dormant and the batch
+                // simply commits — the "present" outcome covers it.
+                let site_may_be_dormant =
+                    policy == WalPolicy::Batch && site == "storage::wal_fsync";
                 for victim in 0..w.batches.len() {
                     failpoint::clear();
                     let dir = scratch("matrix");
@@ -397,14 +397,20 @@ proptest! {
 
     /// Crash points *inside checkpoint*: a torn data-page write
     /// (`storage::page_write`, half the page lands) at every page index,
-    /// and the flush-to-truncate window (`storage::checkpoint`). All
-    /// batches committed beforehand, so recovery must restore every one
-    /// of them — replaying over half-written pages and over
-    /// already-flushed pages alike (redo idempotence).
+    /// the catalog rename that follows the flush
+    /// (`storage::catalog_rename`), and the flush-to-truncate window
+    /// (`storage::checkpoint`). All batches committed beforehand, so
+    /// recovery must restore every one of them — replaying over
+    /// half-written pages and over already-flushed pages alike (redo
+    /// idempotence).
     #[test]
     fn kill_inside_checkpoint_loses_nothing(w in arb_workload()) {
         let _g = lock();
-        for site in ["storage::page_write", "storage::checkpoint"] {
+        for site in [
+            "storage::page_write",
+            "storage::catalog_rename",
+            "storage::checkpoint",
+        ] {
             for skip in 0..3u64 {
                 failpoint::clear();
                 let dir = scratch("ckpt");
@@ -420,10 +426,10 @@ proptest! {
                 failpoint::configure(site, FailAction::Error, skip, Some(1));
                 let res = storage.checkpoint();
                 failpoint::clear();
-                // With few dirty pages a large skip leaves the site
-                // dormant and the checkpoint succeeds — also a valid
-                // state to crash from.
-                let _ = res;
+                // With few dirty pages (or the one staged catalog) a
+                // large skip leaves the site dormant and the checkpoint
+                // succeeds — also a valid state to crash from.
+                prop_assert!(res.is_err() || skip > 0, "{} never fired", site);
                 storage.simulate_crash();
                 drop(storage);
                 let recovered = recover_and_load(&dir, policy);
@@ -570,7 +576,9 @@ fn torn_wal_tail_is_reported_and_survived() {
 }
 
 /// Regression: a failed catalog rename must clean up its temp file (it
-/// used to leak `<name>.cat.tmp` on the error path).
+/// used to leak `<name>.cat.tmp` on the error path). The rename belongs
+/// to `checkpoint()`: the commit before it succeeds without touching the
+/// catalog file.
 #[test]
 fn failed_catalog_rename_leaves_no_temp_file() {
     let _g = lock();
@@ -579,21 +587,96 @@ fn failed_catalog_rename_leaves_no_temp_file() {
     let storage = StorageDb::open_with(&dir, WalPolicy::Commit, u64::MAX).unwrap();
     let model = base_model(&[1, 2, 3]);
     storage.ingest("t", &model.relation(), &[]).unwrap();
+    let cat_before = std::fs::read(dir.join("t.cat")).unwrap();
     failpoint::configure("storage::catalog_rename", FailAction::Error, 0, Some(1));
-    let res = storage.append_rows("t", vec![row(7, "z")]);
+    let committed = storage.append_rows("t", vec![row(7, "z")]);
+    assert!(committed.is_ok(), "a commit renames nothing: {committed:?}");
+    let res = storage.checkpoint();
     failpoint::clear();
     assert!(res.is_err(), "the injected rename failure must surface");
     assert!(
         !dir.join("t.cat.tmp").exists(),
         "failed rename leaked the catalog temp file"
     );
-    // The batch committed to the WAL before the rename: recovery makes
-    // it visible (and rewrites the catalog).
+    assert_eq!(std::fs::read(dir.join("t.cat")).unwrap(), cat_before);
+    // The failed checkpoint did not truncate the log: recovery makes the
+    // batch visible (and rewrites the catalog).
     storage.simulate_crash();
     drop(storage);
     let rows = recover_and_load(&dir, WalPolicy::Commit);
     assert_eq!(rows.len(), 4);
+    assert_ne!(std::fs::read(dir.join("t.cat")).unwrap(), cat_before);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Commits that never saw a checkpoint leave the catalog *file* at its
+/// ingest-time content under every policy; after a crash, recovery
+/// restores the committed prefix and rewrites each table's catalog
+/// exactly once (its last logged version), while `catalogs_redone` keeps
+/// counting records.
+#[test]
+fn commits_without_checkpoint_recover_from_a_stale_catalog_file() {
+    let _g = lock();
+    for policy in [WalPolicy::Commit, WalPolicy::Batch, WalPolicy::Off] {
+        failpoint::clear();
+        let dir = scratch("stalecat");
+        let storage = StorageDb::open_with(&dir, policy, u64::MAX).unwrap();
+        let base = base_model(&[1, 2, 3]);
+        storage.ingest("t", &base.relation(), &[]).unwrap();
+        storage.ingest("u", &base.relation(), &[]).unwrap();
+        let stale = |t: &str| std::fs::read(dir.join(format!("{t}.cat"))).unwrap();
+        let (t_cat, u_cat) = (stale("t"), stale("u"));
+        let mut model = [base.clone(), base];
+        let commits = 5;
+        for i in 0..commits {
+            for (table, m) in ["t", "u"].into_iter().zip(&mut model) {
+                let k = i as i64;
+                let ops = [
+                    AbstractOp::Append(k),
+                    AbstractOp::Append(-k),
+                    AbstractOp::Delete(i),
+                ];
+                let (batch, next) = build_batch(table, i, &ops, m);
+                storage.apply(&batch).unwrap();
+                *m = next;
+            }
+        }
+        assert_eq!((stale("t"), stale("u")), (t_cat.clone(), u_cat.clone()));
+        storage.simulate_crash();
+        drop(storage);
+
+        // Two tables, ten catalog records: a third rename would trip the
+        // armed site and fail the recovery.
+        let storage = StorageDb::open_with(&dir, policy, u64::MAX).unwrap();
+        failpoint::configure("storage::catalog_rename", FailAction::Error, 2, Some(1));
+        let report = storage.recover();
+        failpoint::clear();
+        let report = report.unwrap_or_else(|e| panic!("{policy:?}: {e}"));
+        assert_eq!(report.batches_replayed, 2 * commits as u64);
+        assert_eq!(report.catalogs_redone, 2 * commits as u64);
+        assert!(stale("t") != t_cat && stale("u") != u_cat, "{policy:?}");
+        for (table, m) in ["t", "u"].into_iter().zip(&model) {
+            let (rel, _) = storage.load_table(table, 1 << 22, None).unwrap();
+            assert_eq!(rel.to_rows(), m.rows(), "{policy:?} {table}");
+        }
+        drop(storage);
+
+        // …and both renames do go through that site.
+        let storage = StorageDb::open_with(&dir, policy, u64::MAX).unwrap();
+        for (table, m) in ["t", "u"].into_iter().zip(&model) {
+            let (batch, _) = build_batch(table, 9, &[AbstractOp::Append(9)], m);
+            storage.apply(&batch).unwrap();
+        }
+        storage.simulate_crash();
+        failpoint::configure("storage::catalog_rename", FailAction::Error, 1, Some(1));
+        let res = storage.recover();
+        failpoint::clear();
+        assert!(
+            res.is_err(),
+            "{policy:?}: second rename never reached the site"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// A crash between the generational switch and the old-file delete
@@ -626,8 +709,8 @@ fn orphan_generation_files_are_garbage_collected() {
 /// catalog must never run ahead of the durable WAL. A power cut that
 /// loses the un-fsynced log group used to leave a renamed catalog whose
 /// row count was ahead of the data pages — a torn, unreadable table.
-/// The rename is now deferred until the covering group fsync, so the
-/// same power cut recovers cleanly to the pre-batch state.
+/// The rename waits for the checkpoint (which syncs the log first), so
+/// the same power cut recovers cleanly to the pre-batch state.
 #[test]
 fn batch_policy_catalog_never_outruns_durable_wal() {
     let _g = lock();

@@ -1,6 +1,6 @@
 //! Property tests for the paged storage layer.
 //!
-//! Two families:
+//! Three families:
 //!
 //! 1. **Buffer-pool invariants** against a reference model: every pin
 //!    observes the latest written content (so eviction, write-back, and
@@ -18,13 +18,21 @@
 //!    charges — and a full `evaluate_qhd` run with `index_join` on must
 //!    match the classic path for every carrier × thread-count
 //!    combination.
+//!
+//! 3. **Slot directory and page → column loader**: after random
+//!    append/update/delete batches (appends that fill pages, a crash and
+//!    recovery mid-run) every rowid resolves to the page and slot a walk
+//!    over the on-disk pages gives it, and the reloaded relation equals
+//!    the boxed-row reference (`decode_row` + `push_many_unchecked`) cell
+//!    for cell — bits, NULLs, dictionary codes — with the same typed
+//!    error for every damaged cell.
 
 use htqo::prelude::*;
 use htqo_cq::{AtomId, CqBuilder};
 use htqo_engine::schema::{ColumnType, Schema};
 use htqo_engine::{iseek, ops, scan, MemIndex};
 use htqo_eval::{evaluate_qhd_with, ExecOptions};
-use htqo_storage::{StorageDb, PAGE_DATA, PAGE_SIZE};
+use htqo_storage::{codec, MutationBatch, StorageDb, PAGE_DATA, PAGE_SIZE};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -455,5 +463,275 @@ proptest! {
             }
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+// ---------------------------------------------------------------------
+// 3. Slot directory and page → column loader
+// ---------------------------------------------------------------------
+
+fn wide_schema() -> Schema {
+    Schema::new(&[
+        ("i", ColumnType::Int),
+        ("f", ColumnType::Float),
+        ("s", ColumnType::Str),
+        ("d", ColumnType::Date),
+    ])
+}
+
+/// A row of all four types: NULL anywhere, any float bit pattern (NaNs,
+/// ±0.0), empty strings, and strings long enough that a handful of rows
+/// fills a page.
+fn arb_row() -> impl Strategy<Value = Vec<Value>> {
+    (
+        any::<Option<i64>>(),
+        any::<Option<f64>>(),
+        prop_oneof![
+            1 => Just(None),
+            1 => Just(Some(0usize)),
+            5 => (1usize..1400).prop_map(Some),
+        ],
+        any::<Option<i32>>(),
+    )
+        .prop_map(|(i, f, s, d)| {
+            vec![
+                i.map_or(Value::Null, Value::Int),
+                f.map_or(Value::Null, Value::Float),
+                s.map_or(Value::Null, |n| Value::str(&"s".repeat(n))),
+                d.map_or(Value::Null, Value::Date),
+            ]
+        })
+}
+
+/// Bit-level equality of two relations' stored columns: payload words
+/// (floats by bit pattern, strings by dictionary code), NULL positions,
+/// and the size accounting.
+fn assert_cells_identical(got: &Relation, want: &Relation, ctx: &str) {
+    use htqo_engine::column::ColumnData;
+    assert_eq!(got.len(), want.len(), "{ctx}: row count");
+    assert_eq!(got.approx_bytes(), want.approx_bytes(), "{ctx}: bytes");
+    for c in 0..want.schema().arity() {
+        let (g, w) = (got.column(c), want.column(c));
+        let same = match (g.data(), w.data()) {
+            (ColumnData::Int(a), ColumnData::Int(b)) => a == b,
+            (ColumnData::Float(a), ColumnData::Float(b)) => a
+                .iter()
+                .map(|x| x.to_bits())
+                .eq(b.iter().map(|x| x.to_bits())),
+            (ColumnData::Date(a), ColumnData::Date(b)) => a == b,
+            (ColumnData::Str(a), ColumnData::Str(b)) => a == b,
+            _ => false,
+        };
+        assert!(same, "{ctx}: column {c} payload differs");
+        assert_eq!(g.nulls().any(), w.nulls().any(), "{ctx}: column {c} mask");
+        for r in 0..want.len() {
+            assert_eq!(g.is_null(r), w.is_null(r), "{ctx}: NULL at ({r}, {c})");
+        }
+    }
+}
+
+fn boxed_reference(rows: impl IntoIterator<Item = Vec<Value>>) -> Relation {
+    let mut rel = Relation::new(wide_schema());
+    rel.push_many_unchecked(rows);
+    rel
+}
+
+#[derive(Debug, Clone)]
+enum SlotOp {
+    Append(Vec<Value>),
+    Update(usize, Vec<Value>),
+    Delete(usize),
+}
+
+/// What follows a batch: nothing (the next batch stacks on the staged
+/// state), a checkpoint, or a crash and recovery.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum After {
+    Nothing,
+    Checkpoint,
+    Crash,
+}
+
+fn arb_step() -> impl Strategy<Value = (Vec<SlotOp>, After)> {
+    let op = prop_oneof![
+        4 => arb_row().prop_map(SlotOp::Append),
+        2 => (0usize..64, arb_row()).prop_map(|(t, r)| SlotOp::Update(t, r)),
+        2 => (0usize..64).prop_map(SlotOp::Delete),
+    ];
+    let after = prop_oneof![
+        2 => Just(After::Nothing),
+        1 => Just(After::Checkpoint),
+        1 => Just(After::Crash),
+    ];
+    (prop::collection::vec(op, 1..12), after)
+}
+
+/// `(pid, cell count)` of every heap page, read from the page file — the
+/// reference the slot directory is held to. Valid once everything
+/// committed is in the file (after a checkpoint or a recovery).
+fn walk_heap_on_disk(dir: &std::path::Path, meta: &htqo_storage::TableMeta) -> Vec<(u64, u16)> {
+    let mut file = htqo_storage::PageFile::open(&dir.join(&meta.file)).unwrap();
+    let mut buf = vec![0u8; PAGE_SIZE];
+    let mut pages = Vec::new();
+    for &(start, count) in &meta.heap {
+        for pid in start..start + count {
+            file.read(pid, &mut buf).unwrap();
+            pages.push((pid, htqo_storage::page::cell_count(&buf).unwrap()));
+        }
+    }
+    pages
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The slot directory `apply` maintains — across stacked batches,
+    /// page-filling appends, tombstones, checkpoints, and a crash that
+    /// throws it away — sends every rowid to the page and slot a walk
+    /// over the on-disk pages does; and what `load_table` decodes
+    /// through a pool of a few pages equals the boxed-row reference of
+    /// the model cell for cell.
+    #[test]
+    fn slot_directory_and_loader_track_the_pages(
+        base in prop::collection::vec(arb_row(), 0..40),
+        steps in prop::collection::vec(arb_step(), 2..7),
+        cache_pages in 1u64..6,
+    ) {
+        let dir = scratch("slots");
+        let storage = StorageDb::open(&dir).unwrap();
+        storage.ingest("t", &boxed_reference(base.clone()), &[]).unwrap();
+        // Physical slots; `None` is a tombstone.
+        let mut model: Vec<Option<Vec<Value>>> = base.into_iter().map(Some).collect();
+        let cache = cache_pages * PAGE_SIZE as u64;
+        storage.load_table("t", cache, None).unwrap();
+
+        let last = steps.len() - 1;
+        for (n, (ops, after)) in steps.into_iter().enumerate() {
+            let mut batch = MutationBatch::new("t");
+            let mut next = model.clone();
+            let mut targets: Vec<usize> = (0..model.len()).filter(|&i| model[i].is_some()).collect();
+            for op in ops {
+                match op {
+                    SlotOp::Append(row) => {
+                        batch.append(row.clone());
+                        next.push(Some(row));
+                    }
+                    SlotOp::Update(..) | SlotOp::Delete(_) if targets.is_empty() => {}
+                    SlotOp::Update(t, row) => {
+                        let rowid = targets[t % targets.len()];
+                        batch.update(rowid as u64, row.clone());
+                        next[rowid] = Some(row);
+                    }
+                    SlotOp::Delete(t) => {
+                        let rowid = targets.remove(t % targets.len());
+                        batch.delete(rowid as u64);
+                        next[rowid] = None;
+                    }
+                }
+            }
+            match storage.apply(&batch) {
+                Ok(meta) => {
+                    model = next;
+                    prop_assert_eq!(meta.rows, model.iter().flatten().count());
+                }
+                // An update outgrew its page: the batch is refused whole.
+                Err(EvalError::RowDoesNotFit { .. }) => {}
+                Err(e) => prop_assert!(false, "step {n}: {e}"),
+            }
+            let after = if n == last { After::Checkpoint } else { after };
+            match after {
+                After::Nothing => {}
+                After::Checkpoint => storage.checkpoint().unwrap(),
+                After::Crash => {
+                    storage.simulate_crash();
+                    storage.recover().unwrap();
+                }
+            }
+
+            let ctx = format!("step {n} ({after:?})");
+            let (rel, _) = storage.load_table("t", cache, None).unwrap();
+            assert_cells_identical(&rel, &boxed_reference(model.iter().flatten().cloned()), &ctx);
+            if after == After::Nothing {
+                continue;
+            }
+            let meta = storage.table_meta("t").unwrap();
+            let mut rowid = 0u64;
+            for (pid, cells) in walk_heap_on_disk(&dir, &meta) {
+                for slot in 0..cells {
+                    prop_assert_eq!(
+                        storage.locate("t", rowid).unwrap(),
+                        Some((pid, slot)),
+                        "{}: rowid {}", ctx, rowid
+                    );
+                    rowid += 1;
+                }
+            }
+            prop_assert_eq!(rowid as usize, model.len(), "{}: slots", ctx);
+            prop_assert_eq!(storage.locate("t", rowid).unwrap(), None, "{}: past the end", ctx);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `codec::load_row` against the boxed reference it replaced on the
+    /// reload path (`decode_row`, then the catalog type check, then
+    /// `push_many_unchecked`): the same relation cell for cell, and for a
+    /// damaged cell — cut short, padded, an unknown tag, a value under
+    /// the wrong column, a flipped byte — the same error after the same
+    /// rows.
+    #[test]
+    fn loader_equals_the_boxed_reference(
+        rows in prop::collection::vec(arb_row(), 1..24),
+        damage in prop::collection::vec((0usize..24, 0u8..5, any::<usize>(), 1u8..=255), 0..3),
+    ) {
+        let mut cells: Vec<Vec<u8>> = rows.iter().map(|r| codec::encode_row(r)).collect();
+        for (row, kind, at, byte) in damage {
+            let row = row % cells.len();
+            let cell = &mut cells[row];
+            match kind {
+                0 => cell.truncate(at % cell.len()),
+                1 => cell.push(byte),
+                2 => cell[0] = 5 + byte % 250,
+                3 => {
+                    let mut swapped = rows[row].clone();
+                    swapped.rotate_left(1 + at % 3);
+                    *cell = codec::encode_row(&swapped);
+                }
+                _ => {
+                    let at = at % cell.len().max(1);
+                    if let Some(b) = cell.get_mut(at) {
+                        *b ^= byte;
+                    }
+                }
+            }
+        }
+
+        let schema = wide_schema();
+        let reference = |cell: &[u8]| -> Result<Vec<Value>, EvalError> {
+            let row = codec::decode_row(cell, schema.arity())?;
+            for (v, col) in row.iter().zip(schema.columns()) {
+                if !codec::type_matches(v, col.ty) {
+                    return Err(EvalError::SpillIo(format!(
+                        "table t: column {} holds a value of the wrong type",
+                        col.name
+                    )));
+                }
+            }
+            Ok(row)
+        };
+        let mut want_err = None;
+        let decoded: Vec<Vec<Value>> = cells
+            .iter()
+            .map_while(|cell| reference(cell).map_err(|e| want_err = Some(e)).ok())
+            .collect();
+        let want = boxed_reference(decoded);
+
+        let mut got = Relation::new(wide_schema());
+        let mut loader = got.loader();
+        let got_err = cells
+            .iter()
+            .find_map(|cell| codec::load_row("t", cell, &mut loader).err());
+        drop(loader);
+        prop_assert_eq!(got_err, want_err);
+        assert_cells_identical(&got, &want, "loader");
     }
 }
