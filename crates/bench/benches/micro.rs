@@ -4,7 +4,9 @@
 //! hybrid planner on TPC-H Q5, separator pricing and cold planning under
 //! the statistics cost model, base-table scans (shared columns, typed
 //! predicate kernels), the paged store's commit, reload and recovery
-//! paths, hash join throughput, the seed-vs-overhauled join
+//! paths, the query service's per-statement fixed cost (prepared, ad hoc
+//! on a known text, ad hoc on a never-seen text of a known shape), hash
+//! join throughput, the seed-vs-overhauled join
 //! kernels (sequential and partitioned-parallel),
 //! the parallel q-hypertree schedule, and the q-hypertree evaluator vs the
 //! naive pipeline on a chain query.
@@ -362,6 +364,49 @@ fn bench_storage(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_service(c: &mut Criterion) {
+    // One `service_hot` statement at a time: a 4-atom cycle over 50-row
+    // relations evaluates in tens of microseconds, so what is timed is
+    // the fixed cost around the evaluation.
+    use htqo_service::{QueryService, ServiceConfig};
+    let db = workload_db(&WorkloadSpec::new(10, 50, 50, 7));
+    let opt = HybridOptimizer::with_stats(QhdOptions::default(), htqo_stats::analyze(&db));
+    let service = QueryService::new(db, opt, ServiceConfig::default());
+    let session = service.session();
+    let cycle = |alias: &str| {
+        format!(
+            "SELECT {alias}0.l FROM p0 {alias}0, p1 {alias}1, p2 {alias}2, p3 {alias}3 \
+             WHERE {alias}0.r = {alias}1.l AND {alias}1.r = {alias}2.l \
+             AND {alias}2.r = {alias}3.l AND {alias}3.r = {alias}0.l"
+        )
+    };
+    let known = cycle("a");
+    let prepared = session.prepare(&known).unwrap();
+    assert!(session.execute_prepared(prepared).unwrap().result.is_ok());
+
+    let mut group = c.benchmark_group("service");
+    group.bench_function("execute_prepared_hit", |b| {
+        b.iter(|| session.execute_prepared(prepared).unwrap().tuples)
+    });
+    group.bench_function("execute_sql_text_hit", |b| {
+        b.iter(|| session.execute_sql(&known).unwrap().tuples)
+    });
+    // A never-seen text every iteration (same shape, fresh aliases): the
+    // optimizer's shape level serves the plan, and every call pays the
+    // text miss, the insert and — once the cache is full — an eviction.
+    let mut fresh = 0u64;
+    group.bench_function("execute_sql_new_text_shape_hit", |b| {
+        b.iter(|| {
+            fresh += 1;
+            session
+                .execute_sql(&cycle(&format!("t{fresh}_")))
+                .unwrap()
+                .tuples
+        })
+    });
+    group.finish();
+}
+
 fn bench_hash_join(c: &mut Criterion) {
     let db = workload_db(&WorkloadSpec::new(2, 10_000, 100, 7));
     let q = acyclic_query(2);
@@ -524,6 +569,7 @@ criterion_group!(
     bench_planner,
     bench_scans,
     bench_storage,
+    bench_service,
     bench_hash_join,
     bench_join_kernels,
     bench_parallel_eval,

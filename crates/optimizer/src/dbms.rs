@@ -97,7 +97,8 @@ pub enum PlanCacheStatus {
     /// cached.
     Miss,
     /// Exact hit: the identical query (same rendering) was served its
-    /// cached plan with no planning work at all.
+    /// cached plan — or a compiled statement was executed — with no
+    /// planning work at all.
     Hit,
     /// Shape hit: an isomorphic-but-renamed query reused the cached
     /// decomposition after transport through canonical space and a λ
@@ -123,7 +124,8 @@ pub struct QueryOutcome {
     /// Final output relation (after aggregates/ordering), or the resource
     /// error for DNF data points.
     pub result: Result<VRelation, EvalError>,
-    /// Time spent planning (optimizer only).
+    /// Time spent planning (optimizer only). For a compiled statement,
+    /// the time spent resolving it — close to zero on a hit.
     pub planning: Duration,
     /// Time spent executing.
     pub execution: Duration,

@@ -16,6 +16,7 @@
 use crate::bushy::dp_bushy;
 use crate::bushy_exec::evaluate_join_tree;
 use crate::dbms::{FallbackAttempt, PlanCacheStatus, QueryOutcome, Rung, SqlError};
+use crate::lru::ShardedLru;
 use htqo_core::cost::DecompCost;
 use htqo_core::{
     q_hypertree_decomp, q_hypertree_decomp_raw, recost_lambda, remap_tree, tree_cost, validate,
@@ -26,12 +27,11 @@ use htqo_engine::error::{Budget, EvalError, SpillMode};
 use htqo_engine::schema::Database;
 use htqo_engine::vrel::VRelation;
 use htqo_eval::{evaluate_naive, evaluate_qhd_query_traced, ExecOptions, FactorizedTrace};
-use htqo_hypergraph::{canonical_form, CanonicalForm, FxHasher, VarSet};
+use htqo_hypergraph::{canonical_form, CanonicalForm, VarSet};
 use htqo_stats::{DbStats, StatsDecompCost};
-use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// How [`HybridOptimizer::execute_cq`] degrades when a strategy fails.
@@ -119,109 +119,32 @@ enum CacheEntry {
         /// the new statistics, then refreshes the entry in place.
         epoch: u64,
         /// Fast path: rendering and finished plan of the most recent
-        /// query served from this entry.
-        exact: Option<(String, QhdPlan)>,
+        /// query served from this entry. Shared, so a hit is a
+        /// reference-count bump under the shard lock.
+        exact: Option<(String, Arc<QhdPlan>)>,
     },
     /// Exact-keyed entry (canonicalization over budget). A stale epoch
     /// is a miss: the plan was priced under old statistics and there is
     /// no canonical tree to revalidate, so it is replanned outright.
-    Plain { plan: QhdPlan, epoch: u64 },
+    Plain { plan: Arc<QhdPlan>, epoch: u64 },
 }
 
-struct Shard {
-    tick: u64,
-    map: std::collections::HashMap<PlanKey, (u64, CacheEntry)>,
-}
-
-/// Sharded, lock-striped, shape-canonical plan cache. Each shard is an
-/// independently locked LRU (exact LRU via a monotonic access stamp;
-/// eviction is O(shard capacity), fine at this size), so concurrent
-/// sessions planning different shapes never contend on one lock.
+/// Shape-canonical plan cache: the shared sharded LRU plus traffic
+/// counters.
 struct PlanCache {
-    capacity: usize,
-    shards: Vec<Mutex<Shard>>,
-    /// Per-shard capacities summing exactly to `capacity`.
-    shard_caps: Vec<usize>,
+    lru: ShardedLru<PlanKey, CacheEntry>,
     hits: AtomicU64,
     misses: AtomicU64,
     revalidated: AtomicU64,
 }
 
-/// Lock stripes of the plan cache (when capacity allows that many).
-const PLAN_CACHE_SHARDS: usize = 8;
-
 impl PlanCache {
     fn new(capacity: usize) -> Self {
-        let n = PLAN_CACHE_SHARDS.min(capacity.max(1));
-        let shards = (0..n)
-            .map(|_| {
-                Mutex::new(Shard {
-                    tick: 0,
-                    map: std::collections::HashMap::new(),
-                })
-            })
-            .collect();
-        let shard_caps = (0..n)
-            .map(|i| capacity / n + usize::from(i < capacity % n))
-            .collect();
         PlanCache {
-            capacity,
-            shards,
-            shard_caps,
+            lru: ShardedLru::new(capacity),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             revalidated: AtomicU64::new(0),
-        }
-    }
-
-    fn enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
-    fn shard_of(&self, key: &PlanKey) -> usize {
-        let mut h = FxHasher::default();
-        key.hash(&mut h);
-        (h.finish() as usize) % self.shards.len()
-    }
-
-    fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|p| p.into_inner()).map.len())
-            .sum()
-    }
-
-    fn remove(&self, key: &PlanKey) {
-        if !self.enabled() {
-            return;
-        }
-        let mut shard = self.lock(self.shard_of(key));
-        shard.map.remove(key);
-    }
-
-    fn lock(&self, i: usize) -> std::sync::MutexGuard<'_, Shard> {
-        // A panic while holding a shard lock can only have happened
-        // outside cache code (callers run arbitrary planning under no
-        // lock); the map itself is never left mid-update.
-        self.shards[i].lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Inserts (or replaces) an entry and evicts the shard's LRU overflow.
-    fn insert(&self, key: PlanKey, entry: CacheEntry) {
-        let i = self.shard_of(&key);
-        let cap = self.shard_caps[i].max(1);
-        let mut shard = self.lock(i);
-        shard.tick += 1;
-        let tick = shard.tick;
-        shard.map.insert(key, (tick, entry));
-        while shard.map.len() > cap {
-            let oldest = shard
-                .map
-                .iter()
-                .min_by_key(|(_, (t, _))| *t)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty over capacity");
-            shard.map.remove(&oldest);
         }
     }
 }
@@ -247,6 +170,46 @@ struct Keyed {
     canon: Option<CanonicalForm>,
     ch: CqHypergraph,
     out_vars: VarSet,
+}
+
+/// A statement compiled once and executed many times: everything
+/// [`HybridOptimizer::execute_cq`] derives from the query alone — the plan
+/// (or why there is none), its description, the answer-size estimate —
+/// so that [`HybridOptimizer::execute_compiled`] runs the fallback ladder
+/// and nothing else. Immutable and shared (`Arc`) across sessions.
+pub struct CompiledQuery {
+    query: ConjunctiveQuery,
+    /// The q-hypertree plan, or why there is none (the ladder then starts
+    /// on its fallback rungs).
+    plan: Result<Arc<QhdPlan>, QhdFailure>,
+    /// Rung-0 plan description (`q-HD width=…`), empty without a plan.
+    description: String,
+    estimated_answer_rows: Option<f64>,
+    /// Statistics epoch the plan was priced under; a later epoch makes
+    /// the statement stale and [`HybridOptimizer::execute_compiled`]
+    /// recompiles it first.
+    epoch: u64,
+    /// How the plan cache participated in compiling this statement.
+    plan_cache: PlanCacheStatus,
+    /// The plan-cache key, for evicting a plan whose execution failed.
+    key: Option<PlanKey>,
+    /// Set when the plan failed retryably at execution: like a stale
+    /// epoch, every holder of this statement recompiles before running it
+    /// again rather than serving the plan that just failed.
+    retired: AtomicBool,
+}
+
+impl CompiledQuery {
+    /// How the plan cache participated when this statement was compiled.
+    pub fn plan_cache(&self) -> PlanCacheStatus {
+        self.plan_cache
+    }
+
+    /// True once this statement's plan failed retryably at execution: a
+    /// cache holding it should compile the text afresh.
+    pub fn is_retired(&self) -> bool {
+        self.retired.load(Ordering::Relaxed)
+    }
 }
 
 /// The hybrid structural+quantitative optimizer.
@@ -405,11 +368,13 @@ impl HybridOptimizer {
     /// and only re-costs λ (cover) choices against this optimizer's
     /// statistics. The key includes `out(Q)` via the canonical marking.
     pub fn plan_cq_cached(&self, q: &ConjunctiveQuery) -> Result<QhdPlan, QhdFailure> {
-        if !self.cache.enabled() {
+        if !self.cache.lru.enabled() {
             return self.plan_cq(q);
         }
         let keyed = self.key_query(q);
-        self.plan_cq_keyed(q, &keyed).0
+        // The deep copy this signature asks for happens here, after the
+        // shard lock is released.
+        self.plan_cq_keyed(q, &keyed).0.map(Arc::unwrap_or_clone)
     }
 
     /// The keyed planning path. Returns the plan and how the cache
@@ -418,94 +383,94 @@ impl HybridOptimizer {
         &self,
         q: &ConjunctiveQuery,
         keyed: &Keyed,
-    ) -> (Result<QhdPlan, QhdFailure>, PlanCacheStatus) {
-        let shard_idx = self.cache.shard_of(&keyed.key);
+    ) -> (Result<Arc<QhdPlan>, QhdFailure>, PlanCacheStatus) {
+        /// What the probe found under the shard lock.
+        enum Probe {
+            /// Exact hit: the finished plan, shared.
+            Plan(Arc<QhdPlan>),
+            /// Shape entry to revalidate outside the lock: canonical
+            /// tree, stored cost, and whether its epoch is behind.
+            Shape(Hypertree, f64, bool),
+        }
         let epoch_now = self.stats_epoch.load(Ordering::Relaxed);
-        // Fast path under the shard lock: exact hit, or snapshot the
-        // canonical tree for revalidation outside the lock. Entries
-        // stamped by an older statistics epoch skip both fast paths:
-        // stale shape entries force a λ re-cost (`stale` below), stale
-        // exact entries replan as a miss.
-        let snapshot: Option<(Hypertree, f64, bool)> = {
-            let mut shard = self.cache.lock(shard_idx);
-            shard.tick += 1;
-            let tick = shard.tick;
-            match shard.map.get_mut(&keyed.key) {
-                Some((t, CacheEntry::Plain { plan, epoch })) if *epoch == epoch_now => {
-                    *t = tick;
-                    let plan = plan.clone();
-                    drop(shard);
-                    self.cache.hits.fetch_add(1, Ordering::Relaxed);
-                    return (Ok(plan), PlanCacheStatus::Hit);
+        // Entries stamped by an older statistics epoch skip both fast
+        // paths: stale shape entries force a λ re-cost (`stale` below),
+        // stale exact entries replan as a miss.
+        let probe = self
+            .cache
+            .lru
+            .with(&keyed.key, |entry| match entry {
+                CacheEntry::Plain { plan, epoch } => {
+                    (*epoch == epoch_now).then(|| Probe::Plan(Arc::clone(plan)))
                 }
-                Some((_, CacheEntry::Plain { .. })) => None,
-                Some((
-                    t,
-                    CacheEntry::Shape {
-                        canon_tree,
-                        stored_cost,
-                        epoch,
-                        exact,
-                    },
-                )) => {
-                    *t = tick;
+                CacheEntry::Shape {
+                    canon_tree,
+                    stored_cost,
+                    epoch,
+                    exact,
+                } => {
                     let stale = *epoch != epoch_now;
-                    if !stale {
-                        if let Some((rendering, plan)) = exact {
-                            if *rendering == keyed.exact {
-                                let plan = plan.clone();
-                                drop(shard);
-                                self.cache.hits.fetch_add(1, Ordering::Relaxed);
-                                return (Ok(plan), PlanCacheStatus::Hit);
-                            }
+                    match exact {
+                        Some((rendering, plan)) if !stale && *rendering == keyed.exact => {
+                            Some(Probe::Plan(Arc::clone(plan)))
                         }
+                        // NAN never equals the current price, so a stale
+                        // hit cannot take revalidate's cost-unchanged
+                        // shortcut.
+                        _ => Some(Probe::Shape(
+                            canon_tree.clone(),
+                            if stale { f64::NAN } else { *stored_cost },
+                            stale,
+                        )),
                     }
-                    // NAN never equals the current price, so a stale hit
-                    // cannot take revalidate's cost-unchanged shortcut.
-                    let cost = if stale { f64::NAN } else { *stored_cost };
-                    Some((canon_tree.clone(), cost, stale))
                 }
-                None => None,
-            }
-        };
+            })
+            .flatten();
 
-        if let Some((canon_tree, stored_cost, stale)) = snapshot {
+        match probe {
+            Some(Probe::Plan(plan)) => {
+                self.cache.hits.fetch_add(1, Ordering::Relaxed);
+                return (Ok(plan), PlanCacheStatus::Hit);
+            }
             // Shape hit: transport + re-cost, no cost-k-decomp. Planning
             // work runs outside the shard lock.
-            if let Some((plan, final_tree, final_cost)) =
-                self.revalidate(q, keyed, &canon_tree, stored_cost)
-            {
-                self.cache.revalidated.fetch_add(1, Ordering::Relaxed);
-                let mut shard = self.cache.lock(shard_idx);
-                if let Some((
-                    _,
-                    CacheEntry::Shape {
-                        canon_tree,
-                        stored_cost,
-                        epoch,
-                        exact,
-                    },
-                )) = shard.map.get_mut(&keyed.key)
+            Some(Probe::Shape(canon_tree, stored_cost, stale)) => {
+                if let Some((plan, final_tree, final_cost)) =
+                    self.revalidate(q, keyed, &canon_tree, stored_cost)
                 {
-                    *exact = Some((keyed.exact.clone(), plan.clone()));
-                    if stale {
-                        // Re-stamp the entry under the new statistics so
-                        // the *next* hit takes the fast paths again — with
-                        // the λ choices this revalidation just settled.
-                        if let Some(c) = keyed.canon.as_ref() {
-                            *canon_tree =
-                                remap_tree(&final_tree, &c.var_to_canon, &c.edge_to_canon);
+                    self.cache.revalidated.fetch_add(1, Ordering::Relaxed);
+                    let plan = Arc::new(plan);
+                    self.cache.lru.with(&keyed.key, |entry| {
+                        let CacheEntry::Shape {
+                            canon_tree,
+                            stored_cost,
+                            epoch,
+                            exact,
+                        } = entry
+                        else {
+                            return;
+                        };
+                        *exact = Some((keyed.exact.clone(), Arc::clone(&plan)));
+                        if stale {
+                            // Re-stamp the entry under the new statistics
+                            // so the *next* hit takes the fast paths again
+                            // — with the λ choices this revalidation just
+                            // settled.
+                            if let Some(c) = keyed.canon.as_ref() {
+                                *canon_tree =
+                                    remap_tree(&final_tree, &c.var_to_canon, &c.edge_to_canon);
+                            }
+                            *stored_cost = final_cost;
+                            *epoch = epoch_now;
                         }
-                        *stored_cost = final_cost;
-                        *epoch = epoch_now;
-                    }
+                    });
+                    return (Ok(plan), PlanCacheStatus::Revalidated);
                 }
-                drop(shard);
-                return (Ok(plan), PlanCacheStatus::Revalidated);
+                // Defensive: a transported tree that fails validation
+                // (which soundness of the canonical key rules out) falls
+                // through to a full replan that overwrites the entry.
             }
-            // Defensive: a transported tree that fails validation (which
-            // soundness of the canonical key rules out) falls through to
-            // a full replan that overwrites the entry.
+            None => {}
         }
 
         self.cache.misses.fetch_add(1, Ordering::Relaxed);
@@ -513,34 +478,30 @@ impl HybridOptimizer {
             Ok(raw) => raw,
             Err(fail) => return (Err(fail), PlanCacheStatus::Miss),
         };
-        match &keyed.canon {
-            Some(canon) => {
-                let canon_tree = remap_tree(&raw.tree, &canon.var_to_canon, &canon.edge_to_canon);
-                let stored_cost = self.with_cost(q, |cost| {
-                    tree_cost(&raw.cq_hypergraph.hypergraph, &raw.tree, cost)
-                });
-                let plan = raw.finish(&self.options);
-                let entry = CacheEntry::Shape {
-                    canon_tree,
-                    stored_cost,
-                    epoch: epoch_now,
-                    exact: Some((keyed.exact.clone(), plan.clone())),
-                };
-                self.cache.insert(keyed.key.clone(), entry);
-                (Ok(plan), PlanCacheStatus::Miss)
-            }
-            None => {
-                let plan = raw.finish(&self.options);
-                self.cache.insert(
-                    keyed.key.clone(),
-                    CacheEntry::Plain {
-                        plan: plan.clone(),
-                        epoch: epoch_now,
-                    },
-                );
-                (Ok(plan), PlanCacheStatus::Miss)
-            }
-        }
+        // The shape entry keeps the pre-`Optimize` tree, so it is taken
+        // before `finish` consumes the raw decomposition.
+        let shape = keyed.canon.as_ref().map(|canon| {
+            let canon_tree = remap_tree(&raw.tree, &canon.var_to_canon, &canon.edge_to_canon);
+            let stored_cost = self.with_cost(q, |cost| {
+                tree_cost(&raw.cq_hypergraph.hypergraph, &raw.tree, cost)
+            });
+            (canon_tree, stored_cost)
+        });
+        let plan = Arc::new(raw.finish(&self.options));
+        let entry = match shape {
+            Some((canon_tree, stored_cost)) => CacheEntry::Shape {
+                canon_tree,
+                stored_cost,
+                epoch: epoch_now,
+                exact: Some((keyed.exact.clone(), Arc::clone(&plan))),
+            },
+            None => CacheEntry::Plain {
+                plan: Arc::clone(&plan),
+                epoch: epoch_now,
+            },
+        };
+        self.cache.lru.insert(keyed.key.clone(), entry);
+        (Ok(plan), PlanCacheStatus::Miss)
     }
 
     /// The shape-hit path: transports a cached canonical tree onto `q`,
@@ -592,7 +553,13 @@ impl HybridOptimizer {
 
     /// Number of cached plans across all shards.
     pub fn cached_plans(&self) -> usize {
-        self.cache.len()
+        self.cache.lru.len()
+    }
+
+    /// The plan cache's capacity (0 = caching disabled). Caches layered
+    /// over this optimizer size themselves by it.
+    pub fn cache_capacity(&self) -> usize {
+        self.cache.lru.capacity()
     }
 
     /// Plan-cache traffic counters since this optimizer was built.
@@ -666,30 +633,93 @@ impl HybridOptimizer {
         None
     }
 
-    /// Plans and executes a conjunctive query on `db`, descending the
-    /// fallback ladder configured by [`HybridOptimizer::retry`]. Panics
-    /// inside the engine are contained and surface as
-    /// [`EvalError::WorkerPanicked`] (possibly rescued by a lower rung).
+    /// Compiles a conjunctive query: the keyed planning path (plan cache
+    /// included) plus everything else an execution derives from the
+    /// query alone. The result is immutable and can be executed any
+    /// number of times, from any thread, with
+    /// [`HybridOptimizer::execute_compiled`].
+    pub fn compile_cq(&self, q: &ConjunctiveQuery) -> Arc<CompiledQuery> {
+        let epoch = self.stats_epoch.load(Ordering::Relaxed);
+        // Key once: lookup now and failed-plan eviction later share it.
+        let keyed = self.cache.lru.enabled().then(|| self.key_query(q));
+        let (plan, plan_cache) = match &keyed {
+            Some(keyed) => self.plan_cq_keyed(q, keyed),
+            None => (self.plan_cq(q).map(Arc::new), PlanCacheStatus::Uncached),
+        };
+        let description = plan.as_ref().map_or_else(
+            |_| String::new(),
+            |plan| {
+                format!(
+                    "q-HD width={} vertices={} joins={} (optimize removed {})",
+                    plan.tree.width(),
+                    plan.tree.len(),
+                    plan.tree.join_work(),
+                    plan.optimize_stats.removed_atoms
+                )
+            },
+        );
+        Arc::new(CompiledQuery {
+            query: q.clone(),
+            plan,
+            description,
+            estimated_answer_rows: crate::estimate_answer_rows(q, self.stats.as_ref()),
+            epoch,
+            plan_cache,
+            key: keyed.map(|k| k.key),
+            retired: AtomicBool::new(false),
+        })
+    }
+
+    /// Plans and executes a conjunctive query on `db`:
+    /// [`HybridOptimizer::compile_cq`] then
+    /// [`HybridOptimizer::execute_compiled`], with the compilation
+    /// reported as the outcome's planning time and plan-cache status.
     pub fn execute_cq(&self, db: &Database, q: &ConjunctiveQuery, budget: Budget) -> QueryOutcome {
+        let t0 = Instant::now();
+        let compiled = self.compile_cq(q);
+        let planning = t0.elapsed();
+        let mut outcome = self.execute_compiled(db, &compiled, budget);
+        outcome.planning += planning;
+        outcome.plan_cache = compiled.plan_cache;
+        outcome
+    }
+
+    /// Executes a compiled statement on `db`, descending the fallback
+    /// ladder configured by [`HybridOptimizer::retry`]. Panics inside the
+    /// engine are contained and surface as [`EvalError::WorkerPanicked`]
+    /// (possibly rescued by a lower rung).
+    ///
+    /// No planning runs here unless the statement is stale — compiled
+    /// under an older statistics epoch, or retired because its plan
+    /// failed — in which case it is recompiled first (the caller's copy
+    /// is left as it is). [`QueryOutcome::plan_cache`] is
+    /// [`PlanCacheStatus::Hit`] when nothing was planned, otherwise the
+    /// recompilation's status; [`QueryOutcome::planning`] covers only
+    /// that recompilation.
+    pub fn execute_compiled(
+        &self,
+        db: &Database,
+        compiled: &CompiledQuery,
+        mut budget: Budget,
+    ) -> QueryOutcome {
+        let t0 = Instant::now();
+        let stale = compiled.epoch != self.stats_epoch.load(Ordering::Relaxed);
+        let recompiled = (stale || compiled.is_retired()).then(|| self.compile_cq(&compiled.query));
+        let plan_cache = recompiled
+            .as_ref()
+            .map_or(PlanCacheStatus::Hit, |c| c.plan_cache);
+        let compiled = recompiled.as_deref().unwrap_or(compiled);
+        let q = &compiled.query;
         // Govern every rung — including the naive fallback, whose
         // evaluator takes no ExecOptions — by the process-wide default;
         // an explicitly budgeted caller wins (apply fills only if unset).
-        let mut budget = budget;
         budget.apply_mem_limit(htqo_engine::exec::mem_limit_default());
-        let t0 = Instant::now();
-        // Key once per attempt: lookup and (on failure) eviction share
-        // the same computed key.
-        let keyed = self.cache.enabled().then(|| self.key_query(q));
-        let (plan, plan_cache) = match &keyed {
-            Some(keyed) => self.plan_cq_keyed(q, keyed),
-            None => (self.plan_cq(q), PlanCacheStatus::Uncached),
-        };
         let planning = t0.elapsed();
         let t1 = Instant::now();
 
         let mut attempts: Vec<FallbackAttempt> = Vec::new();
         let mut tuples: u64 = 0;
-        let mut answer: Option<(VRelation, Rung, String)> = None;
+        let mut answer: Option<(VRelation, Rung, &str)> = None;
         // Shared with the rung-0 closure (which `run_rung` may invoke
         // twice under spill retry — the traced evaluator resets it on
         // entry, so it always reflects the pass that produced the answer).
@@ -698,29 +728,26 @@ impl HybridOptimizer {
         // Rung 0: q-hypertree evaluation, through the factorized front
         // (aggregate pushdown over the cover when eligible, materialized
         // join otherwise — see `htqo_eval::factorized`).
-        match plan {
+        match &compiled.plan {
             Ok(plan) => {
-                let desc = format!(
-                    "q-HD width={} vertices={} joins={} (optimize removed {})",
-                    plan.tree.width(),
-                    plan.tree.len(),
-                    plan.tree.join_work(),
-                    plan.optimize_stats.removed_atoms
-                );
                 let opts = ExecOptions::default();
                 let eval = |bud: &mut Budget| {
-                    evaluate_qhd_query_traced(db, q, &plan, bud, &opts, &mut trace.borrow_mut())
+                    evaluate_qhd_query_traced(db, q, plan, bud, &opts, &mut trace.borrow_mut())
                 };
                 match self.run_rung(&budget, 0, Rung::QHd, &mut attempts, &mut tuples, &eval) {
-                    Some(rel) => answer = Some((rel, Rung::QHd, desc)),
-                    None => {
-                        // Don't serve a plan that just failed to the next
-                        // caller; a fresh decomposition may fare better.
-                        // Evicts by the key this attempt already computed.
-                        if let Some(keyed) = &keyed {
-                            self.cache.remove(&keyed.key);
+                    Some(rel) => answer = Some((rel, Rung::QHd, &compiled.description)),
+                    // Don't serve a plan that just failed for a reason a
+                    // fresh decomposition might cure to the next caller:
+                    // evict it from the plan cache and retire this
+                    // statement. A cancelled client or a semantic error
+                    // says nothing about the plan, which stays.
+                    None if attempts.last().is_some_and(|a| a.error.is_retryable()) => {
+                        if let Some(key) = &compiled.key {
+                            self.cache.lru.remove(key);
                         }
+                        compiled.retired.store(true, Ordering::Relaxed);
                     }
+                    None => {}
                 }
             }
             Err(fail) => attempts.push(FallbackAttempt {
@@ -755,7 +782,7 @@ impl HybridOptimizer {
                     &mut tuples,
                     &eval,
                 ) {
-                    answer = Some((rel, Rung::Bushy, "bushy join tree".to_string()));
+                    answer = Some((rel, Rung::Bushy, "bushy join tree"));
                 }
             }
         }
@@ -775,88 +802,61 @@ impl HybridOptimizer {
                 &mut tuples,
                 &eval,
             ) {
-                answer = Some((rel, Rung::Naive, "naive join order".to_string()));
+                answer = Some((rel, Rung::Naive, "naive join order"));
             }
         }
 
         let execution = t1.elapsed();
-        // Rung budgets are renewed from `budget` and share its spill
-        // statistics, so this is the whole query's spill volume.
-        let spill_bytes = budget.spill_stats().bytes_written();
-        let spill_partitions = budget.spill_stats().partitions();
-        let index_seek_joins = budget.join_stats().index_seeks();
-        let hash_builds = budget.join_stats().hash_builds();
         let failed: Vec<String> = attempts
             .iter()
             .map(|a| format!("{} failure: {}", a.rung, a.error))
             .collect();
-        let estimated_answer_rows = crate::estimate_answer_rows(q, self.stats.as_ref());
-        match answer {
+        // The trace only describes the q-HD rung; a fallback rung's
+        // answer always came from a materialized join.
+        let trace = trace.into_inner();
+        let (result, rung, plan, factorized, factorized_fallback) = match answer {
             Some((rel, rung, desc)) => {
-                // The trace only describes the q-HD rung; a fallback rung's
-                // answer always came from a materialized join.
-                let trace = trace.into_inner();
-                let (factorized, factorized_fallback) = if rung == Rung::QHd {
+                let (factorized, fallback) = if rung == Rung::QHd {
                     (trace.factorized, trace.fallback)
                 } else {
                     (false, None)
                 };
-                let answer_rows = Some(rel.len() as u64);
-                QueryOutcome {
-                    result: Ok(rel),
-                    planning,
-                    execution,
-                    tuples,
-                    plan: {
-                        let desc = if factorized {
-                            format!("{desc} [factorized]")
-                        } else {
-                            desc
-                        };
-                        if failed.is_empty() {
-                            desc
-                        } else {
-                            format!("{desc} [fallback after {}]", failed.join("; "))
-                        }
-                    },
-                    rung,
-                    attempts,
-                    spill_bytes,
-                    spill_partitions,
-                    factorized,
-                    factorized_fallback,
-                    estimated_answer_rows,
-                    answer_rows,
-                    plan_cache,
-                    threads: htqo_engine::exec::num_threads(),
-                    threads_requested: htqo_engine::exec::requested_threads(),
-                    index_seek_joins,
-                    hash_builds,
+                let mut plan = desc.to_string();
+                if factorized {
+                    plan.push_str(" [factorized]");
                 }
+                if !failed.is_empty() {
+                    plan = format!("{plan} [fallback after {}]", failed.join("; "));
+                }
+                (Ok(rel), rung, plan, factorized, fallback)
             }
             None => {
                 let last = attempts.last().expect("the q-HD rung always runs");
-                QueryOutcome {
-                    result: Err(last.error.clone()),
-                    planning,
-                    execution,
-                    tuples,
-                    plan: failed.join("; "),
-                    rung: last.rung,
-                    attempts,
-                    spill_bytes,
-                    spill_partitions,
-                    factorized: false,
-                    factorized_fallback: None,
-                    estimated_answer_rows,
-                    answer_rows: None,
-                    plan_cache,
-                    threads: htqo_engine::exec::num_threads(),
-                    threads_requested: htqo_engine::exec::requested_threads(),
-                    index_seek_joins,
-                    hash_builds,
-                }
+                let plan = failed.join("; ");
+                (Err(last.error.clone()), last.rung, plan, false, None)
             }
+        };
+        QueryOutcome {
+            answer_rows: result.as_ref().ok().map(|rel| rel.len() as u64),
+            result,
+            planning,
+            execution,
+            tuples,
+            plan,
+            rung,
+            attempts,
+            // Rung budgets are renewed from `budget` and share its spill
+            // and join statistics, so these are the whole query's.
+            spill_bytes: budget.spill_stats().bytes_written(),
+            spill_partitions: budget.spill_stats().partitions(),
+            factorized,
+            factorized_fallback,
+            estimated_answer_rows: compiled.estimated_answer_rows,
+            plan_cache,
+            threads: htqo_engine::exec::num_threads(),
+            threads_requested: htqo_engine::exec::requested_threads(),
+            index_seek_joins: budget.join_stats().index_seeks(),
+            hash_builds: budget.join_stats().hash_builds(),
         }
     }
 
@@ -1147,8 +1147,9 @@ mod tests {
         assert!(ans.set_eq(&naive));
     }
 
-    /// The cache is bounded: inserting past capacity evicts, and a failed
-    /// execution evicts the plan it used (observable as a fresh miss).
+    /// The cache is bounded: inserting past capacity evicts, and an
+    /// execution that failed for a retryable reason evicts the plan it
+    /// used (observable as a fresh miss).
     #[test]
     fn plan_cache_is_bounded_and_evicts_failures() {
         let opt = HybridOptimizer::structural(QhdOptions::default()).with_cache_capacity(2);
@@ -1160,23 +1161,106 @@ mod tests {
             "capacity 2 exceeded: {}",
             opt.cached_plans()
         );
-        // A failed execution evicts the plan it used: run q3 against a db
-        // missing its tables — scan fails, entry is removed, so the next
-        // planning of q3 is a miss rather than a hit.
+        // Run q3 under a tuple budget it must exhaust: the q-HD rung
+        // fails retryably, the entry is removed, so the next planning of
+        // q3 is a miss rather than a hit.
         let q3 = chain_query(3);
-        let opt = HybridOptimizer::structural(QhdOptions::default()).with_cache_capacity(8);
+        let db = chain_db(3, 200, 4);
+        let opt = HybridOptimizer::structural(QhdOptions::default())
+            .with_cache_capacity(8)
+            .with_retry(RetryPolicy::none());
         opt.plan_cq_cached(&q3).unwrap();
         assert_eq!(opt.plan_cache_stats().misses, 1);
-        let db = Database::new();
-        let opt = opt.with_retry(RetryPolicy::none());
-        let out = opt.execute_cq(&db, &q3, Budget::unlimited());
-        assert!(out.result.is_err());
+        let out = opt.execute_cq(&db, &q3, Budget::unlimited().with_max_tuples(3));
+        assert!(out.is_dnf(), "{}", out.plan);
+        assert_eq!(opt.cached_plans(), 0);
         opt.plan_cq_cached(&q3).unwrap();
         assert_eq!(
             opt.plan_cache_stats().misses,
             2,
             "evicted plan must be re-planned, not served"
         );
+    }
+
+    /// A failure that says nothing about the plan — the client cancelled,
+    /// or the query is semantically wrong for this database — leaves the
+    /// shared plan where it is: the next execution is a hit.
+    #[test]
+    fn non_retryable_failures_keep_the_cached_plan() {
+        use htqo_engine::error::CancelToken;
+        let db = chain_db(3, 200, 4);
+        let q3 = chain_query(3);
+        let opt = HybridOptimizer::structural(QhdOptions::default());
+        assert!(opt.execute_cq(&db, &q3, Budget::unlimited()).result.is_ok());
+        assert_eq!(opt.cached_plans(), 1);
+
+        let token = CancelToken::new();
+        token.cancel();
+        let out = opt.execute_cq(&db, &q3, Budget::unlimited().with_cancel_token(token));
+        assert!(matches!(out.result, Err(EvalError::Cancelled)));
+        assert_eq!(out.attempts.len(), 1, "cancellation stops the ladder");
+        assert_eq!(opt.cached_plans(), 1, "a cancelled client evicts nothing");
+
+        let out = opt.execute_cq(&Database::new(), &q3, Budget::unlimited());
+        assert!(matches!(out.result, Err(EvalError::UnknownTable(_))));
+        assert_eq!(opt.cached_plans(), 1, "a semantic error evicts nothing");
+
+        let next = opt.execute_cq(&db, &q3, Budget::unlimited());
+        assert_eq!(next.plan_cache, PlanCacheStatus::Hit);
+        assert_eq!(opt.plan_cache_stats().misses, 1);
+    }
+
+    /// A compiled statement executes any number of times without
+    /// planning; once its plan fails retryably it is retired, and the
+    /// next execution of the same handle recompiles instead of serving
+    /// the plan that just failed.
+    #[test]
+    fn compiled_statements_execute_without_planning_until_retired() {
+        let db = chain_db(3, 200, 4);
+        let q3 = chain_query(3);
+        let opt =
+            HybridOptimizer::structural(QhdOptions::default()).with_retry(RetryPolicy::none());
+        let compiled = opt.compile_cq(&q3);
+        assert_eq!(compiled.plan_cache(), PlanCacheStatus::Miss);
+        assert!(compiled.plan.is_ok());
+        let direct = opt.execute_cq(&db, &q3, Budget::unlimited());
+        for _ in 0..2 {
+            let out = opt.execute_compiled(&db, &compiled, Budget::unlimited());
+            assert_eq!(out.plan_cache, PlanCacheStatus::Hit);
+            assert_eq!(out.plan, direct.plan);
+            assert_eq!(out.tuples, direct.tuples);
+            assert!(out.result.unwrap().set_eq(direct.result.as_ref().unwrap()));
+        }
+        assert_eq!(opt.plan_cache_stats().misses, 1);
+
+        let out = opt.execute_compiled(&db, &compiled, Budget::unlimited().with_max_tuples(3));
+        assert!(out.is_dnf());
+        assert!(compiled.is_retired());
+        assert_eq!(opt.cached_plans(), 0);
+        let out = opt.execute_compiled(&db, &compiled, Budget::unlimited());
+        assert_eq!(
+            out.plan_cache,
+            PlanCacheStatus::Miss,
+            "recompiled, not served"
+        );
+        assert!(out.result.is_ok());
+    }
+
+    /// ANALYZE between compiling and executing: the statement is stale,
+    /// so the execution recompiles against the new statistics and never
+    /// reports a hit.
+    #[test]
+    fn stale_compiled_statement_recompiles() {
+        let db = chain_db(3, 20, 5);
+        let q = chain_query(3);
+        let mut opt = HybridOptimizer::with_stats(QhdOptions::default(), analyze(&db));
+        let compiled = opt.compile_cq(&q);
+        let hot = opt.execute_compiled(&db, &compiled, Budget::unlimited());
+        assert_eq!(hot.plan_cache, PlanCacheStatus::Hit);
+        opt.refresh_stats(Some(analyze(&db)));
+        let stale = opt.execute_compiled(&db, &compiled, Budget::unlimited());
+        assert_eq!(stale.plan_cache, PlanCacheStatus::Revalidated);
+        assert!(stale.result.unwrap().set_eq(&hot.result.unwrap()));
     }
 
     /// Capacity 0 disables caching entirely.

@@ -20,6 +20,7 @@ pub mod dp;
 pub mod explain;
 pub mod geqo;
 pub mod hybrid;
+pub mod lru;
 pub mod nested;
 pub mod views;
 
@@ -31,7 +32,8 @@ pub use dbms::{
 pub use dp::{dp_join_order, greedy_join_order, order_cost};
 pub use explain::{explain_join_order, explain_qhd};
 pub use geqo::{geqo_join_order, GeqoConfig};
-pub use hybrid::{HybridOptimizer, PlanCacheStats, RetryPolicy};
+pub use hybrid::{CompiledQuery, HybridOptimizer, PlanCacheStats, RetryPolicy};
+pub use lru::ShardedLru;
 pub use nested::{flatten_subqueries, NestedError};
 pub use views::{execute_views, rewrite_to_views, SqlViews, ViewDef};
 

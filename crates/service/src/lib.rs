@@ -2,10 +2,16 @@
 //! hybrid optimizer and the execution pool.
 //!
 //! A [`QueryService`] owns one immutable [`Database`], one (shared,
-//! `Send + Sync`) [`HybridOptimizer`] — whose shape-canonical plan cache
-//! is what makes repeated and renamed-isomorphic templates cheap across
-//! sessions — and the service-wide resource pools. Each client opens a
-//! [`Session`], prepares statements, and executes queries; every
+//! `Send + Sync`) [`HybridOptimizer`] and the service-wide resource pools.
+//! Each client opens a [`Session`], prepares statements, and executes
+//! queries. A statement is **compiled once** — parsed, translated to a
+//! conjunctive query and planned — and afterwards only executed: the
+//! service-wide statement cache maps exact SQL text to the shared
+//! [`CompiledQuery`], so a repeated text (prepared or ad hoc, from any
+//! session) runs its plan and nothing else, while a new text of a known
+//! shape still skips cost-k-decomp through the optimizer's
+//! shape-canonical plan cache. Both are pure functions of the text here,
+//! because the service's database and optimizer never change. Every
 //! execution passes **admission control** before it touches the engine:
 //!
 //! 1. a bounded in-flight query count (typed [`ServiceError::Overloaded`]
@@ -26,17 +32,20 @@
 
 #![warn(missing_docs)]
 
-use htqo_cq::sql::ast::SelectStmt;
+use htqo_cq::sql::ast::{Predicate, SelectStmt};
 use htqo_cq::{isolate, parse_select};
 use htqo_engine::error::{Budget, CancelToken};
 use htqo_engine::schema::Database;
 use htqo_optimizer::nested::flatten_subqueries;
-use htqo_optimizer::{HybridOptimizer, PlanCacheStats, QueryOutcome, SqlError};
+use htqo_optimizer::{
+    CompiledQuery, HybridOptimizer, PlanCacheStats, PlanCacheStatus, QueryOutcome, ShardedLru,
+    SqlError,
+};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Resource limits and concurrency policy of a [`QueryService`].
 #[derive(Clone, Debug)]
@@ -119,7 +128,10 @@ pub enum ServiceError {
     /// already closed).
     UnknownStatement(StatementId),
     /// The statement failed before planning (parse / subquery flattening
-    /// / SQL-to-CQ translation).
+    /// / SQL-to-CQ translation). Parse and translation errors surface
+    /// when the text is first compiled — at [`Session::prepare`], or
+    /// before admission in [`Session::execute_sql`] — and consume no
+    /// permit and no pool slice.
     Sql(SqlError),
 }
 
@@ -159,6 +171,21 @@ impl fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
+/// Traffic of the service-wide statement cache (exact SQL text →
+/// compiled statement) since the service started.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StatementCacheStats {
+    /// Text hits: the statement ran with no parse, translation or
+    /// planning at all.
+    pub hits: u64,
+    /// Text misses: the statement was compiled (its planning may still
+    /// have been a shape or exact hit in the optimizer's plan cache —
+    /// see [`ServiceMetrics::plan_cache`]).
+    pub misses: u64,
+    /// Compiled statements currently retained.
+    pub entries: u64,
+}
+
 /// A point-in-time snapshot of service health and traffic.
 #[derive(Clone, Debug, Default)]
 pub struct ServiceMetrics {
@@ -185,8 +212,11 @@ pub struct ServiceMetrics {
     pub pool_bytes_reserved: u64,
     /// Tuples charged against the service-lifetime quota so far.
     pub pool_tuples_charged: u64,
-    /// Plan-cache traffic of the shared optimizer.
+    /// Plan-cache traffic of the shared optimizer: what the texts that
+    /// missed the statement cache cost (exact hit, shape hit, cold plan).
     pub plan_cache: PlanCacheStats,
+    /// Statement-cache traffic: texts served without compiling.
+    pub statement_cache: StatementCacheStats,
     /// What the crash-recovery pass found when this service opened its
     /// paged storage ([`QueryService::open_paged`]): `None` on an
     /// in-memory service, `Some` (possibly all-zero for a clean start)
@@ -219,6 +249,57 @@ struct ServiceInner {
     completed_err: AtomicU64,
     /// Recovery report from `open_paged` (None for in-memory services).
     recovery: Option<htqo_storage::RecoveryReport>,
+    /// Exact SQL text → compiled statement, shared by every session and
+    /// sized like the optimizer's plan cache (0 disables both). `db` and
+    /// `optimizer` are immutable here, so the mapping never goes stale;
+    /// only a statement retired by a failed plan is compiled afresh.
+    statements: ShardedLru<String, Arc<CompiledQuery>>,
+    statement_hits: AtomicU64,
+    statement_misses: AtomicU64,
+}
+
+/// A statement ready for admission.
+#[derive(Clone)]
+enum Statement {
+    /// Compiled once; execution runs the plan and nothing else.
+    Compiled(Arc<CompiledQuery>),
+    /// Has an `IN (SELECT …)` predicate: the materialized subquery table
+    /// is data charged to the query's budget, so the statement is
+    /// flattened and compiled per execution, inside its admission.
+    Nested(Arc<SelectStmt>),
+}
+
+impl ServiceInner {
+    /// Resolves SQL text to a statement, through the statement cache.
+    /// The second value is `Some` when the text was compiled here — how
+    /// the optimizer's plan cache served that compilation — and `None`
+    /// when nothing was planned (a text hit, or a nested statement, which
+    /// plans at execution).
+    fn resolve(&self, sql: &str) -> Result<(Statement, Option<PlanCacheStatus>), ServiceError> {
+        if let Some(compiled) = self.statements.get(sql) {
+            // A statement retired by a failed plan is compiled afresh
+            // and replaced below.
+            if !compiled.is_retired() {
+                self.statement_hits.fetch_add(1, Ordering::Relaxed);
+                return Ok((Statement::Compiled(compiled), None));
+            }
+        }
+        let stmt = parse_select(sql).map_err(|e| ServiceError::Sql(SqlError::Parse(e)))?;
+        let nested = |p: &Predicate| matches!(p, Predicate::InSubquery { .. });
+        if stmt.predicates.iter().any(nested) {
+            return Ok((Statement::Nested(Arc::new(stmt)), None));
+        }
+        let q = isolate(&stmt, &self.db, self.optimizer.isolator)
+            .map_err(|e| ServiceError::Sql(SqlError::Isolate(e)))?;
+        let compiled = self.optimizer.compile_cq(&q);
+        if self.statements.enabled() {
+            self.statement_misses.fetch_add(1, Ordering::Relaxed);
+            self.statements
+                .insert(sql.to_string(), Arc::clone(&compiled));
+        }
+        let status = compiled.plan_cache();
+        Ok((Statement::Compiled(compiled), Some(status)))
+    }
 }
 
 /// Recover the guard even if a panicking thread poisoned the mutex; the
@@ -313,7 +394,6 @@ impl QueryService {
         QueryService {
             inner: Arc::new(ServiceInner {
                 db,
-                optimizer,
                 config,
                 slice,
                 pool: Mutex::new(master),
@@ -328,6 +408,10 @@ impl QueryService {
                 completed_ok: AtomicU64::new(0),
                 completed_err: AtomicU64::new(0),
                 recovery,
+                statements: ShardedLru::new(optimizer.cache_capacity()),
+                statement_hits: AtomicU64::new(0),
+                statement_misses: AtomicU64::new(0),
+                optimizer,
             }),
         }
     }
@@ -395,6 +479,11 @@ impl QueryService {
             pool_bytes_reserved: bytes,
             pool_tuples_charged: tuples,
             plan_cache: inner.optimizer.plan_cache_stats(),
+            statement_cache: StatementCacheStats {
+                hits: inner.statement_hits.load(Ordering::Relaxed),
+                misses: inner.statement_misses.load(Ordering::Relaxed),
+                entries: inner.statements.len() as u64,
+            },
             recovery: inner.recovery.clone(),
         }
     }
@@ -407,7 +496,7 @@ impl QueryService {
 pub struct Session {
     service: Arc<ServiceInner>,
     ledger: Mutex<Budget>,
-    statements: Mutex<HashMap<StatementId, SelectStmt>>,
+    statements: Mutex<HashMap<StatementId, Statement>>,
     next_stmt: AtomicU64,
 }
 
@@ -432,15 +521,16 @@ impl Drop for Permit<'_> {
 }
 
 impl Session {
-    /// Parses `sql` and stores the statement for repeated execution.
-    /// The plan itself is cached in the optimizer's shape-canonical plan
-    /// cache on first execution (and may already be warm from an
-    /// isomorphic template prepared by *any* session).
+    /// Compiles `sql` — through the service-wide statement cache, so a
+    /// text any session has already compiled plans nothing — and keeps
+    /// the shared compiled statement for repeated execution. Syntax
+    /// errors and unknown tables or columns surface here, consuming no
+    /// permit and no pool slice.
     pub fn prepare(&self, sql: &str) -> Result<StatementId, ServiceError> {
         if self.service.shutting_down.load(Ordering::Acquire) {
             return Err(ServiceError::ShuttingDown);
         }
-        let stmt = parse_select(sql).map_err(|e| ServiceError::Sql(SqlError::Parse(e)))?;
+        let (stmt, _) = self.service.resolve(sql)?;
         let id = StatementId(self.next_stmt.fetch_add(1, Ordering::Relaxed));
         lock(&self.statements).insert(id, stmt);
         Ok(id)
@@ -473,13 +563,10 @@ impl Session {
             .get(&id)
             .cloned()
             .ok_or(ServiceError::UnknownStatement(id))?;
-        let permit = self.admit(token.clone())?;
-        let out = self.run_stmt(&stmt, &token);
-        drop(permit);
-        out
+        self.admit_and_run(&stmt, token)
     }
 
-    /// Parses and executes `sql` in one call.
+    /// Compiles (or finds compiled) and executes `sql` in one call.
     pub fn execute_sql(&self, sql: &str) -> Result<QueryOutcome, ServiceError> {
         self.execute_sql_with_token(sql, CancelToken::new())
     }
@@ -490,11 +577,28 @@ impl Session {
         sql: &str,
         token: CancelToken,
     ) -> Result<QueryOutcome, ServiceError> {
-        // Parse before admission: a syntax error should not consume a
-        // permit or a pool slice.
-        let stmt = parse_select(sql).map_err(|e| ServiceError::Sql(SqlError::Parse(e)))?;
+        // Resolve before admission: a statement that cannot be compiled
+        // should not consume a permit or a pool slice.
+        let t0 = Instant::now();
+        let (stmt, compiled_as) = self.service.resolve(sql)?;
+        let resolve = t0.elapsed();
+        let mut outcome = self.admit_and_run(&stmt, token)?;
+        // The resolve is this call's planning; when it compiled the text,
+        // the outcome reports how that compilation was served.
+        outcome.planning += resolve;
+        if let Some(status) = compiled_as {
+            outcome.plan_cache = status;
+        }
+        Ok(outcome)
+    }
+
+    fn admit_and_run(
+        &self,
+        stmt: &Statement,
+        token: CancelToken,
+    ) -> Result<QueryOutcome, ServiceError> {
         let permit = self.admit(token.clone())?;
-        let out = self.run_stmt(&stmt, &token);
+        let out = self.run(stmt, &token);
         drop(permit);
         out
     }
@@ -575,20 +679,23 @@ impl Session {
         b
     }
 
-    /// Flattens, translates and executes an (already admitted) statement,
+    /// Executes an (already admitted) statement under its query budget,
     /// then settles its tuple usage against the service quota.
-    fn run_stmt(
-        &self,
-        stmt: &SelectStmt,
-        token: &CancelToken,
-    ) -> Result<QueryOutcome, ServiceError> {
+    fn run(&self, stmt: &Statement, token: &CancelToken) -> Result<QueryOutcome, ServiceError> {
         let svc = &*self.service;
         let mut budget = self.query_budget(token);
-        let (db, stmt) = flatten_subqueries(&svc.db, stmt, &mut budget)
-            .map_err(|e| ServiceError::Sql(SqlError::Nested(e)))?;
-        let q = isolate(&stmt, &db, svc.optimizer.isolator)
-            .map_err(|e| ServiceError::Sql(SqlError::Isolate(e)))?;
-        let outcome = svc.optimizer.execute_cq(&db, &q, budget);
+        let outcome = match stmt {
+            Statement::Compiled(compiled) => {
+                svc.optimizer.execute_compiled(&svc.db, compiled, budget)
+            }
+            Statement::Nested(stmt) => {
+                let (db, flat) = flatten_subqueries(&svc.db, stmt, &mut budget)
+                    .map_err(|e| ServiceError::Sql(SqlError::Nested(e)))?;
+                let q = isolate(&flat, &db, svc.optimizer.isolator)
+                    .map_err(|e| ServiceError::Sql(SqlError::Isolate(e)))?;
+                svc.optimizer.execute_cq(&db, &q, budget)
+            }
+        };
         if svc.config.tuple_pool.is_some() && outcome.tuples > 0 {
             // Drain the shared quota through a throwaway fork: its Drop
             // flushes the batched charge, so sessions see each other's
@@ -610,7 +717,6 @@ mod tests {
     use htqo_core::QhdOptions;
     use htqo_engine::error::EvalError;
     use htqo_eval::evaluate_naive;
-    use htqo_optimizer::PlanCacheStatus;
     use htqo_workloads::{workload_db, WorkloadSpec};
 
     fn service(config: ServiceConfig) -> QueryService {
@@ -642,23 +748,53 @@ mod tests {
         assert_eq!(m.in_flight, 0);
     }
 
+    /// A statement is compiled once, service-wide: `prepare` plans, every
+    /// execution afterwards — prepared or ad hoc, from any session — runs
+    /// the shared plan and reports a hit.
     #[test]
     fn prepared_statements_reuse_the_plan_cache() {
         let svc = service(ServiceConfig::default());
         let session = svc.session();
         let id = session.prepare(CHAIN).unwrap();
+        let m = svc.metrics();
+        assert_eq!(m.plan_cache.misses, 1, "prepare compiles");
+        assert_eq!(m.admitted, 0, "prepare consumes no admission");
+        assert_eq!(
+            m.statement_cache,
+            StatementCacheStats {
+                hits: 0,
+                misses: 1,
+                entries: 1
+            }
+        );
         let first = session.execute_prepared(id).unwrap();
-        assert_eq!(first.plan_cache, PlanCacheStatus::Miss);
+        assert_eq!(first.plan_cache, PlanCacheStatus::Hit);
         let second = session.execute_prepared(id).unwrap();
         assert_eq!(second.plan_cache, PlanCacheStatus::Hit);
         assert!(second.result.unwrap().set_eq(&first.result.unwrap()));
 
-        // A *different* session of the same service shares the cache.
+        // A *different* session of the same service shares the compiled
+        // statement: preparing the same text plans nothing.
         let other = svc.session();
         let id2 = other.prepare(CHAIN).unwrap();
         assert_eq!(
             other.execute_prepared(id2).unwrap().plan_cache,
             PlanCacheStatus::Hit
+        );
+        assert_eq!(
+            other.execute_sql(CHAIN).unwrap().plan_cache,
+            PlanCacheStatus::Hit
+        );
+        let m = svc.metrics();
+        assert_eq!(m.plan_cache.misses, 1, "planned exactly once");
+        assert_eq!(m.plan_cache.hits + m.plan_cache.revalidated, 0);
+        assert_eq!(
+            m.statement_cache,
+            StatementCacheStats {
+                hits: 2,
+                misses: 1,
+                entries: 1
+            }
         );
 
         assert!(session.close(id));
@@ -667,6 +803,114 @@ mod tests {
             Err(ServiceError::UnknownStatement(_))
         ));
         assert_eq!(session.prepared_count(), 0);
+    }
+
+    /// An ad hoc statement reports how its text was resolved: compiled
+    /// cold, compiled on the optimizer's shape level (a renamed
+    /// isomorphic text), or not compiled at all.
+    #[test]
+    fn ad_hoc_statements_report_the_cache_level_that_served_them() {
+        let svc = service(ServiceConfig::default());
+        let session = svc.session();
+        let cold = session.execute_sql(CHAIN).unwrap();
+        assert_eq!(cold.plan_cache, PlanCacheStatus::Miss);
+        let text_hit = session.execute_sql(CHAIN).unwrap();
+        assert_eq!(text_hit.plan_cache, PlanCacheStatus::Hit);
+        assert_eq!(text_hit.plan, cold.plan);
+        assert_eq!(text_hit.tuples, cold.tuples);
+        let renamed = "SELECT b.l FROM p1 b, p2 c, p0 a \
+                       WHERE b.r = c.l AND c.r = a.l AND a.r = b.l";
+        let shape_hit = session.execute_sql(renamed).unwrap();
+        assert_eq!(shape_hit.plan_cache, PlanCacheStatus::Revalidated);
+        let m = svc.metrics();
+        assert_eq!(m.plan_cache.misses, 1);
+        assert_eq!(m.plan_cache.revalidated, 1);
+        assert_eq!(m.statement_cache.misses, 2);
+        assert_eq!(m.statement_cache.hits, 1);
+    }
+
+    /// Unknown tables and columns surface when the text is compiled, as
+    /// parse errors do: at `prepare`, and before admission.
+    #[test]
+    fn translation_errors_surface_at_prepare_without_admission() {
+        let svc = service(ServiceConfig {
+            mem_pool: Some(1 << 20),
+            ..ServiceConfig::default()
+        });
+        let session = svc.session();
+        for sql in [
+            "SELECT nope.l FROM nope",
+            "SELECT p0.missing FROM p0, p1 WHERE p0.r = p1.l",
+        ] {
+            assert!(matches!(
+                session.prepare(sql),
+                Err(ServiceError::Sql(SqlError::Isolate(_)))
+            ));
+            assert!(matches!(
+                session.execute_sql(sql),
+                Err(ServiceError::Sql(SqlError::Isolate(_)))
+            ));
+        }
+        let m = svc.metrics();
+        assert_eq!(m.admitted, 0);
+        assert_eq!(m.pool_bytes_reserved, 0);
+        assert_eq!(
+            m.statement_cache.entries, 0,
+            "nothing cached for a bad text"
+        );
+        assert_eq!(session.prepared_count(), 0);
+    }
+
+    /// A statement with an `IN (SELECT …)` predicate materializes data
+    /// under its own budget: it is compiled per execution and never
+    /// enters the statement cache, prepared or not.
+    #[test]
+    fn nested_statements_compile_per_execution() {
+        let svc = service(ServiceConfig::default());
+        let session = svc.session();
+        let nested = "SELECT p0.l FROM p0, p1 WHERE p0.r = p1.l \
+                      AND p1.r IN (SELECT p2.l FROM p2 WHERE p2.r = 1)";
+        let flat = "SELECT p0.l FROM p0, p1, p2 WHERE p0.r = p1.l \
+                    AND p1.r = p2.l AND p2.r = 1";
+        let oracle = session.execute_sql(flat).unwrap().result.unwrap();
+        let entries = svc.metrics().statement_cache.entries;
+        let id = session.prepare(nested).unwrap();
+        for out in [
+            session.execute_prepared(id).unwrap(),
+            session.execute_sql(nested).unwrap(),
+            session.execute_prepared(id).unwrap(),
+        ] {
+            assert_ne!(out.plan_cache, PlanCacheStatus::Uncached);
+            assert!(out.result.unwrap().set_eq(&oracle));
+        }
+        assert_eq!(svc.metrics().statement_cache.entries, entries);
+    }
+
+    /// With the optimizer's plan cache off there is no statement cache
+    /// either: every ad hoc execution compiles, nothing is retained
+    /// service-wide; a prepared statement still holds its own plan.
+    #[test]
+    fn capacity_zero_disables_the_statement_cache() {
+        let db = workload_db(&WorkloadSpec::new(3, 60, 6, 7));
+        let stats = htqo_stats::analyze(&db);
+        let optimizer =
+            HybridOptimizer::with_stats(QhdOptions::default(), stats).with_cache_capacity(0);
+        let svc = QueryService::new(db, optimizer, ServiceConfig::default());
+        let session = svc.session();
+        for _ in 0..2 {
+            let out = session.execute_sql(CHAIN).unwrap();
+            assert_eq!(out.plan_cache, PlanCacheStatus::Uncached);
+        }
+        let id = session.prepare(CHAIN).unwrap();
+        assert_eq!(
+            session.execute_prepared(id).unwrap().plan_cache,
+            PlanCacheStatus::Hit
+        );
+        assert_eq!(
+            svc.metrics().statement_cache,
+            StatementCacheStats::default()
+        );
+        assert_eq!(svc.optimizer().cached_plans(), 0);
     }
 
     /// Warm restart through the service: ingest the workload into a paged
@@ -805,14 +1049,22 @@ mod tests {
         assert_eq!(svc.metrics().in_flight, 0);
     }
 
+    /// A client that cancels its own query gets `Cancelled` and drains
+    /// its permit — and throws away nothing that other sessions share:
+    /// the plan and the compiled statement stay, the next execution of
+    /// that text is a hit.
     #[test]
-    fn pre_cancelled_token_aborts_cooperatively() {
+    fn cancelled_query_aborts_cooperatively_and_keeps_the_plan() {
         // Enough rows that the engine polls the token mid-join.
         let db = workload_db(&WorkloadSpec::new(3, 800, 4, 11));
         let stats = htqo_stats::analyze(&db);
         let optimizer = HybridOptimizer::with_stats(QhdOptions::default(), stats);
         let svc = QueryService::new(db, optimizer, ServiceConfig::default());
         let session = svc.session();
+        assert!(session.execute_sql(CHAIN).unwrap().result.is_ok());
+        let before = svc.metrics();
+        assert_eq!(svc.optimizer().cached_plans(), 1);
+
         let token = CancelToken::new();
         token.cancel();
         let outcome = session
@@ -823,6 +1075,46 @@ mod tests {
         assert_eq!(m.completed_err, 1);
         assert_eq!(m.in_flight, 0, "permit drained after cancellation");
         assert_eq!(m.pool_bytes_reserved, 0);
+
+        assert_eq!(svc.optimizer().cached_plans(), 1, "the plan stays");
+        let next = session.execute_sql(CHAIN).unwrap();
+        assert_eq!(next.plan_cache, PlanCacheStatus::Hit);
+        assert!(next.result.is_ok());
+        let m = svc.metrics();
+        assert_eq!(m.plan_cache, before.plan_cache, "nothing replanned");
+        assert_eq!(m.statement_cache.misses, before.statement_cache.misses);
+        assert_eq!(m.statement_cache.entries, 1);
+    }
+
+    /// A plan that failed for a retryable reason is not served again: the
+    /// optimizer evicts it, the statement cache compiles the text afresh,
+    /// and a session still holding the prepared statement recompiles.
+    #[test]
+    fn retryably_failed_plan_is_recompiled_everywhere() {
+        let db = workload_db(&WorkloadSpec::new(3, 800, 4, 11));
+        let stats = htqo_stats::analyze(&db);
+        let optimizer = HybridOptimizer::with_stats(QhdOptions::default(), stats)
+            .with_retry(htqo_optimizer::RetryPolicy::none());
+        let tight = QueryService::new(
+            db,
+            optimizer,
+            ServiceConfig {
+                query_tuples: Some(3),
+                ..ServiceConfig::default()
+            },
+        );
+        let session = tight.session();
+        let id = session.prepare(CHAIN).unwrap();
+        assert_eq!(tight.metrics().plan_cache.misses, 1);
+        let out = session.execute_prepared(id).unwrap();
+        assert!(out.is_dnf(), "{}", out.plan);
+        assert_eq!(tight.optimizer().cached_plans(), 0, "failed plan evicted");
+        // Neither the prepared handle nor the text serves it again.
+        let again = session.execute_prepared(id).unwrap();
+        assert_eq!(again.plan_cache, PlanCacheStatus::Miss);
+        let ad_hoc = session.execute_sql(CHAIN).unwrap();
+        assert_eq!(ad_hoc.plan_cache, PlanCacheStatus::Miss);
+        assert_eq!(tight.metrics().statement_cache.hits, 0);
     }
 
     #[test]

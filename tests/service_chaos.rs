@@ -15,7 +15,10 @@
 //!    sum of what the returned outcomes report, despite forked budgets,
 //!    contained panics and fallback rungs;
 //! 4. no cache poisoning: after the faults are cleared, a fresh session
-//!    answers every query template oracle-identically.
+//!    answers every query template oracle-identically, and so do the
+//!    statements a session prepared *before* the faults were injected —
+//!    on the q-HD rung with no failed attempt: whatever plan or compiled
+//!    statement failed under a fault is not served again.
 
 #![cfg(feature = "failpoints")]
 
@@ -110,6 +113,13 @@ fn run_scenario(threads: usize, site: &str, action: FailAction) {
         })
         .collect();
     let oracle_tuples = svc.metrics().pool_tuples_charged;
+    // Prepared while healthy: these handles share the compiled statements
+    // the chaos sessions are about to run (and fail) under faults.
+    let veteran = svc.session();
+    let veteran_ids: Vec<_> = QUERIES
+        .iter()
+        .map(|sql| veteran.prepare(sql).expect("compiles"))
+        .collect();
 
     failpoint::configure(site, action, 2, None);
 
@@ -203,18 +213,34 @@ fn run_scenario(threads: usize, site: &str, action: FailAction) {
         "tuple ledger drifted under chaos"
     );
 
-    // No cache poisoning: with faults cleared, a fresh session answers
-    // every template oracle-identically (whatever the cache retained or
-    // evicted under chaos must replan soundly).
+    // No cache poisoning: with faults cleared, a fresh session and the
+    // statements prepared before the faults answer every template
+    // oracle-identically, first try (whatever the caches retained,
+    // retired or evicted under chaos must recompile soundly).
     let clean = svc.session();
     for (variant, sql) in QUERIES.iter().enumerate() {
-        let out = clean.execute_sql(sql).expect("clean admission");
-        assert!(
-            out.result
-                .expect("clean run succeeds")
-                .set_eq(&oracles[variant]),
-            "cache poisoned: template {variant} wrong after faults cleared"
-        );
+        for (who, out) in [
+            ("fresh session", clean.execute_sql(sql)),
+            ("veteran", veteran.execute_prepared(veteran_ids[variant])),
+            (
+                "veteran again",
+                veteran.execute_prepared(veteran_ids[variant]),
+            ),
+        ] {
+            let out = out.expect("clean admission");
+            assert_eq!(out.rung, Rung::QHd, "{who}: template {variant} degraded");
+            assert!(
+                out.attempts.is_empty(),
+                "{who}: template {variant} keeps failing after faults cleared: {}",
+                out.plan
+            );
+            assert!(
+                out.result
+                    .expect("clean run succeeds")
+                    .set_eq(&oracles[variant]),
+                "cache poisoned: {who} got template {variant} wrong after faults cleared"
+            );
+        }
     }
 }
 
