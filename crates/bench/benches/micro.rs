@@ -7,7 +7,8 @@
 //! paths, the query service's per-statement fixed cost (prepared, ad hoc
 //! on a known text, ad hoc on a never-seen text of a known shape), hash
 //! join throughput, the seed-vs-overhauled join
-//! kernels (sequential and partitioned-parallel),
+//! kernels (sequential and partitioned-parallel), the columnar join per
+//! probe row under each key plan (direct table, range bitmaps, hashed),
 //! the parallel q-hypertree schedule, and the q-hypertree evaluator vs the
 //! naive pipeline on a chain query.
 
@@ -461,6 +462,118 @@ fn bench_join_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_join_keys(c: &mut Criterion) {
+    // The table-choice rule of the columnar join (DESIGN.md §3.8, "Key
+    // plans") with a number beside it: 120,000 probe rows against the
+    // build sides of a TPC-H SF 0.02 round, one per table kind, whole
+    // `cops::natural_join` calls (plan, build, probe, gather), reported
+    // per probe row.
+    use htqo_engine::column::Column;
+    use htqo_engine::cops;
+    use htqo_engine::crel::CRel;
+    use htqo_engine::schema::ColumnType;
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    const PROBE_ROWS: usize = 120_000;
+    let state = std::cell::Cell::new(0x9E37_79B9_7F4A_7C15u64);
+    let below = |n: u64| {
+        let next = state
+            .get()
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state.set(next);
+        (next >> 33) % n
+    };
+    let ints = |v: Vec<i64>| Column::from_ints(v);
+    let floats = |v: Vec<i64>| {
+        let mut c = Column::new(ColumnType::Float);
+        v.iter().for_each(|&x| assert!(c.push_float(x as f64)));
+        c
+    };
+    let strs = |v: Vec<i64>| {
+        let mut c = Column::new(ColumnType::Str);
+        v.iter()
+            .for_each(|&x| assert!(c.push_str(&format!("join-key-{x:05}"))));
+        c
+    };
+    // `(key columns.., payload)` under the names `k0.., <payload>`.
+    let rel = |keys: Vec<Column>, payload: &str| {
+        let n = keys[0].len();
+        let mut names: Vec<String> = (0..keys.len()).map(|i| format!("k{i}")).collect();
+        names.push(payload.to_string());
+        let mut columns: Vec<Arc<Column>> = keys.into_iter().map(Arc::new).collect();
+        columns.push(Arc::new(Column::from_ints((0..n as i64).collect())));
+        CRel::new(names, columns, n)
+    };
+    // `n` distinct values of `0..domain`.
+    let sample = |n: usize, domain: u64| -> Vec<i64> {
+        let mut seen = std::collections::BTreeSet::new();
+        while seen.len() < n {
+            seen.insert(below(domain) as i64);
+        }
+        seen.into_iter().collect()
+    };
+    let uniform =
+        |domain: u64| -> Vec<i64> { (0..PROBE_ROWS).map(|_| below(domain) as i64).collect() };
+
+    let orderkeys = sample(7_346, 30_000);
+    let cases: Vec<(&str, CRel, CRel)> = vec![
+        (
+            "int_200_all_hit",
+            rel(vec![ints((0..200).collect())], "b"),
+            rel(vec![ints(uniform(200))], "p"),
+        ),
+        (
+            "int_673_of_4000",
+            rel(vec![ints(sample(673, 4_000))], "b"),
+            rel(vec![ints(uniform(4_000))], "p"),
+        ),
+        (
+            "int2_7346_sparse",
+            rel(
+                vec![
+                    ints(orderkeys.iter().map(|k| k % 200).collect()),
+                    ints(orderkeys),
+                ],
+                "b",
+            ),
+            rel(vec![ints(uniform(200)), ints(uniform(30_000))], "p"),
+        ),
+        (
+            "str_5000_of_20000",
+            rel(vec![strs(sample(5_000, 20_000))], "b"),
+            rel(vec![strs(uniform(20_000))], "p"),
+        ),
+        (
+            "float_5000_of_20000",
+            rel(vec![floats(sample(5_000, 20_000))], "b"),
+            rel(vec![floats(uniform(20_000))], "p"),
+        ),
+    ];
+
+    exec::set_threads(1);
+    let mut group = c.benchmark_group("join_keys");
+    for (name, build, probe) in &cases {
+        let mut best = Duration::MAX;
+        group.bench_function(*name, |b| {
+            b.iter(|| {
+                let t = Instant::now();
+                let mut budget = Budget::unlimited();
+                let out = cops::natural_join(build, probe, &mut budget).unwrap();
+                best = best.min(t.elapsed());
+                out
+            })
+        });
+        if best != Duration::MAX {
+            let ns = best.as_nanos() as f64 / PROBE_ROWS as f64;
+            println!("join_keys/{name:<38} best {ns:>7.2} ns/probe row");
+        }
+    }
+    group.finish();
+    exec::set_threads(exec::hardware_threads());
+}
+
 fn bench_parallel_eval(c: &mut Criterion) {
     // Parallel-speedup bench: evaluate_qhd on a star query (the root's
     // satellite subtrees and per-vertex scans are independent).
@@ -572,6 +685,7 @@ criterion_group!(
     bench_service,
     bench_hash_join,
     bench_join_kernels,
+    bench_join_keys,
     bench_parallel_eval,
     bench_evaluators,
     bench_structural_survey,

@@ -105,3 +105,52 @@ impl ChainTable {
         false
     }
 }
+
+/// A chained-index table addressed by a *packed key* instead of a hash:
+/// `heads[k]` is the first build row whose key packs to `k` (see
+/// [`crate::keyplan::KeyPlan`]), `next` links rows sharing it. Packing is
+/// exact, so a chain holds one key only — no stored hash, no verification
+/// of candidates.
+pub(crate) struct DirectTable {
+    heads: Vec<u32>,
+    next: Vec<u32>,
+}
+
+impl DirectTable {
+    /// Bytes a table over `n` rows and `range` packed keys allocates, or
+    /// `None` when that overflows.
+    pub(crate) fn byte_estimate(n: usize, range: u64) -> Option<u64> {
+        let entry = std::mem::size_of::<u32>() as u64;
+        range.checked_mul(entry)?.checked_add(n as u64 * entry)
+    }
+
+    /// An empty table over `range` packed keys and `n` build rows.
+    pub(crate) fn new(n: usize, range: usize) -> DirectTable {
+        DirectTable {
+            heads: vec![CHAIN_END; range],
+            next: vec![CHAIN_END; n],
+        }
+    }
+
+    /// Puts build row `i` at the front of key `k`'s chain. Callers insert
+    /// rows in descending order, so every chain ascends — the order
+    /// [`ChainTable::build`] produces.
+    #[inline]
+    pub(crate) fn push_front(&mut self, k: u64, i: u32) {
+        let head = &mut self.heads[k as usize];
+        self.next[i as usize] = *head;
+        *head = i;
+    }
+
+    /// First row of key `k`'s chain, or [`CHAIN_END`].
+    #[inline]
+    pub(crate) fn head(&self, k: u64) -> u32 {
+        self.heads[k as usize]
+    }
+
+    /// The row after `i` in its chain, or [`CHAIN_END`].
+    #[inline]
+    pub(crate) fn next_row(&self, i: u32) -> u32 {
+        self.next[i as usize]
+    }
+}

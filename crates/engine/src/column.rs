@@ -526,6 +526,14 @@ impl Column {
         }
     }
 
+    /// [`Column::write_hashes`] over the rows `rows` only: folds the hash
+    /// of cell `rows[k]` into `acc[k]`.
+    pub fn write_hashes_at(&self, rows: &[u32], acc: &mut [u64], reader: &DictReader) {
+        for (h, &i) in acc.iter_mut().zip(rows) {
+            *h = combine_hash(*h, self.hash_at(i as usize, reader));
+        }
+    }
+
     /// True if cell `i` equals cell `j` of `other`, with `Value`
     /// semantics: `Null == Null`, types strict (`Int(1) != Float(1.0)`),
     /// NaNs equal. Total across variant combinations.

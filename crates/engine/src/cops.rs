@@ -1,35 +1,48 @@
 //! Columnar physical operators over [`CRel`]s — the column-at-a-time
 //! counterparts of [`crate::ops`].
 //!
-//! The kernels share the row kernels' shape exactly (build on the smaller
-//! side, the [`ChainTable`] chained-index hash table, hash partitioning
-//! above [`PARALLEL_ROW_THRESHOLD`] with a fixed partition count, and the
-//! same per-materialized-tuple [`Budget`] charges) but never touch a
-//! boxed `Value` on the hot path:
+//! The kernels answer like the row kernels — build on the smaller side,
+//! the same output bag and column order, the same [`Budget`] totals — but
+//! never touch a boxed `Value` on the hot path, and they address their
+//! keys by what the key columns show (a [`KeyPlan`], resolved once per
+//! call; DESIGN.md §3.8 "Key plans"):
 //!
-//! - key hashes are produced by one vectorized pass per key column
-//!   ([`crate::column::Column::write_hashes`]) over flat typed vectors;
-//! - candidate matches are verified by typed cell comparisons
-//!   ([`crate::column::Column::eq_at`]) — string cells compare by `u32`
-//!   dictionary code;
-//! - output is materialized by collecting matching `(build, probe)` row
-//!   index pairs and running one gather pass per output column, instead
-//!   of cloning cells row by row.
+//! - a key of null-free `Int`/`Date`/`Str` columns packs into one integer
+//!   relative to the build side's minima. When that range fits in the
+//!   bytes the kernel has reserved anyway, the join runs on a
+//!   [`DirectTable`] indexed by packed key — no hashes, no verification —
+//!   and semijoin and distinct projection on a bitmap over it;
+//! - when it does not fit, the join puts one exact bitmap per key column
+//!   in front of the hashed table and hashes only the probe rows that
+//!   pass all of them;
+//! - every other key takes the hashed path: key hashes from one
+//!   vectorized pass per key column
+//!   ([`crate::column::Column::write_hashes`]), the [`ChainTable`]
+//!   chained-index hash table, candidates verified by typed cell
+//!   comparisons ([`crate::column::Column::eq_at`], strings by `u32`
+//!   dictionary code), and — above [`PARALLEL_ROW_THRESHOLD`] with more
+//!   than one thread — hash partitioning with a fixed partition count.
 //!
-//! String cell hashes are content-based (memoized in the dictionary), so
-//! hash-derived orders — partition assignment, dedup bucket order — do
-//! not depend on dictionary interning order, and kernel output order is
-//! reproducible across processes. Like the row kernels, sequential and
-//! partitioned paths produce identical bags, with probe order preserved
-//! within a partition and partitions concatenated in index order.
+//! Output is materialized by collecting matching `(build, probe)` row
+//! index pairs and running one gather pass per output column. Joins charge
+//! the budget once per block of probe rows ([`BLOCK`]), not once per pair.
+//!
+//! The direct, filtered and sequential hashed kernels emit the same pair
+//! sequence (probe-major, ascending build row). The partitioned kernel
+//! emits the same bag, probe order preserved within a partition and
+//! partitions concatenated in index order; string cell hashes are
+//! content-based (memoized in the dictionary), so that order does not
+//! depend on dictionary interning order and is reproducible across
+//! processes.
 
-use crate::chain::ChainTable;
+use crate::chain::{ChainTable, DirectTable, CHAIN_END};
 use crate::column::{finish_hash, Column};
 use crate::crel::CRel;
 use crate::dict::{self, DictReader};
 use crate::error::{Budget, EvalError};
 use crate::exec;
-use crate::hash::{partition_of, FxHashMap};
+use crate::hash::partition_of;
+use crate::keyplan::{blocks, Bitmap, KeyPlan, BLOCK, MISS};
 use crate::ops::{self, PARALLEL_ROW_THRESHOLD};
 use crate::value::Row;
 use crate::vrel::VRelation;
@@ -166,15 +179,7 @@ pub fn natural_join(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, Eva
         // released first.
         CRel::from_vrel(&VRelation::from_rows(out_cols, rows))
     } else {
-        let threads = exec::num_threads();
-        let result = if !build_shared.is_empty()
-            && threads > 1
-            && build.len() + probe.len() >= PARALLEL_ROW_THRESHOLD
-        {
-            join_pairs_partitioned(build, probe, &build_shared, &probe_shared, threads, budget)
-        } else {
-            join_pairs_sequential(build, probe, &build_shared, &probe_shared, budget)
-        };
+        let result = join_pairs(build, probe, &build_shared, &probe_shared, budget);
         // The build table (and hash scratch) is gone either way.
         budget.uncharge_bytes(ops::join_build_bytes(build.len(), probe.len()));
         let (build_idx, probe_idx) = result?;
@@ -204,33 +209,214 @@ pub fn natural_join(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, Eva
     Ok(out)
 }
 
-/// Sequential kernel: matching `(build, probe)` row pairs in probe-major
-/// order (ascending build chain within a probe row).
-fn join_pairs_sequential(
+/// The pair lists a join kernel emits, settled against the budget by
+/// the block: a kernel calls [`PairSink::end_block`] after every
+/// [`BLOCK`] probe rows, and [`PairSink::push`] settles by itself once
+/// [`BLOCK`] pairs are outstanding. The totals equal one `charge(1)` +
+/// `charge_bytes(PAIR_BYTES)` per pair; a limit trips at most one block
+/// of pairs later than it would pair by pair, and a probe that emits
+/// nothing still polls the deadline and the cancellation token.
+#[derive(Default)]
+struct PairSink {
+    build_idx: Vec<u32>,
+    probe_idx: Vec<u32>,
+    /// Pairs already charged.
+    settled: usize,
+}
+
+impl PairSink {
+    #[inline]
+    fn push(&mut self, bi: u32, pi: u32, budget: &mut Budget) -> Result<(), EvalError> {
+        self.build_idx.push(bi);
+        self.probe_idx.push(pi);
+        if self.build_idx.len() - self.settled >= BLOCK {
+            self.settle(budget)?;
+        }
+        Ok(())
+    }
+
+    fn settle(&mut self, budget: &mut Budget) -> Result<(), EvalError> {
+        let n = (self.build_idx.len() - self.settled) as u64;
+        self.settled = self.build_idx.len();
+        budget.charge(n)?;
+        budget.charge_bytes(n * PAIR_BYTES)
+    }
+
+    fn end_block(&mut self, budget: &mut Budget) -> Result<(), EvalError> {
+        self.settle(budget)?;
+        budget.check_time()
+    }
+
+    fn finish(self) -> PairLists {
+        debug_assert_eq!(self.settled, self.build_idx.len(), "unsettled pairs");
+        (self.build_idx, self.probe_idx)
+    }
+}
+
+/// Matching `(build, probe)` row pairs of an in-memory join, from the
+/// kernel the key calls for (DESIGN.md §3.8, "Key plans"): the direct
+/// table when the packed key range fits in the reservation, else the
+/// hashed table — partitioned across the pool when the inputs are large
+/// and threads are available, sequential (behind range bitmaps when the
+/// key has a plan) otherwise. Every kernel but the partitioned one emits
+/// the same sequence: probe-major, ascending build row.
+fn join_pairs(
     build: &CRel,
     probe: &CRel,
     build_shared: &[usize],
     probe_shared: &[usize],
     budget: &mut Budget,
 ) -> Result<PairLists, EvalError> {
+    let reserved = ops::join_build_bytes(build.len(), probe.len());
+    let plan = KeyPlan::resolve(build, build_shared, probe, probe_shared);
+    if let Some(plan) = &plan {
+        let fits = |range| DirectTable::byte_estimate(build.len(), range);
+        if let Some(range) = plan.range_fitting(reserved, fits) {
+            return join_pairs_direct(
+                plan,
+                range,
+                build,
+                probe,
+                build_shared,
+                probe_shared,
+                budget,
+            );
+        }
+    }
+    let threads = exec::num_threads();
+    if !build_shared.is_empty()
+        && threads > 1
+        && build.len() + probe.len() >= PARALLEL_ROW_THRESHOLD
+    {
+        return join_pairs_partitioned(build, probe, build_shared, probe_shared, threads, budget);
+    }
+    // The bitmaps take the place of the probe side's hash array, which
+    // the filtered probe never materializes.
+    let held = ops::join_build_bytes(build.len(), 0);
+    let plan = plan.filter(|p| {
+        p.range_bitmap_bytes()
+            .and_then(|b| b.checked_add(held))
+            .is_some_and(|b| b <= reserved)
+    });
+    join_pairs_sequential(build, probe, build_shared, probe_shared, plan, budget)
+}
+
+/// Direct-table kernel: one pass over the build side fills a table
+/// indexed by packed key, one pass over the probe side walks it. No
+/// hashes, no candidate verification.
+fn join_pairs_direct(
+    plan: &KeyPlan,
+    range: usize,
+    build: &CRel,
+    probe: &CRel,
+    build_shared: &[usize],
+    probe_shared: &[usize],
+    budget: &mut Budget,
+) -> Result<PairLists, EvalError> {
+    let mut blk = plan.block(build.len().max(probe.len()));
+    let mut table = DirectTable::new(build.len(), range);
+    // Last row first, so every chain ascends.
+    for rows in blocks(0..build.len()).rev() {
+        let lo = rows.start;
+        let keys = plan.pack(build, build_shared, rows, &mut blk);
+        for (j, &k) in keys.iter().enumerate().rev() {
+            table.push_front(k, (lo + j) as u32);
+        }
+    }
+    let mut sink = PairSink::default();
+    for rows in blocks(0..probe.len()) {
+        let lo = rows.start;
+        let keys = plan.pack(probe, probe_shared, rows, &mut blk);
+        for (j, &k) in keys.iter().enumerate() {
+            if k == MISS {
+                continue;
+            }
+            let mut bi = table.head(k);
+            while bi != CHAIN_END {
+                sink.push(bi, (lo + j) as u32, budget)?;
+                bi = table.next_row(bi);
+            }
+        }
+        sink.end_block(budget)?;
+    }
+    Ok(sink.finish())
+}
+
+/// Sequential hashed kernel: matching `(build, probe)` row pairs in
+/// probe-major order (ascending build chain within a probe row). With a
+/// key plan, one exact bitmap per key column says which probe rows can
+/// match at all, and only those are hashed and looked up.
+fn join_pairs_sequential(
+    build: &CRel,
+    probe: &CRel,
+    build_shared: &[usize],
+    probe_shared: &[usize],
+    prefilter: Option<KeyPlan>,
+    budget: &mut Budget,
+) -> Result<PairLists, EvalError> {
     let reader = dict::reader();
     let build_hashes = key_hashes(build, build_shared, &reader);
-    let probe_hashes = key_hashes(probe, probe_shared, &reader);
     let table = ChainTable::build(build.len(), |i| build_hashes[i]);
-    let mut build_idx: Vec<u32> = Vec::new();
-    let mut probe_idx: Vec<u32> = Vec::new();
-    for (pi, &ph) in probe_hashes.iter().enumerate() {
+    let mut sink = PairSink::default();
+    let key_eq = |bi: usize, pi: usize| {
+        rows_key_eq(build, bi, probe, pi, build_shared, probe_shared, &reader)
+    };
+    match prefilter {
+        None => {
+            let probe_hashes = key_hashes(probe, probe_shared, &reader);
+            for (b, block) in probe_hashes.chunks(BLOCK).enumerate() {
+                let rows = (b * BLOCK) as u32..;
+                probe_hashed(
+                    &table,
+                    rows.zip(block.iter().copied()),
+                    key_eq,
+                    &mut sink,
+                    budget,
+                )?;
+            }
+        }
+        Some(plan) => {
+            let mut blk = plan.block(build.len().max(probe.len()));
+            let maps = plan.range_bitmaps(build, build_shared, &mut blk);
+            let mut sel: Vec<u32> = Vec::with_capacity(BLOCK.min(probe.len()));
+            let mut hashes: Vec<u64> = Vec::with_capacity(sel.capacity());
+            for rows in blocks(0..probe.len()) {
+                plan.survivors(&maps, probe, probe_shared, rows, &mut blk, &mut sel);
+                hashes.clear();
+                hashes.resize(sel.len(), 0);
+                for &c in probe_shared {
+                    probe.column(c).write_hashes_at(&sel, &mut hashes, &reader);
+                }
+                let rows = sel
+                    .iter()
+                    .copied()
+                    .zip(hashes.iter().map(|&h| finish_hash(h)));
+                probe_hashed(&table, rows, key_eq, &mut sink, budget)?;
+            }
+        }
+    }
+    Ok(sink.finish())
+}
+
+/// Looks one block of probe rows `(row, key hash)` up in `table`, emits
+/// the candidates whose keys verify, and settles the block.
+#[inline]
+fn probe_hashed(
+    table: &ChainTable,
+    block: impl Iterator<Item = (u32, u64)>,
+    key_eq: impl Fn(usize, usize) -> bool,
+    sink: &mut PairSink,
+    budget: &mut Budget,
+) -> Result<(), EvalError> {
+    for (pi, ph) in block {
         table.for_each(ph, |bi| {
-            if rows_key_eq(build, bi, probe, pi, build_shared, probe_shared, &reader) {
-                budget.charge(1)?;
-                budget.charge_bytes(PAIR_BYTES)?;
-                build_idx.push(bi as u32);
-                probe_idx.push(pi as u32);
+            if key_eq(bi, pi as usize) {
+                sink.push(bi as u32, pi, budget)?;
             }
             Ok(())
         })?;
     }
-    Ok((build_idx, probe_idx))
+    sink.end_block(budget)
 }
 
 /// Partitioned parallel kernel: split both sides by the high hash bits,
@@ -271,29 +457,20 @@ fn join_pairs_partitioned(
         let mut bud = shared.clone();
         let bp = &build_parts[p];
         let table = ChainTable::build(bp.len(), |k| build_hashes[bp[k] as usize]);
-        let mut build_idx: Vec<u32> = Vec::new();
-        let mut probe_idx: Vec<u32> = Vec::new();
-        for &pi in &probe_parts[p] {
-            table.for_each(probe_hashes[pi as usize], |k| {
-                let bi = bp[k] as usize;
-                if rows_key_eq(
-                    build,
-                    bi,
-                    probe,
-                    pi as usize,
-                    build_shared,
-                    probe_shared,
-                    &reader,
-                ) {
-                    bud.charge(1)?;
-                    bud.charge_bytes(PAIR_BYTES)?;
-                    build_idx.push(bi as u32);
-                    probe_idx.push(pi);
-                }
-                Ok(())
-            })?;
+        let mut sink = PairSink::default();
+        for block in probe_parts[p].chunks(BLOCK) {
+            for &pi in block {
+                table.for_each(probe_hashes[pi as usize], |k| {
+                    let (bi, pi) = (bp[k] as usize, pi as usize);
+                    if rows_key_eq(build, bi, probe, pi, build_shared, probe_shared, &reader) {
+                        sink.push(bi as u32, pi as u32, &mut bud)?;
+                    }
+                    Ok(())
+                })?;
+            }
+            sink.end_block(&mut bud)?;
         }
-        Ok((build_idx, probe_idx))
+        Ok(sink.finish())
     });
 
     // Budget exhaustion first (deterministic for any thread count), then
@@ -335,34 +512,66 @@ pub fn semijoin(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalErr
     // (mirrors the row semijoin: the reducer side is expected to fit).
     let table_bytes = ops::join_build_bytes(b.len(), a.len());
     budget.reserve_bytes(table_bytes)?;
-    let reader = dict::reader();
-    let b_hashes = key_hashes(b, &b_shared, &reader);
-    let a_hashes = key_hashes(a, &a_shared, &reader);
-    let table = ChainTable::build(b.len(), |i| b_hashes[i]);
-    let matches = |ai: usize, reader: &DictReader| {
-        table.any(a_hashes[ai], |bi| {
-            rows_key_eq(a, ai, b, bi, &a_shared, &b_shared, reader)
-        })
+    // Membership in `b`'s keys: a bitmap over the packed key range when
+    // the key has a plan and that fits in the reservation (no table, no
+    // hashes), else the hashed table with typed verification.
+    enum Members {
+        Dense(KeyPlan, Bitmap),
+        Hashed(ChainTable, Vec<u64>),
+    }
+    let dense = KeyPlan::resolve(b, &b_shared, a, &a_shared).and_then(|plan| {
+        let range = plan.range_fitting(table_bytes, Bitmap::byte_estimate)?;
+        let set = plan.packed_set(b, &b_shared, range);
+        Some(Members::Dense(plan, set))
+    });
+    let members = dense.unwrap_or_else(|| {
+        let reader = dict::reader();
+        let b_hashes = key_hashes(b, &b_shared, &reader);
+        let a_hashes = key_hashes(a, &a_shared, &reader);
+        Members::Hashed(ChainTable::build(b.len(), |i| b_hashes[i]), a_hashes)
+    });
+    // The rows of `a[lo..hi]` with a partner in `b`, ascending.
+    let scan = |lo: usize, hi: usize, bud: &mut Budget| -> Result<Vec<u32>, EvalError> {
+        let mut out = Vec::new();
+        let mut keep = |i: usize| {
+            bud.charge(1)?;
+            bud.charge_bytes(4)?;
+            out.push(i as u32);
+            Ok::<(), EvalError>(())
+        };
+        match &members {
+            Members::Dense(plan, set) => {
+                let mut blk = plan.block(hi - lo);
+                for rows in blocks(lo..hi) {
+                    let lo = rows.start;
+                    let keys = plan.pack(a, &a_shared, rows, &mut blk);
+                    for (j, &k) in keys.iter().enumerate() {
+                        if set.contains(k) {
+                            keep(lo + j)?;
+                        }
+                    }
+                }
+            }
+            Members::Hashed(table, a_hashes) => {
+                let reader = dict::reader();
+                for (ai, &h) in (lo..hi).zip(&a_hashes[lo..hi]) {
+                    let partner = |bi| rows_key_eq(a, ai, b, bi, &a_shared, &b_shared, &reader);
+                    if table.any(h, partner) {
+                        keep(ai)?;
+                    }
+                }
+            }
+        }
+        Ok(out)
     };
 
     let threads = exec::num_threads();
     let keep_result: Result<Vec<u32>, EvalError> =
         if threads > 1 && a.len() + b.len() >= PARALLEL_ROW_THRESHOLD {
-            drop(reader);
             let shared = budget.fork();
             let chunks = exec::chunk_ranges(a.len(), threads * 4);
             let results = exec::parallel_map(chunks, threads, |(lo, hi)| {
-                let reader = dict::reader();
-                let mut bud = shared.clone();
-                let mut out = Vec::new();
-                for i in lo..hi {
-                    if matches(i, &reader) {
-                        bud.charge(1)?;
-                        bud.charge_bytes(4)?;
-                        out.push(i as u32);
-                    }
-                }
-                Ok(out)
+                scan(lo, hi, &mut shared.clone())
             });
             let merge = |results: Result<Vec<Result<Vec<u32>, EvalError>>, EvalError>,
                          budget: &mut Budget|
@@ -376,18 +585,7 @@ pub fn semijoin(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalErr
             };
             merge(results, budget)
         } else {
-            let mut run = || {
-                let mut out = Vec::new();
-                for i in 0..a.len() {
-                    if matches(i, &reader) {
-                        budget.charge(1)?;
-                        budget.charge_bytes(4)?;
-                        out.push(i as u32);
-                    }
-                }
-                Ok(out)
-            };
-            run()
+            scan(0, a.len(), budget)
         };
     budget.uncharge_bytes(table_bytes);
     let keep = keep_result?;
@@ -419,27 +617,49 @@ pub fn project(
         })
         .collect::<Result<_, _>>()?;
     if distinct {
-        // Dedup state: the hash array plus the bucket map, reserved as one
-        // block and released once the kept indices are gathered.
-        let map_bytes =
-            8 * a.len() as u64 + (a.len() * std::mem::size_of::<(u64, Vec<u32>)>()) as u64;
+        // Dedup state: the hash array plus the chained table over it —
+        // or, on a dense key, a bitmap over the packed keys that fits in
+        // the same bytes — reserved as one block and released once the
+        // kept indices are known.
+        let map_bytes = 8 * a.len() as u64 + ChainTable::byte_estimate(a.len());
         budget.reserve_bytes(map_bytes)?;
-        let reader = dict::reader();
-        let hashes = key_hashes(a, &idx, &reader);
-        let mut seen: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-        seen.reserve(a.len());
         let mut keep: Vec<u32> = Vec::new();
-        let mut run = || {
-            for (i, &h) in hashes.iter().enumerate() {
-                let bucket = seen.entry(h).or_default();
-                let dup = bucket
-                    .iter()
-                    .any(|&oi| rows_key_eq(a, i, a, oi as usize, &idx, &idx, &reader));
-                if !dup {
-                    budget.charge(1)?;
-                    budget.charge_bytes(4)?;
-                    bucket.push(i as u32);
-                    keep.push(i as u32);
+        let mut keep_row = |i: usize| {
+            budget.charge(1)?;
+            budget.charge_bytes(4)?;
+            keep.push(i as u32);
+            Ok::<(), EvalError>(())
+        };
+        let dense = KeyPlan::resolve(a, &idx, a, &idx).and_then(|plan| {
+            let range = plan.range_fitting(map_bytes, Bitmap::byte_estimate)?;
+            Some((plan, range))
+        });
+        let run = || {
+            if let Some((plan, range)) = dense {
+                let mut seen = Bitmap::new(range as u64);
+                let mut blk = plan.block(a.len());
+                for rows in blocks(0..a.len()) {
+                    let lo = rows.start;
+                    for (j, &k) in plan.pack(a, &idx, rows, &mut blk).iter().enumerate() {
+                        if seen.insert(k) {
+                            keep_row(lo + j)?;
+                        }
+                    }
+                }
+            } else {
+                let reader = dict::reader();
+                let hashes = key_hashes(a, &idx, &reader);
+                let table = ChainTable::build(a.len(), |i| hashes[i]);
+                for (i, &h) in hashes.iter().enumerate() {
+                    // Chains ascend and row `i` is on its own chain: it
+                    // repeats a key iff a row ahead of it there holds it.
+                    let mut j = table.head(h) as usize;
+                    while j < i && !rows_key_eq(a, i, a, j, &idx, &idx, &reader) {
+                        j = table.next_row(j as u32) as usize;
+                    }
+                    if j == i {
+                        keep_row(i)?;
+                    }
                 }
             }
             Ok(())

@@ -21,7 +21,6 @@ use crate::dict;
 use crate::schema::ColumnType;
 use crate::value::{Row, Value};
 use crate::vrel::VRelation;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// A columnar relation whose columns are named by query variables.
@@ -39,9 +38,10 @@ impl CRel {
     /// Panics on duplicate variable names or column length mismatches.
     pub fn new(cols: Vec<String>, columns: Vec<Arc<Column>>, len: usize) -> Self {
         assert_eq!(cols.len(), columns.len(), "name/column count mismatch");
-        let mut seen = HashSet::new();
-        for c in &cols {
-            assert!(seen.insert(c.clone()), "duplicate variable `{c}`");
+        // A handful of names per relation: comparing them pairwise needs
+        // no allocation, and every kernel output passes through here.
+        for (i, c) in cols.iter().enumerate() {
+            assert!(!cols[..i].contains(c), "duplicate variable `{c}`");
         }
         for col in &columns {
             assert_eq!(col.len(), len, "column length mismatch");

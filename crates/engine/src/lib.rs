@@ -42,6 +42,7 @@ pub mod failpoint;
 pub mod hash;
 pub mod index;
 pub mod iseek;
+mod keyplan;
 pub mod ops;
 pub mod relation;
 pub mod scan;

@@ -163,3 +163,89 @@ fn swapped_join_reorders_without_copying_cells() {
         swapped_bytes.saturating_sub(plain_bytes)
     );
 }
+
+/// A two-column relation `(k, <payload>)` over typed columns: `k` holds
+/// `keys` as `Int`, or as `Float` (a key no kernel has a key plan for).
+fn keyed(keys: impl Iterator<Item = i64>, float: bool, payload: &str) -> CRel {
+    use htqo_engine::column::Column;
+    use htqo_engine::schema::ColumnType;
+    use std::sync::Arc;
+    let keys: Vec<i64> = keys.collect();
+    let n = keys.len();
+    let key = if float {
+        let mut c = Column::new(ColumnType::Float);
+        keys.iter().for_each(|&k| assert!(c.push_float(k as f64)));
+        c
+    } else {
+        Column::from_ints(keys)
+    };
+    let payload_col = Column::from_ints((0..n as i64).collect());
+    CRel::new(
+        vec!["k".into(), payload.into()],
+        vec![Arc::new(key), Arc::new(payload_col)],
+        n,
+    )
+}
+
+/// A join on a dense integer key fills a table indexed by `key − min` and
+/// walks it: table, chain, one key block, the two pair lists, one gather
+/// per output column — and no per-row hash array on either side, which
+/// is what the same join on a `Float` key (the hashed path) still pays.
+#[test]
+fn dense_key_join_allocates_no_hash_arrays() {
+    let _serial = serial();
+    let (n_build, n_probe) = (200usize, 120_000usize);
+    assert!(n_probe < u32::MAX as usize);
+    let join = |float: bool| {
+        let build = keyed(0..n_build as i64, float, "b");
+        let probe = keyed((0..n_probe as i64).map(|i| i % 250), float, "p");
+        let mut budget = Budget::unlimited();
+        let _ = cops::natural_join(&build, &probe, &mut budget).unwrap(); // warm-up
+        let mut budget = Budget::unlimited();
+        let (allocs, _) = allocs_of(|| cops::natural_join(&build, &probe, &mut budget).unwrap());
+        let mut budget = Budget::unlimited();
+        let (bytes, out) = bytes_of(|| cops::natural_join(&build, &probe, &mut budget).unwrap());
+        assert_eq!(out.len(), n_probe / 250 * 200);
+        (allocs, bytes)
+    };
+    let (dense_allocs, dense_bytes) = join(false);
+    let (hashed_allocs, hashed_bytes) = join(true);
+    // The pair lists grow by doubling (≈ 17 reallocations each); the rest
+    // is a fixed handful.
+    assert!(
+        dense_allocs <= hashed_allocs && dense_allocs < 64,
+        "dense={dense_allocs} hashed={hashed_allocs}"
+    );
+    let hash_arrays = 8 * (n_build + n_probe);
+    assert!(
+        dense_bytes + hash_arrays * 9 / 10 < hashed_bytes,
+        "the dense join allocated {dense_bytes} B, the hashed one {hashed_bytes} B: \
+         expected ≈ {hash_arrays} B of hash arrays less"
+    );
+}
+
+/// Distinct projection used to keep one heap `Vec<u32>` per distinct key;
+/// it now holds a bitmap (dense keys) or one chained table (any keys).
+#[test]
+fn distinct_project_allocates_o1_blocks() {
+    let _serial = serial();
+    let n = 100_000i64;
+    let vars = ["k".to_string()];
+    for (what, rel) in [
+        ("dense", keyed(0..n, false, "p")),
+        ("sparse", keyed((0..n).map(|i| i * 1_000_003), false, "p")),
+        ("float", keyed(0..n, true, "p")),
+    ] {
+        let project = || {
+            let mut budget = Budget::unlimited();
+            cops::project(&rel, &vars, true, &mut budget).unwrap()
+        };
+        let _ = project(); // warm-up
+        let (allocs, out) = allocs_of(project);
+        assert_eq!(out.len(), n as usize);
+        assert!(
+            allocs < 48,
+            "{what}: {allocs} allocations for {n} distinct keys"
+        );
+    }
+}
