@@ -1,6 +1,8 @@
 //! Criterion micro-benchmarks for the core kernels: GYO acyclicity,
-//! det-k/cost-k decomposition, the seed-vs-branch-and-bound cost-k memo
-//! (cloned-bitset std keys vs interned ids under the fx hasher), the
+//! det-k/cost-k decomposition (with the cost-k search's time per
+//! separator tried under the statistics model), the seed-vs-branch-and-bound
+//! cost-k memo (cloned-bitset std keys vs word-mask keys under the fx
+//! hasher), the
 //! hybrid planner on TPC-H Q5, separator pricing and cold planning under
 //! the statistics cost model, base-table scans (shared columns, typed
 //! predicate kernels), the paged store's commit, reload and recovery
@@ -52,20 +54,57 @@ fn bench_decomposition(c: &mut Criterion) {
             })
         });
     }
+
+    // The cost-k search as `plan_cold` runs it (statistics model, q-HD
+    // root cover, k = 4, one thread, a fresh model per search), reported
+    // per separator tried: the unit the enumeration's cost scales with.
+    use htqo_core::{cost_k_decomp_instrumented, SearchOptions};
+    use htqo_stats::StatsDecompCost;
+    use std::time::{Duration, Instant};
+    let chain_stats = htqo_stats::analyze(&workload_db(&WorkloadSpec::new(12, 40, 80, 7)));
+    let star_stats = htqo_stats::analyze(&star_db(8, 40, 80, 7));
+    for (name, q, stats) in [
+        ("line12", acyclic_query(12), &chain_stats),
+        ("cycle12", chain_query(12), &chain_stats),
+        ("star9", star_query(8), &star_stats),
+    ] {
+        let ch = q.hypergraph();
+        let opts = SearchOptions::width_with_root_cover(4, ch.out_var_set(&q)).with_threads(1);
+        let (mut best, mut separators) = (Duration::MAX, 0);
+        group.bench_function(format!("cost_k_stats/{name}"), |b| {
+            b.iter(|| {
+                let t = Instant::now();
+                let model = StatsDecompCost::new(stats, &q);
+                let found = cost_k_decomp_instrumented(&ch.hypergraph, &opts, &model)
+                    .expect("width 2 suffices");
+                best = best.min(t.elapsed());
+                separators = found.2.separators_tried;
+                found
+            })
+        });
+        if best != Duration::MAX {
+            let ns = best.as_nanos() as f64 / separators as f64;
+            println!(
+                "decomposition/cost_k_stats/{name:<17} best {ns:>7.1} ns/separator tried \
+                 ({separators} tried)"
+            );
+        }
+    }
     group.finish();
 }
 
 fn bench_memo_lookup(c: &mut Criterion) {
     // The memo-key overhaul in isolation: probing a std-hasher map keyed
-    // by cloned (EdgeSet, VarSet) pairs (the seed memo) vs hash-consing
-    // the sets into u32 ids and probing a flat FxHashMap<(u32, u32), _>.
-    use htqo_engine::hash::{FxBuildHasher, FxHashMap};
+    // by cloned (EdgeSet, VarSet) pairs (the seed memo) vs keying a flat
+    // FxHashMap by the two sets as machine words (the B&B memo on a
+    // hypergraph of at most 64 edges and variables).
+    use htqo_engine::hash::FxHashMap;
     use htqo_hypergraph::{EdgeSet, VarSet};
     use std::collections::HashMap;
 
     let h = chain_query(12).hypergraph().hypergraph;
     // Key population: every (suffix component, connector) pair of the
-    // chain — the same shape the search interns.
+    // chain — the same shape the search memoizes.
     let keys: Vec<(EdgeSet, VarSet)> = (0..h.num_edges())
         .map(|i| {
             let comp: EdgeSet = h.edge_ids().skip(i).collect();
@@ -73,21 +112,20 @@ fn bench_memo_lookup(c: &mut Criterion) {
             (comp, conn)
         })
         .collect();
+    let word = |k: &(EdgeSet, VarSet)| {
+        let fits = "a 12-atom chain fits one word";
+        (
+            k.0.bits().as_word().expect(fits),
+            k.1.bits().as_word().expect(fits),
+        )
+    };
+    let masks: Vec<(u64, u64)> = keys.iter().map(word).collect();
 
     let mut seed_memo: HashMap<(EdgeSet, VarSet), usize> = HashMap::new();
+    let mut mask_memo: FxHashMap<(u64, u64), usize> = FxHashMap::default();
     for (i, k) in keys.iter().enumerate() {
         seed_memo.insert(k.clone(), i);
-    }
-    let mut edge_ids: FxHashMap<EdgeSet, u32> = FxHashMap::default();
-    let mut var_ids: FxHashMap<VarSet, u32> = FxHashMap::default();
-    let mut flat_memo: FxHashMap<(u32, u32), usize> =
-        FxHashMap::with_hasher(FxBuildHasher::default());
-    for (i, (comp, conn)) in keys.iter().enumerate() {
-        let next = edge_ids.len() as u32;
-        let a = *edge_ids.entry(comp.clone()).or_insert(next);
-        let next = var_ids.len() as u32;
-        let b = *var_ids.entry(conn.clone()).or_insert(next);
-        flat_memo.insert((a, b), i);
+        mask_memo.insert(word(k), i);
     }
 
     let mut group = c.benchmark_group("memo_lookup");
@@ -104,20 +142,8 @@ fn bench_memo_lookup(c: &mut Criterion) {
             hits
         })
     });
-    group.bench_function("interned_u32_keys", |b| {
-        b.iter(|| {
-            let mut hits = 0usize;
-            for k in &keys {
-                // The B&B search probes interner + flat map by reference.
-                let (Some(&a), Some(&b)) = (edge_ids.get(&k.0), var_ids.get(&k.1)) else {
-                    continue;
-                };
-                if flat_memo.contains_key(&(a, b)) {
-                    hits += 1;
-                }
-            }
-            hits
-        })
+    group.bench_function("word_mask_keys", |b| {
+        b.iter(|| masks.iter().filter(|&k| mask_memo.contains_key(k)).count())
     });
     group.finish();
 }

@@ -1,5 +1,5 @@
 //! Acceptance harness for the branch-and-bound `cost-k-decomp` overhaul:
-//! compares the engineered search (interned memo keys, pruned separator
+//! compares the engineered search (mask-keyed memo, pruned separator
 //! enumeration, admissible bound cuts, parallel subproblem solving)
 //! against the frozen seed search on synthetic line / cycle / star
 //! hypergraphs and TPC-H Q5, and writes the numbers to
@@ -154,6 +154,27 @@ fn tpch_q5() -> (ConjunctiveQuery, DbStats) {
     (q, analyze(&db))
 }
 
+/// Today's UTC date as `YYYY-MM-DD`.
+fn utc_date() -> String {
+    let days = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_secs() / 86_400);
+    htqo_cq::date::format_date(days as i32)
+}
+
+/// The CPU model the kernel reports, when it reports one.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|text| {
+            text.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split(':').nth(1))
+                .map(|m| m.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown CPU".to_string())
+}
+
 fn main() {
     // The harness pins its own per-search thread counts (1 vs 4); the
     // --threads flag only raises the worker-pool cap.
@@ -196,9 +217,10 @@ fn main() {
         .unwrap_or(1);
     let _ = writeln!(
         report,
-        "Machine: {cpus} CPU(s) visible to the process. Times are best of {REPS} runs \
-         (structural cost model unless a column says otherwise). `seed` is the frozen \
-         exhaustive search; `B&B` is the interned + pruned branch-and-bound engine; `B&B 4t` \
+        "Measured {} on {} ({}/{}), {cpus} CPU(s) visible to the process. Times are best of \
+         {REPS} runs (structural cost model unless a column says otherwise). `seed` is the frozen \
+         exhaustive search; `B&B` is the pruned branch-and-bound engine on word masks (every \
+         hypergraph here fits 64 edges and 64 variables); `B&B 4t` \
          solves independent component subproblems on four worker threads. On a single-CPU \
          host the 4t column measures scheduling overhead only. The `stats` columns rerun the \
          sequential B&B search under the statistics cost model (gathered statistics of 40-row \
@@ -206,22 +228,26 @@ fn main() {
          distinct join-atom sets the model derived a price for (every other pricing is a \
          hash probe), and time. Every row asserts identical optimal cost across all three \
          engines — and, under the statistics model, between seed and B&B — and rows with \
-         ≥ 6 atoms assert strictly fewer separators examined than the seed.\n"
+         ≥ 6 atoms assert strictly fewer separators examined than the seed.\n",
+        utc_date(),
+        cpu_model(),
+        std::env::consts::OS,
+        std::env::consts::ARCH,
     );
     let _ = writeln!(
         report,
         "| query | atoms | k | separators seed | separators B&B | subproblems seed | \
-         subproblems B&B | bound cuts | cover rejects | interned | seed | B&B | speedup | B&B 4t | \
+         subproblems B&B | bound cuts | cover rejects | seed | B&B | speedup | B&B 4t | \
          separators stats | sets priced | B&B stats |"
     );
     let _ = writeln!(
         report,
-        "|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|"
+        "|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|"
     );
     for r in &rows {
         let _ = writeln!(
             report,
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {:.2}ms | {:.2}ms | {:.2}x | {:.2}ms | {} | {} | {:.2}ms |",
+            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {:.2}ms | {:.2}ms | {:.2}x | {:.2}ms | {} | {} | {:.2}ms |",
             r.family,
             r.atoms,
             r.k,
@@ -231,7 +257,6 @@ fn main() {
             r.bnb_subs,
             r.stats.bound_cuts,
             r.stats.cover_rejects,
-            r.stats.interned_keys,
             r.seed_time * 1e3,
             r.seq_time * 1e3,
             r.seed_time / r.seq_time,

@@ -37,6 +37,7 @@
 pub mod cost;
 pub mod dot;
 pub mod hypertree;
+mod mask;
 pub mod optimize;
 pub mod qhd;
 pub mod reuse;

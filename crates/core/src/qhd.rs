@@ -59,7 +59,8 @@ pub struct QhdPlan {
 /// Options for [`q_hypertree_decomp`].
 #[derive(Clone, Debug)]
 pub struct QhdOptions {
-    /// Width bound `k` (the paper: "typically k = 4 is enough").
+    /// Width bound `k` (the paper: "typically k = 4 is enough"). `0` is
+    /// [`QhdFailure`] for every query with an atom.
     pub max_width: usize,
     /// Whether to run Procedure Optimize (Figure 10 of the paper ablates
     /// this).
@@ -294,6 +295,16 @@ mod tests {
             .atom_vars("r", &["X", "Y"])
             .atom_vars("s", &["Y", "Z"])
             .build(); // no output variables
+
+        // Width 0 is Failure, reported as asked — not a silent width 1.
+        let zero = QhdOptions {
+            max_width: 0,
+            ..QhdOptions::default()
+        };
+        assert_eq!(
+            q_hypertree_decomp(&q, &zero, &StructuralCost).unwrap_err(),
+            QhdFailure { max_width: 0 }
+        );
         let plan = q_hypertree_decomp(
             &q,
             &QhdOptions {

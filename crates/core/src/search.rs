@@ -30,9 +30,14 @@
 //! ≤k-subset of the candidate edges. This implementation keeps the same
 //! subproblem space and provably the same results, but:
 //!
-//! - **interns subproblem keys**: component and connector bitsets are
-//!   hash-consed into `u32` ids, so the memo is a flat
-//!   `FxHashMap<(u32, u32), _>` probed without cloning a single bitset;
+//! - **enumerates in registers**: one body, generic over the set
+//!   representation (`crate::mask`), runs on `u64` masks whenever the
+//!   hypergraph has at most 64 edges and 64 variables, and on the heap
+//!   [`BitSet`](htqo_hypergraph::BitSet) otherwise. λ, χ and the assigned
+//!   edges travel down the enumeration by value, the assigned edges are
+//!   extended by the edges a new candidate's variables complete, the
+//!   `[χ]`-components come from per-search incidence masks, and the memo
+//!   is keyed by the `(component, connector)` masks themselves;
 //! - **prunes the separator enumeration**: candidate edges are ordered by
 //!   scope coverage, whole enumeration branches are cut when the remaining
 //!   candidates cannot cover the connector (or reach the component), and
@@ -51,16 +56,19 @@
 
 use crate::cost::DecompCost;
 use crate::hypertree::{Hypertree, HypertreeBuilder, NodeId};
+use crate::mask::Mask;
 use htqo_engine::exec;
 use htqo_hypergraph::fxhash::{fx_hash_one, FxHashMap, FxHashSet};
-use htqo_hypergraph::{components, EdgeId, EdgeSet, Hypergraph, VarSet};
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use htqo_hypergraph::{BitSet, EdgeSet, Hypergraph, VarSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Search configuration.
 #[derive(Clone, Debug)]
 pub struct SearchOptions {
     /// Maximum width `k` (the paper notes `k = 4` suffices in practice).
+    /// `0` admits no separator at all: every non-empty hypergraph is a
+    /// Failure (`None`), it is not read as width 1.
     pub max_width: usize,
     /// When set, the root's χ must cover these variables (Condition 2 of
     /// Definition 2 — used for q-hypertree decompositions).
@@ -120,56 +128,21 @@ pub struct SearchStats {
     /// Partial solutions abandoned because accumulated cost plus the
     /// admissible per-component lower bound reached the incumbent.
     pub bound_cuts: usize,
-    /// Distinct component/connector bitsets interned for memo keys.
-    pub interned_keys: usize,
 }
 
 /// A shared, immutable plan node produced by the DP (converted into a
 /// [`Hypertree`] at the end; sharing matters because the memo table reuses
 /// subtrees across parents, and [`Arc`] lets worker threads share them).
-struct PlanNode {
-    lambda: EdgeSet,
-    chi: VarSet,
-    assigned: EdgeSet,
-    children: Vec<Arc<PlanNode>>,
+struct PlanNode<S> {
+    lambda: S,
+    chi: S,
+    assigned: S,
+    children: Vec<Arc<PlanNode<S>>>,
 }
 
-type MemoEntry = Option<(f64, Arc<PlanNode>)>;
-
-/// Hash-consing interner: each distinct set gets a dense `u32` id. Striped
-/// so worker threads intern concurrently; the id space is shared through
-/// one atomic counter. Lookups hash the set once and never clone it — the
-/// clone happens only the first time a set is seen.
-struct Interner<S> {
-    shards: Vec<Mutex<FxHashMap<S, u32>>>,
-    next: AtomicU32,
-}
-
-impl<S: std::hash::Hash + Eq + Clone> Interner<S> {
-    fn new(shards: usize) -> Self {
-        Interner {
-            shards: (0..shards)
-                .map(|_| Mutex::new(FxHashMap::default()))
-                .collect(),
-            next: AtomicU32::new(0),
-        }
-    }
-
-    fn intern(&self, set: &S) -> u32 {
-        let shard = fx_hash_one(set) as usize & (self.shards.len() - 1);
-        let mut map = self.shards[shard].lock().unwrap();
-        if let Some(&id) = map.get(set) {
-            return id;
-        }
-        let id = self.next.fetch_add(1, Ordering::Relaxed);
-        map.insert(set.clone(), id);
-        id
-    }
-
-    fn len(&self) -> usize {
-        self.next.load(Ordering::Relaxed) as usize
-    }
-}
+type MemoEntry<S> = Option<(f64, Arc<PlanNode<S>>)>;
+/// Keyed by the `(component, connector)` sets themselves.
+type Memo<S> = FxHashMap<(S, S), MemoEntry<S>>;
 
 /// Shared search counters (workers increment, [`SearchStats`] snapshots).
 #[derive(Default)]
@@ -182,43 +155,60 @@ struct AtomicStats {
     bound_cuts: AtomicUsize,
 }
 
+/// One candidate separator edge, with its precomputed scope coverage.
+struct Cand<S> {
+    id: usize,
+    /// `var(e) ∩ scope` — everything the edge can contribute to χ.
+    cover: S,
+    in_comp: bool,
+}
+
+/// What stays fixed while one subproblem's separators are enumerated.
+struct Subproblem<'s, S> {
+    comp: &'s S,
+    conn: &'s S,
+    root_cover: Option<&'s S>,
+    /// Ordered by decreasing scope coverage, ties by id.
+    candidates: Vec<Cand<S>>,
+    /// `suffix_cover[i]` / `suffix_in_comp[i]`: the coverage and the
+    /// component contact still reachable from candidate `i` on.
+    suffix_cover: Vec<S>,
+    suffix_in_comp: Vec<bool>,
+}
+
+/// A separator under construction and the vertex labels it induces, passed
+/// down the enumeration by value (three words in the word instantiation).
+#[derive(Clone)]
+struct Separator<S> {
+    /// The edges chosen so far (λ).
+    lambda: S,
+    /// `var(λ) ∩ scope` — exactly the χ this separator would produce.
+    chi: S,
+    /// The component edges χ covers, which the vertex enforces.
+    assigned: S,
+    /// The progress condition `λ ∩ comp ≠ ∅`.
+    has_comp_edge: bool,
+}
+
 /// Per-subproblem enumeration state: the incumbent, locally batched
 /// counters (flushed to the shared atomics once per subproblem), the
-/// λ-dedup table, and the separator being built. Pricing a separator
-/// reuses `sep_set` and `assigned` in place, so a separator that is
-/// bound-cut on its vertex cost allocates nothing.
-struct EnumCtx {
-    best: MemoEntry,
-    /// The current separator prefix λ, maintained by [`Searcher::enumerate`].
-    sep_set: EdgeSet,
-    /// Scratch for the component edges the current separator enforces.
-    assigned: EdgeSet,
+/// λ-dedup table, and the typed sets a separator's labels are written
+/// into for [`DecompCost::vertex_cost`] (reused, so a separator that is
+/// bound-cut on its vertex cost allocates nothing).
+struct EnumCtx<S> {
+    best: MemoEntry<S>,
+    lent_lambda: EdgeSet,
+    lent_assigned: EdgeSet,
+    lent_chi: VarSet,
     separators_tried: usize,
     cover_rejects: usize,
     lambda_dedup: usize,
     bound_cuts: usize,
     /// `var(S) ∩ scope` values already tried (first-success mode only).
-    seen_covers: Option<FxHashSet<VarSet>>,
+    seen_covers: Option<FxHashSet<S>>,
 }
 
-/// One candidate separator edge, with its precomputed scope coverage.
-struct Cand {
-    id: EdgeId,
-    /// `var(e) ∩ scope` — everything the edge can contribute to χ.
-    cover: VarSet,
-    in_comp: bool,
-}
-
-#[cfg(debug_assertions)]
-thread_local! {
-    /// Subproblem keys currently being solved by this thread's recursion
-    /// (the in-progress re-entry guard: the progress condition makes true
-    /// cycles impossible, and this assertion enforces it in debug builds).
-    static IN_PROGRESS: std::cell::RefCell<Vec<(u32, u32)>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-struct Searcher<'a> {
+struct Searcher<'a, S> {
     h: &'a Hypergraph,
     k: usize,
     cost: &'a dyn DecompCost,
@@ -228,13 +218,15 @@ struct Searcher<'a> {
     threads: usize,
     /// Admissible lower bound charged per undecomposed component.
     comp_lb: f64,
-    comp_ids: Interner<EdgeSet>,
-    conn_ids: Interner<VarSet>,
-    memo: Vec<Mutex<FxHashMap<(u32, u32), MemoEntry>>>,
+    /// `edge_vars[e]` = `var(e)`.
+    edge_vars: Vec<S>,
+    /// `var_edges[v]` = the edges containing `v`.
+    var_edges: Vec<S>,
+    memo: Vec<Mutex<Memo<S>>>,
     stats: AtomicStats,
 }
 
-impl<'a> Searcher<'a> {
+impl<'a, S: Mask> Searcher<'a, S> {
     fn new(
         h: &'a Hypergraph,
         k: usize,
@@ -251,11 +243,15 @@ impl<'a> Searcher<'a> {
             first_success,
             threads,
             comp_lb: cost.min_vertex_cost(h),
-            comp_ids: Interner::new(stripes),
-            conn_ids: Interner::new(stripes),
-            memo: (0..stripes)
-                .map(|_| Mutex::new(FxHashMap::default()))
+            edge_vars: h
+                .edge_ids()
+                .map(|e| S::load(h.edge_vars(e).bits()))
                 .collect(),
+            var_edges: h
+                .var_ids()
+                .map(|v| S::load(h.edges_with_var(v).bits()))
+                .collect(),
+            memo: (0..stripes).map(|_| Mutex::default()).collect(),
             stats: AtomicStats::default(),
         }
     }
@@ -268,72 +264,54 @@ impl<'a> Searcher<'a> {
             cover_rejects: self.stats.cover_rejects.load(Ordering::Relaxed),
             lambda_dedup: self.stats.lambda_dedup.load(Ordering::Relaxed),
             bound_cuts: self.stats.bound_cuts.load(Ordering::Relaxed),
-            interned_keys: self.comp_ids.len() + self.conn_ids.len(),
         }
     }
 
-    fn memo_shard(&self, key: (u32, u32)) -> &Mutex<FxHashMap<(u32, u32), MemoEntry>> {
-        &self.memo[fx_hash_one(&key) as usize & (self.memo.len() - 1)]
+    fn memo_shard(&self, key: &(S, S)) -> std::sync::MutexGuard<'_, Memo<S>> {
+        self.memo[fx_hash_one(key) as usize & (self.memo.len() - 1)]
+            .lock()
+            .expect("no search step panics while holding a memo shard")
+    }
+
+    /// `var(edges)`.
+    fn vars_of(&self, edges: &S) -> S {
+        let mut vars = S::default();
+        for e in edges.iter() {
+            vars.union_with(&self.edge_vars[e]);
+        }
+        vars
     }
 
     /// Solves a memoized subproblem: the optimal decomposition of the
     /// component `comp` whose root covers the connector `conn`.
-    fn solve(&self, comp: &EdgeSet, conn: &VarSet) -> MemoEntry {
-        let key = (self.comp_ids.intern(comp), self.conn_ids.intern(conn));
-        if let Some(cached) = self.memo_shard(key).lock().unwrap().get(&key) {
+    fn solve(&self, comp: S, conn: S) -> MemoEntry<S> {
+        let key = (comp, conn);
+        if let Some(cached) = self.memo_shard(&key).get(&key) {
             self.stats.memo_hits.fetch_add(1, Ordering::Relaxed);
             return cached.clone();
         }
         self.stats.subproblems.fetch_add(1, Ordering::Relaxed);
-        // In-progress re-entry guard: a subproblem re-entered by its own
-        // recursion would mean a separator failed the progress condition
-        // (every separator assigns at least one component edge, so child
-        // components strictly shrink — true cycles are impossible).
-        #[cfg(debug_assertions)]
-        IN_PROGRESS.with(|stack| {
-            let stack = stack.borrow();
-            debug_assert!(
-                !stack.contains(&key),
-                "re-entered in-progress subproblem {key:?}: progress condition violated"
-            );
-        });
-        #[cfg(debug_assertions)]
-        IN_PROGRESS.with(|stack| stack.borrow_mut().push(key));
-        let result = self.solve_uncached(comp, conn, None);
-        #[cfg(debug_assertions)]
-        IN_PROGRESS.with(|stack| {
-            let popped = stack.borrow_mut().pop();
-            debug_assert_eq!(popped, Some(key));
-        });
+        let result = self.solve_uncached(&key.0, &key.1, None);
         // Two workers may race on the same subproblem; both compute the
         // same optimum, so either insert wins harmlessly.
-        self.memo_shard(key)
-            .lock()
-            .unwrap()
-            .insert(key, result.clone());
+        self.memo_shard(&key).insert(key, result.clone());
         result
     }
 
     /// Enumerates candidate separators for a subproblem and returns the
     /// best (or first) solution.
-    fn solve_uncached(
-        &self,
-        comp: &EdgeSet,
-        conn: &VarSet,
-        root_cover: Option<&VarSet>,
-    ) -> MemoEntry {
-        let comp_vars = self.h.vars_of_edges(comp);
-        let scope = conn.union(&comp_vars);
+    fn solve_uncached(&self, comp: &S, conn: &S, root_cover: Option<&S>) -> MemoEntry<S> {
+        let mut scope = self.vars_of(comp);
+        scope.union_with(conn);
 
         // Candidate separator edges: anything touching the subproblem,
         // ordered by decreasing scope coverage (ties by id for
         // determinism). High-coverage edges first means good incumbents
         // are found early, which powers the bound cuts below.
-        let mut candidates: Vec<Cand> = self
-            .h
-            .edge_ids()
+        let mut candidates: Vec<Cand<S>> = (0..self.edge_vars.len())
             .filter_map(|e| {
-                let cover = self.h.edge_vars(e).intersection(&scope);
+                let mut cover = self.edge_vars[e].clone();
+                cover.intersect_with(&scope);
                 (!cover.is_empty()).then(|| Cand {
                     id: e,
                     cover,
@@ -343,44 +321,46 @@ impl<'a> Searcher<'a> {
             .collect();
         candidates.sort_by(|a, b| b.cover.len().cmp(&a.cover.len()).then(a.id.cmp(&b.id)));
 
-        // Suffix tables for the branch pre-checks: what coverage (and
-        // component contact) is still reachable from candidate `i` on.
         let n = candidates.len();
-        let mut suffix_cover = vec![VarSet::new(); n + 1];
+        let mut suffix_cover = vec![S::default(); n + 1];
         let mut suffix_in_comp = vec![false; n + 1];
         for i in (0..n).rev() {
-            suffix_cover[i] = suffix_cover[i + 1].union(&candidates[i].cover);
+            suffix_cover[i] = suffix_cover[i + 1].clone();
+            suffix_cover[i].union_with(&candidates[i].cover);
             suffix_in_comp[i] = suffix_in_comp[i + 1] || candidates[i].in_comp;
         }
+        let sub = Subproblem {
+            comp,
+            conn,
+            root_cover,
+            candidates,
+            suffix_cover,
+            suffix_in_comp,
+        };
 
+        // The empty separator covers exactly the variable-less edges.
+        let mut covered_by_nothing = S::default();
+        comp.iter()
+            .filter(|&e| self.edge_vars[e].is_empty())
+            .for_each(|e| covered_by_nothing.insert(e));
+        let empty = Separator {
+            lambda: S::default(),
+            chi: S::default(),
+            assigned: covered_by_nothing,
+            has_comp_edge: false,
+        };
         let mut ctx = EnumCtx {
             best: None,
-            sep_set: EdgeSet::new(),
-            assigned: EdgeSet::new(),
+            lent_lambda: EdgeSet::new(),
+            lent_assigned: EdgeSet::new(),
+            lent_chi: VarSet::new(),
             separators_tried: 0,
             cover_rejects: 0,
             lambda_dedup: 0,
             bound_cuts: 0,
             seen_covers: self.first_success.then(FxHashSet::default),
         };
-        // Per-depth χ scratch buffers: `scratch[d]` holds `var(sep) ∩
-        // scope` for the current depth-d prefix, so extending a separator
-        // never allocates (the buffers are reused across the whole
-        // enumeration).
-        let mut scratch = vec![VarSet::new(); self.k + 1];
-        self.enumerate(
-            &candidates,
-            &suffix_cover,
-            &suffix_in_comp,
-            0,
-            0,
-            &mut scratch,
-            false,
-            comp,
-            conn,
-            root_cover,
-            &mut ctx,
-        );
+        self.enumerate(&sub, 0, 0, empty, &mut ctx);
         self.stats
             .separators_tried
             .fetch_add(ctx.separators_tried, Ordering::Relaxed);
@@ -397,32 +377,23 @@ impl<'a> Searcher<'a> {
     }
 
     /// Recursive subset enumeration (sizes 1..=k) with branch pruning.
-    /// `ctx.sep_set` holds the `depth` edges chosen so far and
-    /// `scratch[depth]` is `var(sep) ∩ scope`, both maintained
-    /// incrementally — the latter is exactly the χ this separator would
-    /// produce.
-    #[allow(clippy::too_many_arguments)]
+    /// `sep` is the separator of the `depth` edges chosen so far, drawn
+    /// from the candidates before `start`.
     fn enumerate(
         &self,
-        candidates: &[Cand],
-        suffix_cover: &[VarSet],
-        suffix_in_comp: &[bool],
+        sub: &Subproblem<S>,
         start: usize,
         depth: usize,
-        scratch: &mut [VarSet],
-        has_comp_edge: bool,
-        comp: &EdgeSet,
-        conn: &VarSet,
-        root_cover: Option<&VarSet>,
-        ctx: &mut EnumCtx,
+        sep: Separator<S>,
+        ctx: &mut EnumCtx<S>,
     ) {
         if self.first_success && ctx.best.is_some() {
             return;
         }
         if depth > 0
-            && has_comp_edge
-            && conn.is_subset(&scratch[depth])
-            && root_cover.is_none_or(|req| req.is_subset(&scratch[depth]))
+            && sep.has_comp_edge
+            && sub.conn.is_subset(&sep.chi)
+            && sub.root_cover.is_none_or(|req| req.is_subset(&sep.chi))
         {
             // λ-equivalence dedup: two separators with the same var(S)
             // produce the same χ, the same components and the same child
@@ -430,71 +401,120 @@ impl<'a> Searcher<'a> {
             // of them; in cost mode their vertex costs differ, so every
             // one must be priced.
             let duplicate = match &mut ctx.seen_covers {
-                Some(seen) => !seen.insert(scratch[depth].clone()),
+                Some(seen) => !seen.insert(sep.chi.clone()),
                 None => false,
             };
             if duplicate {
                 ctx.lambda_dedup += 1;
             } else {
                 ctx.separators_tried += 1;
-                self.try_separator(&scratch[depth], comp, ctx);
+                self.try_separator(sub, &sep, ctx);
             }
         }
         if depth == self.k {
             return;
         }
-        // Branch feasibility pre-checks (word-level subset tests, no
-        // allocation): prune the whole extension subtree when the
-        // remaining candidates cannot supply the missing connector/root
-        // coverage or the progress edge.
-        if !conn.is_subset_of_union(&scratch[depth], &suffix_cover[start])
-            || root_cover
-                .is_some_and(|req| !req.is_subset_of_union(&scratch[depth], &suffix_cover[start]))
-            || (!has_comp_edge && !suffix_in_comp[start])
+        // Branch feasibility pre-checks: prune the whole extension subtree
+        // when the remaining candidates cannot supply the missing
+        // connector/root coverage or the progress edge.
+        let reachable = &sub.suffix_cover[start];
+        if !sub.conn.is_subset_of_union(&sep.chi, reachable)
+            || sub
+                .root_cover
+                .is_some_and(|req| !req.is_subset_of_union(&sep.chi, reachable))
+            || (!sep.has_comp_edge && !sub.suffix_in_comp[start])
         {
             ctx.cover_rejects += 1;
             return;
         }
-        for i in start..candidates.len() {
+        for (i, cand) in sub.candidates.iter().enumerate().skip(start) {
             if self.first_success && ctx.best.is_some() {
                 return;
             }
-            let cand = &candidates[i];
-            ctx.sep_set.insert(cand.id);
-            // scratch[depth+1] = scratch[depth] ∪ cover(cand), reusing the
-            // buffer's allocation.
-            let (lo, hi) = scratch.split_at_mut(depth + 1);
-            hi[0].clear();
-            hi[0].union_with(&lo[depth]);
-            hi[0].union_with(&cand.cover);
-            self.enumerate(
-                candidates,
-                suffix_cover,
-                suffix_in_comp,
-                i + 1,
-                depth + 1,
-                scratch,
-                has_comp_edge || cand.in_comp,
-                comp,
-                conn,
-                root_cover,
-                ctx,
-            );
-            ctx.sep_set.remove(cand.id);
+            let extended = self.extend(sub.comp, &sep, cand);
+            self.enumerate(sub, i + 1, depth + 1, extended, ctx);
         }
+    }
+
+    /// `sep` with one more candidate edge.
+    fn extend(&self, comp: &S, sep: &Separator<S>, cand: &Cand<S>) -> Separator<S> {
+        let mut next = sep.clone();
+        next.lambda.insert(cand.id);
+        next.chi.union_with(&cand.cover);
+        next.has_comp_edge |= cand.in_comp;
+        // A component edge χ did not cover before is covered now only if
+        // it holds one of the variables this candidate adds.
+        let mut added = cand.cover.clone();
+        added.difference_with(&sep.chi);
+        for v in added.iter() {
+            let mut touched = self.var_edges[v].clone();
+            touched.intersect_with(comp);
+            touched.difference_with(&next.assigned);
+            for e in touched.iter() {
+                if self.edge_vars[e].is_subset(&next.chi) {
+                    next.assigned.insert(e);
+                }
+            }
+        }
+        next
+    }
+
+    /// The `[χ]`-components of `comp`, each with its connector
+    /// `var(component) ∩ χ`, ordered by smallest contained edge.
+    /// `assigned` is the part of `comp` that χ covers and that therefore
+    /// belongs to no component.
+    fn components(&self, comp: &S, assigned: &S, chi: &S) -> Vec<(S, S)> {
+        let mut remaining = comp.clone();
+        remaining.difference_with(assigned);
+        let mut out = Vec::new();
+        while let Some(start) = remaining.first() {
+            let mut members = S::default();
+            members.insert(start);
+            remaining.difference_with(&members);
+            let mut vars = self.edge_vars[start].clone();
+            // χ and the variables whose edges have been pulled in.
+            let mut expanded = chi.clone();
+            loop {
+                let mut frontier = vars.clone();
+                frontier.difference_with(&expanded);
+                if frontier.is_empty() {
+                    break;
+                }
+                expanded.union_with(&frontier);
+                let mut joined = S::default();
+                for v in frontier.iter() {
+                    joined.union_with(&self.var_edges[v]);
+                }
+                joined.intersect_with(&remaining);
+                remaining.difference_with(&joined);
+                for e in joined.iter() {
+                    vars.union_with(&self.edge_vars[e]);
+                }
+                members.union_with(&joined);
+            }
+            vars.intersect_with(chi);
+            out.push((members, vars));
+        }
+        out
     }
 
     /// Prices one full candidate separator: recurses on the
     /// `[χ]`-components and updates the incumbent. The separator has
     /// already passed the progress, connector-cover and root-cover checks.
-    fn try_separator(&self, chi: &VarSet, comp: &EdgeSet, ctx: &mut EnumCtx) {
-        // Edges of the component fully covered here are enforced here.
-        ctx.assigned.clear();
-        ctx.assigned
-            .extend(comp.iter().filter(|&e| self.h.edge_vars(e).is_subset(chi)));
-        let (sep_set, assigned) = (&ctx.sep_set, &ctx.assigned);
-
-        let mut total = self.cost.vertex_cost(self.h, sep_set, assigned, chi);
+    fn try_separator(&self, sub: &Subproblem<S>, sep: &Separator<S>, ctx: &mut EnumCtx<S>) {
+        // The progress edge lies inside the scope, so χ covers it: every
+        // child component is strictly smaller and no subproblem can
+        // re-enter itself.
+        debug_assert!(
+            !sep.assigned.is_empty(),
+            "progress condition violated: the separator assigns no component edge"
+        );
+        sep.lambda.store(ctx.lent_lambda.bits_mut());
+        sep.assigned.store(ctx.lent_assigned.bits_mut());
+        sep.chi.store(ctx.lent_chi.bits_mut());
+        let mut total =
+            self.cost
+                .vertex_cost(self.h, &ctx.lent_lambda, &ctx.lent_assigned, &ctx.lent_chi);
         // First bound cut on the vertex cost alone, before paying for the
         // component split.
         if let Some((bound, _)) = &ctx.best {
@@ -503,7 +523,7 @@ impl<'a> Searcher<'a> {
                 return;
             }
         }
-        let subcomps = components(self.h, comp, chi);
+        let subcomps = self.components(sub.comp, &sep.assigned, &sep.chi);
         // Refined cut: even if every remaining component decomposed at the
         // admissible minimum, this branch cannot beat the incumbent.
         if self.comp_lb > 0.0 && !subcomps.is_empty() {
@@ -515,21 +535,14 @@ impl<'a> Searcher<'a> {
             }
         }
 
-        let parallel = self.threads > 1 && subcomps.len() > 1;
-        let mut children = Vec::with_capacity(subcomps.len());
-        if parallel {
+        let remaining = subcomps.len();
+        let mut children = Vec::with_capacity(remaining);
+        if self.threads > 1 && remaining > 1 {
             // Solve independent components concurrently on the worker
             // pool. Each subproblem is solved to optimality regardless of
             // siblings, so the combined result equals the sequential one.
-            let jobs: Vec<(EdgeSet, VarSet)> = subcomps
-                .into_iter()
-                .map(|sc| {
-                    let child_conn = self.h.vars_of_edges(&sc).intersection(chi);
-                    (sc, child_conn)
-                })
-                .collect();
-            let solved = exec::parallel_map(jobs, self.threads, |(sc, child_conn)| {
-                self.solve(&sc, &child_conn)
+            let solved = exec::parallel_map(subcomps, self.threads, |(sc, child_conn)| {
+                self.solve(sc, child_conn)
             })
             // Planning-layer closures never touch the engine kernels, so a
             // panic here is a real bug in the search itself: re-raise it on
@@ -552,10 +565,8 @@ impl<'a> Searcher<'a> {
                 }
             }
         } else {
-            let remaining = subcomps.len();
-            for (solved, sc) in subcomps.iter().enumerate() {
-                let child_conn = self.h.vars_of_edges(sc).intersection(chi);
-                match self.solve(sc, &child_conn) {
+            for (solved, (sc, child_conn)) in subcomps.into_iter().enumerate() {
+                match self.solve(sc, child_conn) {
                     Some((c, plan)) => {
                         total += c;
                         // Children still unsolved each cost ≥ comp_lb.
@@ -581,9 +592,9 @@ impl<'a> Searcher<'a> {
             ctx.best = Some((
                 total,
                 Arc::new(PlanNode {
-                    lambda: sep_set.clone(),
-                    chi: chi.clone(),
-                    assigned: assigned.clone(),
+                    lambda: sep.lambda.clone(),
+                    chi: sep.chi.clone(),
+                    assigned: sep.assigned.clone(),
                     children,
                 }),
             ));
@@ -592,13 +603,13 @@ impl<'a> Searcher<'a> {
 }
 
 /// Materializes a plan into a [`Hypertree`].
-fn build_tree(plan: &PlanNode) -> Hypertree {
-    fn rec(plan: &PlanNode, b: &mut HypertreeBuilder) -> NodeId {
+fn build_tree<S: Mask>(plan: &PlanNode<S>) -> Hypertree {
+    fn rec<S: Mask>(plan: &PlanNode<S>, b: &mut HypertreeBuilder) -> NodeId {
         let children: Vec<NodeId> = plan.children.iter().map(|c| rec(c, b)).collect();
         b.add(
-            plan.chi.clone(),
-            plan.lambda.clone(),
-            plan.assigned.clone(),
+            plan.chi.to_bits().into(),
+            plan.lambda.to_bits().into(),
+            plan.assigned.to_bits().into(),
             children,
         )
     }
@@ -639,25 +650,28 @@ pub fn cost_k_decomp_instrumented(
 
 /// det-k-decomp: is there a width-≤k normal-form hypertree decomposition?
 pub fn exists_decomposition(h: &Hypergraph, k: usize) -> bool {
-    search(
-        h,
-        &SearchOptions::width(k),
-        &crate::cost::StructuralCost,
-        true,
-    )
-    .is_some()
+    det_k_decomp(h, k).is_some()
 }
 
 /// First-success decomposition (det-k-decomp): any NF decomposition of
 /// width ≤ `k`, or `None`.
 pub fn det_k_decomp(h: &Hypergraph, k: usize) -> Option<Hypertree> {
+    det_k_decomp_instrumented(h, k).map(|(_, t, _)| t)
+}
+
+/// [`det_k_decomp`] with its cost and counters (for the tests that hold
+/// the two set representations to each other in det-k mode).
+#[doc(hidden)]
+pub fn det_k_decomp_instrumented(
+    h: &Hypergraph,
+    k: usize,
+) -> Option<(f64, Hypertree, SearchStats)> {
     search(
         h,
         &SearchOptions::width(k),
         &crate::cost::StructuralCost,
         true,
     )
-    .map(|(_, t, _)| t)
 }
 
 /// The hypertree width of `h`: smallest `k` admitting a decomposition.
@@ -671,7 +685,41 @@ pub fn hypertree_width(h: &Hypergraph) -> usize {
     unreachable!("width ≤ number of edges always admits a decomposition")
 }
 
+/// The search on word masks when every set of `h` (and the root cover)
+/// fits 64 bits, on heap bit sets otherwise. Both run the same body and
+/// return the same tree and counters; only the speed differs.
 fn search(
+    h: &Hypergraph,
+    opts: &SearchOptions,
+    cost: &dyn DecompCost,
+    first_success: bool,
+) -> Option<(f64, Hypertree, SearchStats)> {
+    let fits_word = h.num_edges().max(h.num_vars()) <= 64
+        && opts
+            .root_cover
+            .as_ref()
+            .is_none_or(|out| out.bits().as_word().is_some());
+    if fits_word {
+        search_on::<u64>(h, opts, cost, first_success)
+    } else {
+        search_on::<BitSet>(h, opts, cost, first_success)
+    }
+}
+
+/// Test entry: the search forced onto heap bit sets, whatever the size of
+/// `h`, in cost mode or (`first_success`) det-k mode. The equivalence
+/// property tests hold it against the word instantiation.
+#[doc(hidden)]
+pub fn search_on_heap_sets(
+    h: &Hypergraph,
+    opts: &SearchOptions,
+    cost: &dyn DecompCost,
+    first_success: bool,
+) -> Option<(f64, Hypertree, SearchStats)> {
+    search_on::<BitSet>(h, opts, cost, first_success)
+}
+
+fn search_on<S: Mask>(
     h: &Hypergraph,
     opts: &SearchOptions,
     cost: &dyn DecompCost,
@@ -688,9 +736,10 @@ fn search(
     } else {
         opts.threads
     };
-    let s = Searcher::new(h, opts.max_width.max(1), cost, first_success, threads);
-    let all = h.all_edges();
-    let (total, plan) = s.solve_uncached(&all, &VarSet::new(), opts.root_cover.as_ref())?;
+    let s = Searcher::<S>::new(h, opts.max_width, cost, first_success, threads);
+    let root_cover = opts.root_cover.as_ref().map(|out| S::load(out.bits()));
+    let (total, plan) =
+        s.solve_uncached(&S::full(h.num_edges()), &S::default(), root_cover.as_ref())?;
     let tree = build_tree(&plan);
     debug_assert!(crate::validate::check_edge_coverage(h, &tree).is_ok());
     debug_assert!(crate::validate::check_connectedness(h, &tree).is_ok());
@@ -890,7 +939,7 @@ pub mod baseline {
         }
         let mut s = Searcher {
             h,
-            k: opts.max_width.max(1),
+            k: opts.max_width,
             cost,
             memo: HashMap::new(),
             first_success: false,
@@ -1032,6 +1081,20 @@ mod tests {
     }
 
     #[test]
+    fn width_zero_is_failure_not_width_one() {
+        // An acyclic line has width 1; asking for width 0 must not find it.
+        let h = build(&[("a", &["X", "Y"]), ("b", &["Y", "Z"])]);
+        let opts = SearchOptions::width(0);
+        assert!(cost_k_decomp_instrumented(&h, &opts, &StructuralCost).is_none());
+        assert!(search_on_heap_sets(&h, &opts, &StructuralCost, false).is_none());
+        assert!(baseline::cost_k_decomp_instrumented(&h, &opts, &StructuralCost).is_none());
+        assert!(!exists_decomposition(&h, 0));
+        // The empty hypergraph needs no separator.
+        let empty = Hypergraph::builder().build();
+        assert!(cost_k_decomp(&empty, &opts, &StructuralCost).is_some());
+    }
+
+    #[test]
     fn width_search_matches_existence() {
         let h = build(&[
             ("r", &["X", "Y"]),
@@ -1082,7 +1145,6 @@ mod tests {
                 seed_stats.separators_tried
             );
             assert!(stats.bound_cuts + stats.cover_rejects > 0, "k={k}");
-            assert!(stats.interned_keys > 0);
         }
     }
 
@@ -1126,7 +1188,7 @@ mod tests {
         // A "cyclic-looking" subproblem graph: the two width-1 separators
         // {a} and {b} leave the same tail component {c, d}, so the tail
         // subproblem is reached twice. The second visit must be served by
-        // the memo (and must not trip the in-progress re-entry guard).
+        // the memo.
         let h = build(&[
             ("a", &["X", "Y"]),
             ("b", &["X", "Y"]),

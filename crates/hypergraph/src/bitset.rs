@@ -16,9 +16,23 @@ const WORD_BITS: usize = 64;
 /// All binary operations accept sets of different lengths; missing words are
 /// treated as zero. Trailing zero words are permitted (two representations
 /// of the same set compare equal because [`PartialEq`] is value-based).
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub struct BitSet {
     words: Vec<u64>,
+}
+
+impl Clone for BitSet {
+    fn clone(&self) -> Self {
+        BitSet {
+            words: self.words.clone(),
+        }
+    }
+
+    /// Reuses `self`'s backing storage (the derived `clone_from` would
+    /// allocate).
+    fn clone_from(&mut self, source: &Self) {
+        self.words.clone_from(&source.words);
+    }
 }
 
 impl BitSet {
@@ -41,6 +55,27 @@ impl BitSet {
             s.insert(i);
         }
         s
+    }
+
+    /// The set of the one-bits of `word` (indices `0..64`).
+    pub fn from_word(word: u64) -> Self {
+        BitSet { words: vec![word] }
+    }
+
+    /// Overwrites the set with the one-bits of `word`, reusing the
+    /// backing storage.
+    pub fn set_word(&mut self, word: u64) {
+        self.words.clear();
+        self.words.push(word);
+    }
+
+    /// The set as one machine word, or `None` when an element is ≥ 64.
+    pub fn as_word(&self) -> Option<u64> {
+        match self.trimmed() {
+            [] => Some(0),
+            [word] => Some(*word),
+            _ => None,
+        }
     }
 
     /// Creates a set from an iterator of indices.
@@ -355,6 +390,23 @@ mod tests {
         assert_eq!(v, vec![0, 5, 64, 130]);
         assert_eq!(s.first(), Some(0));
         assert_eq!(BitSet::new().first(), None);
+    }
+
+    #[test]
+    fn word_round_trip() {
+        let s = BitSet::from_word(0b1010_0001 | 1 << 63);
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 5, 7, 63]);
+        assert_eq!(s.as_word(), Some(0b1010_0001 | 1 << 63));
+        assert_eq!(BitSet::new().as_word(), Some(0));
+        let mut wide = BitSet::from_iter([3, 64]);
+        assert_eq!(wide.as_word(), None);
+        wide.remove(64);
+        assert_eq!(wide.as_word(), Some(8), "trailing zero words do not count");
+        wide.set_word(6);
+        assert_eq!(wide, BitSet::from_iter([1, 2]));
+        let mut copy = BitSet::from_iter([200]);
+        copy.clone_from(&wide);
+        assert_eq!(copy, wide);
     }
 
     #[test]

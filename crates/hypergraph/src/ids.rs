@@ -61,6 +61,16 @@ macro_rules! typed_set {
                 $name(BitSet::full(n))
             }
 
+            /// The untyped bits (index `i` stands for element `i`).
+            pub fn bits(&self) -> &BitSet {
+                &self.0
+            }
+
+            /// Mutable access to the untyped bits.
+            pub fn bits_mut(&mut self) -> &mut BitSet {
+                &mut self.0
+            }
+
             /// Inserts an element; returns `true` if newly inserted.
             pub fn insert(&mut self, x: $elem) -> bool {
                 self.0.insert(x.index())
@@ -153,6 +163,12 @@ macro_rules! typed_set {
             /// Removes all elements.
             pub fn clear(&mut self) {
                 self.0.clear()
+            }
+        }
+
+        impl From<BitSet> for $name {
+            fn from(bits: BitSet) -> Self {
+                $name(bits)
             }
         }
 

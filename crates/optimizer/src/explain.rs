@@ -3,7 +3,7 @@
 //! plans, in the spirit of `EXPLAIN` in the DBMSs the paper integrates
 //! with.
 
-use htqo_core::QhdPlan;
+use htqo_core::{QhdPlan, SearchStats};
 use htqo_cq::{AtomId, ConjunctiveQuery};
 use htqo_stats::{join_profiles, DbStats, QueryProfiles, StatsDecompCost};
 use std::fmt::Write as _;
@@ -43,10 +43,13 @@ pub fn explain_join_order(q: &ConjunctiveQuery, stats: &DbStats, order: &[AtomId
     out
 }
 
-/// Renders a q-hypertree plan with per-vertex labels and estimated `P′`
-/// work:
+/// Renders a q-hypertree plan: its shape, what the cost-k-decomp search
+/// did to find it (or that it came out of the plan cache), and per-vertex
+/// labels with estimated `P′` work:
 ///
 /// ```text
+/// q-hypertree decomposition: width 2, 2 vertices, 2 joins (Optimize removed 1 atoms)
+/// search: 9 subproblems, 204 separators tried, 31 memo hits, 6 cover rejects, 180 bound cuts
 /// vertex 0  χ={…} λ={lineitem, nation}  est 24000 tuples
 ///   vertex 1  χ={…} λ={customer, orders}  est 30000 tuples
 /// ```
@@ -64,6 +67,23 @@ pub fn explain_qhd(plan: &QhdPlan, q: &ConjunctiveQuery, stats: Option<&DbStats>
         tree.join_work(),
         plan.optimize_stats.removed_atoms
     );
+    // A plan remapped from a cached shape ran no search: its counters
+    // are all zero.
+    let search = &plan.search_stats;
+    if *search == SearchStats::default() {
+        let _ = writeln!(out, "search: served from plan cache");
+    } else {
+        let _ = writeln!(
+            out,
+            "search: {} subproblems, {} separators tried, {} memo hits, {} cover rejects, \
+             {} bound cuts",
+            search.subproblems,
+            search.separators_tried,
+            search.memo_hits,
+            search.cover_rejects,
+            search.bound_cuts
+        );
+    }
     fn rec(
         out: &mut String,
         plan: &QhdPlan,
@@ -140,6 +160,36 @@ mod tests {
         // Without statistics the estimates are omitted but structure shows.
         let text2 = explain_qhd(&plan, &q, None);
         assert!(!text2.contains("est "));
+    }
+
+    #[test]
+    fn explain_reports_the_search_or_the_cache() {
+        let cycle = |prefix: &str| {
+            let mut b = htqo_cq::CqBuilder::new();
+            for i in 0..6 {
+                let (l, r) = (format!("{prefix}{i}"), format!("{prefix}{}", (i + 1) % 6));
+                b = b.atom(&format!("p{i}"), &format!("p{i}"), &[("l", &l), ("r", &r)]);
+            }
+            b.out_var(&format!("{prefix}0")).build()
+        };
+        let opt = HybridOptimizer::structural(QhdOptions::default());
+        let q = cycle("X");
+        let cold = opt.plan_cq_cached(&q).unwrap();
+        let s = cold.search_stats;
+        assert!(s.separators_tried > 0 && s.bound_cuts > 0, "{s:?}");
+        let text = explain_qhd(&cold, &q, None);
+        let line = format!(
+            "search: {} subproblems, {} separators tried, {} memo hits, {} cover rejects, \
+             {} bound cuts\n",
+            s.subproblems, s.separators_tried, s.memo_hits, s.cover_rejects, s.bound_cuts
+        );
+        assert!(text.contains(&line), "{text}");
+        // The same shape under other names is transported from the cached
+        // tree: no search ran, and the explanation says so.
+        let q2 = cycle("Z");
+        let warm = opt.plan_cq_cached(&q2).unwrap();
+        let text = explain_qhd(&warm, &q2, None);
+        assert!(text.contains("search: served from plan cache\n"), "{text}");
     }
 
     #[test]

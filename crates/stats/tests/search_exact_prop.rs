@@ -12,7 +12,7 @@
 mod common;
 
 use common::{cycle, random_case, Case};
-use htqo_core::search::baseline;
+use htqo_core::search::{baseline, search_on_heap_sets};
 use htqo_core::{cost_k_decomp_instrumented, validate, DecompCost, SearchOptions};
 use htqo_hypergraph::{EdgeSet, Hypergraph, VarSet};
 use htqo_stats::StatsDecompCost;
@@ -22,7 +22,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Exhaustive ≡ B&B ≡ 4-thread B&B optimum, with the q-HD root cover,
-    /// with and without an index catalog, `assume_optimize` on and off.
+    /// with and without an index catalog, `assume_optimize` on and off; the
+    /// B&B search on word masks (what these ≤ 10-atom queries get) and
+    /// forced onto heap bit sets are the same search: cost bits, counters.
     #[test]
     fn bnb_matches_exhaustive_under_stats_cost(
         seed in any::<u64>(),
@@ -45,6 +47,12 @@ proptest! {
             let exhaustive = baseline::cost_k_decomp_instrumented(h, &opts, &model());
             let seq = cost_k_decomp_instrumented(h, &opts.clone().with_threads(1), &model());
             let par = cost_k_decomp_instrumented(h, &opts.clone().with_threads(4), &model());
+            let heap = search_on_heap_sets(h, &opts.clone().with_threads(1), &model(), false);
+            prop_assert_eq!(
+                seq.as_ref().map(|(c, _, s)| (c.to_bits(), *s)),
+                heap.as_ref().map(|(c, _, s)| (c.to_bits(), *s)),
+                "word masks vs heap bit sets, k={}\n{}", k, query
+            );
             match (&exhaustive, &seq, &par) {
                 (None, None, None) => {}
                 (Some((c0, _, _)), Some((c1, t1, _)), Some((c2, t2, _))) => {
