@@ -8,11 +8,13 @@
 //! predicate kernels), the paged store's commit, reload and recovery
 //! paths, the query service's per-statement fixed cost (prepared, ad hoc
 //! on a known text, ad hoc on a never-seen text of a known shape), hash
-//! join throughput, the seed-vs-overhauled join
-//! kernels (sequential and partitioned-parallel), the columnar join per
-//! probe row under each key plan (direct table, range bitmaps, hashed),
-//! the parallel q-hypertree schedule, and the q-hypertree evaluator vs the
-//! naive pipeline on a chain query.
+//! join throughput, the row join kernel (sequential and
+//! partitioned-parallel), the columnar join per probe row under each key
+//! plan (direct table, range bitmaps, hashed), the columnar join in memory
+//! vs spilling under a byte cap of a quarter of its working set,
+//! factorized vs materialized `COUNT(*) GROUP BY`, the parallel
+//! q-hypertree schedule, and the q-hypertree evaluator vs the naive
+//! pipeline on a chain query.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use htqo_core::treedecomp::{tree_decomposition, EliminationHeuristic};
@@ -20,7 +22,7 @@ use htqo_core::{det_k_decomp, q_hypertree_decomp, QhdOptions, StructuralCost};
 use htqo_cq::{isolate, parse_select, IsolatorOptions};
 use htqo_engine::error::Budget;
 use htqo_engine::exec;
-use htqo_engine::ops::{natural_join, natural_join_seed};
+use htqo_engine::ops::natural_join;
 use htqo_eval::{evaluate_naive, evaluate_qhd, evaluate_qhd_with, ExecOptions};
 use htqo_hypergraph::acyclic::gyo;
 use htqo_hypergraph::{biconnected_components, hinge_decomposition};
@@ -451,9 +453,8 @@ fn bench_hash_join(c: &mut Criterion) {
 }
 
 fn bench_join_kernels(c: &mut Criterion) {
-    // The kernel-overhaul regression bench: seed (`key_of`-boxing) kernel
-    // vs the hash-in-place kernel, sequential and partitioned-parallel,
-    // on a skewed 50k × 50k join.
+    // The row hash-in-place kernel (the baselines' engine), sequential
+    // and partitioned-parallel, on a skewed 50k × 50k join.
     let db = workload_db(&WorkloadSpec::new(2, 50_000, 25_000, 7).with_zipf(0.5));
     let q = acyclic_query(2);
     let mut budget = Budget::unlimited();
@@ -465,12 +466,6 @@ fn bench_join_kernels(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("join_kernel");
     group.sample_size(10);
-    group.bench_function("seed_50k_skew", |b| {
-        b.iter(|| {
-            let mut budget = Budget::unlimited();
-            natural_join_seed(&left, &right, &mut budget).unwrap()
-        })
-    });
     exec::set_threads(1);
     group.bench_function("hash_50k_skew_1t", |b| {
         b.iter(|| {
@@ -600,6 +595,190 @@ fn bench_join_keys(c: &mut Criterion) {
     exec::set_threads(exec::hardware_threads());
 }
 
+fn bench_spill_join(c: &mut Criterion) {
+    // What a byte cap costs the columnar join: in memory vs a cap of a
+    // quarter of its working set (Grace-style partitioned spilling).
+    // Mostly disjoint keys (~1 % of the build side joins), so the hash
+    // table — the spillable state — dwarfs the output, whose charges are
+    // owed in both modes. One thread, so the gap is spill I/O.
+    use htqo_engine::column::Column;
+    use htqo_engine::cops;
+    use htqo_engine::crel::CRel;
+    use htqo_engine::error::SpillMode;
+    use std::sync::Arc;
+
+    const ROWS: i64 = 40_000;
+    let side = |key: &str, first: i64, payload: &str| {
+        let keys = Arc::new(Column::from_ints((first..first + ROWS).collect()));
+        let columns = vec![Arc::clone(&keys), keys];
+        CRel::new(vec![key.into(), payload.into()], columns, ROWS as usize)
+    };
+    let left = side("Y", 0, "X");
+    let right = side("Y", ROWS - ROWS / 100, "Z");
+    let run = |b: &mut Budget| cops::natural_join(&left, &right, b).map(|r| r.len());
+
+    exec::set_threads(1);
+    // Working set: the smallest cap the join completes under with spilling
+    // off (the budget's residual after a run is only the output; the build
+    // table's transient charges are returned on completion).
+    let fits = |limit: u64| {
+        run(&mut Budget::unlimited()
+            .with_mem_limit(limit)
+            .with_spill_mode(SpillMode::Off))
+        .is_ok()
+    };
+    let mut hi = 1u64 << 16;
+    while !fits(hi) {
+        hi <<= 1;
+    }
+    let mut lo = 0u64;
+    while hi - lo > 1024 {
+        let mid = lo + (hi - lo) / 2;
+        if fits(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    let (working_set, cap) = (hi, (hi / 4).max(1));
+    let rows = run(&mut Budget::unlimited()).unwrap();
+
+    let mut group = c.benchmark_group("spill_join");
+    group.sample_size(10);
+    group.bench_function("in_memory", |b| {
+        b.iter(|| run(&mut Budget::unlimited()).unwrap())
+    });
+    let (mut spilled, mut partitions) = (0, 0);
+    group.bench_function("quarter_cap", |b| {
+        b.iter(|| {
+            let mut budget = Budget::unlimited().with_mem_limit(cap);
+            assert_eq!(
+                run(&mut budget).unwrap(),
+                rows,
+                "spilling changed the answer"
+            );
+            spilled = budget.spill_stats().bytes_written();
+            partitions = budget.spill_stats().partitions();
+        })
+    });
+    if spilled > 0 {
+        println!(
+            "spill_join/quarter_cap: working set {working_set} B, cap {cap} B, \
+             {spilled} B spilled over {partitions} partitions, {rows} output rows"
+        );
+    }
+    group.finish();
+    exec::set_threads(exec::hardware_threads());
+}
+
+fn bench_factorized_count(c: &mut Criterion) {
+    // `COUNT(*) GROUP BY A` over hub(A,B,C) with a 3-atom chain hanging
+    // off each hub variable, every atom exporting its hidden rowid (what
+    // the SQL isolator does for bag semantics): the materialized pipeline
+    // enumerates one row per derivation of the join (fanout ~3 per chain
+    // step, so ~27³ per hub row), the factorized one multiplies per-vertex
+    // counts along the cover. Evaluated on the Yannakakis join forest: the
+    // q-HD planner roots its tree at an output-covering vertex, which with
+    // rowid guards on every atom would put the whole join in the root's λ.
+    use htqo_cq::isolator::{ROWID_COLUMN, ROWID_VAR_PREFIX};
+    use htqo_cq::{AggFunc, CqBuilder};
+    use htqo_engine::{ColumnType, Database, Relation, Schema, Value};
+    use htqo_eval::{evaluate_yannakakis_query_traced, FactorizedTrace};
+
+    const CHAIN_ROWS: usize = 20_000;
+    const DOMAIN: u64 = CHAIN_ROWS as u64 / 3;
+    const HUB_ROWS: usize = 20;
+    let mut state = 0x9E37_79B9_97F4_A7C5u64;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        Value::Int(((state >> 33) % DOMAIN) as i64)
+    };
+    let mut db = Database::new();
+    let mut hub = Relation::new(Schema::new(&[
+        ("a", ColumnType::Int),
+        ("b", ColumnType::Int),
+        ("c", ColumnType::Int),
+    ]));
+    for _ in 0..HUB_ROWS {
+        hub.push_row(vec![next(), next(), next()]).unwrap();
+    }
+    db.insert_table("hub", hub);
+    let rid = |name: &str| format!("{ROWID_VAR_PREFIX}{name}");
+    let mut b = CqBuilder::new()
+        .atom(
+            "hub",
+            "hub",
+            &[
+                ("a", "A"),
+                ("b", "B"),
+                ("c", "C"),
+                (ROWID_COLUMN, &rid("hub")),
+            ],
+        )
+        .out_var("A")
+        .out_var(&rid("hub"));
+    for v in ["A", "B", "C"] {
+        for k in 0..3usize {
+            let name = format!("{}{k}", v.to_lowercase());
+            let mut rel = Relation::new(Schema::new(&[
+                ("l", ColumnType::Int),
+                ("r", ColumnType::Int),
+            ]));
+            rel.reserve(CHAIN_ROWS);
+            for _ in 0..CHAIN_ROWS {
+                rel.push_row(vec![next(), next()]).unwrap();
+            }
+            db.insert_table(&name, rel);
+            let l = if k == 0 {
+                v.to_string()
+            } else {
+                format!("{v}{k}")
+            };
+            let r = format!("{v}{}", k + 1);
+            b = b
+                .atom(
+                    &name,
+                    &name,
+                    &[("l", &l), ("r", &r), (ROWID_COLUMN, &rid(&name))],
+                )
+                .out_var(&rid(&name));
+        }
+    }
+    let q = b.out_agg(AggFunc::Count, None, "n").group("A").build();
+
+    let run = |factorized: bool| {
+        let mut trace = FactorizedTrace::default();
+        let mut budget = Budget::unlimited();
+        let opts = ExecOptions {
+            factorized,
+            ..ExecOptions::default()
+        };
+        let out =
+            evaluate_yannakakis_query_traced(&db, &q, &mut budget, &opts, &mut trace).unwrap();
+        (out, trace)
+    };
+    let (materialized, mtrace) = run(false);
+    let (factorized, ftrace) = run(true);
+    assert!(ftrace.factorized, "fell back: {:?}", ftrace.fallback);
+    assert!(
+        factorized.set_eq(&materialized),
+        "factorized count disagrees"
+    );
+    println!(
+        "factorized_count: {} derivations collapse into {} groups",
+        mtrace.answer_rows.unwrap_or(0),
+        materialized.len()
+    );
+
+    let mut group = c.benchmark_group("factorized_count");
+    group.sample_size(10);
+    group.bench_function("materialized", |b| b.iter(|| run(false).0));
+    group.bench_function("factorized", |b| b.iter(|| run(true).0));
+    group.finish();
+}
+
 fn bench_parallel_eval(c: &mut Criterion) {
     // Parallel-speedup bench: evaluate_qhd on a star query (the root's
     // satellite subtrees and per-vertex scans are independent).
@@ -712,6 +891,8 @@ criterion_group!(
     bench_hash_join,
     bench_join_kernels,
     bench_join_keys,
+    bench_spill_join,
+    bench_factorized_count,
     bench_parallel_eval,
     bench_evaluators,
     bench_structural_survey,

@@ -7,12 +7,12 @@
 //! {500,750,1000} at selectivity 30.
 //!
 //! ```text
-//! cargo run -p htqo-bench --release --bin fig7 [-- --threads N] [--columnar|--rows]
+//! cargo run -p htqo-bench --release --bin fig7 [-- --threads N]
 //! ```
 //! Knobs: `--threads N` (execution-layer worker threads; default = machine
-//! parallelism), `--columnar` / `--rows` (intermediate-result carrier;
-//! default columnar, see `HTQO_COLUMNAR`), `HTQO_TIMEOUT_SECS` (default
-//! 10), `HTQO_MAX_TUPLES` (default 20M), `HTQO_MAX_ATOMS` (default 10).
+//! parallelism), `--mem-limit N[K|M|G]` (byte cap per query; default
+//! unlimited), `HTQO_TIMEOUT_SECS` (default 10), `HTQO_MAX_TUPLES`
+//! (default 20M), `HTQO_MAX_ATOMS` (default 10).
 
 use htqo_bench::{run_measured, Series};
 use htqo_core::QhdOptions;
@@ -23,14 +23,12 @@ use htqo_workloads::{acyclic_query, chain_query, workload_db, WorkloadSpec};
 
 fn main() {
     let threads = htqo_bench::harness::threads_from_args();
-    let columnar = htqo_bench::harness::carrier_from_args();
     let mem_limit = htqo_bench::harness::mem_limit_from_args();
     let max_atoms = htqo_bench::harness::env_f64("HTQO_MAX_ATOMS", 10.0) as usize;
     println!("# Figure 7 — CommDB vs q-HD on synthetic queries");
     println!("(x = number of body atoms; cells = total time, DNF = budget hit)");
     println!(
-        "(execution layer: {threads} thread(s), {} carrier, {})",
-        if columnar { "columnar" } else { "row" },
+        "(execution layer: {threads} thread(s), {})",
         match mem_limit {
             Some(n) => format!("{n}-byte memory limit"),
             None => "unlimited memory".to_string(),

@@ -199,22 +199,6 @@ pub fn mem_limit_from_args() -> Option<u64> {
     htqo_engine::exec::mem_limit_default()
 }
 
-/// Applies the `--columnar` / `--rows` command-line knob shared by the
-/// figure harnesses: pins the evaluators' carrier default process-wide
-/// via [`htqo_engine::exec::set_columnar_default`] and returns the
-/// default now in effect (`true` = columnar). Without either flag, the
-/// `HTQO_COLUMNAR` env var / columnar default stands.
-pub fn carrier_from_args() -> bool {
-    for arg in std::env::args() {
-        match arg.as_str() {
-            "--columnar" => htqo_engine::exec::set_columnar_default(true),
-            "--rows" => htqo_engine::exec::set_columnar_default(false),
-            _ => {}
-        }
-    }
-    htqo_engine::exec::columnar_default()
-}
-
 /// Reads an f64 environment knob with a default.
 pub fn env_f64(name: &str, default: f64) -> f64 {
     std::env::var(name)
@@ -249,7 +233,7 @@ mod tests {
     fn flag_values_parse_or_name_the_offender() {
         let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         let threads = |v: &[&str]| flag_value(&args(v), "--threads", parse_threads);
-        assert_eq!(threads(&["bin", "--rows"]), Ok(None));
+        assert_eq!(threads(&["bin", "--other"]), Ok(None));
         assert_eq!(threads(&["bin", "--threads", "4"]), Ok(Some(4)));
         assert_eq!(
             threads(&["bin", "--threads=2", "--threads", "3"]),

@@ -83,7 +83,7 @@ pub fn finalize(
     finalize_tail(result, q, budget)
 }
 
-/// [`finalize`] over the columnar carrier: the grouping/projection front
+/// [`finalize`] over a columnar answer: the grouping/projection front
 /// runs column-at-a-time (vectorized group-key hashing, gather-based
 /// layout), then the small post-aggregation result flows through the same
 /// HAVING / ORDER BY / LIMIT tail as the row path.
@@ -286,7 +286,7 @@ fn aggregate(
     }
 }
 
-/// In-memory row-carrier aggregation. Group state is charged to the byte
+/// In-memory row aggregation. Group state is charged to the byte
 /// pool as groups appear and released when the function returns; the
 /// (usually much smaller) output rows are charged on success. A denied
 /// group reservation surfaces as [`EvalError::MemoryExceeded`] — the
@@ -372,7 +372,7 @@ fn aggregate_rows_inner(
     Ok(out)
 }
 
-/// Spilled aggregation driver, shared by both carriers: the input is
+/// Spilled aggregation driver, shared by the row and columnar fronts: the input is
 /// hash-partitioned by its group key to checksummed temp files (so a
 /// group lives in exactly one partition and no cross-partition merge is
 /// ever needed), then each partition is aggregated in memory — recursing

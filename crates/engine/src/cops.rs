@@ -105,7 +105,7 @@ pub fn key_hashes(rel: &CRel, idx: &[usize], reader: &DictReader) -> Vec<u64> {
 /// True if row `i` of `a` and row `j` of `b` agree on the paired key
 /// columns (`Value` equality semantics).
 #[inline]
-fn rows_key_eq(
+pub(crate) fn rows_key_eq(
     a: &CRel,
     i: usize,
     b: &CRel,
@@ -155,8 +155,8 @@ pub fn natural_join(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, Eva
     out_cols.extend(probe_rest.iter().map(|&j| probe.cols()[j].clone()));
 
     let out = if ops::join_build_reservation(budget, &build_shared, build.len(), probe.len())? {
-        // Grace spill path: the shared row-carrier machinery, fed rows
-        // streamed straight out of the columns (no row-carrier copy of
+        // Grace spill path: the machinery shared with `ops`, fed rows
+        // streamed straight out of the columns (no row copy of
         // either input is ever materialized).
         let reader = dict::reader();
         let build_hashes = key_hashes(build, &build_shared, &reader);
@@ -681,8 +681,13 @@ pub fn project(
     }
 }
 
-/// Projects onto the intersection of `a`'s columns and `vars`, distinct —
-/// the columnar [`crate::ops::project_onto_available`].
+/// Projects onto the intersection of `a`'s columns and `vars`, with
+/// distinct rows. This is the "project onto χ(p)" step of decomposition
+/// evaluation, where χ(p) may mention variables `a` does not carry yet.
+///
+/// When the projection keeps every column it is the identity: joins of
+/// duplicate-free inputs are duplicate-free, so the (expensive) dedup pass
+/// is skipped entirely.
 pub fn project_onto_available(
     a: &CRel,
     vars: &[String],

@@ -271,7 +271,7 @@ pub struct JoinStats {
 }
 
 impl JoinStats {
-    /// Records one hash-build join (a ChainTable build on either carrier).
+    /// Records one hash-build join (a ChainTable build by a row or columnar kernel).
     pub fn add_hash_build(&self) {
         self.hash_builds.fetch_add(1, Ordering::Relaxed);
     }

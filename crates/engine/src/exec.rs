@@ -41,10 +41,6 @@ static CONFIGURED: AtomicUsize = AtomicUsize::new(0);
 /// `--threads` is visible rather than silent.
 static REQUESTED: AtomicUsize = AtomicUsize::new(0);
 
-/// Carrier default: `0` = unset (env var / columnar), `1` = rows,
-/// `2` = columnar.
-static CARRIER: AtomicU8 = AtomicU8::new(0);
-
 /// Worker permits beyond the calling thread. `-1` = uninitialized.
 static PERMITS: AtomicIsize = AtomicIsize::new(-1);
 
@@ -126,32 +122,6 @@ pub fn permits_available() -> isize {
         -1 => num_threads() as isize - 1, // pool not yet armed
         n => n,
     }
-}
-
-/// Whether evaluators default to the columnar carrier ([`crate::crel::CRel`])
-/// rather than the row representation. Resolution order:
-/// [`set_columnar_default`] > `HTQO_COLUMNAR` env var (`0`/`false` turns
-/// it off) > columnar.
-pub fn columnar_default() -> bool {
-    match CARRIER.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => {
-            static DEFAULT: OnceLock<bool> = OnceLock::new();
-            *DEFAULT.get_or_init(|| {
-                !matches!(
-                    std::env::var("HTQO_COLUMNAR").as_deref(),
-                    Ok("0") | Ok("false") | Ok("off")
-                )
-            })
-        }
-    }
-}
-
-/// Overrides the carrier default process-wide (the `--columnar` /
-/// `--rows` knob of the figure harnesses).
-pub fn set_columnar_default(columnar: bool) {
-    CARRIER.store(if columnar { 2 } else { 1 }, Ordering::Relaxed);
 }
 
 /// Factorized-result default: `0` = unset (env var / on), `1` = off,
@@ -299,11 +269,6 @@ pub struct ExecOptions {
     /// fully sequential schedule (the seed behavior); the default is the
     /// process-wide [`num_threads`].
     pub threads: usize,
-    /// Run the pipeline on the columnar carrier ([`crate::crel::CRel`])
-    /// instead of boxed rows. The default is the process-wide
-    /// [`columnar_default`]. Both carriers produce identical answers and
-    /// budget charges; rows survive as the oracle path.
-    pub columnar: bool,
     /// Byte budget for this query's materialized state (hash tables,
     /// intermediate rows, aggregation state, dictionary growth). `None`
     /// = unlimited. When set, kernels that would exceed it spill to disk
@@ -329,7 +294,6 @@ impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
             threads: num_threads(),
-            columnar: columnar_default(),
             mem_limit: mem_limit_default(),
             factorized: factorized_default(),
             index_join: index_join_default(),

@@ -9,7 +9,7 @@
 //! * constant-delay enumeration of the answer tuples, lazily stitching
 //!   vertex rows via [`ChainTable`] chain cursors.
 //!
-//! Both run over either carrier. The representation is exact only when the
+//! The representation is exact only when the
 //! linked relations are *stitchable* (every variable a vertex shares with
 //! its parent's scope is a column of the parent) and each vertex's answer
 //! columns functionally determine its link columns; `build_cover` verifies
@@ -21,14 +21,13 @@
 //! See DESIGN.md §3.11 for the eligibility proof sketch.
 
 use crate::aggregate::{self, Accumulator, WeightedFeedError};
-use crate::carrier::Carrier;
 use crate::chain::{ChainTable, CHAIN_END};
 use crate::column::{combine_hash, finish_hash};
 use crate::cops;
 use crate::crel::CRel;
 use crate::dict::{self, DictReader};
 use crate::error::{Budget, EvalError};
-use crate::hash::{hash_key, keys_eq, FxHashMap};
+use crate::hash::FxHashMap;
 use crate::value::{row_heap_bytes, Row, Value};
 use crate::vrel::VRelation;
 use htqo_cq::{ConjunctiveQuery, OutputItem};
@@ -66,109 +65,14 @@ fn fp(site: &str) -> Result<(), EvalError> {
     Ok(())
 }
 
-/// Carrier operations the cover needs beyond [`Carrier`]: positional key
-/// hashing/equality and single-cell reads, all under a per-carrier read
-/// context so the columnar carrier can pin one dictionary view per batch
-/// of probes (holding it across unrelated work risks writer starvation).
-pub trait FactorizedCarrier: Carrier {
-    /// Per-carrier read context: `()` for rows, a [`DictReader`] for the
-    /// columnar carrier. Acquired fresh per build phase / enumerator call.
-    type Ctx;
-
-    /// Acquires a read context.
-    fn ctx() -> Self::Ctx;
-
-    /// Key hash of every row over columns `idx`. Must agree with
-    /// [`FactorizedCarrier::key_hash_row`] and, across calls, with itself
-    /// for value-equal keys (both carriers hash by value through one
-    /// process-wide string dictionary).
-    fn key_hashes(&self, idx: &[usize], ctx: &Self::Ctx) -> Vec<u64>;
-
-    /// Key hash of row `i` over columns `idx`.
-    fn key_hash_row(&self, i: usize, idx: &[usize], ctx: &Self::Ctx) -> u64;
-
-    /// True if row `i` over `idx` equals `other`'s row `j` over
-    /// `other_idx`, positionally.
-    fn keys_eq_across(
-        &self,
-        i: usize,
-        idx: &[usize],
-        other: &Self,
-        j: usize,
-        other_idx: &[usize],
-        ctx: &Self::Ctx,
-    ) -> bool;
-
-    /// The value at row `i`, column `c`.
-    fn value_at(&self, i: usize, c: usize, ctx: &Self::Ctx) -> Value;
-}
-
-impl FactorizedCarrier for VRelation {
-    type Ctx = ();
-
-    fn ctx() -> Self::Ctx {}
-
-    fn key_hashes(&self, idx: &[usize], _ctx: &Self::Ctx) -> Vec<u64> {
-        self.rows().iter().map(|r| hash_key(r, idx)).collect()
-    }
-
-    fn key_hash_row(&self, i: usize, idx: &[usize], _ctx: &Self::Ctx) -> u64 {
-        hash_key(&self.rows()[i], idx)
-    }
-
-    fn keys_eq_across(
-        &self,
-        i: usize,
-        idx: &[usize],
-        other: &Self,
-        j: usize,
-        other_idx: &[usize],
-        _ctx: &Self::Ctx,
-    ) -> bool {
-        keys_eq(&self.rows()[i], idx, &other.rows()[j], other_idx)
-    }
-
-    fn value_at(&self, i: usize, c: usize, _ctx: &Self::Ctx) -> Value {
-        self.rows()[i][c].clone()
-    }
-}
-
-impl FactorizedCarrier for CRel {
-    type Ctx = DictReader;
-
-    fn ctx() -> Self::Ctx {
-        dict::reader()
-    }
-
-    fn key_hashes(&self, idx: &[usize], ctx: &Self::Ctx) -> Vec<u64> {
-        cops::key_hashes(self, idx, ctx)
-    }
-
-    fn key_hash_row(&self, i: usize, idx: &[usize], ctx: &Self::Ctx) -> u64 {
-        // The single-row fold of the vectorized `write_hashes` pass —
-        // pinned equivalent by `cops::tests::write_hashes_matches_hash_at_fold`.
-        finish_hash(idx.iter().fold(0u64, |acc, &c| {
-            combine_hash(acc, self.column(c).hash_at(i, ctx))
-        }))
-    }
-
-    fn keys_eq_across(
-        &self,
-        i: usize,
-        idx: &[usize],
-        other: &Self,
-        j: usize,
-        other_idx: &[usize],
-        ctx: &Self::Ctx,
-    ) -> bool {
-        idx.iter()
-            .zip(other_idx)
-            .all(|(&a, &b)| self.column(a).eq_at(i, other.column(b), j, ctx))
-    }
-
-    fn value_at(&self, i: usize, c: usize, ctx: &Self::Ctx) -> Value {
-        self.column(c).value_with(i, ctx)
-    }
+/// Key hash of row `i` of `rel` over columns `idx`: the single-row fold
+/// of the vectorized [`cops::key_hashes`] pass (pinned equivalent by
+/// `cops::tests::write_hashes_matches_hash_at_fold`), so a parent row
+/// probes the chains built from a child's hashes.
+fn key_hash_row(rel: &CRel, i: usize, idx: &[usize], rd: &DictReader) -> u64 {
+    finish_hash(idx.iter().fold(0u64, |acc, &c| {
+        combine_hash(acc, rel.column(c).hash_at(i, rd))
+    }))
 }
 
 /// Input to [`build_cover`]: one relation per decomposition vertex, its
@@ -176,9 +80,9 @@ impl FactorizedCarrier for CRel {
 /// edge variables for a join forest) as variable names. Relations arrive
 /// *unreduced* — the build runs its own bottom-up semijoin pass, which the
 /// chain-match guarantee of the enumerator depends on.
-pub struct CoverInput<C> {
+pub struct CoverInput {
     /// Per-vertex relations over the vertex's available variables.
-    pub rels: Vec<C>,
+    pub rels: Vec<CRel>,
     /// Parent index per vertex; `None` marks a root. Forests are allowed —
     /// the build stitches multiple roots under a synthetic neutral root
     /// (an empty join key, i.e. a cross product).
@@ -190,8 +94,8 @@ pub struct CoverInput<C> {
 /// One vertex of a built [`Cover`]: its (reduced, projected) relation,
 /// the positional join key against its parent, a chain table over the key
 /// for parent→child probes, and the per-row answer count of its subtree.
-struct CoverVertex<C> {
-    rel: C,
+struct CoverVertex {
+    rel: CRel,
     /// Index into `Cover::verts` (BFS order, so always smaller than the
     /// vertex's own index). The root stores `0` (unused).
     parent: usize,
@@ -209,10 +113,10 @@ struct CoverVertex<C> {
 /// with per-row subtree answer counts. Produced by [`build_cover`];
 /// consumed by [`finalize_cover`] (aggregation without enumeration) or
 /// [`Cover::into_rows`] (constant-delay enumeration).
-pub struct Cover<C: FactorizedCarrier> {
+pub struct Cover {
     /// Kept vertices in BFS order (index 0 is the root; parents precede
     /// children).
-    verts: Vec<CoverVertex<C>>,
+    verts: Vec<CoverVertex>,
     /// `(vertex, column)` supplying each answer variable, in
     /// `q.out_vars()` order.
     out: Vec<(usize, usize)>,
@@ -225,7 +129,7 @@ pub struct Cover<C: FactorizedCarrier> {
     state_bytes: u64,
 }
 
-impl<C: FactorizedCarrier> Cover<C> {
+impl Cover {
     /// Exact answer cardinality, computed without enumeration.
     pub fn total(&self) -> u64 {
         self.total
@@ -254,7 +158,7 @@ impl<C: FactorizedCarrier> Cover<C> {
     /// iterator takes over the cover's byte charges (released when it is
     /// exhausted or dropped) and charges one tuple per emitted row against
     /// a forked handle of `budget`.
-    pub fn into_rows(self, budget: &mut Budget) -> CoverRows<C> {
+    pub fn into_rows(self, budget: &mut Budget) -> CoverRows {
         CoverRows {
             budget: budget.fork(),
             cursors: Vec::new(),
@@ -268,17 +172,17 @@ impl<C: FactorizedCarrier> Cover<C> {
 }
 
 /// Everything `build_cover_inner` hands back on success.
-type Built<C> = (Vec<CoverVertex<C>>, Vec<(usize, usize)>, Vec<String>, u64);
+type Built = (Vec<CoverVertex>, Vec<(usize, usize)>, Vec<String>, u64);
 
 /// Builds a [`Cover`] over the linked relations of `input`, verifying the
 /// exactness conditions (stitchability, answer-determines-link) along the
 /// way. On any error every byte charged by the attempt is released; tuple
 /// charges stay (they measure work actually performed).
-pub fn build_cover<C: FactorizedCarrier>(
-    input: CoverInput<C>,
+pub fn build_cover(
+    input: CoverInput,
     q: &ConjunctiveQuery,
     budget: &mut Budget,
-) -> Result<Cover<C>, CoverError> {
+) -> Result<Cover, CoverError> {
     fp("factorized::build").map_err(CoverError::Eval)?;
     budget.check_time().map_err(CoverError::Eval)?;
     let mem0 = budget.mem_used();
@@ -298,11 +202,11 @@ pub fn build_cover<C: FactorizedCarrier>(
 }
 
 #[allow(clippy::needless_range_loop)]
-fn build_cover_inner<C: FactorizedCarrier>(
-    input: CoverInput<C>,
+fn build_cover_inner(
+    input: CoverInput,
     q: &ConjunctiveQuery,
     budget: &mut Budget,
-) -> Result<Built<C>, CoverError> {
+) -> Result<Built, CoverError> {
     let CoverInput {
         mut rels,
         mut parents,
@@ -321,7 +225,7 @@ fn build_cover_inner<C: FactorizedCarrier>(
     let root = if roots.len() == 1 {
         roots[0]
     } else {
-        rels.push(C::neutral());
+        rels.push(CRel::neutral());
         parents.push(None);
         scopes.push(Vec::new());
         let r = rels.len() - 1;
@@ -378,15 +282,15 @@ fn build_cover_inner<C: FactorizedCarrier>(
     // Bottom-up semijoin reduction, children before parents: every
     // surviving parent row then has ≥1 match in each (already reduced)
     // child — the enumerator's chain-match guarantee.
-    let mut opt: Vec<Option<C>> = rels.into_iter().map(Some).collect();
+    let mut opt: Vec<Option<CRel>> = rels.into_iter().map(Some).collect();
     for &v in order.iter().rev() {
         let Some(p) = parents[v] else { continue };
         budget.check_time().map_err(CoverError::Eval)?;
         let parent = opt[p].take().expect("present");
         let child = opt[v].as_ref().expect("present");
-        opt[p] = Some(parent.semijoin(child, budget).map_err(degrade)?);
+        opt[p] = Some(cops::semijoin(&parent, child, budget).map_err(degrade)?);
     }
-    let rels: Vec<C> = opt.into_iter().map(|r| r.expect("present")).collect();
+    let rels: Vec<CRel> = opt.into_iter().map(|r| r.expect("present")).collect();
 
     // Answer variables (hidden rowid guards included).
     let out_names: Vec<String> = q.out_vars();
@@ -446,19 +350,19 @@ fn build_cover_inner<C: FactorizedCarrier>(
             .cloned()
             .collect();
     }
-    let mut proj: Vec<Option<C>> = rels.into_iter().map(Some).collect();
+    let mut proj: Vec<Option<CRel>> = rels.into_iter().map(Some).collect();
     for &v in &order {
         if !kept[v] {
             proj[v] = None;
             continue;
         }
         let r = proj[v].take().expect("present");
-        proj[v] = Some(r.project(&keeps[v], true, budget).map_err(degrade)?);
+        proj[v] = Some(cops::project(&r, &keeps[v], true, budget).map_err(degrade)?);
     }
 
     // Assemble kept vertices in BFS order; parents keep smaller indices.
     let mut remap = vec![usize::MAX; n];
-    let mut verts: Vec<CoverVertex<C>> = Vec::new();
+    let mut verts: Vec<CoverVertex> = Vec::new();
     for &v in &order {
         if !kept[v] {
             continue;
@@ -493,7 +397,7 @@ fn build_cover_inner<C: FactorizedCarrier>(
         verts[k].key_parent = kp;
     }
 
-    let ctx = C::ctx();
+    let rd = dict::reader();
 
     // Exactness: within every kept vertex, the answer columns must
     // functionally determine the link columns — otherwise one answer
@@ -515,14 +419,14 @@ fn build_cover_inner<C: FactorizedCarrier>(
         if !budget.try_reserve_bytes(fd_bytes) {
             return Err(degrade(aggregate::group_state_exceeded(budget, fd_bytes)));
         }
-        let hashes = rel.key_hashes(&out_idx, &ctx);
+        let hashes = cops::key_hashes(rel, &out_idx, &rd);
         let mut reps: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
         let mut violated = false;
         'rows: for (i, &h) in hashes.iter().enumerate() {
             let bucket = reps.entry(h).or_default();
             for &r in bucket.iter() {
-                if rel.keys_eq_across(i, &out_idx, rel, r as usize, &out_idx, &ctx) {
-                    if !rel.keys_eq_across(i, &link_idx, rel, r as usize, &link_idx, &ctx) {
+                if cops::rows_key_eq(rel, i, rel, r as usize, &out_idx, &out_idx, &rd) {
+                    if !cops::rows_key_eq(rel, i, rel, r as usize, &link_idx, &link_idx, &rd) {
                         violated = true;
                         break 'rows;
                     }
@@ -564,7 +468,7 @@ fn build_cover_inner<C: FactorizedCarrier>(
         if !budget.try_reserve_bytes(bytes) {
             return Err(degrade(aggregate::group_state_exceeded(budget, bytes)));
         }
-        let hashes = rel.key_hashes(&verts[k].key_self, &ctx);
+        let hashes = cops::key_hashes(rel, &verts[k].key_self, &rd);
         verts[k].table = Some(ChainTable::build(rel.len(), |i| hashes[i]));
     }
 
@@ -581,19 +485,20 @@ fn build_cover_inner<C: FactorizedCarrier>(
                 continue;
             }
             budget.check_time().map_err(CoverError::Eval)?;
-            let phashes = verts[k].rel.key_hashes(&verts[c].key_parent, &ctx);
+            let phashes = cops::key_hashes(&verts[k].rel, &verts[c].key_parent, &rd);
             let table = verts[c].table.as_ref().expect("non-root");
             for i in 0..cnt.len() {
                 let mut s: u64 = 0;
                 let mut j = table.head(phashes[i]);
                 while j != CHAIN_END {
-                    if verts[c].rel.keys_eq_across(
+                    if cops::rows_key_eq(
+                        &verts[c].rel,
                         j as usize,
-                        &verts[c].key_self,
                         &verts[k].rel,
                         i,
+                        &verts[c].key_self,
                         &verts[c].key_parent,
-                        &ctx,
+                        &rd,
                     ) {
                         s = s.checked_add(verts[c].cnt[j as usize]).ok_or_else(|| {
                             CoverError::Ineligible("answer count overflow".into())
@@ -640,8 +545,8 @@ fn build_cover_inner<C: FactorizedCarrier>(
 /// Group rows come out in root-row first-seen order, which can differ from
 /// the materialized pipeline's answer-row order — callers gate this path
 /// to queries without ORDER BY/LIMIT, where output order is unspecified.
-pub fn finalize_cover<C: FactorizedCarrier>(
-    cover: Cover<C>,
+pub fn finalize_cover(
+    cover: Cover,
     q: &ConjunctiveQuery,
     budget: &mut Budget,
 ) -> Result<VRelation, CoverError> {
@@ -657,8 +562,8 @@ pub fn finalize_cover<C: FactorizedCarrier>(
     aggregate::finalize_tail(out, q, budget).map_err(CoverError::Eval)
 }
 
-fn finalize_cover_inner<C: FactorizedCarrier>(
-    cover: &Cover<C>,
+fn finalize_cover_inner(
+    cover: &Cover,
     q: &ConjunctiveQuery,
     budget: &mut Budget,
     accrued: &mut u64,
@@ -680,14 +585,14 @@ fn finalize_cover_inner<C: FactorizedCarrier>(
     let group_bytes = aggregate::group_state_bytes(group_idx.len(), visible.len());
     let mut groups: HashMap<Row, Vec<Accumulator>> = HashMap::new();
     let mut order: Vec<Row> = Vec::new();
-    let ctx = C::ctx();
+    let rd = dict::reader();
     for i in 0..root.rel.len() {
         if i.is_multiple_of(8192) {
             budget.check_time().map_err(CoverError::Eval)?;
         }
         let weight = root.cnt[i];
         let row: Row = (0..cols.len())
-            .map(|c| root.rel.value_at(i, c, &ctx))
+            .map(|c| root.rel.column(c).value_with(i, &rd))
             .collect();
         let key: Row = group_idx.iter().map(|&gi| row[gi].clone()).collect();
         let accs = match groups.get_mut(&key) {
@@ -763,8 +668,8 @@ fn finalize_cover_inner<C: FactorizedCarrier>(
 /// Yields `Result` rows so budget exhaustion and timeouts surface
 /// mid-stream; after an error the iterator is fused. Dropping the iterator
 /// (fully consumed or not) releases the cover's byte charges.
-pub struct CoverRows<C: FactorizedCarrier> {
-    cover: Cover<C>,
+pub struct CoverRows {
+    cover: Cover,
     budget: Budget,
     /// Current row per vertex, indexed like `Cover::verts`.
     cursors: Vec<u32>,
@@ -774,7 +679,7 @@ pub struct CoverRows<C: FactorizedCarrier> {
     state_released: bool,
 }
 
-impl<C: FactorizedCarrier> CoverRows<C> {
+impl CoverRows {
     /// Answer column names, in `out(Q)` order.
     pub fn cols(&self) -> &[String] {
         &self.cover.out_names
@@ -796,21 +701,22 @@ impl<C: FactorizedCarrier> CoverRows<C> {
     /// Positions vertex `k`'s cursor on the first row matching its
     /// parent's current row. Semijoin reduction + the root being live
     /// guarantee a match exists; a missing one is an internal error.
-    fn prime(&mut self, k: usize, ctx: &C::Ctx) -> Result<(), EvalError> {
+    fn prime(&mut self, k: usize, rd: &DictReader) -> Result<(), EvalError> {
         let vx = &self.cover.verts[k];
         let parent = &self.cover.verts[vx.parent];
         let prow = self.cursors[vx.parent] as usize;
-        let h = parent.rel.key_hash_row(prow, &vx.key_parent, ctx);
+        let h = key_hash_row(&parent.rel, prow, &vx.key_parent, rd);
         let table = vx.table.as_ref().expect("non-root has a table");
         let mut j = table.head(h);
         while j != CHAIN_END {
-            if vx.rel.keys_eq_across(
+            if cops::rows_key_eq(
+                &vx.rel,
                 j as usize,
-                &vx.key_self,
                 &parent.rel,
                 prow,
+                &vx.key_self,
                 &vx.key_parent,
-                ctx,
+                rd,
             ) {
                 break;
             }
@@ -827,20 +733,21 @@ impl<C: FactorizedCarrier> CoverRows<C> {
 
     /// Advances vertex `k`'s cursor to the next row matching its parent's
     /// current row, or reports exhaustion of this chain.
-    fn advance(&mut self, k: usize, ctx: &C::Ctx) -> bool {
+    fn advance(&mut self, k: usize, rd: &DictReader) -> bool {
         let vx = &self.cover.verts[k];
         let parent = &self.cover.verts[vx.parent];
         let prow = self.cursors[vx.parent] as usize;
         let table = vx.table.as_ref().expect("non-root has a table");
         let mut j = table.next_row(self.cursors[k]);
         while j != CHAIN_END {
-            if vx.rel.keys_eq_across(
+            if cops::rows_key_eq(
+                &vx.rel,
                 j as usize,
-                &vx.key_self,
                 &parent.rel,
                 prow,
+                &vx.key_self,
                 &vx.key_parent,
-                ctx,
+                rd,
             ) {
                 self.cursors[k] = j;
                 return true;
@@ -852,7 +759,7 @@ impl<C: FactorizedCarrier> CoverRows<C> {
 
     fn step(&mut self) -> Result<Option<Row>, EvalError> {
         fp("factorized::enumerate")?;
-        let ctx = C::ctx();
+        let rd = dict::reader();
         let nv = self.cover.verts.len();
         if !self.started {
             self.started = true;
@@ -861,7 +768,7 @@ impl<C: FactorizedCarrier> CoverRows<C> {
             }
             self.cursors = vec![0; nv];
             for k in 1..nv {
-                self.prime(k, &ctx)?;
+                self.prime(k, &rd)?;
             }
         } else {
             // Advance the deepest advanceable digit; re-prime everything
@@ -877,13 +784,13 @@ impl<C: FactorizedCarrier> CoverRows<C> {
                     self.cursors[0] = next as u32;
                     break;
                 }
-                if self.advance(k, &ctx) {
+                if self.advance(k, &rd) {
                     break;
                 }
                 k -= 1;
             }
             for j in (k + 1)..nv {
-                self.prime(j, &ctx)?;
+                self.prime(j, &rd)?;
             }
         }
 
@@ -900,14 +807,15 @@ impl<C: FactorizedCarrier> CoverRows<C> {
             .map(|&(k, c)| {
                 self.cover.verts[k]
                     .rel
-                    .value_at(self.cursors[k] as usize, c, &ctx)
+                    .column(c)
+                    .value_with(self.cursors[k] as usize, &rd)
             })
             .collect();
         Ok(Some(row))
     }
 }
 
-impl<C: FactorizedCarrier> Iterator for CoverRows<C> {
+impl Iterator for CoverRows {
     type Item = Result<Row, EvalError>;
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -928,7 +836,7 @@ impl<C: FactorizedCarrier> Iterator for CoverRows<C> {
     }
 }
 
-impl<C: FactorizedCarrier> Drop for CoverRows<C> {
+impl Drop for CoverRows {
     fn drop(&mut self) {
         self.finish();
     }
@@ -937,10 +845,13 @@ impl<C: FactorizedCarrier> Drop for CoverRows<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vrel::VRelation;
     use htqo_cq::CqBuilder;
 
-    fn rel(cols: &[&str], rows: &[&[i64]]) -> VRelation {
+    fn rel(cols: &[&str], rows: &[&[i64]]) -> CRel {
+        CRel::from_vrel(&vrel(cols, rows))
+    }
+
+    fn vrel(cols: &[&str], rows: &[&[i64]]) -> VRelation {
         VRelation::from_rows(
             cols.iter().map(|c| c.to_string()).collect(),
             rows.iter()
@@ -950,7 +861,7 @@ mod tests {
     }
 
     /// R(a,b) ⋈ S(b,c): 2×2 fan-out per b value.
-    fn two_vertex_input() -> (CoverInput<VRelation>, ConjunctiveQuery) {
+    fn two_vertex_input() -> (CoverInput, ConjunctiveQuery) {
         let r = rel(&["a", "b"], &[&[1, 10], &[2, 10], &[3, 20]]);
         let s = rel(&["b", "c"], &[&[10, 7], &[10, 8], &[20, 9], &[30, 5]]);
         let q = CqBuilder::new()
@@ -983,7 +894,7 @@ mod tests {
             .collect::<Result<_, _>>()
             .expect("no budget in play");
         rows.sort();
-        let expect = rel(
+        let expect = vrel(
             &["a", "b", "c"],
             &[
                 &[1, 10, 7],
@@ -1028,7 +939,7 @@ mod tests {
         let out = finalize_cover(cover, &q, &mut budget).expect("countable");
         let mut rows = out.rows().to_vec();
         rows.sort();
-        let expect = rel(&["b", "n"], &[&[10, 4], &[20, 1]]);
+        let expect = vrel(&["b", "n"], &[&[10, 4], &[20, 1]]);
         assert_eq!(rows, expect.rows().to_vec());
     }
 

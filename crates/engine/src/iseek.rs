@@ -17,12 +17,9 @@
 //! including the seek key) are re-applied per fetched row, so the index
 //! is trusted only as a *superset* filter.
 //!
-//! Budget charges follow each carrier's own join convention: the row
-//! kernel charges one tuple plus `row_heap_bytes` per emitted row; the
-//! columnar kernel charges one tuple plus `PAIR_BYTES` per matched pair
-//! and the gathered payload at the end. Both carriers make identical
-//! tuple charges and identical plan decisions, preserving the
-//! carrier-equivalence invariants.
+//! Budget charges follow [`cops::natural_join`]'s convention: one tuple
+//! plus `PAIR_BYTES` per matched pair, and the gathered payload at the
+//! end.
 
 use crate::column::Column;
 use crate::cops;
@@ -34,8 +31,7 @@ use crate::index::{encode_key, JoinIndex};
 use crate::relation::Relation;
 use crate::scan::{AtomLayout, Source};
 use crate::schema::Database;
-use crate::value::{row_heap_bytes, Value};
-use crate::vrel::VRelation;
+use crate::value::Value;
 use htqo_cq::{Atom, AtomId, ConjunctiveQuery, Filter};
 use std::sync::Arc;
 
@@ -135,58 +131,10 @@ pub fn seek_eligible(db: &Database, q: &ConjunctiveQuery, a: AtomId, cols: &[Str
     matches!(SeekPlan::resolve(db, q, a, cols), Ok(Some(_)))
 }
 
-/// Joins atom `a` into `acc` by index seeks (row carrier). Returns
-/// `Ok(None)` when the atom is not seek-eligible.
+/// Joins atom `a` into `acc` by index seeks. Returns `Ok(None)` when the
+/// atom is not seek-eligible — the caller falls back to scan + hash join,
+/// whose output this one is bag-identical to (same column order).
 pub fn index_seek_join(
-    db: &Database,
-    q: &ConjunctiveQuery,
-    a: AtomId,
-    acc: &VRelation,
-    budget: &mut Budget,
-) -> Result<Option<VRelation>, EvalError> {
-    let Some(plan) = SeekPlan::resolve(db, q, a, acc.cols())? else {
-        return Ok(None);
-    };
-    crate::fail_point!("iseek::join");
-    budget.join_stats().add_index_seek();
-    let reader = dict::reader();
-    let width = acc.cols().len() + plan.rest.len();
-    let mut cols: Vec<String> = acc.cols().to_vec();
-    cols.extend(plan.rest.iter().map(|&p| plan.layout.out_vars[p].clone()));
-    let mut out = VRelation::empty(cols);
-    let mut key = Vec::with_capacity(9);
-    for row in acc.rows() {
-        key.clear();
-        encode_key(&row[plan.seek_acc_col], &mut key);
-        for rowid in plan.index.seek(&key)? {
-            let r = rowid as usize;
-            if !plan.base_matches(r, &reader) {
-                continue;
-            }
-            if !plan
-                .shared
-                .iter()
-                .all(|&(ai, sp)| plan.cell(sp, r, &reader) == row[ai])
-            {
-                continue;
-            }
-            budget.charge(1)?;
-            budget.charge_bytes(row_heap_bytes(width))?;
-            let mut new_row: Vec<Value> = Vec::with_capacity(width);
-            new_row.extend(row.iter().cloned());
-            for &p in &plan.rest {
-                new_row.push(plan.cell(p, r, &reader));
-            }
-            out.push(new_row.into_boxed_slice());
-        }
-    }
-    Ok(Some(out))
-}
-
-/// Joins atom `a` into `acc` by index seeks (columnar carrier). Returns
-/// `Ok(None)` when the atom is not seek-eligible. Decisions and tuple
-/// charges are identical to [`index_seek_join`].
-pub fn index_seek_join_c(
     db: &Database,
     q: &ConjunctiveQuery,
     a: AtomId,
@@ -245,11 +193,11 @@ pub fn index_seek_join_c(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::carrier::Carrier;
     use crate::index::MemIndex;
     use crate::ops;
     use crate::scan;
     use crate::schema::{ColumnType, Schema};
+    use crate::vrel::VRelation;
     use htqo_cq::{CmpOp, CqBuilder, Literal};
 
     /// A catalog with an indexed fact table and a small probe table.
@@ -290,28 +238,28 @@ mod tests {
             .build()
     }
 
-    #[test]
-    fn seek_join_matches_hash_join_on_both_carriers() {
-        let db = db();
-        let q = query();
-        let mut b = Budget::unlimited();
-        let acc = scan::scan_query_atom(&db, &q, AtomId(0), &mut b).unwrap();
-        let oracle = {
-            let scanned = scan::scan_query_atom(&db, &q, AtomId(1), &mut b).unwrap();
-            ops::natural_join(&acc, &scanned, &mut b).unwrap()
+    /// Scans atom 0 as the accumulator and joins atom 1 into it both ways:
+    /// by seek, and by scan + the row hash join (the contract's reference).
+    fn seek_and_hash(db: &Database, q: &ConjunctiveQuery, b: &mut Budget) -> (CRel, VRelation) {
+        let hash = {
+            let acc = scan::scan_query_atom(db, q, AtomId(0), b).unwrap();
+            let scanned = scan::scan_query_atom(db, q, AtomId(1), b).unwrap();
+            ops::natural_join(&acc, &scanned, b).unwrap()
         };
-        let seek = index_seek_join(&db, &q, AtomId(1), &acc, &mut b)
+        let acc = scan::scan_query_atom_c(db, q, AtomId(0), b).unwrap();
+        let seek = index_seek_join(db, q, AtomId(1), &acc, b)
             .unwrap()
             .expect("eligible");
-        assert_eq!(seek.cols(), oracle.cols(), "column contract drifted");
-        assert_eq!(seek.sorted_rows(), oracle.sorted_rows());
+        assert_eq!(seek.cols(), hash.cols(), "column contract drifted");
+        (seek, hash)
+    }
 
-        let acc_c = scan::scan_query_atom_c(&db, &q, AtomId(0), &mut b).unwrap();
-        let seek_c = index_seek_join_c(&db, &q, AtomId(1), &acc_c, &mut b)
-            .unwrap()
-            .expect("eligible");
-        assert_eq!(seek_c.to_vrel().sorted_rows(), oracle.sorted_rows());
-        assert_eq!(b.join_stats().index_seeks(), 2);
+    #[test]
+    fn seek_join_matches_hash_join() {
+        let mut b = Budget::unlimited();
+        let (seek, hash) = seek_and_hash(&db(), &query(), &mut b);
+        assert_eq!(seek.to_vrel().sorted_rows(), hash.sorted_rows());
+        assert_eq!(b.join_stats().index_seeks(), 1);
     }
 
     #[test]
@@ -319,7 +267,7 @@ mod tests {
         let db = db();
         let q = query();
         let mut b = Budget::unlimited();
-        let acc = scan::scan_query_atom(&db, &q, AtomId(0), &mut b).unwrap();
+        let acc = scan::scan_query_atom_c(&db, &q, AtomId(0), &mut b).unwrap();
         let before = b.charged();
         let seek = index_seek_join(&db, &q, AtomId(1), &acc, &mut b)
             .unwrap()
@@ -329,7 +277,6 @@ mod tests {
 
     #[test]
     fn seek_join_applies_residual_filters() {
-        let db = db();
         let q = CqBuilder::new()
             .atom("probe", "probe", &[("k", "K"), ("tag", "T")])
             .atom("fact", "fact", &[("k", "K"), ("payload", "P")])
@@ -338,39 +285,23 @@ mod tests {
             .out_var("P")
             .build();
         let mut b = Budget::unlimited();
-        let acc = scan::scan_query_atom(&db, &q, AtomId(0), &mut b).unwrap();
-        let seek = index_seek_join(&db, &q, AtomId(1), &acc, &mut b)
-            .unwrap()
-            .unwrap();
+        let (seek, hash) = seek_and_hash(&db(), &q, &mut b);
         // Only fact row 3 (k=3) has payload "p3"; probe has two k=3 rows.
         assert_eq!(seek.len(), 2);
-        let oracle = {
-            let scanned = scan::scan_query_atom(&db, &q, AtomId(1), &mut b).unwrap();
-            ops::natural_join(&acc, &scanned, &mut b).unwrap()
-        };
-        assert_eq!(seek.sorted_rows(), oracle.sorted_rows());
+        assert_eq!(seek.to_vrel().sorted_rows(), hash.sorted_rows());
     }
 
     #[test]
     fn seek_join_matches_nulls_like_hash_join() {
-        let db = db();
-        let q = query();
         let mut b = Budget::unlimited();
-        let acc = scan::scan_query_atom(&db, &q, AtomId(0), &mut b).unwrap();
-        let seek = index_seek_join(&db, &q, AtomId(1), &acc, &mut b)
-            .unwrap()
-            .unwrap();
+        let (seek, hash) = seek_and_hash(&db(), &query(), &mut b);
         // The NULL probe row matches the NULL fact row (join-key
-        // semantics), same as the hash oracle.
-        let oracle = {
-            let scanned = scan::scan_query_atom(&db, &q, AtomId(1), &mut b).unwrap();
-            ops::natural_join(&acc, &scanned, &mut b).unwrap()
-        };
-        assert!(oracle
+        // semantics), same as the hash join.
+        assert!(hash
             .sorted_rows()
             .iter()
             .any(|r| r.iter().any(|v| v.is_null())));
-        assert_eq!(seek.sorted_rows(), oracle.sorted_rows());
+        assert_eq!(seek.to_vrel().sorted_rows(), hash.sorted_rows());
     }
 
     #[test]
@@ -382,30 +313,12 @@ mod tests {
             .out_var("K")
             .build();
         let mut b = Budget::unlimited();
-        let acc = scan::scan_query_atom(&db, &q, AtomId(0), &mut b).unwrap();
+        let acc = scan::scan_query_atom_c(&db, &q, AtomId(0), &mut b).unwrap();
         // probe carries no index.
         assert!(index_seek_join(&db, &q, AtomId(1), &acc, &mut b)
             .unwrap()
             .is_none());
         assert!(!seek_eligible(&db, &q, AtomId(1), acc.cols()));
         assert!(seek_eligible(&db, &query(), AtomId(1), &["K".to_string()]));
-    }
-
-    #[test]
-    fn carrier_trait_dispatches_seek_join() {
-        let db = db();
-        let q = query();
-        let mut b1 = Budget::unlimited();
-        let mut b2 = Budget::unlimited();
-        let acc = VRelation::scan_query_atom(&db, &q, AtomId(0), &mut b1).unwrap();
-        let acc_c = CRel::scan_query_atom(&db, &q, AtomId(0), &mut b2).unwrap();
-        let r1 = Carrier::index_seek_join(&db, &q, AtomId(1), &acc, &mut b1)
-            .unwrap()
-            .unwrap();
-        let r2 = Carrier::index_seek_join(&db, &q, AtomId(1), &acc_c, &mut b2)
-            .unwrap()
-            .unwrap();
-        assert_eq!(r1.sorted_rows(), r2.to_vrel().sorted_rows());
-        assert_eq!(b1.charged(), b2.charged(), "carrier charge parity");
     }
 }

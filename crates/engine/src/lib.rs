@@ -9,10 +9,15 @@
 //!
 //! - [`value::Value`] / [`relation::Relation`] / [`schema::Database`]:
 //!   typed storage with a deterministic catalog;
-//! - [`vrel::VRelation`]: intermediate relations named by query variables;
-//! - [`ops`]: hash join, semijoin, projection, selection, sorting — all
-//!   charging a [`error::Budget`] so baseline blow-ups become reproducible
-//!   `DNF` data points instead of runaway processes;
+//! - [`crel::CRel`] / [`cops`]: columnar intermediate relations named by
+//!   query variables and their kernels — what every decomposition
+//!   evaluator runs on;
+//! - [`vrel::VRelation`] / [`ops`]: the row representation — the result
+//!   type handed to clients, the engine of the join-order baselines, and
+//!   the reference the columnar kernels are tested against. Hash join,
+//!   semijoin, projection, selection, sorting — all charging a
+//!   [`error::Budget`] so baseline blow-ups become reproducible `DNF`
+//!   data points instead of runaway processes;
 //! - [`scan`]: atom scans with selection push-down and the hidden
 //!   `__rowid` multiplicity guard;
 //! - [`aggregate`]: GROUP BY / aggregate finalization (step (4) of the
@@ -27,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod aggregate;
-pub mod carrier;
 mod chain;
 pub mod column;
 pub mod cops;
@@ -52,14 +56,11 @@ pub mod value;
 pub mod vrel;
 
 pub use aggregate::{finalize, finalize_c};
-pub use carrier::Carrier;
 pub use crel::CRel;
 pub use csv::{read_csv, read_csv_budgeted, write_csv, CsvError};
 pub use error::{Budget, CancelToken, EvalError, JoinStats, SpillMode, SpillStats};
 pub use exec::ExecOptions;
-pub use factorized::{
-    build_cover, finalize_cover, Cover, CoverError, CoverInput, CoverRows, FactorizedCarrier,
-};
+pub use factorized::{build_cover, finalize_cover, Cover, CoverError, CoverInput, CoverRows};
 pub use index::{JoinIndex, MemIndex};
 pub use relation::{Relation, RelationError, RowLoader};
 pub use schema::{Column, ColumnType, Database, Schema};

@@ -7,9 +7,8 @@
 //!
 //! Joins key their hash tables by a 64-bit in-place hash of the shared
 //! columns ([`crate::hash::hash_key`]) and verify candidate matches
-//! against the actual values — no per-row boxed-key allocation (the seed
-//! kernel, kept as [`natural_join_seed`], allocated one `Box<[Value]>`
-//! per build *and* probe row). Above [`PARALLEL_ROW_THRESHOLD`] total
+//! against the actual values — no per-row boxed-key allocation
+//! (`tests/alloc_regression.rs` bounds allocations per input row). Above [`PARALLEL_ROW_THRESHOLD`] total
 //! rows the kernel hash-partitions both sides and runs build+probe per
 //! partition on the [`crate::exec`] worker pool; below it a sequential
 //! pass avoids any threading overhead, so the paper's small queries are
@@ -28,7 +27,6 @@ use crate::spill::{
 };
 use crate::value::{row_heap_bytes, Row, Value};
 use crate::vrel::VRelation;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Combined row count (both join sides) above which the hash join
@@ -36,13 +34,6 @@ use std::sync::Arc;
 /// sequential kernel wins: partitioning two relations that fit in cache
 /// costs more than it saves.
 pub const PARALLEL_ROW_THRESHOLD: usize = 8192;
-
-/// Key of a seed-kernel hash bucket: the values of the shared columns.
-type Key = Box<[Value]>;
-
-fn key_of(row: &Row, idx: &[usize]) -> Key {
-    idx.iter().map(|&i| row[i].clone()).collect()
-}
 
 /// Column positions of the shared variables in `a` and `b`, plus the
 /// positions in `b` of its non-shared columns.
@@ -332,8 +323,8 @@ fn merge_partition_results(
 /// pair is joined in memory — recursing with a re-salted partition
 /// function when a partition's build side still does not fit. Rows reach
 /// this function through closures so the columnar kernel can stream rows
-/// straight out of its columns without materializing a row-carrier copy
-/// of the whole relation.
+/// straight out of its columns without materializing a row copy of the
+/// whole relation.
 ///
 /// Output order: partitions in index order, probe order preserved within
 /// a partition — deterministic, but different from the in-memory kernels
@@ -561,62 +552,6 @@ fn reorder(r: &VRelation, desired: &[String]) -> VRelation {
     VRelation::from_rows(desired.to_vec(), rows)
 }
 
-/// The seed (pre-overhaul) hash-join kernel: single-threaded, one boxed
-/// key allocated per build *and* probe row. Kept as the baseline for the
-/// kernel microbenchmarks and the allocation-regression test; planners
-/// and evaluators never call it.
-pub fn natural_join_seed(
-    a: &VRelation,
-    b: &VRelation,
-    budget: &mut Budget,
-) -> Result<VRelation, EvalError> {
-    let (build, probe, swapped) = if a.len() <= b.len() {
-        (a, b, false)
-    } else {
-        (b, a, true)
-    };
-    let (build_shared, probe_shared, probe_rest) = join_layout(build, probe);
-
-    let mut out_cols: Vec<String> = build.cols().to_vec();
-    out_cols.extend(probe_rest.iter().map(|&j| probe.cols()[j].clone()));
-    let mut out = VRelation::empty(out_cols);
-
-    let mut table: HashMap<Key, Vec<usize>> = HashMap::with_capacity(build.len());
-    for (i, row) in build.rows().iter().enumerate() {
-        table.entry(key_of(row, &build_shared)).or_default().push(i);
-    }
-    // Probe side: the map is keyed by `Box<[Value]>`, which borrows as
-    // `&[Value]`, so one reused scratch buffer serves every lookup — the
-    // seed's per-probe-row boxed key is gone (the build side above keeps
-    // its historical one-box-per-row behaviour as the baseline).
-    let mut scratch: Vec<Value> = Vec::with_capacity(probe_shared.len());
-    for prow in probe.rows() {
-        scratch.clear();
-        scratch.extend(probe_shared.iter().map(|&i| prow[i].clone()));
-        let Some(matches) = table.get(scratch.as_slice()) else {
-            continue;
-        };
-        budget.charge(matches.len() as u64)?;
-        out.reserve(matches.len());
-        for &bi in matches {
-            let brow = &build.rows()[bi];
-            let mut row: Vec<Value> = Vec::with_capacity(out.cols().len());
-            row.extend(brow.iter().cloned());
-            row.extend(probe_rest.iter().map(|&j| prow[j].clone()));
-            out.push(row.into_boxed_slice());
-        }
-    }
-    if swapped {
-        let desired: Vec<String> = {
-            let mut cols: Vec<String> = a.cols().to_vec();
-            cols.extend(b.cols().iter().filter(|c| !a.cols().contains(c)).cloned());
-            cols
-        };
-        return Ok(reorder(&out, &desired));
-    }
-    Ok(out)
-}
-
 /// Reference nested-loop natural join: quadratic, allocation-happy, and
 /// obviously correct. Used as the oracle in property tests against the
 /// hash join; never called by the planners.
@@ -773,29 +708,6 @@ pub fn project(
     Ok(out)
 }
 
-/// Projects onto the intersection of `a`'s columns and `vars`, with
-/// distinct rows. This is the "project onto χ(p)" step of decomposition
-/// evaluation, where χ(p) may mention variables `a` does not carry yet.
-///
-/// When the projection keeps every column it is the identity: joins of
-/// duplicate-free inputs are duplicate-free, so the (expensive) dedup pass
-/// is skipped entirely.
-pub fn project_onto_available(
-    a: &VRelation,
-    vars: &[String],
-    budget: &mut Budget,
-) -> Result<VRelation, EvalError> {
-    let avail: Vec<String> = vars
-        .iter()
-        .filter(|v| a.col_index(v).is_some())
-        .cloned()
-        .collect();
-    if avail.len() == a.cols().len() {
-        return Ok(a.clone());
-    }
-    project(a, &avail, true, budget)
-}
-
 /// Keeps rows satisfying `pred`.
 pub fn select_rows(
     a: &VRelation,
@@ -934,15 +846,6 @@ mod tests {
             project(&a, &["zz".to_string()], true, &mut budget),
             Err(EvalError::UnknownVariable(_))
         ));
-    }
-
-    #[test]
-    fn project_onto_available_ignores_missing() {
-        let a = rel(&["x", "y"], &[&[1, 10]]);
-        let mut budget = Budget::unlimited();
-        let p =
-            project_onto_available(&a, &["x".to_string(), "w".to_string()], &mut budget).unwrap();
-        assert_eq!(p.cols(), &["x".to_string()]);
     }
 
     #[test]

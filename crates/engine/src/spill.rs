@@ -6,7 +6,8 @@
 //! an operator partitions its input to checksummed temp files under a
 //! per-operator [`SpillDir`] and re-processes partition by partition,
 //! recursing with a level-salted partition function when a partition is
-//! still too big (skew). The row frame format is shared by both carriers:
+//! still too big (skew). The row frame format is shared by the row and
+//! columnar kernels:
 //!
 //! ```text
 //! frame   := len:u32 LE | checksum:u64 LE | payload

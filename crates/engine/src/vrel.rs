@@ -64,6 +64,11 @@ impl VRelation {
         &self.rows
     }
 
+    /// Consumes the relation and hands its rows over without copying them.
+    pub fn into_rows(self) -> Vec<Row> {
+        self.rows
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.rows.len()

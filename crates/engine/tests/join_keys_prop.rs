@@ -7,7 +7,7 @@
 //! choice must be invisible: the same relations carried in `Mixed`
 //! columns always take the hashed path, so at one thread they are the
 //! sequential generic kernel and the typed run must reproduce their row
-//! *sequence*; the row carrier (`ops`) is the independent oracle for the
+//! *sequence*; the row kernels (`ops`) are the independent oracle for the
 //! bag and for `Budget::charged()`.
 
 use htqo_engine::column::Column;

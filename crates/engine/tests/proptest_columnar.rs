@@ -1,11 +1,11 @@
 //! Property tests for the columnar storage layer: row↔columnar
 //! round-trips (NULLs, NaN floats, duplicate strings, mixed-type
-//! columns) and the columnar join kernel against the seed row kernel as
-//! the oracle.
+//! columns) and the columnar kernels against the row kernels as the
+//! oracle (the join against the nested-loop reference).
 
 use htqo_engine::crel::CRel;
 use htqo_engine::error::Budget;
-use htqo_engine::ops::{natural_join_seed, semijoin};
+use htqo_engine::ops::{nested_loop_join, semijoin};
 use htqo_engine::relation::Relation;
 use htqo_engine::schema::{ColumnType, Schema};
 use htqo_engine::value::Value;
@@ -109,21 +109,21 @@ proptest! {
         }
     }
 
-    /// Columnar natural join ≡ the seed row join (the original boxed-key
-    /// kernel, kept as the oracle): same bag of rows, same budget charges.
+    /// Columnar natural join ≡ the nested-loop reference join: same
+    /// columns, same bag of rows, same budget charges.
     #[test]
-    fn columnar_join_matches_seed_kernel(
+    fn columnar_join_matches_nested_loop_reference(
         a in arb_mixed_vrel(&["x", "y", "z"]),
         b in arb_mixed_vrel(&["y", "z", "w"]),
     ) {
         let mut b1 = Budget::unlimited();
         let mut b2 = Budget::unlimited();
-        let seed = natural_join_seed(&a, &b, &mut b1).unwrap();
+        let reference = nested_loop_join(&a, &b, &mut b1).unwrap();
         let col = cops::natural_join(&CRel::from_vrel(&a), &CRel::from_vrel(&b), &mut b2)
             .unwrap()
             .to_vrel();
-        prop_assert_eq!(seed.cols(), col.cols());
-        prop_assert_eq!(seed.sorted_rows(), col.sorted_rows());
+        prop_assert_eq!(reference.cols(), col.cols());
+        prop_assert_eq!(reference.sorted_rows(), col.sorted_rows());
         prop_assert_eq!(b1.charged(), b2.charged());
     }
 

@@ -24,11 +24,10 @@ use std::collections::HashSet;
 
 use htqo_core::QhdPlan;
 use htqo_cq::{AggFunc, ConjunctiveQuery, OutputItem};
-use htqo_engine::crel::CRel;
 use htqo_engine::error::{Budget, EvalError};
 use htqo_engine::exec::ExecOptions;
 use htqo_engine::factorized::{
-    build_cover, finalize_cover, Cover, CoverError, CoverInput, CoverRows, FactorizedCarrier,
+    build_cover, finalize_cover, Cover, CoverError, CoverInput, CoverRows,
 };
 use htqo_engine::schema::Database;
 use htqo_engine::value::Row;
@@ -159,15 +158,15 @@ pub fn qhd_factorized_check(q: &ConjunctiveQuery, plan: &QhdPlan) -> Result<(), 
 
 /// Builds a cover from the plan's `P′` vertex relations (children linked
 /// to parents, scopes = χ).
-fn qhd_cover<C: FactorizedCarrier>(
+fn qhd_cover(
     db: &Database,
     q: &ConjunctiveQuery,
     plan: &QhdPlan,
     budget: &mut Budget,
     opts: &ExecOptions,
-) -> Result<Cover<C>, CoverError> {
+) -> Result<Cover, CoverError> {
     let (chi_names, rels) =
-        crate::qeval::vertex_relations::<C>(db, q, plan, budget, opts).map_err(CoverError::Eval)?;
+        crate::qeval::vertex_relations(db, q, plan, budget, opts).map_err(CoverError::Eval)?;
     let tree = &plan.tree;
     let mut parents: Vec<Option<usize>> = vec![None; tree.len()];
     for p in tree.preorder() {
@@ -186,14 +185,14 @@ fn qhd_cover<C: FactorizedCarrier>(
     )
 }
 
-fn qhd_factorized_aggregate<C: FactorizedCarrier>(
+fn qhd_factorized_aggregate(
     db: &Database,
     q: &ConjunctiveQuery,
     plan: &QhdPlan,
     budget: &mut Budget,
     opts: &ExecOptions,
 ) -> Result<(VRelation, u64), CoverError> {
-    let cover = qhd_cover::<C>(db, q, plan, budget, opts)?;
+    let cover = qhd_cover(db, q, plan, budget, opts)?;
     let rows = cover.total();
     let out = finalize_cover(cover, q, budget)?;
     // Same final merge point as the materialized pipeline: forked charges
@@ -219,34 +218,21 @@ pub fn evaluate_qhd_query_traced(
     *trace = FactorizedTrace::default();
     if opts.factorized && q.has_aggregates() {
         match qhd_factorized_check(q, plan) {
-            Ok(()) => {
-                let attempt = if opts.columnar {
-                    qhd_factorized_aggregate::<CRel>(db, q, plan, budget, opts)
-                } else {
-                    qhd_factorized_aggregate::<VRelation>(db, q, plan, budget, opts)
-                };
-                match attempt {
-                    Ok((out, rows)) => {
-                        trace.factorized = true;
-                        trace.answer_rows = Some(rows);
-                        return Ok(out);
-                    }
-                    Err(CoverError::Ineligible(reason)) => trace.fallback = Some(reason),
-                    Err(CoverError::Eval(e)) => return Err(e),
+            Ok(()) => match qhd_factorized_aggregate(db, q, plan, budget, opts) {
+                Ok((out, rows)) => {
+                    trace.factorized = true;
+                    trace.answer_rows = Some(rows);
+                    return Ok(out);
                 }
-            }
+                Err(CoverError::Ineligible(reason)) => trace.fallback = Some(reason),
+                Err(CoverError::Eval(e)) => return Err(e),
+            },
             Err(reason) => trace.fallback = Some(reason),
         }
     }
-    if opts.columnar {
-        let answer = crate::qeval::evaluate_qhd_generic::<CRel>(db, q, plan, budget, opts)?;
-        trace.answer_rows = Some(htqo_engine::carrier::Carrier::len(&answer) as u64);
-        htqo_engine::aggregate::finalize_c(&answer, q, budget)
-    } else {
-        let answer = crate::qeval::evaluate_qhd_generic::<VRelation>(db, q, plan, budget, opts)?;
-        trace.answer_rows = Some(answer.len() as u64);
-        htqo_engine::aggregate::finalize(&answer, q, budget)
-    }
+    let answer = crate::qeval::evaluate_qhd_c(db, q, plan, budget, opts)?;
+    trace.answer_rows = Some(answer.len() as u64);
+    htqo_engine::aggregate::finalize_c(&answer, q, budget)
 }
 
 /// A lazily produced answer stream over `out(Q)`: constant-delay
@@ -254,10 +240,8 @@ pub fn evaluate_qhd_query_traced(
 /// materialized answer otherwise. Rows carry `Result` so budget
 /// exhaustion and timeouts can surface mid-stream.
 pub enum AnswerRows {
-    /// Constant-delay enumeration over a row-carrier cover.
-    Rows(CoverRows<VRelation>),
-    /// Constant-delay enumeration over a columnar cover.
-    Cols(CoverRows<CRel>),
+    /// Constant-delay enumeration over a cover.
+    Factorized(Box<CoverRows>),
     /// Fallback: the fully materialized answer.
     Materialized {
         /// Answer column names, in `out(Q)` order.
@@ -271,8 +255,7 @@ impl AnswerRows {
     /// Answer column names, in `out(Q)` order.
     pub fn cols(&self) -> &[String] {
         match self {
-            AnswerRows::Rows(r) => r.cols(),
-            AnswerRows::Cols(c) => c.cols(),
+            AnswerRows::Factorized(c) => c.cols(),
             AnswerRows::Materialized { cols, .. } => cols,
         }
     }
@@ -280,7 +263,7 @@ impl AnswerRows {
     /// True if rows are enumerated from a cover rather than a
     /// materialized answer.
     pub fn is_factorized(&self) -> bool {
-        !matches!(self, AnswerRows::Materialized { .. })
+        matches!(self, AnswerRows::Factorized(_))
     }
 }
 
@@ -289,8 +272,7 @@ impl Iterator for AnswerRows {
 
     fn next(&mut self) -> Option<Self::Item> {
         match self {
-            AnswerRows::Rows(r) => r.next(),
-            AnswerRows::Cols(c) => c.next(),
+            AnswerRows::Factorized(c) => c.next(),
             AnswerRows::Materialized { rows, .. } => rows.next().map(Ok),
         }
     }
@@ -310,15 +292,8 @@ pub fn qhd_answer_rows(
 ) -> Result<AnswerRows, EvalError> {
     budget.apply_mem_limit(opts.mem_limit);
     if opts.factorized && qhd_stitchable(plan).is_ok() {
-        let attempt: Result<AnswerRows, CoverError> = if opts.columnar {
-            qhd_cover::<CRel>(db, q, plan, budget, opts)
-                .map(|c| AnswerRows::Cols(c.into_rows(budget)))
-        } else {
-            qhd_cover::<VRelation>(db, q, plan, budget, opts)
-                .map(|c| AnswerRows::Rows(c.into_rows(budget)))
-        };
-        match attempt {
-            Ok(rows) => return Ok(rows),
+        match qhd_cover(db, q, plan, budget, opts) {
+            Ok(cover) => return Ok(AnswerRows::Factorized(Box::new(cover.into_rows(budget)))),
             Err(CoverError::Ineligible(_)) => {}
             Err(CoverError::Eval(e)) => return Err(e),
         }
@@ -326,7 +301,7 @@ pub fn qhd_answer_rows(
     let ans = crate::qeval::evaluate_qhd_with(db, q, plan, budget, opts)?;
     Ok(AnswerRows::Materialized {
         cols: ans.cols().to_vec(),
-        rows: ans.rows().to_vec().into_iter(),
+        rows: ans.into_rows().into_iter(),
     })
 }
 
@@ -367,18 +342,18 @@ fn yann_factorized_check(q: &ConjunctiveQuery) -> Result<(), String> {
 /// Builds a cover from the query's atom scans linked along the GYO join
 /// forest (scopes = edge variables; multiple trees stitch under the
 /// engine's synthetic neutral root).
-fn yann_cover<C: FactorizedCarrier>(
+fn yann_cover(
     db: &Database,
     q: &ConjunctiveQuery,
     budget: &mut Budget,
     opts: &ExecOptions,
-) -> Result<Cover<C>, CoverError> {
+) -> Result<Cover, CoverError> {
     let ch = q.hypergraph();
     let Some(reduction) = gyo(&ch.hypergraph) else {
         return Err(CoverError::Ineligible("cyclic query".into()));
     };
     let forest = reduction.forest;
-    let rels = crate::yannakakis::scan_atoms::<C>(db, q, budget, opts).map_err(CoverError::Eval)?;
+    let rels = crate::yannakakis::scan_atoms(db, q, budget, opts).map_err(CoverError::Eval)?;
     let n = rels.len();
     let parents: Vec<Option<usize>> = (0..n)
         .map(|i| forest.parent(EdgeId(i as u32)).map(|p| p.index()))
@@ -403,13 +378,13 @@ fn yann_cover<C: FactorizedCarrier>(
     )
 }
 
-fn yann_factorized_aggregate<C: FactorizedCarrier>(
+fn yann_factorized_aggregate(
     db: &Database,
     q: &ConjunctiveQuery,
     budget: &mut Budget,
     opts: &ExecOptions,
 ) -> Result<(VRelation, u64), CoverError> {
-    let cover = yann_cover::<C>(db, q, budget, opts)?;
+    let cover = yann_cover(db, q, budget, opts)?;
     let rows = cover.total();
     let out = finalize_cover(cover, q, budget)?;
     budget.check_exceeded().map_err(CoverError::Eval)?;
@@ -452,22 +427,15 @@ pub fn evaluate_yannakakis_query_traced(
     budget.apply_mem_limit(opts.mem_limit);
     if opts.factorized && q.has_aggregates() {
         match yann_factorized_check(q) {
-            Ok(()) => {
-                let attempt = if opts.columnar {
-                    yann_factorized_aggregate::<CRel>(db, q, budget, opts)
-                } else {
-                    yann_factorized_aggregate::<VRelation>(db, q, budget, opts)
-                };
-                match attempt {
-                    Ok((out, rows)) => {
-                        trace.factorized = true;
-                        trace.answer_rows = Some(rows);
-                        return Ok(out);
-                    }
-                    Err(CoverError::Ineligible(reason)) => trace.fallback = Some(reason),
-                    Err(CoverError::Eval(e)) => return Err(e),
+            Ok(()) => match yann_factorized_aggregate(db, q, budget, opts) {
+                Ok((out, rows)) => {
+                    trace.factorized = true;
+                    trace.answer_rows = Some(rows);
+                    return Ok(out);
                 }
-            }
+                Err(CoverError::Ineligible(reason)) => trace.fallback = Some(reason),
+                Err(CoverError::Eval(e)) => return Err(e),
+            },
             Err(reason) => trace.fallback = Some(reason),
         }
     }
@@ -487,14 +455,8 @@ pub fn yannakakis_answer_rows(
 ) -> Result<AnswerRows, EvalError> {
     budget.apply_mem_limit(opts.mem_limit);
     if opts.factorized {
-        let attempt: Result<AnswerRows, CoverError> = if opts.columnar {
-            yann_cover::<CRel>(db, q, budget, opts).map(|c| AnswerRows::Cols(c.into_rows(budget)))
-        } else {
-            yann_cover::<VRelation>(db, q, budget, opts)
-                .map(|c| AnswerRows::Rows(c.into_rows(budget)))
-        };
-        match attempt {
-            Ok(rows) => return Ok(rows),
+        match yann_cover(db, q, budget, opts) {
+            Ok(cover) => return Ok(AnswerRows::Factorized(Box::new(cover.into_rows(budget)))),
             Err(CoverError::Ineligible(_)) => {}
             Err(CoverError::Eval(e)) => return Err(e),
         }
@@ -502,7 +464,7 @@ pub fn yannakakis_answer_rows(
     let ans = crate::yannakakis::evaluate_yannakakis_with(db, q, budget, opts)?;
     Ok(AnswerRows::Materialized {
         cols: ans.cols().to_vec(),
-        rows: ans.rows().to_vec().into_iter(),
+        rows: ans.into_rows().into_iter(),
     })
 }
 
@@ -562,52 +524,44 @@ mod tests {
         let db = star_db(40, 6);
         let q = star_count_query();
         let plan = q_hypertree_decomp(&q, &QhdOptions::default(), &StructuralCost).unwrap();
-        for columnar in [false, true] {
-            let mut trace = FactorizedTrace::default();
-            let mut b1 = Budget::unlimited();
-            let fact = evaluate_qhd_query_traced(
-                &db,
-                &q,
-                &plan,
-                &mut b1,
-                &ExecOptions {
-                    columnar,
-                    factorized: true,
-                    ..ExecOptions::default()
-                },
-                &mut trace,
-            )
-            .unwrap();
-            assert!(
-                trace.factorized,
-                "columnar={columnar} fell back: {:?}",
-                trace.fallback
-            );
-            let mut b2 = Budget::unlimited();
-            let mat = crate::qeval::evaluate_qhd_query_with(
-                &db,
-                &q,
-                &plan,
-                &mut b2,
-                &ExecOptions {
-                    columnar,
-                    factorized: false,
-                    ..ExecOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(sorted_rows(&fact), sorted_rows(&mat), "columnar={columnar}");
-            assert_eq!(fact.cols(), mat.cols());
-            // The factorized path retains only the P′ relations and the
-            // small aggregate output; the materialized pipeline holds the
-            // full join on top of the same P′ phase.
-            assert!(
-                b1.mem_used() <= b2.mem_used(),
-                "columnar={columnar}: {} > {}",
-                b1.mem_used(),
-                b2.mem_used()
-            );
-        }
+        let mut trace = FactorizedTrace::default();
+        let mut b1 = Budget::unlimited();
+        let fact = evaluate_qhd_query_traced(
+            &db,
+            &q,
+            &plan,
+            &mut b1,
+            &ExecOptions {
+                factorized: true,
+                ..ExecOptions::default()
+            },
+            &mut trace,
+        )
+        .unwrap();
+        assert!(trace.factorized, "fell back: {:?}", trace.fallback);
+        let mut b2 = Budget::unlimited();
+        let mat = crate::qeval::evaluate_qhd_query_with(
+            &db,
+            &q,
+            &plan,
+            &mut b2,
+            &ExecOptions {
+                factorized: false,
+                ..ExecOptions::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(sorted_rows(&fact), sorted_rows(&mat));
+        assert_eq!(fact.cols(), mat.cols());
+        // The factorized path retains only the P′ relations and the
+        // small aggregate output; the materialized pipeline holds the
+        // full join on top of the same P′ phase.
+        assert!(
+            b1.mem_used() <= b2.mem_used(),
+            "{} > {}",
+            b1.mem_used(),
+            b2.mem_used()
+        );
     }
 
     #[test]
@@ -615,57 +569,51 @@ mod tests {
         let db = star_db(40, 6);
         let q = star_count_query();
         let plan = q_hypertree_decomp(&q, &QhdOptions::default(), &StructuralCost).unwrap();
-        for columnar in [false, true] {
-            let mut b1 = Budget::unlimited();
-            let it = qhd_answer_rows(
-                &db,
-                &q,
-                &plan,
-                &mut b1,
-                &ExecOptions {
-                    columnar,
-                    factorized: true,
-                    ..ExecOptions::default()
-                },
-            )
-            .unwrap();
-            assert!(it.is_factorized(), "columnar={columnar}");
-            let cols = it.cols().to_vec();
-            let mut rows: Vec<Row> = it.collect::<Result<_, _>>().unwrap();
-            rows.sort();
-            let mut b2 = Budget::unlimited();
-            let ans = crate::qeval::evaluate_qhd(&db, &q, &plan, &mut b2).unwrap();
-            assert_eq!(cols, ans.cols());
-            assert_eq!(rows, sorted_rows(&ans), "columnar={columnar}");
-        }
+        let mut b1 = Budget::unlimited();
+        let it = qhd_answer_rows(
+            &db,
+            &q,
+            &plan,
+            &mut b1,
+            &ExecOptions {
+                factorized: true,
+                ..ExecOptions::default()
+            },
+        )
+        .unwrap();
+        assert!(it.is_factorized());
+        let cols = it.cols().to_vec();
+        let mut rows: Vec<Row> = it.collect::<Result<_, _>>().unwrap();
+        rows.sort();
+        let mut b2 = Budget::unlimited();
+        let ans = crate::qeval::evaluate_qhd(&db, &q, &plan, &mut b2).unwrap();
+        assert_eq!(cols, ans.cols());
+        assert_eq!(rows, sorted_rows(&ans));
     }
 
     #[test]
     fn yannakakis_factorized_count_matches_materialized() {
         let db = star_db(35, 5);
         let q = star_count_query();
-        for columnar in [false, true] {
-            let mut trace = FactorizedTrace::default();
-            let mut b1 = Budget::unlimited();
-            let fact = evaluate_yannakakis_query_traced(
-                &db,
-                &q,
-                &mut b1,
-                &ExecOptions {
-                    columnar,
-                    factorized: true,
-                    ..ExecOptions::default()
-                },
-                &mut trace,
-            )
-            .unwrap();
-            let mut b2 = Budget::unlimited();
-            let ans = crate::yannakakis::evaluate_yannakakis(&db, &q, &mut b2).unwrap();
-            let mat = htqo_engine::aggregate::finalize(&ans, &q, &mut b2).unwrap();
-            assert_eq!(sorted_rows(&fact), sorted_rows(&mat), "columnar={columnar}");
-            if trace.factorized {
-                assert_eq!(trace.answer_rows, Some(ans.len() as u64));
-            }
+        let mut trace = FactorizedTrace::default();
+        let mut b1 = Budget::unlimited();
+        let fact = evaluate_yannakakis_query_traced(
+            &db,
+            &q,
+            &mut b1,
+            &ExecOptions {
+                factorized: true,
+                ..ExecOptions::default()
+            },
+            &mut trace,
+        )
+        .unwrap();
+        let mut b2 = Budget::unlimited();
+        let ans = crate::yannakakis::evaluate_yannakakis(&db, &q, &mut b2).unwrap();
+        let mat = htqo_engine::aggregate::finalize(&ans, &q, &mut b2).unwrap();
+        assert_eq!(sorted_rows(&fact), sorted_rows(&mat));
+        if trace.factorized {
+            assert_eq!(trace.answer_rows, Some(ans.len() as u64));
         }
     }
 

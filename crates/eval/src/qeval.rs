@@ -15,14 +15,10 @@
 //! Because the root covers all output variables (Condition 2), no top-down
 //! or second bottom-up pass is needed.
 //!
-//! # Carriers
-//!
-//! The pipeline is written once, generic over [`Carrier`], and runs on
-//! either the columnar [`CRel`] (the default — flat typed columns,
-//! dictionary-encoded strings, gather-based output) or the row
-//! [`VRelation`] (the seed representation, kept as the oracle path).
-//! [`ExecOptions::columnar`] picks the carrier; answers and budget
-//! charges are identical either way.
+//! Intermediate relations are columnar [`CRel`]s (flat typed columns,
+//! dictionary-encoded strings, gather-based output) from the scans to the
+//! root; the answer is converted to the client-facing [`VRelation`] once,
+//! at the boundary.
 //!
 //! # Parallel schedule
 //!
@@ -42,19 +38,19 @@ use std::sync::Mutex;
 use htqo_core::hypertree::NodeId;
 use htqo_core::QhdPlan;
 use htqo_cq::{AtomId, ConjunctiveQuery};
-use htqo_engine::carrier::Carrier;
 use htqo_engine::crel::CRel;
 use htqo_engine::error::{Budget, EvalError};
-use htqo_engine::exec;
+use htqo_engine::iseek;
+use htqo_engine::scan::scan_query_atom_c;
 use htqo_engine::schema::Database;
 use htqo_engine::vrel::VRelation;
+use htqo_engine::{cops, exec};
 
 pub use htqo_engine::exec::ExecOptions;
 
 /// Evaluates `q` on `db` along the decomposition in `plan`, returning the
 /// answer relation over `out(Q)` (set semantics). Uses the process-wide
-/// thread count and carrier default; see [`evaluate_qhd_with`] to pin the
-/// schedule.
+/// thread count; see [`evaluate_qhd_with`] to pin the schedule.
 pub fn evaluate_qhd(
     db: &Database,
     q: &ConjunctiveQuery,
@@ -73,24 +69,20 @@ pub fn evaluate_qhd_with(
     opts: &ExecOptions,
 ) -> Result<VRelation, EvalError> {
     budget.apply_mem_limit(opts.mem_limit);
-    if opts.columnar {
-        evaluate_qhd_generic::<CRel>(db, q, plan, budget, opts).map(Carrier::into_vrel)
-    } else {
-        evaluate_qhd_generic::<VRelation>(db, q, plan, budget, opts)
-    }
+    Ok(evaluate_qhd_c(db, q, plan, budget, opts)?.to_vrel())
 }
 
 /// The `P′` phase as a reusable front: χ(p) per vertex (as names) and the
 /// per-vertex joined relations, both indexed by [`NodeId::index`]. Shared
 /// by the materialized pipeline below and the factorized cover build
 /// ([`crate::factorized`]), so both see byte-identical vertex relations.
-pub(crate) fn vertex_relations<C: Carrier>(
+pub(crate) fn vertex_relations(
     db: &Database,
     q: &ConjunctiveQuery,
     plan: &QhdPlan,
     budget: &mut Budget,
     opts: &ExecOptions,
-) -> Result<(Vec<Vec<String>>, Vec<C>), EvalError> {
+) -> Result<(Vec<Vec<String>>, Vec<CRel>), EvalError> {
     let tree = &plan.tree;
     let h = &plan.cq_hypergraph.hypergraph;
     let threads = opts.threads.max(1);
@@ -108,13 +100,13 @@ pub(crate) fn vertex_relations<C: Carrier>(
 
     // P′: per-vertex joins — independent, so fan out across workers.
     let vertices: Vec<NodeId> = tree.preorder();
-    let mut rels: Vec<Option<C>> = (0..tree.len()).map(|_| None).collect();
+    let mut rels: Vec<Option<CRel>> = (0..tree.len()).map(|_| None).collect();
     let index_join = opts.index_join;
     if threads > 1 && vertices.len() > 1 {
         let shared = budget.fork();
         let results = exec::parallel_map(vertices.clone(), threads, |p| {
             let mut b = shared.clone();
-            vertex_join::<C>(db, q, tree, p, &chi_names[p.index()], &mut b, index_join)
+            vertex_join(db, q, tree, p, &chi_names[p.index()], &mut b, index_join)
         });
         // Merge point: surface budget exhaustion deterministically first,
         // then a contained worker panic, then any other error in preorder
@@ -125,7 +117,7 @@ pub(crate) fn vertex_relations<C: Carrier>(
         }
     } else {
         for &p in &vertices {
-            rels[p.index()] = Some(vertex_join::<C>(
+            rels[p.index()] = Some(vertex_join(
                 db,
                 q,
                 tree,
@@ -143,25 +135,26 @@ pub(crate) fn vertex_relations<C: Carrier>(
     Ok((chi_names, rels))
 }
 
-/// The carrier-generic pipeline behind [`evaluate_qhd_with`].
-pub(crate) fn evaluate_qhd_generic<C: Carrier>(
+/// The pipeline behind [`evaluate_qhd_with`], answer still columnar.
+pub(crate) fn evaluate_qhd_c(
     db: &Database,
     q: &ConjunctiveQuery,
     plan: &QhdPlan,
     budget: &mut Budget,
     opts: &ExecOptions,
-) -> Result<C, EvalError> {
+) -> Result<CRel, EvalError> {
     let tree = &plan.tree;
     let threads = opts.threads.max(1);
-    let (chi_names, rels) = vertex_relations::<C>(db, q, plan, budget, opts)?;
-    let vertex_rel: Vec<Mutex<Option<C>>> = rels.into_iter().map(|r| Mutex::new(Some(r))).collect();
+    let (chi_names, rels) = vertex_relations(db, q, plan, budget, opts)?;
+    let vertex_rel: Vec<Mutex<Option<CRel>>> =
+        rels.into_iter().map(|r| Mutex::new(Some(r))).collect();
 
     // P″: single bottom-up pass, support children joined first.
     let result_root = eval_bottom_up(tree, tree.root(), &chi_names, &vertex_rel, budget, threads)?;
 
     // P‴: project the root onto out(Q).
     let out = q.out_vars();
-    let result = result_root.project(&out, true, budget)?;
+    let result = cops::project(&result_root, &out, true, budget)?;
     // Final merge point: once the budget has been forked, charges are
     // batched and may not trip inline (see `Budget::charge`); surface
     // exhaustion before declaring success so every schedule agrees.
@@ -174,7 +167,7 @@ pub(crate) fn evaluate_qhd_generic<C: Carrier>(
 /// and a catalog carrying secondary indexes, multi-atom vertices may run
 /// as index-nested-loop seeks instead ([`seek_vertex_join`]); the result
 /// bag is identical either way.
-fn vertex_join<C: Carrier>(
+fn vertex_join(
     db: &Database,
     q: &ConjunctiveQuery,
     tree: &htqo_core::Hypertree,
@@ -182,23 +175,23 @@ fn vertex_join<C: Carrier>(
     chi: &[String],
     budget: &mut Budget,
     index_join: bool,
-) -> Result<C, EvalError> {
+) -> Result<CRel, EvalError> {
     budget.check_time()?;
     htqo_engine::fail_point!("qeval::vertex");
     let n = tree.node(p);
     let atoms = n.assigned.union(&n.lambda);
     let atom_ids: Vec<AtomId> = atoms.iter().map(|e| AtomId(e.0)).collect();
     if index_join && db.has_indexes() && atom_ids.len() > 1 {
-        if let Some(joined) = seek_vertex_join::<C>(db, q, &atom_ids, budget)? {
-            return joined.project_onto_available(chi, budget);
+        if let Some(joined) = seek_vertex_join(db, q, &atom_ids, budget)? {
+            return cops::project_onto_available(&joined, chi, budget);
         }
     }
-    let mut scanned: Vec<C> = Vec::with_capacity(atom_ids.len());
+    let mut scanned: Vec<CRel> = Vec::with_capacity(atom_ids.len());
     for &a in &atom_ids {
-        scanned.push(C::scan_query_atom(db, q, a, budget)?);
+        scanned.push(scan_query_atom_c(db, q, a, budget)?);
     }
     let joined = join_connected_greedy(scanned, budget)?;
-    joined.project_onto_available(chi, budget)
+    cops::project_onto_available(&joined, chi, budget)
 }
 
 /// Index-aware variant of the per-vertex join: starts from the atom with
@@ -213,14 +206,13 @@ fn vertex_join<C: Carrier>(
 /// caller then takes the classic scan-everything path, so catalogs
 /// without (relevant) indexes see bit-identical behavior and charges.
 /// All decisions depend only on base-table sizes and accumulator row
-/// counts, which are carrier- and thread-independent, preserving the
-/// carrier-equivalence and determinism invariants.
-fn seek_vertex_join<C: Carrier>(
+/// counts, which are thread-independent, preserving determinism.
+fn seek_vertex_join(
     db: &Database,
     q: &ConjunctiveQuery,
     atom_ids: &[AtomId],
     budget: &mut Budget,
-) -> Result<Option<C>, EvalError> {
+) -> Result<Option<CRel>, EvalError> {
     let vars_of =
         |a: AtomId| -> Vec<String> { q.atom(a).args.iter().map(|(_, v)| v.clone()).collect() };
     // Cheap gate: some atom must be seekable from the other atoms' vars.
@@ -230,7 +222,7 @@ fn seek_vertex_join<C: Carrier>(
             .filter(|&&o| o != a)
             .flat_map(|&o| vars_of(o))
             .collect();
-        htqo_engine::iseek::seek_eligible(db, q, a, &others)
+        iseek::seek_eligible(db, q, a, &others)
     });
     if !eligible {
         return Ok(None);
@@ -250,7 +242,7 @@ fn seek_vertex_join<C: Carrier>(
         .map(|(i, _)| i)
         .expect("vertex has atoms");
     let (start, _) = remaining.remove(start_pos);
-    let mut acc = C::scan_query_atom(db, q, start, budget)?;
+    let mut acc = scan_query_atom_c(db, q, start, budget)?;
     while !remaining.is_empty() {
         let connected = remaining
             .iter()
@@ -273,15 +265,15 @@ fn seek_vertex_join<C: Carrier>(
         // decisively smaller than the base table.
         let seek_profitable = acc.len().saturating_mul(4) <= base_len;
         let seeked = if seek_profitable {
-            C::index_seek_join(db, q, a, &acc, budget)?
+            iseek::index_seek_join(db, q, a, &acc, budget)?
         } else {
             None
         };
         acc = match seeked {
             Some(r) => r,
             None => {
-                let scanned = C::scan_query_atom(db, q, a, budget)?;
-                acc.natural_join(&scanned, budget)?
+                let scanned = scan_query_atom_c(db, q, a, budget)?;
+                cops::natural_join(&acc, &scanned, budget)?
             }
         };
     }
@@ -294,17 +286,14 @@ fn seek_vertex_join<C: Carrier>(
 /// connected relation remains. This is the "choice of the topological
 /// order" freedom the paper grants the evaluator (Section 4) applied
 /// within one vertex.
-fn join_connected_greedy<C: Carrier>(
-    mut inputs: Vec<C>,
-    budget: &mut Budget,
-) -> Result<C, EvalError> {
+fn join_connected_greedy(mut inputs: Vec<CRel>, budget: &mut Budget) -> Result<CRel, EvalError> {
     let Some(first_idx) = inputs
         .iter()
         .enumerate()
         .min_by_key(|(_, r)| r.len())
         .map(|(i, _)| i)
     else {
-        return Ok(C::neutral());
+        return Ok(CRel::neutral());
     };
     let mut acc = inputs.swap_remove(first_idx);
     while !inputs.is_empty() {
@@ -324,19 +313,19 @@ fn join_connected_greedy<C: Carrier>(
                 .expect("non-empty")
         });
         let next = inputs.swap_remove(idx);
-        acc = acc.natural_join(&next, budget)?;
+        acc = cops::natural_join(&acc, &next, budget)?;
     }
     Ok(acc)
 }
 
-fn eval_bottom_up<C: Carrier>(
+fn eval_bottom_up(
     tree: &htqo_core::Hypertree,
     p: NodeId,
     chi_names: &[Vec<String>],
-    vertex_rel: &[Mutex<Option<C>>],
+    vertex_rel: &[Mutex<Option<CRel>>],
     budget: &mut Budget,
     threads: usize,
-) -> Result<C, EvalError> {
+) -> Result<CRel, EvalError> {
     let node = tree.node(p);
     // Children order: support children first, then the rest.
     let mut order: Vec<NodeId> = node.support_children.clone();
@@ -351,7 +340,7 @@ fn eval_bottom_up<C: Carrier>(
     // order below (the ordering constraint binds the joins, not the
     // subtree evaluations).
     htqo_engine::fail_point!("qeval::bottom_up");
-    let children: Vec<Result<C, EvalError>> = if threads > 1 && order.len() > 1 {
+    let children: Vec<Result<CRel, EvalError>> = if threads > 1 && order.len() > 1 {
         let shared = budget.fork();
         let results = exec::parallel_map(order.clone(), threads, |c| {
             let mut b = shared.clone();
@@ -384,12 +373,12 @@ fn eval_bottom_up<C: Carrier>(
         // variables the parent (or any sibling) can ever see are those in
         // χ(p), so the rest are dead weight — drop them (with dedup)
         // before the join instead of after.
-        let child = child.project_onto_available(&chi_names[p.index()], budget)?;
-        acc = acc.natural_join(&child, budget)?;
+        let child = cops::project_onto_available(&child, &chi_names[p.index()], budget)?;
+        acc = cops::natural_join(&acc, &child, budget)?;
         // Project eagerly after each child join to keep intermediates at
         // χ(p) arity (still a *join*, not a semijoin: children may supply
         // χ(p) variables the vertex's own atoms lack).
-        acc = acc.project_onto_available(&chi_names[p.index()], budget)?;
+        acc = cops::project_onto_available(&acc, &chi_names[p.index()], budget)?;
     }
     Ok(acc)
 }
@@ -405,10 +394,9 @@ pub fn evaluate_qhd_query(
     evaluate_qhd_query_with(db, q, plan, budget, &ExecOptions::default())
 }
 
-/// [`evaluate_qhd_query`] with an explicit execution schedule. On the
-/// columnar carrier the answer stays columnar end to end — the final
-/// aggregation front runs column-at-a-time too
-/// ([`htqo_engine::aggregate::finalize_c`]). When
+/// [`evaluate_qhd_query`] with an explicit execution schedule. The answer
+/// stays columnar end to end — the final aggregation front runs
+/// column-at-a-time too ([`htqo_engine::aggregate::finalize_c`]). When
 /// [`ExecOptions::factorized`] is set and the query/plan qualify, the
 /// aggregate is computed from a factorized cover without materializing
 /// the join ([`crate::factorized`]).
@@ -589,49 +577,6 @@ mod tests {
         }
     }
 
-    /// Pinned: the two carriers produce identical answers and identical
-    /// budget charges across decomposition shapes and thread counts.
-    #[test]
-    fn columnar_carrier_matches_row_carrier() {
-        for n in 3..=6 {
-            let names: Vec<String> = (0..n).map(|i| format!("p{i}")).collect();
-            let name_refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
-            let db = db_for(&name_refs, 35, 5, n as i64 + 20);
-            let q = chain_query(n, &["X0", "X1"]);
-            let plan = q_hypertree_decomp(&q, &QhdOptions::default(), &StructuralCost).unwrap();
-            for threads in [1usize, 4] {
-                let mut br = Budget::unlimited();
-                let mut bc = Budget::unlimited();
-                let rows = evaluate_qhd_with(
-                    &db,
-                    &q,
-                    &plan,
-                    &mut br,
-                    &ExecOptions {
-                        threads,
-                        columnar: false,
-                        ..ExecOptions::default()
-                    },
-                )
-                .unwrap();
-                let cols = evaluate_qhd_with(
-                    &db,
-                    &q,
-                    &plan,
-                    &mut bc,
-                    &ExecOptions {
-                        threads,
-                        columnar: true,
-                        ..ExecOptions::default()
-                    },
-                )
-                .unwrap();
-                assert!(rows.set_eq(&cols), "n={n} threads={threads}");
-                assert_eq!(br.charged(), bc.charged(), "n={n} threads={threads}");
-            }
-        }
-    }
-
     /// Pinned: tuple-budget exhaustion is identical for every thread
     /// count — the trip condition depends only on the order-free sum of
     /// charges, surfaced deterministically at merge points.
@@ -640,27 +585,24 @@ mod tests {
         let db = db_for(&["p0", "p1", "p2", "p3"], 50, 3, 3);
         let q = chain_query(4, &["X0"]);
         let plan = q_hypertree_decomp(&q, &QhdOptions::default(), &StructuralCost).unwrap();
-        for columnar in [false, true] {
-            for threads in [1usize, 2, 3, 4, 8, 16] {
-                let mut budget = Budget::unlimited().with_max_tuples(10);
-                let err = evaluate_qhd_with(
-                    &db,
-                    &q,
-                    &plan,
-                    &mut budget,
-                    &ExecOptions {
-                        threads,
-                        columnar,
-                        ..ExecOptions::default()
-                    },
-                )
-                .unwrap_err();
-                assert_eq!(
-                    err,
-                    EvalError::TupleBudgetExceeded { limit: 10 },
-                    "threads={threads} columnar={columnar}"
-                );
-            }
+        for threads in [1usize, 2, 3, 4, 8, 16] {
+            let mut budget = Budget::unlimited().with_max_tuples(10);
+            let err = evaluate_qhd_with(
+                &db,
+                &q,
+                &plan,
+                &mut budget,
+                &ExecOptions {
+                    threads,
+                    ..ExecOptions::default()
+                },
+            )
+            .unwrap_err();
+            assert_eq!(
+                err,
+                EvalError::TupleBudgetExceeded { limit: 10 },
+                "threads={threads}"
+            );
         }
     }
 }

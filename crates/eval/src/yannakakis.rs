@@ -6,10 +6,11 @@
 //! Runs in time polynomial in the combined size of input and output.
 
 use htqo_cq::ConjunctiveQuery;
-use htqo_engine::carrier::Carrier;
+use htqo_engine::cops;
 use htqo_engine::crel::CRel;
 use htqo_engine::error::{Budget, EvalError};
 use htqo_engine::exec::{self, ExecOptions};
+use htqo_engine::scan::scan_query_atom_c;
 use htqo_engine::schema::Database;
 use htqo_engine::vrel::VRelation;
 use htqo_hypergraph::acyclic::gyo;
@@ -17,8 +18,8 @@ use htqo_hypergraph::{EdgeId, JoinForest};
 
 /// Evaluates an **acyclic** conjunctive query with the three-pass
 /// Yannakakis algorithm, returning the answer over `out(Q)`. Uses the
-/// process-wide thread count and carrier default; see
-/// [`evaluate_yannakakis_with`] to pin the schedule.
+/// process-wide thread count; see [`evaluate_yannakakis_with`] to pin the
+/// schedule.
 ///
 /// Returns `EvalError::Internal` if the query hypergraph is cyclic.
 pub fn evaluate_yannakakis(
@@ -37,31 +38,27 @@ pub fn evaluate_yannakakis_with(
     opts: &ExecOptions,
 ) -> Result<VRelation, EvalError> {
     budget.apply_mem_limit(opts.mem_limit);
-    if opts.columnar {
-        yannakakis_generic::<CRel>(db, q, budget, opts).map(Carrier::into_vrel)
-    } else {
-        yannakakis_generic::<VRelation>(db, q, budget, opts)
-    }
+    Ok(yannakakis_c(db, q, budget, opts)?.to_vrel())
 }
 
 /// Scans every atom of `q` (edge `i` ↔ atom `i`) — independent work, so it
 /// fans out across the execution-layer worker pool. Shared by the
 /// three-pass pipeline below and the factorized cover build
 /// ([`crate::factorized`]).
-pub(crate) fn scan_atoms<C: Carrier>(
+pub(crate) fn scan_atoms(
     db: &Database,
     q: &ConjunctiveQuery,
     budget: &mut Budget,
     opts: &ExecOptions,
-) -> Result<Vec<C>, EvalError> {
+) -> Result<Vec<CRel>, EvalError> {
     let atom_ids: Vec<_> = q.atom_ids().collect();
     let threads = opts.threads.max(1);
-    let mut rels: Vec<C> = Vec::with_capacity(q.atoms.len());
+    let mut rels: Vec<CRel> = Vec::with_capacity(q.atoms.len());
     if threads > 1 && atom_ids.len() > 1 {
         let shared = budget.fork();
         let scans = exec::parallel_map(atom_ids, threads, |a| {
             let mut b = shared.clone();
-            C::scan_query_atom(db, q, a, &mut b)
+            scan_query_atom_c(db, q, a, &mut b)
         });
         budget.check_exceeded()?;
         for r in scans? {
@@ -69,20 +66,20 @@ pub(crate) fn scan_atoms<C: Carrier>(
         }
     } else {
         for a in atom_ids {
-            rels.push(C::scan_query_atom(db, q, a, budget)?);
+            rels.push(scan_query_atom_c(db, q, a, budget)?);
         }
     }
     Ok(rels)
 }
 
-/// The carrier-generic three-pass pipeline behind
-/// [`evaluate_yannakakis_with`].
-fn yannakakis_generic<C: Carrier>(
+/// The three-pass pipeline behind [`evaluate_yannakakis_with`], answer
+/// still columnar.
+fn yannakakis_c(
     db: &Database,
     q: &ConjunctiveQuery,
     budget: &mut Budget,
     opts: &ExecOptions,
-) -> Result<C, EvalError> {
+) -> Result<CRel, EvalError> {
     let ch = q.hypergraph();
     let Some(reduction) = gyo(&ch.hypergraph) else {
         return Err(EvalError::Internal(
@@ -90,7 +87,7 @@ fn yannakakis_generic<C: Carrier>(
         ));
     };
     let forest: JoinForest = reduction.forest;
-    let mut rels = scan_atoms::<C>(db, q, budget, opts)?;
+    let mut rels = scan_atoms(db, q, budget, opts)?;
 
     // Bottom-up then top-down semijoin passes per tree.
     let roots = forest.roots();
@@ -98,24 +95,24 @@ fn yannakakis_generic<C: Carrier>(
     // (i) bottom-up: parent ⋉ child.
     for &n in &post {
         if let Some(p) = forest.parent(n) {
-            rels[p.index()] = rels[p.index()].semijoin(&rels[n.index()], budget)?;
+            rels[p.index()] = cops::semijoin(&rels[p.index()], &rels[n.index()], budget)?;
         }
     }
     // (ii) top-down: child ⋉ parent.
     for &n in post.iter().rev() {
         if let Some(p) = forest.parent(n) {
-            rels[n.index()] = rels[n.index()].semijoin(&rels[p.index()], budget)?;
+            rels[n.index()] = cops::semijoin(&rels[n.index()], &rels[p.index()], budget)?;
         }
     }
 
     // (iii) bottom-up joins, projecting onto vertex vars ∪ (out ∩ subtree).
     let out = q.out_vars();
-    let mut acc: Vec<Option<C>> = rels.into_iter().map(Some).collect();
+    let mut acc: Vec<Option<CRel>> = rels.into_iter().map(Some).collect();
     for &n in &post {
         let mut t = acc[n.index()].take().expect("present");
         for c in forest.children(n) {
             let child = acc[c.index()].take().expect("children already folded");
-            t = t.natural_join(&child, budget)?;
+            t = cops::natural_join(&t, &child, budget)?;
         }
         // Keep this vertex's variables plus any output variables gathered
         // from the subtree.
@@ -132,17 +129,17 @@ fn yannakakis_generic<C: Carrier>(
             })
             .cloned()
             .collect();
-        t = t.project(&keep, true, budget)?;
+        t = cops::project(&t, &keep, true, budget)?;
         acc[n.index()] = Some(t);
     }
 
     // Combine the (independent) trees and project onto out(Q).
-    let mut answer = C::neutral();
+    let mut answer = CRel::neutral();
     for r in roots {
         let t = acc[r.index()].take().expect("root folded");
-        answer = answer.natural_join(&t, budget)?;
+        answer = cops::natural_join(&answer, &t, budget)?;
     }
-    let answer = answer.project(&out, true, budget)?;
+    let answer = cops::project(&answer, &out, true, budget)?;
     // Final merge point: forked-budget charges are batched and may not
     // trip inline (see `Budget::charge`); check before declaring success.
     budget.check_exceeded()?;
@@ -228,42 +225,6 @@ mod tests {
             by.charged() <= bn.charged() * 2,
             "yannakakis should not do much more work"
         );
-    }
-
-    /// Pinned: the columnar and row carriers agree — answers and budget
-    /// charges — across chain lengths.
-    #[test]
-    fn carriers_agree_on_yannakakis() {
-        for n in 1..=4 {
-            let db = chain_db(n, 15);
-            let q = line_query(n);
-            let mut br = Budget::unlimited();
-            let mut bc = Budget::unlimited();
-            let rows = evaluate_yannakakis_with(
-                &db,
-                &q,
-                &mut br,
-                &ExecOptions {
-                    threads: 1,
-                    columnar: false,
-                    ..ExecOptions::default()
-                },
-            )
-            .unwrap();
-            let cols = evaluate_yannakakis_with(
-                &db,
-                &q,
-                &mut bc,
-                &ExecOptions {
-                    threads: 1,
-                    columnar: true,
-                    ..ExecOptions::default()
-                },
-            )
-            .unwrap();
-            assert!(rows.set_eq(&cols), "n={n}");
-            assert_eq!(br.charged(), bc.charged(), "n={n}");
-        }
     }
 
     #[test]

@@ -8,17 +8,18 @@
 
 use crate::bushy::JoinTree;
 use htqo_cq::ConjunctiveQuery;
-use htqo_engine::carrier::Carrier;
+use htqo_engine::cops;
 use htqo_engine::crel::CRel;
 use htqo_engine::error::{Budget, EvalError};
 use htqo_engine::exec::{self, ExecOptions};
+use htqo_engine::scan::scan_query_atom_c;
 use htqo_engine::schema::Database;
 use htqo_engine::vrel::VRelation;
 
 /// Evaluates a bushy join tree bottom-up, returning the answer over
 /// `out(Q)` (set semantics, matching the other evaluators). Uses the
-/// process-wide thread count and carrier default; see
-/// [`evaluate_join_tree_with`] to pin the schedule.
+/// process-wide thread count; see [`evaluate_join_tree_with`] to pin the
+/// schedule.
 pub fn evaluate_join_tree(
     db: &Database,
     q: &ConjunctiveQuery,
@@ -37,47 +38,33 @@ pub fn evaluate_join_tree_with(
     opts: &ExecOptions,
 ) -> Result<VRelation, EvalError> {
     budget.apply_mem_limit(opts.mem_limit);
-    if opts.columnar {
-        eval_tree_generic::<CRel>(db, q, tree, budget, opts).map(Carrier::into_vrel)
-    } else {
-        eval_tree_generic::<VRelation>(db, q, tree, budget, opts)
-    }
-}
-
-fn eval_tree_generic<C: Carrier>(
-    db: &Database,
-    q: &ConjunctiveQuery,
-    tree: &JoinTree,
-    budget: &mut Budget,
-    opts: &ExecOptions,
-) -> Result<C, EvalError> {
-    let joined = eval_node::<C>(db, q, tree, budget, opts.threads.max(1))?;
-    let answer = joined.project(&q.out_vars(), true, budget)?;
+    let joined = eval_node(db, q, tree, budget, opts.threads.max(1))?;
+    let answer = cops::project(&joined, &q.out_vars(), true, budget)?;
     // Final merge point: forked-budget charges are batched and may not
     // trip inline (see `Budget::charge`); check before declaring success.
     budget.check_exceeded()?;
-    Ok(answer)
+    Ok(answer.to_vrel())
 }
 
-fn eval_node<C: Carrier>(
+fn eval_node(
     db: &Database,
     q: &ConjunctiveQuery,
     tree: &JoinTree,
     budget: &mut Budget,
     threads: usize,
-) -> Result<C, EvalError> {
+) -> Result<CRel, EvalError> {
     budget.check_time()?;
     htqo_engine::fail_point!("bushy::node");
     match tree {
-        JoinTree::Leaf(a) => C::scan_query_atom(db, q, *a, budget),
+        JoinTree::Leaf(a) => scan_query_atom_c(db, q, *a, budget),
         JoinTree::Join(l, r) => {
             let (lv, rv) = if threads > 1 {
                 let mut bl = budget.fork();
                 let mut br = budget.fork();
                 let sides = exec::join2(
                     threads,
-                    move || eval_node::<C>(db, q, l, &mut bl, threads),
-                    move || eval_node::<C>(db, q, r, &mut br, threads),
+                    move || eval_node(db, q, l, &mut bl, threads),
+                    move || eval_node(db, q, r, &mut br, threads),
                 );
                 // Deterministic budget exhaustion first, then a contained
                 // worker panic, then per-side errors.
@@ -86,11 +73,11 @@ fn eval_node<C: Carrier>(
                 (lv?, rv?)
             } else {
                 (
-                    eval_node::<C>(db, q, l, budget, threads)?,
-                    eval_node::<C>(db, q, r, budget, threads)?,
+                    eval_node(db, q, l, budget, threads)?,
+                    eval_node(db, q, r, budget, threads)?,
                 )
             };
-            lv.natural_join(&rv, budget)
+            cops::natural_join(&lv, &rv, budget)
         }
     }
 }
@@ -115,44 +102,6 @@ mod tests {
             let naive = htqo_eval::evaluate_naive(&db, &q, &mut b2).unwrap();
             assert!(bushy.set_eq(&naive), "n={n}");
         }
-    }
-
-    /// Pinned: the columnar and row carriers agree on bushy execution —
-    /// answers and budget charges.
-    #[test]
-    fn carriers_agree_on_bushy_trees() {
-        let db = workload_db(&WorkloadSpec::new(4, 60, 6, 9));
-        let q = chain_query(4);
-        let stats = analyze(&db);
-        let (_, tree) = dp_bushy(&q, &stats).unwrap();
-        let mut br = Budget::unlimited();
-        let mut bc = Budget::unlimited();
-        let rows = evaluate_join_tree_with(
-            &db,
-            &q,
-            &tree,
-            &mut br,
-            &ExecOptions {
-                threads: 1,
-                columnar: false,
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap();
-        let cols = evaluate_join_tree_with(
-            &db,
-            &q,
-            &tree,
-            &mut bc,
-            &ExecOptions {
-                threads: 1,
-                columnar: true,
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(rows.set_eq(&cols));
-        assert_eq!(br.charged(), bc.charged());
     }
 
     #[test]

@@ -96,13 +96,14 @@ pub enum PlanCacheStatus {
     /// No isomorphic entry existed; cost-k-decomp ran and its result was
     /// cached.
     Miss,
-    /// Exact hit: the identical query (same rendering) was served its
-    /// cached plan — or a compiled statement was executed — with no
-    /// planning work at all.
+    /// No planning work at all: a compiled statement was executed, or a
+    /// query whose canonicalization ran over budget was served the plan
+    /// cached under its exact rendering.
     Hit,
-    /// Shape hit: an isomorphic-but-renamed query reused the cached
-    /// decomposition after transport through canonical space and a λ
-    /// re-cost against current statistics — cost-k-decomp was skipped.
+    /// Shape hit: a repeated or isomorphic-but-renamed query reused the
+    /// cached decomposition after transport through canonical space and
+    /// (when its price moved) a λ re-cost against current statistics —
+    /// cost-k-decomp was skipped.
     Revalidated,
 }
 

@@ -115,13 +115,9 @@ enum CacheEntry {
         /// bit-identical plan).
         stored_cost: f64,
         /// Statistics epoch at store time. A hit from a later epoch
-        /// (ANALYZE ran) skips both fast paths and re-costs λ against
+        /// (ANALYZE ran) never takes that shortcut: it re-costs λ against
         /// the new statistics, then refreshes the entry in place.
         epoch: u64,
-        /// Fast path: rendering and finished plan of the most recent
-        /// query served from this entry. Shared, so a hit is a
-        /// reference-count bump under the shard lock.
-        exact: Option<(String, Arc<QhdPlan>)>,
     },
     /// Exact-keyed entry (canonicalization over budget). A stale epoch
     /// is a miss: the plan was priced under old statistics and there is
@@ -152,7 +148,9 @@ impl PlanCache {
 /// Counters of plan-cache traffic since the optimizer was built.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
-    /// Exact hits: the identical query was served its cached plan.
+    /// Exact hits: a query whose canonicalization ran over budget was
+    /// served the finished plan cached under its rendering. (Compiled
+    /// statements never reach the plan cache and are not counted here.)
     pub hits: u64,
     /// Misses: cost-k-decomp ran.
     pub misses: u64,
@@ -166,7 +164,6 @@ pub struct PlanCacheStats {
 /// eviction all reuse it).
 struct Keyed {
     key: PlanKey,
-    exact: String,
     canon: Option<CanonicalForm>,
     ch: CqHypergraph,
     out_vars: VarSet,
@@ -316,7 +313,8 @@ impl HybridOptimizer {
     }
 
     /// The exact rendered cache key: query rule text (variables, atoms,
-    /// filters) plus the planning options.
+    /// filters) plus the planning options. Rendered only for queries
+    /// without a canonical form.
     fn cache_key(&self, q: &ConjunctiveQuery) -> String {
         format!(
             "{q}|k={}|opt={}",
@@ -328,7 +326,6 @@ impl HybridOptimizer {
     /// lookup, store, and failed-plan eviction all reuse the returned
     /// value, so the keying logic cannot drift between them.
     fn key_query(&self, q: &ConjunctiveQuery) -> Keyed {
-        let exact = self.cache_key(q);
         let ch = q.hypergraph();
         let out_vars = ch.out_var_set(q);
         let canon = canonical_form(&ch.hypergraph, &out_vars);
@@ -338,11 +335,10 @@ impl HybridOptimizer {
                 max_width: self.options.max_width,
                 run_optimize: self.options.run_optimize,
             },
-            None => PlanKey::Exact(exact.clone()),
+            None => PlanKey::Exact(self.cache_key(q)),
         };
         Keyed {
             key,
-            exact,
             canon,
             ch,
             out_vars,
@@ -363,10 +359,11 @@ impl HybridOptimizer {
     }
 
     /// Like [`HybridOptimizer::plan_cq`], but memoizes plans by canonical
-    /// hypergraph shape (prepared-statement reuse): an exact repeat is
-    /// served as-is, an isomorphic-but-renamed query skips cost-k-decomp
-    /// and only re-costs λ (cover) choices against this optimizer's
-    /// statistics. The key includes `out(Q)` via the canonical marking.
+    /// hypergraph shape (prepared-statement reuse): a repeat — verbatim or
+    /// isomorphic-but-renamed — skips cost-k-decomp and only re-costs λ
+    /// (cover) choices, and those only when the tree's price moved under
+    /// this optimizer's statistics. The key includes `out(Q)` via the
+    /// canonical marking.
     pub fn plan_cq_cached(&self, q: &ConjunctiveQuery) -> Result<QhdPlan, QhdFailure> {
         if !self.cache.lru.enabled() {
             return self.plan_cq(q);
@@ -386,15 +383,15 @@ impl HybridOptimizer {
     ) -> (Result<Arc<QhdPlan>, QhdFailure>, PlanCacheStatus) {
         /// What the probe found under the shard lock.
         enum Probe {
-            /// Exact hit: the finished plan, shared.
+            /// Exact-keyed hit: the finished plan, shared.
             Plan(Arc<QhdPlan>),
             /// Shape entry to revalidate outside the lock: canonical
             /// tree, stored cost, and whether its epoch is behind.
             Shape(Hypertree, f64, bool),
         }
         let epoch_now = self.stats_epoch.load(Ordering::Relaxed);
-        // Entries stamped by an older statistics epoch skip both fast
-        // paths: stale shape entries force a λ re-cost (`stale` below),
+        // Entries stamped by an older statistics epoch are not served as
+        // stored: stale shape entries force a λ re-cost (`stale` below),
         // stale exact entries replan as a miss.
         let probe = self
             .cache
@@ -407,22 +404,15 @@ impl HybridOptimizer {
                     canon_tree,
                     stored_cost,
                     epoch,
-                    exact,
                 } => {
                     let stale = *epoch != epoch_now;
-                    match exact {
-                        Some((rendering, plan)) if !stale && *rendering == keyed.exact => {
-                            Some(Probe::Plan(Arc::clone(plan)))
-                        }
-                        // NAN never equals the current price, so a stale
-                        // hit cannot take revalidate's cost-unchanged
-                        // shortcut.
-                        _ => Some(Probe::Shape(
-                            canon_tree.clone(),
-                            if stale { f64::NAN } else { *stored_cost },
-                            stale,
-                        )),
-                    }
+                    // NAN never equals the current price, so a stale hit
+                    // cannot take revalidate's cost-unchanged shortcut.
+                    Some(Probe::Shape(
+                        canon_tree.clone(),
+                        if stale { f64::NAN } else { *stored_cost },
+                        stale,
+                    ))
                 }
             })
             .flatten();
@@ -439,32 +429,28 @@ impl HybridOptimizer {
                     self.revalidate(q, keyed, &canon_tree, stored_cost)
                 {
                     self.cache.revalidated.fetch_add(1, Ordering::Relaxed);
-                    let plan = Arc::new(plan);
-                    self.cache.lru.with(&keyed.key, |entry| {
-                        let CacheEntry::Shape {
-                            canon_tree,
-                            stored_cost,
-                            epoch,
-                            exact,
-                        } = entry
-                        else {
-                            return;
-                        };
-                        *exact = Some((keyed.exact.clone(), Arc::clone(&plan)));
-                        if stale {
-                            // Re-stamp the entry under the new statistics
-                            // so the *next* hit takes the fast paths again
-                            // — with the λ choices this revalidation just
-                            // settled.
+                    if stale {
+                        // Re-stamp the entry under the new statistics so
+                        // the *next* hit skips the λ re-cost again — with
+                        // the choices this revalidation just settled.
+                        self.cache.lru.with(&keyed.key, |entry| {
+                            let CacheEntry::Shape {
+                                canon_tree,
+                                stored_cost,
+                                epoch,
+                            } = entry
+                            else {
+                                return;
+                            };
                             if let Some(c) = keyed.canon.as_ref() {
                                 *canon_tree =
                                     remap_tree(&final_tree, &c.var_to_canon, &c.edge_to_canon);
                             }
                             *stored_cost = final_cost;
                             *epoch = epoch_now;
-                        }
-                    });
-                    return (Ok(plan), PlanCacheStatus::Revalidated);
+                        });
+                    }
+                    return (Ok(Arc::new(plan)), PlanCacheStatus::Revalidated);
                 }
                 // Defensive: a transported tree that fails validation
                 // (which soundness of the canonical key rules out) falls
@@ -493,7 +479,6 @@ impl HybridOptimizer {
                 canon_tree,
                 stored_cost,
                 epoch: epoch_now,
-                exact: Some((keyed.exact.clone(), Arc::clone(&plan))),
             },
             None => CacheEntry::Plain {
                 plan: Arc::clone(&plan),
@@ -1184,14 +1169,15 @@ mod tests {
 
     /// A failure that says nothing about the plan — the client cancelled,
     /// or the query is semantically wrong for this database — leaves the
-    /// shared plan where it is: the next execution is a hit.
+    /// shared plan where it is: the next execution reuses it.
     #[test]
     fn non_retryable_failures_keep_the_cached_plan() {
         use htqo_engine::error::CancelToken;
         let db = chain_db(3, 200, 4);
         let q3 = chain_query(3);
         let opt = HybridOptimizer::structural(QhdOptions::default());
-        assert!(opt.execute_cq(&db, &q3, Budget::unlimited()).result.is_ok());
+        let first = opt.execute_cq(&db, &q3, Budget::unlimited());
+        assert!(first.result.is_ok());
         assert_eq!(opt.cached_plans(), 1);
 
         let token = CancelToken::new();
@@ -1206,7 +1192,8 @@ mod tests {
         assert_eq!(opt.cached_plans(), 1, "a semantic error evicts nothing");
 
         let next = opt.execute_cq(&db, &q3, Budget::unlimited());
-        assert_eq!(next.plan_cache, PlanCacheStatus::Hit);
+        assert_eq!(next.plan_cache, PlanCacheStatus::Revalidated);
+        assert_eq!(next.plan, first.plan);
         assert_eq!(opt.plan_cache_stats().misses, 1);
     }
 
@@ -1314,17 +1301,19 @@ mod tests {
         // transported tree is bit-identical to the cold plan.
         assert_eq!(format!("{:?}", p1.tree), format!("{:?}", p2.tree));
         assert_eq!(p1.estimated_cost, p2.estimated_cost);
-        // Executing the renamed template records the shape hit, answers
-        // correctly, and a re-run of the exact same text is an exact hit.
+        // Executing the renamed template again records another shape hit
+        // and answers correctly.
         let out = opt.execute_cq(&db, &q2, Budget::unlimited());
-        assert_eq!(out.plan_cache, PlanCacheStatus::Hit, "{}", out.plan);
+        assert_eq!(out.plan_cache, PlanCacheStatus::Revalidated, "{}", out.plan);
+        assert_eq!(opt.plan_cache_stats().misses, 1);
         let mut bud = Budget::unlimited();
         let oracle = htqo_eval::evaluate_naive(&db, &q2, &mut bud).unwrap();
         assert!(out.result.unwrap().set_eq(&oracle));
     }
 
-    /// The plan-cache status lands in the outcome for every path:
-    /// miss, exact hit, shape hit.
+    /// The plan-cache status lands in the outcome for every path: miss,
+    /// verbatim repeat (a shape hit that re-costs nothing and yields the
+    /// first plan again), renamed shape hit.
     #[test]
     fn outcome_records_plan_cache_status() {
         let db = chain_db(3, 20, 5);
@@ -1332,8 +1321,10 @@ mod tests {
         let opt = HybridOptimizer::structural(QhdOptions::default());
         let miss = opt.execute_cq(&db, &q, Budget::unlimited());
         assert_eq!(miss.plan_cache, PlanCacheStatus::Miss);
-        let hit = opt.execute_cq(&db, &q, Budget::unlimited());
-        assert_eq!(hit.plan_cache, PlanCacheStatus::Hit);
+        let repeat = opt.execute_cq(&db, &q, Budget::unlimited());
+        assert_eq!(repeat.plan_cache, PlanCacheStatus::Revalidated);
+        assert_eq!(repeat.plan, miss.plan);
+        assert_eq!(repeat.tuples, miss.tuples);
         // A renamed triangle of the same shape: shape hit on execute.
         let mut b = CqBuilder::new();
         for i in 0..3 {
@@ -1353,10 +1344,9 @@ mod tests {
     }
 
     /// ANALYZE (refresh_stats) bumps the stats epoch: the next lookup of
-    /// a cached plan revalidates against the new statistics instead of
-    /// serving the stale exact hit, then re-stamps the entry so the run
-    /// after that is a fast hit again. Deterministic — no clocks, no
-    /// TTLs, just the epoch counter.
+    /// a cached plan re-costs λ against the new statistics, then re-stamps
+    /// the entry so the run after that takes the cost-unchanged shortcut
+    /// again. Deterministic — no clocks, no TTLs, just the epoch counter.
     #[test]
     fn stats_refresh_forces_deterministic_revalidation() {
         let db = chain_db(3, 20, 5);
@@ -1365,11 +1355,12 @@ mod tests {
         assert_eq!(opt.stats_epoch(), 0);
         let miss = opt.execute_cq(&db, &q, Budget::unlimited());
         assert_eq!(miss.plan_cache, PlanCacheStatus::Miss);
-        let hit = opt.execute_cq(&db, &q, Budget::unlimited());
-        assert_eq!(hit.plan_cache, PlanCacheStatus::Hit);
+        let repeat = opt.execute_cq(&db, &q, Budget::unlimited());
+        assert_eq!(repeat.plan_cache, PlanCacheStatus::Revalidated);
+        assert_eq!(repeat.plan, miss.plan);
 
         // ANALYZE: same data, refreshed statistics. The entry's epoch is
-        // now behind, so the exact fast path must not serve it.
+        // now behind, so its stored cost must not be trusted.
         opt.refresh_stats(Some(analyze(&db)));
         assert_eq!(opt.stats_epoch(), 1);
         let reval = opt.execute_cq(&db, &q, Budget::unlimited());
@@ -1379,9 +1370,10 @@ mod tests {
         assert!(reval.result.unwrap().set_eq(&oracle));
 
         // The revalidation re-stamped the entry under epoch 1: the next
-        // identical query is an exact hit again.
+        // identical query is served the same plan, still never replanned.
         let hot = opt.execute_cq(&db, &q, Budget::unlimited());
-        assert_eq!(hot.plan_cache, PlanCacheStatus::Hit);
+        assert_eq!(hot.plan_cache, PlanCacheStatus::Revalidated);
+        assert_eq!(hot.plan, reval.plan);
         assert_eq!(opt.plan_cache_stats().misses, 1, "never replanned");
     }
 

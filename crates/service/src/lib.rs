@@ -179,8 +179,8 @@ pub struct StatementCacheStats {
     /// planning at all.
     pub hits: u64,
     /// Text misses: the statement was compiled (its planning may still
-    /// have been a shape or exact hit in the optimizer's plan cache —
-    /// see [`ServiceMetrics::plan_cache`]).
+    /// have been a shape hit in the optimizer's plan cache — see
+    /// [`ServiceMetrics::plan_cache`]).
     pub misses: u64,
     /// Compiled statements currently retained.
     pub entries: u64,
@@ -213,7 +213,7 @@ pub struct ServiceMetrics {
     /// Tuples charged against the service-lifetime quota so far.
     pub pool_tuples_charged: u64,
     /// Plan-cache traffic of the shared optimizer: what the texts that
-    /// missed the statement cache cost (exact hit, shape hit, cold plan).
+    /// missed the statement cache cost (shape hit or cold plan).
     pub plan_cache: PlanCacheStats,
     /// Statement-cache traffic: texts served without compiling.
     pub statement_cache: StatementCacheStats,

@@ -24,7 +24,7 @@
 //! Ingest a CSV/TPC-H load once with [`StorageDb::ingest`]; later runs
 //! call [`StorageDb::load_database`] — which first replays any committed
 //! WAL tail a crash left behind — and skip the parse entirely (the
-//! "warm restart" path benchmarked in the kernels harness). Persisted
+//! "warm restart" path the e2e `paged_rw` workload times as `restart_p50_ms`). Persisted
 //! indexes come back as [`btree::PagedIndex`] values implementing the
 //! engine's [`htqo_engine::JoinIndex`], which the evaluator's
 //! index-seek join ([`htqo_engine::iseek`]) probes per accumulator row.

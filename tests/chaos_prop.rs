@@ -3,8 +3,10 @@
 //!
 //! Every case arms one fail point (an injected `EvalError`, a deliberate
 //! panic, or a delay) somewhere in the engine's kernels and runs a query
-//! through the hybrid optimizer on a random carrier/thread schedule. The
-//! invariants, checked after every single fault:
+//! on a random thread/spill schedule — through the hybrid optimizer, and
+//! through the join-order baseline (`evaluate_naive` + row `finalize`),
+//! which is what reaches the `ops::*` sites. The invariants, checked
+//! after every single fault:
 //!
 //! 1. the outcome is either bit-identical to the fault-free oracle or a
 //!    clean typed [`EvalError`] — never a wrong answer;
@@ -33,8 +35,8 @@ use std::time::Duration;
 /// Every named injection site compiled into the engine and evaluators —
 /// the enumerable registry, so new sites (e.g. the spill paths) are
 /// picked up automatically. Sites that a given schedule never reaches
-/// (e.g. columnar kernels under the row carrier, spill sites when the
-/// case doesn't force spilling) simply stay dormant — the case then
+/// (e.g. row kernels under the optimizer's q-HD rung, spill sites when
+/// the case doesn't force spilling) simply stay dormant — the case then
 /// asserts the fault-free equality invariant.
 fn sites() -> &'static [&'static str] {
     failpoint::sites()
@@ -47,7 +49,7 @@ fn cases() -> u32 {
         .unwrap_or(120)
 }
 
-/// The fail-point registry, panic hook, and thread/carrier knobs are
+/// The fail-point registry, panic hook, and thread knob are
 /// process-global: chaos cases must not interleave (with each other or
 /// across the test functions in this binary).
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -108,7 +110,7 @@ fn arb_shape() -> impl Strategy<Value = Shape> {
 }
 
 /// One chaos case: a workload plus a fault (site × action × skip) and an
-/// execution schedule (threads × carrier × spill). `force_spill` runs
+/// execution schedule (threads × spill). `force_spill` runs
 /// the case with `SpillMode::Force`, routing joins and aggregation
 /// through the spill machinery so the `spill::*` sites actually fire.
 #[derive(Debug, Clone)]
@@ -118,7 +120,6 @@ struct ChaosCase {
     action: usize, // 0 = error, 1 = panic, 2 = delay(1ms)
     skip: u64,
     threads: usize,
-    columnar: bool,
     force_spill: bool,
 }
 
@@ -128,7 +129,7 @@ fn arb_case() -> impl Strategy<Value = ChaosCase> {
         0..sites().len(),
         0usize..3,
         0u64..3,
-        prop::collection::vec(any::<bool>(), 3),
+        prop::collection::vec(any::<bool>(), 2),
     )
         .prop_map(|(shape, site, action, skip, coins)| ChaosCase {
             shape,
@@ -136,8 +137,7 @@ fn arb_case() -> impl Strategy<Value = ChaosCase> {
             action,
             skip,
             threads: if coins[0] { 4 } else { 1 },
-            columnar: coins[1],
-            force_spill: coins[2],
+            force_spill: coins[1],
         })
 }
 
@@ -220,12 +220,6 @@ fn build(shape: &Shape) -> (Database, ConjunctiveQuery) {
     (db, q.build())
 }
 
-/// Applies the case's process-wide schedule. Call under [`lock`].
-fn set_schedule(case: &ChaosCase) {
-    exec::set_threads_exact(case.threads);
-    exec::set_columnar_default(case.columnar);
-}
-
 /// The pool-drained invariant: all permits back after a parallel section.
 fn permits_drained() -> bool {
     exec::permits_available() == exec::num_threads() as isize - 1
@@ -243,7 +237,7 @@ proptest! {
         let _g = lock();
         install_quiet_hook();
         failpoint::clear();
-        set_schedule(&case);
+        exec::set_threads_exact(case.threads);
         let (db, q) = build(&case.shape);
         let opt = HybridOptimizer::structural(QhdOptions::default())
             .with_retry(RetryPolicy::none());
@@ -283,7 +277,7 @@ proptest! {
         let _g = lock();
         install_quiet_hook();
         failpoint::clear();
-        set_schedule(&case);
+        exec::set_threads_exact(case.threads);
         let (db, q) = build(&case.shape);
         let opt = HybridOptimizer::structural(QhdOptions::default());
 
@@ -314,6 +308,56 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    /// The join-order baseline under the same faults: it is the engine of
+    /// the ladder's naive rung and of every `DbmsSim`, and the only
+    /// evaluator that reaches `ops::join`, `ops::join::partition`,
+    /// `ops::project` and the row `aggregate::finalize`. A single fault
+    /// yields the fault-free answer with the fault-free charges, one
+    /// clean typed error, or — there is no worker pool to contain it on
+    /// this path — the injected panic itself; never a wrong answer, a
+    /// leaked spill directory or a leaked permit.
+    #[test]
+    fn join_order_baseline_survives_faults(case in arb_case()) {
+        let _g = lock();
+        install_quiet_hook();
+        failpoint::clear();
+        exec::set_threads_exact(case.threads);
+        let (db, q) = build(&case.shape);
+        let baseline = |budget: &mut Budget| {
+            let answer = evaluate_naive(&db, &q, budget)?;
+            htqo_engine::aggregate::finalize(&answer, &q, budget)
+        };
+        let mut clean_budget = case_budget(&case);
+        let oracle = baseline(&mut clean_budget).expect("fault-free run succeeds");
+
+        failpoint::configure(sites()[case.site], action_of(&case), case.skip, None);
+        let mut budget = case_budget(&case);
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| baseline(&mut budget)));
+        failpoint::clear();
+
+        prop_assert!(!spill_dirs_leaked(), "spill temp files leaked");
+        prop_assert!(permits_drained(), "permit pool leaked");
+        match out {
+            Ok(Ok(rel)) => {
+                prop_assert!(rel.set_eq(&oracle), "fault at {} corrupted the answer", sites()[case.site]);
+                prop_assert_eq!(budget.charged(), clean_budget.charged(),
+                    "budget charges drifted under fault at {}", sites()[case.site]);
+            }
+            Ok(Err(e)) => prop_assert!(
+                matches!(e, EvalError::Internal(_) | EvalError::WorkerPanicked { .. }),
+                "unexpected error class from injected fault: {e:?}"
+            ),
+            Err(payload) => prop_assert!(
+                payload.downcast_ref::<String>().is_some_and(|m| m.contains(PANIC_MARKER)),
+                "a panic that was not injected escaped the baseline"
+            ),
+        }
+    }
+}
+
 /// The acceptance scenario spelled out: a panic injected into the
 /// `parallel_map` worker loop is contained as `WorkerPanicked`, the
 /// permit pool drains, and the default ladder still produces the
@@ -324,7 +368,6 @@ fn worker_panic_is_contained_and_ladder_rescues() {
     install_quiet_hook();
     failpoint::clear();
     exec::set_threads_exact(4);
-    exec::set_columnar_default(false);
     let shape = Shape {
         atoms: vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)],
         out: vec![0, 2],
@@ -375,7 +418,6 @@ fn cancellation_aborts_cleanly_and_is_not_retried() {
     install_quiet_hook();
     failpoint::clear();
     exec::set_threads_exact(1);
-    exec::set_columnar_default(false);
     let shape = Shape {
         atoms: vec![(0, 1), (1, 2), (2, 3)],
         out: vec![0],

@@ -2,9 +2,12 @@
 //! star-with-rowids aggregate queries, the cover-based pipelines —
 //! pushed-down COUNT/SUM/GROUP-BY aggregation and the constant-delay
 //! answer enumerator — must agree **bit-identically** with the
-//! materialized oracle, on both carriers, across thread counts, and
-//! under random byte limits (where the factorized path must degrade to
-//! materialization rather than change the answer).
+//! materialized oracle, across thread counts, and under random byte
+//! limits (where the factorized path must degrade to materialization
+//! rather than change the answer). The byte-limit property also holds the
+//! join-order baseline (`evaluate_naive` + row `finalize`) to the same
+//! limits: it is the unlimited oracle, and under a limit it spills to the
+//! same answer or fails with a typed error.
 
 use htqo::prelude::*;
 use htqo_cq::{AggFunc, CqBuilder, ScalarExpr};
@@ -120,9 +123,8 @@ fn sorted_rows(v: &VRelation) -> Vec<Row> {
     rows
 }
 
-fn opts(columnar: bool, threads: usize, factorized: bool) -> ExecOptions {
+fn opts(threads: usize, factorized: bool) -> ExecOptions {
     ExecOptions {
-        columnar,
         threads,
         factorized,
         ..ExecOptions::default()
@@ -133,36 +135,30 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Pushed-down COUNT/SUM/GROUP-BY over the q-HD cover is
-    /// bit-identical to the materialized join + aggregate, on both
-    /// carriers and at 1 and 4 threads — and the factorized path must
-    /// actually run (the star-with-rowids family is always eligible).
+    /// bit-identical to the materialized join + aggregate at 1 and 4
+    /// threads — and the factorized path must actually run (the
+    /// star-with-rowids family is always eligible).
     #[test]
     fn qhd_factorized_aggregate_matches_materialized(shape in arb_shape()) {
         let (db, q) = build(&shape);
         let plan = q_hypertree_decomp(&q, &QhdOptions::default(), &StructuralCost)
             .expect("width 4 covers a ≤4-atom star");
-        for columnar in [false, true] {
-            for threads in [1usize, 4] {
-                let mut trace = FactorizedTrace::default();
-                let mut b1 = Budget::unlimited();
-                let fact = evaluate_qhd_query_traced(
-                    &db, &q, &plan, &mut b1, &opts(columnar, threads, true), &mut trace,
-                ).unwrap();
-                prop_assert!(
-                    trace.factorized,
-                    "fell back (columnar={}, threads={}): {:?}",
-                    columnar, threads, trace.fallback
-                );
-                let mut b2 = Budget::unlimited();
-                let mat = evaluate_qhd_query_with(
-                    &db, &q, &plan, &mut b2, &opts(columnar, threads, false),
-                ).unwrap();
-                prop_assert_eq!(fact.cols(), mat.cols());
-                prop_assert_eq!(
-                    sorted_rows(&fact), sorted_rows(&mat),
-                    "columnar={} threads={}", columnar, threads
-                );
-            }
+        for threads in [1usize, 4] {
+            let mut trace = FactorizedTrace::default();
+            let mut b1 = Budget::unlimited();
+            let fact = evaluate_qhd_query_traced(
+                &db, &q, &plan, &mut b1, &opts(threads, true), &mut trace,
+            ).unwrap();
+            prop_assert!(
+                trace.factorized,
+                "fell back (threads={}): {:?}", threads, trace.fallback
+            );
+            let mut b2 = Budget::unlimited();
+            let mat = evaluate_qhd_query_with(
+                &db, &q, &plan, &mut b2, &opts(threads, false),
+            ).unwrap();
+            prop_assert_eq!(fact.cols(), mat.cols());
+            prop_assert_eq!(sorted_rows(&fact), sorted_rows(&mat), "threads={}", threads);
         }
     }
 
@@ -170,41 +166,38 @@ proptest! {
     #[test]
     fn yannakakis_factorized_aggregate_matches_materialized(shape in arb_shape()) {
         let (db, q) = build(&shape);
-        for columnar in [false, true] {
-            for threads in [1usize, 4] {
-                let mut b1 = Budget::unlimited();
-                let fact = evaluate_yannakakis_query_with(
-                    &db, &q, &mut b1, &opts(columnar, threads, true),
-                ).unwrap();
-                let mut b2 = Budget::unlimited();
-                let mat = evaluate_yannakakis_query_with(
-                    &db, &q, &mut b2, &opts(columnar, threads, false),
-                ).unwrap();
-                prop_assert_eq!(fact.cols(), mat.cols());
-                prop_assert_eq!(
-                    sorted_rows(&fact), sorted_rows(&mat),
-                    "columnar={} threads={}", columnar, threads
-                );
-            }
+        for threads in [1usize, 4] {
+            let mut b1 = Budget::unlimited();
+            let fact = evaluate_yannakakis_query_with(
+                &db, &q, &mut b1, &opts(threads, true),
+            ).unwrap();
+            let mut b2 = Budget::unlimited();
+            let mat = evaluate_yannakakis_query_with(
+                &db, &q, &mut b2, &opts(threads, false),
+            ).unwrap();
+            prop_assert_eq!(fact.cols(), mat.cols());
+            prop_assert_eq!(sorted_rows(&fact), sorted_rows(&mat), "threads={}", threads);
         }
     }
 
     /// The constant-delay enumerator streams exactly the materialized
-    /// answer multiset over `out(Q)`, on both carriers.
+    /// answer multiset over `out(Q)`; with the factorized path off, the
+    /// stream is the materialized answer itself, moved out row by row.
     #[test]
     fn enumerator_streams_the_materialized_answer(shape in arb_shape()) {
         let (db, q) = build(&shape);
         let plan = q_hypertree_decomp(&q, &QhdOptions::default(), &StructuralCost).unwrap();
-        for columnar in [false, true] {
+        let mut b2 = Budget::unlimited();
+        let ans = evaluate_qhd(&db, &q, &plan, &mut b2).unwrap();
+        for factorized in [true, false] {
             let mut b1 = Budget::unlimited();
-            let it = qhd_answer_rows(&db, &q, &plan, &mut b1, &opts(columnar, 1, true)).unwrap();
+            let it = qhd_answer_rows(&db, &q, &plan, &mut b1, &opts(1, factorized)).unwrap();
+            prop_assert_eq!(it.is_factorized(), factorized);
             let cols = it.cols().to_vec();
             let mut rows: Vec<Row> = it.collect::<Result<_, _>>().unwrap();
             rows.sort();
-            let mut b2 = Budget::unlimited();
-            let ans = evaluate_qhd(&db, &q, &plan, &mut b2).unwrap();
             prop_assert_eq!(cols, ans.cols().to_vec());
-            prop_assert_eq!(rows, sorted_rows(&ans), "columnar={}", columnar);
+            prop_assert_eq!(rows, sorted_rows(&ans), "factorized={}", factorized);
         }
     }
 
@@ -213,7 +206,10 @@ proptest! {
     /// factorized one completes with the identical result (degrading to
     /// materialization internally if the cover's reservations are
     /// denied); and when it completes on its own, its answer matches the
-    /// unlimited oracle.
+    /// unlimited oracle. The oracle is the join-order baseline, which
+    /// under the same limit runs `ops::natural_join`'s Grace spill and the
+    /// row `finalize`'s spilled aggregation: same answer or a typed
+    /// memory/spill error.
     #[test]
     fn byte_limits_degrade_without_changing_answers(
         shape in arb_shape(),
@@ -221,27 +217,30 @@ proptest! {
     ) {
         let (db, q) = build(&shape);
         let plan = q_hypertree_decomp(&q, &QhdOptions::default(), &StructuralCost).unwrap();
-        let mut bo = Budget::unlimited();
-        let oracle = evaluate_qhd_query_with(&db, &q, &plan, &mut bo, &opts(false, 1, false))
-            .unwrap();
-        for columnar in [false, true] {
-            let mut b1 = Budget::unlimited().with_mem_limit(limit);
-            let fact = evaluate_qhd_query_with(&db, &q, &plan, &mut b1, &opts(columnar, 1, true));
-            let mut b2 = Budget::unlimited().with_mem_limit(limit);
-            let mat = evaluate_qhd_query_with(&db, &q, &plan, &mut b2, &opts(columnar, 1, false));
-            match (fact, mat) {
-                (Ok(f), _) => prop_assert_eq!(
-                    sorted_rows(&f), sorted_rows(&oracle),
-                    "columnar={} limit={}", columnar, limit
-                ),
-                (Err(e), Ok(_)) => prop_assert!(
-                    false,
-                    "factorized failed ({e}) where materialized succeeded \
-                     (columnar={}, limit={})",
-                    columnar, limit
-                ),
-                (Err(_), Err(_)) => {}
-            }
+        let baseline = |budget: &mut Budget| {
+            let answer = evaluate_naive(&db, &q, budget)?;
+            htqo_engine::aggregate::finalize(&answer, &q, budget)
+        };
+        let oracle = baseline(&mut Budget::unlimited()).unwrap();
+        match baseline(&mut Budget::unlimited().with_mem_limit(limit)) {
+            Ok(b) => prop_assert_eq!(sorted_rows(&b), sorted_rows(&oracle), "limit={}", limit),
+            Err(e) => prop_assert!(
+                matches!(e, EvalError::MemoryExceeded { .. } | EvalError::SpillIo(_)),
+                "unexpected error class from the baseline under limit {limit}: {e:?}"
+            ),
+        }
+
+        let mut b1 = Budget::unlimited().with_mem_limit(limit);
+        let fact = evaluate_qhd_query_with(&db, &q, &plan, &mut b1, &opts(1, true));
+        let mut b2 = Budget::unlimited().with_mem_limit(limit);
+        let mat = evaluate_qhd_query_with(&db, &q, &plan, &mut b2, &opts(1, false));
+        match (fact, mat) {
+            (Ok(f), _) => prop_assert_eq!(sorted_rows(&f), sorted_rows(&oracle), "limit={}", limit),
+            (Err(e), Ok(_)) => prop_assert!(
+                false,
+                "factorized failed ({e}) where materialized succeeded (limit={})", limit
+            ),
+            (Err(_), Err(_)) => {}
         }
     }
 }

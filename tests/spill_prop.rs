@@ -2,9 +2,10 @@
 //! randomized byte limit.
 //!
 //! Every case runs a random query (same family as `chaos_prop`) on a
-//! random carrier/thread schedule with a random byte limit, from "far too
-//! small for anything" up to "comfortably unlimited". The invariants,
-//! checked after every single case:
+//! random thread schedule with a random byte limit, from "far too small
+//! for anything" up to "comfortably unlimited" — through the hybrid
+//! optimizer (columnar kernels) and through the join-order baseline (row
+//! kernels). The invariants, checked after every single case:
 //!
 //! 1. the outcome is either set-equal to the unlimited in-memory oracle
 //!    (the spill path is content-identical; only row order may differ) or
@@ -31,7 +32,7 @@ fn cases() -> u32 {
         .unwrap_or(120)
 }
 
-/// Thread/carrier knobs are process-global: cases must not interleave.
+/// The thread knob is process-global: cases must not interleave.
 fn lock() -> std::sync::MutexGuard<'static, ()> {
     static GUARD: Mutex<()> = Mutex::new(());
     GUARD.lock().unwrap_or_else(|p| p.into_inner())
@@ -97,23 +98,17 @@ struct SpillCase {
     limit_log2: u32,
     limit_jitter: u64,
     threads: usize,
-    columnar: bool,
 }
 
 fn arb_case() -> impl Strategy<Value = SpillCase> {
-    (
-        arb_shape(),
-        11u32..22,
-        0u64..1024,
-        prop::collection::vec(any::<bool>(), 2),
-    )
-        .prop_map(|(shape, limit_log2, limit_jitter, coins)| SpillCase {
+    (arb_shape(), 11u32..22, 0u64..1024, any::<bool>()).prop_map(
+        |(shape, limit_log2, limit_jitter, parallel)| SpillCase {
             shape,
             limit_log2,
             limit_jitter,
-            threads: if coins[0] { 4 } else { 1 },
-            columnar: coins[1],
-        })
+            threads: if parallel { 4 } else { 1 },
+        },
+    )
 }
 
 fn build(shape: &Shape) -> (Database, ConjunctiveQuery) {
@@ -174,7 +169,6 @@ proptest! {
     fn byte_limits_never_corrupt_results(case in arb_case()) {
         let _g = lock();
         exec::set_threads_exact(case.threads);
-        exec::set_columnar_default(case.columnar);
         let (db, q) = build(&case.shape);
         let opt = HybridOptimizer::structural(QhdOptions::default())
             .with_retry(RetryPolicy::none());
@@ -207,7 +201,6 @@ proptest! {
     fn ladder_with_spill_retry_stays_correct(case in arb_case()) {
         let _g = lock();
         exec::set_threads_exact(case.threads);
-        exec::set_columnar_default(case.columnar);
         let (db, q) = build(&case.shape);
         let opt = HybridOptimizer::structural(QhdOptions::default());
 
@@ -229,59 +222,111 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    /// The join-order baseline (`evaluate_naive` + row `finalize`, the
+    /// engine of the naive rung and every `DbmsSim`) under the same
+    /// limits: `ops::natural_join` spills Grace-style or is denied, and
+    /// the answer is the unlimited one or a clean typed memory/spill
+    /// error, with no leaked temp files and the permit pool drained.
+    #[test]
+    fn byte_limits_never_corrupt_the_join_order_baseline(case in arb_case()) {
+        let _g = lock();
+        exec::set_threads_exact(case.threads);
+        let (db, q) = build(&case.shape);
+        let baseline = |budget: &mut Budget| {
+            let answer = evaluate_naive(&db, &q, budget)?;
+            htqo_engine::aggregate::finalize(&answer, &q, budget)
+        };
+        let oracle = baseline(&mut Budget::unlimited()).expect("unlimited run succeeds");
+
+        let limit = (1u64 << case.limit_log2) + case.limit_jitter;
+        let mut budget = Budget::unlimited().with_mem_limit(limit);
+        let out = baseline(&mut budget);
+
+        prop_assert!(!spill_dirs_leaked(), "spill temp files leaked at limit {limit}");
+        prop_assert!(permits_drained(), "permit pool leaked");
+        match out {
+            Ok(rel) => prop_assert!(
+                rel.set_eq(&oracle),
+                "limit {limit} corrupted the answer (spilled {} bytes)",
+                budget.spill_stats().bytes_written()
+            ),
+            Err(e) => prop_assert!(
+                matches!(e, EvalError::MemoryExceeded { .. } | EvalError::SpillIo(_)),
+                "unexpected error class under limit {limit}: {e:?}"
+            ),
+        }
+    }
+}
+
 /// Pinned scenario: a limit small enough that level-0 spill partitions
 /// still exceed memory forces *multi-level* recursive re-partitioning,
-/// and the result is still exactly the oracle's.
+/// and the result is still exactly the oracle's — through the optimizer
+/// (`cops::natural_join`) and through the join-order baseline
+/// (`ops::natural_join`), which share the Grace machinery.
 #[test]
 fn multi_level_recursive_partitioning_matches_oracle() {
     let _g = lock();
     exec::set_threads_exact(1);
-    for columnar in [false, true] {
-        exec::set_columnar_default(columnar);
-        let mut db = Database::new();
-        // Big build side, tiny join output (keys mostly disjoint): the
-        // hash table, not the answer, is what exceeds the limit.
-        for (name, off) in [("r", 0i64), ("s", 1i64)] {
-            let mut t = Relation::new(Schema::new(&[
-                ("l", ColumnType::Int),
-                ("r", ColumnType::Int),
-            ]));
-            for i in 0..20000i64 {
-                let key = i + off * 19950;
-                t.push_row(vec![Value::Int(key), Value::Int(key)]).unwrap();
-            }
-            db.insert_table(name, t);
+    let mut db = Database::new();
+    // Big build side, tiny join output (keys mostly disjoint): the
+    // hash table, not the answer, is what exceeds the limit.
+    for (name, off) in [("r", 0i64), ("s", 1i64)] {
+        let mut t = Relation::new(Schema::new(&[
+            ("l", ColumnType::Int),
+            ("r", ColumnType::Int),
+        ]));
+        for i in 0..20000i64 {
+            let key = i + off * 19950;
+            t.push_row(vec![Value::Int(key), Value::Int(key)]).unwrap();
         }
-        let q = CqBuilder::new()
-            .atom("r", "r", &[("l", "X"), ("r", "Y")])
-            .atom("s", "s", &[("l", "Y"), ("r", "Z")])
-            .out_var("X")
-            .out_var("Z")
-            .build();
-        let opt =
-            HybridOptimizer::structural(QhdOptions::default()).with_retry(RetryPolicy::none());
-        let clean = opt.execute_cq(&db, &q, Budget::unlimited());
-        let oracle = clean.result.as_ref().expect("unlimited run succeeds");
-
-        // ~60 KiB: the unfiltered scans share the stored columns and
-        // charge no bytes, so the whole limit is join working set — below
-        // a level-0 partition's, so at least one partition must
-        // re-partition to level 1 before it fits.
-        let out = opt.execute_cq(
-            &db,
-            &q,
-            Budget::unlimited()
-                .with_mem_limit(60_000)
-                .with_spill_mode(SpillMode::Auto),
-        );
-        assert!(!spill_dirs_leaked(), "spill temp files leaked");
-        let rel = out.result.expect("spilled run succeeds");
-        assert!(rel.set_eq(oracle), "multi-level spill corrupted the answer");
-        assert!(out.spill_bytes > 0);
-        assert!(
-            out.spill_partitions > 16,
-            "expected recursion beyond level 0 (got {} partitions, columnar={columnar})",
-            out.spill_partitions
-        );
+        db.insert_table(name, t);
     }
+    let q = CqBuilder::new()
+        .atom("r", "r", &[("l", "X"), ("r", "Y")])
+        .atom("s", "s", &[("l", "Y"), ("r", "Z")])
+        .out_var("X")
+        .out_var("Z")
+        .build();
+    let opt = HybridOptimizer::structural(QhdOptions::default()).with_retry(RetryPolicy::none());
+    let clean = opt.execute_cq(&db, &q, Budget::unlimited());
+    let oracle = clean.result.as_ref().expect("unlimited run succeeds");
+
+    // ~60 KiB: the unfiltered scans share the stored columns and
+    // charge no bytes, so the whole limit is join working set — below
+    // a level-0 partition's, so at least one partition must
+    // re-partition to level 1 before it fits.
+    let out = opt.execute_cq(
+        &db,
+        &q,
+        Budget::unlimited()
+            .with_mem_limit(60_000)
+            .with_spill_mode(SpillMode::Auto),
+    );
+    assert!(!spill_dirs_leaked(), "spill temp files leaked");
+    let rel = out.result.expect("spilled run succeeds");
+    assert!(rel.set_eq(oracle), "multi-level spill corrupted the answer");
+    assert!(out.spill_bytes > 0);
+    assert!(
+        out.spill_partitions > 16,
+        "expected recursion beyond level 0 (got {} partitions)",
+        out.spill_partitions
+    );
+
+    let mut budget = Budget::unlimited()
+        .with_mem_limit(60_000)
+        .with_spill_mode(SpillMode::Auto);
+    let rel = evaluate_naive(&db, &q, &mut budget).expect("spilled baseline succeeds");
+    assert!(!spill_dirs_leaked(), "spill temp files leaked");
+    assert!(
+        rel.set_eq(oracle),
+        "multi-level spill corrupted the baseline"
+    );
+    assert!(
+        budget.spill_stats().partitions() > 16,
+        "expected recursion beyond level 0 in the row kernel (got {} partitions)",
+        budget.spill_stats().partitions()
+    );
 }

@@ -14,10 +14,9 @@
 //!    through the paged catalog (B-tree indexes read back through the
 //!    buffer pool at a *random, often tiny, page-cache limit*), the
 //!    index-nested-loop join must produce bit-identical rows to the
-//!    scan-and-hash oracle on both carriers, with identical tuple
-//!    charges — and a full `evaluate_qhd` run with `index_join` on must
-//!    match the classic path for every carrier × thread-count
-//!    combination.
+//!    scan-and-hash oracle, charging one tuple per output row — and a
+//!    full `evaluate_qhd` run with `index_join` on must match the classic
+//!    path at every thread count.
 //!
 //! 3. **Slot directory and page → column loader**: after random
 //!    append/update/delete batches (appends that fill pages, a crash and
@@ -341,9 +340,9 @@ fn evaluator_takes_the_seek_path_when_profitable() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// The persisted B-tree seek join equals the hash oracle and the
-    /// in-memory `MemIndex` seek join, on both carriers, with identical
-    /// tuple charges, at a random page-cache limit.
+    /// The persisted B-tree seek join equals the row scan-and-hash oracle
+    /// and the in-memory `MemIndex` seek join, charging one tuple per
+    /// output row, at a random page-cache limit.
     #[test]
     fn paged_seek_join_equals_hash_oracle(case in arb_join_case()) {
         let dir = scratch("seek");
@@ -365,25 +364,15 @@ proptest! {
             ops::natural_join(&acc, &scanned, &mut ob).unwrap()
         };
 
-        let mut br = Budget::unlimited();
-        let seek = iseek::index_seek_join(&paged, &q, AtomId(1), &acc, &mut br)
+        let mut bc = Budget::unlimited();
+        let acc_c = scan::scan_query_atom_c(&paged, &q, AtomId(0), &mut bc).unwrap();
+        let before = bc.charged();
+        let seek = iseek::index_seek_join(&paged, &q, AtomId(1), &acc_c, &mut bc)
             .unwrap()
             .expect("fact.k is indexed");
         prop_assert_eq!(seek.cols(), oracle.cols());
-        prop_assert_eq!(seek.sorted_rows(), oracle.sorted_rows());
-
-        let mut bc = Budget::unlimited();
-        let acc_c = scan::scan_query_atom_c(&paged, &q, AtomId(0), &mut bc).unwrap();
-        let before_c = bc.charged();
-        let seek_c = iseek::index_seek_join_c(&paged, &q, AtomId(1), &acc_c, &mut bc)
-            .unwrap()
-            .expect("fact.k is indexed");
-        prop_assert_eq!(seek_c.to_vrel().sorted_rows(), oracle.sorted_rows());
-        prop_assert_eq!(
-            bc.charged() - before_c,
-            br.charged(),
-            "carrier tuple-charge parity"
-        );
+        prop_assert_eq!(seek.to_vrel().sorted_rows(), oracle.sorted_rows());
+        prop_assert_eq!(bc.charged() - before, seek.len() as u64, "one tuple per output row");
 
         // The paged B-tree agrees with an in-memory hash index seek.
         let mut mem_db = Database::new();
@@ -392,18 +381,18 @@ proptest! {
         let idx = MemIndex::build(mem_db.table("fact").unwrap(), 0);
         mem_db.register_index("fact", "k", Arc::new(idx));
         let mut bm = Budget::unlimited();
-        let mem_seek = iseek::index_seek_join(&mem_db, &q, AtomId(1), &acc, &mut bm)
+        let mem_seek = iseek::index_seek_join(&mem_db, &q, AtomId(1), &acc_c, &mut bm)
             .unwrap()
             .unwrap();
-        prop_assert_eq!(mem_seek.sorted_rows(), seek.sorted_rows());
+        prop_assert_eq!(mem_seek.to_vrel().sorted_rows(), oracle.sorted_rows());
         std::fs::remove_dir_all(&dir).ok();
     }
 
     /// End-to-end `evaluate_qhd` on a triangle whose decomposition packs
     /// two atoms into one vertex: with indexes loaded from disk,
-    /// `index_join` on must match `index_join` off for every carrier ×
-    /// thread-count combination (the answer and the tuple charges are
-    /// schedule- and carrier-independent within each mode).
+    /// `index_join` on must match `index_join` off at every thread count
+    /// (the answer and the tuple charges are schedule-independent within
+    /// each mode).
     #[test]
     fn qhd_with_index_join_matches_classic_path(
         case in arb_join_case(),
@@ -430,37 +419,31 @@ proptest! {
             .build();
         let plan = q_hypertree_decomp(&q, &QhdOptions::default(), &StructuralCost).unwrap();
 
-        let run = |columnar: bool, index_join: bool, threads: usize| {
+        let run = |index_join: bool, threads: usize| {
             let mut b = Budget::unlimited();
             let r = evaluate_qhd_with(&db, &q, &plan, &mut b, &ExecOptions {
                 threads,
-                columnar,
                 index_join,
                 ..ExecOptions::default()
             })
             .unwrap();
             (r, b.charged())
         };
-        let (classic, classic_charge) = run(false, false, 1);
+        let (classic, classic_charge) = run(false, 1);
+        let mut naive_budget = Budget::unlimited();
+        let naive = htqo_eval::evaluate_naive(&db, &q, &mut naive_budget).unwrap();
+        prop_assert!(classic.set_eq(&naive), "classic path drifted from the join-order reference");
         let mut seek_charge = None;
-        for columnar in [false, true] {
-            for t in [1usize, threads] {
-                let (seek, charged) = run(columnar, true, t);
-                prop_assert!(
-                    seek.set_eq(&classic),
-                    "index_join answer drifted (columnar={columnar}, threads={t})"
-                );
-                match seek_charge {
-                    None => seek_charge = Some(charged),
-                    Some(c) => prop_assert_eq!(
-                        charged, c,
-                        "seek charges must be carrier- and schedule-independent"
-                    ),
-                }
-                let (classic2, c2) = run(columnar, false, t);
-                prop_assert!(classic2.set_eq(&classic));
-                prop_assert_eq!(c2, classic_charge);
+        for t in [1usize, threads] {
+            let (seek, charged) = run(true, t);
+            prop_assert!(seek.set_eq(&classic), "index_join answer drifted (threads={t})");
+            match seek_charge {
+                None => seek_charge = Some(charged),
+                Some(c) => prop_assert_eq!(charged, c, "seek charges must be schedule-independent"),
             }
+            let (classic2, c2) = run(false, t);
+            prop_assert!(classic2.set_eq(&classic));
+            prop_assert_eq!(c2, classic_charge);
         }
         std::fs::remove_dir_all(&dir).ok();
     }
