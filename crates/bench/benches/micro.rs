@@ -286,9 +286,10 @@ fn bench_scans(c: &mut Criterion) {
 }
 
 fn bench_storage(c: &mut Criterion) {
-    // The three storage calls of an e2e `paged_rw` round, one at a time:
-    // a durable 16-op commit on a table far larger than its pool, the
-    // page → column reload, and recovery of a short committed WAL tail.
+    // The storage calls of an e2e `paged_rw` round, one at a time: a
+    // durable 16-op commit on a table far larger than its pool, the page
+    // → column reload, recovery of a short and of a round-sized committed
+    // WAL tail, and the checkpoint a long run of commits ends in.
     use htqo_engine::{ColumnType, Relation, Schema, Value};
     use htqo_storage::{MutationBatch, StorageDb, WalPolicy, PAGE_SIZE};
     let scratch = |name: &str| {
@@ -312,7 +313,8 @@ fn bench_storage(c: &mut Criterion) {
     {
         // 6 appends, 4 in-place updates, 6 deletes (of the rows the
         // previous batch appended, so live rows stay constant); the log
-        // checkpoints itself every ~1 MiB, inside the timed commits.
+        // checkpoints itself every ~1 MiB — some 700 commits of slot
+        // records — inside the timed commits.
         let dir = scratch("apply");
         let storage = StorageDb::open_with(&dir, WalPolicy::Commit, 1 << 20).unwrap();
         let base = 15_000i64;
@@ -341,6 +343,19 @@ fn bench_storage(c: &mut Criterion) {
                 storage.apply(&batch).unwrap()
             })
         });
+        let log = storage.wal_stats();
+        let commits = log.commits.max(1);
+        println!(
+            "storage/apply_16ops_commit: {} B logged per commit (slot records {}, catalog {}, \
+             marker {}), {} B of page images per commit (checkpoints), {} fsyncs over {} commits",
+            (log.bytes() - log.image_bytes) / commits,
+            log.slot_bytes / commits,
+            log.catalog_bytes / commits,
+            log.commit_bytes / commits,
+            log.image_bytes / commits,
+            log.fsyncs,
+            log.commits
+        );
         drop(storage);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -362,31 +377,123 @@ fn bench_storage(c: &mut Criterion) {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    {
-        // Three committed, never checkpointed batches; each iteration
-        // puts the same log back and recovers it (redo is idempotent).
-        let dir = scratch("recover");
+    // `batches` committed, never checkpointed batches of 3 or 16 ops
+    // spread over the table. Redo rebuilds a page from the data file plus
+    // the slot records, so each iteration puts back the crashed store —
+    // log and page file — before it recovers; the recovery's own share of
+    // the timed closure is printed.
+    for (name, batches, wide) in [
+        ("recover_3_batches", 3i64, false),
+        ("recover_16_batches", 16, true),
+    ] {
+        let dir = scratch(name);
         let storage = StorageDb::open_with(&dir, WalPolicy::Commit, u64::MAX).unwrap();
-        storage.ingest("t", &wide_table(2_000), &[]).unwrap();
-        for i in 0..3i64 {
+        storage.ingest("t", &wide_table(15_000), &[]).unwrap();
+        for i in 0..batches {
             let mut batch = MutationBatch::new("t");
             batch
-                .append(row(10_000 + i))
+                .append(row(100_000 + i))
                 .update(300 * (i as u64 + 1), row(-i))
                 .delete(i as u64);
+            for j in (1..6).filter(|_| wide) {
+                batch
+                    .append(row(200_000 + 10 * i + j))
+                    .update((131 * (6 * i + j) + 7) as u64 % 14_000 + 20, row(-j))
+                    .delete((977 * (6 * i + j)) as u64 % 14_000 + 20);
+            }
             storage.apply(&batch).unwrap();
         }
         storage.simulate_crash();
         let log = std::fs::read(dir.join("db.wal")).unwrap();
-        group.bench_function("recover_3_batches", |b| {
+        let heap = std::fs::read(dir.join("t.pages")).unwrap();
+        // One recovery up front shows which pages the log changes; only
+        // those are put back, so the timed data fsync flushes what a
+        // crashed store would have dirty.
+        storage.recover().unwrap();
+        let redone = std::fs::read(dir.join("t.pages")).unwrap();
+        let changed: Vec<usize> = (0..heap.len() / PAGE_SIZE)
+            .filter(|&p| {
+                let at = p * PAGE_SIZE..(p + 1) * PAGE_SIZE;
+                heap[at.clone()] != redone[at]
+            })
+            .collect();
+        let put_back = || {
+            use std::os::unix::fs::FileExt;
+            std::fs::write(dir.join("db.wal"), &log).unwrap();
+            let file = std::fs::OpenOptions::new()
+                .write(true)
+                .open(dir.join("t.pages"))
+                .unwrap();
+            for &p in &changed {
+                let at = p * PAGE_SIZE;
+                file.write_all_at(&heap[at..at + PAGE_SIZE], at as u64)
+                    .unwrap();
+            }
+            file.set_len(heap.len() as u64).unwrap();
+        };
+        let (mut pages, mut runs) = (0, 0u32);
+        let mut recovering = std::time::Duration::ZERO;
+        group.bench_function(name, |b| {
             b.iter(|| {
-                std::fs::write(dir.join("db.wal"), &log).unwrap();
+                put_back();
                 storage.simulate_crash();
+                let t = std::time::Instant::now();
                 let report = storage.recover().unwrap();
-                assert_eq!(report.batches_replayed, 3);
+                recovering += t.elapsed();
+                runs += 1;
+                assert_eq!(report.batches_replayed, batches as u64);
+                pages = report.pages_redone;
                 report
             })
         });
+        println!(
+            "storage/{name}: {} B of log, {pages} pages redone, {:.2} ms per recovery alone",
+            log.len(),
+            recovering.as_secs_f64() * 1e3 / f64::from(runs)
+        );
+        drop(storage);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    {
+        // 128 pages changed by committed batches the page file has not
+        // seen: the checkpoint logs their images, syncs the log, writes
+        // and fsyncs them, renames the catalog and truncates the log. The
+        // timed closure also makes the 8 commits that dirty the pages; the
+        // checkpoint's own share is printed.
+        let dir = scratch("checkpoint");
+        let storage = StorageDb::open_with(&dir, WalPolicy::Commit, u64::MAX).unwrap();
+        storage.ingest("t", &wide_table(15_000), &[]).unwrap();
+        storage.load_table("t", small_pool, None).unwrap();
+        // The first row of each of the first 128 heap pages.
+        let firsts: Vec<u64> = (0..15_000)
+            .filter(|&r| matches!(storage.locate("t", r), Ok(Some((_, 0)))))
+            .take(128)
+            .collect();
+        let mut round = 0i64;
+        let mut checkpoints = std::time::Duration::ZERO;
+        group.bench_function("checkpoint_128_dirty_pages", |b| {
+            b.iter(|| {
+                round += 1;
+                for rowids in firsts.chunks(16) {
+                    let mut batch = MutationBatch::new("t");
+                    for &rowid in rowids {
+                        batch.update(rowid, row(-round));
+                    }
+                    storage.apply(&batch).unwrap();
+                }
+                let before = storage.wal_stats().image_bytes;
+                let t = std::time::Instant::now();
+                storage.checkpoint().unwrap();
+                checkpoints += t.elapsed();
+                let images = (storage.wal_stats().image_bytes - before) / PAGE_SIZE as u64;
+                assert_eq!(images, 128, "dirty pages at the checkpoint");
+            })
+        });
+        println!(
+            "storage/checkpoint_128_dirty_pages: {:.2} ms per checkpoint alone",
+            checkpoints.as_secs_f64() * 1e3 / round as f64
+        );
         drop(storage);
         std::fs::remove_dir_all(&dir).ok();
     }

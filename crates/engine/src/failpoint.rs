@@ -76,6 +76,7 @@ pub const SITES: &[&str] = &[
     "storage::page_write",
     "storage::wal_append",
     "storage::wal_fsync",
+    "storage::write_back",
 ];
 
 /// The enumerable registry of fail-point site names (see [`SITES`]).

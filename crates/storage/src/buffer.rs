@@ -11,25 +11,40 @@
 //!
 //! Pages are handed out as [`PagePin`] guards holding an `Arc` snapshot
 //! of the frame bytes, so readers never block the pool lock while they
-//! decode. A concurrent [`BufferPool::update`] publishes a new snapshot;
-//! outstanding pins keep reading the one they started with.
+//! decode. A concurrent edit publishes a new snapshot; outstanding pins
+//! keep reading the one they started with.
 //!
-//! **WAL-before-data.** When a [`Wal`] is attached, every logged
-//! mutation stamps its frame with the record's LSN
-//! ([`BufferPool::update_logged`]), and no dirty frame reaches the data
-//! file — on eviction, flush, or drop — until the WAL is synced past
-//! that LSN ([`Wal::sync_to`]). A data page can therefore never hit disk
-//! ahead of the log record that recreates it, which is the entire
-//! recovery contract.
+//! **Committed edits and the write-back rule.** Once a [`Wal`] is
+//! attached the pool takes only logged edits
+//! (`BufferPool::apply_logged`: the slot edits of a batch that has
+//! committed). It applies them to the resident frame, if there is one,
+//! and keeps the encoded edits per page — the log's tail, indexed by page
+//! — so a page is always *data file + kept edits*. Evicting such a frame
+//! therefore writes nothing (a later miss reads the file and re-applies
+//! the edits), and the data file changes in exactly one place,
+//! [`BufferPool::flush`], under the rule `write_back` implements: *a
+//! page is written in place only after a record holding its full image
+//! is durable in the log*. The kept edits are as many bytes as the slot
+//! records that carry them, so the checkpoint threshold that bounds the
+//! log bounds them too; they are not charged against the [`Budget`].
+//!
+//! Without a WAL the pool is a plain write-back cache:
+//! [`BufferPool::update`] dirties a frame and eviction, flush or drop
+//! writes it.
 
 use crate::page::PAGE_SIZE;
 use crate::pager::PageFile;
-use crate::wal::Wal;
+use crate::wal::{self, Wal};
 use htqo_engine::{Budget, EvalError};
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::{Arc, Mutex};
+
+/// Pages one round of [`BufferPool::flush`] (or of recovery's redo) logs,
+/// syncs and writes together: bounds the images held in memory while the
+/// log sync they wait for is shared.
+pub(crate) const WRITE_BACK_CHUNK: usize = 128;
 
 /// Observability counters for one pool.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -40,7 +55,7 @@ pub struct PoolStats {
     pub misses: u64,
     /// Frames evicted to make room.
     pub evictions: u64,
-    /// Dirty write-backs (eviction or flush).
+    /// Pages written back to the data file (eviction or flush).
     pub flushes: u64,
     /// Frames currently resident.
     pub resident: usize,
@@ -48,16 +63,46 @@ pub struct PoolStats {
     pub capacity: usize,
 }
 
+/// The write-back rule, in the one function that overwrites pages of
+/// data files: the images of `pages` — `(index into files, pid, image)` —
+/// go to `wal`, the log is synced once, and only then is each page
+/// written in place (`written` hears of each as it lands). A crash in
+/// between leaves either untouched pages or images recovery restores
+/// them from. Without a log (a pool no commit has touched) the pages are
+/// simply written.
+pub(crate) fn write_back(
+    wal: Option<&Wal>,
+    files: &mut [PageFile],
+    pages: &[(usize, u64, &[u8])],
+    mut written: impl FnMut(u64),
+) -> Result<(), EvalError> {
+    if let Some(wal) = wal {
+        for &(file, pid, image) in pages {
+            let path = files[file].path();
+            let name = path.file_name().and_then(|n| n.to_str()).ok_or_else(|| {
+                EvalError::Internal(format!("{}: unnamed page file", path.display()))
+            })?;
+            wal.log_page(name, pid, image)?;
+        }
+        wal.sync_all()?;
+    }
+    htqo_engine::fail_point!("storage::write_back");
+    for &(file, pid, image) in pages {
+        files[file].write_extend(pid, image)?;
+        written(pid);
+    }
+    Ok(())
+}
+
 struct Frame {
     pid: u64,
     data: Arc<Vec<u8>>,
     pins: u32,
+    /// Holds unlogged changes ([`BufferPool::update`]) the file lacks:
+    /// must be written before the frame is given up. A frame that differs
+    /// from the file only by kept edits is not dirty in this sense.
     dirty: bool,
     referenced: bool,
-    /// LSN of the newest WAL record covering this frame's content; the
-    /// frame must not be written back until the WAL is synced past it.
-    /// Zero for unlogged mutations (always writable).
-    page_lsn: u64,
 }
 
 struct Inner {
@@ -69,35 +114,41 @@ struct Inner {
     budget: Option<Budget>,
     stats: PoolStats,
     wal: Option<Arc<Wal>>,
-    /// Next page id handed out by [`BufferPool::create_page`]; may run
-    /// ahead of `file.pages()` until the created frames are written
-    /// back (via `write_extend`).
+    /// Next page id handed out by [`BufferPool::create_page`]; runs
+    /// ahead of `file.pages()` until the created pages are flushed.
     next_pid: u64,
+    /// Per page, the encoded slot edits ([`wal::push_edit`]) of every
+    /// batch committed since the page was last written in place, in
+    /// commit order.
+    kept: HashMap<u64, Vec<u8>>,
 }
 
 impl Inner {
-    /// The WAL-before-data barrier for one frame.
-    fn wal_barrier(&self, lsn: u64) -> Result<(), EvalError> {
-        if lsn > 0 {
-            if let Some(wal) = &self.wal {
-                wal.sync_to(lsn)?;
-            }
+    /// The committed bytes of a page that is not resident: the file's
+    /// (an empty page for one created but not yet flushed) plus its kept
+    /// edits.
+    fn read_page(&mut self, pid: u64) -> Result<Vec<u8>, EvalError> {
+        let mut buf = vec![0u8; PAGE_SIZE];
+        if pid < self.file.pages() || pid >= self.next_pid {
+            self.file.read(pid, &mut buf)?;
         }
-        Ok(())
+        if let Some(edits) = self.kept.get(&pid) {
+            wal::apply_edits(&mut buf, edits)?;
+        }
+        Ok(buf)
     }
 
-    /// Writes frame `i` back to the data file (WAL barrier first).
-    fn write_back(&mut self, i: usize) -> Result<(), EvalError> {
-        let lsn = self.frames[i].page_lsn;
-        self.wal_barrier(lsn)?;
+    /// Writes the unlogged changes of frame `i` to the data file.
+    fn write_dirty(&mut self, i: usize) -> Result<(), EvalError> {
         let (pid, data) = (self.frames[i].pid, Arc::clone(&self.frames[i].data));
-        self.file.write_extend(pid, &data)?;
+        let file = std::slice::from_mut(&mut self.file);
+        write_back(None, file, &[(0, pid, &data[..])], |_| {})?;
         self.frames[i].dirty = false;
         self.stats.flushes += 1;
         Ok(())
     }
 
-    /// Clock sweep: frees one frame slot, flushing it first if dirty.
+    /// Clock sweep: frees one frame slot, writing it first if dirty.
     /// Fails only when every frame is pinned.
     fn evict_one(&mut self) -> Result<usize, EvalError> {
         for _ in 0..2 * self.frames.len() {
@@ -111,7 +162,7 @@ impl Inner {
                 continue;
             }
             if self.frames[i].dirty {
-                self.write_back(i)?;
+                self.write_dirty(i)?;
             }
             let pid = self.frames[i].pid;
             self.map.remove(&pid);
@@ -151,7 +202,6 @@ impl Inner {
                 pins: 0,
                 dirty: false,
                 referenced: false,
-                page_lsn: 0,
             });
             Ok(self.frames.len() - 1)
         } else {
@@ -169,8 +219,7 @@ impl Inner {
             return Ok(i);
         }
         self.stats.misses += 1;
-        let mut buf = vec![0u8; PAGE_SIZE];
-        self.file.read(pid, &mut buf)?;
+        let buf = self.read_page(pid)?;
         let i = self.slot()?;
         self.frames[i] = Frame {
             pid,
@@ -178,7 +227,6 @@ impl Inner {
             pins: 0,
             dirty: false,
             referenced: true,
-            page_lsn: 0,
         };
         self.map.insert(pid, i);
         Ok(i)
@@ -220,6 +268,7 @@ impl BufferPool {
                 },
                 wal: None,
                 next_pid,
+                kept: HashMap::new(),
             }),
         }
     }
@@ -229,8 +278,8 @@ impl BufferPool {
     }
 
     /// Attaches the WAL whose records cover this pool's file; from now
-    /// on every dirty write-back waits for the WAL to sync past the
-    /// frame's `page_lsn` first.
+    /// on the pool takes logged edits only and [`BufferPool::flush`] logs
+    /// a page's image before overwriting it.
     pub fn attach_wal(&self, wal: Arc<Wal>) {
         self.lock().wal = Some(wal);
     }
@@ -257,72 +306,103 @@ impl BufferPool {
         }
     }
 
-    /// Mutates page `pid` in the cache and marks it dirty; the write
-    /// reaches disk on eviction, [`BufferPool::flush`], or drop. The
-    /// mutation must preserve the page size.
+    /// Mutates page `pid` in the cache, unlogged, and marks it dirty; the
+    /// write reaches disk on eviction, [`BufferPool::flush`], or drop.
+    /// The mutation must preserve the page size. Refused once a WAL is
+    /// attached: such a write would reach the file with no image behind
+    /// it.
     pub fn update(&self, pid: u64, f: impl FnOnce(&mut Vec<u8>)) -> Result<(), EvalError> {
-        self.update_at(pid, 0, f)
-    }
-
-    /// Like [`BufferPool::update`], but records that the mutation is
-    /// covered by the WAL record at `lsn`: the frame will not be written
-    /// back until the WAL is synced past it.
-    pub fn update_logged(
-        &self,
-        pid: u64,
-        lsn: u64,
-        f: impl FnOnce(&mut Vec<u8>),
-    ) -> Result<(), EvalError> {
-        self.update_at(pid, lsn, f)
-    }
-
-    fn update_at(&self, pid: u64, lsn: u64, f: impl FnOnce(&mut Vec<u8>)) -> Result<(), EvalError> {
         let mut inner = self.lock();
+        if inner.wal.is_some() {
+            return Err(EvalError::Internal(format!(
+                "unlogged update of page {pid} in a pool with a WAL attached"
+            )));
+        }
         let i = inner.frame_of(pid)?;
         let data = Arc::make_mut(&mut inner.frames[i].data);
         f(data);
         assert_eq!(data.len(), PAGE_SIZE, "update changed the page size");
         inner.frames[i].dirty = true;
-        inner.frames[i].page_lsn = inner.frames[i].page_lsn.max(lsn);
         Ok(())
     }
 
-    /// Allocates a fresh zeroed page *in the cache* and returns its page
-    /// id. The page reaches the file (zero-extending any gap) when the
-    /// frame is written back — after the covering WAL record is durable,
-    /// like any other logged mutation.
+    /// Takes the slot edits a committed batch logged for page `pid`
+    /// (`edits` as in [`Wal::log_slots`]): applied to the resident frame,
+    /// if any, and kept until the next [`BufferPool::flush`] for whoever
+    /// reads the page from the file in between. No IO.
+    pub(crate) fn apply_logged(&self, pid: u64, edits: &[u8]) -> Result<(), EvalError> {
+        let mut inner = self.lock();
+        if let Some(&i) = inner.map.get(&pid) {
+            let frame = &mut inner.frames[i];
+            debug_assert!(!frame.dirty, "logged edit on top of an unlogged one");
+            let data: &mut Vec<u8> = Arc::make_mut(&mut frame.data);
+            wal::apply_edits(data, edits)?;
+            frame.referenced = true;
+        }
+        inner.kept.entry(pid).or_default().extend_from_slice(edits);
+        Ok(())
+    }
+
+    /// Hands out the id of a fresh, empty page. It exists in the cache
+    /// only — reads see an empty page plus whatever edits it took — and
+    /// reaches the file (zero-extending any gap) at the next flush.
     pub fn create_page(&self) -> Result<u64, EvalError> {
         let mut inner = self.lock();
         let pid = inner.next_pid;
         inner.next_pid += 1;
-        let i = inner.slot()?;
-        inner.frames[i] = Frame {
-            pid,
-            data: Arc::new(vec![0u8; PAGE_SIZE]),
-            pins: 0,
-            dirty: true,
-            referenced: true,
-            page_lsn: 0,
-        };
-        inner.map.insert(pid, i);
         Ok(pid)
     }
 
-    /// Writes back every dirty frame (each exactly once, WAL barrier
-    /// first) and syncs the data file.
+    /// Writes back every page the file is behind on — kept edits or
+    /// unlogged changes — each exactly once, `WRITE_BACK_CHUNK` pages
+    /// per log sync under the `write_back` rule, then syncs the data
+    /// file.
     pub fn flush(&self) -> Result<(), EvalError> {
-        let mut inner = self.lock();
-        for i in 0..inner.frames.len() {
-            if inner.frames[i].dirty {
-                inner.write_back(i)?;
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        let dirty = inner.frames.iter().filter(|f| f.dirty).map(|f| f.pid);
+        let mut pids: Vec<u64> = inner.kept.keys().copied().chain(dirty).collect();
+        pids.sort_unstable();
+        pids.dedup();
+        let wal = inner.wal.clone();
+        for chunk in pids.chunks(WRITE_BACK_CHUNK) {
+            let mut pages = Vec::with_capacity(chunk.len());
+            for &pid in chunk {
+                pages.push(match inner.map.get(&pid) {
+                    Some(&i) => Arc::clone(&inner.frames[i].data),
+                    None => Arc::new(inner.read_page(pid)?),
+                });
             }
+            let images: Vec<(usize, u64, &[u8])> = chunk
+                .iter()
+                .zip(&pages)
+                .map(|(&pid, data)| (0, pid, &data[..]))
+                .collect();
+            // A page stops being "file + kept edits" the moment it is
+            // written, whatever happens to the pages behind it.
+            let Inner {
+                file,
+                kept,
+                frames,
+                map,
+                stats,
+                ..
+            } = inner;
+            write_back(wal.as_deref(), std::slice::from_mut(file), &images, |pid| {
+                kept.remove(&pid);
+                if let Some(&i) = map.get(&pid) {
+                    frames[i].dirty = false;
+                }
+                stats.flushes += 1;
+            })?;
         }
         inner.file.sync()
     }
 
-    /// Drops every frame **without** write-back, losing all dirty
-    /// content — the crash-simulation primitive. The budget returns to
-    /// its pre-pool level; the pool stays usable (rereads from disk).
+    /// Drops every frame and every kept edit **without** write-back,
+    /// losing all content the file does not hold — the crash-simulation
+    /// primitive. The budget returns to its pre-pool level; the pool
+    /// stays usable (rereads from disk).
     pub fn discard(&self) {
         let mut inner = self.lock();
         for _ in 0..inner.map.len() {
@@ -330,6 +410,7 @@ impl BufferPool {
         }
         inner.map.clear();
         inner.frames.clear();
+        inner.kept.clear();
         inner.hand = 0;
         inner.next_pid = inner.file.pages();
     }
@@ -358,13 +439,14 @@ impl BufferPool {
 impl Drop for BufferPool {
     fn drop(&mut self) {
         let mut inner = self.lock();
-        // Best-effort write-back; a frame whose WAL barrier fails is
-        // skipped (writing it would violate WAL-before-data — recovery
-        // will redo it from the log instead). Uncharge every resident
-        // frame so the budget returns to its pre-pool level exactly.
+        // Best-effort write-back of unlogged changes. Kept edits are
+        // dropped with the pool: their batches are in the log, and the
+        // next handle on the directory redoes them from there. Uncharge
+        // every resident frame so the budget returns to its pre-pool
+        // level exactly.
         for i in 0..inner.frames.len() {
             if inner.frames[i].dirty {
-                let _ = inner.write_back(i);
+                let _ = inner.write_dirty(i);
             }
         }
         for _ in 0..inner.map.len() {
@@ -381,6 +463,13 @@ pub struct PagePin<'a> {
     pool: &'a BufferPool,
     pid: u64,
     data: Arc<Vec<u8>>,
+}
+
+impl PagePin<'_> {
+    /// The page bytes as pinned, to read after the pin is given up.
+    pub(crate) fn snapshot(&self) -> Arc<Vec<u8>> {
+        Arc::clone(&self.data)
+    }
 }
 
 impl Deref for PagePin<'_> {
@@ -515,6 +604,102 @@ mod tests {
         let mut buf = vec![0u8; PAGE_SIZE];
         f.read(3, &mut buf).unwrap();
         assert_eq!(buf[7], 0x77);
+    }
+
+    /// A pool over `pages` empty slotted pages with a fresh WAL attached.
+    fn logged_pool(name: &str, pages: u64, frames: u64, wal_budget: Option<Budget>) -> BufferPool {
+        let mut file = pool_file(name, 0);
+        let empty = crate::page::PageBuilder::new().finish();
+        for _ in 0..pages {
+            file.append(&empty).unwrap();
+        }
+        file.sync().unwrap();
+        let wal_path = file.path().with_file_name("db.wal");
+        let pool = BufferPool::new(file, frames * PAGE_SIZE as u64, None);
+        let wal = Wal::open(&wal_path, crate::wal::WalPolicy::Commit, wal_budget).unwrap();
+        pool.attach_wal(Arc::new(wal));
+        pool
+    }
+
+    /// The edits of one committed batch: `cell` pushed as slot `slot`.
+    fn push(slot: u16, cell: &[u8]) -> Vec<u8> {
+        let mut edits = Vec::new();
+        wal::push_edit(&mut edits, wal::SlotOp::Push, slot, cell);
+        edits
+    }
+
+    #[test]
+    fn logged_edits_survive_eviction_and_reach_the_file_only_at_flush() {
+        let pool = logged_pool("kept", 6, 2, None);
+        let path = pool.lock().file.path().to_path_buf();
+        let on_disk = std::fs::read(&path).unwrap();
+        // Two batches on every page, through two frames: every frame is
+        // given up between its edits, and the second push only lands on
+        // slot 1 if the first came back with the page.
+        for round in 0..2u16 {
+            for pid in 0..6u64 {
+                let _ = pool.pin(pid).unwrap();
+                pool.apply_logged(pid, &push(round, &[pid as u8, round as u8]))
+                    .unwrap();
+            }
+        }
+        // A page created in the cache takes edits before it has ever
+        // been resident or in the file.
+        let fresh = pool.create_page().unwrap();
+        pool.apply_logged(fresh, &push(0, b"fresh")).unwrap();
+        let stats = pool.stats();
+        assert!(stats.evictions >= 10 && stats.flushes == 0, "{stats:?}");
+        assert_eq!(std::fs::read(&path).unwrap(), on_disk, "eviction wrote");
+        for pid in 0..6u64 {
+            let cells = crate::page::cells(&pool.pin(pid).unwrap()).unwrap();
+            assert_eq!(cells, [vec![pid as u8, 0], vec![pid as u8, 1]]);
+        }
+        assert!(pool.update(0, |d| d[0] = 1).is_err(), "unlogged write");
+
+        // Flush: one image per page in the log, then the file catches up.
+        pool.flush().unwrap();
+        assert_eq!(pool.stats().flushes, 7);
+        let wal_path = path.with_file_name("db.wal");
+        let scan = wal::scan(&wal_path).unwrap();
+        let imaged: Vec<u64> = scan
+            .records
+            .iter()
+            .map(|r| match r {
+                wal::WalRecord::Page { file, pid, .. } if file == "t.pages" => *pid,
+                other => panic!("unexpected record {other:?}"),
+            })
+            .collect();
+        assert_eq!(imaged, [0, 1, 2, 3, 4, 5, fresh]);
+        drop(pool);
+        let mut file = PageFile::open(&path).unwrap();
+        assert_eq!(file.pages(), 7);
+        let mut buf = vec![0u8; PAGE_SIZE];
+        file.read(fresh, &mut buf).unwrap();
+        assert_eq!(crate::page::cells(&buf).unwrap(), [b"fresh".to_vec()]);
+        file.read(3, &mut buf).unwrap();
+        assert_eq!(crate::page::cells(&buf).unwrap(), [vec![3, 0], vec![3, 1]]);
+    }
+
+    /// A checkpoint with many dirty pages logs their images through a
+    /// bounded pending buffer: 256 pages (2 MiB of images) flush under a
+    /// 1 MiB budget on the log, and under a tenth of that.
+    #[test]
+    fn a_256_page_flush_fits_a_small_wal_budget() {
+        for limit in [1u64 << 20, 100 << 10] {
+            let mut master = Budget::unlimited().with_mem_limit(limit);
+            let observer = master.fork();
+            let pool = logged_pool(&format!("chunks-{limit}"), 256, 8, Some(master.fork()));
+            for pid in 0..256u64 {
+                pool.apply_logged(pid, &push(0, &pid.to_le_bytes()))
+                    .unwrap();
+            }
+            pool.flush().unwrap();
+            assert_eq!(pool.stats().flushes, 256);
+            assert_eq!(observer.mem_used(), 0);
+            let stats = pool.lock().wal.as_ref().unwrap().stats();
+            assert!(stats.image_bytes > 256 * PAGE_SIZE as u64);
+            assert_eq!(stats.fsyncs, 2, "one log sync per write-back chunk");
+        }
     }
 
     #[test]

@@ -14,15 +14,19 @@
 //! a crash mid-re-ingest can no longer corrupt the previous version.
 //!
 //! Small mutations skip the whole-table rewrite: [`StorageDb::apply`]
-//! takes a [`MutationBatch`] of appends, updates, and deletes, logs
-//! full post-images of every touched page plus the new catalog text to
-//! the WAL, commits, and only then applies the changes to the shared
-//! [`BufferPool`] — so the data files never contain uncommitted state,
+//! takes a [`MutationBatch`] of appends, updates, and deletes, logs per
+//! changed page one slot record — the cells the batch changes there —
+//! plus the new catalog text to the WAL, commits, and only then hands the
+//! same edits to the shared [`BufferPool`], which applies them to its
+//! frames in place. The pool therefore only ever serves committed state,
 //! and recovery ([`StorageDb::recover`]) restores exactly the committed
-//! prefix by replaying the log (see [`crate::wal`] for the protocol).
+//! prefix by replaying the log (see [`crate::wal`] for the record kinds
+//! and the replay rule).
 //! A commit writes nothing but the log: the new catalog entry is kept in
-//! memory, and catalog *files* are written at ingest, checkpoint and
-//! recovery only.
+//! memory, the changed cells in the pool, and the *files* — catalog and
+//! pages alike — are written at ingest, checkpoint and recovery only,
+//! each page behind a logged image of itself
+//! (`buffer::write_back`).
 //! Deletes leave zero-length **tombstone** cells so physical rowids
 //! (slot positions) stay stable; mutations drop a table's secondary
 //! indexes, which are bulk-loaded structures rebuilt at the next ingest.
@@ -35,11 +39,11 @@
 //! pool, so index-seek joins stay cache-governed after the warm start.
 
 use crate::btree::{self, IndexMeta, PagedIndex};
-use crate::buffer::BufferPool;
+use crate::buffer::{self, BufferPool, WRITE_BACK_CHUNK};
 use crate::codec;
-use crate::page::{self, PageBuilder, MAX_CELL};
+use crate::page::{self, PageBuilder, MAX_CELL, PAGE_SIZE};
 use crate::pager::PageFile;
-use crate::wal::{self, Wal, WalPolicy, WalRecord};
+use crate::wal::{self, SlotOp, Wal, WalPolicy, WalRecord, WalStats};
 use htqo_engine::{Budget, ColumnType, Database, EvalError, MemIndex, Relation, Schema, Value};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -152,8 +156,13 @@ pub struct RecoveryReport {
     pub wal_bytes: u64,
     /// Committed batches replayed.
     pub batches_replayed: u64,
-    /// Page images redone into data files.
+    /// Pages rewritten in the data files.
     pub pages_redone: u64,
+    /// Of those, pages whose replay started from an image in the log
+    /// rather than from the data file.
+    pub images_restored: u64,
+    /// Slot records of committed batches applied on top.
+    pub slot_records_redone: u64,
     /// Catalog records redone.
     pub catalogs_redone: u64,
     /// True when the scan stopped at a torn or corrupt record.
@@ -251,12 +260,16 @@ impl MutationBatch {
 struct SlotDirectory {
     pages: Vec<(u64, u64)>,
     slots: u64,
+    /// [`page::used_bytes`] of the last heap page: whether an append still
+    /// fits there is decided without pinning it.
+    tail_used: usize,
 }
 
 impl SlotDirectory {
-    fn push_page(&mut self, pid: u64, cells: u16) {
+    fn push_page(&mut self, pid: u64, cells: u16, used: usize) {
         self.pages.push((pid, self.slots));
         self.slots += u64::from(cells);
+        self.tail_used = used;
     }
 
     /// The directory in `kept`, built first if there is none yet by
@@ -270,7 +283,8 @@ impl SlotDirectory {
             let mut dir = SlotDirectory::default();
             for &(start, count) in heap {
                 for pid in start..start + count {
-                    dir.push_page(pid, page::cell_count(&pool.pin(pid)?)?);
+                    let page = pool.pin(pid)?;
+                    dir.push_page(pid, page::cell_count(&page)?, page::page_used_bytes(&page)?);
                 }
             }
             *kept = Some(dir);
@@ -308,6 +322,9 @@ struct OpenTable {
 /// Shared mutable state behind every clone of one [`StorageDb`].
 struct DbShared {
     wal: Mutex<Option<Arc<Wal>>>,
+    /// Counts of the log handles this family has already given up (a
+    /// crash simulation, recovery's own appends).
+    wal_retired: Mutex<WalStats>,
     recovery: Mutex<Option<RecoveryReport>>,
     /// Held for the length of a load or a commit, which serializes them.
     tables: Mutex<HashMap<String, OpenTable>>,
@@ -362,6 +379,7 @@ impl StorageDb {
             cache_bytes: cache_bytes_from_env(),
             shared: Arc::new(DbShared {
                 wal: Mutex::new(None),
+                wal_retired: Mutex::new(WalStats::default()),
                 recovery: Mutex::new(None),
                 tables: Mutex::new(HashMap::new()),
                 budget: Mutex::new(None),
@@ -446,12 +464,13 @@ impl StorageDb {
     }
 
     /// The recovery pass: scans the WAL (validating checksums, torn tail
-    /// tolerated), redoes every committed batch in order, truncates the
-    /// log, and garbage-collects orphan generation files. Idempotent —
-    /// records are full post-images, so replaying twice (e.g. after a
-    /// crash *during* recovery) lands in the same state. Returns what it
-    /// did; on a handle that already recovered, returns the stored
-    /// report without rescanning.
+    /// tolerated), redoes every page the log mentions, truncates the
+    /// log, and garbage-collects orphan generation files. Idempotent — a
+    /// page is rebuilt from its last logged image or from the data file,
+    /// and the data file is overwritten only behind a logged image of the
+    /// result, so replaying twice (e.g. after a crash *during* recovery)
+    /// lands in the same state. Returns what it did; on a handle that
+    /// already recovered, returns the stored report without rescanning.
     pub fn recover(&self) -> Result<RecoveryReport, EvalError> {
         let mut slot = lock(&self.shared.recovery);
         if self.shared.recovered.load(Ordering::Acquire) {
@@ -480,33 +499,102 @@ impl StorageDb {
             dropped_records: scan.dropped_records,
             ..RecoveryReport::default()
         };
-        let mut files: HashMap<String, PageFile> = HashMap::new();
+        /// What the log holds for one page: its last image and the slot
+        /// records of committed batches behind that image.
+        #[derive(Default)]
+        struct Redo {
+            image: Option<Vec<u8>>,
+            slots: Vec<Vec<u8>>,
+        }
+        // Pages by (index into `names`, pid): page files in the order the
+        // log first mentions them.
+        let mut names: Vec<String> = Vec::new();
+        let mut file_index = |file: String| {
+            let known = names.iter().position(|n| *n == file);
+            known.unwrap_or_else(|| {
+                names.push(file);
+                names.len() - 1
+            })
+        };
+        let mut pages: BTreeMap<(usize, u64), Redo> = BTreeMap::new();
         // Catalog records are full replacements: only each table's last
         // one is worth writing.
-        let mut catalogs: BTreeMap<&str, &str> = BTreeMap::new();
-        for batch in &scan.batches {
-            for rec in batch {
-                match rec {
-                    WalRecord::Page { file, pid, image } => {
-                        let pf = match files.entry(file.clone()) {
-                            Entry::Occupied(e) => e.into_mut(),
-                            Entry::Vacant(e) => e.insert(open_repair(&self.dir.join(file))?),
-                        };
-                        pf.write_extend(*pid, image)?;
-                        report.pages_redone += 1;
-                    }
-                    WalRecord::Catalog { table, text } => {
-                        catalogs.insert(table, text);
-                        report.catalogs_redone += 1;
-                    }
+        let mut catalogs: BTreeMap<String, String> = BTreeMap::new();
+        for (i, rec) in scan.records.into_iter().enumerate() {
+            let committed = i < scan.committed;
+            match rec {
+                // An image stands on its own checksum — except in a log
+                // of the old format, where it is a member of its batch.
+                WalRecord::Page { file, pid, image } if committed || !scan.batch_images => {
+                    let redo = pages.entry((file_index(file), pid)).or_default();
+                    redo.image = Some(image);
+                    redo.slots.clear();
                 }
+                WalRecord::Slots { file, pid, edits } if committed => {
+                    let redo = pages.entry((file_index(file), pid)).or_default();
+                    redo.slots.push(edits);
+                }
+                WalRecord::Catalog { table, text } if committed => {
+                    catalogs.insert(table, text);
+                    report.catalogs_redone += 1;
+                }
+                WalRecord::Commit { .. } => report.batches_replayed += 1,
+                // A batch whose commit marker never made it.
+                _ => {}
             }
-            report.batches_replayed += 1;
         }
-        for f in files.values_mut() {
-            f.sync()?;
+
+        // The images of the redone pages go to the log they are redone
+        // from, behind its last valid record: a torn in-place write below
+        // is then repaired by the next recovery, from that image.
+        let wal = if pages.is_empty() {
+            None
+        } else {
+            let budget = lock(&self.shared.budget).clone();
+            let path = self.wal_path();
+            Some(Wal::resume(&path, self.policy, budget, scan.valid_len)?)
+        };
+        let mut files = Vec::with_capacity(names.len());
+        for name in &names {
+            files.push(open_repair(&self.dir.join(name))?);
         }
-        self.write_catalogs(catalogs)?;
+        let mut pages: Vec<_> = pages.into_iter().collect();
+        for chunk in pages.chunks_mut(WRITE_BACK_CHUNK) {
+            let mut redone = Vec::with_capacity(chunk.len());
+            for ((file, pid), redo) in chunk {
+                let mut page = match redo.image.take() {
+                    Some(image) => {
+                        report.images_restored += 1;
+                        image
+                    }
+                    None => {
+                        let mut buf = vec![0u8; PAGE_SIZE];
+                        if *pid < files[*file].pages() {
+                            files[*file].read(*pid, &mut buf)?;
+                        }
+                        buf
+                    }
+                };
+                for edits in &redo.slots {
+                    wal::apply_edits(&mut page, edits)?;
+                }
+                report.slot_records_redone += redo.slots.len() as u64;
+                redone.push((*file, *pid, page));
+            }
+            let images: Vec<_> = redone
+                .iter()
+                .map(|(f, pid, p)| (*f, *pid, &p[..]))
+                .collect();
+            let written = &mut report.pages_redone;
+            buffer::write_back(wal.as_ref(), &mut files, &images, |_| *written += 1)?;
+        }
+        for file in &mut files {
+            file.sync()?;
+        }
+        if let Some(wal) = wal {
+            lock(&self.shared.wal_retired).absorb(wal.stats());
+        }
+        self.write_catalogs(catalogs.iter().map(|(t, text)| (t.as_str(), text.as_str())))?;
         // Everything replayed and durable: restart the log empty.
         if self.wal_path().exists() {
             drop(Wal::open(&self.wal_path(), self.policy, None)?);
@@ -570,7 +658,9 @@ impl StorageDb {
         }
         // Dropping the Wal discards its unflushed pending buffer — the
         // bytes a real crash would lose — without touching the file.
-        *lock(&self.shared.wal) = None;
+        if let Some(wal) = lock(&self.shared.wal).take() {
+            lock(&self.shared.wal_retired).absorb(wal.stats());
+        }
         *slot = None;
         self.shared.recovered.store(false, Ordering::Release);
     }
@@ -588,6 +678,17 @@ impl StorageDb {
         let w = Arc::new(Wal::open(&self.wal_path(), self.policy, budget)?);
         *slot = Some(Arc::clone(&w));
         Ok(w)
+    }
+
+    /// What this handle family has written to its log: bytes appended per
+    /// record kind, commits and fsyncs, summed over every log handle it
+    /// has held (a crash simulation and recovery each open their own).
+    pub fn wal_stats(&self) -> WalStats {
+        let mut stats = *lock(&self.shared.wal_retired);
+        if let Some(wal) = lock(&self.shared.wal).as_ref() {
+            stats.absorb(wal.stats());
+        }
+        stats
     }
 
     /// The open state of table `name`, created on first use: its catalog
@@ -615,8 +716,9 @@ impl StorageDb {
         })
     }
 
-    /// Checkpoint: makes the WAL durable, writes every dirty page back
-    /// (data fsync), then truncates the log — after which the WAL
+    /// Checkpoint: makes the WAL durable, writes back every page the
+    /// data files are behind on (each behind a logged image of itself,
+    /// then a data fsync), then truncates the log — after which the WAL
     /// records are redundant and the data files self-contained.
     pub fn checkpoint(&self) -> Result<(), EvalError> {
         self.ensure_recovered()?;
@@ -926,10 +1028,11 @@ impl StorageDb {
     }
 
     /// Applies one [`MutationBatch`] atomically: validates everything,
-    /// logs full post-images of each touched page plus the new catalog
-    /// text to the WAL, commits (fsync per policy), and only then
-    /// updates the shared buffer pool and the in-memory catalog entry
-    /// (the catalog *file* waits for the next checkpoint). A crash
+    /// logs one slot record per changed page plus the new catalog text to
+    /// the WAL, commits (fsync per policy), and only then hands the edits
+    /// to the shared buffer pool and updates the in-memory catalog entry
+    /// (the catalog *file* and the page files wait for the next
+    /// checkpoint). A crash
     /// before the commit record is durable loses the whole batch; after,
     /// the whole batch survives recovery — never a partial application.
     ///
@@ -990,18 +1093,34 @@ impl StorageDb {
         }
         let slots = SlotDirectory::of(pool, &meta.heap, &mut st.slots)?;
 
-        // Stage every change against in-memory cell lists; only the
-        // pages the batch changes are pinned.
-        type Cells = Vec<Vec<u8>>;
+        /// What the batch does to one existing heap page: the new cell of
+        /// every slot it rewrites, the cells it appends, and the bytes the
+        /// page will use. Only the pages the batch changes are pinned,
+        /// and only while they are read.
+        struct Staged {
+            before: Arc<Vec<u8>>,
+            used: usize,
+            puts: BTreeMap<u16, Vec<u8>>,
+            pushes: Vec<Vec<u8>>,
+        }
         fn staged<'a>(
             pool: &BufferPool,
-            changed: &'a mut BTreeMap<u64, Cells>,
+            changed: &'a mut BTreeMap<u64, Staged>,
             pid: u64,
-        ) -> Result<&'a mut Cells, EvalError> {
+        ) -> Result<&'a mut Staged, EvalError> {
             use std::collections::btree_map::Entry;
             Ok(match changed.entry(pid) {
                 Entry::Occupied(e) => e.into_mut(),
-                Entry::Vacant(e) => e.insert(page::cells(&pool.pin(pid)?)?),
+                Entry::Vacant(e) => {
+                    let before = pool.pin(pid)?.snapshot();
+                    let used = page::page_used_bytes(&before)?;
+                    e.insert(Staged {
+                        before,
+                        used,
+                        puts: BTreeMap::new(),
+                        pushes: Vec::new(),
+                    })
+                }
             })
         }
         let mut changed = BTreeMap::new();
@@ -1022,27 +1141,29 @@ impl StorageDb {
                             batch.table
                         ))
                     })?;
-                    let cells = staged(pool, &mut changed, pid)?;
-                    if cells[slot as usize].is_empty() {
+                    let page = staged(pool, &mut changed, pid)?;
+                    let old_len = match page.puts.get(&slot) {
+                        Some(cell) => cell.len(),
+                        None => page::cell(&page.before, slot)?.len(),
+                    };
+                    if old_len == 0 {
                         return Err(EvalError::SpillIo(format!(
                             "table {}: rowid {rowid} is deleted",
                             batch.table
                         )));
                     }
-                    match op {
-                        MutOp::Update(_, row) => {
-                            let cell = encode_cell(&batch.table, row)?;
-                            if cell.len() > cells[slot as usize].len() {
-                                grown.insert(pid, (*rowid, slot));
-                            }
-                            cells[slot as usize] = cell;
-                        }
-                        MutOp::Delete(_) => {
-                            cells[slot as usize].clear();
+                    let cell = match op {
+                        MutOp::Update(_, row) => encode_cell(&batch.table, row)?,
+                        _ => {
                             live_delta -= 1;
+                            Vec::new()
                         }
-                        MutOp::Append(_) => unreachable!(),
+                    };
+                    if cell.len() > old_len {
+                        grown.insert(pid, (*rowid, slot));
                     }
+                    page.used = page.used - old_len + cell.len();
+                    page.puts.insert(slot, cell);
                 }
             }
         }
@@ -1052,51 +1173,86 @@ impl StorageDb {
         // same batch can make the room — and before appends top up the
         // last page, which only ever take what is left.
         for (pid, &(rowid, slot)) in &grown {
-            let cells = &changed[pid];
-            let used = page::used_bytes(cells);
-            if used > page::PAGE_DATA {
-                let row_bytes = cells[slot as usize].len();
+            let page = &changed[pid];
+            if page.used > page::PAGE_DATA {
+                let row_bytes = page.puts[&slot].len();
                 return Err(EvalError::RowDoesNotFit {
                     table: batch.table.clone(),
                     rowid,
                     row_bytes: row_bytes as u32,
-                    free_bytes: page::PAGE_DATA.saturating_sub(used - row_bytes) as u32,
+                    free_bytes: page::PAGE_DATA.saturating_sub(page.used - row_bytes) as u32,
                 });
             }
         }
 
-        // Place appends: top up the last heap page, then fresh pages.
+        // Place appends: top up the last heap page — left alone, unpinned,
+        // when not even the first append fits — then fresh pages.
+        let fits = |used: usize, cell: &[u8]| page::used_with(used, cell) <= page::PAGE_DATA;
         let mut append_iter = appends.into_iter().peekable();
         let mut topped_up = 0u64;
-        let last_page = slots.pages.last().map(|&(pid, _)| pid);
-        if let Some(last_pid) = last_page.filter(|_| append_iter.peek().is_some()) {
-            let cells = staged(pool, &mut changed, last_pid)?;
-            while let Some(cell) = append_iter.next_if(|cell| page::page_fits(cells, cell)) {
-                cells.push(cell);
-                topped_up += 1;
+        if let (Some(&(last_pid, _)), Some(first)) = (slots.pages.last(), append_iter.peek()) {
+            let used = changed.get(&last_pid).map_or(slots.tail_used, |p| p.used);
+            if fits(used, first) {
+                let page = staged(pool, &mut changed, last_pid)?;
+                while let Some(cell) = append_iter.next_if(|cell| fits(page.used, cell)) {
+                    page.used = page::used_with(page.used, &cell);
+                    page.pushes.push(cell);
+                    topped_up += 1;
+                }
             }
         }
-        let mut fresh: Vec<Vec<Vec<u8>>> = Vec::new();
+        let mut fresh: Vec<(usize, Vec<Vec<u8>>)> = Vec::new();
         for cell in append_iter {
-            let start_new = match fresh.last() {
-                Some(p) => !page::page_fits(p, &cell),
-                None => true,
-            };
-            if start_new {
-                fresh.push(Vec::new());
+            if !fresh.last().is_some_and(|(used, _)| fits(*used, &cell)) {
+                fresh.push((page::used_bytes(&[]), Vec::new()));
             }
-            fresh.last_mut().unwrap().push(cell);
+            let (used, cells) = fresh.last_mut().expect("a fresh page was just pushed");
+            *used = page::used_with(*used, &cell);
+            cells.push(cell);
         }
 
-        // Rebuild the page images (every staged page fits by now).
-        let mut images: Vec<(u64, Vec<u8>)> = Vec::with_capacity(changed.len() + fresh.len());
-        for (&pid, cells) in &changed {
-            images.push((pid, page::rebuild(cells)?));
+        // One slot record per changed page. Shrinking cells go first, then
+        // growing ones, then appended ones: the page never holds more on
+        // the way than it does at the end, so every edit fits in place —
+        // here, and at replay, which applies them in this order.
+        let mut records: Vec<(u64, Vec<u8>)> = Vec::with_capacity(changed.len() + fresh.len());
+        for (&pid, page) in &changed {
+            let mut edits = Vec::new();
+            let old_len = |slot: &u16| page::cell(&page.before, *slot).map(|c| c.len());
+            for grows in [false, true] {
+                for (slot, cell) in &page.puts {
+                    if (cell.len() > old_len(slot)?) == grows {
+                        let op = if cell.is_empty() {
+                            SlotOp::Tombstone
+                        } else {
+                            SlotOp::Put
+                        };
+                        wal::push_edit(&mut edits, op, *slot, cell);
+                    }
+                }
+            }
+            let cells = page::cell_count(&page.before)?;
+            for (slot, cell) in (cells..).zip(&page.pushes) {
+                wal::push_edit(&mut edits, SlotOp::Push, slot, cell);
+            }
+            records.push((pid, edits));
         }
+        let last_staged = slots.pages.last().and_then(|(pid, _)| changed.get(pid));
+        let tail_used = match fresh.last() {
+            Some((used, _)) => *used,
+            None => last_staged.map_or(slots.tail_used, |page| page.used),
+        };
+        // The snapshots go before the pool is edited, or every edit of a
+        // resident frame would have to copy it first.
+        drop(changed);
         let base = pool.next_pid();
         let fresh_count = fresh.len() as u64;
-        for (k, cells) in fresh.iter().enumerate() {
-            images.push((base + k as u64, page::rebuild(cells)?));
+        for (pid, (_, cells)) in (base..).zip(&fresh) {
+            let mut edits = Vec::new();
+            for (slot, cell) in (0u16..).zip(cells) {
+                wal::push_edit(&mut edits, SlotOp::Push, slot, cell);
+            }
+            records.push((pid, edits));
         }
         if fresh_count > 0 {
             // New pages extend the rowid space at the end, so the new
@@ -1112,26 +1268,27 @@ impl StorageDb {
         // space until then.
         meta.indexes.clear();
 
-        // Log → commit → apply (WAL-before-data).
+        // Log → commit → apply: the pool only ever holds committed cells.
         let wal = self.wal_handle()?;
         pool.attach_wal(Arc::clone(&wal));
-        for (pid, img) in &images {
-            wal.log_page(&meta.file, *pid, img)?;
+        for (pid, edits) in &records {
+            wal.log_slots(&meta.file, *pid, edits)?;
         }
         wal.log_catalog(&meta.name, &Self::catalog_text(&meta))?;
-        let commit_lsn = wal.commit()?;
+        wal.commit()?;
 
-        for (pid, img) in &images {
+        for (pid, edits) in &records {
             if *pid >= base {
                 let got = pool.create_page()?;
                 debug_assert_eq!(got, *pid);
             }
-            pool.update_logged(*pid, commit_lsn, |d| d.copy_from_slice(img))?;
+            pool.apply_logged(*pid, edits)?;
         }
         slots.slots += topped_up;
-        for (k, cells) in fresh.iter().enumerate() {
-            slots.push_page(base + k as u64, cells.len() as u16);
+        for (pid, (used, cells)) in (base..).zip(&fresh) {
+            slots.push_page(pid, cells.len() as u16, *used);
         }
+        slots.tail_used = tail_used;
         st.meta = meta.clone();
         st.staged = true;
         Ok(meta)
@@ -1177,7 +1334,7 @@ impl StorageDb {
             for pid in start..start + count {
                 let page = table.pool.pin(pid)?;
                 let n = page::cell_count(&page)?;
-                slots.push_page(pid, n);
+                slots.push_page(pid, n, page::page_used_bytes(&page)?);
                 for i in 0..n {
                     let cell = page::cell(&page, i)?;
                     if !cell.is_empty() {
@@ -1284,6 +1441,20 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("htqo-catalog-{}-{name}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         dir
+    }
+
+    /// The pids the slot records of the log's last committed batch name.
+    fn last_batch_slot_pids(dir: &Path) -> Vec<u64> {
+        let scan = wal::scan(&dir.join("db.wal")).unwrap();
+        let mut pids = Vec::new();
+        for rec in &scan.records[..scan.committed - 1] {
+            match rec {
+                WalRecord::Slots { pid, .. } => pids.push(*pid),
+                WalRecord::Commit { .. } => pids.clear(),
+                _ => {}
+            }
+        }
+        pids
     }
 
     fn sample() -> Relation {
@@ -1564,7 +1735,7 @@ mod tests {
     }
 
     /// Once the slot directory exists a commit pins exactly the pages it
-    /// changes, however many heap pages the table has.
+    /// changes, once each, however many heap pages the table has.
     #[test]
     fn apply_pins_only_the_pages_it_changes() {
         let dir = tmpdir("pins");
@@ -1593,8 +1764,8 @@ mod tests {
         let (last, _) = storage.locate("t", 19_999).unwrap().unwrap();
         assert!(first < mid && mid < last);
 
-        // Two ops on one page and one on another: two pages pinned, then
-        // the same two updated.
+        // Two ops on one page and one on another: two pages pinned to
+        // stage them; the committed edits reach the pool without a pin.
         let before = pins();
         let mut batch = MutationBatch::new("t");
         batch
@@ -1602,19 +1773,32 @@ mod tests {
             .delete(1)
             .delete(10_000);
         storage.apply(&batch).unwrap();
-        assert_eq!(pins() - before, 2 + 2);
+        assert_eq!(pins() - before, 2);
 
         // Appends alone touch the last page only.
         let before = pins();
         storage
             .append_rows("t", vec![vec![Value::Int(7), Value::str("z")]])
             .unwrap();
-        assert_eq!(pins() - before, 1 + 1);
+        assert_eq!(pins() - before, 1);
         assert_eq!(
             storage.locate("t", 20_000).unwrap().map(|(pid, _)| pid),
             Some(last)
         );
         assert_eq!(storage.locate("t", 20_001).unwrap(), None);
+
+        // An append the last page has no room for leaves that page alone:
+        // not pinned, and the batch's one slot record is the fresh page's.
+        let before = pins();
+        let wide = Value::str(&"w".repeat(MAX_CELL - 64));
+        let meta = storage
+            .append_rows("t", vec![vec![Value::Int(8), wide]])
+            .unwrap();
+        assert_eq!(pins() - before, 0);
+        assert_eq!(meta.heap_pages(), heap_pages + 1);
+        let (fresh, slot) = storage.locate("t", 20_001).unwrap().unwrap();
+        assert!(fresh > last && slot == 0);
+        assert_eq!(last_batch_slot_pids(&dir), [fresh]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1659,6 +1843,22 @@ mod tests {
             .unwrap();
         assert_eq!(after.heap_pages(), 1, "no new page for small appends");
         assert_eq!(after.rows, 10);
+        assert_eq!(last_batch_slot_pids(&dir), [0]);
+        // Fill the page to the last whole row (13 bytes each, slot
+        // included, behind a 4-byte header). The next batch then grows the
+        // heap at once and does not log the full page at all.
+        let row = vec![Value::Int(i64::MAX)];
+        let room = (page::PAGE_DATA - 4 - 10 * 13) / 13;
+        storage.append_rows("t", vec![row.clone(); room]).unwrap();
+        assert_eq!(last_batch_slot_pids(&dir), [0]);
+        let grown = storage.append_rows("t", vec![row; 8]).unwrap();
+        assert_eq!(grown.heap_pages(), 2);
+        assert_eq!(last_batch_slot_pids(&dir), [1]);
+        // Both pages come back whole after a crash.
+        storage.simulate_crash();
+        let (rel, _) = storage.load_table("t", 1 << 20, None).unwrap();
+        assert_eq!(rel.len(), grown.rows);
+        assert_eq!(storage.recover().unwrap().pages_redone, 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -3,18 +3,20 @@
 //! The in-memory engine gets a disk story in five layers:
 //!
 //! 1. [`page`] — slotted 8 KiB pages holding variable-length row cells,
-//!    with a per-page checksum trailer verified on every read;
+//!    edited in place one cell at a time, with a per-page checksum
+//!    trailer verified on every read;
 //! 2. [`pager`] — page-granular file IO ([`PageFile`]) that stamps the
 //!    checksum on write and reports mismatches as typed
 //!    `EvalError::CorruptPage`;
-//! 3. [`wal`] — an LSN-stamped, checksummed redo log ([`wal::Wal`])
-//!    giving mutations crash durability under the WAL-before-data
-//!    protocol (`HTQO_WAL=off|commit|batch` picks the fsync policy);
+//! 3. [`wal`] — a checksummed redo log ([`wal::Wal`]) of slot records
+//!    (the cells a commit changes) and full page images (logged before a
+//!    page is overwritten in place), giving mutations crash durability
+//!    (`HTQO_WAL=off|commit|batch` picks the fsync policy);
 //! 4. [`buffer`] — a pinned/unpinned page cache with clock eviction,
 //!    capacity from `HTQO_PAGE_CACHE`, byte-charged against the engine's
 //!    [`htqo_engine::Budget`] so cached pages compete with query memory —
-//!    and a WAL barrier that blocks dirty write-back until the log is
-//!    durable past each page's LSN;
+//!    which keeps the committed cells of pages whose file copy is behind
+//!    and writes a page back only behind a durable image of it;
 //! 5. [`btree`] + [`catalog`] — bulk-loaded B+tree join indexes and a
 //!    restart-surviving table catalog ([`StorageDb`]) with logged
 //!    incremental mutations ([`MutationBatch`]), crash recovery
@@ -47,4 +49,4 @@ pub use catalog::{
 };
 pub use page::{PAGE_DATA, PAGE_SIZE};
 pub use pager::PageFile;
-pub use wal::{Wal, WalPolicy, WalRecord};
+pub use wal::{Wal, WalPolicy, WalRecord, WalStats};

@@ -16,6 +16,19 @@
 //! A zero-length cell is a **tombstone**: the slot survives (so physical
 //! slot ids stay stable across deletes) but the row is gone. Readers
 //! skip tombstones; [`cell`] returns an empty slice for them.
+//!
+//! **In-place edits.** [`put_cell`], [`tombstone_cell`] and [`push_cell`]
+//! change one cell of a finished page image where it lies — the commit
+//! path and WAL replay both run on them. A replaced cell that does not
+//! fit its old bytes takes fresh bytes from the contiguous gap between
+//! directory and payloads, leaving a hole behind; only when that gap is
+//! too small is the page compacted (payloads repacked in slot order,
+//! exactly the layout [`rebuild`] gives). An edit is refused, leaving the
+//! page untouched, iff the cells would no longer fit one page
+//! ([`used_bytes`] `> PAGE_DATA`). The edits are a deterministic function
+//! of the page bytes, so replaying a log of them over the same image
+//! lands on the same bytes. An all-zero page (a file gap, a page past the
+//! end of its file) is an empty page.
 
 use htqo_engine::EvalError;
 
@@ -123,6 +136,31 @@ impl Default for PageBuilder {
     }
 }
 
+/// Where the payload region starts. A zero field is an all-zero page —
+/// what [`crate::pager::PageFile::write_extend`] fills a gap with — which
+/// holds no payload yet.
+fn free_end(page: &[u8]) -> usize {
+    match u16::from_le_bytes([page[2], page[3]]) {
+        0 => PAGE_DATA,
+        end => end as usize,
+    }
+}
+
+/// `(offset, length)` of slot `i`, unchecked against the page bounds.
+fn slot_entry(page: &[u8], i: u16) -> (usize, usize) {
+    let slot = HEADER + i as usize * SLOT;
+    (
+        u16::from_le_bytes([page[slot], page[slot + 1]]) as usize,
+        u16::from_le_bytes([page[slot + 2], page[slot + 3]]) as usize,
+    )
+}
+
+fn set_slot_entry(page: &mut [u8], i: u16, off: usize, len: usize) {
+    let slot = HEADER + i as usize * SLOT;
+    page[slot..slot + 2].copy_from_slice(&(off as u16).to_le_bytes());
+    page[slot + 2..slot + 4].copy_from_slice(&(len as u16).to_le_bytes());
+}
+
 /// Number of cells in a finished page image.
 pub fn cell_count(page: &[u8]) -> Result<u16, EvalError> {
     if page.len() != PAGE_SIZE {
@@ -138,9 +176,7 @@ pub fn cell(page: &[u8], i: u16) -> Result<&[u8], EvalError> {
     if i >= n {
         return Err(corrupt("cell index out of range"));
     }
-    let slot = HEADER + i as usize * SLOT;
-    let off = u16::from_le_bytes([page[slot], page[slot + 1]]) as usize;
-    let len = u16::from_le_bytes([page[slot + 2], page[slot + 3]]) as usize;
+    let (off, len) = slot_entry(page, i);
     let end = off
         .checked_add(len)
         .ok_or_else(|| corrupt("slot overflow"))?;
@@ -168,10 +204,25 @@ pub fn used_bytes(cells: &[Vec<u8>]) -> usize {
     HEADER + cells.iter().map(|c| SLOT + c.len()).sum::<usize>()
 }
 
+/// [`used_bytes`] of a finished page image, read off its slot directory.
+pub fn page_used_bytes(page: &[u8]) -> Result<usize, EvalError> {
+    let n = cell_count(page)?;
+    let mut used = HEADER + n as usize * SLOT;
+    for i in 0..n {
+        used += cell(page, i)?.len();
+    }
+    Ok(used)
+}
+
+/// [`used_bytes`] of a page using `used` bytes once `cell` is appended.
+pub fn used_with(used: usize, cell: &[u8]) -> usize {
+    used + SLOT + cell.len()
+}
+
 /// True when one more `cell` still fits a page already holding `cells`
 /// — the planning half of a page rebuild.
 pub fn page_fits(cells: &[Vec<u8>], cell: &[u8]) -> bool {
-    cell.len() <= MAX_CELL && used_bytes(cells) + SLOT + cell.len() <= PAGE_DATA
+    used_with(used_bytes(cells), cell) <= PAGE_DATA
 }
 
 /// Rebuilds one page image from a cell list (the mutation path: update a
@@ -185,6 +236,91 @@ pub fn rebuild(cells: &[Vec<u8>]) -> Result<Vec<u8>, EvalError> {
         }
     }
     Ok(b.finish())
+}
+
+/// Repacks the payloads in slot order from the end of the data region —
+/// the layout [`rebuild`] gives — with `replace`'s cell standing in for
+/// its slot. The caller has checked that everything fits.
+fn compact(page: &mut [u8], replace: Option<(u16, &[u8])>) -> Result<(), EvalError> {
+    let n = cell_count(page)?;
+    let old = page.to_vec();
+    let mut cursor = PAGE_DATA;
+    for i in 0..n {
+        let src = match replace {
+            Some((slot, cell)) if slot == i => cell,
+            _ => cell(&old, i)?,
+        };
+        cursor -= src.len();
+        page[cursor..cursor + src.len()].copy_from_slice(src);
+        set_slot_entry(page, i, cursor, src.len());
+    }
+    page[2..4].copy_from_slice(&(cursor as u16).to_le_bytes());
+    Ok(())
+}
+
+/// The contiguous gap between a directory of `slots` entries and the
+/// payloads, or an error when the header is out of bounds.
+fn gap(page: &[u8], slots: usize) -> Result<usize, EvalError> {
+    let (dir_end, end) = (HEADER + slots * SLOT, free_end(page));
+    if end > PAGE_DATA {
+        return Err(corrupt("free space out of bounds"));
+    }
+    Ok(end.saturating_sub(dir_end))
+}
+
+/// Writes `cell` at the low end of the payload region and points `slot`
+/// at it; the caller has checked that the gap holds it.
+fn place(page: &mut [u8], slot: u16, cell: &[u8]) {
+    let end = free_end(page);
+    let start = end - cell.len();
+    page[start..end].copy_from_slice(cell);
+    set_slot_entry(page, slot, start, cell.len());
+    page[2..4].copy_from_slice(&(start as u16).to_le_bytes());
+}
+
+/// Replaces cell `slot` of a finished page image with `cell`, in place.
+/// Errors — page untouched — when the slot does not exist or the cells
+/// would no longer fit the page.
+pub fn put_cell(page: &mut [u8], slot: u16, cell: &[u8]) -> Result<(), EvalError> {
+    let n = cell_count(page)?;
+    if slot >= n {
+        return Err(corrupt("slot out of range"));
+    }
+    let old_len = self::cell(page, slot)?.len();
+    if cell.len() <= old_len {
+        let (off, _) = slot_entry(page, slot);
+        page[off..off + cell.len()].copy_from_slice(cell);
+        set_slot_entry(page, slot, off, cell.len());
+    } else if gap(page, n as usize)? >= cell.len() {
+        // The old bytes stay behind as a hole until the next compaction.
+        place(page, slot, cell);
+    } else if page_used_bytes(page)? - old_len + cell.len() <= PAGE_DATA {
+        compact(page, Some((slot, cell)))?;
+    } else {
+        return Err(corrupt("cell does not fit its page"));
+    }
+    Ok(())
+}
+
+/// Turns cell `slot` into a tombstone, in place; the slot survives.
+pub fn tombstone_cell(page: &mut [u8], slot: u16) -> Result<(), EvalError> {
+    put_cell(page, slot, &[])
+}
+
+/// Appends `cell` as a new slot of a finished page image, in place, and
+/// returns the slot. Errors — page untouched — when the cells would no
+/// longer fit the page.
+pub fn push_cell(page: &mut [u8], cell: &[u8]) -> Result<u16, EvalError> {
+    let n = cell_count(page)?;
+    if gap(page, n as usize + 1)? < cell.len() || gap(page, n as usize)? < SLOT {
+        if page_used_bytes(page)? + SLOT + cell.len() > PAGE_DATA {
+            return Err(corrupt("cell does not fit its page"));
+        }
+        compact(page, None)?;
+    }
+    page[0..2].copy_from_slice(&(n + 1).to_le_bytes());
+    place(page, n, cell);
+    Ok(n)
 }
 
 #[cfg(test)]
@@ -258,5 +394,43 @@ mod tests {
         assert_eq!(cell(&page2, 0).unwrap(), b"alpha");
         assert!(cell(&page2, 1).unwrap().is_empty());
         assert!(cell(&page2, 2).unwrap().is_empty());
+    }
+
+    #[test]
+    fn in_place_edits_fragment_then_compact_and_refuse_whole() {
+        // An all-zero page is an empty page.
+        let mut page = vec![0u8; PAGE_SIZE];
+        let third = vec![1u8; (PAGE_DATA - HEADER) / 3 - SLOT];
+        for slot in 0..3 {
+            assert_eq!(push_cell(&mut page, &third).unwrap(), slot);
+        }
+        assert_eq!(
+            page_used_bytes(&page).unwrap(),
+            used_bytes(&cells(&page).unwrap())
+        );
+        assert!(PAGE_DATA - page_used_bytes(&page).unwrap() < SLOT);
+        // Two bytes left: a push, or a put three bytes longer, is refused
+        // and changes nothing.
+        let before = page.clone();
+        assert!(push_cell(&mut page, &[]).is_err());
+        let longer = vec![9u8; third.len() + 3];
+        assert!(put_cell(&mut page, 1, &longer).is_err());
+        assert!(put_cell(&mut page, 3, b"x").is_err(), "no such slot");
+        assert_eq!(page, before);
+
+        // Shrinking slot 0 leaves a hole at the far end of the payloads;
+        // growing slot 2 by as much has no contiguous gap to take and
+        // compacts — into exactly the layout a rebuild gives.
+        put_cell(&mut page, 0, &third[..100]).unwrap();
+        let grown = vec![7u8; 2 * third.len() - 100];
+        put_cell(&mut page, 2, &grown).unwrap();
+        let want = [third[..100].to_vec(), third.clone(), grown];
+        assert_eq!(cells(&page).unwrap(), want);
+        assert_eq!(page, rebuild(&want).unwrap());
+
+        tombstone_cell(&mut page, 1).unwrap();
+        assert!(cell(&page, 1).unwrap().is_empty());
+        assert_eq!(push_cell(&mut page, &third[..2000]).unwrap(), 3);
+        assert_eq!(cell(&page, 3).unwrap(), &third[..2000]);
     }
 }

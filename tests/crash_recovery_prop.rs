@@ -16,19 +16,32 @@
 //!   the batch must be **committed-or-absent**, never partial (both the
 //!   OS-survives sub-case and a simulated power cut that truncates the
 //!   un-fsynced tail are checked);
-//! - `storage::page_write` (torn data-page write during checkpoint),
-//!   `storage::catalog_rename` (catalog files are written by checkpoint
-//!   and recovery only — a commit leaves them alone),
-//!   `storage::checkpoint`: every batch committed before the failure —
-//!   all must be fully **present**.
+//! - `storage::page_write` (torn data-page write during checkpoint —
+//!   repaired from the image the flush logged first),
+//!   `storage::write_back` (kill between the image sync and the first
+//!   in-place write), `storage::catalog_rename` (catalog files are
+//!   written by checkpoint and recovery only — a commit leaves them
+//!   alone), `storage::checkpoint`: every batch committed before the
+//!   failure — all must be fully **present**.
+//!
+//! A commit logs **slot records** — the cells it changes — and leaves the
+//! page files alone, so the tables here span several heap pages and are
+//! mutated through a two-frame pool: every batch evicts frames whose
+//! committed cells no file holds yet, and the model is held to them
+//! slot by slot after each recovery.
 //!
 //! No case may ever observe a partial batch, a lost committed batch, or
-//! a corrupt row. On top of the matrix: recovery idempotence (crash
-//! *during* recovery, recover again), commits that never saw a
-//! checkpoint (stale catalog file on disk, recovery rewrites it once per
-//! table), torn-tail tolerance, the catalog-rename temp-file cleanup
-//! regression, and a warm-restart query oracle (a join over recovered
-//! tables must equal the same join over the in-memory model).
+//! a corrupt row. On top of the matrix: the write-back rule by fail-point
+//! order (no page file byte changes before the image of that page is
+//! durable — checkpoint, recovery, and eviction, which writes nothing),
+//! recovery idempotence (a crash at every site *inside* recovery, then
+//! recover again), page images honoured in an uncommitted log tail, a
+//! log of the previous format (page images inside their batches, written
+//! by the parent commit) under all three policies, commits that never
+//! saw a checkpoint (stale catalog file on disk, recovery rewrites it
+//! once per table), torn-tail tolerance, the catalog-rename temp-file
+//! cleanup regression, and a warm-restart query oracle (a join over
+//! recovered tables must equal the same join over the in-memory model).
 //!
 //! Case count per property is `HTQO_CRASH_CASES` (default 12; CI uses a
 //! deterministic small count).
@@ -38,7 +51,7 @@
 use htqo_engine::failpoint::{self, FailAction};
 use htqo_engine::schema::{ColumnType, Schema};
 use htqo_engine::{ops, Budget, Relation, Row, VRelation, Value};
-use htqo_storage::{MutationBatch, StorageDb, WalPolicy};
+use htqo_storage::{MutationBatch, RecoveryReport, StorageDb, WalPolicy, PAGE_SIZE};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -117,6 +130,16 @@ fn schema() -> Schema {
     Schema::new(&[("k", ColumnType::Int), ("name", ColumnType::Str)])
 }
 
+/// A row for physical slot `rowid`. The name is the tag padded to a width
+/// that depends on the slot alone — 8 to 608 bytes — so forty rows span
+/// several heap pages, and every version of a slot has the same length
+/// (an update never outgrows its page; growth is `storage_prop`'s).
+fn row_at(rowid: usize, k: i64, tag: &str) -> Vec<Value> {
+    let width = 8 + (rowid % 5) * 150;
+    vec![Value::Int(k), Value::str(&format!("{tag:<width$}"))]
+}
+
+/// A row outside the slot model (targeted regressions count rows only).
 fn row(k: i64, tag: &str) -> Vec<Value> {
     vec![Value::Int(k), Value::str(tag)]
 }
@@ -158,8 +181,9 @@ fn build_batch(
         let tag = format!("b{batch_no}.{i}");
         match op {
             AbstractOp::Append(k) => {
-                batch.append(row(*k, &tag));
-                next.slots.push(Some(row(*k, &tag)));
+                let appended = row_at(next.slots.len(), *k, &tag);
+                batch.append(appended.clone());
+                next.slots.push(Some(appended));
             }
             AbstractOp::Update(t, _) | AbstractOp::Delete(t) => {
                 if targets.is_empty() {
@@ -169,8 +193,9 @@ fn build_batch(
                 let rowid = targets[pick];
                 match op {
                     AbstractOp::Update(_, k) => {
-                        batch.update(rowid, row(*k, &tag));
-                        next.slots[rowid as usize] = Some(row(*k, &tag));
+                        let updated = row_at(rowid as usize, *k, &tag);
+                        batch.update(rowid, updated.clone());
+                        next.slots[rowid as usize] = Some(updated);
                     }
                     AbstractOp::Delete(_) => {
                         batch.delete(rowid);
@@ -205,18 +230,58 @@ fn base_model(base: &[i64]) -> ModelTable {
     ModelTable::new(
         base.iter()
             .enumerate()
-            .map(|(i, &k)| row(k, &format!("base{i}")))
+            .map(|(i, &k)| row_at(i, k, &format!("base{i}")))
             .collect(),
     )
+}
+
+/// A store holding `model` as table `t`, read once through a two-frame
+/// pool: the pool every later batch on `t` goes through.
+fn ingest_small_pool(dir: &std::path::Path, policy: WalPolicy, model: &ModelTable) -> StorageDb {
+    let storage = StorageDb::open_with(dir, policy, u64::MAX).unwrap();
+    storage.ingest("t", &model.relation(), &[]).unwrap();
+    storage.load_table("t", 2 * PAGE_SIZE as u64, None).unwrap();
+    storage
+}
+
+/// Applies every batch of `w` to `storage` and returns the model after
+/// the last one.
+fn apply_all(storage: &StorageDb, w: &Workload, mut model: ModelTable) -> ModelTable {
+    for (i, ops) in w.batches.iter().enumerate() {
+        let (batch, next) = build_batch("t", i, ops, &model);
+        storage.apply(&batch).unwrap();
+        model = next;
+    }
+    model
+}
+
+/// The bytes of every page file in `dir`, by name.
+fn page_files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "pages"))
+        .map(|p| {
+            let name = p.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&p).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
 }
 
 /// Opens a cold handle on `dir`, runs recovery, and returns the loaded
 /// rows of table `t` (rowid order).
 fn recover_and_load(dir: &std::path::Path, policy: WalPolicy) -> Vec<Row> {
+    recover_report_and_load(dir, policy).1
+}
+
+/// [`recover_and_load`], with what the recovery pass reported.
+fn recover_report_and_load(dir: &std::path::Path, policy: WalPolicy) -> (RecoveryReport, Vec<Row>) {
     let storage = StorageDb::open_with(dir, policy, u64::MAX).unwrap();
-    storage.recover().unwrap();
+    let report = storage.recover().unwrap();
     let (rel, _) = storage.load_table("t", 1 << 22, None).unwrap();
-    rel.to_rows()
+    (report, rel.to_rows())
 }
 
 // ---------------------------------------------------------------------
@@ -283,9 +348,8 @@ proptest! {
                 for victim in 0..w.batches.len() {
                     failpoint::clear();
                     let dir = scratch("matrix");
-                    let storage = StorageDb::open_with(&dir, policy, u64::MAX).unwrap();
                     let mut model = base_model(&w.base);
-                    storage.ingest("t", &model.relation(), &[]).unwrap();
+                    let storage = ingest_small_pool(&dir, policy, &model);
 
                     // Apply the prefix clean, then arm the site for the
                     // victim batch (one shot).
@@ -344,9 +408,8 @@ proptest! {
                         // directory instead.
                         drop(f);
                         let dir2 = scratch("powercut");
-                        let storage = StorageDb::open_with(&dir2, policy, u64::MAX).unwrap();
                         let mut model2 = base_model(&w.base);
-                        storage.ingest("t", &model2.relation(), &[]).unwrap();
+                        let storage = ingest_small_pool(&dir2, policy, &model2);
                         let mut before2 = model2.clone();
                         let mut tail_start = 0u64;
                         for (i, ops) in w.batches.iter().enumerate() {
@@ -395,18 +458,24 @@ proptest! {
         }
     }
 
-    /// Crash points *inside checkpoint*: a torn data-page write
+    /// Crash points *inside checkpoint*: the flush's own log traffic
+    /// (`storage::wal_append`, `storage::wal_fsync` — the images), the
+    /// window between the image sync and the first in-place write
+    /// (`storage::write_back`), a torn data-page write
     /// (`storage::page_write`, half the page lands) at every page index,
     /// the catalog rename that follows the flush
     /// (`storage::catalog_rename`), and the flush-to-truncate window
     /// (`storage::checkpoint`). All batches committed beforehand, so
-    /// recovery must restore every one of them — replaying over
-    /// half-written pages and over already-flushed pages alike (redo
-    /// idempotence).
+    /// recovery must restore every one of them — a torn page from the
+    /// image the flush logged for it, the rest from the file and the slot
+    /// records, and over already-flushed pages alike (redo idempotence).
     #[test]
     fn kill_inside_checkpoint_loses_nothing(w in arb_workload()) {
         let _g = lock();
         for site in [
+            "storage::wal_append",
+            "storage::wal_fsync",
+            "storage::write_back",
             "storage::page_write",
             "storage::catalog_rename",
             "storage::checkpoint",
@@ -415,14 +484,10 @@ proptest! {
                 failpoint::clear();
                 let dir = scratch("ckpt");
                 let policy = WalPolicy::Commit;
-                let storage = StorageDb::open_with(&dir, policy, u64::MAX).unwrap();
-                let mut model = base_model(&w.base);
-                storage.ingest("t", &model.relation(), &[]).unwrap();
-                for (i, ops) in w.batches.iter().enumerate() {
-                    let (batch, next) = build_batch("t", i, ops, &model);
-                    storage.apply(&batch).unwrap();
-                    model = next;
-                }
+                let base = base_model(&w.base);
+                let storage = ingest_small_pool(&dir, policy, &base);
+                let model = apply_all(&storage, &w, base);
+                let files_before = page_files(&dir);
                 failpoint::configure(site, FailAction::Error, skip, Some(1));
                 let res = storage.checkpoint();
                 failpoint::clear();
@@ -430,9 +495,17 @@ proptest! {
                 // large skip leaves the site dormant and the checkpoint
                 // succeeds — also a valid state to crash from.
                 prop_assert!(res.is_err() || skip > 0, "{} never fired", site);
+                if res.is_err() && site != "storage::page_write" && skip == 0 {
+                    // The write-back rule: the log traffic and the sync
+                    // come first, so a failure up to and including
+                    // `storage::write_back` has touched no page file.
+                    let touched = page_files(&dir) != files_before;
+                    let after_writes = matches!(site, "storage::catalog_rename" | "storage::checkpoint");
+                    prop_assert_eq!(touched, after_writes, "{}", site);
+                }
                 storage.simulate_crash();
                 drop(storage);
-                let recovered = recover_and_load(&dir, policy);
+                let (report, recovered) = recover_report_and_load(&dir, policy);
                 prop_assert_eq!(
                     &recovered,
                     &model.rows(),
@@ -440,44 +513,67 @@ proptest! {
                     site,
                     skip
                 );
+                if res.is_err() && site == "storage::page_write" {
+                    prop_assert!(report.images_restored > 0, "torn page not restored from its image");
+                }
                 std::fs::remove_dir_all(&dir).ok();
             }
         }
     }
 
-    /// Recovery idempotence: a crash *during* recovery (torn page write
-    /// mid-replay) followed by a second recovery lands in exactly the
+    /// Recovery idempotence: a crash at every site *inside* recovery —
+    /// its own image append and sync, the window before its first
+    /// in-place write, a torn page write mid-replay, the catalog rename —
+    /// followed by a second recovery lands in exactly the
     /// single-recovery state.
     #[test]
     fn crash_during_recovery_then_recover_again_is_idempotent(w in arb_workload()) {
         let _g = lock();
-        let dir = scratch("idem");
-        let policy = WalPolicy::Commit;
-        let storage = StorageDb::open_with(&dir, policy, u64::MAX).unwrap();
-        let mut model = base_model(&w.base);
-        storage.ingest("t", &model.relation(), &[]).unwrap();
-        for (i, ops) in w.batches.iter().enumerate() {
-            let (batch, next) = build_batch("t", i, ops, &model);
-            storage.apply(&batch).unwrap();
-            model = next;
+        for (site, skip) in [
+            ("storage::wal_append", 0),
+            ("storage::wal_fsync", 0),
+            ("storage::write_back", 0),
+            ("storage::page_write", 0),
+            ("storage::page_write", 1),
+            ("storage::catalog_rename", 0),
+        ] {
+            failpoint::clear();
+            let dir = scratch("idem");
+            let policy = WalPolicy::Commit;
+            let base = base_model(&w.base);
+            let storage = ingest_small_pool(&dir, policy, &base);
+            let model = apply_all(&storage, &w, base);
+            storage.simulate_crash();
+            drop(storage);
+            let files_before = page_files(&dir);
+
+            // First recovery attempt dies at the armed site.
+            let storage = StorageDb::open_with(&dir, policy, u64::MAX).unwrap();
+            failpoint::configure(site, FailAction::Error, skip, Some(1));
+            let res = storage.recover();
+            failpoint::clear();
+            // A workload that dirtied a single page has no second page
+            // write to tear.
+            prop_assert!(res.is_err() || skip > 0, "{} never fired in recovery", site);
+            if res.is_err() && skip == 0 && site != "storage::page_write" {
+                // Recovery, too, writes no page before its image is
+                // durable.
+                let touched = page_files(&dir) != files_before;
+                prop_assert_eq!(touched, site == "storage::catalog_rename", "{}", site);
+            }
+            storage.simulate_crash();
+            drop(storage);
+
+            // Second recovery replays the same records — over the torn
+            // page, from the image the first attempt logged for it — and
+            // must land in the committed state.
+            let (report, recovered) = recover_report_and_load(&dir, policy);
+            prop_assert_eq!(&recovered, &model.rows(), "double recovery drifted ({})", site);
+            if res.is_err() && site == "storage::page_write" {
+                prop_assert!(report.images_restored > 0, "{}: torn page not restored", site);
+            }
+            std::fs::remove_dir_all(&dir).ok();
         }
-        storage.simulate_crash();
-        drop(storage);
-
-        // First recovery attempt dies on a torn page write mid-replay.
-        let storage = StorageDb::open_with(&dir, policy, u64::MAX).unwrap();
-        failpoint::configure("storage::page_write", FailAction::Error, 0, Some(1));
-        let res = storage.recover();
-        failpoint::clear();
-        prop_assert!(res.is_err(), "the injected replay failure must surface");
-        storage.simulate_crash();
-        drop(storage);
-
-        // Second recovery replays the same (idempotent) records over the
-        // half-written page and must land in the committed state.
-        let recovered = recover_and_load(&dir, policy);
-        prop_assert_eq!(&recovered, &model.rows(), "double recovery drifted");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Warm-restart query oracle: after mutations, a crash, and
@@ -573,6 +669,224 @@ fn torn_wal_tail_is_reported_and_survived() {
     let rows = recover_and_load(&dir, WalPolicy::Commit);
     assert_eq!(rows.len(), 5);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The write-back rule at eviction: a commit hands its cells to the pool
+/// and the log and to nothing else. Batches through a two-frame pool
+/// over a table of several pages evict frames whose cells no file holds;
+/// the page file stays byte-identical to its ingest, readers still see
+/// every committed row, and the first bytes to change are the
+/// checkpoint's — behind one logged image per changed page.
+#[test]
+fn eviction_writes_nothing_and_the_checkpoint_logs_images_first() {
+    let _g = lock();
+    failpoint::clear();
+    let dir = scratch("evict");
+    let mut model = base_model(&(0..80).collect::<Vec<i64>>());
+    let storage = ingest_small_pool(&dir, WalPolicy::Commit, &model);
+    let at_ingest = page_files(&dir);
+    assert!(at_ingest[0].1.len() >= 3 * PAGE_SIZE, "several heap pages");
+    for i in 0..6 {
+        let ops: Vec<AbstractOp> = (0..8)
+            .map(|j| match j % 3 {
+                0 => AbstractOp::Append(j as i64),
+                1 => AbstractOp::Update(7 * i + 5 * j, i as i64),
+                _ => AbstractOp::Delete(11 * i + 3 * j),
+            })
+            .collect();
+        let (batch, next) = build_batch("t", i, &ops, &model);
+        storage.apply(&batch).unwrap();
+        model = next;
+        let (rel, _) = storage.load_table("t", 2 * PAGE_SIZE as u64, None).unwrap();
+        assert_eq!(rel.to_rows(), model.rows(), "batch {i} through two frames");
+    }
+    assert_eq!(
+        page_files(&dir),
+        at_ingest,
+        "a commit or an eviction wrote a page"
+    );
+    let logged = storage.wal_stats();
+    assert_eq!((logged.commits, logged.image_bytes), (6, 0));
+    assert!(logged.slot_bytes > 0 && logged.slot_bytes < 6 * PAGE_SIZE as u64);
+
+    storage.checkpoint().unwrap();
+    let after = page_files(&dir);
+    let changed = (after[0]
+        .1
+        .chunks(PAGE_SIZE)
+        .zip(at_ingest[0].1.chunks(PAGE_SIZE)))
+    .filter(|(a, b)| a != b)
+    .count()
+        + (after[0].1.len() - at_ingest[0].1.len()) / PAGE_SIZE;
+    let images = storage.wal_stats().image_bytes;
+    assert!(changed >= 3, "{changed} pages changed");
+    assert_eq!(
+        images / PAGE_SIZE as u64,
+        changed as u64,
+        "one image per page"
+    );
+    storage.simulate_crash();
+    drop(storage);
+    let (report, rows) = recover_report_and_load(&dir, WalPolicy::Commit);
+    assert_eq!(rows, model.rows());
+    assert_eq!(
+        report.pages_redone, 0,
+        "the checkpoint left nothing to redo"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Page images count wherever they sit in the log. A checkpoint killed
+/// after its image sync leaves them behind the last commit marker; the
+/// store keeps committing, and then a batch is torn mid-append — so the
+/// log ends images, a committed batch, an uncommitted tail. Recovery
+/// starts those pages from their images, replays the committed batch on
+/// top, and the torn batch is absent whole.
+#[test]
+fn images_in_an_uncommitted_tail_are_honoured() {
+    let _g = lock();
+    for torn_site in ["storage::wal_append", "storage::wal_fsync"] {
+        failpoint::clear();
+        let dir = scratch("tailimg");
+        let policy = WalPolicy::Commit;
+        let mut model = base_model(&(0..40).collect::<Vec<i64>>());
+        let storage = ingest_small_pool(&dir, policy, &model);
+        let batches = [
+            vec![
+                AbstractOp::Update(3, 1),
+                AbstractOp::Delete(17),
+                AbstractOp::Append(5),
+            ],
+            vec![
+                AbstractOp::Update(3, 2),
+                AbstractOp::Update(29, 2),
+                AbstractOp::Append(6),
+            ],
+            vec![
+                AbstractOp::Delete(4),
+                AbstractOp::Update(30, 3),
+                AbstractOp::Append(7),
+            ],
+        ];
+        let apply = |i: usize, model: &ModelTable| {
+            let (batch, next) = build_batch("t", i, &batches[i], model);
+            (storage.apply(&batch), next)
+        };
+        let (res, next) = apply(0, &model);
+        res.unwrap();
+        model = next;
+        failpoint::configure("storage::write_back", FailAction::Error, 0, Some(1));
+        assert!(storage.checkpoint().is_err());
+        failpoint::clear();
+        let (res, next) = apply(1, &model);
+        res.unwrap();
+        model = next;
+        failpoint::configure(torn_site, FailAction::Error, 0, Some(1));
+        let (res, with_torn) = apply(2, &model);
+        failpoint::clear();
+        assert!(res.is_err(), "{torn_site} never fired");
+        storage.simulate_crash();
+        drop(storage);
+
+        let (report, rows) = recover_report_and_load(&dir, policy);
+        assert!(report.images_restored > 0, "{torn_site}: images ignored");
+        assert!(report.slot_records_redone > 0);
+        if torn_site == "storage::wal_append" {
+            assert_eq!(report.batches_replayed, 2);
+            assert_eq!(rows, model.rows(), "torn batch must be absent");
+        } else {
+            assert!(
+                rows == model.rows() || rows == with_torn.rows(),
+                "partial batch"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Slot records replay onto the page state the batches before them left,
+/// so a batch whose commit could not be synced — in the log for all the
+/// store knows, absent from the pool — must be the last thing the log
+/// takes: the next batch is refused instead of being staged against a
+/// pool that lacks it, and recovery then settles the batch either way.
+#[test]
+fn a_failed_commit_sync_stops_the_log_until_recovery() {
+    let _g = lock();
+    failpoint::clear();
+    let dir = scratch("syncfail");
+    let policy = WalPolicy::Commit;
+    let model = base_model(&(0..40).collect::<Vec<i64>>());
+    let storage = ingest_small_pool(&dir, policy, &model);
+    let appends = [AbstractOp::Append(1), AbstractOp::Append(2)];
+    let (batch, with_batch) = build_batch("t", 0, &appends, &model);
+    failpoint::configure("storage::wal_fsync", FailAction::Error, 0, Some(1));
+    assert!(storage.apply(&batch).is_err());
+    failpoint::clear();
+    let (rel, _) = storage.load_table("t", 1 << 22, None).unwrap();
+    assert_eq!(rel.to_rows(), model.rows(), "readers never saw the batch");
+    let (again, _) = build_batch("t", 1, &appends, &model);
+    let refused = storage.apply(&again).unwrap_err();
+    assert!(format!("{refused}").contains("poisoned"), "{refused}");
+    storage.simulate_crash();
+    drop(storage);
+
+    // The OS kept the bytes here, so recovery finds the batch committed
+    // — once, with nothing stacked on a state that lacked it.
+    let (report, rows) = recover_report_and_load(&dir, policy);
+    assert_eq!(report.batches_replayed, 1);
+    assert_eq!(rows, with_batch.rows());
+    let storage = StorageDb::open_with(&dir, policy, u64::MAX).unwrap();
+    let (batch, next) = build_batch("t", 2, &appends, &with_batch);
+    storage.apply(&batch).unwrap();
+    storage.simulate_crash();
+    drop(storage);
+    assert_eq!(recover_and_load(&dir, policy), next.rows());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A log written by the parent commit — format version 0: one full page
+/// image per touched page inside each batch, no slot records (the store
+/// under `tests/fixtures/wal_v0`: three rows ingested, two batches, kill)
+/// — recovers to the same table under every policy. Cut inside its last
+/// commit marker, the second batch's image is complete and valid on its
+/// own checksum, yet belongs to a batch that never committed: it must
+/// not be replayed.
+#[test]
+fn a_log_of_the_previous_format_recovers_under_every_policy() {
+    let _g = lock();
+    failpoint::clear();
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/wal_v0");
+    let rows = |rows: &[(i64, &str)]| -> Vec<Row> {
+        rows.iter()
+            .map(|(k, n)| row(*k, n).into_boxed_slice())
+            .collect()
+    };
+    let after_one = rows(&[(7, "u"), (2, "base1"), (3, "base2"), (9, "x")]);
+    let after_two = rows(&[(7, "u"), (3, "base2"), (9, "x"), (10, "y")]);
+    for policy in [WalPolicy::Commit, WalPolicy::Batch, WalPolicy::Off] {
+        for (cut, want) in [(0, &after_two), (5, &after_one)] {
+            let dir = scratch("v0");
+            std::fs::create_dir_all(&dir).unwrap();
+            for name in ["db.wal", "t.cat", "t.pages"] {
+                std::fs::copy(fixture.join(name), dir.join(name)).unwrap();
+            }
+            let log = std::fs::read(dir.join("db.wal")).unwrap();
+            assert_eq!(log[8], 0, "the fixture is a version-0 log");
+            std::fs::write(dir.join("db.wal"), &log[..log.len() - cut]).unwrap();
+            let (report, got) = recover_report_and_load(&dir, policy);
+            assert_eq!(&got, want, "{policy:?} cut={cut}");
+            assert_eq!(report.batches_replayed, if cut == 0 { 2 } else { 1 });
+            assert_eq!((report.pages_redone, report.images_restored), (1, 1));
+            assert_eq!(report.slot_records_redone, 0);
+            // The store is a current one from here on.
+            let storage = StorageDb::open_with(&dir, policy, u64::MAX).unwrap();
+            storage.append_rows("t", vec![row(11, "z")]).unwrap();
+            storage.simulate_crash();
+            drop(storage);
+            assert_eq!(recover_and_load(&dir, policy).len(), want.len() + 1);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
 }
 
 /// Regression: a failed catalog rename must clean up its temp file (it
@@ -885,6 +1199,16 @@ fn open_paged_service_reports_recovery() {
     assert!(
         recovery.batches_replayed >= 1,
         "the crash left work to redo"
+    );
+    // One page changed by one slot record, rebuilt from the file: no
+    // image of it was in the log.
+    assert_eq!(
+        (
+            recovery.pages_redone,
+            recovery.slot_records_redone,
+            recovery.images_restored
+        ),
+        (1, 1, 0)
     );
     assert_eq!(svc.database().table("t").unwrap().len(), 5);
     std::fs::remove_dir_all(&dir).ok();
