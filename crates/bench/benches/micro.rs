@@ -21,9 +21,8 @@ use htqo_core::treedecomp::{tree_decomposition, EliminationHeuristic};
 use htqo_core::{det_k_decomp, q_hypertree_decomp, QhdOptions, StructuralCost};
 use htqo_cq::{isolate, parse_select, IsolatorOptions};
 use htqo_engine::error::Budget;
-use htqo_engine::exec;
 use htqo_engine::ops::natural_join;
-use htqo_eval::{evaluate_naive, evaluate_qhd, evaluate_qhd_with, ExecOptions};
+use htqo_eval::{evaluate_naive, evaluate_qhd, ExecOptions};
 use htqo_hypergraph::acyclic::gyo;
 use htqo_hypergraph::{biconnected_components, hinge_decomposition};
 use htqo_optimizer::HybridOptimizer;
@@ -58,7 +57,7 @@ fn bench_decomposition(c: &mut Criterion) {
     }
 
     // The cost-k search as `plan_cold` runs it (statistics model, q-HD
-    // root cover, k = 4, one thread, a fresh model per search), reported
+    // root cover, k = 4, a fresh model per search), reported
     // per separator tried: the unit the enumeration's cost scales with.
     use htqo_core::{cost_k_decomp_instrumented, SearchOptions};
     use htqo_stats::StatsDecompCost;
@@ -71,7 +70,7 @@ fn bench_decomposition(c: &mut Criterion) {
         ("star9", star_query(8), &star_stats),
     ] {
         let ch = q.hypergraph();
-        let opts = SearchOptions::width_with_root_cover(4, ch.out_var_set(&q)).with_threads(1);
+        let opts = SearchOptions::width_with_root_cover(4, ch.out_var_set(&q));
         let (mut best, mut separators) = (Duration::MAX, 0);
         group.bench_function(format!("cost_k_stats/{name}"), |b| {
             b.iter(|| {
@@ -164,12 +163,8 @@ fn bench_costk_engines(c: &mut Criterion) {
     });
     group.bench_function("bnb_cycle10_k3", |b| {
         b.iter(|| {
-            cost_k_decomp_instrumented(
-                &h,
-                &SearchOptions::width(3).with_threads(1),
-                &StructuralCost,
-            )
-            .expect("cycles decompose")
+            cost_k_decomp_instrumented(&h, &SearchOptions::width(3), &StructuralCost)
+                .expect("cycles decompose")
         })
     });
     group.finish();
@@ -221,7 +216,7 @@ fn bench_planner(c: &mut Criterion) {
         ("plan_line12_k4_stats", &line),
     ] {
         let ch = q.hypergraph();
-        let opts = SearchOptions::width_with_root_cover(4, ch.out_var_set(q)).with_threads(1);
+        let opts = SearchOptions::width_with_root_cover(4, ch.out_var_set(q));
         group.bench_function(name, |b| {
             b.iter(|| {
                 let model = StatsDecompCost::new(&stats, q);
@@ -560,8 +555,8 @@ fn bench_hash_join(c: &mut Criterion) {
 }
 
 fn bench_join_kernels(c: &mut Criterion) {
-    // The row hash-in-place kernel (the baselines' engine), sequential
-    // and partitioned-parallel, on a skewed 50k × 50k join.
+    // The row hash-in-place kernel (the baselines' engine) on a skewed
+    // 50k × 50k join.
     let db = workload_db(&WorkloadSpec::new(2, 50_000, 25_000, 7).with_zipf(0.5));
     let q = acyclic_query(2);
     let mut budget = Budget::unlimited();
@@ -569,19 +564,10 @@ fn bench_join_kernels(c: &mut Criterion) {
         htqo_engine::scan::scan_query_atom(&db, &q, htqo_cq::AtomId(0), &mut budget).unwrap();
     let right =
         htqo_engine::scan::scan_query_atom(&db, &q, htqo_cq::AtomId(1), &mut budget).unwrap();
-    let machine_threads = exec::num_threads();
 
     let mut group = c.benchmark_group("join_kernel");
     group.sample_size(10);
-    exec::set_threads(1);
-    group.bench_function("hash_50k_skew_1t", |b| {
-        b.iter(|| {
-            let mut budget = Budget::unlimited();
-            natural_join(&left, &right, &mut budget).unwrap()
-        })
-    });
-    exec::set_threads(machine_threads);
-    group.bench_function(format!("hash_50k_skew_{machine_threads}t"), |b| {
+    group.bench_function("hash_50k_skew", |b| {
         b.iter(|| {
             let mut budget = Budget::unlimited();
             natural_join(&left, &right, &mut budget).unwrap()
@@ -680,7 +666,6 @@ fn bench_join_keys(c: &mut Criterion) {
         ),
     ];
 
-    exec::set_threads(1);
     let mut group = c.benchmark_group("join_keys");
     for (name, build, probe) in &cases {
         let mut best = Duration::MAX;
@@ -699,7 +684,6 @@ fn bench_join_keys(c: &mut Criterion) {
         }
     }
     group.finish();
-    exec::set_threads(exec::hardware_threads());
 }
 
 fn bench_spill_join(c: &mut Criterion) {
@@ -707,7 +691,7 @@ fn bench_spill_join(c: &mut Criterion) {
     // quarter of its working set (Grace-style partitioned spilling).
     // Mostly disjoint keys (~1 % of the build side joins), so the hash
     // table — the spillable state — dwarfs the output, whose charges are
-    // owed in both modes. One thread, so the gap is spill I/O.
+    // owed in both modes, so the gap is spill I/O.
     use htqo_engine::column::Column;
     use htqo_engine::cops;
     use htqo_engine::crel::CRel;
@@ -724,7 +708,6 @@ fn bench_spill_join(c: &mut Criterion) {
     let right = side("Y", ROWS - ROWS / 100, "Z");
     let run = |b: &mut Budget| cops::natural_join(&left, &right, b).map(|r| r.len());
 
-    exec::set_threads(1);
     // Working set: the smallest cap the join completes under with spilling
     // off (the budget's residual after a run is only the output; the build
     // table's transient charges are returned on completion).
@@ -775,7 +758,6 @@ fn bench_spill_join(c: &mut Criterion) {
         );
     }
     group.finish();
-    exec::set_threads(exec::hardware_threads());
 }
 
 fn bench_factorized_count(c: &mut Criterion) {
@@ -886,51 +868,6 @@ fn bench_factorized_count(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_eval(c: &mut Criterion) {
-    // Parallel-speedup bench: evaluate_qhd on a star query (the root's
-    // satellite subtrees and per-vertex scans are independent).
-    let n = 6;
-    let db = star_db(n, 30_000, 500, 11);
-    let q = star_query(n);
-    let plan = q_hypertree_decomp(&q, &QhdOptions::default(), &StructuralCost).unwrap();
-    let threads = exec::num_threads();
-    let mut group = c.benchmark_group("parallel_eval");
-    group.sample_size(10);
-    group.bench_function("qhd_star6_1t", |b| {
-        b.iter(|| {
-            let mut budget = Budget::unlimited();
-            evaluate_qhd_with(
-                &db,
-                &q,
-                &plan,
-                &mut budget,
-                &ExecOptions {
-                    threads: 1,
-                    ..ExecOptions::default()
-                },
-            )
-            .unwrap()
-        })
-    });
-    group.bench_function(format!("qhd_star6_{threads}t"), |b| {
-        b.iter(|| {
-            let mut budget = Budget::unlimited();
-            evaluate_qhd_with(
-                &db,
-                &q,
-                &plan,
-                &mut budget,
-                &ExecOptions {
-                    threads,
-                    ..ExecOptions::default()
-                },
-            )
-            .unwrap()
-        })
-    });
-    group.finish();
-}
-
 fn bench_evaluators(c: &mut Criterion) {
     let mut group = c.benchmark_group("evaluators");
     group.sample_size(10);
@@ -1000,7 +937,6 @@ criterion_group!(
     bench_join_keys,
     bench_spill_join,
     bench_factorized_count,
-    bench_parallel_eval,
     bench_evaluators,
     bench_structural_survey,
     bench_planners

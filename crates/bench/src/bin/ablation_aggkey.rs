@@ -21,6 +21,7 @@ use htqo_stats::analyze;
 use htqo_tpch::{generate, DbgenOptions};
 
 fn main() {
+    htqo_bench::harness::reject_unknown_args(&[]);
     println!("# Ablation: aggregate multiplicity guard (AggKeyMode)");
     // sum(l_quantity) per nation: quantities are small integers, so many
     // (nation, quantity) pairs repeat — exactly where set semantics
@@ -58,7 +59,6 @@ fn main() {
             QhdOptions {
                 max_width,
                 run_optimize: true,
-                threads: 0,
             },
             stats.clone(),
         )

@@ -23,6 +23,7 @@ use htqo_workloads::{chain_query, clique_db, clique_query, workload_db, Workload
 use std::time::Instant;
 
 fn main() {
+    htqo_bench::harness::reject_unknown_args(&[]);
     println!("# Ablation: width bound k of Algorithm q-HypertreeDecomp");
     println!("\n| query | k | outcome | plan time | plan width | exec time | tuples |");
     println!("|---|---|---|---|---|---|---|");
@@ -55,7 +56,6 @@ fn main() {
                 QhdOptions {
                     max_width: k,
                     run_optimize: true,
-                    threads: 0,
                 },
                 stats.clone(),
             )

@@ -24,6 +24,7 @@ use htqo_stats::analyze;
 use htqo_workloads::{chain_query, workload_db, WorkloadSpec};
 
 fn main() {
+    htqo_bench::harness::reject_unknown_args(&[]);
     println!("# Ablation: Zipf skew vs estimation quality and runtimes");
     println!("(chain-6, cardinality 300, selectivity 50)");
     println!("\n| zipf s | CommDB est tuples | CommDB actual | q-error | CommDB time | q-HD time | q-HD tuples |");

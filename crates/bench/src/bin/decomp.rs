@@ -1,7 +1,6 @@
 //! Acceptance harness for the branch-and-bound `cost-k-decomp` overhaul:
 //! compares the engineered search (mask-keyed memo, pruned separator
-//! enumeration, admissible bound cuts, parallel subproblem solving)
-//! against the frozen seed search on synthetic line / cycle / star
+//! enumeration, admissible bound cuts) against the frozen seed search on synthetic line / cycle / star
 //! hypergraphs and TPC-H Q5, and writes the numbers to
 //! `results/decomp.md`.
 //!
@@ -13,7 +12,7 @@
 //! production plans with), again asserting the seed search's optimum.
 //!
 //! ```text
-//! cargo run -p htqo-bench --release --bin decomp [-- --threads N] [-- --mem-limit BYTES]
+//! cargo run -p htqo-bench --release --bin decomp [-- --mem-limit BYTES]
 //! ```
 
 use std::fmt::Write as _;
@@ -40,10 +39,9 @@ struct Row {
     bnb_subs: usize,
     stats: SearchStats,
     seed_time: f64,
-    seq_time: f64,
-    par_time: f64,
+    bnb_time: f64,
     /// Separators examined, distinct join-atom sets priced and best time
-    /// of the sequential B&B search under [`StatsDecompCost`] (a fresh
+    /// of the B&B search under [`StatsDecompCost`] (a fresh
     /// model per run, as the optimizer builds one per query).
     stats_seps: usize,
     stats_priced: usize,
@@ -72,32 +70,21 @@ fn measure(
     let k = opts.max_width;
     let (seed_time, seed) =
         best_of(|| baseline::cost_k_decomp_instrumented(h, opts, &StructuralCost));
-    let seq_opts = opts.clone().with_threads(1);
-    let (seq_time, seq) = best_of(|| cost_k_decomp_instrumented(h, &seq_opts, &StructuralCost));
-    let (par_time, par) =
-        best_of(|| cost_k_decomp_instrumented(h, &opts.clone().with_threads(4), &StructuralCost));
+    let (bnb_time, bnb) = best_of(|| cost_k_decomp_instrumented(h, opts, &StructuralCost));
 
     let (seed_cost, _, seed_stats) = match seed {
         Some(r) => r,
         None => {
-            assert!(
-                seq.is_none() && par.is_none(),
-                "{family}: feasibility disagreement"
-            );
+            assert!(bnb.is_none(), "{family}: feasibility disagreement");
             return None;
         }
     };
-    let (seq_cost, _, stats) = seq.expect("seed found a decomposition, B&B must too");
-    let (par_cost, _, _) = par.expect("seed found a decomposition, parallel B&B must too");
-    assert_eq!(seed_cost, seq_cost, "{family} k={k}: seed vs B&B cost");
-    assert_eq!(
-        seq_cost, par_cost,
-        "{family} k={k}: sequential vs parallel cost"
-    );
+    let (bnb_cost, _, stats) = bnb.expect("seed found a decomposition, B&B must too");
+    assert_eq!(seed_cost, bnb_cost, "{family} k={k}: seed vs B&B cost");
 
     let (stats_time, (stats_cost, stats_seps, stats_priced)) = best_of(|| {
         let model = StatsDecompCost::new(db_stats, q);
-        let (cost, _, search) = cost_k_decomp_instrumented(h, &seq_opts, &model)
+        let (cost, _, search) = cost_k_decomp_instrumented(h, opts, &model)
             .expect("feasibility does not depend on the cost model");
         (cost, search.separators_tried, model.priced_sets())
     });
@@ -136,8 +123,7 @@ fn measure(
         bnb_subs: stats.subproblems,
         stats,
         seed_time,
-        seq_time,
-        par_time,
+        bnb_time,
         stats_seps,
         stats_priced,
         stats_time,
@@ -176,9 +162,7 @@ fn cpu_model() -> String {
 }
 
 fn main() {
-    // The harness pins its own per-search thread counts (1 vs 4); the
-    // --threads flag only raises the worker-pool cap.
-    let _ = htqo_bench::harness::threads_from_args();
+    htqo_bench::harness::reject_unknown_args(&["--mem-limit"]);
     // Decomposition search carries no relation data, but the TPC-H Q5
     // workload generation below does; honor the shared memory knob.
     let _ = htqo_bench::harness::mem_limit_from_args();
@@ -220,14 +204,12 @@ fn main() {
         "Measured {} on {} ({}/{}), {cpus} CPU(s) visible to the process. Times are best of \
          {REPS} runs (structural cost model unless a column says otherwise). `seed` is the frozen \
          exhaustive search; `B&B` is the pruned branch-and-bound engine on word masks (every \
-         hypergraph here fits 64 edges and 64 variables); `B&B 4t` \
-         solves independent component subproblems on four worker threads. On a single-CPU \
-         host the 4t column measures scheduling overhead only. The `stats` columns rerun the \
-         sequential B&B search under the statistics cost model (gathered statistics of 40-row \
+         hypergraph here fits 64 edges and 64 variables). The `stats` columns rerun the \
+         B&B search under the statistics cost model (gathered statistics of 40-row \
          relations; TPC-H SF 0.001 for Q5), with a fresh model per run: separators examined, \
          distinct join-atom sets the model derived a price for (every other pricing is a \
-         hash probe), and time. Every row asserts identical optimal cost across all three \
-         engines — and, under the statistics model, between seed and B&B — and rows with \
+         hash probe), and time. Every row asserts identical optimal cost between seed and \
+         B&B — under both cost models — and rows with \
          ≥ 6 atoms assert strictly fewer separators examined than the seed.\n",
         utc_date(),
         cpu_model(),
@@ -237,17 +219,17 @@ fn main() {
     let _ = writeln!(
         report,
         "| query | atoms | k | separators seed | separators B&B | subproblems seed | \
-         subproblems B&B | bound cuts | cover rejects | seed | B&B | speedup | B&B 4t | \
+         subproblems B&B | bound cuts | cover rejects | seed | B&B | speedup | \
          separators stats | sets priced | B&B stats |"
     );
     let _ = writeln!(
         report,
-        "|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|"
+        "|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|"
     );
     for r in &rows {
         let _ = writeln!(
             report,
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {:.2}ms | {:.2}ms | {:.2}x | {:.2}ms | {} | {} | {:.2}ms |",
+            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {:.2}ms | {:.2}ms | {:.2}x | {} | {} | {:.2}ms |",
             r.family,
             r.atoms,
             r.k,
@@ -258,9 +240,8 @@ fn main() {
             r.stats.bound_cuts,
             r.stats.cover_rejects,
             r.seed_time * 1e3,
-            r.seq_time * 1e3,
-            r.seed_time / r.seq_time,
-            r.par_time * 1e3,
+            r.bnb_time * 1e3,
+            r.seed_time / r.bnb_time,
             r.stats_seps,
             r.stats_priced,
             r.stats_time * 1e3,

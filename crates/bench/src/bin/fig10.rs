@@ -7,11 +7,11 @@
 //! per-plan join work.
 //!
 //! ```text
-//! cargo run -p htqo-bench --release --bin fig10 [-- --threads N]
+//! cargo run -p htqo-bench --release --bin fig10 [-- --mem-limit N[K|M|G]]
 //! ```
 
 use htqo_bench::harness::{
-    env_f64, mem_limit_from_args, print_table, run_measured, threads_from_args, Series,
+    env_f64, mem_limit_from_args, print_table, reject_unknown_args, run_measured, Series,
 };
 use htqo_core::QhdOptions;
 use htqo_optimizer::{HybridOptimizer, RetryPolicy};
@@ -19,11 +19,11 @@ use htqo_stats::analyze;
 use htqo_workloads::{chain_query, workload_db, WorkloadSpec};
 
 fn main() {
-    let threads = threads_from_args();
+    reject_unknown_args(&["--mem-limit"]);
     let mem_limit = mem_limit_from_args();
     let max_atoms = env_f64("HTQO_MAX_ATOMS", 10.0) as usize;
     println!(
-        "# Figure 10 — impact of Procedure Optimize (chain, sel 60, card 450, {threads} thread(s), {})",
+        "# Figure 10 — impact of Procedure Optimize (chain, sel 60, card 450, {})",
         match mem_limit {
             Some(n) => format!("{n}-byte memory limit"),
             None => "unlimited memory".to_string(),
@@ -45,7 +45,6 @@ fn main() {
             QhdOptions {
                 max_width: 4,
                 run_optimize: true,
-                threads: 0,
             },
             stats.clone(),
         )
@@ -54,7 +53,6 @@ fn main() {
             QhdOptions {
                 max_width: 4,
                 run_optimize: false,
-                threads: 0,
             },
             stats,
         )

@@ -7,12 +7,11 @@
 //! {500,750,1000} at selectivity 30.
 //!
 //! ```text
-//! cargo run -p htqo-bench --release --bin fig7 [-- --threads N]
+//! cargo run -p htqo-bench --release --bin fig7 [-- --mem-limit N[K|M|G]]
 //! ```
-//! Knobs: `--threads N` (execution-layer worker threads; default = machine
-//! parallelism), `--mem-limit N[K|M|G]` (byte cap per query; default
-//! unlimited), `HTQO_TIMEOUT_SECS` (default 10), `HTQO_MAX_TUPLES`
-//! (default 20M), `HTQO_MAX_ATOMS` (default 10).
+//! Knobs: `--mem-limit N[K|M|G]` (byte cap per query; default unlimited),
+//! `HTQO_TIMEOUT_SECS` (default 10), `HTQO_MAX_TUPLES` (default 20M),
+//! `HTQO_MAX_ATOMS` (default 10).
 
 use htqo_bench::{run_measured, Series};
 use htqo_core::QhdOptions;
@@ -22,13 +21,13 @@ use htqo_stats::analyze;
 use htqo_workloads::{acyclic_query, chain_query, workload_db, WorkloadSpec};
 
 fn main() {
-    let threads = htqo_bench::harness::threads_from_args();
+    htqo_bench::harness::reject_unknown_args(&["--mem-limit"]);
     let mem_limit = htqo_bench::harness::mem_limit_from_args();
     let max_atoms = htqo_bench::harness::env_f64("HTQO_MAX_ATOMS", 10.0) as usize;
     println!("# Figure 7 — CommDB vs q-HD on synthetic queries");
     println!("(x = number of body atoms; cells = total time, DNF = budget hit)");
     println!(
-        "(execution layer: {threads} thread(s), {})",
+        "(execution layer: {})",
         match mem_limit {
             Some(n) => format!("{n}-byte memory limit"),
             None => "unlimited memory".to_string(),

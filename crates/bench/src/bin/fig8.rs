@@ -10,7 +10,7 @@
 //! paper's literal axis.
 //!
 //! ```text
-//! cargo run -p htqo-bench --release --bin fig8 [-- --threads N]
+//! cargo run -p htqo-bench --release --bin fig8 [-- --mem-limit N[K|M|G]]
 //! ```
 
 use htqo_bench::harness::{env_f64_list, print_table, run_measured, Series};
@@ -20,13 +20,13 @@ use htqo_stats::analyze;
 use htqo_tpch::{generate, nominal_megabytes, q5, q8, DbgenOptions};
 
 fn main() {
-    let threads = htqo_bench::harness::threads_from_args();
+    htqo_bench::harness::reject_unknown_args(&["--mem-limit"]);
     let mem_limit = htqo_bench::harness::mem_limit_from_args();
     let scales = env_f64_list("HTQO_FIG8_SCALES", &[0.02, 0.04, 0.06, 0.08, 0.10]);
     println!("# Figure 8 — TPC-H Q5 / Q8: CommDB vs q-HD vs database size");
     println!("(x = nominal database size in MB, SF×1000; cells = total time)");
     println!(
-        "(execution layer: {threads} thread(s), {})",
+        "(execution layer: {})",
         match mem_limit {
             Some(n) => format!("{n}-byte memory limit"),
             None => "unlimited memory".to_string(),

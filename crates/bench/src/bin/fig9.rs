@@ -10,11 +10,11 @@
 //! structural phase is a negligible fraction of evaluation.
 //!
 //! ```text
-//! cargo run -p htqo-bench --release --bin fig9 [-- --threads N] [-- --mem-limit BYTES]
+//! cargo run -p htqo-bench --release --bin fig9 [-- --mem-limit BYTES]
 //! ```
 
 use htqo_bench::harness::{
-    env_f64, mem_limit_from_args, print_table, run_budget, threads_from_args, Measurement, Series,
+    env_f64, mem_limit_from_args, print_table, reject_unknown_args, run_budget, Measurement, Series,
 };
 use htqo_core::QhdOptions;
 use htqo_optimizer::{DbmsSim, HybridOptimizer, RetryPolicy};
@@ -22,10 +22,10 @@ use htqo_stats::analyze;
 use htqo_workloads::{acyclic_query, chain_query, workload_db, WorkloadSpec};
 
 fn main() {
-    let threads = threads_from_args();
+    reject_unknown_args(&["--mem-limit"]);
     let mem_limit = mem_limit_from_args();
     let max_atoms = env_f64("HTQO_MAX_ATOMS", 10.0) as usize;
-    println!("# Figure 9 — PostgreSQL vs PostgreSQL+q-HD (sel 60, card 450, {threads} thread(s))");
+    println!("# Figure 9 — PostgreSQL vs PostgreSQL+q-HD (sel 60, card 450)");
     if let Some(limit) = mem_limit {
         println!("\nMemory limit: {limit} bytes per run (`--mem-limit`).");
     }

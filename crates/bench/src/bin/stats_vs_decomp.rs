@@ -20,6 +20,7 @@ use htqo_tpch::{generate, nominal_megabytes, q5, DbgenOptions};
 use std::time::Instant;
 
 fn main() {
+    htqo_bench::harness::reject_unknown_args(&[]);
     let scales = env_f64_list("HTQO_SCALES", &[0.005, 0.01, 0.02, 0.05, 0.1]);
     println!("# Statistics gathering vs structural planning (Section 6.1)");
     println!("\n| nominal MB | ANALYZE time | q-HD decomposition time (Q5) |");

@@ -159,31 +159,44 @@ fn flag_value<T>(
     Ok(found)
 }
 
-/// [`flag_value`] over the process arguments; a malformed value prints a
-/// one-line error and exits with status 2.
+/// The first argument after the program name that is neither one of the
+/// value-taking `flags` (`<flag> V` or `<flag>=V`) nor the value of one.
+fn unknown_argument<'a>(args: &'a [String], flags: &[&str]) -> Option<&'a str> {
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        if flags.contains(&arg.as_str()) {
+            rest.next(); // its value; a missing one is `flag_value`'s error
+        } else if !flags
+            .iter()
+            .any(|f| arg.strip_prefix(f).is_some_and(|v| v.starts_with('=')))
+        {
+            return Some(arg);
+        }
+    }
+    None
+}
+
+/// Prints a one-line usage error and exits with status 2.
+fn exit_usage(error: &str) -> ! {
+    eprintln!("error: {error}");
+    std::process::exit(2);
+}
+
+/// Every harness binary calls this first, naming the flags it takes: any
+/// other process argument — a typo, a flag of another binary, a retired
+/// one — exits with status 2 instead of being ignored.
+pub fn reject_unknown_args(flags: &[&str]) {
+    let args: Vec<String> = std::env::args().collect();
+    if let Some(arg) = unknown_argument(&args, flags) {
+        exit_usage(&format!("unknown argument '{arg}'"));
+    }
+}
+
+/// [`flag_value`] over the process arguments; a malformed value exits
+/// with status 2.
 fn flag_from_args<T>(flag: &str, parse: impl Fn(&str) -> Option<T>) -> Option<T> {
     let args: Vec<String> = std::env::args().collect();
-    flag_value(&args, flag, parse).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
-}
-
-fn parse_threads(v: &str) -> Option<usize> {
-    v.parse().ok().filter(|&n| n > 0)
-}
-
-/// Applies the `--threads N` (or `--threads=N`) command-line knob shared
-/// by the figure harnesses: parses the process arguments, pins the
-/// execution-layer thread count via [`htqo_engine::exec::set_threads`],
-/// and returns the count now in effect. Without the flag, the
-/// `HTQO_THREADS` env var / machine parallelism default stands; a value
-/// that is not a positive integer exits with status 2.
-pub fn threads_from_args() -> usize {
-    if let Some(n) = flag_from_args("--threads", parse_threads) {
-        htqo_engine::exec::set_threads(n);
-    }
-    htqo_engine::exec::num_threads()
+    flag_value(&args, flag, parse).unwrap_or_else(|e| exit_usage(&e))
 }
 
 /// Applies the `--mem-limit N` (or `--mem-limit=N`) command-line knob
@@ -199,25 +212,53 @@ pub fn mem_limit_from_args() -> Option<u64> {
     htqo_engine::exec::mem_limit_default()
 }
 
-/// Reads an f64 environment knob with a default.
-pub fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// `raw`, the value of environment knob `name`, through `parse`: `None`
+/// when the variable is unset; a set-but-unparsable value is an error
+/// naming the variable and the value — never a silent default.
+fn env_value<T>(
+    name: &str,
+    raw: Option<&str>,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Option<T>, String> {
+    raw.map(|v| parse(v).ok_or_else(|| format!("invalid value '{v}' for {name}")))
+        .transpose()
 }
 
-/// Reads a comma-separated f64 list knob with a default.
-pub fn env_f64_list(name: &str, default: &[f64]) -> Vec<f64> {
-    std::env::var(name)
+/// [`env_value`] over the process environment; a malformed value exits
+/// with status 2.
+fn env_from_process<T>(name: &str, parse: impl Fn(&str) -> Option<T>) -> Option<T> {
+    let raw = match std::env::var(name) {
+        Ok(v) => Some(v),
+        Err(std::env::VarError::NotPresent) => None,
+        Err(std::env::VarError::NotUnicode(_)) => exit_usage(&format!("{name} is not UTF-8")),
+    };
+    env_value(name, raw.as_deref(), parse).unwrap_or_else(|e| exit_usage(&e))
+}
+
+/// A finite, non-negative number (every knob is a size, a count or a
+/// duration).
+fn parse_quantity(v: &str) -> Option<f64> {
+    v.trim()
+        .parse()
         .ok()
-        .map(|v| {
-            v.split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .collect::<Vec<f64>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| default.to_vec())
+        .filter(|x: &f64| x.is_finite() && *x >= 0.0)
+}
+
+/// A non-empty comma-separated list of [`parse_quantity`] values.
+fn parse_quantities(v: &str) -> Option<Vec<f64>> {
+    v.split(',').map(parse_quantity).collect()
+}
+
+/// Reads an f64 environment knob; `default` when it is unset, exit
+/// status 2 when it is set to anything but a finite non-negative number.
+pub fn env_f64(name: &str, default: f64) -> f64 {
+    env_from_process(name, parse_quantity).unwrap_or(default)
+}
+
+/// Reads a comma-separated f64 list knob; `default` when it is unset,
+/// exit status 2 when any element is not a finite non-negative number.
+pub fn env_f64_list(name: &str, default: &[f64]) -> Vec<f64> {
+    env_from_process(name, parse_quantities).unwrap_or_else(|| default.to_vec())
 }
 
 /// Convenience used by every harness: run `f` and convert its outcome.
@@ -229,38 +270,81 @@ pub fn run_measured(f: impl FnOnce(Budget) -> QueryOutcome) -> Measurement {
 mod tests {
     use super::*;
 
+    fn args(v: &[&str]) -> Vec<String> {
+        v.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn flag_values_parse_or_name_the_offender() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let threads = |v: &[&str]| flag_value(&args(v), "--threads", parse_threads);
-        assert_eq!(threads(&["bin", "--other"]), Ok(None));
-        assert_eq!(threads(&["bin", "--threads", "4"]), Ok(Some(4)));
-        assert_eq!(
-            threads(&["bin", "--threads=2", "--threads", "3"]),
-            Ok(Some(3))
-        );
-        assert_eq!(threads(&["bin", "--threads-extra=9"]), Ok(None));
-        for bad in [
-            &["bin", "--threads", "abc"][..],
-            &["bin", "--threads=0"],
-            &["bin", "--threads="],
-            &["bin", "--threads"],
-        ] {
-            let err = threads(bad).unwrap_err();
-            assert!(err.contains("--threads"), "{err}");
-        }
-        assert!(threads(&["bin", "--threads", "abc"])
-            .unwrap_err()
-            .contains("'abc'"));
-
         let mem = |v: &[&str]| flag_value(&args(v), "--mem-limit", htqo_engine::exec::parse_bytes);
+        assert_eq!(mem(&["bin", "--other"]), Ok(None));
         assert_eq!(mem(&["bin", "--mem-limit", "12K"]), Ok(Some(12 << 10)));
-        assert_eq!(mem(&["bin", "--mem-limit=3M"]), Ok(Some(3 << 20)));
-        let err = mem(&["bin", "--mem-limit", "12Q"]).unwrap_err();
-        assert!(
-            err.contains("--mem-limit") && err.contains("'12Q'"),
-            "{err}"
+        assert_eq!(
+            mem(&["bin", "--mem-limit=3M", "--mem-limit", "4"]),
+            Ok(Some(4))
         );
+        assert_eq!(mem(&["bin", "--mem-limit-extra=9"]), Ok(None));
+        for bad in [
+            &["bin", "--mem-limit", "12Q"][..],
+            &["bin", "--mem-limit=abc"],
+            &["bin", "--mem-limit="],
+            &["bin", "--mem-limit"],
+        ] {
+            let err = mem(bad).unwrap_err();
+            assert!(err.contains("--mem-limit"), "{err}");
+        }
+        assert!(mem(&["bin", "--mem-limit", "12Q"])
+            .unwrap_err()
+            .contains("'12Q'"));
+    }
+
+    #[test]
+    fn arguments_no_flag_consumes_are_named() {
+        let unknown = |v: &[&str]| unknown_argument(&args(v), &["--mem-limit"]).map(str::to_owned);
+        assert_eq!(unknown(&["bin"]), None);
+        assert_eq!(
+            unknown(&["bin", "--mem-limit", "1G", "--mem-limit=2G"]),
+            None
+        );
+        // A flag's value is not looked at here, whatever it looks like.
+        assert_eq!(unknown(&["bin", "--mem-limit", "--jobs"]), None);
+        assert_eq!(unknown(&["bin", "--mem-limit"]), None);
+        for (argv, offender) in [
+            (&["bin", "--jobs", "4"][..], "--jobs"),
+            (&["bin", "--jobs=4"], "--jobs=4"),
+            (&["bin", "--mem-limit", "1G", "extra"], "extra"),
+            (&["bin", "--mem-limit-extra=9"], "--mem-limit-extra=9"),
+            (&["bin", "--mem-limitless"], "--mem-limitless"),
+        ] {
+            assert_eq!(unknown(argv).as_deref(), Some(offender));
+        }
+        assert_eq!(
+            unknown_argument(&args(&["bin", "--mem-limit", "1G"]), &[]),
+            Some("--mem-limit")
+        );
+    }
+
+    #[test]
+    fn environment_values_parse_or_name_the_offender() {
+        let secs = |raw| env_value("HTQO_TIMEOUT_SECS", raw, parse_quantity);
+        assert_eq!(secs(None), Ok(None), "unset keeps the default");
+        assert_eq!(secs(Some("2.5")), Ok(Some(2.5)));
+        assert_eq!(secs(Some(" 10 ")), Ok(Some(10.0)));
+        for bad in ["abc", "", "-1", "inf", "NaN", "1,2"] {
+            let err = secs(Some(bad)).unwrap_err();
+            assert!(
+                err.contains("HTQO_TIMEOUT_SECS") && err.contains(&format!("'{bad}'")),
+                "{err}"
+            );
+        }
+        let scales = |raw| env_value("HTQO_FIG8_SCALES", raw, parse_quantities);
+        assert_eq!(
+            scales(Some("0.02, 0.1,0.5")),
+            Ok(Some(vec![0.02, 0.1, 0.5]))
+        );
+        for bad in ["", "0.02,,0.1", "0.02,x", ","] {
+            assert!(scales(Some(bad)).is_err(), "{bad:?}");
+        }
     }
 
     fn m(seconds: f64, dnf: bool) -> Measurement {

@@ -14,11 +14,7 @@ use htqo_hypergraph::{EdgeSet, Hypergraph, VarSet};
 /// The total cost of a decomposition is the **sum of its vertex costs** —
 /// a tree-aggregation-monotone function, which is what makes the dynamic
 /// program over `(component, connector)` subproblems exact.
-///
-/// Implementations must be [`Sync`]: the branch-and-bound search evaluates
-/// independent component subproblems on worker threads, each of which
-/// calls [`DecompCost::vertex_cost`] through a shared reference.
-pub trait DecompCost: Sync {
+pub trait DecompCost {
     /// Estimated cost of materializing vertex `p`: joining the relations of
     /// `λ(p) ∪ assigned(p)` and projecting onto `χ(p)`.
     fn vertex_cost(

@@ -12,7 +12,7 @@ use htqo_hypergraph::BitSet;
 use std::hash::Hash;
 
 /// A set of small indices, cheap to copy when it is a word.
-pub(crate) trait Mask: Clone + Default + Eq + Hash + Send + Sync {
+pub(crate) trait Mask: Clone + Default + Eq + Hash {
     /// Reads a set out of the caller's representation. Panics when the
     /// set does not fit (the caller picks the representation that does).
     fn load(bits: &BitSet) -> Self;

@@ -65,10 +65,6 @@ pub struct QhdOptions {
     /// Whether to run Procedure Optimize (Figure 10 of the paper ablates
     /// this).
     pub run_optimize: bool,
-    /// Worker threads for the decomposition search (see
-    /// [`SearchOptions::threads`]): `0` follows the execution layer's
-    /// configured thread count, `1` forces the sequential search.
-    pub threads: usize,
 }
 
 impl Default for QhdOptions {
@@ -76,7 +72,6 @@ impl Default for QhdOptions {
         QhdOptions {
             max_width: 4,
             run_optimize: true,
-            threads: 0,
         }
     }
 }
@@ -144,8 +139,7 @@ pub fn q_hypertree_decomp_raw(
 ) -> Result<RawQhd, QhdFailure> {
     let ch = q.hypergraph();
     let out_vars = ch.out_var_set(q);
-    let opts = SearchOptions::width_with_root_cover(options.max_width, out_vars.clone())
-        .with_threads(options.threads);
+    let opts = SearchOptions::width_with_root_cover(options.max_width, out_vars.clone());
     let Some((estimated_cost, tree, search_stats)) =
         cost_k_decomp_instrumented(&ch.hypergraph, &opts, cost)
     else {
@@ -211,7 +205,6 @@ mod tests {
             &QhdOptions {
                 max_width: 1,
                 run_optimize: true,
-                threads: 0,
             },
             &StructuralCost,
         );
@@ -221,7 +214,6 @@ mod tests {
             &QhdOptions {
                 max_width: 2,
                 run_optimize: true,
-                threads: 0,
             },
             &StructuralCost,
         )
@@ -242,7 +234,6 @@ mod tests {
             &QhdOptions {
                 max_width: 4,
                 run_optimize: false,
-                threads: 0,
             },
             &StructuralCost,
         )
@@ -269,7 +260,6 @@ mod tests {
             &QhdOptions {
                 max_width: 1,
                 run_optimize: true,
-                threads: 0,
             },
             &StructuralCost,
         )
@@ -282,7 +272,6 @@ mod tests {
             &QhdOptions {
                 max_width: 2,
                 run_optimize: true,
-                threads: 0
             },
             &StructuralCost,
         )
@@ -310,7 +299,6 @@ mod tests {
             &QhdOptions {
                 max_width: 1,
                 run_optimize: true,
-                threads: 0,
             },
             &StructuralCost,
         )

@@ -45,23 +45,19 @@
 //!   first-success mode;
 //! - **bounds**: a partial solution is abandoned as soon as its
 //!   accumulated cost plus an admissible per-component lower bound
-//!   ([`DecompCost::min_vertex_cost`]) reaches the incumbent;
-//! - **parallelizes**: independent `[χ]`-component subproblems are solved
-//!   concurrently on the execution layer's worker-permit pool
-//!   ([`htqo_engine::exec`]) behind [`SearchOptions::threads`], sharing
-//!   the memo through striped locks. The optimum is
-//!   thread-count-invariant: every subproblem is solved to optimality
-//!   with only subproblem-local incumbents, so scheduling order can only
-//!   change *which* equal-cost tree is found first, never the cost.
+//!   ([`DecompCost::min_vertex_cost`]) reaches the incumbent.
+//!
+//! The search runs on the calling thread: one memo, plain counters. Every
+//! subproblem is solved to optimality with only subproblem-local
+//! incumbents, so the optimum does not depend on the order in which
+//! sibling components are solved.
 
 use crate::cost::DecompCost;
 use crate::hypertree::{Hypertree, HypertreeBuilder, NodeId};
 use crate::mask::Mask;
-use htqo_engine::exec;
-use htqo_hypergraph::fxhash::{fx_hash_one, FxHashMap, FxHashSet};
+use htqo_hypergraph::fxhash::{FxHashMap, FxHashSet};
 use htqo_hypergraph::{BitSet, EdgeSet, Hypergraph, VarSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 /// Search configuration.
 #[derive(Clone, Debug)]
@@ -73,11 +69,6 @@ pub struct SearchOptions {
     /// When set, the root's χ must cover these variables (Condition 2 of
     /// Definition 2 — used for q-hypertree decompositions).
     pub root_cover: Option<VarSet>,
-    /// Worker threads for independent component subproblems: `0` uses the
-    /// execution layer's configured count ([`exec::num_threads`]), `1`
-    /// forces the sequential search, `n > 1` caps the parallel width. The
-    /// returned optimum is identical for every setting.
-    pub threads: usize,
 }
 
 impl SearchOptions {
@@ -86,7 +77,6 @@ impl SearchOptions {
         SearchOptions {
             max_width: k,
             root_cover: None,
-            threads: 0,
         }
     }
 
@@ -95,14 +85,7 @@ impl SearchOptions {
         SearchOptions {
             max_width: k,
             root_cover: Some(out),
-            threads: 0,
         }
-    }
-
-    /// Pins the subproblem-search thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
     }
 }
 
@@ -132,28 +115,17 @@ pub struct SearchStats {
 
 /// A shared, immutable plan node produced by the DP (converted into a
 /// [`Hypertree`] at the end; sharing matters because the memo table reuses
-/// subtrees across parents, and [`Arc`] lets worker threads share them).
+/// subtrees across parents).
 struct PlanNode<S> {
     lambda: S,
     chi: S,
     assigned: S,
-    children: Vec<Arc<PlanNode<S>>>,
+    children: Vec<Rc<PlanNode<S>>>,
 }
 
-type MemoEntry<S> = Option<(f64, Arc<PlanNode<S>>)>;
+type MemoEntry<S> = Option<(f64, Rc<PlanNode<S>>)>;
 /// Keyed by the `(component, connector)` sets themselves.
 type Memo<S> = FxHashMap<(S, S), MemoEntry<S>>;
-
-/// Shared search counters (workers increment, [`SearchStats`] snapshots).
-#[derive(Default)]
-struct AtomicStats {
-    subproblems: AtomicUsize,
-    separators_tried: AtomicUsize,
-    memo_hits: AtomicUsize,
-    cover_rejects: AtomicUsize,
-    lambda_dedup: AtomicUsize,
-    bound_cuts: AtomicUsize,
-}
 
 /// One candidate separator edge, with its precomputed scope coverage.
 struct Cand<S> {
@@ -190,20 +162,15 @@ struct Separator<S> {
     has_comp_edge: bool,
 }
 
-/// Per-subproblem enumeration state: the incumbent, locally batched
-/// counters (flushed to the shared atomics once per subproblem), the
-/// λ-dedup table, and the typed sets a separator's labels are written
-/// into for [`DecompCost::vertex_cost`] (reused, so a separator that is
-/// bound-cut on its vertex cost allocates nothing).
+/// Per-subproblem enumeration state: the incumbent, the λ-dedup table,
+/// and the typed sets a separator's labels are written into for
+/// [`DecompCost::vertex_cost`] (reused, so a separator that is bound-cut
+/// on its vertex cost allocates nothing).
 struct EnumCtx<S> {
     best: MemoEntry<S>,
     lent_lambda: EdgeSet,
     lent_assigned: EdgeSet,
     lent_chi: VarSet,
-    separators_tried: usize,
-    cover_rejects: usize,
-    lambda_dedup: usize,
-    bound_cuts: usize,
     /// `var(S) ∩ scope` values already tried (first-success mode only).
     seen_covers: Option<FxHashSet<S>>,
 }
@@ -215,33 +182,23 @@ struct Searcher<'a, S> {
     /// In first-success mode the search stops refining once any solution is
     /// found for a subproblem.
     first_success: bool,
-    threads: usize,
     /// Admissible lower bound charged per undecomposed component.
     comp_lb: f64,
     /// `edge_vars[e]` = `var(e)`.
     edge_vars: Vec<S>,
     /// `var_edges[v]` = the edges containing `v`.
     var_edges: Vec<S>,
-    memo: Vec<Mutex<Memo<S>>>,
-    stats: AtomicStats,
+    memo: Memo<S>,
+    stats: SearchStats,
 }
 
 impl<'a, S: Mask> Searcher<'a, S> {
-    fn new(
-        h: &'a Hypergraph,
-        k: usize,
-        cost: &'a dyn DecompCost,
-        first_success: bool,
-        threads: usize,
-    ) -> Self {
-        // Power-of-two stripe counts keep shard selection a mask.
-        let stripes = if threads <= 1 { 1 } else { 16 };
+    fn new(h: &'a Hypergraph, k: usize, cost: &'a dyn DecompCost, first_success: bool) -> Self {
         Searcher {
             h,
             k,
             cost,
             first_success,
-            threads,
             comp_lb: cost.min_vertex_cost(h),
             edge_vars: h
                 .edge_ids()
@@ -251,26 +208,9 @@ impl<'a, S: Mask> Searcher<'a, S> {
                 .var_ids()
                 .map(|v| S::load(h.edges_with_var(v).bits()))
                 .collect(),
-            memo: (0..stripes).map(|_| Mutex::default()).collect(),
-            stats: AtomicStats::default(),
+            memo: Memo::default(),
+            stats: SearchStats::default(),
         }
-    }
-
-    fn snapshot(&self) -> SearchStats {
-        SearchStats {
-            subproblems: self.stats.subproblems.load(Ordering::Relaxed),
-            separators_tried: self.stats.separators_tried.load(Ordering::Relaxed),
-            memo_hits: self.stats.memo_hits.load(Ordering::Relaxed),
-            cover_rejects: self.stats.cover_rejects.load(Ordering::Relaxed),
-            lambda_dedup: self.stats.lambda_dedup.load(Ordering::Relaxed),
-            bound_cuts: self.stats.bound_cuts.load(Ordering::Relaxed),
-        }
-    }
-
-    fn memo_shard(&self, key: &(S, S)) -> std::sync::MutexGuard<'_, Memo<S>> {
-        self.memo[fx_hash_one(key) as usize & (self.memo.len() - 1)]
-            .lock()
-            .expect("no search step panics while holding a memo shard")
     }
 
     /// `var(edges)`.
@@ -284,23 +224,21 @@ impl<'a, S: Mask> Searcher<'a, S> {
 
     /// Solves a memoized subproblem: the optimal decomposition of the
     /// component `comp` whose root covers the connector `conn`.
-    fn solve(&self, comp: S, conn: S) -> MemoEntry<S> {
+    fn solve(&mut self, comp: S, conn: S) -> MemoEntry<S> {
         let key = (comp, conn);
-        if let Some(cached) = self.memo_shard(&key).get(&key) {
-            self.stats.memo_hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(cached) = self.memo.get(&key) {
+            self.stats.memo_hits += 1;
             return cached.clone();
         }
-        self.stats.subproblems.fetch_add(1, Ordering::Relaxed);
+        self.stats.subproblems += 1;
         let result = self.solve_uncached(&key.0, &key.1, None);
-        // Two workers may race on the same subproblem; both compute the
-        // same optimum, so either insert wins harmlessly.
-        self.memo_shard(&key).insert(key, result.clone());
+        self.memo.insert(key, result.clone());
         result
     }
 
     /// Enumerates candidate separators for a subproblem and returns the
     /// best (or first) solution.
-    fn solve_uncached(&self, comp: &S, conn: &S, root_cover: Option<&S>) -> MemoEntry<S> {
+    fn solve_uncached(&mut self, comp: &S, conn: &S, root_cover: Option<&S>) -> MemoEntry<S> {
         let mut scope = self.vars_of(comp);
         scope.union_with(conn);
 
@@ -354,25 +292,9 @@ impl<'a, S: Mask> Searcher<'a, S> {
             lent_lambda: EdgeSet::new(),
             lent_assigned: EdgeSet::new(),
             lent_chi: VarSet::new(),
-            separators_tried: 0,
-            cover_rejects: 0,
-            lambda_dedup: 0,
-            bound_cuts: 0,
             seen_covers: self.first_success.then(FxHashSet::default),
         };
         self.enumerate(&sub, 0, 0, empty, &mut ctx);
-        self.stats
-            .separators_tried
-            .fetch_add(ctx.separators_tried, Ordering::Relaxed);
-        self.stats
-            .cover_rejects
-            .fetch_add(ctx.cover_rejects, Ordering::Relaxed);
-        self.stats
-            .lambda_dedup
-            .fetch_add(ctx.lambda_dedup, Ordering::Relaxed);
-        self.stats
-            .bound_cuts
-            .fetch_add(ctx.bound_cuts, Ordering::Relaxed);
         ctx.best
     }
 
@@ -380,7 +302,7 @@ impl<'a, S: Mask> Searcher<'a, S> {
     /// `sep` is the separator of the `depth` edges chosen so far, drawn
     /// from the candidates before `start`.
     fn enumerate(
-        &self,
+        &mut self,
         sub: &Subproblem<S>,
         start: usize,
         depth: usize,
@@ -405,9 +327,9 @@ impl<'a, S: Mask> Searcher<'a, S> {
                 None => false,
             };
             if duplicate {
-                ctx.lambda_dedup += 1;
+                self.stats.lambda_dedup += 1;
             } else {
-                ctx.separators_tried += 1;
+                self.stats.separators_tried += 1;
                 self.try_separator(sub, &sep, ctx);
             }
         }
@@ -424,7 +346,7 @@ impl<'a, S: Mask> Searcher<'a, S> {
                 .is_some_and(|req| !req.is_subset_of_union(&sep.chi, reachable))
             || (!sep.has_comp_edge && !sub.suffix_in_comp[start])
         {
-            ctx.cover_rejects += 1;
+            self.stats.cover_rejects += 1;
             return;
         }
         for (i, cand) in sub.candidates.iter().enumerate().skip(start) {
@@ -501,7 +423,7 @@ impl<'a, S: Mask> Searcher<'a, S> {
     /// Prices one full candidate separator: recurses on the
     /// `[χ]`-components and updates the incumbent. The separator has
     /// already passed the progress, connector-cover and root-cover checks.
-    fn try_separator(&self, sub: &Subproblem<S>, sep: &Separator<S>, ctx: &mut EnumCtx<S>) {
+    fn try_separator(&mut self, sub: &Subproblem<S>, sep: &Separator<S>, ctx: &mut EnumCtx<S>) {
         // The progress edge lies inside the scope, so χ covers it: every
         // child component is strictly smaller and no subproblem can
         // re-enter itself.
@@ -519,7 +441,7 @@ impl<'a, S: Mask> Searcher<'a, S> {
         // component split.
         if let Some((bound, _)) = &ctx.best {
             if total >= *bound {
-                ctx.bound_cuts += 1;
+                self.stats.bound_cuts += 1;
                 return;
             }
         }
@@ -529,7 +451,7 @@ impl<'a, S: Mask> Searcher<'a, S> {
         if self.comp_lb > 0.0 && !subcomps.is_empty() {
             if let Some((bound, _)) = &ctx.best {
                 if total + subcomps.len() as f64 * self.comp_lb >= *bound {
-                    ctx.bound_cuts += 1;
+                    self.stats.bound_cuts += 1;
                     return;
                 }
             }
@@ -537,50 +459,21 @@ impl<'a, S: Mask> Searcher<'a, S> {
 
         let remaining = subcomps.len();
         let mut children = Vec::with_capacity(remaining);
-        if self.threads > 1 && remaining > 1 {
-            // Solve independent components concurrently on the worker
-            // pool. Each subproblem is solved to optimality regardless of
-            // siblings, so the combined result equals the sequential one.
-            let solved = exec::parallel_map(subcomps, self.threads, |(sc, child_conn)| {
-                self.solve(sc, child_conn)
-            })
-            // Planning-layer closures never touch the engine kernels, so a
-            // panic here is a real bug in the search itself: re-raise it on
-            // the caller (permits and the shared memo are already
-            // consistent — parallel_map returned them before erroring).
-            .unwrap_or_else(|e| panic!("{e}"));
-            for entry in solved {
-                match entry {
-                    Some((c, plan)) => {
-                        total += c;
-                        children.push(plan);
-                    }
-                    None => return, // this separator cannot decompose the rest
-                }
-            }
-            if let Some((bound, _)) = &ctx.best {
-                if total >= *bound {
-                    ctx.bound_cuts += 1;
-                    return;
-                }
-            }
-        } else {
-            for (solved, (sc, child_conn)) in subcomps.into_iter().enumerate() {
-                match self.solve(sc, child_conn) {
-                    Some((c, plan)) => {
-                        total += c;
-                        // Children still unsolved each cost ≥ comp_lb.
-                        let rest = (remaining - solved - 1) as f64 * self.comp_lb;
-                        if let Some((bound, _)) = &ctx.best {
-                            if total + rest >= *bound {
-                                ctx.bound_cuts += 1;
-                                return;
-                            }
+        for (solved, (sc, child_conn)) in subcomps.into_iter().enumerate() {
+            match self.solve(sc, child_conn) {
+                Some((c, plan)) => {
+                    total += c;
+                    // Children still unsolved each cost ≥ comp_lb.
+                    let rest = (remaining - solved - 1) as f64 * self.comp_lb;
+                    if let Some((bound, _)) = &ctx.best {
+                        if total + rest >= *bound {
+                            self.stats.bound_cuts += 1;
+                            return;
                         }
-                        children.push(plan);
                     }
-                    None => return, // this separator cannot decompose the rest
+                    children.push(plan);
                 }
+                None => return, // this separator cannot decompose the rest
             }
         }
 
@@ -591,7 +484,7 @@ impl<'a, S: Mask> Searcher<'a, S> {
         if better {
             ctx.best = Some((
                 total,
-                Arc::new(PlanNode {
+                Rc::new(PlanNode {
                     lambda: sep.lambda.clone(),
                     chi: sep.chi.clone(),
                     assigned: sep.assigned.clone(),
@@ -731,12 +624,7 @@ fn search_on<S: Mask>(
         let root = b.add(VarSet::new(), EdgeSet::new(), EdgeSet::new(), vec![]);
         return Some((0.0, b.build(root), SearchStats::default()));
     }
-    let threads = if opts.threads == 0 {
-        exec::num_threads()
-    } else {
-        opts.threads
-    };
-    let s = Searcher::<S>::new(h, opts.max_width, cost, first_success, threads);
+    let mut s = Searcher::<S>::new(h, opts.max_width, cost, first_success);
     let root_cover = opts.root_cover.as_ref().map(|out| S::load(out.bits()));
     let (total, plan) =
         s.solve_uncached(&S::full(h.num_edges()), &S::default(), root_cover.as_ref())?;
@@ -744,7 +632,7 @@ fn search_on<S: Mask>(
     debug_assert!(crate::validate::check_edge_coverage(h, &tree).is_ok());
     debug_assert!(crate::validate::check_connectedness(h, &tree).is_ok());
     debug_assert!(crate::validate::check_assignment(h, &tree).is_ok());
-    Some((total, tree, s.snapshot()))
+    Some((total, tree, s.stats))
 }
 
 /// The seed search implementation, frozen as the reference oracle.
@@ -1145,41 +1033,6 @@ mod tests {
                 seed_stats.separators_tried
             );
             assert!(stats.bound_cuts + stats.cover_rejects > 0, "k={k}");
-        }
-    }
-
-    #[test]
-    fn parallel_search_matches_sequential() {
-        let h = build(&[
-            ("p1", &["A", "B"]),
-            ("p2", &["B", "C"]),
-            ("p3", &["C", "D"]),
-            ("p4", &["D", "E"]),
-            ("p5", &["E", "A"]),
-            ("hub", &["A", "C", "E"]),
-        ]);
-        for k in 2..=3 {
-            let seq = cost_k_decomp_with_cost(
-                &h,
-                &SearchOptions::width(k).with_threads(1),
-                &StructuralCost,
-            );
-            let par = cost_k_decomp_with_cost(
-                &h,
-                &SearchOptions::width(k).with_threads(4),
-                &StructuralCost,
-            );
-            match (seq, par) {
-                (Some((cs, ts)), Some((cp, tp))) => {
-                    assert_eq!(cs, cp, "k={k}");
-                    assert_eq!(ts.width(), tp.width());
-                }
-                (None, None) => {}
-                other => panic!(
-                    "k={k}: sequential/parallel disagree: {:?}",
-                    other.0.is_some()
-                ),
-            }
         }
     }
 

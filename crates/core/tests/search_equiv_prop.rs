@@ -1,12 +1,11 @@
 //! Equivalence property tests for the branch-and-bound search engine.
 //!
 //! The engineered `cost-k-decomp` (mask-keyed memo, pruned separator
-//! enumeration, admissible bound cuts, optional parallel subproblem
-//! solving) must return **exactly** the seed exhaustive search's optimal
-//! cost — not approximately: every pruning rule is argued exact, and these
-//! tests hold the implementation to that argument on random hypergraphs,
-//! with and without a root-cover constraint, sequentially and with four
-//! worker threads.
+//! enumeration, admissible bound cuts) must return **exactly** the seed
+//! exhaustive search's optimal cost — not approximately: every pruning
+//! rule is argued exact, and these tests hold the implementation to that
+//! argument on random hypergraphs, with and without a root-cover
+//! constraint.
 //!
 //! The search body is generic over the set representation and runs on
 //! `u64` masks up to 64 edges and 64 variables, on heap bit sets beyond.
@@ -78,33 +77,28 @@ fn check_equivalence(
         None => SearchOptions::width(k),
     };
     let seed = baseline::cost_k_decomp_instrumented(h, &opts, cost);
-    let seq = cost_k_decomp_instrumented(h, &opts.clone().with_threads(1), cost);
-    let par = cost_k_decomp_instrumented(h, &opts.with_threads(4), cost);
+    let bnb = cost_k_decomp_instrumented(h, &opts, cost);
 
-    match (&seed, &seq, &par) {
-        (None, None, None) => {}
-        (Some((c0, _, _)), Some((c1, t1, _)), Some((c2, t2, _))) => {
-            // Exact equality: all three searches price identical trees by
+    match (&seed, &bnb) {
+        (None, None) => {}
+        (Some((c0, _, _)), Some((c1, t, _))) => {
+            // Exact equality: both searches price identical trees by
             // summing vertex costs in the same deterministic order, so no
             // epsilon is needed.
-            prop_assert_eq!(c0, c1, "seed vs B&B sequential (k={})", k);
-            prop_assert_eq!(c1, c2, "B&B sequential vs parallel (k={})", k);
-            for t in [t1, t2] {
-                prop_assert!(t.width() <= k);
-                validate::check_edge_coverage(h, t).unwrap();
-                validate::check_connectedness(h, t).unwrap();
-                validate::check_assignment(h, t).unwrap();
-                if let Some(out) = &root_cover {
-                    prop_assert!(out.is_subset(&t.node(t.root()).chi));
-                }
+            prop_assert_eq!(c0, c1, "seed vs B&B (k={})", k);
+            prop_assert!(t.width() <= k);
+            validate::check_edge_coverage(h, t).unwrap();
+            validate::check_connectedness(h, t).unwrap();
+            validate::check_assignment(h, t).unwrap();
+            if let Some(out) = &root_cover {
+                prop_assert!(out.is_subset(&t.node(t.root()).chi));
             }
         }
         _ => {
             return Err(TestCaseError::fail(format!(
-                "feasibility disagreement at k={k}: seed={} seq={} par={}",
+                "feasibility disagreement at k={k}: seed={} B&B={}",
                 seed.is_some(),
-                seq.is_some(),
-                par.is_some()
+                bnb.is_some()
             )));
         }
     }
@@ -114,8 +108,7 @@ fn check_equivalence(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(100))]
 
-    /// B&B (sequential and 4-thread) matches the seed exhaustive search's
-    /// optimal cost for k ∈ {2, 3, 4} under the structural cost model.
+    /// B&B matches the seed exhaustive search's optimal cost for k ∈ {2, 3, 4} under the structural cost model.
     #[test]
     fn bnb_matches_seed_structural(h in arb_hypergraph(6, 6)) {
         for k in 2..=4 {
@@ -124,7 +117,7 @@ proptest! {
     }
 
     /// Same equivalence with a root-cover constraint (the q-HD Condition 2
-    /// path), including infeasible instances where all three searches must
+    /// path), including infeasible instances where both searches must
     /// agree on Failure.
     #[test]
     fn bnb_matches_seed_with_root_cover(
@@ -156,7 +149,7 @@ proptest! {
     fn bnb_never_examines_more_separators(h in arb_hypergraph(6, 6)) {
         let opts = SearchOptions::width(3);
         let seed = baseline::cost_k_decomp_instrumented(&h, &opts, &StructuralCost);
-        let bnb = cost_k_decomp_instrumented(&h, &opts.with_threads(1), &StructuralCost);
+        let bnb = cost_k_decomp_instrumented(&h, &opts, &StructuralCost);
         if let (Some((_, _, s0)), Some((_, _, s1))) = (seed, bnb) {
             prop_assert!(s1.separators_tried <= s0.separators_tried,
                 "B&B tried {} separators, seed {}", s1.separators_tried, s0.separators_tried);
@@ -179,11 +172,9 @@ fn same_tree(a: &Hypertree, b: &Hypertree) -> bool {
         })
 }
 
-/// Two runs found the same thing: both Failure, or equal cost bits and
-/// equal trees — and equal counters when `counters` (runs at the same
-/// thread count: the parallel schedule solves every child of a separator,
-/// the sequential one stops at the first bound cut or Failure).
-fn same_outcome(what: &str, a: &Found, b: &Found, counters: bool) -> Result<(), TestCaseError> {
+/// Two runs found the same thing: both Failure, or equal cost bits, equal
+/// trees and equal counters.
+fn same_outcome(what: &str, a: &Found, b: &Found) -> Result<(), TestCaseError> {
     match (a, b) {
         (None, None) => Ok(()),
         (Some((ca, ta, sa)), Some((cb, tb, sb))) => {
@@ -195,9 +186,7 @@ fn same_outcome(what: &str, a: &Found, b: &Found, counters: bool) -> Result<(), 
                 ta,
                 tb
             );
-            if counters {
-                prop_assert_eq!(sa, sb, "{}: counters", what);
-            }
+            prop_assert_eq!(sa, sb, "{}: counters", what);
             Ok(())
         }
         _ => Err(TestCaseError::fail(format!(
@@ -208,8 +197,8 @@ fn same_outcome(what: &str, a: &Found, b: &Found, counters: bool) -> Result<(), 
     }
 }
 
-/// word ≡ heap bit sets ≡ 4 threads (tree and cost) ≡ baseline (cost), in
-/// cost mode; word ≡ heap in det-k mode.
+/// word ≡ heap bit sets (tree, cost, counters) ≡ baseline (cost), in cost
+/// mode; word ≡ heap in det-k mode.
 fn check_instantiations(
     h: &Hypergraph,
     k: usize,
@@ -220,18 +209,10 @@ fn check_instantiations(
     let opts = SearchOptions {
         max_width: k,
         root_cover,
-        threads: 1,
     };
     let word = cost_k_decomp_instrumented(h, &opts, cost);
     let heap = search_on_heap_sets(h, &opts, cost, false);
-    same_outcome("word vs heap", &word, &heap, true)?;
-    // Concurrent workers only ever hold disjoint components, so the
-    // counters repeat exactly for a given thread count too.
-    let opts4 = opts.clone().with_threads(4);
-    let word4 = cost_k_decomp_instrumented(h, &opts4, cost);
-    let heap4 = search_on_heap_sets(h, &opts4, cost, false);
-    same_outcome("4 threads, word vs heap", &word4, &heap4, true)?;
-    same_outcome("1 vs 4 threads", &word, &word4, false)?;
+    same_outcome("word vs heap", &word, &heap)?;
     if with_baseline {
         let seed = baseline::cost_k_decomp_instrumented(h, &opts, cost);
         prop_assert_eq!(
@@ -242,8 +223,8 @@ fn check_instantiations(
     }
     if opts.root_cover.is_none() {
         let det_word = det_k_decomp_instrumented(h, k);
-        let det_heap = search_on_heap_sets(h, &opts.with_threads(0), &StructuralCost, true);
-        same_outcome("det-k word vs heap", &det_word, &det_heap, true)?;
+        let det_heap = search_on_heap_sets(h, &opts, &StructuralCost, true);
+        same_outcome("det-k word vs heap", &det_word, &det_heap)?;
         prop_assert_eq!(det_word.is_some(), word.is_some(), "det-k vs cost-k");
     }
     Ok(())

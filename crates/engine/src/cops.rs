@@ -20,30 +20,23 @@
 //!   ([`crate::column::Column::write_hashes`]), the [`ChainTable`]
 //!   chained-index hash table, candidates verified by typed cell
 //!   comparisons ([`crate::column::Column::eq_at`], strings by `u32`
-//!   dictionary code), and — above [`PARALLEL_ROW_THRESHOLD`] with more
-//!   than one thread — hash partitioning with a fixed partition count.
+//!   dictionary code).
 //!
 //! Output is materialized by collecting matching `(build, probe)` row
 //! index pairs and running one gather pass per output column. Joins charge
 //! the budget once per block of probe rows ([`BLOCK`]), not once per pair.
 //!
-//! The direct, filtered and sequential hashed kernels emit the same pair
-//! sequence (probe-major, ascending build row). The partitioned kernel
-//! emits the same bag, probe order preserved within a partition and
-//! partitions concatenated in index order; string cell hashes are
-//! content-based (memoized in the dictionary), so that order does not
-//! depend on dictionary interning order and is reproducible across
-//! processes.
+//! The direct, filtered and hashed kernels emit the same pair sequence
+//! (probe-major, ascending build row), so the output row order does not
+//! depend on which table a key gets.
 
 use crate::chain::{ChainTable, DirectTable, CHAIN_END};
 use crate::column::{finish_hash, Column};
 use crate::crel::CRel;
 use crate::dict::{self, DictReader};
 use crate::error::{Budget, EvalError};
-use crate::exec;
-use crate::hash::partition_of;
 use crate::keyplan::{blocks, Bitmap, KeyPlan, BLOCK, MISS};
-use crate::ops::{self, PARALLEL_ROW_THRESHOLD};
+use crate::ops;
 use crate::value::Row;
 use crate::vrel::VRelation;
 use std::sync::Arc;
@@ -256,10 +249,8 @@ impl PairSink {
 /// Matching `(build, probe)` row pairs of an in-memory join, from the
 /// kernel the key calls for (DESIGN.md §3.8, "Key plans"): the direct
 /// table when the packed key range fits in the reservation, else the
-/// hashed table — partitioned across the pool when the inputs are large
-/// and threads are available, sequential (behind range bitmaps when the
-/// key has a plan) otherwise. Every kernel but the partitioned one emits
-/// the same sequence: probe-major, ascending build row.
+/// hashed table (behind range bitmaps when the key has a plan). Every
+/// kernel emits the same sequence: probe-major, ascending build row.
 fn join_pairs(
     build: &CRel,
     probe: &CRel,
@@ -283,13 +274,6 @@ fn join_pairs(
             );
         }
     }
-    let threads = exec::num_threads();
-    if !build_shared.is_empty()
-        && threads > 1
-        && build.len() + probe.len() >= PARALLEL_ROW_THRESHOLD
-    {
-        return join_pairs_partitioned(build, probe, build_shared, probe_shared, threads, budget);
-    }
     // The bitmaps take the place of the probe side's hash array, which
     // the filtered probe never materializes.
     let held = ops::join_build_bytes(build.len(), 0);
@@ -298,7 +282,7 @@ fn join_pairs(
             .and_then(|b| b.checked_add(held))
             .is_some_and(|b| b <= reserved)
     });
-    join_pairs_sequential(build, probe, build_shared, probe_shared, plan, budget)
+    join_pairs_hashed(build, probe, build_shared, probe_shared, plan, budget)
 }
 
 /// Direct-table kernel: one pass over the build side fills a table
@@ -342,11 +326,11 @@ fn join_pairs_direct(
     Ok(sink.finish())
 }
 
-/// Sequential hashed kernel: matching `(build, probe)` row pairs in
+/// Hashed kernel: matching `(build, probe)` row pairs in
 /// probe-major order (ascending build chain within a probe row). With a
 /// key plan, one exact bitmap per key column says which probe rows can
 /// match at all, and only those are hashed and looked up.
-fn join_pairs_sequential(
+fn join_pairs_hashed(
     build: &CRel,
     probe: &CRel,
     build_shared: &[usize],
@@ -419,80 +403,6 @@ fn probe_hashed(
     sink.end_block(budget)
 }
 
-/// Partitioned parallel kernel: split both sides by the high hash bits,
-/// build+probe per partition on the worker pool, concatenate pair lists
-/// in partition order (deterministic for any thread count).
-fn join_pairs_partitioned(
-    build: &CRel,
-    probe: &CRel,
-    build_shared: &[usize],
-    probe_shared: &[usize],
-    threads: usize,
-    budget: &mut Budget,
-) -> Result<PairLists, EvalError> {
-    // Fixed partition count, matching the row kernel.
-    let bits = 6u32;
-    let nparts = 1usize << bits;
-
-    let reader = dict::reader();
-    let build_hashes = key_hashes(build, build_shared, &reader);
-    let probe_hashes = key_hashes(probe, probe_shared, &reader);
-    drop(reader);
-
-    let bucket = |hashes: &[u64]| -> Vec<Vec<u32>> {
-        let mut parts: Vec<Vec<u32>> = vec![Vec::new(); nparts];
-        for (i, &h) in hashes.iter().enumerate() {
-            parts[partition_of(h, bits)].push(i as u32);
-        }
-        parts
-    };
-    let build_parts = bucket(&build_hashes);
-    let probe_parts = bucket(&probe_hashes);
-
-    let shared = budget.fork();
-    let tasks: Vec<usize> = (0..nparts).collect();
-    let results = exec::parallel_map(tasks, threads, |p| {
-        crate::fail_point!("cops::join::partition");
-        let reader = dict::reader();
-        let mut bud = shared.clone();
-        let bp = &build_parts[p];
-        let table = ChainTable::build(bp.len(), |k| build_hashes[bp[k] as usize]);
-        let mut sink = PairSink::default();
-        for block in probe_parts[p].chunks(BLOCK) {
-            for &pi in block {
-                table.for_each(probe_hashes[pi as usize], |k| {
-                    let (bi, pi) = (bp[k] as usize, pi as usize);
-                    if rows_key_eq(build, bi, probe, pi, build_shared, probe_shared, &reader) {
-                        sink.push(bi as u32, pi as u32, &mut bud)?;
-                    }
-                    Ok(())
-                })?;
-            }
-            sink.end_block(&mut bud)?;
-        }
-        Ok(sink.finish())
-    });
-
-    // Budget exhaustion first (deterministic for any thread count), then
-    // a contained worker panic, then the first per-partition error, then
-    // concatenation in partition order — mirrors
-    // `ops::merge_partition_results`.
-    budget.check_exceeded()?;
-    let results = results?;
-    let mut parts = Vec::with_capacity(results.len());
-    for r in results {
-        parts.push(r?);
-    }
-    let total: usize = parts.iter().map(|(b, _)| b.len()).sum();
-    let mut build_idx = Vec::with_capacity(total);
-    let mut probe_idx = Vec::with_capacity(total);
-    for (b, p) in parts {
-        build_idx.extend(b);
-        probe_idx.extend(p);
-    }
-    Ok((build_idx, probe_idx))
-}
-
 /// Semijoin `a ⋉ b` — the columnar [`crate::ops::semijoin`].
 pub fn semijoin(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalError> {
     crate::fail_point!("cops::semijoin");
@@ -530,19 +440,19 @@ pub fn semijoin(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalErr
         let a_hashes = key_hashes(a, &a_shared, &reader);
         Members::Hashed(ChainTable::build(b.len(), |i| b_hashes[i]), a_hashes)
     });
-    // The rows of `a[lo..hi]` with a partner in `b`, ascending.
-    let scan = |lo: usize, hi: usize, bud: &mut Budget| -> Result<Vec<u32>, EvalError> {
+    // The rows of `a` with a partner in `b`, ascending.
+    let mut scan = || -> Result<Vec<u32>, EvalError> {
         let mut out = Vec::new();
         let mut keep = |i: usize| {
-            bud.charge(1)?;
-            bud.charge_bytes(4)?;
+            budget.charge(1)?;
+            budget.charge_bytes(4)?;
             out.push(i as u32);
             Ok::<(), EvalError>(())
         };
         match &members {
             Members::Dense(plan, set) => {
-                let mut blk = plan.block(hi - lo);
-                for rows in blocks(lo..hi) {
+                let mut blk = plan.block(a.len());
+                for rows in blocks(0..a.len()) {
                     let lo = rows.start;
                     let keys = plan.pack(a, &a_shared, rows, &mut blk);
                     for (j, &k) in keys.iter().enumerate() {
@@ -554,7 +464,7 @@ pub fn semijoin(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalErr
             }
             Members::Hashed(table, a_hashes) => {
                 let reader = dict::reader();
-                for (ai, &h) in (lo..hi).zip(&a_hashes[lo..hi]) {
+                for (ai, &h) in a_hashes.iter().enumerate() {
                     let partner = |bi| rows_key_eq(a, ai, b, bi, &a_shared, &b_shared, &reader);
                     if table.any(h, partner) {
                         keep(ai)?;
@@ -565,28 +475,7 @@ pub fn semijoin(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalErr
         Ok(out)
     };
 
-    let threads = exec::num_threads();
-    let keep_result: Result<Vec<u32>, EvalError> =
-        if threads > 1 && a.len() + b.len() >= PARALLEL_ROW_THRESHOLD {
-            let shared = budget.fork();
-            let chunks = exec::chunk_ranges(a.len(), threads * 4);
-            let results = exec::parallel_map(chunks, threads, |(lo, hi)| {
-                scan(lo, hi, &mut shared.clone())
-            });
-            let merge = |results: Result<Vec<Result<Vec<u32>, EvalError>>, EvalError>,
-                         budget: &mut Budget|
-             -> Result<Vec<u32>, EvalError> {
-                budget.check_exceeded()?;
-                let mut parts = Vec::new();
-                for r in results? {
-                    parts.push(r?);
-                }
-                Ok(parts.into_iter().flatten().collect())
-            };
-            merge(results, budget)
-        } else {
-            scan(0, a.len(), budget)
-        };
+    let keep_result = scan();
     budget.uncharge_bytes(table_bytes);
     let keep = keep_result?;
     let columns = a
@@ -824,38 +713,5 @@ mod tests {
         let p =
             project_onto_available(&a, &["x".to_string(), "w".to_string()], &mut budget).unwrap();
         assert_eq!(p.cols(), &["x".to_string()]);
-    }
-
-    #[test]
-    fn large_join_partitioned_matches_sequential() {
-        // Above the parallel threshold, with duplicate keys and strings.
-        let n = 6000usize;
-        let mk = |shift: i64| {
-            let rows: Vec<Box<[Value]>> = (0..n)
-                .map(|i| {
-                    vec![
-                        Value::Int((i as i64 + shift) % 97),
-                        Value::str(&format!("s{}", i % 13)),
-                    ]
-                    .into_boxed_slice()
-                })
-                .collect();
-            rows
-        };
-        let a = VRelation::from_rows(vec!["k".into(), "sa".into()], mk(0));
-        let b = VRelation::from_rows(vec!["k".into(), "sb".into()], mk(3));
-        let ca = CRel::from_vrel(&a);
-        let cb = CRel::from_vrel(&b);
-        let mut b1 = Budget::unlimited();
-        let mut b2 = Budget::unlimited();
-        let threads_before = exec::num_threads();
-        exec::set_threads_exact(1);
-        let seq = natural_join(&ca, &cb, &mut b1).unwrap();
-        exec::set_threads_exact(4);
-        let par = natural_join(&ca, &cb, &mut b2).unwrap();
-        exec::set_threads_exact(threads_before);
-        assert_eq!(seq.len(), par.len());
-        assert_eq!(b1.charged(), b2.charged());
-        assert_eq!(seq.to_vrel().sorted_rows(), par.to_vrel().sorted_rows());
     }
 }

@@ -31,10 +31,10 @@ pub enum EvalError {
     /// [`CancelToken`]. Not a resource limit: a cancelled run is neither a
     /// DNF data point nor retried by the fallback ladder.
     Cancelled,
-    /// A worker thread of the parallel execution layer panicked. The
-    /// panic was contained by [`crate::exec`]: permits were returned to
-    /// the pool and the shared budget stayed consistent, so the caller
-    /// can retry (e.g. on a different plan) or report cleanly.
+    /// A plan panicked while it ran. The panic was contained by the
+    /// fallback ladder's per-rung `catch_unwind`; budget handles flush on
+    /// drop, so the shared budget stayed consistent and the caller can
+    /// retry (e.g. on a different plan) or report cleanly.
     WorkerPanicked {
         /// The panic payload, when it was a string.
         message: String,
@@ -108,7 +108,7 @@ impl fmt::Display for EvalError {
             EvalError::Timeout { limit } => write!(f, "timed out after {limit:?}"),
             EvalError::Cancelled => write!(f, "evaluation cancelled"),
             EvalError::WorkerPanicked { message } => {
-                write!(f, "worker thread panicked: {message}")
+                write!(f, "plan execution panicked: {message}")
             }
             EvalError::UnknownTable(t) => write!(f, "unknown table `{t}`"),
             EvalError::UnknownColumn { relation, column } => {
@@ -162,7 +162,7 @@ impl EvalError {
     }
 
     /// True for errors that a *different plan* (or a bigger budget) could
-    /// plausibly avoid: resource limits, contained worker panics, and
+    /// plausibly avoid: resource limits, contained panics, and
     /// internal plan inconsistencies. Semantic errors (unknown
     /// table/column/variable, a row that does not fit its page) and
     /// cancellation are final — no fallback
@@ -187,7 +187,7 @@ impl EvalError {
 /// [`CancelToken::cancel`] from any thread to abort the evaluation. The
 /// evaluation observes the flag at the budget's existing polling points
 /// (`charge` every [`TIME_CHECK_INTERVAL`] tuples, `check_time` between
-/// operators, `check_exceeded` at parallel merge points) and surfaces
+/// operators, `check_exceeded` before an evaluator returns) and surfaces
 /// [`EvalError::Cancelled`].
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken {
@@ -263,7 +263,7 @@ impl SpillStats {
 /// [`SpillStats`]: every handle cloned, forked, renewed or escalated from
 /// one root budget accumulates into the same counters, so `QueryOutcome`
 /// can report how many vertex joins ran as hash builds vs index seeks no
-/// matter which rung or worker thread executed them.
+/// matter which rung executed them.
 #[derive(Debug, Default)]
 pub struct JoinStats {
     hash_builds: AtomicU64,
@@ -300,14 +300,16 @@ impl JoinStats {
 ///
 /// # Concurrency
 ///
-/// A budget starts with a plain local counter. [`Budget::fork`] promotes
-/// the counter to a shared atomic and returns a sibling handle charging
-/// the *same* pool, which is how the parallel execution layer keeps
-/// accounting exact across worker threads: every handle sees the global
-/// total, so the tuple limit trips if and only if the combined work
-/// exceeds it — independent of thread count or interleaving (the sum of
-/// charges is order-free). Call [`Budget::check_exceeded`] at merge points
-/// to surface exhaustion deterministically after parallel sections.
+/// One query evaluation runs on one thread and charges one handle. A
+/// budget starts with a plain local counter; [`Budget::fork`] promotes the
+/// counter to a shared atomic and returns a sibling handle charging the
+/// *same* pool. That is how *session* threads share a ledger: the
+/// service's memory pool, the storage buffer pools and the factorized
+/// cover each hold a forked handle, every handle sees the global total,
+/// and the limit trips if and only if the combined work exceeds it —
+/// independent of interleaving (the sum of charges is order-free). A
+/// shared handle batches its charges, so an evaluator calls
+/// [`Budget::check_exceeded`] before declaring success.
 #[derive(Clone, Debug)]
 pub struct Budget {
     max_tuples: Option<u64>,
@@ -331,9 +333,9 @@ pub struct Budget {
 /// `pending` and flushes to the pool every [`FLUSH_INTERVAL`] tuples (and
 /// on drop), so hot join loops do not pay one atomic RMW per output row.
 /// Exhaustion is then observed at flush points and at
-/// [`Budget::check_exceeded`] merge points; a worker can overshoot the
-/// limit by at most `FLUSH_INTERVAL` tuples before noticing, but *whether*
-/// the limit trips depends only on the order-free combined total.
+/// [`Budget::check_exceeded`]; a handle can overshoot the limit by at most
+/// `FLUSH_INTERVAL` tuples before noticing, but *whether* the limit trips
+/// depends only on the order-free combined total.
 #[derive(Debug)]
 enum Counter {
     Local(u64),
@@ -364,7 +366,7 @@ const TIME_CHECK_INTERVAL: u64 = 4096;
 const FLUSH_INTERVAL: u64 = 1024;
 
 /// How many charged bytes a shared handle batches before flushing. Same
-/// role as [`FLUSH_INTERVAL`], scaled to bytes: a worker can overshoot
+/// role as [`FLUSH_INTERVAL`], scaled to bytes: a handle can overshoot
 /// the byte pool by at most this much before noticing.
 const BYTE_FLUSH_INTERVAL: u64 = 256 * 1024;
 
@@ -540,9 +542,9 @@ impl Budget {
 
     /// Promotes the counter to a shared atomic (if not already) and
     /// returns a sibling handle charging the same pool. The handle is
-    /// `Send`; give one to each parallel task. The byte pool is promoted
-    /// and shared the same way, so memory accounting stays exact across
-    /// worker threads.
+    /// `Send`; give one to each thread (or long-lived owner) that charges
+    /// the pool. The byte pool is promoted and shared the same way, so
+    /// memory accounting stays exact across session threads.
     pub fn fork(&mut self) -> Budget {
         if let Counter::Local(n) = self.counter {
             self.counter = Counter::Shared {
@@ -700,11 +702,11 @@ impl Budget {
         }
     }
 
-    /// Deterministic exhaustion check for merge points after parallel
-    /// sections: errors iff the *combined* charges of all handles exceed
-    /// the tuple limit, regardless of which worker crossed it first.
-    /// Cancellation is polled here too (merge points are natural abort
-    /// points), after the — deterministic — tuple check.
+    /// Deterministic exhaustion check, called by every evaluator before
+    /// it declares success: errors iff the *combined* charges of all
+    /// handles exceed the tuple limit, regardless of which handle crossed
+    /// it first. Cancellation is polled here too, after the —
+    /// deterministic — tuple check.
     pub fn check_exceeded(&self) -> Result<(), EvalError> {
         if let Some(limit) = self.max_tuples {
             if self.charged() > limit {

@@ -1,12 +1,11 @@
 //! Fault injection for robustness testing.
 //!
 //! Named *fail points* are compiled into the hot kernels (join, semijoin,
-//! projection, scan, aggregation, the exec worker loop) behind the
-//! `failpoints` cargo feature. Each site can be armed to inject a
-//! structured [`EvalError`], a delay, or a deliberate panic — which is how
-//! the chaos suite proves that every operator either returns the
+//! projection, scan, aggregation) behind the `failpoints` cargo feature.
+//! Each site can be armed to inject a structured [`EvalError`], a delay,
+//! or a deliberate panic — which is how the chaos suite proves that every operator either returns the
 //! oracle-correct answer or a clean error, with no escaped panics and no
-//! leaked permits/budget.
+//! leaked budget.
 //!
 //! Cost model:
 //! - feature off (the default for `--no-default-features` builds): the
@@ -53,15 +52,12 @@ pub const SITES: &[&str] = &[
     "aggregate::finalize",
     "bushy::node",
     "cops::join",
-    "cops::join::partition",
     "cops::project",
     "cops::semijoin",
-    "exec::worker",
     "factorized::build",
     "factorized::enumerate",
     "iseek::join",
     "ops::join",
-    "ops::join::partition",
     "ops::project",
     "ops::semijoin",
     "qeval::bottom_up",
@@ -260,19 +256,6 @@ pub fn eval(site: &str) -> Result<(), EvalError> {
     }
 }
 
-/// Evaluates an armed site where no `Result` can be returned (e.g. the
-/// exec worker loop): `Error` is treated as `Panic` so the site still
-/// exercises the containment path; `Delay` sleeps.
-pub fn eval_unit(site: &str) {
-    match fire(site) {
-        None => {}
-        Some(FailAction::Error) | Some(FailAction::Panic) => {
-            panic!("{PANIC_MARKER}: injected panic at `{site}`")
-        }
-        Some(FailAction::Delay(d)) => std::thread::sleep(d),
-    }
-}
-
 /// Fault-injection site in a `Result<_, EvalError>` context. Expands to a
 /// dormant branch; see the module docs for the cost model.
 ///
@@ -284,17 +267,6 @@ macro_rules! fail_point {
     ($site:expr) => {
         if $crate::failpoint::armed() {
             $crate::failpoint::eval($site)?;
-        }
-    };
-}
-
-/// Fault-injection site in a context that cannot return an error (panics
-/// and delays only). Same dormancy properties as [`fail_point!`].
-#[macro_export]
-macro_rules! fail_point_unit {
-    ($site:expr) => {
-        if $crate::failpoint::armed() {
-            $crate::failpoint::eval_unit($site);
         }
     };
 }
@@ -340,7 +312,7 @@ mod tests {
     fn spec_parsing() {
         let _g = lock();
         clear();
-        configure_from_spec("ops::join=error; scan::atom=delay(5)@2 ;exec::worker=panic").unwrap();
+        configure_from_spec("ops::join=error; scan::atom=delay(5)@2 ;qeval::vertex=panic").unwrap();
         assert!(eval("ops::join").is_err());
         assert!(eval("scan::atom").is_ok()); // skipped (1/2)
         assert!(eval("scan::atom").is_ok()); // skipped (2/2)
@@ -372,6 +344,17 @@ mod tests {
         assert_eq!(err, SpecError::UnknownSite("no::such::site".into()));
         assert!(err.to_string().contains("no::such::site"));
         assert!(!armed(), "a rejected spec must arm nothing");
+        // The sites of the retired worker pool are unknown like any other.
+        for retired in [
+            "exec::worker",
+            "ops::join::partition",
+            "cops::join::partition",
+        ] {
+            assert_eq!(
+                configure_from_spec(&format!("{retired}=panic")),
+                Err(SpecError::UnknownSite(retired.into()))
+            );
+        }
         clear();
     }
 

@@ -42,17 +42,6 @@ pub fn keys_eq(a: &Row, a_idx: &[usize], b: &Row, b_idx: &[usize]) -> bool {
     a_idx.iter().zip(b_idx).all(|(&i, &j)| a[i] == b[j])
 }
 
-/// Partition of a 64-bit hash into one of `2^bits` buckets (high bits, so
-/// the low bits stay useful inside per-partition hash tables).
-#[inline]
-pub fn partition_of(hash: u64, bits: u32) -> usize {
-    if bits == 0 {
-        0
-    } else {
-        (hash >> (64 - bits)) as usize
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,21 +80,6 @@ mod tests {
         let a = row(&[Value::Str(Arc::from("hello"))]);
         let b = row(&[Value::Str(Arc::from("hello"))]);
         assert_eq!(hash_key(&a, &[0]), hash_key(&b, &[0]));
-    }
-
-    #[test]
-    fn partitions_are_in_range_and_balanced() {
-        let bits = 4;
-        let mut counts = vec![0usize; 1 << bits];
-        for i in 0..16_000i64 {
-            let p = partition_of(hash_key(&row(&[Value::Int(i)]), &[0]), bits);
-            counts[p] += 1;
-        }
-        assert!(
-            counts.iter().all(|&c| c > 500),
-            "skewed partitions: {counts:?}"
-        );
-        assert_eq!(partition_of(u64::MAX, 0), 0);
     }
 
     #[test]

@@ -25,9 +25,9 @@
 //! - [`factorized`]: cover-based factorized results over a decomposition
 //!   tree — aggregate pushdown and constant-delay answer enumeration
 //!   without materializing the join;
-//! - [`exec`] / [`hash`]: the parallel execution substrate — a scoped
-//!   worker pool with a global thread budget, and the in-place Fx join-key
-//!   hashing the kernels are built on.
+//! - [`exec`] / [`hash`]: the process-wide defaults of the execution
+//!   options, and the in-place Fx join-key hashing the kernels are built
+//!   on.
 
 #![warn(missing_docs)]
 

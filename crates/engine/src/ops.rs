@@ -8,32 +8,20 @@
 //! Joins key their hash tables by a 64-bit in-place hash of the shared
 //! columns ([`crate::hash::hash_key`]) and verify candidate matches
 //! against the actual values — no per-row boxed-key allocation
-//! (`tests/alloc_regression.rs` bounds allocations per input row). Above [`PARALLEL_ROW_THRESHOLD`] total
-//! rows the kernel hash-partitions both sides and runs build+probe per
-//! partition on the [`crate::exec`] worker pool; below it a sequential
-//! pass avoids any threading overhead, so the paper's small queries are
-//! not regressed. The partitioned path's output row order is independent
-//! of worker count: the partition count is fixed, probe order is
-//! preserved within a partition, and partitions are concatenated in
-//! index order. (All consumers are set-semantic, so the sequential and
-//! partitioned paths are interchangeable; their bags are identical.)
+//! (`tests/alloc_regression.rs` bounds allocations per input row). One
+//! [`ChainTable`] over the whole build side, probed in probe-row order on
+//! the calling thread; when the build reservation is denied the same join
+//! runs as a grace spill ([`grace_join_spill`]).
 
 use crate::chain::ChainTable;
 use crate::error::{Budget, EvalError, SpillMode, SpillStats};
-use crate::exec;
-use crate::hash::{hash_key, keys_eq, partition_of, FxHashMap};
+use crate::hash::{hash_key, keys_eq, FxHashMap};
 use crate::spill::{
     spill_partition, SpillDir, SpillFile, SpillReader, SpillWriter, MAX_SPILL_LEVEL, SPILL_FANOUT,
 };
 use crate::value::{row_heap_bytes, Row, Value};
 use crate::vrel::VRelation;
 use std::sync::Arc;
-
-/// Combined row count (both join sides) above which the hash join
-/// partitions the inputs and uses the worker pool. Below it the
-/// sequential kernel wins: partitioning two relations that fit in cache
-/// costs more than it saves.
-pub const PARALLEL_ROW_THRESHOLD: usize = 8192;
 
 /// Column positions of the shared variables in `a` and `b`, plus the
 /// positions in `b` of its non-shared columns.
@@ -55,8 +43,7 @@ fn join_layout(a: &VRelation, b: &VRelation) -> (Vec<usize>, Vec<usize>, Vec<usi
 /// Natural join of `a` and `b` on their shared variables. With no shared
 /// variables this degenerates to a cross product (still budget-charged).
 ///
-/// The hash table is built on the smaller input; large inputs are
-/// hash-partitioned and joined in parallel (see the module docs).
+/// The hash table is built on the smaller input (see the module docs).
 pub fn natural_join(
     a: &VRelation,
     b: &VRelation,
@@ -90,31 +77,15 @@ pub fn natural_join(
             budget,
         )?
     } else {
-        let threads = exec::num_threads();
-        let result = if !build_shared.is_empty()
-            && threads > 1
-            && build.len() + probe.len() >= PARALLEL_ROW_THRESHOLD
-        {
-            join_rows_partitioned(
-                build,
-                probe,
-                &build_shared,
-                &probe_shared,
-                &probe_rest,
-                threads,
-                budget,
-            )
-        } else {
-            join_rows_sequential(
-                build,
-                probe,
-                &build_shared,
-                &probe_shared,
-                &probe_rest,
-                budget,
-            )
-        };
-        // The build table (and hash scratch) is gone either way.
+        let result = join_rows(
+            build,
+            probe,
+            &build_shared,
+            &probe_shared,
+            &probe_rest,
+            budget,
+        );
+        // The build table is gone either way.
         budget.uncharge_bytes(join_build_bytes(build.len(), probe.len()));
         result?
     };
@@ -144,10 +115,12 @@ fn emit_joined(brow: &Row, prow: &Row, probe_rest: &[usize], width: usize) -> Ro
     row.into_boxed_slice()
 }
 
-/// Bytes the in-memory join path will hold transiently: the chained hash
-/// table over the build side plus the per-side hash arrays the
-/// partitioned kernel materializes. Reserved up front, released when the
-/// kernel returns.
+/// Bytes the in-memory join path reserves up front and releases when the
+/// kernel returns: the chained hash table over the build side plus one
+/// hash word per row of either side (the columnar kernels hash a side
+/// into such an array; the amount is also what decides between the
+/// in-memory and the spill path, so it is part of every byte-limited
+/// plan's behaviour).
 pub(crate) fn join_build_bytes(build_n: usize, probe_n: usize) -> u64 {
     ChainTable::byte_estimate(build_n) + 8 * (build_n + probe_n) as u64
 }
@@ -185,9 +158,9 @@ pub(crate) fn join_build_reservation(
     })
 }
 
-/// Single-threaded hash join kernel: hashes keys in place, one table for
-/// the whole build side.
-fn join_rows_sequential(
+/// The hash join kernel: hashes keys in place, one table for the whole
+/// build side.
+fn join_rows(
     build: &VRelation,
     probe: &VRelation,
     build_shared: &[usize],
@@ -209,110 +182,6 @@ fn join_rows_sequential(
             }
             Ok(())
         })?;
-    }
-    Ok(out)
-}
-
-/// Partitioned parallel kernel: hash both sides, split by the high hash
-/// bits, build+probe each partition on the worker pool, concatenate in
-/// partition order (deterministic output for any thread count).
-fn join_rows_partitioned(
-    build: &VRelation,
-    probe: &VRelation,
-    build_shared: &[usize],
-    probe_shared: &[usize],
-    probe_rest: &[usize],
-    threads: usize,
-    budget: &mut Budget,
-) -> Result<Vec<Row>, EvalError> {
-    let width = build.cols().len() + probe_rest.len();
-    let bits = partition_bits(threads);
-    let nparts = 1usize << bits;
-
-    let build_hashes = hashes_of(build.rows(), build_shared, threads)?;
-    let probe_hashes = hashes_of(probe.rows(), probe_shared, threads)?;
-
-    let bucket = |hashes: &[u64]| -> Vec<Vec<u32>> {
-        let mut parts: Vec<Vec<u32>> = vec![Vec::new(); nparts];
-        for (i, &h) in hashes.iter().enumerate() {
-            parts[partition_of(h, bits)].push(i as u32);
-        }
-        parts
-    };
-    let build_parts = bucket(&build_hashes);
-    let probe_parts = bucket(&probe_hashes);
-
-    let shared = budget.fork();
-    let tasks: Vec<usize> = (0..nparts).collect();
-    let row_bytes = row_heap_bytes(width);
-    let results = exec::parallel_map(tasks, threads, |p| {
-        crate::fail_point!("ops::join::partition");
-        let mut bud = shared.clone();
-        let bp = &build_parts[p];
-        let table = ChainTable::build(bp.len(), |k| build_hashes[bp[k] as usize]);
-        let mut out: Vec<Row> = Vec::new();
-        for &pi in &probe_parts[p] {
-            let prow = &probe.rows()[pi as usize];
-            table.for_each(probe_hashes[pi as usize], |k| {
-                let brow = &build.rows()[bp[k] as usize];
-                if keys_eq(brow, build_shared, prow, probe_shared) {
-                    bud.charge(1)?;
-                    bud.charge_bytes(row_bytes)?;
-                    out.push(emit_joined(brow, prow, probe_rest, width));
-                }
-                Ok(())
-            })?;
-        }
-        Ok(out)
-    });
-    merge_partition_results(results, budget)
-}
-
-/// Partition bits for the parallel kernel. Fixed (64 partitions, plenty
-/// of slack for the ≤16-worker pool even under skew) so the partitioned
-/// path's output order does not depend on the thread count.
-fn partition_bits(_threads: usize) -> u32 {
-    6
-}
-
-/// Hashes the key columns of every row, in parallel chunks. Errors only
-/// when a worker of the parallel schedule panicked (contained by
-/// [`exec::parallel_map`]).
-fn hashes_of(rows: &[Row], idx: &[usize], threads: usize) -> Result<Vec<u64>, EvalError> {
-    if rows.len() < PARALLEL_ROW_THRESHOLD || threads <= 1 {
-        return Ok(rows.iter().map(|r| hash_key(r, idx)).collect());
-    }
-    let chunks = exec::chunk_ranges(rows.len(), threads * 4);
-    Ok(exec::parallel_map(chunks, threads, |(lo, hi)| {
-        rows[lo..hi]
-            .iter()
-            .map(|r| hash_key(r, idx))
-            .collect::<Vec<u64>>()
-    })?
-    .into_iter()
-    .flatten()
-    .collect())
-}
-
-/// Folds per-partition results: budget exhaustion is surfaced first (its
-/// occurrence depends only on the combined charge total, so it is
-/// deterministic for any thread count), then a contained worker panic,
-/// then the first per-partition error in partition order, then the
-/// concatenated rows.
-fn merge_partition_results(
-    results: Result<Vec<Result<Vec<Row>, EvalError>>, EvalError>,
-    budget: &mut Budget,
-) -> Result<Vec<Row>, EvalError> {
-    budget.check_exceeded()?;
-    let results = results?;
-    let mut parts = Vec::with_capacity(results.len());
-    for r in results {
-        parts.push(r?);
-    }
-    let total: usize = parts.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    for p in parts {
-        out.extend(p);
     }
     Ok(out)
 }
@@ -585,8 +454,7 @@ pub fn nested_loop_join(
 /// shared variables. With no shared variables, returns `a` unchanged if
 /// `b` is non-empty, else the empty relation.
 ///
-/// Uses the same hash-in-place scheme as [`natural_join`]; the probe side
-/// goes parallel above [`PARALLEL_ROW_THRESHOLD`].
+/// Uses the same hash-in-place scheme as [`natural_join`].
 pub fn semijoin(a: &VRelation, b: &VRelation, budget: &mut Budget) -> Result<VRelation, EvalError> {
     crate::fail_point!("ops::semijoin");
     let (a_shared, b_shared, _) = join_layout(a, b);
@@ -613,38 +481,18 @@ pub fn semijoin(a: &VRelation, b: &VRelation, budget: &mut Budget) -> Result<VRe
     };
 
     let row_bytes = row_heap_bytes(a.cols().len());
-    let threads = exec::num_threads();
-    let rows_result: Result<Vec<Row>, EvalError> =
-        if threads > 1 && a.len() + b.len() >= PARALLEL_ROW_THRESHOLD {
-            let shared = budget.fork();
-            let chunks = exec::chunk_ranges(a.len(), threads * 4);
-            let results = exec::parallel_map(chunks, threads, |(lo, hi)| {
-                let mut bud = shared.clone();
-                let mut out = Vec::new();
-                for row in &a.rows()[lo..hi] {
-                    if matches(row) {
-                        bud.charge(1)?;
-                        bud.charge_bytes(row_bytes)?;
-                        out.push(row.clone());
-                    }
-                }
-                Ok(out)
-            });
-            merge_partition_results(results, budget)
-        } else {
-            let mut run = || {
-                let mut out = Vec::new();
-                for row in a.rows() {
-                    if matches(row) {
-                        budget.charge(1)?;
-                        budget.charge_bytes(row_bytes)?;
-                        out.push(row.clone());
-                    }
-                }
-                Ok(out)
-            };
-            run()
-        };
+    let mut run = || {
+        let mut out = Vec::new();
+        for row in a.rows() {
+            if matches(row) {
+                budget.charge(1)?;
+                budget.charge_bytes(row_bytes)?;
+                out.push(row.clone());
+            }
+        }
+        Ok(out)
+    };
+    let rows_result: Result<Vec<Row>, EvalError> = run();
     budget.uncharge_bytes(table_bytes);
     Ok(VRelation::from_rows(a.cols().to_vec(), rows_result?))
 }

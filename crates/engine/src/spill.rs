@@ -54,12 +54,8 @@ pub const MAX_SPILL_LEVEL: u32 = 6;
 
 /// Assigns `hash` to one of [`SPILL_FANOUT`] partitions at `level`.
 ///
-/// Level-salted and deliberately different from the parallel kernels'
-/// [`crate::hash::partition_of`] (which takes the high bits directly):
-/// every level remixes with a distinct odd multiplier so rows that
-/// collided at level *k* redistribute at level *k + 1*, and rows that
-/// landed in one in-memory parallel partition still spread across spill
-/// partitions.
+/// Level-salted: every level remixes with a distinct odd multiplier so
+/// rows that collided at level *k* redistribute at level *k + 1*.
 #[inline]
 pub fn spill_partition(hash: u64, level: u32) -> usize {
     let salt = (level as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);

@@ -16,13 +16,11 @@ use counting_alloc::{allocs_of, bytes_of, serial};
 use htqo_engine::cops;
 use htqo_engine::crel::CRel;
 use htqo_engine::error::Budget;
-use htqo_engine::ops::{natural_join, PARALLEL_ROW_THRESHOLD};
+use htqo_engine::ops::natural_join;
 use htqo_engine::value::Value;
 use htqo_engine::vrel::VRelation;
 
-/// Two relations sharing column `x`, sized to stay on the sequential
-/// kernel path (below [`PARALLEL_ROW_THRESHOLD`]) so the count is
-/// single-threaded-deterministic.
+/// Two relations sharing column `x`.
 fn inputs(rows: usize) -> (VRelation, VRelation) {
     let mut a: Vec<_> = Vec::with_capacity(rows);
     let mut b: Vec<_> = Vec::with_capacity(rows);
@@ -43,7 +41,7 @@ fn inputs(rows: usize) -> (VRelation, VRelation) {
 #[test]
 fn hash_kernel_allocates_a_fraction_per_input_row() {
     let _serial = serial();
-    let rows = PARALLEL_ROW_THRESHOLD / 2 - 100; // combined < threshold
+    let rows = 3996usize;
     let (a, b) = inputs(rows);
 
     // Warm up once so lazily-initialized state is excluded.
@@ -89,8 +87,7 @@ fn dense_inputs(rows: usize) -> (VRelation, VRelation) {
 #[test]
 fn columnar_join_allocates_fraction_per_joined_row() {
     let _serial = serial();
-    let rows = 1500usize; // combined < PARALLEL_ROW_THRESHOLD
-    assert!(2 * rows < PARALLEL_ROW_THRESHOLD);
+    let rows = 1500usize;
     let (a, b) = dense_inputs(rows);
     // Conversions (and dictionary warm-up) happen outside the counter.
     let ca = CRel::from_vrel(&a);
@@ -139,7 +136,6 @@ fn swapped_join_reorders_without_copying_cells() {
     };
     let big = rows(2000, &["x", "y"]);
     let small = rows(1000, &["x", "z"]);
-    assert!(big.len() + small.len() < PARALLEL_ROW_THRESHOLD);
     let join = |a: &CRel, b: &CRel| {
         let mut budget = Budget::unlimited();
         cops::natural_join(a, b, &mut budget).unwrap()

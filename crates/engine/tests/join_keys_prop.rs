@@ -5,9 +5,8 @@
 //! bitmap on a dense null-free integer key, range bitmaps in front of the
 //! hashed table on a sparse one, the hashed table alone otherwise. Every
 //! choice must be invisible: the same relations carried in `Mixed`
-//! columns always take the hashed path, so at one thread they are the
-//! sequential generic kernel and the typed run must reproduce their row
-//! *sequence*; the row kernels (`ops`) are the independent oracle for the
+//! columns always take the hashed path, and the typed run must reproduce
+//! their row *sequence*; the row kernels (`ops`) are the independent oracle for the
 //! bag and for `Budget::charged()`.
 
 use htqo_engine::column::Column;
@@ -16,32 +15,12 @@ use htqo_engine::error::{Budget, CancelToken, EvalError};
 use htqo_engine::schema::ColumnType;
 use htqo_engine::value::Value;
 use htqo_engine::vrel::VRelation;
-use htqo_engine::{cops, exec, ops};
+use htqo_engine::{cops, ops};
 use proptest::prelude::*;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 /// Rows between two budget settlements of a join kernel (`keyplan::BLOCK`).
 const BLOCK: u64 = 4096;
-
-/// The thread count is process-wide and the harness runs tests on
-/// parallel threads: a test holds this while it depends on the count.
-struct Threads(#[allow(dead_code)] MutexGuard<'static, ()>, usize);
-
-impl Threads {
-    fn set(n: usize) -> Threads {
-        static SERIAL: Mutex<()> = Mutex::new(());
-        let guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-        let before = exec::num_threads();
-        exec::set_threads_exact(n);
-        Threads(guard, before)
-    }
-}
-
-impl Drop for Threads {
-    fn drop(&mut self) {
-        exec::set_threads_exact(self.1);
-    }
-}
 
 /// SplitMix64: a case is expanded from one generated seed, so a failure
 /// report names everything needed to replay it.
@@ -135,16 +114,13 @@ struct Case {
     seed: u64,
     a: VRelation,
     b: VRelation,
-    /// Large enough for the partitioned kernel at more than one thread.
-    large: bool,
-    /// One dense integer key column, no NULL: the direct table at any
-    /// size and thread count.
-    direct: bool,
 }
 
 impl Case {
     fn from_seed(seed: u64) -> Case {
         let mut rng = Rng(seed);
+        // One case in eight spans several probe blocks; half of those on
+        // one dense integer key column, no NULL: the direct table.
         let large = rng.below(8) == 0;
         let direct = large && rng.below(2) == 0;
         let (na, nb) = if large {
@@ -225,8 +201,6 @@ impl Case {
             a: VRelation::from_rows(names("av", false), rows(a_keys, false)),
             // Key columns in the opposite order, after the payload.
             b: VRelation::from_rows(names("bv", true), rows(b_keys, true)),
-            large,
-            direct,
         }
     }
 
@@ -254,19 +228,16 @@ fn generic(v: &VRelation) -> CRel {
     CRel::new(v.cols().to_vec(), columns, v.len())
 }
 
-/// Runs `typed` at 1 and 4 threads against `generic` at 1 thread (the
-/// sequential generic kernel) and against the row kernel's result `row`.
-/// `ordered_at_4` says whether the 4-thread run owes the sequential
-/// kernel's row sequence too, or only its bag. Returns the sequential
-/// generic kernel's rows.
+/// Runs `typed` against `generic` (the hashed kernel: same charges, same
+/// row sequence) and against the row kernel's result `row` (same charges,
+/// same bag). Returns the generic kernel's rows.
 fn check(
     seed: u64,
     typed: impl Fn(&mut Budget) -> Result<CRel, EvalError>,
     generic: impl Fn(&mut Budget) -> Result<CRel, EvalError>,
     (row, row_charged): (&VRelation, u64),
-    ordered_at_4: bool,
 ) -> Result<VRelation, TestCaseError> {
-    check_seeded(typed, generic, (row, row_charged), ordered_at_4)
+    check_seeded(typed, generic, (row, row_charged))
         .map_err(|e| TestCaseError::fail(format!("case seed {seed:#x}: {e}")))
 }
 
@@ -274,29 +245,17 @@ fn check_seeded(
     typed: impl Fn(&mut Budget) -> Result<CRel, EvalError>,
     generic: impl Fn(&mut Budget) -> Result<CRel, EvalError>,
     (row, row_charged): (&VRelation, u64),
-    ordered_at_4: bool,
 ) -> Result<VRelation, TestCaseError> {
-    let reference = {
-        let _one = Threads::set(1);
-        let mut budget = Budget::unlimited();
-        let out = generic(&mut budget).unwrap().to_vrel();
-        prop_assert_eq!(budget.charged(), row_charged);
-        out
-    };
+    let mut budget = Budget::unlimited();
+    let reference = generic(&mut budget).unwrap().to_vrel();
+    prop_assert_eq!(budget.charged(), row_charged);
     prop_assert_eq!(reference.cols(), row.cols());
     prop_assert_eq!(reference.sorted_rows(), row.sorted_rows());
-    for threads in [1, 4] {
-        let _n = Threads::set(threads);
-        let mut budget = Budget::unlimited();
-        let out = typed(&mut budget).unwrap().to_vrel();
-        prop_assert_eq!(budget.charged(), row_charged, "{} threads", threads);
-        prop_assert_eq!(out.cols(), reference.cols());
-        if threads == 1 || ordered_at_4 {
-            prop_assert!(out.rows() == reference.rows(), "{} threads", threads);
-        } else {
-            prop_assert!(out.sorted_rows() == reference.sorted_rows());
-        }
-    }
+    let mut budget = Budget::unlimited();
+    let out = typed(&mut budget).unwrap().to_vrel();
+    prop_assert_eq!(budget.charged(), row_charged);
+    prop_assert_eq!(out.cols(), reference.cols());
+    prop_assert!(out.rows() == reference.rows());
     Ok(reference)
 }
 
@@ -317,8 +276,6 @@ proptest! {
                 |b| cops::natural_join(&tx, &ty, b),
                 |b| cops::natural_join(&gx, &gy, b),
                 (&row, budget.charged()),
-                // Only the partitioned kernel has an order of its own.
-                !case.large || case.direct,
             )?;
         }
     }
@@ -337,7 +294,6 @@ proptest! {
                 |b| cops::semijoin(&tx, &ty, b),
                 |b| cops::semijoin(&gx, &gy, b),
                 (&row, budget.charged()),
-                true,
             )?;
         }
     }
@@ -357,7 +313,6 @@ proptest! {
                     |b| cops::project(&tx, vars, true, b),
                     |b| cops::project(&gx, vars, true, b),
                     (&row, budget.charged()),
-                    true,
                 )?;
                 // The row kernel keeps first occurrences in input order too.
                 prop_assert!(reference == row, "case seed {:#x}", case.seed);
@@ -396,7 +351,6 @@ fn float_keys(keys: Vec<i64>) -> Column {
 /// trips it — on the direct table and on the hashed one.
 #[test]
 fn blow_up_trips_the_tuple_budget_within_one_block() {
-    let _one = Threads::set(1);
     for keys in [int_keys, float_keys] {
         let a = keyed(keys(vec![5; 3000]), "av");
         let b = keyed(keys(vec![5; 3000]), "bv");
@@ -418,7 +372,6 @@ fn blow_up_trips_the_tuple_budget_within_one_block() {
 /// emits a pair.
 #[test]
 fn cancelled_token_stops_a_matchless_probe_within_one_block() {
-    let _one = Threads::set(1);
     let n = 1_000_000i64;
     for keys in [int_keys, float_keys] {
         let build = keyed(keys((0..200).collect()), "bv");

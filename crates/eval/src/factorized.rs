@@ -195,8 +195,8 @@ fn qhd_factorized_aggregate(
     let cover = qhd_cover(db, q, plan, budget, opts)?;
     let rows = cover.total();
     let out = finalize_cover(cover, q, budget)?;
-    // Same final merge point as the materialized pipeline: forked charges
-    // are batched, so surface exhaustion before declaring success.
+    // Same final check as the materialized pipeline: a shared budget's
+    // charges are batched, so surface exhaustion before declaring success.
     budget.check_exceeded().map_err(CoverError::Eval)?;
     Ok((out, rows))
 }
@@ -346,14 +346,13 @@ fn yann_cover(
     db: &Database,
     q: &ConjunctiveQuery,
     budget: &mut Budget,
-    opts: &ExecOptions,
 ) -> Result<Cover, CoverError> {
     let ch = q.hypergraph();
     let Some(reduction) = gyo(&ch.hypergraph) else {
         return Err(CoverError::Ineligible("cyclic query".into()));
     };
     let forest = reduction.forest;
-    let rels = crate::yannakakis::scan_atoms(db, q, budget, opts).map_err(CoverError::Eval)?;
+    let rels = crate::yannakakis::scan_atoms(db, q, budget).map_err(CoverError::Eval)?;
     let n = rels.len();
     let parents: Vec<Option<usize>> = (0..n)
         .map(|i| forest.parent(EdgeId(i as u32)).map(|p| p.index()))
@@ -382,9 +381,8 @@ fn yann_factorized_aggregate(
     db: &Database,
     q: &ConjunctiveQuery,
     budget: &mut Budget,
-    opts: &ExecOptions,
 ) -> Result<(VRelation, u64), CoverError> {
-    let cover = yann_cover(db, q, budget, opts)?;
+    let cover = yann_cover(db, q, budget)?;
     let rows = cover.total();
     let out = finalize_cover(cover, q, budget)?;
     budget.check_exceeded().map_err(CoverError::Eval)?;
@@ -427,7 +425,7 @@ pub fn evaluate_yannakakis_query_traced(
     budget.apply_mem_limit(opts.mem_limit);
     if opts.factorized && q.has_aggregates() {
         match yann_factorized_check(q) {
-            Ok(()) => match yann_factorized_aggregate(db, q, budget, opts) {
+            Ok(()) => match yann_factorized_aggregate(db, q, budget) {
                 Ok((out, rows)) => {
                     trace.factorized = true;
                     trace.answer_rows = Some(rows);
@@ -455,7 +453,7 @@ pub fn yannakakis_answer_rows(
 ) -> Result<AnswerRows, EvalError> {
     budget.apply_mem_limit(opts.mem_limit);
     if opts.factorized {
-        match yann_cover(db, q, budget, opts) {
+        match yann_cover(db, q, budget) {
             Ok(cover) => return Ok(AnswerRows::Factorized(Box::new(cover.into_rows(budget)))),
             Err(CoverError::Ineligible(_)) => {}
             Err(CoverError::Eval(e)) => return Err(e),

@@ -19,38 +19,23 @@
 //! dictionary-encoded strings, gather-based output) from the scans to the
 //! root; the answer is converted to the client-facing [`VRelation`] once,
 //! at the boundary.
-//!
-//! # Parallel schedule
-//!
-//! The per-vertex joins of `P′` are mutually independent, and in `P″` the
-//! *subtrees* below distinct children of a vertex are independent; both
-//! fan out across worker threads when [`ExecOptions::threads`] allows.
-//! The Section 4.1 support-order constraint binds the order in which
-//! child results are *joined into the parent*, not the order in which the
-//! subtrees are evaluated — so child subtree evaluations run concurrently
-//! while the join fold still visits support children first. Budget
-//! accounting stays exact under concurrency via [`Budget::fork`], and
-//! tuple-budget exhaustion is deterministic for any thread count because
-//! the trip condition depends only on the (order-free) sum of charges.
-
-use std::sync::Mutex;
 
 use htqo_core::hypertree::NodeId;
 use htqo_core::QhdPlan;
 use htqo_cq::{AtomId, ConjunctiveQuery};
+use htqo_engine::cops;
 use htqo_engine::crel::CRel;
 use htqo_engine::error::{Budget, EvalError};
 use htqo_engine::iseek;
 use htqo_engine::scan::scan_query_atom_c;
 use htqo_engine::schema::Database;
 use htqo_engine::vrel::VRelation;
-use htqo_engine::{cops, exec};
 
 pub use htqo_engine::exec::ExecOptions;
 
 /// Evaluates `q` on `db` along the decomposition in `plan`, returning the
 /// answer relation over `out(Q)` (set semantics). Uses the process-wide
-/// thread count; see [`evaluate_qhd_with`] to pin the schedule.
+/// [`ExecOptions`] defaults; see [`evaluate_qhd_with`] to pass them.
 pub fn evaluate_qhd(
     db: &Database,
     q: &ConjunctiveQuery,
@@ -60,7 +45,7 @@ pub fn evaluate_qhd(
     evaluate_qhd_with(db, q, plan, budget, &ExecOptions::default())
 }
 
-/// [`evaluate_qhd`] with an explicit execution schedule.
+/// [`evaluate_qhd`] with explicit execution options.
 pub fn evaluate_qhd_with(
     db: &Database,
     q: &ConjunctiveQuery,
@@ -85,7 +70,6 @@ pub(crate) fn vertex_relations(
 ) -> Result<(Vec<Vec<String>>, Vec<CRel>), EvalError> {
     let tree = &plan.tree;
     let h = &plan.cq_hypergraph.hypergraph;
-    let threads = opts.threads.max(1);
 
     // χ(p) as variable names, per vertex.
     let mut chi_names: Vec<Vec<String>> = vec![Vec::new(); tree.len()];
@@ -98,35 +82,18 @@ pub(crate) fn vertex_relations(
             .collect();
     }
 
-    // P′: per-vertex joins — independent, so fan out across workers.
-    let vertices: Vec<NodeId> = tree.preorder();
+    // P′: per-vertex joins, in preorder.
     let mut rels: Vec<Option<CRel>> = (0..tree.len()).map(|_| None).collect();
-    let index_join = opts.index_join;
-    if threads > 1 && vertices.len() > 1 {
-        let shared = budget.fork();
-        let results = exec::parallel_map(vertices.clone(), threads, |p| {
-            let mut b = shared.clone();
-            vertex_join(db, q, tree, p, &chi_names[p.index()], &mut b, index_join)
-        });
-        // Merge point: surface budget exhaustion deterministically first,
-        // then a contained worker panic, then any other error in preorder
-        // (= deterministic) order.
-        budget.check_exceeded()?;
-        for (p, r) in vertices.iter().zip(results?) {
-            rels[p.index()] = Some(r?);
-        }
-    } else {
-        for &p in &vertices {
-            rels[p.index()] = Some(vertex_join(
-                db,
-                q,
-                tree,
-                p,
-                &chi_names[p.index()],
-                budget,
-                index_join,
-            )?);
-        }
+    for p in tree.preorder() {
+        rels[p.index()] = Some(vertex_join(
+            db,
+            q,
+            tree,
+            p,
+            &chi_names[p.index()],
+            budget,
+            opts.index_join,
+        )?);
     }
     let rels = rels
         .into_iter()
@@ -144,20 +111,18 @@ pub(crate) fn evaluate_qhd_c(
     opts: &ExecOptions,
 ) -> Result<CRel, EvalError> {
     let tree = &plan.tree;
-    let threads = opts.threads.max(1);
     let (chi_names, rels) = vertex_relations(db, q, plan, budget, opts)?;
-    let vertex_rel: Vec<Mutex<Option<CRel>>> =
-        rels.into_iter().map(|r| Mutex::new(Some(r))).collect();
+    let mut vertex_rel: Vec<Option<CRel>> = rels.into_iter().map(Some).collect();
 
     // P″: single bottom-up pass, support children joined first.
-    let result_root = eval_bottom_up(tree, tree.root(), &chi_names, &vertex_rel, budget, threads)?;
+    let result_root = eval_bottom_up(tree, tree.root(), &chi_names, &mut vertex_rel, budget)?;
 
     // P‴: project the root onto out(Q).
     let out = q.out_vars();
     let result = cops::project(&result_root, &out, true, budget)?;
-    // Final merge point: once the budget has been forked, charges are
-    // batched and may not trip inline (see `Budget::charge`); surface
-    // exhaustion before declaring success so every schedule agrees.
+    // A session's budget is a shared handle (`Budget::fork`): its charges
+    // are batched and may not trip inline (see `Budget::charge`), so
+    // surface exhaustion before declaring success.
     budget.check_exceeded()?;
     Ok(result)
 }
@@ -206,7 +171,7 @@ fn vertex_join(
 /// caller then takes the classic scan-everything path, so catalogs
 /// without (relevant) indexes see bit-identical behavior and charges.
 /// All decisions depend only on base-table sizes and accumulator row
-/// counts, which are thread-independent, preserving determinism.
+/// counts, preserving determinism.
 fn seek_vertex_join(
     db: &Database,
     q: &ConjunctiveQuery,
@@ -322,9 +287,8 @@ fn eval_bottom_up(
     tree: &htqo_core::Hypertree,
     p: NodeId,
     chi_names: &[Vec<String>],
-    vertex_rel: &[Mutex<Option<CRel>>],
+    vertex_rel: &mut [Option<CRel>],
     budget: &mut Budget,
-    threads: usize,
 ) -> Result<CRel, EvalError> {
     let node = tree.node(p);
     // Children order: support children first, then the rest.
@@ -335,40 +299,19 @@ fn eval_bottom_up(
         }
     }
 
-    // The subtrees below distinct children are independent: evaluate them
-    // concurrently, then fold the joins sequentially in support-first
-    // order below (the ordering constraint binds the joins, not the
-    // subtree evaluations).
+    // Evaluate the subtrees below the children, then fold the joins in
+    // support-first order below.
     htqo_engine::fail_point!("qeval::bottom_up");
-    let children: Vec<Result<CRel, EvalError>> = if threads > 1 && order.len() > 1 {
-        let shared = budget.fork();
-        let results = exec::parallel_map(order.clone(), threads, |c| {
-            let mut b = shared.clone();
-            eval_bottom_up(tree, c, chi_names, vertex_rel, &mut b, threads)
-        });
-        budget.check_exceeded()?;
-        results?
-    } else {
-        let mut results = Vec::with_capacity(order.len());
-        for &c in &order {
-            let r = eval_bottom_up(tree, c, chi_names, vertex_rel, budget, threads);
-            let failed = r.is_err();
-            results.push(r);
-            if failed {
-                break;
-            }
-        }
-        results
-    };
+    let children = order
+        .iter()
+        .map(|&c| eval_bottom_up(tree, c, chi_names, vertex_rel, budget))
+        .collect::<Result<Vec<CRel>, EvalError>>()?;
 
     let mut acc = vertex_rel[p.index()]
-        .lock()
-        .unwrap()
         .take()
         .expect("vertex relation computed");
-    for r in children {
+    for child in children {
         budget.check_time()?;
-        let child = r?;
         // Early projection: by the connectedness condition, the only child
         // variables the parent (or any sibling) can ever see are those in
         // χ(p), so the rest are dead weight — drop them (with dedup)
@@ -394,7 +337,7 @@ pub fn evaluate_qhd_query(
     evaluate_qhd_query_with(db, q, plan, budget, &ExecOptions::default())
 }
 
-/// [`evaluate_qhd_query`] with an explicit execution schedule. The answer
+/// [`evaluate_qhd_query`] with explicit execution options. The answer
 /// stays columnar end to end — the final aggregation front runs
 /// column-at-a-time too ([`htqo_engine::aggregate::finalize_c`]). When
 /// [`ExecOptions::factorized`] is set and the query/plan qualify, the
@@ -478,7 +421,6 @@ mod tests {
                 &QhdOptions {
                     max_width: 3,
                     run_optimize,
-                    threads: 0,
                 },
                 &StructuralCost,
             )
@@ -536,73 +478,9 @@ mod tests {
         let q = chain_query(4, &["X0"]);
         let plan = q_hypertree_decomp(&q, &QhdOptions::default(), &StructuralCost).unwrap();
         let mut budget = Budget::unlimited().with_max_tuples(10);
-        assert!(evaluate_qhd(&db, &q, &plan, &mut budget).is_err());
-    }
-
-    #[test]
-    fn parallel_schedule_matches_sequential() {
-        for n in 3..=6 {
-            let names: Vec<String> = (0..n).map(|i| format!("p{i}")).collect();
-            let name_refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
-            let db = db_for(&name_refs, 40, 5, n as i64 + 10);
-            let q = chain_query(n, &["X0", "X1"]);
-            let plan = q_hypertree_decomp(&q, &QhdOptions::default(), &StructuralCost).unwrap();
-            let mut bs = Budget::unlimited();
-            let seq = evaluate_qhd_with(
-                &db,
-                &q,
-                &plan,
-                &mut bs,
-                &ExecOptions {
-                    threads: 1,
-                    ..ExecOptions::default()
-                },
-            )
-            .unwrap();
-            for threads in [2usize, 4, 8] {
-                let mut bp = Budget::unlimited();
-                let par = evaluate_qhd_with(
-                    &db,
-                    &q,
-                    &plan,
-                    &mut bp,
-                    &ExecOptions {
-                        threads,
-                        ..ExecOptions::default()
-                    },
-                )
-                .unwrap();
-                assert!(seq.set_eq(&par), "n={n} threads={threads}");
-            }
-        }
-    }
-
-    /// Pinned: tuple-budget exhaustion is identical for every thread
-    /// count — the trip condition depends only on the order-free sum of
-    /// charges, surfaced deterministically at merge points.
-    #[test]
-    fn budget_exhaustion_is_thread_count_invariant() {
-        let db = db_for(&["p0", "p1", "p2", "p3"], 50, 3, 3);
-        let q = chain_query(4, &["X0"]);
-        let plan = q_hypertree_decomp(&q, &QhdOptions::default(), &StructuralCost).unwrap();
-        for threads in [1usize, 2, 3, 4, 8, 16] {
-            let mut budget = Budget::unlimited().with_max_tuples(10);
-            let err = evaluate_qhd_with(
-                &db,
-                &q,
-                &plan,
-                &mut budget,
-                &ExecOptions {
-                    threads,
-                    ..ExecOptions::default()
-                },
-            )
-            .unwrap_err();
-            assert_eq!(
-                err,
-                EvalError::TupleBudgetExceeded { limit: 10 },
-                "threads={threads}"
-            );
-        }
+        assert_eq!(
+            evaluate_qhd(&db, &q, &plan, &mut budget).unwrap_err(),
+            EvalError::TupleBudgetExceeded { limit: 10 }
+        );
     }
 }

@@ -9,7 +9,7 @@ use htqo_cq::ConjunctiveQuery;
 use htqo_engine::cops;
 use htqo_engine::crel::CRel;
 use htqo_engine::error::{Budget, EvalError};
-use htqo_engine::exec::{self, ExecOptions};
+use htqo_engine::exec::ExecOptions;
 use htqo_engine::scan::scan_query_atom_c;
 use htqo_engine::schema::Database;
 use htqo_engine::vrel::VRelation;
@@ -18,8 +18,8 @@ use htqo_hypergraph::{EdgeId, JoinForest};
 
 /// Evaluates an **acyclic** conjunctive query with the three-pass
 /// Yannakakis algorithm, returning the answer over `out(Q)`. Uses the
-/// process-wide thread count; see [`evaluate_yannakakis_with`] to pin the
-/// schedule.
+/// process-wide [`ExecOptions`] defaults; see [`evaluate_yannakakis_with`]
+/// to pass them.
 ///
 /// Returns `EvalError::Internal` if the query hypergraph is cyclic.
 pub fn evaluate_yannakakis(
@@ -30,7 +30,7 @@ pub fn evaluate_yannakakis(
     evaluate_yannakakis_with(db, q, budget, &ExecOptions::default())
 }
 
-/// [`evaluate_yannakakis`] with an explicit execution schedule.
+/// [`evaluate_yannakakis`] with explicit execution options.
 pub fn evaluate_yannakakis_with(
     db: &Database,
     q: &ConjunctiveQuery,
@@ -38,38 +38,20 @@ pub fn evaluate_yannakakis_with(
     opts: &ExecOptions,
 ) -> Result<VRelation, EvalError> {
     budget.apply_mem_limit(opts.mem_limit);
-    Ok(yannakakis_c(db, q, budget, opts)?.to_vrel())
+    Ok(yannakakis_c(db, q, budget)?.to_vrel())
 }
 
-/// Scans every atom of `q` (edge `i` ↔ atom `i`) — independent work, so it
-/// fans out across the execution-layer worker pool. Shared by the
+/// Scans every atom of `q` (edge `i` ↔ atom `i`). Shared by the
 /// three-pass pipeline below and the factorized cover build
 /// ([`crate::factorized`]).
 pub(crate) fn scan_atoms(
     db: &Database,
     q: &ConjunctiveQuery,
     budget: &mut Budget,
-    opts: &ExecOptions,
 ) -> Result<Vec<CRel>, EvalError> {
-    let atom_ids: Vec<_> = q.atom_ids().collect();
-    let threads = opts.threads.max(1);
-    let mut rels: Vec<CRel> = Vec::with_capacity(q.atoms.len());
-    if threads > 1 && atom_ids.len() > 1 {
-        let shared = budget.fork();
-        let scans = exec::parallel_map(atom_ids, threads, |a| {
-            let mut b = shared.clone();
-            scan_query_atom_c(db, q, a, &mut b)
-        });
-        budget.check_exceeded()?;
-        for r in scans? {
-            rels.push(r?);
-        }
-    } else {
-        for a in atom_ids {
-            rels.push(scan_query_atom_c(db, q, a, budget)?);
-        }
-    }
-    Ok(rels)
+    q.atom_ids()
+        .map(|a| scan_query_atom_c(db, q, a, budget))
+        .collect()
 }
 
 /// The three-pass pipeline behind [`evaluate_yannakakis_with`], answer
@@ -78,7 +60,6 @@ fn yannakakis_c(
     db: &Database,
     q: &ConjunctiveQuery,
     budget: &mut Budget,
-    opts: &ExecOptions,
 ) -> Result<CRel, EvalError> {
     let ch = q.hypergraph();
     let Some(reduction) = gyo(&ch.hypergraph) else {
@@ -87,7 +68,7 @@ fn yannakakis_c(
         ));
     };
     let forest: JoinForest = reduction.forest;
-    let mut rels = scan_atoms(db, q, budget, opts)?;
+    let mut rels = scan_atoms(db, q, budget)?;
 
     // Bottom-up then top-down semijoin passes per tree.
     let roots = forest.roots();
@@ -140,8 +121,9 @@ fn yannakakis_c(
         answer = cops::natural_join(&answer, &t, budget)?;
     }
     let answer = cops::project(&answer, &out, true, budget)?;
-    // Final merge point: forked-budget charges are batched and may not
-    // trip inline (see `Budget::charge`); check before declaring success.
+    // A session's budget is a shared handle whose charges are batched and
+    // may not trip inline (see `Budget::charge`); check before declaring
+    // success.
     budget.check_exceeded()?;
     Ok(answer)
 }

@@ -1,25 +1,20 @@
 //! Execution of bushy join trees: recursive evaluation over the engine,
 //! projecting the final result onto `out(Q)` like the other pipelines.
-//!
-//! The two inputs of a `Join` node are independent subtrees, so they are
-//! evaluated concurrently when the execution layer has worker permits —
-//! bushy trees are exactly the shape that profits from tree parallelism.
-//! Budget accounting stays exact across workers via [`Budget::fork`].
 
 use crate::bushy::JoinTree;
 use htqo_cq::ConjunctiveQuery;
 use htqo_engine::cops;
 use htqo_engine::crel::CRel;
 use htqo_engine::error::{Budget, EvalError};
-use htqo_engine::exec::{self, ExecOptions};
+use htqo_engine::exec::ExecOptions;
 use htqo_engine::scan::scan_query_atom_c;
 use htqo_engine::schema::Database;
 use htqo_engine::vrel::VRelation;
 
 /// Evaluates a bushy join tree bottom-up, returning the answer over
 /// `out(Q)` (set semantics, matching the other evaluators). Uses the
-/// process-wide thread count; see [`evaluate_join_tree_with`] to pin the
-/// schedule.
+/// process-wide [`ExecOptions`] defaults; see [`evaluate_join_tree_with`]
+/// to pass them.
 pub fn evaluate_join_tree(
     db: &Database,
     q: &ConjunctiveQuery,
@@ -29,7 +24,7 @@ pub fn evaluate_join_tree(
     evaluate_join_tree_with(db, q, tree, budget, &ExecOptions::default())
 }
 
-/// [`evaluate_join_tree`] with an explicit execution schedule.
+/// [`evaluate_join_tree`] with explicit execution options.
 pub fn evaluate_join_tree_with(
     db: &Database,
     q: &ConjunctiveQuery,
@@ -38,10 +33,11 @@ pub fn evaluate_join_tree_with(
     opts: &ExecOptions,
 ) -> Result<VRelation, EvalError> {
     budget.apply_mem_limit(opts.mem_limit);
-    let joined = eval_node(db, q, tree, budget, opts.threads.max(1))?;
+    let joined = eval_node(db, q, tree, budget)?;
     let answer = cops::project(&joined, &q.out_vars(), true, budget)?;
-    // Final merge point: forked-budget charges are batched and may not
-    // trip inline (see `Budget::charge`); check before declaring success.
+    // A session's budget is a shared handle whose charges are batched and
+    // may not trip inline (see `Budget::charge`); check before declaring
+    // success.
     budget.check_exceeded()?;
     Ok(answer.to_vrel())
 }
@@ -51,32 +47,14 @@ fn eval_node(
     q: &ConjunctiveQuery,
     tree: &JoinTree,
     budget: &mut Budget,
-    threads: usize,
 ) -> Result<CRel, EvalError> {
     budget.check_time()?;
     htqo_engine::fail_point!("bushy::node");
     match tree {
         JoinTree::Leaf(a) => scan_query_atom_c(db, q, *a, budget),
         JoinTree::Join(l, r) => {
-            let (lv, rv) = if threads > 1 {
-                let mut bl = budget.fork();
-                let mut br = budget.fork();
-                let sides = exec::join2(
-                    threads,
-                    move || eval_node(db, q, l, &mut bl, threads),
-                    move || eval_node(db, q, r, &mut br, threads),
-                );
-                // Deterministic budget exhaustion first, then a contained
-                // worker panic, then per-side errors.
-                budget.check_exceeded()?;
-                let (lv, rv) = sides?;
-                (lv?, rv?)
-            } else {
-                (
-                    eval_node(db, q, l, budget, threads)?,
-                    eval_node(db, q, r, budget, threads)?,
-                )
-            };
+            let lv = eval_node(db, q, l, budget)?;
+            let rv = eval_node(db, q, r, budget)?;
             cops::natural_join(&lv, &rv, budget)
         }
     }

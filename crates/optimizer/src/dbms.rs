@@ -161,12 +161,6 @@ pub struct QueryOutcome {
     /// Whether planning was served from the plan cache
     /// (`plan_cache_{hit,miss,revalidated}`).
     pub plan_cache: PlanCacheStatus,
-    /// Worker threads the executor actually ran with (after the
-    /// hardware clamp).
-    pub threads: usize,
-    /// Worker threads requested (`--threads` / `HTQO_THREADS`) before
-    /// the clamp; differs from `threads` only when oversubscribed.
-    pub threads_requested: usize,
     /// Index-nested-loop joins executed across every rung that ran.
     pub index_seek_joins: u64,
     /// Hash-join builds executed across every rung that ran.
@@ -331,8 +325,6 @@ impl DbmsSim {
             estimated_answer_rows: crate::estimate_answer_rows(q, self.stats.as_ref()),
             answer_rows,
             plan_cache: PlanCacheStatus::Uncached,
-            threads: htqo_engine::exec::num_threads(),
-            threads_requested: htqo_engine::exec::requested_threads(),
             index_seek_joins: budget.join_stats().index_seeks(),
             hash_builds: budget.join_stats().hash_builds(),
         }

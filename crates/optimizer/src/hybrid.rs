@@ -7,7 +7,7 @@
 //!
 //! On top of the paper's pipeline sits a graceful-degradation ladder (see
 //! [`RetryPolicy`]): when q-HD planning or evaluation fails for a
-//! *retryable* reason (budget exhaustion, a contained worker panic, an
+//! *retryable* reason (budget exhaustion, a contained panic, an
 //! internal error), execution falls back to a cost-based bushy join tree
 //! and finally to the naive join order, each rung running under a renewed
 //! (optionally escalated) budget. [`QueryOutcome::rung`] records which
@@ -677,7 +677,9 @@ impl HybridOptimizer {
     /// No planning runs here unless the statement is stale — compiled
     /// under an older statistics epoch, or retired because its plan
     /// failed — in which case it is recompiled first (the caller's copy
-    /// is left as it is). [`QueryOutcome::plan_cache`] is
+    /// is left as it is; a holder that runs a statement repeatedly checks
+    /// [`CompiledQuery::is_retired`] and compiles afresh, as the service's
+    /// sessions do). [`QueryOutcome::plan_cache`] is
     /// [`PlanCacheStatus::Hit`] when nothing was planned, otherwise the
     /// recompilation's status; [`QueryOutcome::planning`] covers only
     /// that recompilation.
@@ -838,8 +840,6 @@ impl HybridOptimizer {
             factorized_fallback,
             estimated_answer_rows: compiled.estimated_answer_rows,
             plan_cache,
-            threads: htqo_engine::exec::num_threads(),
-            threads_requested: htqo_engine::exec::requested_threads(),
             index_seek_joins: budget.join_stats().index_seeks(),
             hash_builds: budget.join_stats().hash_builds(),
         }
@@ -978,7 +978,6 @@ mod tests {
         let opt = HybridOptimizer::structural(QhdOptions {
             max_width: 1,
             run_optimize: true,
-            threads: 0,
         })
         .with_retry(RetryPolicy::none());
         let out = opt.execute_cq(&db, &triangle_query(), Budget::unlimited());
@@ -997,7 +996,6 @@ mod tests {
         let opt = HybridOptimizer::structural(QhdOptions {
             max_width: 1,
             run_optimize: true,
-            threads: 0,
         });
         let out = opt.execute_cq(&db, &q, Budget::unlimited());
         assert_eq!(out.rung, Rung::Bushy, "{}", out.plan);

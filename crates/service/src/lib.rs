@@ -1,5 +1,6 @@
 //! The multi-session **query service**: a concurrent front door over the
-//! hybrid optimizer and the execution pool.
+//! hybrid optimizer and the engine. Concurrency is between queries: each
+//! query runs on the thread of the session call that issued it.
 //!
 //! A [`QueryService`] owns one immutable [`Database`], one (shared,
 //! `Send + Sync`) [`HybridOptimizer`] and the service-wide resource pools.
@@ -496,7 +497,9 @@ impl QueryService {
 pub struct Session {
     service: Arc<ServiceInner>,
     ledger: Mutex<Budget>,
-    statements: Mutex<HashMap<StatementId, Statement>>,
+    /// Prepared statements with their SQL text, which a handle whose plan
+    /// was retired is resolved from again.
+    statements: Mutex<HashMap<StatementId, (Arc<str>, Statement)>>,
     next_stmt: AtomicU64,
 }
 
@@ -532,7 +535,7 @@ impl Session {
         }
         let (stmt, _) = self.service.resolve(sql)?;
         let id = StatementId(self.next_stmt.fetch_add(1, Ordering::Relaxed));
-        lock(&self.statements).insert(id, stmt);
+        lock(&self.statements).insert(id, (sql.into(), stmt));
         Ok(id)
     }
 
@@ -559,11 +562,23 @@ impl Session {
         id: StatementId,
         token: CancelToken,
     ) -> Result<QueryOutcome, ServiceError> {
-        let stmt = lock(&self.statements)
+        let (sql, mut stmt) = lock(&self.statements)
             .get(&id)
             .cloned()
             .ok_or(ServiceError::UnknownStatement(id))?;
-        self.admit_and_run(&stmt, token)
+        let t0 = Instant::now();
+        let mut compiled_as = None;
+        if matches!(&stmt, Statement::Compiled(c) if c.is_retired()) {
+            // The plan this handle holds failed since it was prepared:
+            // resolve the text again (another session may already have)
+            // and keep the result, so the handle recompiles once instead
+            // of on every execution.
+            (stmt, compiled_as) = self.service.resolve(&sql)?;
+            if let Some(prepared) = lock(&self.statements).get_mut(&id) {
+                prepared.1 = stmt.clone();
+            }
+        }
+        self.run_resolved(&stmt, t0.elapsed(), compiled_as, token)
     }
 
     /// Compiles (or finds compiled) and executes `sql` in one call.
@@ -581,26 +596,29 @@ impl Session {
         // should not consume a permit or a pool slice.
         let t0 = Instant::now();
         let (stmt, compiled_as) = self.service.resolve(sql)?;
-        let resolve = t0.elapsed();
-        let mut outcome = self.admit_and_run(&stmt, token)?;
-        // The resolve is this call's planning; when it compiled the text,
-        // the outcome reports how that compilation was served.
-        outcome.planning += resolve;
-        if let Some(status) = compiled_as {
-            outcome.plan_cache = status;
-        }
-        Ok(outcome)
+        self.run_resolved(&stmt, t0.elapsed(), compiled_as, token)
     }
 
-    fn admit_and_run(
+    /// Admits and runs a statement that took `resolve` to resolve. The
+    /// resolve is the call's planning; when it compiled the text
+    /// (`compiled_as`), the outcome reports how that compilation was
+    /// served.
+    fn run_resolved(
         &self,
         stmt: &Statement,
+        resolve: Duration,
+        compiled_as: Option<PlanCacheStatus>,
         token: CancelToken,
     ) -> Result<QueryOutcome, ServiceError> {
         let permit = self.admit(token.clone())?;
         let out = self.run(stmt, &token);
         drop(permit);
-        out
+        let mut outcome = out?;
+        outcome.planning += resolve;
+        if let Some(status) = compiled_as {
+            outcome.plan_cache = status;
+        }
+        Ok(outcome)
     }
 
     /// Admission control: bounded in-flight count, then a byte-slice
@@ -662,8 +680,7 @@ impl Session {
     }
 
     /// The per-query budget: memory slice, tuple cap, timeout and the
-    /// registered cancel token. The engine's workers fork it further, so
-    /// accounting stays exact across the execution pool.
+    /// registered cancel token.
     fn query_budget(&self, token: &CancelToken) -> Budget {
         let svc = &*self.service;
         let mut b = Budget::unlimited().with_cancel_token(token.clone());

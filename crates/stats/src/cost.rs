@@ -8,7 +8,8 @@ use htqo_core::DecompCost;
 use htqo_cq::{AtomId, ConjunctiveQuery};
 use htqo_hypergraph::fxhash::FxHashMap;
 use htqo_hypergraph::{EdgeSet, Hypergraph, VarSet};
-use std::sync::{Mutex, OnceLock};
+use std::cell::RefCell;
+use std::sync::OnceLock;
 
 /// Statistics-driven [`DecompCost`]: a vertex costs the estimated number of
 /// tuples materialized while joining its atoms (greedy smallest-first
@@ -40,7 +41,7 @@ pub struct StatsDecompCost<'a> {
     /// resolved on first use.
     seek_vars: Vec<OnceLock<Vec<VarId>>>,
     /// [`Self::vertex_tuples`] by join-atom set, for the model's lifetime.
-    priced: Mutex<FxHashMap<EdgeSet, f64>>,
+    priced: RefCell<FxHashMap<EdgeSet, f64>>,
 }
 
 impl<'a> StatsDecompCost<'a> {
@@ -53,7 +54,7 @@ impl<'a> StatsDecompCost<'a> {
             assume_optimize: true,
             indexed: Vec::new(),
             seek_vars: query.atoms.iter().map(|_| OnceLock::new()).collect(),
-            priced: Mutex::default(),
+            priced: RefCell::default(),
         }
     }
 
@@ -75,7 +76,7 @@ impl<'a> StatsDecompCost<'a> {
             .collect();
         // Prices and seek masks depend on the catalog.
         self.seek_vars.iter_mut().for_each(|s| *s = OnceLock::new());
-        self.priced = Mutex::default();
+        self.priced = RefCell::default();
         self
     }
 
@@ -106,19 +107,17 @@ impl<'a> StatsDecompCost<'a> {
     /// vertex joining `atoms` (edge `i` is atom `i`). Each distinct set
     /// is derived once; repeats are a hash probe.
     pub fn vertex_tuples(&self, atoms: &EdgeSet) -> f64 {
-        let lock = || self.priced.lock().expect("pricing never panics");
-        if let Some(&tuples) = lock().get(atoms) {
+        if let Some(&tuples) = self.priced.borrow().get(atoms) {
             return tuples;
         }
-        // Priced outside the lock; racing workers compute the same value.
         let tuples = self.price(atoms);
-        lock().insert(atoms.clone(), tuples);
+        self.priced.borrow_mut().insert(atoms.clone(), tuples);
         tuples
     }
 
     /// Number of distinct join-atom sets priced so far.
     pub fn priced_sets(&self) -> usize {
-        self.priced.lock().expect("pricing never panics").len()
+        self.priced.borrow().len()
     }
 
     fn price(&self, atoms: &EdgeSet) -> f64 {

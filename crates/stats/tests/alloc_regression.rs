@@ -36,7 +36,7 @@ fn memo_hit_vertex_cost_allocates_nothing() {
     assert_eq!(hit_allocs, 0);
 }
 
-/// Measured on the 12-atom cycle at k = 4 (1 thread): 7,000 allocations
+/// Measured on the 12-atom cycle at k = 4: 7,000 allocations
 /// for 4,514 separators tried, of which 4,288 are bound-cut — 7.2 per
 /// unit of distinct work (65 subproblems solved + 683 join-atom sets
 /// priced + 226 separators that survived every cut and so split their
@@ -49,7 +49,7 @@ fn search_allocations_track_distinct_work_not_separators() {
     let (query, stats) = cycle(12);
     let ch = query.hypergraph();
     let h = &ch.hypergraph;
-    let opts = SearchOptions::width_with_root_cover(4, ch.out_var_set(&query)).with_threads(1);
+    let opts = SearchOptions::width_with_root_cover(4, ch.out_var_set(&query));
 
     let model = StatsDecompCost::new(&stats, &query);
     let (allocs, (_, _, search)) =
@@ -104,7 +104,7 @@ fn search_allocates_per_subproblem_and_survivor_only() {
     let (query, _) = cycle(12);
     let ch = query.hypergraph();
     let h = &ch.hypergraph;
-    let opts = SearchOptions::width_with_root_cover(4, ch.out_var_set(&query)).with_threads(1);
+    let opts = SearchOptions::width_with_root_cover(4, ch.out_var_set(&query));
 
     let model = MeteredStructural(AtomicUsize::new(0));
     let (allocs, (_, _, search)) =

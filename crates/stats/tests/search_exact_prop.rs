@@ -21,7 +21,7 @@ use proptest::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Exhaustive ≡ B&B ≡ 4-thread B&B optimum, with the q-HD root cover,
+    /// Exhaustive ≡ B&B optimum, with the q-HD root cover,
     /// with and without an index catalog, `assume_optimize` on and off; the
     /// B&B search on word masks (what these ≤ 10-atom queries get) and
     /// forced onto heap bit sets are the same search: cost bits, counters.
@@ -45,32 +45,27 @@ proptest! {
                     .with_indexes(catalog)
             };
             let exhaustive = baseline::cost_k_decomp_instrumented(h, &opts, &model());
-            let seq = cost_k_decomp_instrumented(h, &opts.clone().with_threads(1), &model());
-            let par = cost_k_decomp_instrumented(h, &opts.clone().with_threads(4), &model());
-            let heap = search_on_heap_sets(h, &opts.clone().with_threads(1), &model(), false);
+            let bnb = cost_k_decomp_instrumented(h, &opts, &model());
+            let heap = search_on_heap_sets(h, &opts, &model(), false);
             prop_assert_eq!(
-                seq.as_ref().map(|(c, _, s)| (c.to_bits(), *s)),
+                bnb.as_ref().map(|(c, _, s)| (c.to_bits(), *s)),
                 heap.as_ref().map(|(c, _, s)| (c.to_bits(), *s)),
                 "word masks vs heap bit sets, k={}\n{}", k, query
             );
-            match (&exhaustive, &seq, &par) {
-                (None, None, None) => {}
-                (Some((c0, _, _)), Some((c1, t1, _)), Some((c2, t2, _))) => {
+            match (&exhaustive, &bnb) {
+                (None, None) => {}
+                (Some((c0, _, _)), Some((c1, t, _))) => {
                     prop_assert_eq!(c0.to_bits(), c1.to_bits(), "exhaustive vs B&B, k={}\n{}", k, query);
-                    prop_assert_eq!(c1.to_bits(), c2.to_bits(), "1 vs 4 threads, k={}\n{}", k, query);
-                    for t in [t1, t2] {
-                        prop_assert!(t.width() <= k);
-                        validate::check_edge_coverage(h, t).unwrap();
-                        validate::check_connectedness(h, t).unwrap();
-                        validate::check_assignment(h, t).unwrap();
-                    }
+                    prop_assert!(t.width() <= k);
+                    validate::check_edge_coverage(h, t).unwrap();
+                    validate::check_connectedness(h, t).unwrap();
+                    validate::check_assignment(h, t).unwrap();
                 }
                 _ => {
                     return Err(TestCaseError::fail(format!(
-                        "feasibility disagreement at k={k}: exhaustive={} seq={} par={}\n{query}",
+                        "feasibility disagreement at k={k}: exhaustive={} B&B={}\n{query}",
                         exhaustive.is_some(),
-                        seq.is_some(),
-                        par.is_some()
+                        bnb.is_some()
                     )));
                 }
             }
@@ -102,7 +97,7 @@ fn tightened_bound_never_examines_more_on_the_12_cycle() {
     let (query, stats) = cycle(12);
     let ch = query.hypergraph();
     let h = &ch.hypergraph;
-    let opts = SearchOptions::width_with_root_cover(4, ch.out_var_set(&query)).with_threads(1);
+    let opts = SearchOptions::width_with_root_cover(4, ch.out_var_set(&query));
 
     let tight_model = StatsDecompCost::new(&stats, &query);
     assert!(tight_model.min_vertex_cost(h) >= 41.0);

@@ -203,7 +203,6 @@ mod tests {
             &htqo_core::QhdOptions {
                 max_width: 2,
                 run_optimize: true,
-                threads: 0
             },
             &htqo_core::StructuralCost,
         )

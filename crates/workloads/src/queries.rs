@@ -165,7 +165,6 @@ mod tests {
             &htqo_core::QhdOptions {
                 max_width: 2,
                 run_optimize: true,
-                threads: 0,
             },
             &htqo_core::StructuralCost,
         );
@@ -175,7 +174,6 @@ mod tests {
             &htqo_core::QhdOptions {
                 max_width: 3,
                 run_optimize: true,
-                threads: 0
             },
             &htqo_core::StructuralCost,
         )

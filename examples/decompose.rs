@@ -81,7 +81,6 @@ fn main() {
             &QhdOptions {
                 max_width: 1,
                 run_optimize: true,
-                threads: 0
             },
             &StructuralCost
         )

@@ -37,7 +37,6 @@ fn main() {
                     &QhdOptions {
                         max_width: k,
                         run_optimize: true,
-                        threads: 0,
                     },
                     &StructuralCost,
                 )

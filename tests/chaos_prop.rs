@@ -3,7 +3,7 @@
 //!
 //! Every case arms one fail point (an injected `EvalError`, a deliberate
 //! panic, or a delay) somewhere in the engine's kernels and runs a query
-//! on a random thread/spill schedule — through the hybrid optimizer, and
+//! with spilling forced or not — through the hybrid optimizer, and
 //! through the join-order baseline (`evaluate_naive` + row `finalize`),
 //! which is what reaches the `ops::*` sites. The invariants, checked
 //! after every single fault:
@@ -12,11 +12,10 @@
 //!    clean typed [`EvalError`] — never a wrong answer;
 //! 2. no panic escapes the optimizer (injected panics are contained and
 //!    surface as [`EvalError::WorkerPanicked`]);
-//! 3. the worker-permit pool is fully drained back to its configured
-//!    width after every case — no leaks even across contained panics;
-//! 4. when the run succeeds, its budget charges are exactly the
+//! 3. when the run succeeds, its budget charges are exactly the
 //!    fault-free charges (delays and skipped sites must not perturb
-//!    accounting).
+//!    accounting); when it fails, the outcome's total is exactly the sum
+//!    of its attempts' charges, contained panics included.
 //!
 //! Case count per property is `HTQO_CHAOS_CASES` (default 120; CI uses a
 //! small count, local runs can crank it up).
@@ -25,7 +24,6 @@
 
 use htqo::prelude::*;
 use htqo_engine::error::SpillMode;
-use htqo_engine::exec;
 use htqo_engine::failpoint::{self, FailAction, PANIC_MARKER};
 use htqo_engine::schema::{ColumnType, Schema};
 use proptest::prelude::*;
@@ -49,8 +47,7 @@ fn cases() -> u32 {
         .unwrap_or(120)
 }
 
-/// The fail-point registry, panic hook, and thread knob are
-/// process-global: chaos cases must not interleave (with each other or
+/// The fail-point registry and the panic hook are process-global: chaos cases must not interleave (with each other or
 /// across the test functions in this binary).
 fn lock() -> std::sync::MutexGuard<'static, ()> {
     static GUARD: Mutex<()> = Mutex::new(());
@@ -109,9 +106,8 @@ fn arb_shape() -> impl Strategy<Value = Shape> {
         })
 }
 
-/// One chaos case: a workload plus a fault (site × action × skip) and an
-/// execution schedule (threads × spill). `force_spill` runs
-/// the case with `SpillMode::Force`, routing joins and aggregation
+/// One chaos case: a workload plus a fault (site × action × skip).
+/// `force_spill` runs the case with `SpillMode::Force`, routing joins and aggregation
 /// through the spill machinery so the `spill::*` sites actually fire.
 #[derive(Debug, Clone)]
 struct ChaosCase {
@@ -119,7 +115,6 @@ struct ChaosCase {
     site: usize,
     action: usize, // 0 = error, 1 = panic, 2 = delay(1ms)
     skip: u64,
-    threads: usize,
     force_spill: bool,
 }
 
@@ -129,15 +124,14 @@ fn arb_case() -> impl Strategy<Value = ChaosCase> {
         0..sites().len(),
         0usize..3,
         0u64..3,
-        prop::collection::vec(any::<bool>(), 2),
+        any::<bool>(),
     )
-        .prop_map(|(shape, site, action, skip, coins)| ChaosCase {
+        .prop_map(|(shape, site, action, skip, force_spill)| ChaosCase {
             shape,
             site,
             action,
             skip,
-            threads: if coins[0] { 4 } else { 1 },
-            force_spill: coins[1],
+            force_spill,
         })
 }
 
@@ -220,24 +214,18 @@ fn build(shape: &Shape) -> (Database, ConjunctiveQuery) {
     (db, q.build())
 }
 
-/// The pool-drained invariant: all permits back after a parallel section.
-fn permits_drained() -> bool {
-    exec::permits_available() == exec::num_threads() as isize - 1
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// Strict mode (no fallback ladder): a single injected fault yields
     /// either the oracle answer (site dormant / skipped / delay-only) or
-    /// one clean typed error — with permits drained and, on success,
-    /// budget charges identical to the fault-free run.
+    /// one clean typed error — with, on success, budget charges identical
+    /// to the fault-free run.
     #[test]
     fn injected_faults_never_corrupt_results(case in arb_case()) {
         let _g = lock();
         install_quiet_hook();
         failpoint::clear();
-        exec::set_threads_exact(case.threads);
         let (db, q) = build(&case.shape);
         let opt = HybridOptimizer::structural(QhdOptions::default())
             .with_retry(RetryPolicy::none());
@@ -250,8 +238,6 @@ proptest! {
         failpoint::clear();
 
         prop_assert!(!spill_dirs_leaked(), "spill temp files leaked");
-        prop_assert!(permits_drained(), "permit pool leaked: {} of {}",
-            exec::permits_available(), exec::num_threads() - 1);
         let attempt_sum: u64 = out.attempts.iter().map(|a| a.tuples).sum();
         match out.result {
             Ok(rel) => {
@@ -271,13 +257,12 @@ proptest! {
 
     /// Default mode: the graceful-degradation ladder turns one-shot
     /// faults into oracle-correct answers via a lower rung; persistent
-    /// faults still end in a clean error. Permits never leak either way.
+    /// faults still end in a clean error.
     #[test]
     fn ladder_degrades_gracefully_under_faults(case in arb_case()) {
         let _g = lock();
         install_quiet_hook();
         failpoint::clear();
-        exec::set_threads_exact(case.threads);
         let (db, q) = build(&case.shape);
         let opt = HybridOptimizer::structural(QhdOptions::default());
 
@@ -290,7 +275,6 @@ proptest! {
         failpoint::clear();
 
         prop_assert!(!spill_dirs_leaked(), "spill temp files leaked");
-        prop_assert!(permits_drained(), "permit pool leaked");
         match &out.result {
             Ok(rel) => {
                 prop_assert!(rel.set_eq(oracle), "fault at {} corrupted the answer", sites()[case.site]);
@@ -313,18 +297,16 @@ proptest! {
 
     /// The join-order baseline under the same faults: it is the engine of
     /// the ladder's naive rung and of every `DbmsSim`, and the only
-    /// evaluator that reaches `ops::join`, `ops::join::partition`,
-    /// `ops::project` and the row `aggregate::finalize`. A single fault
-    /// yields the fault-free answer with the fault-free charges, one
-    /// clean typed error, or — there is no worker pool to contain it on
-    /// this path — the injected panic itself; never a wrong answer, a
-    /// leaked spill directory or a leaked permit.
+    /// evaluator that reaches `ops::join`, `ops::project` and the row
+    /// `aggregate::finalize`. A single fault yields the fault-free answer
+    /// with the fault-free charges, one clean typed error, or — no ladder
+    /// rung contains it on this path — the injected panic itself; never a
+    /// wrong answer or a leaked spill directory.
     #[test]
     fn join_order_baseline_survives_faults(case in arb_case()) {
         let _g = lock();
         install_quiet_hook();
         failpoint::clear();
-        exec::set_threads_exact(case.threads);
         let (db, q) = build(&case.shape);
         let baseline = |budget: &mut Budget| {
             let answer = evaluate_naive(&db, &q, budget)?;
@@ -339,7 +321,6 @@ proptest! {
         failpoint::clear();
 
         prop_assert!(!spill_dirs_leaked(), "spill temp files leaked");
-        prop_assert!(permits_drained(), "permit pool leaked");
         match out {
             Ok(Ok(rel)) => {
                 prop_assert!(rel.set_eq(&oracle), "fault at {} corrupted the answer", sites()[case.site]);
@@ -358,16 +339,15 @@ proptest! {
     }
 }
 
-/// The acceptance scenario spelled out: a panic injected into the
-/// `parallel_map` worker loop is contained as `WorkerPanicked`, the
-/// permit pool drains, and the default ladder still produces the
-/// oracle-correct answer on a lower rung.
+/// The acceptance scenario spelled out: a panic injected into the q-HD
+/// evaluator is contained by its rung as `WorkerPanicked`, what the rung
+/// charged before it panicked is accounted exactly, and the default
+/// ladder still produces the oracle-correct answer on a lower rung.
 #[test]
 fn worker_panic_is_contained_and_ladder_rescues() {
     let _g = lock();
     install_quiet_hook();
     failpoint::clear();
-    exec::set_threads_exact(4);
     let shape = Shape {
         atoms: vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)],
         out: vec![0, 2],
@@ -380,27 +360,28 @@ fn worker_panic_is_contained_and_ladder_rescues() {
     let clean = opt.execute_cq(&db, &q, Budget::unlimited());
     let oracle = clean.result.as_ref().expect("fault-free run succeeds");
 
-    // The q-HD rung evaluates vertices through `parallel_map`, so the
-    // worker site fires there; the bushy/naive rungs don't use it on this
-    // workload and run clean.
-    failpoint::configure("exec::worker", FailAction::Panic, 0, None);
+    // Only the q-HD rung runs the bottom-up pass (after every vertex
+    // join of P′ has been charged); the bushy/naive rungs never reach the
+    // site and run clean.
+    failpoint::configure("qeval::bottom_up", FailAction::Panic, 0, None);
     let strict = HybridOptimizer::structural(QhdOptions::default()).with_retry(RetryPolicy::none());
     let failed = strict.execute_cq(&db, &q, Budget::unlimited());
     assert!(
         matches!(failed.result, Err(EvalError::WorkerPanicked { ref message })
             if message.contains(PANIC_MARKER)),
-        "expected a contained worker panic, got {:?}",
+        "expected a contained panic, got {:?}",
         failed.result
     );
-    assert!(
-        permits_drained(),
-        "permit pool leaked after contained panic"
-    );
+    // P′ ran to completion before the panic; its charges survive it.
+    assert!(failed.tuples > 0);
+    assert_eq!(failed.tuples, failed.attempts[0].tuples);
 
     let rescued = opt.execute_cq(&db, &q, Budget::unlimited());
     failpoint::clear();
-    assert!(permits_drained());
     assert!(rescued.degraded(), "{}", rescued.plan);
+    // The same panic after the same work, then a whole clean rung.
+    assert_eq!(rescued.attempts[0].tuples, failed.tuples);
+    assert!(rescued.tuples > failed.tuples);
     assert_ne!(rescued.rung, Rung::QHd);
     assert!(matches!(
         rescued.attempts[0].error,
@@ -417,7 +398,6 @@ fn cancellation_aborts_cleanly_and_is_not_retried() {
     let _g = lock();
     install_quiet_hook();
     failpoint::clear();
-    exec::set_threads_exact(1);
     let shape = Shape {
         atoms: vec![(0, 1), (1, 2), (2, 3)],
         out: vec![0],
@@ -454,7 +434,6 @@ fn cancellation_aborts_cleanly_and_is_not_retried() {
     let out = opt.execute_cq(&db, &q, Budget::unlimited().with_cancel_token(token));
     canceller.join().unwrap();
     failpoint::clear();
-    assert!(permits_drained());
     assert!(
         matches!(out.result, Err(EvalError::Cancelled)),
         "expected mid-run cancellation, got {:?}",

@@ -41,7 +41,6 @@ fn run_all_and_compare(db: &Database, stats: &DbStats, sql: &str) -> VRelation {
                 QhdOptions {
                     max_width: 4,
                     run_optimize: false,
-                    threads: 0,
                 },
                 stats.clone(),
             ),

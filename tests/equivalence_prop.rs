@@ -136,7 +136,7 @@ proptest! {
         // Disabling Optimize must also yield a valid decomposition.
         let plan2 = q_hypertree_decomp(
             &q,
-            &QhdOptions { max_width: 4, run_optimize: false, threads: 0 },
+            &QhdOptions { max_width: 4, run_optimize: false },
             &StructuralCost,
         )
         .unwrap();

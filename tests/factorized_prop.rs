@@ -2,7 +2,7 @@
 //! star-with-rowids aggregate queries, the cover-based pipelines —
 //! pushed-down COUNT/SUM/GROUP-BY aggregation and the constant-delay
 //! answer enumerator — must agree **bit-identically** with the
-//! materialized oracle, across thread counts, and under random byte
+//! materialized oracle, also under random byte
 //! limits (where the factorized path must degrade to materialization
 //! rather than change the answer). The byte-limit property also holds the
 //! join-order baseline (`evaluate_naive` + row `finalize`) to the same
@@ -123,9 +123,8 @@ fn sorted_rows(v: &VRelation) -> Vec<Row> {
     rows
 }
 
-fn opts(threads: usize, factorized: bool) -> ExecOptions {
+fn opts(factorized: bool) -> ExecOptions {
     ExecOptions {
-        threads,
         factorized,
         ..ExecOptions::default()
     }
@@ -135,49 +134,36 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Pushed-down COUNT/SUM/GROUP-BY over the q-HD cover is
-    /// bit-identical to the materialized join + aggregate at 1 and 4
-    /// threads — and the factorized path must actually run (the
-    /// star-with-rowids family is always eligible).
+    /// bit-identical to the materialized join + aggregate — and the
+    /// factorized path must actually run (the star-with-rowids family is
+    /// always eligible).
     #[test]
     fn qhd_factorized_aggregate_matches_materialized(shape in arb_shape()) {
         let (db, q) = build(&shape);
         let plan = q_hypertree_decomp(&q, &QhdOptions::default(), &StructuralCost)
             .expect("width 4 covers a ≤4-atom star");
-        for threads in [1usize, 4] {
-            let mut trace = FactorizedTrace::default();
-            let mut b1 = Budget::unlimited();
-            let fact = evaluate_qhd_query_traced(
-                &db, &q, &plan, &mut b1, &opts(threads, true), &mut trace,
-            ).unwrap();
-            prop_assert!(
-                trace.factorized,
-                "fell back (threads={}): {:?}", threads, trace.fallback
-            );
-            let mut b2 = Budget::unlimited();
-            let mat = evaluate_qhd_query_with(
-                &db, &q, &plan, &mut b2, &opts(threads, false),
-            ).unwrap();
-            prop_assert_eq!(fact.cols(), mat.cols());
-            prop_assert_eq!(sorted_rows(&fact), sorted_rows(&mat), "threads={}", threads);
-        }
+        let mut trace = FactorizedTrace::default();
+        let mut b1 = Budget::unlimited();
+        let fact = evaluate_qhd_query_traced(
+            &db, &q, &plan, &mut b1, &opts(true), &mut trace,
+        ).unwrap();
+        prop_assert!(trace.factorized, "fell back: {:?}", trace.fallback);
+        let mut b2 = Budget::unlimited();
+        let mat = evaluate_qhd_query_with(&db, &q, &plan, &mut b2, &opts(false)).unwrap();
+        prop_assert_eq!(fact.cols(), mat.cols());
+        prop_assert_eq!(sorted_rows(&fact), sorted_rows(&mat));
     }
 
     /// The same equality for the Yannakakis (join forest) pipelines.
     #[test]
     fn yannakakis_factorized_aggregate_matches_materialized(shape in arb_shape()) {
         let (db, q) = build(&shape);
-        for threads in [1usize, 4] {
-            let mut b1 = Budget::unlimited();
-            let fact = evaluate_yannakakis_query_with(
-                &db, &q, &mut b1, &opts(threads, true),
-            ).unwrap();
-            let mut b2 = Budget::unlimited();
-            let mat = evaluate_yannakakis_query_with(
-                &db, &q, &mut b2, &opts(threads, false),
-            ).unwrap();
-            prop_assert_eq!(fact.cols(), mat.cols());
-            prop_assert_eq!(sorted_rows(&fact), sorted_rows(&mat), "threads={}", threads);
-        }
+        let mut b1 = Budget::unlimited();
+        let fact = evaluate_yannakakis_query_with(&db, &q, &mut b1, &opts(true)).unwrap();
+        let mut b2 = Budget::unlimited();
+        let mat = evaluate_yannakakis_query_with(&db, &q, &mut b2, &opts(false)).unwrap();
+        prop_assert_eq!(fact.cols(), mat.cols());
+        prop_assert_eq!(sorted_rows(&fact), sorted_rows(&mat));
     }
 
     /// The constant-delay enumerator streams exactly the materialized
@@ -191,7 +177,7 @@ proptest! {
         let ans = evaluate_qhd(&db, &q, &plan, &mut b2).unwrap();
         for factorized in [true, false] {
             let mut b1 = Budget::unlimited();
-            let it = qhd_answer_rows(&db, &q, &plan, &mut b1, &opts(1, factorized)).unwrap();
+            let it = qhd_answer_rows(&db, &q, &plan, &mut b1, &opts(factorized)).unwrap();
             prop_assert_eq!(it.is_factorized(), factorized);
             let cols = it.cols().to_vec();
             let mut rows: Vec<Row> = it.collect::<Result<_, _>>().unwrap();
@@ -231,9 +217,9 @@ proptest! {
         }
 
         let mut b1 = Budget::unlimited().with_mem_limit(limit);
-        let fact = evaluate_qhd_query_with(&db, &q, &plan, &mut b1, &opts(1, true));
+        let fact = evaluate_qhd_query_with(&db, &q, &plan, &mut b1, &opts(true));
         let mut b2 = Budget::unlimited().with_mem_limit(limit);
-        let mat = evaluate_qhd_query_with(&db, &q, &plan, &mut b2, &opts(1, false));
+        let mat = evaluate_qhd_query_with(&db, &q, &plan, &mut b2, &opts(false));
         match (fact, mat) {
             (Ok(f), _) => prop_assert_eq!(sorted_rows(&f), sorted_rows(&oracle), "limit={}", limit),
             (Err(e), Ok(_)) => prop_assert!(

@@ -97,34 +97,82 @@ fn cancelled_run_is_typed_and_never_retried() {
     assert_eq!(out.attempts.len(), 1);
 }
 
+/// An index whose every seek panics: a fault inside the engine that needs
+/// no fail point (this binary's tests run concurrently and the fail-point
+/// registry is process-global).
+#[derive(Debug)]
+struct PanickingIndex;
+
+const MARKER: &str = "failure-modes-deliberate-panic";
+
+impl htqo_engine::index::JoinIndex for PanickingIndex {
+    fn seek(&self, _key: &[u8]) -> Result<Vec<u32>, EvalError> {
+        panic!("{MARKER}");
+    }
+
+    fn distinct_keys(&self) -> usize {
+        97
+    }
+
+    fn entries(&self) -> usize {
+        4000
+    }
+}
+
 #[test]
 fn worker_panic_surfaces_as_typed_error() {
-    // A panic in a parallel-map worker is contained as `WorkerPanicked`.
-    // On the sequential fast path (no permits available) the documented
-    // contract is that the panic propagates instead — both outcomes are
-    // legal here, but a wrong answer is not.
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    const MARKER: &str = "failure-modes-deliberate-panic";
+    // A panic inside a plan is contained by its ladder rung as
+    // `WorkerPanicked`, what the rung charged before it is kept, and a
+    // lower rung still answers.
+    use htqo_engine::schema::ColumnType;
     install_quiet_hook();
-    let res = catch_unwind(AssertUnwindSafe(|| {
-        htqo_engine::exec::parallel_map((0..64u64).collect::<Vec<_>>(), 4, |i| {
-            if i == 13 {
-                panic!("{MARKER}");
-            }
-            i
-        })
-    }));
-    match res {
-        Ok(Err(EvalError::WorkerPanicked { ref message })) => assert!(message.contains(MARKER)),
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_default();
-            assert!(msg.contains(MARKER), "unexpected panic: {msg}");
+    let keyed = |rows: i64, modulus: i64| {
+        let mut rel = Relation::new(Schema::new(&[
+            ("k", ColumnType::Int),
+            ("p", ColumnType::Int),
+        ]));
+        for i in 0..rows {
+            rel.push_row(vec![Value::Int(i % modulus), Value::Int(i)])
+                .unwrap();
         }
-        Ok(other) => panic!("expected containment or propagation, got {other:?}"),
-    }
+        rel
+    };
+    // A tiny probe against a large indexed fact table: the q-HD vertex
+    // joins them by index seek, which is where the panic sits.
+    let mut db = Database::new();
+    db.insert_table("probe", keyed(5, 97));
+    db.insert_table("fact", keyed(4000, 97));
+    db.register_index("fact", "k", std::sync::Arc::new(PanickingIndex));
+    let q = CqBuilder::new()
+        .atom("probe", "probe", &[("k", "K"), ("p", "T")])
+        .atom("fact", "fact", &[("k", "K"), ("p", "P")])
+        .out_var("K")
+        .out_var("T")
+        .out_var("P")
+        .build();
+
+    let strict = HybridOptimizer::structural(QhdOptions::default()).with_retry(RetryPolicy::none());
+    let failed = strict.execute_cq(&db, &q, Budget::unlimited());
+    assert!(
+        matches!(failed.result, Err(EvalError::WorkerPanicked { ref message })
+            if message.contains(MARKER)),
+        "expected a contained panic, got {:?}",
+        failed.result
+    );
+    assert!(
+        failed.tuples > 0,
+        "the probe scan was charged before the panic"
+    );
+    assert_eq!(failed.tuples, failed.attempts[0].tuples);
+
+    // The bushy rung hash-joins and never seeks.
+    let rescued =
+        HybridOptimizer::structural(QhdOptions::default()).execute_cq(&db, &q, Budget::unlimited());
+    assert!(rescued.degraded(), "{}", rescued.plan);
+    assert_ne!(rescued.rung, Rung::QHd);
+    assert_eq!(rescued.attempts[0].tuples, failed.tuples);
+    let oracle = evaluate_naive(&db, &q, &mut Budget::unlimited()).unwrap();
+    assert!(rescued.result.unwrap().set_eq(&oracle));
 }
 
 /// Installs (once) a chained panic hook that silences this file's
@@ -137,7 +185,7 @@ fn install_quiet_hook() {
             let deliberate = info
                 .payload()
                 .downcast_ref::<String>()
-                .is_some_and(|s| s.contains("failure-modes-deliberate-panic"));
+                .is_some_and(|s| s.contains(MARKER));
             if !deliberate {
                 prev(info);
             }
@@ -161,7 +209,6 @@ fn fallback_rung_selection_is_recorded() {
     let narrow = QhdOptions {
         max_width: 1,
         run_optimize: true,
-        threads: 0,
     };
     let out = HybridOptimizer::structural(narrow.clone()).execute_cq(&db, &q, Budget::unlimited());
     assert_eq!(out.rung, Rung::Bushy, "{}", out.plan);
@@ -251,7 +298,6 @@ fn decomposition_failure_is_typed() {
         &QhdOptions {
             max_width: 1,
             run_optimize: true,
-            threads: 0,
         },
         &StructuralCost,
     )

@@ -72,7 +72,6 @@ fn example4_q1_acyclic_but_qhd_width_2() {
         &QhdOptions {
             max_width: 1,
             run_optimize: true,
-            threads: 0,
         },
         &StructuralCost,
     );
@@ -96,7 +95,6 @@ fn example4_optimize_prunes_like_hd1_prime() {
         &QhdOptions {
             max_width: 4,
             run_optimize: false,
-            threads: 0,
         },
         &StructuralCost,
     )

@@ -3,14 +3,13 @@
 //! cancel queries mid-flight, and a deliberately small memory pool forces
 //! admission denials under contention.
 //!
-//! Invariants, checked for every thread count in {1, 4}:
+//! Invariants:
 //!
 //! 1. every query ends **oracle-identical** or with a **clean typed
 //!    error** (an [`EvalError`] inside the outcome, or a typed admission
 //!    rejection) — never a wrong answer, never an escaped panic;
 //! 2. permits drain: the service reports zero in-flight queries and zero
-//!    reserved pool bytes once all sessions are done, and the engine's
-//!    worker-permit pool is back to its configured width;
+//!    reserved pool bytes once all sessions are done;
 //! 3. budget accounting is exact: the service's tuple ledger equals the
 //!    sum of what the returned outcomes report, despite forked budgets,
 //!    contained panics and fallback rungs;
@@ -23,7 +22,6 @@
 #![cfg(feature = "failpoints")]
 
 use htqo::prelude::*;
-use htqo_engine::exec;
 use htqo_engine::failpoint::{self, FailAction, PANIC_MARKER};
 use htqo_service::{QueryService, ServiceConfig, ServiceError};
 use htqo_workloads::{workload_db, WorkloadSpec};
@@ -42,7 +40,7 @@ const QUERIES: [&str; 3] = [
     "SELECT p0.l, p2.r FROM p0, p1, p2 WHERE p0.r = p1.l AND p1.r = p2.l",
 ];
 
-/// Fail-point registry, panic hook and thread knobs are process-global:
+/// The fail-point registry and the panic hook are process-global:
 /// scenarios must not interleave.
 fn lock() -> std::sync::MutexGuard<'static, ()> {
     static GUARD: Mutex<()> = Mutex::new(());
@@ -65,10 +63,6 @@ fn install_quiet_hook() {
             }
         }));
     });
-}
-
-fn permits_drained() -> bool {
-    exec::permits_available() == exec::num_threads() as isize - 1
 }
 
 fn make_service() -> QueryService {
@@ -94,11 +88,10 @@ fn make_service() -> QueryService {
 
 /// One full scenario: oracle runs, then 16 concurrent sessions under the
 /// given injected fault, then drain/accounting/poisoning checks.
-fn run_scenario(threads: usize, site: &str, action: FailAction) {
+fn run_scenario(site: &str, action: FailAction) {
     let _g = lock();
     install_quiet_hook();
     failpoint::clear();
-    exec::set_threads_exact(threads);
 
     let svc = make_service();
     // Fault-free oracles (also the first cache fills).
@@ -198,7 +191,6 @@ fn run_scenario(threads: usize, site: &str, action: FailAction) {
     let m = svc.metrics();
     assert_eq!(m.in_flight, 0, "in-flight count leaked");
     assert_eq!(m.pool_bytes_reserved, 0, "pool byte slices leaked");
-    assert!(permits_drained(), "engine worker permits leaked");
     assert_eq!(
         m.rejected_overload + m.rejected_memory,
         total_rejected,
@@ -245,23 +237,13 @@ fn run_scenario(threads: usize, site: &str, action: FailAction) {
 }
 
 #[test]
-fn sixteen_sessions_survive_worker_panics_single_thread() {
-    run_scenario(1, "exec::worker", FailAction::Panic);
+fn sixteen_sessions_survive_evaluator_panics() {
+    run_scenario("qeval::bottom_up", FailAction::Panic);
 }
 
 #[test]
-fn sixteen_sessions_survive_worker_panics_multi_thread() {
-    run_scenario(4, "exec::worker", FailAction::Panic);
-}
-
-#[test]
-fn sixteen_sessions_survive_vertex_errors_single_thread() {
-    run_scenario(1, "qeval::vertex", FailAction::Error);
-}
-
-#[test]
-fn sixteen_sessions_survive_vertex_errors_multi_thread() {
-    run_scenario(4, "qeval::vertex", FailAction::Error);
+fn sixteen_sessions_survive_vertex_errors() {
+    run_scenario("qeval::vertex", FailAction::Error);
 }
 
 /// Shutdown under load: in-flight queries are cancelled cooperatively,
@@ -271,7 +253,6 @@ fn shutdown_under_concurrent_load_drains_cleanly() {
     let _g = lock();
     install_quiet_hook();
     failpoint::clear();
-    exec::set_threads_exact(4);
     let svc = make_service();
 
     let handles: Vec<_> = (0..SESSIONS)
@@ -305,7 +286,6 @@ fn shutdown_under_concurrent_load_drains_cleanly() {
     let m = svc.metrics();
     assert_eq!(m.in_flight, 0);
     assert_eq!(m.pool_bytes_reserved, 0);
-    assert!(permits_drained());
     assert!(matches!(
         svc.session().execute_sql(QUERIES[0]),
         Err(ServiceError::ShuttingDown)

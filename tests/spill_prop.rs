@@ -1,9 +1,8 @@
 //! Spill-equivalence property tests: memory-governed execution under a
 //! randomized byte limit.
 //!
-//! Every case runs a random query (same family as `chaos_prop`) on a
-//! random thread schedule with a random byte limit, from "far too small
-//! for anything" up to "comfortably unlimited" — through the hybrid
+//! Every case runs a random query (same family as `chaos_prop`) with a
+//! random byte limit, from "far too small for anything" up to "comfortably unlimited" — through the hybrid
 //! optimizer (columnar kernels) and through the join-order baseline (row
 //! kernels). The invariants, checked after every single case:
 //!
@@ -13,14 +12,12 @@
 //!    [`EvalError::SpillIo`] — never a wrong answer, an OS-level OOM, or
 //!    an escaped panic;
 //! 2. no spill temp files survive the run, whether it succeeded, spilled,
-//!    or failed mid-spill;
-//! 3. the worker-permit pool drains back to its configured width.
+//!    or failed mid-spill.
 //!
 //! Case count per property is `HTQO_CHAOS_CASES` (default 120).
 
 use htqo::prelude::*;
 use htqo_engine::error::SpillMode;
-use htqo_engine::exec;
 use htqo_engine::schema::{ColumnType, Schema};
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -32,7 +29,8 @@ fn cases() -> u32 {
         .unwrap_or(120)
 }
 
-/// The thread knob is process-global: cases must not interleave.
+/// The leak check looks at every spill directory of the process, so a
+/// running case would read as another's leak: cases must not interleave.
 fn lock() -> std::sync::MutexGuard<'static, ()> {
     static GUARD: Mutex<()> = Mutex::new(());
     GUARD.lock().unwrap_or_else(|p| p.into_inner())
@@ -51,10 +49,6 @@ fn spill_dirs_leaked() -> bool {
                 .any(|e| e.file_name().to_string_lossy().starts_with(&prefix))
         })
         .unwrap_or(false)
-}
-
-fn permits_drained() -> bool {
-    exec::permits_available() == exec::num_threads() as isize - 1
 }
 
 /// A random query shape: binary atoms over a small variable pool, random
@@ -91,24 +85,20 @@ fn arb_shape() -> impl Strategy<Value = Shape> {
 
 /// One spill case: a workload, a byte limit (log-uniform from 2 KiB — far
 /// below anything useful, forcing denials and recursive re-partitioning —
-/// up to 4 MiB), and an execution schedule.
+/// up to 4 MiB).
 #[derive(Debug, Clone)]
 struct SpillCase {
     shape: Shape,
     limit_log2: u32,
     limit_jitter: u64,
-    threads: usize,
 }
 
 fn arb_case() -> impl Strategy<Value = SpillCase> {
-    (arb_shape(), 11u32..22, 0u64..1024, any::<bool>()).prop_map(
-        |(shape, limit_log2, limit_jitter, parallel)| SpillCase {
-            shape,
-            limit_log2,
-            limit_jitter,
-            threads: if parallel { 4 } else { 1 },
-        },
-    )
+    (arb_shape(), 11u32..22, 0u64..1024).prop_map(|(shape, limit_log2, limit_jitter)| SpillCase {
+        shape,
+        limit_log2,
+        limit_jitter,
+    })
 }
 
 fn build(shape: &Shape) -> (Database, ConjunctiveQuery) {
@@ -164,11 +154,10 @@ proptest! {
 
     /// Strict mode (no fallback ladder, spill on denial): any byte limit
     /// yields either the oracle answer or a clean typed memory/spill
-    /// error, with no leaked temp files and the permit pool drained.
+    /// error, with no leaked temp files.
     #[test]
     fn byte_limits_never_corrupt_results(case in arb_case()) {
         let _g = lock();
-        exec::set_threads_exact(case.threads);
         let (db, q) = build(&case.shape);
         let opt = HybridOptimizer::structural(QhdOptions::default())
             .with_retry(RetryPolicy::none());
@@ -180,7 +169,6 @@ proptest! {
         let out = opt.execute_cq(&db, &q, Budget::unlimited().with_mem_limit(limit));
 
         prop_assert!(!spill_dirs_leaked(), "spill temp files leaked at limit {limit}");
-        prop_assert!(permits_drained(), "permit pool leaked");
         match out.result {
             Ok(rel) => prop_assert!(
                 rel.set_eq(oracle),
@@ -200,7 +188,6 @@ proptest! {
     #[test]
     fn ladder_with_spill_retry_stays_correct(case in arb_case()) {
         let _g = lock();
-        exec::set_threads_exact(case.threads);
         let (db, q) = build(&case.shape);
         let opt = HybridOptimizer::structural(QhdOptions::default());
 
@@ -211,7 +198,6 @@ proptest! {
         let out = opt.execute_cq(&db, &q, Budget::unlimited().with_mem_limit(limit));
 
         prop_assert!(!spill_dirs_leaked(), "spill temp files leaked at limit {limit}");
-        prop_assert!(permits_drained(), "permit pool leaked");
         match out.result {
             Ok(rel) => prop_assert!(rel.set_eq(oracle), "limit {limit} corrupted the answer"),
             Err(e) => prop_assert!(
@@ -229,11 +215,10 @@ proptest! {
     /// engine of the naive rung and every `DbmsSim`) under the same
     /// limits: `ops::natural_join` spills Grace-style or is denied, and
     /// the answer is the unlimited one or a clean typed memory/spill
-    /// error, with no leaked temp files and the permit pool drained.
+    /// error, with no leaked temp files.
     #[test]
     fn byte_limits_never_corrupt_the_join_order_baseline(case in arb_case()) {
         let _g = lock();
-        exec::set_threads_exact(case.threads);
         let (db, q) = build(&case.shape);
         let baseline = |budget: &mut Budget| {
             let answer = evaluate_naive(&db, &q, budget)?;
@@ -246,7 +231,6 @@ proptest! {
         let out = baseline(&mut budget);
 
         prop_assert!(!spill_dirs_leaked(), "spill temp files leaked at limit {limit}");
-        prop_assert!(permits_drained(), "permit pool leaked");
         match out {
             Ok(rel) => prop_assert!(
                 rel.set_eq(&oracle),
@@ -269,7 +253,6 @@ proptest! {
 #[test]
 fn multi_level_recursive_partitioning_matches_oracle() {
     let _g = lock();
-    exec::set_threads_exact(1);
     let mut db = Database::new();
     // Big build side, tiny join output (keys mostly disjoint): the
     // hash table, not the answer, is what exceeds the limit.

@@ -16,7 +16,7 @@
 //!    index-nested-loop join must produce bit-identical rows to the
 //!    scan-and-hash oracle, charging one tuple per output row — and a
 //!    full `evaluate_qhd` run with `index_join` on must match the classic
-//!    path at every thread count.
+//!    path.
 //!
 //! 3. **Slot directory and page → column loader**: after random
 //!    append/update/delete batches (appends that fill pages, a crash and
@@ -326,7 +326,6 @@ fn evaluator_takes_the_seek_path_when_profitable() {
             &plan,
             &mut b,
             &ExecOptions {
-                threads: 1,
                 index_join,
                 ..ExecOptions::default()
             },
@@ -399,15 +398,10 @@ proptest! {
 
     /// End-to-end `evaluate_qhd` on a triangle whose decomposition packs
     /// two atoms into one vertex: with indexes loaded from disk,
-    /// `index_join` on must match `index_join` off at every thread count
-    /// (the answer and the tuple charges are schedule-independent within
-    /// each mode).
+    /// `index_join` on must match `index_join` off (the answer; the tuple
+    /// charges repeat exactly within each mode).
     #[test]
-    fn qhd_with_index_join_matches_classic_path(
-        case in arb_join_case(),
-        threads_idx in 0usize..3,
-    ) {
-        let threads = [1usize, 2, 4][threads_idx];
+    fn qhd_with_index_join_matches_classic_path(case in arb_join_case()) {
         let dir = scratch("qhd");
         let storage = StorageDb::open(&dir).unwrap();
         for name in ["t0", "t1", "t2"] {
@@ -428,32 +422,27 @@ proptest! {
             .build();
         let plan = q_hypertree_decomp(&q, &QhdOptions::default(), &StructuralCost).unwrap();
 
-        let run = |index_join: bool, threads: usize| {
+        let run = |index_join: bool| {
             let mut b = Budget::unlimited();
             let r = evaluate_qhd_with(&db, &q, &plan, &mut b, &ExecOptions {
-                threads,
                 index_join,
                 ..ExecOptions::default()
             })
             .unwrap();
             (r, b.charged())
         };
-        let (classic, classic_charge) = run(false, 1);
+        let (classic, classic_charge) = run(false);
         let mut naive_budget = Budget::unlimited();
         let naive = htqo_eval::evaluate_naive(&db, &q, &mut naive_budget).unwrap();
         prop_assert!(classic.set_eq(&naive), "classic path drifted from the join-order reference");
-        let mut seek_charge = None;
-        for t in [1usize, threads] {
-            let (seek, charged) = run(true, t);
-            prop_assert!(seek.set_eq(&classic), "index_join answer drifted (threads={t})");
-            match seek_charge {
-                None => seek_charge = Some(charged),
-                Some(c) => prop_assert_eq!(charged, c, "seek charges must be schedule-independent"),
-            }
-            let (classic2, c2) = run(false, t);
-            prop_assert!(classic2.set_eq(&classic));
-            prop_assert_eq!(c2, classic_charge);
-        }
+        let (seek, seek_charge) = run(true);
+        prop_assert!(seek.set_eq(&classic), "index_join answer drifted");
+        let (seek2, c2) = run(true);
+        prop_assert!(seek2.set_eq(&classic));
+        prop_assert_eq!(c2, seek_charge, "seek charges must repeat exactly");
+        let (classic2, c2) = run(false);
+        prop_assert!(classic2.set_eq(&classic));
+        prop_assert_eq!(c2, classic_charge);
         std::fs::remove_dir_all(&dir).ok();
     }
 }
