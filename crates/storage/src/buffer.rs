@@ -24,9 +24,14 @@
 //! the edits), and the data file changes in exactly one place,
 //! [`BufferPool::flush`], under the rule `write_back` implements: *a
 //! page is written in place only after a record holding its full image
-//! is durable in the log*. The kept edits are as many bytes as the slot
+//! is durable in the log*. (Recovery's `BufferPool::restore_image` is the
+//! same rule read backwards: it puts back an image the log already
+//! holds.) The kept edits are as many bytes as the slot
 //! records that carry them, so the checkpoint threshold that bounds the
 //! log bounds them too; they are not charged against the [`Budget`].
+//! They survive a restart the way they arose: recovery hands the log's
+//! committed slot records to `apply_logged` again, before any page is
+//! cached, and the pool's first opener sizes it (`BufferPool::resize`).
 //!
 //! Without a WAL the pool is a plain write-back cache:
 //! [`BufferPool::update`] dirties a frame and eviction, flush or drop
@@ -41,10 +46,10 @@ use std::fmt;
 use std::ops::Deref;
 use std::sync::{Arc, Mutex};
 
-/// Pages one round of [`BufferPool::flush`] (or of recovery's redo) logs,
-/// syncs and writes together: bounds the images held in memory while the
-/// log sync they wait for is shared.
-pub(crate) const WRITE_BACK_CHUNK: usize = 128;
+/// Pages one round of [`BufferPool::flush`] logs, syncs and writes
+/// together: bounds the images held in memory while the log sync they
+/// wait for is shared.
+const WRITE_BACK_CHUNK: usize = 128;
 
 /// Observability counters for one pool.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -68,9 +73,10 @@ pub struct PoolStats {
 /// go to `wal`, the log is synced once, and only then is each page
 /// written in place (`written` hears of each as it lands). A crash in
 /// between leaves either untouched pages or images recovery restores
-/// them from. Without a log (a pool no commit has touched) the pages are
-/// simply written.
-pub(crate) fn write_back(
+/// them from. Without a log — a pool no commit has touched, or recovery
+/// putting back an image the log already holds — the pages are simply
+/// written.
+fn write_back(
     wal: Option<&Wal>,
     files: &mut [PageFile],
     pages: &[(usize, u64, &[u8])],
@@ -233,6 +239,11 @@ impl Inner {
     }
 }
 
+/// Whole pages in `cap_bytes`, at least one.
+fn frames_for(cap_bytes: u64) -> usize {
+    (cap_bytes / PAGE_SIZE as u64).max(1) as usize
+}
+
 /// A shared page cache over one [`PageFile`].
 pub struct BufferPool {
     inner: Mutex<Inner>,
@@ -252,7 +263,7 @@ impl BufferPool {
     /// against it and uncharges on eviction or drop, so cached pages
     /// compete with query memory in one pool.
     pub fn new(file: PageFile, cap_bytes: u64, budget: Option<Budget>) -> Self {
-        let cap = ((cap_bytes / PAGE_SIZE as u64).max(1)) as usize;
+        let cap = frames_for(cap_bytes);
         let next_pid = file.pages();
         BufferPool {
             inner: Mutex::new(Inner {
@@ -282,6 +293,18 @@ impl BufferPool {
     /// a page's image before overwriting it.
     pub fn attach_wal(&self, wal: Arc<Wal>) {
         self.lock().wal = Some(wal);
+    }
+
+    /// Gives a pool that has cached nothing yet its capacity and budget
+    /// (as in [`BufferPool::new`]): recovery opens a table's pool to hand
+    /// it the log's edits before any reader has said how much cache the
+    /// table gets.
+    pub(crate) fn resize(&self, cap_bytes: u64, budget: Option<Budget>) {
+        let mut inner = self.lock();
+        assert!(inner.frames.is_empty(), "resize of a pool in use");
+        inner.cap = frames_for(cap_bytes);
+        inner.stats.capacity = inner.cap;
+        inner.budget = budget;
     }
 
     /// Pins page `pid` and returns a read guard; the page cannot be
@@ -340,6 +363,27 @@ impl BufferPool {
             frame.referenced = true;
         }
         inner.kept.entry(pid).or_default().extend_from_slice(edits);
+        Ok(())
+    }
+
+    /// Recovery's in-place write: `image` is the last full image the log
+    /// holds of page `pid`, so the page may be overwritten with it — the
+    /// write-back rule's condition was met by whoever logged it, and the
+    /// log is kept. Edits taken for the page so far sit in front of that
+    /// image in the log and are dropped; the ones behind it follow through
+    /// [`BufferPool::apply_logged`]. Nothing is synced: until a checkpoint
+    /// empties the log, the next recovery does the same again.
+    pub(crate) fn restore_image(&self, pid: u64, image: &[u8]) -> Result<(), EvalError> {
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        assert!(
+            !inner.map.contains_key(&pid),
+            "image restored under a cached page"
+        );
+        inner.kept.remove(&pid);
+        let file = std::slice::from_mut(&mut inner.file);
+        write_back(None, file, &[(0, pid, image)], |_| {})?;
+        inner.next_pid = inner.next_pid.max(pid + 1);
         Ok(())
     }
 
@@ -678,6 +722,39 @@ mod tests {
         assert_eq!(crate::page::cells(&buf).unwrap(), [b"fresh".to_vec()]);
         file.read(3, &mut buf).unwrap();
         assert_eq!(crate::page::cells(&buf).unwrap(), [vec![3, 0], vec![3, 1]]);
+    }
+
+    /// Recovery's order of business on one pool: edits, an image that
+    /// holds them, edits behind it — before the pool is sized or caches a
+    /// page. The image lands in the file (past its end, too), the edits in
+    /// front of it are forgotten and the ones behind it are kept.
+    #[test]
+    fn a_restored_image_replaces_the_edits_in_front_of_it() {
+        let pool = logged_pool("restore", 2, 1, None);
+        let path = pool.lock().file.path().to_path_buf();
+        pool.apply_logged(1, &push(0, b"in the image")).unwrap();
+        let fresh = pool.create_page().unwrap();
+        pool.apply_logged(fresh, &push(0, b"also")).unwrap();
+        let image = |cell: &[u8]| crate::page::rebuild(&[cell.to_vec()]).unwrap();
+        pool.restore_image(1, &image(b"in the image")).unwrap();
+        pool.restore_image(fresh, &image(b"also")).unwrap();
+        pool.apply_logged(1, &push(1, b"behind it")).unwrap();
+        assert_eq!((pool.file_pages(), pool.next_pid()), (3, 3));
+
+        pool.resize(2 * PAGE_SIZE as u64, None);
+        assert_eq!(pool.stats().capacity, 2);
+        let cells = crate::page::cells(&pool.pin(1).unwrap()).unwrap();
+        assert_eq!(cells, [b"in the image".to_vec(), b"behind it".to_vec()]);
+        let cells = crate::page::cells(&pool.pin(fresh).unwrap()).unwrap();
+        assert_eq!(cells, [b"also".to_vec()]);
+        drop(pool);
+        let mut file = PageFile::open(&path).unwrap();
+        let mut buf = vec![0u8; PAGE_SIZE];
+        file.read(1, &mut buf).unwrap();
+        assert_eq!(
+            crate::page::cells(&buf).unwrap(),
+            [b"in the image".to_vec()]
+        );
     }
 
     /// A checkpoint with many dirty pages logs their images through a

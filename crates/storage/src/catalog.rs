@@ -20,28 +20,32 @@
 //! same edits to the shared [`BufferPool`], which applies them to its
 //! frames in place. The pool therefore only ever serves committed state,
 //! and recovery ([`StorageDb::recover`]) restores exactly the committed
-//! prefix by replaying the log (see [`crate::wal`] for the record kinds
-//! and the replay rule).
+//! prefix by doing the second half of those commits again: the log's slot
+//! records go to the pools, its last catalog text per table is staged,
+//! and the log itself is kept (see [`crate::wal`] for the record kinds,
+//! the replay rule and the cut).
 //! A commit writes nothing but the log: the new catalog entry is kept in
 //! memory, the changed cells in the pool, and the *files* — catalog and
-//! pages alike — are written at ingest, checkpoint and recovery only,
-//! each page behind a logged image of itself
-//! (`buffer::write_back`).
+//! pages alike — are written at ingest and checkpoint only, each page
+//! behind a logged image of itself (`BufferPool::flush`). A restart
+//! rewrites nothing: only a page whose image a killed checkpoint left in
+//! the log is put back in place.
 //! Deletes leave zero-length **tombstone** cells so physical rowids
 //! (slot positions) stay stable; mutations drop a table's secondary
 //! indexes, which are bulk-loaded structures rebuilt at the next ingest.
 //!
 //! On the next run, [`StorageDb::load_database`] first runs the recovery
-//! pass (scan → validate → redo, torn tail tolerated), then rebuilds the
+//! pass (scan → validate → cut → redo into the pools, torn tail
+//! tolerated), then rebuilds the
 //! in-memory [`Database`] by decoding heap pages through per-table
 //! buffer pools — skipping CSV parsing entirely — and re-attaches each
 //! index as a [`crate::btree::PagedIndex`] reading through the same
 //! pool, so index-seek joins stay cache-governed after the warm start.
 
 use crate::btree::{self, IndexMeta, PagedIndex};
-use crate::buffer::{self, BufferPool, WRITE_BACK_CHUNK};
+use crate::buffer::BufferPool;
 use crate::codec;
-use crate::page::{self, PageBuilder, MAX_CELL, PAGE_SIZE};
+use crate::page::{self, PageBuilder, MAX_CELL};
 use crate::pager::PageFile;
 use crate::wal::{self, SlotOp, Wal, WalPolicy, WalRecord, WalStats};
 use htqo_engine::{Budget, ColumnType, Database, EvalError, MemIndex, Relation, Schema, Value};
@@ -63,23 +67,31 @@ pub const DEFAULT_CHECKPOINT_BYTES: u64 = 4 * 1024 * 1024;
 pub type LoadedIndexes = Vec<(String, Arc<PagedIndex>)>;
 
 /// Resolves the page-cache byte budget from `HTQO_PAGE_CACHE`
-/// (suffixes as in [`htqo_engine::exec::parse_bytes`]).
-pub fn cache_bytes_from_env() -> u64 {
-    std::env::var("HTQO_PAGE_CACHE")
-        .ok()
-        .as_deref()
-        .and_then(htqo_engine::exec::parse_bytes)
-        .unwrap_or(DEFAULT_CACHE_BYTES)
+/// (suffixes as in [`htqo_engine::exec::parse_bytes`]; unset means
+/// [`DEFAULT_CACHE_BYTES`], a value that does not parse is an error).
+pub fn cache_bytes_from_env() -> Result<u64, EvalError> {
+    let raw = wal::env_value("HTQO_PAGE_CACHE")?;
+    bytes_knob("HTQO_PAGE_CACHE", raw.as_deref(), DEFAULT_CACHE_BYTES)
 }
 
 /// Resolves the auto-checkpoint threshold from `HTQO_WAL_CHECKPOINT`
-/// (suffixes as in [`htqo_engine::exec::parse_bytes`]).
-pub fn checkpoint_bytes_from_env() -> u64 {
-    std::env::var("HTQO_WAL_CHECKPOINT")
-        .ok()
-        .as_deref()
-        .and_then(htqo_engine::exec::parse_bytes)
-        .unwrap_or(DEFAULT_CHECKPOINT_BYTES)
+/// (suffixes as in [`htqo_engine::exec::parse_bytes`]; unset means
+/// [`DEFAULT_CHECKPOINT_BYTES`], a value that does not parse is an error —
+/// the threshold bounds the log a restart has to read).
+pub fn checkpoint_bytes_from_env() -> Result<u64, EvalError> {
+    let raw = wal::env_value("HTQO_WAL_CHECKPOINT")?;
+    bytes_knob(
+        "HTQO_WAL_CHECKPOINT",
+        raw.as_deref(),
+        DEFAULT_CHECKPOINT_BYTES,
+    )
+}
+
+fn bytes_knob(name: &str, raw: Option<&str>, default: u64) -> Result<u64, EvalError> {
+    match raw {
+        None => Ok(default),
+        Some(v) => htqo_engine::exec::parse_bytes(v).ok_or_else(|| wal::bad_env(name, v)),
+    }
 }
 
 /// Resolves the storage directory from `HTQO_STORAGE_DIR` (default
@@ -154,15 +166,24 @@ impl TableMeta {
 pub struct RecoveryReport {
     /// WAL bytes scanned.
     pub wal_bytes: u64,
-    /// Committed batches replayed.
+    /// Committed batches replayed — every batch since the last
+    /// checkpoint, which a restart no longer is.
     pub batches_replayed: u64,
-    /// Pages rewritten in the data files.
+    /// Pages the log carries redo for (an image, slot records, or both).
     pub pages_redone: u64,
     /// Of those, pages whose replay started from an image in the log
     /// rather than from the data file.
     pub images_restored: u64,
-    /// Slot records of committed batches applied on top.
+    /// In-place page writes: one per image in the log, so zero unless a
+    /// checkpoint was killed inside its write-back (or the log is of the
+    /// image-per-commit format).
+    pub pages_written: u64,
+    /// Slot records of committed batches applied on top — handed to the
+    /// pools as kept edits, not written anywhere.
     pub slot_records_redone: u64,
+    /// Bytes of edits those records carry: what the pools keep in memory
+    /// until the next checkpoint.
+    pub kept_bytes: u64,
     /// Catalog records redone.
     pub catalogs_redone: u64,
     /// True when the scan stopped at a torn or corrupt record.
@@ -179,16 +200,15 @@ pub struct RecoveryReport {
 }
 
 impl RecoveryReport {
-    /// True when recovery actually changed or discarded anything (a
-    /// clean restart reports all-zero).
+    /// True when recovery replayed, wrote or discarded anything (a
+    /// restart behind a checkpoint reports all-zero but for the bytes
+    /// scanned).
     pub fn did_work(&self) -> bool {
-        *self != RecoveryReport::default() && {
-            let clean = RecoveryReport {
-                wal_bytes: self.wal_bytes,
-                ..RecoveryReport::default()
-            };
-            *self != clean
-        }
+        let clean = RecoveryReport {
+            wal_bytes: self.wal_bytes,
+            ..RecoveryReport::default()
+        };
+        *self != clean
     }
 }
 
@@ -304,10 +324,13 @@ impl SlotDirectory {
 }
 
 /// What the handle family keeps per table between calls: created by the
-/// first `load_table`/`apply`, dropped whole by `simulate_crash`,
-/// `recover` and `ingest`.
+/// first `load_table`/`apply` — or by `recover`, for a table the log
+/// commits to — and dropped whole by `simulate_crash` and `ingest`.
 struct OpenTable {
     pool: Arc<BufferPool>,
+    /// True for a pool recovery opened and no caller has sized yet: the
+    /// first `open_table` gives it its capacity and budget.
+    parked: bool,
     /// The committed catalog entry.
     meta: TableMeta,
     /// True while `meta` is newer than `<name>.cat`: a commit staged it
@@ -322,8 +345,8 @@ struct OpenTable {
 /// Shared mutable state behind every clone of one [`StorageDb`].
 struct DbShared {
     wal: Mutex<Option<Arc<Wal>>>,
-    /// Counts of the log handles this family has already given up (a
-    /// crash simulation, recovery's own appends).
+    /// Counts of the log handles this family has already given up (one
+    /// per crash simulation).
     wal_retired: Mutex<WalStats>,
     recovery: Mutex<Option<RecoveryReport>>,
     /// Held for the length of a load or a commit, which serializes them.
@@ -359,9 +382,10 @@ impl std::fmt::Debug for StorageDb {
 impl StorageDb {
     /// Opens (creating if needed) the storage directory, with the WAL
     /// policy from `HTQO_WAL` and the checkpoint threshold from
-    /// `HTQO_WAL_CHECKPOINT`.
+    /// `HTQO_WAL_CHECKPOINT`. A variable set to a value that does not
+    /// parse is an error naming it, never the default.
     pub fn open(dir: &Path) -> Result<Self, EvalError> {
-        Self::open_with(dir, WalPolicy::from_env(), checkpoint_bytes_from_env())
+        Self::open_with(dir, WalPolicy::from_env()?, checkpoint_bytes_from_env()?)
     }
 
     /// Opens with an explicit WAL policy and auto-checkpoint threshold
@@ -371,12 +395,13 @@ impl StorageDb {
         policy: WalPolicy,
         checkpoint_bytes: u64,
     ) -> Result<Self, EvalError> {
+        let cache_bytes = cache_bytes_from_env()?;
         std::fs::create_dir_all(dir).map_err(|e| io_err(dir, "create dir", e))?;
         Ok(StorageDb {
             dir: dir.to_path_buf(),
             policy,
             checkpoint_bytes,
-            cache_bytes: cache_bytes_from_env(),
+            cache_bytes,
             shared: Arc::new(DbShared {
                 wal: Mutex::new(None),
                 wal_retired: Mutex::new(WalStats::default()),
@@ -464,13 +489,21 @@ impl StorageDb {
     }
 
     /// The recovery pass: scans the WAL (validating checksums, torn tail
-    /// tolerated), redoes every page the log mentions, truncates the
-    /// log, and garbage-collects orphan generation files. Idempotent — a
-    /// page is rebuilt from its last logged image or from the data file,
-    /// and the data file is overwritten only behind a logged image of the
-    /// result, so replaying twice (e.g. after a crash *during* recovery)
-    /// lands in the same state. Returns what it did; on a handle that
-    /// already recovered, returns the stored report without rescanning.
+    /// tolerated), cuts it behind its committed prefix, and does for every
+    /// committed batch what its commit did after logging it — the slot
+    /// records go to the owning table's pool as kept edits, the table's
+    /// last logged catalog text becomes its staged entry — then keeps the
+    /// log open for the next commit and garbage-collects orphan
+    /// generation files. No data or catalog file is written and nothing
+    /// is synced; only a page whose image is in the log (a checkpoint
+    /// killed inside its write-back) is put back in place, from that
+    /// image. The next checkpoint, not the restart, brings the files up
+    /// to date and empties the log. Idempotent: it changes nothing a
+    /// second pass would read differently, so a crash *during* recovery
+    /// is just a crash. A slot record that does not fit its page surfaces
+    /// as a typed error at the first read of that page. Returns what it
+    /// did; on a handle that already recovered, returns the stored report
+    /// without rescanning.
     pub fn recover(&self) -> Result<RecoveryReport, EvalError> {
         let mut slot = lock(&self.shared.recovery);
         if self.shared.recovered.load(Ordering::Acquire) {
@@ -488,121 +521,146 @@ impl StorageDb {
     }
 
     fn recover_inner(&self) -> Result<RecoveryReport, EvalError> {
-        // Open-table state (staged catalog entries, pools over pre-redo
-        // bytes) died with the crash or is superseded by the replay; it
-        // must not shadow the recovered files.
+        // Open-table state died with the crash; a failed earlier attempt
+        // may have left some behind.
         lock(&self.shared.tables).clear();
-        let scan = wal::scan(&self.wal_path())?;
+        let path = self.wal_path();
+        let scan = wal::scan(&path)?;
         let mut report = RecoveryReport {
             wal_bytes: scan.bytes,
             torn_tail: scan.torn_tail,
             dropped_records: scan.dropped_records,
             ..RecoveryReport::default()
         };
-        /// What the log holds for one page: its last image and the slot
-        /// records of committed batches behind that image.
-        #[derive(Default)]
-        struct Redo {
-            image: Option<Vec<u8>>,
-            slots: Vec<Vec<u8>>,
-        }
-        // Pages by (index into `names`, pid): page files in the order the
-        // log first mentions them.
-        let mut names: Vec<String> = Vec::new();
-        let mut file_index = |file: String| {
-            let known = names.iter().position(|n| *n == file);
-            known.unwrap_or_else(|| {
-                names.push(file);
-                names.len() - 1
-            })
-        };
-        let mut pages: BTreeMap<(usize, u64), Redo> = BTreeMap::new();
-        // Catalog records are full replacements: only each table's last
-        // one is worth writing.
-        let mut catalogs: BTreeMap<String, String> = BTreeMap::new();
-        for (i, rec) in scan.records.into_iter().enumerate() {
-            let committed = i < scan.committed;
-            match rec {
-                // An image stands on its own checksum — except in a log
-                // of the old format, where it is a member of its batch.
-                WalRecord::Page { file, pid, image } if committed || !scan.batch_images => {
-                    let redo = pages.entry((file_index(file), pid)).or_default();
-                    redo.image = Some(image);
-                    redo.slots.clear();
-                }
-                WalRecord::Slots { file, pid, edits } if committed => {
-                    let redo = pages.entry((file_index(file), pid)).or_default();
-                    redo.slots.push(edits);
-                }
-                WalRecord::Catalog { table, text } if committed => {
-                    catalogs.insert(table, text);
-                    report.catalogs_redone += 1;
-                }
-                WalRecord::Commit { .. } => report.batches_replayed += 1,
-                // A batch whose commit marker never made it.
-                _ => {}
-            }
-        }
-
-        // The images of the redone pages go to the log they are redone
-        // from, behind its last valid record: a torn in-place write below
-        // is then repaired by the next recovery, from that image.
-        let wal = if pages.is_empty() {
-            None
-        } else {
+        if scan.keep_len >= wal::WAL_HEADER {
+            // The cut comes first: from here on the file ends with its
+            // last committed record (or an image), whatever happens below.
             let budget = lock(&self.shared.budget).clone();
-            let path = self.wal_path();
-            Some(Wal::resume(&path, self.policy, budget, scan.valid_len)?)
-        };
-        let mut files = Vec::with_capacity(names.len());
-        for name in &names {
-            files.push(open_repair(&self.dir.join(name))?);
-        }
-        let mut pages: Vec<_> = pages.into_iter().collect();
-        for chunk in pages.chunks_mut(WRITE_BACK_CHUNK) {
-            let mut redone = Vec::with_capacity(chunk.len());
-            for ((file, pid), redo) in chunk {
-                let mut page = match redo.image.take() {
-                    Some(image) => {
-                        report.images_restored += 1;
-                        image
-                    }
-                    None => {
-                        let mut buf = vec![0u8; PAGE_SIZE];
-                        if *pid < files[*file].pages() {
-                            files[*file].read(*pid, &mut buf)?;
-                        }
-                        buf
-                    }
-                };
-                for edits in &redo.slots {
-                    wal::apply_edits(&mut page, edits)?;
-                }
-                report.slot_records_redone += redo.slots.len() as u64;
-                redone.push((*file, *pid, page));
-            }
-            let images: Vec<_> = redone
-                .iter()
-                .map(|(f, pid, p)| (*f, *pid, &p[..]))
-                .collect();
-            let written = &mut report.pages_redone;
-            buffer::write_back(wal.as_ref(), &mut files, &images, |_| *written += 1)?;
-        }
-        for file in &mut files {
-            file.sync()?;
-        }
-        if let Some(wal) = wal {
-            lock(&self.shared.wal_retired).absorb(wal.stats());
-        }
-        self.write_catalogs(catalogs.iter().map(|(t, text)| (t.as_str(), text.as_str())))?;
-        // Everything replayed and durable: restart the log empty.
-        if self.wal_path().exists() {
-            drop(Wal::open(&self.wal_path(), self.policy, None)?);
+            let wal = Arc::new(Wal::resume(&path, self.policy, budget, &scan)?);
+            let tables = self.replay(&scan.records[..scan.keep], &wal, &mut report)?;
+            *lock(&self.shared.tables) = tables;
+            *lock(&self.shared.wal) = Some(wal);
         }
         let (removed, unreadable) = self.gc_orphans()?;
         report.orphans_removed = removed;
         report.unreadable_catalogs = unreadable;
         Ok(report)
+    }
+
+    /// The "apply" half of every committed batch in `records` (a log's
+    /// kept prefix, so every slot and catalog record in it is committed
+    /// and every image stands): opens each table the log commits to with
+    /// its last logged catalog entry staged, and hands its pool the log's
+    /// images and slot records in log order.
+    fn replay(
+        &self,
+        records: &[WalRecord],
+        wal: &Arc<Wal>,
+        report: &mut RecoveryReport,
+    ) -> Result<HashMap<String, OpenTable>, EvalError> {
+        // Catalog records are full replacements: each table's last one is
+        // its committed entry.
+        let mut texts: BTreeMap<&str, &str> = BTreeMap::new();
+        for rec in records {
+            if let WalRecord::Catalog { table, text } = rec {
+                texts.insert(table, text);
+                report.catalogs_redone += 1;
+            }
+        }
+        /// What the log holds for one page, so far.
+        #[derive(Default)]
+        struct Redo {
+            imaged: bool,
+            slot_records: u64,
+            kept_bytes: u64,
+        }
+        /// A page file the log commits to: its pool, and its pages by pid.
+        struct Target {
+            file: String,
+            pool: Arc<BufferPool>,
+            pages: HashMap<u64, Redo>,
+        }
+        let mut tables = HashMap::with_capacity(texts.len());
+        let mut targets = Vec::with_capacity(texts.len());
+        let log = self.wal_path();
+        for (name, text) in texts {
+            let meta = Self::parse_catalog(&log, name, text)?;
+            let file = open_repair(&self.dir.join(&meta.file))?;
+            // Sized by its first opener (`parked`); until then it caches
+            // nothing, it only keeps edits.
+            let pool = Arc::new(BufferPool::new(file, 0, None));
+            pool.attach_wal(Arc::clone(wal));
+            targets.push(Target {
+                file: meta.file.clone(),
+                pool: Arc::clone(&pool),
+                pages: HashMap::new(),
+            });
+            let table = OpenTable {
+                pool,
+                parked: true,
+                meta,
+                staged: true,
+                slots: None,
+            };
+            tables.insert(name.to_string(), table);
+        }
+
+        // Every commit logs its table's catalog entry next to its slot
+        // records, so a page file the log names is one opened above (a
+        // handful: found by name, not hashed).
+        fn target_of<'a>(
+            targets: &'a mut [Target],
+            file: &str,
+            pid: u64,
+        ) -> Result<&'a mut Target, EvalError> {
+            targets.iter_mut().find(|t| t.file == file).ok_or_else(|| {
+                EvalError::SpillIo(format!(
+                    "wal record for page {pid} of {file}, which no catalog record in the log names"
+                ))
+            })
+        }
+        for rec in records {
+            match rec {
+                WalRecord::Commit { .. } => report.batches_replayed += 1,
+                WalRecord::Catalog { .. } => {}
+                WalRecord::Page { file, pid, image } => {
+                    let target = target_of(&mut targets, file, *pid)?;
+                    target.pool.restore_image(*pid, image)?;
+                    report.pages_written += 1;
+                    // The slot records in front of an image are in it.
+                    let imaged = Redo {
+                        imaged: true,
+                        ..Redo::default()
+                    };
+                    target.pages.insert(*pid, imaged);
+                }
+                WalRecord::Slots { file, pid, edits } => {
+                    let Target { pool, pages, .. } = target_of(&mut targets, file, *pid)?;
+                    // A batch numbers its fresh pages from the end of the
+                    // file, in log order.
+                    let next = pool.next_pid();
+                    if *pid > next {
+                        return Err(EvalError::SpillIo(format!(
+                            "wal slot record for page {pid} of {file}, which has {next} pages"
+                        )));
+                    }
+                    if *pid == next {
+                        pool.create_page()?;
+                    }
+                    pool.apply_logged(*pid, edits)?;
+                    let redo = pages.entry(*pid).or_default();
+                    redo.slot_records += 1;
+                    redo.kept_bytes += edits.len() as u64;
+                }
+            }
+        }
+        for redo in targets.iter().flat_map(|t| t.pages.values()) {
+            report.pages_redone += 1;
+            report.images_restored += u64::from(redo.imaged);
+            report.slot_records_redone += redo.slot_records;
+            report.kept_bytes += redo.kept_bytes;
+        }
+        Ok(tables)
     }
 
     /// Removes page files no catalog references (crash leftovers from a
@@ -667,8 +725,9 @@ impl StorageDb {
 
     // ---- shared infrastructure -----------------------------------------
 
-    /// The WAL handle, created lazily at the first mutation (`apply`
-    /// attaches it to the pool it is about to dirty).
+    /// The WAL handle: the log recovery adopted, or — when it found none —
+    /// a fresh one created at the first mutation (`apply` attaches it to
+    /// the pool it is about to dirty).
     fn wal_handle(&self) -> Result<Arc<Wal>, EvalError> {
         let mut slot = lock(&self.shared.wal);
         if let Some(w) = slot.as_ref() {
@@ -682,7 +741,8 @@ impl StorageDb {
 
     /// What this handle family has written to its log: bytes appended per
     /// record kind, commits and fsyncs, summed over every log handle it
-    /// has held (a crash simulation and recovery each open their own).
+    /// has held (each crash simulation gives one up, each recovery
+    /// reopens the file).
     pub fn wal_stats(&self) -> WalStats {
         let mut stats = *lock(&self.shared.wal_retired);
         if let Some(wal) = lock(&self.shared.wal).as_ref() {
@@ -693,7 +753,8 @@ impl StorageDb {
 
     /// The open state of table `name`, created on first use: its catalog
     /// file is read once and its pool gets `cache_bytes` capacity and
-    /// `budget`.
+    /// `budget` — as does a pool recovery opened, at its first use here.
+    /// Later callers share the pool as it is.
     fn open_table<'a>(
         &self,
         tables: &'a mut HashMap<String, OpenTable>,
@@ -702,12 +763,19 @@ impl StorageDb {
         budget: Option<Budget>,
     ) -> Result<&'a mut OpenTable, EvalError> {
         Ok(match tables.entry(name.to_string()) {
-            Entry::Occupied(e) => e.into_mut(),
+            Entry::Occupied(e) => {
+                let table = e.into_mut();
+                if std::mem::take(&mut table.parked) {
+                    table.pool.resize(cache_bytes, budget);
+                }
+                table
+            }
             Entry::Vacant(e) => {
                 let meta = self.read_catalog(name)?;
                 let file = PageFile::open(&self.dir.join(&meta.file))?;
                 e.insert(OpenTable {
                     pool: Arc::new(BufferPool::new(file, cache_bytes, budget)),
+                    parked: false,
                     meta,
                     staged: false,
                     slots: None,
@@ -736,7 +804,8 @@ impl StorageDb {
         self.flush_staged(&mut tables)?;
         drop(tables);
         // Crash window: data durable, log not yet truncated — recovery
-        // replays the (idempotent) records onto identical bytes.
+        // finds every page it has records for imaged, and puts the same
+        // bytes back.
         htqo_engine::fail_point!("storage::checkpoint");
         if let Some(w) = &wal {
             w.reset()?;
@@ -931,6 +1000,13 @@ impl StorageDb {
     fn read_catalog(&self, name: &str) -> Result<TableMeta, EvalError> {
         let path = &self.cat_path(name);
         let text = std::fs::read_to_string(path).map_err(|e| io_err(path, "read", e))?;
+        Self::parse_catalog(path, name, &text)
+    }
+
+    /// The entry of table `name` that catalog `text` spells out; `path`
+    /// (the catalog file, or the log a record came from) names it in
+    /// errors.
+    fn parse_catalog(path: &Path, name: &str, text: &str) -> Result<TableMeta, EvalError> {
         let mut lines = text.lines();
         match lines.next() {
             Some(CATALOG_HEADER) => {}
@@ -1411,12 +1487,10 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Opens a page file for recovery, first truncating any torn tail (a
-/// crash mid-write can leave a non-page-aligned length; the redo records
-/// recreate whatever the tear destroyed).
+/// checkpoint killed while it extended the file can leave a
+/// non-page-aligned length; the images it logged first recreate whatever
+/// the tear destroyed).
 fn open_repair(path: &Path) -> Result<PageFile, EvalError> {
-    if !path.exists() {
-        return PageFile::create(path);
-    }
     let len = std::fs::metadata(path)
         .map_err(|e| io_err(path, "stat", e))?
         .len();
@@ -1583,7 +1657,7 @@ mod tests {
         assert!(rows.iter().any(|r| r[0] == Value::Int(101)));
 
         // …and after a full restart (checkpoint not required: the WAL
-        // replays into the data file).
+        // replays into the pool).
         storage.simulate_crash();
         let storage2 = StorageDb::open(&dir).unwrap();
         let report = storage2.recover().unwrap();
@@ -1800,6 +1874,197 @@ mod tests {
         assert!(fresh > last && slot == 0);
         assert_eq!(last_batch_slot_pids(&dir), [fresh]);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every file of the directory, by name.
+    fn dir_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+        let entries = std::fs::read_dir(dir).unwrap();
+        let file = |e: std::io::Result<std::fs::DirEntry>| {
+            let path = e.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).unwrap())
+        };
+        entries.map(file).collect()
+    }
+
+    /// A restart reads the log and rewrites nothing: over a log of slot,
+    /// catalog and commit records, recovery leaves every file of the
+    /// directory — page files, catalog files, the log — byte for byte as
+    /// the crash left it and syncs nothing, yet every reader sees the
+    /// committed state; run again it does the same again; and the next
+    /// checkpoint is what brings the files up to date.
+    #[test]
+    fn recovery_writes_nothing_it_does_not_have_to() {
+        for policy in [WalPolicy::Commit, WalPolicy::Batch, WalPolicy::Off] {
+            let dir = tmpdir(&format!("nowrite-{policy:?}"));
+            let storage = StorageDb::open_with(&dir, policy, u64::MAX).unwrap();
+            let rel = sample();
+            storage.ingest("t", &rel, &["id"]).unwrap();
+            storage.ingest("u", &rel, &[]).unwrap();
+            let heap_pages = storage.table_meta("t").unwrap().heap_pages();
+            let row = |i: i64| {
+                vec![
+                    Value::Int(i),
+                    Value::str(&format!("appended-{i}")),
+                    Value::Float(0.5),
+                    Value::Date(7),
+                ]
+            };
+            // Updates, deletes, top-up appends and fresh pages, on both
+            // tables, across several commits.
+            for i in 0..6i64 {
+                let mut batch = MutationBatch::new(if i % 3 == 0 { "u" } else { "t" });
+                batch.update(i as u64, row(-i)).delete(100 + i as u64);
+                for j in 0..60 {
+                    batch.append(row(1000 * i + j));
+                }
+                storage.apply(&batch).unwrap();
+            }
+            let meta = storage.table_meta("t").unwrap();
+            assert!(meta.heap_pages() > heap_pages, "fresh pages were created");
+            let rows = |s: &StorageDb, t: &str| s.load_table(t, 1 << 20, None).unwrap().0.to_rows();
+            let committed = [rows(&storage, "t"), rows(&storage, "u")];
+            let last_slot = (0..).find(|&r| storage.locate("t", r).unwrap().is_none());
+            storage.simulate_crash();
+
+            let crashed = dir_files(&dir);
+            let fsyncs = storage.wal_stats().fsyncs;
+            let first = storage.recover().unwrap();
+            assert_eq!(
+                dir_files(&dir),
+                crashed,
+                "{policy:?}: recovery wrote a file"
+            );
+            assert_eq!(storage.wal_stats().fsyncs, fsyncs, "{policy:?}");
+            assert_eq!((first.batches_replayed, first.catalogs_redone), (6, 6));
+            assert_eq!((first.pages_written, first.images_restored), (0, 0));
+            assert!(first.slot_records_redone >= 6 && first.pages_redone >= 4);
+            assert!(first.kept_bytes > 0 && first.kept_bytes < first.wal_bytes);
+            assert!(first.did_work());
+
+            // Invariant 3: everything that reads the store sees the staged
+            // entries and the kept edits.
+            assert_eq!(storage.table_meta("t").unwrap().heap, meta.heap);
+            assert_eq!(storage.table_meta("t").unwrap().rows, meta.rows);
+            assert_eq!(
+                (0..).find(|&r| storage.locate("t", r).unwrap().is_none()),
+                last_slot
+            );
+            assert_eq!([rows(&storage, "t"), rows(&storage, "u")], committed);
+            assert_eq!(dir_files(&dir), crashed, "{policy:?}: a read wrote a file");
+
+            // Invariant 2: a second restart is the first one again.
+            storage.simulate_crash();
+            assert_eq!(storage.recover().unwrap(), first);
+            assert_eq!(dir_files(&dir), crashed);
+
+            // The checkpoint is the writer: pages and catalogs catch up,
+            // the log empties, and the next restart has nothing to do.
+            storage.checkpoint().unwrap();
+            let flushed = dir_files(&dir);
+            assert_ne!(flushed["t.pages"], crashed["t.pages"]);
+            assert_ne!(flushed["u.cat"], crashed["u.cat"]);
+            assert_eq!(flushed["db.wal"].len() as u64, wal::WAL_HEADER);
+            storage.simulate_crash();
+            assert!(!storage.recover().unwrap().did_work());
+            assert_eq!([rows(&storage, "t"), rows(&storage, "u")], committed);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// A pool recovery opened takes its capacity and budget from the
+    /// first reader, as a pool opened by that reader would.
+    #[test]
+    fn a_pool_recovery_opened_is_sized_by_its_first_reader() {
+        let dir = tmpdir("parked");
+        let storage = StorageDb::open_with(&dir, WalPolicy::Commit, u64::MAX).unwrap();
+        storage.ingest("t", &sample(), &[]).unwrap();
+        storage.delete_rows("t", &[0, 1]).unwrap();
+        storage.simulate_crash();
+        storage.recover().unwrap();
+        let pool = Arc::clone(&lock(&storage.shared.tables)["t"].pool);
+        assert_eq!(pool.stats().capacity, 1, "caches nothing until opened");
+        let mut master = Budget::unlimited().with_mem_limit(1 << 30);
+        let observer = master.fork();
+        let cache = 2 * crate::page::PAGE_SIZE as u64;
+        let (rel, _) = storage.load_table("t", cache, Some(master.fork())).unwrap();
+        assert_eq!(rel.len(), sample().len() - 2);
+        assert_eq!(pool.stats().capacity, 2);
+        assert_eq!(
+            observer.mem_used(),
+            cache,
+            "frames charge the reader's budget"
+        );
+        // First open wins, as it does without a restart in between.
+        storage.load_table("t", 8 * cache, None).unwrap();
+        assert_eq!(pool.stats().capacity, 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Invariant 5: restarts neither grow the log nor keep it from being
+    /// emptied — `apply` checkpoints on the same threshold as in a process
+    /// that never crashed, so the log (and the edits the pools keep) stay
+    /// within the threshold plus one batch across any number of restarts.
+    #[test]
+    fn the_log_stays_within_the_threshold_across_restarts() {
+        let dir = tmpdir("bounded");
+        let threshold = 4096u64;
+        let storage = StorageDb::open_with(&dir, WalPolicy::Commit, threshold).unwrap();
+        storage.ingest("t", &sample(), &[]).unwrap();
+        let wal_len = || std::fs::metadata(dir.join("db.wal")).map_or(0, |m| m.len());
+        let (mut largest_batch, mut checkpoints, mut longest) = (0, 0, 0);
+        let mut expected = sample().len();
+        for round in 0..40i64 {
+            let before = wal_len();
+            let rows = (0..4).map(|j| {
+                vec![
+                    Value::Int(round),
+                    Value::str(&format!("round-{round}-{j}")),
+                    Value::Float(1.0),
+                    Value::Date(1),
+                ]
+            });
+            storage.append_rows("t", rows.collect()).unwrap();
+            expected += 4;
+            let after = wal_len();
+            if after > before {
+                largest_batch = largest_batch.max(after - before);
+            } else {
+                checkpoints += 1;
+            }
+            longest = longest.max(after);
+            storage.simulate_crash();
+            let report = storage.recover().unwrap();
+            assert_eq!(wal_len(), after, "a restart changed the log");
+            assert!(report.kept_bytes <= after);
+            // A restart with no commit behind it: the same log again.
+            storage.simulate_crash();
+            assert_eq!(storage.recover().unwrap(), report);
+            assert_eq!(wal_len(), after);
+        }
+        assert!(checkpoints >= 2, "the threshold was never reached");
+        assert!(longest <= threshold + largest_batch, "{longest} bytes");
+        assert_eq!(
+            storage.load_table("t", 1 << 20, None).unwrap().0.len(),
+            expected
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn byte_knobs_parse_or_are_refused_by_name() {
+        for name in ["HTQO_WAL_CHECKPOINT", "HTQO_PAGE_CACHE"] {
+            assert_eq!(bytes_knob(name, None, 77).unwrap(), 77, "unset: default");
+            assert_eq!(bytes_knob(name, Some("4096"), 77).unwrap(), 4096);
+            assert_eq!(bytes_knob(name, Some("2M"), 77).unwrap(), 2 << 20);
+            for bad in ["", "1 MiB", "4x", "-1"] {
+                let err = format!("{}", bytes_knob(name, Some(bad), 77).unwrap_err());
+                assert!(
+                    err.contains(name) && err.contains(&format!("'{bad}'")),
+                    "{err}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -26,27 +26,44 @@
 //! markers; recovery drops a batch whose marker never made it (including
 //! a torn final record, which a mid-write crash can leave behind).
 //!
-//! A **page image** is not part of any batch. It is logged by whoever is
-//! about to overwrite a page of a data file — a checkpoint's
-//! [`crate::buffer::BufferPool::flush`], or recovery itself — under the
-//! one write-back rule: *a page is written in place only after a record
-//! holding its full image is durable in the log*. A torn in-place write
-//! is therefore always repairable, and an image counts wherever it sits
-//! in the log, behind a commit marker or not.
+//! A **page image** is not part of any batch. It is logged by the one
+//! place that overwrites pages of a data file — a checkpoint's
+//! [`crate::buffer::BufferPool::flush`] — under the write-back rule: *a
+//! page is written in place only after a record holding its full image is
+//! durable in the log*. A torn in-place write is therefore always
+//! repairable, and an image counts wherever it sits in the log, behind a
+//! commit marker or not.
 //!
-//! **Replay rule.** Each page starts from its last valid image in the
-//! log, else from the data file (an empty page when the pid is past the
-//! end of the file), and takes in log order the slot records of committed
-//! batches that follow that image. Images are only ever logged while no
-//! commit is in flight (checkpoint and recovery exclude commits), so
-//! "follows the image" and "committed after the image" are the same
-//! records. Replaying twice lands on the same bytes, which is what makes
-//! a crash during recovery safe.
+//! **Replay rule.** Each page is its last valid image in the log, else
+//! its copy in the data file (an empty page when the pid is past the end
+//! of the file), plus in log order the slot records of committed batches
+//! that follow that image. Images are only ever logged while no commit is
+//! in flight (a checkpoint excludes commits), so "follows the image" and
+//! "committed after the image" are the same records. Recovery does not
+//! write that state anywhere: it puts an imaged page back in place (the
+//! image is in the log, so the write-back rule allows it) and hands the
+//! slot records to the buffer pools as kept edits, exactly what the
+//! commits that logged them did. Done twice it does the same twice, which
+//! is what makes a crash during recovery safe.
+//!
+//! **The log outlives a restart.** Recovery cuts the file behind the
+//! records it replays ([`WalScan::keep_len`]: the first slot or catalog
+//! record of a batch whose marker never made it, or the torn frame) and
+//! reopens it there with [`Wal::resume`]; the next commit appends behind
+//! the adopted records, and only a checkpoint ([`Wal::reset`]) empties
+//! the file. The cut comes before any append — and is synced when it
+//! removed anything — so a later marker can never commit the remains of a
+//! crashed batch. For the same reason an append that fails inside a batch
+//! (a denied [`Budget`] reservation) poisons the handle like a failed
+//! write does: the records in front of it must not be adopted either, and
+//! then no image can ever follow an uncommitted slot record in a log.
 //!
 //! Logs written before slot records existed (format version 0) hold page
 //! images only, as members of their batches: [`scan`] reports that in
-//! [`WalScan::batch_images`] and recovery then ignores an image whose
-//! batch never committed.
+//! [`WalScan::batch_images`] and counts an image whose batch never
+//! committed to the tail that is cut. Once cut, such a log reads the same
+//! under either version, and [`Wal::resume`] stamps it with the current
+//! one before anything is appended.
 //!
 //! **Commit protocol.** Appends buffer in memory (byte-charged against
 //! the engine [`Budget`] like every other materialization site, and
@@ -132,15 +149,35 @@ pub enum WalPolicy {
 }
 
 impl WalPolicy {
-    /// Resolves the policy from `HTQO_WAL` (`off`/`commit`/`batch`,
-    /// default `commit`; unknown values fall back to the default).
-    pub fn from_env() -> Self {
-        match std::env::var("HTQO_WAL").ok().as_deref() {
-            Some("off") => WalPolicy::Off,
-            Some("batch") => WalPolicy::Batch,
-            _ => WalPolicy::Commit,
+    /// Resolves the policy from `HTQO_WAL` (`off`/`commit`/`batch`;
+    /// unset means `commit`). Any other value is an error naming it: a
+    /// mistyped policy must not quietly decide what a power cut loses.
+    pub fn from_env() -> Result<Self, EvalError> {
+        Self::parse(env_value("HTQO_WAL")?.as_deref())
+    }
+
+    fn parse(raw: Option<&str>) -> Result<Self, EvalError> {
+        match raw {
+            None | Some("commit") => Ok(WalPolicy::Commit),
+            Some("off") => Ok(WalPolicy::Off),
+            Some("batch") => Ok(WalPolicy::Batch),
+            Some(other) => Err(bad_env("HTQO_WAL", other)),
         }
     }
+}
+
+/// The value of environment variable `name`, `None` when it is unset; a
+/// value that is not Unicode is an error, not an unset variable.
+pub(crate) fn env_value(name: &str) -> Result<Option<String>, EvalError> {
+    match std::env::var(name) {
+        Ok(value) => Ok(Some(value)),
+        Err(std::env::VarError::NotPresent) => Ok(None),
+        Err(std::env::VarError::NotUnicode(raw)) => Err(bad_env(name, &raw.to_string_lossy())),
+    }
+}
+
+pub(crate) fn bad_env(name: &str, value: &str) -> EvalError {
+    EvalError::SpillIo(format!("invalid value '{value}' for {name}"))
 }
 
 /// What one edit of a slot record does to its page.
@@ -307,9 +344,17 @@ pub struct WalScan {
     pub dropped_records: u64,
     /// Bytes in the file when scanned.
     pub bytes: u64,
-    /// Offset one past the last valid record — where recovery resumes
-    /// appending.
+    /// Offset one past the last valid record.
     pub valid_len: u64,
+    /// `records[..keep]` is what recovery replays and leaves in the file:
+    /// everything in front of the first slot or catalog record (in a
+    /// version-0 log, also image) that no commit marker follows. Images
+    /// in front of that record stand; none can sit behind it (see the
+    /// module docs).
+    pub keep: usize,
+    /// Offset one past `records[..keep]` — where recovery cuts the file
+    /// and [`Wal::resume`] appends.
+    pub keep_len: u64,
 }
 
 impl WalScan {
@@ -465,10 +510,11 @@ impl std::fmt::Debug for Wal {
 }
 
 impl Wal {
-    /// Opens `path` as a fresh log (truncating any previous content —
-    /// callers run recovery *before* opening, so anything left in the
-    /// file has already been replayed and checkpointed). WAL buffer
-    /// bytes are charged against `budget` until flushed.
+    /// Creates `path` as an empty log, truncating any previous content:
+    /// for a directory whose recovery found no log to adopt (none, or one
+    /// whose header never made it to the file). A log that holds records
+    /// is reopened with [`Wal::resume`]. WAL buffer bytes are charged
+    /// against `budget` until flushed.
     pub fn open(path: &Path, policy: WalPolicy, budget: Option<Budget>) -> Result<Self, EvalError> {
         let mut file = OpenOptions::new()
             .read(true)
@@ -489,26 +535,53 @@ impl Wal {
         Ok(Self::at(path, policy, budget, file, WAL_HEADER, WAL_HEADER))
     }
 
-    /// Reopens the scanned log at `path` to append behind its last valid
-    /// record (`valid_len` of the [`WalScan`]), cutting off a torn tail —
-    /// how recovery logs the images of the pages it is about to redo
-    /// without giving up the records it redoes them from.
+    /// Reopens the scanned log at `path` to append behind the records
+    /// recovery adopted: cuts the file at [`WalScan::keep_len`], syncs the
+    /// cut (policy permitting) when it removed anything, and stamps a log
+    /// of an older format with the current version. A log with nothing to
+    /// cut is not written at all.
     pub(crate) fn resume(
         path: &Path,
         policy: WalPolicy,
         budget: Option<Budget>,
-        valid_len: u64,
+        scan: &WalScan,
     ) -> Result<Self, EvalError> {
-        assert!(valid_len >= WAL_HEADER, "resuming a log without a header");
-        let file = OpenOptions::new()
+        assert!(
+            scan.keep_len >= WAL_HEADER,
+            "resuming a log without a header"
+        );
+        let mut file = OpenOptions::new()
             .read(true)
             .write(true)
             .open(path)
             .map_err(|e| io_err(path, "open", e))?;
-        file.set_len(valid_len)
-            .map_err(|e| io_err(path, "truncate", e))?;
         // Nothing is known durable: the first sync covers the whole file.
-        Ok(Self::at(path, policy, budget, file, valid_len, 0))
+        let mut durable = 0;
+        let mut fsyncs = 0;
+        if scan.keep_len < scan.bytes {
+            file.set_len(scan.keep_len)
+                .map_err(|e| io_err(path, "truncate", e))?;
+            if policy != WalPolicy::Off {
+                file.sync_all().map_err(|e| io_err(path, "fsync", e))?;
+                (durable, fsyncs) = (scan.keep_len, 1);
+            }
+        }
+        if scan.batch_images {
+            // Behind the (durable) cut every image left belongs to a
+            // committed batch, so the log reads the same under the current
+            // version — whose records are about to follow.
+            file.seek(SeekFrom::Start(8))
+                .and_then(|_| file.write_all(&[WAL_VERSION]))
+                .map_err(|e| io_err(path, "write header", e))?;
+            durable = 0;
+        }
+        let wal = Self::at(path, policy, budget, file, scan.keep_len, durable);
+        {
+            let mut inner = wal.lock();
+            inner.batch_seq = scan.batches() as u64;
+            inner.stats.fsyncs = fsyncs;
+        }
+        Ok(wal)
     }
 
     fn at(
@@ -567,7 +640,12 @@ impl Wal {
             // Hard reservation (like the buffer pool): a denied append
             // is a MemoryExceeded before the bytes are buffered, and a
             // granted one is immediately visible to sibling handles.
-            b.reserve_bytes((FRAME + len) as u64)?;
+            if let Err(denied) = b.reserve_bytes((FRAME + len) as u64) {
+                // Inside a batch the records in front of this one stay
+                // behind, and the next commit marker would adopt them.
+                inner.poisoned |= tag != TAG_PAGE;
+                return Err(denied);
+            }
         }
         let start = inner.pending.len();
         inner.pending.extend_from_slice(&(len as u32).to_le_bytes());
@@ -776,6 +854,8 @@ pub fn scan(path: &Path) -> Result<WalScan, EvalError> {
     out.batch_images = data[8] < WAL_VERSION;
     let mut off = WAL_HEADER as usize;
     let mut uncommitted = 0u64;
+    // The first record of the batch no marker has closed yet.
+    let mut open_batch: Option<(usize, u64)> = None;
     while off < data.len() {
         if off + FRAME > data.len() {
             out.torn_tail = true;
@@ -799,14 +879,19 @@ pub fn scan(path: &Path) -> Result<WalScan, EvalError> {
             WalRecord::Commit { .. } => {
                 out.committed = out.records.len() + 1;
                 uncommitted = 0;
+                open_batch = None;
             }
             WalRecord::Page { .. } if !out.batch_images => {}
-            _ => uncommitted += 1,
+            _ => {
+                uncommitted += 1;
+                open_batch.get_or_insert((out.records.len(), off as u64));
+            }
         }
         out.records.push(rec);
         off += FRAME + len;
     }
     out.valid_len = off as u64;
+    (out.keep, out.keep_len) = open_batch.unwrap_or((out.records.len(), out.valid_len));
     out.dropped_records = uncommitted + u64::from(out.torn_tail);
     Ok(out)
 }
@@ -848,6 +933,11 @@ mod tests {
         assert_eq!(scan.dropped_records, 0);
         assert_eq!((scan.batches(), scan.committed), (2, 6));
         assert_eq!(scan.valid_len, scan.bytes);
+        assert_eq!(
+            (scan.keep, scan.keep_len),
+            (6, scan.bytes),
+            "nothing to cut"
+        );
         let slots = |pid| WalRecord::Slots {
             file: "t.0.pages".into(),
             pid,
@@ -917,6 +1007,7 @@ mod tests {
         // Appended but never committed: the slot record must not be
         // replayed, the image may.
         wal.log_page("p", 1, &vec![2u8; PAGE_SIZE]).unwrap();
+        let image_end = wal.size();
         wal.log_slots("p", 1, &sample_edits()).unwrap();
         wal.sync_all().unwrap();
         drop(wal);
@@ -924,6 +1015,8 @@ mod tests {
         assert_eq!((scan.batches(), scan.committed), (1, 2));
         assert_eq!(scan.records.len(), 4);
         assert_eq!(scan.dropped_records, 1);
+        // The cut falls between them.
+        assert_eq!((scan.keep, scan.keep_len), (3, image_end));
         std::fs::remove_file(&path).ok();
     }
 
@@ -944,6 +1037,19 @@ mod tests {
         assert!(scan.batch_images);
         assert_eq!((scan.batches(), scan.committed), (1, 2));
         assert_eq!(scan.dropped_records, 1, "the image of the open batch");
+        assert_eq!(scan.keep, 2, "and it is cut with its batch");
+
+        // Reopened, the log ends with its committed prefix and carries the
+        // current version: the same records, read the same way.
+        let wal = Wal::resume(&path, WalPolicy::Commit, None, &scan).unwrap();
+        wal.log_slots("p", 0, &sample_edits()).unwrap();
+        wal.commit().unwrap();
+        drop(wal);
+        let after = super::scan(&path).unwrap();
+        assert!(!after.batch_images && !after.torn_tail);
+        assert_eq!((after.batches(), after.keep), (2, 4));
+        assert_eq!(after.records[..2], scan.records[..2]);
+        assert_eq!(after.records[3], WalRecord::Commit { batch: 2 });
         std::fs::remove_file(&path).ok();
     }
 
@@ -979,12 +1085,18 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Invariant 1 of recovery: the remains of a crashed batch — whole
+    /// slot records and a torn frame — are gone from the file before the
+    /// next batch is appended, so its marker commits its own records only.
     #[test]
-    fn resume_cuts_the_torn_tail_and_appends_behind_the_valid_records() {
+    fn resume_cuts_the_uncommitted_tail_before_anything_is_appended() {
         let path = tmp("resume");
         let wal = Wal::open(&path, WalPolicy::Commit, None).unwrap();
         wal.log_slots("p", 0, &sample_edits()).unwrap();
         wal.commit().unwrap();
+        let committed = wal.size();
+        wal.log_slots("p", 7, &sample_edits()).unwrap();
+        wal.sync_all().unwrap();
         drop(wal);
         use std::io::Write as _;
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
@@ -992,16 +1104,72 @@ mod tests {
         drop(f);
         let before = scan(&path).unwrap();
         assert!(before.torn_tail);
+        assert_eq!((before.keep, before.keep_len), (2, committed));
+        assert!(before.valid_len > committed);
 
-        let wal = Wal::resume(&path, WalPolicy::Commit, None, before.valid_len).unwrap();
-        wal.log_page("p", 0, &vec![7u8; PAGE_SIZE]).unwrap();
-        wal.sync_all().unwrap();
+        let wal = Wal::resume(&path, WalPolicy::Commit, None, &before).unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), committed);
+        assert_eq!(wal.stats().fsyncs, 1, "the cut is synced");
+        wal.log_slots("p", 1, &sample_edits()).unwrap();
+        wal.commit().unwrap();
         drop(wal);
         let after = scan(&path).unwrap();
         assert!(!after.torn_tail);
-        assert_eq!((after.batches(), after.records.len()), (1, 3));
-        assert!(matches!(after.records[2], WalRecord::Page { pid: 0, .. }));
+        assert_eq!((after.batches(), after.records.len()), (2, 4));
+        assert!(matches!(after.records[2], WalRecord::Slots { pid: 1, .. }));
+        assert_eq!(after.records[3], WalRecord::Commit { batch: 2 });
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn resume_of_a_committed_log_writes_nothing() {
+        for policy in [WalPolicy::Commit, WalPolicy::Batch, WalPolicy::Off] {
+            let path = tmp("adopt");
+            let wal = Wal::open(&path, policy, None).unwrap();
+            wal.log_slots("p", 0, &sample_edits()).unwrap();
+            wal.commit().unwrap();
+            // Images stand outside batches: not a tail to cut.
+            wal.log_page("p", 0, &vec![7u8; PAGE_SIZE]).unwrap();
+            wal.sync_all().unwrap();
+            drop(wal);
+            let bytes = std::fs::read(&path).unwrap();
+            let wal = Wal::resume(&path, policy, None, &scan(&path).unwrap()).unwrap();
+            assert_eq!(wal.size(), bytes.len() as u64);
+            assert_eq!(wal.stats(), WalStats::default());
+            drop(wal);
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "{policy:?}");
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    /// A reservation denied in the middle of a batch leaves records behind
+    /// that no marker may adopt: the handle refuses everything after it.
+    #[test]
+    fn a_denied_append_inside_a_batch_poisons_the_log() {
+        let mut master = htqo_engine::Budget::unlimited().with_mem_limit(PAGE_SIZE as u64);
+        let path = tmp("denied");
+        let wal = Wal::open(&path, WalPolicy::Commit, Some(master.fork())).unwrap();
+        wal.log_slots("p", 0, &sample_edits()).unwrap();
+        let big = vec![0u8; 2 * PAGE_SIZE];
+        let denied = wal.log_slots("p", 1, &big).unwrap_err();
+        assert!(denied.is_resource_limit(), "{denied}");
+        let refused = wal.commit().unwrap_err();
+        assert!(format!("{refused}").contains("poisoned"), "{refused}");
+        drop(wal);
+        assert_eq!(scan(&path).unwrap().batches(), 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn policy_values_parse_or_are_refused_by_name() {
+        assert_eq!(WalPolicy::parse(None).unwrap(), WalPolicy::Commit);
+        assert_eq!(WalPolicy::parse(Some("commit")).unwrap(), WalPolicy::Commit);
+        assert_eq!(WalPolicy::parse(Some("off")).unwrap(), WalPolicy::Off);
+        assert_eq!(WalPolicy::parse(Some("batch")).unwrap(), WalPolicy::Batch);
+        for bad in ["", "Batch", "comit", "group"] {
+            let err = format!("{}", WalPolicy::parse(Some(bad)).unwrap_err());
+            assert!(err.contains("HTQO_WAL") && err.contains(&format!("'{bad}'")));
+        }
     }
 
     #[test]

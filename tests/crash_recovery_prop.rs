@@ -20,28 +20,36 @@
 //!   repaired from the image the flush logged first),
 //!   `storage::write_back` (kill between the image sync and the first
 //!   in-place write), `storage::catalog_rename` (catalog files are
-//!   written by checkpoint and recovery only — a commit leaves them
+//!   written by the checkpoint only — a commit and a restart leave them
 //!   alone), `storage::checkpoint`: every batch committed before the
 //!   failure — all must be fully **present**.
 //!
 //! A commit logs **slot records** — the cells it changes — and leaves the
-//! page files alone, so the tables here span several heap pages and are
-//! mutated through a two-frame pool: every batch evicts frames whose
-//! committed cells no file holds yet, and the model is held to them
-//! slot by slot after each recovery.
+//! page files alone, and so does a restart: recovery hands the log's
+//! records back to the pools and keeps the log. The tables here span
+//! several heap pages and are mutated and reloaded through a two-frame
+//! pool: every batch evicts frames whose committed cells no file holds
+//! yet, and the model is held to them slot by slot after each recovery.
 //!
 //! No case may ever observe a partial batch, a lost committed batch, or
 //! a corrupt row. On top of the matrix: the write-back rule by fail-point
 //! order (no page file byte changes before the image of that page is
-//! durable — checkpoint, recovery, and eviction, which writes nothing),
-//! recovery idempotence (a crash at every site *inside* recovery, then
-//! recover again), page images honoured in an uncommitted log tail, a
-//! log of the previous format (page images inside their batches, written
-//! by the parent commit) under all three policies, commits that never
-//! saw a checkpoint (stale catalog file on disk, recovery rewrites it
-//! once per table), torn-tail tolerance, the catalog-rename temp-file
-//! cleanup regression, and a warm-restart query oracle (a join over
-//! recovered tables must equal the same join over the in-memory model).
+//! durable — the checkpoint; eviction and recovery write nothing), a
+//! restart chain (rounds of commits and kills with no checkpoint between
+//! them: recovery leaves every file byte-identical, syncs nothing, and
+//! the log spans the rounds until one checkpoint empties it), the orphan
+//! tail (the remains of a killed batch are cut before the next commit is
+//! appended, which therefore never adopts them), every fail point armed
+//! *inside* recovery (only the in-place write of an imaged page can
+//! fire; recover again and the state is the same), page images honoured
+//! in an uncommitted log tail, a log of the version-0 format (page
+//! images inside their batches) and a log written by the parent commit
+//! (slot records it never redid) under all three policies, commits that
+//! never saw a checkpoint (stale catalog file on disk; recovery stages
+//! the logged entry, the checkpoint writes it once per table), torn-tail
+//! tolerance, the catalog-rename temp-file cleanup regression, and a
+//! warm-restart query oracle (a join over recovered tables must equal
+//! the same join over the in-memory model).
 //!
 //! Case count per property is `HTQO_CRASH_CASES` (default 12; CI uses a
 //! deterministic small count).
@@ -270,6 +278,21 @@ fn page_files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
     files
 }
 
+/// The bytes of every file in `dir` — page files, catalog files, the log
+/// — by name.
+fn dir_files(dir: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+    let file = |e: std::io::Result<std::fs::DirEntry>| {
+        let path = e.unwrap().path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        (name, std::fs::read(&path).unwrap())
+    };
+    std::fs::read_dir(dir).unwrap().map(file).collect()
+}
+
+fn wal_len(dir: &std::path::Path) -> u64 {
+    std::fs::metadata(dir.join("db.wal")).map_or(0, |m| m.len())
+}
+
 /// Opens a cold handle on `dir`, runs recovery, and returns the loaded
 /// rows of table `t` (rowid order).
 fn recover_and_load(dir: &std::path::Path, policy: WalPolicy) -> Vec<Row> {
@@ -355,13 +378,9 @@ proptest! {
                     // victim batch (one shot).
                     let mut failed = false;
                     let mut before = model.clone();
-                    let mut wal_len_before = 0u64;
                     for (i, ops) in w.batches.iter().enumerate() {
                         let (batch, next) = build_batch("t", i, ops, &model);
                         if i == victim {
-                            wal_len_before = std::fs::metadata(dir.join("db.wal"))
-                                .map(|m| m.len())
-                                .unwrap_or(0);
                             failpoint::configure(site, FailAction::Error, 0, Some(1));
                         }
                         let res = storage.apply(&batch);
@@ -399,14 +418,10 @@ proptest! {
                     // Failed-fsync power-cut sub-case: the un-fsynced
                     // tail vanishes — the batch must then be absent.
                     if failed && site == "storage::wal_fsync" && policy == WalPolicy::Commit {
-                        let f = std::fs::OpenOptions::new()
-                            .write(true)
-                            .open(dir.join("db.wal"));
-                        // Recovery already truncated the WAL; re-create
-                        // the power-cut from the *pre-crash* file is not
-                        // possible here, so run the sub-case on a fresh
-                        // directory instead.
-                        drop(f);
+                        // Recovery settled the victim's fate in this log
+                        // (adopted with its marker, or cut): the power
+                        // cut needs the *pre-crash* file, so the sub-case
+                        // runs on a fresh directory instead.
                         let dir2 = scratch("powercut");
                         let mut model2 = base_model(&w.base);
                         let storage = ingest_small_pool(&dir2, policy, &model2);
@@ -415,9 +430,7 @@ proptest! {
                         for (i, ops) in w.batches.iter().enumerate() {
                             let (batch, next) = build_batch("t", i, ops, &model2);
                             if i == victim {
-                                tail_start = std::fs::metadata(dir2.join("db.wal"))
-                                    .map(|m| m.len())
-                                    .unwrap_or(0);
+                                tail_start = wal_len(&dir2);
                                 failpoint::configure(site, FailAction::Error, 0, Some(1));
                             }
                             let res = storage.apply(&batch);
@@ -451,7 +464,6 @@ proptest! {
                         );
                         std::fs::remove_dir_all(&dir2).ok();
                     }
-                    let _ = wal_len_before;
                     std::fs::remove_dir_all(&dir).ok();
                 }
             }
@@ -521,57 +533,187 @@ proptest! {
         }
     }
 
-    /// Recovery idempotence: a crash at every site *inside* recovery —
-    /// its own image append and sync, the window before its first
-    /// in-place write, a torn page write mid-replay, the catalog rename —
-    /// followed by a second recovery lands in exactly the
-    /// single-recovery state.
+    /// Recovery idempotence, with every fail point armed *inside* it. Over
+    /// a log of slot records recovery reaches none of them — it appends
+    /// nothing, syncs nothing, writes no page and renames no catalog — so
+    /// the log here also holds images, left by a checkpoint killed at its
+    /// first torn page write or just before its truncation: then the
+    /// in-place write of an imaged page (`storage::write_back`,
+    /// `storage::page_write`) is the one thing that can fail. Whatever
+    /// happens to the first attempt, a second recovery lands in the
+    /// committed state, and neither changes a byte of the log.
     #[test]
     fn crash_during_recovery_then_recover_again_is_idempotent(w in arb_workload()) {
         let _g = lock();
-        for (site, skip) in [
-            ("storage::wal_append", 0),
-            ("storage::wal_fsync", 0),
-            ("storage::write_back", 0),
-            ("storage::page_write", 0),
-            ("storage::page_write", 1),
-            ("storage::catalog_rename", 0),
+        for killed_at in ["storage::page_write", "storage::checkpoint"] {
+            for (site, skip) in [
+                ("storage::wal_append", 0),
+                ("storage::wal_fsync", 0),
+                ("storage::write_back", 0),
+                ("storage::page_write", 0),
+                ("storage::page_write", 1),
+                ("storage::catalog_rename", 0),
+                ("storage::checkpoint", 0),
+            ] {
+                failpoint::clear();
+                let dir = scratch("idem");
+                let policy = WalPolicy::Commit;
+                let base = base_model(&w.base);
+                let storage = ingest_small_pool(&dir, policy, &base);
+                let model = apply_all(&storage, &w, base);
+                failpoint::configure(killed_at, FailAction::Error, 0, Some(1));
+                prop_assert!(storage.checkpoint().is_err(), "{} never fired", killed_at);
+                failpoint::clear();
+                storage.simulate_crash();
+                drop(storage);
+                let log = std::fs::read(dir.join("db.wal")).unwrap();
+
+                // First recovery attempt, with the site armed.
+                let storage = StorageDb::open_with(&dir, policy, u64::MAX).unwrap();
+                failpoint::configure(site, FailAction::Error, skip, Some(1));
+                let res = storage.recover();
+                failpoint::clear();
+                if !matches!(site, "storage::write_back" | "storage::page_write") {
+                    prop_assert!(res.is_ok(), "{} reached in recovery: {:?}", site, res);
+                } else if skip == 0 {
+                    // (A workload that dirtied a single page has no second
+                    // page write to tear.)
+                    prop_assert!(res.is_err(), "{} never fired in recovery", site);
+                }
+                if let Ok(report) = &res {
+                    prop_assert!(report.pages_written > 0 && report.images_restored > 0);
+                    prop_assert_eq!(storage.wal_stats().fsyncs, 0, "{}", site);
+                }
+                storage.simulate_crash();
+                drop(storage);
+
+                // Second recovery: the same records, the same images — over
+                // the page the first attempt tore, too.
+                let (report, recovered) = recover_report_and_load(&dir, policy);
+                prop_assert_eq!(&recovered, &model.rows(), "double recovery drifted ({})", site);
+                prop_assert!(report.images_restored > 0, "{}: torn page not restored", site);
+                prop_assert_eq!(&std::fs::read(dir.join("db.wal")).unwrap(), &log, "{}", site);
+                std::fs::remove_dir_all(&dir).ok();
+            }
+        }
+    }
+
+    /// The restart chain: rounds of random batches, each ended by a kill
+    /// and a cold recovery, with **no** checkpoint in between — every
+    /// reload through a two-frame pool equals the slot-level model, every
+    /// recovery leaves every file of the directory byte-identical and
+    /// syncs nothing, and the log spans all rounds so far. Then one
+    /// checkpoint brings the files up to date, leaves a header-only log,
+    /// and the restart after it reports no work.
+    #[test]
+    fn a_restart_chain_reads_the_log_and_rewrites_nothing(
+        base in prop::collection::vec(0i64..100, 1..40),
+        rounds in prop::collection::vec(
+            prop::collection::vec(prop::collection::vec(arb_op(), 1..8), 1..3),
+            2..8,
+        ),
+    ) {
+        let _g = lock();
+        failpoint::clear();
+        let dir = scratch("chain");
+        let policy = WalPolicy::Commit;
+        let mut model = base_model(&base);
+        drop(ingest_small_pool(&dir, policy, &model));
+        let at_ingest = page_files(&dir);
+        let (mut batches, mut batch_no) = (0u64, 0);
+        for round in &rounds {
+            let crashed = dir_files(&dir);
+            let storage = StorageDb::open_with(&dir, policy, u64::MAX).unwrap();
+            let report = storage.recover().unwrap();
+            prop_assert_eq!(&dir_files(&dir), &crashed, "recovery wrote a file");
+            prop_assert_eq!(storage.wal_stats().fsyncs, 0);
+            prop_assert_eq!((report.batches_replayed, report.pages_written), (batches, 0));
+            prop_assert_eq!(report.kept_bytes > 0, batches > 0);
+            let (rel, _) = storage.load_table("t", 2 * PAGE_SIZE as u64, None).unwrap();
+            prop_assert_eq!(&rel.to_rows(), &model.rows(), "after {} batches", batches);
+            for ops in round {
+                let (batch, next) = build_batch("t", batch_no, ops, &model);
+                batch_no += 1;
+                if !batch.is_empty() {
+                    storage.apply(&batch).unwrap();
+                    batches += 1;
+                }
+                model = next;
+            }
+            prop_assert!(wal_len(&dir) >= crashed.get("db.wal").map_or(0, |log| log.len() as u64));
+            storage.simulate_crash();
+        }
+
+        let storage = StorageDb::open_with(&dir, policy, u64::MAX).unwrap();
+        prop_assert_eq!(storage.recover().unwrap().batches_replayed, batches);
+        prop_assert_eq!(&page_files(&dir), &at_ingest, "no round wrote a page");
+        storage.checkpoint().unwrap();
+        prop_assert_eq!(wal_len(&dir), htqo_storage::wal::WAL_HEADER);
+        prop_assert_eq!(page_files(&dir) != at_ingest, batches > 0);
+        storage.simulate_crash();
+        drop(storage);
+        let (report, rows) = recover_report_and_load(&dir, policy);
+        prop_assert!(!report.did_work(), "{:?}", report);
+        prop_assert_eq!(&rows, &model.rows());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The orphan tail: a batch killed mid-append leaves whole slot
+    /// records and a torn frame behind the last commit marker (killed at
+    /// its fsync it is in the log whole — committed or, after a power cut,
+    /// absent). Recovery cuts what did not commit *before* the log takes
+    /// another record, so the different batch committed next is the only
+    /// thing its marker commits: after one more kill and recovery the
+    /// killed batch's edits are absent and the later batch's present.
+    #[test]
+    fn an_orphan_tail_is_never_adopted_by_the_next_commit(w in arb_workload()) {
+        let _g = lock();
+        for (site, power_cut) in [
+            ("storage::wal_append", false),
+            ("storage::wal_fsync", false),
+            ("storage::wal_fsync", true),
         ] {
             failpoint::clear();
-            let dir = scratch("idem");
+            let dir = scratch("orphan-tail");
             let policy = WalPolicy::Commit;
             let base = base_model(&w.base);
             let storage = ingest_small_pool(&dir, policy, &base);
-            let model = apply_all(&storage, &w, base);
-            storage.simulate_crash();
-            drop(storage);
-            let files_before = page_files(&dir);
-
-            // First recovery attempt dies at the armed site.
-            let storage = StorageDb::open_with(&dir, policy, u64::MAX).unwrap();
-            failpoint::configure(site, FailAction::Error, skip, Some(1));
-            let res = storage.recover();
+            let (first, before) = build_batch("t", 0, &w.batches[0], &base);
+            storage.apply(&first).unwrap();
+            let durable = wal_len(&dir);
+            let (victim, with_victim) = build_batch("t", 1, &w.batches[1], &before);
+            failpoint::configure(site, FailAction::Error, 0, Some(1));
+            let res = storage.apply(&victim);
             failpoint::clear();
-            // A workload that dirtied a single page has no second page
-            // write to tear.
-            prop_assert!(res.is_err() || skip > 0, "{} never fired in recovery", site);
-            if res.is_err() && skip == 0 && site != "storage::page_write" {
-                // Recovery, too, writes no page before its image is
-                // durable.
-                let touched = page_files(&dir) != files_before;
-                prop_assert_eq!(touched, site == "storage::catalog_rename", "{}", site);
-            }
+            prop_assert!(res.is_err() || victim.is_empty(), "{} never fired", site);
             storage.simulate_crash();
             drop(storage);
-
-            // Second recovery replays the same records — over the torn
-            // page, from the image the first attempt logged for it — and
-            // must land in the committed state.
-            let (report, recovered) = recover_report_and_load(&dir, policy);
-            prop_assert_eq!(&recovered, &model.rows(), "double recovery drifted ({})", site);
-            if res.is_err() && site == "storage::page_write" {
-                prop_assert!(report.images_restored > 0, "{}: torn page not restored", site);
+            if power_cut {
+                let log = std::fs::OpenOptions::new().write(true).open(dir.join("db.wal"));
+                log.unwrap().set_len(durable).unwrap();
             }
+
+            let storage = StorageDb::open_with(&dir, policy, u64::MAX).unwrap();
+            let report = storage.recover().unwrap();
+            let scan = htqo_storage::wal::scan(&dir.join("db.wal")).unwrap();
+            prop_assert!(!scan.torn_tail && scan.dropped_records == 0, "{}: tail not cut", site);
+            prop_assert_eq!(scan.keep_len, wal_len(&dir));
+            let (rel, _) = storage.load_table("t", 2 * PAGE_SIZE as u64, None).unwrap();
+            let survived = rel.to_rows() == with_victim.rows() && report.batches_replayed == 2;
+            if site == "storage::wal_append" || power_cut {
+                prop_assert!(!survived || with_victim == before, "{}: victim must be absent", site);
+            }
+            let model = if survived { with_victim } else { before };
+            prop_assert_eq!(&rel.to_rows(), &model.rows(), "{}: partial batch", site);
+
+            // A different batch, staged against the recovered state.
+            let (later, after) = build_batch("t", 2, &w.batches[2], &model);
+            storage.apply(&later).unwrap();
+            storage.simulate_crash();
+            drop(storage);
+            let (report, rows) = recover_report_and_load(&dir, policy);
+            prop_assert_eq!(&rows, &after.rows(), "{}: the orphan was adopted", site);
+            prop_assert_eq!(report.dropped_records, 0);
             std::fs::remove_dir_all(&dir).ok();
         }
     }
@@ -632,8 +774,8 @@ proptest! {
 // ---------------------------------------------------------------------
 
 /// A torn WAL tail (garbage appended by a crash mid-write) is tolerated:
-/// recovery reports it, keeps every committed batch, and truncates the
-/// log back to health.
+/// recovery reports it, keeps every committed batch, and cuts the log
+/// back to health.
 #[test]
 fn torn_wal_tail_is_reported_and_survived() {
     let _g = lock();
@@ -648,6 +790,7 @@ fn torn_wal_tail_is_reported_and_survived() {
     drop(storage);
 
     // The crash tears the log mid-record.
+    let committed = wal_len(&dir);
     use std::io::Write as _;
     let mut f = std::fs::OpenOptions::new()
         .append(true)
@@ -660,6 +803,7 @@ fn torn_wal_tail_is_reported_and_survived() {
     let report = storage.recover().unwrap();
     assert!(report.torn_tail, "the torn tail must be reported");
     assert!(report.batches_replayed >= 1);
+    assert_eq!(wal_len(&dir), committed, "and cut, the batch in front kept");
     let (rel, _) = storage.load_table("t", 1 << 22, None).unwrap();
     assert_eq!(rel.len(), 4, "committed batch survived the tear");
     // The log is healthy again: further mutations commit and recover.
@@ -875,17 +1019,90 @@ fn a_log_of_the_previous_format_recovers_under_every_policy() {
             std::fs::write(dir.join("db.wal"), &log[..log.len() - cut]).unwrap();
             let (report, got) = recover_report_and_load(&dir, policy);
             assert_eq!(&got, want, "{policy:?} cut={cut}");
-            assert_eq!(report.batches_replayed, if cut == 0 { 2 } else { 1 });
+            let batches = if cut == 0 { 2 } else { 1 };
+            assert_eq!(report.batches_replayed, batches);
             assert_eq!((report.pages_redone, report.images_restored), (1, 1));
-            assert_eq!(report.slot_records_redone, 0);
-            // The store is a current one from here on.
+            // One image of the page per committed batch, each put back.
+            assert_eq!(report.pages_written, batches);
+            assert_eq!((report.slot_records_redone, report.kept_bytes), (0, 0));
+            // The store is a current one from here on: its next commit
+            // lands behind the adopted batches in a log stamped with the
+            // current version.
             let storage = StorageDb::open_with(&dir, policy, u64::MAX).unwrap();
             storage.append_rows("t", vec![row(11, "z")]).unwrap();
             storage.simulate_crash();
             drop(storage);
+            let scan = htqo_storage::wal::scan(&dir.join("db.wal")).unwrap();
+            assert!(
+                !scan.batch_images,
+                "{policy:?} cut={cut}: still a version-0 log"
+            );
+            assert_eq!(scan.batches() as u64, batches + 1);
+            assert_eq!(std::fs::read(dir.join("db.wal")).unwrap()[8], 2);
             assert_eq!(recover_and_load(&dir, policy).len(), want.len() + 1);
             std::fs::remove_dir_all(&dir).ok();
         }
+    }
+}
+
+/// A store the **parent** commit wrote and was killed on before its own
+/// recovery ever ran (`tests/fixtures/wal_v2_pending`: forty rows on two
+/// heap pages; three batches of updates, deletes and appends that grow
+/// the heap to a third page; kill): a current-format log of slot records
+/// nobody has redone, a page file and a catalog file as at ingest. The
+/// parent would have redone the pages into the file at open; this code
+/// serves them from the log, under every policy, with the fixture's files
+/// untouched — and the fresh page exists in the pool only.
+#[test]
+fn a_log_of_the_parent_commit_with_pending_slot_records_recovers() {
+    let _g = lock();
+    failpoint::clear();
+    let fixture =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/wal_v2_pending");
+    let mut model = base_model(&(0..40).collect::<Vec<i64>>());
+    let put = |m: &mut ModelTable, rowid: usize, k: i64, tag: &str| {
+        m.slots.resize(m.slots.len().max(rowid + 1), None);
+        m.slots[rowid] = Some(row_at(rowid, k, tag));
+    };
+    put(&mut model, 3, 100, "b0.0");
+    model.slots[17] = None;
+    put(&mut model, 40, 5, "b0.2");
+    put(&mut model, 3, 101, "b1.0");
+    put(&mut model, 29, 102, "b1.1");
+    for j in 0..16 {
+        put(&mut model, 41 + j, j as i64, &format!("b1.{}", 2 + j));
+    }
+    model.slots[4] = None;
+    put(&mut model, 30, 103, "b2.1");
+    put(&mut model, 57, 7, "b2.2");
+    for policy in [WalPolicy::Commit, WalPolicy::Batch, WalPolicy::Off] {
+        let dir = scratch("parent-log");
+        std::fs::create_dir_all(&dir).unwrap();
+        for name in ["db.wal", "t.cat", "t.pages"] {
+            std::fs::copy(fixture.join(name), dir.join(name)).unwrap();
+        }
+        let as_copied = dir_files(&dir);
+        let storage = StorageDb::open_with(&dir, policy, u64::MAX).unwrap();
+        let report = storage.recover().unwrap();
+        assert_eq!((report.batches_replayed, report.pages_redone), (3, 3));
+        assert_eq!((report.pages_written, report.images_restored), (0, 0));
+        assert_eq!(report.dropped_records, 0);
+        let meta = storage.table_meta("t").unwrap();
+        assert_eq!((meta.rows, meta.heap_pages()), (model.rows().len(), 3));
+        let (rel, _) = storage.load_table("t", 2 * PAGE_SIZE as u64, None).unwrap();
+        assert_eq!(rel.to_rows(), model.rows(), "{policy:?}");
+        assert_eq!(dir_files(&dir), as_copied, "{policy:?}");
+        assert_eq!(as_copied["t.pages"].len(), 2 * PAGE_SIZE);
+        // The store goes on from there.
+        storage.checkpoint().unwrap();
+        assert_eq!(
+            std::fs::read(dir.join("t.pages")).unwrap().len(),
+            3 * PAGE_SIZE
+        );
+        storage.simulate_crash();
+        drop(storage);
+        assert_eq!(recover_and_load(&dir, policy), model.rows());
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -914,20 +1131,25 @@ fn failed_catalog_rename_leaves_no_temp_file() {
     );
     assert_eq!(std::fs::read(dir.join("t.cat")).unwrap(), cat_before);
     // The failed checkpoint did not truncate the log: recovery makes the
-    // batch visible (and rewrites the catalog).
+    // batch visible, and the next checkpoint writes the catalog.
     storage.simulate_crash();
     drop(storage);
-    let rows = recover_and_load(&dir, WalPolicy::Commit);
-    assert_eq!(rows.len(), 4);
+    let storage = StorageDb::open_with(&dir, WalPolicy::Commit, u64::MAX).unwrap();
+    let (rel, _) = storage.load_table("t", 1 << 22, None).unwrap();
+    assert_eq!(rel.len(), 4);
+    assert_eq!(std::fs::read(dir.join("t.cat")).unwrap(), cat_before);
+    storage.checkpoint().unwrap();
     assert_ne!(std::fs::read(dir.join("t.cat")).unwrap(), cat_before);
+    assert!(!dir.join("t.cat.tmp").exists());
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Commits that never saw a checkpoint leave the catalog *file* at its
-/// ingest-time content under every policy; after a crash, recovery
-/// restores the committed prefix and rewrites each table's catalog
-/// exactly once (its last logged version), while `catalogs_redone` keeps
-/// counting records.
+/// ingest-time content under every policy, and so does the restart after
+/// a crash: recovery restores the committed prefix with each table's last
+/// logged entry staged (`catalogs_redone` keeps counting records) and
+/// renames nothing. The checkpoint then writes each table's catalog
+/// exactly once.
 #[test]
 fn commits_without_checkpoint_recover_from_a_stale_catalog_file() {
     let _g = lock();
@@ -959,20 +1181,29 @@ fn commits_without_checkpoint_recover_from_a_stale_catalog_file() {
         storage.simulate_crash();
         drop(storage);
 
-        // Two tables, ten catalog records: a third rename would trip the
-        // armed site and fail the recovery.
+        // Two tables, ten catalog records, and not one rename: the armed
+        // site would fail the recovery.
         let storage = StorageDb::open_with(&dir, policy, u64::MAX).unwrap();
-        failpoint::configure("storage::catalog_rename", FailAction::Error, 2, Some(1));
+        failpoint::configure("storage::catalog_rename", FailAction::Error, 0, Some(1));
         let report = storage.recover();
         failpoint::clear();
         let report = report.unwrap_or_else(|e| panic!("{policy:?}: {e}"));
         assert_eq!(report.batches_replayed, 2 * commits as u64);
         assert_eq!(report.catalogs_redone, 2 * commits as u64);
-        assert!(stale("t") != t_cat && stale("u") != u_cat, "{policy:?}");
+        assert_eq!((stale("t"), stale("u")), (t_cat.clone(), u_cat.clone()));
         for (table, m) in ["t", "u"].into_iter().zip(&model) {
+            assert_eq!(storage.table_meta(table).unwrap().rows, m.rows().len());
             let (rel, _) = storage.load_table(table, 1 << 22, None).unwrap();
             assert_eq!(rel.to_rows(), m.rows(), "{policy:?} {table}");
         }
+
+        // The checkpoint renames once per table: a third rename would
+        // trip the armed site…
+        failpoint::configure("storage::catalog_rename", FailAction::Error, 2, Some(1));
+        let res = storage.checkpoint();
+        failpoint::clear();
+        res.unwrap_or_else(|e| panic!("{policy:?}: {e}"));
+        assert!(stale("t") != t_cat && stale("u") != u_cat, "{policy:?}");
         drop(storage);
 
         // …and both renames do go through that site.
@@ -982,8 +1213,9 @@ fn commits_without_checkpoint_recover_from_a_stale_catalog_file() {
             storage.apply(&batch).unwrap();
         }
         storage.simulate_crash();
+        storage.recover().unwrap();
         failpoint::configure("storage::catalog_rename", FailAction::Error, 1, Some(1));
-        let res = storage.recover();
+        let res = storage.checkpoint();
         failpoint::clear();
         assert!(
             res.is_err(),
@@ -1200,16 +1432,18 @@ fn open_paged_service_reports_recovery() {
         recovery.batches_replayed >= 1,
         "the crash left work to redo"
     );
-    // One page changed by one slot record, rebuilt from the file: no
-    // image of it was in the log.
+    // One page changed by one slot record, which the pool keeps: no
+    // image of it was in the log, so nothing was written.
     assert_eq!(
         (
             recovery.pages_redone,
             recovery.slot_records_redone,
-            recovery.images_restored
+            recovery.images_restored,
+            recovery.pages_written
         ),
-        (1, 1, 0)
+        (1, 1, 0, 0)
     );
+    assert!(recovery.kept_bytes > 0 && recovery.did_work());
     assert_eq!(svc.database().table("t").unwrap().len(), 5);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -21,7 +21,8 @@
 //! 3. **Slot directory and page → column loader**: after random
 //!    append/update/delete batches (appends that fill pages, a crash and
 //!    recovery mid-run) every rowid resolves to the page and slot a walk
-//!    over the on-disk pages gives it, and the reloaded relation equals
+//!    over the on-disk pages — plus, by hand, the log's slot records a
+//!    restart leaves unwritten — gives it, and the reloaded relation equals
 //!    the boxed-row reference (`decode_row` + `push_many_unchecked`) cell
 //!    for cell — bits, NULLs, dictionary codes — with the same typed
 //!    error for every damaged cell.
@@ -30,9 +31,9 @@
 //!    tombstone_cell, push_cell}` against editing a cell list and calling
 //!    `page::rebuild` (same cells, refused exactly when the list no longer
 //!    fits, bit-identical on a twin driven through the WAL's edit
-//!    encoding), and `wal::scan` + `recover` fed truncated, bit-flipped
-//!    and random slot records — a torn tail or a typed error, never a
-//!    panic and never a half-applied batch.
+//!    encoding), and `wal::scan` + `recover` + the first read fed
+//!    truncated, bit-flipped and random slot records — a torn tail or a
+//!    typed error, never a panic and never a half-applied batch.
 
 use htqo::prelude::*;
 use htqo_cq::{AtomId, CqBuilder};
@@ -547,16 +548,34 @@ fn arb_step() -> impl Strategy<Value = (Vec<SlotOp>, After)> {
     (prop::collection::vec(op, 1..12), after)
 }
 
-/// `(pid, cell count)` of every heap page, read from the page file — the
-/// reference the slot directory is held to. Valid once everything
-/// committed is in the file (after a checkpoint or a recovery).
+/// `(pid, cell count)` of every heap page, read from the page file plus
+/// the log's committed slot records for that page (the replay rule, done
+/// by hand) — the reference the slot directory is held to. A checkpoint
+/// leaves everything in the file, a crash and recovery everything since
+/// the last checkpoint in the log.
 fn walk_heap_on_disk(dir: &std::path::Path, meta: &htqo_storage::TableMeta) -> Vec<(u64, u16)> {
     let mut file = htqo_storage::PageFile::open(&dir.join(&meta.file)).unwrap();
-    let mut buf = vec![0u8; PAGE_SIZE];
+    let scan = wal::scan(&dir.join("db.wal")).unwrap();
     let mut pages = Vec::new();
     for &(start, count) in &meta.heap {
         for pid in start..start + count {
-            file.read(pid, &mut buf).unwrap();
+            let mut buf = vec![0u8; PAGE_SIZE];
+            if pid < file.pages() {
+                file.read(pid, &mut buf).unwrap();
+            }
+            for rec in &scan.records[..scan.keep] {
+                match rec {
+                    wal::WalRecord::Slots {
+                        file,
+                        pid: p,
+                        edits,
+                    } if *file == meta.file && *p == pid => {
+                        wal::apply_edits(&mut buf, edits).unwrap()
+                    }
+                    wal::WalRecord::Page { .. } => panic!("no checkpoint was killed here"),
+                    _ => {}
+                }
+            }
             pages.push((pid, htqo_storage::page::cell_count(&buf).unwrap()));
         }
     }
@@ -827,15 +846,24 @@ fn wal_frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// A slot record for page `pid` of `t.pages` carrying `edits`, then a
-/// commit marker.
-fn committed_slot_record(pid: u64, edits: &[u8]) -> Vec<u8> {
+/// The log of [`crashed_store_with_one_batch`] with its slot record
+/// replaced: the header, a slot record for page `pid` of `t.pages`
+/// carrying `edits`, the batch's own catalog record, and a commit marker.
+fn forged_batch(log: &[u8], pid: u64, edits: &[u8]) -> Vec<u8> {
     let mut payload = vec![4u8];
     payload.extend_from_slice(&7u16.to_le_bytes());
     payload.extend_from_slice(b"t.pages");
     payload.extend_from_slice(&pid.to_le_bytes());
     payload.extend_from_slice(edits);
-    let mut out = wal_frame(&payload);
+    let mut out = log[..wal::WAL_HEADER as usize].to_vec();
+    out.extend_from_slice(&wal_frame(&payload));
+    // The original frames: `len u32 | checksum u64 | tag ...`.
+    let mut at = wal::WAL_HEADER as usize;
+    while log[at + 12] != 2 {
+        at += 12 + u32::from_le_bytes(log[at..at + 4].try_into().unwrap()) as usize;
+    }
+    let catalog_len = 12 + u32::from_le_bytes(log[at..at + 4].try_into().unwrap()) as usize;
+    out.extend_from_slice(&log[at..at + catalog_len]);
     let mut commit = vec![3u8];
     commit.extend_from_slice(&1u64.to_le_bytes());
     out.extend_from_slice(&wal_frame(&commit));
@@ -874,12 +902,17 @@ fn crashed_store_with_one_batch(label: &str) -> (PathBuf, [Vec<Row>; 2], Vec<u8>
     (dir, [before, after], log)
 }
 
-/// Recovery over whatever `db.wal` now holds: a typed error, or a table
-/// that is whole. Returns the recovered rows.
+/// Recovery over whatever `db.wal` now holds, then the first read of the
+/// table: a typed error from either — recovery hands slot records to the
+/// pool unread, so one that does not fit its page surfaces when the page
+/// is first pinned — or a table that is whole. Returns the recovered rows.
 fn recover_whole(dir: &std::path::Path) -> Result<Vec<Row>, EvalError> {
     let storage = StorageDb::open_with(dir, WalPolicy::Commit, u64::MAX).unwrap();
-    match storage.recover() {
-        Ok(_) => Ok(storage.load_table("t", 1 << 20, None).unwrap().0.to_rows()),
+    let loaded = storage
+        .recover()
+        .and_then(|_| storage.load_table("t", 1 << 20, None));
+    match loaded {
+        Ok((rel, _)) => Ok(rel.to_rows()),
         Err(e) => {
             assert!(
                 matches!(e, EvalError::SpillIo(_) | EvalError::CorruptPage { .. }),
@@ -924,9 +957,7 @@ proptest! {
     #[test]
     fn random_slot_records_never_panic(edits in prop::collection::vec(any::<u8>(), 0..48)) {
         let (dir, _, log) = crashed_store_with_one_batch("random");
-        let mut forged = log[..wal::WAL_HEADER as usize].to_vec();
-        forged.extend_from_slice(&committed_slot_record(0, &edits));
-        std::fs::write(dir.join("db.wal"), &forged).unwrap();
+        std::fs::write(dir.join("db.wal"), forged_batch(&log, 0, &edits)).unwrap();
         let scan = wal::scan(&dir.join("db.wal")).unwrap();
         prop_assert!(scan.batches() <= 1);
         prop_assert_eq!(scan.batches() == 0, scan.torn_tail);
@@ -935,10 +966,12 @@ proptest! {
     }
 }
 
-/// A slot record that parses but was not logged against the page it
-/// names — a slot past the directory, a pushed slot that is taken, a cell
-/// the page has no room for — fails recovery with a typed error that says
-/// which, and leaves the data file as it was.
+/// Invariant 4 of recovery: a slot record that parses but was not logged
+/// against the page it names — a slot past the directory, a pushed slot
+/// that is taken, a cell the page has no room for, a page past the end of
+/// the file — is a typed error that says which, from `recover()` or from
+/// the first read of that page, never a panic or a wrong row; and the data
+/// file stays as it was.
 #[test]
 fn replay_of_a_misfit_slot_record_is_a_typed_error() {
     let mut out_of_range = Vec::new();
@@ -952,15 +985,14 @@ fn replay_of_a_misfit_slot_record_is_a_typed_error() {
         0,
         &vec![0u8; page::MAX_CELL],
     );
-    for (edits, what) in [
-        (out_of_range, "slot out of range"),
-        (taken, "pushed slot out of range"),
-        (too_long, "does not fit"),
+    for (pid, edits, what) in [
+        (0, out_of_range, "slot out of range"),
+        (0, taken.clone(), "pushed slot out of range"),
+        (0, too_long, "does not fit"),
+        (9, taken, "which has 1 pages"),
     ] {
         let (dir, _, log) = crashed_store_with_one_batch("misfit");
-        let mut forged = log[..wal::WAL_HEADER as usize].to_vec();
-        forged.extend_from_slice(&committed_slot_record(0, &edits));
-        std::fs::write(dir.join("db.wal"), &forged).unwrap();
+        std::fs::write(dir.join("db.wal"), forged_batch(&log, pid, &edits)).unwrap();
         assert_eq!(wal::scan(&dir.join("db.wal")).unwrap().batches(), 1);
         let pages = std::fs::read(dir.join("t.pages")).unwrap();
         let err = recover_whole(&dir).expect_err(what);
