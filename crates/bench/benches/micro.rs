@@ -4,7 +4,8 @@
 //! cost-k memo (cloned-bitset std keys vs word-mask keys under the fx
 //! hasher), the
 //! hybrid planner on TPC-H Q5, separator pricing and cold planning under
-//! the statistics cost model, base-table scans (shared columns, typed
+//! the statistics cost model, ANALYZE (whole TPC-H, and one 100k-row
+//! column of each kind), base-table scans (shared columns, typed
 //! predicate kernels), the paged store's commit, reload and recovery
 //! paths, the query service's per-statement fixed cost (prepared, ad hoc
 //! on a known text, ad hoc on a never-seen text of a known shape), hash
@@ -223,6 +224,69 @@ fn bench_planner(c: &mut Criterion) {
                 cost_k_decomp_with_cost(&ch.hypergraph, &opts, &model).expect("width 2 suffices")
             })
         });
+    }
+    group.finish();
+}
+
+fn bench_analyze(c: &mut Criterion) {
+    // ANALYZE as every stats-driven harness and the `tpch_mem` benchmark
+    // set-up pay it (TPC-H SF 0.02: 173k rows, 39 columns), then one
+    // 100k-row column per kind, so a regression names the path it is on:
+    // counted keys, sorted keys, float keys, few strings, many strings.
+    use htqo_engine::relation::Relation;
+    use htqo_engine::schema::{ColumnType, Database, Schema};
+    use htqo_engine::value::Value;
+    const ROWS: i64 = 100_000;
+    let column = |ty: ColumnType, cell: &dyn Fn(i64) -> Value| {
+        let mut rel = Relation::new(Schema::new(&[("c", ty)]));
+        rel.push_many_unchecked((0..ROWS).map(|i| vec![cell(i)]));
+        let mut db = Database::new();
+        db.insert_table("t", rel);
+        db
+    };
+    // A multiplicative scramble: a permutation of 0..2^64, so the sparse
+    // and all-distinct columns really are, in no particular order.
+    let scramble = |i: i64| (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    let cases = [
+        (
+            "tpch_sf0.02",
+            generate(&DbgenOptions {
+                scale: 0.02,
+                seed: 1,
+            }),
+        ),
+        (
+            "int_dense_100k",
+            column(ColumnType::Int, &|i| {
+                Value::Int((scramble(i) % ROWS as u64) as i64)
+            }),
+        ),
+        (
+            "int_sparse_100k",
+            column(ColumnType::Int, &|i| Value::Int(scramble(i) as i64)),
+        ),
+        (
+            "float_100k",
+            column(ColumnType::Float, &|i| {
+                Value::Float((scramble(i) % 10_000_000) as f64 / 100.0)
+            }),
+        ),
+        (
+            "str_3_values_100k",
+            column(ColumnType::Str, &|i| {
+                Value::str(["N", "R", "A"][(scramble(i) % 3) as usize])
+            }),
+        ),
+        (
+            "str_all_distinct_100k",
+            column(ColumnType::Str, &|i| {
+                Value::str(&format!("Customer#{:016x}", scramble(i)))
+            }),
+        ),
+    ];
+    let mut group = c.benchmark_group("stats/analyze");
+    for (name, db) in &cases {
+        group.bench_function(*name, |b| b.iter(|| htqo_stats::analyze(db)));
     }
     group.finish();
 }
@@ -899,6 +963,7 @@ criterion_group!(
     bench_costk_engines,
     bench_tpch_planning,
     bench_planner,
+    bench_analyze,
     bench_scans,
     bench_storage,
     bench_service,

@@ -16,8 +16,8 @@
 //! ```
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
+use htqo_bench::harness::{best_of, measured_on};
 use htqo_core::search::baseline;
 use htqo_core::{cost_k_decomp_instrumented, SearchOptions, SearchStats, StructuralCost};
 use htqo_cq::{isolate, parse_select, ConjunctiveQuery, IsolatorOptions};
@@ -48,18 +48,6 @@ struct Row {
     stats_time: f64,
 }
 
-fn best_of<R>(mut f: impl FnMut() -> R) -> (f64, R) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..REPS {
-        let t = Instant::now();
-        let r = f();
-        best = best.min(t.elapsed().as_secs_f64());
-        out = Some(r);
-    }
-    (best, out.expect("REPS >= 1"))
-}
-
 fn measure(
     family: &'static str,
     q: &ConjunctiveQuery,
@@ -68,9 +56,12 @@ fn measure(
 ) -> Option<Row> {
     let h = &q.hypergraph().hypergraph;
     let k = opts.max_width;
-    let (seed_time, seed) =
-        best_of(|| baseline::cost_k_decomp_instrumented(h, opts, &StructuralCost));
-    let (bnb_time, bnb) = best_of(|| cost_k_decomp_instrumented(h, opts, &StructuralCost));
+    let (seed_time, seed) = best_of(REPS, || {
+        baseline::cost_k_decomp_instrumented(h, opts, &StructuralCost)
+    });
+    let (bnb_time, bnb) = best_of(REPS, || {
+        cost_k_decomp_instrumented(h, opts, &StructuralCost)
+    });
 
     let (seed_cost, _, seed_stats) = match seed {
         Some(r) => r,
@@ -82,7 +73,7 @@ fn measure(
     let (bnb_cost, _, stats) = bnb.expect("seed found a decomposition, B&B must too");
     assert_eq!(seed_cost, bnb_cost, "{family} k={k}: seed vs B&B cost");
 
-    let (stats_time, (stats_cost, stats_seps, stats_priced)) = best_of(|| {
+    let (stats_time, (stats_cost, stats_seps, stats_priced)) = best_of(REPS, || {
         let model = StatsDecompCost::new(db_stats, q);
         let (cost, _, search) = cost_k_decomp_instrumented(h, opts, &model)
             .expect("feasibility does not depend on the cost model");
@@ -140,27 +131,6 @@ fn tpch_q5() -> (ConjunctiveQuery, DbStats) {
     (q, analyze(&db))
 }
 
-/// Today's UTC date as `YYYY-MM-DD`.
-fn utc_date() -> String {
-    let days = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs() / 86_400);
-    htqo_cq::date::format_date(days as i32)
-}
-
-/// The CPU model the kernel reports, when it reports one.
-fn cpu_model() -> String {
-    std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|text| {
-            text.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split(':').nth(1))
-                .map(|m| m.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown CPU".to_string())
-}
-
 fn main() {
     htqo_bench::harness::reject_unknown_args(&["--mem-limit"]);
     // Decomposition search carries no relation data, but the TPC-H Q5
@@ -196,12 +166,9 @@ fn main() {
         report,
         "# Branch-and-bound cost-k-decomp acceptance numbers\n"
     );
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let _ = writeln!(
         report,
-        "Measured {} on {} ({}/{}), {cpus} CPU(s) visible to the process. Times are best of \
+        "{} Times are best of \
          {REPS} runs (structural cost model unless a column says otherwise). `seed` is the frozen \
          exhaustive search; `B&B` is the pruned branch-and-bound engine on word masks (every \
          hypergraph here fits 64 edges and 64 variables). The `stats` columns rerun the \
@@ -211,10 +178,7 @@ fn main() {
          hash probe), and time. Every row asserts identical optimal cost between seed and \
          B&B — under both cost models — and rows with \
          ≥ 6 atoms assert strictly fewer separators examined than the seed.\n",
-        utc_date(),
-        cpu_model(),
-        std::env::consts::OS,
-        std::env::consts::ARCH,
+        measured_on(),
     );
     let _ = writeln!(
         report,

@@ -10,6 +10,47 @@ use htqo_engine::error::Budget;
 use htqo_optimizer::QueryOutcome;
 use std::time::Duration;
 
+/// The "when and where" sentence checked-in results carry: today's UTC
+/// date, the CPU model the kernel reports, the platform and the CPUs
+/// visible to the process.
+pub fn measured_on() -> String {
+    let days = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_secs() / 86_400);
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|text| {
+            text.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split(':').nth(1))
+                .map(|m| m.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown CPU".to_string());
+    let cpus = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    format!(
+        "Measured {} on {cpu} ({}/{}), {cpus} CPU(s) visible to the process.",
+        htqo_cq::date::format_date(days as i32),
+        std::env::consts::OS,
+        std::env::consts::ARCH,
+    )
+}
+
+/// Runs `f` `reps` times; the best wall time in seconds and the last
+/// result.
+pub fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
+    let mut best = f64::INFINITY;
+    let mut out = None;
+    for _ in 0..reps {
+        let t = std::time::Instant::now();
+        let r = f();
+        best = best.min(t.elapsed().as_secs_f64());
+        out = Some(r);
+    }
+    (best, out.expect("reps >= 1"))
+}
+
 /// One measured run.
 #[derive(Clone, Debug)]
 pub struct Measurement {

@@ -87,8 +87,8 @@ impl Value {
 
 /// Normalizes a float so that all NaNs coincide and `-0.0 == 0.0`, keeping
 /// `Eq`, `Ord` and `Hash` mutually consistent (also used by the columnar
-/// cell hashes in `column`).
-pub(crate) fn norm_f64(x: f64) -> f64 {
+/// cell hashes in `column` and by ANALYZE's typed float sort).
+pub fn norm_f64(x: f64) -> f64 {
     if x.is_nan() {
         f64::NAN
     } else if x == 0.0 {

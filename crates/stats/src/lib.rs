@@ -3,7 +3,7 @@
 //! boxes of Figure 5).
 //!
 //! - [`stats`]: per-column/per-table statistics and equi-depth histograms;
-//! - [`analyze`]: full-scan (deliberately expensive) and sampled ANALYZE;
+//! - [`mod@analyze`]: full-scan (exact, linear in the data) and sampled ANALYZE;
 //! - [`estimate`]: textbook selectivity and join-cardinality estimation;
 //! - [`cost`]: the [`htqo_core::DecompCost`] implementation that makes
 //!   `cost-k-decomp` statistics-aware.

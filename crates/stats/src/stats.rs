@@ -6,7 +6,7 @@ use htqo_engine::value::Value;
 use std::collections::BTreeMap;
 
 /// Per-column statistics.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ColumnStats {
     /// Number of distinct non-null values.
     pub distinct: u64,
@@ -21,7 +21,7 @@ pub struct ColumnStats {
 }
 
 /// Per-table statistics.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TableStats {
     /// Row count.
     pub rows: u64,
@@ -82,10 +82,23 @@ impl DbStats {
 /// An equi-depth histogram: `bounds` splits the sorted non-null values into
 /// buckets of (approximately) equal row counts; `bounds[i]` is the upper
 /// bound of bucket `i`.
-#[derive(Clone, Debug)]
+///
+/// [`EquiDepthHistogram::from_sorted`] is the definition of the bounds.
+/// ANALYZE never builds the sorted boxed values it takes: it reads the
+/// cells at `bound_positions` off typed columns, and
+/// `tests/analyze_equiv_prop.rs` holds the two equal, exactly.
+#[derive(Clone, Debug, PartialEq)]
 pub struct EquiDepthHistogram {
     bounds: Vec<Value>,
     rows: u64,
+}
+
+/// Where [`EquiDepthHistogram::from_sorted`] takes its bounds from `n`
+/// sorted values: ascending positions, the last one `n - 1`; none when
+/// `n` or `buckets` is 0.
+pub(crate) fn bound_positions(n: usize, buckets: usize) -> impl Iterator<Item = usize> {
+    let buckets = buckets.min(n);
+    (1..=buckets).map(move |b| (b * n) / buckets - 1)
 }
 
 impl EquiDepthHistogram {
@@ -105,6 +118,12 @@ impl EquiDepthHistogram {
             bounds,
             rows: sorted.len() as u64,
         })
+    }
+
+    /// The histogram of `rows` non-null values whose cells at
+    /// [`bound_positions`] are `bounds`; `None` when there are none.
+    pub(crate) fn from_bounds(bounds: Vec<Value>, rows: u64) -> Option<Self> {
+        (!bounds.is_empty()).then_some(EquiDepthHistogram { bounds, rows })
     }
 
     /// Number of buckets.

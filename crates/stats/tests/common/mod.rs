@@ -1,12 +1,16 @@
 //! Random conjunctive queries with random statistics, shared by the
-//! pricing property suites. Everything derives from one `u64` seed so a
-//! failing case is reproducible from the proptest report.
+//! pricing property suites, and the boxed ANALYZE the typed one is held
+//! to. Everything generated derives from one `u64` seed so a failing case
+//! is reproducible from the proptest report.
 
 #![allow(dead_code)] // each including test binary uses a subset
 
 use htqo_cq::{CmpOp, ConjunctiveQuery, CqBuilder, Literal};
+use htqo_engine::dict;
+use htqo_engine::schema::Database;
 use htqo_engine::value::Value;
 use htqo_stats::{ColumnStats, DbStats, EquiDepthHistogram, TableStats};
+use std::collections::BTreeMap;
 
 /// SplitMix64 — small, seedable, good enough to drive a generator.
 pub struct Rng(u64);
@@ -214,4 +218,60 @@ pub fn cycle(n: usize) -> (ConjunctiveQuery, DbStats) {
         stats.tables.insert(table, t);
     }
     (b.out_var("V0").build(), stats)
+}
+
+/// `analyze_with_buckets` as it stood before it read typed columns (its
+/// body at commit `48d667e`, verbatim but for the timer): every cell boxed
+/// into a `Value`, the boxes sorted by `Value`'s `Ord`, the statistics
+/// read off the sorted boxes through `EquiDepthHistogram::from_sorted`.
+/// `analyze_equiv_prop` requires the library's result to equal this one.
+pub fn reference_analyze(db: &Database, buckets: usize) -> DbStats {
+    let mut stats = DbStats::default();
+    for (name, rel) in db.tables() {
+        let mut table = TableStats {
+            rows: rel.len() as u64,
+            columns: BTreeMap::new(),
+        };
+        for (ci, col) in rel.schema().columns().iter().enumerate() {
+            // Columnar storage: walk the one stored column directly.
+            let stored = rel.column(ci);
+            let reader = dict::reader();
+            let mut values: Vec<Value> = Vec::with_capacity(rel.len());
+            let mut nulls = 0u64;
+            for i in 0..rel.len() {
+                if stored.is_null(i) {
+                    nulls += 1;
+                } else {
+                    values.push(stored.value_with(i, &reader));
+                }
+            }
+            drop(reader);
+            values.sort();
+            let distinct = {
+                // Sorted: count boundaries (exact).
+                let mut d = 0u64;
+                let mut prev: Option<&Value> = None;
+                for v in &values {
+                    if prev != Some(v) {
+                        d += 1;
+                        prev = Some(v);
+                    }
+                }
+                d
+            };
+            let histogram = EquiDepthHistogram::from_sorted(&values, buckets);
+            table.columns.insert(
+                col.name.clone(),
+                ColumnStats {
+                    distinct,
+                    nulls,
+                    min: values.first().cloned(),
+                    max: values.last().cloned(),
+                    histogram,
+                },
+            );
+        }
+        stats.tables.insert(name.to_string(), table);
+    }
+    stats
 }
