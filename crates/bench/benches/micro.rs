@@ -2,9 +2,9 @@
 //! det-k/cost-k decomposition (with the cost-k search's time per
 //! separator tried under the statistics model), the seed-vs-branch-and-bound
 //! cost-k memo (cloned-bitset std keys vs word-mask keys under the fx
-//! hasher), the
-//! hybrid planner on TPC-H Q5, separator pricing and cold planning under
-//! the statistics cost model, ANALYZE (whole TPC-H, and one 100k-row
+//! hasher), the hybrid planner on TPC-H Q5, TPC-H generation, separator
+//! pricing and cold planning under the statistics cost model, ANALYZE
+//! (whole TPC-H, and one 100k-row
 //! column of each kind), base-table scans (shared columns, typed
 //! predicate kernels), the paged store's commit, reload and recovery
 //! paths, the query service's per-statement fixed cost (prepared, ad hoc
@@ -185,6 +185,24 @@ fn bench_tpch_planning(c: &mut Criterion) {
     });
 }
 
+fn bench_dbgen(c: &mut Criterion) {
+    // TPC-H generation at the `tpch_mem` benchmark's scale (173k rows):
+    // the RNG draws, the name formatting and the typed column pushes.
+    // Every string is interned after the first iteration, so what is
+    // timed is the steady state the benchmark's repeated set-ups see.
+    let mut group = c.benchmark_group("tpch");
+    group.sample_size(20);
+    group.bench_function("dbgen_sf002", |b| {
+        b.iter(|| {
+            generate(&DbgenOptions {
+                scale: 0.02,
+                seed: 1,
+            })
+        })
+    });
+    group.finish();
+}
+
 fn bench_planner(c: &mut Criterion) {
     // Pricing and cold planning under the statistics cost model, on the
     // e2e `plan_cold` shapes (12 relations x 40 rows over 80 values).
@@ -233,13 +251,17 @@ fn bench_analyze(c: &mut Criterion) {
     // set-up pay it (TPC-H SF 0.02: 173k rows, 39 columns), then one
     // 100k-row column per kind, so a regression names the path it is on:
     // counted keys, sorted keys, float keys, few strings, many strings.
-    use htqo_engine::relation::Relation;
+    use htqo_engine::relation::{Relation, RowLoader};
     use htqo_engine::schema::{ColumnType, Database, Schema};
-    use htqo_engine::value::Value;
     const ROWS: i64 = 100_000;
-    let column = |ty: ColumnType, cell: &dyn Fn(i64) -> Value| {
+    let column = |ty: ColumnType, cell: &dyn Fn(&mut RowLoader<'_>, i64) -> bool| {
         let mut rel = Relation::new(Schema::new(&[("c", ty)]));
-        rel.push_many_unchecked((0..ROWS).map(|i| vec![cell(i)]));
+        let mut loader = rel.loader();
+        for i in 0..ROWS {
+            assert!(cell(&mut loader, i));
+            loader.end_row();
+        }
+        drop(loader);
         let mut db = Database::new();
         db.insert_table("t", rel);
         db
@@ -257,30 +279,30 @@ fn bench_analyze(c: &mut Criterion) {
         ),
         (
             "int_dense_100k",
-            column(ColumnType::Int, &|i| {
-                Value::Int((scramble(i) % ROWS as u64) as i64)
+            column(ColumnType::Int, &|l, i| {
+                l.push_int((scramble(i) % ROWS as u64) as i64)
             }),
         ),
         (
             "int_sparse_100k",
-            column(ColumnType::Int, &|i| Value::Int(scramble(i) as i64)),
+            column(ColumnType::Int, &|l, i| l.push_int(scramble(i) as i64)),
         ),
         (
             "float_100k",
-            column(ColumnType::Float, &|i| {
-                Value::Float((scramble(i) % 10_000_000) as f64 / 100.0)
+            column(ColumnType::Float, &|l, i| {
+                l.push_float((scramble(i) % 10_000_000) as f64 / 100.0)
             }),
         ),
         (
             "str_3_values_100k",
-            column(ColumnType::Str, &|i| {
-                Value::str(["N", "R", "A"][(scramble(i) % 3) as usize])
+            column(ColumnType::Str, &|l, i| {
+                l.push_str(["N", "R", "A"][(scramble(i) % 3) as usize])
             }),
         ),
         (
             "str_all_distinct_100k",
-            column(ColumnType::Str, &|i| {
-                Value::str(&format!("Customer#{:016x}", scramble(i)))
+            column(ColumnType::Str, &|l, i| {
+                l.push_str(&format!("Customer#{:016x}", scramble(i)))
             }),
         ),
     ];
@@ -362,7 +384,13 @@ fn bench_storage(c: &mut Criterion) {
             ("k", ColumnType::Int),
             ("pad", ColumnType::Str),
         ]));
-        rel.push_many_unchecked((0..rows).map(row));
+        let mut loader = rel.loader();
+        for k in 0..rows {
+            loader.push_int(k);
+            loader.push_str(&format!("{k:0>96}"));
+            loader.end_row();
+        }
+        drop(loader);
         rel
     };
     let small_pool = 24 * PAGE_SIZE as u64;
@@ -962,6 +990,7 @@ criterion_group!(
     bench_memo_lookup,
     bench_costk_engines,
     bench_tpch_planning,
+    bench_dbgen,
     bench_planner,
     bench_analyze,
     bench_scans,

@@ -102,6 +102,7 @@ pub struct NullMask {
 
 impl NullMask {
     /// Marks row `i` as NULL (allocating on first use).
+    #[inline]
     pub fn set_null(&mut self, i: usize) {
         let word = i / 64;
         if self.bits.len() <= word {
@@ -139,6 +140,65 @@ impl NullMask {
     #[inline]
     pub fn any(&self) -> bool {
         !self.bits.is_empty()
+    }
+}
+
+/// The last few strings a bulk load interned into one `Str` column, so a
+/// repeated string becomes its code without the dictionary's lock and
+/// hash probe. A column with a handful of values (flags, statuses,
+/// segments) hits it on nearly every row; one of names or comments
+/// misses every time, so after [`StrMemo::MAX_MISSES`] misses the memo
+/// is dropped and the column goes straight to the dictionary. Nothing is
+/// allocated before the first string it remembers.
+#[derive(Default)]
+pub(crate) struct StrMemo {
+    entries: Vec<(Box<str>, u32)>,
+    /// The entry the next miss replaces once all are taken.
+    next: usize,
+    misses: u32,
+}
+
+impl StrMemo {
+    const ENTRIES: usize = 8;
+    const MAX_MISSES: u32 = 256;
+    /// A memo that sends every string to the dictionary.
+    fn off() -> StrMemo {
+        StrMemo {
+            entries: Vec::new(),
+            next: 0,
+            misses: Self::MAX_MISSES,
+        }
+    }
+
+    /// The dictionary code of `s`.
+    #[inline]
+    fn code(&mut self, s: &str) -> u32 {
+        if self.misses >= Self::MAX_MISSES {
+            return dict::intern(s);
+        }
+        // `==` on strings compares lengths before bytes.
+        if let Some(&(_, code)) = self.entries.iter().find(|(t, _)| **t == *s) {
+            return code;
+        }
+        self.miss(s)
+    }
+
+    #[cold]
+    fn miss(&mut self, s: &str) -> u32 {
+        let code = dict::intern(s);
+        self.misses += 1;
+        if self.misses == Self::MAX_MISSES {
+            self.entries = Vec::new();
+        } else if self.entries.len() < Self::ENTRIES {
+            if self.entries.is_empty() {
+                self.entries.reserve_exact(Self::ENTRIES);
+            }
+            self.entries.push((s.into(), code));
+        } else {
+            self.entries[self.next] = (s.into(), code);
+            self.next = (self.next + 1) % Self::ENTRIES;
+        }
+        code
     }
 }
 
@@ -297,6 +357,7 @@ impl Column {
     }
 
     /// Appends a NULL cell (every variant accepts one).
+    #[inline]
     pub fn push_null(&mut self) {
         match &mut self.data {
             ColumnData::Int(a) => {
@@ -320,6 +381,7 @@ impl Column {
     /// (no boxed [`Value`] per cell); each returns `false`, appending
     /// nothing, when the column's variant does not hold that type — the
     /// loader's type check.
+    #[inline]
     pub fn push_int(&mut self, x: i64) -> bool {
         match &mut self.data {
             ColumnData::Int(a) => a.push(x),
@@ -330,6 +392,7 @@ impl Column {
     }
 
     /// Appends a float cell (see [`Column::push_int`]).
+    #[inline]
     pub fn push_float(&mut self, x: f64) -> bool {
         match &mut self.data {
             ColumnData::Float(a) => a.push(x),
@@ -340,6 +403,7 @@ impl Column {
     }
 
     /// Appends a date cell (see [`Column::push_int`]).
+    #[inline]
     pub fn push_date(&mut self, x: i32) -> bool {
         match &mut self.data {
             ColumnData::Date(a) => a.push(x),
@@ -351,9 +415,17 @@ impl Column {
 
     /// Appends a string cell, interning the borrowed text (see
     /// [`Column::push_int`]).
+    #[inline]
     pub fn push_str(&mut self, s: &str) -> bool {
+        self.push_str_with(s, &mut StrMemo::off())
+    }
+
+    /// [`Column::push_str`] through `memo`, which is consulted — and the
+    /// dictionary touched — only when the column holds strings.
+    #[inline]
+    pub(crate) fn push_str_with(&mut self, s: &str, memo: &mut StrMemo) -> bool {
         match &mut self.data {
-            ColumnData::Str(a) => a.push(dict::intern(s)),
+            ColumnData::Str(a) => a.push(memo.code(s)),
             ColumnData::Mixed(a) => a.push(Value::str(s)),
             _ => return false,
         }

@@ -11,7 +11,7 @@
 //! per batch (`Arc::make_mut`: free while the relation is the only owner,
 //! copy-on-write after a scan result or a clone shares the column).
 
-use crate::column::Column;
+use crate::column::{Column, StrMemo};
 use crate::dict::{self, DictReader};
 use crate::schema::{ColumnType, Schema};
 use crate::value::{Row, Value};
@@ -145,26 +145,21 @@ impl Relation {
         (0..self.len).map(|i| self.row_with(i, &reader)).collect()
     }
 
-    /// Appends `rows`, taking the columns mutably once for the whole
-    /// batch. With `checked`, each row is validated first and the first
-    /// bad row stops the append (earlier rows stay); without, validation
-    /// is a `debug_assert!` only.
-    fn append<I: IntoIterator<Item = Vec<Value>>>(
+    /// Appends a row after arity/type checking.
+    pub fn push_row(&mut self, row: Vec<Value>) -> Result<(), RelationError> {
+        self.extend_rows(std::iter::once(row))
+    }
+
+    /// Appends many boxed rows, taking the columns mutably once for the
+    /// whole batch. Each row is validated first and the first bad row
+    /// stops the append (earlier rows stay).
+    pub fn extend_rows<I: IntoIterator<Item = Vec<Value>>>(
         &mut self,
         rows: I,
-        checked: bool,
     ) -> Result<(), RelationError> {
         let mut cols: Vec<&mut Column> = self.columns.iter_mut().map(Arc::make_mut).collect();
         for row in rows {
-            if checked {
-                check_row(&self.schema, &row)?;
-            } else {
-                debug_assert!(
-                    check_row(&self.schema, &row).is_ok(),
-                    "push_many_unchecked: row violates schema: {:?}",
-                    check_row(&self.schema, &row)
-                );
-            }
+            check_row(&self.schema, &row)?;
             for (col, value) in cols.iter_mut().zip(&row) {
                 if let Value::Str(s) = value {
                     self.str_bytes += s.len();
@@ -176,35 +171,18 @@ impl Relation {
         Ok(())
     }
 
-    /// Appends a row after arity/type checking.
-    pub fn push_row(&mut self, row: Vec<Value>) -> Result<(), RelationError> {
-        self.append(std::iter::once(row), true)
-    }
-
-    /// Appends many rows (each checked).
-    pub fn extend_rows<I: IntoIterator<Item = Vec<Value>>>(
-        &mut self,
-        rows: I,
-    ) -> Result<(), RelationError> {
-        self.append(rows, true)
-    }
-
-    /// Appends many rows with schema checks compiled to `debug_assert!`s
-    /// only — the bulk-load path for generated data whose types are
-    /// correct by construction (`tpch::dbgen`). In release builds this
-    /// skips the per-row arity/type validation entirely.
-    pub fn push_many_unchecked<I: IntoIterator<Item = Vec<Value>>>(&mut self, rows: I) {
-        self.append(rows, false)
-            .expect("unchecked append cannot fail");
-    }
-
     /// Bulk-load access: the columns taken mutably once, for a loader
     /// that appends rows cell by cell without boxing a [`Value`] per cell
-    /// (the paged storage reload).
+    /// — the one bulk path from typed cells into columns (`tpch::dbgen`,
+    /// the paged storage reload).
     pub fn loader(&mut self) -> RowLoader<'_> {
         RowLoader {
             schema: &self.schema,
-            cols: self.columns.iter_mut().map(Arc::make_mut).collect(),
+            cols: self
+                .columns
+                .iter_mut()
+                .map(|c| (Arc::make_mut(c), StrMemo::default()))
+                .collect(),
             len: &mut self.len,
             str_bytes: &mut self.str_bytes,
             next: 0,
@@ -237,10 +215,12 @@ impl Relation {
 /// appending nothing, when that column holds another type. Cells of a row
 /// that was never ended are dropped by [`RowLoader::abort_row`] or when the
 /// loader goes away, so a failed load leaves the relation with whole rows
-/// only.
+/// only. Each string column keeps a small memo of the strings it interned
+/// last, so a repeated string skips the dictionary; codes are the ones
+/// [`crate::dict::intern`] gives, in the same order.
 pub struct RowLoader<'a> {
     schema: &'a Schema,
-    cols: Vec<&'a mut Column>,
+    cols: Vec<(&'a mut Column, StrMemo)>,
     len: &'a mut usize,
     str_bytes: &'a mut usize,
     /// The column the next cell goes into.
@@ -255,36 +235,43 @@ impl RowLoader<'_> {
         self.schema
     }
 
-    fn push(&mut self, push: impl FnOnce(&mut Column) -> bool) -> bool {
-        let pushed = push(self.cols[self.next]);
+    #[inline]
+    fn push(&mut self, push: impl FnOnce(&mut Column, &mut StrMemo) -> bool) -> bool {
+        let (col, memo) = &mut self.cols[self.next];
+        let pushed = push(col, memo);
         self.next += usize::from(pushed);
         pushed
     }
 
     /// Appends NULL to the next column.
+    #[inline]
     pub fn push_null(&mut self) {
-        self.cols[self.next].push_null();
+        self.cols[self.next].0.push_null();
         self.next += 1;
     }
 
     /// Appends an integer to the next column.
+    #[inline]
     pub fn push_int(&mut self, x: i64) -> bool {
-        self.push(|c| c.push_int(x))
+        self.push(|c, _| c.push_int(x))
     }
 
     /// Appends a float to the next column.
+    #[inline]
     pub fn push_float(&mut self, x: f64) -> bool {
-        self.push(|c| c.push_float(x))
+        self.push(|c, _| c.push_float(x))
     }
 
     /// Appends a date to the next column.
+    #[inline]
     pub fn push_date(&mut self, x: i32) -> bool {
-        self.push(|c| c.push_date(x))
+        self.push(|c, _| c.push_date(x))
     }
 
     /// Appends a string to the next column, interning the borrowed text.
+    #[inline]
     pub fn push_str(&mut self, s: &str) -> bool {
-        let pushed = self.push(|c| c.push_str(s));
+        let pushed = self.push(|c, memo| c.push_str_with(s, memo));
         if pushed {
             self.row_str_bytes += s.len();
         }
@@ -293,6 +280,7 @@ impl RowLoader<'_> {
 
     /// Completes the row in progress, which must have a cell in every
     /// column.
+    #[inline]
     pub fn end_row(&mut self) {
         assert_eq!(self.next, self.cols.len(), "end_row: row is incomplete");
         self.next = 0;
@@ -302,7 +290,7 @@ impl RowLoader<'_> {
 
     /// Drops the cells of the row in progress.
     pub fn abort_row(&mut self) {
-        for col in &mut self.cols[..self.next] {
+        for (col, _) in &mut self.cols[..self.next] {
             col.truncate(*self.len);
         }
         self.next = 0;
@@ -427,17 +415,31 @@ mod tests {
     }
 
     #[test]
-    fn push_many_unchecked_matches_checked_push() {
-        let mut a = Relation::new(schema());
-        let mut b = Relation::new(schema());
-        let rows = vec![
-            vec![Value::Int(1), Value::str("x")],
-            vec![Value::Null, Value::str("y")],
-        ];
-        a.extend_rows(rows.clone()).unwrap();
-        b.push_many_unchecked(rows);
-        assert_eq!(a.to_rows(), b.to_rows());
-        assert_eq!(a.approx_bytes(), b.approx_bytes());
+    fn loader_memo_gives_the_dictionary_codes() {
+        use crate::column::ColumnData;
+        // Few values (memo hits), more values than memo entries in runs
+        // of two (a hit right after each replacement), then past the miss
+        // limit.
+        let cells: Vec<String> = (0..40)
+            .map(|i| format!("memo-few-{}", i % 3))
+            .chain((0..80).map(|i| format!("memo-cycle-{}", i / 2 % 9)))
+            .chain((0..600).map(|i| format!("memo-many-{i}")))
+            .collect();
+        let mut typed = Relation::new(schema());
+        let mut l = typed.loader();
+        for (i, s) in cells.iter().enumerate() {
+            assert!(l.push_int(i as i64) && l.push_str(s));
+            l.end_row();
+        }
+        // A string refused by an `Int` column never reaches the dictionary.
+        assert!(!l.push_str("memo-refused-never-interned"));
+        drop(l);
+        assert_eq!(dict::reader().code_of("memo-refused-never-interned"), None);
+        let ColumnData::Str(codes) = typed.column(1).data() else {
+            panic!("variant")
+        };
+        let want: Vec<u32> = cells.iter().map(|s| dict::intern(s)).collect();
+        assert_eq!(codes, &want);
     }
 
     #[test]

@@ -1,9 +1,12 @@
-//! Allocation regression guards for the join kernels.
+//! Allocation regression guards for the join kernels and the bulk loader.
 //!
 //! The first `natural_join` boxed one `Box<[Value]>` key per build *and*
 //! probe row; the kernels since hash key columns in place. These tests
 //! count heap allocations with a counting global allocator and bound
-//! them per row, so per-row key boxing cannot come back unnoticed.
+//! them per row, so per-row key boxing cannot come back unnoticed. Bulk
+//! loads (`RowLoader`, and `dbgen` on it) used to box a `Vec<Value>` per
+//! row and an `Arc<str>` per string cell; they now allocate per column
+//! and per distinct string.
 //!
 //! (Integration test = its own binary, so the global allocator and the
 //! counters see only this file's work; the tests take [`serial`] so they
@@ -215,6 +218,76 @@ fn dense_key_join_allocates_no_hash_arrays() {
         dense_bytes + hash_arrays * 9 / 10 < hashed_bytes,
         "the dense join allocated {dense_bytes} B, the hashed one {hashed_bytes} B: \
          expected ≈ {hash_arrays} B of hash arrays less"
+    );
+}
+
+/// 20,000 rows with a 3-value string column through `RowLoader`: the
+/// columns, the loader's column list, the string column's memo and the
+/// three strings it remembers — nothing per row.
+#[test]
+fn loader_allocates_per_column_and_distinct_string() {
+    use htqo_engine::relation::Relation;
+    use htqo_engine::schema::{ColumnType, Schema};
+    let _serial = serial();
+    let rows = 20_000i64;
+    let flags = ["alloc-pin-A", "alloc-pin-N", "alloc-pin-R"];
+    let load = || {
+        let mut rel = Relation::new(Schema::new(&[
+            ("k", ColumnType::Int),
+            ("flag", ColumnType::Str),
+            ("price", ColumnType::Float),
+        ]));
+        rel.reserve(rows as usize);
+        let mut loader = rel.loader();
+        for k in 0..rows {
+            assert!(loader.push_int(k));
+            assert!(loader.push_str(flags[(k * 7 % 3) as usize]));
+            assert!(loader.push_float(k as f64 / 4.0));
+            loader.end_row();
+        }
+        drop(loader);
+        rel
+    };
+    let _ = load(); // interns the three strings
+    let (allocs, rel) = allocs_of(load);
+    assert_eq!(rel.len(), rows as usize);
+    // Measured: 16 — the schema (4), the relation's columns (4), their
+    // reservations (3), the loader's column list, the memo and the 3
+    // strings it remembers.
+    let columns = 3;
+    assert!(
+        allocs <= 4 * (columns + flags.len()),
+        "{allocs} allocations to load {rows} rows"
+    );
+}
+
+/// `dbgen` at SF 0.004 generates four times the rows of SF 0.001 (≈ 26 k
+/// more) but may allocate more blocks only for the formatted names: a
+/// `Vec` or an `Arc` per row or per string cell would be thousands more.
+#[test]
+fn dbgen_allocates_per_table_and_name_not_per_row() {
+    use htqo_tpch::{generate, scaled_rows, DbgenOptions, TABLES};
+    let _serial = serial();
+    let run = |scale: f64| generate(&DbgenOptions { scale, seed: 3 });
+    // Warm-up: every string of both sizes is in the dictionary.
+    let _ = (run(0.004), run(0.001));
+    let (small, _) = allocs_of(|| run(0.001));
+    let (large, _) = allocs_of(|| run(0.004));
+    let rows = |tables: &[&str], scale| tables.iter().map(|t| scaled_rows(t, scale)).sum::<usize>();
+    let named = ["supplier", "customer", "part"];
+    let more_names = rows(&named, 0.004) - rows(&named, 0.001);
+    let more_rows = rows(&TABLES, 0.004) - rows(&TABLES, 0.001);
+    assert!(
+        more_rows > 20 * more_names,
+        "{more_rows} rows, {more_names} names"
+    );
+    // Measured: 723 and 1,025 — 302 more, for 1,080 more names (the
+    // memos remember up to 256 of each name column before they give up).
+    assert!(
+        large.saturating_sub(small) <= more_names,
+        "SF 0.001: {small} allocations, SF 0.004: {large} — {} more for {more_names} more \
+         names and ≈ {more_rows} more rows",
+        large - small
     );
 }
 

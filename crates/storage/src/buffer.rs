@@ -619,7 +619,7 @@ mod tests {
             pool.flush().unwrap();
             assert_eq!(pool.stats().flushes, 1);
         }
-        let mut f = PageFile::open(&path).unwrap();
+        let f = PageFile::open(&path).unwrap();
         let mut buf = vec![0u8; PAGE_SIZE];
         f.read(2, &mut buf).unwrap();
         assert_eq!(buf[0], 0xEE);
@@ -643,7 +643,7 @@ mod tests {
             pool.flush().unwrap();
             assert_eq!(pool.file_pages(), 4);
         }
-        let mut f = PageFile::open(&path).unwrap();
+        let f = PageFile::open(&path).unwrap();
         assert_eq!(f.pages(), 4);
         let mut buf = vec![0u8; PAGE_SIZE];
         f.read(3, &mut buf).unwrap();
@@ -715,7 +715,7 @@ mod tests {
             .collect();
         assert_eq!(imaged, [0, 1, 2, 3, 4, 5, fresh]);
         drop(pool);
-        let mut file = PageFile::open(&path).unwrap();
+        let file = PageFile::open(&path).unwrap();
         assert_eq!(file.pages(), 7);
         let mut buf = vec![0u8; PAGE_SIZE];
         file.read(fresh, &mut buf).unwrap();
@@ -748,7 +748,7 @@ mod tests {
         let cells = crate::page::cells(&pool.pin(fresh).unwrap()).unwrap();
         assert_eq!(cells, [b"also".to_vec()]);
         drop(pool);
-        let mut file = PageFile::open(&path).unwrap();
+        let file = PageFile::open(&path).unwrap();
         let mut buf = vec![0u8; PAGE_SIZE];
         file.read(1, &mut buf).unwrap();
         assert_eq!(

@@ -1068,6 +1068,24 @@ impl StorageDb {
                 None => {}
             }
         }
+        // A load reserves `rows` up front: a damaged count must be an
+        // error here, not an allocation failure there.
+        let mut slots = 0u64;
+        for &(start, count) in &meta.heap {
+            if start.checked_add(count).is_none() {
+                return Err(bad_catalog(
+                    path,
+                    &format!("heap {start} {count} overflows"),
+                ));
+            }
+            slots = slots.saturating_add(count.saturating_mul(page::MAX_SLOTS as u64));
+        }
+        if meta.rows as u64 > slots {
+            return Err(bad_catalog(
+                path,
+                &format!("rows {} exceed the {slots} slots of its heap", meta.rows),
+            ));
+        }
         Ok(meta)
     }
 
@@ -1402,6 +1420,14 @@ impl StorageDb {
         for (col, ty) in &meta.columns {
             schema.push(col, *ty);
         }
+        // The catalog's rows fit its extents; the extents must fit the file.
+        let pages = table.pool.next_pid();
+        if let Some(&(start, count)) = meta.heap.iter().find(|&&(s, c)| s + c > pages) {
+            return Err(EvalError::SpillIo(format!(
+                "table {name}: heap {start} {count} runs past the {pages} pages of {}",
+                meta.file
+            )));
+        }
         let mut rel = Relation::new(schema);
         rel.reserve(meta.rows);
         let mut loader = rel.loader();
@@ -1410,13 +1436,15 @@ impl StorageDb {
             for pid in start..start + count {
                 let page = table.pool.pin(pid)?;
                 let n = page::cell_count(&page)?;
-                slots.push_page(pid, n, page::page_used_bytes(&page)?);
+                let mut used = page::used_bytes(&[]);
                 for i in 0..n {
                     let cell = page::cell(&page, i)?;
+                    used = page::used_with(used, cell);
                     if !cell.is_empty() {
                         codec::load_row(name, cell, &mut loader)?;
                     }
                 }
+                slots.push_page(pid, n, used);
             }
         }
         drop(loader);
@@ -2081,6 +2109,53 @@ mod tests {
         assert_eq!(report.unreadable_catalogs, 1);
         assert_eq!(report.orphans_removed, 0);
         assert!(dir.join("t.pages").exists(), "data must never be GC'd");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A load reserves the catalog's row count before it reads a page, so
+    /// a damaged `rows` or `heap` line must be a typed error, never an
+    /// allocation of that size (which aborts the process) or an overflow.
+    #[test]
+    fn damaged_row_counts_and_extents_are_typed_errors() {
+        let dir = tmpdir("damaged-rows");
+        let mut rel = Relation::new(Schema::new(&[("id", ColumnType::Int)]));
+        rel.push_row(vec![Value::Int(7)]).unwrap();
+        let meta = StorageDb::open(&dir)
+            .unwrap()
+            .ingest("t", &rel, &[])
+            .unwrap();
+        assert_eq!(meta.heap, [(0, 1)]);
+        let good = StorageDb::catalog_text(&meta);
+        for (from, to, want) in [
+            ("rows 1\n", "rows 5\n", "catalog says 5 rows, pages hold 1"),
+            ("rows 1\n", "rows 1000000000000\n", "exceed the 2045 slots"),
+            (
+                "rows 1\n",
+                format!("rows {}\n", usize::MAX).as_str(),
+                "exceed the 2045 slots",
+            ),
+            (
+                "heap 0 1\n",
+                format!("heap {} 2\n", u64::MAX).as_str(),
+                "overflows",
+            ),
+            ("heap 0 1\n", "heap 0 1000000000\n", "runs past the 1 pages"),
+        ] {
+            let text = good.replace(from, to);
+            assert_ne!(text, good);
+            std::fs::write(dir.join("t.cat"), &text).unwrap();
+            let storage = StorageDb::open(&dir).unwrap();
+            match storage.load_table("t", 1 << 20, None) {
+                Err(EvalError::SpillIo(msg)) => assert!(msg.contains(want), "{to:?}: {msg}"),
+                other => panic!(
+                    "{to:?}: expected a typed error, got {:?}",
+                    other.map(|r| r.0.len())
+                ),
+            }
+        }
+        std::fs::write(dir.join("t.cat"), &good).unwrap();
+        let storage = StorageDb::open(&dir).unwrap();
+        assert_eq!(storage.load_table("t", 1 << 20, None).unwrap().0.len(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -22,6 +22,7 @@ const TAG_FLOAT: u8 = 2;
 const TAG_STR: u8 = 3;
 const TAG_DATE: u8 = 4;
 
+#[cold]
 fn corrupt(what: &str) -> EvalError {
     EvalError::SpillIo(format!("heap page corruption: {what}"))
 }
@@ -127,13 +128,26 @@ pub fn load_row(table: &str, cell: &[u8], loader: &mut RowLoader<'_>) -> Result<
     res
 }
 
+/// The next `N` bytes of `rest`, which moves past them.
+#[inline]
+fn chunk<'a, const N: usize>(rest: &mut &'a [u8]) -> Result<&'a [u8; N], EvalError> {
+    let Some((head, tail)) = rest.split_first_chunk() else {
+        return Err(corrupt("cell truncated"));
+    };
+    *rest = tail;
+    Ok(head)
+}
+
 fn push_cells(table: &str, cell: &[u8], loader: &mut RowLoader<'_>) -> Result<(), EvalError> {
-    let mut pos = 0;
+    let mut rest = cell;
     // First column holding a value of another type; reported only once
     // the whole cell has parsed, as the reference does.
     let mut mistyped = None;
     for col in 0..loader.schema().arity() {
-        let tag = take(cell, &mut pos, 1)?[0];
+        let Some((&tag, tail)) = rest.split_first() else {
+            return Err(corrupt("cell truncated"));
+        };
+        rest = tail;
         let skip = mistyped.is_some();
         let pushed = match tag {
             TAG_NULL => {
@@ -143,21 +157,26 @@ fn push_cells(table: &str, cell: &[u8], loader: &mut RowLoader<'_>) -> Result<()
                 true
             }
             TAG_INT => {
-                let x = i64::from_le_bytes(fixed(cell, &mut pos)?);
+                let x = i64::from_le_bytes(*chunk(&mut rest)?);
                 skip || loader.push_int(x)
             }
             TAG_FLOAT => {
-                let x = f64::from_bits(u64::from_le_bytes(fixed(cell, &mut pos)?));
+                let x = f64::from_bits(u64::from_le_bytes(*chunk(&mut rest)?));
                 skip || loader.push_float(x)
             }
             TAG_STR => {
-                let len = u32::from_le_bytes(fixed(cell, &mut pos)?) as usize;
-                let bytes = take(cell, &mut pos, len)?;
-                let s = std::str::from_utf8(bytes).map_err(|_| corrupt("non-utf8 string"))?;
+                let len = u32::from_le_bytes(*chunk(&mut rest)?) as usize;
+                let Some((bytes, tail)) = rest.split_at_checked(len) else {
+                    return Err(corrupt("cell truncated"));
+                };
+                rest = tail;
+                let Ok(s) = std::str::from_utf8(bytes) else {
+                    return Err(corrupt("non-utf8 string"));
+                };
                 skip || loader.push_str(s)
             }
             TAG_DATE => {
-                let x = i32::from_le_bytes(fixed(cell, &mut pos)?);
+                let x = i32::from_le_bytes(*chunk(&mut rest)?);
                 skip || loader.push_date(x)
             }
             t => return Err(corrupt(&format!("unknown value tag {t}"))),
@@ -166,7 +185,7 @@ fn push_cells(table: &str, cell: &[u8], loader: &mut RowLoader<'_>) -> Result<()
             mistyped = Some(col);
         }
     }
-    if pos != cell.len() {
+    if !rest.is_empty() {
         return Err(corrupt("trailing bytes in row cell"));
     }
     if let Some(col) = mistyped {

@@ -47,6 +47,10 @@ const SLOT: usize = 4;
 /// Largest cell a single (otherwise empty) page can hold.
 pub const MAX_CELL: usize = PAGE_DATA - HEADER - SLOT;
 
+/// Most slots one page can hold (every cell empty): a bound on the rows
+/// of a heap page.
+pub const MAX_SLOTS: usize = (PAGE_DATA - HEADER) / SLOT;
+
 fn corrupt(what: &str) -> EvalError {
     EvalError::SpillIo(format!("slotted page corruption: {what}"))
 }

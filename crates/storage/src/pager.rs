@@ -1,7 +1,8 @@
 //! Page-granular file IO.
 //!
 //! A [`PageFile`] is a flat sequence of [`PAGE_SIZE`] pages addressed by
-//! page id; all reads and writes are whole pages. Every write stamps the
+//! page id; all reads and writes are whole pages, each one positioned
+//! call (`pread`/`pwrite`, no file cursor to move). Every write stamps the
 //! page's checksum trailer ([`crate::page::stamp`]) and every read
 //! verifies it — a torn or bit-flipped page surfaces as the typed
 //! [`EvalError::CorruptPage`], never as silently-decoded garbage. Other
@@ -17,7 +18,7 @@
 use crate::page::{stamp, verify, PAGE_SIZE};
 use htqo_engine::EvalError;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 /// An open heap/index file with page-granular access.
@@ -81,7 +82,7 @@ impl PageFile {
         &self.path
     }
 
-    fn seek_to(&mut self, pid: u64, op: &str) -> Result<(), EvalError> {
+    fn check_range(&self, pid: u64) -> Result<(), EvalError> {
         if pid >= self.pages {
             return Err(EvalError::SpillIo(format!(
                 "{}: page {pid} out of range (file has {})",
@@ -89,20 +90,17 @@ impl PageFile {
                 self.pages
             )));
         }
-        self.file
-            .seek(SeekFrom::Start(pid * PAGE_SIZE as u64))
-            .map_err(|e| io_err(&self.path, op, e))?;
         Ok(())
     }
 
-    /// Reads page `pid` into `buf` (must be [`PAGE_SIZE`] long) and
-    /// verifies its checksum trailer.
-    pub fn read(&mut self, pid: u64, buf: &mut [u8]) -> Result<(), EvalError> {
+    /// Reads page `pid` into `buf` (must be [`PAGE_SIZE`] long) with one
+    /// positioned read and verifies its checksum trailer.
+    pub fn read(&self, pid: u64, buf: &mut [u8]) -> Result<(), EvalError> {
         htqo_engine::fail_point!("storage::page_read");
         assert_eq!(buf.len(), PAGE_SIZE);
-        self.seek_to(pid, "read")?;
+        self.check_range(pid)?;
         self.file
-            .read_exact(buf)
+            .read_exact_at(buf, pid * PAGE_SIZE as u64)
             .map_err(|e| io_err(&self.path, "read", e))?;
         if !verify(buf) {
             return Err(EvalError::CorruptPage {
@@ -113,26 +111,24 @@ impl PageFile {
         Ok(())
     }
 
-    /// Stamps `page`'s checksum, honoring the `storage::page_write`
-    /// failpoint by leaving a half-written (torn) page behind.
-    fn stamped_write_at(&mut self, offset: u64, page: &[u8]) -> Result<(), EvalError> {
+    /// Stamps `page`'s checksum and writes it at `offset` with one
+    /// positioned write, honoring the `storage::page_write` failpoint by
+    /// leaving a half-written (torn) page behind.
+    fn stamped_write_at(&self, offset: u64, page: &[u8]) -> Result<(), EvalError> {
         let mut stamped = page.to_vec();
         stamp(&mut stamped);
-        self.file
-            .seek(SeekFrom::Start(offset))
-            .map_err(|e| io_err(&self.path, "write", e))?;
         if htqo_engine::failpoint::armed() {
             if let Err(e) = htqo_engine::failpoint::eval("storage::page_write") {
                 // Simulate a torn write: half the page lands, then the
                 // "crash". The half-page carries a stale/invalid
                 // trailer, so recovery sees it as corrupt — exactly
                 // like real hardware.
-                let _ = self.file.write_all(&stamped[..PAGE_SIZE / 2]);
+                let _ = self.file.write_all_at(&stamped[..PAGE_SIZE / 2], offset);
                 return Err(e);
             }
         }
         self.file
-            .write_all(&stamped)
+            .write_all_at(&stamped, offset)
             .map_err(|e| io_err(&self.path, "write", e))
     }
 
@@ -140,13 +136,7 @@ impl PageFile {
     /// The checksum trailer is (re)stamped; callers need not fill it.
     pub fn write(&mut self, pid: u64, page: &[u8]) -> Result<(), EvalError> {
         assert_eq!(page.len(), PAGE_SIZE);
-        if pid >= self.pages {
-            return Err(EvalError::SpillIo(format!(
-                "{}: page {pid} out of range (file has {})",
-                self.path.display(),
-                self.pages
-            )));
-        }
+        self.check_range(pid)?;
         self.stamped_write_at(pid * PAGE_SIZE as u64, page)
     }
 
@@ -240,7 +230,7 @@ mod tests {
         raw[123] ^= 0x40;
         std::fs::write(&path, &raw).unwrap();
 
-        let mut f = PageFile::open(&path).unwrap();
+        let f = PageFile::open(&path).unwrap();
         let mut buf = vec![0u8; PAGE_SIZE];
         match f.read(0, &mut buf) {
             Err(EvalError::CorruptPage { pid, .. }) => assert_eq!(pid, 0),

@@ -9,11 +9,11 @@
 
 use crate::schema::{base_rows, table_schema, NATIONS, REGIONS};
 use htqo_cq::date::days_from_civil;
-use htqo_engine::relation::Relation;
+use htqo_engine::relation::{Relation, RowLoader};
 use htqo_engine::schema::Database;
-use htqo_engine::value::Value;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::fmt::Write;
 
 /// Generation options.
 #[derive(Clone, Debug)]
@@ -48,49 +48,62 @@ pub fn nominal_megabytes(scale: f64) -> f64 {
     scale * 1000.0
 }
 
-/// Generates the full database.
+/// `rows` rows of `table`, each pushed cell by cell into the columns by
+/// `row` (given the loader and the row number), in row order.
+fn load(table: &str, rows: usize, mut row: impl FnMut(&mut RowLoader<'_>, usize)) -> Relation {
+    let mut rel = Relation::new(table_schema(table));
+    rel.reserve(rows);
+    let mut loader = rel.loader();
+    for i in 0..rows {
+        row(&mut loader, i);
+        loader.end_row();
+    }
+    drop(loader);
+    rel
+}
+
+/// `args` formatted into `buf`, replacing what it held.
+fn fill<'a>(buf: &'a mut String, args: std::fmt::Arguments<'_>) -> &'a str {
+    buf.clear();
+    buf.write_fmt(args).expect("formatting into a String");
+    buf
+}
+
+/// Generates the full database. Cells go straight into the typed columns
+/// (no boxed row), and formatted names are written into one reused
+/// buffer. Within a row the cells — and the random draws behind them —
+/// come in column order, so the RNG stream, every cell and every
+/// dictionary code are fixed by the seed alone.
 pub fn generate(options: &DbgenOptions) -> Database {
     let mut db = Database::new();
     let mut rng = StdRng::seed_from_u64(options.seed);
     let scale = options.scale;
+    let mut name = String::new();
 
-    // region
-    let mut region = Relation::new(table_schema("region"));
-    region.push_many_unchecked(REGIONS.iter().enumerate().map(|(i, name)| {
-        vec![
-            Value::Int(i as i64),
-            Value::str(name),
-            Value::str("standard region comment"),
-        ]
-    }));
+    let region = load("region", REGIONS.len(), |l, i| {
+        l.push_int(i as i64);
+        l.push_str(REGIONS[i]);
+        l.push_str("standard region comment");
+    });
     db.insert_table("region", region);
 
-    // nation
-    let mut nation = Relation::new(table_schema("nation"));
-    nation.push_many_unchecked(NATIONS.iter().enumerate().map(|(i, (name, regionkey))| {
-        vec![
-            Value::Int(i as i64),
-            Value::str(name),
-            Value::Int(*regionkey),
-        ]
-    }));
+    let nation = load("nation", NATIONS.len(), |l, i| {
+        let (nation_name, regionkey) = NATIONS[i];
+        l.push_int(i as i64);
+        l.push_str(nation_name);
+        l.push_int(regionkey);
+    });
     db.insert_table("nation", nation);
 
-    // supplier
     let n_supplier = scaled_rows("supplier", scale);
-    let mut supplier = Relation::new(table_schema("supplier"));
-    supplier.reserve(n_supplier);
-    supplier.push_many_unchecked((0..n_supplier).map(|i| {
-        vec![
-            Value::Int(i as i64),
-            Value::str(&format!("Supplier#{i:09}")),
-            Value::Int(rng.gen_range(0..25)),
-            Value::Float(round2(rng.gen_range(-999.99..9999.99))),
-        ]
-    }));
+    let supplier = load("supplier", n_supplier, |l, i| {
+        l.push_int(i as i64);
+        l.push_str(fill(&mut name, format_args!("Supplier#{i:09}")));
+        l.push_int(rng.gen_range(0..25));
+        l.push_float(round2(rng.gen_range(-999.99..9999.99)));
+    });
     db.insert_table("supplier", supplier);
 
-    // customer
     let n_customer = scaled_rows("customer", scale);
     let segments = [
         "AUTOMOBILE",
@@ -99,20 +112,15 @@ pub fn generate(options: &DbgenOptions) -> Database {
         "MACHINERY",
         "HOUSEHOLD",
     ];
-    let mut customer = Relation::new(table_schema("customer"));
-    customer.reserve(n_customer);
-    customer.push_many_unchecked((0..n_customer).map(|i| {
-        vec![
-            Value::Int(i as i64),
-            Value::str(&format!("Customer#{i:09}")),
-            Value::Int(rng.gen_range(0..25)),
-            Value::str(segments[rng.gen_range(0..segments.len())]),
-            Value::Float(round2(rng.gen_range(-999.99..9999.99))),
-        ]
-    }));
+    let customer = load("customer", n_customer, |l, i| {
+        l.push_int(i as i64);
+        l.push_str(fill(&mut name, format_args!("Customer#{i:09}")));
+        l.push_int(rng.gen_range(0..25));
+        l.push_str(segments[rng.gen_range(0..segments.len())]);
+        l.push_float(round2(rng.gen_range(-999.99..9999.99)));
+    });
     db.insert_table("customer", customer);
 
-    // part
     let n_part = scaled_rows("part", scale);
     let types = [
         "ECONOMY ANODIZED STEEL",
@@ -122,80 +130,60 @@ pub fn generate(options: &DbgenOptions) -> Database {
         "LARGE BURNISHED TIN",
         "PROMO PLATED STEEL",
     ];
-    let mut part = Relation::new(table_schema("part"));
-    part.reserve(n_part);
-    part.push_many_unchecked((0..n_part).map(|i| {
-        vec![
-            Value::Int(i as i64),
-            Value::str(&format!("part {i}")),
-            Value::str(types[rng.gen_range(0..types.len())]),
-            Value::str(&format!(
-                "Brand#{}{}",
-                rng.gen_range(1..6),
-                rng.gen_range(1..6)
-            )),
-            Value::Float(round2(900.0 + (i % 1000) as f64 / 10.0)),
-        ]
-    }));
+    let part = load("part", n_part, |l, i| {
+        l.push_int(i as i64);
+        l.push_str(fill(&mut name, format_args!("part {i}")));
+        l.push_str(types[rng.gen_range(0..types.len())]);
+        let (a, b) = (rng.gen_range(1..6), rng.gen_range(1..6));
+        l.push_str(fill(&mut name, format_args!("Brand#{a}{b}")));
+        l.push_float(round2(900.0 + (i % 1000) as f64 / 10.0));
+    });
     db.insert_table("part", part);
 
-    // partsupp
     let n_partsupp = scaled_rows("partsupp", scale);
-    let mut partsupp = Relation::new(table_schema("partsupp"));
-    partsupp.reserve(n_partsupp);
-    partsupp.push_many_unchecked((0..n_partsupp).map(|_| {
-        vec![
-            Value::Int(rng.gen_range(0..n_part as i64)),
-            Value::Int(rng.gen_range(0..n_supplier as i64)),
-            Value::Int(rng.gen_range(1..10_000)),
-            Value::Float(round2(rng.gen_range(1.0..1000.0))),
-        ]
-    }));
+    let partsupp = load("partsupp", n_partsupp, |l, _| {
+        l.push_int(rng.gen_range(0..n_part as i64));
+        l.push_int(rng.gen_range(0..n_supplier as i64));
+        l.push_int(rng.gen_range(1..10_000));
+        l.push_float(round2(rng.gen_range(1.0..1000.0)));
+    });
     db.insert_table("partsupp", partsupp);
 
-    // orders: dates uniform in [1992-01-01, 1998-08-02].
+    // orders: dates uniform in [1992-01-01, 1998-08-02], drawn first.
     let date_lo = days_from_civil(1992, 1, 1);
     let date_hi = days_from_civil(1998, 8, 2);
     let n_orders = scaled_rows("orders", scale);
     let statuses = ["O", "F", "P"];
-    let mut orders = Relation::new(table_schema("orders"));
-    orders.reserve(n_orders);
     let mut order_dates = Vec::with_capacity(n_orders);
-    orders.push_many_unchecked((0..n_orders).map(|i| {
+    let orders = load("orders", n_orders, |l, i| {
         let date = rng.gen_range(date_lo..=date_hi);
         order_dates.push(date);
-        vec![
-            Value::Int(i as i64),
-            Value::Int(rng.gen_range(0..n_customer as i64)),
-            Value::str(statuses[rng.gen_range(0..statuses.len())]),
-            Value::Float(round2(rng.gen_range(850.0..555_000.0))),
-            Value::Date(date),
-            Value::Int(rng.gen_range(0..2)),
-        ]
-    }));
+        l.push_int(i as i64);
+        l.push_int(rng.gen_range(0..n_customer as i64));
+        l.push_str(statuses[rng.gen_range(0..statuses.len())]);
+        l.push_float(round2(rng.gen_range(850.0..555_000.0)));
+        l.push_date(date);
+        l.push_int(rng.gen_range(0..2));
+    });
     db.insert_table("orders", orders);
 
-    // lineitem: each row references a random order; ship date follows the
-    // order date by 1–121 days.
+    // lineitem: each row references a random order (drawn first, then
+    // the quantity); ship date follows the order date by 1–121 days.
     let n_lineitem = scaled_rows("lineitem", scale);
     let flags = ["A", "N", "R"];
-    let mut lineitem = Relation::new(table_schema("lineitem"));
-    lineitem.reserve(n_lineitem);
-    lineitem.push_many_unchecked((0..n_lineitem).map(|_| {
+    let lineitem = load("lineitem", n_lineitem, |l, _| {
         let okey = rng.gen_range(0..n_orders as i64);
         let qty = rng.gen_range(1..=50i64);
-        vec![
-            Value::Int(okey),
-            Value::Int(rng.gen_range(0..n_part as i64)),
-            Value::Int(rng.gen_range(0..n_supplier as i64)),
-            Value::Int(rng.gen_range(1..=7)),
-            Value::Int(qty),
-            Value::Float(round2(qty as f64 * rng.gen_range(900.0..1100.0))),
-            Value::Float((rng.gen_range(0..=10) as f64) / 100.0),
-            Value::Date(order_dates[okey as usize] + rng.gen_range(1..122)),
-            Value::str(flags[rng.gen_range(0..flags.len())]),
-        ]
-    }));
+        l.push_int(okey);
+        l.push_int(rng.gen_range(0..n_part as i64));
+        l.push_int(rng.gen_range(0..n_supplier as i64));
+        l.push_int(rng.gen_range(1..=7));
+        l.push_int(qty);
+        l.push_float(round2(qty as f64 * rng.gen_range(900.0..1100.0)));
+        l.push_float((rng.gen_range(0..=10) as f64) / 100.0);
+        l.push_date(order_dates[okey as usize] + rng.gen_range(1..122));
+        l.push_str(flags[rng.gen_range(0..flags.len())]);
+    });
     db.insert_table("lineitem", lineitem);
 
     db
@@ -208,6 +196,7 @@ fn round2(x: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use htqo_engine::value::Value;
 
     #[test]
     fn generation_is_deterministic() {

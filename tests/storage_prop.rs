@@ -23,9 +23,11 @@
 //!    recovery mid-run) every rowid resolves to the page and slot a walk
 //!    over the on-disk pages — plus, by hand, the log's slot records a
 //!    restart leaves unwritten — gives it, and the reloaded relation equals
-//!    the boxed-row reference (`decode_row` + `push_many_unchecked`) cell
-//!    for cell — bits, NULLs, dictionary codes — with the same typed
-//!    error for every damaged cell.
+//!    the boxed-row reference (`decode_row` + `extend_rows`) cell for
+//!    cell — bits, NULLs, dictionary codes — with the same typed error
+//!    for every damaged cell, also for string columns of 1 to 700
+//!    distinct values that the loader's per-column memo serves, and a
+//!    string refused by a column of another type never interned.
 //!
 //! 4. **In-place page edits and the slot record**: `page::{put_cell,
 //!    tombstone_cell, push_cell}` against editing a cell list and calling
@@ -148,7 +150,7 @@ proptest! {
         prop_assert_eq!(observer.mem_used(), 0, "drop returns every byte");
 
         // Durability: every model byte survives in the file.
-        let mut file = htqo_storage::PageFile::open(&path).unwrap();
+        let file = htqo_storage::PageFile::open(&path).unwrap();
         let mut buf = vec![0u8; PAGE_SIZE];
         for pid in 0..FILE_PAGES {
             file.read(pid, &mut buf).unwrap();
@@ -191,7 +193,7 @@ proptest! {
         f.write_all(&b).unwrap();
         drop(f);
 
-        let mut file = htqo_storage::PageFile::open(&path).unwrap();
+        let file = htqo_storage::PageFile::open(&path).unwrap();
         let mut buf = vec![0u8; PAGE_SIZE];
         let err = file.read(pid, &mut buf).unwrap_err();
         prop_assert!(
@@ -514,8 +516,40 @@ fn assert_cells_identical(got: &Relation, want: &Relation, ctx: &str) {
 
 fn boxed_reference(rows: impl IntoIterator<Item = Vec<Value>>) -> Relation {
     let mut rel = Relation::new(wide_schema());
-    rel.push_many_unchecked(rows);
+    rel.extend_rows(rows).unwrap();
     rel
+}
+
+/// Rows for the loader's per-column string memo: the string column draws
+/// from `distinct` values — 1, 3, 8 (what the memo holds), 9 (one more)
+/// or 700 (far past its miss limit) — in runs of `run` equal values
+/// (`run` 1 cycles through all of them, `run` 0 shuffles them), with
+/// NULLs between the strings.
+fn arb_memo_rows() -> impl Strategy<Value = Vec<Vec<Value>>> {
+    let distinct = prop_oneof![Just(1usize), Just(3), Just(8), Just(9), Just(700)];
+    (distinct, 0usize..40, 1usize..1500, any::<u64>()).prop_map(|(distinct, run, n, seed)| {
+        let mut x = seed;
+        (0..n)
+            .map(|i| {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let r = (x >> 33) as usize;
+                let k = i.checked_div(run).unwrap_or(r) % distinct;
+                let s = if r.is_multiple_of(5) {
+                    Value::Null
+                } else {
+                    Value::str(&format!("memo-{distinct}-{k}"))
+                };
+                vec![
+                    Value::Int(i as i64),
+                    Value::Float(r as f64),
+                    s,
+                    Value::Date(k as i32),
+                ]
+            })
+            .collect()
+    })
 }
 
 #[derive(Debug, Clone)]
@@ -554,7 +588,7 @@ fn arb_step() -> impl Strategy<Value = (Vec<SlotOp>, After)> {
 /// leaves everything in the file, a crash and recovery everything since
 /// the last checkpoint in the log.
 fn walk_heap_on_disk(dir: &std::path::Path, meta: &htqo_storage::TableMeta) -> Vec<(u64, u16)> {
-    let mut file = htqo_storage::PageFile::open(&dir.join(&meta.file)).unwrap();
+    let file = htqo_storage::PageFile::open(&dir.join(&meta.file)).unwrap();
     let scan = wal::scan(&dir.join("db.wal")).unwrap();
     let mut pages = Vec::new();
     for &(start, count) in &meta.heap {
@@ -674,13 +708,15 @@ proptest! {
 
     /// `codec::load_row` against the boxed reference it replaced on the
     /// reload path (`decode_row`, then the catalog type check, then
-    /// `push_many_unchecked`): the same relation cell for cell, and for a
-    /// damaged cell — cut short, padded, an unknown tag, a value under
-    /// the wrong column, a flipped byte — the same error after the same
-    /// rows.
+    /// `extend_rows`): the same relation cell for cell — dictionary codes
+    /// included, whether a string came from the column's memo or the
+    /// dictionary — and for a damaged cell — cut short, padded, an
+    /// unknown tag, a value under the wrong column, a flipped byte — the
+    /// same error after the same rows. A string refused by a column of
+    /// another type never reaches the dictionary.
     #[test]
     fn loader_equals_the_boxed_reference(
-        rows in prop::collection::vec(arb_row(), 1..24),
+        rows in prop_oneof![prop::collection::vec(arb_row(), 1..24), arb_memo_rows()],
         damage in prop::collection::vec((0usize..24, 0u8..5, any::<usize>(), 1u8..=255), 0..3),
     ) {
         let mut cells: Vec<Vec<u8>> = rows.iter().map(|r| codec::encode_row(r)).collect();
@@ -718,19 +754,37 @@ proptest! {
             }
             Ok(row)
         };
+        // The loader goes first, so its memo misses meet strings the
+        // dictionary has never seen.
+        let mut got = Relation::new(wide_schema());
+        let mut loader = got.loader();
+        let got_err = cells
+            .iter()
+            .find_map(|cell| codec::load_row("t", cell, &mut loader).err());
+
+        // Other tests intern concurrently, so a refusal counts when one of
+        // a few attempts, each with a string never seen, leaves the
+        // dictionary's size as it was — an interning refusal moves it
+        // every time.
+        static REFUSED: AtomicUsize = AtomicUsize::new(0);
+        let untouched = (0..8).any(|_| {
+            let s = format!("refused-{}", REFUSED.fetch_add(1, Ordering::Relaxed));
+            let cell = codec::encode_row(&[Value::str(&s), Value::Null, Value::Null, Value::Null]);
+            let before = htqo_engine::dict::resident_bytes();
+            assert!(codec::load_row("t", &cell, &mut loader).is_err());
+            let after = htqo_engine::dict::resident_bytes();
+            assert_eq!(htqo_engine::dict::reader().code_of(&s), None, "{s} was interned");
+            before == after
+        });
+        prop_assert!(untouched, "a refused string reached the dictionary");
+        drop(loader);
+
         let mut want_err = None;
         let decoded: Vec<Vec<Value>> = cells
             .iter()
             .map_while(|cell| reference(cell).map_err(|e| want_err = Some(e)).ok())
             .collect();
         let want = boxed_reference(decoded);
-
-        let mut got = Relation::new(wide_schema());
-        let mut loader = got.loader();
-        let got_err = cells
-            .iter()
-            .find_map(|cell| codec::load_row("t", cell, &mut loader).err());
-        drop(loader);
         prop_assert_eq!(got_err, want_err);
         assert_cells_identical(&got, &want, "loader");
     }
