@@ -25,7 +25,6 @@ use htqo_engine::error::Budget;
 use htqo_engine::ops::natural_join;
 use htqo_eval::{evaluate_naive, evaluate_qhd, ExecOptions};
 use htqo_hypergraph::acyclic::gyo;
-use htqo_hypergraph::{biconnected_components, hinge_decomposition};
 use htqo_optimizer::HybridOptimizer;
 use htqo_tpch::{generate, q5, DbgenOptions};
 use htqo_workloads::{acyclic_query, chain_query, star_db, star_query, workload_db, WorkloadSpec};
@@ -953,13 +952,9 @@ fn bench_evaluators(c: &mut Criterion) {
 }
 
 fn bench_structural_survey(c: &mut Criterion) {
-    // The competing structural methods on a 10-atom chain.
+    // The tree-decomposition baseline on a 10-atom chain.
     let h = chain_query(10).hypergraph().hypergraph;
     let mut group = c.benchmark_group("structural_methods");
-    group.bench_function("biconnected_chain10", |b| {
-        b.iter(|| biconnected_components(&h))
-    });
-    group.bench_function("hinge_chain10", |b| b.iter(|| hinge_decomposition(&h)));
     group.bench_function("treedecomp_minfill_chain10", |b| {
         b.iter(|| tree_decomposition(&h, EliminationHeuristic::MinFill))
     });

@@ -240,14 +240,22 @@ fn flag_from_args<T>(flag: &str, parse: impl Fn(&str) -> Option<T>) -> Option<T>
     flag_value(&args, flag, parse).unwrap_or_else(|e| exit_usage(&e))
 }
 
+/// A positive byte count: a `--mem-limit` of 0 would cap every query at
+/// nothing, so it is refused.
+fn parse_mem_limit(v: &str) -> Option<u64> {
+    htqo_engine::exec::parse_bytes(v).filter(|&n| n > 0)
+}
+
 /// Applies the `--mem-limit N` (or `--mem-limit=N`) command-line knob
-/// shared by the figure harnesses: parses a byte count with optional
-/// `K`/`M`/`G` suffix and pins the process-wide memory limit via
+/// shared by the figure harnesses: parses a positive byte count with
+/// optional `K`/`M`/`G` suffix and pins the process-wide memory limit via
 /// [`htqo_engine::exec::set_mem_limit_default`], returning the limit now
-/// in effect. Without the flag, the `HTQO_MEM_LIMIT` env var / unlimited
-/// default stands; an unparsable value exits with status 2.
+/// in effect. Without the flag, the `HTQO_MEM_LIMIT` env var (0 =
+/// unlimited) / unlimited default stands. A malformed flag value or env
+/// var exits with status 2.
 pub fn mem_limit_from_args() -> Option<u64> {
-    if let Some(n) = flag_from_args("--mem-limit", htqo_engine::exec::parse_bytes) {
+    env_from_process("HTQO_MEM_LIMIT", htqo_engine::exec::parse_bytes);
+    if let Some(n) = flag_from_args("--mem-limit", parse_mem_limit) {
         htqo_engine::exec::set_mem_limit_default(Some(n));
     }
     htqo_engine::exec::mem_limit_default()
@@ -317,7 +325,7 @@ mod tests {
 
     #[test]
     fn flag_values_parse_or_name_the_offender() {
-        let mem = |v: &[&str]| flag_value(&args(v), "--mem-limit", htqo_engine::exec::parse_bytes);
+        let mem = |v: &[&str]| flag_value(&args(v), "--mem-limit", parse_mem_limit);
         assert_eq!(mem(&["bin", "--other"]), Ok(None));
         assert_eq!(mem(&["bin", "--mem-limit", "12K"]), Ok(Some(12 << 10)));
         assert_eq!(
@@ -330,6 +338,9 @@ mod tests {
             &["bin", "--mem-limit=abc"],
             &["bin", "--mem-limit="],
             &["bin", "--mem-limit"],
+            &["bin", "--mem-limit", "0"],
+            &["bin", "--mem-limit=0K"],
+            &["bin", "--mem-limit", "17179869184G"],
         ] {
             let err = mem(bad).unwrap_err();
             assert!(err.contains("--mem-limit"), "{err}");
@@ -337,6 +348,10 @@ mod tests {
         assert!(mem(&["bin", "--mem-limit", "12Q"])
             .unwrap_err()
             .contains("'12Q'"));
+        assert_eq!(
+            mem(&["bin", "--mem-limit", "17179869183G"]),
+            Ok(Some(17179869183 << 30))
+        );
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! - [`search`]: det-k-decomp (normal-form width-≤k search, hypertree
 //!   width) and cost-k-decomp (minimum-cost DP over components, the
 //!   weighted decompositions of PODS'04 that the paper's optimizer uses);
-//! - [`optimize`]: Procedure Optimize (Figure 4), pruning λ atoms bounded
-//!   by children;
+//! - [`optimize`](mod@optimize): Procedure Optimize (Figure 4), pruning λ
+//!   atoms bounded by children;
 //! - [`qhd`]: Algorithm q-HypertreeDecomp, tying it together.
 //!
 //! # Example
@@ -35,7 +35,6 @@
 #![warn(missing_docs)]
 
 pub mod cost;
-pub mod dot;
 pub mod hypertree;
 mod mask;
 pub mod optimize;
@@ -46,7 +45,6 @@ pub mod treedecomp;
 pub mod validate;
 
 pub use cost::{DecompCost, StructuralCost};
-pub use dot::hypertree_to_dot;
 pub use hypertree::{Hypertree, HypertreeBuilder, Node, NodeId};
 pub use optimize::{optimize, OptimizeStats};
 pub use qhd::{

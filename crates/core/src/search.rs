@@ -33,7 +33,7 @@
 //! - **enumerates in registers**: one body, generic over the set
 //!   representation (`crate::mask`), runs on `u64` masks whenever the
 //!   hypergraph has at most 64 edges and 64 variables, and on the heap
-//!   [`BitSet`](htqo_hypergraph::BitSet) otherwise. λ, χ and the assigned
+//!   [`BitSet`] otherwise. λ, χ and the assigned
 //!   edges travel down the enumeration by value, the assigned edges are
 //!   extended by the edges a new candidate's variables complete, the
 //!   `[χ]`-components come from per-search incidence masks, and the memo

@@ -4,27 +4,27 @@
 //! The kernels answer like the row kernels — build on the smaller side,
 //! the same output bag and column order, the same [`Budget`] totals — but
 //! never touch a boxed `Value` on the hot path, and they address their
-//! keys by what the key columns show (a [`KeyPlan`], resolved once per
+//! keys by what the key columns show (a `KeyPlan`, resolved once per
 //! call; DESIGN.md §3.8 "Key plans"):
 //!
 //! - a key of null-free `Int`/`Date`/`Str` columns packs into one integer
 //!   relative to the build side's minima. When that range fits in the
 //!   bytes the kernel has reserved anyway, the join runs on a
-//!   [`DirectTable`] indexed by packed key — no hashes, no verification —
+//!   `DirectTable` indexed by packed key — no hashes, no verification —
 //!   and semijoin and distinct projection on a bitmap over it;
 //! - when it does not fit, the join puts one exact bitmap per key column
 //!   in front of the hashed table and hashes only the probe rows that
 //!   pass all of them;
 //! - every other key takes the hashed path: key hashes from one
 //!   vectorized pass per key column
-//!   ([`crate::column::Column::write_hashes`]), the [`ChainTable`]
+//!   ([`crate::column::Column::write_hashes`]), the `ChainTable`
 //!   chained-index hash table, candidates verified by typed cell
 //!   comparisons ([`crate::column::Column::eq_at`], strings by `u32`
 //!   dictionary code).
 //!
 //! Output is materialized by collecting matching `(build, probe)` row
 //! index pairs and running one gather pass per output column. Joins charge
-//! the budget once per block of probe rows ([`BLOCK`]), not once per pair.
+//! the budget once per block of probe rows (`BLOCK`), not once per pair.
 //!
 //! The direct, filtered and hashed kernels emit the same pair sequence
 //! (probe-major, ascending build row), so the output row order does not
@@ -204,8 +204,8 @@ pub fn natural_join(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, Eva
 
 /// The pair lists a join kernel emits, settled against the budget by
 /// the block: a kernel calls [`PairSink::end_block`] after every
-/// [`BLOCK`] probe rows, and [`PairSink::push`] settles by itself once
-/// [`BLOCK`] pairs are outstanding. The totals equal one `charge(1)` +
+/// `BLOCK` probe rows, and [`PairSink::push`] settles by itself once
+/// `BLOCK` pairs are outstanding. The totals equal one `charge(1)` +
 /// `charge_bytes(PAIR_BYTES)` per pair; a limit trips at most one block
 /// of pairs later than it would pair by pair, and a probe that emits
 /// nothing still polls the deadline and the cancellation token.

@@ -186,7 +186,7 @@ impl EvalError {
 /// [`Budget::with_cancel_token`], keep the other, and call
 /// [`CancelToken::cancel`] from any thread to abort the evaluation. The
 /// evaluation observes the flag at the budget's existing polling points
-/// (`charge` every [`TIME_CHECK_INTERVAL`] tuples, `check_time` between
+/// (`charge` every `TIME_CHECK_INTERVAL` tuples, `check_time` between
 /// operators, `check_exceeded` before an evaluator returns) and surfaces
 /// [`EvalError::Cancelled`].
 #[derive(Clone, Debug, Default)]
@@ -600,7 +600,7 @@ impl Budget {
 
     /// Accounts for `n` freshly materialized bytes. Mirrors
     /// [`Budget::charge`]: local counters trip inline, shared handles
-    /// batch up to [`BYTE_FLUSH_INTERVAL`] bytes and observe the pool at
+    /// batch up to `BYTE_FLUSH_INTERVAL` bytes and observe the pool at
     /// flush points — whether the limit trips depends only on the
     /// order-free combined total. With no limit this is a plain add.
     pub fn charge_bytes(&mut self, n: u64) -> Result<(), EvalError> {

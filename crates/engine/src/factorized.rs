@@ -7,7 +7,7 @@
 //!   MAX / GROUP BY) without ever enumerating the answer — per-vertex
 //!   partial counts are multiplied along join keys, and
 //! * constant-delay enumeration of the answer tuples, lazily stitching
-//!   vertex rows via [`ChainTable`] chain cursors.
+//!   vertex rows via `ChainTable` chain cursors.
 //!
 //! The representation is exact only when the
 //! linked relations are *stitchable* (every variable a vertex shares with

@@ -9,7 +9,7 @@
 //!
 //! Cost model:
 //! - feature off (the default for `--no-default-features` builds): the
-//!   [`fail_point!`] macro folds to a constant-false branch — zero cost;
+//!   [`fail_point!`](crate::fail_point!) macro folds to a constant-false branch — zero cost;
 //! - feature on but no site armed: one relaxed atomic load per site hit;
 //! - armed: a mutex-guarded registry lookup per hit (testing only).
 //!
@@ -29,7 +29,7 @@ use std::time::Duration;
 /// What an armed fail point does when hit.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FailAction {
-    /// Return `EvalError::Internal("injected failure at `<site>`")`.
+    /// Return ``EvalError::Internal("injected failure at `<site>`")``.
     Error,
     /// Panic with a payload containing [`PANIC_MARKER`] and the site name.
     Panic,
@@ -123,7 +123,7 @@ fn registry() -> &'static Mutex<HashMap<String, SiteState>> {
 /// feature-off build, where this folds to a constant.
 static ARMED: AtomicBool = AtomicBool::new(false);
 
-/// Fast dormancy check used by the [`fail_point!`] macros. With the
+/// Fast dormancy check used by the [`fail_point!`](crate::fail_point!) macros. With the
 /// `failpoints` feature off this is a constant `false` (the whole site
 /// folds away); with it on, the first call reads `HTQO_FAILPOINTS` once,
 /// then it is a single relaxed load.
@@ -240,7 +240,7 @@ fn fire(site: &str) -> Option<FailAction> {
 }
 
 /// Evaluates an armed site in a `Result` context: may return an injected
-/// error, panic, or sleep. Called by [`fail_point!`]; only reached when
+/// error, panic, or sleep. Called by [`fail_point!`](crate::fail_point!); only reached when
 /// [`armed`] returned true.
 pub fn eval(site: &str) -> Result<(), EvalError> {
     match fire(site) {

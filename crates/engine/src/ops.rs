@@ -9,9 +9,9 @@
 //! columns ([`crate::hash::hash_key`]) and verify candidate matches
 //! against the actual values — no per-row boxed-key allocation
 //! (`tests/alloc_regression.rs` bounds allocations per input row). One
-//! [`ChainTable`] over the whole build side, probed in probe-row order on
+//! `ChainTable` over the whole build side, probed in probe-row order on
 //! the calling thread; when the build reservation is denied the same join
-//! runs as a grace spill ([`grace_join_spill`]).
+//! runs as a grace spill (`grace_join_spill`).
 
 use crate::chain::ChainTable;
 use crate::error::{Budget, EvalError, SpillMode, SpillStats};

@@ -46,18 +46,6 @@ pub fn components(h: &Hypergraph, candidates: &EdgeSet, sep: &VarSet) -> Vec<Edg
     out
 }
 
-/// Variables of `comp` not covered by `sep`.
-pub fn component_vars(h: &Hypergraph, comp: &EdgeSet, sep: &VarSet) -> VarSet {
-    h.vars_of_edges(comp).difference(sep)
-}
-
-/// The *connector* of a component w.r.t. a separator: variables of the
-/// component that the separator also touches. A child decomposition vertex
-/// must cover these to satisfy the connectedness condition.
-pub fn connector(h: &Hypergraph, comp: &EdgeSet, sep: &VarSet) -> VarSet {
-    h.vars_of_edges(comp).intersection(sep)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,19 +103,6 @@ mod tests {
         let h = build(&[("a", &["X", "Y"]), ("b", &["Y", "Z"])]);
         let comps = components(&h, &h.all_edges(), &h.all_vars());
         assert!(comps.is_empty());
-    }
-
-    #[test]
-    fn connector_and_component_vars() {
-        let h = build(&[("a", &["X", "Y"]), ("b", &["Y", "Z"]), ("c", &["Z", "W"])]);
-        let sep = vs(&h, &["Z"]);
-        let comps = components(&h, &h.all_edges(), &sep);
-        let c_comp = comps
-            .iter()
-            .find(|c| c.contains(h.edge_by_name("c").unwrap()))
-            .unwrap();
-        assert_eq!(connector(&h, c_comp, &sep), vs(&h, &["Z"]));
-        assert_eq!(component_vars(&h, c_comp, &sep), vs(&h, &["W"]));
     }
 
     #[test]

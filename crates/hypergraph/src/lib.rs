@@ -8,10 +8,9 @@
 //!   one hyperedge per atom);
 //! - [`acyclic::gyo`]: α-acyclicity testing via GYO reduction, producing a
 //!   [`JoinForest`] witness;
-//! - [`components`]: separator-relative `[W]`-components, the recursion
+//! - [`components()`]: separator-relative `[W]`-components, the recursion
 //!   skeleton of every hypertree-decomposition algorithm;
-//! - [`PrimalGraph`]: the Gaifman graph, for diagnostics and heuristics;
-//! - [`dot`]: Graphviz rendering.
+//! - [`PrimalGraph`]: the Gaifman graph, for diagnostics and heuristics.
 //!
 //! # Example
 //!
@@ -29,24 +28,19 @@
 #![warn(missing_docs)]
 
 pub mod acyclic;
-pub mod biconnected;
 pub mod bitset;
 pub mod canon;
 pub mod components;
-pub mod dot;
 pub mod fxhash;
-pub mod hinge;
 pub mod hypergraph;
 pub mod ids;
 pub mod jointree;
 pub mod primal;
 
-pub use biconnected::{biconnected_components, Blocks};
 pub use bitset::BitSet;
 pub use canon::{canonical_form, CanonicalForm};
-pub use components::{components, connector};
+pub use components::components;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use hinge::{degree_of_cyclicity, hinge_decomposition, HingeForest};
 pub use hypergraph::{Hyperedge, Hypergraph, HypergraphBuilder};
 pub use ids::{EdgeId, EdgeSet, Var, VarSet};
 pub use jointree::JoinForest;

@@ -49,31 +49,6 @@ impl PrimalGraph {
     pub fn num_edges(&self) -> usize {
         self.adj.iter().map(|a| a.len()).sum::<usize>() / 2
     }
-
-    /// Connected components as variable sets.
-    pub fn connected_components(&self) -> Vec<VarSet> {
-        let mut seen = vec![false; self.adj.len()];
-        let mut out = Vec::new();
-        for start in 0..self.adj.len() {
-            if seen[start] {
-                continue;
-            }
-            let mut comp = VarSet::new();
-            let mut stack = vec![Var(start as u32)];
-            seen[start] = true;
-            while let Some(v) = stack.pop() {
-                comp.insert(v);
-                for n in self.adj[v.index()].iter() {
-                    if !seen[n.index()] {
-                        seen[n.index()] = true;
-                        stack.push(n);
-                    }
-                }
-            }
-            out.push(comp);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -104,14 +79,6 @@ mod tests {
         let h = build(&[("big", &["A", "B", "C", "D"])]);
         let g = PrimalGraph::of(&h);
         assert_eq!(g.num_edges(), 6); // K4
-        assert_eq!(g.connected_components().len(), 1);
-    }
-
-    #[test]
-    fn components_match_hypergraph_connectivity() {
-        let h = build(&[("a", &["X", "Y"]), ("b", &["P", "Q"])]);
-        let g = PrimalGraph::of(&h);
-        assert_eq!(g.connected_components().len(), 2);
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! Property tests for the structural substrate.
 
-use htqo_hypergraph::{
-    acyclic, biconnected_components, components, Hypergraph, PrimalGraph, VarSet,
-};
+use htqo_hypergraph::{acyclic, components, Hypergraph, VarSet};
 use proptest::prelude::*;
 
 /// Strategy: a random hypergraph with up to `max_edges` edges over up to
@@ -112,51 +110,6 @@ proptest! {
                     }
                 }
             }
-        }
-    }
-}
-
-proptest! {
-    /// Biconnected blocks cover every primal edge, every variable, and a
-    /// pair of variables sharing a hyperedge lands in a common block.
-    #[test]
-    fn biconnected_blocks_cover_primal_graph(h in arb_hypergraph(8, 8)) {
-        let blocks = biconnected_components(&h);
-        let g = PrimalGraph::of(&h);
-        // Every vertex appears in some block.
-        for v in h.var_ids() {
-            prop_assert!(
-                blocks.blocks.iter().any(|b| b.contains(v)),
-                "variable {v:?} in no block"
-            );
-        }
-        // Every primal edge appears inside one block.
-        for v in h.var_ids() {
-            for u in g.neighbours(v).iter() {
-                prop_assert!(
-                    blocks.blocks.iter().any(|b| b.contains(v) && b.contains(u)),
-                    "edge {v:?}-{u:?} split across blocks"
-                );
-            }
-        }
-        // Width is at least the size of the largest hyperedge (each
-        // hyperedge is a clique in the primal graph).
-        let max_edge = h.edge_ids().map(|e| h.edge_vars(e).len()).max().unwrap_or(0);
-        prop_assert!(blocks.width() >= max_edge);
-    }
-
-    /// Cut vertices are exactly the vertices in more than one block
-    /// (within each connected component of size ≥ 2).
-    #[test]
-    fn cut_vertices_are_block_overlaps(h in arb_hypergraph(8, 8)) {
-        let blocks = biconnected_components(&h);
-        for v in h.var_ids() {
-            let in_blocks = blocks.blocks.iter().filter(|b| b.contains(v)).count();
-            prop_assert_eq!(
-                blocks.cut_vertices.contains(v),
-                in_blocks > 1,
-                "vertex {:?} in {} blocks", v, in_blocks
-            );
         }
     }
 }

@@ -125,6 +125,10 @@ enum CacheEntry {
     Plain { plan: Arc<QhdPlan>, epoch: u64 },
 }
 
+/// Capacity of the plan cache of a new optimizer; change it per instance
+/// with [`HybridOptimizer::with_cache_capacity`].
+const PLAN_CACHE_DEFAULT: usize = 128;
+
 /// Shape-canonical plan cache: the shared sharded LRU plus traffic
 /// counters.
 struct PlanCache {
@@ -249,16 +253,15 @@ fn assert_optimizer_is_send_sync() {
 }
 
 impl HybridOptimizer {
-    /// Structural-only optimizer (no statistics). Plan-cache capacity
-    /// comes from the process-wide default (`HTQO_PLAN_CACHE`, 128 when
-    /// unset).
+    /// Structural-only optimizer (no statistics) with a plan cache of 128
+    /// entries ([`HybridOptimizer::with_cache_capacity`] resizes it).
     pub fn structural(options: QhdOptions) -> Self {
         HybridOptimizer {
             options,
             stats: None,
             isolator: IsolatorOptions::default(),
             retry: RetryPolicy::default(),
-            cache: PlanCache::new(htqo_engine::exec::plan_cache_default()),
+            cache: PlanCache::new(PLAN_CACHE_DEFAULT),
             stats_epoch: AtomicU64::new(0),
             indexed: Vec::new(),
         }

@@ -431,7 +431,7 @@ pub mod collection {
         VecStrategy { element, min, max }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         min: usize,

@@ -49,7 +49,7 @@
 //! **The log outlives a restart.** Recovery cuts the file behind the
 //! records it replays ([`WalScan::keep_len`]: the first slot or catalog
 //! record of a batch whose marker never made it, or the torn frame) and
-//! reopens it there with [`Wal::resume`]; the next commit appends behind
+//! reopens it there with `Wal::resume`; the next commit appends behind
 //! the adopted records, and only a checkpoint ([`Wal::reset`]) empties
 //! the file. The cut comes before any append — and is synced when it
 //! removed anything — so a later marker can never commit the remains of a
@@ -62,7 +62,7 @@
 //! images only, as members of their batches: [`scan`] reports that in
 //! [`WalScan::batch_images`] and counts an image whose batch never
 //! committed to the tail that is cut. Once cut, such a log reads the same
-//! under either version, and [`Wal::resume`] stamps it with the current
+//! under either version, and `Wal::resume` stamps it with the current
 //! one before anything is appended.
 //!
 //! **Commit protocol.** Appends buffer in memory (byte-charged against
@@ -353,7 +353,7 @@ pub struct WalScan {
     /// module docs).
     pub keep: usize,
     /// Offset one past `records[..keep]` — where recovery cuts the file
-    /// and [`Wal::resume`] appends.
+    /// and `Wal::resume` appends.
     pub keep_len: u64,
 }
 
@@ -513,7 +513,7 @@ impl Wal {
     /// Creates `path` as an empty log, truncating any previous content:
     /// for a directory whose recovery found no log to adopt (none, or one
     /// whose header never made it to the file). A log that holds records
-    /// is reopened with [`Wal::resume`]. WAL buffer bytes are charged
+    /// is reopened with `Wal::resume`. WAL buffer bytes are charged
     /// against `budget` until flushed.
     pub fn open(path: &Path, policy: WalPolicy, budget: Option<Budget>) -> Result<Self, EvalError> {
         let mut file = OpenOptions::new()

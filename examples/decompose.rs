@@ -3,15 +3,13 @@
 //! Reproduces Example 2 / Figure 2 (the width-2 hypertree decomposition of
 //! query Q0) and Example 4 / Figure 3 (query Q1, whose hypergraph is
 //! acyclic but whose q-hypertree decomposition needs width 2 because the
-//! output variables are far apart), printing hypergraphs, decompositions
-//! and DOT renderings.
+//! output variables are far apart), printing queries and decompositions.
 //!
 //! ```text
 //! cargo run --release --example decompose
 //! ```
 
 use htqo::prelude::*;
-use htqo_hypergraph::dot::hypergraph_to_dot;
 
 fn main() {
     // ---- Example 2 (paper): query Q0, hw = 2 ------------------------
@@ -98,7 +96,4 @@ fn main() {
         "\nOptimize removed {} λ atoms (HD₁ → HD₁′ in the paper)",
         plan1.optimize_stats.removed_atoms
     );
-
-    println!("\n== DOT rendering of H(Q0) (pipe into `dot -Tsvg`) ==");
-    println!("{}", hypergraph_to_dot(&ch0.hypergraph));
 }

@@ -1,12 +1,10 @@
-//! Structural-method comparison: the decomposition notions the paper's
-//! introduction surveys — biconnected components [2], tree decompositions
-//! [9,7,1], and (q-)hypertree decompositions [5,6] — measured on the
-//! workload families of Section 6 plus stars and cliques.
+//! Structural-method comparison: tree decompositions [9,7,1] against
+//! (q-)hypertree decompositions [5,6], measured on the workload families
+//! of Section 6 plus stars and cliques.
 //!
 //! Shows the separations that motivated hypertree decompositions: wide
-//! atoms are free for hypertree width but expensive for the graph-based
-//! notions, and the output-cover condition of q-HDs can exceed plain
-//! hypertree width.
+//! atoms are free for hypertree width but expensive for treewidth, and the
+//! output-cover condition of q-HDs can exceed plain hypertree width.
 //!
 //! ```text
 //! cargo run --release --example structure
@@ -14,19 +12,15 @@
 
 use htqo::prelude::*;
 use htqo_core::treedecomp::{tree_decomposition, EliminationHeuristic};
-use htqo_hypergraph::{biconnected_components, degree_of_cyclicity};
 use htqo_workloads::{acyclic_query, chain_query, clique_query, star_query};
 
 fn main() {
-    println!(
-        "| query | atoms | biconnected width | hinge degree | treewidth (min-fill) | hypertree width | q-hypertree width |"
-    );
-    println!("|---|---|---|---|---|---|---|");
+    println!("| query | atoms | treewidth (min-fill) | hypertree width | q-hypertree width |");
+    println!("|---|---|---|---|---|");
 
     let show = |name: &str, q: &ConjunctiveQuery| {
         let ch = q.hypergraph();
         let h = &ch.hypergraph;
-        let blocks = biconnected_components(h);
         let td = tree_decomposition(h, EliminationHeuristic::MinFill);
         let hw = hypertree_width(h);
         // Smallest k for which the q-HD (root covers out(Q)) exists.
@@ -44,10 +38,8 @@ fn main() {
             })
             .expect("width = #edges always works");
         println!(
-            "| {name} | {} | {} | {} | {} | {hw} | {qhw} |",
+            "| {name} | {} | {} | {hw} | {qhw} |",
             q.atoms.len(),
-            blocks.width(),
-            degree_of_cyclicity(h),
             td.width(),
         );
     };
@@ -73,13 +65,8 @@ fn main() {
 
     println!();
     println!("Reading the separations:");
-    println!("- star-5: the 5-ary hub atom costs the graph-based methods width ≥ 4,");
-    println!("  while hypertree width is 1 (one atom covers the whole bag).");
-    println!(
-        "- chains: hinges cannot break cycles either (degree = n); the whole cycle
-  is ONE biconnected block (width = n), while the"
-    );
-    println!("  bounded notions stay at 2.");
+    println!("- star-5: the 5-ary hub atom costs treewidth ≥ 4, while hypertree");
+    println!("  width is 1 (one atom covers the whole bag).");
     println!("- TPC-H Q8: hypertree width 1, but the output variables force");
     println!("  q-hypertree width 2 — Condition 2 of Definition 2 at work.");
 }
