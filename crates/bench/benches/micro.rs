@@ -11,8 +11,10 @@
 //! on a known text, ad hoc on a never-seen text of a known shape), hash
 //! join throughput, the row join kernel (sequential and
 //! partitioned-parallel), the columnar join per probe row under each key
-//! plan (direct table, range bitmaps, hashed), the columnar join in memory
-//! vs spilling under a byte cap of a quarter of its working set,
+//! plan (direct table, range bitmaps, hashed), the `P′` vertex join of two
+//! TPC-H vertices and the revenue aggregate over a lineitem answer, the
+//! columnar join in memory vs spilling under a byte cap of a quarter of
+//! its working set,
 //! factorized vs materialized `COUNT(*) GROUP BY`, the parallel
 //! q-hypertree schedule, and the q-hypertree evaluator vs the naive
 //! pipeline on a chain query.
@@ -363,6 +365,137 @@ fn bench_scans(c: &mut Criterion) {
         });
     }
     group.finish();
+}
+
+fn bench_vertex_join(c: &mut Criterion) {
+    // `P′` of two TPC-H SF 0.02 vertices as the q-HD evaluator runs them,
+    // atom selections included: Q8's lineitem vertex (n2 ⋈ supplier ⋈
+    // lineitem ⋈ σ part — all 120k lineitems pass the second join, the
+    // part filter keeps under 1 %) and Q3's only vertex (σ customer ⋈
+    // σ orders ⋈ σ lineitem).
+    use htqo_cq::isolator::ROWID_COLUMN;
+    use htqo_cq::{CmpOp, CqBuilder, Literal};
+    use htqo_engine::scan::select_query_atom;
+    let db = generate(&DbgenOptions {
+        scale: 0.02,
+        seed: 1,
+    });
+    let day = |y, m, d| Literal::Date(htqo_cq::date::days_from_civil(y, m, d));
+    let q8 = CqBuilder::new()
+        .atom("part", "part", &[("p_partkey", "P")])
+        .atom(
+            "supplier",
+            "supplier",
+            &[("s_suppkey", "S"), ("s_nationkey", "SN")],
+        )
+        .atom(
+            "lineitem",
+            "lineitem",
+            &[
+                ("l_partkey", "P"),
+                ("l_suppkey", "S"),
+                ("l_orderkey", "O"),
+                ("l_extendedprice", "EP"),
+                ("l_discount", "D"),
+                (ROWID_COLUMN, "RID"),
+            ],
+        )
+        .atom("nation", "n2", &[("n_nationkey", "SN"), ("n_name", "NN")])
+        .filter(
+            0,
+            "p_type",
+            CmpOp::Eq,
+            Literal::Str("ECONOMY ANODIZED STEEL".into()),
+        );
+    let q3 = CqBuilder::new()
+        .atom("customer", "customer", &[("c_custkey", "C")])
+        .atom(
+            "orders",
+            "orders",
+            &[("o_orderkey", "O"), ("o_custkey", "C")],
+        )
+        .atom(
+            "lineitem",
+            "lineitem",
+            &[
+                ("l_orderkey", "O"),
+                ("l_extendedprice", "EP"),
+                ("l_discount", "D"),
+                (ROWID_COLUMN, "RID"),
+            ],
+        )
+        .filter(
+            0,
+            "c_mktsegment",
+            CmpOp::Eq,
+            Literal::Str("BUILDING".into()),
+        )
+        .filter(1, "o_orderdate", CmpOp::Lt, day(1995, 3, 15))
+        .filter(2, "l_shipdate", CmpOp::Gt, day(1995, 3, 15));
+    let mut group = c.benchmark_group("vertex_join");
+    for (name, builder) in [("q8_lineitem", q8), ("q3_filtered", q3)] {
+        let q = builder.out_var("O").build();
+        // χ: every variable of the vertex's atoms.
+        let mut chi: Vec<String> = Vec::new();
+        for v in q.atoms.iter().flat_map(|a| a.vars()) {
+            if !chi.iter().any(|c| c == v) {
+                chi.push(v.to_string());
+            }
+        }
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut budget = Budget::unlimited();
+                let selected = (0..q.atoms.len())
+                    .map(|a| select_query_atom(&db, &q, htqo_cq::AtomId(a as u32), &mut budget))
+                    .collect::<Result<Vec<_>, _>>()
+                    .unwrap();
+                htqo_engine::cops::join_vertex(selected, &chi, &mut budget).unwrap()
+            })
+        });
+    }
+    group.finish();
+
+    // The revenue aggregate of Q3/Q5/Q8/Q10, `sum(l_extendedprice * (1 -
+    // l_discount))`, over every lineitem shipped after 1995-03-15
+    // (≈ 65k answer rows, three groups).
+    let q = CqBuilder::new()
+        .atom(
+            "lineitem",
+            "lineitem",
+            &[
+                ("l_returnflag", "RF"),
+                ("l_extendedprice", "EP"),
+                ("l_discount", "D"),
+                (ROWID_COLUMN, "__rid_lineitem"),
+            ],
+        )
+        .filter(0, "l_shipdate", CmpOp::Gt, day(1995, 3, 15))
+        .out_var("RF")
+        .out_agg(htqo_cq::AggFunc::Sum, Some(revenue_expr()), "revenue")
+        .out_var("__rid_lineitem")
+        .group("RF")
+        .build();
+    let answer = {
+        let mut budget = Budget::unlimited();
+        htqo_engine::scan::scan_query_atom_c(&db, &q, htqo_cq::AtomId(0), &mut budget).unwrap()
+    };
+    let mut group = c.benchmark_group("aggregate");
+    group.bench_function("revenue", |b| {
+        b.iter(|| {
+            let mut budget = Budget::unlimited();
+            htqo_engine::finalize_c(&answer, &q, &mut budget).unwrap()
+        })
+    });
+    group.finish();
+}
+
+/// `EP * (1 - D)`.
+fn revenue_expr() -> htqo_cq::ScalarExpr {
+    use htqo_cq::{ArithOp, Literal, ScalarExpr};
+    let var = |v: &str| Box::new(ScalarExpr::Var(v.into()));
+    let one = Box::new(ScalarExpr::Lit(Literal::Int(1)));
+    let discounted = ScalarExpr::Binary(one, ArithOp::Sub, var("D"));
+    ScalarExpr::Binary(var("EP"), ArithOp::Mul, Box::new(discounted))
 }
 
 fn bench_storage(c: &mut Criterion) {
@@ -989,6 +1122,7 @@ criterion_group!(
     bench_planner,
     bench_analyze,
     bench_scans,
+    bench_vertex_join,
     bench_storage,
     bench_service,
     bench_hash_join,

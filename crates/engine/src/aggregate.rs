@@ -7,7 +7,7 @@ use crate::cops;
 use crate::crel::CRel;
 use crate::dict;
 use crate::error::{Budget, EvalError, SpillMode};
-use crate::expr::eval_scalar;
+use crate::expr::{eval_scalar, eval_scalar_rows, RowError};
 use crate::hash::{hash_key, FxHashMap};
 use crate::ops::{self, sort_by};
 use crate::spill::{SpillDir, SpillFile, SpillReader, MAX_SPILL_LEVEL};
@@ -492,12 +492,17 @@ fn aggregate_repartition(
     Ok(())
 }
 
+/// Rows whose expression values [`aggregate_c`] holds at a time: enough
+/// for column-at-a-time loops, few enough that the buffers stay in cache
+/// and are reused from block to block.
+const EVAL_BLOCK: usize = 1024;
+
 /// Columnar grouping: group identity is decided by one vectorized
 /// key-hash pass over the GROUP BY columns plus typed cell verification —
-/// no boxed `Row` keys are built for the hash map. Accumulator feeding
-/// still materializes a row per input tuple *only* when some aggregate
-/// carries a scalar expression (which is row-shaped by nature);
-/// `COUNT(*)`-style aggregates run without touching a `Value`.
+/// no boxed `Row` keys are built for the hash map. Each aggregate's scalar
+/// expression is evaluated once over the answer, a block of rows at a
+/// time, reading only the columns it names ([`eval_scalar_rows`]), and
+/// its values are fed in row order; no row is materialized.
 fn aggregate_c(
     answer: &CRel,
     q: &ConjunctiveQuery,
@@ -575,19 +580,26 @@ fn aggregate_c_inner(
     accrued: &mut u64,
 ) -> Result<VRelation, EvalError> {
     let group_bytes = group_state_bytes(group_idx.len(), visible.len());
-    let needs_row = visible
-        .iter()
-        .any(|o| matches!(o, OutputItem::Aggregate { expr: Some(_), .. }));
-    let cols = answer.cols().to_vec();
-
     let reader = dict::reader();
     let hashes = cops::key_hashes(answer, group_idx, &reader);
     // hash → candidate group ids; groups remember their first-seen row.
     let mut buckets: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
     let mut first_row: Vec<u32> = Vec::new();
     let mut accs: Vec<Vec<Accumulator>> = Vec::new();
-    let mut scratch: Row = Vec::new().into_boxed_slice();
+    // Per output item, its expression's values over the current block of
+    // rows and the row where its evaluation fails, if it does.
+    let mut values: Vec<(Vec<Value>, Option<RowError>)> =
+        visible.iter().map(|_| (Vec::new(), None)).collect();
+    let mut spare = Vec::new();
     for (i, &h) in hashes.iter().enumerate() {
+        if i % EVAL_BLOCK == 0 {
+            let rows = i..hashes.len().min(i + EVAL_BLOCK);
+            for (item, (cells, err)) in visible.iter().zip(&mut values) {
+                if let OutputItem::Aggregate { expr: Some(e), .. } = item {
+                    *err = eval_scalar_rows(e, answer, rows.clone(), &reader, cells, &mut spare);
+                }
+            }
+        }
         let bucket = buckets.entry(h).or_default();
         let gid = bucket.iter().copied().find(|&g| {
             let j = first_row[g as usize] as usize;
@@ -610,16 +622,18 @@ fn aggregate_c_inner(
                 g
             }
         };
-        if needs_row {
-            let row: Vec<Value> = answer
-                .columns()
-                .iter()
-                .map(|c| c.value_with(i, &reader))
-                .collect();
-            scratch = row.into_boxed_slice();
-        }
-        for (acc, item) in accs[gid].iter_mut().zip(visible) {
-            acc.feed(item, &cols, &scratch)?;
+        for ((acc, item), (cells, err)) in accs[gid].iter_mut().zip(visible).zip(&mut values) {
+            let value = match item {
+                OutputItem::Var { .. } => continue,
+                OutputItem::Aggregate { expr: None, .. } => Value::Int(1), // COUNT(*)
+                OutputItem::Aggregate { expr: Some(_), .. } => {
+                    if err.as_ref().is_some_and(|(row, _)| *row == i) {
+                        return Err(err.take().expect("just matched").1);
+                    }
+                    std::mem::replace(&mut cells[i % EVAL_BLOCK], Value::Null)
+                }
+            };
+            acc.feed_value(value)?;
         }
     }
 
@@ -714,10 +728,14 @@ impl Accumulator {
         let OutputItem::Aggregate { expr, .. } = item else {
             return Ok(());
         };
-        let value = match expr {
+        self.feed_value(match expr {
             Some(e) => eval_scalar(e, cols, row)?,
             None => Value::Int(1), // COUNT(*): any non-null marker
-        };
+        })
+    }
+
+    /// Feeds one row's value of the aggregated expression.
+    fn feed_value(&mut self, value: Value) -> Result<(), EvalError> {
         match self {
             Accumulator::Group => {}
             Accumulator::Count { n } => {
@@ -1131,6 +1149,139 @@ mod tests {
             assert_eq!(row, col);
             assert_eq!(b1.charged(), b2.charged());
         }
+    }
+
+    /// The column-at-a-time expression path feeds what the row path feeds
+    /// and fails where it fails: NULL operands, `Int`/`Float` promotion,
+    /// `Int` wrapping, `/`, `COUNT(*)`, non-numeric operands (same error,
+    /// raised at the same row, after the same charges), an absent variable
+    /// — and no error at all on an empty answer.
+    #[test]
+    fn finalize_c_evaluates_expressions_like_the_row_path() {
+        use htqo_cq::{ArithOp, Literal};
+        let var = |v: &str| ScalarExpr::Var(v.into());
+        let lit = |i: i64| ScalarExpr::Lit(Literal::Int(i));
+        let bin = |l, op, r| ScalarExpr::Binary(Box::new(l), op, Box::new(r));
+        let a = answer(
+            &["G", "X", "F", "S", "D"],
+            vec![
+                vec![
+                    Value::str("a"),
+                    Value::Int(i64::MAX),
+                    Value::Float(-0.0),
+                    Value::Null,
+                    Value::Date(3),
+                ],
+                vec![
+                    Value::str("b"),
+                    Value::Int(2),
+                    Value::Float(f64::NAN),
+                    Value::Null,
+                    Value::Null,
+                ],
+                vec![
+                    Value::str("a"),
+                    Value::Null,
+                    Value::Float(1.5),
+                    Value::str("s"),
+                    Value::Date(4),
+                ],
+                vec![
+                    Value::Null,
+                    Value::Int(0),
+                    Value::Null,
+                    Value::Null,
+                    Value::Date(5),
+                ],
+                vec![
+                    Value::str("b"),
+                    Value::Int(-7),
+                    Value::Float(0.25),
+                    Value::str("t"),
+                    Value::Null,
+                ],
+            ],
+        );
+        let exprs = [
+            bin(var("X"), ArithOp::Mul, var("X")),
+            bin(var("X"), ArithOp::Add, var("F")),
+            bin(var("X"), ArithOp::Div, var("X")),
+            bin(lit(1), ArithOp::Sub, bin(var("F"), ArithOp::Mul, lit(3))),
+            bin(var("X"), ArithOp::Add, lit(i64::MAX)),
+            bin(var("S"), ArithOp::Add, var("X")),
+            bin(var("D"), ArithOp::Sub, lit(1)),
+            bin(var("X"), ArithOp::Mul, var("ZZ")),
+            bin(var("YY"), ArithOp::Add, var("ZZ")),
+            var("S"),
+            var("D"),
+        ];
+        let funcs = [
+            AggFunc::Sum,
+            AggFunc::Count,
+            AggFunc::Min,
+            AggFunc::Max,
+            AggFunc::Avg,
+        ];
+        let mut queries = Vec::new();
+        for (i, e) in exprs.iter().enumerate() {
+            for (j, &f) in funcs.iter().enumerate() {
+                let grouped = (i + j) % 2 == 0;
+                let mut b = CqBuilder::new().atom_vars("r", &["G", "X", "F", "S", "D"]);
+                if grouped {
+                    b = b.out_var("G").group("G");
+                }
+                b = b
+                    .out_agg(AggFunc::Count, None, "n")
+                    .out_agg(f, Some(e.clone()), "v");
+                // A second expression that fails on another row.
+                b = b.out_agg(
+                    AggFunc::Sum,
+                    Some(exprs[(i + j) % exprs.len()].clone()),
+                    "w",
+                );
+                queries.push(b.build());
+            }
+        }
+        let ca = CRel::from_vrel(&a);
+        // Long enough for several evaluation blocks, with the operands
+        // that fail only far into it.
+        let long = answer(
+            &["G", "X", "F", "S", "D"],
+            (0..2_500i64)
+                .map(|i| {
+                    let only_at = |row, v: Value| if i == row { v } else { Value::Null };
+                    vec![
+                        Value::str(["a", "b", "c"][i as usize % 3]),
+                        Value::Int(i * 7),
+                        Value::Float(i as f64 * 0.25),
+                        only_at(2_100, Value::str("s")),
+                        only_at(1_500, Value::Date(9)),
+                    ]
+                })
+                .collect(),
+        );
+        let c_long = CRel::from_vrel(&long);
+        let empty = answer(&["G", "X", "F", "S", "D"], vec![]);
+        let c_empty = CRel::empty(a.cols().to_vec());
+        let mut outcomes = [0usize; 2];
+        for q in &queries {
+            for (rows, cols) in [(&a, &ca), (&long, &c_long), (&empty, &c_empty)] {
+                let mut b1 = Budget::unlimited();
+                let mut b2 = Budget::unlimited();
+                let row = finalize(rows, q, &mut b1);
+                let col = finalize_c(cols, q, &mut b2);
+                outcomes[row.is_ok() as usize] += 1;
+                assert_eq!(format!("{row:?}"), format!("{col:?}"), "{:?}", q.output);
+                assert_eq!(b1.charged(), b2.charged(), "{:?}", q.output);
+                if rows.is_empty() {
+                    assert!(col.is_ok(), "an empty answer evaluates nothing");
+                }
+            }
+        }
+        assert!(
+            outcomes[0] > 20 && outcomes[1] > 20,
+            "{outcomes:?} (errors, answers)"
+        );
     }
 
     #[test]

@@ -22,9 +22,13 @@
 //!   comparisons ([`crate::column::Column::eq_at`], strings by `u32`
 //!   dictionary code).
 //!
-//! Output is materialized by collecting matching `(build, probe)` row
-//! index pairs and running one gather pass per output column. Joins charge
-//! the budget once per block of probe rows (`BLOCK`), not once per pair.
+//! Every kernel first collects the matching `(build, probe)` row index
+//! pairs, charging the budget once per block of probe rows (`BLOCK`),
+//! not once per pair. [`natural_join`] then runs one gather pass per
+//! output column. The vertex join of `P′` ([`join_vertex`]) gathers
+//! nothing between its joins: it composes the pairs into one position
+//! list per input, gathers only the key columns the next join reads, and
+//! gathers each surviving column once, at the end.
 //!
 //! The direct, filtered and hashed kernels emit the same pair sequence
 //! (probe-major, ascending build row), so the output row order does not
@@ -32,13 +36,14 @@
 
 use crate::chain::{ChainTable, DirectTable, CHAIN_END};
 use crate::column::{finish_hash, Column};
-use crate::crel::CRel;
+use crate::crel::{read_source, CRel, Selection};
 use crate::dict::{self, DictReader};
 use crate::error::{Budget, EvalError};
 use crate::keyplan::{blocks, Bitmap, KeyPlan, BLOCK, MISS};
 use crate::ops;
 use crate::value::Row;
 use crate::vrel::VRelation;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Matching `(build, probe)` row index lists produced by a join kernel.
@@ -131,75 +136,306 @@ fn reorder(r: CRel, desired: &[String]) -> CRel {
     CRel::new(desired.to_vec(), out_columns, len)
 }
 
+/// The two inputs of a join as `(build, probe, swapped)`: the build side
+/// is the smaller one, `a` on a tie.
+fn sides<'r>(a: &'r CRel, b: &'r CRel) -> (&'r CRel, &'r CRel, bool) {
+    if a.len() <= b.len() {
+        (a, b, false)
+    } else {
+        (b, a, true)
+    }
+}
+
+/// Lays a join's output out in the caller's column order (`a`'s columns,
+/// then `b`'s others) when the kernel built on `b`.
+fn caller_order(out: CRel, a: &CRel, b: &CRel, swapped: bool) -> CRel {
+    if !swapped {
+        return out;
+    }
+    let mut desired: Vec<String> = a.cols().to_vec();
+    desired.extend(b.cols().iter().filter(|c| !a.cols().contains(c)).cloned());
+    reorder(out, &desired)
+}
+
 /// Natural join of `a` and `b` on their shared variables — the columnar
 /// [`crate::ops::natural_join`]. Same budget charges, same output bag,
 /// same deterministic ordering contract.
 pub fn natural_join(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalError> {
     crate::fail_point!("cops::join");
     budget.join_stats().add_hash_build();
-    let (build, probe, swapped) = if a.len() <= b.len() {
-        (a, b, false)
-    } else {
-        (b, a, true)
-    };
+    let (build, probe, swapped) = sides(a, b);
     let (build_shared, probe_shared, probe_rest) = join_layout(build, probe);
+    if ops::join_build_reservation(budget, &build_shared, build.len(), probe.len())? {
+        return grace_join(a, b, budget);
+    }
 
+    let result = join_pairs(build, probe, &build_shared, &probe_shared, budget);
+    // The build table (and hash scratch) is gone either way.
+    budget.uncharge_bytes(ops::join_build_bytes(build.len(), probe.len()));
+    let (build_idx, probe_idx) = result?;
+
+    // Output construction: one gather pass per column.
     let mut out_cols: Vec<String> = build.cols().to_vec();
     out_cols.extend(probe_rest.iter().map(|&j| probe.cols()[j].clone()));
-
-    let out = if ops::join_build_reservation(budget, &build_shared, build.len(), probe.len())? {
-        // Grace spill path: the machinery shared with `ops`, fed rows
-        // streamed straight out of the columns (no row copy of
-        // either input is ever materialized).
-        let reader = dict::reader();
-        let build_hashes = key_hashes(build, &build_shared, &reader);
-        let probe_hashes = key_hashes(probe, &probe_shared, &reader);
-        let rows = ops::grace_join_spill(
-            build.len(),
-            |i| materialize_row(build, i, &reader),
-            |i| build_hashes[i],
-            probe.len(),
-            |i| materialize_row(probe, i, &reader),
-            |i| probe_hashes[i],
-            &build_shared,
-            &probe_shared,
-            &probe_rest,
-            build.cols().len(),
-            budget,
-        )?;
-        drop(reader);
-        // Re-encoding interns into the dictionary, so the reader must be
-        // released first.
-        CRel::from_vrel(&VRelation::from_rows(out_cols, rows))
-    } else {
-        let result = join_pairs(build, probe, &build_shared, &probe_shared, budget);
-        // The build table (and hash scratch) is gone either way.
-        budget.uncharge_bytes(ops::join_build_bytes(build.len(), probe.len()));
-        let (build_idx, probe_idx) = result?;
-
-        // Output construction: one gather pass per column.
-        let mut columns: Vec<Arc<Column>> = Vec::with_capacity(out_cols.len());
-        for c in build.columns() {
-            columns.push(Arc::new(c.gather(&build_idx)));
-        }
-        for &j in &probe_rest {
-            columns.push(Arc::new(probe.column(j).gather(&probe_idx)));
-        }
-        let n = build_idx.len();
-        let out = CRel::new(out_cols, columns, n);
-        budget.charge_bytes(crel_payload_bytes(&out))?;
-        out
-    };
-
-    if swapped {
-        let desired: Vec<String> = {
-            let mut cols: Vec<String> = a.cols().to_vec();
-            cols.extend(b.cols().iter().filter(|c| !a.cols().contains(c)).cloned());
-            cols
-        };
-        return Ok(reorder(out, &desired));
+    let mut columns: Vec<Arc<Column>> = Vec::with_capacity(out_cols.len());
+    for c in build.columns() {
+        columns.push(Arc::new(c.gather(&build_idx)));
     }
-    Ok(out)
+    for &j in &probe_rest {
+        columns.push(Arc::new(probe.column(j).gather(&probe_idx)));
+    }
+    let out = CRel::new(out_cols, columns, build_idx.len());
+    budget.charge_bytes(crel_payload_bytes(&out))?;
+    Ok(caller_order(out, a, b, swapped))
+}
+
+/// The grace spill route of [`natural_join`], for a caller whose
+/// `join_build_reservation` chose it: the machinery shared with `ops`,
+/// fed rows streamed straight out of the columns (no row copy of either
+/// input is ever materialized).
+fn grace_join(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalError> {
+    let (build, probe, swapped) = sides(a, b);
+    let (build_shared, probe_shared, probe_rest) = join_layout(build, probe);
+    let mut out_cols: Vec<String> = build.cols().to_vec();
+    out_cols.extend(probe_rest.iter().map(|&j| probe.cols()[j].clone()));
+    let reader = dict::reader();
+    let build_hashes = key_hashes(build, &build_shared, &reader);
+    let probe_hashes = key_hashes(probe, &probe_shared, &reader);
+    let rows = ops::grace_join_spill(
+        build.len(),
+        |i| materialize_row(build, i, &reader),
+        |i| build_hashes[i],
+        probe.len(),
+        |i| materialize_row(probe, i, &reader),
+        |i| probe_hashes[i],
+        &build_shared,
+        &probe_shared,
+        &probe_rest,
+        build.cols().len(),
+        budget,
+    )?;
+    drop(reader);
+    // Re-encoding interns into the dictionary, so the reader must be
+    // released first.
+    let out = CRel::from_vrel(&VRelation::from_rows(out_cols, rows));
+    Ok(caller_order(out, a, b, swapped))
+}
+
+/// Bytes one entry of a vertex join's position lists occupies — what the
+/// governor charges per accumulator row per joined input.
+const POS_BYTES: u64 = 4;
+
+/// The `P′` join of one decomposition vertex: joins `inputs` and projects
+/// the result onto the variables of `chi` it carries (distinct rows).
+///
+/// It answers exactly like folding [`natural_join`] over the gathered
+/// inputs in greedy order and finishing with [`project_onto_available`] —
+/// the same pair sequence per join, rows, row order, column order, tuple
+/// charges and hash builds — but late-materialized. The accumulator is
+/// one position list per input joined so far; each join gathers only the
+/// accumulator's key columns, runs the kernel the key calls for
+/// (`join_pairs`) and composes the lists with the pairs; each column
+/// that survives into `chi` is gathered once, at the end (`__rowid`
+/// straight from its list). Bytes charged: the position lists (4 B per
+/// row per input), the pair lists, and the final columns. A join whose
+/// build reservation is denied materializes both sides and takes the
+/// grace spill route of [`natural_join`]; its output is the accumulator
+/// from then on.
+///
+/// Greedy order: the smallest input first, then repeatedly the smallest
+/// input sharing a variable with those joined (the first of equals after
+/// `swap_remove`), a cross product only when none does — the "choice of
+/// the topological order" the paper grants the evaluator (§4), applied
+/// within one vertex.
+pub fn join_vertex(
+    mut inputs: Vec<Selection<'_>>,
+    chi: &[String],
+    budget: &mut Budget,
+) -> Result<CRel, EvalError> {
+    let Some(first) = smallest(inputs.iter().enumerate()) else {
+        return Ok(CRel::neutral());
+    };
+    for s in &inputs {
+        budget.charge_bytes(POS_BYTES * s.rows.as_ref().map_or(0, Vec::len) as u64)?;
+    }
+    let width = inputs.iter().map(|s| s.vars.len()).sum();
+    let mut acc = Positions::start(inputs.swap_remove(first), width);
+    while !inputs.is_empty() {
+        let connected = (inputs.iter().enumerate())
+            .filter(|(_, s)| s.vars.iter().any(|v| acc.var(v).is_some()));
+        let i = smallest(connected)
+            .or_else(|| smallest(inputs.iter().enumerate()))
+            .expect("non-empty");
+        acc.join(inputs.swap_remove(i), budget)?;
+    }
+    acc.finish(chi, budget)
+}
+
+/// Position of the input with the fewest rows (the first of equals).
+fn smallest<'s>(inputs: impl Iterator<Item = (usize, &'s Selection<'s>)>) -> Option<usize> {
+    inputs.min_by_key(|(_, s)| s.len()).map(|(i, _)| i)
+}
+
+/// The rows of a vertex join so far ([`join_vertex`]).
+struct Positions<'a> {
+    /// Output variables in column order.
+    vars: Vec<String>,
+    /// Where each variable reads: `(input, source within the input)`.
+    at: Vec<(usize, usize)>,
+    inputs: Vec<Joined<'a>>,
+    len: usize,
+}
+
+/// An input joined into [`Positions`]: its sources (as in [`Selection`])
+/// and the row of them each accumulator row reads (`None`: row `i` reads
+/// row `i`).
+type Joined<'a> = (Vec<Option<Cow<'a, Arc<Column>>>>, Option<Vec<u32>>);
+
+impl<'a> Positions<'a> {
+    /// The rows of `s` alone; `width` is the number of variables the
+    /// vertex's inputs carry between them.
+    fn start(s: Selection<'a>, width: usize) -> Positions<'a> {
+        let mut vars = Vec::with_capacity(width);
+        vars.extend(s.vars);
+        let mut at = Vec::with_capacity(width);
+        at.extend((0..vars.len()).map(|j| (0, j)));
+        Positions {
+            at,
+            vars,
+            inputs: vec![(s.sources, s.rows)],
+            len: s.len,
+        }
+    }
+
+    fn var(&self, v: &str) -> Option<usize> {
+        self.vars.iter().position(|c| c == v)
+    }
+
+    /// Variable `k` over the accumulator's rows (see `read_source`).
+    fn column(&self, k: usize) -> Cow<'_, Arc<Column>> {
+        let (i, j) = self.at[k];
+        let (sources, rows) = &self.inputs[i];
+        read_source(sources[j].as_deref(), rows.as_deref(), self.len)
+    }
+
+    /// Variables `idx`, gathered, as a relation, and the payload bytes
+    /// that gathering made resident.
+    fn gather(&self, idx: &[usize]) -> (CRel, u64) {
+        let mut fresh_bytes = 0;
+        let columns = idx
+            .iter()
+            .map(|&k| match self.column(k) {
+                Cow::Borrowed(col) => Arc::clone(col),
+                Cow::Owned(col) => {
+                    fresh_bytes += col.payload_bytes() as u64;
+                    col
+                }
+            })
+            .collect();
+        let names = idx.iter().map(|&k| self.vars[k].clone()).collect();
+        (CRel::new(names, columns, self.len), fresh_bytes)
+    }
+
+    /// Joins `next` in: what `natural_join(acc, next)` does, on the key
+    /// columns alone.
+    fn join(&mut self, next: Selection<'a>, budget: &mut Budget) -> Result<(), EvalError> {
+        crate::fail_point!("cops::join");
+        budget.join_stats().add_hash_build();
+        let acc_builds = self.len <= next.len;
+        // `(accumulator variable, next variable)` per key column, in the
+        // build side's column order.
+        let keys: Vec<(usize, usize)> = if acc_builds {
+            (0..self.vars.len())
+                .filter_map(|k| Some((k, next.vars.iter().position(|v| *v == self.vars[k])?)))
+                .collect()
+        } else {
+            (0..next.vars.len())
+                .filter_map(|j| Some((self.var(&next.vars[j])?, j)))
+                .collect()
+        };
+        let key_idx: Vec<usize> = (0..keys.len()).collect();
+        let (build_n, probe_n) = if acc_builds {
+            (self.len, next.len)
+        } else {
+            (next.len, self.len)
+        };
+        if ops::join_build_reservation(budget, &key_idx, build_n, probe_n)? {
+            let all: Vec<usize> = (0..self.vars.len()).collect();
+            let joined = grace_join(&self.gather(&all).0, &next.gather().0, budget)?;
+            *self = Positions::start(Selection::from(joined), self.vars.capacity());
+            return Ok(());
+        }
+
+        let (acc_keys, _) = self.gather(&keys.iter().map(|&(k, _)| k).collect::<Vec<_>>());
+        let next_keys = CRel::new(
+            acc_keys.cols().to_vec(),
+            keys.iter()
+                .map(|&(_, j)| next.column(j).into_owned())
+                .collect(),
+            next.len,
+        );
+        let (build, probe) = if acc_builds {
+            (&acc_keys, &next_keys)
+        } else {
+            (&next_keys, &acc_keys)
+        };
+        let result = join_pairs(build, probe, &key_idx, &key_idx, budget);
+        budget.uncharge_bytes(ops::join_build_bytes(build_n, probe_n));
+        let (build_idx, probe_idx) = result?;
+        let (acc_idx, next_idx) = if acc_builds {
+            (build_idx, probe_idx)
+        } else {
+            (probe_idx, build_idx)
+        };
+
+        for (_, rows) in &mut self.inputs {
+            *rows = Some(match rows.take() {
+                None => acc_idx.clone(),
+                Some(rows) => acc_idx.iter().map(|&k| rows[k as usize]).collect(),
+            });
+        }
+        let next_rows = match next.rows {
+            None => next_idx,
+            Some(rows) => next_idx.iter().map(|&k| rows[k as usize]).collect(),
+        };
+        let input = self.inputs.len();
+        for (j, v) in next.vars.into_iter().enumerate() {
+            match self.var(&v) {
+                // A key column holds the build side's cells, as in
+                // `natural_join`: equal keys may still differ in bits
+                // (`0.0` and `-0.0`, NaN payloads).
+                Some(k) if !acc_builds => self.at[k] = (input, j),
+                Some(_) => {}
+                None => {
+                    self.vars.push(v);
+                    self.at.push((input, j));
+                }
+            }
+        }
+        self.inputs.push((next.sources, Some(next_rows)));
+        self.len = acc_idx.len();
+        budget.charge_bytes(POS_BYTES * (self.len * self.inputs.len()) as u64)
+    }
+
+    /// [`project_onto_available`] over the accumulator, gathering only the
+    /// columns that survive.
+    fn finish(self, chi: &[String], budget: &mut Budget) -> Result<CRel, EvalError> {
+        let avail: Vec<usize> = chi.iter().filter_map(|v| self.var(v)).collect();
+        let keep_all = avail.len() == self.vars.len();
+        let idx = if keep_all {
+            (0..self.vars.len()).collect()
+        } else {
+            avail
+        };
+        let (rel, fresh_bytes) = self.gather(&idx);
+        budget.charge_bytes(fresh_bytes)?;
+        if keep_all {
+            // Joins of duplicate-free inputs are duplicate-free.
+            return Ok(rel);
+        }
+        let vars = rel.cols().to_vec();
+        project(&rel, &vars, true, budget)
+    }
 }
 
 /// The pair lists a join kernel emits, settled against the budget by

@@ -15,12 +15,18 @@
 //! Columns are immutable and shared ([`Arc`]): cloning a relation,
 //! permuting or dropping its columns, and scanning a base table without
 //! filters all move pointers, never cells.
+//!
+//! A [`Selection`] is a relation not yet gathered: the stored columns its
+//! variables read plus the rows it keeps. Scans hand one to the vertex
+//! join ([`crate::cops::join_vertex`]), which gathers each column once, at
+//! the end, through the position lists it composes.
 
 use crate::column::Column;
 use crate::dict;
 use crate::schema::ColumnType;
 use crate::value::{Row, Value};
 use crate::vrel::VRelation;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// A columnar relation whose columns are named by query variables.
@@ -167,6 +173,83 @@ impl CRel {
             rows.push(row.into_boxed_slice());
         }
         VRelation::from_rows(self.cols.clone(), rows)
+    }
+}
+
+/// A relation as the columns it reads and the rows of them it keeps.
+/// Variable `vars[j]` reads column `sources[j]`, or — where that is
+/// `None`, the hidden `__rowid` — the kept row's own position in those
+/// columns. `rows` lists the kept rows, ascending; `None` keeps every row.
+/// A selection borrows the columns of the relation it was selected from
+/// (no reference count moves until a column is shared into an output).
+#[derive(Clone, Debug)]
+pub struct Selection<'a> {
+    pub(crate) vars: Vec<String>,
+    pub(crate) sources: Vec<Option<Cow<'a, Arc<Column>>>>,
+    pub(crate) rows: Option<Vec<u32>>,
+    pub(crate) len: usize,
+}
+
+impl Selection<'_> {
+    /// Number of kept rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if no row is kept.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Variable `j` over the kept rows (see [`read_source`]).
+    pub(crate) fn column(&self, j: usize) -> Cow<'_, Arc<Column>> {
+        read_source(self.sources[j].as_deref(), self.rows.as_deref(), self.len)
+    }
+
+    /// The kept rows as a relation — one gather per column, none where
+    /// every row is kept — and the payload bytes it gathered.
+    pub fn gather(self) -> (CRel, u64) {
+        let mut fresh_bytes = 0;
+        let columns = (0..self.vars.len())
+            .map(|j| match self.column(j) {
+                Cow::Borrowed(col) => Arc::clone(col),
+                Cow::Owned(col) => {
+                    fresh_bytes += col.payload_bytes() as u64;
+                    col
+                }
+            })
+            .collect();
+        (CRel::new(self.vars, columns, self.len), fresh_bytes)
+    }
+}
+
+impl From<CRel> for Selection<'static> {
+    /// Every row of `rel`.
+    fn from(rel: CRel) -> Selection<'static> {
+        let (vars, columns, len) = rel.into_parts();
+        Selection {
+            vars,
+            sources: columns.into_iter().map(|c| Some(Cow::Owned(c))).collect(),
+            rows: None,
+            len,
+        }
+    }
+}
+
+/// Column `source` (`None`: the row positions themselves) read at `rows`,
+/// or at every one of its `len` rows when `rows` is `None`: the column
+/// itself, borrowed, or a new one.
+pub(crate) fn read_source<'s>(
+    source: Option<&'s Arc<Column>>,
+    rows: Option<&[u32]>,
+    len: usize,
+) -> Cow<'s, Arc<Column>> {
+    let ints = |v: Vec<i64>| Cow::Owned(Arc::new(Column::from_ints(v)));
+    match (source, rows) {
+        (Some(col), None) => Cow::Borrowed(col),
+        (Some(col), Some(rows)) => Cow::Owned(Arc::new(col.gather(rows))),
+        (None, None) => ints((0..len as i64).collect()),
+        (None, Some(rows)) => ints(rows.iter().map(|&i| i64::from(i)).collect()),
     }
 }
 

@@ -1,8 +1,11 @@
 //! Scalar expression evaluation and SQL comparison semantics.
 
+use crate::crel::CRel;
+use crate::dict::DictReader;
 use crate::error::EvalError;
 use crate::value::{Row, Value};
 use htqo_cq::{ArithOp, CmpOp, ScalarExpr};
+use std::ops::Range;
 
 /// Evaluates a scalar expression against a row of an intermediate relation
 /// (columns are variable names). NULL propagates through arithmetic.
@@ -20,6 +23,67 @@ pub fn eval_scalar(e: &ScalarExpr, cols: &[String], row: &Row) -> Result<Value, 
             let lv = eval_scalar(l, cols, row)?;
             let rv = eval_scalar(r, cols, row)?;
             arith(&lv, *op, &rv)
+        }
+    }
+}
+
+/// A row of a relation and the error evaluating an expression there gives.
+pub(crate) type RowError = (usize, EvalError);
+
+/// [`eval_scalar`] over the rows `rows` of `rel`, a column at a time:
+/// each variable's column is read once, by position, and each operator
+/// runs [`arith`] down its operands. `out` receives the values of the rows
+/// before the first that fails; that row and its error are returned —
+/// within a row the left operand fails before the right, as row by row —
+/// so a caller feeding rows in order can raise the error exactly where
+/// the per-row evaluation would. An absent variable fails at the first
+/// row, so an empty range evaluates nothing. `spare` keeps the operands'
+/// buffers from one call to the next.
+pub(crate) fn eval_scalar_rows(
+    e: &ScalarExpr,
+    rel: &CRel,
+    rows: Range<usize>,
+    reader: &DictReader,
+    out: &mut Vec<Value>,
+    spare: &mut Vec<Vec<Value>>,
+) -> Option<RowError> {
+    out.clear();
+    match e {
+        ScalarExpr::Var(v) => match rel.col_index(v) {
+            Some(c) => {
+                let col = rel.column(c);
+                out.extend(rows.map(|i| col.value_with(i, reader)));
+                None
+            }
+            None if rows.is_empty() => None,
+            None => Some((rows.start, EvalError::UnknownVariable(v.clone()))),
+        },
+        ScalarExpr::Lit(l) => {
+            out.resize(rows.len(), Value::from(l));
+            None
+        }
+        ScalarExpr::Binary(l, op, r) => {
+            let mut lv = spare.pop().unwrap_or_default();
+            let mut rv = spare.pop().unwrap_or_default();
+            let l_err = eval_scalar_rows(l, rel, rows.clone(), reader, &mut lv, spare);
+            let r_err = eval_scalar_rows(r, rel, rows.clone(), reader, &mut rv, spare);
+            let mut err = match (l_err, r_err) {
+                (Some(le), Some(re)) if re.0 < le.0 => Some(re),
+                (Some(le), _) => Some(le),
+                (None, re) => re,
+            };
+            let stop = err.as_ref().map_or(rows.end, |e| e.0);
+            for (i, (a, b)) in (rows.start..stop).zip(lv.iter().zip(&rv)) {
+                match arith(a, *op, b) {
+                    Ok(v) => out.push(v),
+                    Err(e) => {
+                        err = Some((i, e));
+                        break;
+                    }
+                }
+            }
+            spare.extend([lv, rv]);
+            err
         }
     }
 }

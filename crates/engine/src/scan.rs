@@ -5,15 +5,18 @@
 //!
 //! The scan is columnar end to end ([`scan_atom_c`]) and costs what its
 //! filters cost, not what its width costs: each filter runs as a typed
-//! column-at-a-time kernel ([`Column::select`]) that produces or refines
-//! one selection vector, the survivors are tuple-charged in bulk, and only
-//! then is each output column gathered. A scan that keeps every row
-//! gathers nothing — its output shares the stored columns. The
-//! row-returning [`scan_atom`] is the same scan followed by a
-//! [`crate::crel::CRel::to_vrel`] conversion (identical budget charges).
+//! column-at-a-time kernel ([`crate::column::Column::select`]) that
+//! produces or refines one selection vector, the survivors are
+//! tuple-charged in bulk, and only then is each output column gathered.
+//! A scan that keeps every row
+//! gathers nothing — its output shares the stored columns. Inside a
+//! decomposition vertex nothing is gathered at all: [`select_atom`] hands
+//! the stored columns and the selection vector to the vertex join
+//! ([`crate::cops::join_vertex`]). The row-returning [`scan_atom`] is the
+//! same scan followed by a [`crate::crel::CRel::to_vrel`] conversion
+//! (identical budget charges).
 
-use crate::column::Column;
-use crate::crel::CRel;
+use crate::crel::{CRel, Selection};
 use crate::dict;
 use crate::error::{Budget, EvalError};
 use crate::relation::Relation;
@@ -22,7 +25,7 @@ use crate::value::Value;
 use crate::vrel::VRelation;
 use htqo_cq::isolator::ROWID_COLUMN;
 use htqo_cq::{Atom, CmpOp, ConjunctiveQuery, Filter};
-use std::sync::Arc;
+use std::borrow::Cow;
 
 /// Where an output variable's value comes from.
 pub(crate) enum Source {
@@ -100,13 +103,29 @@ impl AtomLayout {
 ///
 /// Charges one tuple per surviving row, and bytes only for the columns it
 /// materializes: a scan that keeps every row shares the stored columns
-/// and charges none.
+/// and charges none. This is [`select_atom`] followed by its gather.
 pub fn scan_atom_c(
     db: &Database,
     atom: &Atom,
     filters: &[&Filter],
     budget: &mut Budget,
 ) -> Result<CRel, EvalError> {
+    let (rel, fresh_bytes) = select_atom(db, atom, filters, budget)?.gather();
+    budget.charge_bytes(fresh_bytes)?;
+    Ok(rel)
+}
+
+/// The scan before its gather: the stored columns `atom`'s variables read
+/// and the rows that pass `filters` and the atom's repeated-variable
+/// equalities (`__rowid` reads the row positions). Charges one tuple per
+/// surviving row and no bytes; whoever keeps the selection vector pays
+/// for it.
+pub fn select_atom<'d>(
+    db: &'d Database,
+    atom: &Atom,
+    filters: &[&Filter],
+    budget: &mut Budget,
+) -> Result<Selection<'d>, EvalError> {
     crate::fail_point!("scan::atom");
     let rel = db
         .table(&atom.relation)
@@ -129,26 +148,20 @@ pub fn scan_atom_c(
     let n = sel.as_ref().map_or(rel.len(), Vec::len);
     budget.charge(n as u64)?;
 
-    // Projection: share the stored column, or gather the survivors.
-    let mut fresh_bytes = 0;
-    let columns = layout
+    let sources = layout
         .sources
         .iter()
-        .map(|s| {
-            let fresh = match (s, &sel) {
-                (Source::Col(i), None) => return Arc::clone(rel.shared_column(*i)),
-                (Source::Col(i), Some(sel)) => rel.column(*i).gather(sel),
-                (Source::RowId, None) => Column::from_ints((0..n as i64).collect()),
-                (Source::RowId, Some(sel)) => {
-                    Column::from_ints(sel.iter().map(|&i| i as i64).collect())
-                }
-            };
-            fresh_bytes += fresh.payload_bytes() as u64;
-            Arc::new(fresh)
+        .map(|s| match s {
+            Source::Col(i) => Some(Cow::Borrowed(rel.shared_column(*i))),
+            Source::RowId => None,
         })
         .collect();
-    budget.charge_bytes(fresh_bytes)?;
-    Ok(CRel::new(layout.out_vars, columns, n))
+    Ok(Selection {
+        vars: layout.out_vars,
+        sources,
+        rows: sel,
+        len: n,
+    })
 }
 
 /// Scans `atom` into a row relation: the columnar scan plus a row
@@ -171,6 +184,17 @@ pub fn scan_query_atom_c(
 ) -> Result<CRel, EvalError> {
     let filters: Vec<&Filter> = q.filters_of(a).collect();
     scan_atom_c(db, q.atom(a), &filters, budget)
+}
+
+/// Convenience: selects atom `a` of `q` with its own filters, ungathered.
+pub fn select_query_atom<'d>(
+    db: &'d Database,
+    q: &ConjunctiveQuery,
+    a: htqo_cq::AtomId,
+    budget: &mut Budget,
+) -> Result<Selection<'d>, EvalError> {
+    let filters: Vec<&Filter> = q.filters_of(a).collect();
+    select_atom(db, q.atom(a), &filters, budget)
 }
 
 /// Convenience: scans atom `a` of `q` with its own filters (rows).

@@ -6,7 +6,9 @@
 //! them per row, so per-row key boxing cannot come back unnoticed. Bulk
 //! loads (`RowLoader`, and `dbgen` on it) used to box a `Vec<Value>` per
 //! row and an `Arc<str>` per string cell; they now allocate per column
-//! and per distinct string.
+//! and per distinct string. The `P′` vertex join allocates per position
+//! list and per output column, not per column carried through its joins,
+//! and the columnar aggregate allocates no row per answer row.
 //!
 //! (Integration test = its own binary, so the global allocator and the
 //! counters see only this file's work; the tests take [`serial`] so they
@@ -289,6 +291,241 @@ fn dbgen_allocates_per_table_and_name_not_per_row() {
          names and ≈ {more_rows} more rows",
         large - small
     );
+}
+
+/// Q8's lineitem vertex in miniature — `n2 ⋈ supplier ⋈ lineitem ⋈
+/// σ(part)`, lineitem carrying columns no one reads after the vertex.
+struct Q8Vertex {
+    db: htqo_engine::schema::Database,
+    atoms: Vec<(htqo_cq::Atom, Vec<htqo_cq::Filter>)>,
+    chi: Vec<String>,
+}
+
+impl Q8Vertex {
+    /// The selections the vertex join takes.
+    fn select(&self) -> Vec<htqo_engine::crel::Selection<'_>> {
+        let mut budget = Budget::unlimited();
+        (self.atoms.iter())
+            .map(|(a, f)| {
+                let f: Vec<_> = f.iter().collect();
+                htqo_engine::scan::select_atom(&self.db, a, &f, &mut budget).unwrap()
+            })
+            .collect()
+    }
+}
+
+/// [`Q8Vertex`] with `extra` carried lineitem columns.
+fn q8_vertex(extra: usize) -> Q8Vertex {
+    use htqo_cq::{Atom, AtomId, CmpOp, Filter, Literal};
+    use htqo_engine::relation::Relation;
+    use htqo_engine::schema::{ColumnType, Database, Schema};
+    let table = |cols: &[(&str, ColumnType)], rows: i64, cell: &dyn Fn(i64, usize) -> Value| {
+        let mut rel = Relation::new(Schema::new(cols));
+        for i in 0..rows {
+            rel.push_row((0..cols.len()).map(|c| cell(i, c)).collect())
+                .unwrap();
+        }
+        rel
+    };
+    let mut db = Database::new();
+    let name = |i: i64| Value::str(&format!("alloc-pin-{i}"));
+    let n2 = [
+        ("n_nationkey", ColumnType::Int),
+        ("n_name", ColumnType::Str),
+    ];
+    db.insert_table(
+        "nation",
+        table(&n2, 25, &|i, c| {
+            if c == 0 {
+                Value::Int(i)
+            } else {
+                name(i)
+            }
+        }),
+    );
+    let supplier = [
+        ("s_suppkey", ColumnType::Int),
+        ("s_nationkey", ColumnType::Int),
+    ];
+    db.insert_table(
+        "supplier",
+        table(&supplier, 200, &|i, c| {
+            Value::Int(if c == 0 { i } else { i % 25 })
+        }),
+    );
+    let part = [("p_partkey", ColumnType::Int), ("p_type", ColumnType::Str)];
+    db.insert_table(
+        "part",
+        table(&part, 4000, &|i, c| {
+            if c == 0 {
+                Value::Int(i)
+            } else {
+                name(i % 150)
+            }
+        }),
+    );
+    let mut lineitem: Vec<(String, ColumnType)> = ["l_partkey", "l_suppkey", "l_orderkey"]
+        .iter()
+        .map(|c| (c.to_string(), ColumnType::Int))
+        .collect();
+    lineitem.push(("l_extendedprice".into(), ColumnType::Float));
+    lineitem.extend((0..extra).map(|w| (format!("l_extra{w}"), ColumnType::Int)));
+    let cols: Vec<(&str, ColumnType)> = lineitem.iter().map(|(c, t)| (c.as_str(), *t)).collect();
+    db.insert_table(
+        "lineitem",
+        table(&cols, 24_000, &|i, c| match c {
+            0 => Value::Int(i * 7 % 4000),
+            1 => Value::Int(i % 200),
+            2 => Value::Int(i / 4),
+            3 => Value::Float(i as f64 * 0.5),
+            _ => Value::Int(i + c as i64),
+        }),
+    );
+    let atom = |relation: &str, args: &[(&str, &str)]| Atom {
+        relation: relation.into(),
+        alias: relation.into(),
+        args: args
+            .iter()
+            .map(|(c, v)| (c.to_string(), v.to_string()))
+            .collect(),
+    };
+    let mut l_args: Vec<(String, String)> = [
+        ("l_partkey", "P"),
+        ("l_suppkey", "S"),
+        ("l_orderkey", "O"),
+        ("l_extendedprice", "EP"),
+    ]
+    .iter()
+    .map(|(c, v)| (c.to_string(), v.to_string()))
+    .collect();
+    l_args.push((htqo_cq::isolator::ROWID_COLUMN.into(), "RID".into()));
+    l_args.extend((0..extra).map(|w| (format!("l_extra{w}"), format!("W{w}"))));
+    let l_args: Vec<(&str, &str)> = l_args
+        .iter()
+        .map(|(c, v)| (c.as_str(), v.as_str()))
+        .collect();
+    let p_type = Filter {
+        atom: AtomId(3),
+        column: "p_type".into(),
+        op: CmpOp::Eq,
+        value: Literal::Str("alloc-pin-7".into()),
+    };
+    let atoms = vec![
+        (
+            atom("nation", &[("n_nationkey", "SN"), ("n_name", "NN")]),
+            vec![],
+        ),
+        (
+            atom("supplier", &[("s_suppkey", "S"), ("s_nationkey", "SN")]),
+            vec![],
+        ),
+        (atom("lineitem", &l_args), vec![]),
+        (atom("part", &[("p_partkey", "P")]), vec![p_type]),
+    ];
+    let chi = ["P", "S", "SN", "O", "EP", "RID", "NN"]
+        .map(String::from)
+        .to_vec();
+    Q8Vertex { db, atoms, chi }
+}
+
+/// The vertex join carries position lists, not cells: the Q8-shaped
+/// vertex allocates per input list and per output column, the same
+/// number of times however many columns lineitem carries through its
+/// joins — where gathering every column at every join allocates per
+/// carried column per join.
+#[test]
+fn vertex_join_allocations_do_not_grow_with_the_carried_width() {
+    let _serial = serial();
+    let late = |extra: usize| {
+        let vertex = q8_vertex(extra);
+        let (selected, chi) = (vertex.select(), &vertex.chi);
+        let mut budget = Budget::unlimited();
+        allocs_of(move || cops::join_vertex(selected, chi, &mut budget).unwrap())
+    };
+    let gathering = |extra: usize| {
+        let vertex = q8_vertex(extra);
+        let (chi, mut budget) = (&vertex.chi, Budget::unlimited());
+        let rels: Vec<CRel> = vertex.select().into_iter().map(|s| s.gather().0).collect();
+        allocs_of(move || {
+            let mut acc = cops::natural_join(&rels[0], &rels[1], &mut budget).unwrap();
+            acc = cops::natural_join(&acc, &rels[2], &mut budget).unwrap();
+            acc = cops::natural_join(&acc, &rels[3], &mut budget).unwrap();
+            cops::project_onto_available(&acc, chi, &mut budget).unwrap()
+        })
+    };
+    let _ = late(0); // warm-up
+    let ((narrow, out), (wide, wide_out)) = (late(2), late(12));
+    assert_eq!(out.len(), wide_out.len());
+    assert!(
+        out.len() > 100 && out.cols().len() == 7,
+        "{} rows",
+        out.len()
+    );
+    assert_eq!(
+        narrow, wide,
+        "2 carried columns: {narrow} allocations, 12: {wide}"
+    );
+    // Measured: 181 — per join its key columns, the kernel's table and
+    // pair lists (grown by doubling) and one position list per input;
+    // then seven output columns and the distinct projection. Gathering
+    // every column at every join: 217 with 2 carried columns, 300 with 12.
+    assert!(wide < 220, "{wide} allocations");
+    let (g_narrow, g_wide) = (gathering(2).0, gathering(12).0);
+    assert!(g_wide >= g_narrow + 20, "gathering: {g_narrow} → {g_wide}");
+}
+
+/// `finalize_c` evaluates each aggregate's expression a column at a time:
+/// 20,000 answer rows allocate a handful of value vectors and the groups,
+/// not one boxed row per answer row.
+#[test]
+fn aggregate_c_allocates_no_row_per_answer_row() {
+    use htqo_cq::{AggFunc, ArithOp, CqBuilder, Literal, ScalarExpr};
+    use htqo_engine::column::Column;
+    use htqo_engine::schema::ColumnType;
+    use std::sync::Arc;
+    let _serial = serial();
+    let n = 20_000;
+    let float = |f: &dyn Fn(usize) -> f64| {
+        let mut c = Column::new(ColumnType::Float);
+        (0..n).for_each(|i| assert!(c.push_float(f(i))));
+        Arc::new(c)
+    };
+    let mut flags = Column::new(ColumnType::Str);
+    (0..n).for_each(|i| assert!(flags.push_str(["A", "N", "R"][i % 3])));
+    let answer = CRel::new(
+        ["RF", "EP", "D", "__rid_l"].map(String::from).to_vec(),
+        vec![
+            Arc::new(flags),
+            float(&|i| i as f64 * 0.25),
+            float(&|i| (i % 10) as f64 / 100.0),
+            Arc::new(Column::from_ints((0..n as i64).collect())),
+        ],
+        n,
+    );
+    let var = |v: &str| Box::new(ScalarExpr::Var(v.into()));
+    let one_minus_d = ScalarExpr::Binary(
+        Box::new(ScalarExpr::Lit(Literal::Int(1))),
+        ArithOp::Sub,
+        var("D"),
+    );
+    let revenue = ScalarExpr::Binary(var("EP"), ArithOp::Mul, Box::new(one_minus_d));
+    let q = CqBuilder::new()
+        .atom_vars("lineitem", &["RF", "EP", "D", "__rid_l"])
+        .out_var("RF")
+        .out_agg(AggFunc::Sum, Some(revenue), "revenue")
+        .out_agg(AggFunc::Count, None, "n")
+        .out_var("__rid_l")
+        .group("RF")
+        .build();
+    let finalize = || {
+        let mut budget = Budget::unlimited();
+        htqo_engine::finalize_c(&answer, &q, &mut budget).unwrap()
+    };
+    let _ = finalize(); // warm-up
+    let (allocs, out) = allocs_of(finalize);
+    assert_eq!(out.len(), 3);
+    // Measured: 44 (a boxed row per answer row: over 20,000).
+    assert!(allocs < 80, "{allocs} allocations for {n} answer rows");
 }
 
 /// Distinct projection used to keep one heap `Vec<u32>` per distinct key;

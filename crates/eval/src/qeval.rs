@@ -18,7 +18,10 @@
 //! Intermediate relations are columnar [`CRel`]s (flat typed columns,
 //! dictionary-encoded strings, gather-based output) from the scans to the
 //! root; the answer is converted to the client-facing [`VRelation`] once,
-//! at the boundary.
+//! at the boundary. Inside a `P′` vertex nothing is gathered until the
+//! end: the scans hand over stored columns plus selection vectors, and
+//! [`cops::join_vertex`] carries one position list per joined atom,
+//! gathering each column that survives into χ(p) once.
 
 use htqo_core::hypertree::NodeId;
 use htqo_core::QhdPlan;
@@ -27,7 +30,7 @@ use htqo_engine::cops;
 use htqo_engine::crel::CRel;
 use htqo_engine::error::{Budget, EvalError};
 use htqo_engine::iseek;
-use htqo_engine::scan::scan_query_atom_c;
+use htqo_engine::scan::{scan_query_atom_c, select_query_atom};
 use htqo_engine::schema::Database;
 use htqo_engine::vrel::VRelation;
 
@@ -127,7 +130,7 @@ pub(crate) fn evaluate_qhd_c(
     Ok(result)
 }
 
-/// `P′` for one vertex: scan `assigned(p) ∪ λ(p)`, join them, project
+/// `P′` for one vertex: select `assigned(p) ∪ λ(p)`, join them, project
 /// onto χ(p) (restricted to available variables). With `index_join` set
 /// and a catalog carrying secondary indexes, multi-atom vertices may run
 /// as index-nested-loop seeks instead ([`seek_vertex_join`]); the result
@@ -151,17 +154,16 @@ fn vertex_join(
             return cops::project_onto_available(&joined, chi, budget);
         }
     }
-    let mut scanned: Vec<CRel> = Vec::with_capacity(atom_ids.len());
+    let mut selected = Vec::with_capacity(atom_ids.len());
     for &a in &atom_ids {
-        scanned.push(scan_query_atom_c(db, q, a, budget)?);
+        selected.push(select_query_atom(db, q, a, budget)?);
     }
-    let joined = join_connected_greedy(scanned, budget)?;
-    cops::project_onto_available(&joined, chi, budget)
+    cops::join_vertex(selected, chi, budget)
 }
 
 /// Index-aware variant of the per-vertex join: starts from the atom with
 /// the smallest base table and folds the remaining atoms in, preferring
-/// connected atoms with small base tables ([`join_connected_greedy`]'s
+/// connected atoms with small base tables ([`cops::join_vertex`]'s
 /// heuristic lifted to base cardinalities, which are known *before*
 /// scanning). An atom is joined by index seek when the accumulator is
 /// small relative to its base table and a registered index covers a
@@ -243,44 +245,6 @@ fn seek_vertex_join(
         };
     }
     Ok(Some(acc))
-}
-
-/// Joins a set of relations preferring variable-connected pairs: start
-/// from the smallest relation, repeatedly join the smallest relation
-/// sharing a variable with the accumulator, and only cross-product when no
-/// connected relation remains. This is the "choice of the topological
-/// order" freedom the paper grants the evaluator (Section 4) applied
-/// within one vertex.
-fn join_connected_greedy(mut inputs: Vec<CRel>, budget: &mut Budget) -> Result<CRel, EvalError> {
-    let Some(first_idx) = inputs
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, r)| r.len())
-        .map(|(i, _)| i)
-    else {
-        return Ok(CRel::neutral());
-    };
-    let mut acc = inputs.swap_remove(first_idx);
-    while !inputs.is_empty() {
-        let connected = inputs
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.cols().iter().any(|c| acc.col_index(c).is_some()))
-            .min_by_key(|(_, r)| r.len())
-            .map(|(i, _)| i);
-        let idx = connected.unwrap_or_else(|| {
-            // Forced cross product: take the smallest remaining input.
-            inputs
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, r)| r.len())
-                .map(|(i, _)| i)
-                .expect("non-empty")
-        });
-        let next = inputs.swap_remove(idx);
-        acc = cops::natural_join(&acc, &next, budget)?;
-    }
-    Ok(acc)
 }
 
 fn eval_bottom_up(
