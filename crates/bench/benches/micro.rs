@@ -9,22 +9,19 @@
 //! predicate kernels), the paged store's commit, reload and recovery
 //! paths, the query service's per-statement fixed cost (prepared, ad hoc
 //! on a known text, ad hoc on a never-seen text of a known shape), hash
-//! join throughput, the row join kernel (sequential and
-//! partitioned-parallel), the columnar join per probe row under each key
+//! join throughput, the columnar join per probe row under each key
 //! plan (direct table, range bitmaps, hashed), the `P′` vertex join of two
 //! TPC-H vertices and the revenue aggregate over a lineitem answer, the
 //! columnar join in memory vs spilling under a byte cap of a quarter of
 //! its working set,
-//! factorized vs materialized `COUNT(*) GROUP BY`, the parallel
-//! q-hypertree schedule, and the q-hypertree evaluator vs the naive
-//! pipeline on a chain query.
+//! factorized vs materialized `COUNT(*) GROUP BY`, and the q-hypertree
+//! evaluator vs the naive pipeline on a chain query.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use htqo_core::treedecomp::{tree_decomposition, EliminationHeuristic};
 use htqo_core::{det_k_decomp, q_hypertree_decomp, QhdOptions, StructuralCost};
 use htqo_cq::{isolate, parse_select, IsolatorOptions};
 use htqo_engine::error::Budget;
-use htqo_engine::ops::natural_join;
 use htqo_eval::{evaluate_naive, evaluate_qhd, ExecOptions};
 use htqo_hypergraph::acyclic::gyo;
 use htqo_optimizer::HybridOptimizer;
@@ -737,37 +734,15 @@ fn bench_hash_join(c: &mut Criterion) {
     let q = acyclic_query(2);
     let mut budget = Budget::unlimited();
     let left =
-        htqo_engine::scan::scan_query_atom(&db, &q, htqo_cq::AtomId(0), &mut budget).unwrap();
+        htqo_engine::scan::scan_query_atom_c(&db, &q, htqo_cq::AtomId(0), &mut budget).unwrap();
     let right =
-        htqo_engine::scan::scan_query_atom(&db, &q, htqo_cq::AtomId(1), &mut budget).unwrap();
+        htqo_engine::scan::scan_query_atom_c(&db, &q, htqo_cq::AtomId(1), &mut budget).unwrap();
     c.bench_function("hash_join_10k_x_10k", |b| {
         b.iter(|| {
             let mut budget = Budget::unlimited();
-            natural_join(&left, &right, &mut budget).unwrap()
+            htqo_engine::cops::natural_join(&left, &right, &mut budget).unwrap()
         })
     });
-}
-
-fn bench_join_kernels(c: &mut Criterion) {
-    // The row hash-in-place kernel (the baselines' engine) on a skewed
-    // 50k × 50k join.
-    let db = workload_db(&WorkloadSpec::new(2, 50_000, 25_000, 7).with_zipf(0.5));
-    let q = acyclic_query(2);
-    let mut budget = Budget::unlimited();
-    let left =
-        htqo_engine::scan::scan_query_atom(&db, &q, htqo_cq::AtomId(0), &mut budget).unwrap();
-    let right =
-        htqo_engine::scan::scan_query_atom(&db, &q, htqo_cq::AtomId(1), &mut budget).unwrap();
-
-    let mut group = c.benchmark_group("join_kernel");
-    group.sample_size(10);
-    group.bench_function("hash_50k_skew", |b| {
-        b.iter(|| {
-            let mut budget = Budget::unlimited();
-            natural_join(&left, &right, &mut budget).unwrap()
-        })
-    });
-    group.finish();
 }
 
 fn bench_join_keys(c: &mut Criterion) {
@@ -1126,7 +1101,6 @@ criterion_group!(
     bench_storage,
     bench_service,
     bench_hash_join,
-    bench_join_kernels,
     bench_join_keys,
     bench_spill_join,
     bench_factorized_count,

@@ -27,6 +27,7 @@ fn main() {
     htqo_bench::harness::reject_unknown_args(&[]);
     println!("# Ablation: Zipf skew vs estimation quality and runtimes");
     println!("(chain-6, cardinality 300, selectivity 50)");
+    println!("{}", htqo_bench::harness::measured_on());
     println!("\n| zipf s | CommDB est tuples | CommDB actual | q-error | CommDB time | q-HD time | q-HD tuples |");
     println!("|---|---|---|---|---|---|---|");
 

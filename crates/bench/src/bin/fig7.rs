@@ -25,6 +25,7 @@ fn main() {
     let mem_limit = htqo_bench::harness::mem_limit_from_args();
     let max_atoms = htqo_bench::harness::env_f64("HTQO_MAX_ATOMS", 10.0) as usize;
     println!("# Figure 7 — CommDB vs q-HD on synthetic queries");
+    println!("{}", htqo_bench::harness::measured_on());
     println!("(x = number of body atoms; cells = total time, DNF = budget hit)");
     println!(
         "(execution layer: {})",

@@ -24,6 +24,7 @@ fn main() {
     let mem_limit = htqo_bench::harness::mem_limit_from_args();
     let scales = env_f64_list("HTQO_FIG8_SCALES", &[0.02, 0.04, 0.06, 0.08, 0.10]);
     println!("# Figure 8 — TPC-H Q5 / Q8: CommDB vs q-HD vs database size");
+    println!("{}", htqo_bench::harness::measured_on());
     println!("(x = nominal database size in MB, SF×1000; cells = total time)");
     println!(
         "(execution layer: {})",

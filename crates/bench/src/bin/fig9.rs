@@ -26,6 +26,7 @@ fn main() {
     let mem_limit = mem_limit_from_args();
     let max_atoms = env_f64("HTQO_MAX_ATOMS", 10.0) as usize;
     println!("# Figure 9 — PostgreSQL vs PostgreSQL+q-HD (sel 60, card 450)");
+    println!("{}", htqo_bench::harness::measured_on());
     if let Some(limit) = mem_limit {
         println!("\nMemory limit: {limit} bytes per run (`--mem-limit`).");
     }

@@ -1,16 +1,20 @@
 //! Final aggregation (step (4) of the paper's pipeline): given the answer
-//! of `CQ(Q)` as a [`VRelation`] over `out(Q)`, compute GROUP BY groups,
-//! aggregate functions, final projection (dropping hidden rowid guards) and
-//! ORDER BY.
+//! of `CQ(Q)` over `out(Q)`, compute GROUP BY groups, aggregate
+//! functions, final projection (dropping hidden rowid guards) and ORDER
+//! BY. The grouping and projection front runs column at a time over a
+//! [`CRel`] ([`finalize_c`]); the post-aggregation result is a
+//! [`VRelation`].
 
 use crate::cops;
 use crate::crel::CRel;
 use crate::dict;
 use crate::error::{Budget, EvalError, SpillMode};
 use crate::expr::{eval_scalar, eval_scalar_rows, RowError};
-use crate::hash::{hash_key, FxHashMap};
-use crate::ops::{self, sort_by};
-use crate::spill::{SpillDir, SpillFile, SpillReader, MAX_SPILL_LEVEL};
+use crate::hash::FxHashMap;
+use crate::spill::{
+    partition_side, repartition_file, split_frame, SpillDir, SpillFile, SpillReader,
+    MAX_SPILL_LEVEL,
+};
 use crate::value::{row_heap_bytes, Row, Value};
 use crate::vrel::VRelation;
 use htqo_cq::isolator::is_hidden_label;
@@ -47,46 +51,23 @@ fn head_vars(visible: &[&OutputItem]) -> Vec<String> {
         .collect()
 }
 
-/// Computes the final output of `q` from the answer relation of `CQ(Q)`.
-///
-/// `answer` must contain every variable of `out(Q)` as a column (hidden
-/// rowid variables included); its rows are assumed distinct.
+/// [`finalize_c`] over an answer held in rows: the answer is encoded into
+/// columns once and finalized there.
 pub fn finalize(
     answer: &VRelation,
     q: &ConjunctiveQuery,
     budget: &mut Budget,
 ) -> Result<VRelation, EvalError> {
-    crate::fail_point!("aggregate::finalize");
-    let (visible, labels) = visible_output(q);
-    let result = if q.has_aggregates() {
-        aggregate(answer, q, &visible, &labels, budget)?
-    } else {
-        // No aggregates: project the answer onto the distinct visible head
-        // variables (set semantics, matching the CQ answer definition),
-        // then lay the columns out in SELECT order (a variable may be
-        // selected more than once).
-        let vars = head_vars(&visible);
-        let mut distinct_vars = vars.clone();
-        distinct_vars.dedup_preserving();
-        let projected = crate::ops::project(answer, &distinct_vars, true, budget)?;
-        let idx: Vec<usize> = vars
-            .iter()
-            .map(|v| projected.col_index(v).expect("just projected"))
-            .collect();
-        let rows: Vec<crate::value::Row> = projected
-            .rows()
-            .iter()
-            .map(|r| idx.iter().map(|&i| r[i].clone()).collect())
-            .collect();
-        VRelation::from_rows(labels.clone(), rows)
-    };
-    finalize_tail(result, q, budget)
+    finalize_c(&CRel::from_vrel(answer), q, budget)
 }
 
-/// [`finalize`] over a columnar answer: the grouping/projection front
-/// runs column-at-a-time (vectorized group-key hashing, gather-based
-/// layout), then the small post-aggregation result flows through the same
-/// HAVING / ORDER BY / LIMIT tail as the row path.
+/// Computes the final output of `q` from the answer relation of `CQ(Q)`.
+///
+/// `answer` must contain every variable of `out(Q)` as a column (hidden
+/// rowid variables included); its rows are assumed distinct. The
+/// grouping/projection front runs column-at-a-time (vectorized group-key
+/// hashing, gather-based layout), then the small post-aggregation result
+/// flows through the HAVING / ORDER BY / LIMIT tail.
 pub fn finalize_c(
     answer: &CRel,
     q: &ConjunctiveQuery,
@@ -97,12 +78,14 @@ pub fn finalize_c(
     let result = if q.has_aggregates() {
         aggregate_c(answer, q, &visible, &labels, budget)?
     } else {
+        // No aggregates: project the answer onto the distinct visible head
+        // variables (set semantics, matching the CQ answer definition),
+        // then lay the columns out in SELECT order (a variable may be
+        // selected more than once: a column clone, not a per-row copy).
         let vars = head_vars(&visible);
         let mut distinct_vars = vars.clone();
         distinct_vars.dedup_preserving();
         let projected = cops::project(answer, &distinct_vars, true, budget)?;
-        // SELECT-order layout: a repeated variable is a column clone, not
-        // a per-row copy.
         let idx: Vec<usize> = vars
             .iter()
             .map(|v| projected.col_index(v).expect("just projected"))
@@ -116,7 +99,7 @@ pub fn finalize_c(
     finalize_tail(result, q, budget)
 }
 
-/// The shared post-aggregation tail: HAVING, ORDER BY, LIMIT.
+/// The post-aggregation tail: HAVING, ORDER BY, LIMIT.
 pub(crate) fn finalize_tail(
     result: VRelation,
     q: &ConjunctiveQuery,
@@ -126,22 +109,21 @@ pub(crate) fn finalize_tail(
     let result = if q.having.is_empty() {
         result
     } else {
-        let idx: Vec<(usize, htqo_cq::CmpOp, crate::value::Value)> = q
+        let idx: Vec<(usize, htqo_cq::CmpOp, Value)> = q
             .having
             .iter()
             .map(|(label, op, lit)| {
                 let i = result
                     .col_index(label)
                     .ok_or_else(|| EvalError::UnknownVariable(label.clone()))?;
-                Ok((i, *op, crate::value::Value::from(lit)))
+                Ok((i, *op, Value::from(lit)))
             })
             .collect::<Result<_, EvalError>>()?;
-        crate::ops::select_rows(
+        select_rows(
             &result,
             |row| {
-                Ok(idx
-                    .iter()
-                    .all(|(i, op, v)| crate::expr::apply_cmp(*op, &row[*i], v)))
+                idx.iter()
+                    .all(|(i, op, v)| crate::expr::apply_cmp(*op, &row[*i], v))
             },
             budget,
         )?
@@ -164,6 +146,49 @@ pub(crate) fn finalize_tail(
         }
         _ => result,
     })
+}
+
+/// Keeps the rows satisfying `pred`, charging each survivor.
+fn select_rows(
+    a: &VRelation,
+    pred: impl Fn(&Row) -> bool,
+    budget: &mut Budget,
+) -> Result<VRelation, EvalError> {
+    let mut out = VRelation::empty(a.cols().to_vec());
+    let row_bytes = row_heap_bytes(a.cols().len());
+    for row in a.rows() {
+        if pred(row) {
+            budget.charge(1)?;
+            budget.charge_bytes(row_bytes)?;
+            out.push(row.clone());
+        }
+    }
+    Ok(out)
+}
+
+/// Sorts rows by the given `(column, descending)` keys, using SQL
+/// comparison semantics with a total-order fallback (stable: equal keys
+/// keep their order).
+fn sort_by(a: &VRelation, keys: &[(String, bool)]) -> Result<VRelation, EvalError> {
+    let idx: Vec<(usize, bool)> = keys
+        .iter()
+        .map(|(v, desc)| {
+            a.col_index(v)
+                .map(|i| (i, *desc))
+                .ok_or_else(|| EvalError::UnknownVariable(v.clone()))
+        })
+        .collect::<Result<_, _>>()?;
+    let mut rows = a.rows().to_vec();
+    rows.sort_by(|x, y| {
+        for &(i, desc) in &idx {
+            let ord = x[i].cmp(&y[i]);
+            if ord != std::cmp::Ordering::Equal {
+                return if desc { ord.reverse() } else { ord };
+            }
+        }
+        std::cmp::Ordering::Equal
+    });
+    Ok(VRelation::from_rows(a.cols().to_vec(), rows))
 }
 
 /// Appends `_2`, `_3`, … to repeated labels.
@@ -245,52 +270,12 @@ pub(crate) fn group_state_exceeded(budget: &Budget, requested: u64) -> EvalError
     }
 }
 
-fn aggregate(
-    answer: &VRelation,
-    q: &ConjunctiveQuery,
-    visible: &[&OutputItem],
-    labels: &[String],
-    budget: &mut Budget,
-) -> Result<VRelation, EvalError> {
-    let group_idx = group_layout(answer.cols(), q, visible)?;
-    // Spill requires a group key to partition on; a global aggregate's
-    // state is one row of accumulators and never spills.
-    let spillable =
-        !group_idx.is_empty() && answer.len() > 1 && budget.spill_mode() != SpillMode::Off;
-    if spillable && budget.spill_mode() == SpillMode::Force {
-        return aggregate_spilled(
-            answer.len(),
-            |i| answer.rows()[i].clone(),
-            |i| hash_key(&answer.rows()[i], &group_idx),
-            answer.cols(),
-            &group_idx,
-            q,
-            visible,
-            labels,
-            budget,
-        );
-    }
-    match aggregate_rows(answer, &group_idx, q, visible, labels, budget) {
-        Err(EvalError::MemoryExceeded { .. }) if spillable => aggregate_spilled(
-            answer.len(),
-            |i| answer.rows()[i].clone(),
-            |i| hash_key(&answer.rows()[i], &group_idx),
-            answer.cols(),
-            &group_idx,
-            q,
-            visible,
-            labels,
-            budget,
-        ),
-        r => r,
-    }
-}
-
-/// In-memory row aggregation. Group state is charged to the byte
-/// pool as groups appear and released when the function returns; the
-/// (usually much smaller) output rows are charged on success. A denied
-/// group reservation surfaces as [`EvalError::MemoryExceeded`] — the
-/// callers' cue to re-run through the spill driver.
+/// In-memory row aggregation of one spilled partition. Group state is
+/// charged to the byte pool as groups appear and released when the
+/// function returns; the (usually much smaller) output rows are charged
+/// on success. A denied group reservation surfaces as
+/// [`EvalError::MemoryExceeded`] — the spill driver's cue to split the
+/// partition further.
 fn aggregate_rows(
     answer: &VRelation,
     group_idx: &[usize],
@@ -372,10 +357,10 @@ fn aggregate_rows_inner(
     Ok(out)
 }
 
-/// Spilled aggregation driver, shared by the row and columnar fronts: the input is
-/// hash-partitioned by its group key to checksummed temp files (so a
-/// group lives in exactly one partition and no cross-partition merge is
-/// ever needed), then each partition is aggregated in memory — recursing
+/// Spilled aggregation driver: the input is hash-partitioned by its
+/// group key to checksummed temp files (so a group lives in exactly one
+/// partition and no cross-partition merge is ever needed), then each
+/// partition is aggregated in memory — recursing
 /// with a re-salted partition function when a partition still does not
 /// fit. Rows within a group keep their input order through every level,
 /// so order-sensitive float accumulation matches the in-memory path
@@ -394,7 +379,7 @@ fn aggregate_spilled(
 ) -> Result<VRelation, EvalError> {
     let stats = budget.spill_stats();
     let mut dir = SpillDir::create(budget.spill_dir())?;
-    let parts = ops::partition_side(&dir, "g", n, row, hash, 0, &stats)?;
+    let parts = partition_side(&dir, "g", n, row, hash, 0, &stats)?;
     let mut out = VRelation::empty(labels.to_vec());
     for p in &parts {
         aggregate_spilled_partition(
@@ -430,7 +415,7 @@ fn aggregate_spilled_partition(
         let mut rows: Vec<Row> = Vec::with_capacity(file.rows as usize);
         let mut reader = SpillReader::open(&file.path)?;
         while let Some(frame) = reader.read_row()? {
-            rows.push(ops::split_frame(frame)?.1);
+            rows.push(split_frame(frame)?.1);
         }
         drop(reader);
         let rel = VRelation::from_rows(cols.to_vec(), rows);
@@ -474,7 +459,7 @@ fn aggregate_repartition(
     out: &mut VRelation,
 ) -> Result<(), EvalError> {
     let stats = budget.spill_stats();
-    let subs = ops::repartition_file(dir, "g", file, level + 1, &stats)?;
+    let subs = repartition_file(dir, "g", file, level + 1, &stats)?;
     for s in &subs {
         aggregate_spilled_partition(
             dir,
@@ -546,9 +531,9 @@ fn aggregate_c(
     }
 }
 
-/// In-memory columnar aggregation core; byte accounting mirrors
-/// [`aggregate_rows`] (group state accrues against the pool, the hash
-/// array is reserved up front, output rows are charged on success).
+/// In-memory columnar aggregation core: group state accrues against the
+/// pool as in [`aggregate_rows`], the hash array is reserved up front,
+/// output rows are charged on success.
 fn aggregate_c_mem(
     answer: &CRel,
     group_idx: &[usize],
@@ -920,6 +905,36 @@ mod tests {
         )
     }
 
+    /// The row-at-a-time front the columnar one is checked against: the
+    /// row aggregation core (each expression evaluated per row by
+    /// `eval_scalar`), or a first-occurrence distinct projection charging
+    /// one tuple per kept row; then the shared tail.
+    fn row_finalize(
+        a: &VRelation,
+        q: &ConjunctiveQuery,
+        budget: &mut Budget,
+    ) -> Result<VRelation, EvalError> {
+        let (visible, labels) = visible_output(q);
+        let result = if q.has_aggregates() {
+            let group_idx = group_layout(a.cols(), q, &visible)?;
+            aggregate_rows(a, &group_idx, q, &visible, &labels, budget)?
+        } else {
+            let idx: Vec<usize> = (head_vars(&visible).iter())
+                .map(|v| a.col_index(v).ok_or(EvalError::UnknownVariable(v.clone())))
+                .collect::<Result<_, _>>()?;
+            let mut out = VRelation::empty(labels);
+            for row in a.rows() {
+                let row: Row = idx.iter().map(|&i| row[i].clone()).collect();
+                if !out.rows().contains(&row) {
+                    budget.charge(1)?;
+                    out.push(row);
+                }
+            }
+            out
+        };
+        finalize_tail(result, q, budget)
+    }
+
     #[test]
     fn group_by_sum() {
         let q = CqBuilder::new()
@@ -1102,9 +1117,9 @@ mod tests {
         assert_eq!(out.value(1, "X"), Some(&Value::Int(2)));
     }
 
-    /// The columnar front agrees with the row front — answers and budget
-    /// charges — across the aggregate, projection, HAVING and ORDER BY
-    /// paths.
+    /// The columnar front agrees with the row-at-a-time reference —
+    /// answers and budget charges — across the aggregate, projection,
+    /// HAVING and ORDER BY paths.
     #[test]
     fn finalize_c_matches_row_finalize() {
         let queries = vec![
@@ -1144,7 +1159,7 @@ mod tests {
         for q in &queries {
             let mut b1 = Budget::unlimited();
             let mut b2 = Budget::unlimited();
-            let row = finalize(&a, q, &mut b1).unwrap();
+            let row = row_finalize(&a, q, &mut b1).unwrap();
             let col = finalize_c(&ca, q, &mut b2).unwrap();
             assert_eq!(row, col);
             assert_eq!(b1.charged(), b2.charged());
@@ -1268,7 +1283,7 @@ mod tests {
             for (rows, cols) in [(&a, &ca), (&long, &c_long), (&empty, &c_empty)] {
                 let mut b1 = Budget::unlimited();
                 let mut b2 = Budget::unlimited();
-                let row = finalize(rows, q, &mut b1);
+                let row = row_finalize(rows, q, &mut b1);
                 let col = finalize_c(cols, q, &mut b2);
                 outcomes[row.is_ok() as usize] += 1;
                 assert_eq!(format!("{row:?}"), format!("{col:?}"), "{:?}", q.output);
@@ -1314,5 +1329,59 @@ mod tests {
         let out = finalize(&a, &q, &mut budget).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out.cols(), &["X".to_string()]);
+    }
+
+    #[test]
+    fn select_rows_keeps_and_charges_survivors() {
+        let a = answer(
+            &["X"],
+            vec![
+                vec![Value::Int(1)],
+                vec![Value::Int(2)],
+                vec![Value::Int(3)],
+            ],
+        );
+        let mut budget = Budget::unlimited();
+        let s = select_rows(&a, |r| r[0] >= Value::Int(2), &mut budget).unwrap();
+        assert_eq!(s.len(), 2);
+        assert_eq!(budget.charged(), 2);
+    }
+
+    #[test]
+    fn sort_by_keys() {
+        let int_rows = |rows: &[[i64; 2]]| {
+            rows.iter()
+                .map(|r| r.iter().map(|&i| Value::Int(i)).collect())
+                .collect()
+        };
+        let a = answer(&["x", "y"], int_rows(&[[1, 3], [2, 1], [1, 1]]));
+        let sorted = sort_by(&a, &[("x".to_string(), false), ("y".to_string(), true)]).unwrap();
+        assert_eq!(
+            sorted,
+            answer(&["x", "y"], int_rows(&[[1, 3], [1, 1], [2, 1]]))
+        );
+        assert!(sort_by(&a, &[("zz".to_string(), false)]).is_err());
+    }
+
+    proptest::proptest! {
+        /// Sorting preserves the bag of rows, and the result really is
+        /// ordered by the total order.
+        #[test]
+        fn sort_preserves_rows(
+            rows in proptest::collection::vec(proptest::collection::vec(0i64..5, 3), 0..25),
+        ) {
+            let a = answer(
+                &["x", "y", "z"],
+                rows.into_iter()
+                    .map(|r| r.into_iter().map(Value::Int).collect())
+                    .collect(),
+            );
+            let keys: Vec<(String, bool)> = a.cols().iter().map(|c| (c.clone(), false)).collect();
+            let sorted = sort_by(&a, &keys).unwrap();
+            proptest::prop_assert_eq!(sorted.sorted_rows(), a.sorted_rows());
+            for w in sorted.rows().windows(2) {
+                proptest::prop_assert!(w[0] <= w[1]);
+            }
+        }
     }
 }

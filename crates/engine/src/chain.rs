@@ -1,5 +1,6 @@
-//! The chained-index hash table shared by the row ([`crate::ops`]) and
-//! columnar ([`crate::cops`]) join kernels.
+//! The chained-index hash table shared by the columnar join kernels
+//! ([`crate::cops`]) and the spilled join's partitions
+//! ([`crate::spill`]).
 
 use crate::error::EvalError;
 

@@ -81,8 +81,7 @@ pub fn combine_hash(acc: u64, cell: u64) -> u64 {
 }
 
 /// Avalanche finalizer applied after the last column's fold; spreads
-/// entropy into the high bits so they can drive partitioning (same
-/// finalizer as [`crate::hash::hash_key`]).
+/// entropy into the high bits so they can drive partitioning.
 #[inline]
 pub fn finish_hash(x: u64) -> u64 {
     let x = (x ^ (x >> 32)).wrapping_mul(0xD6E8_FEB8_6659_FD93);
@@ -526,9 +525,9 @@ impl Column {
     }
 
     /// Folds every cell's hash into `acc` (one slot per row) with the
-    /// FxHasher step — the vectorized analogue of hashing one more key
-    /// column into every row's [`crate::hash::hash_key`]. Callers run this
-    /// once per key column, then [`finish_hash`] each slot.
+    /// FxHasher step — hashing one more key column into every row's key
+    /// hash. Callers run this once per key column, then [`finish_hash`]
+    /// each slot.
     pub fn write_hashes(&self, acc: &mut [u64], reader: &DictReader) {
         assert_eq!(acc.len(), self.len(), "hash accumulator length");
         match &self.data {

@@ -1,11 +1,15 @@
-//! Columnar physical operators over [`CRel`]s — the column-at-a-time
-//! counterparts of [`crate::ops`].
+//! Columnar physical operators over [`CRel`]s: natural (hash) join,
+//! semijoin and projection — the executor under every planner (q-HD,
+//! Yannakakis, bushy trees and the join-order baselines). Every operator
+//! charges freshly materialized tuples to a [`Budget`], which is how the
+//! harness reproduces the paper's "did not terminate" baseline data
+//! points deterministically.
 //!
-//! The kernels answer like the row kernels — build on the smaller side,
-//! the same output bag and column order, the same [`Budget`] totals — but
-//! never touch a boxed `Value` on the hot path, and they address their
-//! keys by what the key columns show (a `KeyPlan`, resolved once per
-//! call; DESIGN.md §3.8 "Key plans"):
+//! A join builds on the smaller side (`a` on a tie) and lays its output
+//! out in the caller's column order (`a`'s columns, then `b`'s others).
+//! The kernels never touch a boxed `Value` on the hot path, and they
+//! address their keys by what the key columns show (a `KeyPlan`, resolved
+//! once per call; DESIGN.md §3.8 "Key plans"):
 //!
 //! - a key of null-free `Int`/`Date`/`Str` columns packs into one integer
 //!   relative to the build side's minima. When that range fits in the
@@ -40,7 +44,7 @@ use crate::crel::{read_source, CRel, Selection};
 use crate::dict::{self, DictReader};
 use crate::error::{Budget, EvalError};
 use crate::keyplan::{blocks, Bitmap, KeyPlan, BLOCK, MISS};
-use crate::ops;
+use crate::spill::{grace_join_spill, join_build_bytes, join_build_reservation};
 use crate::value::Row;
 use crate::vrel::VRelation;
 use std::borrow::Cow;
@@ -50,8 +54,7 @@ use std::sync::Arc;
 type PairLists = (Vec<u32>, Vec<u32>);
 
 /// Bytes one matching `(build, probe)` index pair occupies in the
-/// kernels' pair lists (two `u32`s) — the columnar counterpart of the row
-/// kernels' per-output-row charge.
+/// kernels' pair lists (two `u32`s), charged per output row.
 pub(crate) const PAIR_BYTES: u64 = 8;
 
 /// Row `i` of `rel` as a boxed row, streamed straight out of the columns.
@@ -88,7 +91,7 @@ fn join_layout(a: &CRel, b: &CRel) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
 /// 64-bit key hash of every row over the key columns `idx`: one
 /// [`Column::write_hashes`] pass per column, then the avalanche
 /// finalizer. An empty key hashes every row to the same constant (cross
-/// products), matching [`crate::hash::hash_key`]'s convention.
+/// products).
 pub fn key_hashes(rel: &CRel, idx: &[usize], reader: &DictReader) -> Vec<u64> {
     let mut acc = vec![0u64; rel.len()];
     for &c in idx {
@@ -157,21 +160,22 @@ fn caller_order(out: CRel, a: &CRel, b: &CRel, swapped: bool) -> CRel {
     reorder(out, &desired)
 }
 
-/// Natural join of `a` and `b` on their shared variables — the columnar
-/// [`crate::ops::natural_join`]. Same budget charges, same output bag,
-/// same deterministic ordering contract.
+/// Natural join of `a` and `b` on their shared variables. With no shared
+/// variables this degenerates to a cross product (still budget-charged).
+/// One tuple charged per output row; rows in probe-major order, ascending
+/// build row within a probe row.
 pub fn natural_join(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalError> {
     crate::fail_point!("cops::join");
     budget.join_stats().add_hash_build();
     let (build, probe, swapped) = sides(a, b);
     let (build_shared, probe_shared, probe_rest) = join_layout(build, probe);
-    if ops::join_build_reservation(budget, &build_shared, build.len(), probe.len())? {
+    if join_build_reservation(budget, &build_shared, build.len(), probe.len())? {
         return grace_join(a, b, budget);
     }
 
     let result = join_pairs(build, probe, &build_shared, &probe_shared, budget);
     // The build table (and hash scratch) is gone either way.
-    budget.uncharge_bytes(ops::join_build_bytes(build.len(), probe.len()));
+    budget.uncharge_bytes(join_build_bytes(build.len(), probe.len()));
     let (build_idx, probe_idx) = result?;
 
     // Output construction: one gather pass per column.
@@ -190,9 +194,9 @@ pub fn natural_join(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, Eva
 }
 
 /// The grace spill route of [`natural_join`], for a caller whose
-/// `join_build_reservation` chose it: the machinery shared with `ops`,
-/// fed rows streamed straight out of the columns (no row copy of either
-/// input is ever materialized).
+/// `join_build_reservation` chose it: [`grace_join_spill`] fed rows
+/// streamed straight out of the columns (no row copy of either input is
+/// ever materialized).
 fn grace_join(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalError> {
     let (build, probe, swapped) = sides(a, b);
     let (build_shared, probe_shared, probe_rest) = join_layout(build, probe);
@@ -201,7 +205,7 @@ fn grace_join(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalError
     let reader = dict::reader();
     let build_hashes = key_hashes(build, &build_shared, &reader);
     let probe_hashes = key_hashes(probe, &probe_shared, &reader);
-    let rows = ops::grace_join_spill(
+    let rows = grace_join_spill(
         build.len(),
         |i| materialize_row(build, i, &reader),
         |i| build_hashes[i],
@@ -359,7 +363,7 @@ impl<'a> Positions<'a> {
         } else {
             (next.len, self.len)
         };
-        if ops::join_build_reservation(budget, &key_idx, build_n, probe_n)? {
+        if join_build_reservation(budget, &key_idx, build_n, probe_n)? {
             let all: Vec<usize> = (0..self.vars.len()).collect();
             let joined = grace_join(&self.gather(&all).0, &next.gather().0, budget)?;
             *self = Positions::start(Selection::from(joined), self.vars.capacity());
@@ -380,7 +384,7 @@ impl<'a> Positions<'a> {
             (&next_keys, &acc_keys)
         };
         let result = join_pairs(build, probe, &key_idx, &key_idx, budget);
-        budget.uncharge_bytes(ops::join_build_bytes(build_n, probe_n));
+        budget.uncharge_bytes(join_build_bytes(build_n, probe_n));
         let (build_idx, probe_idx) = result?;
         let (acc_idx, next_idx) = if acc_builds {
             (build_idx, probe_idx)
@@ -494,7 +498,7 @@ fn join_pairs(
     probe_shared: &[usize],
     budget: &mut Budget,
 ) -> Result<PairLists, EvalError> {
-    let reserved = ops::join_build_bytes(build.len(), probe.len());
+    let reserved = join_build_bytes(build.len(), probe.len());
     let plan = KeyPlan::resolve(build, build_shared, probe, probe_shared);
     if let Some(plan) = &plan {
         let fits = |range| DirectTable::byte_estimate(build.len(), range);
@@ -512,7 +516,7 @@ fn join_pairs(
     }
     // The bitmaps take the place of the probe side's hash array, which
     // the filtered probe never materializes.
-    let held = ops::join_build_bytes(build.len(), 0);
+    let held = join_build_bytes(build.len(), 0);
     let plan = plan.filter(|p| {
         p.range_bitmap_bytes()
             .and_then(|b| b.checked_add(held))
@@ -639,7 +643,9 @@ fn probe_hashed(
     sink.end_block(budget)
 }
 
-/// Semijoin `a ⋉ b` — the columnar [`crate::ops::semijoin`].
+/// Semijoin `a ⋉ b`: the rows of `a` (in input order) with at least one
+/// match in `b` on the shared variables. With no shared variables,
+/// returns `a` unchanged if `b` is non-empty, else the empty relation.
 pub fn semijoin(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalError> {
     crate::fail_point!("cops::semijoin");
     let (a_shared, b_shared, _) = join_layout(a, b);
@@ -656,7 +662,7 @@ pub fn semijoin(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalErr
 
     // Build table + both hash arrays, released when the kernel returns
     // (mirrors the row semijoin: the reducer side is expected to fit).
-    let table_bytes = ops::join_build_bytes(b.len(), a.len());
+    let table_bytes = join_build_bytes(b.len(), a.len());
     budget.reserve_bytes(table_bytes)?;
     // Membership in `b`'s keys: a bitmap over the packed key range when
     // the key has a plan and that fits in the reservation (no table, no
@@ -724,9 +730,10 @@ pub fn semijoin(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalErr
     Ok(out)
 }
 
-/// Projects `a` onto `vars` — the columnar [`crate::ops::project`].
-/// Distinct mode dedups via per-row key hashes with typed verification;
-/// bag mode shares `a`'s columns (no per-cell work, no bytes charged).
+/// Projects `a` onto `vars` (which must all exist). Distinct mode keeps
+/// the first occurrence of each row, in input order, deduplicating via
+/// per-row key hashes with typed verification; bag mode shares `a`'s
+/// columns (no per-cell work, no bytes charged).
 pub fn project(
     a: &CRel,
     vars: &[String],
@@ -832,9 +839,8 @@ pub fn project_onto_available(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops;
     use crate::value::Value;
-    use crate::vrel::VRelation;
+    use crate::vrel::{nested_loop_join, VRelation};
 
     fn vrel(cols: &[&str], rows: &[&[i64]]) -> VRelation {
         VRelation::from_rows(
@@ -850,14 +856,17 @@ mod tests {
     }
 
     #[test]
-    fn join_matches_row_kernel() {
+    fn join_matches_nested_loop_reference() {
         let a = vrel(&["x", "y"], &[&[1, 10], &[2, 20], &[3, 20]]);
         let b = vrel(&["y", "z"], &[&[10, 100], &[20, 200], &[20, 201]]);
         let mut b1 = Budget::unlimited();
         let mut b2 = Budget::unlimited();
-        let row = ops::natural_join(&a, &b, &mut b1).unwrap();
-        let col = natural_join(&CRel::from_vrel(&a), &CRel::from_vrel(&b), &mut b2).unwrap();
-        assert!(col.to_vrel().set_eq(&row));
+        let reference = nested_loop_join(&a, &b, &mut b1).unwrap();
+        let col = natural_join(&CRel::from_vrel(&a), &CRel::from_vrel(&b), &mut b2)
+            .unwrap()
+            .to_vrel();
+        assert_eq!(col.cols(), reference.cols());
+        assert_eq!(col.sorted_rows(), reference.sorted_rows());
         assert_eq!(b1.charged(), b2.charged());
     }
 
@@ -904,15 +913,24 @@ mod tests {
     }
 
     #[test]
-    fn semijoin_matches_row_kernel() {
-        let a = vrel(&["x", "y"], &[&[1, 10], &[2, 20], &[3, 30]]);
-        let b = vrel(&["y", "z"], &[&[10, 0], &[30, 0]]);
-        let mut b1 = Budget::unlimited();
-        let mut b2 = Budget::unlimited();
-        let row = ops::semijoin(&a, &b, &mut b1).unwrap();
-        let col = semijoin(&CRel::from_vrel(&a), &CRel::from_vrel(&b), &mut b2).unwrap();
-        assert!(col.to_vrel().set_eq(&row));
-        assert_eq!(b1.charged(), b2.charged());
+    fn semijoin_keeps_matching_rows_in_input_order() {
+        let a = crel(&["x", "y"], &[&[3, 30], &[1, 10], &[2, 20], &[4, 30]]);
+        let b = crel(&["y", "z"], &[&[10, 0], &[30, 0], &[30, 1]]);
+        let mut budget = Budget::unlimited();
+        let s = semijoin(&a, &b, &mut budget).unwrap();
+        assert_eq!(
+            s.to_vrel(),
+            vrel(&["x", "y"], &[&[3, 30], &[1, 10], &[4, 30]])
+        );
+        assert_eq!(budget.charged(), 3);
+    }
+
+    #[test]
+    fn self_join_keeps_bag_multiplicities() {
+        // 1 appears twice on each side → 4 combinations, plus 2 ⋈ 2.
+        let a = crel(&["x"], &[&[1], &[1], &[2]]);
+        let mut budget = Budget::unlimited();
+        assert_eq!(natural_join(&a, &a, &mut budget).unwrap().len(), 5);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! environment via `HTQO_FAILPOINTS`, a `;`-separated list of
 //! `site=action[@skip]` clauses where `action` is `error`, `panic`, or
 //! `delay(<ms>)` and the optional `@skip` lets the first *skip* hits pass
-//! (e.g. `HTQO_FAILPOINTS="ops::join=error;scan::atom=delay(5)@2"`).
+//! (e.g. `HTQO_FAILPOINTS="cops::join=error;scan::atom=delay(5)@2"`).
 //! [`clear`] resets everything (tests must call it between cases).
 
 use crate::error::EvalError;
@@ -57,9 +57,6 @@ pub const SITES: &[&str] = &[
     "factorized::build",
     "factorized::enumerate",
     "iseek::join",
-    "ops::join",
-    "ops::project",
-    "ops::semijoin",
     "qeval::bottom_up",
     "qeval::vertex",
     "scan::atom",
@@ -312,8 +309,9 @@ mod tests {
     fn spec_parsing() {
         let _g = lock();
         clear();
-        configure_from_spec("ops::join=error; scan::atom=delay(5)@2 ;qeval::vertex=panic").unwrap();
-        assert!(eval("ops::join").is_err());
+        configure_from_spec("cops::join=error; scan::atom=delay(5)@2 ;qeval::vertex=panic")
+            .unwrap();
+        assert!(eval("cops::join").is_err());
         assert!(eval("scan::atom").is_ok()); // skipped (1/2)
         assert!(eval("scan::atom").is_ok()); // skipped (2/2)
         let t = std::time::Instant::now();
@@ -324,11 +322,11 @@ mod tests {
             Err(SpecError::Parse(_))
         ));
         assert!(matches!(
-            configure_from_spec("ops::join=frobnicate"),
+            configure_from_spec("cops::join=frobnicate"),
             Err(SpecError::Parse(_))
         ));
         assert!(matches!(
-            configure_from_spec("ops::join=delay(abc)"),
+            configure_from_spec("cops::join=delay(abc)"),
             Err(SpecError::Parse(_))
         ));
         clear();
@@ -340,15 +338,19 @@ mod tests {
     fn unknown_site_is_a_typed_error_and_arms_nothing() {
         let _g = lock();
         clear();
-        let err = configure_from_spec("ops::join=error;no::such::site=panic").unwrap_err();
+        let err = configure_from_spec("cops::join=error;no::such::site=panic").unwrap_err();
         assert_eq!(err, SpecError::UnknownSite("no::such::site".into()));
         assert!(err.to_string().contains("no::such::site"));
         assert!(!armed(), "a rejected spec must arm nothing");
-        // The sites of the retired worker pool are unknown like any other.
+        // The sites of the retired worker pool and row kernels are
+        // unknown like any other.
         for retired in [
             "exec::worker",
             "ops::join::partition",
             "cops::join::partition",
+            "ops::join",
+            "ops::project",
+            "ops::semijoin",
         ] {
             assert_eq!(
                 configure_from_spec(&format!("{retired}=panic")),

@@ -194,10 +194,9 @@ pub fn index_seek_join(
 mod tests {
     use super::*;
     use crate::index::MemIndex;
-    use crate::ops;
     use crate::scan;
     use crate::schema::{ColumnType, Schema};
-    use crate::vrel::VRelation;
+    use crate::vrel::{nested_loop_join, VRelation};
     use htqo_cq::{CmpOp, CqBuilder, Literal};
 
     /// A catalog with an indexed fact table and a small probe table.
@@ -239,12 +238,13 @@ mod tests {
     }
 
     /// Scans atom 0 as the accumulator and joins atom 1 into it both ways:
-    /// by seek, and by scan + the row hash join (the contract's reference).
+    /// by seek, and by scan + the nested-loop reference join (the
+    /// contract's reference).
     fn seek_and_hash(db: &Database, q: &ConjunctiveQuery, b: &mut Budget) -> (CRel, VRelation) {
         let hash = {
-            let acc = scan::scan_query_atom(db, q, AtomId(0), b).unwrap();
-            let scanned = scan::scan_query_atom(db, q, AtomId(1), b).unwrap();
-            ops::natural_join(&acc, &scanned, b).unwrap()
+            let acc = scan::scan_query_atom_c(db, q, AtomId(0), b).unwrap();
+            let scanned = scan::scan_query_atom_c(db, q, AtomId(1), b).unwrap();
+            nested_loop_join(&acc.to_vrel(), &scanned.to_vrel(), b).unwrap()
         };
         let acc = scan::scan_query_atom_c(db, q, AtomId(0), b).unwrap();
         let seek = index_seek_join(db, q, AtomId(1), &acc, b)

@@ -10,14 +10,14 @@
 //! - [`value::Value`] / [`relation::Relation`] / [`schema::Database`]:
 //!   typed storage with a deterministic catalog;
 //! - [`crel::CRel`] / [`cops`]: columnar intermediate relations named by
-//!   query variables and their kernels — what every decomposition
-//!   evaluator runs on;
-//! - [`vrel::VRelation`] / [`ops`]: the row representation — the result
-//!   type handed to clients, the engine of the join-order baselines, and
-//!   the reference the columnar kernels are tested against. Hash join,
-//!   semijoin, projection, selection, sorting — all charging a
-//!   [`error::Budget`] so baseline blow-ups become reproducible `DNF`
+//!   query variables and their kernels (hash join, semijoin, projection)
+//!   — the one executor every planner runs on, the decomposition
+//!   evaluators and the join-order baselines alike. Every kernel charges
+//!   an [`error::Budget`], so baseline blow-ups become reproducible `DNF`
 //!   data points instead of runaway processes;
+//! - [`vrel::VRelation`]: the row form answers are handed to clients in,
+//!   with [`vrel::nested_loop_join`], the reference the columnar join is
+//!   tested against;
 //! - [`scan`]: atom scans with selection push-down and the hidden
 //!   `__rowid` multiplicity guard;
 //! - [`aggregate`]: GROUP BY / aggregate finalization (step (4) of the
@@ -25,9 +25,10 @@
 //! - [`factorized`]: cover-based factorized results over a decomposition
 //!   tree — aggregate pushdown and constant-delay answer enumeration
 //!   without materializing the join;
+//! - [`spill`]: the Grace spill path of joins and aggregation under a
+//!   memory cap;
 //! - [`exec`] / [`hash`]: the process-wide defaults of the execution
-//!   options, and the in-place Fx join-key hashing the kernels are built
-//!   on.
+//!   options, and the Fx hashing the kernels are built on.
 
 #![warn(missing_docs)]
 
@@ -47,7 +48,6 @@ pub mod hash;
 pub mod index;
 pub mod iseek;
 mod keyplan;
-pub mod ops;
 pub mod relation;
 pub mod scan;
 pub mod schema;

@@ -12,9 +12,7 @@
 //! gathers nothing — its output shares the stored columns. Inside a
 //! decomposition vertex nothing is gathered at all: [`select_atom`] hands
 //! the stored columns and the selection vector to the vertex join
-//! ([`crate::cops::join_vertex`]). The row-returning [`scan_atom`] is the
-//! same scan followed by a [`crate::crel::CRel::to_vrel`] conversion
-//! (identical budget charges).
+//! ([`crate::cops::join_vertex`]).
 
 use crate::crel::{CRel, Selection};
 use crate::dict;
@@ -22,7 +20,6 @@ use crate::error::{Budget, EvalError};
 use crate::relation::Relation;
 use crate::schema::Database;
 use crate::value::Value;
-use crate::vrel::VRelation;
 use htqo_cq::isolator::ROWID_COLUMN;
 use htqo_cq::{Atom, CmpOp, ConjunctiveQuery, Filter};
 use std::borrow::Cow;
@@ -164,17 +161,6 @@ pub fn select_atom<'d>(
     })
 }
 
-/// Scans `atom` into a row relation: the columnar scan plus a row
-/// conversion (compatibility view; identical budget charges).
-pub fn scan_atom(
-    db: &Database,
-    atom: &Atom,
-    filters: &[&Filter],
-    budget: &mut Budget,
-) -> Result<VRelation, EvalError> {
-    Ok(scan_atom_c(db, atom, filters, budget)?.to_vrel())
-}
-
 /// Convenience: scans atom `a` of `q` with its own filters (columnar).
 pub fn scan_query_atom_c(
     db: &Database,
@@ -195,17 +181,6 @@ pub fn select_query_atom<'d>(
 ) -> Result<Selection<'d>, EvalError> {
     let filters: Vec<&Filter> = q.filters_of(a).collect();
     select_atom(db, q.atom(a), &filters, budget)
-}
-
-/// Convenience: scans atom `a` of `q` with its own filters (rows).
-pub fn scan_query_atom(
-    db: &Database,
-    q: &ConjunctiveQuery,
-    a: htqo_cq::AtomId,
-    budget: &mut Budget,
-) -> Result<VRelation, EvalError> {
-    let filters: Vec<&Filter> = q.filters_of(a).collect();
-    scan_atom(db, q.atom(a), &filters, budget)
 }
 
 #[cfg(test)]
@@ -239,7 +214,9 @@ mod tests {
             .out_var("X")
             .build();
         let mut budget = Budget::unlimited();
-        let v = scan_query_atom(&db(), &q, AtomId(0), &mut budget).unwrap();
+        let v = scan_query_atom_c(&db(), &q, AtomId(0), &mut budget)
+            .unwrap()
+            .to_vrel();
         assert_eq!(v.cols(), &["X".to_string(), "Y".to_string()]);
         assert_eq!(v.len(), 3);
     }
@@ -252,7 +229,9 @@ mod tests {
             .filter(0, "name", CmpOp::Eq, Literal::Str("x".into()))
             .build();
         let mut budget = Budget::unlimited();
-        let v = scan_query_atom(&db(), &q, AtomId(0), &mut budget).unwrap();
+        let v = scan_query_atom_c(&db(), &q, AtomId(0), &mut budget)
+            .unwrap()
+            .to_vrel();
         assert_eq!(v.len(), 2);
     }
 
@@ -263,7 +242,9 @@ mod tests {
             .out_var("X")
             .build();
         let mut budget = Budget::unlimited();
-        let v = scan_query_atom(&db(), &q, AtomId(0), &mut budget).unwrap();
+        let v = scan_query_atom_c(&db(), &q, AtomId(0), &mut budget)
+            .unwrap()
+            .to_vrel();
         // Only rows with a == b survive.
         assert_eq!(v.len(), 2);
         assert_eq!(v.cols(), &["X".to_string()]);
@@ -276,7 +257,9 @@ mod tests {
             .out_var("X")
             .build();
         let mut budget = Budget::unlimited();
-        let v = scan_query_atom(&db(), &q, AtomId(0), &mut budget).unwrap();
+        let v = scan_query_atom_c(&db(), &q, AtomId(0), &mut budget)
+            .unwrap()
+            .to_vrel();
         assert_eq!(v.len(), 3);
         assert_eq!(v.value(2, "RID"), Some(&Value::Int(2)));
     }
@@ -289,7 +272,7 @@ mod tests {
             .build();
         let mut budget = Budget::unlimited();
         assert!(matches!(
-            scan_query_atom(&db(), &q, AtomId(0), &mut budget),
+            scan_query_atom_c(&db(), &q, AtomId(0), &mut budget),
             Err(EvalError::UnknownTable(_))
         ));
         let q2 = CqBuilder::new()
@@ -297,7 +280,7 @@ mod tests {
             .out_var("X")
             .build();
         assert!(matches!(
-            scan_query_atom(&db(), &q2, AtomId(0), &mut budget),
+            scan_query_atom_c(&db(), &q2, AtomId(0), &mut budget),
             Err(EvalError::UnknownColumn { .. })
         ));
     }
@@ -309,7 +292,7 @@ mod tests {
             .out_var("X")
             .build();
         let mut budget = Budget::unlimited().with_max_tuples(2);
-        assert!(scan_query_atom(&db(), &q, AtomId(0), &mut budget).is_err());
+        assert!(scan_query_atom_c(&db(), &q, AtomId(0), &mut budget).is_err());
     }
 
     #[test]
@@ -325,7 +308,9 @@ mod tests {
             .filter(0, "d", CmpOp::Ge, Literal::Date(15))
             .build();
         let mut budget = Budget::unlimited();
-        let v = scan_query_atom(&db, &q, AtomId(0), &mut budget).unwrap();
+        let v = scan_query_atom_c(&db, &q, AtomId(0), &mut budget)
+            .unwrap()
+            .to_vrel();
         assert_eq!(v.len(), 1);
         assert_eq!(v.value(0, "D"), Some(&Value::Date(20)));
     }

@@ -6,8 +6,10 @@
 //! an operator partitions its input to checksummed temp files under a
 //! per-operator [`SpillDir`] and re-processes partition by partition,
 //! recursing with a level-salted partition function when a partition is
-//! still too big (skew). The row frame format is shared by the row and
-//! columnar kernels:
+//! still too big (skew). The join's build reservation and its Grace
+//! driver (`join_build_reservation`, `grace_join_spill`) live here, next
+//! to the row frame format that `cops::natural_join` and the aggregation
+//! spill write:
 //!
 //! ```text
 //! frame   := len:u32 LE | checksum:u64 LE | payload
@@ -32,14 +34,16 @@
 //! fallback never fires a failpoint, since panicking during an unwind
 //! would abort).
 
-use crate::error::EvalError;
+use crate::chain::ChainTable;
+use crate::error::{Budget, EvalError, SpillMode, SpillStats};
 use crate::hash::FxHasher;
-use crate::value::{Row, Value};
+use crate::value::{row_heap_bytes, Row, Value};
 use std::fs;
 use std::hash::{Hash, Hasher};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Partition fan-out per spill level (8 = 3 bits). Small enough that a
 /// recursion level costs few file handles, large enough that two levels
@@ -324,6 +328,279 @@ fn decode_value(buf: &[u8], at: usize) -> Result<(Value, usize), EvalError> {
     })
 }
 
+/// Bytes the in-memory join path reserves up front and releases when the
+/// kernel returns: the chained hash table over the build side plus one
+/// hash word per row of either side (the kernels hash a side into such an
+/// array; the amount is also what decides between the in-memory and the
+/// spill path, so it is part of every byte-limited plan's behaviour).
+pub(crate) fn join_build_bytes(build_n: usize, probe_n: usize) -> u64 {
+    ChainTable::byte_estimate(build_n) + 8 * (build_n + probe_n) as u64
+}
+
+/// The memory governor's spill decision for a hash-join build: reserves
+/// the in-memory build structures and returns `false` (stay in memory),
+/// or returns `true` when the kernel must take the grace-spill path —
+/// either because the reservation was denied under [`SpillMode::Auto`]
+/// or because spill is forced. A denial with no spill alternative (no
+/// shared key to partition on, spill off) is a clean
+/// [`EvalError::MemoryExceeded`]; nothing is charged in that case.
+pub(crate) fn join_build_reservation(
+    budget: &mut Budget,
+    shared_key: &[usize],
+    build_n: usize,
+    probe_n: usize,
+) -> Result<bool, EvalError> {
+    // A cross product (no shared key) or an empty side cannot be
+    // partitioned by key; those always take the in-memory path.
+    let spill_capable = !shared_key.is_empty() && build_n > 0 && probe_n > 0;
+    let want = join_build_bytes(build_n, probe_n);
+    if budget.spill_mode() == SpillMode::Force && spill_capable {
+        return Ok(true);
+    }
+    if budget.try_reserve_bytes(want) {
+        return Ok(false);
+    }
+    if budget.spill_mode() == SpillMode::Auto && spill_capable {
+        return Ok(true);
+    }
+    Err(EvalError::MemoryExceeded {
+        requested: want,
+        reserved: budget.mem_used(),
+        pool: budget.mem_limit().unwrap_or(0),
+    })
+}
+
+/// Grace-style spill join, taken when the in-memory build reservation is
+/// denied (or spill is forced). Both sides are hash-partitioned to
+/// checksummed temp files by their shared-key hash, then each partition
+/// pair is joined in memory — recursing with a re-salted partition
+/// function when a partition's build side still does not fit. Rows reach
+/// this function through closures so the columnar kernel can stream rows
+/// straight out of its columns without materializing a row copy of the
+/// whole relation.
+///
+/// Output order: partitions in index order, probe order preserved within
+/// a partition — deterministic, but different from the in-memory kernels
+/// (all consumers are set-semantic). `Err` paths reclaim the temp
+/// directory via the [`SpillDir`] drop guard.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn grace_join_spill(
+    build_n: usize,
+    build_row: impl FnMut(usize) -> Row,
+    build_hash: impl Fn(usize) -> u64,
+    probe_n: usize,
+    probe_row: impl FnMut(usize) -> Row,
+    probe_hash: impl Fn(usize) -> u64,
+    build_key: &[usize],
+    probe_key: &[usize],
+    probe_rest: &[usize],
+    build_width: usize,
+    budget: &mut Budget,
+) -> Result<Vec<Row>, EvalError> {
+    let stats = budget.spill_stats();
+    let mut dir = SpillDir::create(budget.spill_dir())?;
+    let bparts = partition_side(&dir, "b", build_n, build_row, build_hash, 0, &stats)?;
+    let pparts = partition_side(&dir, "p", probe_n, probe_row, probe_hash, 0, &stats)?;
+    let width = build_width + probe_rest.len();
+    let mut out: Vec<Row> = Vec::new();
+    for p in 0..SPILL_FANOUT {
+        join_spilled_partition(
+            &dir, &bparts[p], &pparts[p], 0, build_key, probe_key, probe_rest, width, budget,
+            &mut out,
+        )?;
+    }
+    dir.cleanup()?;
+    Ok(out)
+}
+
+/// Writes every row of one side into [`SPILL_FANOUT`] partition files at
+/// `level`, each frame prefixed with the row's key hash (as an `Int`
+/// value) so downstream passes never rehash.
+pub(crate) fn partition_side(
+    dir: &SpillDir,
+    tag: &str,
+    n: usize,
+    mut row: impl FnMut(usize) -> Row,
+    hash: impl Fn(usize) -> u64,
+    level: u32,
+    stats: &Arc<SpillStats>,
+) -> Result<Vec<SpillFile>, EvalError> {
+    let mut writers: Vec<SpillWriter> = (0..SPILL_FANOUT)
+        .map(|_| SpillWriter::create(dir.next_file(tag)))
+        .collect::<Result<_, _>>()?;
+    let mut frame: Vec<Value> = Vec::new();
+    for i in 0..n {
+        let h = hash(i);
+        frame.clear();
+        frame.push(Value::Int(h as i64));
+        frame.extend(row(i).into_vec());
+        writers[spill_partition(h, level)].write_row(&frame)?;
+    }
+    let files: Vec<SpillFile> = writers
+        .into_iter()
+        .map(|w| w.finish())
+        .collect::<Result<_, _>>()?;
+    stats.add_partitions(SPILL_FANOUT as u64);
+    stats.add_bytes(files.iter().map(|f| f.bytes).sum());
+    Ok(files)
+}
+
+/// Re-partitions an existing spill file at a deeper (re-salted) level;
+/// the consumed file is removed to keep peak disk usage at roughly one
+/// copy per side per level.
+pub(crate) fn repartition_file(
+    dir: &SpillDir,
+    tag: &str,
+    file: &SpillFile,
+    level: u32,
+    stats: &Arc<SpillStats>,
+) -> Result<Vec<SpillFile>, EvalError> {
+    let mut writers: Vec<SpillWriter> = (0..SPILL_FANOUT)
+        .map(|_| SpillWriter::create(dir.next_file(tag)))
+        .collect::<Result<_, _>>()?;
+    let mut reader = SpillReader::open(&file.path)?;
+    while let Some(frame) = reader.read_row()? {
+        let h = frame_hash(&frame)?;
+        writers[spill_partition(h, level)].write_row(&frame)?;
+    }
+    drop(reader);
+    let _ = std::fs::remove_file(&file.path);
+    let files: Vec<SpillFile> = writers
+        .into_iter()
+        .map(|w| w.finish())
+        .collect::<Result<_, _>>()?;
+    stats.add_partitions(SPILL_FANOUT as u64);
+    stats.add_bytes(files.iter().map(|f| f.bytes).sum());
+    Ok(files)
+}
+
+/// Key hash stored as the first value of every partitioned frame.
+fn frame_hash(frame: &Row) -> Result<u64, EvalError> {
+    match frame.first() {
+        Some(Value::Int(h)) => Ok(*h as u64),
+        _ => Err(EvalError::SpillIo(
+            "spill frame missing its hash prefix".into(),
+        )),
+    }
+}
+
+/// Splits a partitioned frame into `(key hash, original row)`.
+pub(crate) fn split_frame(frame: Row) -> Result<(u64, Row), EvalError> {
+    let mut v = frame.into_vec();
+    if v.is_empty() {
+        return Err(EvalError::SpillIo("empty spill frame".into()));
+    }
+    let h = match v.remove(0) {
+        Value::Int(h) => h as u64,
+        _ => {
+            return Err(EvalError::SpillIo(
+                "spill frame missing its hash prefix".into(),
+            ))
+        }
+    };
+    Ok((h, v.into_boxed_slice()))
+}
+
+/// Joins one spilled partition pair: loads the build side (reserving its
+/// bytes), streams the probe side, recursing one level deeper when the
+/// reservation is denied. At [`MAX_SPILL_LEVEL`] the reservation becomes
+/// mandatory and a denial surfaces as a clean `MemoryExceeded` (one
+/// pathological key can defeat any amount of partitioning).
+#[allow(clippy::too_many_arguments)]
+fn join_spilled_partition(
+    dir: &SpillDir,
+    build: &SpillFile,
+    probe: &SpillFile,
+    level: u32,
+    build_key: &[usize],
+    probe_key: &[usize],
+    probe_rest: &[usize],
+    width: usize,
+    budget: &mut Budget,
+    out: &mut Vec<Row>,
+) -> Result<(), EvalError> {
+    if build.rows == 0 || probe.rows == 0 {
+        return Ok(());
+    }
+    // In-memory footprint of this partition's build side: its hash table
+    // plus the decoded rows (the on-disk frame size is a fair proxy).
+    let est = ChainTable::byte_estimate(build.rows as usize) + build.bytes;
+    if !budget.try_reserve_bytes(est) {
+        if level < MAX_SPILL_LEVEL {
+            let stats = budget.spill_stats();
+            let bsub = repartition_file(dir, "b", build, level + 1, &stats)?;
+            let psub = repartition_file(dir, "p", probe, level + 1, &stats)?;
+            for q in 0..SPILL_FANOUT {
+                join_spilled_partition(
+                    dir,
+                    &bsub[q],
+                    &psub[q],
+                    level + 1,
+                    build_key,
+                    probe_key,
+                    probe_rest,
+                    width,
+                    budget,
+                    out,
+                )?;
+            }
+            return Ok(());
+        }
+        budget.reserve_bytes(est)?;
+    }
+    let result = join_loaded_partition(
+        build, probe, build_key, probe_key, probe_rest, width, budget, out,
+    );
+    budget.uncharge_bytes(est);
+    result
+}
+
+/// True if the key columns of `a` (at `a_idx`) equal those of `b` (at
+/// `b_idx`), positionally.
+fn keys_eq(a: &Row, a_idx: &[usize], b: &Row, b_idx: &[usize]) -> bool {
+    a_idx.iter().zip(b_idx).all(|(&i, &j)| a[i] == b[j])
+}
+
+/// The in-memory tail of [`join_spilled_partition`], separated so its
+/// caller can release the build reservation on every exit path. Emits
+/// `build_row ++ probe_rest(probe_row)` per match.
+#[allow(clippy::too_many_arguments)]
+fn join_loaded_partition(
+    build: &SpillFile,
+    probe: &SpillFile,
+    build_key: &[usize],
+    probe_key: &[usize],
+    probe_rest: &[usize],
+    width: usize,
+    budget: &mut Budget,
+    out: &mut Vec<Row>,
+) -> Result<(), EvalError> {
+    let mut brows: Vec<(u64, Row)> = Vec::with_capacity(build.rows as usize);
+    let mut reader = SpillReader::open(&build.path)?;
+    while let Some(frame) = reader.read_row()? {
+        brows.push(split_frame(frame)?);
+    }
+    let table = ChainTable::build(brows.len(), |i| brows[i].0);
+    let row_bytes = row_heap_bytes(width);
+    let mut preader = SpillReader::open(&probe.path)?;
+    while let Some(frame) = preader.read_row()? {
+        let (h, prow) = split_frame(frame)?;
+        table.for_each(h, |bi| {
+            let brow = &brows[bi].1;
+            if keys_eq(brow, build_key, &prow, probe_key) {
+                budget.charge(1)?;
+                budget.charge_bytes(row_bytes)?;
+                let mut row: Vec<Value> = Vec::with_capacity(width);
+                row.extend(brow.iter().cloned());
+                row.extend(probe_rest.iter().map(|&j| prow[j].clone()));
+                out.push(row.into_boxed_slice());
+            }
+            Ok(())
+        })?;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -425,10 +702,20 @@ mod tests {
     }
 
     #[test]
+    fn keys_compare_positionally() {
+        let a = row(vec![Value::Int(1), Value::Float(0.0), Value::str("abc")]);
+        let b = row(vec![Value::str("abc"), Value::Float(-0.0), Value::Int(1)]);
+        // a[(0,1,2)] vs b[(2,1,0)] are the same key.
+        assert!(keys_eq(&a, &[0, 1, 2], &b, &[2, 1, 0]));
+        assert!(!keys_eq(&a, &[0], &b, &[0]));
+        assert!(keys_eq(&a, &[], &b, &[]));
+    }
+
+    #[test]
     fn level_salting_redistributes_partitions() {
         // Rows colliding in one level-0 partition must spread at level 1.
         let hashes: Vec<u64> = (0..64u64)
-            .map(|i| crate::hash::hash_key(&row(vec![Value::Int(i as i64)]), &[0]))
+            .map(|i| crate::column::finish_hash(crate::hash::fx_hash_one(&Value::Int(i as i64))))
             .filter(|&h| spill_partition(h, 0) == 0)
             .collect();
         assert!(hashes.len() > 1, "need some level-0 collisions");

@@ -1,11 +1,15 @@
-//! Intermediate relations over *query variables*.
+//! Query results over *query variables*.
 //!
-//! Every evaluator in this project (Yannakakis, the q-hypertree evaluator,
-//! and the baseline join pipelines) manipulates relations whose columns are
-//! named by conjunctive-query variables; natural joins then simply match on
-//! shared names. This mirrors the paper's formalization, where decomposition
-//! vertices are labelled by variable sets `χ(p)`.
+//! Every evaluator in this project joins relations whose columns are named
+//! by conjunctive-query variables; natural joins then simply match on
+//! shared names. This mirrors the paper's formalization, where
+//! decomposition vertices are labelled by variable sets `χ(p)`. The
+//! evaluators run on columnar relations ([`crate::crel::CRel`]);
+//! [`VRelation`] is the row form their answers are handed out in, and
+//! [`nested_loop_join`] the kernel-level reference the columnar join is
+//! tested against.
 
+use crate::error::{Budget, EvalError};
 use crate::value::{Row, Value};
 use std::collections::HashSet;
 use std::fmt;
@@ -142,6 +146,37 @@ impl VRelation {
         let c = self.col_index(v)?;
         self.rows.get(i).map(|r| &r[c])
     }
+}
+
+/// Reference nested-loop natural join: quadratic, allocation-happy, and
+/// obviously correct — `a`'s columns, then `b`'s others; one tuple
+/// charged per output row. The oracle the columnar join is tested
+/// against; never called by a planner.
+pub fn nested_loop_join(
+    a: &VRelation,
+    b: &VRelation,
+    budget: &mut Budget,
+) -> Result<VRelation, EvalError> {
+    let shared: Vec<(usize, usize)> = (a.cols.iter().enumerate())
+        .filter_map(|(i, c)| Some((i, b.col_index(c)?)))
+        .collect();
+    let b_rest: Vec<usize> = (0..b.cols.len())
+        .filter(|j| shared.iter().all(|&(_, s)| s != *j))
+        .collect();
+    let mut out_cols = a.cols.clone();
+    out_cols.extend(b_rest.iter().map(|&j| b.cols[j].clone()));
+    let mut out = VRelation::empty(out_cols);
+    for ra in &a.rows {
+        for rb in &b.rows {
+            if shared.iter().all(|&(i, j)| ra[i] == rb[j]) {
+                budget.charge(1)?;
+                let mut row: Vec<Value> = ra.to_vec();
+                row.extend(b_rest.iter().map(|&j| rb[j].clone()));
+                out.push(row.into_boxed_slice());
+            }
+        }
+    }
+    Ok(out)
 }
 
 impl fmt::Display for VRelation {

@@ -6,17 +6,22 @@
 //! hashed table on a sparse one, the hashed table alone otherwise. Every
 //! choice must be invisible: the same relations carried in `Mixed`
 //! columns always take the hashed path, and the typed run must reproduce
-//! their row *sequence*; the row kernels (`ops`) are the independent oracle for the
-//! bag and for `Budget::charged()`.
+//! their row *sequence*; nested-loop references that share no hash
+//! kernel with `cops` (`vrel::nested_loop_join`, `support/reference.rs`)
+//! are the independent oracle for the bag and for `Budget::charged()`.
+
+#[path = "support/reference.rs"]
+mod reference;
 
 use htqo_engine::column::Column;
+use htqo_engine::cops;
 use htqo_engine::crel::CRel;
 use htqo_engine::error::{Budget, CancelToken, EvalError};
 use htqo_engine::schema::ColumnType;
 use htqo_engine::value::Value;
-use htqo_engine::vrel::VRelation;
-use htqo_engine::{cops, ops};
+use htqo_engine::vrel::{nested_loop_join, VRelation};
 use proptest::prelude::*;
+use reference::{first_occurrence_project, nested_loop_semijoin};
 use std::sync::Arc;
 
 /// Rows between two budget settlements of a join kernel (`keyplan::BLOCK`).
@@ -229,8 +234,8 @@ fn generic(v: &VRelation) -> CRel {
 }
 
 /// Runs `typed` against `generic` (the hashed kernel: same charges, same
-/// row sequence) and against the row kernel's result `row` (same charges,
-/// same bag). Returns the generic kernel's rows.
+/// row sequence) and against the nested-loop reference's result `row`
+/// (same charges, same bag). Returns the generic kernel's rows.
 fn check(
     seed: u64,
     typed: impl Fn(&mut Budget) -> Result<CRel, EvalError>,
@@ -270,7 +275,7 @@ proptest! {
             let (tx, ty) = (CRel::from_vrel(x), CRel::from_vrel(y));
             let (gx, gy) = (generic(x), generic(y));
             let mut budget = Budget::unlimited();
-            let row = ops::natural_join(x, y, &mut budget).unwrap();
+            let row = nested_loop_join(x, y, &mut budget).unwrap();
             check(
                 case.seed,
                 |b| cops::natural_join(&tx, &ty, b),
@@ -288,7 +293,7 @@ proptest! {
             let (tx, ty) = (CRel::from_vrel(x), CRel::from_vrel(y));
             let (gx, gy) = (generic(x), generic(y));
             let mut budget = Budget::unlimited();
-            let row = ops::semijoin(x, y, &mut budget).unwrap();
+            let row = nested_loop_semijoin(x, y, &mut budget);
             check(
                 case.seed,
                 |b| cops::semijoin(&tx, &ty, b),
@@ -307,14 +312,14 @@ proptest! {
             let (tx, gx) = (CRel::from_vrel(x), generic(x));
             for vars in [&keys[..], &keys[..1]] {
                 let mut budget = Budget::unlimited();
-                let row = ops::project(x, vars, true, &mut budget).unwrap();
+                let row = first_occurrence_project(x, vars, &mut budget);
                 let reference = check(
                     case.seed,
                     |b| cops::project(&tx, vars, true, b),
                     |b| cops::project(&gx, vars, true, b),
                     (&row, budget.charged()),
                 )?;
-                // The row kernel keeps first occurrences in input order too.
+                // The reference keeps first occurrences in input order too.
                 prop_assert!(reference == row, "case seed {:#x}", case.seed);
             }
         }

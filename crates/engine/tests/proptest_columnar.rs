@@ -1,17 +1,20 @@
 //! Property tests for the columnar storage layer: row↔columnar
 //! round-trips (NULLs, NaN floats, duplicate strings, mixed-type
-//! columns) and the columnar kernels against the row kernels as the
-//! oracle (the join against the nested-loop reference).
+//! columns) and the columnar kernels against nested-loop references that
+//! share no hash kernel with them.
 
+#[path = "support/reference.rs"]
+mod reference;
+
+use htqo_engine::cops;
 use htqo_engine::crel::CRel;
 use htqo_engine::error::Budget;
-use htqo_engine::ops::{nested_loop_join, semijoin};
 use htqo_engine::relation::Relation;
 use htqo_engine::schema::{ColumnType, Schema};
 use htqo_engine::value::Value;
-use htqo_engine::vrel::VRelation;
-use htqo_engine::{cops, ops};
+use htqo_engine::vrel::{nested_loop_join, VRelation};
 use proptest::prelude::*;
+use reference::{first_occurrence_project, nested_loop_semijoin};
 
 /// An arbitrary cell: NULLs, negative ints, floats including NaN, ±0.0
 /// and infinities, strings from a tiny pool (dictionary codes repeat),
@@ -127,36 +130,44 @@ proptest! {
         prop_assert_eq!(b1.charged(), b2.charged());
     }
 
-    /// Columnar semijoin ≡ row semijoin.
+    /// Columnar semijoin ≡ the nested-loop semijoin: the kept rows in
+    /// input order, the same charges.
     #[test]
-    fn columnar_semijoin_matches_row_kernel(
+    fn columnar_semijoin_matches_nested_loop_reference(
         a in arb_mixed_vrel(&["x", "y"]),
         b in arb_mixed_vrel(&["y", "w"]),
     ) {
         let mut b1 = Budget::unlimited();
         let mut b2 = Budget::unlimited();
-        let row = semijoin(&a, &b, &mut b1).unwrap();
+        let reference = nested_loop_semijoin(&a, &b, &mut b1);
         let col = cops::semijoin(&CRel::from_vrel(&a), &CRel::from_vrel(&b), &mut b2)
             .unwrap()
             .to_vrel();
-        prop_assert_eq!(row.sorted_rows(), col.sorted_rows());
+        prop_assert_eq!(reference.rows(), col.rows());
         prop_assert_eq!(b1.charged(), b2.charged());
     }
 
-    /// Columnar distinct projection ≡ row projection (first-seen order is
-    /// part of the contract, so compare rows exactly, not as sets).
+    /// Columnar projection ≡ the reference: distinct mode keeps first
+    /// occurrences in input order (part of the contract, so compare rows
+    /// exactly, not as sets), bag mode every row; the same charges.
     #[test]
-    fn columnar_project_matches_row_kernel(a in arb_mixed_vrel(&["x", "y", "z"])) {
+    fn columnar_project_matches_reference(a in arb_mixed_vrel(&["x", "y", "z"])) {
         let keep: Vec<String> = a.cols()[..1.min(a.cols().len())].to_vec();
-        for distinct in [true, false] {
-            let mut b1 = Budget::unlimited();
-            let mut b2 = Budget::unlimited();
-            let row = ops::project(&a, &keep, distinct, &mut b1).unwrap();
-            let col = cops::project(&CRel::from_vrel(&a), &keep, distinct, &mut b2)
-                .unwrap()
-                .to_vrel();
-            prop_assert_eq!(&row, &col);
-            prop_assert_eq!(b1.charged(), b2.charged());
-        }
+        let mut b1 = Budget::unlimited();
+        let mut b2 = Budget::unlimited();
+        let reference = first_occurrence_project(&a, &keep, &mut b1);
+        let col = cops::project(&CRel::from_vrel(&a), &keep, true, &mut b2)
+            .unwrap()
+            .to_vrel();
+        prop_assert_eq!(&reference, &col);
+        prop_assert_eq!(b1.charged(), b2.charged());
+
+        let mut budget = Budget::unlimited();
+        let bag = cops::project(&CRel::from_vrel(&a), &keep, false, &mut budget)
+            .unwrap()
+            .to_vrel();
+        let rows: Vec<_> = a.rows().iter().map(|r| r[..keep.len()].to_vec().into_boxed_slice()).collect();
+        prop_assert_eq!(bag.rows(), &rows[..]);
+        prop_assert_eq!(budget.charged(), a.len() as u64);
     }
 }

@@ -1,10 +1,12 @@
-//! Property tests for the relational operators: the hash join against a
-//! nested-loop oracle, algebraic identities, and budget accounting.
+//! Property tests for the relational operators (`cops`): the hash join
+//! against a nested-loop oracle, algebraic identities, and budget
+//! accounting.
 
+use htqo_engine::cops::{natural_join, project, semijoin};
+use htqo_engine::crel::CRel;
 use htqo_engine::error::Budget;
-use htqo_engine::ops::{natural_join, nested_loop_join, project, semijoin, sort_by};
 use htqo_engine::value::Value;
-use htqo_engine::vrel::VRelation;
+use htqo_engine::vrel::{nested_loop_join, VRelation};
 use proptest::prelude::*;
 
 /// A random small relation over a subset of the variables {x, y, z, w}.
@@ -43,13 +45,18 @@ fn arb_vrel_shifted() -> impl Strategy<Value = VRelation> {
         })
 }
 
+/// The columnar form of a generated relation.
+fn c(v: &VRelation) -> CRel {
+    CRel::from_vrel(v)
+}
+
 proptest! {
     /// Hash join ≡ nested-loop join.
     #[test]
     fn hash_join_matches_nested_loop(a in arb_vrel(), b in arb_vrel_shifted()) {
         let mut b1 = Budget::unlimited();
         let mut b2 = Budget::unlimited();
-        let hash = natural_join(&a, &b, &mut b1).unwrap();
+        let hash = natural_join(&c(&a), &c(&b), &mut b1).unwrap().to_vrel();
         let nl = nested_loop_join(&a, &b, &mut b2).unwrap();
         // Bag equality: sort both row vectors.
         prop_assert_eq!(hash.cols(), nl.cols());
@@ -63,8 +70,8 @@ proptest! {
     #[test]
     fn join_commutative(a in arb_vrel(), b in arb_vrel_shifted()) {
         let mut budget = Budget::unlimited();
-        let ab = natural_join(&a, &b, &mut budget).unwrap();
-        let ba = natural_join(&b, &a, &mut budget).unwrap();
+        let ab = natural_join(&c(&a), &c(&b), &mut budget).unwrap().to_vrel();
+        let ba = natural_join(&c(&b), &c(&a), &mut budget).unwrap().to_vrel();
         prop_assert_eq!(ab.len(), ba.len());
         let mut ab_d = ab.clone();
         let mut ba_d = ba.clone();
@@ -77,9 +84,9 @@ proptest! {
     #[test]
     fn semijoin_is_projected_join(a in arb_vrel(), b in arb_vrel_shifted()) {
         let mut budget = Budget::unlimited();
-        let semi = semijoin(&a, &b, &mut budget).unwrap();
-        let join = natural_join(&a, &b, &mut budget).unwrap();
-        let projected = project(&join, a.cols(), true, &mut budget).unwrap();
+        let semi = semijoin(&c(&a), &c(&b), &mut budget).unwrap().to_vrel();
+        let join = natural_join(&c(&a), &c(&b), &mut budget).unwrap();
+        let projected = project(&join, a.cols(), true, &mut budget).unwrap().to_vrel();
         // semi has bag semantics on `a`; compare as sets.
         let mut semi_d = semi.clone();
         semi_d.dedup();
@@ -90,7 +97,7 @@ proptest! {
     #[test]
     fn neutral_identity(a in arb_vrel()) {
         let mut budget = Budget::unlimited();
-        let j = natural_join(&a, &VRelation::neutral(), &mut budget).unwrap();
+        let j = natural_join(&c(&a), &CRel::neutral(), &mut budget).unwrap().to_vrel();
         prop_assert_eq!(j.sorted_rows(), a.sorted_rows());
     }
 
@@ -100,23 +107,10 @@ proptest! {
     fn project_distinct_idempotent(a in arb_vrel()) {
         let mut budget = Budget::unlimited();
         let cols = a.cols().to_vec();
-        let once = project(&a, &cols, true, &mut budget).unwrap();
+        let once = project(&c(&a), &cols, true, &mut budget).unwrap();
         let twice = project(&once, &cols, true, &mut budget).unwrap();
         prop_assert!(once.len() <= a.len());
-        prop_assert_eq!(once.sorted_rows(), twice.sorted_rows());
-    }
-
-    /// Sorting preserves the bag of rows.
-    #[test]
-    fn sort_preserves_rows(a in arb_vrel()) {
-        let keys: Vec<(String, bool)> = a.cols().iter().map(|c| (c.clone(), false)).collect();
-        let sorted = sort_by(&a, &keys).unwrap();
-        prop_assert_eq!(sorted.sorted_rows(), a.sorted_rows());
-        // And the result really is ordered by the total order.
-        let rows = sorted.rows();
-        for w in rows.windows(2) {
-            prop_assert!(w[0] <= w[1]);
-        }
+        prop_assert_eq!(once.to_vrel().sorted_rows(), twice.to_vrel().sorted_rows());
     }
 }
 

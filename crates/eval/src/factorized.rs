@@ -402,7 +402,7 @@ pub fn evaluate_yannakakis_query(
 
 /// Evaluates an acyclic query end-to-end: the factorized aggregate path
 /// when eligible, the three-pass pipeline plus
-/// [`htqo_engine::aggregate::finalize`] otherwise.
+/// [`htqo_engine::aggregate::finalize_c`] otherwise.
 pub fn evaluate_yannakakis_query_with(
     db: &Database,
     q: &ConjunctiveQuery,
@@ -437,9 +437,9 @@ pub fn evaluate_yannakakis_query_traced(
             Err(reason) => trace.fallback = Some(reason),
         }
     }
-    let ans = crate::yannakakis::evaluate_yannakakis_with(db, q, budget, opts)?;
+    let ans = crate::yannakakis::yannakakis_c(db, q, budget)?;
     trace.answer_rows = Some(ans.len() as u64);
-    htqo_engine::aggregate::finalize(&ans, q, budget)
+    htqo_engine::aggregate::finalize_c(&ans, q, budget)
 }
 
 /// [`qhd_answer_rows`] for the Yannakakis pipeline: constant-delay

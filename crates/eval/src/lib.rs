@@ -1,7 +1,8 @@
 //! Query evaluation algorithms for the ICDE 2007 reproduction.
 //!
-//! - [`naive`]: full left-deep join pipelines (the execution model of the
-//!   quantitative baselines, and the correctness oracle);
+//! - [`naive`]: full left-deep join pipelines, no semijoin reduction (the
+//!   execution model of the quantitative baselines and of the fallback
+//!   ladder's last rung);
 //! - [`yannakakis`]: the classic three-pass algorithm for acyclic queries
 //!   (Section 3.2 of the paper);
 //! - [`qeval`]: the q-hypertree evaluator — per-vertex joins, one
@@ -10,6 +11,9 @@
 //! - [`factorized`]: cover-based factorized result fronts for both
 //!   structural evaluators — aggregate pushdown and constant-delay answer
 //!   enumeration without materializing the join.
+//!
+//! All of them run on the engine's columnar kernels (`htqo_engine::cops`):
+//! one executor under every plan.
 
 #![warn(missing_docs)]
 

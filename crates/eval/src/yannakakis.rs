@@ -56,7 +56,7 @@ pub(crate) fn scan_atoms(
 
 /// The three-pass pipeline behind [`evaluate_yannakakis_with`], answer
 /// still columnar.
-fn yannakakis_c(
+pub(crate) fn yannakakis_c(
     db: &Database,
     q: &ConjunctiveQuery,
     budget: &mut Budget,

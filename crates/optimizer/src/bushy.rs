@@ -234,7 +234,7 @@ mod tests {
         let ours = crate::bushy_exec::evaluate_join_tree(&db, &q, &tree, &mut b1).unwrap();
         let mut b2 = htqo_engine::Budget::unlimited();
         let naive = htqo_eval::evaluate_naive(&db, &q, &mut b2).unwrap();
-        assert!(ours.set_eq(&naive));
+        assert!(ours.to_vrel().set_eq(&naive));
     }
 
     #[test]

@@ -9,18 +9,17 @@ use htqo_engine::error::{Budget, EvalError};
 use htqo_engine::exec::ExecOptions;
 use htqo_engine::scan::scan_query_atom_c;
 use htqo_engine::schema::Database;
-use htqo_engine::vrel::VRelation;
 
 /// Evaluates a bushy join tree bottom-up, returning the answer over
-/// `out(Q)` (set semantics, matching the other evaluators). Uses the
-/// process-wide [`ExecOptions`] defaults; see [`evaluate_join_tree_with`]
-/// to pass them.
+/// `out(Q)` (set semantics, matching the other evaluators), still
+/// columnar. Uses the process-wide [`ExecOptions`] defaults; see
+/// [`evaluate_join_tree_with`] to pass them.
 pub fn evaluate_join_tree(
     db: &Database,
     q: &ConjunctiveQuery,
     tree: &JoinTree,
     budget: &mut Budget,
-) -> Result<VRelation, EvalError> {
+) -> Result<CRel, EvalError> {
     evaluate_join_tree_with(db, q, tree, budget, &ExecOptions::default())
 }
 
@@ -31,7 +30,7 @@ pub fn evaluate_join_tree_with(
     tree: &JoinTree,
     budget: &mut Budget,
     opts: &ExecOptions,
-) -> Result<VRelation, EvalError> {
+) -> Result<CRel, EvalError> {
     budget.apply_mem_limit(opts.mem_limit);
     let joined = eval_node(db, q, tree, budget)?;
     let answer = cops::project(&joined, &q.out_vars(), true, budget)?;
@@ -39,7 +38,7 @@ pub fn evaluate_join_tree_with(
     // may not trip inline (see `Budget::charge`); check before declaring
     // success.
     budget.check_exceeded()?;
-    Ok(answer.to_vrel())
+    Ok(answer)
 }
 
 fn eval_node(
@@ -75,7 +74,9 @@ mod tests {
             let stats = analyze(&db);
             let (_, tree) = dp_bushy(&q, &stats).expect("small query");
             let mut b1 = Budget::unlimited();
-            let bushy = evaluate_join_tree(&db, &q, &tree, &mut b1).unwrap();
+            let bushy = evaluate_join_tree(&db, &q, &tree, &mut b1)
+                .unwrap()
+                .to_vrel();
             let mut b2 = Budget::unlimited();
             let naive = htqo_eval::evaluate_naive(&db, &q, &mut b2).unwrap();
             assert!(bushy.set_eq(&naive), "n={n}");

@@ -307,7 +307,7 @@ impl DbmsSim {
 
         let t1 = Instant::now();
         let result = evaluate_join_order(db, q, Some(&order), &mut budget)
-            .and_then(|ans| htqo_engine::aggregate::finalize(&ans, q, &mut budget));
+            .and_then(|ans| htqo_engine::aggregate::finalize_c(&ans, q, &mut budget));
         let execution = t1.elapsed();
         let answer_rows = result.as_ref().ok().map(|r| r.len() as u64);
         QueryOutcome {

@@ -26,7 +26,7 @@ use htqo_cq::{isolate, parse_select, ConjunctiveQuery, CqHypergraph, IsolatorOpt
 use htqo_engine::error::{Budget, EvalError, SpillMode};
 use htqo_engine::schema::Database;
 use htqo_engine::vrel::VRelation;
-use htqo_eval::{evaluate_naive, evaluate_qhd_query_traced, ExecOptions, FactorizedTrace};
+use htqo_eval::{evaluate_join_order, evaluate_qhd_query_traced, ExecOptions, FactorizedTrace};
 use htqo_hypergraph::{canonical_form, CanonicalForm, VarSet};
 use htqo_stats::{DbStats, StatsDecompCost};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -762,7 +762,7 @@ impl HybridOptimizer {
                 let index = attempts.len();
                 let eval = |bud: &mut Budget| {
                     evaluate_join_tree(db, q, &tree, bud)
-                        .and_then(|ans| htqo_engine::aggregate::finalize(&ans, q, bud))
+                        .and_then(|ans| htqo_engine::aggregate::finalize_c(&ans, q, bud))
                 };
                 if let Some(rel) = self.run_rung(
                     &budget,
@@ -781,8 +781,8 @@ impl HybridOptimizer {
         if answer.is_none() && self.retry.fallback_naive && retryable(&attempts) {
             let index = attempts.len();
             let eval = |bud: &mut Budget| {
-                evaluate_naive(db, q, bud)
-                    .and_then(|ans| htqo_engine::aggregate::finalize(&ans, q, bud))
+                evaluate_join_order(db, q, None, bud)
+                    .and_then(|ans| htqo_engine::aggregate::finalize_c(&ans, q, bud))
             };
             if let Some(rel) = self.run_rung(
                 &budget,

@@ -14,7 +14,7 @@ use htqo_cq::sql::ast::{ColumnRef, Predicate, SelectStmt, SqlExpr, TableRef};
 use htqo_cq::{isolate, CmpOp, IsolatorOptions};
 use htqo_engine::error::{Budget, EvalError};
 use htqo_engine::schema::Database;
-use htqo_eval::evaluate_naive;
+use htqo_eval::evaluate_join_order;
 use std::fmt;
 
 /// Maximum subquery nesting depth.
@@ -104,8 +104,8 @@ fn flatten_at(
         if visible != 1 {
             return Err(NestedError::NotSingleColumn(visible));
         }
-        let answer = evaluate_naive(&sub_db, &q, budget).map_err(NestedError::Eval)?;
-        let result = htqo_engine::finalize(&answer, &q, budget).map_err(NestedError::Eval)?;
+        let answer = evaluate_join_order(&sub_db, &q, None, budget).map_err(NestedError::Eval)?;
+        let result = htqo_engine::finalize_c(&answer, &q, budget).map_err(NestedError::Eval)?;
 
         // Materialize as a single-column table with a canonical name.
         let name = format!("__subq_{depth}_{counter}");
@@ -150,6 +150,7 @@ mod tests {
     use htqo_engine::relation::Relation;
     use htqo_engine::schema::{ColumnType, Schema};
     use htqo_engine::value::Value;
+    use htqo_eval::evaluate_naive;
 
     fn db() -> Database {
         let mut db = Database::new();

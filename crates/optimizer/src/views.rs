@@ -24,7 +24,7 @@ use htqo_engine::relation::Relation;
 use htqo_engine::schema::{ColumnType, Database, Schema};
 use htqo_engine::value::Value;
 use htqo_engine::vrel::VRelation;
-use htqo_eval::evaluate_naive;
+use htqo_eval::evaluate_join_order;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -322,8 +322,8 @@ fn run_select(db: &Database, sql: &str, budget: &mut Budget) -> Result<VRelation
         .map_err(|e| EvalError::Internal(format!("view SQL failed to parse: {e}\n{sql}")))?;
     let q = isolate(&stmt, db, IsolatorOptions::default())
         .map_err(|e| EvalError::Internal(format!("view SQL failed to isolate: {e}\n{sql}")))?;
-    let answer = evaluate_naive(db, &q, budget)?;
-    htqo_engine::aggregate::finalize(&answer, &q, budget)
+    let answer = evaluate_join_order(db, &q, None, budget)?;
+    htqo_engine::aggregate::finalize_c(&answer, &q, budget)
 }
 
 /// Materializes an intermediate relation as a stored [`Relation`],

@@ -4,8 +4,8 @@
 //! Every case arms one fail point (an injected `EvalError`, a deliberate
 //! panic, or a delay) somewhere in the engine's kernels and runs a query
 //! with spilling forced or not — through the hybrid optimizer, and
-//! through the join-order baseline (`evaluate_naive` + row `finalize`),
-//! which is what reaches the `ops::*` sites. The invariants, checked
+//! through the join-order baseline (`evaluate_join_order` +
+//! `finalize_c`), the engine of every `DbmsSim`. The invariants, checked
 //! after every single fault:
 //!
 //! 1. the outcome is either bit-identical to the fault-free oracle or a
@@ -33,7 +33,7 @@ use std::time::Duration;
 /// Every named injection site compiled into the engine and evaluators —
 /// the enumerable registry, so new sites (e.g. the spill paths) are
 /// picked up automatically. Sites that a given schedule never reaches
-/// (e.g. row kernels under the optimizer's q-HD rung, spill sites when
+/// (e.g. `bushy::node` when the q-HD rung succeeds, spill sites when
 /// the case doesn't force spilling) simply stay dormant — the case then
 /// asserts the fault-free equality invariant.
 fn sites() -> &'static [&'static str] {
@@ -296,12 +296,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// The join-order baseline under the same faults: it is the engine of
-    /// the ladder's naive rung and of every `DbmsSim`, and the only
-    /// evaluator that reaches `ops::join`, `ops::project` and the row
-    /// `aggregate::finalize`. A single fault yields the fault-free answer
-    /// with the fault-free charges, one clean typed error, or — no ladder
-    /// rung contains it on this path — the injected panic itself; never a
-    /// wrong answer or a leaked spill directory.
+    /// the ladder's naive rung and of every `DbmsSim`, joining left-deep
+    /// through `cops::join` with no semijoin pass. A single fault yields
+    /// the fault-free answer with the fault-free charges, one clean typed
+    /// error, or — no ladder rung contains it on this path — the injected
+    /// panic itself; never a wrong answer or a leaked spill directory.
     #[test]
     fn join_order_baseline_survives_faults(case in arb_case()) {
         let _g = lock();
@@ -309,8 +308,8 @@ proptest! {
         failpoint::clear();
         let (db, q) = build(&case.shape);
         let baseline = |budget: &mut Budget| {
-            let answer = evaluate_naive(&db, &q, budget)?;
-            htqo_engine::aggregate::finalize(&answer, &q, budget)
+            let answer = htqo_eval::evaluate_join_order(&db, &q, None, budget)?;
+            htqo_engine::aggregate::finalize_c(&answer, &q, budget)
         };
         let mut clean_budget = case_budget(&case);
         let oracle = baseline(&mut clean_budget).expect("fault-free run succeeds");

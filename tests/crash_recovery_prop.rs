@@ -58,7 +58,8 @@
 
 use htqo_engine::failpoint::{self, FailAction};
 use htqo_engine::schema::{ColumnType, Schema};
-use htqo_engine::{ops, Budget, Relation, Row, VRelation, Value};
+use htqo_engine::vrel::nested_loop_join;
+use htqo_engine::{Budget, Relation, Row, VRelation, Value};
 use htqo_storage::{MutationBatch, RecoveryReport, StorageDb, WalPolicy, PAGE_SIZE};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -752,13 +753,13 @@ proptest! {
             VRelation::from_rows(cols.iter().map(|c| c.to_string()).collect(), rel.to_rows())
         };
         let mut b = Budget::unlimited();
-        let joined = ops::natural_join(
+        let joined = nested_loop_join(
             &vrel(db.table("t").unwrap(), &["k", "name"]),
             &vrel(db.table("u").unwrap(), &["k", "w"]),
             &mut b,
         )
         .unwrap();
-        let oracle = ops::natural_join(
+        let oracle = nested_loop_join(
             &vrel(&model.relation(), &["k", "name"]),
             &vrel(&other, &["k", "w"]),
             &mut Budget::unlimited(),

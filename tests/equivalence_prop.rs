@@ -1,10 +1,14 @@
 //! Property tests: on random conjunctive queries over random databases,
-//! every evaluation strategy must return the same answer, and every
-//! decomposition produced by the pipeline must satisfy Definition 2.
+//! every evaluation strategy must return the answer of a reference that
+//! shares no hash kernel with the engine's, and every decomposition
+//! produced by the pipeline must satisfy Definition 2.
 
 use htqo::prelude::*;
 use htqo_cq::CqBuilder;
+use htqo_engine::scan::scan_query_atom_c;
 use htqo_engine::schema::{ColumnType, Schema};
+use htqo_engine::vrel::nested_loop_join;
+use htqo_engine::Row;
 use proptest::prelude::*;
 
 /// A random "query shape": `n` binary atoms, each picking two variables
@@ -90,20 +94,69 @@ fn build(shape: &Shape) -> (Database, ConjunctiveQuery) {
     (db, q.build())
 }
 
+/// The oracle: every atom scanned, the scans folded in body order with
+/// the nested-loop join, the result projected onto `out(Q)`, sorted and
+/// deduplicated.
+fn reference(db: &Database, q: &ConjunctiveQuery) -> VRelation {
+    let mut budget = Budget::unlimited();
+    let mut joined = VRelation::neutral();
+    for a in q.atom_ids() {
+        let scanned = scan_query_atom_c(db, q, a, &mut budget).unwrap().to_vrel();
+        joined = nested_loop_join(&joined, &scanned, &mut budget).unwrap();
+    }
+    let out = q.out_vars();
+    let idx: Vec<usize> = (out.iter())
+        .map(|v| joined.col_index(v).expect("output variable"))
+        .collect();
+    let mut rows: Vec<Row> = (joined.rows().iter())
+        .map(|r| idx.iter().map(|&i| r[i].clone()).collect())
+        .collect();
+    rows.sort();
+    rows.dedup();
+    VRelation::from_rows(out, rows)
+}
+
+/// `answer` is the reference: the same columns, and the same rows, each
+/// once.
+fn is_reference(answer: &VRelation, reference: &VRelation) -> bool {
+    answer.cols() == reference.cols() && answer.sorted_rows() == reference.rows()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// q-HD evaluation ≡ naive evaluation on random queries.
+    /// q-HD evaluation ≡ the reference on random queries.
     #[test]
     fn qhd_equals_naive(shape in arb_shape()) {
         let (db, q) = build(&shape);
         let plan = q_hypertree_decomp(&q, &QhdOptions::default(), &StructuralCost)
             .expect("width 4 suffices for ≤5 binary atoms");
         let mut b1 = Budget::unlimited();
-        let mut b2 = Budget::unlimited();
         let qhd = evaluate_qhd(&db, &q, &plan, &mut b1).unwrap();
-        let naive = evaluate_naive(&db, &q, &mut b2).unwrap();
-        prop_assert!(qhd.set_eq(&naive), "plan:\n{}", plan.tree.display(&plan.cq_hypergraph.hypergraph));
+        prop_assert!(
+            is_reference(&qhd, &reference(&db, &q)),
+            "plan:\n{}",
+            plan.tree.display(&plan.cq_hypergraph.hypergraph)
+        );
+    }
+
+    /// Yannakakis (on the acyclic shapes), the bushy join tree and the
+    /// body-order baseline ≡ the reference.
+    #[test]
+    fn yannakakis_bushy_and_naive_equal_the_reference(shape in arb_shape()) {
+        let (db, q) = build(&shape);
+        let want = reference(&db, &q);
+        if acyclic::is_acyclic(&q.hypergraph().hypergraph) {
+            let y = evaluate_yannakakis(&db, &q, &mut Budget::unlimited()).unwrap();
+            prop_assert!(is_reference(&y, &want), "Yannakakis");
+        }
+        let (_, tree) = htqo_optimizer::dp_bushy(&q, &analyze(&db)).expect("≤5 atoms");
+        let bushy = htqo_optimizer::evaluate_join_tree(&db, &q, &tree, &mut Budget::unlimited())
+            .unwrap()
+            .to_vrel();
+        prop_assert!(is_reference(&bushy, &want), "bushy");
+        let naive = evaluate_naive(&db, &q, &mut Budget::unlimited()).unwrap();
+        prop_assert!(is_reference(&naive, &want), "body order");
     }
 
     /// The hybrid optimizer (with real statistics) also agrees.
@@ -114,11 +167,9 @@ proptest! {
         let opt = HybridOptimizer::with_stats(QhdOptions::default(), stats);
         let out = opt.execute_cq(&db, &q, Budget::unlimited());
         let ours = out.result.unwrap();
-        let mut b2 = Budget::unlimited();
-        let answer = evaluate_naive(&db, &q, &mut b2).unwrap();
         let mut b3 = Budget::unlimited();
-        let naive = htqo_engine::finalize(&answer, &q, &mut b3).unwrap();
-        prop_assert!(ours.set_eq(&naive));
+        let want = htqo_engine::finalize(&reference(&db, &q), &q, &mut b3).unwrap();
+        prop_assert!(ours.set_eq(&want));
     }
 
     /// Every decomposition the pipeline produces satisfies Definition 2
@@ -161,8 +212,7 @@ proptest! {
         prop_assert!(via.set_eq(&direct), "script:\n{}", views.script());
     }
 
-    /// DP join orders are permutations and evaluate to the same answer as
-    /// body order.
+    /// DP join orders are permutations and evaluate to the reference.
     #[test]
     fn dp_orders_are_valid(shape in arb_shape()) {
         let (db, q) = build(&shape);
@@ -172,9 +222,7 @@ proptest! {
         sorted.sort();
         prop_assert_eq!(sorted, q.atom_ids().collect::<Vec<_>>());
         let mut b1 = Budget::unlimited();
-        let mut b2 = Budget::unlimited();
         let a = htqo_eval::evaluate_join_order(&db, &q, Some(&order), &mut b1).unwrap();
-        let b = evaluate_naive(&db, &q, &mut b2).unwrap();
-        prop_assert!(a.set_eq(&b));
+        prop_assert!(is_reference(&a.to_vrel(), &reference(&db, &q)));
     }
 }

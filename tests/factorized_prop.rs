@@ -5,7 +5,7 @@
 //! materialized oracle, also under random byte
 //! limits (where the factorized path must degrade to materialization
 //! rather than change the answer). The byte-limit property also holds the
-//! join-order baseline (`evaluate_naive` + row `finalize`) to the same
+//! join-order baseline (`evaluate_join_order` + `finalize_c`) to the same
 //! limits: it is the unlimited oracle, and under a limit it spills to the
 //! same answer or fails with a typed error.
 
@@ -193,9 +193,8 @@ proptest! {
     /// materialization internally if the cover's reservations are
     /// denied); and when it completes on its own, its answer matches the
     /// unlimited oracle. The oracle is the join-order baseline, which
-    /// under the same limit runs `ops::natural_join`'s Grace spill and the
-    /// row `finalize`'s spilled aggregation: same answer or a typed
-    /// memory/spill error.
+    /// under the same limit runs `cops::natural_join`'s Grace spill and the
+    /// aggregation's spill: same answer or a typed memory/spill error.
     #[test]
     fn byte_limits_degrade_without_changing_answers(
         shape in arb_shape(),
@@ -204,8 +203,8 @@ proptest! {
         let (db, q) = build(&shape);
         let plan = q_hypertree_decomp(&q, &QhdOptions::default(), &StructuralCost).unwrap();
         let baseline = |budget: &mut Budget| {
-            let answer = evaluate_naive(&db, &q, budget)?;
-            htqo_engine::aggregate::finalize(&answer, &q, budget)
+            let answer = htqo_eval::evaluate_join_order(&db, &q, None, budget)?;
+            htqo_engine::aggregate::finalize_c(&answer, &q, budget)
         };
         let oracle = baseline(&mut Budget::unlimited()).unwrap();
         match baseline(&mut Budget::unlimited().with_mem_limit(limit)) {

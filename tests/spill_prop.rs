@@ -211,18 +211,18 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
-    /// The join-order baseline (`evaluate_naive` + row `finalize`, the
+    /// The join-order baseline (`evaluate_join_order` + `finalize_c`, the
     /// engine of the naive rung and every `DbmsSim`) under the same
-    /// limits: `ops::natural_join` spills Grace-style or is denied, and
-    /// the answer is the unlimited one or a clean typed memory/spill
-    /// error, with no leaked temp files.
+    /// limits: its left-deep `cops::natural_join`s spill Grace-style or
+    /// are denied, and the answer is the unlimited one or a clean typed
+    /// memory/spill error, with no leaked temp files.
     #[test]
     fn byte_limits_never_corrupt_the_join_order_baseline(case in arb_case()) {
         let _g = lock();
         let (db, q) = build(&case.shape);
         let baseline = |budget: &mut Budget| {
-            let answer = evaluate_naive(&db, &q, budget)?;
-            htqo_engine::aggregate::finalize(&answer, &q, budget)
+            let answer = htqo_eval::evaluate_join_order(&db, &q, None, budget)?;
+            htqo_engine::aggregate::finalize_c(&answer, &q, budget)
         };
         let oracle = baseline(&mut Budget::unlimited()).expect("unlimited run succeeds");
 
@@ -248,8 +248,8 @@ proptest! {
 /// Pinned scenario: a limit small enough that level-0 spill partitions
 /// still exceed memory forces *multi-level* recursive re-partitioning,
 /// and the result is still exactly the oracle's — through the optimizer
-/// (`cops::natural_join`) and through the join-order baseline
-/// (`ops::natural_join`), which share the Grace machinery.
+/// and through the join-order baseline, both on `cops::natural_join`'s
+/// Grace spill.
 #[test]
 fn multi_level_recursive_partitioning_matches_oracle() {
     let _g = lock();
@@ -309,7 +309,7 @@ fn multi_level_recursive_partitioning_matches_oracle() {
     );
     assert!(
         budget.spill_stats().partitions() > 16,
-        "expected recursion beyond level 0 in the row kernel (got {} partitions)",
+        "expected recursion beyond level 0 in the baseline (got {} partitions)",
         budget.spill_stats().partitions()
     );
 }

@@ -40,7 +40,8 @@
 use htqo::prelude::*;
 use htqo_cq::{AtomId, CqBuilder};
 use htqo_engine::schema::{ColumnType, Schema};
-use htqo_engine::{iseek, ops, scan, MemIndex, Row};
+use htqo_engine::vrel::nested_loop_join;
+use htqo_engine::{iseek, scan, MemIndex, Row};
 use htqo_eval::{evaluate_qhd_with, ExecOptions};
 use htqo_storage::wal;
 use htqo_storage::{codec, page, MutationBatch, StorageDb, WalPolicy, PAGE_DATA, PAGE_SIZE};
@@ -351,7 +352,7 @@ fn evaluator_takes_the_seek_path_when_profitable() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// The persisted B-tree seek join equals the row scan-and-hash oracle
+    /// The persisted B-tree seek join equals the scan + nested-loop oracle
     /// and the in-memory `MemIndex` seek join, charging one tuple per
     /// output row, at a random page-cache limit.
     #[test]
@@ -369,10 +370,10 @@ proptest! {
 
         let q = probe_query();
         let mut ob = Budget::unlimited();
-        let acc = scan::scan_query_atom(&paged, &q, AtomId(0), &mut ob).unwrap();
         let oracle = {
-            let scanned = scan::scan_query_atom(&paged, &q, AtomId(1), &mut ob).unwrap();
-            ops::natural_join(&acc, &scanned, &mut ob).unwrap()
+            let acc = scan::scan_query_atom_c(&paged, &q, AtomId(0), &mut ob).unwrap();
+            let scanned = scan::scan_query_atom_c(&paged, &q, AtomId(1), &mut ob).unwrap();
+            nested_loop_join(&acc.to_vrel(), &scanned.to_vrel(), &mut ob).unwrap()
         };
 
         let mut bc = Budget::unlimited();
