@@ -11,10 +11,7 @@ use crate::dict;
 use crate::error::{Budget, EvalError, SpillMode};
 use crate::expr::{eval_scalar, eval_scalar_rows, RowError};
 use crate::hash::FxHashMap;
-use crate::spill::{
-    partition_side, repartition_file, split_frame, SpillDir, SpillFile, SpillReader,
-    MAX_SPILL_LEVEL,
-};
+use crate::spill::{self, SpillDir, SpillFile, MAX_SPILL_LEVEL};
 use crate::value::{row_heap_bytes, Row, Value};
 use crate::vrel::VRelation;
 use htqo_cq::isolator::is_hidden_label;
@@ -270,12 +267,12 @@ pub(crate) fn group_state_exceeded(budget: &Budget, requested: u64) -> EvalError
     }
 }
 
-/// In-memory row aggregation of one spilled partition. Group state is
-/// charged to the byte pool as groups appear and released when the
-/// function returns; the (usually much smaller) output rows are charged
-/// on success. A denied group reservation surfaces as
-/// [`EvalError::MemoryExceeded`] — the spill driver's cue to split the
-/// partition further.
+/// Row-at-a-time aggregation, the reference the columnar core is tested
+/// against. Group state is charged to the byte pool as groups appear and
+/// released when the function returns; the (usually much smaller) output
+/// rows are charged on success. A denied group reservation surfaces as
+/// [`EvalError::MemoryExceeded`].
+#[cfg(test)]
 fn aggregate_rows(
     answer: &VRelation,
     group_idx: &[usize],
@@ -292,6 +289,7 @@ fn aggregate_rows(
     Ok(out)
 }
 
+#[cfg(test)]
 #[allow(clippy::too_many_arguments)]
 fn aggregate_rows_inner(
     answer: &VRelation,
@@ -357,20 +355,19 @@ fn aggregate_rows_inner(
     Ok(out)
 }
 
-/// Spilled aggregation driver: the input is hash-partitioned by its
-/// group key to checksummed temp files (so a group lives in exactly one
-/// partition and no cross-partition merge is ever needed), then each
-/// partition is aggregated in memory — recursing
-/// with a re-salted partition function when a partition still does not
-/// fit. Rows within a group keep their input order through every level,
-/// so order-sensitive float accumulation matches the in-memory path
-/// bit for bit.
-#[allow(clippy::too_many_arguments)]
+/// Spilled aggregation driver: the answer is hash-partitioned by its
+/// group key into spill files ([`spill::partition`]; a group lives in
+/// exactly one partition, so no cross-partition merge is ever needed),
+/// then each partition is aggregated by the in-memory core
+/// ([`aggregate_c_mem`]), its load reserved — a partition whose load or
+/// group state is denied is split one level deeper with a re-salted
+/// partition function, in its place. At [`MAX_SPILL_LEVEL`] the denial
+/// surfaces as a clean `MemoryExceeded` (one pathological group key can
+/// defeat any amount of partitioning). Rows within a group keep their
+/// input order through every level, so order-sensitive float
+/// accumulation matches the in-memory path bit for bit.
 fn aggregate_spilled(
-    n: usize,
-    row: impl FnMut(usize) -> Row,
-    hash: impl Fn(usize) -> u64,
-    cols: &[String],
+    answer: &CRel,
     group_idx: &[usize],
     q: &ConjunctiveQuery,
     visible: &[&OutputItem],
@@ -379,102 +376,34 @@ fn aggregate_spilled(
 ) -> Result<VRelation, EvalError> {
     let stats = budget.spill_stats();
     let mut dir = SpillDir::create(budget.spill_dir())?;
-    let parts = partition_side(&dir, "g", n, row, hash, 0, &stats)?;
     let mut out = VRelation::empty(labels.to_vec());
-    for p in &parts {
-        aggregate_spilled_partition(
-            &dir, p, 0, cols, group_idx, q, visible, labels, budget, &mut out,
-        )?;
+    // Partitions left, with their levels, the next one last.
+    let parts = spill::partition(&dir, "g", answer, group_idx, 0, &stats)?;
+    let mut todo: Vec<(SpillFile, u32)> = parts.into_iter().rev().map(|f| (f, 0)).collect();
+    while let Some((file, level)) = todo.pop() {
+        if file.rows == 0 {
+            continue;
+        }
+        if budget.try_reserve_bytes(file.bytes) {
+            let r = spill::load(&file, answer)
+                .and_then(|part| aggregate_c_mem(&part, group_idx, q, visible, labels, budget));
+            budget.uncharge_bytes(file.bytes);
+            match r {
+                Ok(part) => {
+                    part.into_rows().into_iter().for_each(|row| out.push(row));
+                    continue;
+                }
+                Err(EvalError::MemoryExceeded { .. }) if level < MAX_SPILL_LEVEL => {}
+                Err(e) => return Err(e),
+            }
+        } else if level >= MAX_SPILL_LEVEL {
+            return Err(group_state_exceeded(budget, file.bytes));
+        }
+        let parts = spill::repartition(&dir, "g", &file, answer, group_idx, level + 1, &stats)?;
+        todo.extend(parts.into_iter().rev().map(|f| (f, level + 1)));
     }
     dir.cleanup()?;
     Ok(out)
-}
-
-/// Aggregates one spilled partition: loads its rows (reserving their
-/// bytes) and aggregates in memory, re-partitioning one level deeper when
-/// either the load reservation or the in-memory group state is denied. At
-/// [`MAX_SPILL_LEVEL`] the denial surfaces as a clean `MemoryExceeded`
-/// (one pathological group key can defeat any amount of partitioning).
-#[allow(clippy::too_many_arguments)]
-fn aggregate_spilled_partition(
-    dir: &SpillDir,
-    file: &SpillFile,
-    level: u32,
-    cols: &[String],
-    group_idx: &[usize],
-    q: &ConjunctiveQuery,
-    visible: &[&OutputItem],
-    labels: &[String],
-    budget: &mut Budget,
-    out: &mut VRelation,
-) -> Result<(), EvalError> {
-    if file.rows == 0 {
-        return Ok(());
-    }
-    if budget.try_reserve_bytes(file.bytes) {
-        let mut rows: Vec<Row> = Vec::with_capacity(file.rows as usize);
-        let mut reader = SpillReader::open(&file.path)?;
-        while let Some(frame) = reader.read_row()? {
-            rows.push(split_frame(frame)?.1);
-        }
-        drop(reader);
-        let rel = VRelation::from_rows(cols.to_vec(), rows);
-        let r = aggregate_rows(&rel, group_idx, q, visible, labels, budget);
-        budget.uncharge_bytes(file.bytes);
-        match r {
-            Ok(part) => {
-                for row in part.rows() {
-                    out.push(row.clone());
-                }
-                Ok(())
-            }
-            Err(EvalError::MemoryExceeded { .. }) if level < MAX_SPILL_LEVEL => {
-                aggregate_repartition(
-                    dir, file, level, cols, group_idx, q, visible, labels, budget, out,
-                )
-            }
-            Err(e) => Err(e),
-        }
-    } else if level < MAX_SPILL_LEVEL {
-        aggregate_repartition(
-            dir, file, level, cols, group_idx, q, visible, labels, budget, out,
-        )
-    } else {
-        Err(group_state_exceeded(budget, file.bytes))
-    }
-}
-
-/// Splits a spilled partition one level deeper and aggregates the pieces.
-#[allow(clippy::too_many_arguments)]
-fn aggregate_repartition(
-    dir: &SpillDir,
-    file: &SpillFile,
-    level: u32,
-    cols: &[String],
-    group_idx: &[usize],
-    q: &ConjunctiveQuery,
-    visible: &[&OutputItem],
-    labels: &[String],
-    budget: &mut Budget,
-    out: &mut VRelation,
-) -> Result<(), EvalError> {
-    let stats = budget.spill_stats();
-    let subs = repartition_file(dir, "g", file, level + 1, &stats)?;
-    for s in &subs {
-        aggregate_spilled_partition(
-            dir,
-            s,
-            level + 1,
-            cols,
-            group_idx,
-            q,
-            visible,
-            labels,
-            budget,
-            out,
-        )?;
-    }
-    Ok(())
 }
 
 /// Rows whose expression values [`aggregate_c`] holds at a time: enough
@@ -498,30 +427,8 @@ fn aggregate_c(
     let group_idx = group_layout(answer.cols(), q, visible)?;
     let spillable =
         !group_idx.is_empty() && answer.len() > 1 && budget.spill_mode() != SpillMode::Off;
-    let spill = |budget: &mut Budget| {
-        // Rows stream straight out of the columns into the partition
-        // files; decoded partitions aggregate through the row core (its
-        // `Value`s round-trip the dictionary content-identically).
-        let reader = dict::reader();
-        let hashes = cops::key_hashes(answer, &group_idx, &reader);
-        aggregate_spilled(
-            answer.len(),
-            |i| {
-                answer
-                    .columns()
-                    .iter()
-                    .map(|c| c.value_with(i, &reader))
-                    .collect()
-            },
-            |i| hashes[i],
-            answer.cols(),
-            &group_idx,
-            q,
-            visible,
-            labels,
-            budget,
-        )
-    };
+    let spill =
+        |budget: &mut Budget| aggregate_spilled(answer, &group_idx, q, visible, labels, budget);
     if spillable && budget.spill_mode() == SpillMode::Force {
         return spill(budget);
     }
@@ -531,9 +438,11 @@ fn aggregate_c(
     }
 }
 
-/// In-memory columnar aggregation core: group state accrues against the
-/// pool as in [`aggregate_rows`], the hash array is reserved up front,
-/// output rows are charged on success.
+/// In-memory columnar aggregation core: group state is charged to the
+/// byte pool as groups appear and released when the function returns,
+/// the hash array is reserved up front, output rows are charged on
+/// success. A denied reservation is [`EvalError::MemoryExceeded`] — the
+/// spill driver's cue to split the partition further.
 fn aggregate_c_mem(
     answer: &CRel,
     group_idx: &[usize],
@@ -709,6 +618,8 @@ impl Accumulator {
         }
     }
 
+    /// Feeds one row (the row reference's per-row step).
+    #[cfg(test)]
     fn feed(&mut self, item: &OutputItem, cols: &[String], row: &Row) -> Result<(), EvalError> {
         let OutputItem::Aggregate { expr, .. } = item else {
             return Ok(());
@@ -783,8 +694,8 @@ impl Accumulator {
     }
 
     /// Feeds one answer-row multiplicity class of `weight` rows at once —
-    /// the factorized aggregate front's replacement for calling
-    /// [`Accumulator::feed`] `weight` times. Exact (bit-identical to the
+    /// the factorized aggregate front's replacement for feeding the row's
+    /// value `weight` times. Exact (bit-identical to the
     /// iterated feed) for grouping placeholders, COUNT, integer SUM and
     /// MIN/MAX; declines with [`WeightedFeedError::OrderSensitive`] when
     /// the iterated feed would accumulate floats (whose rounding depends
@@ -1310,6 +1221,93 @@ mod tests {
         let out = finalize_c(&ca, &q, &mut budget).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out.value(0, "n"), Some(&Value::Int(0)));
+    }
+
+    /// Spilled aggregation — forced, and under a byte cap that makes it
+    /// re-partition — answers exactly like the in-memory core: the same
+    /// groups, float `SUM`/`AVG` bit for bit (rows keep their order within
+    /// a group, and the sums below round differently in any other order),
+    /// the same tuple charge. Groups span more than one chunk, keys are
+    /// `Str` and `Int` with NULLs, and `M` holds `Int`s and `Float`s (a
+    /// `Mixed` column, through `finalize`).
+    #[test]
+    fn spilled_aggregation_equals_in_memory_bit_for_bit() {
+        use crate::error::SpillMode;
+        let var = |v: &str| Some(ScalarExpr::Var(v.into()));
+        let q = CqBuilder::new()
+            .atom_vars("r", &["G", "H", "X", "F", "M"])
+            .out_var("G")
+            .out_var("H")
+            .out_agg(AggFunc::Sum, var("F"), "sf")
+            .out_agg(AggFunc::Avg, var("F"), "af")
+            .out_agg(AggFunc::Sum, var("X"), "sx")
+            .out_agg(AggFunc::Sum, var("M"), "sm")
+            .out_agg(AggFunc::Count, var("F"), "nf")
+            .out_agg(AggFunc::Min, var("F"), "lo")
+            .out_agg(AggFunc::Max, var("X"), "hi")
+            .group("G")
+            .group("H")
+            .build();
+        let n = 100_000i64;
+        let a = answer(
+            &["G", "H", "X", "F", "M"],
+            (0..n)
+                .map(|i| {
+                    let null_or = |m: i64, v: Value| if i % m == 0 { Value::Null } else { v };
+                    let big = if i % 2 == 0 { 1e15 } else { -1e15 };
+                    vec![
+                        null_or(17, Value::str(["g0", "g1", "g2"][i as usize % 3])),
+                        null_or(19, Value::Int(i % 4)),
+                        null_or(23, Value::Int(i * 7919 % 1000)),
+                        null_or(13, Value::Float((i * 7919 % 1000) as f64 * 0.1 + big)),
+                        match i % 3 {
+                            0 => Value::Float(i as f64 * 0.01),
+                            _ => Value::Int(i),
+                        },
+                    ]
+                })
+                .collect(),
+        );
+        let ca = CRel::from_vrel(&a);
+        assert!(matches!(
+            ca.column(4).data(),
+            crate::column::ColumnData::Mixed(_)
+        ));
+        let rows = |r: &VRelation| {
+            let mut rows: Vec<String> = (r.rows().iter())
+                .map(|row| {
+                    let cells = row.iter().map(|v| match v {
+                        Value::Float(x) => format!("F{:x}", x.to_bits()),
+                        v => format!("{v:?}"),
+                    });
+                    cells.collect::<Vec<_>>().join("|")
+                })
+                .collect();
+            rows.sort();
+            rows
+        };
+        let mut mem = Budget::unlimited();
+        let want = finalize_c(&ca, &q, &mut mem).unwrap();
+        assert!(want.len() > 12 && n as usize / want.len() > crate::keyplan::BLOCK);
+        let forced = || Budget::unlimited().with_spill_mode(SpillMode::Force);
+        let capped = || Budget::unlimited().with_mem_limit(450_000);
+        for (budget, via_rows) in [(forced(), false), (forced(), true), (capped(), false)] {
+            let mut budget = budget;
+            let got = if via_rows {
+                finalize(&a, &q, &mut budget)
+            } else {
+                finalize_c(&ca, &q, &mut budget)
+            };
+            let got = got.unwrap();
+            let parts = budget.spill_stats().partitions();
+            assert!(parts >= 8, "{parts} partitions");
+            if budget.mem_limit().is_some() {
+                assert!(parts > 8, "the cap must re-partition: {parts} partitions");
+            }
+            assert_eq!(got.cols(), want.cols());
+            assert_eq!(rows(&got), rows(&want));
+            assert_eq!(budget.charged(), mem.charged());
+        }
     }
 
     #[test]

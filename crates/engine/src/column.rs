@@ -140,6 +140,12 @@ impl NullMask {
     pub fn any(&self) -> bool {
         !self.bits.is_empty()
     }
+
+    /// The mask's words: bit `i % 64` of word `i / 64` is row `i`; rows
+    /// past the last word are valid.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.bits
+    }
 }
 
 /// The last few strings a bulk load interned into one `Str` column, so a
@@ -259,6 +265,22 @@ impl Column {
             data: ColumnData::Int(data),
             nulls: NullMask::default(),
         }
+    }
+
+    /// A column over `data` whose NULL rows are the set bits of
+    /// `null_words` (laid out as [`NullMask::words`]; bits past the last
+    /// cell are dropped). Only `Int`/`Float`/`Date` payloads take a mask.
+    pub(crate) fn from_raw(data: ColumnData, null_words: Vec<u64>) -> Column {
+        let mut col = Column {
+            data,
+            nulls: NullMask { bits: null_words },
+        };
+        debug_assert!(
+            !col.nulls.any() || !matches!(col.data, ColumnData::Str(_) | ColumnData::Mixed(_)),
+            "string and mixed columns carry no null mask"
+        );
+        col.nulls.truncate(col.len());
+        col
     }
 
     /// An empty column shaped like `self` (same variant, no rows).

@@ -44,9 +44,10 @@ use crate::crel::{read_source, CRel, Selection};
 use crate::dict::{self, DictReader};
 use crate::error::{Budget, EvalError};
 use crate::keyplan::{blocks, Bitmap, KeyPlan, BLOCK, MISS};
-use crate::spill::{grace_join_spill, join_build_bytes, join_build_reservation};
-use crate::value::Row;
-use crate::vrel::VRelation;
+use crate::spill::{
+    self, join_build_bytes, join_build_reservation, Concat, SpillDir, SpillFile, SpillReader,
+    MAX_SPILL_LEVEL,
+};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -56,14 +57,6 @@ type PairLists = (Vec<u32>, Vec<u32>);
 /// Bytes one matching `(build, probe)` index pair occupies in the
 /// kernels' pair lists (two `u32`s), charged per output row.
 pub(crate) const PAIR_BYTES: u64 = 8;
-
-/// Row `i` of `rel` as a boxed row, streamed straight out of the columns.
-fn materialize_row(rel: &CRel, i: usize, reader: &DictReader) -> Row {
-    rel.columns()
-        .iter()
-        .map(|c| c.value_with(i, reader))
-        .collect()
-}
 
 /// Resident payload bytes of a columnar relation (sum of its columns'
 /// typed vectors), charged when a kernel materializes its output.
@@ -176,53 +169,107 @@ pub fn natural_join(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, Eva
     let result = join_pairs(build, probe, &build_shared, &probe_shared, budget);
     // The build table (and hash scratch) is gone either way.
     budget.uncharge_bytes(join_build_bytes(build.len(), probe.len()));
-    let (build_idx, probe_idx) = result?;
-
-    // Output construction: one gather pass per column.
-    let mut out_cols: Vec<String> = build.cols().to_vec();
-    out_cols.extend(probe_rest.iter().map(|&j| probe.cols()[j].clone()));
-    let mut columns: Vec<Arc<Column>> = Vec::with_capacity(out_cols.len());
-    for c in build.columns() {
-        columns.push(Arc::new(c.gather(&build_idx)));
-    }
-    for &j in &probe_rest {
-        columns.push(Arc::new(probe.column(j).gather(&probe_idx)));
-    }
-    let out = CRel::new(out_cols, columns, build_idx.len());
+    let out = join_output(build, probe, &probe_rest, &result?);
     budget.charge_bytes(crel_payload_bytes(&out))?;
     Ok(caller_order(out, a, b, swapped))
 }
 
+/// A join's output from its matching pairs: `build`'s columns, then
+/// `probe`'s columns `probe_rest`, one gather pass per column.
+fn join_output(
+    build: &CRel,
+    probe: &CRel,
+    probe_rest: &[usize],
+    (build_idx, probe_idx): &PairLists,
+) -> CRel {
+    let mut cols: Vec<String> = build.cols().to_vec();
+    cols.extend(probe_rest.iter().map(|&j| probe.cols()[j].clone()));
+    let columns = (build.columns().iter())
+        .map(|c| Arc::new(c.gather(build_idx)))
+        .chain((probe_rest.iter()).map(|&j| Arc::new(probe.column(j).gather(probe_idx))))
+        .collect();
+    CRel::new(cols, columns, build_idx.len())
+}
+
 /// The grace spill route of [`natural_join`], for a caller whose
-/// `join_build_reservation` chose it: [`grace_join_spill`] fed rows
-/// streamed straight out of the columns (no row copy of either input is
-/// ever materialized).
+/// `join_build_reservation` chose it: both sides are partitioned by the
+/// hash of their shared key ([`spill::partition`]), and each partition
+/// pair is joined by the in-memory kernels: the build partition is
+/// loaded, its bytes reserved, and the probe partition streams through
+/// [`join_pairs`] and [`join_output`] in batches of chunks at least as
+/// long as the build side (so building the table once per batch costs no
+/// more than probing it). A pair whose reservation is denied is split one
+/// level deeper with a re-salted partition function, in its place; at
+/// [`MAX_SPILL_LEVEL`] the reservation becomes mandatory and a denial is
+/// a clean `MemoryExceeded` (one pathological key can defeat any amount
+/// of partitioning). Output: partitions in index order, probe order
+/// within a partition — deterministic, but not the in-memory order (all
+/// consumers are set-semantic); the columns are the in-memory join's,
+/// variant for variant. `Err` paths reclaim the temp directory via the
+/// [`SpillDir`] drop guard.
 fn grace_join(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalError> {
     let (build, probe, swapped) = sides(a, b);
     let (build_shared, probe_shared, probe_rest) = join_layout(build, probe);
-    let mut out_cols: Vec<String> = build.cols().to_vec();
-    out_cols.extend(probe_rest.iter().map(|&j| probe.cols()[j].clone()));
-    let reader = dict::reader();
-    let build_hashes = key_hashes(build, &build_shared, &reader);
-    let probe_hashes = key_hashes(probe, &probe_shared, &reader);
-    let rows = grace_join_spill(
-        build.len(),
-        |i| materialize_row(build, i, &reader),
-        |i| build_hashes[i],
-        probe.len(),
-        |i| materialize_row(probe, i, &reader),
-        |i| probe_hashes[i],
-        &build_shared,
-        &probe_shared,
-        &probe_rest,
-        build.cols().len(),
-        budget,
-    )?;
-    drop(reader);
-    // Re-encoding interns into the dictionary, so the reader must be
-    // released first.
-    let out = CRel::from_vrel(&VRelation::from_rows(out_cols, rows));
-    Ok(caller_order(out, a, b, swapped))
+    let stats = budget.spill_stats();
+    let mut dir = SpillDir::create(budget.spill_dir())?;
+    let none = PairLists::default();
+    let mut out = Concat::new(&join_output(build, probe, &probe_rest, &none), 0);
+    let join_loaded = |build_file: &SpillFile,
+                       probe_file: &SpillFile,
+                       batch: usize,
+                       out: &mut Concat,
+                       budget: &mut Budget| {
+        let build_part = spill::load(build_file, build)?;
+        let mut reader = SpillReader::open(probe_file, probe)?;
+        let mut rows = Concat::new(probe, batch.min(probe_file.rows as usize));
+        let mut chunks = std::iter::from_fn(|| reader.read_chunk().transpose()).peekable();
+        while let Some(chunk) = chunks.next() {
+            rows.push(&chunk?);
+            if rows.len() >= batch || chunks.peek().is_none() {
+                let rows = rows.take();
+                let pairs = join_pairs(&build_part, &rows, &build_shared, &probe_shared, budget)?;
+                let part = join_output(&build_part, &rows, &probe_rest, &pairs);
+                budget.charge_bytes(crel_payload_bytes(&part))?;
+                out.push(&part);
+            }
+        }
+        Ok::<(), EvalError>(())
+    };
+    // Partition pairs left, with their levels, the next one last.
+    let pairs = |b: Vec<SpillFile>, p: Vec<SpillFile>, level| {
+        b.into_iter().zip(p).rev().map(move |(b, p)| (b, p, level))
+    };
+    let build_parts = spill::partition(&dir, "b", build, &build_shared, 0, &stats)?;
+    let probe_parts = spill::partition(&dir, "p", probe, &probe_shared, 0, &stats)?;
+    let mut todo: Vec<_> = pairs(build_parts, probe_parts, 0).collect();
+    while let Some((build_file, probe_file, level)) = todo.pop() {
+        if build_file.rows == 0 || probe_file.rows == 0 {
+            continue;
+        }
+        let batch = build_file.rows.max(BLOCK as u64);
+        let batch_rows = probe_file.rows.min(batch + BLOCK as u64);
+        // The loaded build side, one batch of probe rows, and the kernel's
+        // table and hash arrays over them.
+        let est = build_file.bytes
+            + probe_file.bytes * batch_rows / probe_file.rows
+            + join_build_bytes(build_file.rows as usize, batch_rows as usize);
+        if !budget.try_reserve_bytes(est) {
+            if level < MAX_SPILL_LEVEL {
+                let (next, key) = (level + 1, &build_shared);
+                let b = spill::repartition(&dir, "b", &build_file, build, key, next, &stats)?;
+                let key = &probe_shared;
+                let p = spill::repartition(&dir, "p", &probe_file, probe, key, next, &stats)?;
+                todo.extend(pairs(b, p, next));
+                continue;
+            }
+            budget.reserve_bytes(est)?;
+        }
+        let result = join_loaded(&build_file, &probe_file, batch as usize, &mut out, budget);
+        budget.uncharge_bytes(est);
+        result?;
+    }
+    dir.cleanup()?;
+    Ok(caller_order(out.take(), a, b, swapped))
 }
 
 /// Bytes one entry of a vertex join's position lists occupies — what the
@@ -967,5 +1014,91 @@ mod tests {
         let p =
             project_onto_available(&a, &["x".to_string(), "w".to_string()], &mut budget).unwrap();
         assert_eq!(p.cols(), &["x".to_string()]);
+    }
+
+    /// The forced Grace route answers like the in-memory join, with either
+    /// side as the caller's first: the same rows (floats by their bits),
+    /// the same variant per output column — an all-NULL `Str` column stays
+    /// `Str` — and the same tuple charge. The key has NULLs and a `Float`
+    /// column of NaNs (two payloads), `-0.0` and `0.0`; the probe side is
+    /// long enough to be joined in more than one batch of chunks.
+    #[test]
+    fn forced_spill_join_equals_the_in_memory_join() {
+        use crate::error::SpillMode;
+        use crate::schema::ColumnType;
+        let col = |ty, vals: Vec<Value>| {
+            let mut c = Column::new(ty);
+            vals.iter().for_each(|v| c.push_value(v));
+            Arc::new(c)
+        };
+        let nan2 = f64::from_bits(f64::NAN.to_bits() ^ 1);
+        let float = |i: usize| Value::Float([f64::NAN, -0.0, 0.0, 1.5, nan2][i % 5]);
+        let key = |i: usize| match i % 101 {
+            0 => Value::Null,
+            _ => Value::Int((i % 997) as i64),
+        };
+        let names = |n: &[&str]| n.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let (a_n, b_n) = (400, 40_000);
+        let a = CRel::new(
+            names(&["k", "f", "s", "d"]),
+            vec![
+                col(ColumnType::Int, (0..a_n).map(key).collect()),
+                col(ColumnType::Float, (0..a_n).map(float).collect()),
+                col(ColumnType::Str, vec![Value::Null; a_n]),
+                col(
+                    ColumnType::Date,
+                    (0..a_n)
+                        .map(|i| match i % 7 {
+                            0 => Value::Null,
+                            _ => Value::Date(i as i32),
+                        })
+                        .collect(),
+                ),
+            ],
+            a_n,
+        );
+        let b = CRel::new(
+            names(&["f", "k", "z"]),
+            vec![
+                col(ColumnType::Float, (0..b_n).map(|i| float(i * 3)).collect()),
+                col(ColumnType::Int, (0..b_n).map(|i| key(i * 7)).collect()),
+                col(
+                    ColumnType::Str,
+                    (0..b_n).map(|i| Value::str(["x", "y"][i % 2])).collect(),
+                ),
+            ],
+            b_n,
+        );
+        let rows = |r: &CRel| {
+            let reader = dict::reader();
+            let mut rows: Vec<String> = (0..r.len())
+                .map(|i| {
+                    let cells = r.columns().iter().map(|c| match c.value_with(i, &reader) {
+                        Value::Float(x) => format!("F{:x}", x.to_bits()),
+                        v => format!("{v:?}"),
+                    });
+                    cells.collect::<Vec<_>>().join("|")
+                })
+                .collect();
+            rows.sort();
+            rows
+        };
+        let variants = |r: &CRel| {
+            (r.columns().iter())
+                .map(|c| std::mem::discriminant(c.data()))
+                .collect::<Vec<_>>()
+        };
+        for (l, r) in [(&a, &b), (&b, &a)] {
+            let mut mem = Budget::unlimited();
+            let mut spill = Budget::unlimited().with_spill_mode(SpillMode::Force);
+            let want = natural_join(l, r, &mut mem).unwrap();
+            let got = natural_join(l, r, &mut spill).unwrap();
+            assert_eq!(spill.spill_stats().partitions(), 16);
+            assert!(want.len() > 1000, "{} rows", want.len());
+            assert_eq!(got.cols(), want.cols());
+            assert_eq!(variants(&got), variants(&want));
+            assert_eq!(rows(&got), rows(&want));
+            assert_eq!(spill.charged(), mem.charged());
+        }
     }
 }

@@ -2,9 +2,11 @@
 //! randomized byte limit.
 //!
 //! Every case runs a random query (same family as `chaos_prop`) with a
-//! random byte limit, from "far too small for anything" up to "comfortably unlimited" — through the hybrid
-//! optimizer (columnar kernels) and through the join-order baseline (row
-//! kernels). The invariants, checked after every single case:
+//! random byte limit, from "far too small for anything" up to "comfortably
+//! unlimited" — through the hybrid optimizer and through the join-order
+//! baseline (`evaluate_join_order`), both on the columnar kernels, whose
+//! Grace spill partitions typed column chunks. The invariants, checked
+//! after every single case:
 //!
 //! 1. the outcome is either set-equal to the unlimited in-memory oracle
 //!    (the spill path is content-identical; only row order may differ) or
