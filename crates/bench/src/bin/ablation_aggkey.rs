@@ -23,6 +23,7 @@ use htqo_tpch::{generate, DbgenOptions};
 fn main() {
     htqo_bench::harness::reject_unknown_args(&[]);
     println!("# Ablation: aggregate multiplicity guard (AggKeyMode)");
+    println!("{}", htqo_bench::harness::measured_on());
     // sum(l_quantity) per nation: quantities are small integers, so many
     // (nation, quantity) pairs repeat — exactly where set semantics
     // under-counts. (TPC-H Q5's float revenues almost never collide, which

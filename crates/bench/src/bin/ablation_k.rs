@@ -26,6 +26,7 @@ use std::time::Instant;
 fn main() {
     htqo_bench::harness::reject_unknown_args(&[]);
     println!("# Ablation: width bound k of Algorithm q-HypertreeDecomp");
+    println!("{}", htqo_bench::harness::measured_on());
     println!("\n| query | k | outcome | plan time | plan width | exec time | tuples |");
     println!("|---|---|---|---|---|---|---|");
 

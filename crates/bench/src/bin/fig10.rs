@@ -29,6 +29,7 @@ fn main() {
             None => "unlimited memory".to_string(),
         }
     );
+    println!("{}", htqo_bench::harness::measured_on());
 
     let mut with_opt = Series::new("q-HD with Optimize");
     let mut without_opt = Series::new("q-HD without Optimize");

@@ -10,6 +10,7 @@ use crate::crel::CRel;
 use crate::dict;
 use crate::error::{Budget, EvalError, SpillMode};
 use crate::expr::{eval_scalar, eval_scalar_rows, RowError};
+use crate::fsum::FloatSum;
 use crate::hash::FxHashMap;
 use crate::spill::{self, SpillDir, SpillFile, MAX_SPILL_LEVEL};
 use crate::value::{row_heap_bytes, Row, Value};
@@ -363,9 +364,9 @@ fn aggregate_rows_inner(
 /// group state is denied is split one level deeper with a re-salted
 /// partition function, in its place. At [`MAX_SPILL_LEVEL`] the denial
 /// surfaces as a clean `MemoryExceeded` (one pathological group key can
-/// defeat any amount of partitioning). Rows within a group keep their
-/// input order through every level, so order-sensitive float
-/// accumulation matches the in-memory path bit for bit.
+/// defeat any amount of partitioning). Float `SUM`/`AVG` depend only on
+/// the multiset of a group's values ([`FloatSum`]), so they match the
+/// in-memory path bit for bit whatever order the partitions take.
 fn aggregate_spilled(
     answer: &CRel,
     group_idx: &[usize],
@@ -560,8 +561,8 @@ fn aggregate_c_inner(
 /// row-at-a-time feed bit for bit — the factorized front's cue to fall
 /// back to full materialization.
 pub(crate) enum WeightedFeedError {
-    /// The iterated feed would accumulate floats, whose rounding depends
-    /// on input order; a weighted shortcut cannot be bit-identical.
+    /// The iterated feed would accumulate floats: a weighted float sum is
+    /// not implemented, so the shortcut cannot promise the same bits.
     OrderSensitive,
     /// A count would overflow `u64` under weighting.
     Overflow,
@@ -576,7 +577,7 @@ pub(crate) enum Accumulator {
     Group,
     Sum {
         int: i64,
-        float: f64,
+        float: FloatSum,
         any_float: bool,
         n: u64,
     },
@@ -588,7 +589,7 @@ pub(crate) enum Accumulator {
         min: bool,
     },
     Avg {
-        sum: f64,
+        sum: FloatSum,
         n: u64,
     },
 }
@@ -600,7 +601,7 @@ impl Accumulator {
             OutputItem::Aggregate { func, .. } => match func {
                 AggFunc::Sum => Accumulator::Sum {
                     int: 0,
-                    float: 0.0,
+                    float: FloatSum::default(),
                     any_float: false,
                     n: 0,
                 },
@@ -613,7 +614,10 @@ impl Accumulator {
                     best: None,
                     min: false,
                 },
-                AggFunc::Avg => Accumulator::Avg { sum: 0.0, n: 0 },
+                AggFunc::Avg => Accumulator::Avg {
+                    sum: FloatSum::default(),
+                    n: 0,
+                },
             },
         }
     }
@@ -651,7 +655,7 @@ impl Accumulator {
                     *n += 1;
                 }
                 Value::Float(x) => {
-                    *float += x;
+                    float.add(x);
                     *any_float = true;
                     *n += 1;
                 }
@@ -683,7 +687,7 @@ impl Accumulator {
             }
             Accumulator::Avg { sum, n } => {
                 if let Some(x) = value.as_f64() {
-                    *sum += x;
+                    sum.add(x);
                     *n += 1;
                 } else if !value.is_null() {
                     return Err(EvalError::Internal("AVG over non-numeric value".into()));
@@ -698,8 +702,8 @@ impl Accumulator {
     /// value `weight` times. Exact (bit-identical to the
     /// iterated feed) for grouping placeholders, COUNT, integer SUM and
     /// MIN/MAX; declines with [`WeightedFeedError::OrderSensitive`] when
-    /// the iterated feed would accumulate floats (whose rounding depends
-    /// on input order) and with [`WeightedFeedError::Overflow`] when a
+    /// the iterated feed would accumulate floats (a weighted [`FloatSum`]
+    /// is not implemented) and with [`WeightedFeedError::Overflow`] when a
     /// count would wrap where the iterated path could not.
     pub(crate) fn feed_weighted(
         &mut self,
@@ -767,7 +771,7 @@ impl Accumulator {
                     *best = Some(value);
                 }
             }
-            // AVG divides an order-sensitively accumulated float sum;
+            // AVG divides a float sum, which is not weighted either;
             // callers exclude it statically, but stay safe here too.
             Accumulator::Avg { .. } => return Err(WeightedFeedError::OrderSensitive),
         }
@@ -787,7 +791,7 @@ impl Accumulator {
                 if *n == 0 {
                     Value::Null
                 } else if *any_float {
-                    Value::Float(*float + *int as f64)
+                    Value::Float(float.total() + *int as f64)
                 } else {
                     Value::Int(*int)
                 }
@@ -797,7 +801,7 @@ impl Accumulator {
                 if *n == 0 {
                     Value::Null
                 } else {
-                    Value::Float(*sum / *n as f64)
+                    Value::Float(sum.total() / *n as f64)
                 }
             }
         }
@@ -1225,9 +1229,7 @@ mod tests {
 
     /// Spilled aggregation — forced, and under a byte cap that makes it
     /// re-partition — answers exactly like the in-memory core: the same
-    /// groups, float `SUM`/`AVG` bit for bit (rows keep their order within
-    /// a group, and the sums below round differently in any other order),
-    /// the same tuple charge. Groups span more than one chunk, keys are
+    /// groups, float `SUM`/`AVG` bit for bit, the same tuple charge. Groups span more than one chunk, keys are
     /// `Str` and `Int` with NULLs, and `M` holds `Int`s and `Float`s (a
     /// `Mixed` column, through `finalize`).
     #[test]
@@ -1308,6 +1310,64 @@ mod tests {
             assert_eq!(rows(&got), rows(&want));
             assert_eq!(budget.charged(), mem.charged());
         }
+    }
+
+    /// Float `SUM`/`AVG` over a row-permuted answer give the same bits:
+    /// money amounts whose running sums round differently in different
+    /// orders, huge values and a NaN that take the side list, and `Int`s
+    /// mixed in.
+    #[test]
+    fn finalize_c_is_bit_identical_over_permuted_rows() {
+        let var = |v: &str| Some(ScalarExpr::Var(v.into()));
+        let q = CqBuilder::new()
+            .atom_vars("r", &["G", "F", "M"])
+            .out_var("G")
+            .out_agg(AggFunc::Sum, var("F"), "sf")
+            .out_agg(AggFunc::Avg, var("F"), "af")
+            .out_agg(AggFunc::Sum, var("M"), "sm")
+            .group("G")
+            .build();
+        let n = 5_000usize;
+        let row = |i: usize| {
+            let f = match i % 97 {
+                0 => 1e300 * if i.is_multiple_of(2) { 1.0 } else { -1.0 },
+                1 if i.is_multiple_of(3) => f64::NAN,
+                _ => (i * 7919 % 100_000) as f64 * 0.01 * 0.93,
+            };
+            let m = match i % 3 {
+                0 => Value::Float(i as f64 * 0.1),
+                _ => Value::Int(i as i64),
+            };
+            vec![Value::Int((i % 7) as i64), Value::Float(f), m]
+        };
+        let cells = |r: &VRelation| {
+            let mut rows: Vec<String> = (r.rows().iter())
+                .map(|row| {
+                    let cells = row.iter().map(|v| match v {
+                        Value::Float(x) => format!("F{:x}", x.to_bits()),
+                        v => format!("{v:?}"),
+                    });
+                    cells.collect::<Vec<_>>().join("|")
+                })
+                .collect();
+            rows.sort();
+            rows
+        };
+        let run = |order: Vec<usize>| {
+            let a = answer(&["G", "F", "M"], order.into_iter().map(row).collect());
+            cells(&finalize_c(&CRel::from_vrel(&a), &q, &mut Budget::unlimited()).unwrap())
+        };
+        let want = run((0..n).collect());
+        assert_eq!(run((0..n).rev().collect()), want);
+        assert_eq!(run((0..n).map(|i| i * 1_543 % n).collect()), want);
+        // A plain running sum would not have survived the reversal.
+        let fs: Vec<f64> = (0..n)
+            .filter(|i| i % 7 == 2)
+            .map(|i| row(i)[1].as_f64().unwrap())
+            .collect();
+        let fs: Vec<f64> = fs.into_iter().filter(|x| x.abs() < 1e300).collect();
+        let forward: f64 = fs.iter().sum();
+        assert_ne!(forward.to_bits(), fs.iter().rev().sum::<f64>().to_bits());
     }
 
     #[test]

@@ -711,62 +711,16 @@ pub fn semijoin(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalErr
     // (mirrors the row semijoin: the reducer side is expected to fit).
     let table_bytes = join_build_bytes(b.len(), a.len());
     budget.reserve_bytes(table_bytes)?;
-    // Membership in `b`'s keys: a bitmap over the packed key range when
-    // the key has a plan and that fits in the reservation (no table, no
-    // hashes), else the hashed table with typed verification.
-    enum Members {
-        Dense(KeyPlan, Bitmap),
-        Hashed(ChainTable, Vec<u64>),
-    }
-    let dense = KeyPlan::resolve(b, &b_shared, a, &a_shared).and_then(|plan| {
-        let range = plan.range_fitting(table_bytes, Bitmap::byte_estimate)?;
-        let set = plan.packed_set(b, &b_shared, range);
-        Some(Members::Dense(plan, set))
+    let members = KeySet::build(b, &b_shared, [(a, &a_shared[..])], table_bytes);
+    let mut keep = Vec::new();
+    let scan = members.each_member(a, &a_shared, |i| {
+        budget.charge(1)?;
+        budget.charge_bytes(4)?;
+        keep.push(i as u32);
+        Ok(())
     });
-    let members = dense.unwrap_or_else(|| {
-        let reader = dict::reader();
-        let b_hashes = key_hashes(b, &b_shared, &reader);
-        let a_hashes = key_hashes(a, &a_shared, &reader);
-        Members::Hashed(ChainTable::build(b.len(), |i| b_hashes[i]), a_hashes)
-    });
-    // The rows of `a` with a partner in `b`, ascending.
-    let mut scan = || -> Result<Vec<u32>, EvalError> {
-        let mut out = Vec::new();
-        let mut keep = |i: usize| {
-            budget.charge(1)?;
-            budget.charge_bytes(4)?;
-            out.push(i as u32);
-            Ok::<(), EvalError>(())
-        };
-        match &members {
-            Members::Dense(plan, set) => {
-                let mut blk = plan.block(a.len());
-                for rows in blocks(0..a.len()) {
-                    let lo = rows.start;
-                    let keys = plan.pack(a, &a_shared, rows, &mut blk);
-                    for (j, &k) in keys.iter().enumerate() {
-                        if set.contains(k) {
-                            keep(lo + j)?;
-                        }
-                    }
-                }
-            }
-            Members::Hashed(table, a_hashes) => {
-                let reader = dict::reader();
-                for (ai, &h) in a_hashes.iter().enumerate() {
-                    let partner = |bi| rows_key_eq(a, ai, b, bi, &a_shared, &b_shared, &reader);
-                    if table.any(h, partner) {
-                        keep(ai)?;
-                    }
-                }
-            }
-        }
-        Ok(out)
-    };
-
-    let keep_result = scan();
     budget.uncharge_bytes(table_bytes);
-    let keep = keep_result?;
+    scan?;
     let columns = a
         .columns()
         .iter()
@@ -775,6 +729,161 @@ pub fn semijoin(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalErr
     let out = CRel::new(a.cols().to_vec(), columns, keep.len());
     budget.charge_bytes(crel_payload_bytes(&out))?;
     Ok(out)
+}
+
+/// The key tuples a relation holds — the reducer side of [`semijoin`] and
+/// [`narrow`]. A bitmap over the packed key range when the key has a plan
+/// that every probe side admits and the bitmap fits in the reservation
+/// (no table, no hashes); else the hashed table, candidates verified by
+/// typed cell comparison.
+enum KeySet<'r> {
+    Dense(KeyPlan, Bitmap),
+    Hashed {
+        rel: &'r CRel,
+        idx: &'r [usize],
+        table: ChainTable,
+    },
+}
+
+impl<'r> KeySet<'r> {
+    /// The keys of `rel`'s columns `idx`, to be probed by `probes` (each a
+    /// relation and its key columns, paired with `idx` by position), in
+    /// at most `reserved` bytes.
+    fn build<'p>(
+        rel: &'r CRel,
+        idx: &'r [usize],
+        probes: impl IntoIterator<Item = (&'p CRel, &'p [usize])>,
+        reserved: u64,
+    ) -> KeySet<'r> {
+        // The plan depends on `rel` alone; each probe only has to admit it.
+        let mut plan = None;
+        for (probe, probe_idx) in probes {
+            plan = KeyPlan::resolve(rel, idx, probe, probe_idx);
+            if plan.is_none() {
+                break;
+            }
+        }
+        let dense = plan.and_then(|plan| {
+            let range = plan.range_fitting(reserved, Bitmap::byte_estimate)?;
+            let set = plan.packed_set(rel, idx, range);
+            Some(KeySet::Dense(plan, set))
+        });
+        dense.unwrap_or_else(|| {
+            let hashes = key_hashes(rel, idx, &dict::reader());
+            let table = ChainTable::build(rel.len(), |i| hashes[i]);
+            KeySet::Hashed { rel, idx, table }
+        })
+    }
+
+    /// Calls `keep` with each row of `probe` whose key columns `idx` hold
+    /// one of the set's keys, ascending.
+    fn each_member(
+        &self,
+        probe: &CRel,
+        idx: &[usize],
+        mut keep: impl FnMut(usize) -> Result<(), EvalError>,
+    ) -> Result<(), EvalError> {
+        match self {
+            KeySet::Dense(plan, set) => {
+                let mut blk = plan.block(probe.len());
+                for rows in blocks(0..probe.len()) {
+                    let lo = rows.start;
+                    let keys = plan.pack(probe, idx, rows, &mut blk);
+                    for (j, &k) in keys.iter().enumerate() {
+                        if set.contains(k) {
+                            keep(lo + j)?;
+                        }
+                    }
+                }
+            }
+            KeySet::Hashed {
+                rel,
+                idx: rel_idx,
+                table,
+            } => {
+                let reader = dict::reader();
+                let hashes = key_hashes(probe, idx, &reader);
+                for (pi, &h) in hashes.iter().enumerate() {
+                    let partner = |ri| rows_key_eq(probe, pi, rel, ri, idx, rel_idx, &reader);
+                    if table.any(h, partner) {
+                        keep(pi)?;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The semijoin transfer of `P′` (DESIGN.md §3.4): narrows each of
+/// `inputs` that shares a variable with `child` and for which
+/// `worth(rows)` holds to its rows with a partner in `child` on the
+/// shared variables — `input ⋉ child`, without gathering anything but the
+/// input's key columns. Selections stay ascending.
+///
+/// One key set is built per distinct key (the shared variables, in
+/// `child`'s column order), whoever probes it. It charges no tuples, and
+/// its bytes — the table and the hash arrays a semijoin would hold — are
+/// reserved while it lives; where that reservation is denied the inputs
+/// keep their rows. Rows removed are counted in
+/// [`crate::error::JoinStats::transfer_removed`].
+pub fn narrow(
+    inputs: &mut [Selection<'_>],
+    child: &CRel,
+    worth: impl Fn(usize) -> bool,
+    budget: &mut Budget,
+) {
+    // `(key columns of child, inputs probing them)`.
+    let mut keys: Vec<(Vec<usize>, Vec<usize>)> = Vec::new();
+    for (i, s) in inputs.iter().enumerate() {
+        if s.is_empty() || !worth(s.len()) {
+            continue;
+        }
+        let key: Vec<usize> = (0..child.cols().len())
+            .filter(|&c| s.vars.contains(&child.cols()[c]))
+            .collect();
+        if key.is_empty() {
+            continue;
+        }
+        match keys.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, probes)) => probes.push(i),
+            None => keys.push((key, vec![i])),
+        }
+    }
+    for (key, members) in keys {
+        let longest = members.iter().map(|&i| inputs[i].len).max().unwrap_or(0);
+        let reserved = join_build_bytes(child.len(), longest);
+        if !budget.try_reserve_bytes(reserved) {
+            continue;
+        }
+        let names: Vec<String> = key.iter().map(|&c| child.cols()[c].clone()).collect();
+        let probes: Vec<CRel> = (members.iter())
+            .map(|&i| {
+                let s = &inputs[i];
+                let var = |v: &String| s.vars.iter().position(|x| x == v).expect("shared");
+                let columns = names.iter().map(|v| s.column(var(v)).into_owned());
+                CRel::new(names.clone(), columns.collect(), s.len)
+            })
+            .collect();
+        let probe_idx: Vec<usize> = (0..key.len()).collect();
+        let set = KeySet::build(
+            child,
+            &key,
+            probes.iter().map(|p| (p, &probe_idx[..])),
+            reserved,
+        );
+        for (&i, probe) in members.iter().zip(&probes) {
+            let mut kept: Vec<u32> = Vec::new();
+            let scan = set.each_member(probe, &probe_idx, |r| {
+                kept.push(r as u32);
+                Ok(())
+            });
+            scan.expect("the transfer charges nothing");
+            let removed = inputs[i].retain(kept);
+            budget.join_stats().add_transfer_removed(removed as u64);
+        }
+        budget.uncharge_bytes(reserved);
+    }
 }
 
 /// Projects `a` onto `vars` (which must all exist). Distinct mode keeps
@@ -970,6 +1079,57 @@ mod tests {
             vrel(&["x", "y"], &[&[3, 30], &[1, 10], &[4, 30]])
         );
         assert_eq!(budget.charged(), 3);
+    }
+
+    /// The transfer keeps each input's rows with a partner in the child,
+    /// ascending and composed with the rows it already kept; it leaves
+    /// alone an input that shares no variable, one `worth` rejects, and
+    /// every input when its reservation is denied; it charges nothing.
+    #[test]
+    fn narrow_keeps_partnered_rows_and_skips_when_denied() {
+        let a = crel(
+            &["x", "y"],
+            &[&[3, 30], &[1, 10], &[2, 20], &[4, 30], &[5, 50]],
+        );
+        let other = crel(&["w"], &[&[1], &[2]]);
+        let kept = |s: &Selection| s.clone().gather().0.to_vrel();
+        let inputs = || vec![Selection::from(a.clone()), Selection::from(other.clone())];
+
+        let mut budget = Budget::unlimited();
+        let mut sel = inputs();
+        narrow(
+            &mut sel,
+            &crel(&["y"], &[&[30], &[10], &[30]]),
+            |_| true,
+            &mut budget,
+        );
+        assert_eq!(
+            kept(&sel[0]),
+            vrel(&["x", "y"], &[&[3, 30], &[1, 10], &[4, 30]])
+        );
+        assert_eq!(kept(&sel[1]), other.to_vrel());
+        // A second child over both variables, through the rows kept so far.
+        narrow(
+            &mut sel,
+            &crel(&["y", "x"], &[&[30, 4], &[50, 5]]),
+            |_| true,
+            &mut budget,
+        );
+        assert_eq!(sel[0].rows, Some(vec![3]));
+        assert_eq!(budget.join_stats().transfer_removed(), 4);
+        assert_eq!((budget.charged(), budget.mem_used()), (0, 0));
+
+        let child = crel(&["y"], &[&[30]]);
+        let mut sel = inputs();
+        narrow(&mut sel, &child, |rows| rows > 5, &mut budget);
+        assert_eq!(sel[0].len(), 5);
+        let mut tight = Budget::unlimited().with_mem_limit(64);
+        narrow(&mut sel, &child, |_| true, &mut tight);
+        assert_eq!(
+            (sel[0].len(), tight.join_stats().transfer_removed()),
+            (5, 0)
+        );
+        assert_eq!(tight.mem_used(), 0);
     }
 
     #[test]

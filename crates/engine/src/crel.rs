@@ -201,6 +201,20 @@ impl Selection<'_> {
         self.len == 0
     }
 
+    /// Narrows the selection to its rows at positions `kept` (ascending,
+    /// counted among the rows kept so far) and returns how many it drops.
+    pub(crate) fn retain(&mut self, kept: Vec<u32>) -> usize {
+        let removed = self.len - kept.len();
+        if removed > 0 {
+            self.rows = Some(match self.rows.take() {
+                None => kept,
+                Some(rows) => kept.iter().map(|&k| rows[k as usize]).collect(),
+            });
+            self.len -= removed;
+        }
+        removed
+    }
+
     /// Variable `j` over the kept rows (see [`read_source`]).
     pub(crate) fn column(&self, j: usize) -> Cow<'_, Arc<Column>> {
         read_source(self.sources[j].as_deref(), self.rows.as_deref(), self.len)

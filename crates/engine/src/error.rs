@@ -268,9 +268,21 @@ impl SpillStats {
 pub struct JoinStats {
     hash_builds: AtomicU64,
     index_seeks: AtomicU64,
+    transfer_removed: AtomicU64,
 }
 
 impl JoinStats {
+    /// Records `n` atom rows the semijoin transfer of `P′` removed
+    /// ([`crate::cops::narrow`]).
+    pub fn add_transfer_removed(&self, n: u64) {
+        self.transfer_removed.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Atom rows the semijoin transfer of `P′` removed so far.
+    pub fn transfer_removed(&self) -> u64 {
+        self.transfer_removed.load(Ordering::Relaxed)
+    }
+
     /// Records one hash-build join (a ChainTable build by a row or columnar kernel).
     pub fn add_hash_build(&self) {
         self.hash_builds.fetch_add(1, Ordering::Relaxed);

@@ -44,6 +44,7 @@ pub mod exec;
 pub mod expr;
 pub mod factorized;
 pub mod failpoint;
+mod fsum;
 pub mod hash;
 pub mod index;
 pub mod iseek;

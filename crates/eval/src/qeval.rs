@@ -2,11 +2,15 @@
 //! conjunctive query along a good q-hypertree decomposition with a *single*
 //! bottom-up pass.
 //!
-//! - `P′` — for each vertex `p`, join the relations of the atoms enforced
-//!   or bounded at `p` (`assigned(p) ∪ λ(p)`) and project onto `χ(p)`
-//!   (restricted to the variables those atoms actually carry — after
-//!   `Optimize` some χ variables are only supplied by children, feature
-//!   (b) of Definition 2);
+//! - `P′` — for each vertex `p`, children before parents, join the
+//!   relations of the atoms enforced or bounded at `p`
+//!   (`assigned(p) ∪ λ(p)`) and project onto `χ(p)` (restricted to the
+//!   variables those atoms actually carry — after `Optimize` some χ
+//!   variables are only supplied by children, feature (b) of
+//!   Definition 2). Before the join, each atom is semijoin-filtered by the
+//!   finished `P′` relation of each child that is decisively smaller
+//!   ([`cops::narrow`], the bottom-up half of the Yannakakis program);
+//!   this removes only rows no answer extends, so `P″` is unchanged;
 //! - `P″` — bottom-up, join each vertex's relation with its children's
 //!   results and project onto `χ(p)`, visiting *support children first*
 //!   (the ordering caveat at the end of Section 4.1);
@@ -23,7 +27,7 @@
 //! [`cops::join_vertex`] carries one position list per joined atom,
 //! gathering each column that survives into χ(p) once.
 
-use htqo_core::hypertree::NodeId;
+use htqo_core::hypertree::{Node, NodeId};
 use htqo_core::QhdPlan;
 use htqo_cq::{AtomId, ConjunctiveQuery};
 use htqo_engine::cops;
@@ -85,24 +89,34 @@ pub(crate) fn vertex_relations(
             .collect();
     }
 
-    // P′: per-vertex joins, in preorder.
+    // P′: per-vertex joins, children before parents, so that each vertex
+    // can be narrowed by its children's finished relations.
     let mut rels: Vec<Option<CRel>> = (0..tree.len()).map(|_| None).collect();
-    for p in tree.preorder() {
-        rels[p.index()] = Some(vertex_join(
-            db,
-            q,
-            tree,
-            p,
-            &chi_names[p.index()],
-            budget,
-            opts.index_join,
-        )?);
+    for p in tree.postorder() {
+        let children: Vec<&CRel> = (tree.node(p).children.iter())
+            .map(|c| rels[c.index()].as_ref().expect("postorder"))
+            .collect();
+        let (node, chi) = (tree.node(p), &chi_names[p.index()]);
+        let joined = vertex_join(db, q, node, chi, &children, budget, opts.index_join)?;
+        rels[p.index()] = Some(joined);
     }
     let rels = rels
         .into_iter()
-        .map(|r| r.expect("preorder visits every vertex"))
+        .map(|r| r.expect("postorder visits every vertex"))
         .collect();
     Ok((chi_names, rels))
+}
+
+/// How many times smaller than another input a relation must be before it
+/// steers how that input is read: an accumulator is seeked into an index
+/// ([`seek_vertex_join`]) and a child's `P′` relation filters an atom of
+/// its parent ([`cops::narrow`]) only past this margin. Below it, the
+/// probes or the filter cost about what they save.
+const MARGIN: usize = 4;
+
+/// True if `small` is at least [`MARGIN`] times smaller than `big`.
+fn decisively_smaller(small: usize, big: usize) -> bool {
+    small.saturating_mul(MARGIN) <= big
 }
 
 /// The pipeline behind [`evaluate_qhd_with`], answer still columnar.
@@ -130,23 +144,24 @@ pub(crate) fn evaluate_qhd_c(
     Ok(result)
 }
 
-/// `P′` for one vertex: select `assigned(p) ∪ λ(p)`, join them, project
-/// onto χ(p) (restricted to available variables). With `index_join` set
-/// and a catalog carrying secondary indexes, multi-atom vertices may run
-/// as index-nested-loop seeks instead ([`seek_vertex_join`]); the result
-/// bag is identical either way.
+/// `P′` for one vertex: select `assigned(p) ∪ λ(p)`, narrow each selection
+/// by the finished relations of `children` that are decisively smaller
+/// than it ([`cops::narrow`]), join them, project onto χ(p) (restricted to
+/// available variables). With `index_join` set and a catalog carrying
+/// secondary indexes, multi-atom vertices may run as index-nested-loop
+/// seeks instead ([`seek_vertex_join`], which narrows nothing); the answer
+/// is the same set either way.
 fn vertex_join(
     db: &Database,
     q: &ConjunctiveQuery,
-    tree: &htqo_core::Hypertree,
-    p: NodeId,
+    n: &Node,
     chi: &[String],
+    children: &[&CRel],
     budget: &mut Budget,
     index_join: bool,
 ) -> Result<CRel, EvalError> {
     budget.check_time()?;
     htqo_engine::fail_point!("qeval::vertex");
-    let n = tree.node(p);
     let atoms = n.assigned.union(&n.lambda);
     let atom_ids: Vec<AtomId> = atoms.iter().map(|e| AtomId(e.0)).collect();
     if index_join && db.has_indexes() && atom_ids.len() > 1 {
@@ -157,6 +172,10 @@ fn vertex_join(
     let mut selected = Vec::with_capacity(atom_ids.len());
     for &a in &atom_ids {
         selected.push(select_query_atom(db, q, a, budget)?);
+    }
+    for child in children {
+        let worth = |rows| decisively_smaller(child.len(), rows);
+        cops::narrow(&mut selected, child, worth, budget);
     }
     cops::join_vertex(selected, chi, budget)
 }
@@ -230,7 +249,7 @@ fn seek_vertex_join(
         // A seek pays one probe per accumulator row; a hash join pays the
         // full scan + build. Prefer the seek only when the accumulator is
         // decisively smaller than the base table.
-        let seek_profitable = acc.len().saturating_mul(4) <= base_len;
+        let seek_profitable = decisively_smaller(acc.len(), base_len);
         let seeked = if seek_profitable {
             iseek::index_seek_join(db, q, a, &acc, budget)?
         } else {

@@ -3,13 +3,13 @@
 //! shares no hash kernel with the engine's, and every decomposition
 //! produced by the pipeline must satisfy Definition 2.
 
+mod support;
+
 use htqo::prelude::*;
 use htqo_cq::CqBuilder;
-use htqo_engine::scan::scan_query_atom_c;
 use htqo_engine::schema::{ColumnType, Schema};
-use htqo_engine::vrel::nested_loop_join;
-use htqo_engine::Row;
 use proptest::prelude::*;
+use support::{is_reference, reference};
 
 /// A random "query shape": `n` binary atoms, each picking two variables
 /// out of a pool of `n + 1`, plus a random subset of output variables.
@@ -92,34 +92,6 @@ fn build(shape: &Shape) -> (Database, ConjunctiveQuery) {
         q = q.out_var(&name);
     }
     (db, q.build())
-}
-
-/// The oracle: every atom scanned, the scans folded in body order with
-/// the nested-loop join, the result projected onto `out(Q)`, sorted and
-/// deduplicated.
-fn reference(db: &Database, q: &ConjunctiveQuery) -> VRelation {
-    let mut budget = Budget::unlimited();
-    let mut joined = VRelation::neutral();
-    for a in q.atom_ids() {
-        let scanned = scan_query_atom_c(db, q, a, &mut budget).unwrap().to_vrel();
-        joined = nested_loop_join(&joined, &scanned, &mut budget).unwrap();
-    }
-    let out = q.out_vars();
-    let idx: Vec<usize> = (out.iter())
-        .map(|v| joined.col_index(v).expect("output variable"))
-        .collect();
-    let mut rows: Vec<Row> = (joined.rows().iter())
-        .map(|r| idx.iter().map(|&i| r[i].clone()).collect())
-        .collect();
-    rows.sort();
-    rows.dedup();
-    VRelation::from_rows(out, rows)
-}
-
-/// `answer` is the reference: the same columns, and the same rows, each
-/// once.
-fn is_reference(answer: &VRelation, reference: &VRelation) -> bool {
-    answer.cols() == reference.cols() && answer.sorted_rows() == reference.rows()
 }
 
 proptest! {
