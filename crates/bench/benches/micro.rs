@@ -7,7 +7,8 @@
 //! (whole TPC-H, and one 100k-row
 //! column of each kind), base-table scans (shared columns, typed
 //! predicate kernels), the paged store's commit, reload and recovery
-//! paths, the query service's per-statement fixed cost (prepared, ad hoc
+//! paths, a paged index probe against a hash-joined row (the two sides
+//! of the vertex join's seek margin), the query service's per-statement fixed cost (prepared, ad hoc
 //! on a known text, ad hoc on a never-seen text of a known shape), hash
 //! join throughput, the columnar join per probe row under each key
 //! plan (direct table, range bitmaps, hashed), the `P′` vertex join of two
@@ -443,7 +444,9 @@ fn bench_vertex_join(c: &mut Criterion) {
             b.iter(|| {
                 let mut budget = Budget::unlimited();
                 let selected = (0..q.atoms.len())
-                    .map(|a| select_query_atom(&db, &q, htqo_cq::AtomId(a as u32), &mut budget))
+                    .map(|a| {
+                        select_query_atom(&db, &q, htqo_cq::AtomId(a as u32), false, &mut budget)
+                    })
                     .collect::<Result<Vec<_>, _>>()
                     .unwrap();
                 htqo_engine::cops::join_vertex(selected, &chi, &mut budget).unwrap()
@@ -684,6 +687,100 @@ fn bench_storage(c: &mut Criterion) {
         std::fs::remove_dir_all(&dir).ok();
     }
     group.finish();
+}
+
+fn bench_seek_join(c: &mut Criterion) {
+    // The two sides of `SEEK_MARGIN`: one `PagedIndex::seek` through
+    // lineitem's pool at the `paged_rw` size (24 pages per table), against
+    // the hash path of `join_vertex` per lineitem row — a one-part
+    // accumulator joined to all of lineitem (TPC-H SF 0.01) on
+    // `l_partkey`, timed on prebuilt selections. The margin is the ratio.
+    use htqo_cq::{CmpOp, CqBuilder, Literal};
+    use htqo_engine::index::{key_bytes, SEEK_MARGIN};
+    use htqo_engine::scan::select_query_atom;
+    use htqo_engine::{Database, JoinIndex, Value};
+    use htqo_storage::{StorageDb, WalPolicy, PAGE_SIZE};
+    use std::sync::Arc;
+    let dir = std::env::temp_dir().join(format!("htqo-micro-{}-seek", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let tpch = generate(&DbgenOptions {
+        scale: 0.01,
+        seed: 1,
+    });
+    let storage = StorageDb::open_with(&dir, WalPolicy::Commit, u64::MAX).unwrap();
+    let lineitem = tpch.table("lineitem").unwrap();
+    storage
+        .ingest("lineitem", lineitem, &["l_partkey"])
+        .unwrap();
+    let (rel, indexes) = storage
+        .load_table("lineitem", 24 * PAGE_SIZE as u64, None)
+        .unwrap();
+    let mut db = Database::new();
+    db.insert_table("lineitem", rel);
+    db.insert_table("part", tpch.table("part").unwrap().clone());
+    let index = Arc::clone(&indexes[0].1);
+    db.register_index("lineitem", "l_partkey", index.clone());
+    let parts = tpch.table("part").unwrap().len() as i64;
+    let rows = lineitem.len() as f64;
+
+    let mut group = c.benchmark_group("seek_join");
+    let mut key = 0i64;
+    let mut probes = (std::time::Duration::ZERO, 0u32);
+    group.bench_function("paged_probe", |b| {
+        b.iter(|| {
+            key = (key + 7919) % parts + 1;
+            let t = std::time::Instant::now();
+            let hits = index.seek(&key_bytes(&Value::Int(key))).unwrap();
+            probes.0 += t.elapsed();
+            probes.1 += 1;
+            hits
+        })
+    });
+    let q = CqBuilder::new()
+        .atom("part", "part", &[("p_partkey", "P"), ("p_name", "N")])
+        .atom(
+            "lineitem",
+            "lineitem",
+            &[("l_partkey", "P"), ("l_quantity", "Q")],
+        )
+        .filter(0, "p_partkey", CmpOp::Eq, Literal::Int(parts / 2))
+        .out_var("Q")
+        .build();
+    let chi: Vec<String> = ["P", "N", "Q"].map(String::from).to_vec();
+    let select = |seek: bool| {
+        let mut budget = Budget::unlimited();
+        (q.atom_ids())
+            .map(|a| select_query_atom(&db, &q, a, seek, &mut budget).unwrap())
+            .collect::<Vec<_>>()
+    };
+    let mut hashed = (std::time::Duration::ZERO, 0u32);
+    for (name, seek) in [("hash_vertex", false), ("seek_vertex", true)] {
+        let selected = select(seek);
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut budget = Budget::unlimited();
+                let t = std::time::Instant::now();
+                let out =
+                    htqo_engine::cops::join_vertex(selected.clone(), &chi, &mut budget).unwrap();
+                if !seek {
+                    hashed.0 += t.elapsed();
+                    hashed.1 += 1;
+                }
+                assert_eq!(budget.join_stats().index_seeks(), u64::from(seek));
+                out
+            })
+        });
+    }
+    group.finish();
+    let probe_ns = probes.0.as_secs_f64() * 1e9 / f64::from(probes.1.max(1));
+    let row_ns = hashed.0.as_secs_f64() * 1e9 / f64::from(hashed.1.max(1)) / rows;
+    println!(
+        "seek_join: {probe_ns:.0} ns per paged probe, {row_ns:.2} ns per hash-joined row \
+         ({rows} lineitem rows): ratio {:.0} (SEEK_MARGIN = {SEEK_MARGIN})",
+        probe_ns / row_ns
+    );
+    drop((db, index, indexes, storage));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 fn bench_service(c: &mut Criterion) {
@@ -1099,6 +1196,7 @@ criterion_group!(
     bench_scans,
     bench_vertex_join,
     bench_storage,
+    bench_seek_join,
     bench_service,
     bench_hash_join,
     bench_join_keys,

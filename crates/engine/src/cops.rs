@@ -43,12 +43,16 @@ use crate::column::{finish_hash, Column};
 use crate::crel::{read_source, CRel, Selection};
 use crate::dict::{self, DictReader};
 use crate::error::{Budget, EvalError};
+use crate::hash::FxHashMap;
+use crate::index::{encode_cell, JoinIndex, SEEK_MARGIN};
 use crate::keyplan::{blocks, Bitmap, KeyPlan, BLOCK, MISS};
 use crate::spill::{
     self, join_build_bytes, join_build_reservation, Concat, SpillDir, SpillFile, SpillReader,
     MAX_SPILL_LEVEL,
 };
+use crate::value::Value;
 use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Matching `(build, probe)` row index lists produced by a join kernel.
@@ -293,6 +297,13 @@ const POS_BYTES: u64 = 4;
 /// grace spill route of [`natural_join`]; its output is the accumulator
 /// from then on.
 ///
+/// An input that carries an index on a variable the accumulator holds
+/// (`select_atom` with `seek`) is joined by index seek instead when the
+/// accumulator is at least [`SEEK_MARGIN`] times smaller than it: one
+/// probe per distinct accumulator key, and the input's scan charge is
+/// never paid — only its matched pairs are. The answer is the same set;
+/// its rows come out accumulator-major.
+///
 /// Greedy order: the smallest input first, then repeatedly the smallest
 /// input sharing a variable with those joined (the first of equals after
 /// `swap_remove`), a cross product only when none does — the "choice of
@@ -310,7 +321,9 @@ pub fn join_vertex(
         budget.charge_bytes(POS_BYTES * s.rows.as_ref().map_or(0, Vec::len) as u64)?;
     }
     let width = inputs.iter().map(|s| s.vars.len()).sum();
-    let mut acc = Positions::start(inputs.swap_remove(first), width);
+    let mut first = inputs.swap_remove(first);
+    first.pay(budget)?;
+    let mut acc = Positions::start(first, width);
     while !inputs.is_empty() {
         let connected = (inputs.iter().enumerate())
             .filter(|(_, s)| s.vars.iter().any(|v| acc.var(v).is_some()));
@@ -387,11 +400,15 @@ impl<'a> Positions<'a> {
         (CRel::new(names, columns, self.len), fresh_bytes)
     }
 
-    /// Joins `next` in: what `natural_join(acc, next)` does, on the key
-    /// columns alone.
-    fn join(&mut self, next: Selection<'a>, budget: &mut Budget) -> Result<(), EvalError> {
+    /// Joins `next` in: by index seek where that pays ([`join_vertex`]),
+    /// else what `natural_join(acc, next)` does, on the key columns alone.
+    fn join(&mut self, mut next: Selection<'a>, budget: &mut Budget) -> Result<(), EvalError> {
+        if let Some(seek) = self.seek_key(&next) {
+            return self.seek(next, seek, budget);
+        }
         crate::fail_point!("cops::join");
         budget.join_stats().add_hash_build();
+        next.pay(budget)?;
         let acc_builds = self.len <= next.len;
         // `(accumulator variable, next variable)` per key column, in the
         // build side's column order.
@@ -400,9 +417,7 @@ impl<'a> Positions<'a> {
                 .filter_map(|k| Some((k, next.vars.iter().position(|v| *v == self.vars[k])?)))
                 .collect()
         } else {
-            (0..next.vars.len())
-                .filter_map(|j| Some((self.var(&next.vars[j])?, j)))
-                .collect()
+            self.shared(&next)
         };
         let key_idx: Vec<usize> = (0..keys.len()).collect();
         let (build_n, probe_n) = if acc_builds {
@@ -438,24 +453,117 @@ impl<'a> Positions<'a> {
         } else {
             (probe_idx, build_idx)
         };
-
-        for (_, rows) in &mut self.inputs {
-            *rows = Some(match rows.take() {
-                None => acc_idx.clone(),
-                Some(rows) => acc_idx.iter().map(|&k| rows[k as usize]).collect(),
-            });
-        }
-        let next_rows = match next.rows {
+        let next_rows = match &next.rows {
             None => next_idx,
             Some(rows) => next_idx.iter().map(|&k| rows[k as usize]).collect(),
         };
+        // A key column holds the build side's cells, as in `natural_join`:
+        // equal keys may still differ in bits (`0.0` and `-0.0`, NaN
+        // payloads).
+        self.append(next, &acc_idx, next_rows, !acc_builds, budget)
+    }
+
+    /// `(accumulator variable, next variable)` per variable they share, in
+    /// `next`'s order.
+    fn shared(&self, next: &Selection) -> Vec<(usize, usize)> {
+        (0..next.vars.len())
+            .filter_map(|j| Some((self.var(&next.vars[j])?, j)))
+            .collect()
+    }
+
+    /// The index to seek `next` with: the first of its indexed variables
+    /// the accumulator holds, when the accumulator is at least
+    /// [`SEEK_MARGIN`] times smaller than `next`'s selection.
+    fn seek_key(&self, next: &Selection) -> Option<(usize, Arc<dyn JoinIndex>)> {
+        if self.len.saturating_mul(SEEK_MARGIN) > next.len {
+            return None;
+        }
+        (next.indexes.iter())
+            .find(|(j, _)| self.var(&next.vars[*j]).is_some())
+            .map(|(j, index)| (*j, Arc::clone(index)))
+    }
+
+    /// Joins `next` in by probing `index`, which covers `next`'s variable
+    /// `j`: one probe per distinct accumulator key. A fetched row is kept
+    /// only if `next` selects it and it equals the accumulator row on every
+    /// shared variable (typed compare, NULL matching NULL as in the hash
+    /// join), so the index need only return a superset of the matches.
+    /// Charges each pair like the hash join and nothing for `next`'s scan;
+    /// key columns keep the accumulator's cells. Pairs come out
+    /// accumulator-major, ascending row id within an accumulator row.
+    fn seek(
+        &mut self,
+        next: Selection<'a>,
+        (j, index): (usize, Arc<dyn JoinIndex>),
+        budget: &mut Budget,
+    ) -> Result<(), EvalError> {
+        crate::fail_point!("cops::seek");
+        budget.join_stats().add_index_seek();
+        let keys = self.shared(&next);
+        let (acc_keys, _) = self.gather(&keys.iter().map(|&(k, _)| k).collect::<Vec<_>>());
+        let probe_col = acc_keys.column(keys.iter().position(|&(_, n)| n == j).expect("shared"));
+        let reader = dict::reader();
+        let agrees = |i: usize, r: u32| {
+            keys.iter().enumerate().all(|(c, &(_, n))| {
+                let acc = acc_keys.column(c);
+                match next.sources[n].as_deref() {
+                    Some(col) => acc.eq_at(i, col, r as usize, &reader),
+                    None => acc.eq_value(i, &Value::Int(i64::from(r)), &reader),
+                }
+            })
+        };
+        // Per distinct key, its kept rows as a range of `fetched`.
+        let mut probed: FxHashMap<Vec<u8>, Range<usize>> = FxHashMap::default();
+        let mut fetched: Vec<u32> = Vec::new();
+        let mut key = Vec::new();
+        let mut sink = PairSink::default();
+        for rows in blocks(0..self.len) {
+            for i in rows {
+                key.clear();
+                encode_cell(probe_col, i, &reader, &mut key);
+                let hits = match probed.get(&key) {
+                    Some(hits) => hits.clone(),
+                    None => {
+                        let lo = fetched.len();
+                        fetched.extend(index.seek(&key)?.into_iter().filter(|&r| next.keeps(r)));
+                        probed.insert(key.clone(), lo..fetched.len());
+                        lo..fetched.len()
+                    }
+                };
+                for &r in &fetched[hits] {
+                    if agrees(i, r) {
+                        sink.push(i as u32, r, budget)?;
+                    }
+                }
+            }
+            sink.end_block(budget)?;
+        }
+        drop(reader);
+        let (acc_idx, next_rows) = sink.finish();
+        self.append(next, &acc_idx, next_rows, false, budget)
+    }
+
+    /// Makes row `i` of the accumulator its old row `acc_idx[i]` joined with
+    /// row `next_rows[i]` of `next`'s sources. A variable both hold reads
+    /// `next`'s cell where `next_keys`, else the accumulator's.
+    fn append(
+        &mut self,
+        next: Selection<'a>,
+        acc_idx: &[u32],
+        next_rows: Vec<u32>,
+        next_keys: bool,
+        budget: &mut Budget,
+    ) -> Result<(), EvalError> {
+        for (_, rows) in &mut self.inputs {
+            *rows = Some(match rows.take() {
+                None => acc_idx.to_vec(),
+                Some(rows) => acc_idx.iter().map(|&k| rows[k as usize]).collect(),
+            });
+        }
         let input = self.inputs.len();
         for (j, v) in next.vars.into_iter().enumerate() {
             match self.var(&v) {
-                // A key column holds the build side's cells, as in
-                // `natural_join`: equal keys may still differ in bits
-                // (`0.0` and `-0.0`, NaN payloads).
-                Some(k) if !acc_builds => self.at[k] = (input, j),
+                Some(k) if next_keys => self.at[k] = (input, j),
                 Some(_) => {}
                 None => {
                     self.vars.push(v);
@@ -1130,6 +1238,74 @@ mod tests {
             (5, 0)
         );
         assert_eq!(tight.mem_used(), 0);
+    }
+
+    /// An input whose index covers a shared variable is sought once the
+    /// accumulator is `SEEK_MARGIN` times smaller: the hash join's rows,
+    /// one probe per distinct key, and no scan charge for the input.
+    #[test]
+    fn join_vertex_seeks_past_the_margin_once_per_key() {
+        use crate::index::MemIndex;
+        use crate::relation::Relation;
+        use crate::scan::select_query_atom;
+        use crate::schema::{ColumnType, Database, Schema};
+        use htqo_cq::CqBuilder;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        #[derive(Debug)]
+        struct Counted(MemIndex, AtomicUsize);
+        impl JoinIndex for Counted {
+            fn seek(&self, key: &[u8]) -> Result<Vec<u32>, EvalError> {
+                self.1.fetch_add(1, Ordering::Relaxed);
+                self.0.seek(key)
+            }
+            fn distinct_keys(&self) -> usize {
+                self.0.distinct_keys()
+            }
+            fn entries(&self) -> usize {
+                self.0.entries()
+            }
+        }
+        let table = |rows: usize, key: fn(usize) -> i64| {
+            let schema = Schema::new(&[("k", ColumnType::Int), ("p", ColumnType::Int)]);
+            let mut rel = Relation::new(schema);
+            for i in 0..rows {
+                rel.push_row(vec![Value::Int(key(i)), Value::Int(i as i64)])
+                    .unwrap();
+            }
+            rel
+        };
+        let fact_rows = 2 * SEEK_MARGIN;
+        let mut db = Database::new();
+        db.insert_table("probe", table(2, |_| 3));
+        db.insert_table("fact", table(fact_rows, |i| (i % 7) as i64));
+        let index = Arc::new(Counted(
+            MemIndex::build(db.table("fact").unwrap(), 0),
+            AtomicUsize::new(0),
+        ));
+        db.register_index("fact", "k", index.clone());
+        let q = CqBuilder::new()
+            .atom("probe", "probe", &[("k", "K"), ("p", "T")])
+            .atom("fact", "fact", &[("k", "K"), ("p", "P")])
+            .build();
+        let chi: Vec<String> = ["K", "T", "P"].map(String::from).to_vec();
+        let run = |seek: bool| {
+            let mut b = Budget::unlimited();
+            let selected = (q.atom_ids())
+                .map(|a| select_query_atom(&db, &q, a, seek, &mut b).unwrap())
+                .collect();
+            let out = join_vertex(selected, &chi, &mut b).unwrap();
+            (out.to_vrel(), b.charged(), b.join_stats().index_seeks())
+        };
+        let (hashed, hash_charged, no_seeks) = run(false);
+        let (sought, charged, seeks) = run(true);
+        assert_eq!((no_seeks, seeks), (0, 1));
+        assert_eq!(sought.sorted_rows(), hashed.sorted_rows());
+        assert_eq!(index.1.load(Ordering::Relaxed), 1, "one probe per key");
+        let pairs = sought.len() as u64;
+        assert_eq!(pairs, 2 * (0..fact_rows).filter(|i| i % 7 == 3).count() as u64);
+        assert_eq!(charged, 2 + pairs);
+        assert_eq!(hash_charged, 2 + fact_rows as u64 + pairs);
     }
 
     #[test]

@@ -23,6 +23,8 @@
 
 use crate::column::Column;
 use crate::dict;
+use crate::error::{Budget, EvalError};
+use crate::index::JoinIndex;
 use crate::schema::ColumnType;
 use crate::value::{Row, Value};
 use crate::vrel::VRelation;
@@ -182,12 +184,21 @@ impl CRel {
 /// columns. `rows` lists the kept rows, ascending; `None` keeps every row.
 /// A selection borrows the columns of the relation it was selected from
 /// (no reference count moves until a column is shared into an output).
+///
+/// A selection the vertex join may seek ([`crate::scan::select_atom`]
+/// with `seek` set) lists, in `indexes`, each variable whose column
+/// carries a registered index, and leaves its scan charge `unpaid`: the
+/// join pays it only if it reads the selection whole (DESIGN.md §3.13).
 #[derive(Clone, Debug)]
 pub struct Selection<'a> {
     pub(crate) vars: Vec<String>,
     pub(crate) sources: Vec<Option<Cow<'a, Arc<Column>>>>,
     pub(crate) rows: Option<Vec<u32>>,
     pub(crate) len: usize,
+    /// `(variable, index over its column)`, ascending by variable.
+    pub(crate) indexes: Vec<(usize, Arc<dyn JoinIndex>)>,
+    /// Scan tuples not charged yet.
+    pub(crate) unpaid: u64,
 }
 
 impl Selection<'_> {
@@ -199,6 +210,22 @@ impl Selection<'_> {
     /// True if no row is kept.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Charges the scan tuples the selection left unpaid.
+    pub(crate) fn pay(&mut self, budget: &mut Budget) -> Result<(), EvalError> {
+        if self.unpaid == 0 {
+            return Ok(());
+        }
+        budget.charge(std::mem::take(&mut self.unpaid))
+    }
+
+    /// True if row `r` of the sources is among the kept rows.
+    pub(crate) fn keeps(&self, r: u32) -> bool {
+        match &self.rows {
+            None => (r as usize) < self.len,
+            Some(rows) => rows.binary_search(&r).is_ok(),
+        }
     }
 
     /// Narrows the selection to its rows at positions `kept` (ascending,
@@ -246,6 +273,8 @@ impl From<CRel> for Selection<'static> {
             sources: columns.into_iter().map(|c| Some(Cow::Owned(c))).collect(),
             rows: None,
             len,
+            indexes: Vec::new(),
+            unpaid: 0,
         }
     }
 }

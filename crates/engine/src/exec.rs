@@ -98,8 +98,9 @@ pub struct ExecOptions {
     pub factorized: bool,
     /// Let vertex joins pick index-nested-loop seeks over registered
     /// secondary indexes instead of hash builds where the accumulator is
-    /// small relative to the indexed table. A no-op on catalogs without
-    /// indexes. On by default.
+    /// [`crate::index::SEEK_MARGIN`] times smaller than the indexed
+    /// atom's selection. A no-op on catalogs without indexes. On by
+    /// default.
     pub index_join: bool,
 }
 

@@ -53,10 +53,10 @@ pub const SITES: &[&str] = &[
     "bushy::node",
     "cops::join",
     "cops::project",
+    "cops::seek",
     "cops::semijoin",
     "factorized::build",
     "factorized::enumerate",
-    "iseek::join",
     "qeval::bottom_up",
     "qeval::vertex",
     "scan::atom",

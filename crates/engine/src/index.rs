@@ -13,15 +13,29 @@
 //! Implementations live on both sides of the storage boundary:
 //! [`MemIndex`] here (hash-build-once, used by tests and as the oracle),
 //! and the paged B-tree in `htqo-storage` that seeks through the buffer
-//! pool. The seek-join kernels ([`crate::iseek`]) only see the
+//! pool. The vertex join ([`crate::cops::join_vertex`]) only sees the
 //! [`JoinIndex`] trait, so both back ends produce bit-identical joins.
 
-use crate::dict;
+use crate::column::{Column, ColumnData};
+use crate::dict::{self, DictReader};
 use crate::error::EvalError;
 use crate::relation::Relation;
 use crate::value::{norm_f64, Value};
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// How many times smaller than an indexed input the accumulator of a
+/// vertex join must be before the join seeks the index instead of
+/// hash-joining the input ([`crate::cops::join_vertex`]), and the margin
+/// `StatsDecompCost` prices seeks with. A seek pays one index probe per
+/// distinct accumulator key; a hash join pays about one hashed row per
+/// input row. The constant is the ratio of the two, measured by `cargo
+/// bench -p htqo-bench --bench micro -- seek_join` (EXPERIMENTS.md): a
+/// `PagedIndex` probe through a 24-page pool takes ≈ 5.1–6.4 µs (mean,
+/// TPC-H SF 0.01 `l_partkey`), a lineitem row through the hash path of
+/// `join_vertex` ≈ 3.0 ns — a ratio of 1,600–2,000, of which this is the
+/// low end.
+pub const SEEK_MARGIN: usize = 1600;
 
 /// Type tag leading every encoded key (distinct types never compare equal).
 const TAG_NULL: u8 = 0;
@@ -38,28 +52,51 @@ const TAG_DATE: u8 = 4;
 pub fn encode_key(v: &Value, out: &mut Vec<u8>) {
     match v {
         Value::Null => out.push(TAG_NULL),
-        Value::Int(i) => {
-            out.push(TAG_INT);
-            // Flip the sign bit so the unsigned byte order matches i64 order.
-            out.extend_from_slice(&((*i as u64) ^ (1 << 63)).to_be_bytes());
-        }
-        Value::Float(x) => {
-            out.push(TAG_FLOAT);
-            // Normalize (all NaNs coincide, -0.0 == 0.0), then apply the
-            // standard order-preserving IEEE-754 transform.
-            let b = norm_f64(*x).to_bits();
-            let ordered = if b >> 63 == 1 { !b } else { b | (1 << 63) };
-            out.extend_from_slice(&ordered.to_be_bytes());
-        }
-        Value::Str(s) => {
-            out.push(TAG_STR);
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Date(d) => {
-            out.push(TAG_DATE);
-            out.extend_from_slice(&((*d as u32) ^ (1 << 31)).to_be_bytes());
-        }
+        Value::Int(i) => encode_int(*i, out),
+        Value::Float(x) => encode_float(*x, out),
+        Value::Str(s) => encode_str(s, out),
+        Value::Date(d) => encode_date(*d, out),
     }
+}
+
+/// [`encode_key`] of cell `i` of `col`, read from the typed slice (string
+/// codes resolved through `reader`).
+pub(crate) fn encode_cell(col: &Column, i: usize, reader: &DictReader, out: &mut Vec<u8>) {
+    if col.is_null(i) {
+        return out.push(TAG_NULL);
+    }
+    match col.data() {
+        ColumnData::Int(a) => encode_int(a[i], out),
+        ColumnData::Float(a) => encode_float(a[i], out),
+        ColumnData::Date(a) => encode_date(a[i], out),
+        ColumnData::Str(a) => encode_str(reader.str_of(a[i]), out),
+        ColumnData::Mixed(a) => encode_key(&a[i], out),
+    }
+}
+
+fn encode_int(i: i64, out: &mut Vec<u8>) {
+    out.push(TAG_INT);
+    // Flip the sign bit so the unsigned byte order matches i64 order.
+    out.extend_from_slice(&((i as u64) ^ (1 << 63)).to_be_bytes());
+}
+
+fn encode_float(x: f64, out: &mut Vec<u8>) {
+    out.push(TAG_FLOAT);
+    // Normalize (all NaNs coincide, -0.0 == 0.0), then apply the
+    // standard order-preserving IEEE-754 transform.
+    let b = norm_f64(x).to_bits();
+    let ordered = if b >> 63 == 1 { !b } else { b | (1 << 63) };
+    out.extend_from_slice(&ordered.to_be_bytes());
+}
+
+fn encode_str(s: &str, out: &mut Vec<u8>) {
+    out.push(TAG_STR);
+    out.extend_from_slice(s.as_bytes());
+}
+
+fn encode_date(d: i32, out: &mut Vec<u8>) {
+    out.push(TAG_DATE);
+    out.extend_from_slice(&((d as u32) ^ (1 << 31)).to_be_bytes());
 }
 
 /// The encoding of `v` as an owned buffer (see [`encode_key`]).
@@ -171,6 +208,33 @@ mod tests {
         for (a, b, eq) in pairs {
             assert_eq!(key_bytes(&a) == key_bytes(&b), eq, "{a:?} vs {b:?}");
             assert_eq!(a == b, eq, "Value equality drifted for {a:?} vs {b:?}");
+        }
+    }
+
+    #[test]
+    fn cells_encode_like_their_values() {
+        let encoded = |col: &Column, i| {
+            let mut out = Vec::new();
+            encode_cell(col, i, &dict::reader(), &mut out);
+            out
+        };
+        for (v, ty) in [
+            (Value::Int(-7), ColumnType::Int),
+            (Value::Float(-0.0), ColumnType::Float),
+            (Value::Float(f64::NAN), ColumnType::Float),
+            (Value::str("k3"), ColumnType::Str),
+            (Value::Date(9_001), ColumnType::Date),
+        ] {
+            let mut typed = Column::new(ty);
+            let mut mixed = Column::mixed_with_capacity(2);
+            for col in [&mut typed, &mut mixed] {
+                col.push_value(&v);
+                col.push_value(&Value::Null);
+            }
+            for col in [&typed, &mixed] {
+                assert_eq!(encoded(col, 0), key_bytes(&v), "{v:?}");
+                assert_eq!(encoded(col, 1), key_bytes(&Value::Null));
+            }
         }
     }
 

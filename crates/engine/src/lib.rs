@@ -47,7 +47,6 @@ pub mod failpoint;
 mod fsum;
 pub mod hash;
 pub mod index;
-pub mod iseek;
 mod keyplan;
 pub mod relation;
 pub mod scan;

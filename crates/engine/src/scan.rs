@@ -23,9 +23,10 @@ use crate::value::Value;
 use htqo_cq::isolator::ROWID_COLUMN;
 use htqo_cq::{Atom, CmpOp, ConjunctiveQuery, Filter};
 use std::borrow::Cow;
+use std::sync::Arc;
 
 /// Where an output variable's value comes from.
-pub(crate) enum Source {
+enum Source {
     /// A column of the base relation.
     Col(usize),
     /// The hidden row identifier.
@@ -33,26 +34,22 @@ pub(crate) enum Source {
 }
 
 /// An atom resolved against its stored relation: what to filter on and
-/// where each output variable comes from (shared with the seek join).
-pub(crate) struct AtomLayout {
+/// where each output variable comes from.
+struct AtomLayout {
     /// Constant filters as `(column index, op, constant)`.
-    pub(crate) filters: Vec<(usize, CmpOp, Value)>,
+    filters: Vec<(usize, CmpOp, Value)>,
     /// Distinct output variables in first-occurrence order.
-    pub(crate) out_vars: Vec<String>,
+    out_vars: Vec<String>,
     /// Source of each output variable, parallel to `out_vars`.
-    pub(crate) sources: Vec<Source>,
+    sources: Vec<Source>,
     /// Column pairs a repeated variable (e.g. `r(X, X)`) forces equal.
-    pub(crate) equalities: Vec<(usize, usize)>,
+    equalities: Vec<(usize, usize)>,
 }
 
 impl AtomLayout {
     /// Resolves `atom` and `filters` (which must all belong to the atom)
     /// against `rel`'s schema.
-    pub(crate) fn resolve(
-        rel: &Relation,
-        atom: &Atom,
-        filters: &[&Filter],
-    ) -> Result<AtomLayout, EvalError> {
+    fn resolve(rel: &Relation, atom: &Atom, filters: &[&Filter]) -> Result<AtomLayout, EvalError> {
         let index_of = |column: &String| {
             rel.schema()
                 .index_of(column)
@@ -107,7 +104,7 @@ pub fn scan_atom_c(
     filters: &[&Filter],
     budget: &mut Budget,
 ) -> Result<CRel, EvalError> {
-    let (rel, fresh_bytes) = select_atom(db, atom, filters, budget)?.gather();
+    let (rel, fresh_bytes) = select_atom(db, atom, filters, false, budget)?.gather();
     budget.charge_bytes(fresh_bytes)?;
     Ok(rel)
 }
@@ -117,10 +114,16 @@ pub fn scan_atom_c(
 /// equalities (`__rowid` reads the row positions). Charges one tuple per
 /// surviving row and no bytes; whoever keeps the selection vector pays
 /// for it.
+///
+/// With `seek` set, the selection also carries the registered index of
+/// each variable read from an indexed column, and if there is one it
+/// leaves its tuple charge to the vertex join, which pays it unless it
+/// seeks the selection ([`crate::cops::join_vertex`]).
 pub fn select_atom<'d>(
     db: &'d Database,
     atom: &Atom,
     filters: &[&Filter],
+    seek: bool,
     budget: &mut Budget,
 ) -> Result<Selection<'d>, EvalError> {
     crate::fail_point!("scan::atom");
@@ -143,7 +146,22 @@ pub fn select_atom<'d>(
     // Ascending and duplicate-free, so full length means the identity.
     let sel = sel.filter(|s| s.len() < rel.len());
     let n = sel.as_ref().map_or(rel.len(), Vec::len);
-    budget.charge(n as u64)?;
+
+    let indexes: Vec<_> = (layout.sources.iter().enumerate())
+        .filter_map(|(j, s)| match s {
+            Source::Col(i) if seek => {
+                let column = &rel.schema().columns()[*i].name;
+                Some((j, Arc::clone(db.index_on(&atom.relation, column)?)))
+            }
+            _ => None,
+        })
+        .collect();
+    let unpaid = if indexes.is_empty() {
+        budget.charge(n as u64)?;
+        0
+    } else {
+        n as u64
+    };
 
     let sources = layout
         .sources
@@ -158,6 +176,8 @@ pub fn select_atom<'d>(
         sources,
         rows: sel,
         len: n,
+        indexes,
+        unpaid,
     })
 }
 
@@ -172,15 +192,17 @@ pub fn scan_query_atom_c(
     scan_atom_c(db, q.atom(a), &filters, budget)
 }
 
-/// Convenience: selects atom `a` of `q` with its own filters, ungathered.
+/// Convenience: selects atom `a` of `q` with its own filters, ungathered
+/// (see [`select_atom`] for `seek`).
 pub fn select_query_atom<'d>(
     db: &'d Database,
     q: &ConjunctiveQuery,
     a: htqo_cq::AtomId,
+    seek: bool,
     budget: &mut Budget,
 ) -> Result<Selection<'d>, EvalError> {
     let filters: Vec<&Filter> = q.filters_of(a).collect();
-    select_atom(db, q.atom(a), &filters, budget)
+    select_atom(db, q.atom(a), &filters, seek, budget)
 }
 
 #[cfg(test)]

@@ -128,8 +128,11 @@ impl Database {
     ///
     /// The index must map [`crate::index::encode_key`]-encoded cell values
     /// of that column to ascending rowids of the *current* stored
-    /// relation; the seek-join kernels trust it for the equality check on
-    /// the indexed column (residual predicates are still re-applied).
+    /// relation, and return at least every row that holds the key. It is
+    /// trusted as a superset filter only: the vertex join's seek keeps a
+    /// fetched row only if the atom's selection (its filters and
+    /// repeated-variable equalities) keeps it and it equals the
+    /// accumulator row on every shared variable, the indexed one included.
     pub fn register_index(&mut self, table: &str, column: &str, index: Arc<dyn JoinIndex>) {
         self.indexes
             .entry(table.to_string())
@@ -143,9 +146,7 @@ impl Database {
         self.indexes.get(table)?.get(&column.to_ascii_lowercase())
     }
 
-    /// True if any secondary index is registered. The evaluator uses this
-    /// as a cheap gate: with no indexes, vertex joins take the classic
-    /// scan-and-hash path untouched.
+    /// True if any secondary index is registered.
     pub fn has_indexes(&self) -> bool {
         !self.indexes.is_empty()
     }

@@ -301,7 +301,7 @@ impl Q8Vertex {
         (self.atoms.iter())
             .map(|(a, f)| {
                 let f: Vec<_> = f.iter().collect();
-                htqo_engine::scan::select_atom(&self.db, a, &f, &mut budget).unwrap()
+                htqo_engine::scan::select_atom(&self.db, a, &f, false, &mut budget).unwrap()
             })
             .collect()
     }

@@ -25,7 +25,10 @@
 //! at the boundary. Inside a `P′` vertex nothing is gathered until the
 //! end: the scans hand over stored columns plus selection vectors, and
 //! [`cops::join_vertex`] carries one position list per joined atom,
-//! gathering each column that survives into χ(p) once.
+//! gathering each column that survives into χ(p) once. On a catalog with
+//! secondary indexes, that join probes an atom's index instead of
+//! hash-joining it where the accumulator is small enough for the probes
+//! to pay.
 
 use htqo_core::hypertree::{Node, NodeId};
 use htqo_core::QhdPlan;
@@ -33,8 +36,7 @@ use htqo_cq::{AtomId, ConjunctiveQuery};
 use htqo_engine::cops;
 use htqo_engine::crel::CRel;
 use htqo_engine::error::{Budget, EvalError};
-use htqo_engine::iseek;
-use htqo_engine::scan::{scan_query_atom_c, select_query_atom};
+use htqo_engine::scan::select_query_atom;
 use htqo_engine::schema::Database;
 use htqo_engine::vrel::VRelation;
 
@@ -107,11 +109,9 @@ pub(crate) fn vertex_relations(
     Ok((chi_names, rels))
 }
 
-/// How many times smaller than another input a relation must be before it
-/// steers how that input is read: an accumulator is seeked into an index
-/// ([`seek_vertex_join`]) and a child's `P′` relation filters an atom of
-/// its parent ([`cops::narrow`]) only past this margin. Below it, the
-/// probes or the filter cost about what they save.
+/// How many times smaller than an atom's selection a child's `P′`
+/// relation must be before it filters that atom ([`cops::narrow`]).
+/// Below it, the filter costs about what it saves.
 const MARGIN: usize = 4;
 
 /// True if `small` is at least [`MARGIN`] times smaller than `big`.
@@ -147,10 +147,9 @@ pub(crate) fn evaluate_qhd_c(
 /// `P′` for one vertex: select `assigned(p) ∪ λ(p)`, narrow each selection
 /// by the finished relations of `children` that are decisively smaller
 /// than it ([`cops::narrow`]), join them, project onto χ(p) (restricted to
-/// available variables). With `index_join` set and a catalog carrying
-/// secondary indexes, multi-atom vertices may run as index-nested-loop
-/// seeks instead ([`seek_vertex_join`], which narrows nothing); the answer
-/// is the same set either way.
+/// available variables). With `index_join` set, an atom read from an
+/// indexed column may be joined by index seek inside the join
+/// ([`cops::join_vertex`]); the answer is the same set either way.
 fn vertex_join(
     db: &Database,
     q: &ConjunctiveQuery,
@@ -163,107 +162,15 @@ fn vertex_join(
     budget.check_time()?;
     htqo_engine::fail_point!("qeval::vertex");
     let atoms = n.assigned.union(&n.lambda);
-    let atom_ids: Vec<AtomId> = atoms.iter().map(|e| AtomId(e.0)).collect();
-    if index_join && db.has_indexes() && atom_ids.len() > 1 {
-        if let Some(joined) = seek_vertex_join(db, q, &atom_ids, budget)? {
-            return cops::project_onto_available(&joined, chi, budget);
-        }
-    }
-    let mut selected = Vec::with_capacity(atom_ids.len());
-    for &a in &atom_ids {
-        selected.push(select_query_atom(db, q, a, budget)?);
+    let mut selected = Vec::with_capacity(atoms.len());
+    for e in atoms.iter() {
+        selected.push(select_query_atom(db, q, AtomId(e.0), index_join, budget)?);
     }
     for child in children {
         let worth = |rows| decisively_smaller(child.len(), rows);
         cops::narrow(&mut selected, child, worth, budget);
     }
     cops::join_vertex(selected, chi, budget)
-}
-
-/// Index-aware variant of the per-vertex join: starts from the atom with
-/// the smallest base table and folds the remaining atoms in, preferring
-/// connected atoms with small base tables ([`cops::join_vertex`]'s
-/// heuristic lifted to base cardinalities, which are known *before*
-/// scanning). An atom is joined by index seek when the accumulator is
-/// small relative to its base table and a registered index covers a
-/// shared variable; otherwise it is scanned and hash-joined as usual.
-///
-/// Returns `Ok(None)` when no atom of the vertex is seek-eligible — the
-/// caller then takes the classic scan-everything path, so catalogs
-/// without (relevant) indexes see bit-identical behavior and charges.
-/// All decisions depend only on base-table sizes and accumulator row
-/// counts, preserving determinism.
-fn seek_vertex_join(
-    db: &Database,
-    q: &ConjunctiveQuery,
-    atom_ids: &[AtomId],
-    budget: &mut Budget,
-) -> Result<Option<CRel>, EvalError> {
-    let vars_of =
-        |a: AtomId| -> Vec<String> { q.atom(a).args.iter().map(|(_, v)| v.clone()).collect() };
-    // Cheap gate: some atom must be seekable from the other atoms' vars.
-    let eligible = atom_ids.iter().any(|&a| {
-        let others: Vec<String> = atom_ids
-            .iter()
-            .filter(|&&o| o != a)
-            .flat_map(|&o| vars_of(o))
-            .collect();
-        iseek::seek_eligible(db, q, a, &others)
-    });
-    if !eligible {
-        return Ok(None);
-    }
-    let mut remaining: Vec<(AtomId, usize)> = Vec::with_capacity(atom_ids.len());
-    for &a in atom_ids {
-        match db.table(&q.atom(a).relation) {
-            Some(rel) => remaining.push((a, rel.len())),
-            // Let the scan path surface the unknown-table error.
-            None => return Ok(None),
-        }
-    }
-    let start_pos = remaining
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, &(a, len))| (len, a.0))
-        .map(|(i, _)| i)
-        .expect("vertex has atoms");
-    let (start, _) = remaining.remove(start_pos);
-    let mut acc = scan_query_atom_c(db, q, start, budget)?;
-    while !remaining.is_empty() {
-        let connected = remaining
-            .iter()
-            .enumerate()
-            .filter(|(_, &(a, _))| vars_of(a).iter().any(|v| acc.col_index(v).is_some()))
-            .min_by_key(|(_, &(a, len))| (len, a.0))
-            .map(|(i, _)| i);
-        let pos = connected.unwrap_or_else(|| {
-            // Forced cross product: smallest remaining base table.
-            remaining
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, &(a, len))| (len, a.0))
-                .map(|(i, _)| i)
-                .expect("non-empty")
-        });
-        let (a, base_len) = remaining.remove(pos);
-        // A seek pays one probe per accumulator row; a hash join pays the
-        // full scan + build. Prefer the seek only when the accumulator is
-        // decisively smaller than the base table.
-        let seek_profitable = decisively_smaller(acc.len(), base_len);
-        let seeked = if seek_profitable {
-            iseek::index_seek_join(db, q, a, &acc, budget)?
-        } else {
-            None
-        };
-        acc = match seeked {
-            Some(r) => r,
-            None => {
-                let scanned = scan_query_atom_c(db, q, a, budget)?;
-                cops::natural_join(&acc, &scanned, budget)?
-            }
-        };
-    }
-    Ok(Some(acc))
 }
 
 fn eval_bottom_up(

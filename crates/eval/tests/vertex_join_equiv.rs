@@ -197,7 +197,7 @@ impl Case {
     fn vertex(&self, budget: &mut Budget) -> Result<CRel, EvalError> {
         let mut selected = Vec::new();
         for (atom, filters) in &self.atoms {
-            selected.push(select_atom(&self.db, atom, &refs(filters), budget)?);
+            selected.push(select_atom(&self.db, atom, &refs(filters), false, budget)?);
         }
         cops::join_vertex(selected, &self.chi, budget)
     }
@@ -337,7 +337,7 @@ fn the_generator_covers_the_shapes() {
         let mut force = capped().with_spill_mode(SpillMode::Force);
         let answered = case.vertex(&mut force).is_ok();
         let empty = (case.atoms.iter()).any(|(a, f)| {
-            select_atom(&case.db, a, &refs(f), &mut capped())
+            select_atom(&case.db, a, &refs(f), false, &mut capped())
                 .unwrap()
                 .is_empty()
         });

@@ -291,8 +291,8 @@ impl HybridOptimizer {
     /// Declares the catalog's secondary indexes as `(table, column)`
     /// pairs (builder style; typically
     /// `db.indexed_columns()`). The cost model then prices seekable
-    /// joins without their base-table scan, steering cost-k-decomp
-    /// toward decompositions the index-seek kernel executes cheaply.
+    /// joins without their scan, steering cost-k-decomp toward
+    /// decompositions the vertex join's index seeks execute cheaply.
     /// An empty catalog — the default — leaves every cost bit-identical.
     pub fn with_index_catalog(mut self, indexed: Vec<(String, String)>) -> Self {
         self.indexed = indexed;

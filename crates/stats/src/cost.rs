@@ -6,6 +6,7 @@ use crate::estimate::{join_profiles, Profile, QueryProfiles, VarId};
 use crate::stats::DbStats;
 use htqo_core::DecompCost;
 use htqo_cq::{AtomId, ConjunctiveQuery};
+use htqo_engine::index::SEEK_MARGIN;
 use htqo_hypergraph::fxhash::FxHashMap;
 use htqo_hypergraph::{EdgeSet, Hypergraph, VarSet};
 use std::cell::RefCell;
@@ -134,11 +135,11 @@ impl<'a> StatsDecompCost<'a> {
         for &(a, p) in &profiles[1..] {
             if !self.indexed.is_empty() {
                 // Index-aware pricing: a hash join first scans (and
-                // charges) the probed atom's base table; an index seek
+                // charges) the probed atom's selection; an index seek
                 // reads only the matching rows, so a seekable join with
-                // a decisively smaller accumulator (the evaluator's own
-                // profitability rule) skips the scan term.
-                let seek = self.seekable(a, &acc) && acc.card * 4.0 <= p.card;
+                // an accumulator `SEEK_MARGIN` times smaller (the
+                // evaluator's own rule) skips the scan term.
+                let seek = self.seekable(a, &acc) && acc.card * SEEK_MARGIN as f64 <= p.card;
                 if !seek {
                     cost += p.card;
                 }
@@ -204,10 +205,16 @@ mod tests {
     /// Triangle query over one big and two small relations: the cost-based
     /// search should prefer separators built from the small relations.
     fn setup() -> (Database, htqo_cq::ConjunctiveQuery) {
+        setup_sized(1000)
+    }
+
+    /// [`setup`] with `big_rows` rows in the big relation (10 in each
+    /// small one).
+    fn setup_sized(big_rows: i64) -> (Database, htqo_cq::ConjunctiveQuery) {
         let mut db = Database::new();
         let schema = || Schema::new(&[("l", ColumnType::Int), ("r", ColumnType::Int)]);
         let mut big = Relation::new(schema());
-        for i in 0..1000 {
+        for i in 0..big_rows {
             big.push_row(vec![Value::Int(i % 50), Value::Int(i % 37)])
                 .unwrap();
         }
@@ -241,27 +248,31 @@ mod tests {
 
     #[test]
     fn index_catalog_prices_seeks_cheaper_and_empty_is_identical() {
+        let atoms = edges(&[0, 1]); // small s1 joins first, then big
+        let price = |big_rows: i64, indexed: &[(&str, &str)]| {
+            let (db, q) = setup_sized(big_rows);
+            let stats = analyze(&db);
+            let catalog: Vec<(String, String)> = (indexed.iter())
+                .map(|(t, c)| (t.to_string(), c.to_string()))
+                .collect();
+            let model = StatsDecompCost::new(&stats, &q).with_indexes(&catalog);
+            model.vertex_tuples(&atoms)
+        };
+        // An empty catalog is bit-identical to the legacy model.
         let (db, q) = setup();
         let stats = analyze(&db);
-        let legacy = StatsDecompCost::new(&stats, &q);
-        // An empty catalog is bit-identical to the legacy model.
-        let empty = StatsDecompCost::new(&stats, &q).with_indexes(&[]);
-        let atoms = edges(&[0, 1]); // small s1 joins first, then big
-        assert_eq!(legacy.vertex_tuples(&atoms), empty.vertex_tuples(&atoms));
+        let legacy = StatsDecompCost::new(&stats, &q).vertex_tuples(&atoms);
+        assert_eq!(price(1000, &[]).to_bits(), legacy.to_bits());
 
         // With "big" indexed on the shared column (s1 joins big on Y,
-        // bound to big.r), the seek skips the big-table scan; indexing
-        // an unrelated table does not.
-        let seek =
-            StatsDecompCost::new(&stats, &q).with_indexes(&[("big".to_string(), "r".to_string())]);
-        let no_help =
-            StatsDecompCost::new(&stats, &q).with_indexes(&[("s2".to_string(), "l".to_string())]);
-        assert!(
-            seek.vertex_tuples(&atoms) < no_help.vertex_tuples(&atoms),
-            "{} vs {}",
-            seek.vertex_tuples(&atoms),
-            no_help.vertex_tuples(&atoms)
-        );
+        // bound to big.r), the seek skips the big-table scan once big is
+        // `SEEK_MARGIN` times larger than s1; indexing an unrelated table
+        // does not, and neither does a 100× ratio.
+        let big = 10 * SEEK_MARGIN as i64;
+        let (seek, no_help) = (price(big, &[("big", "r")]), price(big, &[("s2", "l")]));
+        assert!(seek < no_help, "{seek} vs {no_help}");
+        let near = price(1000, &[("big", "r")]);
+        assert_eq!(near.to_bits(), price(1000, &[("s2", "l")]).to_bits());
     }
 
     #[test]

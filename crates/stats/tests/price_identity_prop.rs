@@ -22,6 +22,7 @@ use proptest::prelude::*;
 /// The estimator as it was before queries were compiled.
 mod reference {
     use htqo_cq::{AtomId, CmpOp, ConjunctiveQuery, Literal};
+    use htqo_engine::index::SEEK_MARGIN;
     use htqo_engine::value::Value;
     use htqo_optimizer::JoinTree;
     use htqo_stats::{ColumnStats, DbStats};
@@ -173,7 +174,7 @@ mod reference {
             let mut cost = acc.card;
             for (a, p) in &profiles[1..] {
                 if !self.indexed.is_empty() {
-                    let seek = self.seekable(*a, &acc) && acc.card * 4.0 <= p.card;
+                    let seek = self.seekable(*a, &acc) && acc.card * SEEK_MARGIN as f64 <= p.card;
                     if !seek {
                         cost += p.card;
                     }

@@ -28,8 +28,9 @@
 //! WAL tail a crash left behind — and skip the parse entirely (the
 //! "warm restart" path the e2e `paged_rw` workload times as `restart_p50_ms`). Persisted
 //! indexes come back as [`btree::PagedIndex`] values implementing the
-//! engine's [`htqo_engine::JoinIndex`], which the evaluator's
-//! index-seek join ([`htqo_engine::iseek`]) probes per accumulator row.
+//! engine's [`htqo_engine::JoinIndex`], which the vertex join
+//! ([`htqo_engine::cops::join_vertex`]) probes once per distinct
+//! accumulator key when a seek pays.
 
 #![warn(missing_docs)]
 

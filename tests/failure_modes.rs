@@ -115,7 +115,7 @@ impl htqo_engine::index::JoinIndex for PanickingIndex {
     }
 
     fn entries(&self) -> usize {
-        4000
+        5 * htqo_engine::index::SEEK_MARGIN
     }
 }
 
@@ -137,11 +137,13 @@ fn worker_panic_surfaces_as_typed_error() {
         }
         rel
     };
-    // A tiny probe against a large indexed fact table: the q-HD vertex
-    // joins them by index seek, which is where the panic sits.
+    // A tiny probe against an indexed fact table `SEEK_MARGIN` times
+    // larger: the q-HD vertex joins them by index seek, which is where
+    // the panic sits.
     let mut db = Database::new();
     db.insert_table("probe", keyed(5, 97));
-    db.insert_table("fact", keyed(4000, 97));
+    let fact_rows = 5 * htqo_engine::index::SEEK_MARGIN as i64;
+    db.insert_table("fact", keyed(fact_rows, 97));
     db.register_index("fact", "k", std::sync::Arc::new(PanickingIndex));
     let q = CqBuilder::new()
         .atom("probe", "probe", &[("k", "K"), ("p", "T")])

@@ -10,13 +10,16 @@
 //!    on drop, a dirty page is written back at most once per dirty
 //!    period, and every update is durable after the pool goes away.
 //!
-//! 2. **Index-seek ≡ hash-join oracle**: on random relations persisted
+//! 2. **Index seek ≡ hash-join oracle**: on random relations persisted
 //!    through the paged catalog (B-tree indexes read back through the
-//!    buffer pool at a *random, often tiny, page-cache limit*), the
-//!    index-nested-loop join must produce bit-identical rows to the
-//!    scan-and-hash oracle, charging one tuple per output row — and a
-//!    full `evaluate_qhd` run with `index_join` on must match the classic
-//!    path.
+//!    buffer pool at a *random, often tiny, page-cache limit*), the vertex
+//!    join (`cops::join_vertex`) over seekable selections must produce the
+//!    rows of the scan-and-nested-loop oracle, seeking exactly when the
+//!    probe side is `SEEK_MARGIN` times smaller and then charging only the
+//!    probe's scan and one tuple per output row — and a full
+//!    `evaluate_qhd` run with `index_join` on must match the classic path.
+//!    `tests/seek_prop.rs` covers filters, child narrowing, two-column
+//!    keys, `__rowid` and `Str`/`Date`/NULL keys.
 //!
 //! 3. **Slot directory and page → column loader**: after random
 //!    append/update/delete batches (appends that fill pages, a crash and
@@ -39,9 +42,10 @@
 
 use htqo::prelude::*;
 use htqo_cq::{AtomId, CqBuilder};
+use htqo_engine::index::SEEK_MARGIN;
 use htqo_engine::schema::{ColumnType, Schema};
 use htqo_engine::vrel::nested_loop_join;
-use htqo_engine::{iseek, scan, MemIndex, Row};
+use htqo_engine::{cops, scan, MemIndex, Row};
 use htqo_eval::{evaluate_qhd_with, ExecOptions};
 use htqo_storage::wal;
 use htqo_storage::{codec, page, MutationBatch, StorageDb, WalPolicy, PAGE_DATA, PAGE_SIZE};
@@ -251,7 +255,9 @@ proptest! {
 
 /// Random fact/probe pair: integer keys over a small domain, with
 /// occasional NULL keys (the seek must match NULLs exactly like the hash
-/// join's join-key semantics).
+/// join's join-key semantics). The fact side runs from a few rows to
+/// three times [`SEEK_MARGIN`] per probe row, so the seek fires on some
+/// cases and not on others.
 #[derive(Debug, Clone)]
 struct JoinCase {
     fact_keys: Vec<Option<i64>>,
@@ -270,8 +276,8 @@ fn arb_key() -> impl Strategy<Value = Option<i64>> {
 
 fn arb_join_case() -> impl Strategy<Value = JoinCase> {
     (
-        prop::collection::vec(arb_key(), 1..120),
-        prop::collection::vec(arb_key(), 1..40),
+        prop::collection::vec(arb_key(), 1..3 * SEEK_MARGIN),
+        prop::collection::vec(arb_key(), 1..4),
         1u64..16,
     )
         .prop_map(|(fact_keys, probe_keys, cache_pages)| JoinCase {
@@ -303,15 +309,29 @@ fn probe_query() -> ConjunctiveQuery {
         .build()
 }
 
+/// The vertex `probe ⋈ fact` of [`probe_query`] through `join_vertex`,
+/// its atoms selected for seeking: the rows, the tuples charged and the
+/// seeks taken.
+fn seek_vertex(db: &Database) -> (VRelation, u64, u64) {
+    let q = probe_query();
+    let mut b = Budget::unlimited();
+    let selected = (q.atom_ids())
+        .map(|a| scan::select_query_atom(db, &q, a, true, &mut b).unwrap())
+        .collect();
+    let chi: Vec<String> = ["K", "T", "P"].map(String::from).to_vec();
+    let joined = cops::join_vertex(selected, &chi, &mut b).unwrap();
+    (joined.to_vrel(), b.charged(), b.join_stats().index_seeks())
+}
+
 /// Guard against vacuous properties: on a decisively selective vertex
 /// (tiny probe, large indexed fact) the evaluator must actually *take*
 /// the seek path, and it must charge strictly fewer tuples than the
-/// scan-and-hash path (it never materializes the scanned atom).
+/// scan-and-hash path (it never charges the fact table's scan).
 #[test]
 fn evaluator_takes_the_seek_path_when_profitable() {
     let dir = scratch("nonvacuous");
     let storage = StorageDb::open(&dir).unwrap();
-    let fact_keys: Vec<Option<i64>> = (0..4000).map(|i| Some(i % 97)).collect();
+    let fact_keys: Vec<Option<i64>> = (0..5 * SEEK_MARGIN as i64).map(|i| Some(i % 97)).collect();
     let probe_keys: Vec<Option<i64>> = (0..5).map(|i| Some(i * 7)).collect();
     storage
         .ingest("fact", &rel_from_keys(&fact_keys), &["k"])
@@ -340,11 +360,11 @@ fn evaluator_takes_the_seek_path_when_profitable() {
     let (classic, classic_charge, classic_seeks) = run(false);
     let (seek, seek_charge, seeks) = run(true);
     assert_eq!(classic_seeks, 0);
-    assert!(seeks > 0, "the seek kernel never fired");
+    assert_eq!(seeks, 1, "the vertex join never sought the index");
     assert!(seek.set_eq(&classic));
     assert!(
-        seek_charge < classic_charge,
-        "seek ({seek_charge}) must charge fewer tuples than scan+hash ({classic_charge})"
+        seek_charge + fact_keys.len() as u64 <= classic_charge,
+        "seek ({seek_charge}) must not charge the fact scan (scan + hash: {classic_charge})"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -352,9 +372,12 @@ fn evaluator_takes_the_seek_path_when_profitable() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// The persisted B-tree seek join equals the scan + nested-loop oracle
-    /// and the in-memory `MemIndex` seek join, charging one tuple per
-    /// output row, at a random page-cache limit.
+    /// The vertex join over the persisted B-tree equals the scan +
+    /// nested-loop oracle and the same join over an in-memory `MemIndex`,
+    /// at a random page-cache limit. It seeks exactly when the probe is
+    /// `SEEK_MARGIN` times smaller than the fact table, and then charges
+    /// the probe's scan and one tuple per output row, nothing for the
+    /// fact table.
     #[test]
     fn paged_seek_join_equals_hash_oracle(case in arb_join_case()) {
         let dir = scratch("seek");
@@ -376,43 +399,41 @@ proptest! {
             nested_loop_join(&acc.to_vrel(), &scanned.to_vrel(), &mut ob).unwrap()
         };
 
-        let mut bc = Budget::unlimited();
-        let acc_c = scan::scan_query_atom_c(&paged, &q, AtomId(0), &mut bc).unwrap();
-        let before = bc.charged();
-        let seek = iseek::index_seek_join(&paged, &q, AtomId(1), &acc_c, &mut bc)
-            .unwrap()
-            .expect("fact.k is indexed");
+        let (seek, charged, seeks) = seek_vertex(&paged);
         prop_assert_eq!(seek.cols(), oracle.cols());
-        prop_assert_eq!(seek.to_vrel().sorted_rows(), oracle.sorted_rows());
-        prop_assert_eq!(bc.charged() - before, seek.len() as u64, "one tuple per output row");
+        prop_assert_eq!(seek.sorted_rows(), oracle.sorted_rows());
+        let (p, f) = (probe.len(), fact.len());
+        prop_assert_eq!(seeks, u64::from(p * SEEK_MARGIN <= f));
+        let scans = if seeks == 1 { p } else { p + f };
+        prop_assert_eq!(charged, (scans + seek.len()) as u64, "scans + one tuple per output row");
 
-        // The paged B-tree agrees with an in-memory hash index seek.
+        // The paged B-tree agrees with an in-memory index.
         let mut mem_db = Database::new();
         mem_db.insert_table("fact", fact);
         mem_db.insert_table("probe", probe);
         let idx = MemIndex::build(mem_db.table("fact").unwrap(), 0);
         mem_db.register_index("fact", "k", Arc::new(idx));
-        let mut bm = Budget::unlimited();
-        let mem_seek = iseek::index_seek_join(&mem_db, &q, AtomId(1), &acc_c, &mut bm)
-            .unwrap()
-            .unwrap();
-        prop_assert_eq!(mem_seek.to_vrel().sorted_rows(), oracle.sorted_rows());
+        let (mem_seek, mem_charged, mem_seeks) = seek_vertex(&mem_db);
+        prop_assert_eq!(mem_seek.sorted_rows(), oracle.sorted_rows());
+        prop_assert_eq!((mem_charged, mem_seeks), (charged, seeks));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     /// End-to-end `evaluate_qhd` on a triangle whose decomposition packs
-    /// two atoms into one vertex: with indexes loaded from disk,
-    /// `index_join` on must match `index_join` off (the answer; the tuple
-    /// charges repeat exactly within each mode).
+    /// two atoms into one vertex, the small one beside a large indexed
+    /// one: with indexes loaded from disk, `index_join` on must match
+    /// `index_join` off (the answer; the tuple charges repeat exactly
+    /// within each mode).
     #[test]
     fn qhd_with_index_join_matches_classic_path(case in arb_join_case()) {
         let dir = scratch("qhd");
         let storage = StorageDb::open(&dir).unwrap();
-        for name in ["t0", "t1", "t2"] {
-            // Reuse the fact keys for all three relations (rotated) so the
-            // triangle has matches without a separate generator.
-            let rel = rel_from_keys(&case.fact_keys);
-            storage.ingest(name, &rel, &["k", "p"]).unwrap();
+        for (name, keys) in [
+            ("t0", &case.probe_keys),
+            ("t1", &case.fact_keys),
+            ("t2", &case.fact_keys),
+        ] {
+            storage.ingest(name, &rel_from_keys(keys), &["k", "p"]).unwrap();
         }
         let db = storage
             .load_database(case.cache_pages * PAGE_SIZE as u64, None)
