@@ -434,10 +434,10 @@ fn bench_vertex_join(c: &mut Criterion) {
     for (name, builder) in [("q8_lineitem", q8), ("q3_filtered", q3)] {
         let q = builder.out_var("O").build();
         // χ: every variable of the vertex's atoms.
-        let mut chi: Vec<String> = Vec::new();
+        let mut chi: Vec<htqo_engine::Name> = Vec::new();
         for v in q.atoms.iter().flat_map(|a| a.vars()) {
-            if !chi.iter().any(|c| c == v) {
-                chi.push(v.to_string());
+            if !chi.iter().any(|c| **c == *v) {
+                chi.push(v.into());
             }
         }
         group.bench_function(name, |b| {
@@ -746,7 +746,7 @@ fn bench_seek_join(c: &mut Criterion) {
         .filter(0, "p_partkey", CmpOp::Eq, Literal::Int(parts / 2))
         .out_var("Q")
         .build();
-    let chi: Vec<String> = ["P", "N", "Q"].map(String::from).to_vec();
+    let chi = ["P", "N", "Q"].map(htqo_engine::Name::from);
     let select = |seek: bool| {
         let mut budget = Budget::unlimited();
         (q.atom_ids())
@@ -880,8 +880,9 @@ fn bench_join_keys(c: &mut Criterion) {
     // `(key columns.., payload)` under the names `k0.., <payload>`.
     let rel = |keys: Vec<Column>, payload: &str| {
         let n = keys[0].len();
-        let mut names: Vec<String> = (0..keys.len()).map(|i| format!("k{i}")).collect();
-        names.push(payload.to_string());
+        let mut names: Vec<htqo_engine::Name> =
+            (0..keys.len()).map(|i| format!("k{i}").into()).collect();
+        names.push(payload.into());
         let mut columns: Vec<Arc<Column>> = keys.into_iter().map(Arc::new).collect();
         columns.push(Arc::new(Column::from_ints((0..n as i64).collect())));
         CRel::new(names, columns, n)

@@ -190,7 +190,13 @@ struct Searcher<'a, S> {
     var_edges: Vec<S>,
     memo: Memo<S>,
     stats: SearchStats,
+    /// Cleared component and child lists, one pair per recursion level
+    /// that has returned: a separator takes a pair and gives it back.
+    spare: Vec<Lists<S>>,
 }
+
+/// A separator's `[χ]`-components and its children's plans.
+type Lists<S> = (Vec<(S, S)>, Vec<Rc<PlanNode<S>>>);
 
 impl<'a, S: Mask> Searcher<'a, S> {
     fn new(h: &'a Hypergraph, k: usize, cost: &'a dyn DecompCost, first_success: bool) -> Self {
@@ -210,6 +216,7 @@ impl<'a, S: Mask> Searcher<'a, S> {
                 .collect(),
             memo: Memo::default(),
             stats: SearchStats::default(),
+            spare: Vec::new(),
         }
     }
 
@@ -381,14 +388,13 @@ impl<'a, S: Mask> Searcher<'a, S> {
         next
     }
 
-    /// The `[χ]`-components of `comp`, each with its connector
+    /// The `[χ]`-components of `comp` into `out`, each with its connector
     /// `var(component) ∩ χ`, ordered by smallest contained edge.
     /// `assigned` is the part of `comp` that χ covers and that therefore
     /// belongs to no component.
-    fn components(&self, comp: &S, assigned: &S, chi: &S) -> Vec<(S, S)> {
+    fn components(&self, comp: &S, assigned: &S, chi: &S, out: &mut Vec<(S, S)>) {
         let mut remaining = comp.clone();
         remaining.difference_with(assigned);
-        let mut out = Vec::new();
         while let Some(start) = remaining.first() {
             let mut members = S::default();
             members.insert(start);
@@ -417,7 +423,6 @@ impl<'a, S: Mask> Searcher<'a, S> {
             vars.intersect_with(chi);
             out.push((members, vars));
         }
-        out
     }
 
     /// Prices one full candidate separator: recurses on the
@@ -445,53 +450,58 @@ impl<'a, S: Mask> Searcher<'a, S> {
                 return;
             }
         }
-        let subcomps = self.components(sub.comp, &sep.assigned, &sep.chi);
-        // Refined cut: even if every remaining component decomposed at the
-        // admissible minimum, this branch cannot beat the incumbent.
-        if self.comp_lb > 0.0 && !subcomps.is_empty() {
-            if let Some((bound, _)) = &ctx.best {
-                if total + subcomps.len() as f64 * self.comp_lb >= *bound {
-                    self.stats.bound_cuts += 1;
-                    return;
-                }
-            }
-        }
-
-        let remaining = subcomps.len();
-        let mut children = Vec::with_capacity(remaining);
-        for (solved, (sc, child_conn)) in subcomps.into_iter().enumerate() {
-            match self.solve(sc, child_conn) {
-                Some((c, plan)) => {
-                    total += c;
-                    // Children still unsolved each cost ≥ comp_lb.
-                    let rest = (remaining - solved - 1) as f64 * self.comp_lb;
-                    if let Some((bound, _)) = &ctx.best {
-                        if total + rest >= *bound {
-                            self.stats.bound_cuts += 1;
-                            return;
-                        }
+        let (mut subcomps, mut children) = self.spare.pop().unwrap_or_default();
+        self.components(sub.comp, &sep.assigned, &sep.chi, &mut subcomps);
+        'split: {
+            // Refined cut: even if every remaining component decomposed at
+            // the admissible minimum, this branch cannot beat the incumbent.
+            if self.comp_lb > 0.0 && !subcomps.is_empty() {
+                if let Some((bound, _)) = &ctx.best {
+                    if total + subcomps.len() as f64 * self.comp_lb >= *bound {
+                        self.stats.bound_cuts += 1;
+                        break 'split;
                     }
-                    children.push(plan);
                 }
-                None => return, // this separator cannot decompose the rest
+            }
+
+            let remaining = subcomps.len();
+            for (solved, (sc, child_conn)) in subcomps.iter().enumerate() {
+                match self.solve(sc.clone(), child_conn.clone()) {
+                    Some((c, plan)) => {
+                        total += c;
+                        // Children still unsolved each cost ≥ comp_lb.
+                        let rest = (remaining - solved - 1) as f64 * self.comp_lb;
+                        if let Some((bound, _)) = &ctx.best {
+                            if total + rest >= *bound {
+                                self.stats.bound_cuts += 1;
+                                break 'split;
+                            }
+                        }
+                        children.push(plan);
+                    }
+                    None => break 'split, // this separator cannot decompose the rest
+                }
+            }
+
+            let better = match &ctx.best {
+                None => true,
+                Some((bound, _)) => total < *bound,
+            };
+            if better {
+                ctx.best = Some((
+                    total,
+                    Rc::new(PlanNode {
+                        lambda: sep.lambda.clone(),
+                        chi: sep.chi.clone(),
+                        assigned: sep.assigned.clone(),
+                        children: std::mem::take(&mut children),
+                    }),
+                ));
             }
         }
-
-        let better = match &ctx.best {
-            None => true,
-            Some((bound, _)) => total < *bound,
-        };
-        if better {
-            ctx.best = Some((
-                total,
-                Rc::new(PlanNode {
-                    lambda: sep.lambda.clone(),
-                    chi: sep.chi.clone(),
-                    assigned: sep.assigned.clone(),
-                    children,
-                }),
-            ));
-        }
+        subcomps.clear();
+        children.clear();
+        self.spare.push((subcomps, children));
     }
 }
 

@@ -5,6 +5,7 @@
 use htqo_hypergraph::{Hypergraph, Var};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Index of an atom within a [`ConjunctiveQuery`] body.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -382,9 +383,14 @@ impl ConjunctiveQuery {
             .var_ids()
             .map(|v| (h.var_name(v).to_string(), v))
             .collect();
+        let name = |v: &str| h.shared_var_name(var_of_name[v]).clone();
+        let atom_vars = (self.atoms.iter())
+            .map(|a| a.vars().into_iter().map(name).collect())
+            .collect();
         CqHypergraph {
             hypergraph: h,
             var_of_name,
+            atom_vars,
         }
     }
 }
@@ -433,6 +439,10 @@ pub struct CqHypergraph {
     pub hypergraph: Hypergraph,
     /// Map from variable name to hypergraph variable id.
     pub var_of_name: HashMap<String, Var>,
+    /// Per atom, its distinct variables in first-occurrence order — the
+    /// column order of the atom's scan ([`Atom::vars`]) — as the
+    /// hypergraph's shared names.
+    pub atom_vars: Vec<Vec<Arc<str>>>,
 }
 
 impl CqHypergraph {

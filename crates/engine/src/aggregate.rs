@@ -6,7 +6,7 @@
 //! [`VRelation`].
 
 use crate::cops;
-use crate::crel::CRel;
+use crate::crel::{CRel, Name};
 use crate::dict;
 use crate::error::{Budget, EvalError, SpillMode};
 use crate::expr::{eval_scalar, eval_scalar_rows, RowError};
@@ -17,7 +17,6 @@ use crate::value::{row_heap_bytes, Row, Value};
 use crate::vrel::VRelation;
 use htqo_cq::isolator::is_hidden_label;
 use htqo_cq::{AggFunc, ConjunctiveQuery, OutputItem, SortDir};
-use std::collections::HashMap;
 
 /// Visible output items of `q` and their (uniquified) labels.
 pub(crate) fn visible_output(q: &ConjunctiveQuery) -> (Vec<&OutputItem>, Vec<String>) {
@@ -28,22 +27,17 @@ pub(crate) fn visible_output(q: &ConjunctiveQuery) -> (Vec<&OutputItem>, Vec<Str
         .collect();
     // SQL allows duplicate output column names (`SELECT a.x, b.x`); our
     // relations do not, so repeated labels get a numeric suffix.
-    let labels = uniquify(
-        &visible
-            .iter()
-            .map(|o| o.label().to_string())
-            .collect::<Vec<_>>(),
-    );
+    let labels = uniquify(visible.iter().map(|o| o.label()));
     (visible, labels)
 }
 
 /// Visible head variables in SELECT order (errors on aggregates — callers
 /// check `q.has_aggregates()` first).
-fn head_vars(visible: &[&OutputItem]) -> Vec<String> {
+fn head_vars<'q>(visible: &[&'q OutputItem]) -> Vec<&'q str> {
     visible
         .iter()
         .map(|o| match o {
-            OutputItem::Var { var, .. } => var.clone(),
+            OutputItem::Var { var, .. } => var.as_str(),
             OutputItem::Aggregate { .. } => unreachable!("filtered above"),
         })
         .collect()
@@ -81,18 +75,16 @@ pub fn finalize_c(
         // then lay the columns out in SELECT order (a variable may be
         // selected more than once: a column clone, not a per-row copy).
         let vars = head_vars(&visible);
-        let mut distinct_vars = vars.clone();
-        distinct_vars.dedup_preserving();
+        let distinct_vars: Vec<&str> = (vars.iter().enumerate())
+            .filter(|&(i, v)| !vars[..i].contains(v))
+            .map(|(_, v)| *v)
+            .collect();
         let projected = cops::project(answer, &distinct_vars, true, budget)?;
         let idx: Vec<usize> = vars
             .iter()
             .map(|v| projected.col_index(v).expect("just projected"))
             .collect();
-        let columns = idx
-            .iter()
-            .map(|&i| projected.columns()[i].clone())
-            .collect();
-        CRel::new(labels.clone(), columns, projected.len()).to_vrel()
+        VRelation::from_rows(labels, projected.rows_of(&idx))
     };
     finalize_tail(result, q, budget)
 }
@@ -190,45 +182,21 @@ fn sort_by(a: &VRelation, keys: &[(String, bool)]) -> Result<VRelation, EvalErro
 }
 
 /// Appends `_2`, `_3`, … to repeated labels.
-fn uniquify(labels: &[String]) -> Vec<String> {
-    let mut seen: HashMap<String, usize> = HashMap::new();
-    labels
-        .iter()
-        .map(|l| {
-            let n = seen.entry(l.clone()).or_insert(0);
-            *n += 1;
-            if *n == 1 {
-                l.clone()
-            } else {
-                format!("{l}_{n}")
-            }
-        })
-        .collect()
-}
-
-/// First-occurrence dedup for small vectors.
-trait DedupPreserving {
-    fn dedup_preserving(&mut self);
-}
-
-impl DedupPreserving for Vec<String> {
-    fn dedup_preserving(&mut self) {
-        let mut seen = Vec::new();
-        self.retain(|v| {
-            if seen.contains(v) {
-                false
-            } else {
-                seen.push(v.clone());
-                true
-            }
-        });
+fn uniquify<'l>(labels: impl ExactSizeIterator<Item = &'l str> + Clone) -> Vec<String> {
+    let mut out = Vec::with_capacity(labels.len());
+    for (i, l) in labels.clone().enumerate() {
+        match labels.clone().take(i).filter(|&e| e == l).count() {
+            0 => out.push(l.to_string()),
+            n => out.push(format!("{l}_{}", n + 1)),
+        }
     }
+    out
 }
 
 /// Resolves the GROUP BY column positions and validates that every
 /// non-aggregate visible item is a grouping variable.
-pub(crate) fn group_layout(
-    cols: &[String],
+pub(crate) fn group_layout<S: AsRef<str>>(
+    cols: &[S],
     q: &ConjunctiveQuery,
     visible: &[&OutputItem],
 ) -> Result<Vec<usize>, EvalError> {
@@ -237,7 +205,7 @@ pub(crate) fn group_layout(
         .iter()
         .map(|v| {
             cols.iter()
-                .position(|c| c == v)
+                .position(|c| c.as_ref() == v)
                 .ok_or_else(|| EvalError::UnknownVariable(v.clone()))
         })
         .collect::<Result<_, _>>()?;
@@ -302,7 +270,7 @@ fn aggregate_rows_inner(
     accrued: &mut u64,
 ) -> Result<VRelation, EvalError> {
     let group_bytes = group_state_bytes(group_idx.len(), visible.len());
-    let mut groups: HashMap<Row, Vec<Accumulator>> = HashMap::new();
+    let mut groups: std::collections::HashMap<Row, Vec<Accumulator>> = Default::default();
     // Deterministic group ordering: remember first-seen order.
     let mut order: Vec<Row> = Vec::new();
 
@@ -708,7 +676,7 @@ impl Accumulator {
     pub(crate) fn feed_weighted(
         &mut self,
         item: &OutputItem,
-        cols: &[String],
+        cols: &[Name],
         row: &Row,
         weight: u64,
     ) -> Result<(), WeightedFeedError> {
@@ -835,7 +803,10 @@ mod tests {
             aggregate_rows(a, &group_idx, q, &visible, &labels, budget)?
         } else {
             let idx: Vec<usize> = (head_vars(&visible).iter())
-                .map(|v| a.col_index(v).ok_or(EvalError::UnknownVariable(v.clone())))
+                .map(|v| {
+                    a.col_index(v)
+                        .ok_or(EvalError::UnknownVariable(v.to_string()))
+                })
                 .collect::<Result<_, _>>()?;
             let mut out = VRelation::empty(labels);
             for row in a.rows() {
@@ -1192,7 +1163,7 @@ mod tests {
         );
         let c_long = CRel::from_vrel(&long);
         let empty = answer(&["G", "X", "F", "S", "D"], vec![]);
-        let c_empty = CRel::empty(a.cols().to_vec());
+        let c_empty = CRel::empty(a.cols().iter().map(|c| Name::from(c.as_str())).collect());
         let mut outcomes = [0usize; 2];
         for q in &queries {
             for (rows, cols) in [(&a, &ca), (&long, &c_long), (&empty, &c_empty)] {

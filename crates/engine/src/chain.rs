@@ -108,13 +108,13 @@ impl ChainTable {
 }
 
 /// A chained-index table addressed by a *packed key* instead of a hash:
-/// `heads[k]` is the first build row whose key packs to `k` (see
-/// [`crate::keyplan::KeyPlan`]), `next` links rows sharing it. Packing is
-/// exact, so a chain holds one key only — no stored hash, no verification
-/// of candidates.
+/// slot `k` holds the first build row whose key packs to `k` (see
+/// [`crate::keyplan::KeyPlan`]), and slot `range + i` the row after build
+/// row `i` in its chain. Packing is exact, so a chain holds one key only —
+/// no stored hash, no verification of candidates.
 pub(crate) struct DirectTable {
-    heads: Vec<u32>,
-    next: Vec<u32>,
+    slots: Vec<u32>,
+    range: usize,
 }
 
 impl DirectTable {
@@ -128,8 +128,8 @@ impl DirectTable {
     /// An empty table over `range` packed keys and `n` build rows.
     pub(crate) fn new(n: usize, range: usize) -> DirectTable {
         DirectTable {
-            heads: vec![CHAIN_END; range],
-            next: vec![CHAIN_END; n],
+            slots: vec![CHAIN_END; range + n],
+            range,
         }
     }
 
@@ -138,20 +138,19 @@ impl DirectTable {
     /// [`ChainTable::build`] produces.
     #[inline]
     pub(crate) fn push_front(&mut self, k: u64, i: u32) {
-        let head = &mut self.heads[k as usize];
-        self.next[i as usize] = *head;
-        *head = i;
+        let head = std::mem::replace(&mut self.slots[k as usize], i);
+        self.slots[self.range + i as usize] = head;
     }
 
     /// First row of key `k`'s chain, or [`CHAIN_END`].
     #[inline]
     pub(crate) fn head(&self, k: u64) -> u32 {
-        self.heads[k as usize]
+        self.slots[k as usize]
     }
 
     /// The row after `i` in its chain, or [`CHAIN_END`].
     #[inline]
     pub(crate) fn next_row(&self, i: u32) -> u32 {
-        self.next[i as usize]
+        self.slots[self.range + i as usize]
     }
 }

@@ -40,7 +40,7 @@
 
 use crate::chain::{ChainTable, DirectTable, CHAIN_END};
 use crate::column::{finish_hash, Column};
-use crate::crel::{read_source, CRel, Selection};
+use crate::crel::{read_source, CRel, Name, Selection};
 use crate::dict::{self, DictReader};
 use crate::error::{Budget, EvalError};
 use crate::hash::FxHashMap;
@@ -69,20 +69,34 @@ pub(crate) fn crel_payload_bytes(r: &CRel) -> u64 {
 }
 
 /// Column positions of the shared variables in `a` and `b`, plus the
-/// positions in `b` of its non-shared columns.
-fn join_layout(a: &CRel, b: &CRel) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
-    let mut a_shared = Vec::new();
-    let mut b_shared = Vec::new();
-    for (i, c) in a.cols().iter().enumerate() {
-        if let Some(j) = b.col_index(c) {
-            a_shared.push(i);
-            b_shared.push(j);
-        }
+/// positions in `b` of its non-shared columns: three lists in one
+/// ([`JoinLayout::parts`]).
+struct JoinLayout(Vec<usize>, usize);
+
+fn join_layout(a: &CRel, b: &CRel) -> JoinLayout {
+    let mut idx = Vec::with_capacity(a.cols().len() + b.cols().len());
+    idx.extend((0..a.cols().len()).filter(|&i| b.col_index(&a.cols()[i]).is_some()));
+    let keys = idx.len();
+    idx.extend(a.cols().iter().filter_map(|c| b.col_index(c)));
+    idx.extend((0..b.cols().len()).filter(|&j| a.col_index(&b.cols()[j]).is_none()));
+    JoinLayout(idx, keys)
+}
+
+impl JoinLayout {
+    /// `(a's key columns, b's key columns, b's other columns)`.
+    fn parts(&self) -> (&[usize], &[usize], &[usize]) {
+        let (a_shared, rest) = self.0.split_at(self.1);
+        let (b_shared, b_rest) = rest.split_at(self.1);
+        (a_shared, b_shared, b_rest)
     }
-    let b_rest: Vec<usize> = (0..b.cols().len())
-        .filter(|j| !b_shared.contains(j))
-        .collect();
-    (a_shared, b_shared, b_rest)
+}
+
+/// `0..n` as a slice: borrowed for the short keys nearly every join has.
+fn iota(n: usize) -> Cow<'static, [usize]> {
+    const SHORT: [usize; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
+    SHORT
+        .get(..n)
+        .map_or_else(|| Cow::Owned((0..n).collect()), Cow::Borrowed)
 }
 
 /// 64-bit key hash of every row over the key columns `idx`: one
@@ -118,22 +132,18 @@ pub(crate) fn rows_key_eq(
         .all(|(&x, &y)| a.column(x).eq_at(i, b.column(y), j, reader))
 }
 
-/// Permutes the columns of `r` to `desired` (must be a permutation): the
-/// columns are moved out of `r` and back in, no cell is copied.
-fn reorder(r: CRel, desired: &[String]) -> CRel {
-    let (cols, columns, len) = r.into_parts();
-    let mut columns: Vec<Option<Arc<Column>>> = columns.into_iter().map(Some).collect();
-    let out_columns = desired
-        .iter()
-        .map(|c| {
-            let i = cols
-                .iter()
-                .position(|x| x == c)
-                .expect("reorder: missing column");
-            columns[i].take().expect("reorder: duplicate column")
-        })
-        .collect();
-    CRel::new(desired.to_vec(), out_columns, len)
+/// Permutes the columns of `r` into the order `desired` names them (a
+/// permutation of `r`'s names) by swapping them in place: no cell, name
+/// or list is copied.
+fn reorder<'n>(r: CRel, desired: impl IntoIterator<Item = &'n Name>) -> CRel {
+    let (mut cols, mut columns, len) = r.into_parts();
+    for (k, name) in desired.into_iter().enumerate() {
+        let i = (cols[k..].iter()).position(|c| c == name);
+        let i = k + i.expect("reorder: missing column");
+        cols.swap(k, i);
+        columns.swap(k, i);
+    }
+    CRel::new(cols, columns, len)
 }
 
 /// The two inputs of a join as `(build, probe, swapped)`: the build side
@@ -152,9 +162,8 @@ fn caller_order(out: CRel, a: &CRel, b: &CRel, swapped: bool) -> CRel {
     if !swapped {
         return out;
     }
-    let mut desired: Vec<String> = a.cols().to_vec();
-    desired.extend(b.cols().iter().filter(|c| !a.cols().contains(c)).cloned());
-    reorder(out, &desired)
+    let b_rest = b.cols().iter().filter(|c| !a.cols().contains(c));
+    reorder(out, a.cols().iter().chain(b_rest))
 }
 
 /// Natural join of `a` and `b` on their shared variables. With no shared
@@ -165,15 +174,16 @@ pub fn natural_join(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, Eva
     crate::fail_point!("cops::join");
     budget.join_stats().add_hash_build();
     let (build, probe, swapped) = sides(a, b);
-    let (build_shared, probe_shared, probe_rest) = join_layout(build, probe);
-    if join_build_reservation(budget, &build_shared, build.len(), probe.len())? {
+    let layout = join_layout(build, probe);
+    let (build_shared, probe_shared, probe_rest) = layout.parts();
+    if join_build_reservation(budget, build_shared, build.len(), probe.len())? {
         return grace_join(a, b, budget);
     }
 
-    let result = join_pairs(build, probe, &build_shared, &probe_shared, budget);
+    let result = join_pairs(build, probe, build_shared, probe_shared, budget);
     // The build table (and hash scratch) is gone either way.
     budget.uncharge_bytes(join_build_bytes(build.len(), probe.len()));
-    let out = join_output(build, probe, &probe_rest, &result?);
+    let out = join_output(build, probe, probe_rest, &result?);
     budget.charge_bytes(crel_payload_bytes(&out))?;
     Ok(caller_order(out, a, b, swapped))
 }
@@ -186,7 +196,8 @@ fn join_output(
     probe_rest: &[usize],
     (build_idx, probe_idx): &PairLists,
 ) -> CRel {
-    let mut cols: Vec<String> = build.cols().to_vec();
+    let mut cols = Vec::with_capacity(build.cols().len() + probe_rest.len());
+    cols.extend_from_slice(build.cols());
     cols.extend(probe_rest.iter().map(|&j| probe.cols()[j].clone()));
     let columns = (build.columns().iter())
         .map(|c| Arc::new(c.gather(build_idx)))
@@ -213,11 +224,12 @@ fn join_output(
 /// [`SpillDir`] drop guard.
 fn grace_join(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalError> {
     let (build, probe, swapped) = sides(a, b);
-    let (build_shared, probe_shared, probe_rest) = join_layout(build, probe);
+    let layout = join_layout(build, probe);
+    let (build_shared, probe_shared, probe_rest) = layout.parts();
     let stats = budget.spill_stats();
     let mut dir = SpillDir::create(budget.spill_dir())?;
     let none = PairLists::default();
-    let mut out = Concat::new(&join_output(build, probe, &probe_rest, &none), 0);
+    let mut out = Concat::new(&join_output(build, probe, probe_rest, &none), 0);
     let join_loaded = |build_file: &SpillFile,
                        probe_file: &SpillFile,
                        batch: usize,
@@ -231,8 +243,8 @@ fn grace_join(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalError
             rows.push(&chunk?);
             if rows.len() >= batch || chunks.peek().is_none() {
                 let rows = rows.take();
-                let pairs = join_pairs(&build_part, &rows, &build_shared, &probe_shared, budget)?;
-                let part = join_output(&build_part, &rows, &probe_rest, &pairs);
+                let pairs = join_pairs(&build_part, &rows, build_shared, probe_shared, budget)?;
+                let part = join_output(&build_part, &rows, probe_rest, &pairs);
                 budget.charge_bytes(crel_payload_bytes(&part))?;
                 out.push(&part);
             }
@@ -243,8 +255,8 @@ fn grace_join(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalError
     let pairs = |b: Vec<SpillFile>, p: Vec<SpillFile>, level| {
         b.into_iter().zip(p).rev().map(move |(b, p)| (b, p, level))
     };
-    let build_parts = spill::partition(&dir, "b", build, &build_shared, 0, &stats)?;
-    let probe_parts = spill::partition(&dir, "p", probe, &probe_shared, 0, &stats)?;
+    let build_parts = spill::partition(&dir, "b", build, build_shared, 0, &stats)?;
+    let probe_parts = spill::partition(&dir, "p", probe, probe_shared, 0, &stats)?;
     let mut todo: Vec<_> = pairs(build_parts, probe_parts, 0).collect();
     while let Some((build_file, probe_file, level)) = todo.pop() {
         if build_file.rows == 0 || probe_file.rows == 0 {
@@ -259,9 +271,9 @@ fn grace_join(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalError
             + join_build_bytes(build_file.rows as usize, batch_rows as usize);
         if !budget.try_reserve_bytes(est) {
             if level < MAX_SPILL_LEVEL {
-                let (next, key) = (level + 1, &build_shared);
+                let (next, key) = (level + 1, build_shared);
                 let b = spill::repartition(&dir, "b", &build_file, build, key, next, &stats)?;
-                let key = &probe_shared;
+                let key = probe_shared;
                 let p = spill::repartition(&dir, "p", &probe_file, probe, key, next, &stats)?;
                 todo.extend(pairs(b, p, next));
                 continue;
@@ -311,7 +323,7 @@ const POS_BYTES: u64 = 4;
 /// within one vertex.
 pub fn join_vertex(
     mut inputs: Vec<Selection<'_>>,
-    chi: &[String],
+    chi: &[Name],
     budget: &mut Budget,
 ) -> Result<CRel, EvalError> {
     let Some(first) = smallest(inputs.iter().enumerate()) else {
@@ -321,9 +333,10 @@ pub fn join_vertex(
         budget.charge_bytes(POS_BYTES * s.rows.as_ref().map_or(0, Vec::len) as u64)?;
     }
     let width = inputs.iter().map(|s| s.vars.len()).sum();
+    let count = inputs.len();
     let mut first = inputs.swap_remove(first);
     first.pay(budget)?;
-    let mut acc = Positions::start(first, width);
+    let mut acc = Positions::start(first, width, count);
     while !inputs.is_empty() {
         let connected = (inputs.iter().enumerate())
             .filter(|(_, s)| s.vars.iter().any(|v| acc.var(v).is_some()));
@@ -342,10 +355,9 @@ fn smallest<'s>(inputs: impl Iterator<Item = (usize, &'s Selection<'s>)>) -> Opt
 
 /// The rows of a vertex join so far ([`join_vertex`]).
 struct Positions<'a> {
-    /// Output variables in column order.
-    vars: Vec<String>,
-    /// Where each variable reads: `(input, source within the input)`.
-    at: Vec<(usize, usize)>,
+    /// Output variables in column order, each with where it reads:
+    /// `(input, source within the input)`.
+    vars: Vec<(Name, (usize, usize))>,
     inputs: Vec<Joined<'a>>,
     len: usize,
 }
@@ -357,46 +369,46 @@ type Joined<'a> = (Vec<Option<Cow<'a, Arc<Column>>>>, Option<Vec<u32>>);
 
 impl<'a> Positions<'a> {
     /// The rows of `s` alone; `width` is the number of variables the
-    /// vertex's inputs carry between them.
-    fn start(s: Selection<'a>, width: usize) -> Positions<'a> {
+    /// vertex's `count` inputs carry between them.
+    fn start(s: Selection<'a>, width: usize, count: usize) -> Positions<'a> {
         let mut vars = Vec::with_capacity(width);
-        vars.extend(s.vars);
-        let mut at = Vec::with_capacity(width);
-        at.extend((0..vars.len()).map(|j| (0, j)));
+        vars.extend((s.vars.iter().cloned()).zip((0..).map(|j| (0, j))));
+        let mut inputs = Vec::with_capacity(count);
+        inputs.push((s.sources, s.rows));
         Positions {
-            at,
             vars,
-            inputs: vec![(s.sources, s.rows)],
+            inputs,
             len: s.len,
         }
     }
 
     fn var(&self, v: &str) -> Option<usize> {
-        self.vars.iter().position(|c| c == v)
+        self.vars.iter().position(|(c, _)| **c == *v)
     }
 
     /// Variable `k` over the accumulator's rows (see `read_source`).
     fn column(&self, k: usize) -> Cow<'_, Arc<Column>> {
-        let (i, j) = self.at[k];
+        let (i, j) = self.vars[k].1;
         let (sources, rows) = &self.inputs[i];
         read_source(sources[j].as_deref(), rows.as_deref(), self.len)
     }
 
     /// Variables `idx`, gathered, as a relation, and the payload bytes
     /// that gathering made resident.
-    fn gather(&self, idx: &[usize]) -> (CRel, u64) {
+    fn gather(&self, idx: impl Iterator<Item = usize> + Clone) -> (CRel, u64) {
+        let n = idx.clone().count();
+        let (mut names, mut columns) = (Vec::with_capacity(n), Vec::with_capacity(n));
         let mut fresh_bytes = 0;
-        let columns = idx
-            .iter()
-            .map(|&k| match self.column(k) {
+        for k in idx {
+            names.push(self.vars[k].0.clone());
+            columns.push(match self.column(k) {
                 Cow::Borrowed(col) => Arc::clone(col),
                 Cow::Owned(col) => {
                     fresh_bytes += col.payload_bytes() as u64;
                     col
                 }
-            })
-            .collect();
-        let names = idx.iter().map(|&k| self.vars[k].clone()).collect();
+            });
+        }
         (CRel::new(names, columns, self.len), fresh_bytes)
     }
 
@@ -414,25 +426,26 @@ impl<'a> Positions<'a> {
         // build side's column order.
         let keys: Vec<(usize, usize)> = if acc_builds {
             (0..self.vars.len())
-                .filter_map(|k| Some((k, next.vars.iter().position(|v| *v == self.vars[k])?)))
+                .filter_map(|k| Some((k, next.vars.iter().position(|v| *v == self.vars[k].0)?)))
                 .collect()
         } else {
             self.shared(&next)
         };
-        let key_idx: Vec<usize> = (0..keys.len()).collect();
+        let key_idx = iota(keys.len());
         let (build_n, probe_n) = if acc_builds {
             (self.len, next.len)
         } else {
             (next.len, self.len)
         };
         if join_build_reservation(budget, &key_idx, build_n, probe_n)? {
-            let all: Vec<usize> = (0..self.vars.len()).collect();
-            let joined = grace_join(&self.gather(&all).0, &next.gather().0, budget)?;
-            *self = Positions::start(Selection::from(joined), self.vars.capacity());
+            let all = 0..self.vars.len();
+            let joined = grace_join(&self.gather(all).0, &next.gather().0, budget)?;
+            let (width, count) = (self.vars.capacity(), self.inputs.capacity());
+            *self = Positions::start(Selection::from(joined), width, count);
             return Ok(());
         }
 
-        let (acc_keys, _) = self.gather(&keys.iter().map(|&(k, _)| k).collect::<Vec<_>>());
+        let (acc_keys, _) = self.gather(keys.iter().map(|&(k, _)| k));
         let next_keys = CRel::new(
             acc_keys.cols().to_vec(),
             keys.iter()
@@ -448,19 +461,20 @@ impl<'a> Positions<'a> {
         let result = join_pairs(build, probe, &key_idx, &key_idx, budget);
         budget.uncharge_bytes(join_build_bytes(build_n, probe_n));
         let (build_idx, probe_idx) = result?;
-        let (acc_idx, next_idx) = if acc_builds {
+        let (acc_idx, mut next_rows) = if acc_builds {
             (build_idx, probe_idx)
         } else {
             (probe_idx, build_idx)
         };
-        let next_rows = match &next.rows {
-            None => next_idx,
-            Some(rows) => next_idx.iter().map(|&k| rows[k as usize]).collect(),
-        };
+        if let Some(rows) = &next.rows {
+            for k in &mut next_rows {
+                *k = rows[*k as usize];
+            }
+        }
         // A key column holds the build side's cells, as in `natural_join`:
         // equal keys may still differ in bits (`0.0` and `-0.0`, NaN
         // payloads).
-        self.append(next, &acc_idx, next_rows, !acc_builds, budget)
+        self.append(next, acc_idx, next_rows, !acc_builds, budget)
     }
 
     /// `(accumulator variable, next variable)` per variable they share, in
@@ -500,7 +514,7 @@ impl<'a> Positions<'a> {
         crate::fail_point!("cops::seek");
         budget.join_stats().add_index_seek();
         let keys = self.shared(&next);
-        let (acc_keys, _) = self.gather(&keys.iter().map(|&(k, _)| k).collect::<Vec<_>>());
+        let (acc_keys, _) = self.gather(keys.iter().map(|&(k, _)| k));
         let probe_col = acc_keys.column(keys.iter().position(|&(_, n)| n == j).expect("shared"));
         let reader = dict::reader();
         let agrees = |i: usize, r: u32| {
@@ -516,7 +530,7 @@ impl<'a> Positions<'a> {
         let mut probed: FxHashMap<Vec<u8>, Range<usize>> = FxHashMap::default();
         let mut fetched: Vec<u32> = Vec::new();
         let mut key = Vec::new();
-        let mut sink = PairSink::default();
+        let mut sink = PairSink::with_capacity(self.len);
         for rows in blocks(0..self.len) {
             for i in rows {
                 key.clear();
@@ -540,7 +554,7 @@ impl<'a> Positions<'a> {
         }
         drop(reader);
         let (acc_idx, next_rows) = sink.finish();
-        self.append(next, &acc_idx, next_rows, false, budget)
+        self.append(next, acc_idx, next_rows, false, budget)
     }
 
     /// Makes row `i` of the accumulator its old row `acc_idx[i]` joined with
@@ -549,51 +563,49 @@ impl<'a> Positions<'a> {
     fn append(
         &mut self,
         next: Selection<'a>,
-        acc_idx: &[u32],
+        acc_idx: Vec<u32>,
         next_rows: Vec<u32>,
         next_keys: bool,
         budget: &mut Budget,
     ) -> Result<(), EvalError> {
-        for (_, rows) in &mut self.inputs {
-            *rows = Some(match rows.take() {
-                None => acc_idx.to_vec(),
-                Some(rows) => acc_idx.iter().map(|&k| rows[k as usize]).collect(),
-            });
+        self.len = acc_idx.len();
+        for rows in self.inputs.iter_mut().filter_map(|(_, rows)| rows.as_mut()) {
+            *rows = acc_idx.iter().map(|&k| rows[k as usize]).collect();
+        }
+        // Only the input the accumulator started from can still read its
+        // rows unlisted: `acc_idx` becomes its list.
+        if let Some((_, rows @ None)) = self.inputs.first_mut() {
+            *rows = Some(acc_idx);
         }
         let input = self.inputs.len();
-        for (j, v) in next.vars.into_iter().enumerate() {
-            match self.var(&v) {
-                Some(k) if next_keys => self.at[k] = (input, j),
+        for (j, v) in next.vars.iter().enumerate() {
+            match self.var(v) {
+                Some(k) if next_keys => self.vars[k].1 = (input, j),
                 Some(_) => {}
-                None => {
-                    self.vars.push(v);
-                    self.at.push((input, j));
-                }
+                None => self.vars.push((v.clone(), (input, j))),
             }
         }
         self.inputs.push((next.sources, Some(next_rows)));
-        self.len = acc_idx.len();
         budget.charge_bytes(POS_BYTES * (self.len * self.inputs.len()) as u64)
     }
 
     /// [`project_onto_available`] over the accumulator, gathering only the
     /// columns that survive.
-    fn finish(self, chi: &[String], budget: &mut Budget) -> Result<CRel, EvalError> {
-        let avail: Vec<usize> = chi.iter().filter_map(|v| self.var(v)).collect();
-        let keep_all = avail.len() == self.vars.len();
-        let idx = if keep_all {
-            (0..self.vars.len()).collect()
+    fn finish(self, chi: &[Name], budget: &mut Budget) -> Result<CRel, EvalError> {
+        let avail = chi.iter().filter_map(|v| self.var(v));
+        let keep_all = avail.clone().count() == self.vars.len();
+        let (rel, fresh_bytes) = if keep_all {
+            self.gather(0..self.vars.len())
         } else {
-            avail
+            self.gather(avail)
         };
-        let (rel, fresh_bytes) = self.gather(&idx);
         budget.charge_bytes(fresh_bytes)?;
         if keep_all {
             // Joins of duplicate-free inputs are duplicate-free.
             return Ok(rel);
         }
-        let vars = rel.cols().to_vec();
-        project(&rel, &vars, true, budget)
+        let all = (0..rel.cols().len()).collect();
+        project_columns(&rel, all, true, budget)
     }
 }
 
@@ -604,7 +616,6 @@ impl<'a> Positions<'a> {
 /// `charge_bytes(PAIR_BYTES)` per pair; a limit trips at most one block
 /// of pairs later than it would pair by pair, and a probe that emits
 /// nothing still polls the deadline and the cancellation token.
-#[derive(Default)]
 struct PairSink {
     build_idx: Vec<u32>,
     probe_idx: Vec<u32>,
@@ -613,6 +624,17 @@ struct PairSink {
 }
 
 impl PairSink {
+    /// A sink for a probe side of `probe_rows` rows: room for one pair per
+    /// probe row, up to a block of them.
+    fn with_capacity(probe_rows: usize) -> PairSink {
+        let n = probe_rows.min(BLOCK);
+        PairSink {
+            build_idx: Vec::with_capacity(n),
+            probe_idx: Vec::with_capacity(n),
+            settled: 0,
+        }
+    }
+
     #[inline]
     fn push(&mut self, bi: u32, pi: u32, budget: &mut Budget) -> Result<(), EvalError> {
         self.build_idx.push(bi);
@@ -702,7 +724,7 @@ fn join_pairs_direct(
             table.push_front(k, (lo + j) as u32);
         }
     }
-    let mut sink = PairSink::default();
+    let mut sink = PairSink::with_capacity(probe.len());
     for rows in blocks(0..probe.len()) {
         let lo = rows.start;
         let keys = plan.pack(probe, probe_shared, rows, &mut blk);
@@ -736,7 +758,7 @@ fn join_pairs_hashed(
     let reader = dict::reader();
     let build_hashes = key_hashes(build, build_shared, &reader);
     let table = ChainTable::build(build.len(), |i| build_hashes[i]);
-    let mut sink = PairSink::default();
+    let mut sink = PairSink::with_capacity(probe.len());
     let key_eq = |bi: usize, pi: usize| {
         rows_key_eq(build, bi, probe, pi, build_shared, probe_shared, &reader)
     };
@@ -803,7 +825,8 @@ fn probe_hashed(
 /// returns `a` unchanged if `b` is non-empty, else the empty relation.
 pub fn semijoin(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalError> {
     crate::fail_point!("cops::semijoin");
-    let (a_shared, b_shared, _) = join_layout(a, b);
+    let layout = join_layout(a, b);
+    let (a_shared, b_shared, _) = layout.parts();
     if a_shared.is_empty() {
         return if b.is_empty() {
             Ok(CRel::empty(a.cols().to_vec()))
@@ -819,9 +842,9 @@ pub fn semijoin(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalErr
     // (mirrors the row semijoin: the reducer side is expected to fit).
     let table_bytes = join_build_bytes(b.len(), a.len());
     budget.reserve_bytes(table_bytes)?;
-    let members = KeySet::build(b, &b_shared, [(a, &a_shared[..])], table_bytes);
-    let mut keep = Vec::new();
-    let scan = members.each_member(a, &a_shared, |i| {
+    let members = KeySet::build(b, b_shared, [(a, a_shared)], table_bytes);
+    let mut keep = Vec::with_capacity(a.len().min(BLOCK));
+    let scan = members.each_member(a, a_shared, |i| {
         budget.charge(1)?;
         budget.charge_bytes(4)?;
         keep.push(i as u32);
@@ -964,16 +987,16 @@ pub fn narrow(
         if !budget.try_reserve_bytes(reserved) {
             continue;
         }
-        let names: Vec<String> = key.iter().map(|&c| child.cols()[c].clone()).collect();
+        let names: Vec<Name> = key.iter().map(|&c| child.cols()[c].clone()).collect();
         let probes: Vec<CRel> = (members.iter())
             .map(|&i| {
                 let s = &inputs[i];
-                let var = |v: &String| s.vars.iter().position(|x| x == v).expect("shared");
+                let var = |v: &Name| s.vars.iter().position(|x| x == v).expect("shared");
                 let columns = names.iter().map(|v| s.column(var(v)).into_owned());
                 CRel::new(names.clone(), columns.collect(), s.len)
             })
             .collect();
-        let probe_idx: Vec<usize> = (0..key.len()).collect();
+        let probe_idx = iota(key.len());
         let set = KeySet::build(
             child,
             &key,
@@ -981,7 +1004,7 @@ pub fn narrow(
             reserved,
         );
         for (&i, probe) in members.iter().zip(&probes) {
-            let mut kept: Vec<u32> = Vec::new();
+            let mut kept = Vec::with_capacity(probe.len().min(BLOCK));
             let scan = set.each_member(probe, &probe_idx, |r| {
                 kept.push(r as u32);
                 Ok(())
@@ -998,20 +1021,32 @@ pub fn narrow(
 /// the first occurrence of each row, in input order, deduplicating via
 /// per-row key hashes with typed verification; bag mode shares `a`'s
 /// columns (no per-cell work, no bytes charged).
-pub fn project(
+pub fn project<S: AsRef<str>>(
     a: &CRel,
-    vars: &[String],
+    vars: &[S],
+    distinct: bool,
+    budget: &mut Budget,
+) -> Result<CRel, EvalError> {
+    let idx: Vec<usize> = vars
+        .iter()
+        .map(|v| {
+            let v = v.as_ref();
+            a.col_index(v)
+                .ok_or_else(|| EvalError::UnknownVariable(v.to_string()))
+        })
+        .collect::<Result<_, _>>()?;
+    project_columns(a, idx, distinct, budget)
+}
+
+/// [`project`] onto `a`'s columns `idx`, named as in `a`.
+fn project_columns(
+    a: &CRel,
+    idx: Vec<usize>,
     distinct: bool,
     budget: &mut Budget,
 ) -> Result<CRel, EvalError> {
     crate::fail_point!("cops::project");
-    let idx: Vec<usize> = vars
-        .iter()
-        .map(|v| {
-            a.col_index(v)
-                .ok_or_else(|| EvalError::UnknownVariable(v.clone()))
-        })
-        .collect::<Result<_, _>>()?;
+    let names = idx.iter().map(|&c| a.cols()[c].clone()).collect();
     if distinct {
         // Dedup state: the hash array plus the chained table over it —
         // or, on a dense key, a bitmap over the packed keys that fits in
@@ -1019,7 +1054,7 @@ pub fn project(
         // kept indices are known.
         let map_bytes = 8 * a.len() as u64 + ChainTable::byte_estimate(a.len());
         budget.reserve_bytes(map_bytes)?;
-        let mut keep: Vec<u32> = Vec::new();
+        let mut keep: Vec<u32> = Vec::with_capacity(a.len().min(BLOCK));
         let mut keep_row = |i: usize| {
             budget.charge(1)?;
             budget.charge_bytes(4)?;
@@ -1067,13 +1102,13 @@ pub fn project(
             .iter()
             .map(|&c| Arc::new(a.column(c).gather(&keep)))
             .collect();
-        let out = CRel::new(vars.to_vec(), columns, keep.len());
+        let out = CRel::new(names, columns, keep.len());
         budget.charge_bytes(crel_payload_bytes(&out))?;
         Ok(out)
     } else {
         budget.charge(a.len() as u64)?;
         let columns = idx.iter().map(|&c| Arc::clone(&a.columns()[c])).collect();
-        Ok(CRel::new(vars.to_vec(), columns, a.len()))
+        Ok(CRel::new(names, columns, a.len()))
     }
 }
 
@@ -1083,21 +1118,17 @@ pub fn project(
 ///
 /// When the projection keeps every column it is the identity: joins of
 /// duplicate-free inputs are duplicate-free, so the (expensive) dedup pass
-/// is skipped entirely.
+/// is skipped entirely and `a` comes back as it went in.
 pub fn project_onto_available(
-    a: &CRel,
-    vars: &[String],
+    a: CRel,
+    vars: &[Name],
     budget: &mut Budget,
 ) -> Result<CRel, EvalError> {
-    let avail: Vec<String> = vars
-        .iter()
-        .filter(|v| a.col_index(v).is_some())
-        .cloned()
-        .collect();
-    if avail.len() == a.cols().len() {
-        return Ok(a.clone());
+    if a.cols().iter().all(|c| vars.contains(c)) {
+        return Ok(a);
     }
-    project(a, &avail, true, budget)
+    let avail = vars.iter().filter_map(|v| a.col_index(v)).collect();
+    project_columns(&a, avail, true, budget)
 }
 
 #[cfg(test)]
@@ -1171,8 +1202,8 @@ mod tests {
         let mut budget = Budget::unlimited();
         let ab = natural_join(&CRel::from_vrel(&a), &CRel::from_vrel(&b), &mut budget).unwrap();
         let ba = natural_join(&CRel::from_vrel(&b), &CRel::from_vrel(&a), &mut budget).unwrap();
-        assert_eq!(ab.cols(), &["x".to_string(), "y".to_string()]);
-        assert_eq!(ba.cols(), &["y".to_string(), "x".to_string()]);
+        assert_eq!(ab.to_vrel().cols(), ["x", "y"]);
+        assert_eq!(ba.to_vrel().cols(), ["y", "x"]);
         assert!(ab.to_vrel().set_eq(&ba.to_vrel()));
     }
 
@@ -1288,7 +1319,7 @@ mod tests {
             .atom("probe", "probe", &[("k", "K"), ("p", "T")])
             .atom("fact", "fact", &[("k", "K"), ("p", "P")])
             .build();
-        let chi: Vec<String> = ["K", "T", "P"].map(String::from).to_vec();
+        let chi = ["K", "T", "P"].map(Name::from);
         let run = |seek: bool| {
             let mut b = Budget::unlimited();
             let selected = (q.atom_ids())
@@ -1303,7 +1334,10 @@ mod tests {
         assert_eq!(sought.sorted_rows(), hashed.sorted_rows());
         assert_eq!(index.1.load(Ordering::Relaxed), 1, "one probe per key");
         let pairs = sought.len() as u64;
-        assert_eq!(pairs, 2 * (0..fact_rows).filter(|i| i % 7 == 3).count() as u64);
+        assert_eq!(
+            pairs,
+            2 * (0..fact_rows).filter(|i| i % 7 == 3).count() as u64
+        );
         assert_eq!(charged, 2 + pairs);
         assert_eq!(hash_charged, 2 + fact_rows as u64 + pairs);
     }
@@ -1347,9 +1381,8 @@ mod tests {
     fn project_onto_available_ignores_missing() {
         let a = crel(&["x", "y"], &[&[1, 10]]);
         let mut budget = Budget::unlimited();
-        let p =
-            project_onto_available(&a, &["x".to_string(), "w".to_string()], &mut budget).unwrap();
-        assert_eq!(p.cols(), &["x".to_string()]);
+        let p = project_onto_available(a, &["x".into(), "w".into()], &mut budget).unwrap();
+        assert_eq!(p.to_vrel().cols(), ["x"]);
     }
 
     /// The forced Grace route answers like the in-memory join, with either
@@ -1373,7 +1406,7 @@ mod tests {
             0 => Value::Null,
             _ => Value::Int((i % 997) as i64),
         };
-        let names = |n: &[&str]| n.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let names = |n: &[&str]| n.iter().map(|&s| Name::from(s)).collect::<Vec<_>>();
         let (a_n, b_n) = (400, 40_000);
         let a = CRel::new(
             names(&["k", "f", "s", "d"]),

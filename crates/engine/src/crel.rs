@@ -14,7 +14,9 @@
 //!
 //! Columns are immutable and shared ([`Arc`]): cloning a relation,
 //! permuting or dropping its columns, and scanning a base table without
-//! filters all move pointers, never cells.
+//! filters all move pointers, never cells. Variable names are shared too
+//! ([`Name`]): an evaluator takes them from its plan once, and every
+//! operator after that clones handles, never strings.
 //!
 //! A [`Selection`] is a relation not yet gathered: the stored columns its
 //! variables read plus the rows it keeps. Scans hand one to the vertex
@@ -31,10 +33,14 @@ use crate::vrel::VRelation;
 use std::borrow::Cow;
 use std::sync::Arc;
 
+/// The name of a query variable as a relation carries it: a shared
+/// handle, so cloning a name — or a relation — copies no string.
+pub type Name = Arc<str>;
+
 /// A columnar relation whose columns are named by query variables.
 #[derive(Clone, Debug)]
 pub struct CRel {
-    cols: Vec<String>,
+    cols: Vec<Name>,
     columns: Vec<Arc<Column>>,
     len: usize,
 }
@@ -44,7 +50,7 @@ impl CRel {
     ///
     /// # Panics
     /// Panics on duplicate variable names or column length mismatches.
-    pub fn new(cols: Vec<String>, columns: Vec<Arc<Column>>, len: usize) -> Self {
+    pub fn new(cols: Vec<Name>, columns: Vec<Arc<Column>>, len: usize) -> Self {
         assert_eq!(cols.len(), columns.len(), "name/column count mismatch");
         // A handful of names per relation: comparing them pairwise needs
         // no allocation, and every kernel output passes through here.
@@ -60,7 +66,7 @@ impl CRel {
     /// An empty relation over the given variables (all columns `Mixed`
     /// until rows arrive via kernels, which always gather typed columns
     /// from typed inputs).
-    pub fn empty(cols: Vec<String>) -> Self {
+    pub fn empty(cols: Vec<Name>) -> Self {
         let columns = cols
             .iter()
             .map(|_| Arc::new(Column::mixed_with_capacity(0)))
@@ -79,7 +85,7 @@ impl CRel {
     }
 
     /// Variable names in column order.
-    pub fn cols(&self) -> &[String] {
+    pub fn cols(&self) -> &[Name] {
         &self.cols
     }
 
@@ -90,7 +96,7 @@ impl CRel {
 
     /// Takes the relation apart into names, columns and row count (the
     /// inverse of [`CRel::new`]), so columns can be moved, not cloned.
-    pub fn into_parts(self) -> (Vec<String>, Vec<Arc<Column>>, usize) {
+    pub fn into_parts(self) -> (Vec<Name>, Vec<Arc<Column>>, usize) {
         (self.cols, self.columns, self.len)
     }
 
@@ -111,7 +117,7 @@ impl CRel {
 
     /// Position of variable `v`.
     pub fn col_index(&self, v: &str) -> Option<usize> {
-        self.cols.iter().position(|c| c == v)
+        self.cols.iter().position(|c| **c == *v)
     }
 
     /// Converts a row relation to columnar form. Each column is typed by
@@ -155,7 +161,7 @@ impl CRel {
             columns.push(Arc::new(col));
         }
         CRel {
-            cols: v.cols().to_vec(),
+            cols: v.cols().iter().map(|c| Name::from(c.as_str())).collect(),
             columns,
             len: rows.len(),
         }
@@ -164,17 +170,18 @@ impl CRel {
     /// Materializes the rows (one dictionary read-lock for the whole
     /// pass).
     pub fn to_vrel(&self) -> VRelation {
+        let all: Vec<usize> = (0..self.columns.len()).collect();
+        let cols = self.cols.iter().map(|c| c.to_string()).collect();
+        VRelation::from_rows(cols, self.rows_of(&all))
+    }
+
+    /// The rows of columns `idx`, in that order (a column may repeat),
+    /// materialized under one dictionary read-lock.
+    pub(crate) fn rows_of(&self, idx: &[usize]) -> Vec<Row> {
         let reader = dict::reader();
-        let mut rows: Vec<Row> = Vec::with_capacity(self.len);
-        for i in 0..self.len {
-            let row: Vec<Value> = self
-                .columns
-                .iter()
-                .map(|c| c.value_with(i, &reader))
-                .collect();
-            rows.push(row.into_boxed_slice());
-        }
-        VRelation::from_rows(self.cols.clone(), rows)
+        (0..self.len)
+            .map(|i| (idx.iter().map(|&c| self.columns[c].value_with(i, &reader))).collect())
+            .collect()
     }
 }
 
@@ -183,7 +190,8 @@ impl CRel {
 /// `None`, the hidden `__rowid` — the kept row's own position in those
 /// columns. `rows` lists the kept rows, ascending; `None` keeps every row.
 /// A selection borrows the columns of the relation it was selected from
-/// (no reference count moves until a column is shared into an output).
+/// (no reference count moves until a column is shared into an output),
+/// and its names from the plan where there is one.
 ///
 /// A selection the vertex join may seek ([`crate::scan::select_atom`]
 /// with `seek` set) lists, in `indexes`, each variable whose column
@@ -191,7 +199,7 @@ impl CRel {
 /// join pays it only if it reads the selection whole (DESIGN.md §3.13).
 #[derive(Clone, Debug)]
 pub struct Selection<'a> {
-    pub(crate) vars: Vec<String>,
+    pub(crate) vars: Cow<'a, [Name]>,
     pub(crate) sources: Vec<Option<Cow<'a, Arc<Column>>>>,
     pub(crate) rows: Option<Vec<u32>>,
     pub(crate) len: usize,
@@ -260,7 +268,8 @@ impl Selection<'_> {
                 }
             })
             .collect();
-        (CRel::new(self.vars, columns, self.len), fresh_bytes)
+        let rel = CRel::new(self.vars.into_owned(), columns, self.len);
+        (rel, fresh_bytes)
     }
 }
 
@@ -269,7 +278,7 @@ impl From<CRel> for Selection<'static> {
     fn from(rel: CRel) -> Selection<'static> {
         let (vars, columns, len) = rel.into_parts();
         Selection {
-            vars,
+            vars: vars.into(),
             sources: columns.into_iter().map(|c| Some(Cow::Owned(c))).collect(),
             rows: None,
             len,

@@ -9,12 +9,16 @@ use std::ops::Range;
 
 /// Evaluates a scalar expression against a row of an intermediate relation
 /// (columns are variable names). NULL propagates through arithmetic.
-pub fn eval_scalar(e: &ScalarExpr, cols: &[String], row: &Row) -> Result<Value, EvalError> {
+pub fn eval_scalar<S: AsRef<str>>(
+    e: &ScalarExpr,
+    cols: &[S],
+    row: &Row,
+) -> Result<Value, EvalError> {
     match e {
         ScalarExpr::Var(v) => {
             let i = cols
                 .iter()
-                .position(|c| c == v)
+                .position(|c| c.as_ref() == v)
                 .ok_or_else(|| EvalError::UnknownVariable(v.clone()))?;
             Ok(row[i].clone())
         }

@@ -24,7 +24,7 @@ use crate::aggregate::{self, Accumulator, WeightedFeedError};
 use crate::chain::{ChainTable, CHAIN_END};
 use crate::column::{combine_hash, finish_hash};
 use crate::cops;
-use crate::crel::CRel;
+use crate::crel::{CRel, Name};
 use crate::dict::{self, DictReader};
 use crate::error::{Budget, EvalError};
 use crate::hash::FxHashMap;
@@ -88,7 +88,7 @@ pub struct CoverInput {
     /// (an empty join key, i.e. a cross product).
     pub parents: Vec<Option<usize>>,
     /// Decomposition scope per vertex, used for the stitchability check.
-    pub scopes: Vec<Vec<String>>,
+    pub scopes: Vec<Vec<Name>>,
 }
 
 /// One vertex of a built [`Cover`]: its (reduced, projected) relation,
@@ -297,19 +297,19 @@ fn build_cover_inner(
     let out_set: HashSet<&str> = out_names.iter().map(|s| s.as_str()).collect();
 
     // Subtree answer variables, for pruning.
-    let mut sub_out: Vec<HashSet<String>> = rels
+    let mut sub_out: Vec<HashSet<Name>> = rels
         .iter()
         .map(|r| {
             r.cols()
                 .iter()
-                .filter(|c| out_set.contains(c.as_str()))
+                .filter(|c| out_set.contains(&***c))
                 .cloned()
                 .collect()
         })
         .collect();
     for &v in order.iter().rev() {
         if let Some(p) = parents[v] {
-            let vs: Vec<String> = sub_out[v].iter().cloned().collect();
+            let vs: Vec<Name> = sub_out[v].iter().cloned().collect();
             sub_out[p].extend(vs);
         }
     }
@@ -332,7 +332,7 @@ fn build_cover_inner(
     // Per kept vertex, keep only answer columns and link columns (keys
     // shared with the kept parent / kept children), then project distinct.
     // Distinctness makes subtree counts count *distinct* combinations.
-    let mut keeps: Vec<Vec<String>> = vec![Vec::new(); n];
+    let mut keeps: Vec<Vec<Name>> = vec![Vec::new(); n];
     for &v in &order {
         if !kept[v] {
             continue;
@@ -341,7 +341,7 @@ fn build_cover_inner(
             .cols()
             .iter()
             .filter(|c| {
-                out_set.contains(c.as_str())
+                out_set.contains(&***c)
                     || parents[v].is_some_and(|p| rels[p].col_index(c).is_some())
                     || children[v]
                         .iter()
@@ -406,7 +406,7 @@ fn build_cover_inner(
         let rel = &vert.rel;
         let (mut out_idx, mut link_idx) = (Vec::new(), Vec::new());
         for (i, c) in rel.cols().iter().enumerate() {
-            if out_set.contains(c.as_str()) {
+            if out_set.contains(&**c) {
                 out_idx.push(i);
             } else {
                 link_idx.push(i);

@@ -38,8 +38,12 @@ pub(crate) fn blocks(rows: Range<usize>) -> impl DoubleEndedIterator<Item = Rang
 /// The packed key (or column offset) of a row that matches no build row.
 pub(crate) const MISS: u64 = u64::MAX;
 
+/// The most key columns a plan covers; a wider key takes the hashed path.
+const MAX_DIMS: usize = 8;
+
 /// One key column: the build side's value range and its place in the
 /// packed key.
+#[derive(Clone, Copy, Default)]
 struct KeyDim {
     min: i64,
     /// `max − min + 1`.
@@ -51,17 +55,20 @@ struct KeyDim {
 
 /// See the module docs.
 pub(crate) struct KeyPlan {
-    dims: Vec<KeyDim>,
+    /// One per key column, in the first `n_dims` places: a plan is
+    /// resolved per kernel call, and this keeps it off the heap.
+    dims: [KeyDim; MAX_DIMS],
+    n_dims: usize,
     /// Number of packed keys, `Π widthᵢ`; `None` when it overflows.
     range: Option<u64>,
 }
 
-/// Per-call scratch for one block of packed keys.
+/// Per-call scratch for one block of packed keys: the keys, then — for a
+/// multi-column key — the offsets of its second and later columns.
 pub(crate) struct KeyBlock {
-    keys: Vec<u64>,
-    /// Offsets of the second and later key columns (multi-column keys
-    /// only).
-    tmp: Vec<u64>,
+    buf: Vec<u64>,
+    /// Rows in a block.
+    rows: usize,
 }
 
 /// A fixed-size set of packed keys or column offsets: the reducer side
@@ -138,20 +145,20 @@ impl KeyPlan {
     /// The plan for joining `build`'s key columns `build_idx` with
     /// `probe`'s `probe_idx` (paired by position), or `None` when the key
     /// is not plannable: no key column, no build row, a column that is
-    /// not null-free `Int`/`Date`/`Str` on both sides, or a build-side
-    /// range of `2⁶⁴` values.
+    /// not null-free `Int`/`Date`/`Str` on both sides, a build-side range
+    /// of `2⁶⁴` values, or more than `MAX_DIMS` key columns.
     pub(crate) fn resolve(
         build: &CRel,
         build_idx: &[usize],
         probe: &CRel,
         probe_idx: &[usize],
     ) -> Option<KeyPlan> {
-        if build_idx.is_empty() || build.is_empty() {
+        if build_idx.is_empty() || build_idx.len() > MAX_DIMS || build.is_empty() {
             return None;
         }
-        let mut dims = Vec::with_capacity(build_idx.len());
+        let mut dims = [KeyDim::default(); MAX_DIMS];
         let mut range = Some(1u64);
-        for (&bc, &pc) in build_idx.iter().zip(probe_idx) {
+        for (i, (&bc, &pc)) in build_idx.iter().zip(probe_idx).enumerate() {
             let (b, p) = (build.column(bc), probe.column(pc));
             let (min, max) = match (b.data(), p.data()) {
                 (ColumnData::Int(a), ColumnData::Int(_))
@@ -178,14 +185,23 @@ impl KeyPlan {
                 _ => return None,
             };
             let width = (max as u64).wrapping_sub(min as u64).checked_add(1)?;
-            dims.push(KeyDim {
+            dims[i] = KeyDim {
                 min,
                 width,
                 stride: range.unwrap_or(0),
-            });
+            };
             range = range.and_then(|r| r.checked_mul(width));
         }
-        Some(KeyPlan { dims, range })
+        let n_dims = build_idx.len();
+        Some(KeyPlan {
+            dims,
+            n_dims,
+            range,
+        })
+    }
+
+    fn dims(&self) -> &[KeyDim] {
+        &self.dims[..self.n_dims]
     }
 
     /// The number of packed keys, if a structure of `bytes(range)` bytes
@@ -202,7 +218,7 @@ impl KeyPlan {
 
     /// Bytes of one exact bitmap per key column (`None` on overflow).
     pub(crate) fn range_bitmap_bytes(&self) -> Option<u64> {
-        self.dims.iter().try_fold(0u64, |acc, d| {
+        self.dims().iter().try_fold(0u64, |acc, d| {
             acc.checked_add(Bitmap::byte_estimate(d.width)?)
         })
     }
@@ -211,12 +227,8 @@ impl KeyPlan {
     pub(crate) fn block(&self, rows: usize) -> KeyBlock {
         let n = rows.min(BLOCK);
         KeyBlock {
-            keys: vec![0; n],
-            tmp: if self.dims.len() > 1 {
-                vec![0; n]
-            } else {
-                Vec::new()
-            },
+            buf: vec![0; if self.n_dims > 1 { 2 * n } else { n }],
+            rows: n,
         }
     }
 
@@ -230,11 +242,12 @@ impl KeyPlan {
         blk: &'b mut KeyBlock,
     ) -> &'b [u64] {
         let (lo, len) = (rows.start, rows.len());
-        let keys = &mut blk.keys[..len];
+        let (keys, tmp) = blk.buf.split_at_mut(blk.rows);
+        let keys = &mut keys[..len];
         // The first stride is 1: its offsets are the keys so far.
         self.dims[0].offsets(rel.column(idx[0]), lo, keys);
-        for (dim, &c) in self.dims.iter().zip(idx).skip(1) {
-            let tmp = &mut blk.tmp[..len];
+        for (dim, &c) in self.dims().iter().zip(idx).skip(1) {
+            let tmp = &mut tmp[..len];
             dim.offsets(rel.column(c), lo, tmp);
             for (k, &t) in keys.iter_mut().zip(tmp.iter()) {
                 *k = if *k == MISS || t == MISS {
@@ -268,10 +281,10 @@ impl KeyPlan {
         idx: &[usize],
         blk: &mut KeyBlock,
     ) -> Vec<Bitmap> {
-        let mut maps: Vec<Bitmap> = self.dims.iter().map(|d| Bitmap::new(d.width)).collect();
+        let mut maps: Vec<Bitmap> = self.dims().iter().map(|d| Bitmap::new(d.width)).collect();
         for rows in blocks(0..rel.len()) {
-            let offs = &mut blk.keys[..rows.len()];
-            for ((dim, &c), map) in self.dims.iter().zip(idx).zip(&mut maps) {
+            let offs = &mut blk.buf[..rows.len()];
+            for ((dim, &c), map) in self.dims().iter().zip(idx).zip(&mut maps) {
                 dim.offsets(rel.column(c), rows.start, offs);
                 for &d in offs.iter() {
                     map.insert(d);
@@ -294,9 +307,9 @@ impl KeyPlan {
         sel: &mut Vec<u32>,
     ) {
         let (lo, len) = (rows.start, rows.len());
-        let offs = &mut blk.keys[..len];
+        let offs = &mut blk.buf[..len];
         sel.clear();
-        for (i, ((dim, &c), map)) in self.dims.iter().zip(idx).zip(maps).enumerate() {
+        for (i, ((dim, &c), map)) in self.dims().iter().zip(idx).zip(maps).enumerate() {
             dim.offsets(probe.column(c), lo, offs);
             let present = |j: usize| map.contains(offs[j]);
             if i == 0 {
@@ -317,7 +330,7 @@ mod tests {
 
     fn rel(cols: Vec<Column>) -> CRel {
         let n = cols[0].len();
-        let names = (0..cols.len()).map(|i| format!("c{i}")).collect();
+        let names = (0..cols.len()).map(|i| format!("c{i}").into()).collect();
         CRel::new(names, cols.into_iter().map(Arc::new).collect(), n)
     }
 

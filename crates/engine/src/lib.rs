@@ -56,7 +56,7 @@ pub mod value;
 pub mod vrel;
 
 pub use aggregate::{finalize, finalize_c};
-pub use crel::CRel;
+pub use crel::{CRel, Name};
 pub use csv::{read_csv, read_csv_budgeted, write_csv, CsvError};
 pub use error::{Budget, CancelToken, EvalError, JoinStats, SpillMode, SpillStats};
 pub use exec::ExecOptions;

@@ -14,7 +14,7 @@
 //! the stored columns and the selection vector to the vertex join
 //! ([`crate::cops::join_vertex`]).
 
-use crate::crel::{CRel, Selection};
+use crate::crel::{CRel, Name, Selection};
 use crate::dict;
 use crate::error::{Budget, EvalError};
 use crate::relation::Relation;
@@ -25,31 +25,29 @@ use htqo_cq::{Atom, CmpOp, ConjunctiveQuery, Filter};
 use std::borrow::Cow;
 use std::sync::Arc;
 
-/// Where an output variable's value comes from.
-enum Source {
-    /// A column of the base relation.
-    Col(usize),
-    /// The hidden row identifier.
-    RowId,
-}
-
 /// An atom resolved against its stored relation: what to filter on and
 /// where each output variable comes from.
 struct AtomLayout {
     /// Constant filters as `(column index, op, constant)`.
     filters: Vec<(usize, CmpOp, Value)>,
-    /// Distinct output variables in first-occurrence order.
-    out_vars: Vec<String>,
-    /// Source of each output variable, parallel to `out_vars`.
-    sources: Vec<Source>,
+    /// Where each distinct output variable, in first-occurrence order,
+    /// reads: a column of the base relation, or (`None`) the hidden row
+    /// identifier.
+    sources: Vec<Option<usize>>,
     /// Column pairs a repeated variable (e.g. `r(X, X)`) forces equal.
     equalities: Vec<(usize, usize)>,
 }
 
 impl AtomLayout {
-    /// Resolves `atom` and `filters` (which must all belong to the atom)
-    /// against `rel`'s schema.
-    fn resolve(rel: &Relation, atom: &Atom, filters: &[&Filter]) -> Result<AtomLayout, EvalError> {
+    /// Resolves `atom`, whose distinct variables are `vars` (in
+    /// first-occurrence order), and `filters` (which must all belong to
+    /// the atom) against `rel`'s schema.
+    fn resolve(
+        rel: &Relation,
+        atom: &Atom,
+        vars: &[Name],
+        filters: &[&Filter],
+    ) -> Result<AtomLayout, EvalError> {
         let index_of = |column: &String| {
             rel.schema()
                 .index_of(column)
@@ -63,28 +61,28 @@ impl AtomLayout {
             .map(|f| Ok((index_of(&f.column)?, f.op, Value::from(&f.value))))
             .collect::<Result<_, EvalError>>()?;
 
-        let mut out_vars: Vec<String> = Vec::new();
-        let mut sources: Vec<Source> = Vec::new();
+        let mut sources: Vec<Option<usize>> = Vec::with_capacity(vars.len());
         let mut equalities: Vec<(usize, usize)> = Vec::new();
         for (column, var) in &atom.args {
             let src = if column == ROWID_COLUMN {
-                Source::RowId
+                None
             } else {
-                Source::Col(index_of(column)?)
+                Some(index_of(column)?)
             };
-            if let Some(pos) = out_vars.iter().position(|v| v == var) {
+            let seen = &vars[..sources.len()];
+            if let Some(pos) = seen.iter().position(|v| **v == **var) {
                 // Rowid repetition cannot add a constraint (it is unique).
-                if let (Source::Col(a), Source::Col(b)) = (&sources[pos], &src) {
-                    equalities.push((*a, *b));
+                if let (Some(a), Some(b)) = (sources[pos], src) {
+                    equalities.push((a, b));
                 }
             } else {
-                out_vars.push(var.clone());
+                assert_eq!(vars.get(sources.len()).map(|v| &**v), Some(&**var));
                 sources.push(src);
             }
         }
+        assert_eq!(sources.len(), vars.len(), "the atom's variables");
         Ok(AtomLayout {
             filters,
-            out_vars,
             sources,
             equalities,
         })
@@ -104,16 +102,25 @@ pub fn scan_atom_c(
     filters: &[&Filter],
     budget: &mut Budget,
 ) -> Result<CRel, EvalError> {
-    let (rel, fresh_bytes) = select_atom(db, atom, filters, false, budget)?.gather();
+    let vars = atom_names(atom);
+    let (rel, fresh_bytes) = select_atom(db, atom, vars, filters, false, budget)?.gather();
     budget.charge_bytes(fresh_bytes)?;
     Ok(rel)
 }
 
+/// The atom's distinct variables in first-occurrence order, as fresh
+/// names — for a caller with no plan to share them from.
+pub fn atom_names(atom: &Atom) -> Vec<Name> {
+    atom.vars().into_iter().map(Name::from).collect()
+}
+
 /// The scan before its gather: the stored columns `atom`'s variables read
 /// and the rows that pass `filters` and the atom's repeated-variable
-/// equalities (`__rowid` reads the row positions). Charges one tuple per
-/// surviving row and no bytes; whoever keeps the selection vector pays
-/// for it.
+/// equalities (`__rowid` reads the row positions). `vars` names the
+/// atom's distinct variables in first-occurrence order ([`atom_names`],
+/// or the plan's shared names); they become the selection's. Charges one
+/// tuple per surviving row and no bytes; whoever keeps the selection
+/// vector pays for it.
 ///
 /// With `seek` set, the selection also carries the registered index of
 /// each variable read from an indexed column, and if there is one it
@@ -122,6 +129,7 @@ pub fn scan_atom_c(
 pub fn select_atom<'d>(
     db: &'d Database,
     atom: &Atom,
+    vars: impl Into<Cow<'d, [Name]>>,
     filters: &[&Filter],
     seek: bool,
     budget: &mut Budget,
@@ -130,7 +138,8 @@ pub fn select_atom<'d>(
     let rel = db
         .table(&atom.relation)
         .ok_or_else(|| EvalError::UnknownTable(atom.relation.clone()))?;
-    let layout = AtomLayout::resolve(rel, atom, filters)?;
+    let vars = vars.into();
+    let layout = AtomLayout::resolve(rel, atom, &vars, filters)?;
 
     // Selection: the first predicate writes the selection vector, later
     // ones refine it. `None` means every row (no predicate ran).
@@ -148,12 +157,9 @@ pub fn select_atom<'d>(
     let n = sel.as_ref().map_or(rel.len(), Vec::len);
 
     let indexes: Vec<_> = (layout.sources.iter().enumerate())
-        .filter_map(|(j, s)| match s {
-            Source::Col(i) if seek => {
-                let column = &rel.schema().columns()[*i].name;
-                Some((j, Arc::clone(db.index_on(&atom.relation, column)?)))
-            }
-            _ => None,
+        .filter_map(|(j, s)| {
+            let column = &rel.schema().columns()[(*s).filter(|_| seek)?].name;
+            Some((j, Arc::clone(db.index_on(&atom.relation, column)?)))
         })
         .collect();
     let unpaid = if indexes.is_empty() {
@@ -163,16 +169,12 @@ pub fn select_atom<'d>(
         n as u64
     };
 
-    let sources = layout
-        .sources
-        .iter()
-        .map(|s| match s {
-            Source::Col(i) => Some(Cow::Borrowed(rel.shared_column(*i))),
-            Source::RowId => None,
-        })
+    // Reuses the layout's list: the two element types are the same size.
+    let sources = (layout.sources.into_iter())
+        .map(|s| Some(Cow::Borrowed(rel.shared_column(s?))))
         .collect();
     Ok(Selection {
-        vars: layout.out_vars,
+        vars,
         sources,
         rows: sel,
         len: n,
@@ -202,7 +204,8 @@ pub fn select_query_atom<'d>(
     budget: &mut Budget,
 ) -> Result<Selection<'d>, EvalError> {
     let filters: Vec<&Filter> = q.filters_of(a).collect();
-    select_atom(db, q.atom(a), &filters, seek, budget)
+    let atom = q.atom(a);
+    select_atom(db, atom, atom_names(atom), &filters, seek, budget)
 }
 
 #[cfg(test)]

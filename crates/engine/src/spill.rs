@@ -57,7 +57,7 @@
 use crate::chain::ChainTable;
 use crate::column::{Column, ColumnData};
 use crate::cops::key_hashes;
-use crate::crel::CRel;
+use crate::crel::{CRel, Name};
 use crate::dict;
 use crate::error::{Budget, EvalError, SpillMode, SpillStats};
 use crate::hash::FxHasher;
@@ -272,7 +272,7 @@ pub(crate) struct SpillReader {
     /// Bytes of the file not read yet.
     left: u64,
     /// Names of the spilled relation's columns, and their variant tags.
-    names: Vec<String>,
+    names: Vec<Name>,
     tags: Vec<u8>,
     buf: Vec<u8>,
 }
@@ -565,7 +565,7 @@ pub(crate) fn load(file: &SpillFile, like: &CRel) -> Result<CRel, EvalError> {
 /// Relations appended in arrival order into columns shaped like a
 /// template's (`Column::extend_from`).
 pub(crate) struct Concat {
-    names: Vec<String>,
+    names: Vec<Name>,
     columns: Vec<Column>,
     len: usize,
 }
@@ -695,7 +695,7 @@ mod tests {
                 }),
             ),
         ];
-        let names = ["i", "f", "s", "d", "m"].map(String::from).to_vec();
+        let names = ["i", "f", "s", "d", "m"].map(Name::from).to_vec();
         CRel::new(names, columns, n)
     }
 

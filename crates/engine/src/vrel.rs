@@ -28,9 +28,8 @@ impl VRelation {
     /// # Panics
     /// Panics on duplicate variable names.
     pub fn empty(cols: Vec<String>) -> Self {
-        let mut seen = HashSet::new();
-        for c in &cols {
-            assert!(seen.insert(c.clone()), "duplicate variable `{c}`");
+        for (i, c) in cols.iter().enumerate() {
+            assert!(!cols[..i].contains(c), "duplicate variable `{c}`");
         }
         VRelation {
             cols,

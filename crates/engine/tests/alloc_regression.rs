@@ -58,13 +58,14 @@ fn hash_kernel_allocates_a_fraction_per_input_row() {
         let mut budget = Budget::unlimited();
         cops::natural_join(&a, &b, &mut budget).unwrap()
     });
-    // Measured: 39 allocations for 7,992 input rows (571 output rows). A boxed
-    // key per row on even one side would add 3,996.
+    // Measured: 15 allocations for 7,992 input rows (571 output rows; 39
+    // before the pair lists were sized once). A boxed key per row on even
+    // one side would add 3,996.
     let input_rows = 2 * rows;
     assert!(out.len() < input_rows / 8, "inputs should join sparsely");
     assert!(
-        allocs * 8 <= input_rows,
-        "expected at most 1 allocation per 8 input rows from the in-place kernel: \
+        allocs * 16 <= input_rows,
+        "expected at most 1 allocation per 16 input rows from the in-place kernel: \
          {allocs} allocations for {input_rows} input rows ({} output rows)",
         out.len()
     );
@@ -106,11 +107,13 @@ fn columnar_join_allocates_per_column_not_per_joined_row() {
     });
     let n = out.len();
     assert!(n > 5000, "inputs should join densely, got {n} rows");
-    // Measured: 47 for 3 output columns and 11,300 joined rows (the row
-    // kernel this replaced boxed every joined row: over 11,300).
+    // Measured: 21 for 3 output columns and 11,300 joined rows (47 before
+    // the pair lists were sized once and the direct table became one
+    // list; the row kernel this replaced boxed every joined row: over
+    // 11,300).
     let growth = 2 * (usize::BITS - n.leading_zeros()) as usize;
     assert!(
-        allocs <= 8 * out.cols().len() + growth,
+        allocs <= 4 * out.cols().len() + growth,
         "{allocs} allocations for {} output columns ({n} joined rows)",
         out.cols().len()
     );
@@ -144,8 +147,8 @@ fn swapped_join_reorders_without_copying_cells() {
     // has to reorder.
     let (plain_bytes, plain) = bytes_of(|| join(&small, &big));
     let (swapped_bytes, swapped) = bytes_of(|| join(&big, &small));
-    assert_eq!(plain.cols(), ["x", "z", "y"]);
-    assert_eq!(swapped.cols(), ["x", "y", "z"]);
+    assert_eq!(plain.to_vrel().cols(), ["x", "z", "y"]);
+    assert_eq!(swapped.to_vrel().cols(), ["x", "y", "z"]);
     let payload = swapped.len() * 3 * std::mem::size_of::<i64>();
     assert_eq!(payload, 24_000);
     assert!(
@@ -291,7 +294,7 @@ fn dbgen_allocates_per_table_and_name_not_per_row() {
 struct Q8Vertex {
     db: htqo_engine::schema::Database,
     atoms: Vec<(htqo_cq::Atom, Vec<htqo_cq::Filter>)>,
-    chi: Vec<String>,
+    chi: Vec<htqo_engine::Name>,
 }
 
 impl Q8Vertex {
@@ -301,7 +304,8 @@ impl Q8Vertex {
         (self.atoms.iter())
             .map(|(a, f)| {
                 let f: Vec<_> = f.iter().collect();
-                htqo_engine::scan::select_atom(&self.db, a, &f, false, &mut budget).unwrap()
+                let vars = htqo_engine::scan::atom_names(a);
+                htqo_engine::scan::select_atom(&self.db, a, vars, &f, false, &mut budget).unwrap()
             })
             .collect()
     }
@@ -416,7 +420,7 @@ fn q8_vertex(extra: usize) -> Q8Vertex {
         (atom("part", &[("p_partkey", "P")]), vec![p_type]),
     ];
     let chi = ["P", "S", "SN", "O", "EP", "RID", "NN"]
-        .map(String::from)
+        .map(Into::into)
         .to_vec();
     Q8Vertex { db, atoms, chi }
 }
@@ -443,7 +447,7 @@ fn vertex_join_allocations_do_not_grow_with_the_carried_width() {
             let mut acc = cops::natural_join(&rels[0], &rels[1], &mut budget).unwrap();
             acc = cops::natural_join(&acc, &rels[2], &mut budget).unwrap();
             acc = cops::natural_join(&acc, &rels[3], &mut budget).unwrap();
-            cops::project_onto_available(&acc, chi, &mut budget).unwrap()
+            cops::project_onto_available(acc, chi, &mut budget).unwrap()
         })
     };
     let _ = late(0); // warm-up
@@ -458,11 +462,12 @@ fn vertex_join_allocations_do_not_grow_with_the_carried_width() {
         narrow, wide,
         "2 carried columns: {narrow} allocations, 12: {wide}"
     );
-    // Measured: 181 — per join its key columns, the kernel's table and
-    // pair lists (grown by doubling) and one position list per input;
-    // then seven output columns and the distinct projection. Gathering
-    // every column at every join: 217 with 2 carried columns, 300 with 12.
-    assert!(wide < 220, "{wide} allocations");
+    // Measured: 83 — per join its key columns, the kernel's table and
+    // pair lists (sized once) and one position list per input; then seven
+    // output columns and the distinct projection (181 while names were
+    // strings and the pair lists grew by doubling). Gathering every column
+    // at every join: 91 with 2 carried columns, 131 with 12.
+    assert!(wide < 110, "{wide} allocations");
     let (g_narrow, g_wide) = (gathering(2).0, gathering(12).0);
     assert!(g_wide >= g_narrow + 20, "gathering: {g_narrow} → {g_wide}");
 }
@@ -486,7 +491,7 @@ fn aggregate_c_allocates_no_row_per_answer_row() {
     let mut flags = Column::new(ColumnType::Str);
     (0..n).for_each(|i| assert!(flags.push_str(["A", "N", "R"][i % 3])));
     let answer = CRel::new(
-        ["RF", "EP", "D", "__rid_l"].map(String::from).to_vec(),
+        ["RF", "EP", "D", "__rid_l"].map(Into::into).to_vec(),
         vec![
             Arc::new(flags),
             float(&|i| i as f64 * 0.25),
@@ -517,8 +522,9 @@ fn aggregate_c_allocates_no_row_per_answer_row() {
     let _ = finalize(); // warm-up
     let (allocs, out) = allocs_of(finalize);
     assert_eq!(out.len(), 3);
-    // Measured: 44 (a boxed row per answer row: over 20,000).
-    assert!(allocs < 80, "{allocs} allocations for {n} answer rows");
+    // Measured: 49, 61 before names were shared (a boxed row per answer
+    // row: over 20,000).
+    assert!(allocs < 64, "{allocs} allocations for {n} answer rows");
 }
 
 /// Distinct projection used to keep one heap `Vec<u32>` per distinct key;
@@ -540,8 +546,10 @@ fn distinct_project_allocates_o1_blocks() {
         let _ = project(); // warm-up
         let (allocs, out) = allocs_of(project);
         assert_eq!(out.len(), n as usize);
+        // Measured: 15 dense, 16 otherwise (27 and 28 before the names
+        // were shared and the kept list sized once).
         assert!(
-            allocs < 48,
+            allocs < 24,
             "{what}: {allocs} allocations for {n} distinct keys"
         );
     }

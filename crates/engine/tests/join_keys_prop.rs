@@ -230,7 +230,8 @@ fn generic(v: &VRelation) -> CRel {
             Arc::new(col)
         })
         .collect();
-    CRel::new(v.cols().to_vec(), columns, v.len())
+    let names = v.cols().iter().map(|c| c.as_str().into()).collect();
+    CRel::new(names, columns, v.len())
 }
 
 /// Runs `typed` against `generic` (the hashed kernel: same charges, same

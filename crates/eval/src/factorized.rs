@@ -32,6 +32,7 @@ use htqo_engine::factorized::{
 use htqo_engine::schema::Database;
 use htqo_engine::value::Row;
 use htqo_engine::vrel::VRelation;
+use htqo_engine::Name;
 use htqo_hypergraph::acyclic::gyo;
 use htqo_hypergraph::EdgeId;
 
@@ -357,12 +358,12 @@ fn yann_cover(
     let parents: Vec<Option<usize>> = (0..n)
         .map(|i| forest.parent(EdgeId(i as u32)).map(|p| p.index()))
         .collect();
-    let scopes: Vec<Vec<String>> = (0..n)
+    let scopes: Vec<Vec<Name>> = (0..n)
         .map(|i| {
             ch.hypergraph
                 .edge_vars(EdgeId(i as u32))
                 .iter()
-                .map(|v| ch.hypergraph.var_name(v).to_string())
+                .map(|v| ch.hypergraph.shared_var_name(v).clone())
                 .collect()
         })
         .collect();

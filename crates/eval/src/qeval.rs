@@ -32,11 +32,11 @@
 
 use htqo_core::hypertree::{Node, NodeId};
 use htqo_core::QhdPlan;
-use htqo_cq::{AtomId, ConjunctiveQuery};
+use htqo_cq::{ConjunctiveQuery, CqHypergraph, Filter};
 use htqo_engine::cops;
-use htqo_engine::crel::CRel;
+use htqo_engine::crel::{CRel, Name};
 use htqo_engine::error::{Budget, EvalError};
-use htqo_engine::scan::select_query_atom;
+use htqo_engine::scan::select_atom;
 use htqo_engine::schema::Database;
 use htqo_engine::vrel::VRelation;
 
@@ -70,36 +70,31 @@ pub fn evaluate_qhd_with(
 /// per-vertex joined relations, both indexed by [`NodeId::index`]. Shared
 /// by the materialized pipeline below and the factorized cover build
 /// ([`crate::factorized`]), so both see byte-identical vertex relations.
+/// Every name is the plan's own ([`Name`]), cloned, never rebuilt.
 pub(crate) fn vertex_relations(
     db: &Database,
     q: &ConjunctiveQuery,
     plan: &QhdPlan,
     budget: &mut Budget,
     opts: &ExecOptions,
-) -> Result<(Vec<Vec<String>>, Vec<CRel>), EvalError> {
+) -> Result<(Vec<Vec<Name>>, Vec<CRel>), EvalError> {
     let tree = &plan.tree;
     let h = &plan.cq_hypergraph.hypergraph;
 
-    // χ(p) as variable names, per vertex.
-    let mut chi_names: Vec<Vec<String>> = vec![Vec::new(); tree.len()];
-    for p in tree.preorder() {
-        chi_names[p.index()] = tree
-            .node(p)
-            .chi
-            .iter()
-            .map(|v| h.var_name(v).to_string())
-            .collect();
-    }
-
     // P′: per-vertex joins, children before parents, so that each vertex
     // can be narrowed by its children's finished relations.
+    let mut chi_names: Vec<Vec<Name>> = vec![Vec::new(); tree.len()];
     let mut rels: Vec<Option<CRel>> = (0..tree.len()).map(|_| None).collect();
     for p in tree.postorder() {
-        let children: Vec<&CRel> = (tree.node(p).children.iter())
+        let node = tree.node(p);
+        let chi = node.chi.iter().map(|v| h.shared_var_name(v).clone());
+        chi_names[p.index()] = chi.collect();
+        let children: Vec<&CRel> = (node.children.iter())
             .map(|c| rels[c.index()].as_ref().expect("postorder"))
             .collect();
-        let (node, chi) = (tree.node(p), &chi_names[p.index()]);
-        let joined = vertex_join(db, q, node, chi, &children, budget, opts.index_join)?;
+        let chi = &chi_names[p.index()];
+        let scan = (db, q, &plan.cq_hypergraph);
+        let joined = vertex_join(scan, node, chi, &children, budget, opts.index_join)?;
         rels[p.index()] = Some(joined);
     }
     let rels = rels
@@ -151,20 +146,24 @@ pub(crate) fn evaluate_qhd_c(
 /// indexed column may be joined by index seek inside the join
 /// ([`cops::join_vertex`]); the answer is the same set either way.
 fn vertex_join(
-    db: &Database,
-    q: &ConjunctiveQuery,
+    (db, q, ch): (&Database, &ConjunctiveQuery, &CqHypergraph),
     n: &Node,
-    chi: &[String],
+    chi: &[Name],
     children: &[&CRel],
     budget: &mut Budget,
     index_join: bool,
 ) -> Result<CRel, EvalError> {
     budget.check_time()?;
     htqo_engine::fail_point!("qeval::vertex");
-    let atoms = n.assigned.union(&n.lambda);
-    let mut selected = Vec::with_capacity(atoms.len());
-    for e in atoms.iter() {
-        selected.push(select_query_atom(db, q, AtomId(e.0), index_join, budget)?);
+    // `assigned(p) ∪ λ(p)`, ascending, without building the union.
+    let atoms =
+        (ch.hypergraph.edge_ids()).filter(|&e| n.assigned.contains(e) || n.lambda.contains(e));
+    let mut selected = Vec::with_capacity(n.assigned.len() + n.lambda.len());
+    for e in atoms {
+        let a = ch.atom_of_edge(e);
+        let (atom, vars) = (q.atom(a), &ch.atom_vars[a.index()][..]);
+        let filters: Vec<&Filter> = q.filters_of(a).collect();
+        selected.push(select_atom(db, atom, vars, &filters, index_join, budget)?);
     }
     for child in children {
         let worth = |rows| decisively_smaller(child.len(), rows);
@@ -176,24 +175,19 @@ fn vertex_join(
 fn eval_bottom_up(
     tree: &htqo_core::Hypertree,
     p: NodeId,
-    chi_names: &[Vec<String>],
+    chi_names: &[Vec<Name>],
     vertex_rel: &mut [Option<CRel>],
     budget: &mut Budget,
 ) -> Result<CRel, EvalError> {
     let node = tree.node(p);
     // Children order: support children first, then the rest.
-    let mut order: Vec<NodeId> = node.support_children.clone();
-    for &c in &node.children {
-        if !order.contains(&c) {
-            order.push(c);
-        }
-    }
+    let support = &node.support_children;
+    let rest = node.children.iter().filter(|c| !support.contains(c));
 
     // Evaluate the subtrees below the children, then fold the joins in
     // support-first order below.
     htqo_engine::fail_point!("qeval::bottom_up");
-    let children = order
-        .iter()
+    let children = (support.iter().chain(rest))
         .map(|&c| eval_bottom_up(tree, c, chi_names, vertex_rel, budget))
         .collect::<Result<Vec<CRel>, EvalError>>()?;
 
@@ -206,12 +200,12 @@ fn eval_bottom_up(
         // variables the parent (or any sibling) can ever see are those in
         // χ(p), so the rest are dead weight — drop them (with dedup)
         // before the join instead of after.
-        let child = cops::project_onto_available(&child, &chi_names[p.index()], budget)?;
+        let child = cops::project_onto_available(child, &chi_names[p.index()], budget)?;
         acc = cops::natural_join(&acc, &child, budget)?;
         // Project eagerly after each child join to keep intermediates at
         // χ(p) arity (still a *join*, not a semijoin: children may supply
         // χ(p) variables the vertex's own atoms lack).
-        acc = cops::project_onto_available(&acc, &chi_names[p.index()], budget)?;
+        acc = cops::project_onto_available(acc, &chi_names[p.index()], budget)?;
     }
     Ok(acc)
 }

@@ -7,7 +7,7 @@
 
 use htqo_cq::ConjunctiveQuery;
 use htqo_engine::cops;
-use htqo_engine::crel::CRel;
+use htqo_engine::crel::{CRel, Name};
 use htqo_engine::error::{Budget, EvalError};
 use htqo_engine::exec::ExecOptions;
 use htqo_engine::scan::scan_query_atom_c;
@@ -97,16 +97,16 @@ pub(crate) fn yannakakis_c(
         }
         // Keep this vertex's variables plus any output variables gathered
         // from the subtree.
-        let keep: Vec<String> = t
+        let keep: Vec<Name> = t
             .cols()
             .iter()
             .filter(|v| {
-                out.contains(v)
+                out.iter().any(|o| **o == ***v)
                     || ch
                         .hypergraph
                         .edge_vars(n)
                         .iter()
-                        .any(|hv| ch.hypergraph.var_name(hv) == v.as_str())
+                        .any(|hv| ch.hypergraph.var_name(hv) == &***v)
             })
             .cloned()
             .collect();

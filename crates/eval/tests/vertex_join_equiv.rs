@@ -18,10 +18,10 @@
 use htqo_cq::isolator::ROWID_COLUMN;
 use htqo_cq::{Atom, AtomId, CmpOp, Filter, Literal};
 use htqo_engine::cops;
-use htqo_engine::crel::CRel;
+use htqo_engine::crel::{CRel, Name};
 use htqo_engine::error::{Budget, EvalError, SpillMode};
 use htqo_engine::relation::Relation;
-use htqo_engine::scan::{scan_atom_c, select_atom};
+use htqo_engine::scan::{atom_names, scan_atom_c, select_atom};
 use htqo_engine::schema::{ColumnType, Database, Schema};
 use htqo_engine::value::Value;
 use proptest::prelude::*;
@@ -94,7 +94,7 @@ struct Case {
     seed: u64,
     db: Database,
     atoms: Vec<(Atom, Vec<Filter>)>,
-    chi: Vec<String>,
+    chi: Vec<Name>,
 }
 
 impl Case {
@@ -182,7 +182,7 @@ impl Case {
         while !vars.is_empty() {
             let v = vars.swap_remove(rng.below(vars.len() as u64) as usize);
             if rng.below(3) != 0 {
-                chi.push(v);
+                chi.push(v.into());
             }
         }
         Case {
@@ -197,7 +197,15 @@ impl Case {
     fn vertex(&self, budget: &mut Budget) -> Result<CRel, EvalError> {
         let mut selected = Vec::new();
         for (atom, filters) in &self.atoms {
-            selected.push(select_atom(&self.db, atom, &refs(filters), false, budget)?);
+            let vars = atom_names(atom);
+            selected.push(select_atom(
+                &self.db,
+                atom,
+                vars,
+                &refs(filters),
+                false,
+                budget,
+            )?);
         }
         cops::join_vertex(selected, &self.chi, budget)
     }
@@ -218,7 +226,7 @@ impl Case {
             let i = smallest(&rels, joins).or_else(|| smallest(&rels, |_| true));
             acc = cops::natural_join(&acc, &rels.swap_remove(i.unwrap()), budget)?;
         }
-        cops::project_onto_available(&acc, &self.chi, budget)
+        cops::project_onto_available(acc, &self.chi, budget)
     }
 }
 
@@ -254,7 +262,7 @@ fn capped() -> Budget {
 }
 
 /// Columns and rows of an answer, or its error, as one comparable value.
-type Outcome = Result<(Vec<String>, Vec<String>), EvalError>;
+type Outcome = Result<(Vec<Name>, Vec<String>), EvalError>;
 
 /// Runs both sides, each on a budget of its own from `budget`, and
 /// returns their outcomes with the tuples each charged and the hash
@@ -337,7 +345,7 @@ fn the_generator_covers_the_shapes() {
         let mut force = capped().with_spill_mode(SpillMode::Force);
         let answered = case.vertex(&mut force).is_ok();
         let empty = (case.atoms.iter()).any(|(a, f)| {
-            select_atom(&case.db, a, &refs(f), false, &mut capped())
+            select_atom(&case.db, a, atom_names(a), &refs(f), false, &mut capped())
                 .unwrap()
                 .is_empty()
         });
@@ -351,7 +359,9 @@ fn the_generator_covers_the_shapes() {
                 .count()
                 > 1,
             empty,
-            carried.iter().any(|v| !case.chi.contains(v)),
+            carried
+                .iter()
+                .any(|v| !case.chi.iter().any(|c| **c == ***v)),
             force.spill_stats().partitions() > 0,
             answered,
         ];

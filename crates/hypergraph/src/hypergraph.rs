@@ -4,6 +4,7 @@
 use crate::fxhash::FxHashMap;
 use crate::ids::{EdgeId, EdgeSet, Var, VarSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// A named hyperedge: the set of variables of one query atom.
 #[derive(Clone, Debug)]
@@ -21,7 +22,8 @@ pub struct Hyperedge {
 /// on the dense [`Var`]/[`EdgeId`] index spaces.
 #[derive(Clone, Debug)]
 pub struct Hypergraph {
-    var_names: Vec<String>,
+    /// Shared, so that evaluation can name its columns by cloning them.
+    var_names: Vec<Arc<str>>,
     edges: Vec<Hyperedge>,
     /// `incidence[v]` = set of edges containing variable `v`.
     incidence: Vec<EdgeSet>,
@@ -58,11 +60,17 @@ impl Hypergraph {
         &self.var_names[v.index()]
     }
 
+    /// The name of a variable as a shared handle: cloning it copies no
+    /// string.
+    pub fn shared_var_name(&self, v: Var) -> &Arc<str> {
+        &self.var_names[v.index()]
+    }
+
     /// Looks a variable up by name.
     pub fn var_by_name(&self, name: &str) -> Option<Var> {
         self.var_names
             .iter()
-            .position(|n| n == name)
+            .position(|n| **n == *name)
             .map(|i| Var(i as u32))
     }
 
@@ -149,7 +157,7 @@ impl fmt::Display for Hypergraph {
 /// Builder for [`Hypergraph`]: interns variable names and records edges.
 #[derive(Default)]
 pub struct HypergraphBuilder {
-    var_names: Vec<String>,
+    var_names: Vec<Arc<str>>,
     var_index: FxHashMap<String, Var>,
     edges: Vec<Hyperedge>,
 }
@@ -161,7 +169,7 @@ impl HypergraphBuilder {
             return v;
         }
         let v = Var(self.var_names.len() as u32);
-        self.var_names.push(name.to_string());
+        self.var_names.push(name.into());
         self.var_index.insert(name.to_string(), v);
         v
     }

@@ -2,7 +2,7 @@
 //! paper's optimizer, plugging database statistics into the structural
 //! search (weighted hypertree decompositions, PODS'04).
 
-use crate::estimate::{join_profiles, Profile, QueryProfiles, VarId};
+use crate::estimate::{join_profiles_into, Profile, QueryProfiles, VarId};
 use crate::stats::DbStats;
 use htqo_core::DecompCost;
 use htqo_cq::{AtomId, ConjunctiveQuery};
@@ -41,8 +41,13 @@ pub struct StatsDecompCost<'a> {
     /// Per atom, the variables bound by one of its indexed columns,
     /// resolved on first use.
     seek_vars: Vec<OnceLock<Vec<VarId>>>,
-    /// [`Self::vertex_tuples`] by join-atom set, for the model's lifetime.
-    priced: RefCell<FxHashMap<EdgeSet, f64>>,
+    /// [`Self::vertex_tuples`] by join-atom set, for the model's lifetime:
+    /// by the set's word where every edge is below 64, else by the set.
+    priced: RefCell<(FxHashMap<u64, f64>, FxHashMap<EdgeSet, f64>)>,
+    /// What [`Self::price`] works in, kept from one pricing to the next:
+    /// a set's atoms in join order, and the accumulated profile before
+    /// and after one more join.
+    scratch: RefCell<(Vec<AtomId>, Profile, Profile)>,
 }
 
 impl<'a> StatsDecompCost<'a> {
@@ -56,6 +61,7 @@ impl<'a> StatsDecompCost<'a> {
             indexed: Vec::new(),
             seek_vars: query.atoms.iter().map(|_| OnceLock::new()).collect(),
             priced: RefCell::default(),
+            scratch: RefCell::default(),
         }
     }
 
@@ -108,43 +114,56 @@ impl<'a> StatsDecompCost<'a> {
     /// vertex joining `atoms` (edge `i` is atom `i`). Each distinct set
     /// is derived once; repeats are a hash probe.
     pub fn vertex_tuples(&self, atoms: &EdgeSet) -> f64 {
-        if let Some(&tuples) = self.priced.borrow().get(atoms) {
+        let word = atoms.bits().as_word();
+        let memo = self.priced.borrow();
+        if let Some(&tuples) = word.map_or_else(|| memo.1.get(atoms), |w| memo.0.get(&w)) {
             return tuples;
         }
+        drop(memo);
         let tuples = self.price(atoms);
-        self.priced.borrow_mut().insert(atoms.clone(), tuples);
+        let (words, sets) = &mut *self.priced.borrow_mut();
+        match word {
+            Some(w) => words.insert(w, tuples),
+            None => sets.insert(atoms.clone(), tuples),
+        };
         tuples
     }
 
     /// Number of distinct join-atom sets priced so far.
     pub fn priced_sets(&self) -> usize {
-        self.priced.borrow().len()
+        let (words, sets) = &*self.priced.borrow();
+        words.len() + sets.len()
     }
 
+    /// The atoms joined smallest first; allocates nothing once its
+    /// scratch lists have grown to the widest set.
     fn price(&self, atoms: &EdgeSet) -> f64 {
-        let mut profiles: Vec<(AtomId, &Profile)> = atoms
-            .iter()
-            .map(|e| (AtomId(e.0), self.profiles.atom(AtomId(e.0))))
-            .collect();
-        profiles.sort_by(|a, b| a.1.card.total_cmp(&b.1.card));
-        let Some(&(_, first)) = profiles.first() else {
+        let mut scratch = self.scratch.borrow_mut();
+        let (order, acc, next) = &mut *scratch;
+        order.clear();
+        order.extend(atoms.iter().map(|e| AtomId(e.0)));
+        let card = |a: AtomId| self.profiles.atom(a).card;
+        order.sort_by(|&a, &b| card(a).total_cmp(&card(b)));
+        let Some(&first) = order.first() else {
             return 0.0;
         };
-        let mut acc = first.clone();
+        acc.clone_from(self.profiles.atom(first));
         let mut cost = acc.card;
-        for &(a, p) in &profiles[1..] {
+        for &a in &order[1..] {
+            let p = self.profiles.atom(a);
             if !self.indexed.is_empty() {
                 // Index-aware pricing: a hash join first scans (and
                 // charges) the probed atom's selection; an index seek
                 // reads only the matching rows, so a seekable join with
                 // an accumulator `SEEK_MARGIN` times smaller (the
                 // evaluator's own rule) skips the scan term.
-                let seek = self.seekable(a, &acc) && acc.card * SEEK_MARGIN as f64 <= p.card;
+                let seek = self.seekable(a, acc) && acc.card * SEEK_MARGIN as f64 <= p.card;
                 if !seek {
                     cost += p.card;
                 }
             }
-            acc = join_profiles(&acc, p);
+            join_profiles_into(acc, p, next);
+            std::mem::swap(acc, next);
             cost += acc.card;
         }
         cost

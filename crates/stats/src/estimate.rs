@@ -25,12 +25,28 @@ pub type VarId = u32;
 
 /// Estimated profile of a (possibly intermediate) relation over query
 /// variables: cardinality plus per-variable distinct counts.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 pub struct Profile {
     /// Estimated row count.
     pub card: f64,
     /// Estimated distinct values per variable, sorted by variable id.
     distinct: Vec<(VarId, f64)>,
+}
+
+impl Clone for Profile {
+    fn clone(&self) -> Self {
+        Profile {
+            card: self.card,
+            distinct: self.distinct.clone(),
+        }
+    }
+
+    /// Copies `source` into the list `self` already holds (the derived
+    /// `clone_from` would allocate a new one).
+    fn clone_from(&mut self, source: &Self) {
+        self.card = source.card;
+        self.distinct.clone_from(&source.distinct);
+    }
 }
 
 impl Profile {
@@ -188,9 +204,18 @@ fn numeric(v: &Value) -> Option<f64> {
 /// Shared variables divide the cardinality in id — that is, name — order,
 /// which fixes the floating-point result.
 pub fn join_profiles(a: &Profile, b: &Profile) -> Profile {
+    let mut out = Profile::default();
+    join_profiles_into(a, b, &mut out);
+    out
+}
+
+/// [`join_profiles`] into `out`, reusing the list it holds.
+pub(crate) fn join_profiles_into(a: &Profile, b: &Profile, out: &mut Profile) {
     let (cap_a, cap_b) = (a.card.max(1.0), b.card.max(1.0));
     let mut card = a.card * b.card;
-    let mut distinct = Vec::with_capacity(a.distinct.len() + b.distinct.len());
+    let distinct = &mut out.distinct;
+    distinct.clear();
+    distinct.reserve(a.distinct.len() + b.distinct.len());
     let (mut i, mut j) = (0, 0);
     while i < a.distinct.len() && j < b.distinct.len() {
         let ((va, da), (vb, db)) = (a.distinct[i], b.distinct[j]);
@@ -214,10 +239,10 @@ pub fn join_profiles(a: &Profile, b: &Profile) -> Profile {
     distinct.extend_from_slice(&a.distinct[i..]);
     distinct.extend_from_slice(&b.distinct[j..]);
     card = card.max(1.0);
-    for (_, d) in &mut distinct {
+    for (_, d) in distinct.iter_mut() {
         *d = d.min(card);
     }
-    Profile { card, distinct }
+    out.card = card;
 }
 
 /// Estimated cost (in materialized tuples, the same unit the engine's

@@ -118,7 +118,7 @@ struct Case {
     db: Database,
     q: ConjunctiveQuery,
     /// Every variable of the vertex.
-    chi: Vec<String>,
+    chi: Vec<htqo_engine::Name>,
     /// A relation over `K` the atoms are narrowed by.
     child: Option<CRel>,
     features: Features,
@@ -188,13 +188,13 @@ impl Case {
         if fact_filter {
             b = b.filter(1, "g", CmpOp::Lt, Literal::Int(1 + rng.below(9) as i64));
         }
-        let mut chi: Vec<String> = Vec::new();
+        let mut chi: Vec<htqo_engine::Name> = Vec::new();
         for (_, v) in [("c0", "K"), ("c1", "K2"), ("p", "T")]
             .iter()
             .chain(&fact_args)
         {
-            if !chi.iter().any(|c| c == v) {
-                chi.push(v.to_string());
+            if !chi.iter().any(|c| **c == **v) {
+                chi.push((*v).into());
                 b = b.out_var(v);
             }
         }
@@ -290,7 +290,8 @@ proptest! {
     fn the_seek_join_answers_the_reference(case in arb_case()) {
         let want = case.reference();
         let (got, charged, seeks, rule) = case.join(true);
-        prop_assert_eq!(got.cols(), &case.chi[..]);
+        let chi: Vec<&str> = case.chi.iter().map(|c| &**c).collect();
+        prop_assert_eq!(got.cols(), chi);
         prop_assert_eq!(got.sorted_rows(), want.clone(), "seed {}", case.seed);
         prop_assert_eq!(seeks, u64::from(rule), "seed {}", case.seed);
         let scans = case.scan_charge(0) + if rule { 0 } else { case.scan_charge(1) };

@@ -318,7 +318,7 @@ fn seek_vertex(db: &Database) -> (VRelation, u64, u64) {
     let selected = (q.atom_ids())
         .map(|a| scan::select_query_atom(db, &q, a, true, &mut b).unwrap())
         .collect();
-    let chi: Vec<String> = ["K", "T", "P"].map(String::from).to_vec();
+    let chi = ["K", "T", "P"].map(htqo_engine::Name::from);
     let joined = cops::join_vertex(selected, &chi, &mut b).unwrap();
     (joined.to_vrel(), b.charged(), b.join_stats().index_seeks())
 }
