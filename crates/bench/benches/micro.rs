@@ -343,6 +343,15 @@ fn bench_scans(c: &mut Criterion) {
                 .filter(0, "o_orderdate", CmpOp::Lt, Literal::Date(day(1995, 1, 1))),
         ),
         (
+            // Two filters on one column: the second compacts the first's
+            // selection in place.
+            "lineitem_shipdate_range",
+            CqBuilder::new()
+                .atom("lineitem", "l", &lineitem)
+                .filter(0, "l_shipdate", CmpOp::Ge, Literal::Date(day(1995, 1, 1)))
+                .filter(0, "l_shipdate", CmpOp::Lt, Literal::Date(day(1996, 1, 1))),
+        ),
+        (
             "scan_str_eq",
             CqBuilder::new().atom("lineitem", "l", &lineitem).filter(
                 0,
@@ -899,7 +908,21 @@ fn bench_join_keys(c: &mut Criterion) {
         |domain: u64| -> Vec<i64> { (0..PROBE_ROWS).map(|_| below(domain) as i64).collect() };
 
     let orderkeys = sample(7_346, 30_000);
+    // Orders → lineitem: a primary key (every fourth integer, as TPC-H
+    // spaces order keys) filtered to about one order in five, probed by
+    // 120,000 foreign keys in order, four per order — whether a probe row
+    // matches is a coin flip per order.
+    let open_orders: Vec<i64> = (0..30_000)
+        .map(|o| 4 * o)
+        .filter(|_| below(5) == 0)
+        .collect();
+    let line_orders: Vec<i64> = (0..PROBE_ROWS as i64).map(|i| 4 * (i / 4)).collect();
     let cases: Vec<(&str, CRel, CRel)> = vec![
+        (
+            "direct_unique_fk",
+            rel(vec![ints(open_orders)], "b"),
+            rel(vec![ints(line_orders)], "p"),
+        ),
         (
             "int_200_all_hit",
             rel(vec![ints((0..200).collect())], "b"),

@@ -3,8 +3,10 @@
 //! ([`crate::spill`]).
 
 use crate::error::EvalError;
+use crate::keyplan::MISS;
 
-/// Sentinel terminating a [`ChainTable`] bucket chain.
+/// Sentinel terminating a [`ChainTable`] bucket chain. All ones, so
+/// [`DirectTable::head`] can mask a miss to it.
 pub(crate) const CHAIN_END: u32 = u32::MAX;
 
 /// A chained-index hash table over build rows: an open-addressed slot
@@ -133,19 +135,24 @@ impl DirectTable {
         }
     }
 
-    /// Puts build row `i` at the front of key `k`'s chain. Callers insert
-    /// rows in descending order, so every chain ascends — the order
-    /// [`ChainTable::build`] produces.
+    /// Puts build row `i` at the front of key `k`'s chain; true if the
+    /// chain already held a row. Callers insert rows in descending order,
+    /// so every chain ascends — the order [`ChainTable::build`] produces.
     #[inline]
-    pub(crate) fn push_front(&mut self, k: u64, i: u32) {
+    pub(crate) fn push_front(&mut self, k: u64, i: u32) -> bool {
         let head = std::mem::replace(&mut self.slots[k as usize], i);
         self.slots[self.range + i as usize] = head;
+        head != CHAIN_END
     }
 
-    /// First row of key `k`'s chain, or [`CHAIN_END`].
+    /// First row of key `k`'s chain, or [`CHAIN_END`] — also for
+    /// [`MISS`], without a branch: a miss reads slot 0 and is masked to
+    /// `CHAIN_END`, which is `u32::MAX`.
     #[inline]
     pub(crate) fn head(&self, k: u64) -> u32 {
-        self.slots[k as usize]
+        let miss = k == MISS;
+        let slot = self.slots[(k & u64::from(miss).wrapping_sub(1)) as usize];
+        slot | u32::from(miss).wrapping_neg()
     }
 
     /// The row after `i` in its chain, or [`CHAIN_END`].

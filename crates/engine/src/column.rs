@@ -157,7 +157,8 @@ impl NullMask {
 /// allocated before the first string it remembers.
 #[derive(Default)]
 pub(crate) struct StrMemo {
-    entries: Vec<(Box<str>, u32)>,
+    /// `(memo_key(s), s, code)`.
+    entries: Vec<(u64, Box<str>, u32)>,
     /// The entry the next miss replaces once all are taken.
     next: usize,
     misses: u32,
@@ -175,21 +176,24 @@ impl StrMemo {
         }
     }
 
-    /// The dictionary code of `s`.
+    /// The dictionary code of `s`. An entry is compared by its key first
+    /// ([`memo_key`]), which decides a string of up to 7 bytes; a longer
+    /// one compares bytes only once the keys match.
     #[inline]
     fn code(&mut self, s: &str) -> u32 {
         if self.misses >= Self::MAX_MISSES {
             return dict::intern(s);
         }
-        // `==` on strings compares lengths before bytes.
-        if let Some(&(_, code)) = self.entries.iter().find(|(t, _)| **t == *s) {
+        let key = memo_key(s);
+        let hit = (self.entries.iter()).find(|(k, t, _)| *k == key && (s.len() <= 7 || **t == *s));
+        if let Some(&(_, _, code)) = hit {
             return code;
         }
-        self.miss(s)
+        self.miss(key, s)
     }
 
     #[cold]
-    fn miss(&mut self, s: &str) -> u32 {
+    fn miss(&mut self, key: u64, s: &str) -> u32 {
         let code = dict::intern(s);
         self.misses += 1;
         if self.misses == Self::MAX_MISSES {
@@ -198,13 +202,23 @@ impl StrMemo {
             if self.entries.is_empty() {
                 self.entries.reserve_exact(Self::ENTRIES);
             }
-            self.entries.push((s.into(), code));
+            self.entries.push((key, s.into(), code));
         } else {
-            self.entries[self.next] = (s.into(), code);
+            self.entries[self.next] = (key, s.into(), code);
             self.next = (self.next + 1) % Self::ENTRIES;
         }
         code
     }
+}
+
+/// One word that stands for `s` in the [`StrMemo`]: its first 7 bytes
+/// (zero-padded) and its length, saturated at 255, in the top byte.
+/// Strings of up to 7 bytes are equal iff their keys are; longer ones
+/// with equal keys still have to compare bytes. Built byte by byte, so
+/// no call leaves the loop.
+fn memo_key(s: &str) -> u64 {
+    let head = (s.bytes().take(7).enumerate()).fold(0, |w, (i, b)| w | u64::from(b) << (8 * i));
+    head | (s.len().min(255) as u64) << 56
 }
 
 /// The typed payload of a column.
@@ -723,7 +737,7 @@ impl Column {
                 // no cell can hold a string that was never interned.
                 (CmpOp::Eq, Some(c)) => refine(a.len(), sel, |i| a[i] == c),
                 (CmpOp::Eq, None) => Vec::new(),
-                (CmpOp::Ne, Some(c)) => refine(a.len(), sel, |i| a[i] != c && a[i] != NULL_CODE),
+                (CmpOp::Ne, Some(c)) => refine(a.len(), sel, |i| (a[i] != c) & (a[i] != NULL_CODE)),
                 (CmpOp::Ne, None) => refine(a.len(), sel, |i| a[i] != NULL_CODE),
                 _ => refine(a.len(), sel, |i| {
                     a[i] != NULL_CODE && cmp_matches(op, Some(reader.str_of(a[i]).cmp(s)))
@@ -839,9 +853,25 @@ impl Column {
     }
 }
 
+/// Moves the rows of `rows` that satisfy `keep` to its front, in order,
+/// and returns how many there are — without a branch per row: each row is
+/// written to the next free place and the count advances by the
+/// predicate bit, so a `keep` that is a coin flip costs no mispredicted
+/// branch. The selection vectors of scans, semijoin survivors and key-set
+/// members are all built this way (DESIGN.md §3.8).
+pub(crate) fn compact(rows: &mut [u32], keep: impl Fn(u32) -> bool) -> usize {
+    let mut n = 0;
+    for r in 0..rows.len() {
+        let row = rows[r];
+        rows[n] = row;
+        n += keep(row) as usize;
+    }
+    n
+}
+
 /// Keeps the candidate rows that satisfy `keep`: the first predicate of a
-/// scan (`sel` is `None`) writes the selection vector for rows `0..n`
-/// without a branch per row, later ones shrink it in place.
+/// scan (`sel` is `None`) writes the selection vector for rows `0..n`,
+/// later ones shrink it in place ([`compact`]); neither branches per row.
 fn refine(n: usize, sel: Option<Vec<u32>>, keep: impl Fn(usize) -> bool) -> Vec<u32> {
     match sel {
         None => {
@@ -855,7 +885,8 @@ fn refine(n: usize, sel: Option<Vec<u32>>, keep: impl Fn(usize) -> bool) -> Vec<
             out
         }
         Some(mut sel) => {
-            sel.retain(|&i| keep(i as usize));
+            let k = compact(&mut sel, |i| keep(i as usize));
+            sel.truncate(k);
             sel
         }
     }
@@ -870,7 +901,7 @@ fn select_typed<T: Copy>(
     pred: impl Fn(T) -> bool,
 ) -> Vec<u32> {
     if nulls.any() {
-        refine(a.len(), sel, |i| !nulls.get(i) && pred(a[i]))
+        refine(a.len(), sel, |i| !nulls.get(i) & pred(a[i]))
     } else {
         refine(a.len(), sel, |i| pred(a[i]))
     }

@@ -39,13 +39,13 @@
 //! depend on which table a key gets.
 
 use crate::chain::{ChainTable, DirectTable, CHAIN_END};
-use crate::column::{finish_hash, Column};
+use crate::column::{compact, finish_hash, Column};
 use crate::crel::{read_source, CRel, Name, Selection};
 use crate::dict::{self, DictReader};
 use crate::error::{Budget, EvalError};
 use crate::hash::FxHashMap;
 use crate::index::{encode_cell, JoinIndex, SEEK_MARGIN};
-use crate::keyplan::{blocks, Bitmap, KeyPlan, BLOCK, MISS};
+use crate::keyplan::{blocks, Bitmap, KeyPlan, BLOCK};
 use crate::spill::{
     self, join_build_bytes, join_build_reservation, Concat, SpillDir, SpillFile, SpillReader,
     MAX_SPILL_LEVEL,
@@ -645,6 +645,25 @@ impl PairSink {
         Ok(())
     }
 
+    /// Appends `(heads[j], lo + j)` for each `j` whose head is a row —
+    /// one probe block against duplicate-free build keys — without a
+    /// branch per row: every pair is written, and the kept count advances
+    /// by whether its head is a row. At most one block of pairs, settled
+    /// by the caller's [`PairSink::end_block`].
+    fn push_heads(&mut self, lo: usize, heads: impl ExactSizeIterator<Item = u32>) {
+        let base = self.build_idx.len();
+        self.build_idx.resize(base + heads.len(), 0);
+        self.probe_idx.resize(base + heads.len(), 0);
+        let (bs, ps) = (&mut self.build_idx[base..], &mut self.probe_idx[base..]);
+        let mut n = 0;
+        for (j, bi) in heads.enumerate() {
+            (bs[n], ps[n]) = (bi, (lo + j) as u32);
+            n += usize::from(bi != CHAIN_END);
+        }
+        self.build_idx.truncate(base + n);
+        self.probe_idx.truncate(base + n);
+    }
+
     fn settle(&mut self, budget: &mut Budget) -> Result<(), EvalError> {
         let n = (self.build_idx.len() - self.settled) as u64;
         self.settled = self.build_idx.len();
@@ -704,7 +723,10 @@ fn join_pairs(
 
 /// Direct-table kernel: one pass over the build side fills a table
 /// indexed by packed key, one pass over the probe side walks it. No
-/// hashes, no candidate verification.
+/// hashes, no candidate verification. When no build key repeats — a
+/// primary key — every chain is one row long and a probe block writes its
+/// pairs without a branch per row ([`PairSink::push_heads`]); otherwise
+/// each probe row walks its chain.
 fn join_pairs_direct(
     plan: &KeyPlan,
     range: usize,
@@ -716,26 +738,28 @@ fn join_pairs_direct(
 ) -> Result<PairLists, EvalError> {
     let mut blk = plan.block(build.len().max(probe.len()));
     let mut table = DirectTable::new(build.len(), range);
+    let mut repeats = false;
     // Last row first, so every chain ascends.
     for rows in blocks(0..build.len()).rev() {
         let lo = rows.start;
         let keys = plan.pack(build, build_shared, rows, &mut blk);
         for (j, &k) in keys.iter().enumerate().rev() {
-            table.push_front(k, (lo + j) as u32);
+            repeats |= table.push_front(k, (lo + j) as u32);
         }
     }
     let mut sink = PairSink::with_capacity(probe.len());
     for rows in blocks(0..probe.len()) {
         let lo = rows.start;
         let keys = plan.pack(probe, probe_shared, rows, &mut blk);
-        for (j, &k) in keys.iter().enumerate() {
-            if k == MISS {
-                continue;
-            }
-            let mut bi = table.head(k);
-            while bi != CHAIN_END {
-                sink.push(bi, (lo + j) as u32, budget)?;
-                bi = table.next_row(bi);
+        if !repeats {
+            sink.push_heads(lo, keys.iter().map(|&k| table.head(k)));
+        } else {
+            for (j, &k) in keys.iter().enumerate() {
+                let mut bi = table.head(k);
+                while bi != CHAIN_END {
+                    sink.push(bi, (lo + j) as u32, budget)?;
+                    bi = table.next_row(bi);
+                }
             }
         }
         sink.end_block(budget)?;
@@ -842,16 +866,15 @@ pub fn semijoin(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalErr
     // (mirrors the row semijoin: the reducer side is expected to fit).
     let table_bytes = join_build_bytes(b.len(), a.len());
     budget.reserve_bytes(table_bytes)?;
-    let members = KeySet::build(b, b_shared, [(a, a_shared)], table_bytes);
-    let mut keep = Vec::with_capacity(a.len().min(BLOCK));
-    let scan = members.each_member(a, a_shared, |i| {
+    let keep = KeySet::build(b, b_shared, [(a, a_shared)], table_bytes).members(a, a_shared);
+    // Row by row, so a limit trips where it did when rows were kept one
+    // at a time.
+    let charged = keep.iter().try_for_each(|_| {
         budget.charge(1)?;
-        budget.charge_bytes(4)?;
-        keep.push(i as u32);
-        Ok(())
+        budget.charge_bytes(4)
     });
     budget.uncharge_bytes(table_bytes);
-    scan?;
+    charged?;
     let columns = a
         .columns()
         .iter()
@@ -906,25 +929,20 @@ impl<'r> KeySet<'r> {
         })
     }
 
-    /// Calls `keep` with each row of `probe` whose key columns `idx` hold
-    /// one of the set's keys, ascending.
-    fn each_member(
-        &self,
-        probe: &CRel,
-        idx: &[usize],
-        mut keep: impl FnMut(usize) -> Result<(), EvalError>,
-    ) -> Result<(), EvalError> {
+    /// The rows of `probe` whose key columns `idx` hold one of the set's
+    /// keys, ascending; on a dense set, compacted block by block without
+    /// a branch per row ([`compact`]).
+    fn members(&self, probe: &CRel, idx: &[usize]) -> Vec<u32> {
+        let mut kept: Vec<u32> = Vec::with_capacity(probe.len());
         match self {
             KeySet::Dense(plan, set) => {
                 let mut blk = plan.block(probe.len());
                 for rows in blocks(0..probe.len()) {
-                    let lo = rows.start;
+                    let (lo, base) = (rows.start, kept.len());
+                    kept.extend(lo as u32..rows.end as u32);
                     let keys = plan.pack(probe, idx, rows, &mut blk);
-                    for (j, &k) in keys.iter().enumerate() {
-                        if set.contains(k) {
-                            keep(lo + j)?;
-                        }
-                    }
+                    let n = compact(&mut kept[base..], |r| set.contains(keys[r as usize - lo]));
+                    kept.truncate(base + n);
                 }
             }
             KeySet::Hashed {
@@ -934,15 +952,13 @@ impl<'r> KeySet<'r> {
             } => {
                 let reader = dict::reader();
                 let hashes = key_hashes(probe, idx, &reader);
-                for (pi, &h) in hashes.iter().enumerate() {
+                kept.extend((0..probe.len()).filter_map(|pi| {
                     let partner = |ri| rows_key_eq(probe, pi, rel, ri, idx, rel_idx, &reader);
-                    if table.any(h, partner) {
-                        keep(pi)?;
-                    }
-                }
+                    table.any(hashes[pi], partner).then_some(pi as u32)
+                }));
             }
         }
-        Ok(())
+        kept
     }
 }
 
@@ -1004,13 +1020,7 @@ pub fn narrow(
             reserved,
         );
         for (&i, probe) in members.iter().zip(&probes) {
-            let mut kept = Vec::with_capacity(probe.len().min(BLOCK));
-            let scan = set.each_member(probe, &probe_idx, |r| {
-                kept.push(r as u32);
-                Ok(())
-            });
-            scan.expect("the transfer charges nothing");
-            let removed = inputs[i].retain(kept);
+            let removed = inputs[i].retain(set.members(probe, &probe_idx));
             budget.join_stats().add_transfer_removed(removed as u64);
         }
         budget.uncharge_bytes(reserved);

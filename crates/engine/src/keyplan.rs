@@ -20,7 +20,7 @@
 //! block at a time into a [`KeyBlock`] (one variant match per column per
 //! block, typed loops inside), and the budget is settled once per block.
 
-use crate::column::{Column, ColumnData};
+use crate::column::{compact, Column, ColumnData};
 use crate::crel::CRel;
 use crate::dict::NULL_CODE;
 use std::ops::Range;
@@ -91,10 +91,13 @@ impl Bitmap {
         }
     }
 
-    /// True if `i` is in the set ([`MISS`] never is).
+    /// True if `i` is in the set ([`MISS`] never is). No branch tests
+    /// for a miss: it reads bit 0 and is masked off.
     #[inline]
     pub(crate) fn contains(&self, i: u64) -> bool {
-        i != MISS && (self.words[(i / 64) as usize] >> (i % 64)) & 1 == 1
+        let hit = i != MISS;
+        let i = i & u64::from(hit).wrapping_neg();
+        hit & ((self.words[(i / 64) as usize] >> (i % 64)) & 1 == 1)
     }
 
     /// Adds `i`; true if it was not in the set.
@@ -296,7 +299,8 @@ impl KeyPlan {
 
     /// Replaces `sel` with the rows of the block `rows` of `probe` whose
     /// every key value occurs in the build side's column (ascending):
-    /// the only rows that can have a match.
+    /// the only rows that can have a match. Each key column compacts the
+    /// candidates the previous one left ([`compact`]).
     pub(crate) fn survivors(
         &self,
         maps: &[Bitmap],
@@ -309,14 +313,11 @@ impl KeyPlan {
         let (lo, len) = (rows.start, rows.len());
         let offs = &mut blk.buf[..len];
         sel.clear();
-        for (i, ((dim, &c), map)) in self.dims().iter().zip(idx).zip(maps).enumerate() {
+        sel.extend(lo as u32..rows.end as u32);
+        for ((dim, &c), map) in self.dims().iter().zip(idx).zip(maps) {
             dim.offsets(probe.column(c), lo, offs);
-            let present = |j: usize| map.contains(offs[j]);
-            if i == 0 {
-                sel.extend((0..len).filter(|&j| present(j)).map(|j| (lo + j) as u32));
-            } else {
-                sel.retain(|&r| present(r as usize - lo));
-            }
+            let kept = compact(sel, |r| map.contains(offs[r as usize - lo]));
+            sel.truncate(kept);
         }
     }
 }

@@ -419,9 +419,14 @@ mod tests {
         use crate::column::ColumnData;
         // Few values (memo hits), more values than memo entries in runs
         // of two (a hit right after each replacement), then past the miss
-        // limit.
+        // limit. The first strings share lengths and 7-byte prefixes (the
+        // memo's key), hold a NUL or a multi-byte character.
+        let tricky = [
+            "", "m", "m\0", "mé", "m\u{e9}x", "memo-ab", "memo-ac", "memo-abc",
+        ];
         let cells: Vec<String> = (0..40)
-            .map(|i| format!("memo-few-{}", i % 3))
+            .map(|i| tricky[i * 5 % tricky.len()].to_string())
+            .chain((0..40).map(|i| format!("memo-few-{}", i % 3)))
             .chain((0..80).map(|i| format!("memo-cycle-{}", i / 2 % 9)))
             .chain((0..600).map(|i| format!("memo-many-{i}")))
             .collect();

@@ -398,3 +398,126 @@ fn cancelled_token_stops_a_matchless_probe_within_one_block() {
         assert_eq!(budget.charged(), 0, "pairs emitted after the first block");
     }
 }
+
+/// Direct-table joins on one `Int` key, `(what, build keys, probe keys)`:
+/// duplicate-free build keys within one block and across several take
+/// the unique-key probe; one repeated key — on the first or last row of a
+/// block, or of the side — sends the whole join down the chain walk.
+/// Probe keys reach an eighth past both ends of the build range (misses).
+fn direct_cases() -> Vec<(&'static str, Vec<i64>, Vec<i64>)> {
+    let mut rng = Rng(0xD1EC_7AB1E);
+    let b = BLOCK as usize;
+    let mut perm = |n: usize| -> Vec<i64> {
+        let mut v: Vec<i64> = (0..n as i64).collect();
+        for i in (1..n).rev() {
+            v.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        v
+    };
+    let (small, large) = (perm(1_000), perm(3 * b + 100));
+    let mut rng = Rng(0x9A1B);
+    let mut probe = |n: usize, rows: usize| -> Vec<i64> {
+        let span = (n + n / 4) as u64;
+        (0..rows)
+            .map(|_| rng.below(span) as i64 - (n / 8) as i64)
+            .collect()
+    };
+    // Row `at` repeats the key of the row after it (before it, for the last).
+    let repeat = |at: usize| {
+        let mut keys = large.clone();
+        let from = if at + 1 < keys.len() { at + 1 } else { at - 1 };
+        keys[at] = keys[from];
+        keys
+    };
+    let n = large.len();
+    vec![
+        (
+            "unique keys in one block",
+            small.clone(),
+            probe(1_000, 3_000),
+        ),
+        (
+            "unique keys over four blocks",
+            large.clone(),
+            probe(n, 4 * b + 7),
+        ),
+        (
+            "a repeat on a block's first row",
+            repeat(b),
+            probe(n, 4 * b + 7),
+        ),
+        (
+            "a repeat on a block's last row",
+            repeat(2 * b - 1),
+            probe(n, 4 * b + 7),
+        ),
+        ("a repeat on the first row", repeat(0), probe(n, 4 * b + 7)),
+        (
+            "a repeat on the last row",
+            repeat(n - 1),
+            probe(n, 4 * b + 7),
+        ),
+        (
+            "every probe key misses",
+            small,
+            (0..3_000)
+                .map(|i| if i % 2 == 0 { -1 - i } else { 1_000 + i })
+                .collect(),
+        ),
+    ]
+}
+
+/// Each direct-table case, both ways round, against the generic hashed
+/// join (row sequence and `charged()`) and the nested-loop reference (bag
+/// and `charged()`); then under a tuple limit that trips mid-probe and
+/// under a cancelled token, where both kernels must stop with the same
+/// error after charging the same tuples.
+#[test]
+fn unique_and_repeated_direct_keys_are_the_generic_join() {
+    for (what, build_keys, probe_keys) in direct_cases() {
+        let build = keyed(int_keys(build_keys), "bv");
+        let probe = keyed(int_keys(probe_keys), "pv");
+        let (vb, vp) = (build.to_vrel(), probe.to_vrel());
+        let (gb, gp) = (generic(&vb), generic(&vp));
+        for (x, y, gx, gy, vx, vy) in [
+            (&build, &probe, &gb, &gp, &vb, &vp),
+            (&probe, &build, &gp, &gb, &vp, &vb),
+        ] {
+            let mut budget = Budget::unlimited();
+            let row = nested_loop_join(vx, vy, &mut budget).unwrap();
+            let total = budget.charged();
+            check_seeded(
+                |b| cops::natural_join(x, y, b),
+                |b| cops::natural_join(gx, gy, b),
+                (&row, total),
+            )
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+
+            let limit = total / 2;
+            let token = CancelToken::new();
+            token.cancel();
+            let limited = || Budget::unlimited().with_max_tuples(limit);
+            let cancelled = || Budget::unlimited().with_cancel_token(token.clone());
+            let mut runs: Vec<&dyn Fn() -> Budget> = vec![&cancelled];
+            if limit > 0 {
+                runs.push(&limited);
+            }
+            for fresh in runs {
+                let (mut typed, mut hashed) = (fresh(), fresh());
+                let typed_err = cops::natural_join(x, y, &mut typed).unwrap_err();
+                let hashed_err = cops::natural_join(gx, gy, &mut hashed).unwrap_err();
+                assert_eq!(typed_err, hashed_err, "{what}");
+                assert_eq!(typed.charged(), hashed.charged(), "{what}: {typed_err}");
+                if typed_err.is_cancelled() {
+                    assert!(typed.charged() <= BLOCK, "{what}: {}", typed.charged());
+                } else {
+                    assert!(
+                        (limit + 1..=limit + BLOCK).contains(&typed.charged()),
+                        "{what}: {} tuples charged under a limit of {limit}",
+                        typed.charged()
+                    );
+                }
+            }
+        }
+    }
+}

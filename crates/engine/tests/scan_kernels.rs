@@ -116,24 +116,29 @@ fn arb_literal() -> impl Strategy<Value = Literal> {
     ]
 }
 
+/// The columns of [`relation_of`].
+const COLUMNS: [&str; 6] = ["i", "j", "f", "s", "t", "d"];
+
 /// A filter on any column. Four times in five the constant is one the
 /// column can be compared with (Int and Float columns take either numeric
 /// type), so conjunctions keep rows; otherwise it is of any type.
 fn arb_filter() -> impl Strategy<Value = Filter> {
-    const COLUMNS: [&str; 6] = ["i", "j", "f", "s", "t", "d"];
+    filter_on(0usize..COLUMNS.len(), 0u32..5)
+}
+
+/// A filter on a column drawn from `column`, whose constant is of any type
+/// where `pick` draws 0 and one the column can be compared with otherwise.
+fn filter_on(
+    column: impl Strategy<Value = usize>,
+    pick: impl Strategy<Value = u32>,
+) -> impl Strategy<Value = Filter> {
     let string = prop_oneof![
         4 => arb_str(),
         1 => Just(NEVER_INTERNED.to_string()),
     ];
     let comparable = (-3i64..4, arb_float(), string, -3i32..4, any::<bool>());
-    (
-        0usize..COLUMNS.len(),
-        arb_op(),
-        comparable,
-        arb_literal(),
-        0u32..5,
-    )
-        .prop_map(|(c, op, (int, float, string, date, as_float), any, pick)| {
+    (column, arb_op(), comparable, arb_literal(), pick).prop_map(
+        |(c, op, (int, float, string, date, as_float), any, pick)| {
             let value = match (pick, COLUMNS[c]) {
                 (0, _) => any,
                 (_, "i" | "j" | "f") if as_float => Literal::Float(float),
@@ -147,7 +152,8 @@ fn arb_filter() -> impl Strategy<Value = Filter> {
                 op,
                 value,
             }
-        })
+        },
+    )
 }
 
 /// The rows the scan must return, by the per-row reference.
@@ -189,6 +195,50 @@ fn reference_scan(rel: &Relation, atom: &Atom, filters: &[Filter]) -> Vec<Row> {
     rows
 }
 
+/// 2–3 filters whose constants their columns can be compared with: on one
+/// column drawn once, or on columns `c, c + 1, c + 2` (mod 6).
+fn arb_conjunction() -> impl Strategy<Value = Vec<Filter>> {
+    (0usize..COLUMNS.len(), any::<bool>(), any::<bool>()).prop_flat_map(|(c, same, three)| {
+        let on = |k: usize| {
+            filter_on(
+                Just(if same { c } else { (c + k) % COLUMNS.len() }),
+                1u32..5,
+            )
+        };
+        (on(0), on(1), on(2)).prop_map(
+            move |(a, b, d)| {
+                if three {
+                    vec![a, b, d]
+                } else {
+                    vec![a, b]
+                }
+            },
+        )
+    })
+}
+
+/// Scans `rows` through `atom` with `filters` and requires the reference's
+/// rows, in order, and a tuple charge of one per row.
+fn scan_matches_reference(
+    rows: &[RowSpec],
+    atom: &Atom,
+    filters: &[Filter],
+) -> Result<(), TestCaseError> {
+    let rel = relation_of(rows);
+    let want = reference_scan(&rel, atom, filters);
+    let mut db = Database::new();
+    db.insert_table("r", rel);
+    let filter_refs: Vec<&Filter> = filters.iter().collect();
+    let mut budget = Budget::unlimited();
+    let got = scan_atom_c(&db, atom, &filter_refs, &mut budget).unwrap();
+    prop_assert_eq!(got.len(), want.len());
+    prop_assert_eq!(budget.charged(), want.len() as u64);
+    // Cell-for-cell, NaN included (`Value` equality treats NaNs as equal).
+    let got = got.to_vrel();
+    prop_assert_eq!(got.rows(), want.as_slice());
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -205,7 +255,6 @@ proptest! {
         rowid in any::<bool>(),
     ) {
         let (repeat_int, repeat_str) = (repeat == 0, repeat == 1);
-        let rel = relation_of(&rows);
         let mut args: Vec<(String, String)> = vec![
             ("i".into(), "I".into()),
             ("f".into(), "F".into()),
@@ -218,18 +267,21 @@ proptest! {
         args.push(("t".into(), if repeat_str { "S" } else { "T" }.into()));
         args.push(("d".into(), "D".into()));
         let atom = Atom { relation: "r".into(), alias: "r".into(), args };
-        let want = reference_scan(&rel, &atom, &filters);
+        scan_matches_reference(&rows, &atom, &filters)?;
+    }
 
-        let mut db = Database::new();
-        db.insert_table("r", rel);
-        let filter_refs: Vec<&Filter> = filters.iter().collect();
-        let mut budget = Budget::unlimited();
-        let got = scan_atom_c(&db, &atom, &filter_refs, &mut budget).unwrap();
-        prop_assert_eq!(got.len(), want.len());
-        prop_assert_eq!(budget.charged(), want.len() as u64);
-        // Cell-for-cell, NaN included (`Value` equality treats NaNs as equal).
-        let got = got.to_vrel();
-        prop_assert_eq!(got.rows(), want.as_slice());
+    /// Chained filters ≡ per-row reference: 2–3 filters with comparable
+    /// constants, all on one column (ranges, `<>` inside them, equality on
+    /// strings) or on different columns, over columns with NULLs. Every
+    /// filter after the first compacts the selection the earlier ones left.
+    #[test]
+    fn chained_filters_match_reference(
+        rows in prop::collection::vec(arb_row(), 0..80),
+        filters in arb_conjunction(),
+    ) {
+        let args = COLUMNS.iter().map(|c| (c.to_string(), c.to_uppercase())).collect();
+        let atom = Atom { relation: "r".into(), alias: "r".into(), args };
+        scan_matches_reference(&rows, &atom, &filters)?;
     }
 
     /// The kernel on a heterogeneous (`Mixed`) column — which base

@@ -542,14 +542,49 @@ fn boxed_reference(rows: impl IntoIterator<Item = Vec<Value>>) -> Relation {
     rel
 }
 
+/// Strings of 0–9 bytes that the memo's one-word key (length and first 7
+/// bytes) must tell apart or match. Neighbours differ only in length (a
+/// trailing NUL) or only past the seventh byte; multi-byte UTF-8 too.
+const SHORT_STRINGS: [&str; 15] = [
+    "a",
+    "a\0",
+    "",
+    "\0",
+    "ab",
+    "ab\0",
+    "abcdefg",
+    "abcdefg\0",
+    "abcdefh",
+    "abcdefgh",
+    "abcdefgi",
+    "abcdefghi",
+    "é",
+    "e\u{301}",
+    "aé",
+];
+
 /// Rows for the loader's per-column string memo: the string column draws
 /// from `distinct` values — 1, 3, 8 (what the memo holds), 9 (one more)
 /// or 700 (far past its miss limit) — in runs of `run` equal values
 /// (`run` 1 cycles through all of them, `run` 0 shuffles them), with
-/// NULLs between the strings.
+/// NULLs between the strings. Every other time the values come from
+/// [`SHORT_STRINGS`] (`distinct` capped at its length), from an even place
+/// the seed picks, so that two or more of them hold a neighbouring pair.
 fn arb_memo_rows() -> impl Strategy<Value = Vec<Vec<Value>>> {
     let distinct = prop_oneof![Just(1usize), Just(3), Just(8), Just(9), Just(700)];
-    (distinct, 0usize..40, 1usize..1500, any::<u64>()).prop_map(|(distinct, run, n, seed)| {
+    let args = (
+        distinct,
+        0usize..40,
+        1usize..1500,
+        any::<u64>(),
+        any::<bool>(),
+    );
+    args.prop_map(|(distinct, run, n, seed, short)| {
+        let distinct = if short {
+            distinct.min(SHORT_STRINGS.len())
+        } else {
+            distinct
+        };
         let mut x = seed;
         (0..n)
             .map(|i| {
@@ -560,6 +595,8 @@ fn arb_memo_rows() -> impl Strategy<Value = Vec<Vec<Value>>> {
                 let k = i.checked_div(run).unwrap_or(r) % distinct;
                 let s = if r.is_multiple_of(5) {
                     Value::Null
+                } else if short {
+                    Value::str(SHORT_STRINGS[(k + 2 * (seed as usize % 7)) % SHORT_STRINGS.len()])
                 } else {
                     Value::str(&format!("memo-{distinct}-{k}"))
                 };
