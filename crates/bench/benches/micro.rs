@@ -3,7 +3,8 @@
 //! separator tried under the statistics model), the seed-vs-branch-and-bound
 //! cost-k memo (cloned-bitset std keys vs word-mask keys under the fx
 //! hasher), the hybrid planner on TPC-H Q5, TPC-H generation, separator
-//! pricing and cold planning under the statistics cost model, ANALYZE
+//! pricing and one cold statement's search under the statistics cost
+//! model, ANALYZE
 //! (whole TPC-H, and one 100k-row
 //! column of each kind), base-table scans (shared columns, typed
 //! predicate kernels), the paged store's commit, reload and recovery
@@ -203,15 +204,14 @@ fn bench_dbgen(c: &mut Criterion) {
 }
 
 fn bench_planner(c: &mut Criterion) {
-    // Pricing and cold planning under the statistics cost model, on the
-    // e2e `plan_cold` shapes (12 relations x 40 rows over 80 values).
-    use htqo_core::{cost_k_decomp_with_cost, DecompCost, SearchOptions};
+    // Pricing under the statistics cost model, on the e2e `plan_cold`
+    // shapes (12 relations x 40 rows over 80 values).
+    use htqo_core::DecompCost;
     use htqo_hypergraph::{EdgeId, EdgeSet, VarSet};
     use htqo_stats::StatsDecompCost;
     let db = workload_db(&WorkloadSpec::new(12, 40, 80, 7));
     let stats = htqo_stats::analyze(&db);
     let cycle = chain_query(12);
-    let line = acyclic_query(12);
     let mut group = c.benchmark_group("planner");
 
     // One vertex: λ = {p0, p3, p4, p5}, enforcing p3 ⋈ p4 ⋈ p5.
@@ -228,16 +228,35 @@ fn bench_planner(c: &mut Criterion) {
     group.bench_function("vertex_cost_hit", |b| {
         b.iter(|| model.vertex_cost(&h, &lambda, &assigned, &chi))
     });
+    group.finish();
+}
 
+fn bench_plan_cold_search(c: &mut Criterion) {
+    // The cost-k search of one cold statement, without the e2e harness:
+    // the 12-line and the 12-cycle at k = 4 with the q-HD root cover
+    // under the statistics model over 40-row relations (80 values), a
+    // fresh model per search as the optimizer builds one per query.
+    use htqo_core::{cost_k_decomp_instrumented, cost_k_decomp_with_cost, SearchOptions};
+    use htqo_stats::StatsDecompCost;
+    let stats = htqo_stats::analyze(&workload_db(&WorkloadSpec::new(12, 40, 80, 7)));
+    let mut group = c.benchmark_group("planner/plan_cold_search");
     for (name, q) in [
-        ("plan_cycle12_k4_stats", &cycle),
-        ("plan_line12_k4_stats", &line),
+        ("line12_k4", acyclic_query(12)),
+        ("cycle12_k4", chain_query(12)),
     ] {
         let ch = q.hypergraph();
-        let opts = SearchOptions::width_with_root_cover(4, ch.out_var_set(q));
+        let opts = SearchOptions::width_with_root_cover(4, ch.out_var_set(&q));
+        let model = StatsDecompCost::new(&stats, &q);
+        let (_, _, s) =
+            cost_k_decomp_instrumented(&ch.hypergraph, &opts, &model).expect("width 2 suffices");
+        println!(
+            "planner/plan_cold_search/{name}: {} separators tried, \
+             {} dominated edges skipped, {} subproblems",
+            s.separators_tried, s.dominated_skips, s.subproblems
+        );
         group.bench_function(name, |b| {
             b.iter(|| {
-                let model = StatsDecompCost::new(&stats, q);
+                let model = StatsDecompCost::new(&stats, &q);
                 cost_k_decomp_with_cost(&ch.hypergraph, &opts, &model).expect("width 2 suffices")
             })
         });
@@ -1216,6 +1235,7 @@ criterion_group!(
     bench_tpch_planning,
     bench_dbgen,
     bench_planner,
+    bench_plan_cold_search,
     bench_analyze,
     bench_scans,
     bench_vertex_join,

@@ -6,10 +6,11 @@
 //!
 //! Every row asserts that the optimal cost is identical and that on
 //! hypergraphs with ≥ 6 atoms the engineered search examines *strictly
-//! fewer* separators than the seed with nonzero pruning counters — the
-//! PR's acceptance criteria. The last three columns repeat the
-//! branch-and-bound run under the statistics cost model (the one
-//! production plans with), again asserting the seed search's optimum.
+//! fewer* separators than the seed with nonzero pruning counters. The
+//! last four columns repeat the branch-and-bound run under the statistics
+//! cost model (the one production plans with), again asserting the seed
+//! search's optimum, and on ≥ 6 atoms that the dominance skip (bounding
+//! edges that add nothing to χ) fired.
 //!
 //! ```text
 //! cargo run -p htqo-bench --release --bin decomp [-- --mem-limit BYTES]
@@ -40,10 +41,12 @@ struct Row {
     stats: SearchStats,
     seed_time: f64,
     bnb_time: f64,
-    /// Separators examined, distinct join-atom sets priced and best time
-    /// of the B&B search under [`StatsDecompCost`] (a fresh
-    /// model per run, as the optimizer builds one per query).
+    /// Separators examined, dominated bounding edges skipped, join-atom
+    /// sets priced and best time of the B&B search under
+    /// [`StatsDecompCost`] (a fresh model per run, as the optimizer builds
+    /// one per query).
     stats_seps: usize,
+    stats_skips: usize,
     stats_priced: usize,
     stats_time: f64,
 }
@@ -73,11 +76,11 @@ fn measure(
     let (bnb_cost, _, stats) = bnb.expect("seed found a decomposition, B&B must too");
     assert_eq!(seed_cost, bnb_cost, "{family} k={k}: seed vs B&B cost");
 
-    let (stats_time, (stats_cost, stats_seps, stats_priced)) = best_of(REPS, || {
+    let (stats_time, (stats_cost, stats_search, stats_priced)) = best_of(REPS, || {
         let model = StatsDecompCost::new(db_stats, q);
         let (cost, _, search) = cost_k_decomp_instrumented(h, opts, &model)
             .expect("feasibility does not depend on the cost model");
-        (cost, search.separators_tried, model.priced_sets())
+        (cost, search, model.priced_sets())
     });
     let (seed_stats_cost, _, _) =
         baseline::cost_k_decomp_instrumented(h, opts, &StatsDecompCost::new(db_stats, q))
@@ -101,6 +104,11 @@ fn measure(
             stats.cover_rejects + stats.bound_cuts > 0,
             "{family} k={k}: no pruning counter fired: {stats:?}"
         );
+        assert!(
+            stats_search.dominated_skips > 0,
+            "{family} k={k}: the dominance skip never fired under the statistics model: \
+             {stats_search:?}"
+        );
     }
 
     Some(Row {
@@ -115,7 +123,8 @@ fn measure(
         stats,
         seed_time,
         bnb_time,
-        stats_seps,
+        stats_seps: stats_search.separators_tried,
+        stats_skips: stats_search.dominated_skips,
         stats_priced,
         stats_time,
     })
@@ -174,26 +183,28 @@ fn main() {
          hypergraph here fits 64 edges and 64 variables). The `stats` columns rerun the \
          B&B search under the statistics cost model (gathered statistics of 40-row \
          relations; TPC-H SF 0.001 for Q5), with a fresh model per run: separators examined, \
-         distinct join-atom sets the model derived a price for (every other pricing is a \
-         hash probe), and time. Every row asserts identical optimal cost between seed and \
-         B&B — under both cost models — and rows with \
-         ≥ 6 atoms assert strictly fewer separators examined than the seed.\n",
+         bounding edges skipped because they add nothing to χ (each with every separator \
+         extending it), join-atom sets the model derived a price for (every other pricing \
+         is a table read), and time. Every row asserts identical optimal cost between seed \
+         and B&B — under both cost models — and rows with ≥ 6 atoms assert strictly fewer \
+         separators examined than the seed and a dominance skip under the statistics \
+         model.\n",
         measured_on(),
     );
     let _ = writeln!(
         report,
         "| query | atoms | k | separators seed | separators B&B | subproblems seed | \
          subproblems B&B | bound cuts | cover rejects | seed | B&B | speedup | \
-         separators stats | sets priced | B&B stats |"
+         separators stats | dominated skipped | sets priced | B&B stats |"
     );
     let _ = writeln!(
         report,
-        "|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|"
+        "|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|"
     );
     for r in &rows {
         let _ = writeln!(
             report,
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {:.2}ms | {:.2}ms | {:.2}x | {} | {} | {:.2}ms |",
+            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {:.2}ms | {:.2}ms | {:.2}x | {} | {} | {} | {:.2}ms |",
             r.family,
             r.atoms,
             r.k,
@@ -207,6 +218,7 @@ fn main() {
             r.bnb_time * 1e3,
             r.seed_time / r.bnb_time,
             r.stats_seps,
+            r.stats_skips,
             r.stats_priced,
             r.stats_time * 1e3,
         );

@@ -35,6 +35,19 @@ pub trait DecompCost {
     fn min_vertex_cost(&self, _h: &Hypergraph) -> f64 {
         0.0
     }
+
+    /// Whether the model charges for a bounding edge that adds nothing:
+    /// `true` promises that adding to λ an edge outside `assigned`, with
+    /// χ and `assigned` unchanged, makes [`DecompCost::vertex_cost`]
+    /// strictly larger. The search then skips such an edge (and every
+    /// separator that extends it), because the same separator without it
+    /// has the same χ, the same children and a smaller cost. The default
+    /// (`false`) is always safe: a model whose price can *fall* when an
+    /// atom joins λ (one that prices the pre-Optimize λ join, where a
+    /// small filtered atom shrinks the estimate) must keep it.
+    fn charges_bounding_edges(&self) -> bool {
+        false
+    }
 }
 
 /// Purely structural cost — the "no statistics available" mode of the
@@ -62,6 +75,11 @@ impl DecompCost for StructuralCost {
     /// terms are non-negative).
     fn min_vertex_cost(&self, _h: &Hypergraph) -> f64 {
         100.0
+    }
+
+    /// One more λ edge multiplies the `100^|λ|` term by 100.
+    fn charges_bounding_edges(&self) -> bool {
+        true
     }
 
     fn vertex_cost(
@@ -127,6 +145,10 @@ impl<T: DecompCost + ?Sized> DecompCost for &T {
 
     fn min_vertex_cost(&self, h: &Hypergraph) -> f64 {
         (**self).min_vertex_cost(h)
+    }
+
+    fn charges_bounding_edges(&self) -> bool {
+        (**self).charges_bounding_edges()
     }
 }
 

@@ -40,9 +40,12 @@
 //!   is keyed by the `(component, connector)` masks themselves;
 //! - **prunes the separator enumeration**: candidate edges are ordered by
 //!   scope coverage, whole enumeration branches are cut when the remaining
-//!   candidates cannot cover the connector (or reach the component), and
-//!   λ-equivalent separators (same `var(S)`) are deduplicated in
-//!   first-success mode;
+//!   candidates cannot cover the connector (or reach the component), a
+//!   last-slot candidate that cannot complete a valid separator is never
+//!   visited, λ-equivalent separators (same `var(S)`) are deduplicated in
+//!   first-success mode, and in cost mode a bounding edge that adds
+//!   nothing to χ is skipped with its whole branch when the cost model
+//!   charges for it ([`DecompCost::charges_bounding_edges`]);
 //! - **bounds**: a partial solution is abandoned as soon as its
 //!   accumulated cost plus an admissible per-component lower bound
 //!   ([`DecompCost::min_vertex_cost`]) reaches the incumbent.
@@ -111,6 +114,10 @@ pub struct SearchStats {
     /// Partial solutions abandoned because accumulated cost plus the
     /// admissible per-component lower bound reached the incumbent.
     pub bound_cuts: usize,
+    /// Candidate edges skipped, with every separator that extends them,
+    /// because they lie outside the component and add no variable to χ
+    /// (cost mode, under a model that charges bounding edges).
+    pub dominated_skips: usize,
 }
 
 /// A shared, immutable plan node produced by the DP (converted into a
@@ -141,11 +148,24 @@ struct Subproblem<'s, S> {
     conn: &'s S,
     root_cover: Option<&'s S>,
     /// Ordered by decreasing scope coverage, ties by id.
-    candidates: Vec<Cand<S>>,
+    candidates: &'s [Cand<S>],
     /// `suffix_cover[i]` / `suffix_in_comp[i]`: the coverage and the
     /// component contact still reachable from candidate `i` on.
-    suffix_cover: Vec<S>,
-    suffix_in_comp: Vec<bool>,
+    suffix_cover: &'s [S],
+    suffix_in_comp: &'s [bool],
+}
+
+impl<S: Mask> Subproblem<'_, S> {
+    /// The rule a separator must pass to be priced: it holds an edge of
+    /// the component (`progress`), and its χ — `chi ∪ more` — covers the
+    /// connector and the root cover.
+    fn accepts(&self, progress: bool, chi: &S, more: &S) -> bool {
+        progress
+            && self.conn.is_subset_of_union(chi, more)
+            && self
+                .root_cover
+                .is_none_or(|req| req.is_subset_of_union(chi, more))
+    }
 }
 
 /// A separator under construction and the vertex labels it induces, passed
@@ -163,16 +183,34 @@ struct Separator<S> {
 }
 
 /// Per-subproblem enumeration state: the incumbent, the λ-dedup table,
-/// and the typed sets a separator's labels are written into for
+/// the typed sets a separator's labels are written into for
 /// [`DecompCost::vertex_cost`] (reused, so a separator that is bound-cut
-/// on its vertex cost allocates nothing).
+/// on its vertex cost allocates nothing), and the component and child
+/// lists of the separator being split.
+#[derive(Default)]
 struct EnumCtx<S> {
     best: MemoEntry<S>,
     lent_lambda: EdgeSet,
     lent_assigned: EdgeSet,
     lent_chi: VarSet,
     /// `var(S) ∩ scope` values already tried (first-success mode only).
-    seen_covers: Option<FxHashSet<S>>,
+    seen_covers: FxHashSet<S>,
+    /// The separator's `[χ]`-components with their connectors.
+    subcomps: Vec<(S, S)>,
+    /// The plans of the components solved so far.
+    children: Vec<Rc<PlanNode<S>>>,
+}
+
+/// The buffers one subproblem works in: its candidate tables and its
+/// enumeration state, taken from the searcher's spare stack and given
+/// back cleared, so that a subproblem's set-up allocates nothing once the
+/// search has been as deep before.
+#[derive(Default)]
+struct Frame<S> {
+    candidates: Vec<Cand<S>>,
+    suffix_cover: Vec<S>,
+    suffix_in_comp: Vec<bool>,
+    ctx: EnumCtx<S>,
 }
 
 struct Searcher<'a, S> {
@@ -182,6 +220,9 @@ struct Searcher<'a, S> {
     /// In first-success mode the search stops refining once any solution is
     /// found for a subproblem.
     first_success: bool,
+    /// Skip bounding edges that add nothing to χ: cost mode under a model
+    /// that [charges them](DecompCost::charges_bounding_edges).
+    skip_dominated: bool,
     /// Admissible lower bound charged per undecomposed component.
     comp_lb: f64,
     /// `edge_vars[e]` = `var(e)`.
@@ -190,13 +231,10 @@ struct Searcher<'a, S> {
     var_edges: Vec<S>,
     memo: Memo<S>,
     stats: SearchStats,
-    /// Cleared component and child lists, one pair per recursion level
-    /// that has returned: a separator takes a pair and gives it back.
-    spare: Vec<Lists<S>>,
+    /// Cleared frames, one per subproblem nesting level that has returned:
+    /// a subproblem takes one and gives it back.
+    spare: Vec<Frame<S>>,
 }
-
-/// A separator's `[χ]`-components and its children's plans.
-type Lists<S> = (Vec<(S, S)>, Vec<Rc<PlanNode<S>>>);
 
 impl<'a, S: Mask> Searcher<'a, S> {
     fn new(h: &'a Hypergraph, k: usize, cost: &'a dyn DecompCost, first_success: bool) -> Self {
@@ -205,6 +243,7 @@ impl<'a, S: Mask> Searcher<'a, S> {
             k,
             cost,
             first_success,
+            skip_dominated: !first_success && cost.charges_bounding_edges(),
             comp_lb: cost.min_vertex_cost(h),
             edge_vars: h
                 .edge_ids()
@@ -248,27 +287,34 @@ impl<'a, S: Mask> Searcher<'a, S> {
     fn solve_uncached(&mut self, comp: &S, conn: &S, root_cover: Option<&S>) -> MemoEntry<S> {
         let mut scope = self.vars_of(comp);
         scope.union_with(conn);
+        let mut frame = self.spare.pop().unwrap_or_default();
+        let Frame {
+            candidates,
+            suffix_cover,
+            suffix_in_comp,
+            ctx,
+        } = &mut frame;
 
         // Candidate separator edges: anything touching the subproblem,
         // ordered by decreasing scope coverage (ties by id for
         // determinism). High-coverage edges first means good incumbents
         // are found early, which powers the bound cuts below.
-        let mut candidates: Vec<Cand<S>> = (0..self.edge_vars.len())
-            .filter_map(|e| {
-                let mut cover = self.edge_vars[e].clone();
-                cover.intersect_with(&scope);
-                (!cover.is_empty()).then(|| Cand {
-                    id: e,
-                    cover,
-                    in_comp: comp.contains(e),
-                })
+        candidates.extend((0..self.edge_vars.len()).filter_map(|e| {
+            let mut cover = self.edge_vars[e].clone();
+            cover.intersect_with(&scope);
+            (!cover.is_empty()).then(|| Cand {
+                id: e,
+                cover,
+                in_comp: comp.contains(e),
             })
-            .collect();
-        candidates.sort_by(|a, b| b.cover.len().cmp(&a.cover.len()).then(a.id.cmp(&b.id)));
+        }));
+        // Ids are distinct, so the order is total and unstable sorting
+        // gives the stable order.
+        candidates.sort_unstable_by(|a, b| b.cover.len().cmp(&a.cover.len()).then(a.id.cmp(&b.id)));
 
         let n = candidates.len();
-        let mut suffix_cover = vec![S::default(); n + 1];
-        let mut suffix_in_comp = vec![false; n + 1];
+        suffix_cover.resize(n + 1, S::default());
+        suffix_in_comp.resize(n + 1, false);
         for i in (0..n).rev() {
             suffix_cover[i] = suffix_cover[i + 1].clone();
             suffix_cover[i].union_with(&candidates[i].cover);
@@ -294,15 +340,15 @@ impl<'a, S: Mask> Searcher<'a, S> {
             assigned: covered_by_nothing,
             has_comp_edge: false,
         };
-        let mut ctx = EnumCtx {
-            best: None,
-            lent_lambda: EdgeSet::new(),
-            lent_assigned: EdgeSet::new(),
-            lent_chi: VarSet::new(),
-            seen_covers: self.first_success.then(FxHashSet::default),
-        };
-        self.enumerate(&sub, 0, 0, empty, &mut ctx);
-        ctx.best
+        self.enumerate(&sub, 0, 0, empty, ctx);
+
+        let best = ctx.best.take();
+        candidates.clear();
+        suffix_cover.clear();
+        suffix_in_comp.clear();
+        ctx.seen_covers.clear();
+        self.spare.push(frame);
+        best
     }
 
     /// Recursive subset enumeration (sizes 1..=k) with branch pruning.
@@ -319,21 +365,13 @@ impl<'a, S: Mask> Searcher<'a, S> {
         if self.first_success && ctx.best.is_some() {
             return;
         }
-        if depth > 0
-            && sep.has_comp_edge
-            && sub.conn.is_subset(&sep.chi)
-            && sub.root_cover.is_none_or(|req| req.is_subset(&sep.chi))
-        {
+        if depth > 0 && sub.accepts(sep.has_comp_edge, &sep.chi, &S::default()) {
             // λ-equivalence dedup: two separators with the same var(S)
             // produce the same χ, the same components and the same child
             // subproblems. In first-success mode one verdict settles all
             // of them; in cost mode their vertex costs differ, so every
             // one must be priced.
-            let duplicate = match &mut ctx.seen_covers {
-                Some(seen) => !seen.insert(sep.chi.clone()),
-                None => false,
-            };
-            if duplicate {
+            if self.first_success && !ctx.seen_covers.insert(sep.chi.clone()) {
                 self.stats.lambda_dedup += 1;
             } else {
                 self.stats.separators_tried += 1;
@@ -356,9 +394,23 @@ impl<'a, S: Mask> Searcher<'a, S> {
             self.stats.cover_rejects += 1;
             return;
         }
+        let last_slot = depth + 1 == self.k;
         for (i, cand) in sub.candidates.iter().enumerate().skip(start) {
             if self.first_success && ctx.best.is_some() {
                 return;
+            }
+            // Dominance: an edge outside the component whose coverage χ
+            // already holds leaves χ, the assigned edges and the children
+            // as they are, so every separator S ∪ {e} ∪ M costs strictly
+            // more than S ∪ M, which is enumerated too.
+            if self.skip_dominated && !cand.in_comp && cand.cover.is_subset(&sep.chi) {
+                self.stats.dominated_skips += 1;
+                continue;
+            }
+            // The last slot: a leaf that is not a valid separator is
+            // neither priced nor extended, so it need not be built.
+            if last_slot && !sub.accepts(sep.has_comp_edge || cand.in_comp, &sep.chi, &cand.cover) {
+                continue;
             }
             let extended = self.extend(sub.comp, &sep, cand);
             self.enumerate(sub, i + 1, depth + 1, extended, ctx);
@@ -450,22 +502,21 @@ impl<'a, S: Mask> Searcher<'a, S> {
                 return;
             }
         }
-        let (mut subcomps, mut children) = self.spare.pop().unwrap_or_default();
-        self.components(sub.comp, &sep.assigned, &sep.chi, &mut subcomps);
+        self.components(sub.comp, &sep.assigned, &sep.chi, &mut ctx.subcomps);
         'split: {
             // Refined cut: even if every remaining component decomposed at
             // the admissible minimum, this branch cannot beat the incumbent.
-            if self.comp_lb > 0.0 && !subcomps.is_empty() {
+            if self.comp_lb > 0.0 && !ctx.subcomps.is_empty() {
                 if let Some((bound, _)) = &ctx.best {
-                    if total + subcomps.len() as f64 * self.comp_lb >= *bound {
+                    if total + ctx.subcomps.len() as f64 * self.comp_lb >= *bound {
                         self.stats.bound_cuts += 1;
                         break 'split;
                     }
                 }
             }
 
-            let remaining = subcomps.len();
-            for (solved, (sc, child_conn)) in subcomps.iter().enumerate() {
+            let remaining = ctx.subcomps.len();
+            for (solved, (sc, child_conn)) in ctx.subcomps.iter().enumerate() {
                 match self.solve(sc.clone(), child_conn.clone()) {
                     Some((c, plan)) => {
                         total += c;
@@ -477,7 +528,7 @@ impl<'a, S: Mask> Searcher<'a, S> {
                                 break 'split;
                             }
                         }
-                        children.push(plan);
+                        ctx.children.push(plan);
                     }
                     None => break 'split, // this separator cannot decompose the rest
                 }
@@ -494,14 +545,13 @@ impl<'a, S: Mask> Searcher<'a, S> {
                         lambda: sep.lambda.clone(),
                         chi: sep.chi.clone(),
                         assigned: sep.assigned.clone(),
-                        children: std::mem::take(&mut children),
+                        children: std::mem::take(&mut ctx.children),
                     }),
                 ));
             }
         }
-        subcomps.clear();
-        children.clear();
-        self.spare.push((subcomps, children));
+        ctx.subcomps.clear();
+        ctx.children.clear();
     }
 }
 

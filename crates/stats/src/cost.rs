@@ -9,17 +9,21 @@ use htqo_cq::{AtomId, ConjunctiveQuery};
 use htqo_engine::index::SEEK_MARGIN;
 use htqo_hypergraph::fxhash::FxHashMap;
 use htqo_hypergraph::{EdgeSet, Hypergraph, VarSet};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::OnceLock;
+
+/// A query of at most this many atoms keeps its prices in a table with
+/// one slot per set (4,096 slots at most); a wider one in a map.
+const TABLE_BITS: usize = 12;
 
 /// Statistics-driven [`DecompCost`]: a vertex costs the estimated number of
 /// tuples materialized while joining its atoms (greedy smallest-first
 /// order, the same strategy the evaluator uses), which makes the DP choose
 /// the decomposition with the cheapest overall `P′` phase.
 ///
-/// The model is compiled per query ([`QueryProfiles`]) and remembers every
-/// join-atom set it has priced, so the search's thousands of separator
-/// pricings cost one hash probe each after the first.
+/// The model is compiled per query ([`QueryProfiles`]) and remembers the
+/// join-atom sets it has priced, so the search's thousands of separator
+/// pricings cost one lookup each after the first.
 pub struct StatsDecompCost<'a> {
     query: &'a ConjunctiveQuery,
     profiles: QueryProfiles<'a>,
@@ -41,9 +45,17 @@ pub struct StatsDecompCost<'a> {
     /// Per atom, the variables bound by one of its indexed columns,
     /// resolved on first use.
     seek_vars: Vec<OnceLock<Vec<VarId>>>,
-    /// [`Self::vertex_tuples`] by join-atom set, for the model's lifetime:
-    /// by the set's word where every edge is below 64, else by the set.
-    priced: RefCell<(FxHashMap<u64, f64>, FxHashMap<EdgeSet, f64>)>,
+    /// [`Self::vertex_tuples`] by join-atom set for a query of at most
+    /// [`TABLE_BITS`] atoms: one `(set word, tuples)` slot per set,
+    /// indexed by the set's word. A slot not yet priced holds `(0, 0.0)`
+    /// — tag 0, which only the empty set has, and the empty set's price.
+    /// Empty for a wider query.
+    table: Box<[Cell<(u64, f64)>]>,
+    /// [`Self::vertex_tuples`] by join-atom set for a query of more than
+    /// [`TABLE_BITS`] atoms.
+    wide: RefCell<FxHashMap<EdgeSet, f64>>,
+    /// Sets priced (table and map misses).
+    priced: Cell<usize>,
     /// What [`Self::price`] works in, kept from one pricing to the next:
     /// a set's atoms in join order, and the accumulated profile before
     /// and after one more join.
@@ -60,7 +72,9 @@ impl<'a> StatsDecompCost<'a> {
             assume_optimize: true,
             indexed: Vec::new(),
             seek_vars: query.atoms.iter().map(|_| OnceLock::new()).collect(),
-            priced: RefCell::default(),
+            table: empty_table(query.atoms.len()),
+            wide: RefCell::default(),
+            priced: Cell::new(0),
             scratch: RefCell::default(),
         }
     }
@@ -83,7 +97,9 @@ impl<'a> StatsDecompCost<'a> {
             .collect();
         // Prices and seek masks depend on the catalog.
         self.seek_vars.iter_mut().for_each(|s| *s = OnceLock::new());
-        self.priced = RefCell::default();
+        self.table = empty_table(self.query.atoms.len());
+        self.wide = RefCell::default();
+        self.priced = Cell::new(0);
         self
     }
 
@@ -111,37 +127,54 @@ impl<'a> StatsDecompCost<'a> {
     }
 
     /// Estimated number of tuples materialized at one decomposition
-    /// vertex joining `atoms` (edge `i` is atom `i`). Each distinct set
-    /// is derived once; repeats are a hash probe.
+    /// vertex joining `atoms` (edge `i` is atom `i`). A set is derived
+    /// once; repeats are a table read (a map probe for a query of more
+    /// than 12 atoms).
     pub fn vertex_tuples(&self, atoms: &EdgeSet) -> f64 {
-        let word = atoms.bits().as_word();
-        let memo = self.priced.borrow();
-        if let Some(&tuples) = word.map_or_else(|| memo.1.get(atoms), |w| memo.0.get(&w)) {
+        match atoms.bits().as_word() {
+            Some(word) if !self.table.is_empty() => self.word_tuples(word),
+            _ => self.wide_tuples(atoms),
+        }
+    }
+
+    /// [`Self::vertex_tuples`] of the set whose word is `word`, for a
+    /// query of at most [`TABLE_BITS`] atoms.
+    fn word_tuples(&self, word: u64) -> f64 {
+        let slot = &self.table[word as usize];
+        let (tag, tuples) = slot.get();
+        if tag == word {
             return tuples;
         }
-        drop(memo);
-        let tuples = self.price(atoms);
-        let (words, sets) = &mut *self.priced.borrow_mut();
-        match word {
-            Some(w) => words.insert(w, tuples),
-            None => sets.insert(atoms.clone(), tuples),
-        };
+        let tuples = self.price(bits_of(word));
+        slot.set((word, tuples));
+        tuples
+    }
+
+    /// [`Self::vertex_tuples`] for a query of more than [`TABLE_BITS`]
+    /// atoms.
+    fn wide_tuples(&self, atoms: &EdgeSet) -> f64 {
+        if let Some(&tuples) = self.wide.borrow().get(atoms) {
+            return tuples;
+        }
+        let tuples = self.price(atoms.iter().map(|e| e.index()));
+        self.wide.borrow_mut().insert(atoms.clone(), tuples);
         tuples
     }
 
     /// Number of distinct join-atom sets priced so far.
     pub fn priced_sets(&self) -> usize {
-        let (words, sets) = &*self.priced.borrow();
-        words.len() + sets.len()
+        self.priced.get()
     }
 
-    /// The atoms joined smallest first; allocates nothing once its
-    /// scratch lists have grown to the widest set.
-    fn price(&self, atoms: &EdgeSet) -> f64 {
+    /// The atoms (edge indices, ascending) joined smallest first;
+    /// allocates nothing once its scratch lists have grown to the widest
+    /// set.
+    fn price(&self, atoms: impl Iterator<Item = usize>) -> f64 {
+        self.priced.set(self.priced.get() + 1);
         let mut scratch = self.scratch.borrow_mut();
         let (order, acc, next) = &mut *scratch;
         order.clear();
-        order.extend(atoms.iter().map(|e| AtomId(e.0)));
+        order.extend(atoms.map(|e| AtomId(e as u32)));
         let card = |a: AtomId| self.profiles.atom(a).card;
         order.sort_by(|&a, &b| card(a).total_cmp(&card(b)));
         let Some(&first) = order.first() else {
@@ -170,6 +203,24 @@ impl<'a> StatsDecompCost<'a> {
     }
 }
 
+/// The price table of a query of `atoms` atoms.
+fn empty_table(atoms: usize) -> Box<[Cell<(u64, f64)>]> {
+    let slots = if atoms > TABLE_BITS { 0 } else { 1 << atoms };
+    (0..slots).map(|_| Cell::new((0, 0.0))).collect()
+}
+
+/// The indices of the one-bits of `word`, ascending.
+fn bits_of(word: u64) -> impl Iterator<Item = usize> {
+    let mut rest = word;
+    std::iter::from_fn(move || {
+        (rest != 0).then(|| {
+            let i = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            i
+        })
+    })
+}
+
 impl DecompCost for StatsDecompCost<'_> {
     /// Every vertex the search builds joins at least one atom (a
     /// normal-form vertex assigns ≥ 1 edge of its component, and λ is
@@ -185,6 +236,16 @@ impl DecompCost for StatsDecompCost<'_> {
         1.0 + min_card
     }
 
+    /// With Optimize assumed, one more bounding atom adds 10 and changes
+    /// no price; without it, the atom joins the priced set and a small,
+    /// filtered one can lower the estimate. The 10 is strictly more only
+    /// while `1 + tuples` stays below about 2^57 (≈ 1.4e17 estimated
+    /// tuples): above that it rounds away, the two separators tie in
+    /// cost bits and the search may return the one without the atom.
+    fn charges_bounding_edges(&self) -> bool {
+        self.assume_optimize
+    }
+
     fn vertex_cost(
         &self,
         _h: &Hypergraph,
@@ -192,14 +253,24 @@ impl DecompCost for StatsDecompCost<'_> {
         assigned: &EdgeSet,
         _chi: &VarSet,
     ) -> f64 {
-        let (tuples, bounding) = if self.assume_optimize {
-            // Optimize will prune bounding atoms supported by children;
-            // price only the enforcing joins, plus a small per-atom term
-            // so the search does not add gratuitous bounding atoms.
-            let bounding = lambda.iter().filter(|&e| !assigned.contains(e)).count();
-            (self.vertex_tuples(assigned), bounding)
-        } else {
-            (self.vertex_tuples(&lambda.union(assigned)), 0)
+        // Optimize will prune bounding atoms supported by children; with
+        // it assumed, price only the enforcing joins, plus a small
+        // per-atom term so the search does not add gratuitous bounding
+        // atoms.
+        let words = (lambda.bits().as_word(), assigned.bits().as_word());
+        let (tuples, bounding) = match words {
+            (Some(l), Some(a)) if !self.table.is_empty() => {
+                if self.assume_optimize {
+                    (self.word_tuples(a), (l & !a).count_ones() as usize)
+                } else {
+                    (self.word_tuples(l | a), 0)
+                }
+            }
+            _ if self.assume_optimize => {
+                let bounding = lambda.iter().filter(|&e| !assigned.contains(e)).count();
+                (self.wide_tuples(assigned), bounding)
+            }
+            _ => (self.wide_tuples(&lambda.union(assigned)), 0),
         };
         // A tiny per-vertex constant keeps degenerate zero-cost plans from
         // proliferating vertices.

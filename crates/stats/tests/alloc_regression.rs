@@ -3,7 +3,7 @@
 //! Before the cost model was compiled, every separator the search priced
 //! rebuilt string-keyed profiles for each of its atoms (dozens of heap
 //! allocations), and the search itself built two edge sets per separator.
-//! Now a repeated pricing is a hash probe and the search carries a
+//! Now a repeated pricing is a table read and the search carries a
 //! separator's sets as machine words, so allocations track the *distinct*
 //! work — subproblems solved, join-atom sets priced, separators that
 //! survive every bound cut — not the separators examined.
@@ -42,16 +42,18 @@ fn memo_hit_vertex_cost_allocates_nothing() {
     assert_eq!(hit_allocs, 0);
 }
 
-/// Measured on the 12-atom cycle at k = 4: 1,059 allocations
-/// for 4,514 separators tried, of which 4,288 are bound-cut — 1.1 per
-/// unit of distinct work (65 subproblems solved + 683 join-atom sets
-/// priced + 226 separators that survived every cut and so split their
-/// component and built a plan node). Pricing works in reused scratch
-/// profiles, the memo is keyed by the set's word, and the search reuses
-/// its component and child lists; before that it was 6,999 (7.2 per
-/// unit). The search on heap bit sets with interned memo keys allocated
-/// 18,511 times here (19 per unit); the string-profile model before it
-/// 170,717 times, 38 per separator *tried*.
+/// Measured on the 12-atom cycle at k = 4: 462 allocations for 3,421
+/// separators tried, of which 3,237 are bound-cut — 0.5 per unit of
+/// distinct work (65 subproblems solved + 683 join-atom sets priced + 184
+/// separators that survived every cut and so split their component and
+/// built a plan node). Pricing works in reused scratch profiles and a
+/// fixed price table, and a subproblem's candidate tables and lists come
+/// from the search's spare frames; with a growing price map and tables
+/// built per subproblem it was 1,059 (1.1 per unit), before reused
+/// scratch 6,999 (7.2 per unit). The search on heap bit sets with
+/// interned memo keys allocated 18,511 times here (19 per unit); the
+/// string-profile model before it 170,717 times, 38 per separator
+/// *tried*.
 #[test]
 fn search_allocations_track_distinct_work_not_separators() {
     let _serial = serial();
@@ -68,12 +70,12 @@ fn search_allocations_track_distinct_work_not_separators() {
     // The instance separates the two growth rates: most separators are
     // cut on their (memoized) vertex cost and must cost no allocation.
     assert!(
-        search.separators_tried > 4 * distinct_work,
+        search.separators_tried > 3 * distinct_work,
         "{search:?}, {} sets priced",
         model.priced_sets()
     );
     assert!(
-        allocs <= 2 * distinct_work,
+        allocs <= distinct_work,
         "{allocs} allocations for {distinct_work} units of distinct work ({search:?})"
     );
 }
@@ -98,16 +100,24 @@ impl DecompCost for MeteredStructural {
     fn min_vertex_cost(&self, h: &Hypergraph) -> f64 {
         StructuralCost.min_vertex_cost(h)
     }
+
+    fn charges_bounding_edges(&self) -> bool {
+        StructuralCost.charges_bounding_edges()
+    }
 }
 
 /// The search's own allocations, with no pricing memo to hide behind: on
-/// the same instance under the structural model (4,506 separators tried,
+/// the same instance under the structural model (3,418 separators tried,
 /// 64 subproblems, 250 survivors) everything outside `vertex_cost`
-/// allocates 1,029 times (3.3 per unit) — the candidate tables, lent sets
-/// and memo entry of a subproblem, the plan node of a survivor — and
-/// nothing per separator tried. With a fresh component and child list
-/// per survivor it was 2,296 (7.3 per unit); with per-separator scratch
-/// sets and interned keys 12,515 (40 per unit).
+/// allocates 561 times (1.8 per unit) — a survivor's plan node and child
+/// list, the memo's growth and one frame per nesting level — and nothing
+/// per separator tried or per subproblem set up; a debug build adds 87
+/// for the tree checks at the end of the search (648, 2.1 per unit).
+/// With candidate tables
+/// and lent sets built per subproblem it was 1,029 (3.3 per unit); with a
+/// fresh component and child list per survivor 2,296 (7.3 per unit);
+/// with per-separator scratch sets and interned keys 12,515 (40 per
+/// unit).
 #[test]
 fn search_allocates_per_subproblem_and_survivor_only() {
     let _serial = serial();
@@ -123,7 +133,7 @@ fn search_allocates_per_subproblem_and_survivor_only() {
     let distinct_work = search.subproblems + search.separators_tried - search.bound_cuts;
     assert!(search.separators_tried > 10 * distinct_work, "{search:?}");
     assert!(
-        own <= 4 * distinct_work,
+        4 * own <= 9 * distinct_work,
         "{own} allocations outside pricing for {distinct_work} units of distinct work ({search:?})"
     );
 }

@@ -193,12 +193,22 @@ pub fn random_case(seed: u64, atoms: usize, connected: bool) -> Case {
 /// The cycle `p0(V0,V1), p1(V1,V2), …, p{n-1}(V{n-1},V0)` with uneven
 /// table sizes, so the smallest atom cardinality is well above 1.
 pub fn cycle(n: usize) -> (ConjunctiveQuery, DbStats) {
+    chain(n, n)
+}
+
+/// The line `p0(V0,V1), …, p{n-1}(V{n-1},Vn)` with the sizes of [`cycle`].
+pub fn line(n: usize) -> (ConjunctiveQuery, DbStats) {
+    chain(n, n + 1)
+}
+
+/// `n` binary atoms, atom `i` joining `V{i}` to `V{(i + 1) % wrap}`.
+fn chain(n: usize, wrap: usize) -> (ConjunctiveQuery, DbStats) {
     let mut rng = Rng::new(12);
     let mut b = CqBuilder::new();
     let mut stats = DbStats::default();
     for i in 0..n {
         let table = format!("p{i}");
-        let (l, r) = (format!("V{i}"), format!("V{}", (i + 1) % n));
+        let (l, r) = (format!("V{i}"), format!("V{}", (i + 1) % wrap));
         b = b.atom(&table, &table, &[("l", &l), ("r", &r)]);
         let rows = 40 + rng.below(2000) as u64;
         let mut t = TableStats {
