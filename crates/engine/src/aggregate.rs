@@ -6,10 +6,12 @@
 //! [`VRelation`].
 
 use crate::cops;
-use crate::crel::{CRel, Name};
+use crate::crel::CRel;
 use crate::dict;
 use crate::error::{Budget, EvalError, SpillMode};
-use crate::expr::{eval_scalar, eval_scalar_rows, RowError};
+#[cfg(test)]
+use crate::expr::eval_scalar;
+use crate::expr::{eval_scalar_rows, RowError};
 use crate::fsum::FloatSum;
 use crate::hash::FxHashMap;
 use crate::spill::{self, SpillDir, SpillFile, MAX_SPILL_LEVEL};
@@ -19,7 +21,7 @@ use htqo_cq::isolator::is_hidden_label;
 use htqo_cq::{AggFunc, ConjunctiveQuery, OutputItem, SortDir};
 
 /// Visible output items of `q` and their (uniquified) labels.
-pub(crate) fn visible_output(q: &ConjunctiveQuery) -> (Vec<&OutputItem>, Vec<String>) {
+fn visible_output(q: &ConjunctiveQuery) -> (Vec<&OutputItem>, Vec<String>) {
     let visible: Vec<&OutputItem> = q
         .output
         .iter()
@@ -89,8 +91,48 @@ pub fn finalize_c(
     finalize_tail(result, q, budget)
 }
 
+/// [`finalize_c`] of an aggregate query over an answer whose row `i`
+/// stands for `weights[i] ≥ 1` identical rows — the factorized cover's
+/// root, weighted by its subtree answer counts. Gives the groups, values,
+/// charges and errors of [`finalize_c`] over the answer with each row
+/// repeated, or `None` where a weight cannot be applied exactly
+/// ([`FloatSum::add_times`]); the caller then materializes the repeated
+/// rows instead. Never spills: a denied reservation is
+/// [`EvalError::MemoryExceeded`]. The weights must sum to at most
+/// `u64::MAX` (a cover checks its total), so no count overflows.
+pub(crate) fn finalize_weighted(
+    answer: &CRel,
+    weights: &[u64],
+    q: &ConjunctiveQuery,
+    budget: &mut Budget,
+) -> Result<Option<VRelation>, EvalError> {
+    crate::fail_point!("aggregate::finalize");
+    let (visible, labels) = visible_output(q);
+    let group_idx = group_layout(answer.cols(), q, &visible)?;
+    let grouped = aggregate_c_mem(
+        answer,
+        Some(weights),
+        &group_idx,
+        q,
+        &visible,
+        &labels,
+        budget,
+    );
+    match grouped {
+        Ok(result) => finalize_tail(result, q, budget).map(Some),
+        Err(EvalError::Internal(why)) if why == INEXACT_SUM => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
+/// The error a float `SUM`/`AVG` raises where [`FloatSum::add_times`]
+/// refuses: under a weight above 1, the weighted entry's cue to
+/// materialize; unweighted, an exact sum past 2¹²⁷ units, which takes
+/// more than 2³² rows.
+const INEXACT_SUM: &str = "a float sum cannot take this value exactly";
+
 /// The post-aggregation tail: HAVING, ORDER BY, LIMIT.
-pub(crate) fn finalize_tail(
+fn finalize_tail(
     result: VRelation,
     q: &ConjunctiveQuery,
     budget: &mut Budget,
@@ -119,8 +161,12 @@ pub(crate) fn finalize_tail(
         )?
     };
 
-    // ORDER BY over output labels, then LIMIT.
-    let result = if q.order_by.is_empty() {
+    // ORDER BY over output labels, ties broken on the whole row, then
+    // LIMIT. Groups are put in that order without ORDER BY too, so every
+    // path — the cover, the materialized join, every planner — yields one
+    // order; a plain projection keeps the order its path produced, and a
+    // LIMIT without ORDER BY truncates it.
+    let result = if q.order_by.is_empty() && !q.has_aggregates() {
         result
     } else {
         let keys: Vec<(String, bool)> = q
@@ -156,9 +202,9 @@ fn select_rows(
     Ok(out)
 }
 
-/// Sorts rows by the given `(column, descending)` keys, using SQL
-/// comparison semantics with a total-order fallback (stable: equal keys
-/// keep their order).
+/// Sorts rows by the given `(column, descending)` keys, then by the whole
+/// row, in [`Value`]'s total order (stable: rows equal in it keep their
+/// order).
 fn sort_by(a: &VRelation, keys: &[(String, bool)]) -> Result<VRelation, EvalError> {
     let idx: Vec<(usize, bool)> = keys
         .iter()
@@ -176,7 +222,7 @@ fn sort_by(a: &VRelation, keys: &[(String, bool)]) -> Result<VRelation, EvalErro
                 return if desc { ord.reverse() } else { ord };
             }
         }
-        std::cmp::Ordering::Equal
+        x.cmp(y)
     });
     Ok(VRelation::from_rows(a.cols().to_vec(), rows))
 }
@@ -195,7 +241,7 @@ fn uniquify<'l>(labels: impl ExactSizeIterator<Item = &'l str> + Clone) -> Vec<S
 
 /// Resolves the GROUP BY column positions and validates that every
 /// non-aggregate visible item is a grouping variable.
-pub(crate) fn group_layout<S: AsRef<str>>(
+fn group_layout<S: AsRef<str>>(
     cols: &[S],
     q: &ConjunctiveQuery,
     visible: &[&OutputItem],
@@ -223,7 +269,7 @@ pub(crate) fn group_layout<S: AsRef<str>>(
 
 /// Resident bytes one group costs the governor: its key row, its
 /// accumulators, and a map-entry allowance.
-pub(crate) fn group_state_bytes(key_width: usize, n_items: usize) -> u64 {
+fn group_state_bytes(key_width: usize, n_items: usize) -> u64 {
     row_heap_bytes(key_width) + (n_items * std::mem::size_of::<Accumulator>()) as u64 + 48
 }
 
@@ -292,7 +338,7 @@ fn aggregate_rows_inner(
             }
         };
         for (acc, item) in accs.iter_mut().zip(visible) {
-            acc.feed(item, &cols, row)?;
+            acc.feed_row(item, &cols, row)?;
         }
     }
 
@@ -354,8 +400,9 @@ fn aggregate_spilled(
             continue;
         }
         if budget.try_reserve_bytes(file.bytes) {
-            let r = spill::load(&file, answer)
-                .and_then(|part| aggregate_c_mem(&part, group_idx, q, visible, labels, budget));
+            let r = spill::load(&file, answer).and_then(|part| {
+                aggregate_c_mem(&part, None, group_idx, q, visible, labels, budget)
+            });
             budget.uncharge_bytes(file.bytes);
             match r {
                 Ok(part) => {
@@ -401,7 +448,7 @@ fn aggregate_c(
     if spillable && budget.spill_mode() == SpillMode::Force {
         return spill(budget);
     }
-    match aggregate_c_mem(answer, &group_idx, q, visible, labels, budget) {
+    match aggregate_c_mem(answer, None, &group_idx, q, visible, labels, budget) {
         Err(EvalError::MemoryExceeded { .. }) if spillable => spill(budget),
         r => r,
     }
@@ -411,9 +458,11 @@ fn aggregate_c(
 /// byte pool as groups appear and released when the function returns,
 /// the hash array is reserved up front, output rows are charged on
 /// success. A denied reservation is [`EvalError::MemoryExceeded`] — the
-/// spill driver's cue to split the partition further.
+/// spill driver's cue to split the partition further. Row `i` counts
+/// `weights[i]` times (once without weights).
 fn aggregate_c_mem(
     answer: &CRel,
+    weights: Option<&[u64]>,
     group_idx: &[usize],
     q: &ConjunctiveQuery,
     visible: &[&OutputItem],
@@ -425,7 +474,16 @@ fn aggregate_c_mem(
         return Err(group_state_exceeded(budget, hash_bytes));
     }
     let mut accrued = 0u64;
-    let result = aggregate_c_inner(answer, group_idx, q, visible, labels, budget, &mut accrued);
+    let result = aggregate_c_inner(
+        answer,
+        weights,
+        group_idx,
+        q,
+        visible,
+        labels,
+        budget,
+        &mut accrued,
+    );
     budget.uncharge_bytes(hash_bytes + accrued);
     let out = result?;
     budget.charge_bytes(out.len() as u64 * row_heap_bytes(out.cols().len()))?;
@@ -435,6 +493,7 @@ fn aggregate_c_mem(
 #[allow(clippy::too_many_arguments)]
 fn aggregate_c_inner(
     answer: &CRel,
+    weights: Option<&[u64]>,
     group_idx: &[usize],
     q: &ConjunctiveQuery,
     visible: &[&OutputItem],
@@ -485,6 +544,7 @@ fn aggregate_c_inner(
                 g
             }
         };
+        let m = weights.map_or(1, |w| w[i]);
         for ((acc, item), (cells, err)) in accs[gid].iter_mut().zip(visible).zip(&mut values) {
             let value = match item {
                 OutputItem::Var { .. } => continue,
@@ -496,7 +556,7 @@ fn aggregate_c_inner(
                     std::mem::replace(&mut cells[i % EVAL_BLOCK], Value::Null)
                 }
             };
-            acc.feed_value(value)?;
+            acc.feed(value, m)?;
         }
     }
 
@@ -525,22 +585,8 @@ fn aggregate_c_inner(
     Ok(out)
 }
 
-/// Why [`Accumulator::feed_weighted`] cannot reproduce the plain
-/// row-at-a-time feed bit for bit — the factorized front's cue to fall
-/// back to full materialization.
-pub(crate) enum WeightedFeedError {
-    /// The iterated feed would accumulate floats: a weighted float sum is
-    /// not implemented, so the shortcut cannot promise the same bits.
-    OrderSensitive,
-    /// A count would overflow `u64` under weighting.
-    Overflow,
-    /// A genuine evaluation error (bad scalar expression, non-numeric
-    /// SUM input) that the materialized path would also surface.
-    Eval(EvalError),
-}
-
 /// Streaming accumulator for one output item.
-pub(crate) enum Accumulator {
+enum Accumulator {
     /// Placeholder for plain grouping variables.
     Group,
     Sum {
@@ -563,7 +609,7 @@ pub(crate) enum Accumulator {
 }
 
 impl Accumulator {
-    pub(crate) fn for_item(item: &OutputItem) -> Accumulator {
+    fn for_item(item: &OutputItem) -> Accumulator {
         match item {
             OutputItem::Var { .. } => Accumulator::Group,
             OutputItem::Aggregate { func, .. } => match func {
@@ -592,23 +638,28 @@ impl Accumulator {
 
     /// Feeds one row (the row reference's per-row step).
     #[cfg(test)]
-    fn feed(&mut self, item: &OutputItem, cols: &[String], row: &Row) -> Result<(), EvalError> {
+    fn feed_row(&mut self, item: &OutputItem, cols: &[String], row: &Row) -> Result<(), EvalError> {
         let OutputItem::Aggregate { expr, .. } = item else {
             return Ok(());
         };
-        self.feed_value(match expr {
+        let value = match expr {
             Some(e) => eval_scalar(e, cols, row)?,
             None => Value::Int(1), // COUNT(*): any non-null marker
-        })
+        };
+        self.feed(value, 1)
     }
 
-    /// Feeds one row's value of the aggregated expression.
-    fn feed_value(&mut self, value: Value) -> Result<(), EvalError> {
+    /// Feeds `m` rows holding `value` of the aggregated expression at once:
+    /// the state `m` single feeds reach. A count adds `m`, an integer sum
+    /// adds `value · m` (wrapping, as `m` wrapping adds do), MIN/MAX see
+    /// the value once, float sums take [`FloatSum::add_times`]; where that
+    /// refuses, the error is [`INEXACT_SUM`].
+    fn feed(&mut self, value: Value, m: u64) -> Result<(), EvalError> {
         match self {
             Accumulator::Group => {}
             Accumulator::Count { n } => {
                 if !value.is_null() {
-                    *n += 1;
+                    *n += m;
                 }
             }
             Accumulator::Sum {
@@ -619,13 +670,15 @@ impl Accumulator {
             } => match value {
                 Value::Null => {}
                 Value::Int(i) => {
-                    *int = int.wrapping_add(i);
-                    *n += 1;
+                    *int = int.wrapping_add(i.wrapping_mul(m as i64));
+                    *n += m;
                 }
                 Value::Float(x) => {
-                    float.add(x);
+                    if !float.add_times(x, m) {
+                        return Err(EvalError::Internal(INEXACT_SUM.into()));
+                    }
                     *any_float = true;
-                    *n += 1;
+                    *n += m;
                 }
                 other => {
                     return Err(EvalError::Internal(format!(
@@ -655,8 +708,10 @@ impl Accumulator {
             }
             Accumulator::Avg { sum, n } => {
                 if let Some(x) = value.as_f64() {
-                    sum.add(x);
-                    *n += 1;
+                    if !sum.add_times(x, m) {
+                        return Err(EvalError::Internal(INEXACT_SUM.into()));
+                    }
+                    *n += m;
                 } else if !value.is_null() {
                     return Err(EvalError::Internal("AVG over non-numeric value".into()));
                 }
@@ -665,88 +720,7 @@ impl Accumulator {
         Ok(())
     }
 
-    /// Feeds one answer-row multiplicity class of `weight` rows at once —
-    /// the factorized aggregate front's replacement for feeding the row's
-    /// value `weight` times. Exact (bit-identical to the
-    /// iterated feed) for grouping placeholders, COUNT, integer SUM and
-    /// MIN/MAX; declines with [`WeightedFeedError::OrderSensitive`] when
-    /// the iterated feed would accumulate floats (a weighted [`FloatSum`]
-    /// is not implemented) and with [`WeightedFeedError::Overflow`] when a
-    /// count would wrap where the iterated path could not.
-    pub(crate) fn feed_weighted(
-        &mut self,
-        item: &OutputItem,
-        cols: &[Name],
-        row: &Row,
-        weight: u64,
-    ) -> Result<(), WeightedFeedError> {
-        let OutputItem::Aggregate { expr, .. } = item else {
-            return Ok(());
-        };
-        let value = match expr {
-            Some(e) => eval_scalar(e, cols, row).map_err(WeightedFeedError::Eval)?,
-            None => Value::Int(1), // COUNT(*): any non-null marker
-        };
-        match self {
-            Accumulator::Group => {}
-            Accumulator::Count { n } => {
-                if !value.is_null() {
-                    // COUNT's counter *is* the result: overflow must not
-                    // silently wrap.
-                    *n = n.checked_add(weight).ok_or(WeightedFeedError::Overflow)?;
-                }
-            }
-            Accumulator::Sum {
-                int,
-                float: _,
-                any_float: _,
-                n,
-            } => match value {
-                Value::Null => {}
-                Value::Int(i) => {
-                    // `weight` wrapping adds of `i` ≡ one wrapping add of
-                    // `i * weight` mod 2^64, so this is exact.
-                    *int = int.wrapping_add(i.wrapping_mul(weight as i64));
-                    // `n` only decides SUM-of-nothing-is-NULL; saturation
-                    // preserves its zero/non-zero meaning.
-                    *n = n.saturating_add(weight);
-                }
-                Value::Float(_) => return Err(WeightedFeedError::OrderSensitive),
-                other => {
-                    return Err(WeightedFeedError::Eval(EvalError::Internal(format!(
-                        "SUM over non-numeric value ({})",
-                        other.type_name()
-                    ))))
-                }
-            },
-            Accumulator::MinMax { best, min } => {
-                // Order- and multiplicity-free: feed the value once.
-                if value.is_null() {
-                    return Ok(());
-                }
-                let better = match best {
-                    None => true,
-                    Some(b) => {
-                        let ord = value.cmp(b);
-                        if *min {
-                            ord.is_lt()
-                        } else {
-                            ord.is_gt()
-                        }
-                    }
-                };
-                if better {
-                    *best = Some(value);
-                }
-            }
-            // AVG divides a float sum, which is not weighted either;
-            // callers exclude it statically, but stay safe here too.
-            Accumulator::Avg { .. } => return Err(WeightedFeedError::OrderSensitive),
-        }
-        Ok(())
-    }
-
-    pub(crate) fn finish(&self) -> Value {
+    fn finish(&self) -> Value {
         match self {
             Accumulator::Group => Value::Null,
             Accumulator::Count { n } => Value::Int(*n as i64),
@@ -779,6 +753,7 @@ impl Accumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crel::Name;
     use htqo_cq::{AggFunc, CqBuilder, ScalarExpr};
 
     fn answer(cols: &[&str], rows: Vec<Vec<Value>>) -> VRelation {
@@ -1182,6 +1157,63 @@ mod tests {
         assert!(
             outcomes[0] > 20 && outcomes[1] > 20,
             "{outcomes:?} (errors, answers)"
+        );
+
+        // Weighted: row `i` stands for `weights[i]` copies. The kernel
+        // answers what the row path answers over the copies — the same
+        // bits, charges and errors — or refuses, and only where a float
+        // it sums or averages repeats outside the exact range.
+        let weights = |n: usize| (0..n).map(|i| 1 + (i as u64 * 7) % 3).collect::<Vec<_>>();
+        let repeat = |rows: &VRelation, w: &[u64]| {
+            let copies = (rows.rows().iter().zip(w))
+                .flat_map(|(r, &m)| std::iter::repeat_n(r.to_vec(), m as usize));
+            let cols: Vec<&str> = rows.cols().iter().map(|c| c.as_str()).collect();
+            answer(&cols, copies.collect())
+        };
+        let inexact_repeat = |rows: &VRelation, w: &[u64], q: &ConjunctiveQuery| {
+            q.output.iter().any(|item| {
+                let OutputItem::Aggregate {
+                    func: func @ (AggFunc::Sum | AggFunc::Avg),
+                    expr: Some(e),
+                    ..
+                } = item
+                else {
+                    return false;
+                };
+                (rows.rows().iter().zip(w)).any(|(row, &m)| {
+                    let x = match eval_scalar(e, rows.cols(), row) {
+                        Ok(Value::Float(x)) => x,
+                        Ok(v) if *func == AggFunc::Avg => v.as_f64().unwrap_or(0.0),
+                        _ => 0.0,
+                    };
+                    !FloatSum::default().add_times(x, m)
+                })
+            })
+        };
+        let mut weighted = [0usize; 3];
+        for q in &queries {
+            for (rows, cols) in [(&a, &ca), (&long, &c_long), (&empty, &c_empty)] {
+                let w = weights(rows.len());
+                let mut b1 = Budget::unlimited();
+                let mut b2 = Budget::unlimited();
+                let want = row_finalize(&repeat(rows, &w), q, &mut b1);
+                match finalize_weighted(cols, &w, q, &mut b2) {
+                    Ok(None) => {
+                        assert!(inexact_repeat(rows, &w, q), "{:?}", q.output);
+                        weighted[0] += 1;
+                    }
+                    got => {
+                        let got = got.map(|r| r.expect("answered"));
+                        weighted[1 + got.is_ok() as usize] += 1;
+                        assert_eq!(format!("{want:?}"), format!("{got:?}"), "{:?}", q.output);
+                        assert_eq!(b1.charged(), b2.charged(), "{:?}", q.output);
+                    }
+                }
+            }
+        }
+        assert!(
+            weighted.iter().all(|&n| n > 5),
+            "{weighted:?} (refusals, errors, answers)"
         );
     }
 

@@ -95,6 +95,13 @@ pub enum EvalError {
         /// Bytes its page has left for that row.
         free_bytes: u32,
     },
+    /// No q-hypertree decomposition of width ≤ `max_width` has a root
+    /// covering the output variables, so the q-HD rung has no plan.
+    /// Retryable: the join-order rungs need no decomposition.
+    NoDecomposition {
+        /// The width bound the search was given.
+        max_width: usize,
+    },
     /// Anything else (plan inconsistencies, type errors in expressions).
     Internal(String),
 }
@@ -138,6 +145,10 @@ impl fmt::Display for EvalError {
                 "table {table}: updated row {rowid} needs {row_bytes} B but its page has \
                  {free_bytes} B free (rows are not relocated)"
             ),
+            EvalError::NoDecomposition { max_width } => write!(
+                f,
+                "no q-hypertree decomposition of width ≤ {max_width} covers the output variables"
+            ),
             EvalError::Internal(m) => write!(f, "internal error: {m}"),
         }
     }
@@ -162,11 +173,10 @@ impl EvalError {
     }
 
     /// True for errors that a *different plan* (or a bigger budget) could
-    /// plausibly avoid: resource limits, contained panics, and
-    /// internal plan inconsistencies. Semantic errors (unknown
-    /// table/column/variable, a row that does not fit its page) and
-    /// cancellation are final — no fallback
-    /// rung can answer them. This classification drives the hybrid
+    /// plausibly avoid: resource limits, contained panics, a missing
+    /// decomposition, and internal plan inconsistencies. Semantic errors
+    /// (unknown table/column/variable, a row that does not fit its page)
+    /// and cancellation are final — no fallback rung can answer them. This classification drives the hybrid
     /// optimizer's graceful-degradation ladder.
     pub fn is_retryable(&self) -> bool {
         matches!(
@@ -177,6 +187,7 @@ impl EvalError {
                 | EvalError::MemoryExceeded { .. }
                 | EvalError::SpillIo(_)
                 | EvalError::CorruptPage { .. }
+                | EvalError::NoDecomposition { .. }
                 | EvalError::Internal(_)
         )
     }

@@ -1,8 +1,8 @@
 //! Execution options of the evaluators ([`ExecOptions`]) and the one
 //! process-wide default behind them: the memory limit, resolved as
-//! [`set_mem_limit_default`] > `HTQO_MEM_LIMIT` > unlimited. Factorized
-//! results and index-seek joins are always on by default; a caller turns
-//! them off per call through the [`ExecOptions`] fields.
+//! [`set_mem_limit_default`] > `HTQO_MEM_LIMIT` > unlimited. Whether an
+//! aggregate runs on a factorized cover and whether a vertex join seeks an
+//! index are decided from the query and the data, not by an option.
 //!
 //! A query runs on the thread that asked for it; there is no intra-query
 //! worker pool (DESIGN.md §3.6 records the measurement that retired it).
@@ -91,25 +91,12 @@ pub struct ExecOptions {
     /// [`crate::EvalError::MemoryExceeded`]. The default is the
     /// process-wide [`mem_limit_default`] (`HTQO_MEM_LIMIT`).
     pub mem_limit: Option<u64>,
-    /// Let eligible aggregate queries run on the factorized (cover-based)
-    /// result representation ([`crate::factorized`]) instead of
-    /// materializing the full join; ineligible queries fall back to full
-    /// materialization either way. On by default.
-    pub factorized: bool,
-    /// Let vertex joins pick index-nested-loop seeks over registered
-    /// secondary indexes instead of hash builds where the accumulator is
-    /// [`crate::index::SEEK_MARGIN`] times smaller than the indexed
-    /// atom's selection. A no-op on catalogs without indexes. On by
-    /// default.
-    pub index_join: bool,
 }
 
 impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
             mem_limit: mem_limit_default(),
-            factorized: true,
-            index_join: true,
         }
     }
 }

@@ -3,9 +3,11 @@
 //! relations plus join-key linkage instead of materializing the full join
 //! bottom-up. The *cover* supports
 //!
-//! * exact answer counting and weighted aggregation (COUNT / SUM / MIN /
-//!   MAX / GROUP BY) without ever enumerating the answer — per-vertex
-//!   partial counts are multiplied along join keys, and
+//! * exact answer counting and aggregation without ever enumerating the
+//!   answer — per-vertex partial counts are multiplied along join keys,
+//!   and the root's counts weight its rows in the one grouping kernel
+//!   ([`crate::aggregate`]), so every aggregate, HAVING, ORDER BY and
+//!   LIMIT comes out as the materialized pipeline computes it, and
 //! * constant-delay enumeration of the answer tuples, lazily stitching
 //!   vertex rows via `ChainTable` chain cursors.
 //!
@@ -15,12 +17,13 @@
 //! columns functionally determine its link columns; `build_cover` verifies
 //! both and reports [`CoverError::Ineligible`] otherwise, the caller's cue
 //! to fall back to full materialization (which can spill). Denied byte
-//! reservations degrade the same way — the factorized path never spills
+//! reservations, answer counts past `u64` and weights a float sum cannot
+//! apply exactly degrade the same way — the factorized path never spills
 //! itself.
 //!
 //! See DESIGN.md §3.11 for the eligibility proof sketch.
 
-use crate::aggregate::{self, Accumulator, WeightedFeedError};
+use crate::aggregate;
 use crate::chain::{ChainTable, CHAIN_END};
 use crate::column::{combine_hash, finish_hash};
 use crate::cops;
@@ -28,10 +31,10 @@ use crate::crel::{CRel, Name};
 use crate::dict::{self, DictReader};
 use crate::error::{Budget, EvalError};
 use crate::hash::FxHashMap;
-use crate::value::{row_heap_bytes, Row, Value};
+use crate::value::Row;
 use crate::vrel::VRelation;
-use htqo_cq::{ConjunctiveQuery, OutputItem};
-use std::collections::{HashMap, HashSet};
+use htqo_cq::ConjunctiveQuery;
+use std::collections::HashSet;
 
 /// Why a factorized attempt did not produce a result.
 #[derive(Debug)]
@@ -133,25 +136,6 @@ impl Cover {
     /// Exact answer cardinality, computed without enumeration.
     pub fn total(&self) -> u64 {
         self.total
-    }
-
-    /// Bytes of cover state charged against the budget.
-    pub fn state_bytes(&self) -> u64 {
-        self.state_bytes
-    }
-
-    /// Answer column names, in `out(Q)` order (hidden rowid guards
-    /// included).
-    pub fn answer_cols(&self) -> &[String] {
-        &self.out_names
-    }
-
-    /// Releases the cover's byte charges without consuming it further.
-    /// Call when abandoning a cover that will be neither finalized nor
-    /// enumerated.
-    pub fn release(mut self, budget: &mut Budget) {
-        budget.uncharge_bytes(self.state_bytes);
-        self.state_bytes = 0;
     }
 
     /// Turns the cover into a constant-delay answer enumerator. The
@@ -534,129 +518,29 @@ fn build_cover_inner(
 }
 
 /// Computes the final aggregate output of `q` directly from a cover —
-/// GROUP BY groups, aggregate functions, HAVING — without enumerating the
-/// answer: each root row feeds the accumulators once, weighted by its
-/// subtree answer count. Requires every grouping variable and aggregate
-/// input to be a root column (the caller's static eligibility check);
-/// order-sensitive accumulation (float SUM, AVG) and overflow degrade to
-/// [`CoverError::Ineligible`] at runtime. Consumes the cover and releases
-/// its byte charges.
-///
-/// Group rows come out in root-row first-seen order, which can differ from
-/// the materialized pipeline's answer-row order — callers gate this path
-/// to queries without ORDER BY/LIMIT, where output order is unspecified.
+/// GROUP BY groups, aggregate functions, HAVING, ORDER BY, LIMIT —
+/// without enumerating the answer: the grouping kernel reads the root
+/// relation once, each row weighted by its subtree answer count
+/// (`aggregate::finalize_weighted`). Requires every grouping variable
+/// and aggregate input to be a root column (the caller's static
+/// eligibility check). A weight the kernel cannot apply exactly and a
+/// denied reservation degrade to [`CoverError::Ineligible`]. Consumes the
+/// cover and releases its byte charges.
 pub fn finalize_cover(
     cover: Cover,
     q: &ConjunctiveQuery,
     budget: &mut Budget,
 ) -> Result<VRelation, CoverError> {
-    let state_bytes = cover.state_bytes;
-    let mut accrued = 0u64;
-    let result = finalize_cover_inner(&cover, q, budget, &mut accrued);
-    budget.uncharge_bytes(accrued);
-    budget.uncharge_bytes(state_bytes);
-    let out = result?;
-    budget
-        .charge_bytes(out.len() as u64 * row_heap_bytes(out.cols().len()))
-        .map_err(degrade)?;
-    aggregate::finalize_tail(out, q, budget).map_err(CoverError::Eval)
-}
-
-fn finalize_cover_inner(
-    cover: &Cover,
-    q: &ConjunctiveQuery,
-    budget: &mut Budget,
-    accrued: &mut u64,
-) -> Result<VRelation, CoverError> {
-    fp("aggregate::finalize").map_err(CoverError::Eval)?;
-    let (visible, labels) = aggregate::visible_output(q);
     let root = &cover.verts[0];
-    let cols = root.rel.cols().to_vec();
-    let group_idx = match aggregate::group_layout(&cols, q, &visible) {
-        Ok(g) => g,
-        Err(EvalError::UnknownVariable(v)) => {
-            return Err(CoverError::Ineligible(format!(
-                "grouping variable `{v}` is not a root column"
-            )))
-        }
-        Err(e) => return Err(CoverError::Eval(e)),
-    };
-
-    let group_bytes = aggregate::group_state_bytes(group_idx.len(), visible.len());
-    let mut groups: HashMap<Row, Vec<Accumulator>> = HashMap::new();
-    let mut order: Vec<Row> = Vec::new();
-    let rd = dict::reader();
-    for i in 0..root.rel.len() {
-        if i.is_multiple_of(8192) {
-            budget.check_time().map_err(CoverError::Eval)?;
-        }
-        let weight = root.cnt[i];
-        let row: Row = (0..cols.len())
-            .map(|c| root.rel.column(c).value_with(i, &rd))
-            .collect();
-        let key: Row = group_idx.iter().map(|&gi| row[gi].clone()).collect();
-        let accs = match groups.get_mut(&key) {
-            Some(a) => a,
-            None => {
-                if !budget.try_reserve_bytes(group_bytes) {
-                    return Err(degrade(aggregate::group_state_exceeded(
-                        budget,
-                        group_bytes,
-                    )));
-                }
-                *accrued += group_bytes;
-                budget.charge(1).map_err(CoverError::Eval)?;
-                order.push(key.clone());
-                groups
-                    .entry(key.clone())
-                    .or_insert_with(|| visible.iter().map(|o| Accumulator::for_item(o)).collect())
-            }
-        };
-        for (acc, item) in accs.iter_mut().zip(&visible) {
-            acc.feed_weighted(item, &cols, &row, weight)
-                .map_err(|e| match e {
-                    WeightedFeedError::OrderSensitive => CoverError::Ineligible(
-                        "order-sensitive float accumulation requires enumeration".into(),
-                    ),
-                    WeightedFeedError::Overflow => {
-                        CoverError::Ineligible("aggregate count overflow".into())
-                    }
-                    WeightedFeedError::Eval(EvalError::UnknownVariable(v)) => {
-                        CoverError::Ineligible(format!(
-                            "aggregate input `{v}` is not a root column"
-                        ))
-                    }
-                    WeightedFeedError::Eval(e) => CoverError::Eval(e),
-                })?;
-        }
+    let out = aggregate::finalize_weighted(&root.rel, &root.cnt, q, budget);
+    budget.uncharge_bytes(cover.state_bytes);
+    match out {
+        Ok(Some(out)) => Ok(out),
+        Ok(None) => Err(CoverError::Ineligible(
+            "a float outside the exact range repeats under a weight".into(),
+        )),
+        Err(e) => Err(degrade(e)),
     }
-
-    // Global aggregate over empty input still produces one row.
-    if groups.is_empty() && q.group_by.is_empty() {
-        let key: Row = Vec::new().into_boxed_slice();
-        order.push(key.clone());
-        groups.insert(
-            key,
-            visible.iter().map(|o| Accumulator::for_item(o)).collect(),
-        );
-    }
-
-    let mut out = VRelation::empty(labels.to_vec());
-    for key in order {
-        let accs = &groups[&key];
-        let mut row: Vec<Value> = Vec::with_capacity(visible.len());
-        for (acc, item) in accs.iter().zip(&visible) {
-            row.push(match item {
-                OutputItem::Var { var, .. } => {
-                    let gpos = q.group_by.iter().position(|g| g == var).expect("validated");
-                    key[gpos].clone()
-                }
-                OutputItem::Aggregate { .. } => acc.finish(),
-            });
-        }
-        out.push(row.into_boxed_slice());
-    }
-    Ok(out)
 }
 
 /// Constant-delay answer enumerator over a [`Cover`]: an odometer of chain
@@ -683,11 +567,6 @@ impl CoverRows {
     /// Answer column names, in `out(Q)` order.
     pub fn cols(&self) -> &[String] {
         &self.cover.out_names
-    }
-
-    /// Exact number of rows this enumerator yields in total.
-    pub fn total(&self) -> u64 {
-        self.cover.total
     }
 
     fn finish(&mut self) {
@@ -845,6 +724,7 @@ impl Drop for CoverRows {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Value;
     use htqo_cq::CqBuilder;
 
     fn rel(cols: &[&str], rows: &[&[i64]]) -> CRel {
@@ -888,7 +768,7 @@ mod tests {
         let cover = build_cover(input, &q, &mut budget).expect("eligible");
         // a=1,2 × c=7,8 (b=10) plus a=3 × c=9 (b=20) = 5 answers.
         assert_eq!(cover.total(), 5);
-        assert!(cover.state_bytes() > 0);
+        assert!(cover.state_bytes > 0);
         let mut rows: Vec<Row> = cover
             .into_rows(&mut budget)
             .collect::<Result<_, _>>()
@@ -941,6 +821,51 @@ mod tests {
         rows.sort();
         let expect = vrel(&["b", "n"], &[&[10, 4], &[20, 1]]);
         assert_eq!(rows, expect.rows().to_vec());
+    }
+
+    /// A float sum over a root row of weight 2: exact money is doubled in
+    /// one step; `1e300` or NaN, which no single step repeats exactly,
+    /// make the cover ineligible, and it releases every byte it held.
+    #[test]
+    fn weighted_float_sum_refuses_values_outside_the_exact_range() {
+        for (x, exact) in [(0.1, true), (1e300, false), (f64::NAN, false)] {
+            let r = CRel::from_vrel(&VRelation::from_rows(
+                vec!["b".into(), "x".into()],
+                vec![vec![Value::Int(10), Value::Float(x)].into_boxed_slice()],
+            ));
+            let s = rel(&["b", "__rid_s"], &[&[10, 7], &[10, 8]]);
+            let q = CqBuilder::new()
+                .atom_vars("R", &["b", "x"])
+                .atom_vars("S", &["b", "__rid_s"])
+                .out_agg(
+                    htqo_cq::AggFunc::Sum,
+                    Some(htqo_cq::ScalarExpr::Var("x".into())),
+                    "s",
+                )
+                .out_var("__rid_s")
+                .build();
+            let input = CoverInput {
+                rels: vec![r, s],
+                parents: vec![None, Some(0)],
+                scopes: vec![
+                    vec!["b".into(), "x".into()],
+                    vec!["b".into(), "__rid_s".into()],
+                ],
+            };
+            let mut budget = Budget::unlimited();
+            let cover = build_cover(input, &q, &mut budget).expect("eligible");
+            match finalize_cover(cover, &q, &mut budget) {
+                Ok(out) => {
+                    assert!(exact, "{x}");
+                    assert_eq!(out.value(0, "s"), Some(&Value::Float(0.2)));
+                }
+                Err(CoverError::Ineligible(_)) => {
+                    assert!(!exact, "{x}");
+                    assert_eq!(budget.mem_used(), 0);
+                }
+                Err(CoverError::Eval(e)) => panic!("{e}"),
+            }
+        }
     }
 
     #[test]

@@ -10,9 +10,13 @@
 //! The total rounds the exact sum to `f64` once, then folds in the rest
 //! in [`f64::total_cmp`] order.
 //!
-//! A value enters the exact sum only when its unit count is below 2⁹⁵, so
-//! 2³² additions cannot overflow the `i128`; an answer has fewer rows than
-//! that, because row ids are `u32`.
+//! [`FloatSum::add_times`] adds a value `m` times at once, for a row that
+//! stands for `m` identical answer rows: the exact part takes
+//! `units(x) · m`. A value kept aside cannot be repeated that way, so
+//! `add_times` refuses it when `m > 1`. A value enters the exact sum only
+//! when its unit count is below 2⁹⁵, so 2³² single additions cannot
+//! overflow the `i128`; the product and the sum are checked all the same,
+//! and an overflow refuses too.
 
 /// Fractional bits of the exact sum: it counts units of 2⁻⁶⁴.
 const FRAC_BITS: i32 = 64;
@@ -30,11 +34,34 @@ pub(crate) struct FloatSum {
 }
 
 impl FloatSum {
-    /// Adds `x`.
-    pub(crate) fn add(&mut self, x: f64) {
+    /// Adds `x`: the one-at-a-time reference [`FloatSum::add_times`] is
+    /// tested against.
+    #[cfg(test)]
+    fn add(&mut self, x: f64) {
         match units(x) {
             Some(u) => self.fixed += u,
             None => self.rest.push(x),
+        }
+    }
+
+    /// Adds `x` `m` times: the state `m` single additions of `x` reach.
+    /// False, with nothing added, when one step cannot reach it exactly:
+    /// `x` is kept aside and `m > 1`, or the exact sum would overflow.
+    pub(crate) fn add_times(&mut self, x: f64, m: u64) -> bool {
+        match units(x) {
+            Some(u) => match (u.checked_mul(i128::from(m))).and_then(|p| self.fixed.checked_add(p))
+            {
+                Some(sum) => {
+                    self.fixed = sum;
+                    true
+                }
+                None => false,
+            },
+            None if m == 1 => {
+                self.rest.push(x);
+                true
+            }
+            None => false,
         }
     }
 
@@ -122,6 +149,23 @@ mod tests {
         }
     }
 
+    #[test]
+    fn add_times_refuses_what_it_cannot_repeat_exactly() {
+        for x in [1e300, -1e300, f64::NAN, f64::INFINITY, 1e-30] {
+            let mut s = FloatSum::default();
+            assert!(!s.add_times(x, 2), "{x}");
+            assert!(!s.add_times(x, u64::MAX), "{x}");
+            assert!(s.add_times(x, 1), "{x}");
+        }
+        // 2³⁰ is 2⁹⁴ units: nearly 2⁶⁴ of them overflow the product, and
+        // two products of 2¹²⁶ units overflow the sum.
+        let mut s = FloatSum::default();
+        assert!(!s.add_times(2f64.powi(30), u64::MAX));
+        assert!(s.add_times(2f64.powi(30), 1 << 32));
+        assert!(!s.add_times(2f64.powi(30), 1 << 32));
+        assert_eq!(s.total(), 2f64.powi(62));
+    }
+
     /// One input of the property test, drawn from classes that stress
     /// each path: NaNs with two payloads and both signs, infinities,
     /// subnormals, values around 1e300, zeros, money, arbitrary bits.
@@ -163,6 +207,28 @@ mod tests {
             }
             ys.reverse();
             prop_assert_eq!(sum(&xs).to_bits(), sum(&ys).to_bits(), "{:?} vs {:?}", xs, ys);
+        }
+
+        /// `add_times(x, m)` after any prefix reaches the state of `m`
+        /// calls of `add(x)`, bit for bit, and refuses only a value kept
+        /// aside with `m > 1`.
+        #[test]
+        fn add_times_is_repeated_add(
+            prefix in prop::collection::vec(any::<u64>(), 0..8),
+            seed in any::<u64>(),
+            m in 1u64..40,
+        ) {
+            let mut once = FloatSum::default();
+            prefix.iter().for_each(|&s| once.add(value(s)));
+            let mut repeated = once.clone();
+            let x = value(seed);
+            if once.add_times(x, m) {
+                (0..m).for_each(|_| repeated.add(x));
+                prop_assert_eq!(format!("{once:?}"), format!("{repeated:?}"));
+                prop_assert_eq!(once.total().to_bits(), repeated.total().to_bits());
+            } else {
+                prop_assert!(m > 1 && units(x).is_none(), "{} × {}", x, m);
+            }
         }
     }
 }

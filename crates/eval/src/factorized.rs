@@ -2,28 +2,34 @@
 //! ([`htqo_engine::factorized`]) into the q-hypertree and Yannakakis
 //! pipelines.
 //!
-//! Both evaluators share the pattern: reuse the pipeline's own first phase
-//! (`P′` vertex joins / atom scans) to obtain per-vertex relations, link
-//! them along the decomposition tree into a [`Cover`], and then either
+//! Both evaluators share the pattern: run the pipeline's own first phase
+//! (`P′` vertex joins / atom scans) once, link its per-vertex relations
+//! along the decomposition tree into a [`Cover`] — which borrows them:
+//! their columns are shared, not copied — and then either
 //!
-//! * finalize aggregates directly from per-vertex answer counts
-//!   ([`evaluate_qhd_query_traced`], [`evaluate_yannakakis_query_traced`])
-//!   — never materializing the join — or
-//! * hand back a constant-delay answer iterator ([`qhd_answer_rows`],
-//!   [`yannakakis_answer_rows`]).
+//! * finalize aggregates from the root's answer counts in the engine's one
+//!   grouping kernel ([`evaluate_qhd_query_traced`],
+//!   [`evaluate_yannakakis_query_traced`]) — never materializing the
+//!   join — or
+//! * hand back a constant-delay answer iterator ([`qhd_answer_rows`]).
 //!
-//! Eligibility is checked statically where possible (aggregate shape,
-//! stitchability, root coverage — see DESIGN.md §3.11); data-dependent
-//! conditions (the answer-determines-link check, float accumulation,
-//! denied reservations) surface at runtime as
-//! [`CoverError::Ineligible`] and fall back to the materialized pipeline,
-//! which can spill. The [`FactorizedTrace`] records which path produced
-//! the result, for optimizer telemetry.
+//! Eligibility is checked statically where possible (an aggregate query,
+//! stitchability, root coverage of the aggregate inputs — see DESIGN.md
+//! §3.11). No output shape is refused: ORDER BY, LIMIT, AVG and float
+//! SUM come out of the cover with the materialized pipeline's bits, in
+//! its order. Data-dependent conditions (the answer-determines-link
+//! check, answer counts past `u64`, weights a float sum cannot apply
+//! exactly, denied reservations) surface at runtime as
+//! [`CoverError::Ineligible`]; the front then runs the rest of the
+//! materialized pipeline, which can spill, on the same first-phase
+//! relations, so no query evaluates them twice. The [`FactorizedTrace`]
+//! records which path produced the result, for optimizer telemetry.
 
 use std::collections::HashSet;
 
 use htqo_core::QhdPlan;
-use htqo_cq::{AggFunc, ConjunctiveQuery, OutputItem};
+use htqo_cq::{ConjunctiveQuery, OutputItem};
+use htqo_engine::crel::CRel;
 use htqo_engine::error::{Budget, EvalError};
 use htqo_engine::exec::ExecOptions;
 use htqo_engine::factorized::{
@@ -33,8 +39,10 @@ use htqo_engine::schema::Database;
 use htqo_engine::value::Row;
 use htqo_engine::vrel::VRelation;
 use htqo_engine::Name;
-use htqo_hypergraph::acyclic::gyo;
-use htqo_hypergraph::EdgeId;
+use htqo_hypergraph::{EdgeId, JoinForest};
+
+use crate::qeval::{join_up, vertex_relations, Vertices};
+use crate::yannakakis::{join_forest, reduce_and_join, scan_atoms};
 
 /// Which path produced a query result, for `QueryOutcome` telemetry.
 #[derive(Debug, Clone, Default)]
@@ -47,29 +55,6 @@ pub struct FactorizedTrace {
     /// Exact answer cardinality — the cover total when factorized, the
     /// materialized answer row count otherwise.
     pub answer_rows: Option<u64>,
-}
-
-/// Static aggregate-shape eligibility, shared by both evaluators: the
-/// weighted finalize produces groups in root-row first-seen order (not the
-/// materialized pipeline's answer-row order), so ORDER BY/LIMIT queries
-/// are excluded; AVG folds floats in enumeration order and is never
-/// bit-stable under reweighting.
-fn shape_check(q: &ConjunctiveQuery) -> Result<(), String> {
-    if !q.has_aggregates() {
-        return Err("not an aggregate query".into());
-    }
-    if !q.order_by.is_empty() || q.limit.is_some() {
-        return Err("ORDER BY/LIMIT pin the output row order".into());
-    }
-    for item in &q.output {
-        if let OutputItem::Aggregate {
-            func: AggFunc::Avg, ..
-        } = item
-        {
-            return Err("AVG accumulates order-sensitively".into());
-        }
-    }
-    Ok(())
 }
 
 /// Variables the weighted finalize must find on the root vertex: GROUP BY
@@ -119,7 +104,7 @@ fn qhd_avail(plan: &QhdPlan) -> Vec<HashSet<String>> {
 /// shares with its parent's χ must be *available* at the parent (after
 /// `Optimize`, some χ variables are supplied only by children — such a
 /// plan cannot link parent and child rows by key equality alone).
-pub fn qhd_stitchable(plan: &QhdPlan) -> Result<(), String> {
+fn qhd_stitchable(plan: &QhdPlan) -> Result<(), String> {
     let tree = &plan.tree;
     let h = &plan.cq_hypergraph.hypergraph;
     let avail = qhd_avail(plan);
@@ -138,13 +123,14 @@ pub fn qhd_stitchable(plan: &QhdPlan) -> Result<(), String> {
     Ok(())
 }
 
-/// Full static eligibility of the factorized *aggregate* path for a
-/// q-hypertree plan: aggregate shape, stitchability, and root coverage of
-/// every aggregation input. Data-dependent conditions are still checked
-/// during the cover build.
-pub fn qhd_factorized_check(q: &ConjunctiveQuery, plan: &QhdPlan) -> Result<(), String> {
-    shape_check(q)?;
-    qhd_stitchable(plan)?;
+/// Static eligibility of the factorized *aggregate* path for a
+/// q-hypertree plan: an aggregate query, stitchability, and root coverage
+/// of every aggregation input. Data-dependent conditions are still
+/// checked during the cover build and the finalize.
+fn qhd_factorized_check(q: &ConjunctiveQuery, plan: &QhdPlan) -> Result<(), String> {
+    if !q.has_aggregates() {
+        return Err("not an aggregate query".into());
+    }
     let avail = qhd_avail(plan);
     let root = &avail[plan.tree.root().index()];
     for v in aggregate_input_vars(q) {
@@ -154,20 +140,17 @@ pub fn qhd_factorized_check(q: &ConjunctiveQuery, plan: &QhdPlan) -> Result<(), 
             ));
         }
     }
-    Ok(())
+    qhd_stitchable(plan)
 }
 
-/// Builds a cover from the plan's `P′` vertex relations (children linked
-/// to parents, scopes = χ).
+/// Builds a cover over the plan's `P′` vertex relations (children linked
+/// to parents, scopes = χ), borrowing them.
 fn qhd_cover(
-    db: &Database,
     q: &ConjunctiveQuery,
     plan: &QhdPlan,
+    (chi_names, rels): &Vertices,
     budget: &mut Budget,
-    opts: &ExecOptions,
 ) -> Result<Cover, CoverError> {
-    let (chi_names, rels) =
-        crate::qeval::vertex_relations(db, q, plan, budget, opts).map_err(CoverError::Eval)?;
     let tree = &plan.tree;
     let mut parents: Vec<Option<usize>> = vec![None; tree.len()];
     for p in tree.preorder() {
@@ -177,23 +160,22 @@ fn qhd_cover(
     }
     build_cover(
         CoverInput {
-            rels,
+            rels: rels.clone(),
             parents,
-            scopes: chi_names,
+            scopes: chi_names.clone(),
         },
         q,
         budget,
     )
 }
 
-fn qhd_factorized_aggregate(
-    db: &Database,
+/// The aggregate answer finalized from `cover`, with the exact answer
+/// cardinality.
+fn finalize_counted(
+    cover: Cover,
     q: &ConjunctiveQuery,
-    plan: &QhdPlan,
     budget: &mut Budget,
-    opts: &ExecOptions,
 ) -> Result<(VRelation, u64), CoverError> {
-    let cover = qhd_cover(db, q, plan, budget, opts)?;
     let rows = cover.total();
     let out = finalize_cover(cover, q, budget)?;
     // Same final check as the materialized pipeline: a shared budget's
@@ -202,12 +184,30 @@ fn qhd_factorized_aggregate(
     Ok((out, rows))
 }
 
-/// [`crate::qeval::evaluate_qhd_query_with`] with path telemetry: tries
-/// the factorized aggregate path when [`ExecOptions::factorized`] allows
-/// and the query/plan qualify, falling back to the materialized pipeline
-/// otherwise (recording why in `trace`). Answers are identical either way
-/// up to output row order, which eligibility restricts to queries where
-/// that order is unspecified.
+/// Records a factorized aggregate attempt in `trace`: its answer, or
+/// `None` — and why — when the caller must materialize instead.
+fn record(
+    trace: &mut FactorizedTrace,
+    attempt: Result<(VRelation, u64), CoverError>,
+) -> Result<Option<VRelation>, EvalError> {
+    match attempt {
+        Ok((out, rows)) => {
+            trace.factorized = true;
+            trace.answer_rows = Some(rows);
+            Ok(Some(out))
+        }
+        Err(CoverError::Ineligible(reason)) => {
+            trace.fallback = Some(reason);
+            Ok(None)
+        }
+        Err(CoverError::Eval(e)) => Err(e),
+    }
+}
+
+/// [`crate::qeval::evaluate_qhd_query_with`] with path telemetry: runs
+/// `P′` once, then the factorized aggregate path when the query and plan
+/// qualify, and `P″` on the same `P′` relations otherwise (recording why
+/// in `trace`). Answers are identical either way, rows and order.
 pub fn evaluate_qhd_query_traced(
     db: &Database,
     q: &ConjunctiveQuery,
@@ -217,21 +217,16 @@ pub fn evaluate_qhd_query_traced(
     trace: &mut FactorizedTrace,
 ) -> Result<VRelation, EvalError> {
     *trace = FactorizedTrace::default();
-    if opts.factorized && q.has_aggregates() {
-        match qhd_factorized_check(q, plan) {
-            Ok(()) => match qhd_factorized_aggregate(db, q, plan, budget, opts) {
-                Ok((out, rows)) => {
-                    trace.factorized = true;
-                    trace.answer_rows = Some(rows);
-                    return Ok(out);
-                }
-                Err(CoverError::Ineligible(reason)) => trace.fallback = Some(reason),
-                Err(CoverError::Eval(e)) => return Err(e),
-            },
-            Err(reason) => trace.fallback = Some(reason),
+    budget.apply_mem_limit(opts.mem_limit);
+    let vertices = vertex_relations(db, q, plan, budget)?;
+    if q.has_aggregates() {
+        let attempt = (qhd_factorized_check(q, plan).map_err(CoverError::Ineligible))
+            .and_then(|()| finalize_counted(qhd_cover(q, plan, &vertices, budget)?, q, budget));
+        if let Some(out) = record(trace, attempt)? {
+            return Ok(out);
         }
     }
-    let answer = crate::qeval::evaluate_qhd_c(db, q, plan, budget, opts)?;
+    let answer = join_up(q, plan, vertices, budget)?;
     trace.answer_rows = Some(answer.len() as u64);
     htqo_engine::aggregate::finalize_c(&answer, q, budget)
 }
@@ -280,10 +275,10 @@ impl Iterator for AnswerRows {
 }
 
 /// Evaluates `q` along `plan` into an [`AnswerRows`] stream: factorized
-/// constant-delay enumeration when [`ExecOptions::factorized`] allows and
-/// the plan/data qualify, the materialized answer otherwise. The streamed
-/// row multiset equals [`crate::qeval::evaluate_qhd_with`]'s answer (order
-/// unspecified in both).
+/// constant-delay enumeration when the plan and data qualify, `P″` on the
+/// same `P′` relations otherwise. The streamed row multiset equals
+/// [`crate::qeval::evaluate_qhd_with`]'s answer (order unspecified in
+/// both).
 pub fn qhd_answer_rows(
     db: &Database,
     q: &ConjunctiveQuery,
@@ -292,40 +287,37 @@ pub fn qhd_answer_rows(
     opts: &ExecOptions,
 ) -> Result<AnswerRows, EvalError> {
     budget.apply_mem_limit(opts.mem_limit);
-    if opts.factorized && qhd_stitchable(plan).is_ok() {
-        match qhd_cover(db, q, plan, budget, opts) {
+    let vertices = vertex_relations(db, q, plan, budget)?;
+    if qhd_stitchable(plan).is_ok() {
+        match qhd_cover(q, plan, &vertices, budget) {
             Ok(cover) => return Ok(AnswerRows::Factorized(Box::new(cover.into_rows(budget)))),
             Err(CoverError::Ineligible(_)) => {}
             Err(CoverError::Eval(e)) => return Err(e),
         }
     }
-    let ans = crate::qeval::evaluate_qhd_with(db, q, plan, budget, opts)?;
+    let answer = join_up(q, plan, vertices, budget)?.to_vrel();
     Ok(AnswerRows::Materialized {
-        cols: ans.cols().to_vec(),
-        rows: ans.into_rows().into_iter(),
+        cols: answer.cols().to_vec(),
+        rows: answer.into_rows().into_iter(),
     })
 }
 
 /// Static eligibility of the factorized aggregate path for Yannakakis:
-/// aggregate shape, acyclicity, and root coverage. A join forest is
-/// always stitchable (a vertex's scope *is* its column set), but the
-/// GYO forest's rooting is fixed, so aggregation inputs must sit on the
-/// single root edge (or be empty over a multi-tree forest, whose synthetic
-/// root has no columns) — no re-rooting is attempted.
-fn yann_factorized_check(q: &ConjunctiveQuery) -> Result<(), String> {
-    shape_check(q)?;
-    let ch = q.hypergraph();
-    let Some(reduction) = gyo(&ch.hypergraph) else {
-        return Err("cyclic query".into());
-    };
-    let roots = reduction.forest.roots();
+/// an aggregate query and root coverage. A join forest is always
+/// stitchable (a vertex's scope *is* its column set), but the GYO
+/// forest's rooting is fixed, so aggregation inputs must sit on the
+/// single root edge (or be empty over a multi-tree forest, whose
+/// synthetic root has no columns) — no re-rooting is attempted.
+fn yann_factorized_check(q: &ConjunctiveQuery, forest: &JoinForest) -> Result<(), String> {
+    if !q.has_aggregates() {
+        return Err("not an aggregate query".into());
+    }
+    let h = &q.hypergraph().hypergraph;
+    let roots = forest.roots();
     let needed = aggregate_input_vars(q);
     if roots.len() == 1 {
-        let root_vars: HashSet<&str> = ch
-            .hypergraph
-            .edge_vars(roots[0])
-            .iter()
-            .map(|v| ch.hypergraph.var_name(v))
+        let root_vars: HashSet<&str> = (h.edge_vars(roots[0]).iter())
+            .map(|v| h.var_name(v))
             .collect();
         for v in needed {
             if !root_vars.contains(v) {
@@ -340,54 +332,36 @@ fn yann_factorized_check(q: &ConjunctiveQuery) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds a cover from the query's atom scans linked along the GYO join
+/// Builds a cover over the query's atom scans linked along the GYO join
 /// forest (scopes = edge variables; multiple trees stitch under the
-/// engine's synthetic neutral root).
+/// engine's synthetic neutral root), borrowing the scans.
 fn yann_cover(
-    db: &Database,
     q: &ConjunctiveQuery,
+    forest: &JoinForest,
+    rels: &[CRel],
     budget: &mut Budget,
 ) -> Result<Cover, CoverError> {
-    let ch = q.hypergraph();
-    let Some(reduction) = gyo(&ch.hypergraph) else {
-        return Err(CoverError::Ineligible("cyclic query".into()));
-    };
-    let forest = reduction.forest;
-    let rels = crate::yannakakis::scan_atoms(db, q, budget).map_err(CoverError::Eval)?;
+    let h = &q.hypergraph().hypergraph;
     let n = rels.len();
     let parents: Vec<Option<usize>> = (0..n)
         .map(|i| forest.parent(EdgeId(i as u32)).map(|p| p.index()))
         .collect();
     let scopes: Vec<Vec<Name>> = (0..n)
         .map(|i| {
-            ch.hypergraph
-                .edge_vars(EdgeId(i as u32))
-                .iter()
-                .map(|v| ch.hypergraph.shared_var_name(v).clone())
+            (h.edge_vars(EdgeId(i as u32)).iter())
+                .map(|v| h.shared_var_name(v).clone())
                 .collect()
         })
         .collect();
     build_cover(
         CoverInput {
-            rels,
+            rels: rels.to_vec(),
             parents,
             scopes,
         },
         q,
         budget,
     )
-}
-
-fn yann_factorized_aggregate(
-    db: &Database,
-    q: &ConjunctiveQuery,
-    budget: &mut Budget,
-) -> Result<(VRelation, u64), CoverError> {
-    let cover = yann_cover(db, q, budget)?;
-    let rows = cover.total();
-    let out = finalize_cover(cover, q, budget)?;
-    budget.check_exceeded().map_err(CoverError::Eval)?;
-    Ok((out, rows))
 }
 
 /// Evaluates an acyclic query end-to-end (Yannakakis + final aggregation)
@@ -414,7 +388,8 @@ pub fn evaluate_yannakakis_query_with(
     evaluate_yannakakis_query_traced(db, q, budget, opts, &mut trace)
 }
 
-/// [`evaluate_yannakakis_query_with`] with path telemetry.
+/// [`evaluate_yannakakis_query_with`] with path telemetry; the atoms are
+/// scanned once, whichever path answers.
 pub fn evaluate_yannakakis_query_traced(
     db: &Database,
     q: &ConjunctiveQuery,
@@ -424,54 +399,25 @@ pub fn evaluate_yannakakis_query_traced(
 ) -> Result<VRelation, EvalError> {
     *trace = FactorizedTrace::default();
     budget.apply_mem_limit(opts.mem_limit);
-    if opts.factorized && q.has_aggregates() {
-        match yann_factorized_check(q) {
-            Ok(()) => match yann_factorized_aggregate(db, q, budget) {
-                Ok((out, rows)) => {
-                    trace.factorized = true;
-                    trace.answer_rows = Some(rows);
-                    return Ok(out);
-                }
-                Err(CoverError::Ineligible(reason)) => trace.fallback = Some(reason),
-                Err(CoverError::Eval(e)) => return Err(e),
-            },
-            Err(reason) => trace.fallback = Some(reason),
+    let forest = join_forest(q)?;
+    let rels = scan_atoms(db, q, budget)?;
+    if q.has_aggregates() {
+        let attempt = (yann_factorized_check(q, &forest).map_err(CoverError::Ineligible))
+            .and_then(|()| finalize_counted(yann_cover(q, &forest, &rels, budget)?, q, budget));
+        if let Some(out) = record(trace, attempt)? {
+            return Ok(out);
         }
     }
-    let ans = crate::yannakakis::yannakakis_c(db, q, budget)?;
+    let ans = reduce_and_join(q, &forest, rels, budget)?;
     trace.answer_rows = Some(ans.len() as u64);
     htqo_engine::aggregate::finalize_c(&ans, q, budget)
-}
-
-/// [`qhd_answer_rows`] for the Yannakakis pipeline: constant-delay
-/// enumeration over a join-forest cover when eligible, the materialized
-/// three-pass answer otherwise.
-pub fn yannakakis_answer_rows(
-    db: &Database,
-    q: &ConjunctiveQuery,
-    budget: &mut Budget,
-    opts: &ExecOptions,
-) -> Result<AnswerRows, EvalError> {
-    budget.apply_mem_limit(opts.mem_limit);
-    if opts.factorized {
-        match yann_cover(db, q, budget) {
-            Ok(cover) => return Ok(AnswerRows::Factorized(Box::new(cover.into_rows(budget)))),
-            Err(CoverError::Ineligible(_)) => {}
-            Err(CoverError::Eval(e)) => return Err(e),
-        }
-    }
-    let ans = crate::yannakakis::evaluate_yannakakis_with(db, q, budget, opts)?;
-    Ok(AnswerRows::Materialized {
-        cols: ans.cols().to_vec(),
-        rows: ans.into_rows().into_iter(),
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use htqo_core::{q_hypertree_decomp, QhdOptions, StructuralCost};
-    use htqo_cq::CqBuilder;
+    use htqo_cq::{AggFunc, CqBuilder};
     use htqo_engine::relation::Relation;
     use htqo_engine::schema::{ColumnType, Schema};
     use htqo_engine::value::Value;
@@ -525,31 +471,13 @@ mod tests {
         let plan = q_hypertree_decomp(&q, &QhdOptions::default(), &StructuralCost).unwrap();
         let mut trace = FactorizedTrace::default();
         let mut b1 = Budget::unlimited();
-        let fact = evaluate_qhd_query_traced(
-            &db,
-            &q,
-            &plan,
-            &mut b1,
-            &ExecOptions {
-                factorized: true,
-                ..ExecOptions::default()
-            },
-            &mut trace,
-        )
-        .unwrap();
+        let opts = ExecOptions::default();
+        let fact = evaluate_qhd_query_traced(&db, &q, &plan, &mut b1, &opts, &mut trace).unwrap();
         assert!(trace.factorized, "fell back: {:?}", trace.fallback);
         let mut b2 = Budget::unlimited();
-        let mat = crate::qeval::evaluate_qhd_query_with(
-            &db,
-            &q,
-            &plan,
-            &mut b2,
-            &ExecOptions {
-                factorized: false,
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap();
+        let mat = crate::qeval::evaluate_qhd_with(&db, &q, &plan, &mut b2, &opts)
+            .and_then(|answer| htqo_engine::aggregate::finalize(&answer, &q, &mut b2))
+            .unwrap();
         assert_eq!(sorted_rows(&fact), sorted_rows(&mat));
         assert_eq!(fact.cols(), mat.cols());
         // The factorized path retains only the P′ relations and the
@@ -569,17 +497,7 @@ mod tests {
         let q = star_count_query();
         let plan = q_hypertree_decomp(&q, &QhdOptions::default(), &StructuralCost).unwrap();
         let mut b1 = Budget::unlimited();
-        let it = qhd_answer_rows(
-            &db,
-            &q,
-            &plan,
-            &mut b1,
-            &ExecOptions {
-                factorized: true,
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap();
+        let it = qhd_answer_rows(&db, &q, &plan, &mut b1, &ExecOptions::default()).unwrap();
         assert!(it.is_factorized());
         let cols = it.cols().to_vec();
         let mut rows: Vec<Row> = it.collect::<Result<_, _>>().unwrap();
@@ -596,17 +514,9 @@ mod tests {
         let q = star_count_query();
         let mut trace = FactorizedTrace::default();
         let mut b1 = Budget::unlimited();
-        let fact = evaluate_yannakakis_query_traced(
-            &db,
-            &q,
-            &mut b1,
-            &ExecOptions {
-                factorized: true,
-                ..ExecOptions::default()
-            },
-            &mut trace,
-        )
-        .unwrap();
+        let fact =
+            evaluate_yannakakis_query_traced(&db, &q, &mut b1, &ExecOptions::default(), &mut trace)
+                .unwrap();
         let mut b2 = Budget::unlimited();
         let ans = crate::yannakakis::evaluate_yannakakis(&db, &q, &mut b2).unwrap();
         let mat = htqo_engine::aggregate::finalize(&ans, &q, &mut b2).unwrap();
@@ -616,36 +526,29 @@ mod tests {
         }
     }
 
+    /// An ordered, limited aggregate is answered from the cover: the same
+    /// rows, in the same order, as the materialized pipeline.
     #[test]
-    fn ordered_aggregate_falls_back() {
+    fn ordered_aggregate_is_factorized() {
         let db = star_db(20, 4);
         let mut q = star_count_query();
         q.order_by.push(("n".into(), htqo_cq::SortDir::Asc));
+        q.limit = Some(3);
         let plan = q_hypertree_decomp(&q, &QhdOptions::default(), &StructuralCost).unwrap();
         let mut trace = FactorizedTrace::default();
         let mut b = Budget::unlimited();
-        let out = evaluate_qhd_query_traced(
-            &db,
-            &q,
-            &plan,
-            &mut b,
-            &ExecOptions {
-                factorized: true,
-                ..ExecOptions::default()
-            },
-            &mut trace,
-        )
-        .unwrap();
-        assert!(!trace.factorized);
-        assert!(trace.fallback.is_some());
-        // Fallback still honors the ORDER BY.
-        let ns: Vec<_> = out
-            .rows()
-            .iter()
+        let opts = ExecOptions::default();
+        let out = evaluate_qhd_query_traced(&db, &q, &plan, &mut b, &opts, &mut trace).unwrap();
+        assert!(trace.factorized, "fell back: {:?}", trace.fallback);
+        let mut b2 = Budget::unlimited();
+        let mat = crate::qeval::evaluate_qhd_with(&db, &q, &plan, &mut b2, &opts)
+            .and_then(|answer| htqo_engine::aggregate::finalize(&answer, &q, &mut b2))
+            .unwrap();
+        assert_eq!(out, mat);
+        assert_eq!(out.len(), 3);
+        let ns: Vec<_> = (out.rows().iter())
             .map(|r| r[out.col_index("n").unwrap()].clone())
             .collect();
-        let mut sorted = ns.clone();
-        sorted.sort();
-        assert_eq!(ns, sorted);
+        assert!(ns.is_sorted(), "{ns:?}");
     }
 }

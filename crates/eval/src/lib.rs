@@ -24,8 +24,7 @@ pub mod yannakakis;
 
 pub use factorized::{
     evaluate_qhd_query_traced, evaluate_yannakakis_query, evaluate_yannakakis_query_traced,
-    evaluate_yannakakis_query_with, qhd_answer_rows, yannakakis_answer_rows, AnswerRows,
-    FactorizedTrace,
+    evaluate_yannakakis_query_with, qhd_answer_rows, AnswerRows, FactorizedTrace,
 };
 pub use naive::{evaluate_join_order, evaluate_naive};
 pub use qeval::{

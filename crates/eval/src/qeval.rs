@@ -63,21 +63,25 @@ pub fn evaluate_qhd_with(
     opts: &ExecOptions,
 ) -> Result<VRelation, EvalError> {
     budget.apply_mem_limit(opts.mem_limit);
-    Ok(evaluate_qhd_c(db, q, plan, budget, opts)?.to_vrel())
+    Ok(evaluate_qhd_c(db, q, plan, budget)?.to_vrel())
 }
 
-/// The `P′` phase as a reusable front: χ(p) per vertex (as names) and the
-/// per-vertex joined relations, both indexed by [`NodeId::index`]. Shared
-/// by the materialized pipeline below and the factorized cover build
-/// ([`crate::factorized`]), so both see byte-identical vertex relations.
-/// Every name is the plan's own ([`Name`]), cloned, never rebuilt.
+/// χ(p) per vertex (as names) and the per-vertex `P′` relations, both
+/// indexed by [`NodeId::index`].
+pub(crate) type Vertices = (Vec<Vec<Name>>, Vec<CRel>);
+
+/// The `P′` phase as a reusable front ([`Vertices`]). Computed once per
+/// query and shared by the materialized pipeline ([`join_up`]) and the
+/// factorized cover build ([`crate::factorized`]), which borrows the
+/// relations (their columns are shared, not copied) and leaves them to
+/// [`join_up`] if it is refused. Every name is the plan's own ([`Name`]),
+/// cloned, never rebuilt.
 pub(crate) fn vertex_relations(
     db: &Database,
     q: &ConjunctiveQuery,
     plan: &QhdPlan,
     budget: &mut Budget,
-    opts: &ExecOptions,
-) -> Result<(Vec<Vec<Name>>, Vec<CRel>), EvalError> {
+) -> Result<Vertices, EvalError> {
     let tree = &plan.tree;
     let h = &plan.cq_hypergraph.hypergraph;
 
@@ -94,7 +98,7 @@ pub(crate) fn vertex_relations(
             .collect();
         let chi = &chi_names[p.index()];
         let scan = (db, q, &plan.cq_hypergraph);
-        let joined = vertex_join(scan, node, chi, &children, budget, opts.index_join)?;
+        let joined = vertex_join(scan, node, chi, &children, budget)?;
         rels[p.index()] = Some(joined);
     }
     let rels = rels
@@ -120,10 +124,20 @@ pub(crate) fn evaluate_qhd_c(
     q: &ConjunctiveQuery,
     plan: &QhdPlan,
     budget: &mut Budget,
-    opts: &ExecOptions,
+) -> Result<CRel, EvalError> {
+    let vertices = vertex_relations(db, q, plan, budget)?;
+    join_up(q, plan, vertices, budget)
+}
+
+/// `P″` and `P‴` over the `P′` relations of [`vertex_relations`]: the
+/// answer over `out(Q)`, columnar.
+pub(crate) fn join_up(
+    q: &ConjunctiveQuery,
+    plan: &QhdPlan,
+    (chi_names, rels): Vertices,
+    budget: &mut Budget,
 ) -> Result<CRel, EvalError> {
     let tree = &plan.tree;
-    let (chi_names, rels) = vertex_relations(db, q, plan, budget, opts)?;
     let mut vertex_rel: Vec<Option<CRel>> = rels.into_iter().map(Some).collect();
 
     // P″: single bottom-up pass, support children joined first.
@@ -142,16 +156,15 @@ pub(crate) fn evaluate_qhd_c(
 /// `P′` for one vertex: select `assigned(p) ∪ λ(p)`, narrow each selection
 /// by the finished relations of `children` that are decisively smaller
 /// than it ([`cops::narrow`]), join them, project onto χ(p) (restricted to
-/// available variables). With `index_join` set, an atom read from an
-/// indexed column may be joined by index seek inside the join
-/// ([`cops::join_vertex`]); the answer is the same set either way.
+/// available variables). An atom read from an indexed column may be
+/// joined by index seek inside the join ([`cops::join_vertex`]); the
+/// answer is the same set either way.
 fn vertex_join(
     (db, q, ch): (&Database, &ConjunctiveQuery, &CqHypergraph),
     n: &Node,
     chi: &[Name],
     children: &[&CRel],
     budget: &mut Budget,
-    index_join: bool,
 ) -> Result<CRel, EvalError> {
     budget.check_time()?;
     htqo_engine::fail_point!("qeval::vertex");
@@ -163,7 +176,7 @@ fn vertex_join(
         let a = ch.atom_of_edge(e);
         let (atom, vars) = (q.atom(a), &ch.atom_vars[a.index()][..]);
         let filters: Vec<&Filter> = q.filters_of(a).collect();
-        selected.push(select_atom(db, atom, vars, &filters, index_join, budget)?);
+        selected.push(select_atom(db, atom, vars, &filters, true, budget)?);
     }
     for child in children {
         let worth = |rows| decisively_smaller(child.len(), rows);
@@ -224,9 +237,9 @@ pub fn evaluate_qhd_query(
 /// [`evaluate_qhd_query`] with explicit execution options. The answer
 /// stays columnar end to end — the final aggregation front runs
 /// column-at-a-time too ([`htqo_engine::aggregate::finalize_c`]). When
-/// [`ExecOptions::factorized`] is set and the query/plan qualify, the
-/// aggregate is computed from a factorized cover without materializing
-/// the join ([`crate::factorized`]).
+/// the query and plan qualify, the aggregate is computed from a
+/// factorized cover without materializing the join
+/// ([`crate::factorized`]).
 pub fn evaluate_qhd_query_with(
     db: &Database,
     q: &ConjunctiveQuery,

@@ -41,9 +41,10 @@ pub fn evaluate_yannakakis_with(
     Ok(yannakakis_c(db, q, budget)?.to_vrel())
 }
 
-/// Scans every atom of `q` (edge `i` ↔ atom `i`). Shared by the
-/// three-pass pipeline below and the factorized cover build
-/// ([`crate::factorized`]).
+/// Scans every atom of `q` (edge `i` ↔ atom `i`). Done once per query
+/// and shared by the three-pass pipeline ([`reduce_and_join`]) and the
+/// factorized cover build ([`crate::factorized`]), which borrows the
+/// scans and leaves them to [`reduce_and_join`] if it is refused.
 pub(crate) fn scan_atoms(
     db: &Database,
     q: &ConjunctiveQuery,
@@ -61,18 +62,35 @@ pub(crate) fn yannakakis_c(
     q: &ConjunctiveQuery,
     budget: &mut Budget,
 ) -> Result<CRel, EvalError> {
-    let ch = q.hypergraph();
-    let Some(reduction) = gyo(&ch.hypergraph) else {
-        return Err(EvalError::Internal(
+    let forest = join_forest(q)?;
+    let rels = scan_atoms(db, q, budget)?;
+    reduce_and_join(q, &forest, rels, budget)
+}
+
+/// The GYO join forest of `q` (edge `i` ↔ atom `i`), or an error if `q`
+/// is cyclic.
+pub(crate) fn join_forest(q: &ConjunctiveQuery) -> Result<JoinForest, EvalError> {
+    match gyo(&q.hypergraph().hypergraph) {
+        Some(reduction) => Ok(reduction.forest),
+        None => Err(EvalError::Internal(
             "Yannakakis requires an acyclic query".into(),
-        ));
-    };
-    let forest: JoinForest = reduction.forest;
-    let mut rels = scan_atoms(db, q, budget)?;
+        )),
+    }
+}
+
+/// The three passes over the atom scans of [`scan_atoms`], along
+/// `forest`: the answer over `out(Q)`, columnar.
+pub(crate) fn reduce_and_join(
+    q: &ConjunctiveQuery,
+    forest: &JoinForest,
+    mut rels: Vec<CRel>,
+    budget: &mut Budget,
+) -> Result<CRel, EvalError> {
+    let ch = q.hypergraph();
 
     // Bottom-up then top-down semijoin passes per tree.
     let roots = forest.roots();
-    let post = postorder(&forest, &roots);
+    let post = postorder(forest, &roots);
     // (i) bottom-up: parent ⋉ child.
     for &n in &post {
         if let Some(p) = forest.parent(n) {

@@ -742,7 +742,9 @@ impl HybridOptimizer {
             }
             Err(fail) => attempts.push(FallbackAttempt {
                 rung: Rung::QHd,
-                error: EvalError::Internal(fail.to_string()),
+                error: EvalError::NoDecomposition {
+                    max_width: fail.max_width,
+                },
                 tuples: 0,
             }),
         }
@@ -1417,20 +1419,73 @@ mod tests {
         assert!(rel.set_eq(&oracle.result.unwrap()));
     }
 
-    /// An order-sensitive aggregate is ineligible for the cover: the
-    /// outcome still answers on q-HD but records the fallback reason.
+    /// An aggregate whose input the root does not carry is ineligible
+    /// for the cover: the outcome still answers on q-HD but records the
+    /// fallback reason. Query Q1 of the paper's Example 4, `SUM(X)` over a
+    /// nine-atom chain grouped by its two ends: with statistics, Optimize
+    /// leaves `X` to the root's children.
     #[test]
     fn ineligible_aggregate_records_fallback_reason() {
-        let db = chain_db(2, 40, 5);
-        let sql = "SELECT p0.l, COUNT(*) AS n FROM p0, p1 \
-                   WHERE p0.r = p1.l GROUP BY p0.l ORDER BY n";
-        let opt = HybridOptimizer::structural(QhdOptions::default());
-        let out = opt.execute_sql(&db, sql, Budget::unlimited()).unwrap();
+        let db = chain_db(9, 40, 5);
+        let vars = ["A", "B", "C", "T", "R", "Y", "X", "S", "Z", "ZP"];
+        let mut b = CqBuilder::new();
+        for (i, pair) in vars.windows(2).enumerate() {
+            let t = format!("p{i}");
+            b = b.atom(&t, &t, &[("l", pair[0]), ("r", pair[1])]);
+        }
+        let sum_x = htqo_cq::ScalarExpr::Var("X".into());
+        let q = b
+            .out_var("A")
+            .out_var("S")
+            .out_agg(htqo_cq::AggFunc::Sum, Some(sum_x), "s")
+            .group("A")
+            .group("S")
+            .build();
+        let opt = HybridOptimizer::with_stats(QhdOptions::default(), analyze(&db));
+        let out = opt.execute_cq(&db, &q, Budget::unlimited());
         assert_eq!(out.rung, Rung::QHd, "{}", out.plan);
         assert!(!out.factorized);
-        assert!(out.factorized_fallback.is_some());
-        assert!(out.result.is_ok());
+        let reason = out.factorized_fallback.expect("a recorded reason");
+        assert!(reason.contains("`X`"), "{reason}");
+        // The structural plan keeps `X` at its root and answers from the
+        // cover: the same rows, in the same order.
+        let structural = HybridOptimizer::structural(QhdOptions::default());
+        let want = structural.execute_cq(&db, &q, Budget::unlimited());
+        assert!(want.factorized, "{:?}", want.factorized_fallback);
+        assert_eq!(out.result.unwrap(), want.result.unwrap());
         // Structural mode has no statistics, so no estimate.
-        assert!(out.estimated_answer_rows.is_none());
+        assert!(want.estimated_answer_rows.is_none());
+    }
+
+    /// The `COUNT(*)` variant of TPC-H Q5 puts every atom's row id in
+    /// `out(Q)`, so no q-HD of width ≤ 4 has a root covering it: the
+    /// ladder records a typed, retryable planning failure as its first
+    /// attempt, and the bushy rung answers.
+    #[test]
+    fn count_star_q5_has_no_decomposition_and_bushy_answers() {
+        let db = htqo_tpch::generate(&htqo_tpch::DbgenOptions {
+            scale: 0.002,
+            seed: 77,
+        });
+        let stats = analyze(&db);
+        let sql = htqo_tpch::q5("ASIA", 1994)
+            .replace(
+                "sum(l_extendedprice * (1 - l_discount)) AS revenue",
+                "count(*) AS n",
+            )
+            .replace("ORDER BY revenue", "ORDER BY n");
+        let opt = HybridOptimizer::with_stats(QhdOptions::default(), stats.clone());
+        let out = opt.execute_sql(&db, &sql, Budget::unlimited()).unwrap();
+        assert_eq!(out.attempts[0].rung, Rung::QHd);
+        assert_eq!(
+            out.attempts[0].error,
+            EvalError::NoDecomposition { max_width: 4 }
+        );
+        assert!(out.attempts[0].error.is_retryable());
+        assert_eq!(out.rung, Rung::Bushy, "{}", out.plan);
+        let want = DbmsSim::commdb(Some(stats))
+            .execute_sql(&db, &sql, Budget::unlimited())
+            .unwrap();
+        assert_eq!(out.result.unwrap(), want.result.unwrap());
     }
 }

@@ -1,28 +1,32 @@
 //! Property tests for the factorized result layer: on random
-//! star-with-rowids aggregate queries, the cover-based pipelines —
-//! pushed-down COUNT/SUM/GROUP-BY aggregation and the constant-delay
-//! answer enumerator — must agree **bit-identically** with the
-//! materialized oracle, also under random byte
-//! limits (where the factorized path must degrade to materialization
-//! rather than change the answer). The byte-limit property also holds the
-//! join-order baseline (`evaluate_join_order` + `finalize_c`) to the same
-//! limits: it is the unlimited oracle, and under a limit it spills to the
-//! same answer or fails with a typed error.
+//! star-with-rowids aggregate queries — COUNT, integer and float SUM,
+//! AVG, GROUP BY, ORDER BY and LIMIT — the cover-based pipelines (pushed-
+//! down aggregation and the constant-delay answer enumerator) must agree
+//! **bit-identically and in order** with the materialized oracle, also
+//! under random byte limits (where the factorized path must degrade to
+//! materialization rather than change the answer). The byte-limit
+//! property also holds the join-order baseline (`evaluate_join_order` +
+//! `finalize_c`) to the same limits: it is the unlimited oracle, and
+//! under a limit it spills to the same answer or fails with a typed
+//! error.
 
 use htqo::prelude::*;
-use htqo_cq::{AggFunc, CqBuilder, ScalarExpr};
+use htqo_cq::{AggFunc, CqBuilder, ScalarExpr, SortDir};
 use htqo_engine::schema::{ColumnType, Schema};
 use htqo_engine::value::Row;
 use htqo_eval::{
-    evaluate_qhd_query_traced, evaluate_qhd_query_with, evaluate_yannakakis_query_with,
-    qhd_answer_rows, ExecOptions, FactorizedTrace,
+    evaluate_qhd_query_traced, evaluate_qhd_query_with, evaluate_qhd_with,
+    evaluate_yannakakis_query_with, qhd_answer_rows, ExecOptions, FactorizedTrace,
 };
 use proptest::prelude::*;
 
 /// A random star query: `hub(X, rid)` with `sats` satellite atoms
-/// `s_i(X, P_i, rid_i)`, every atom guarded by a rowid-style key column
-/// (SQL bag semantics). Aggregates over the join: `COUNT(*)` and
-/// `SUM(P_0)`, optionally `GROUP BY X`.
+/// `s_i(X, P_i, F_i, rid_i)`, every atom guarded by a rowid-style key
+/// column (SQL bag semantics). Aggregates over the join: `COUNT(*)`,
+/// optionally `SUM(P_0)`, `SUM(F_0)` and `AVG(F_0)` (`F` holds money
+/// amounts; with `exotic`, one of them is `1e300`, which no weight above 1
+/// can repeat exactly), optionally `GROUP BY X`, `ORDER BY` one of the
+/// output labels (`order` picks it; 0 is none) and `LIMIT`.
 #[derive(Debug, Clone)]
 struct Shape {
     sats: usize,
@@ -31,25 +35,46 @@ struct Shape {
     seed: u64,
     group: bool,
     sum: bool,
+    float: bool,
+    avg: bool,
+    exotic: bool,
+    order: usize,
+    limit: Option<usize>,
 }
 
 fn arb_shape() -> impl Strategy<Value = Shape> {
     (
-        1usize..4,
-        0usize..50,
-        1i64..8,
-        any::<u64>(),
-        any::<bool>(),
-        any::<bool>(),
+        (
+            1usize..4,
+            0usize..50,
+            1i64..8,
+            any::<u64>(),
+            any::<bool>(),
+            any::<bool>(),
+        ),
+        (
+            any::<bool>(),
+            any::<bool>(),
+            any::<u8>(),
+            0usize..5,
+            0usize..4,
+        ),
     )
-        .prop_map(|(sats, rows, domain, seed, group, sum)| Shape {
-            sats,
-            rows,
-            domain,
-            seed,
-            group,
-            sum,
-        })
+        .prop_map(
+            |((sats, rows, domain, seed, group, sum), (float, avg, exotic, order, limit))| Shape {
+                sats,
+                rows,
+                domain,
+                seed,
+                group,
+                sum,
+                float,
+                avg,
+                exotic: exotic % 4 == 0,
+                order,
+                limit: (limit > 0).then_some(limit),
+            },
+        )
 }
 
 fn build(shape: &Shape) -> (Database, ConjunctiveQuery) {
@@ -76,6 +101,7 @@ fn build(shape: &Shape) -> (Database, ConjunctiveQuery) {
         let mut s = Relation::new(Schema::new(&[
             ("x", ColumnType::Int),
             ("p", ColumnType::Int),
+            ("f", ColumnType::Float),
             ("id", ColumnType::Int),
         ]));
         // A sparser satellite every third seed keeps empty/partial joins
@@ -86,26 +112,45 @@ fn build(shape: &Shape) -> (Database, ConjunctiveQuery) {
             shape.rows
         };
         for t in 0..rows as i64 {
+            let cents = rng.gen_range(0..1_000_000u64) as f64 * 0.01 - 5_000.0;
+            let f = if shape.exotic && t == 0 { 1e300 } else { cents };
             s.push_row(vec![
                 Value::Int(rng.gen_range(0..shape.domain as u64) as i64),
                 Value::Int(rng.gen_range(0..100u64) as i64 - 50),
+                Value::Float(f),
                 Value::Int(t),
             ])
             .unwrap();
         }
         let name = format!("s{i}");
         db.insert_table(&name, s);
-        let p = format!("P{i}");
+        let (p, f) = (format!("P{i}"), format!("F{i}"));
         let rid = format!("__rid_{name}");
-        b = b.atom(&name, &name, &[("x", "X"), ("p", &p), ("id", &rid)]);
+        b = b.atom(
+            &name,
+            &name,
+            &[("x", "X"), ("p", &p), ("f", &f), ("id", &rid)],
+        );
     }
 
+    let mut labels = vec!["cnt"];
     if shape.group {
         b = b.out_var("X");
+        labels.push("X");
     }
     b = b.out_agg(AggFunc::Count, None, "cnt");
+    let var = |v: &str| Some(ScalarExpr::Var(v.into()));
     if shape.sum {
-        b = b.out_agg(AggFunc::Sum, Some(ScalarExpr::Var("P0".into())), "s");
+        b = b.out_agg(AggFunc::Sum, var("P0"), "s");
+        labels.push("s");
+    }
+    if shape.float {
+        b = b.out_agg(AggFunc::Sum, var("F0"), "fs");
+        labels.push("fs");
+    }
+    if shape.avg {
+        b = b.out_agg(AggFunc::Avg, var("F0"), "a");
+        labels.push("a");
     }
     b = b.out_var("__rid_hub");
     for i in 0..shape.sats {
@@ -113,6 +158,13 @@ fn build(shape: &Shape) -> (Database, ConjunctiveQuery) {
     }
     if shape.group {
         b = b.group("X");
+    }
+    if shape.order > 0 {
+        let dir = [SortDir::Asc, SortDir::Desc][shape.order % 2];
+        b = b.order(labels[shape.order % labels.len()], dir);
+    }
+    if let Some(n) = shape.limit {
+        b = b.limit(n);
     }
     (db, b.build())
 }
@@ -123,20 +175,71 @@ fn sorted_rows(v: &VRelation) -> Vec<Row> {
     rows
 }
 
-fn opts(factorized: bool) -> ExecOptions {
-    ExecOptions {
-        factorized,
-        ..ExecOptions::default()
+/// The rows in order, floats by their bits.
+fn bits(v: &VRelation) -> Vec<String> {
+    (v.rows().iter())
+        .map(|row| {
+            let cells = row.iter().map(|v| match v {
+                Value::Float(x) => format!("F{:x}", x.to_bits()),
+                v => format!("{v:?}"),
+            });
+            cells.collect::<Vec<_>>().join("|")
+        })
+        .collect()
+}
+
+/// The materialized q-HD answer, finalized: the reference the cover is
+/// held to.
+fn materialized(
+    db: &Database,
+    q: &ConjunctiveQuery,
+    plan: &QhdPlan,
+    budget: &mut Budget,
+) -> Result<VRelation, EvalError> {
+    let answer = evaluate_qhd_with(db, q, plan, budget, &ExecOptions::default())?;
+    htqo_engine::aggregate::finalize(&answer, q, budget)
+}
+
+/// A 6-cycle `p_i(V_i, V_{i+1})` with the chord `c(V0, V2)`, answering
+/// `(V1, V4)`, over the shape's sizes and seed. Its q-HD is not
+/// stitchable — a vertex's χ holds a variable only its children supply —
+/// so no cover can link its vertices, whatever the data.
+fn unstitchable(shape: &Shape) -> (Database, ConjunctiveQuery) {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(shape.seed);
+    let mut db = Database::new();
+    let mut b = CqBuilder::new();
+    let edges = (0..6).map(|i| (format!("p{i}"), i, (i + 1) % 6));
+    for (name, l, r) in edges.chain([("c".to_string(), 0, 2)]) {
+        let mut rel = Relation::new(Schema::new(&[
+            ("l", ColumnType::Int),
+            ("r", ColumnType::Int),
+        ]));
+        for _ in 0..shape.rows {
+            let mut v = || Value::Int(rng.gen_range(0..shape.domain as u64) as i64);
+            rel.push_row(vec![v(), v()]).unwrap();
+        }
+        db.insert_table(&name, rel);
+        let (l, r) = (format!("V{l}"), format!("V{r}"));
+        b = b.atom(&name, &name, &[("l", &l), ("r", &r)]);
     }
+    (db, b.out_var("V1").out_var("V4").build())
+}
+
+/// True if some float the aggregates read cannot be repeated exactly, so
+/// the cover may refuse its weights and the front materialize instead.
+fn may_refuse(shape: &Shape) -> bool {
+    shape.exotic && (shape.float || shape.avg)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Pushed-down COUNT/SUM/GROUP-BY over the q-HD cover is
-    /// bit-identical to the materialized join + aggregate — and the
+    /// Pushed-down aggregation over the q-HD cover is bit-identical to the
+    /// materialized join + aggregate, rows in the same order — and the
     /// factorized path must actually run (the star-with-rowids family is
-    /// always eligible).
+    /// always eligible), unless a float it reads cannot be weighted.
     #[test]
     fn qhd_factorized_aggregate_matches_materialized(shape in arb_shape()) {
         let (db, q) = build(&shape);
@@ -145,13 +248,12 @@ proptest! {
         let mut trace = FactorizedTrace::default();
         let mut b1 = Budget::unlimited();
         let fact = evaluate_qhd_query_traced(
-            &db, &q, &plan, &mut b1, &opts(true), &mut trace,
+            &db, &q, &plan, &mut b1, &ExecOptions::default(), &mut trace,
         ).unwrap();
-        prop_assert!(trace.factorized, "fell back: {:?}", trace.fallback);
-        let mut b2 = Budget::unlimited();
-        let mat = evaluate_qhd_query_with(&db, &q, &plan, &mut b2, &opts(false)).unwrap();
+        prop_assert!(trace.factorized || may_refuse(&shape), "fell back: {:?}", trace.fallback);
+        let mat = materialized(&db, &q, &plan, &mut Budget::unlimited()).unwrap();
         prop_assert_eq!(fact.cols(), mat.cols());
-        prop_assert_eq!(sorted_rows(&fact), sorted_rows(&mat));
+        prop_assert_eq!(bits(&fact), bits(&mat));
     }
 
     /// The same equality for the Yannakakis (join forest) pipelines.
@@ -159,25 +261,25 @@ proptest! {
     fn yannakakis_factorized_aggregate_matches_materialized(shape in arb_shape()) {
         let (db, q) = build(&shape);
         let mut b1 = Budget::unlimited();
-        let fact = evaluate_yannakakis_query_with(&db, &q, &mut b1, &opts(true)).unwrap();
+        let fact = evaluate_yannakakis_query_with(&db, &q, &mut b1, &ExecOptions::default()).unwrap();
         let mut b2 = Budget::unlimited();
-        let mat = evaluate_yannakakis_query_with(&db, &q, &mut b2, &opts(false)).unwrap();
+        let ans = evaluate_yannakakis(&db, &q, &mut b2).unwrap();
+        let mat = htqo_engine::aggregate::finalize(&ans, &q, &mut b2).unwrap();
         prop_assert_eq!(fact.cols(), mat.cols());
-        prop_assert_eq!(sorted_rows(&fact), sorted_rows(&mat));
+        prop_assert_eq!(bits(&fact), bits(&mat));
     }
 
     /// The constant-delay enumerator streams exactly the materialized
-    /// answer multiset over `out(Q)`; with the factorized path off, the
-    /// stream is the materialized answer itself, moved out row by row.
+    /// answer multiset over `out(Q)`: from the cover over the star, and,
+    /// over an unstitchable plan, as the materialized answer moved out row
+    /// by row.
     #[test]
     fn enumerator_streams_the_materialized_answer(shape in arb_shape()) {
-        let (db, q) = build(&shape);
-        let plan = q_hypertree_decomp(&q, &QhdOptions::default(), &StructuralCost).unwrap();
-        let mut b2 = Budget::unlimited();
-        let ans = evaluate_qhd(&db, &q, &plan, &mut b2).unwrap();
-        for factorized in [true, false] {
+        for (factorized, (db, q)) in [(true, build(&shape)), (false, unstitchable(&shape))] {
+            let plan = q_hypertree_decomp(&q, &QhdOptions::default(), &StructuralCost).unwrap();
+            let ans = evaluate_qhd(&db, &q, &plan, &mut Budget::unlimited()).unwrap();
             let mut b1 = Budget::unlimited();
-            let it = qhd_answer_rows(&db, &q, &plan, &mut b1, &opts(factorized)).unwrap();
+            let it = qhd_answer_rows(&db, &q, &plan, &mut b1, &ExecOptions::default()).unwrap();
             prop_assert_eq!(it.is_factorized(), factorized);
             let cols = it.cols().to_vec();
             let mut rows: Vec<Row> = it.collect::<Result<_, _>>().unwrap();
@@ -192,9 +294,10 @@ proptest! {
     /// factorized one completes with the identical result (degrading to
     /// materialization internally if the cover's reservations are
     /// denied); and when it completes on its own, its answer matches the
-    /// unlimited oracle. The oracle is the join-order baseline, which
-    /// under the same limit runs `cops::natural_join`'s Grace spill and the
-    /// aggregation's spill: same answer or a typed memory/spill error.
+    /// unlimited oracle, rows in order. The oracle is the join-order
+    /// baseline, which under the same limit runs `cops::natural_join`'s
+    /// Grace spill and the aggregation's spill: same answer or a typed
+    /// memory/spill error.
     #[test]
     fn byte_limits_degrade_without_changing_answers(
         shape in arb_shape(),
@@ -208,7 +311,7 @@ proptest! {
         };
         let oracle = baseline(&mut Budget::unlimited()).unwrap();
         match baseline(&mut Budget::unlimited().with_mem_limit(limit)) {
-            Ok(b) => prop_assert_eq!(sorted_rows(&b), sorted_rows(&oracle), "limit={}", limit),
+            Ok(b) => prop_assert_eq!(bits(&b), bits(&oracle), "limit={}", limit),
             Err(e) => prop_assert!(
                 matches!(e, EvalError::MemoryExceeded { .. } | EvalError::SpillIo(_)),
                 "unexpected error class from the baseline under limit {limit}: {e:?}"
@@ -216,11 +319,10 @@ proptest! {
         }
 
         let mut b1 = Budget::unlimited().with_mem_limit(limit);
-        let fact = evaluate_qhd_query_with(&db, &q, &plan, &mut b1, &opts(true));
-        let mut b2 = Budget::unlimited().with_mem_limit(limit);
-        let mat = evaluate_qhd_query_with(&db, &q, &plan, &mut b2, &opts(false));
+        let fact = evaluate_qhd_query_with(&db, &q, &plan, &mut b1, &ExecOptions::default());
+        let mat = materialized(&db, &q, &plan, &mut Budget::unlimited().with_mem_limit(limit));
         match (fact, mat) {
-            (Ok(f), _) => prop_assert_eq!(sorted_rows(&f), sorted_rows(&oracle), "limit={}", limit),
+            (Ok(f), _) => prop_assert_eq!(bits(&f), bits(&oracle), "limit={}", limit),
             (Err(e), Ok(_)) => prop_assert!(
                 false,
                 "factorized failed ({e}) where materialized succeeded (limit={})", limit

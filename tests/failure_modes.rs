@@ -64,6 +64,8 @@ fn every_error_variant_classifies_for_dnf_and_retry() {
         ),
         (EvalError::UnknownVariable("X".into()), false, false),
         (EvalError::Internal("oops".into()), false, true),
+        // No q-HD of the width bound: the join-order rungs need none.
+        (EvalError::NoDecomposition { max_width: 4 }, false, true),
         // Disk corruption (checksum mismatch on a page read): not a
         // resource limit, but retryable — another plan rung may avoid
         // the corrupt table, and the page may repair via WAL replay.

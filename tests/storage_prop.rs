@@ -17,7 +17,8 @@
 //!    rows of the scan-and-nested-loop oracle, seeking exactly when the
 //!    probe side is `SEEK_MARGIN` times smaller and then charging only the
 //!    probe's scan and one tuple per output row — and a full
-//!    `evaluate_qhd` run with `index_join` on must match the classic path.
+//!    `evaluate_qhd` over the indexed catalog must match the classic path
+//!    over the same tables without indexes.
 //!    `tests/seek_prop.rs` covers filters, child narrowing, two-column
 //!    keys, `__rowid` and `Str`/`Date`/NULL keys.
 //!
@@ -342,23 +343,13 @@ fn evaluator_takes_the_seek_path_when_profitable() {
     let db = storage.load_database(64 * PAGE_SIZE as u64, None).unwrap();
     let q = probe_query();
     let plan = q_hypertree_decomp(&q, &QhdOptions::default(), &StructuralCost).unwrap();
-    let run = |index_join: bool| {
+    let run = |db: &Database| {
         let mut b = Budget::unlimited();
-        let r = evaluate_qhd_with(
-            &db,
-            &q,
-            &plan,
-            &mut b,
-            &ExecOptions {
-                index_join,
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap();
+        let r = evaluate_qhd_with(db, &q, &plan, &mut b, &ExecOptions::default()).unwrap();
         (r, b.charged(), b.join_stats().index_seeks())
     };
-    let (classic, classic_charge, classic_seeks) = run(false);
-    let (seek, seek_charge, seeks) = run(true);
+    let (classic, classic_charge, classic_seeks) = run(&without_indexes(&db));
+    let (seek, seek_charge, seeks) = run(&db);
     assert_eq!(classic_seeks, 0);
     assert_eq!(seeks, 1, "the vertex join never sought the index");
     assert!(seek.set_eq(&classic));
@@ -367,6 +358,15 @@ fn evaluator_takes_the_seek_path_when_profitable() {
         "seek ({seek_charge}) must not charge the fact scan (scan + hash: {classic_charge})"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `db`'s tables without their indexes: every vertex join hash-joins.
+fn without_indexes(db: &Database) -> Database {
+    let mut plain = Database::new();
+    for (name, rel) in db.tables() {
+        plain.insert_table(name, rel.clone());
+    }
+    plain
 }
 
 proptest! {
@@ -421,8 +421,8 @@ proptest! {
 
     /// End-to-end `evaluate_qhd` on a triangle whose decomposition packs
     /// two atoms into one vertex, the small one beside a large indexed
-    /// one: with indexes loaded from disk, `index_join` on must match
-    /// `index_join` off (the answer; the tuple charges repeat exactly
+    /// one: with indexes loaded from disk, the answer must match the same
+    /// tables without indexes (the answer; the tuple charges repeat exactly
     /// within each mode).
     #[test]
     fn qhd_with_index_join_matches_classic_path(case in arb_join_case()) {
@@ -447,13 +447,11 @@ proptest! {
             .build();
         let plan = q_hypertree_decomp(&q, &QhdOptions::default(), &StructuralCost).unwrap();
 
-        let run = |index_join: bool| {
+        let plain = without_indexes(&db);
+        let run = |indexed: bool| {
             let mut b = Budget::unlimited();
-            let r = evaluate_qhd_with(&db, &q, &plan, &mut b, &ExecOptions {
-                index_join,
-                ..ExecOptions::default()
-            })
-            .unwrap();
+            let db = if indexed { &db } else { &plain };
+            let r = evaluate_qhd_with(db, &q, &plan, &mut b, &ExecOptions::default()).unwrap();
             (r, b.charged())
         };
         let (classic, classic_charge) = run(false);
@@ -461,7 +459,7 @@ proptest! {
         let naive = htqo_eval::evaluate_naive(&db, &q, &mut naive_budget).unwrap();
         prop_assert!(classic.set_eq(&naive), "classic path drifted from the join-order reference");
         let (seek, seek_charge) = run(true);
-        prop_assert!(seek.set_eq(&classic), "index_join answer drifted");
+        prop_assert!(seek.set_eq(&classic), "the indexed answer drifted");
         let (seek2, c2) = run(true);
         prop_assert!(seek2.set_eq(&classic));
         prop_assert_eq!(c2, seek_charge, "seek charges must repeat exactly");
