@@ -24,7 +24,7 @@ use htqo_core::treedecomp::{tree_decomposition, EliminationHeuristic};
 use htqo_core::{det_k_decomp, q_hypertree_decomp, QhdOptions, StructuralCost};
 use htqo_cq::{isolate, parse_select, IsolatorOptions};
 use htqo_engine::error::Budget;
-use htqo_eval::{evaluate_naive, evaluate_qhd, ExecOptions};
+use htqo_eval::{evaluate_naive, evaluate_qhd};
 use htqo_hypergraph::acyclic::gyo;
 use htqo_optimizer::HybridOptimizer;
 use htqo_tpch::{generate, q5, DbgenOptions};
@@ -1075,13 +1075,16 @@ fn bench_factorized_count(c: &mut Criterion) {
     // the SQL isolator does for bag semantics): the materialized pipeline
     // enumerates one row per derivation of the join (fanout ~3 per chain
     // step, so ~27³ per hub row), the factorized one multiplies per-vertex
-    // counts along the cover. Evaluated on the Yannakakis join forest: the
-    // q-HD planner roots its tree at an output-covering vertex, which with
-    // rowid guards on every atom would put the whole join in the root's λ.
+    // counts along the cover. The cover links the atom scans by hand, hub
+    // above each chain in order: the q-HD planner roots its tree at an
+    // output-covering vertex, which with rowid guards on every atom would
+    // put the whole join in the root's λ.
     use htqo_cq::isolator::{ROWID_COLUMN, ROWID_VAR_PREFIX};
     use htqo_cq::{AggFunc, CqBuilder};
-    use htqo_engine::{ColumnType, Database, Relation, Schema, Value};
-    use htqo_eval::{evaluate_yannakakis, evaluate_yannakakis_query_traced, FactorizedTrace};
+    use htqo_engine::factorized::{aggregate_cover, CoverInput};
+    use htqo_engine::scan::scan_query_atom_c;
+    use htqo_engine::{ColumnType, Database, Name, Relation, Schema, Value};
+    use htqo_eval::evaluate_join_order;
 
     const CHAIN_ROWS: usize = 20_000;
     const DOMAIN: u64 = CHAIN_ROWS as u64 / 3;
@@ -1146,23 +1149,36 @@ fn bench_factorized_count(c: &mut Criterion) {
     }
     let q = b.out_agg(AggFunc::Count, None, "n").group("A").build();
 
+    // Atom 0 is the hub; atoms 3v+1..3v+3 are the chain off hub variable
+    // v, each hanging off the one before it.
+    let parents: Vec<Option<usize>> = (0..q.atom_ids().count())
+        .map(|a| match a {
+            0 => None,
+            a if a % 3 == 1 => Some(0),
+            a => Some(a - 1),
+        })
+        .collect();
     let factorized = || {
-        let mut trace = FactorizedTrace::default();
         let mut budget = Budget::unlimited();
-        let opts = ExecOptions::default();
-        let out =
-            evaluate_yannakakis_query_traced(&db, &q, &mut budget, &opts, &mut trace).unwrap();
-        (out, trace)
+        let rels: Vec<_> = (q.atom_ids())
+            .map(|a| scan_query_atom_c(&db, &q, a, &mut budget).unwrap())
+            .collect();
+        let scopes: Vec<Vec<Name>> = rels.iter().map(|r| r.cols().to_vec()).collect();
+        let input = CoverInput {
+            rels,
+            parents: parents.clone(),
+            scopes,
+        };
+        aggregate_cover(input, &q, &mut budget).expect("the cover counts this join")
     };
     let materialized = || {
         let mut budget = Budget::unlimited();
-        let answer = evaluate_yannakakis(&db, &q, &mut budget).unwrap();
-        let out = htqo_engine::aggregate::finalize(&answer, &q, &mut budget).unwrap();
+        let answer = evaluate_join_order(&db, &q, None, &mut budget).unwrap();
+        let out = htqo_engine::aggregate::finalize_c(&answer, &q, &mut budget).unwrap();
         (out, answer.len())
     };
     let (want, derivations) = materialized();
-    let (got, trace) = factorized();
-    assert!(trace.factorized, "fell back: {:?}", trace.fallback);
+    let got = factorized();
     assert_eq!(got, want, "factorized count disagrees");
     println!(
         "factorized_count: {derivations} derivations collapse into {} groups",
@@ -1172,7 +1188,7 @@ fn bench_factorized_count(c: &mut Criterion) {
     let mut group = c.benchmark_group("factorized_count");
     group.sample_size(10);
     group.bench_function("materialized", |b| b.iter(|| materialized().0));
-    group.bench_function("factorized", |b| b.iter(|| factorized().0));
+    group.bench_function("factorized", |b| b.iter(factorized));
     group.finish();
 }
 

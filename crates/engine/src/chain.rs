@@ -73,8 +73,7 @@ impl ChainTable {
     }
 
     /// The row after `i` in its chain, or [`CHAIN_END`]. Cursor primitive
-    /// for the factorized-result enumerator ([`crate::factorized`]),
-    /// which holds its position in a chain across `next()` calls.
+    /// for the factorized cover's count pass ([`crate::factorized`]).
     #[inline]
     pub(crate) fn next_row(&self, i: u32) -> u32 {
         self.next[i as usize]

@@ -1,6 +1,6 @@
 //! Columnar physical operators over [`CRel`]s: natural (hash) join,
 //! semijoin and projection — the executor under every planner (q-HD,
-//! Yannakakis, bushy trees and the join-order baselines). Every operator
+//! bushy trees and the join-order baselines). Every operator
 //! charges freshly materialized tuples to a [`Budget`], which is how the
 //! harness reproduces the paper's "did not terminate" baseline data
 //! points deterministically.

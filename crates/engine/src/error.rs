@@ -327,8 +327,8 @@ impl JoinStats {
 /// budget starts with a plain local counter; [`Budget::fork`] promotes the
 /// counter to a shared atomic and returns a sibling handle charging the
 /// *same* pool. That is how *session* threads share a ledger: the
-/// service's memory pool, the storage buffer pools and the factorized
-/// cover each hold a forked handle, every handle sees the global total,
+/// service's memory pool and the storage buffer pools each hold a forked
+/// handle, every handle sees the global total,
 /// and the limit trips if and only if the combined work exceeds it —
 /// independent of interleaving (the sum of charges is order-free). A
 /// shared handle batches its charges, so an evaluator calls

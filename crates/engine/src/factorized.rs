@@ -1,37 +1,30 @@
-//! Factorized query results (the paper's output-polynomial guarantee made
+//! Factorized aggregation (the paper's output-polynomial guarantee made
 //! practical): after semijoin reduction, keep the per-vertex reduced
 //! relations plus join-key linkage instead of materializing the full join
-//! bottom-up. The *cover* supports
+//! bottom-up. This *cover* counts answers without enumerating them —
+//! per-vertex partial counts are multiplied along join keys — and the
+//! root's counts weight its rows in the one grouping kernel
+//! ([`crate::aggregate`]), so every aggregate, HAVING, ORDER BY and LIMIT
+//! comes out as the materialized pipeline computes it ([`aggregate_cover`]).
 //!
-//! * exact answer counting and aggregation without ever enumerating the
-//!   answer — per-vertex partial counts are multiplied along join keys,
-//!   and the root's counts weight its rows in the one grouping kernel
-//!   ([`crate::aggregate`]), so every aggregate, HAVING, ORDER BY and
-//!   LIMIT comes out as the materialized pipeline computes it, and
-//! * constant-delay enumeration of the answer tuples, lazily stitching
-//!   vertex rows via `ChainTable` chain cursors.
-//!
-//! The representation is exact only when the
-//! linked relations are *stitchable* (every variable a vertex shares with
-//! its parent's scope is a column of the parent) and each vertex's answer
-//! columns functionally determine its link columns; `build_cover` verifies
-//! both and reports [`CoverError::Ineligible`] otherwise, the caller's cue
-//! to fall back to full materialization (which can spill). Denied byte
-//! reservations, answer counts past `u64` and weights a float sum cannot
-//! apply exactly degrade the same way — the factorized path never spills
-//! itself.
+//! The counts are exact only when the linked relations are *stitchable*
+//! (every variable a vertex shares with its parent's scope is a column of
+//! the parent) and each vertex's answer columns functionally determine its
+//! link columns; [`aggregate_cover`] verifies both and reports
+//! [`CoverError::Ineligible`] otherwise, the caller's cue to fall back to
+//! full materialization (which can spill). Denied byte reservations,
+//! answer counts past `u64` and weights a float sum cannot apply exactly
+//! degrade the same way — the factorized path never spills itself.
 //!
 //! See DESIGN.md §3.11 for the eligibility proof sketch.
 
 use crate::aggregate;
 use crate::chain::{ChainTable, CHAIN_END};
-use crate::column::{combine_hash, finish_hash};
 use crate::cops;
 use crate::crel::{CRel, Name};
-use crate::dict::{self, DictReader};
+use crate::dict;
 use crate::error::{Budget, EvalError};
 use crate::hash::FxHashMap;
-use crate::value::Row;
 use crate::vrel::VRelation;
 use htqo_cq::ConjunctiveQuery;
 use std::collections::HashSet;
@@ -68,39 +61,27 @@ fn fp(site: &str) -> Result<(), EvalError> {
     Ok(())
 }
 
-/// Key hash of row `i` of `rel` over columns `idx`: the single-row fold
-/// of the vectorized [`cops::key_hashes`] pass (pinned equivalent by
-/// `cops::tests::write_hashes_matches_hash_at_fold`), so a parent row
-/// probes the chains built from a child's hashes.
-fn key_hash_row(rel: &CRel, i: usize, idx: &[usize], rd: &DictReader) -> u64 {
-    finish_hash(idx.iter().fold(0u64, |acc, &c| {
-        combine_hash(acc, rel.column(c).hash_at(i, rd))
-    }))
-}
-
-/// Input to [`build_cover`]: one relation per decomposition vertex, its
-/// parent link, and its decomposition scope (χ(v) for a hypertree, the
-/// edge variables for a join forest) as variable names. Relations arrive
-/// *unreduced* — the build runs its own bottom-up semijoin pass, which the
-/// chain-match guarantee of the enumerator depends on.
+/// Input to [`aggregate_cover`]: one relation per decomposition vertex,
+/// its parent link, and its decomposition scope (χ(v)) as variable names.
+/// Relations arrive *unreduced* — the cover runs its own bottom-up
+/// semijoin pass, which the counts depend on.
 pub struct CoverInput {
     /// Per-vertex relations over the vertex's available variables.
     pub rels: Vec<CRel>,
-    /// Parent index per vertex; `None` marks a root. Forests are allowed —
-    /// the build stitches multiple roots under a synthetic neutral root
-    /// (an empty join key, i.e. a cross product).
+    /// Parent index per vertex; `None` marks the root. The links must form
+    /// one rooted tree.
     pub parents: Vec<Option<usize>>,
     /// Decomposition scope per vertex, used for the stitchability check.
     pub scopes: Vec<Vec<Name>>,
 }
 
-/// One vertex of a built [`Cover`]: its (reduced, projected) relation,
-/// the positional join key against its parent, a chain table over the key
+/// One kept vertex of a cover: its (reduced, projected) relation, the
+/// positional join key against its parent, a chain table over the key
 /// for parent→child probes, and the per-row answer count of its subtree.
 struct CoverVertex {
     rel: CRel,
-    /// Index into `Cover::verts` (BFS order, so always smaller than the
-    /// vertex's own index). The root stores `0` (unused).
+    /// Index of the parent among the kept vertices (BFS order, so always
+    /// smaller than the vertex's own index). The root stores `0` (unused).
     parent: usize,
     /// Join-key columns in this relation / in the parent's relation.
     key_self: Vec<usize>,
@@ -112,115 +93,75 @@ struct CoverVertex {
     cnt: Vec<u64>,
 }
 
-/// A factorized answer: reduced per-vertex relations linked by join keys,
-/// with per-row subtree answer counts. Produced by [`build_cover`];
-/// consumed by [`finalize_cover`] (aggregation without enumeration) or
-/// [`Cover::into_rows`] (constant-delay enumeration).
-pub struct Cover {
-    /// Kept vertices in BFS order (index 0 is the root; parents precede
-    /// children).
-    verts: Vec<CoverVertex>,
-    /// `(vertex, column)` supplying each answer variable, in
-    /// `q.out_vars()` order.
-    out: Vec<(usize, usize)>,
-    /// Answer variable names, in `q.out_vars()` order.
-    out_names: Vec<String>,
-    /// Exact number of (distinct) answer tuples.
-    total: u64,
-    /// Bytes of cover state currently charged to the budget; released by
-    /// whichever consumer finishes with the cover.
-    state_bytes: u64,
-}
-
-impl Cover {
-    /// Exact answer cardinality, computed without enumeration.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Turns the cover into a constant-delay answer enumerator. The
-    /// iterator takes over the cover's byte charges (released when it is
-    /// exhausted or dropped) and charges one tuple per emitted row against
-    /// a forked handle of `budget`.
-    pub fn into_rows(self, budget: &mut Budget) -> CoverRows {
-        CoverRows {
-            budget: budget.fork(),
-            cursors: Vec::new(),
-            started: false,
-            done: false,
-            emitted: 0,
-            state_released: false,
-            cover: self,
-        }
-    }
-}
-
-/// Everything `build_cover_inner` hands back on success.
-type Built = (Vec<CoverVertex>, Vec<(usize, usize)>, Vec<String>, u64);
-
-/// Builds a [`Cover`] over the linked relations of `input`, verifying the
-/// exactness conditions (stitchability, answer-determines-link) along the
-/// way. On any error every byte charged by the attempt is released; tuple
+/// Computes the final aggregate output of `q` — GROUP BY groups,
+/// aggregate functions, HAVING, ORDER BY, LIMIT — over the linked
+/// relations of `input` without enumerating the answer: the vertices are
+/// semijoin-reduced bottom-up and counted along their join keys, and the
+/// grouping kernel reads the root relation once, each row weighted by its
+/// subtree answer count (`aggregate::finalize_weighted`). Requires every
+/// grouping variable and aggregate input to be a root column (the
+/// caller's static eligibility check).
+///
+/// Refusals, in order: a relation past the `u32` row-index space, links
+/// that are not stitchable or do not form one rooted tree, answer columns
+/// that do not determine a vertex's link columns, an answer variable no
+/// kept vertex carries, answer counts past `u64`, and a weight the kernel
+/// cannot apply exactly; a denied reservation refuses wherever it happens.
+/// Each is [`CoverError::Ineligible`]. The bytes the cover's own state
+/// holds are released before it returns, whatever the outcome; tuple
 /// charges stay (they measure work actually performed).
-pub fn build_cover(
+pub fn aggregate_cover(
     input: CoverInput,
     q: &ConjunctiveQuery,
     budget: &mut Budget,
-) -> Result<Cover, CoverError> {
+) -> Result<VRelation, CoverError> {
     fp("factorized::build").map_err(CoverError::Eval)?;
     budget.check_time().map_err(CoverError::Eval)?;
     let mem0 = budget.mem_used();
-    match build_cover_inner(input, q, budget) {
-        Ok((verts, out, out_names, total)) => Ok(Cover {
-            verts,
-            out,
-            out_names,
-            total,
-            state_bytes: budget.mem_used().saturating_sub(mem0),
-        }),
+    let (root, weights) = match count_root(input, q, budget) {
+        Ok(root) => root,
         Err(e) => {
             budget.uncharge_bytes(budget.mem_used().saturating_sub(mem0));
-            Err(e)
+            return Err(e);
         }
-    }
+    };
+    let state_bytes = budget.mem_used().saturating_sub(mem0);
+    let out = aggregate::finalize_weighted(&root, &weights, q, budget);
+    budget.uncharge_bytes(state_bytes);
+    let out = match out {
+        Ok(Some(out)) => out,
+        Ok(None) => {
+            return Err(CoverError::Ineligible(
+                "a float outside the exact range repeats under a weight".into(),
+            ))
+        }
+        Err(e) => return Err(degrade(e)),
+    };
+    // Same final check as the materialized pipeline: a shared budget's
+    // charges are batched, so surface exhaustion before declaring success.
+    budget.check_exceeded().map_err(CoverError::Eval)?;
+    Ok(out)
 }
 
+/// The cover behind [`aggregate_cover`]: reduces, prunes and counts the
+/// linked relations of `input`, and hands back the root relation with its
+/// per-row subtree answer counts.
 #[allow(clippy::needless_range_loop)]
-fn build_cover_inner(
+fn count_root(
     input: CoverInput,
     q: &ConjunctiveQuery,
     budget: &mut Budget,
-) -> Result<Built, CoverError> {
+) -> Result<(CRel, Vec<u64>), CoverError> {
     let CoverInput {
-        mut rels,
-        mut parents,
-        mut scopes,
+        rels,
+        parents,
+        scopes,
     } = input;
-    if rels.is_empty() {
-        return Err(CoverError::Ineligible("no decomposition vertices".into()));
-    }
-    assert_eq!(rels.len(), parents.len(), "one parent link per vertex");
-    assert_eq!(rels.len(), scopes.len(), "one scope per vertex");
-
-    // A forest stitches under a synthetic neutral root: the empty join key
-    // hashes constantly, so each tree's root relation forms one chain and
-    // the trees combine as a cross product — exactly the forest semantics.
-    let roots: Vec<usize> = (0..rels.len()).filter(|&v| parents[v].is_none()).collect();
-    let root = if roots.len() == 1 {
-        roots[0]
-    } else {
-        rels.push(CRel::neutral());
-        parents.push(None);
-        scopes.push(Vec::new());
-        let r = rels.len() - 1;
-        for &v in &roots {
-            parents[v] = Some(r);
-        }
-        r
-    };
     let n = rels.len();
+    assert_eq!(n, parents.len(), "one parent link per vertex");
+    assert_eq!(n, scopes.len(), "one scope per vertex");
 
-    // Chain cursors are u32 row indices.
+    // Chain tables index rows as u32.
     if rels.iter().any(|r| r.len() >= u32::MAX as usize) {
         return Err(CoverError::Ineligible(
             "a vertex relation exceeds the u32 row-index space".into(),
@@ -244,6 +185,11 @@ fn build_cover_inner(
 
     // Parent-before-child order (BFS from the root); also validates the
     // links form one tree.
+    let not_a_tree = || CoverError::Ineligible("vertex links do not form a rooted tree".into());
+    let roots: Vec<usize> = (0..n).filter(|&v| parents[v].is_none()).collect();
+    let &[root] = roots.as_slice() else {
+        return Err(not_a_tree());
+    };
     let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
     for v in 0..n {
         if let Some(p) = parents[v] {
@@ -258,14 +204,12 @@ fn build_cover_inner(
         i += 1;
     }
     if order.len() != n {
-        return Err(CoverError::Ineligible(
-            "vertex links do not form a rooted tree".into(),
-        ));
+        return Err(not_a_tree());
     }
 
     // Bottom-up semijoin reduction, children before parents: every
     // surviving parent row then has ≥1 match in each (already reduced)
-    // child — the enumerator's chain-match guarantee.
+    // child, so no live count is zero.
     let mut opt: Vec<Option<CRel>> = rels.into_iter().map(Some).collect();
     for &v in order.iter().rev() {
         let Some(p) = parents[v] else { continue };
@@ -427,24 +371,18 @@ fn build_cover_inner(
         }
     }
 
-    // Answer variable → first kept vertex carrying it. Stitched key
-    // equality makes every carrier agree, so "first" is arbitrary.
-    let mut out_map = Vec::with_capacity(out_names.len());
+    // Every answer variable must sit on some kept vertex, or the counts
+    // would not distinguish its values.
     for name in &out_names {
-        let Some(pair) = verts
-            .iter()
-            .enumerate()
-            .find_map(|(k, vx)| vx.rel.col_index(name).map(|c| (k, c)))
-        else {
+        if !verts.iter().any(|vx| vx.rel.col_index(name).is_some()) {
             return Err(CoverError::Ineligible(format!(
                 "answer variable `{name}` is not covered by any kept vertex"
             )));
-        };
-        out_map.push(pair);
+        }
     }
 
     // Chain tables over each non-root vertex's join key (parent → child
-    // probes for both counting and enumeration).
+    // probes of the count pass).
     for k in 1..verts.len() {
         budget.check_time().map_err(CoverError::Eval)?;
         let rel = &verts[k].rel;
@@ -507,225 +445,20 @@ fn build_cover_inner(
         verts[k].cnt = cnt;
     }
 
-    let mut total: u64 = 0;
-    for &c in &verts[0].cnt {
-        total = total
-            .checked_add(c)
-            .ok_or_else(|| CoverError::Ineligible("answer count overflow".into()))?;
-    }
-
-    Ok((verts, out_map, out_names, total))
-}
-
-/// Computes the final aggregate output of `q` directly from a cover —
-/// GROUP BY groups, aggregate functions, HAVING, ORDER BY, LIMIT —
-/// without enumerating the answer: the grouping kernel reads the root
-/// relation once, each row weighted by its subtree answer count
-/// (`aggregate::finalize_weighted`). Requires every grouping variable
-/// and aggregate input to be a root column (the caller's static
-/// eligibility check). A weight the kernel cannot apply exactly and a
-/// denied reservation degrade to [`CoverError::Ineligible`]. Consumes the
-/// cover and releases its byte charges.
-pub fn finalize_cover(
-    cover: Cover,
-    q: &ConjunctiveQuery,
-    budget: &mut Budget,
-) -> Result<VRelation, CoverError> {
-    let root = &cover.verts[0];
-    let out = aggregate::finalize_weighted(&root.rel, &root.cnt, q, budget);
-    budget.uncharge_bytes(cover.state_bytes);
-    match out {
-        Ok(Some(out)) => Ok(out),
-        Ok(None) => Err(CoverError::Ineligible(
-            "a float outside the exact range repeats under a weight".into(),
-        )),
-        Err(e) => Err(degrade(e)),
-    }
-}
-
-/// Constant-delay answer enumerator over a [`Cover`]: an odometer of chain
-/// cursors, one per non-root vertex, stitching vertex rows into answer
-/// tuples on demand. Each `next()` walks at most one chain segment per
-/// vertex (hash-collision skips aside), so the delay between consecutive
-/// answers is independent of the answer count.
-///
-/// Yields `Result` rows so budget exhaustion and timeouts surface
-/// mid-stream; after an error the iterator is fused. Dropping the iterator
-/// (fully consumed or not) releases the cover's byte charges.
-pub struct CoverRows {
-    cover: Cover,
-    budget: Budget,
-    /// Current row per vertex, indexed like `Cover::verts`.
-    cursors: Vec<u32>,
-    started: bool,
-    done: bool,
-    emitted: u64,
-    state_released: bool,
-}
-
-impl CoverRows {
-    /// Answer column names, in `out(Q)` order.
-    pub fn cols(&self) -> &[String] {
-        &self.cover.out_names
-    }
-
-    fn finish(&mut self) {
-        self.done = true;
-        if !self.state_released {
-            self.state_released = true;
-            self.budget.uncharge_bytes(self.cover.state_bytes);
-        }
-    }
-
-    /// Positions vertex `k`'s cursor on the first row matching its
-    /// parent's current row. Semijoin reduction + the root being live
-    /// guarantee a match exists; a missing one is an internal error.
-    fn prime(&mut self, k: usize, rd: &DictReader) -> Result<(), EvalError> {
-        let vx = &self.cover.verts[k];
-        let parent = &self.cover.verts[vx.parent];
-        let prow = self.cursors[vx.parent] as usize;
-        let h = key_hash_row(&parent.rel, prow, &vx.key_parent, rd);
-        let table = vx.table.as_ref().expect("non-root has a table");
-        let mut j = table.head(h);
-        while j != CHAIN_END {
-            if cops::rows_key_eq(
-                &vx.rel,
-                j as usize,
-                &parent.rel,
-                prow,
-                &vx.key_self,
-                &vx.key_parent,
-                rd,
-            ) {
-                break;
-            }
-            j = table.next_row(j);
-        }
-        if j == CHAIN_END {
-            return Err(EvalError::Internal(
-                "factorized enumeration lost a guaranteed child match".into(),
-            ));
-        }
-        self.cursors[k] = j;
-        Ok(())
-    }
-
-    /// Advances vertex `k`'s cursor to the next row matching its parent's
-    /// current row, or reports exhaustion of this chain.
-    fn advance(&mut self, k: usize, rd: &DictReader) -> bool {
-        let vx = &self.cover.verts[k];
-        let parent = &self.cover.verts[vx.parent];
-        let prow = self.cursors[vx.parent] as usize;
-        let table = vx.table.as_ref().expect("non-root has a table");
-        let mut j = table.next_row(self.cursors[k]);
-        while j != CHAIN_END {
-            if cops::rows_key_eq(
-                &vx.rel,
-                j as usize,
-                &parent.rel,
-                prow,
-                &vx.key_self,
-                &vx.key_parent,
-                rd,
-            ) {
-                self.cursors[k] = j;
-                return true;
-            }
-            j = table.next_row(j);
-        }
-        false
-    }
-
-    fn step(&mut self) -> Result<Option<Row>, EvalError> {
-        fp("factorized::enumerate")?;
-        let rd = dict::reader();
-        let nv = self.cover.verts.len();
-        if !self.started {
-            self.started = true;
-            if self.cover.total == 0 {
-                return Ok(None);
-            }
-            self.cursors = vec![0; nv];
-            for k in 1..nv {
-                self.prime(k, &rd)?;
-            }
-        } else {
-            // Advance the deepest advanceable digit; re-prime everything
-            // after it. Digits advance child-most first so every parent
-            // combination pairs with every child combination exactly once.
-            let mut k = nv - 1;
-            loop {
-                if k == 0 {
-                    let next = self.cursors[0] as usize + 1;
-                    if next >= self.cover.verts[0].rel.len() {
-                        return Ok(None);
-                    }
-                    self.cursors[0] = next as u32;
-                    break;
-                }
-                if self.advance(k, &rd) {
-                    break;
-                }
-                k -= 1;
-            }
-            for j in (k + 1)..nv {
-                self.prime(j, &rd)?;
-            }
-        }
-
-        self.emitted += 1;
-        self.budget.charge(1)?;
-        if self.emitted.is_multiple_of(1024) {
-            self.budget.check_time()?;
-            self.budget.check_exceeded()?;
-        }
-        let row: Row = self
-            .cover
-            .out
-            .iter()
-            .map(|&(k, c)| {
-                self.cover.verts[k]
-                    .rel
-                    .column(c)
-                    .value_with(self.cursors[k] as usize, &rd)
-            })
-            .collect();
-        Ok(Some(row))
-    }
-}
-
-impl Iterator for CoverRows {
-    type Item = Result<Row, EvalError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        match self.step() {
-            Ok(Some(row)) => Some(Ok(row)),
-            Ok(None) => {
-                self.finish();
-                None
-            }
-            Err(e) => {
-                self.finish();
-                Some(Err(e))
-            }
-        }
-    }
-}
-
-impl Drop for CoverRows {
-    fn drop(&mut self) {
-        self.finish();
-    }
+    // The weights must sum to at most `u64::MAX` (the grouping kernel's
+    // precondition): the answer count itself must fit.
+    let root = verts.swap_remove(0);
+    (root.cnt.iter())
+        .try_fold(0u64, |total, &c| total.checked_add(c))
+        .ok_or_else(|| CoverError::Ineligible("answer count overflow".into()))?;
+    Ok((root.rel, root.cnt))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Value;
-    use htqo_cq::CqBuilder;
+    use crate::value::{Row, Value};
+    use htqo_cq::{AggFunc, CqBuilder, OutputItem};
 
     fn rel(cols: &[&str], rows: &[&[i64]]) -> CRel {
         CRel::from_vrel(&vrel(cols, rows))
@@ -740,8 +473,32 @@ mod tests {
         )
     }
 
-    /// R(a,b) ⋈ S(b,c): 2×2 fan-out per b value.
-    fn two_vertex_input() -> (CoverInput, ConjunctiveQuery) {
+    /// `COUNT(*)` over the answer tuples of `q`: its head variables become
+    /// hidden output columns (the SQL isolator's device for rowid guards),
+    /// so they stay in `out(Q)` without being grouped.
+    fn count_star(mut q: ConjunctiveQuery) -> ConjunctiveQuery {
+        for item in &mut q.output {
+            if let OutputItem::Var { var, label } = item {
+                *label = format!("{}{var}", htqo_cq::isolator::ROWID_VAR_PREFIX);
+            }
+        }
+        q.output.push(OutputItem::Aggregate {
+            func: AggFunc::Count,
+            expr: None,
+            label: "n".into(),
+        });
+        q
+    }
+
+    fn rows(out: &VRelation) -> Vec<Row> {
+        let mut rows = out.rows().to_vec();
+        rows.sort();
+        rows
+    }
+
+    #[test]
+    fn counts_two_vertex_join() {
+        // R(a,b) ⋈ S(b,c): 2×2 fan-out per b value.
         let r = rel(&["a", "b"], &[&[1, 10], &[2, 10], &[3, 20]]);
         let s = rel(&["b", "c"], &[&[10, 7], &[10, 8], &[20, 9], &[30, 5]]);
         let q = CqBuilder::new()
@@ -751,42 +508,15 @@ mod tests {
             .out_var("b")
             .out_var("c")
             .build();
-        (
-            CoverInput {
-                rels: vec![r, s],
-                parents: vec![None, Some(0)],
-                scopes: vec![vec!["a".into(), "b".into()], vec!["b".into(), "c".into()]],
-            },
-            q,
-        )
-    }
-
-    #[test]
-    fn counts_and_enumerates_two_vertex_join() {
-        let (input, q) = two_vertex_input();
+        let input = CoverInput {
+            rels: vec![r, s],
+            parents: vec![None, Some(0)],
+            scopes: vec![vec!["a".into(), "b".into()], vec!["b".into(), "c".into()]],
+        };
         let mut budget = Budget::unlimited();
-        let cover = build_cover(input, &q, &mut budget).expect("eligible");
+        let out = aggregate_cover(input, &count_star(q), &mut budget).expect("eligible");
         // a=1,2 × c=7,8 (b=10) plus a=3 × c=9 (b=20) = 5 answers.
-        assert_eq!(cover.total(), 5);
-        assert!(cover.state_bytes > 0);
-        let mut rows: Vec<Row> = cover
-            .into_rows(&mut budget)
-            .collect::<Result<_, _>>()
-            .expect("no budget in play");
-        rows.sort();
-        let expect = vrel(
-            &["a", "b", "c"],
-            &[
-                &[1, 10, 7],
-                &[1, 10, 8],
-                &[2, 10, 7],
-                &[2, 10, 8],
-                &[3, 20, 9],
-            ],
-        );
-        assert_eq!(rows, expect.rows().to_vec());
-        // The enumerator released every byte it held.
-        assert_eq!(budget.mem_used(), 0);
+        assert_eq!(rows(&out), vrel(&["n"], &[&[5]]).rows().to_vec());
     }
 
     #[test]
@@ -800,7 +530,7 @@ mod tests {
             .atom_vars("R", &["b", "__rid_r"])
             .atom_vars("S", &["b", "__rid_s"])
             .out_var("b")
-            .out_agg(htqo_cq::AggFunc::Count, None, "n")
+            .out_agg(AggFunc::Count, None, "n")
             .out_var("__rid_r")
             .out_var("__rid_s")
             .group("b")
@@ -814,13 +544,9 @@ mod tests {
             ],
         };
         let mut budget = Budget::unlimited();
-        let cover = build_cover(input, &q, &mut budget).expect("eligible");
-        assert_eq!(cover.total(), 5);
-        let out = finalize_cover(cover, &q, &mut budget).expect("countable");
-        let mut rows = out.rows().to_vec();
-        rows.sort();
+        let out = aggregate_cover(input, &q, &mut budget).expect("countable");
         let expect = vrel(&["b", "n"], &[&[10, 4], &[20, 1]]);
-        assert_eq!(rows, expect.rows().to_vec());
+        assert_eq!(rows(&out), expect.rows().to_vec());
     }
 
     /// A float sum over a root row of weight 2: exact money is doubled in
@@ -838,7 +564,7 @@ mod tests {
                 .atom_vars("R", &["b", "x"])
                 .atom_vars("S", &["b", "__rid_s"])
                 .out_agg(
-                    htqo_cq::AggFunc::Sum,
+                    AggFunc::Sum,
                     Some(htqo_cq::ScalarExpr::Var("x".into())),
                     "s",
                 )
@@ -853,8 +579,7 @@ mod tests {
                 ],
             };
             let mut budget = Budget::unlimited();
-            let cover = build_cover(input, &q, &mut budget).expect("eligible");
-            match finalize_cover(cover, &q, &mut budget) {
+            match aggregate_cover(input, &q, &mut budget) {
                 Ok(out) => {
                     assert!(exact, "{x}");
                     assert_eq!(out.value(0, "s"), Some(&Value::Float(0.2)));
@@ -866,49 +591,6 @@ mod tests {
                 Err(CoverError::Eval(e)) => panic!("{e}"),
             }
         }
-    }
-
-    #[test]
-    fn forest_stitches_as_cross_product() {
-        let r = rel(&["a"], &[&[1], &[2]]);
-        let s = rel(&["b"], &[&[7], &[8], &[9]]);
-        let q = CqBuilder::new()
-            .atom_vars("R", &["a"])
-            .atom_vars("S", &["b"])
-            .out_var("a")
-            .out_var("b")
-            .build();
-        let input = CoverInput {
-            rels: vec![r, s],
-            parents: vec![None, None],
-            scopes: vec![vec!["a".into()], vec!["b".into()]],
-        };
-        let mut budget = Budget::unlimited();
-        let cover = build_cover(input, &q, &mut budget).expect("eligible");
-        assert_eq!(cover.total(), 6);
-        let rows: Result<Vec<Row>, _> = cover.into_rows(&mut budget).collect();
-        assert_eq!(rows.expect("ok").len(), 6);
-    }
-
-    #[test]
-    fn empty_component_empties_the_forest() {
-        let r = rel(&["a"], &[&[1]]);
-        let s = rel(&["b"], &[]);
-        let q = CqBuilder::new()
-            .atom_vars("R", &["a"])
-            .atom_vars("S", &["b"])
-            .out_var("a")
-            .out_var("b")
-            .build();
-        let input = CoverInput {
-            rels: vec![r, s],
-            parents: vec![None, None],
-            scopes: vec![vec!["a".into()], vec!["b".into()]],
-        };
-        let mut budget = Budget::unlimited();
-        let cover = build_cover(input, &q, &mut budget).expect("eligible");
-        assert_eq!(cover.total(), 0);
-        assert_eq!(cover.into_rows(&mut budget).count(), 0);
     }
 
     #[test]
@@ -929,21 +611,18 @@ mod tests {
             scopes: vec![vec!["a".into()], vec!["a".into(), "x".into()]],
         };
         let mut budget = Budget::unlimited();
-        match build_cover(input, &q, &mut budget) {
+        match aggregate_cover(input, &count_star(q), &mut budget) {
             Err(CoverError::Ineligible(reason)) => {
                 assert!(reason.contains("determine"), "unexpected reason: {reason}")
             }
-            other => panic!(
-                "expected FD ineligibility, got {:?}",
-                other.map(|c| c.total())
-            ),
+            other => panic!("expected FD ineligibility, got {other:?}"),
         }
         // The failed attempt released everything it charged.
         assert_eq!(budget.mem_used(), 0);
     }
 
     #[test]
-    fn boolean_query_emits_one_empty_row() {
+    fn boolean_query_counts_one_answer() {
         let r = rel(&["a"], &[&[1], &[2]]);
         let q = CqBuilder::new().atom_vars("R", &["a"]).build();
         let input = CoverInput {
@@ -952,9 +631,7 @@ mod tests {
             scopes: vec![vec!["a".into()]],
         };
         let mut budget = Budget::unlimited();
-        let cover = build_cover(input, &q, &mut budget).expect("eligible");
-        assert_eq!(cover.total(), 1);
-        let rows: Result<Vec<Row>, _> = cover.into_rows(&mut budget).collect();
-        assert_eq!(rows.expect("ok"), vec![Vec::new().into_boxed_slice()]);
+        let out = aggregate_cover(input, &count_star(q), &mut budget).expect("eligible");
+        assert_eq!(rows(&out), vrel(&["n"], &[&[1]]).rows().to_vec());
     }
 }

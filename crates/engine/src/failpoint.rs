@@ -56,7 +56,6 @@ pub const SITES: &[&str] = &[
     "cops::seek",
     "cops::semijoin",
     "factorized::build",
-    "factorized::enumerate",
     "qeval::bottom_up",
     "qeval::vertex",
     "scan::atom",

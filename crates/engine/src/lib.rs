@@ -22,9 +22,9 @@
 //!   `__rowid` multiplicity guard;
 //! - [`aggregate`]: GROUP BY / aggregate finalization (step (4) of the
 //!   paper's evaluation pipeline);
-//! - [`factorized`]: cover-based factorized results over a decomposition
-//!   tree — aggregate pushdown and constant-delay answer enumeration
-//!   without materializing the join;
+//! - [`factorized`]: the factorized cover over a decomposition tree —
+//!   aggregates from per-vertex answer counts, without materializing the
+//!   join;
 //! - [`spill`]: the Grace spill path of joins and aggregation under a
 //!   memory cap;
 //! - [`exec`] / [`hash`]: the process-wide defaults of the execution
@@ -60,7 +60,7 @@ pub use crel::{CRel, Name};
 pub use csv::{read_csv, read_csv_budgeted, write_csv, CsvError};
 pub use error::{Budget, CancelToken, EvalError, JoinStats, SpillMode, SpillStats};
 pub use exec::ExecOptions;
-pub use factorized::{build_cover, finalize_cover, Cover, CoverError, CoverInput, CoverRows};
+pub use factorized::{aggregate_cover, CoverError, CoverInput};
 pub use index::{JoinIndex, MemIndex};
 pub use relation::{Relation, RelationError, RowLoader};
 pub use schema::{Column, ColumnType, Database, Schema};

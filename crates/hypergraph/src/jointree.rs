@@ -65,16 +65,6 @@ impl JoinForest {
             .collect()
     }
 
-    /// Children of `e`.
-    pub fn children(&self, e: EdgeId) -> Vec<EdgeId> {
-        self.parent
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| **p == Some(e))
-            .map(|(i, _)| EdgeId(i as u32))
-            .collect()
-    }
-
     /// True if the forest is a single tree (exactly one root, or empty).
     pub fn is_tree(&self) -> bool {
         self.roots().len() <= 1
@@ -127,24 +117,6 @@ impl JoinForest {
         }
         true
     }
-
-    /// Pretty-prints the forest using hyperedge names from `h`.
-    pub fn display(&self, h: &Hypergraph) -> String {
-        let mut out = String::new();
-        for root in self.roots() {
-            self.display_rec(h, root, 0, &mut out);
-        }
-        out
-    }
-
-    fn display_rec(&self, h: &Hypergraph, node: EdgeId, depth: usize, out: &mut String) {
-        out.push_str(&"  ".repeat(depth));
-        out.push_str(h.edge_name(node));
-        out.push('\n');
-        for c in self.children(node) {
-            self.display_rec(h, c, depth + 1, out);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -170,7 +142,8 @@ mod tests {
         assert!(f.is_valid_for(&h));
         assert!(f.is_tree());
         assert_eq!(f.roots(), vec![EdgeId(1)]);
-        assert_eq!(f.children(EdgeId(1)).len(), 2);
+        assert_eq!(f.parent(EdgeId(0)), Some(EdgeId(1)));
+        assert_eq!(f.parent(EdgeId(2)), Some(EdgeId(1)));
     }
 
     #[test]
@@ -211,16 +184,5 @@ mod tests {
         let mut f = JoinForest::isolated(&h);
         f.attach(EdgeId(0), EdgeId(1));
         f.attach(EdgeId(1), EdgeId(0));
-    }
-
-    #[test]
-    fn display_names_nodes() {
-        let h = path3();
-        let mut f = JoinForest::isolated(&h);
-        f.attach(EdgeId(0), EdgeId(1));
-        f.attach(EdgeId(2), EdgeId(1));
-        let d = f.display(&h);
-        assert!(d.contains('s'));
-        assert!(d.contains("  r"));
     }
 }

@@ -70,7 +70,7 @@ pub mod prelude {
     pub use htqo_engine::{
         Budget, CancelToken, Database, EvalError, Relation, Schema, VRelation, Value,
     };
-    pub use htqo_eval::{evaluate_naive, evaluate_qhd, evaluate_yannakakis};
+    pub use htqo_eval::{evaluate_naive, evaluate_qhd};
     pub use htqo_hypergraph::{acyclic, Hypergraph};
     pub use htqo_optimizer::{
         execute_views, rewrite_to_views, DbmsSim, HybridOptimizer, QueryOutcome, RetryPolicy, Rung,

@@ -1,10 +1,11 @@
 //! Property tests for the factorized result layer: on random
 //! star-with-rowids aggregate queries — COUNT, integer and float SUM,
-//! AVG, GROUP BY, ORDER BY and LIMIT — the cover-based pipelines (pushed-
-//! down aggregation and the constant-delay answer enumerator) must agree
-//! **bit-identically and in order** with the materialized oracle, also
-//! under random byte limits (where the factorized path must degrade to
-//! materialization rather than change the answer). The byte-limit
+//! AVG, GROUP BY, ORDER BY and LIMIT — aggregation pushed down into the
+//! cover must agree **bit-identically and in order** with the
+//! materialized oracle, also under random byte limits (where the
+//! factorized path must degrade to materialization rather than change the
+//! answer), and over a plan no cover can link it must refuse for that
+//! reason and still answer. The byte-limit
 //! property also holds the join-order baseline (`evaluate_join_order` +
 //! `finalize_c`) to the same limits: it is the unlimited oracle, and
 //! under a limit it spills to the same answer or fails with a typed
@@ -13,10 +14,9 @@
 use htqo::prelude::*;
 use htqo_cq::{AggFunc, CqBuilder, ScalarExpr, SortDir};
 use htqo_engine::schema::{ColumnType, Schema};
-use htqo_engine::value::Row;
 use htqo_eval::{
-    evaluate_qhd_query_traced, evaluate_qhd_query_with, evaluate_qhd_with,
-    evaluate_yannakakis_query_with, qhd_answer_rows, ExecOptions, FactorizedTrace,
+    evaluate_qhd_query_traced, evaluate_qhd_query_with, evaluate_qhd_with, ExecOptions,
+    FactorizedTrace,
 };
 use proptest::prelude::*;
 
@@ -169,12 +169,6 @@ fn build(shape: &Shape) -> (Database, ConjunctiveQuery) {
     (db, b.build())
 }
 
-fn sorted_rows(v: &VRelation) -> Vec<Row> {
-    let mut rows = v.rows().to_vec();
-    rows.sort();
-    rows
-}
-
 /// The rows in order, floats by their bits.
 fn bits(v: &VRelation) -> Vec<String> {
     (v.rows().iter())
@@ -201,9 +195,10 @@ fn materialized(
 }
 
 /// A 6-cycle `p_i(V_i, V_{i+1})` with the chord `c(V0, V2)`, answering
-/// `(V1, V4)`, over the shape's sizes and seed. Its q-HD is not
-/// stitchable — a vertex's χ holds a variable only its children supply —
-/// so no cover can link its vertices, whatever the data.
+/// `COUNT(*)` and `SUM(V4)` grouped by `V1, V4` (so `out(Q) = {V1, V4}`),
+/// over the shape's sizes and seed. Its q-HD is not stitchable — a
+/// vertex's χ holds a variable only its children supply — so no cover can
+/// link its vertices, whatever the data.
 fn unstitchable(shape: &Shape) -> (Database, ConjunctiveQuery) {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -224,7 +219,13 @@ fn unstitchable(shape: &Shape) -> (Database, ConjunctiveQuery) {
         let (l, r) = (format!("V{l}"), format!("V{r}"));
         b = b.atom(&name, &name, &[("l", &l), ("r", &r)]);
     }
-    (db, b.out_var("V1").out_var("V4").build())
+    let q = (b.out_var("V1").out_var("V4"))
+        .out_agg(AggFunc::Count, None, "n")
+        .out_agg(AggFunc::Sum, Some(ScalarExpr::Var("V4".into())), "s")
+        .group("V1")
+        .group("V4")
+        .build();
+    (db, q)
 }
 
 /// True if some float the aggregates read cannot be repeated exactly, so
@@ -256,37 +257,23 @@ proptest! {
         prop_assert_eq!(bits(&fact), bits(&mat));
     }
 
-    /// The same equality for the Yannakakis (join forest) pipelines.
+    /// Over the unstitchable plan, an aggregate whose inputs the root
+    /// carries passes the root-coverage check and is refused for
+    /// stitchability, and the front answers it from the materialized join
+    /// with the oracle's bits.
     #[test]
-    fn yannakakis_factorized_aggregate_matches_materialized(shape in arb_shape()) {
-        let (db, q) = build(&shape);
-        let mut b1 = Budget::unlimited();
-        let fact = evaluate_yannakakis_query_with(&db, &q, &mut b1, &ExecOptions::default()).unwrap();
-        let mut b2 = Budget::unlimited();
-        let ans = evaluate_yannakakis(&db, &q, &mut b2).unwrap();
-        let mat = htqo_engine::aggregate::finalize(&ans, &q, &mut b2).unwrap();
-        prop_assert_eq!(fact.cols(), mat.cols());
-        prop_assert_eq!(bits(&fact), bits(&mat));
-    }
-
-    /// The constant-delay enumerator streams exactly the materialized
-    /// answer multiset over `out(Q)`: from the cover over the star, and,
-    /// over an unstitchable plan, as the materialized answer moved out row
-    /// by row.
-    #[test]
-    fn enumerator_streams_the_materialized_answer(shape in arb_shape()) {
-        for (factorized, (db, q)) in [(true, build(&shape)), (false, unstitchable(&shape))] {
-            let plan = q_hypertree_decomp(&q, &QhdOptions::default(), &StructuralCost).unwrap();
-            let ans = evaluate_qhd(&db, &q, &plan, &mut Budget::unlimited()).unwrap();
-            let mut b1 = Budget::unlimited();
-            let it = qhd_answer_rows(&db, &q, &plan, &mut b1, &ExecOptions::default()).unwrap();
-            prop_assert_eq!(it.is_factorized(), factorized);
-            let cols = it.cols().to_vec();
-            let mut rows: Vec<Row> = it.collect::<Result<_, _>>().unwrap();
-            rows.sort();
-            prop_assert_eq!(cols, ans.cols().to_vec());
-            prop_assert_eq!(rows, sorted_rows(&ans), "factorized={}", factorized);
-        }
+    fn unstitchable_aggregate_falls_back_for_stitchability(shape in arb_shape()) {
+        let (db, q) = unstitchable(&shape);
+        let plan = q_hypertree_decomp(&q, &QhdOptions::default(), &StructuralCost).unwrap();
+        let mut trace = FactorizedTrace::default();
+        let out = evaluate_qhd_query_traced(
+            &db, &q, &plan, &mut Budget::unlimited(), &ExecOptions::default(), &mut trace,
+        ).unwrap();
+        prop_assert!(!trace.factorized);
+        let reason = trace.fallback.unwrap_or_default();
+        prop_assert!(reason.contains("only its children supply it"), "fell back for: {}", reason);
+        let mat = materialized(&db, &q, &plan, &mut Budget::unlimited()).unwrap();
+        prop_assert_eq!(bits(&out), bits(&mat));
     }
 
     /// Under a random byte limit the factorized front never *loses*

@@ -310,17 +310,6 @@ fn decomposition_failure_is_typed() {
 }
 
 #[test]
-fn yannakakis_refuses_cyclic_input() {
-    let db = db();
-    let q = chain_query(4);
-    let mut budget = Budget::unlimited();
-    assert!(matches!(
-        evaluate_yannakakis(&db, &q, &mut budget),
-        Err(EvalError::Internal(_))
-    ));
-}
-
-#[test]
 fn missing_table_at_execution_is_typed() {
     // The query references a table the database does not have; planning
     // succeeds (it is purely structural) but execution reports the table.
