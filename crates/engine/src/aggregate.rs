@@ -58,7 +58,8 @@ pub fn finalize(
 /// Computes the final output of `q` from the answer relation of `CQ(Q)`.
 ///
 /// `answer` must contain every variable of `out(Q)` as a column (hidden
-/// rowid variables included); its rows are assumed distinct. The
+/// rowid variables included); its rows must be distinct (a debug build
+/// checks that of a plain answer, whose projection relies on it). The
 /// grouping/projection front runs column-at-a-time (vectorized group-key
 /// hashing, gather-based layout), then the small post-aggregation result
 /// flows through the HAVING / ORDER BY / LIMIT tail.
@@ -76,12 +77,16 @@ pub fn finalize_c(
         // variables (set semantics, matching the CQ answer definition),
         // then lay the columns out in SELECT order (a variable may be
         // selected more than once: a column clone, not a per-row copy).
+        // The answer's rows are distinct already, so a projection that
+        // keeps every column only permutes them and needs no dedup.
+        debug_assert!(rows_distinct(answer), "finalize_c: answer rows repeat");
         let vars = head_vars(&visible);
         let distinct_vars: Vec<&str> = (vars.iter().enumerate())
             .filter(|&(i, v)| !vars[..i].contains(v))
             .map(|(_, v)| *v)
             .collect();
-        let projected = cops::project(answer, &distinct_vars, true, budget)?;
+        let dedup = distinct_vars.len() < answer.cols().len();
+        let projected = cops::project(answer, &distinct_vars, dedup, budget)?;
         let idx: Vec<usize> = vars
             .iter()
             .map(|v| projected.col_index(v).expect("just projected"))
@@ -174,13 +179,33 @@ fn finalize_tail(
             .iter()
             .map(|(label, dir)| (label.clone(), *dir == SortDir::Desc))
             .collect();
-        sort_by(&result, &keys)?
+        sort_by(result, &keys)?
     };
     Ok(match q.limit {
         Some(n) if n < result.len() => {
-            VRelation::from_rows(result.cols().to_vec(), result.rows()[..n].to_vec())
+            let cols = result.cols().to_vec();
+            let mut rows = result.into_rows();
+            rows.truncate(n);
+            VRelation::from_rows(cols, rows)
         }
         _ => result,
+    })
+}
+
+/// True if no row of `a` repeats — [`finalize_c`]'s precondition. The
+/// rows are sorted by key hash and each is compared with the rows of
+/// equal hash before it; no fail point or budget is involved.
+fn rows_distinct(a: &CRel) -> bool {
+    let all: Vec<usize> = (0..a.cols().len()).collect();
+    let reader = dict::reader();
+    let hashes = cops::key_hashes(a, &all, &reader);
+    let mut order: Vec<usize> = (0..a.len()).collect();
+    order.sort_unstable_by_key(|&i| hashes[i]);
+    order.chunk_by(|&i, &j| hashes[i] == hashes[j]).all(|run| {
+        (0..run.len()).all(|k| {
+            let i = run[k];
+            (run[..k].iter()).all(|&j| !cops::rows_key_eq(a, i, a, j, &all, &all, &reader))
+        })
     })
 }
 
@@ -205,7 +230,7 @@ fn select_rows(
 /// Sorts rows by the given `(column, descending)` keys, then by the whole
 /// row, in [`Value`]'s total order (stable: rows equal in it keep their
 /// order).
-fn sort_by(a: &VRelation, keys: &[(String, bool)]) -> Result<VRelation, EvalError> {
+fn sort_by(a: VRelation, keys: &[(String, bool)]) -> Result<VRelation, EvalError> {
     let idx: Vec<(usize, bool)> = keys
         .iter()
         .map(|(v, desc)| {
@@ -214,7 +239,8 @@ fn sort_by(a: &VRelation, keys: &[(String, bool)]) -> Result<VRelation, EvalErro
                 .ok_or_else(|| EvalError::UnknownVariable(v.clone()))
         })
         .collect::<Result<_, _>>()?;
-    let mut rows = a.rows().to_vec();
+    let cols = a.cols().to_vec();
+    let mut rows = a.into_rows();
     rows.sort_by(|x, y| {
         for &(i, desc) in &idx {
             let ord = x[i].cmp(&y[i]);
@@ -224,7 +250,7 @@ fn sort_by(a: &VRelation, keys: &[(String, bool)]) -> Result<VRelation, EvalErro
         }
         x.cmp(y)
     });
-    Ok(VRelation::from_rows(a.cols().to_vec(), rows))
+    Ok(VRelation::from_rows(cols, rows))
 }
 
 /// Appends `_2`, `_3`, … to repeated labels.
@@ -978,6 +1004,53 @@ mod tests {
         assert_eq!(out.value(1, "X"), Some(&Value::Int(2)));
     }
 
+    /// ORDER BY ties are broken on the whole output row, and LIMIT keeps
+    /// a prefix of that order: nothing under `LIMIT 0`, all but the last
+    /// row under `LIMIT n−1`, every row from `LIMIT n` on. The charges do
+    /// not depend on the limit.
+    #[test]
+    fn order_by_ties_break_on_the_whole_row_under_limits() {
+        let rows = [[2, 7], [1, 9], [2, 3], [1, 4], [2, 5]];
+        let a = answer(
+            &["G", "X"],
+            (rows.iter())
+                .map(|r| r.iter().map(|&v| Value::Int(v)).collect())
+                .collect(),
+        );
+        let query = |limit: Option<usize>| {
+            let b = CqBuilder::new()
+                .atom_vars("r", &["G", "X"])
+                .out_var("X")
+                .out_var("G")
+                .order("G", SortDir::Desc);
+            match limit {
+                Some(n) => b.limit(n),
+                None => b,
+            }
+            .build()
+        };
+        let cells =
+            |r: &VRelation| -> Vec<Vec<Value>> { r.rows().iter().map(|r| r.to_vec()).collect() };
+        let int = |v: &[[i64; 2]]| -> Vec<Vec<Value>> {
+            v.iter()
+                .map(|r| r.iter().map(|&x| Value::Int(x)).collect())
+                .collect()
+        };
+        // `(X, G)` rows: `G` descending, ties on `X` then `G` ascending.
+        let want = int(&[[3, 2], [5, 2], [7, 2], [4, 1], [9, 1]]);
+        let mut unlimited = Budget::unlimited();
+        let all = finalize(&a, &query(None), &mut unlimited).unwrap();
+        assert_eq!(cells(&all), want);
+        let n = rows.len();
+        for limit in [0, n - 1, n, n + 3] {
+            let mut budget = Budget::unlimited();
+            let out = finalize(&a, &query(Some(limit)), &mut budget).unwrap();
+            assert_eq!(out.cols(), all.cols());
+            assert_eq!(cells(&out), want[..limit.min(n)], "LIMIT {limit}");
+            assert_eq!(budget.charged(), unlimited.charged(), "LIMIT {limit}");
+        }
+    }
+
     /// The columnar front agrees with the row-at-a-time reference —
     /// answers and budget charges — across the aggregate, projection,
     /// HAVING and ORDER BY paths.
@@ -1416,12 +1489,13 @@ mod tests {
                 .collect()
         };
         let a = answer(&["x", "y"], int_rows(&[[1, 3], [2, 1], [1, 1]]));
-        let sorted = sort_by(&a, &[("x".to_string(), false), ("y".to_string(), true)]).unwrap();
+        let keys = [("x".to_string(), false), ("y".to_string(), true)];
+        let sorted = sort_by(a.clone(), &keys).unwrap();
         assert_eq!(
             sorted,
             answer(&["x", "y"], int_rows(&[[1, 3], [1, 1], [2, 1]]))
         );
-        assert!(sort_by(&a, &[("zz".to_string(), false)]).is_err());
+        assert!(sort_by(a, &[("zz".to_string(), false)]).is_err());
     }
 
     proptest::proptest! {
@@ -1438,7 +1512,7 @@ mod tests {
                     .collect(),
             );
             let keys: Vec<(String, bool)> = a.cols().iter().map(|c| (c.clone(), false)).collect();
-            let sorted = sort_by(&a, &keys).unwrap();
+            let sorted = sort_by(a.clone(), &keys).unwrap();
             proptest::prop_assert_eq!(sorted.sorted_rows(), a.sorted_rows());
             for w in sorted.rows().windows(2) {
                 proptest::prop_assert!(w[0] <= w[1]);

@@ -11,9 +11,12 @@
 //!   finished `P′` relation of each child that is decisively smaller
 //!   ([`cops::narrow`], the bottom-up half of the Yannakakis program);
 //!   this removes only rows no answer extends, so `P″` is unchanged;
-//! - `P″` — bottom-up, join each vertex's relation with its children's
-//!   results and project onto `χ(p)`, visiting *support children first*
-//!   (the ordering caveat at the end of Section 4.1);
+//! - `P″` — bottom-up, apply each child's result to its vertex's
+//!   relation: a child that carries no χ(p) variable the relation lacks
+//!   only filters it and is applied as a semijoin; a child that supplies
+//!   one (a variable `Optimize` took from λ(p)) is joined and the result
+//!   projected onto `χ(p)`. Filters go first, the rest *support children
+//!   first* (the ordering caveat at the end of Section 4.1);
 //! - `P‴` — project the root onto `out(Q)`.
 //!
 //! Because the root covers all output variables (Condition 2), no top-down
@@ -185,6 +188,18 @@ fn vertex_join(
     cops::join_vertex(selected, chi, budget)
 }
 
+/// `P″` below and at `p`: the children's results first, then each child
+/// applied to `p`'s `P′` relation, which stays projected onto χ(p).
+///
+/// A child whose χ(p) variables the relation already holds is a
+/// *filter*: its distinct projection onto χ(p) holds only columns of
+/// the relation, so joining that projection adds no column and meets
+/// each row at most once. It is applied as the semijoin `acc ⋉ child`
+/// ([`cops::semijoin`]) — no child projection, no join table, no output
+/// gather. The filters go first, against `P′(p)`; the other children
+/// follow in support-first order, each again a filter if an earlier join
+/// has by then supplied its χ(p) variables. Only a child that supplies a
+/// variable `Optimize` took from λ(p) is still joined.
 fn eval_bottom_up(
     tree: &htqo_core::Hypertree,
     p: NodeId,
@@ -197,30 +212,66 @@ fn eval_bottom_up(
     let support = &node.support_children;
     let rest = node.children.iter().filter(|c| !support.contains(c));
 
-    // Evaluate the subtrees below the children, then fold the joins in
-    // support-first order below.
+    // Evaluate the subtrees below the children, then apply them in the
+    // order above.
     htqo_engine::fail_point!("qeval::bottom_up");
-    let children = (support.iter().chain(rest))
-        .map(|&c| eval_bottom_up(tree, c, chi_names, vertex_rel, budget))
-        .collect::<Result<Vec<CRel>, EvalError>>()?;
+    let mut children = (support.iter().chain(rest))
+        .map(|&c| eval_bottom_up(tree, c, chi_names, vertex_rel, budget).map(Some))
+        .collect::<Result<Vec<Option<CRel>>, EvalError>>()?;
 
+    let chi = &chi_names[p.index()];
     let mut acc = vertex_rel[p.index()]
         .take()
         .expect("vertex relation computed");
-    for child in children {
-        budget.check_time()?;
-        // Early projection: by the connectedness condition, the only child
-        // variables the parent (or any sibling) can ever see are those in
-        // χ(p), so the rest are dead weight — drop them (with dedup)
-        // before the join instead of after.
-        let child = cops::project_onto_available(child, &chi_names[p.index()], budget)?;
-        acc = cops::natural_join(&acc, &child, budget)?;
-        // Project eagerly after each child join to keep intermediates at
-        // χ(p) arity (still a *join*, not a semijoin: children may supply
-        // χ(p) variables the vertex's own atoms lack).
-        acc = cops::project_onto_available(acc, &chi_names[p.index()], budget)?;
+    // Two passes over the children: the filters, then all that is left.
+    for filters_only in [true, false] {
+        for slot in &mut children {
+            let is_filter = slot
+                .as_ref()
+                .is_some_and(|c| supplies_nothing(&acc, c, chi));
+            let Some(child) = slot.take_if(|_| is_filter || !filters_only) else {
+                continue;
+            };
+            budget.check_time()?;
+            acc = if is_filter {
+                filter(acc, child, chi, budget)?
+            } else {
+                join(acc, child, chi, budget)?
+            };
+        }
     }
     Ok(acc)
+}
+
+/// True if every χ(p) variable `child` carries is already a column of
+/// `acc`.
+fn supplies_nothing(acc: &CRel, child: &CRel, chi: &[Name]) -> bool {
+    (child.cols().iter()).all(|v| !chi.contains(v) || acc.col_index(v).is_some())
+}
+
+/// `acc ⋉ child`. The shared variables are the χ(p) variables `child`
+/// carries, since `acc`'s columns lie in χ(p). A semijoin that runs out
+/// of memory — typically its key set's reservation denied — gives way to
+/// [`join`], which can spill; the answer is the same set, and a limit
+/// that is really exhausted fails there.
+fn filter(acc: CRel, child: CRel, chi: &[Name], budget: &mut Budget) -> Result<CRel, EvalError> {
+    match cops::semijoin(&acc, &child, budget) {
+        Err(EvalError::MemoryExceeded { .. }) => join(acc, child, chi, budget),
+        filtered => filtered,
+    }
+}
+
+/// `acc ⋈ child`, projected onto χ(p).
+fn join(acc: CRel, child: CRel, chi: &[Name], budget: &mut Budget) -> Result<CRel, EvalError> {
+    // Early projection: by the connectedness condition, the only child
+    // variables the parent (or any sibling) can ever see are those in
+    // χ(p), so the rest are dead weight — drop them (with dedup) before
+    // the join instead of after.
+    let child = cops::project_onto_available(child, chi, budget)?;
+    let joined = cops::natural_join(&acc, &child, budget)?;
+    // Project eagerly after each join to keep intermediates at χ(p)
+    // arity.
+    cops::project_onto_available(joined, chi, budget)
 }
 
 /// Evaluates `q` end-to-end: q-hypertree evaluation followed by the final

@@ -7,7 +7,11 @@
 //! Measured before the columnar operators shared their variable names,
 //! moved the relations they own and sized their lists once: 285
 //! allocations for the 4-atom line and 392 for the 5-atom cycle, either
-//! route; after: 133 and 190. Each bound is half of the first figure.
+//! route; after: 133 and 190. Since `P″` applies a child that supplies no
+//! χ(p) variable as a semijoin and a plain answer is deduplicated once:
+//! 115 and 154, three of them the check of a debug build that the answer
+//! is distinct. Each bound is the last measured count, well under half of
+//! the first.
 //!
 //! (Integration test = its own binary, so the global allocator counts
 //! only this file's work.)
@@ -28,8 +32,8 @@ const LINE: &str = "SELECT a.l FROM p3 a, p7 b, p1 c, p5 d \
 const CYCLE: &str = "SELECT a.l FROM p2 a, p8 b, p4 c, p0 d, p6 e \
                      WHERE a.r = b.l AND b.r = c.l AND d.l = c.r AND d.r = e.l AND e.r = a.l";
 
-/// `(statement, parent's allocations per execution)`.
-const PINS: [(&str, usize); 2] = [(LINE, 285), (CYCLE, 392)];
+/// `(statement, allocations per execution it may make)`.
+const PINS: [(&str, usize); 2] = [(LINE, 115), (CYCLE, 154)];
 
 #[test]
 fn a_served_statement_allocates_at_most_half_of_what_it_did() {
@@ -39,7 +43,7 @@ fn a_served_statement_allocates_at_most_half_of_what_it_did() {
     let optimizer = HybridOptimizer::with_stats(QhdOptions::default(), stats);
     let service = QueryService::new(db, optimizer, ServiceConfig::default());
     let session = service.session();
-    for (sql, parent) in PINS {
+    for (sql, bound) in PINS {
         let q = isolate(
             &parse_select(sql).unwrap(),
             service.database(),
@@ -64,8 +68,8 @@ fn a_served_statement_allocates_at_most_half_of_what_it_did() {
             let answer = VRelation::from_rows(want.cols().to_vec(), answer.into_rows());
             assert!(is_reference(&answer, &want), "{sql} ({route}): answer");
             assert!(
-                allocs * 2 <= parent,
-                "{sql} ({route}): {allocs} allocations, parent {parent}"
+                allocs <= bound,
+                "{sql} ({route}): {allocs} allocations, bound {bound}"
             );
         }
     }
