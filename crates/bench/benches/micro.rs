@@ -13,7 +13,8 @@
 //! on a known text, ad hoc on a never-seen text of a known shape), hash
 //! join throughput, the columnar join per probe row under each key
 //! plan (direct table, range bitmaps, hashed), the `P′` vertex join of two
-//! TPC-H vertices and the revenue aggregate over a lineitem answer, the
+//! TPC-H vertices, the revenue aggregate over a lineitem answer and the
+//! grouping kernel on Q10-, Q5-like and weighted answers, the
 //! columnar join in memory vs spilling under a byte cap of a quarter of
 //! its working set,
 //! factorized vs materialized `COUNT(*) GROUP BY`, and the q-hypertree
@@ -514,6 +515,93 @@ fn bench_vertex_join(c: &mut Criterion) {
             htqo_engine::finalize_c(&answer, &q, &mut budget).unwrap()
         })
     });
+    group.finish();
+}
+
+fn bench_aggregate(c: &mut Criterion) {
+    // The grouping kernel alone, on answers built column by column: a
+    // Q10-like answer (1,500 rows into 700 customer-name groups, ORDER BY
+    // the revenue), a Q5-like one (100,000 rows into 5 nation groups), and
+    // the Q5-like answer as the root of a factorized cover whose child
+    // weighs each row 1–3 times (the cover's count pass included).
+    use htqo_cq::{AggFunc, CqBuilder, SortDir};
+    use htqo_engine::column::Column;
+    use htqo_engine::factorized::{aggregate_cover, CoverInput};
+    use htqo_engine::schema::ColumnType;
+    use htqo_engine::{CRel, Name};
+    use std::sync::Arc;
+    let answer = |rows: usize, groups: usize, name: &dyn Fn(usize) -> String| {
+        let (mut g, mut ep, mut d) = (
+            Column::new(ColumnType::Str),
+            Column::new(ColumnType::Float),
+            Column::new(ColumnType::Float),
+        );
+        for i in 0..rows {
+            assert!(g.push_str(&name(i * 7_919 % groups)));
+            assert!(ep.push_float((i * 104_729 % 9_000_000) as f64 / 100.0 + 900.0));
+            assert!(d.push_float((i % 11) as f64 / 100.0));
+        }
+        let rid = Column::from_ints((0..rows as i64).collect());
+        let cols = ["G", "EP", "D", "K", "__rid_r"].map(Name::from).to_vec();
+        let keys = Column::from_ints((0..rows as i64).map(|i| i % 997).collect());
+        let columns = [g, ep, d, keys, rid].map(Arc::new).to_vec();
+        CRel::new(cols, columns, rows)
+    };
+    let query = |ordered: bool, weighted: bool| {
+        let mut b = CqBuilder::new().atom_vars("r", &["G", "EP", "D", "K", "__rid_r"]);
+        if weighted {
+            b = b.atom_vars("c", &["K", "__rid_c"]);
+        }
+        b = b
+            .out_var("G")
+            .out_agg(AggFunc::Sum, Some(revenue_expr()), "revenue")
+            .out_agg(AggFunc::Count, None, "n")
+            .out_var("__rid_r")
+            .group("G");
+        if weighted {
+            b = b.out_var("__rid_c");
+        }
+        if ordered {
+            b = b.order("revenue", SortDir::Desc);
+        }
+        b.build()
+    };
+    let q10 = answer(1_500, 700, &|i| format!("Customer#{i:09}"));
+    let nations = ["ALGERIA", "ARGENTINA", "BRAZIL", "CANADA", "EGYPT"];
+    let q5 = answer(100_000, 5, &|i| nations[i].to_string());
+    // Key `k` of the child appears `1 + k % 3` times.
+    let child_keys: Vec<i64> = (0..997i64)
+        .flat_map(|k| std::iter::repeat_n(k, 1 + k as usize % 3))
+        .collect();
+    let child = CRel::new(
+        ["K", "__rid_c"].map(Name::from).to_vec(),
+        vec![
+            Arc::new(Column::from_ints(child_keys.clone())),
+            Arc::new(Column::from_ints((0..child_keys.len() as i64).collect())),
+        ],
+        child_keys.len(),
+    );
+    let (q_q10, q_q5, q_weighted) = (query(true, false), query(false, false), query(false, true));
+    let finalize = |answer: &CRel, q: &htqo_cq::ConjunctiveQuery| {
+        htqo_engine::finalize_c(answer, q, &mut Budget::unlimited()).unwrap()
+    };
+    let weighted = || {
+        let rels = vec![q5.clone(), child.clone()];
+        let scopes = rels.iter().map(|r| r.cols().to_vec()).collect();
+        let input = CoverInput {
+            rels,
+            parents: vec![None, Some(0)],
+            scopes,
+        };
+        aggregate_cover(input, &q_weighted, &mut Budget::unlimited()).expect("a cover")
+    };
+    assert_eq!(finalize(&q10, &q_q10).len(), 700);
+    assert_eq!(finalize(&q5, &q_q5).len(), 5);
+    assert_eq!(weighted().len(), 5);
+    let mut group = c.benchmark_group("aggregate");
+    group.bench_function("q10_like", |b| b.iter(|| finalize(&q10, &q_q10)));
+    group.bench_function("q5_like", |b| b.iter(|| finalize(&q5, &q_q5)));
+    group.bench_function("weighted", |b| b.iter(weighted));
     group.finish();
 }
 
@@ -1254,6 +1342,7 @@ criterion_group!(
     bench_analyze,
     bench_scans,
     bench_vertex_join,
+    bench_aggregate,
     bench_storage,
     bench_seek_join,
     bench_service,

@@ -1,24 +1,46 @@
 //! Final aggregation (step (4) of the paper's pipeline): given the answer
 //! of `CQ(Q)` over `out(Q)`, compute GROUP BY groups, aggregate
-//! functions, final projection (dropping hidden rowid guards) and ORDER
-//! BY. The grouping and projection front runs column at a time over a
-//! [`CRel`] ([`finalize_c`]); the post-aggregation result is a
-//! [`VRelation`].
+//! functions, the final projection (dropping hidden rowid guards),
+//! HAVING, ORDER BY and LIMIT.
+//!
+//! One kernel groups and aggregates, `aggregate_c_inner`: the plain
+//! call ([`finalize_c`]), the factorized cover's weighted call
+//! (`finalize_weighted`) and every partition of the spilled path run
+//! it. It holds no [`Value`] per row or per group:
+//!
+//! - each aggregate's expression is evaluated a block of rows at a time
+//!   into typed values (`Expr`);
+//! - a row's group id comes from a direct table over its packed key when
+//!   the GROUP BY columns have a `KeyPlan` whose range fits the
+//!   kernel's reservation, and otherwise from one open-addressed table of
+//!   the groups by key hash, a candidate verified against the group's
+//!   first row; groups keep their first-seen order;
+//! - each aggregate keeps one flat vector of typed state indexed by group
+//!   id (`SUM` an `i64` and a `FloatSum`, `COUNT` a count, `AVG` a
+//!   `FloatSum` and a count, `MIN`/`MAX` the best number, or the row of
+//!   the best cell of a column).
+//!
+//! What it leaves is a column per output item, a cell per group
+//! (`Grouped`). The tail applies HAVING and ORDER BY to group ids on
+//! those typed cells and builds the output rows once, in order: they are
+//! the only `Value`s aggregation makes.
 
+use crate::column::Column;
 use crate::cops;
 use crate::crel::CRel;
-use crate::dict;
+use crate::dict::{self, DictReader};
 use crate::error::{Budget, EvalError, SpillMode};
-#[cfg(test)]
-use crate::expr::eval_scalar;
-use crate::expr::{eval_scalar_rows, RowError};
+use crate::expr::{cmp_matches, Block, Expr, Num, RowError};
 use crate::fsum::FloatSum;
-use crate::hash::FxHashMap;
+use crate::keyplan::{self, KeyBlock, KeyPlan};
 use crate::spill::{self, SpillDir, SpillFile, MAX_SPILL_LEVEL};
-use crate::value::{row_heap_bytes, Row, Value};
+use crate::value::{row_heap_bytes, Value};
 use crate::vrel::VRelation;
 use htqo_cq::isolator::is_hidden_label;
-use htqo_cq::{AggFunc, ConjunctiveQuery, OutputItem, SortDir};
+use htqo_cq::{AggFunc, ConjunctiveQuery, Literal, OutputItem, ScalarExpr, SortDir};
+use std::cmp::Ordering;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Visible output items of `q` and their (uniquified) labels.
 fn visible_output(q: &ConjunctiveQuery) -> (Vec<&OutputItem>, Vec<String>) {
@@ -59,10 +81,10 @@ pub fn finalize(
 ///
 /// `answer` must contain every variable of `out(Q)` as a column (hidden
 /// rowid variables included); its rows must be distinct (a debug build
-/// checks that of a plain answer, whose projection relies on it). The
-/// grouping/projection front runs column-at-a-time (vectorized group-key
-/// hashing, gather-based layout), then the small post-aggregation result
-/// flows through the HAVING / ORDER BY / LIMIT tail.
+/// checks that of a plain answer, whose projection relies on it). An
+/// aggregate query is grouped by the one kernel (`aggregate_c`); a plain
+/// one is projected column at a time. Either leaves typed columns, which
+/// the HAVING / ORDER BY / LIMIT tail turns into rows.
 pub fn finalize_c(
     answer: &CRel,
     q: &ConjunctiveQuery,
@@ -70,13 +92,13 @@ pub fn finalize_c(
 ) -> Result<VRelation, EvalError> {
     crate::fail_point!("aggregate::finalize");
     let (visible, labels) = visible_output(q);
-    let result = if q.has_aggregates() {
-        aggregate_c(answer, q, &visible, &labels, budget)?
+    let grouped = if q.has_aggregates() {
+        aggregate_c(answer, q, &visible, budget)?
     } else {
         // No aggregates: project the answer onto the distinct visible head
         // variables (set semantics, matching the CQ answer definition),
         // then lay the columns out in SELECT order (a variable may be
-        // selected more than once: a column clone, not a per-row copy).
+        // selected more than once: a shared column, not a per-row copy).
         // The answer's rows are distinct already, so a projection that
         // keeps every column only permutes them and needs no dedup.
         debug_assert!(rows_distinct(answer), "finalize_c: answer rows repeat");
@@ -87,13 +109,18 @@ pub fn finalize_c(
             .collect();
         let dedup = distinct_vars.len() < answer.cols().len();
         let projected = cops::project(answer, &distinct_vars, dedup, budget)?;
-        let idx: Vec<usize> = vars
-            .iter()
-            .map(|v| projected.col_index(v).expect("just projected"))
+        let cols = (vars.iter())
+            .map(|v| {
+                let c = projected.col_index(v).expect("just projected");
+                OutCol::Col(Arc::clone(&projected.columns()[c]))
+            })
             .collect();
-        VRelation::from_rows(labels, projected.rows_of(&idx))
+        Grouped {
+            cols,
+            len: projected.len(),
+        }
     };
-    finalize_tail(result, q, budget)
+    finalize_tail(grouped, labels, q, budget)
 }
 
 /// [`finalize_c`] of an aggregate query over an answer whose row `i`
@@ -114,17 +141,8 @@ pub(crate) fn finalize_weighted(
     crate::fail_point!("aggregate::finalize");
     let (visible, labels) = visible_output(q);
     let group_idx = group_layout(answer.cols(), q, &visible)?;
-    let grouped = aggregate_c_mem(
-        answer,
-        Some(weights),
-        &group_idx,
-        q,
-        &visible,
-        &labels,
-        budget,
-    );
-    match grouped {
-        Ok(result) => finalize_tail(result, q, budget).map(Some),
+    match aggregate_c_mem(answer, Some(weights), &group_idx, q, &visible, budget) {
+        Ok(grouped) => finalize_tail(grouped, labels, q, budget).map(Some),
         Err(EvalError::Internal(why)) if why == INEXACT_SUM => Ok(None),
         Err(e) => Err(e),
     }
@@ -136,60 +154,134 @@ pub(crate) fn finalize_weighted(
 /// more than 2³² rows.
 const INEXACT_SUM: &str = "a float sum cannot take this value exactly";
 
-/// The post-aggregation tail: HAVING, ORDER BY, LIMIT.
+/// What grouping (or a plain projection) leaves for the tail: a column
+/// per visible output item, a cell per group (or per projected row).
+struct Grouped {
+    cols: Vec<OutCol>,
+    len: usize,
+}
+
+/// One output column of a [`Grouped`].
+enum OutCol {
+    /// Typed cells: the group keys and the `MIN`/`MAX` of a column,
+    /// gathered at their rows, or a projected column.
+    Col(Arc<Column>),
+    /// Counts, sums, averages, and the `MIN`/`MAX` of numbers.
+    Num(Vec<Num>),
+}
+
+impl OutCol {
+    /// Cells `x` and `y` in [`Value`]'s total order.
+    fn cmp(&self, x: usize, y: usize, reader: &DictReader) -> Ordering {
+        match self {
+            OutCol::Col(c) => c.cmp_at(x, y, reader),
+            OutCol::Num(v) => v[x].value().cmp(&v[y].value()),
+        }
+    }
+
+    /// [`Value::sql_cmp`] of cell `x` against `v`.
+    fn sql_cmp(&self, x: usize, v: &Value, reader: &DictReader) -> Option<Ordering> {
+        match self {
+            OutCol::Col(c) => c.cmp_value(x, v, reader),
+            OutCol::Num(n) => n[x].value().sql_cmp(v),
+        }
+    }
+
+    /// Cell `x` as an output value.
+    fn value(&self, x: usize, reader: &DictReader) -> Value {
+        match self {
+            OutCol::Col(c) => c.value_with(x, reader),
+            OutCol::Num(n) => n[x].value(),
+        }
+    }
+}
+
+impl Grouped {
+    /// Appends `other`'s groups: a later partition of the spilled path,
+    /// whose columns have the types of this one's (partitions are shaped
+    /// like the answer).
+    fn append(&mut self, other: Grouped) {
+        for (a, b) in self.cols.iter_mut().zip(other.cols) {
+            match (a, b) {
+                (OutCol::Col(a), OutCol::Col(b)) => Arc::make_mut(a).extend_from(&b),
+                (OutCol::Num(a), OutCol::Num(b)) => a.extend(b),
+                _ => unreachable!("partitions of one answer group alike"),
+            }
+        }
+        self.len += other.len;
+    }
+}
+
+/// The post-aggregation tail, over group ids: HAVING (each survivor
+/// charged as a row), ORDER BY with ties broken on the whole row, LIMIT;
+/// then the output rows, built once, in order. Cells compare as typed
+/// cells in [`Value`]'s total order (HAVING: [`Value::sql_cmp`]).
 fn finalize_tail(
-    result: VRelation,
+    grouped: Grouped,
+    labels: Vec<String>,
     q: &ConjunctiveQuery,
     budget: &mut Budget,
 ) -> Result<VRelation, EvalError> {
-    // HAVING over output labels (post-aggregation row filter).
-    let result = if q.having.is_empty() {
-        result
-    } else {
-        let idx: Vec<(usize, htqo_cq::CmpOp, Value)> = q
-            .having
-            .iter()
-            .map(|(label, op, lit)| {
-                let i = result
-                    .col_index(label)
-                    .ok_or_else(|| EvalError::UnknownVariable(label.clone()))?;
-                Ok((i, *op, Value::from(lit)))
-            })
-            .collect::<Result<_, EvalError>>()?;
-        select_rows(
-            &result,
-            |row| {
-                idx.iter()
-                    .all(|(i, op, v)| crate::expr::apply_cmp(*op, &row[*i], v))
-            },
-            budget,
-        )?
+    let Grouped { cols, len } = grouped;
+    let label = |l: &String| {
+        (labels.iter().position(|x| x == l)).ok_or_else(|| EvalError::UnknownVariable(l.clone()))
     };
+    let reader = dict::reader();
+    // The groups in output order; `None` while that is their own order
+    // (a plain projection without HAVING or ORDER BY allocates none).
+    let mut keep: Option<Vec<u32>> = None;
+
+    // HAVING over output labels (post-aggregation row filter).
+    if !q.having.is_empty() {
+        let conds = (q.having.iter())
+            .map(|(l, op, lit)| Ok((label(l)?, *op, Value::from(lit))))
+            .collect::<Result<Vec<_>, EvalError>>()?;
+        let row_bytes = row_heap_bytes(labels.len());
+        let mut kept = Vec::new();
+        for g in 0..len {
+            let holds = |&(i, op, ref v): &(usize, _, Value)| {
+                cmp_matches(op, cols[i].sql_cmp(g, v, &reader))
+            };
+            if conds.iter().all(holds) {
+                budget.charge(1)?;
+                budget.charge_bytes(row_bytes)?;
+                kept.push(g as u32);
+            }
+        }
+        keep = Some(kept);
+    }
 
     // ORDER BY over output labels, ties broken on the whole row, then
     // LIMIT. Groups are put in that order without ORDER BY too, so every
     // path — the cover, the materialized join, every planner — yields one
     // order; a plain projection keeps the order its path produced, and a
     // LIMIT without ORDER BY truncates it.
-    let result = if q.order_by.is_empty() && !q.has_aggregates() {
-        result
-    } else {
-        let keys: Vec<(String, bool)> = q
-            .order_by
-            .iter()
-            .map(|(label, dir)| (label.clone(), *dir == SortDir::Desc))
-            .collect();
-        sort_by(result, &keys)?
+    if !q.order_by.is_empty() || q.has_aggregates() {
+        let keys = (q.order_by.iter())
+            .map(|(l, dir)| Ok((label(l)?, *dir == SortDir::Desc)))
+            .collect::<Result<Vec<_>, EvalError>>()?;
+        let keep = keep.get_or_insert_with(|| (0..len as u32).collect());
+        keep.sort_by(|&x, &y| {
+            let (x, y) = (x as usize, y as usize);
+            let by_key = keys.iter().map(|&(i, desc)| {
+                let ord = cols[i].cmp(x, y, &reader);
+                if desc {
+                    ord.reverse()
+                } else {
+                    ord
+                }
+            });
+            let by_row = cols.iter().map(|c| c.cmp(x, y, &reader));
+            (by_key.chain(by_row).find(|o| o.is_ne())).unwrap_or(Ordering::Equal)
+        });
+    }
+    let limit = q.limit.unwrap_or(usize::MAX);
+    let row = |g: usize| cols.iter().map(|c| c.value(g, &reader)).collect();
+    let rows = match keep {
+        Some(keep) => keep.iter().take(limit).map(|&g| row(g as usize)).collect(),
+        None => (0..len).take(limit).map(row).collect(),
     };
-    Ok(match q.limit {
-        Some(n) if n < result.len() => {
-            let cols = result.cols().to_vec();
-            let mut rows = result.into_rows();
-            rows.truncate(n);
-            VRelation::from_rows(cols, rows)
-        }
-        _ => result,
-    })
+    Ok(VRelation::from_rows(labels, rows))
 }
 
 /// True if no row of `a` repeats — [`finalize_c`]'s precondition. The
@@ -209,58 +301,22 @@ fn rows_distinct(a: &CRel) -> bool {
     })
 }
 
-/// Keeps the rows satisfying `pred`, charging each survivor.
-fn select_rows(
-    a: &VRelation,
-    pred: impl Fn(&Row) -> bool,
-    budget: &mut Budget,
-) -> Result<VRelation, EvalError> {
-    let mut out = VRelation::empty(a.cols().to_vec());
-    let row_bytes = row_heap_bytes(a.cols().len());
-    for row in a.rows() {
-        if pred(row) {
-            budget.charge(1)?;
-            budget.charge_bytes(row_bytes)?;
-            out.push(row.clone());
-        }
-    }
-    Ok(out)
-}
-
-/// Sorts rows by the given `(column, descending)` keys, then by the whole
-/// row, in [`Value`]'s total order (stable: rows equal in it keep their
-/// order).
-fn sort_by(a: VRelation, keys: &[(String, bool)]) -> Result<VRelation, EvalError> {
-    let idx: Vec<(usize, bool)> = keys
-        .iter()
-        .map(|(v, desc)| {
-            a.col_index(v)
-                .map(|i| (i, *desc))
-                .ok_or_else(|| EvalError::UnknownVariable(v.clone()))
-        })
-        .collect::<Result<_, _>>()?;
-    let cols = a.cols().to_vec();
-    let mut rows = a.into_rows();
-    rows.sort_by(|x, y| {
-        for &(i, desc) in &idx {
-            let ord = x[i].cmp(&y[i]);
-            if ord != std::cmp::Ordering::Equal {
-                return if desc { ord.reverse() } else { ord };
-            }
-        }
-        x.cmp(y)
-    });
-    Ok(VRelation::from_rows(cols, rows))
-}
-
-/// Appends `_2`, `_3`, … to repeated labels.
+/// Renames each repeated label `l` to `l_k`, with `k ≥ 2` the smallest
+/// suffix that is neither a label of the list nor given already — so a
+/// label the query chose itself is never taken.
 fn uniquify<'l>(labels: impl ExactSizeIterator<Item = &'l str> + Clone) -> Vec<String> {
-    let mut out = Vec::with_capacity(labels.len());
-    for (i, l) in labels.clone().enumerate() {
-        match labels.clone().take(i).filter(|&e| e == l).count() {
-            0 => out.push(l.to_string()),
-            n => out.push(format!("{l}_{}", n + 1)),
+    let mut out: Vec<String> = Vec::with_capacity(labels.len());
+    for l in labels.clone() {
+        let taken = |c: &str| out.iter().any(|o| o == c);
+        if !taken(l) {
+            out.push(l.to_string());
+            continue;
         }
+        let free = (2..)
+            .map(|k| format!("{l}_{k}"))
+            .find(|c| !taken(c) && labels.clone().all(|e| e != c))
+            .expect("some suffix is free");
+        out.push(free);
     }
     out
 }
@@ -293,10 +349,15 @@ fn group_layout<S: AsRef<str>>(
     Ok(group_idx)
 }
 
-/// Resident bytes one group costs the governor: its key row, its
-/// accumulators, and a map-entry allowance.
+/// An output item's share of a group's state in [`group_state_bytes`]:
+/// the 80 bytes one boxed per-group accumulator took before the states
+/// became flat vectors, kept so that byte limits trip where they did.
+const ITEM_STATE_BYTES: u64 = 80;
+
+/// Resident bytes one group costs the governor: its key row, a state per
+/// output item, and a map-entry allowance.
 fn group_state_bytes(key_width: usize, n_items: usize) -> u64 {
-    row_heap_bytes(key_width) + (n_items * std::mem::size_of::<Accumulator>()) as u64 + 48
+    row_heap_bytes(key_width) + n_items as u64 * ITEM_STATE_BYTES + 48
 }
 
 /// A denied group-state reservation as a typed error.
@@ -306,94 +367,6 @@ pub(crate) fn group_state_exceeded(budget: &Budget, requested: u64) -> EvalError
         reserved: budget.mem_used(),
         pool: budget.mem_limit().unwrap_or(0),
     }
-}
-
-/// Row-at-a-time aggregation, the reference the columnar core is tested
-/// against. Group state is charged to the byte pool as groups appear and
-/// released when the function returns; the (usually much smaller) output
-/// rows are charged on success. A denied group reservation surfaces as
-/// [`EvalError::MemoryExceeded`].
-#[cfg(test)]
-fn aggregate_rows(
-    answer: &VRelation,
-    group_idx: &[usize],
-    q: &ConjunctiveQuery,
-    visible: &[&OutputItem],
-    labels: &[String],
-    budget: &mut Budget,
-) -> Result<VRelation, EvalError> {
-    let mut accrued = 0u64;
-    let result = aggregate_rows_inner(answer, group_idx, q, visible, labels, budget, &mut accrued);
-    budget.uncharge_bytes(accrued);
-    let out = result?;
-    budget.charge_bytes(out.len() as u64 * row_heap_bytes(out.cols().len()))?;
-    Ok(out)
-}
-
-#[cfg(test)]
-#[allow(clippy::too_many_arguments)]
-fn aggregate_rows_inner(
-    answer: &VRelation,
-    group_idx: &[usize],
-    q: &ConjunctiveQuery,
-    visible: &[&OutputItem],
-    labels: &[String],
-    budget: &mut Budget,
-    accrued: &mut u64,
-) -> Result<VRelation, EvalError> {
-    let group_bytes = group_state_bytes(group_idx.len(), visible.len());
-    let mut groups: std::collections::HashMap<Row, Vec<Accumulator>> = Default::default();
-    // Deterministic group ordering: remember first-seen order.
-    let mut order: Vec<Row> = Vec::new();
-
-    let cols = answer.cols().to_vec();
-    for row in answer.rows() {
-        let key: Row = group_idx.iter().map(|&i| row[i].clone()).collect();
-        let accs = match groups.get_mut(&key) {
-            Some(a) => a,
-            None => {
-                if !budget.try_reserve_bytes(group_bytes) {
-                    return Err(group_state_exceeded(budget, group_bytes));
-                }
-                *accrued += group_bytes;
-                budget.charge(1)?;
-                order.push(key.clone());
-                groups
-                    .entry(key.clone())
-                    .or_insert_with(|| visible.iter().map(|o| Accumulator::for_item(o)).collect())
-            }
-        };
-        for (acc, item) in accs.iter_mut().zip(visible) {
-            acc.feed_row(item, &cols, row)?;
-        }
-    }
-
-    // Global aggregate over empty input still produces one row.
-    if groups.is_empty() && q.group_by.is_empty() {
-        let key: Row = Vec::new().into_boxed_slice();
-        order.push(key.clone());
-        groups.insert(
-            key,
-            visible.iter().map(|o| Accumulator::for_item(o)).collect(),
-        );
-    }
-
-    let mut out = VRelation::empty(labels.to_vec());
-    for key in order {
-        let accs = &groups[&key];
-        let mut row: Vec<Value> = Vec::with_capacity(visible.len());
-        for (acc, item) in accs.iter().zip(visible) {
-            row.push(match item {
-                OutputItem::Var { var, .. } => {
-                    let gpos = q.group_by.iter().position(|g| g == var).expect("validated");
-                    key[gpos].clone()
-                }
-                OutputItem::Aggregate { .. } => acc.finish(),
-            });
-        }
-        out.push(row.into_boxed_slice());
-    }
-    Ok(out)
 }
 
 /// Spilled aggregation driver: the answer is hash-partitioned by its
@@ -412,12 +385,11 @@ fn aggregate_spilled(
     group_idx: &[usize],
     q: &ConjunctiveQuery,
     visible: &[&OutputItem],
-    labels: &[String],
     budget: &mut Budget,
-) -> Result<VRelation, EvalError> {
+) -> Result<Grouped, EvalError> {
     let stats = budget.spill_stats();
     let mut dir = SpillDir::create(budget.spill_dir())?;
-    let mut out = VRelation::empty(labels.to_vec());
+    let mut out: Option<Grouped> = None;
     // Partitions left, with their levels, the next one last.
     let parts = spill::partition(&dir, "g", answer, group_idx, 0, &stats)?;
     let mut todo: Vec<(SpillFile, u32)> = parts.into_iter().rev().map(|f| (f, 0)).collect();
@@ -426,13 +398,15 @@ fn aggregate_spilled(
             continue;
         }
         if budget.try_reserve_bytes(file.bytes) {
-            let r = spill::load(&file, answer).and_then(|part| {
-                aggregate_c_mem(&part, None, group_idx, q, visible, labels, budget)
-            });
+            let r = spill::load(&file, answer)
+                .and_then(|part| aggregate_c_mem(&part, None, group_idx, q, visible, budget));
             budget.uncharge_bytes(file.bytes);
             match r {
                 Ok(part) => {
-                    part.into_rows().into_iter().for_each(|row| out.push(row));
+                    match &mut out {
+                        Some(out) => out.append(part),
+                        None => out = Some(part),
+                    }
                     continue;
                 }
                 Err(EvalError::MemoryExceeded { .. }) if level < MAX_SPILL_LEVEL => {}
@@ -445,36 +419,27 @@ fn aggregate_spilled(
         todo.extend(parts.into_iter().rev().map(|f| (f, level + 1)));
     }
     dir.cleanup()?;
-    Ok(out)
+    // A spilled answer has rows, so some partition has groups.
+    Ok(out.expect("a spilled answer is not empty"))
 }
 
-/// Rows whose expression values [`aggregate_c`] holds at a time: enough
-/// for column-at-a-time loops, few enough that the buffers stay in cache
-/// and are reused from block to block.
-const EVAL_BLOCK: usize = 1024;
-
-/// Columnar grouping: group identity is decided by one vectorized
-/// key-hash pass over the GROUP BY columns plus typed cell verification —
-/// no boxed `Row` keys are built for the hash map. Each aggregate's scalar
-/// expression is evaluated once over the answer, a block of rows at a
-/// time, reading only the columns it names ([`eval_scalar_rows`]), and
-/// its values are fed in row order; no row is materialized.
+/// Columnar grouping and aggregation of an aggregate query: in memory
+/// ([`aggregate_c_mem`]), or partitioned by group key through spill files
+/// when the group state does not fit ([`aggregate_spilled`]).
 fn aggregate_c(
     answer: &CRel,
     q: &ConjunctiveQuery,
     visible: &[&OutputItem],
-    labels: &[String],
     budget: &mut Budget,
-) -> Result<VRelation, EvalError> {
+) -> Result<Grouped, EvalError> {
     let group_idx = group_layout(answer.cols(), q, visible)?;
     let spillable =
         !group_idx.is_empty() && answer.len() > 1 && budget.spill_mode() != SpillMode::Off;
-    let spill =
-        |budget: &mut Budget| aggregate_spilled(answer, &group_idx, q, visible, labels, budget);
+    let spill = |budget: &mut Budget| aggregate_spilled(answer, &group_idx, q, visible, budget);
     if spillable && budget.spill_mode() == SpillMode::Force {
         return spill(budget);
     }
-    match aggregate_c_mem(answer, None, &group_idx, q, visible, labels, budget) {
+    match aggregate_c_mem(answer, None, &group_idx, q, visible, budget) {
         Err(EvalError::MemoryExceeded { .. }) if spillable => spill(budget),
         r => r,
     }
@@ -482,9 +447,10 @@ fn aggregate_c(
 
 /// In-memory columnar aggregation core: group state is charged to the
 /// byte pool as groups appear and released when the function returns,
-/// the hash array is reserved up front, output rows are charged on
-/// success. A denied reservation is [`EvalError::MemoryExceeded`] — the
-/// spill driver's cue to split the partition further. Row `i` counts
+/// 8 bytes per answer row are reserved up front (the key hashes, or a
+/// direct table that fits in them), output rows are charged on success.
+/// A denied reservation is [`EvalError::MemoryExceeded`] — the spill
+/// driver's cue to split the partition further. Row `i` counts
 /// `weights[i]` times (once without weights).
 fn aggregate_c_mem(
     answer: &CRel,
@@ -492,9 +458,8 @@ fn aggregate_c_mem(
     group_idx: &[usize],
     q: &ConjunctiveQuery,
     visible: &[&OutputItem],
-    labels: &[String],
     budget: &mut Budget,
-) -> Result<VRelation, EvalError> {
+) -> Result<Grouped, EvalError> {
     let hash_bytes = 8 * answer.len() as u64;
     if !budget.try_reserve_bytes(hash_bytes) {
         return Err(group_state_exceeded(budget, hash_bytes));
@@ -506,16 +471,37 @@ fn aggregate_c_mem(
         group_idx,
         q,
         visible,
-        labels,
+        hash_bytes,
         budget,
         &mut accrued,
     );
     budget.uncharge_bytes(hash_bytes + accrued);
     let out = result?;
-    budget.charge_bytes(out.len() as u64 * row_heap_bytes(out.cols().len()))?;
+    budget.charge_bytes(out.len as u64 * row_heap_bytes(visible.len()))?;
     Ok(out)
 }
 
+/// Rows the kernel evaluates, groups and feeds at a time: enough for
+/// typed loops, few enough that the buffers stay in cache and are reused
+/// from block to block. A multiple of 64, so a block starts on a null
+/// word, and at most a key plan's block.
+const EVAL_BLOCK: usize = 1024;
+const _: () = assert!(EVAL_BLOCK.is_multiple_of(64) && EVAL_BLOCK <= keyplan::BLOCK);
+
+/// A slot of a group table that holds no group.
+const NO_GROUP: u32 = u32::MAX;
+
+/// `COUNT(*)`'s input: a value in every row.
+static ONE: ScalarExpr = ScalarExpr::Lit(Literal::Int(1));
+
+/// The grouping kernel (see the module docs). Per block of rows: the
+/// rows' group ids (new groups opened, not yet charged); each item's
+/// expression evaluated and fed, up to its first failing row and no
+/// further than an earlier item's; then the block's new groups charged —
+/// one tuple and [`group_state_bytes`] each — up to the first failure, in
+/// row order. So an error comes at the row, and after the charges, that a
+/// row-at-a-time pass gives: a row's group is charged before its items
+/// are fed, and the items fail in SELECT order.
 #[allow(clippy::too_many_arguments)]
 fn aggregate_c_inner(
     answer: &CRel,
@@ -523,256 +509,469 @@ fn aggregate_c_inner(
     group_idx: &[usize],
     q: &ConjunctiveQuery,
     visible: &[&OutputItem],
-    labels: &[String],
+    reserved: u64,
     budget: &mut Budget,
     accrued: &mut u64,
-) -> Result<VRelation, EvalError> {
+) -> Result<Grouped, EvalError> {
     let group_bytes = group_state_bytes(group_idx.len(), visible.len());
     let reader = dict::reader();
-    let hashes = cops::key_hashes(answer, group_idx, &reader);
-    // hash → candidate group ids; groups remember their first-seen row.
-    let mut buckets: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
+    let n = answer.len();
+    let block = n.min(EVAL_BLOCK);
+    let mut ids = GroupIds::new(answer, group_idx, reserved, &reader);
+    let mut items: Vec<Item> = (visible.iter())
+        .map(|o| Item::new(o, answer, group_idx, q, block))
+        .collect();
+    // Each group's first row, in group-id order.
     let mut first_row: Vec<u32> = Vec::new();
-    let mut accs: Vec<Vec<Accumulator>> = Vec::new();
-    // Per output item, its expression's values over the current block of
-    // rows and the row where its evaluation fails, if it does.
-    let mut values: Vec<(Vec<Value>, Option<RowError>)> =
-        visible.iter().map(|_| (Vec::new(), None)).collect();
-    let mut spare = Vec::new();
-    for (i, &h) in hashes.iter().enumerate() {
-        if i % EVAL_BLOCK == 0 {
-            let rows = i..hashes.len().min(i + EVAL_BLOCK);
-            for (item, (cells, err)) in visible.iter().zip(&mut values) {
-                if let OutputItem::Aggregate { expr: Some(e), .. } = item {
-                    *err = eval_scalar_rows(e, answer, rows.clone(), &reader, cells, &mut spare);
+    let mut gids = vec![0u32; block];
+    for lo in (0..n).step_by(EVAL_BLOCK) {
+        let hi = n.min(lo + EVAL_BLOCK);
+        let known = first_row.len();
+        ids.assign(
+            answer,
+            group_idx,
+            lo..hi,
+            &mut first_row,
+            &mut gids,
+            &reader,
+        );
+        for item in &mut items {
+            first_row[known..].iter().for_each(|&r| item.acc.open(r));
+        }
+        let mut failed: Option<RowError> = None;
+        for item in &mut items {
+            let end = failed.as_ref().map_or(hi, |f| f.0 + 1);
+            if let Some(e) = item.run(lo..end, &gids, weights, &reader) {
+                if failed.as_ref().is_none_or(|f| e.0 < f.0) {
+                    failed = Some(e);
                 }
             }
         }
-        let bucket = buckets.entry(h).or_default();
-        let gid = bucket.iter().copied().find(|&g| {
-            let j = first_row[g as usize] as usize;
-            group_idx
-                .iter()
-                .all(|&c| answer.column(c).eq_at(i, answer.column(c), j, &reader))
-        });
-        let gid = match gid {
-            Some(g) => g as usize,
-            None => {
-                if !budget.try_reserve_bytes(group_bytes) {
-                    return Err(group_state_exceeded(budget, group_bytes));
-                }
-                *accrued += group_bytes;
-                budget.charge(1)?;
-                let g = first_row.len();
-                bucket.push(g as u32);
-                first_row.push(i as u32);
-                accs.push(visible.iter().map(|o| Accumulator::for_item(o)).collect());
-                g
+        let end = failed.as_ref().map_or(hi, |f| f.0 + 1);
+        for _ in 0..first_row[known..].partition_point(|&r| (r as usize) < end) {
+            if !budget.try_reserve_bytes(group_bytes) {
+                return Err(group_state_exceeded(budget, group_bytes));
             }
-        };
-        let m = weights.map_or(1, |w| w[i]);
-        for ((acc, item), (cells, err)) in accs[gid].iter_mut().zip(visible).zip(&mut values) {
-            let value = match item {
-                OutputItem::Var { .. } => continue,
-                OutputItem::Aggregate { expr: None, .. } => Value::Int(1), // COUNT(*)
-                OutputItem::Aggregate { expr: Some(_), .. } => {
-                    if err.as_ref().is_some_and(|(row, _)| *row == i) {
-                        return Err(err.take().expect("just matched").1);
-                    }
-                    std::mem::replace(&mut cells[i % EVAL_BLOCK], Value::Null)
-                }
-            };
-            acc.feed(value, m)?;
+            *accrued += group_bytes;
+            budget.charge(1)?;
+        }
+        if let Some((_, e)) = failed {
+            return Err(e);
         }
     }
-
     // Global aggregate over empty input still produces one row.
-    if accs.is_empty() && q.group_by.is_empty() {
-        first_row.push(0);
-        accs.push(visible.iter().map(|o| Accumulator::for_item(o)).collect());
+    if first_row.is_empty() && q.group_by.is_empty() {
+        let cols = (items.iter())
+            .map(|item| OutCol::Num(vec![item.acc.empty()]))
+            .collect();
+        return Ok(Grouped { cols, len: 1 });
     }
+    let len = first_row.len();
+    let cols = (items.into_iter())
+        .map(|item| item.finish(answer, &first_row))
+        .collect();
+    Ok(Grouped { cols, len })
+}
 
-    let mut out = VRelation::empty(labels.to_vec());
-    for (g, group_accs) in accs.iter().enumerate() {
-        let mut row: Vec<Value> = Vec::with_capacity(visible.len());
-        for (acc, item) in group_accs.iter().zip(visible) {
-            row.push(match item {
-                OutputItem::Var { var, .. } => {
-                    let gpos = q.group_by.iter().position(|g| g == var).expect("validated");
-                    answer
-                        .column(group_idx[gpos])
-                        .value_with(first_row[g] as usize, &reader)
-                }
-                OutputItem::Aggregate { .. } => acc.finish(),
-            });
+/// Where the kernel takes a row's group id from. (One per kernel call,
+/// on the stack: the key plan's size is not worth a box.)
+#[allow(clippy::large_enum_variant)]
+enum GroupIds {
+    /// No GROUP BY: one group.
+    One,
+    /// The GROUP BY columns have a key plan whose packed range fits the
+    /// kernel's reservation: a direct table from packed key to group id.
+    Direct {
+        plan: KeyPlan,
+        blk: KeyBlock,
+        table: Vec<u32>,
+    },
+    /// Any other key: every row's key hash, and an open-addressed table
+    /// of `(hash, group)` probed linearly, at most half full; a candidate
+    /// is verified against the group's first row.
+    Hashed {
+        hashes: Vec<u64>,
+        slots: Vec<(u64, u32)>,
+    },
+}
+
+impl GroupIds {
+    fn new(answer: &CRel, idx: &[usize], reserved: u64, reader: &DictReader) -> GroupIds {
+        if idx.is_empty() {
+            return GroupIds::One;
         }
-        out.push(row.into_boxed_slice());
-    }
-    Ok(out)
-}
-
-/// Streaming accumulator for one output item.
-enum Accumulator {
-    /// Placeholder for plain grouping variables.
-    Group,
-    Sum {
-        int: i64,
-        float: FloatSum,
-        any_float: bool,
-        n: u64,
-    },
-    Count {
-        n: u64,
-    },
-    MinMax {
-        best: Option<Value>,
-        min: bool,
-    },
-    Avg {
-        sum: FloatSum,
-        n: u64,
-    },
-}
-
-impl Accumulator {
-    fn for_item(item: &OutputItem) -> Accumulator {
-        match item {
-            OutputItem::Var { .. } => Accumulator::Group,
-            OutputItem::Aggregate { func, .. } => match func {
-                AggFunc::Sum => Accumulator::Sum {
-                    int: 0,
-                    float: FloatSum::default(),
-                    any_float: false,
-                    n: 0,
-                },
-                AggFunc::Count => Accumulator::Count { n: 0 },
-                AggFunc::Min => Accumulator::MinMax {
-                    best: None,
-                    min: true,
-                },
-                AggFunc::Max => Accumulator::MinMax {
-                    best: None,
-                    min: false,
-                },
-                AggFunc::Avg => Accumulator::Avg {
-                    sum: FloatSum::default(),
-                    n: 0,
-                },
+        let direct = KeyPlan::resolve(answer, idx, answer, idx).and_then(|plan| {
+            let range = plan.range_fitting(reserved, |r| r.checked_mul(4))?;
+            Some((plan, range))
+        });
+        match direct {
+            Some((plan, range)) => GroupIds::Direct {
+                blk: plan.block(answer.len()),
+                plan,
+                table: vec![NO_GROUP; range],
+            },
+            None => GroupIds::Hashed {
+                hashes: cops::key_hashes(answer, idx, reader),
+                slots: vec![(0, NO_GROUP); 16],
             },
         }
     }
 
-    /// Feeds one row (the row reference's per-row step).
-    #[cfg(test)]
-    fn feed_row(&mut self, item: &OutputItem, cols: &[String], row: &Row) -> Result<(), EvalError> {
-        let OutputItem::Aggregate { expr, .. } = item else {
-            return Ok(());
-        };
-        let value = match expr {
-            Some(e) => eval_scalar(e, cols, row)?,
-            None => Value::Int(1), // COUNT(*): any non-null marker
-        };
-        self.feed(value, 1)
-    }
-
-    /// Feeds `m` rows holding `value` of the aggregated expression at once:
-    /// the state `m` single feeds reach. A count adds `m`, an integer sum
-    /// adds `value · m` (wrapping, as `m` wrapping adds do), MIN/MAX see
-    /// the value once, float sums take [`FloatSum::add_times`]; where that
-    /// refuses, the error is [`INEXACT_SUM`].
-    fn feed(&mut self, value: Value, m: u64) -> Result<(), EvalError> {
+    /// Sets `gids[j]` to the group of row `rows.start + j`, opening each
+    /// group a row has first (its first row appended to `first_row`).
+    fn assign(
+        &mut self,
+        answer: &CRel,
+        idx: &[usize],
+        rows: Range<usize>,
+        first_row: &mut Vec<u32>,
+        gids: &mut [u32],
+        reader: &DictReader,
+    ) {
+        let lo = rows.start;
         match self {
-            Accumulator::Group => {}
-            Accumulator::Count { n } => {
-                if !value.is_null() {
-                    *n += m;
+            GroupIds::One => {
+                if first_row.is_empty() {
+                    first_row.push(lo as u32);
+                }
+                gids.fill(0);
+            }
+            GroupIds::Direct { plan, blk, table } => {
+                for (j, &k) in plan.pack(answer, idx, rows, blk).iter().enumerate() {
+                    let g = &mut table[k as usize];
+                    if *g == NO_GROUP {
+                        *g = first_row.len() as u32;
+                        first_row.push((lo + j) as u32);
+                    }
+                    gids[j] = *g;
                 }
             }
-            Accumulator::Sum {
-                int,
-                float,
-                any_float,
-                n,
-            } => match value {
-                Value::Null => {}
-                Value::Int(i) => {
-                    *int = int.wrapping_add(i.wrapping_mul(m as i64));
-                    *n += m;
-                }
-                Value::Float(x) => {
-                    if !float.add_times(x, m) {
-                        return Err(EvalError::Internal(INEXACT_SUM.into()));
-                    }
-                    *any_float = true;
-                    *n += m;
-                }
-                other => {
-                    return Err(EvalError::Internal(format!(
-                        "SUM over non-numeric value ({})",
-                        other.type_name()
-                    )))
-                }
-            },
-            Accumulator::MinMax { best, min } => {
-                if value.is_null() {
-                    return Ok(());
-                }
-                let better = match best {
-                    None => true,
-                    Some(b) => {
-                        let ord = value.cmp(b);
-                        if *min {
-                            ord.is_lt()
-                        } else {
-                            ord.is_gt()
+            GroupIds::Hashed { hashes, slots } => {
+                let same = |first_row: &[u32], i: usize, g: u32| {
+                    let j = first_row[g as usize] as usize;
+                    (idx.iter()).all(|&c| answer.column(c).eq_at(i, answer.column(c), j, reader))
+                };
+                for i in rows {
+                    let h = hashes[i];
+                    let mask = slots.len() - 1;
+                    let mut s = h as usize & mask;
+                    gids[i - lo] = loop {
+                        let (sh, g) = slots[s];
+                        if g == NO_GROUP {
+                            break NO_GROUP;
+                        }
+                        if sh == h && same(first_row, i, g) {
+                            break g;
+                        }
+                        s = (s + 1) & mask;
+                    };
+                    if gids[i - lo] == NO_GROUP {
+                        let g = first_row.len() as u32;
+                        slots[s] = (h, g);
+                        first_row.push(i as u32);
+                        gids[i - lo] = g;
+                        if 2 * first_row.len() > slots.len() {
+                            grow(slots);
                         }
                     }
-                };
-                if better {
-                    *best = Some(value);
-                }
-            }
-            Accumulator::Avg { sum, n } => {
-                if let Some(x) = value.as_f64() {
-                    if !sum.add_times(x, m) {
-                        return Err(EvalError::Internal(INEXACT_SUM.into()));
-                    }
-                    *n += m;
-                } else if !value.is_null() {
-                    return Err(EvalError::Internal("AVG over non-numeric value".into()));
                 }
             }
         }
-        Ok(())
+    }
+}
+
+/// Doubles an open-addressed group table, re-placing its groups.
+fn grow(slots: &mut Vec<(u64, u32)>) {
+    let old = std::mem::replace(slots, vec![(0, NO_GROUP); 2 * slots.len()]);
+    let mask = slots.len() - 1;
+    for (h, g) in old.into_iter().filter(|&(_, g)| g != NO_GROUP) {
+        let mut s = h as usize & mask;
+        while slots[s].1 != NO_GROUP {
+            s = (s + 1) & mask;
+        }
+        slots[s] = (h, g);
+    }
+}
+
+/// A visible output item: its compiled expression (none for a grouping
+/// variable) and its state.
+struct Item<'a> {
+    expr: Option<Expr<'a>>,
+    acc: Acc,
+}
+
+/// An output item's state, one slot per group.
+enum Acc {
+    /// A grouping variable, read from its key column at the group's first
+    /// row.
+    Key(usize),
+    Count(Vec<u64>),
+    Sum(Vec<SumState>),
+    Avg(Vec<AvgState>),
+    /// `MIN`/`MAX` of numbers: the best so far (NULL before any).
+    Best {
+        min: bool,
+        best: Vec<Num>,
+    },
+    /// `MIN`/`MAX` of a column's cells: the row of the best so far. It
+    /// starts at the group's first row — whose cell, if NULL, stays the
+    /// best until a value comes — or at a literal's one cell.
+    BestRow {
+        min: bool,
+        literal: bool,
+        rows: Vec<u32>,
+    },
+}
+
+#[derive(Default)]
+struct SumState {
+    int: i64,
+    float: FloatSum,
+    any_float: bool,
+    n: u64,
+}
+
+#[derive(Default)]
+struct AvgState {
+    sum: FloatSum,
+    n: u64,
+}
+
+/// True if `ord` (a candidate against the best) makes the candidate the
+/// new best.
+fn better(ord: Ordering, min: bool) -> bool {
+    if min {
+        ord.is_lt()
+    } else {
+        ord.is_gt()
+    }
+}
+
+fn inexact_sum() -> EvalError {
+    EvalError::Internal(INEXACT_SUM.into())
+}
+
+impl<'a> Item<'a> {
+    fn new(
+        item: &'a OutputItem,
+        answer: &'a CRel,
+        group_idx: &[usize],
+        q: &ConjunctiveQuery,
+        block: usize,
+    ) -> Item<'a> {
+        let (func, e) = match item {
+            OutputItem::Var { var, .. } => {
+                let gpos = q.group_by.iter().position(|g| g == var).expect("validated");
+                return Item {
+                    expr: None,
+                    acc: Acc::Key(group_idx[gpos]),
+                };
+            }
+            OutputItem::Aggregate { func, expr, .. } => (*func, expr.as_ref().unwrap_or(&ONE)),
+        };
+        let expr = Expr::compile(e, answer, block);
+        let acc = match func {
+            AggFunc::Count => Acc::Count(Vec::new()),
+            AggFunc::Sum => Acc::Sum(Vec::new()),
+            AggFunc::Avg => Acc::Avg(Vec::new()),
+            AggFunc::Min | AggFunc::Max => {
+                let min = func == AggFunc::Min;
+                match expr.cells() {
+                    Some((_, literal)) => Acc::BestRow {
+                        min,
+                        literal,
+                        rows: Vec::new(),
+                    },
+                    None => Acc::Best {
+                        min,
+                        best: Vec::new(),
+                    },
+                }
+            }
+        };
+        Item {
+            expr: Some(expr),
+            acc,
+        }
     }
 
-    fn finish(&self) -> Value {
+    /// Evaluates and feeds rows `rows` (`gids[j]` the group of row
+    /// `rows.start + j`); the first row that fails, and its error.
+    fn run(
+        &mut self,
+        rows: Range<usize>,
+        gids: &[u32],
+        weights: Option<&[u64]>,
+        reader: &DictReader,
+    ) -> Option<RowError> {
+        let expr = self.expr.as_mut()?;
+        let (block, err) = expr.eval(rows.clone(), reader);
+        let end = err.as_ref().map_or(rows.end, |e| e.0);
+        (self
+            .acc
+            .feed(&block, rows.start..end, gids, weights, reader))
+        .or(err)
+    }
+
+    /// The item's output column over the groups whose first rows are
+    /// `first_row`.
+    fn finish(self, answer: &CRel, first_row: &[u32]) -> OutCol {
+        match self.acc {
+            Acc::Key(c) => OutCol::Col(Arc::new(answer.column(c).gather(first_row))),
+            Acc::Count(n) => OutCol::Num(n.into_iter().map(|n| Num::Int(n as i64)).collect()),
+            Acc::Sum(s) => OutCol::Num(
+                (s.into_iter())
+                    .map(|s| match s {
+                        SumState { n: 0, .. } => Num::Null,
+                        SumState {
+                            any_float: true,
+                            float,
+                            int,
+                            ..
+                        } => Num::Float(float.total() + int as f64),
+                        SumState { int, .. } => Num::Int(int),
+                    })
+                    .collect(),
+            ),
+            Acc::Avg(s) => OutCol::Num(
+                (s.into_iter())
+                    .map(|s| match s.n {
+                        0 => Num::Null,
+                        n => Num::Float(s.sum.total() / n as f64),
+                    })
+                    .collect(),
+            ),
+            Acc::Best { best, .. } => OutCol::Num(best),
+            Acc::BestRow { rows, .. } => {
+                let (col, _) = (self.expr.as_ref())
+                    .and_then(Expr::cells)
+                    .expect("a column's cells");
+                OutCol::Col(Arc::new(col.gather(&rows)))
+            }
+        }
+    }
+}
+
+impl Acc {
+    /// Opens the state of a new group whose first row is `first`.
+    fn open(&mut self, first: u32) {
         match self {
-            Accumulator::Group => Value::Null,
-            Accumulator::Count { n } => Value::Int(*n as i64),
-            Accumulator::Sum {
-                int,
-                float,
-                any_float,
-                n,
-            } => {
-                if *n == 0 {
-                    Value::Null
-                } else if *any_float {
-                    Value::Float(float.total() + *int as f64)
-                } else {
-                    Value::Int(*int)
+            Acc::Key(_) => {}
+            Acc::Count(n) => n.push(0),
+            Acc::Sum(s) => s.push(SumState::default()),
+            Acc::Avg(s) => s.push(AvgState::default()),
+            Acc::Best { best, .. } => best.push(Num::Null),
+            Acc::BestRow { literal, rows, .. } => rows.push(if *literal { 0 } else { first }),
+        }
+    }
+
+    /// The value of a group that saw no row.
+    fn empty(&self) -> Num {
+        match self {
+            Acc::Count(_) => Num::Int(0),
+            _ => Num::Null,
+        }
+    }
+
+    /// Feeds the cells of `block` for rows `rows` (cell `j` is row
+    /// `rows.start + j`, in group `gids[j]`, standing for `weights[row]`
+    /// rows): the state that many single feeds reach. A count adds the
+    /// weight, an integer sum adds `value · weight` (wrapping, as that
+    /// many wrapping adds do), `MIN`/`MAX` see the value once, float sums
+    /// take [`FloatSum::add_times`]; where that refuses, the error is
+    /// [`INEXACT_SUM`]. The first row that fails, and its error.
+    fn feed(
+        &mut self,
+        block: &Block,
+        rows: Range<usize>,
+        gids: &[u32],
+        weights: Option<&[u64]>,
+        reader: &DictReader,
+    ) -> Option<RowError> {
+        let lo = rows.start;
+        let weight = |j: usize| weights.map_or(1, |w| w[lo + j]);
+        let cells = 0..rows.len();
+        match self {
+            Acc::Key(_) => {}
+            Acc::Count(n) => {
+                for j in cells.filter(|&j| !block.is_null(j)) {
+                    n[gids[j] as usize] += weight(j);
                 }
             }
-            Accumulator::MinMax { best, .. } => best.clone().unwrap_or(Value::Null),
-            Accumulator::Avg { sum, n } => {
-                if *n == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(sum.total() / *n as f64)
+            Acc::Sum(s) => {
+                for j in cells {
+                    let (st, m) = (&mut s[gids[j] as usize], weight(j));
+                    match block.num(j) {
+                        Ok(Num::Null) => {}
+                        Ok(Num::Int(x)) => {
+                            st.int = st.int.wrapping_add(x.wrapping_mul(m as i64));
+                            st.n += m;
+                        }
+                        Ok(Num::Float(x)) => {
+                            if !st.float.add_times(x, m) {
+                                return Some((lo + j, inexact_sum()));
+                            }
+                            st.any_float = true;
+                            st.n += m;
+                        }
+                        Err(ty) => {
+                            let why = format!("SUM over non-numeric value ({ty})");
+                            return Some((lo + j, EvalError::Internal(why)));
+                        }
+                    }
+                }
+            }
+            Acc::Avg(s) => {
+                for j in cells {
+                    let x = match block.num(j) {
+                        Ok(Num::Null) => continue,
+                        Ok(Num::Int(x)) => x as f64,
+                        Ok(Num::Float(x)) => x,
+                        Err(_) => {
+                            let why = "AVG over non-numeric value".to_string();
+                            return Some((lo + j, EvalError::Internal(why)));
+                        }
+                    };
+                    let (st, m) = (&mut s[gids[j] as usize], weight(j));
+                    if !st.sum.add_times(x, m) {
+                        return Some((lo + j, inexact_sum()));
+                    }
+                    st.n += m;
+                }
+            }
+            Acc::Best { min, best } => {
+                for j in cells {
+                    let x = match block.num(j) {
+                        Ok(Num::Null) => continue,
+                        Ok(x) => x,
+                        Err(_) => unreachable!("a numeric expression yields numbers"),
+                    };
+                    let b = &mut best[gids[j] as usize];
+                    if matches!(b, Num::Null) || better(x.value().cmp(&b.value()), *min) {
+                        *b = x;
+                    }
+                }
+            }
+            Acc::BestRow {
+                min, rows: best, ..
+            } => {
+                let Block::Cells { col, .. } = block else {
+                    unreachable!("a column's cells")
+                };
+                for j in cells {
+                    let i = block.row(j);
+                    if col.is_null(i) {
+                        continue;
+                    }
+                    let b = &mut best[gids[j] as usize];
+                    if col.is_null(*b as usize) || better(col.cmp_at(i, *b as usize, reader), *min)
+                    {
+                        *b = i as u32;
+                    }
                 }
             }
         }
+        None
     }
 }
 
@@ -780,13 +979,362 @@ impl Accumulator {
 mod tests {
     use super::*;
     use crate::crel::Name;
-    use htqo_cq::{AggFunc, CqBuilder, ScalarExpr};
+    use crate::expr::eval_scalar;
+    use crate::value::Row;
+    use htqo_cq::CqBuilder;
 
     fn answer(cols: &[&str], rows: Vec<Vec<Value>>) -> VRelation {
         VRelation::from_rows(
             cols.iter().map(|c| c.to_string()).collect(),
             rows.into_iter().map(|r| r.into_boxed_slice()).collect(),
         )
+    }
+
+    /// The row-at-a-time aggregation the kernel is checked against. Group
+    /// state is charged to the byte pool as groups appear and released
+    /// when the function returns; the output rows are charged on success.
+    /// A denied group reservation surfaces as [`EvalError::MemoryExceeded`].
+    fn aggregate_rows(
+        answer: &VRelation,
+        group_idx: &[usize],
+        q: &ConjunctiveQuery,
+        visible: &[&OutputItem],
+        labels: &[String],
+        budget: &mut Budget,
+    ) -> Result<VRelation, EvalError> {
+        let mut accrued = 0u64;
+        let result =
+            aggregate_rows_inner(answer, group_idx, q, visible, labels, budget, &mut accrued);
+        budget.uncharge_bytes(accrued);
+        let out = result?;
+        budget.charge_bytes(out.len() as u64 * row_heap_bytes(out.cols().len()))?;
+        Ok(out)
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn aggregate_rows_inner(
+        answer: &VRelation,
+        group_idx: &[usize],
+        q: &ConjunctiveQuery,
+        visible: &[&OutputItem],
+        labels: &[String],
+        budget: &mut Budget,
+        accrued: &mut u64,
+    ) -> Result<VRelation, EvalError> {
+        let group_bytes = group_state_bytes(group_idx.len(), visible.len());
+        let mut groups: std::collections::HashMap<Row, Vec<RowAccumulator>> = Default::default();
+        // Deterministic group ordering: remember first-seen order.
+        let mut order: Vec<Row> = Vec::new();
+
+        let cols = answer.cols().to_vec();
+        for row in answer.rows() {
+            let key: Row = group_idx.iter().map(|&i| row[i].clone()).collect();
+            let accs = match groups.get_mut(&key) {
+                Some(a) => a,
+                None => {
+                    if !budget.try_reserve_bytes(group_bytes) {
+                        return Err(group_state_exceeded(budget, group_bytes));
+                    }
+                    *accrued += group_bytes;
+                    budget.charge(1)?;
+                    order.push(key.clone());
+                    groups.entry(key.clone()).or_insert_with(|| {
+                        visible
+                            .iter()
+                            .map(|o| RowAccumulator::for_item(o))
+                            .collect()
+                    })
+                }
+            };
+            for (acc, item) in accs.iter_mut().zip(visible) {
+                acc.feed_row(item, &cols, row)?;
+            }
+        }
+
+        // Global aggregate over empty input still produces one row.
+        if groups.is_empty() && q.group_by.is_empty() {
+            let key: Row = Vec::new().into_boxed_slice();
+            order.push(key.clone());
+            groups.insert(
+                key,
+                visible
+                    .iter()
+                    .map(|o| RowAccumulator::for_item(o))
+                    .collect(),
+            );
+        }
+
+        let mut out = VRelation::empty(labels.to_vec());
+        for key in order {
+            let accs = &groups[&key];
+            let mut row: Vec<Value> = Vec::with_capacity(visible.len());
+            for (acc, item) in accs.iter().zip(visible) {
+                row.push(match item {
+                    OutputItem::Var { var, .. } => {
+                        let gpos = q.group_by.iter().position(|g| g == var).expect("validated");
+                        key[gpos].clone()
+                    }
+                    OutputItem::Aggregate { .. } => acc.finish(),
+                });
+            }
+            out.push(row.into_boxed_slice());
+        }
+        Ok(out)
+    }
+
+    /// The reference's accumulator for one output item, fed one `Value`
+    /// at a time.
+    enum RowAccumulator {
+        /// Placeholder for plain grouping variables.
+        Group,
+        Sum {
+            int: i64,
+            float: FloatSum,
+            any_float: bool,
+            n: u64,
+        },
+        Count {
+            n: u64,
+        },
+        MinMax {
+            best: Option<Value>,
+            min: bool,
+        },
+        Avg {
+            sum: FloatSum,
+            n: u64,
+        },
+    }
+
+    impl RowAccumulator {
+        fn for_item(item: &OutputItem) -> RowAccumulator {
+            match item {
+                OutputItem::Var { .. } => RowAccumulator::Group,
+                OutputItem::Aggregate { func, .. } => match func {
+                    AggFunc::Sum => RowAccumulator::Sum {
+                        int: 0,
+                        float: FloatSum::default(),
+                        any_float: false,
+                        n: 0,
+                    },
+                    AggFunc::Count => RowAccumulator::Count { n: 0 },
+                    AggFunc::Min => RowAccumulator::MinMax {
+                        best: None,
+                        min: true,
+                    },
+                    AggFunc::Max => RowAccumulator::MinMax {
+                        best: None,
+                        min: false,
+                    },
+                    AggFunc::Avg => RowAccumulator::Avg {
+                        sum: FloatSum::default(),
+                        n: 0,
+                    },
+                },
+            }
+        }
+
+        /// Feeds one row: its value of the aggregated expression.
+        fn feed_row(
+            &mut self,
+            item: &OutputItem,
+            cols: &[String],
+            row: &Row,
+        ) -> Result<(), EvalError> {
+            let OutputItem::Aggregate { expr, .. } = item else {
+                return Ok(());
+            };
+            let value = match expr {
+                Some(e) => eval_scalar(e, cols, row)?,
+                None => Value::Int(1), // COUNT(*): any non-null marker
+            };
+            match self {
+                RowAccumulator::Group => {}
+                RowAccumulator::Count { n } => {
+                    if !value.is_null() {
+                        *n += 1;
+                    }
+                }
+                RowAccumulator::Sum {
+                    int,
+                    float,
+                    any_float,
+                    n,
+                } => match value {
+                    Value::Null => {}
+                    Value::Int(i) => {
+                        *int = int.wrapping_add(i);
+                        *n += 1;
+                    }
+                    Value::Float(x) => {
+                        if !float.add_times(x, 1) {
+                            return Err(EvalError::Internal(INEXACT_SUM.into()));
+                        }
+                        *any_float = true;
+                        *n += 1;
+                    }
+                    other => {
+                        return Err(EvalError::Internal(format!(
+                            "SUM over non-numeric value ({})",
+                            other.type_name()
+                        )))
+                    }
+                },
+                RowAccumulator::MinMax { best, min } => {
+                    if value.is_null() {
+                        return Ok(());
+                    }
+                    let better = match best {
+                        None => true,
+                        Some(b) => {
+                            let ord = value.cmp(b);
+                            if *min {
+                                ord.is_lt()
+                            } else {
+                                ord.is_gt()
+                            }
+                        }
+                    };
+                    if better {
+                        *best = Some(value);
+                    }
+                }
+                RowAccumulator::Avg { sum, n } => {
+                    if let Some(x) = value.as_f64() {
+                        if !sum.add_times(x, 1) {
+                            return Err(EvalError::Internal(INEXACT_SUM.into()));
+                        }
+                        *n += 1;
+                    } else if !value.is_null() {
+                        return Err(EvalError::Internal("AVG over non-numeric value".into()));
+                    }
+                }
+            }
+            Ok(())
+        }
+
+        fn finish(&self) -> Value {
+            match self {
+                RowAccumulator::Group => Value::Null,
+                RowAccumulator::Count { n } => Value::Int(*n as i64),
+                RowAccumulator::Sum {
+                    int,
+                    float,
+                    any_float,
+                    n,
+                } => {
+                    if *n == 0 {
+                        Value::Null
+                    } else if *any_float {
+                        Value::Float(float.clone().total() + *int as f64)
+                    } else {
+                        Value::Int(*int)
+                    }
+                }
+                RowAccumulator::MinMax { best, .. } => best.clone().unwrap_or(Value::Null),
+                RowAccumulator::Avg { sum, n } => {
+                    if *n == 0 {
+                        Value::Null
+                    } else {
+                        Value::Float(sum.clone().total() / *n as f64)
+                    }
+                }
+            }
+        }
+    }
+
+    /// The reference's tail over rows: HAVING, ORDER BY (ties broken on
+    /// the whole row), LIMIT.
+    fn row_tail(
+        result: VRelation,
+        q: &ConjunctiveQuery,
+        budget: &mut Budget,
+    ) -> Result<VRelation, EvalError> {
+        let result = if q.having.is_empty() {
+            result
+        } else {
+            let idx: Vec<(usize, htqo_cq::CmpOp, Value)> = q
+                .having
+                .iter()
+                .map(|(label, op, lit)| {
+                    let i = result
+                        .col_index(label)
+                        .ok_or_else(|| EvalError::UnknownVariable(label.clone()))?;
+                    Ok((i, *op, Value::from(lit)))
+                })
+                .collect::<Result<_, EvalError>>()?;
+            select_rows(
+                &result,
+                |row| {
+                    idx.iter()
+                        .all(|(i, op, v)| crate::expr::apply_cmp(*op, &row[*i], v))
+                },
+                budget,
+            )?
+        };
+        let result = if q.order_by.is_empty() && !q.has_aggregates() {
+            result
+        } else {
+            let keys: Vec<(String, bool)> = q
+                .order_by
+                .iter()
+                .map(|(label, dir)| (label.clone(), *dir == SortDir::Desc))
+                .collect();
+            sort_by(result, &keys)?
+        };
+        Ok(match q.limit {
+            Some(n) if n < result.len() => {
+                let cols = result.cols().to_vec();
+                let mut rows = result.into_rows();
+                rows.truncate(n);
+                VRelation::from_rows(cols, rows)
+            }
+            _ => result,
+        })
+    }
+
+    /// Keeps the rows satisfying `pred`, charging each survivor.
+    fn select_rows(
+        a: &VRelation,
+        pred: impl Fn(&Row) -> bool,
+        budget: &mut Budget,
+    ) -> Result<VRelation, EvalError> {
+        let mut out = VRelation::empty(a.cols().to_vec());
+        let row_bytes = row_heap_bytes(a.cols().len());
+        for row in a.rows() {
+            if pred(row) {
+                budget.charge(1)?;
+                budget.charge_bytes(row_bytes)?;
+                out.push(row.clone());
+            }
+        }
+        Ok(out)
+    }
+
+    /// Sorts rows by the given `(column, descending)` keys, then by the
+    /// whole row, in [`Value`]'s total order (stable: rows equal in it
+    /// keep their order).
+    fn sort_by(a: VRelation, keys: &[(String, bool)]) -> Result<VRelation, EvalError> {
+        let idx: Vec<(usize, bool)> = keys
+            .iter()
+            .map(|(v, desc)| {
+                a.col_index(v)
+                    .map(|i| (i, *desc))
+                    .ok_or_else(|| EvalError::UnknownVariable(v.clone()))
+            })
+            .collect::<Result<_, _>>()?;
+        let cols = a.cols().to_vec();
+        let mut rows = a.into_rows();
+        rows.sort_by(|x, y| {
+            for &(i, desc) in &idx {
+                let ord = x[i].cmp(&y[i]);
+                if ord != std::cmp::Ordering::Equal {
+                    return if desc { ord.reverse() } else { ord };
+                }
+            }
+            x.cmp(y)
+        });
+        Ok(VRelation::from_rows(cols, rows))
     }
 
     /// The row-at-a-time front the columnar one is checked against: the
@@ -819,7 +1367,18 @@ mod tests {
             }
             out
         };
-        finalize_tail(result, q, budget)
+        row_tail(result, q, budget)
+    }
+
+    /// A repeated label takes the smallest suffix that no label of the
+    /// query has and no earlier label was given.
+    #[test]
+    fn uniquify_skips_labels_the_query_chose() {
+        let u = |l: &[&str]| uniquify(l.iter().copied());
+        assert_eq!(u(&["a", "b", "a", "a"]), ["a", "b", "a_2", "a_3"]);
+        assert_eq!(u(&["a", "a_2", "a"]), ["a", "a_2", "a_3"]);
+        assert_eq!(u(&["a", "a", "a_2"]), ["a", "a_3", "a_2"]);
+        assert_eq!(u(&["a_2", "a", "a", "a_2"]), ["a_2", "a", "a_3", "a_2_2"]);
     }
 
     #[test]
@@ -1237,32 +1796,6 @@ mod tests {
         // bits, charges and errors — or refuses, and only where a float
         // it sums or averages repeats outside the exact range.
         let weights = |n: usize| (0..n).map(|i| 1 + (i as u64 * 7) % 3).collect::<Vec<_>>();
-        let repeat = |rows: &VRelation, w: &[u64]| {
-            let copies = (rows.rows().iter().zip(w))
-                .flat_map(|(r, &m)| std::iter::repeat_n(r.to_vec(), m as usize));
-            let cols: Vec<&str> = rows.cols().iter().map(|c| c.as_str()).collect();
-            answer(&cols, copies.collect())
-        };
-        let inexact_repeat = |rows: &VRelation, w: &[u64], q: &ConjunctiveQuery| {
-            q.output.iter().any(|item| {
-                let OutputItem::Aggregate {
-                    func: func @ (AggFunc::Sum | AggFunc::Avg),
-                    expr: Some(e),
-                    ..
-                } = item
-                else {
-                    return false;
-                };
-                (rows.rows().iter().zip(w)).any(|(row, &m)| {
-                    let x = match eval_scalar(e, rows.cols(), row) {
-                        Ok(Value::Float(x)) => x,
-                        Ok(v) if *func == AggFunc::Avg => v.as_f64().unwrap_or(0.0),
-                        _ => 0.0,
-                    };
-                    !FloatSum::default().add_times(x, m)
-                })
-            })
-        };
         let mut weighted = [0usize; 3];
         for q in &queries {
             for (rows, cols) in [(&a, &ca), (&long, &c_long), (&empty, &c_empty)] {
@@ -1517,6 +2050,400 @@ mod tests {
             for w in sorted.rows().windows(2) {
                 proptest::prop_assert!(w[0] <= w[1]);
             }
+        }
+    }
+
+    // The kernel's property suite: random answers and queries, each run
+    // through the kernel in memory, under forced spill, under a byte
+    // limit and weighted, against the row reference.
+
+    /// Answers (each with its queries) the suite draws:
+    /// `HTQO_CHAOS_CASES` (default 100).
+    fn kernel_cases() -> u64 {
+        std::env::var("HTQO_CHAOS_CASES")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(100)
+    }
+
+    /// A splitmix64 stream: the suite's one source of randomness.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn chance(&mut self, per_mille: u64) -> bool {
+            self.below(1000) < per_mille
+        }
+
+        fn pick<T: Clone>(&mut self, xs: &[T]) -> T {
+            xs[self.below(xs.len() as u64) as usize].clone()
+        }
+    }
+
+    /// Group-key kinds: `Int`, `Date` and `Str` keys without NULLs take
+    /// the direct table when their range fits, the rest the hashed one.
+    const KEY_KINDS: [&str; 7] = [
+        "int",
+        "int_sparse",
+        "str",
+        "date",
+        "float",
+        "mixed",
+        "int_nulls",
+    ];
+
+    /// Key `k` of a key column of `kind`, at row `i`: `-0.0`/`0.0` and
+    /// NaNs of both signs share a group.
+    fn key_cell(kind: &str, k: u64, i: usize) -> Value {
+        match kind {
+            "int" => Value::Int(k as i64 - 3),
+            "int_sparse" => Value::Int(k as i64 * 1_000_003),
+            "str" => Value::str(&format!("k{k}")),
+            "date" => Value::Date(9_000 + k as i32),
+            "float" => match k {
+                0 => Value::Float(if i.is_multiple_of(2) { 0.0 } else { -0.0 }),
+                1 => Value::Float(if i.is_multiple_of(2) {
+                    f64::NAN
+                } else {
+                    -f64::NAN
+                }),
+                k => Value::Float(k as f64 * 0.5),
+            },
+            "mixed" if k.is_multiple_of(2) => Value::Int(k as i64),
+            "mixed" => Value::str(&format!("m{k}")),
+            _ if k == 0 => Value::Null,
+            _ => Value::Int(k as i64),
+        }
+    }
+
+    /// The value columns: `X` `Int` (wrapping extremes), `F` `Float`
+    /// (NaN, ±0.0, ±∞, 1e300, money), `S` `Str` and `D` `Date` (mostly
+    /// NULL, so they fail anywhere from the first row to never), `M`
+    /// mixed; each with NULLs.
+    const VALUE_COLS: [&str; 5] = ["X", "F", "S", "D", "M"];
+
+    fn value_cell(g: &mut Gen, col: &str, rare: u64) -> Value {
+        if g.chance(120) {
+            return Value::Null;
+        }
+        match col {
+            "X" => match g.below(20) {
+                0 => Value::Int(i64::MAX),
+                1 => Value::Int(i64::MIN + 1),
+                _ => Value::Int(g.below(2_000) as i64 - 1_000),
+            },
+            "F" => match g.below(40) {
+                0 => Value::Float(f64::NAN),
+                1 => Value::Float(-f64::NAN),
+                2 => Value::Float(-0.0),
+                3 => Value::Float(0.0),
+                4 => Value::Float(f64::INFINITY),
+                5 => Value::Float(f64::NEG_INFINITY),
+                6 => Value::Float(1e300),
+                7 => Value::Float(5e-324),
+                _ => Value::Float((g.below(2_000_000) as f64 - 1e6) / 100.0),
+            },
+            "S" if g.chance(rare) => Value::str(["s", "t", "u"][g.below(3) as usize]),
+            "D" if g.chance(rare) => Value::Date(g.below(50) as i32),
+            "M" => match g.below(8) {
+                0 if g.chance(rare) => Value::str("m"),
+                1 if g.chance(rare) => Value::Date(7),
+                2 | 3 => Value::Float(g.below(100) as f64 * 0.25),
+                _ => Value::Int(g.below(100) as i64),
+            },
+            _ => Value::Null,
+        }
+    }
+
+    /// A random scalar expression of depth at most `depth`.
+    fn random_expr(g: &mut Gen, depth: u32) -> ScalarExpr {
+        use htqo_cq::{ArithOp, Literal};
+        match g.below(if depth == 0 { 10 } else { 16 }) {
+            0..=5 => {
+                let absent = g.chance(20);
+                ScalarExpr::Var(if absent { "ZZ" } else { g.pick(&VALUE_COLS) }.into())
+            }
+            6..=9 => {
+                let other = if g.chance(300) {
+                    Literal::Str("lit".into())
+                } else {
+                    Literal::Date(11)
+                };
+                ScalarExpr::Lit(g.pick(&[
+                    Literal::Int(1),
+                    Literal::Int(-3),
+                    Literal::Int(i64::MAX),
+                    Literal::Float(0.5),
+                    Literal::Float(-0.0),
+                    Literal::Float(f64::INFINITY),
+                    Literal::Float(f64::NAN),
+                    Literal::Int(7),
+                    Literal::Float(2.25),
+                    other,
+                ]))
+            }
+            _ => {
+                let op = g.pick(&[ArithOp::Add, ArithOp::Sub, ArithOp::Mul, ArithOp::Div]);
+                let l = random_expr(g, depth - 1);
+                let r = random_expr(g, depth - 1);
+                ScalarExpr::Binary(Box::new(l), op, Box::new(r))
+            }
+        }
+    }
+
+    /// A random answer over key columns `K0`, `K1` (one or both grouped),
+    /// the value columns and a distinct `__rid_r`, with 1–2,000 groups and
+    /// up to 3,000 rows; and queries over it.
+    fn kernel_case(g: &mut Gen) -> (VRelation, Vec<ConjunctiveQuery>) {
+        use htqo_cq::{CmpOp, Literal};
+        let n = g.pick(&[0usize, 1, 5, 200, 1_023, 1_024, 1_025, 2_100, 3_000]);
+        let groups = g.pick(&[1u64, 2, 5, 37, 300, 1_000, 2_000]);
+        let kinds = [g.pick(&KEY_KINDS), g.pick(&KEY_KINDS)];
+        let split = 1 + g.below(groups);
+        let rare = g.pick(&[0u64, 1, 30, 400]);
+        let mut cols: Vec<&str> = vec!["K0", "K1"];
+        cols.extend(VALUE_COLS);
+        cols.push("__rid_r");
+        let rows = (0..n)
+            .map(|i| {
+                let k = g.below(groups);
+                let mut row = vec![
+                    key_cell(kinds[0], k % split, i),
+                    key_cell(kinds[1], k / split, i),
+                ];
+                row.extend(VALUE_COLS.map(|c| value_cell(g, c, rare)));
+                row.push(Value::Int(i as i64));
+                row
+            })
+            .collect();
+        let a = answer(&cols, rows);
+        let queries = (0..4)
+            .map(|_| {
+                let mut b = CqBuilder::new().atom_vars("r", &cols);
+                let keys: &[&str] = g.pick(&[&[][..], &["K0"], &["K1", "K0"]]);
+                let plain = g.chance(150);
+                let mut labels: Vec<String> = Vec::new();
+                for &k in keys {
+                    b = b.group(k);
+                    for _ in 0..g.below(3) {
+                        b = b.out_var(k);
+                        labels.push(k.into());
+                    }
+                }
+                if plain {
+                    b = b.out_var(g.pick(&VALUE_COLS)).out_var("__rid_r");
+                } else {
+                    for j in 0..1 + g.below(4) {
+                        let func = g.pick(&[
+                            AggFunc::Sum,
+                            AggFunc::Count,
+                            AggFunc::Avg,
+                            AggFunc::Min,
+                            AggFunc::Max,
+                        ]);
+                        let expr = if g.chance(100) {
+                            None
+                        } else {
+                            Some(random_expr(g, 2))
+                        };
+                        let label = format!("v{j}");
+                        b = b.out_agg(
+                            if expr.is_none() { AggFunc::Count } else { func },
+                            expr,
+                            &label,
+                        );
+                        labels.push(label);
+                    }
+                }
+                if !labels.is_empty() && !plain && g.chance(250) {
+                    let lit = g.pick(&[Literal::Int(0), Literal::Float(-12.5), Literal::Int(3)]);
+                    let op = g.pick(&[CmpOp::Ge, CmpOp::Lt, CmpOp::Ne]);
+                    b = b.having(&g.pick(&labels), op, lit);
+                }
+                if !labels.is_empty() && g.chance(500) {
+                    let dir = g.pick(&[SortDir::Asc, SortDir::Desc]);
+                    b = b.order(&g.pick(&labels), dir);
+                }
+                if g.chance(250) {
+                    b = b.limit(g.below(groups + 2) as usize);
+                }
+                b.build()
+            })
+            .collect();
+        (a, queries)
+    }
+
+    /// An answer's columns and rows, floats as their bits.
+    fn bits(r: &Result<VRelation, EvalError>) -> Vec<String> {
+        let rel = match r {
+            Ok(rel) => rel,
+            Err(e) => return vec![format!("error {e:?}")],
+        };
+        let cell = |v: &Value| match v {
+            Value::Float(x) => format!("F{:x}", x.to_bits()),
+            v => format!("{v:?}"),
+        };
+        let rows =
+            (rel.rows().iter()).map(|row| row.iter().map(cell).collect::<Vec<_>>().join("|"));
+        std::iter::once(format!("{:?}", rel.cols()))
+            .chain(rows)
+            .collect()
+    }
+
+    /// [`bits`] with the rows in sorted order: the answer as a bag.
+    fn bag(r: &Result<VRelation, EvalError>) -> Vec<String> {
+        let mut b = bits(r);
+        b[1..].sort();
+        b
+    }
+
+    /// `rows` with row `i` repeated `w[i]` times.
+    fn repeat(rows: &VRelation, w: &[u64]) -> VRelation {
+        let copies = (rows.rows().iter().zip(w))
+            .flat_map(|(r, &m)| std::iter::repeat_n(r.to_vec(), m as usize));
+        let cols: Vec<&str> = rows.cols().iter().map(|c| c.as_str()).collect();
+        answer(&cols, copies.collect())
+    }
+
+    /// True if some `SUM`/`AVG` of `q` takes, on a row weighted above 1, a
+    /// float that [`FloatSum::add_times`] cannot repeat exactly — the one
+    /// case [`finalize_weighted`] refuses.
+    fn inexact_repeat(rows: &VRelation, w: &[u64], q: &ConjunctiveQuery) -> bool {
+        q.output.iter().any(|item| {
+            let OutputItem::Aggregate {
+                func: func @ (AggFunc::Sum | AggFunc::Avg),
+                expr: Some(e),
+                ..
+            } = item
+            else {
+                return false;
+            };
+            (rows.rows().iter().zip(w)).any(|(row, &m)| {
+                let x = match eval_scalar(e, rows.cols(), row) {
+                    Ok(Value::Float(x)) => x,
+                    Ok(v) if *func == AggFunc::Avg => v.as_f64().unwrap_or(0.0),
+                    _ => 0.0,
+                };
+                !FloatSum::default().add_times(x, m)
+            })
+        })
+    }
+
+    /// The kernel answers what the row reference answers — columns,
+    /// rows in order, float bits, tuple charges, and the error of the
+    /// first failing row — over direct and hashed group keys, 1–2,000
+    /// groups, answers longer than a block, every column kind with NULLs
+    /// and every aggregate over variables, literals and expressions
+    /// (wrapping, `/`, NaN, ±0.0, ±∞). Forced to spill it answers the same
+    /// bag with the same charges; under a byte limit the same bag or a
+    /// `MemoryExceeded` (both without the query's LIMIT). `finalize_weighted` answers what `finalize_c`
+    /// answers over the answer with row `i` repeated `w[i]` times, or
+    /// refuses, and only where a repeated float is outside the exact range.
+    #[test]
+    fn the_kernel_answers_what_the_row_reference_answers() {
+        use crate::error::SpillMode;
+        // Direct keys, hashed keys, long answers of many groups, errors,
+        // answers, byte-limit denials, weighted refusals.
+        let mut seen = [0usize; 7];
+        for case in 0..kernel_cases() {
+            let mut g = Gen(case.wrapping_mul(0x2545_F491_4F6C_DD1D));
+            let (a, queries) = kernel_case(&mut g);
+            let ca = CRel::from_vrel(&a);
+            for q in &queries {
+                let ctx = format!(
+                    "case {case}, {} rows: {:?} GROUP BY {:?} HAVING {:?} ORDER BY {:?} LIMIT {:?}",
+                    a.len(),
+                    q.output,
+                    q.group_by,
+                    q.having,
+                    q.order_by,
+                    q.limit
+                );
+                if let Ok(idx) = group_layout(ca.cols(), q, &visible_output(q).0) {
+                    let reader = dict::reader();
+                    match GroupIds::new(&ca, &idx, 8 * ca.len() as u64, &reader) {
+                        GroupIds::Direct { .. } => seen[0] += 1,
+                        GroupIds::Hashed { .. } => seen[1] += 1,
+                        GroupIds::One => {}
+                    }
+                }
+                let mut b1 = Budget::unlimited();
+                let want = row_finalize(&a, q, &mut b1);
+                let mut b2 = Budget::unlimited();
+                let got = finalize_c(&ca, q, &mut b2);
+                assert_eq!(bits(&want), bits(&got), "{ctx}");
+                assert_eq!(b1.charged(), b2.charged(), "{ctx}");
+                match &want {
+                    Ok(w) if a.len() > EVAL_BLOCK && w.len() > 500 => seen[2] += 1,
+                    Ok(_) => {}
+                    Err(_) => seen[3] += 1,
+                }
+                seen[4] += want.is_ok() as usize;
+                if !q.has_aggregates() {
+                    continue;
+                }
+
+                // Spilled, the groups arrive in partition order, and rows
+                // equal in `Value`'s total order (`Int(0)` and
+                // `Float(0.0)`, NaNs) keep the order they arrive in, so a
+                // LIMIT may keep another of them: these runs compare the
+                // whole answer, as a bag.
+                let whole = ConjunctiveQuery {
+                    limit: None,
+                    ..q.clone()
+                };
+                let mut b1 = Budget::unlimited();
+                let want = row_finalize(&a, &whole, &mut b1);
+                let mut forced = Budget::unlimited().with_spill_mode(SpillMode::Force);
+                let spilled = finalize_c(&ca, &whole, &mut forced);
+                if want.is_ok() {
+                    assert_eq!(bag(&want), bag(&spilled), "{ctx} (forced spill)");
+                    assert_eq!(b1.charged(), forced.charged(), "{ctx} (forced spill)");
+                } else {
+                    assert!(spilled.is_err(), "{ctx} (forced spill)");
+                }
+
+                let limit = 1_000 + g.below(60_000);
+                let mut capped = Budget::unlimited().with_mem_limit(limit);
+                match (&want, finalize_c(&ca, &whole, &mut capped)) {
+                    (_, Err(EvalError::MemoryExceeded { .. })) => seen[5] += 1,
+                    (Ok(_), got) => {
+                        assert_eq!(bag(&want), bag(&got), "{ctx} (limit {limit})");
+                        assert!(capped.charged() >= b1.charged(), "{ctx} (limit {limit})");
+                    }
+                    (Err(_), got) => assert!(got.is_err(), "{ctx} (limit {limit})"),
+                }
+
+                let w: Vec<u64> = (0..a.len()).map(|_| 1 + g.below(3)).collect();
+                let mut b3 = Budget::unlimited();
+                let want = finalize_c(&CRel::from_vrel(&repeat(&a, &w)), q, &mut b3);
+                let mut b4 = Budget::unlimited();
+                match finalize_weighted(&ca, &w, q, &mut b4) {
+                    Ok(None) => {
+                        assert!(inexact_repeat(&a, &w, q), "{ctx} (weighted)");
+                        seen[6] += 1;
+                    }
+                    got => {
+                        let got = got.map(|r| r.expect("answered"));
+                        assert_eq!(bits(&want), bits(&got), "{ctx} (weighted)");
+                        assert_eq!(b3.charged(), b4.charged(), "{ctx} (weighted)");
+                    }
+                }
+            }
+        }
+        if kernel_cases() >= 24 {
+            assert!(seen.iter().all(|&n| n > 0), "{seen:?}");
         }
     }
 }

@@ -665,6 +665,26 @@ impl Column {
         }
     }
 
+    /// Cells `i` and `j` of this column in [`Value`]'s total order (NULL
+    /// first), compared as typed cells: how MIN, MAX and ORDER BY rank
+    /// the cells of one column without boxing them.
+    pub(crate) fn cmp_at(&self, i: usize, j: usize, reader: &DictReader) -> Ordering {
+        match (self.is_null(i), self.is_null(j)) {
+            (true, true) => return Ordering::Equal,
+            (true, false) => return Ordering::Less,
+            (false, true) => return Ordering::Greater,
+            (false, false) => {}
+        }
+        match &self.data {
+            ColumnData::Int(a) => a[i].cmp(&a[j]),
+            ColumnData::Float(a) => norm_f64(a[i]).total_cmp(&norm_f64(a[j])),
+            ColumnData::Date(a) => a[i].cmp(&a[j]),
+            ColumnData::Str(a) if a[i] == a[j] => Ordering::Equal,
+            ColumnData::Str(a) => reader.str_of(a[i]).cmp(reader.str_of(a[j])),
+            ColumnData::Mixed(a) => a[i].cmp(&a[j]),
+        }
+    }
+
     /// True if cell `i` equals the boxed value `v` (`Value` semantics).
     pub fn eq_value(&self, i: usize, v: &Value, reader: &DictReader) -> bool {
         if self.is_null(i) {

@@ -49,7 +49,14 @@ impl FloatSum {
     /// `x` is kept aside and `m > 1`, or the exact sum would overflow.
     pub(crate) fn add_times(&mut self, x: f64, m: u64) -> bool {
         match units(x) {
-            Some(u) => match (u.checked_mul(i128::from(m))).and_then(|p| self.fixed.checked_add(p))
+            // A weight of 1 — every unweighted row — skips the 128-bit
+            // multiply.
+            Some(u) => match (if m == 1 {
+                Some(u)
+            } else {
+                u.checked_mul(i128::from(m))
+            })
+            .and_then(|p| self.fixed.checked_add(p))
             {
                 Some(sum) => {
                     self.fixed = sum;
@@ -67,13 +74,12 @@ impl FloatSum {
 
     /// The sum: the exact part rounded to nearest (ties to even), then
     /// the values kept aside, smallest first by [`f64::total_cmp`].
-    pub(crate) fn total(&self) -> f64 {
-        let mut rest = self.rest.clone();
-        rest.sort_unstable_by(f64::total_cmp);
+    pub(crate) fn total(mut self) -> f64 {
+        self.rest.sort_unstable_by(f64::total_cmp);
         // `i128 as f64` rounds to nearest, ties to even; scaling by a power
         // of two is exact, since a non-zero sum is at least one unit.
         let exact = self.fixed as f64 * (-FRAC_BITS as f64).exp2();
-        rest.into_iter().fold(exact, |acc, x| acc + x)
+        self.rest.into_iter().fold(exact, |acc, x| acc + x)
     }
 }
 

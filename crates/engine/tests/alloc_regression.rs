@@ -9,7 +9,8 @@
 //! row and an `Arc<str>` per string cell; they now allocate per column
 //! and per distinct string. The `P′` vertex join allocates per position
 //! list and per output column, not per column carried through its joins,
-//! and the columnar aggregate allocates no row per answer row.
+//! and the columnar aggregate allocates no row per answer row and one
+//! output row, not three heap objects, per group.
 //!
 //! (Integration test = its own binary, so the global allocator and the
 //! counters see only this file's work; the tests take [`serial`] so they
@@ -522,9 +523,63 @@ fn aggregate_c_allocates_no_row_per_answer_row() {
     let _ = finalize(); // warm-up
     let (allocs, out) = allocs_of(finalize);
     assert_eq!(out.len(), 3);
-    // Measured: 49, 61 before names were shared (a boxed row per answer
-    // row: over 20,000).
-    assert!(allocs < 64, "{allocs} allocations for {n} answer rows");
+    // Measured: 31; 49 while each group held a boxed accumulator list and
+    // each block a vector of boxed values per aggregate, 61 before names
+    // were shared (a boxed row per answer row: over 20,000).
+    assert!(allocs <= 31, "{allocs} allocations for {n} answer rows");
+}
+
+/// The grouping kernel keeps one flat state vector per aggregate: 20,000
+/// answer rows in 2,000 groups allocate one output row per group and a
+/// constant number of vectors — with the key in a direct table (dense
+/// `Int`s) and in the hashed table (the same keys spread over 10⁹).
+#[test]
+fn aggregate_c_allocates_one_row_per_group() {
+    use htqo_cq::{AggFunc, CqBuilder, ScalarExpr};
+    use htqo_engine::column::Column;
+    use htqo_engine::schema::ColumnType;
+    use std::sync::Arc;
+    let _serial = serial();
+    let (n, groups) = (20_000usize, 2_000usize);
+    let mut ep = Column::new(ColumnType::Float);
+    (0..n).for_each(|i| assert!(ep.push_float(i as f64 * 0.25)));
+    let ep = Arc::new(ep);
+    let q = CqBuilder::new()
+        .atom_vars("r", &["G", "EP", "__rid_r"])
+        .out_var("G")
+        .out_agg(AggFunc::Sum, Some(ScalarExpr::Var("EP".into())), "s")
+        .out_agg(AggFunc::Count, None, "n")
+        .out_agg(AggFunc::Max, Some(ScalarExpr::Var("EP".into())), "hi")
+        .out_var("__rid_r")
+        .group("G")
+        .build();
+    for (what, stride) in [("direct", 1), ("hashed", 500_000)] {
+        let keys = (0..n as i64).map(|i| i * 7_919 % groups as i64 * stride);
+        let answer = CRel::new(
+            ["G", "EP", "__rid_r"].map(Into::into).to_vec(),
+            vec![
+                Arc::new(Column::from_ints(keys.collect())),
+                Arc::clone(&ep),
+                Arc::new(Column::from_ints((0..n as i64).collect())),
+            ],
+            n,
+        );
+        let finalize = || {
+            let mut budget = Budget::unlimited();
+            htqo_engine::finalize_c(&answer, &q, &mut budget).unwrap()
+        };
+        let _ = finalize(); // warm-up
+        let (allocs, out) = allocs_of(finalize);
+        assert_eq!(out.len(), groups);
+        // Measured: 2,062 direct and 2,070 hashed — the output rows, and
+        // the state vectors growing by doubling; three per group (a hash
+        // bucket, an accumulator list, the row) while each group held its
+        // own.
+        assert!(
+            allocs <= groups + 70,
+            "{what}: {allocs} allocations for {groups} groups"
+        );
+    }
 }
 
 /// Distinct projection used to keep one heap `Vec<u32>` per distinct key;

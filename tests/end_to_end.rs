@@ -254,6 +254,31 @@ fn having_and_in_subquery_work_end_to_end() {
     }
 }
 
+/// A label that repeats takes the smallest free suffix: a second `a`
+/// next to a label `a_2` the query chose becomes `a_3`, on the plain and
+/// on the grouped path.
+#[test]
+fn repeated_output_labels_take_a_free_suffix() {
+    let (db, stats) = tpch();
+    let opt = HybridOptimizer::with_stats(QhdOptions::default(), stats);
+    for (sql, rows) in [
+        (
+            "SELECT n_name AS a, n_regionkey AS a_2, n_nationkey AS a FROM nation",
+            25,
+        ),
+        (
+            "SELECT n_name AS a, n_regionkey AS a_2, count(*) AS a FROM nation \
+             GROUP BY n_name, n_regionkey",
+            25,
+        ),
+    ] {
+        let out = opt.execute_sql(&db, sql, Budget::unlimited()).unwrap();
+        let ans = out.result.unwrap_or_else(|e| panic!("{sql}: {e}"));
+        assert_eq!(ans.cols(), ["a", "a_2", "a_3"], "{sql}");
+        assert_eq!(ans.len(), rows, "{sql}");
+    }
+}
+
 #[test]
 fn synthetic_chains_all_methods_agree() {
     for n in [3usize, 5, 6] {
