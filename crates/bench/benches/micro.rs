@@ -17,7 +17,8 @@
 //! grouping kernel on Q10-, Q5-like and weighted answers, the
 //! columnar join in memory vs spilling under a byte cap of a quarter of
 //! its working set,
-//! factorized vs materialized `COUNT(*) GROUP BY`, and the q-hypertree
+//! the counted q-HD pass vs the materialized join under `COUNT(*) GROUP
+//! BY` (`factorized_count`), and the q-hypertree
 //! evaluator vs the naive pipeline on a chain query.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -495,13 +496,12 @@ fn bench_vertex_join(c: &mut Criterion) {
                 ("l_returnflag", "RF"),
                 ("l_extendedprice", "EP"),
                 ("l_discount", "D"),
-                (ROWID_COLUMN, "__rid_lineitem"),
+                (ROWID_COLUMN, "RID"),
             ],
         )
         .filter(0, "l_shipdate", CmpOp::Gt, day(1995, 3, 15))
         .out_var("RF")
         .out_agg(htqo_cq::AggFunc::Sum, Some(revenue_expr()), "revenue")
-        .out_var("__rid_lineitem")
         .group("RF")
         .build();
     let answer = {
@@ -522,11 +522,10 @@ fn bench_aggregate(c: &mut Criterion) {
     // The grouping kernel alone, on answers built column by column: a
     // Q10-like answer (1,500 rows into 700 customer-name groups, ORDER BY
     // the revenue), a Q5-like one (100,000 rows into 5 nation groups), and
-    // the Q5-like answer as the root of a factorized cover whose child
-    // weighs each row 1–3 times (the cover's count pass included).
+    // the Q5-like answer counted, each row standing for 1–3 rows (what the
+    // counted q-HD pass hands the kernel).
     use htqo_cq::{AggFunc, CqBuilder, SortDir};
     use htqo_engine::column::Column;
-    use htqo_engine::factorized::{aggregate_cover, CoverInput};
     use htqo_engine::schema::ColumnType;
     use htqo_engine::{CRel, Name};
     use std::sync::Arc;
@@ -542,25 +541,18 @@ fn bench_aggregate(c: &mut Criterion) {
             assert!(d.push_float((i % 11) as f64 / 100.0));
         }
         let rid = Column::from_ints((0..rows as i64).collect());
-        let cols = ["G", "EP", "D", "K", "__rid_r"].map(Name::from).to_vec();
+        let cols = ["G", "EP", "D", "K", "R"].map(Name::from).to_vec();
         let keys = Column::from_ints((0..rows as i64).map(|i| i % 997).collect());
         let columns = [g, ep, d, keys, rid].map(Arc::new).to_vec();
         CRel::new(cols, columns, rows)
     };
-    let query = |ordered: bool, weighted: bool| {
-        let mut b = CqBuilder::new().atom_vars("r", &["G", "EP", "D", "K", "__rid_r"]);
-        if weighted {
-            b = b.atom_vars("c", &["K", "__rid_c"]);
-        }
-        b = b
+    let query = |ordered: bool| {
+        let mut b = CqBuilder::new()
+            .atom_vars("r", &["G", "EP", "D", "K", "R"])
             .out_var("G")
             .out_agg(AggFunc::Sum, Some(revenue_expr()), "revenue")
             .out_agg(AggFunc::Count, None, "n")
-            .out_var("__rid_r")
             .group("G");
-        if weighted {
-            b = b.out_var("__rid_c");
-        }
         if ordered {
             b = b.order("revenue", SortDir::Desc);
         }
@@ -569,39 +561,20 @@ fn bench_aggregate(c: &mut Criterion) {
     let q10 = answer(1_500, 700, &|i| format!("Customer#{i:09}"));
     let nations = ["ALGERIA", "ARGENTINA", "BRAZIL", "CANADA", "EGYPT"];
     let q5 = answer(100_000, 5, &|i| nations[i].to_string());
-    // Key `k` of the child appears `1 + k % 3` times.
-    let child_keys: Vec<i64> = (0..997i64)
-        .flat_map(|k| std::iter::repeat_n(k, 1 + k as usize % 3))
-        .collect();
-    let child = CRel::new(
-        ["K", "__rid_c"].map(Name::from).to_vec(),
-        vec![
-            Arc::new(Column::from_ints(child_keys.clone())),
-            Arc::new(Column::from_ints((0..child_keys.len() as i64).collect())),
-        ],
-        child_keys.len(),
-    );
-    let (q_q10, q_q5, q_weighted) = (query(true, false), query(false, false), query(false, true));
+    // Row `i` (key `k = i % 997`) counts `1 + k % 3`.
+    let counts = (0..q5.len() as i64).map(|i| 1 + i % 997 % 3).collect();
+    let counted = q5.clone().with_counts(counts);
+    let (q_q10, q_q5) = (query(true), query(false));
     let finalize = |answer: &CRel, q: &htqo_cq::ConjunctiveQuery| {
         htqo_engine::finalize_c(answer, q, &mut Budget::unlimited()).unwrap()
     };
-    let weighted = || {
-        let rels = vec![q5.clone(), child.clone()];
-        let scopes = rels.iter().map(|r| r.cols().to_vec()).collect();
-        let input = CoverInput {
-            rels,
-            parents: vec![None, Some(0)],
-            scopes,
-        };
-        aggregate_cover(input, &q_weighted, &mut Budget::unlimited()).expect("a cover")
-    };
     assert_eq!(finalize(&q10, &q_q10).len(), 700);
     assert_eq!(finalize(&q5, &q_q5).len(), 5);
-    assert_eq!(weighted().len(), 5);
+    assert_eq!(finalize(&counted, &q_q5).len(), 5);
     let mut group = c.benchmark_group("aggregate");
     group.bench_function("q10_like", |b| b.iter(|| finalize(&q10, &q_q10)));
     group.bench_function("q5_like", |b| b.iter(|| finalize(&q5, &q_q5)));
-    group.bench_function("weighted", |b| b.iter(weighted));
+    group.bench_function("weighted", |b| b.iter(|| finalize(&counted, &q_q5)));
     group.finish();
 }
 
@@ -1159,20 +1132,13 @@ fn bench_spill_join(c: &mut Criterion) {
 
 fn bench_factorized_count(c: &mut Criterion) {
     // `COUNT(*) GROUP BY A` over hub(A,B,C) with a 3-atom chain hanging
-    // off each hub variable, every atom exporting its hidden rowid (what
-    // the SQL isolator does for bag semantics): the materialized pipeline
-    // enumerates one row per derivation of the join (fanout ~3 per chain
-    // step, so ~27³ per hub row), the factorized one multiplies per-vertex
-    // counts along the cover. The cover links the atom scans by hand, hub
-    // above each chain in order: the q-HD planner roots its tree at an
-    // output-covering vertex, which with rowid guards on every atom would
-    // put the whole join in the root's λ.
-    use htqo_cq::isolator::{ROWID_COLUMN, ROWID_VAR_PREFIX};
+    // off each hub variable: the materialized pipeline enumerates one row
+    // per derivation of the join (fanout ~3 per chain step, so ~27³ per
+    // hub row), the counted q-HD pass multiplies and sums per-row counts
+    // along the decomposition the planner picks.
     use htqo_cq::{AggFunc, CqBuilder};
-    use htqo_engine::factorized::{aggregate_cover, CoverInput};
-    use htqo_engine::scan::scan_query_atom_c;
-    use htqo_engine::{ColumnType, Database, Name, Relation, Schema, Value};
-    use htqo_eval::evaluate_join_order;
+    use htqo_engine::{ColumnType, Database, Relation, Schema, Value};
+    use htqo_eval::{evaluate_join_order, evaluate_qhd_query_with, ExecOptions};
 
     const CHAIN_ROWS: usize = 20_000;
     const DOMAIN: u64 = CHAIN_ROWS as u64 / 3;
@@ -1194,20 +1160,9 @@ fn bench_factorized_count(c: &mut Criterion) {
         hub.push_row(vec![next(), next(), next()]).unwrap();
     }
     db.insert_table("hub", hub);
-    let rid = |name: &str| format!("{ROWID_VAR_PREFIX}{name}");
     let mut b = CqBuilder::new()
-        .atom(
-            "hub",
-            "hub",
-            &[
-                ("a", "A"),
-                ("b", "B"),
-                ("c", "C"),
-                (ROWID_COLUMN, &rid("hub")),
-            ],
-        )
-        .out_var("A")
-        .out_var(&rid("hub"));
+        .atom("hub", "hub", &[("a", "A"), ("b", "B"), ("c", "C")])
+        .out_var("A");
     for v in ["A", "B", "C"] {
         for k in 0..3usize {
             let name = format!("{}{k}", v.to_lowercase());
@@ -1226,38 +1181,15 @@ fn bench_factorized_count(c: &mut Criterion) {
                 format!("{v}{k}")
             };
             let r = format!("{v}{}", k + 1);
-            b = b
-                .atom(
-                    &name,
-                    &name,
-                    &[("l", &l), ("r", &r), (ROWID_COLUMN, &rid(&name))],
-                )
-                .out_var(&rid(&name));
+            b = b.atom(&name, &name, &[("l", &l), ("r", &r)]);
         }
     }
     let q = b.out_agg(AggFunc::Count, None, "n").group("A").build();
 
-    // Atom 0 is the hub; atoms 3v+1..3v+3 are the chain off hub variable
-    // v, each hanging off the one before it.
-    let parents: Vec<Option<usize>> = (0..q.atom_ids().count())
-        .map(|a| match a {
-            0 => None,
-            a if a % 3 == 1 => Some(0),
-            a => Some(a - 1),
-        })
-        .collect();
-    let factorized = || {
-        let mut budget = Budget::unlimited();
-        let rels: Vec<_> = (q.atom_ids())
-            .map(|a| scan_query_atom_c(&db, &q, a, &mut budget).unwrap())
-            .collect();
-        let scopes: Vec<Vec<Name>> = rels.iter().map(|r| r.cols().to_vec()).collect();
-        let input = CoverInput {
-            rels,
-            parents: parents.clone(),
-            scopes,
-        };
-        aggregate_cover(input, &q, &mut budget).expect("the cover counts this join")
+    let plan = q_hypertree_decomp(&q, &QhdOptions::default(), &StructuralCost).unwrap();
+    let counted = || {
+        let (mut budget, opts) = (Budget::unlimited(), ExecOptions::default());
+        evaluate_qhd_query_with(&db, &q, &plan, &mut budget, &opts).unwrap()
     };
     let materialized = || {
         let mut budget = Budget::unlimited();
@@ -1266,17 +1198,17 @@ fn bench_factorized_count(c: &mut Criterion) {
         (out, answer.len())
     };
     let (want, derivations) = materialized();
-    let got = factorized();
-    assert_eq!(got, want, "factorized count disagrees");
+    assert_eq!(counted(), want, "the counted pass disagrees");
     println!(
-        "factorized_count: {derivations} derivations collapse into {} groups",
-        want.len()
+        "factorized_count: {derivations} derivations collapse into {} groups ({} vertices)",
+        want.len(),
+        plan.tree.len()
     );
 
     let mut group = c.benchmark_group("factorized_count");
     group.sample_size(10);
     group.bench_function("materialized", |b| b.iter(|| materialized().0));
-    group.bench_function("factorized", |b| b.iter(factorized));
+    group.bench_function("counted", |b| b.iter(counted));
     group.finish();
 }
 

@@ -10,13 +10,9 @@
 //! ## Aggregates and multiplicity
 //!
 //! The paper evaluates `CQ(Q)` under set semantics and computes aggregates
-//! on its answer. Under plain SQL bag semantics this can under-count
-//! duplicates, so the isolator supports three modes
-//! ([`AggKeyMode`]): the paper-faithful `None`, the default
-//! `AggregateAtoms` (adds the hidden `__rowid` variable of every atom that
-//! feeds an aggregate, making sums/counts exact whenever the remaining
-//! joins are key-preserving — true for all TPC-H queries used in the
-//! paper), and the fully general `AllAtoms`.
+//! on its answer. The query the isolator builds is the same either way:
+//! SQL's bag semantics for aggregates is the evaluators' business (they
+//! count the join rows behind each answer row), not a change to the query.
 
 use crate::conjunctive::{
     Atom, AtomId, CmpOp, ConjunctiveQuery, Filter, Literal, OutputItem, ScalarExpr, SortDir,
@@ -28,15 +24,6 @@ use std::fmt;
 
 /// The hidden per-row identifier column every relation exposes.
 pub const ROWID_COLUMN: &str = "__rowid";
-
-/// Prefix of the hidden rowid variables/labels added by [`AggKeyMode`].
-pub const ROWID_VAR_PREFIX: &str = "__rid_";
-
-/// True if an output label denotes a hidden multiplicity-guard column that
-/// final projection must drop.
-pub fn is_hidden_label(label: &str) -> bool {
-    label.starts_with(ROWID_VAR_PREFIX)
-}
 
 /// Provides table schemas to the isolator (implemented by the engine's
 /// catalog, and by test fixtures).
@@ -73,27 +60,12 @@ impl SchemaProvider for MapSchema {
     }
 }
 
-/// How to guard aggregate correctness against set-semantics collapse.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum AggKeyMode {
-    /// Paper-faithful: aggregates over the set-semantics answer of `CQ(Q)`.
-    None,
-    /// Add the hidden rowid variable of every atom referenced inside an
-    /// aggregate expression (default; exact when remaining joins are
-    /// key-preserving).
-    #[default]
-    AggregateAtoms,
-    /// Add every atom's rowid variable: exact SQL bag semantics, at the
-    /// price of a much more constrained decomposition.
-    AllAtoms,
-}
-
-/// Isolator configuration.
+/// Nothing: the isolator has no options. Kept, with [`isolate`]'s third
+/// parameter, only because the `e2e/` benchmark passes one; a change to
+/// the benchmark drops it there and then here.
+#[doc(hidden)]
 #[derive(Clone, Copy, Debug, Default)]
-pub struct IsolatorOptions {
-    /// Multiplicity guard for aggregates (see [`AggKeyMode`]).
-    pub agg_key_mode: AggKeyMode,
-}
+pub struct IsolatorOptions {}
 
 /// Errors produced while isolating the conjunctive query.
 #[derive(Clone, Debug, PartialEq)]
@@ -166,7 +138,7 @@ type Attr = (usize, String);
 pub fn isolate(
     stmt: &SelectStmt,
     schema: &dyn SchemaProvider,
-    options: IsolatorOptions,
+    _: IsolatorOptions,
 ) -> Result<ConjunctiveQuery, IsolateError> {
     // 1. Resolve FROM bindings.
     let mut bindings: Vec<(String, String, Vec<String>)> = Vec::new(); // (binding, relation, columns)
@@ -303,7 +275,6 @@ pub fn isolate(
     let var_of_attr =
         |i: usize, uf: &mut UnionFind| -> String { var_of_class[&uf.find(i)].clone() };
     let mut output: Vec<OutputItem> = Vec::new();
-    let mut agg_atoms: Vec<usize> = Vec::new();
     for res in &select_attr_of_item {
         match res {
             SelectResolution::Plain { attr_idx, label } => output.push(OutputItem::Var {
@@ -313,7 +284,7 @@ pub fn isolate(
             SelectResolution::Agg { func, expr, label } => {
                 let scalar = expr
                     .as_ref()
-                    .map(|e| resolved_to_scalar(e, &mut uf, &var_of_class, &mut agg_atoms, &attrs));
+                    .map(|e| resolved_to_scalar(e, &mut uf, &var_of_class));
                 output.push(OutputItem::Aggregate {
                     func: *func,
                     expr: scalar,
@@ -327,36 +298,7 @@ pub fn isolate(
         .map(|&i| var_of_attr(i, &mut uf))
         .collect();
 
-    // 8. Aggregate multiplicity guard: add hidden rowid variables.
-    // `COUNT(*)` counts *join rows*, so it needs every atom's rowid; other
-    // aggregates only need the rowids of the atoms their expressions read.
-    let has_count_star = output
-        .iter()
-        .any(|o| matches!(o, OutputItem::Aggregate { expr: None, .. }));
-    let rowid_targets: Vec<usize> = match options.agg_key_mode {
-        AggKeyMode::None => Vec::new(),
-        AggKeyMode::AggregateAtoms if has_count_star => (0..atoms.len()).collect(),
-        AggKeyMode::AggregateAtoms => {
-            let mut t = agg_atoms.clone();
-            t.sort_unstable();
-            t.dedup();
-            t
-        }
-        AggKeyMode::AllAtoms => (0..atoms.len()).collect(),
-    };
-    let has_aggs = output
-        .iter()
-        .any(|o| matches!(o, OutputItem::Aggregate { .. }));
-    let mut rowid_vars: Vec<String> = Vec::new();
-    if has_aggs {
-        for &a in &rowid_targets {
-            let var = format!("__rid_{}", atoms[a].alias);
-            atoms[a].args.push((ROWID_COLUMN.to_string(), var.clone()));
-            rowid_vars.push(var);
-        }
-    }
-
-    // 9. ORDER BY keys must name output columns.
+    // 8. ORDER BY keys must name output columns.
     let labels: Vec<&str> = output.iter().map(|o| o.label()).collect();
     let mut order_by: Vec<(String, SortDir)> = Vec::new();
     for (key, dir) in &stmt.order_by {
@@ -392,7 +334,7 @@ pub fn isolate(
         }
     }
 
-    let q = ConjunctiveQuery {
+    Ok(ConjunctiveQuery {
         atoms,
         output,
         group_by,
@@ -400,21 +342,7 @@ pub fn isolate(
         having,
         limit: stmt.limit,
         filters,
-    };
-    Ok(attach_rowid_vars(q, rowid_vars))
-}
-
-/// Adds hidden rowid variables as pseudo output items labelled
-/// `"__rid..."`. Evaluators project them (they are in `out(Q)`), while the
-/// aggregation layer skips labels starting with `__rid`.
-fn attach_rowid_vars(mut q: ConjunctiveQuery, rowid_vars: Vec<String>) -> ConjunctiveQuery {
-    for v in rowid_vars {
-        q.output.push(OutputItem::Var {
-            var: v.clone(),
-            label: v,
-        });
-    }
-    q
+    })
 }
 
 enum SelectResolution {
@@ -465,19 +393,14 @@ fn resolved_to_scalar(
     e: &ResolvedExpr,
     uf: &mut UnionFind,
     var_of_class: &HashMap<usize, String>,
-    agg_atoms: &mut Vec<usize>,
-    attrs: &[Attr],
 ) -> ScalarExpr {
     match e {
-        ResolvedExpr::Attr(i) => {
-            agg_atoms.push(attrs[*i].0);
-            ScalarExpr::Var(var_of_class[&uf.find(*i)].clone())
-        }
+        ResolvedExpr::Attr(i) => ScalarExpr::Var(var_of_class[&uf.find(*i)].clone()),
         ResolvedExpr::Lit(l) => ScalarExpr::Lit(l.clone()),
         ResolvedExpr::Binary(l, op, r) => ScalarExpr::Binary(
-            Box::new(resolved_to_scalar(l, uf, var_of_class, agg_atoms, attrs)),
+            Box::new(resolved_to_scalar(l, uf, var_of_class)),
             *op,
-            Box::new(resolved_to_scalar(r, uf, var_of_class, agg_atoms, attrs)),
+            Box::new(resolved_to_scalar(r, uf, var_of_class)),
         ),
     }
 }
@@ -644,70 +567,43 @@ mod tests {
         assert!(out.iter().any(|v| v == "N_NAME"));
         assert!(out.iter().any(|v| v == "L_EXTENDEDPRICE"));
         assert!(out.iter().any(|v| v == "L_DISCOUNT"));
-        // Default agg-key mode adds lineitem's hidden rowid to out(Q).
-        assert!(out.iter().any(|v| v.starts_with("__rid_lineitem")));
         // The hypergraph is cyclic (checked via GYO).
         let ch = q.hypergraph();
         assert!(!htqo_hypergraph::acyclic::is_acyclic(&ch.hypergraph));
     }
 
+    /// Aggregates add no hidden variable: `out(Q)` holds the grouping
+    /// variables and those the aggregates read, and every atom keeps the
+    /// arguments the statement gives it.
     #[test]
-    fn paper_pure_mode_adds_no_rowids() {
-        let stmt = parse_select(
+    fn aggregates_add_no_hidden_variable() {
+        for sql in [
             "SELECT n_name, sum(l_discount) FROM nation, lineitem, supplier
              WHERE n_nationkey = s_nationkey AND s_suppkey = l_suppkey GROUP BY n_name",
-        )
-        .unwrap();
-        let q = isolate(
-            &stmt,
-            &tpch_schema(),
-            IsolatorOptions {
-                agg_key_mode: AggKeyMode::None,
-            },
-        )
-        .unwrap();
-        assert!(!q.out_vars().iter().any(|v| v.starts_with("__rid")));
-    }
-
-    #[test]
-    fn all_atoms_mode_adds_every_rowid() {
-        let stmt =
-            parse_select("SELECT count(*) FROM customer, orders WHERE c_custkey = o_custkey")
-                .unwrap();
-        let q = isolate(
-            &stmt,
-            &tpch_schema(),
-            IsolatorOptions {
-                agg_key_mode: AggKeyMode::AllAtoms,
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            q.out_vars()
-                .iter()
-                .filter(|v| v.starts_with("__rid"))
-                .count(),
-            2
-        );
-    }
-
-    #[test]
-    fn count_star_guards_every_atom() {
-        // COUNT(*) counts join rows, so the default mode must add every
-        // atom's rowid (otherwise set semantics collapses the count to
-        // one per group).
-        let stmt = parse_select(
-            "SELECT n_name, count(*) FROM nation, supplier WHERE n_nationkey = s_nationkey GROUP BY n_name",
-        )
-        .unwrap();
-        let q = isolate(&stmt, &tpch_schema(), IsolatorOptions::default()).unwrap();
-        assert_eq!(
-            q.out_vars()
-                .iter()
-                .filter(|v| v.starts_with("__rid"))
-                .count(),
-            2
-        );
+            "SELECT count(*) FROM customer, orders WHERE c_custkey = o_custkey",
+            "SELECT n_name, count(*) FROM nation, supplier
+             WHERE n_nationkey = s_nationkey GROUP BY n_name",
+        ] {
+            let q = isolate(
+                &parse_select(sql).unwrap(),
+                &tpch_schema(),
+                IsolatorOptions::default(),
+            )
+            .unwrap();
+            let mut out = q.out_vars();
+            out.sort();
+            let mut want: Vec<String> = q.group_by.clone();
+            for item in &q.output {
+                if let OutputItem::Aggregate { expr: Some(e), .. } = item {
+                    want.extend(e.vars().into_iter().map(str::to_string));
+                }
+            }
+            want.sort();
+            want.dedup();
+            assert_eq!(out, want, "{sql}");
+            let args = q.atoms.iter().flat_map(|a| &a.args);
+            assert!(args.clone().all(|(col, _)| col != ROWID_COLUMN), "{sql}");
+        }
     }
 
     #[test]

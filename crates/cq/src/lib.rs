@@ -40,5 +40,5 @@ pub use conjunctive::{
     AggFunc, ArithOp, Atom, AtomId, CmpOp, ConjunctiveQuery, CqBuilder, CqHypergraph, Filter,
     Literal, OutputItem, ScalarExpr, SortDir,
 };
-pub use isolator::{isolate, AggKeyMode, IsolateError, IsolatorOptions, MapSchema, SchemaProvider};
+pub use isolator::{isolate, IsolateError, IsolatorOptions, MapSchema, SchemaProvider};
 pub use sql::parser::{parse_select, ParseError};

@@ -1,12 +1,12 @@
 //! Final aggregation (step (4) of the paper's pipeline): given the answer
 //! of `CQ(Q)` over `out(Q)`, compute GROUP BY groups, aggregate
-//! functions, the final projection (dropping hidden rowid guards),
-//! HAVING, ORDER BY and LIMIT.
+//! functions, the final projection, HAVING, ORDER BY and LIMIT.
 //!
-//! One kernel groups and aggregates, `aggregate_c_inner`: the plain
-//! call ([`finalize_c`]), the factorized cover's weighted call
-//! (`finalize_weighted`) and every partition of the spilled path run
-//! it. It holds no [`Value`] per row or per group:
+//! One kernel groups and aggregates, `aggregate_c_inner`: [`finalize_c`]
+//! runs it over the answer, each row weighted by its count where the
+//! answer is counted ([`crate::crel::COUNT`]), and so does every
+//! partition of the spilled path. It holds no [`Value`] per row or per
+//! group:
 //!
 //! - each aggregate's expression is evaluated a block of rows at a time
 //!   into typed values (`Expr`);
@@ -36,19 +36,14 @@ use crate::keyplan::{self, KeyBlock, KeyPlan};
 use crate::spill::{self, SpillDir, SpillFile, MAX_SPILL_LEVEL};
 use crate::value::{row_heap_bytes, Value};
 use crate::vrel::VRelation;
-use htqo_cq::isolator::is_hidden_label;
 use htqo_cq::{AggFunc, ConjunctiveQuery, Literal, OutputItem, ScalarExpr, SortDir};
 use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::Arc;
 
-/// Visible output items of `q` and their (uniquified) labels.
+/// Output items of `q` and their (uniquified) labels.
 fn visible_output(q: &ConjunctiveQuery) -> (Vec<&OutputItem>, Vec<String>) {
-    let visible: Vec<&OutputItem> = q
-        .output
-        .iter()
-        .filter(|o| !is_hidden_label(o.label()))
-        .collect();
+    let visible: Vec<&OutputItem> = q.output.iter().collect();
     // SQL allows duplicate output column names (`SELECT a.x, b.x`); our
     // relations do not, so repeated labels get a numeric suffix.
     let labels = uniquify(visible.iter().map(|o| o.label()));
@@ -79,11 +74,14 @@ pub fn finalize(
 
 /// Computes the final output of `q` from the answer relation of `CQ(Q)`.
 ///
-/// `answer` must contain every variable of `out(Q)` as a column (hidden
-/// rowid variables included); its rows must be distinct (a debug build
-/// checks that of a plain answer, whose projection relies on it). An
-/// aggregate query is grouped by the one kernel (`aggregate_c`); a plain
-/// one is projected column at a time. Either leaves typed columns, which
+/// `answer` must contain every variable of `out(Q)` as a column. An
+/// aggregate query is grouped by the one kernel (`aggregate_c`) over the
+/// answer as a bag: every row once, or, where the answer is counted
+/// ([`crate::crel::COUNT`]), row `i` as `count[i]` identical rows — the kernel weights
+/// it, and where a float sum cannot take a weight exactly it runs over
+/// the rows repeated instead. A plain query's answer must be an
+/// uncounted relation with distinct rows (a debug build checks that);
+/// it is projected column at a time. Either leaves typed columns, which
 /// the HAVING / ORDER BY / LIMIT tail turns into rows.
 pub fn finalize_c(
     answer: &CRel,
@@ -93,7 +91,17 @@ pub fn finalize_c(
     crate::fail_point!("aggregate::finalize");
     let (visible, labels) = visible_output(q);
     let grouped = if q.has_aggregates() {
-        aggregate_c(answer, q, &visible, budget)?
+        let counts = answer.counts().unwrap_or_default();
+        // The kernel's counts and sums of weights must not overflow.
+        (counts.iter()).try_fold(0u64, |total, &c| {
+            total.checked_add(c as u64).ok_or(EvalError::CountOverflow)
+        })?;
+        match aggregate_c(answer, q, &visible, budget) {
+            Err(EvalError::Internal(why)) if why == INEXACT_SUM && !counts.is_empty() => {
+                aggregate_c(&repeated(answer, counts, budget)?, q, &visible, budget)?
+            }
+            grouped => grouped?,
+        }
     } else {
         // No aggregates: project the answer onto the distinct visible head
         // variables (set semantics, matching the CQ answer definition),
@@ -123,34 +131,30 @@ pub fn finalize_c(
     finalize_tail(grouped, labels, q, budget)
 }
 
-/// [`finalize_c`] of an aggregate query over an answer whose row `i`
-/// stands for `weights[i] ≥ 1` identical rows — the factorized cover's
-/// root, weighted by its subtree answer counts. Gives the groups, values,
-/// charges and errors of [`finalize_c`] over the answer with each row
-/// repeated, or `None` where a weight cannot be applied exactly
-/// ([`FloatSum::add_times`]); the caller then materializes the repeated
-/// rows instead. Never spills: a denied reservation is
-/// [`EvalError::MemoryExceeded`]. The weights must sum to at most
-/// `u64::MAX` (a cover checks its total), so no count overflows.
-pub(crate) fn finalize_weighted(
-    answer: &CRel,
-    weights: &[u64],
-    q: &ConjunctiveQuery,
-    budget: &mut Budget,
-) -> Result<Option<VRelation>, EvalError> {
-    crate::fail_point!("aggregate::finalize");
-    let (visible, labels) = visible_output(q);
-    let group_idx = group_layout(answer.cols(), q, &visible)?;
-    match aggregate_c_mem(answer, Some(weights), &group_idx, q, &visible, budget) {
-        Ok(grouped) => finalize_tail(grouped, labels, q, budget).map(Some),
-        Err(EvalError::Internal(why)) if why == INEXACT_SUM => Ok(None),
-        Err(e) => Err(e),
+/// The uncounted `answer` with row `i` repeated `counts[i]` times, in
+/// order: [`finalize_c`]'s way round a weight a float sum cannot take.
+/// Its position list and columns are charged to the byte pool; past
+/// `u32::MAX` rows it is [`EvalError::MemoryExceeded`] whatever the pool.
+fn repeated(answer: &CRel, counts: &[i64], budget: &mut Budget) -> Result<CRel, EvalError> {
+    let total: u64 = counts.iter().map(|&c| c as u64).sum();
+    let bytes = total.saturating_mul(4 + 8 * answer.cols().len() as u64);
+    if total > u64::from(u32::MAX) {
+        return Err(group_state_exceeded(budget, bytes));
     }
+    budget.charge_bytes(bytes)?;
+    let rows: Vec<u32> = (counts.iter().enumerate())
+        .flat_map(|(i, &c)| std::iter::repeat_n(i as u32, c as usize))
+        .collect();
+    let (cols, columns) = (answer.cols().iter().zip(answer.columns()))
+        .filter(|(c, _)| ***c != *crate::crel::COUNT)
+        .map(|(c, col)| (c.clone(), Arc::new(col.gather(&rows))))
+        .unzip();
+    Ok(CRel::new(cols, columns, rows.len()))
 }
 
 /// The error a float `SUM`/`AVG` raises where [`FloatSum::add_times`]
-/// refuses: under a weight above 1, the weighted entry's cue to
-/// materialize; unweighted, an exact sum past 2¹²⁷ units, which takes
+/// refuses: under a weight above 1, [`finalize_c`]'s cue to repeat the
+/// rows instead; unweighted, an exact sum past 2¹²⁷ units, which takes
 /// more than 2³² rows.
 const INEXACT_SUM: &str = "a float sum cannot take this value exactly";
 
@@ -215,7 +219,10 @@ impl Grouped {
 /// The post-aggregation tail, over group ids: HAVING (each survivor
 /// charged as a row), ORDER BY with ties broken on the whole row, LIMIT;
 /// then the output rows, built once, in order. Cells compare as typed
-/// cells in [`Value`]'s total order (HAVING: [`Value::sql_cmp`]).
+/// cells in [`Value`]'s total order (HAVING: [`Value::sql_cmp`]); rows
+/// still equal there are told apart by [`Value::cmp_identity`], so no
+/// two groups keep the order they arrived in and every path, spilled or
+/// not, keeps the same rows under a LIMIT.
 fn finalize_tail(
     grouped: Grouped,
     labels: Vec<String>,
@@ -272,7 +279,9 @@ fn finalize_tail(
                 }
             });
             let by_row = cols.iter().map(|c| c.cmp(x, y, &reader));
-            (by_key.chain(by_row).find(|o| o.is_ne())).unwrap_or(Ordering::Equal)
+            let by_identity =
+                (cols.iter()).map(|c| c.value(x, &reader).cmp_identity(&c.value(y, &reader)));
+            (by_key.chain(by_row).chain(by_identity).find(|o| o.is_ne())).unwrap_or(Ordering::Equal)
         });
     }
     let limit = q.limit.unwrap_or(usize::MAX);
@@ -399,7 +408,7 @@ fn aggregate_spilled(
         }
         if budget.try_reserve_bytes(file.bytes) {
             let r = spill::load(&file, answer)
-                .and_then(|part| aggregate_c_mem(&part, None, group_idx, q, visible, budget));
+                .and_then(|part| aggregate_c_mem(&part, group_idx, q, visible, budget));
             budget.uncharge_bytes(file.bytes);
             match r {
                 Ok(part) => {
@@ -439,7 +448,7 @@ fn aggregate_c(
     if spillable && budget.spill_mode() == SpillMode::Force {
         return spill(budget);
     }
-    match aggregate_c_mem(answer, None, &group_idx, q, visible, budget) {
+    match aggregate_c_mem(answer, &group_idx, q, visible, budget) {
         Err(EvalError::MemoryExceeded { .. }) if spillable => spill(budget),
         r => r,
     }
@@ -451,10 +460,9 @@ fn aggregate_c(
 /// direct table that fits in them), output rows are charged on success.
 /// A denied reservation is [`EvalError::MemoryExceeded`] — the spill
 /// driver's cue to split the partition further. Row `i` counts
-/// `weights[i]` times (once without weights).
+/// `count[i]` times where the answer is counted ([`crate::crel::COUNT`]), else once.
 fn aggregate_c_mem(
     answer: &CRel,
-    weights: Option<&[u64]>,
     group_idx: &[usize],
     q: &ConjunctiveQuery,
     visible: &[&OutputItem],
@@ -467,7 +475,7 @@ fn aggregate_c_mem(
     let mut accrued = 0u64;
     let result = aggregate_c_inner(
         answer,
-        weights,
+        answer.counts(),
         group_idx,
         q,
         visible,
@@ -505,7 +513,7 @@ static ONE: ScalarExpr = ScalarExpr::Lit(Literal::Int(1));
 #[allow(clippy::too_many_arguments)]
 fn aggregate_c_inner(
     answer: &CRel,
-    weights: Option<&[u64]>,
+    weights: Option<&[i64]>,
     group_idx: &[usize],
     q: &ConjunctiveQuery,
     visible: &[&OutputItem],
@@ -801,7 +809,7 @@ impl<'a> Item<'a> {
         &mut self,
         rows: Range<usize>,
         gids: &[u32],
-        weights: Option<&[u64]>,
+        weights: Option<&[i64]>,
         reader: &DictReader,
     ) -> Option<RowError> {
         let expr = self.expr.as_mut()?;
@@ -885,11 +893,11 @@ impl Acc {
         block: &Block,
         rows: Range<usize>,
         gids: &[u32],
-        weights: Option<&[u64]>,
+        weights: Option<&[i64]>,
         reader: &DictReader,
     ) -> Option<RowError> {
         let lo = rows.start;
-        let weight = |j: usize| weights.map_or(1, |w| w[lo + j]);
+        let weight = |j: usize| weights.map_or(1, |w| w[lo + j] as u64);
         let cells = 0..rows.len();
         match self {
             Acc::Key(_) => {}
@@ -1332,7 +1340,9 @@ mod tests {
                     return if desc { ord.reverse() } else { ord };
                 }
             }
+            let identity = x.iter().zip(y.iter()).map(|(a, b)| a.cmp_identity(b));
             x.cmp(y)
+                .then_with(|| identity.fold(Ordering::Equal, Ordering::then))
         });
         Ok(VRelation::from_rows(cols, rows))
     }
@@ -1454,25 +1464,21 @@ mod tests {
     }
 
     #[test]
-    fn hidden_rowids_are_dropped_but_preserve_multiplicity() {
-        // Two answer rows differ only in the hidden rowid: the sum must see
-        // both.
+    fn a_counted_answer_weights_its_rows() {
+        // One row standing for two, beside a plain column no item reads:
+        // the sum and the count see both copies.
         let q = CqBuilder::new()
-            .atom_vars("r", &["X"])
+            .atom_vars("r", &["X", "R"])
             .out_agg(AggFunc::Sum, Some(ScalarExpr::Var("X".into())), "s")
-            .out_var("__rid_r") // hidden multiplicity guard
+            .out_agg(AggFunc::Count, None, "n")
             .build();
-        let a = answer(
-            &["X", "__rid_r"],
-            vec![
-                vec![Value::Int(5), Value::Int(0)],
-                vec![Value::Int(5), Value::Int(1)],
-            ],
-        );
+        let a = answer(&["X", "R"], vec![vec![Value::Int(5), Value::Int(0)]]);
+        let counted = CRel::from_vrel(&a).with_counts(vec![2]);
         let mut budget = Budget::unlimited();
-        let out = finalize(&a, &q, &mut budget).unwrap();
-        assert_eq!(out.cols(), &["s".to_string()]);
+        let out = finalize_c(&counted, &q, &mut budget).unwrap();
+        assert_eq!(out.cols(), &["s".to_string(), "n".to_string()]);
         assert_eq!(out.value(0, "s"), Some(&Value::Int(10)));
+        assert_eq!(out.value(0, "n"), Some(&Value::Int(2)));
     }
 
     #[test]
@@ -1791,35 +1797,33 @@ mod tests {
             "{outcomes:?} (errors, answers)"
         );
 
-        // Weighted: row `i` stands for `weights[i]` copies. The kernel
+        // Counted: row `i` stands for `weights[i]` copies. The kernel
         // answers what the row path answers over the copies — the same
-        // bits, charges and errors — or refuses, and only where a float
-        // it sums or averages repeats outside the exact range.
+        // bits and errors, and the same charges unless a float it sums or
+        // averages repeats outside the exact range, where it answers over
+        // the copies instead.
         let weights = |n: usize| (0..n).map(|i| 1 + (i as u64 * 7) % 3).collect::<Vec<_>>();
         let mut weighted = [0usize; 3];
         for q in &queries {
             for (rows, cols) in [(&a, &ca), (&long, &c_long), (&empty, &c_empty)] {
                 let w = weights(rows.len());
+                let counted = (cols.clone()).with_counts(w.iter().map(|&m| m as i64).collect());
                 let mut b1 = Budget::unlimited();
                 let mut b2 = Budget::unlimited();
                 let want = row_finalize(&repeat(rows, &w), q, &mut b1);
-                match finalize_weighted(cols, &w, q, &mut b2) {
-                    Ok(None) => {
-                        assert!(inexact_repeat(rows, &w, q), "{:?}", q.output);
-                        weighted[0] += 1;
-                    }
-                    got => {
-                        let got = got.map(|r| r.expect("answered"));
-                        weighted[1 + got.is_ok() as usize] += 1;
-                        assert_eq!(format!("{want:?}"), format!("{got:?}"), "{:?}", q.output);
-                        assert_eq!(b1.charged(), b2.charged(), "{:?}", q.output);
-                    }
+                let got = finalize_c(&counted, q, &mut b2);
+                assert_eq!(format!("{want:?}"), format!("{got:?}"), "{:?}", q.output);
+                if inexact_repeat(rows, &w, q) {
+                    weighted[0] += 1;
+                } else {
+                    weighted[1 + got.is_ok() as usize] += 1;
+                    assert_eq!(b1.charged(), b2.charged(), "{:?}", q.output);
                 }
             }
         }
         assert!(
             weighted.iter().all(|&n| n > 5),
-            "{weighted:?} (refusals, errors, answers)"
+            "{weighted:?} (repeated, errors, answers)"
         );
     }
 
@@ -2203,7 +2207,7 @@ mod tests {
     }
 
     /// A random answer over key columns `K0`, `K1` (one or both grouped),
-    /// the value columns and a distinct `__rid_r`, with 1–2,000 groups and
+    /// the value columns and a distinct `R`, with 1–2,000 groups and
     /// up to 3,000 rows; and queries over it.
     fn kernel_case(g: &mut Gen) -> (VRelation, Vec<ConjunctiveQuery>) {
         use htqo_cq::{CmpOp, Literal};
@@ -2214,7 +2218,7 @@ mod tests {
         let rare = g.pick(&[0u64, 1, 30, 400]);
         let mut cols: Vec<&str> = vec!["K0", "K1"];
         cols.extend(VALUE_COLS);
-        cols.push("__rid_r");
+        cols.push("R");
         let rows = (0..n)
             .map(|i| {
                 let k = g.below(groups);
@@ -2242,7 +2246,7 @@ mod tests {
                     }
                 }
                 if plain {
-                    b = b.out_var(g.pick(&VALUE_COLS)).out_var("__rid_r");
+                    b = b.out_var(g.pick(&VALUE_COLS)).out_var("R");
                 } else {
                     for j in 0..1 + g.below(4) {
                         let func = g.pick(&[
@@ -2301,13 +2305,6 @@ mod tests {
             .collect()
     }
 
-    /// [`bits`] with the rows in sorted order: the answer as a bag.
-    fn bag(r: &Result<VRelation, EvalError>) -> Vec<String> {
-        let mut b = bits(r);
-        b[1..].sort();
-        b
-    }
-
     /// `rows` with row `i` repeated `w[i]` times.
     fn repeat(rows: &VRelation, w: &[u64]) -> VRelation {
         let copies = (rows.rows().iter().zip(w))
@@ -2318,7 +2315,7 @@ mod tests {
 
     /// True if some `SUM`/`AVG` of `q` takes, on a row weighted above 1, a
     /// float that [`FloatSum::add_times`] cannot repeat exactly — the one
-    /// case [`finalize_weighted`] refuses.
+    /// case where `finalize_c` answers over the repeated rows.
     fn inexact_repeat(rows: &VRelation, w: &[u64], q: &ConjunctiveQuery) -> bool {
         q.output.iter().any(|item| {
             let OutputItem::Aggregate {
@@ -2346,104 +2343,110 @@ mod tests {
     /// groups, answers longer than a block, every column kind with NULLs
     /// and every aggregate over variables, literals and expressions
     /// (wrapping, `/`, NaN, ±0.0, ±∞). Forced to spill it answers the same
-    /// bag with the same charges; under a byte limit the same bag or a
-    /// `MemoryExceeded` (both without the query's LIMIT). `finalize_weighted` answers what `finalize_c`
-    /// answers over the answer with row `i` repeated `w[i]` times, or
-    /// refuses, and only where a repeated float is outside the exact range.
+    /// rows in the same order with the same charges; under a byte limit
+    /// the same rows or a `MemoryExceeded`. Over a counted answer it
+    /// answers what it answers over the answer with row `i` repeated
+    /// `w[i]` times, with the same charges unless a repeated float is
+    /// outside the exact range.
     #[test]
     fn the_kernel_answers_what_the_row_reference_answers() {
-        use crate::error::SpillMode;
         // Direct keys, hashed keys, long answers of many groups, errors,
-        // answers, byte-limit denials, weighted refusals.
+        // answers, byte-limit denials, repeated floats.
         let mut seen = [0usize; 7];
         for case in 0..kernel_cases() {
-            let mut g = Gen(case.wrapping_mul(0x2545_F491_4F6C_DD1D));
-            let (a, queries) = kernel_case(&mut g);
-            let ca = CRel::from_vrel(&a);
-            for q in &queries {
-                let ctx = format!(
-                    "case {case}, {} rows: {:?} GROUP BY {:?} HAVING {:?} ORDER BY {:?} LIMIT {:?}",
-                    a.len(),
-                    q.output,
-                    q.group_by,
-                    q.having,
-                    q.order_by,
-                    q.limit
-                );
-                if let Ok(idx) = group_layout(ca.cols(), q, &visible_output(q).0) {
-                    let reader = dict::reader();
-                    match GroupIds::new(&ca, &idx, 8 * ca.len() as u64, &reader) {
-                        GroupIds::Direct { .. } => seen[0] += 1,
-                        GroupIds::Hashed { .. } => seen[1] += 1,
-                        GroupIds::One => {}
-                    }
-                }
-                let mut b1 = Budget::unlimited();
-                let want = row_finalize(&a, q, &mut b1);
-                let mut b2 = Budget::unlimited();
-                let got = finalize_c(&ca, q, &mut b2);
-                assert_eq!(bits(&want), bits(&got), "{ctx}");
-                assert_eq!(b1.charged(), b2.charged(), "{ctx}");
-                match &want {
-                    Ok(w) if a.len() > EVAL_BLOCK && w.len() > 500 => seen[2] += 1,
-                    Ok(_) => {}
-                    Err(_) => seen[3] += 1,
-                }
-                seen[4] += want.is_ok() as usize;
-                if !q.has_aggregates() {
-                    continue;
-                }
-
-                // Spilled, the groups arrive in partition order, and rows
-                // equal in `Value`'s total order (`Int(0)` and
-                // `Float(0.0)`, NaNs) keep the order they arrive in, so a
-                // LIMIT may keep another of them: these runs compare the
-                // whole answer, as a bag.
-                let whole = ConjunctiveQuery {
-                    limit: None,
-                    ..q.clone()
-                };
-                let mut b1 = Budget::unlimited();
-                let want = row_finalize(&a, &whole, &mut b1);
-                let mut forced = Budget::unlimited().with_spill_mode(SpillMode::Force);
-                let spilled = finalize_c(&ca, &whole, &mut forced);
-                if want.is_ok() {
-                    assert_eq!(bag(&want), bag(&spilled), "{ctx} (forced spill)");
-                    assert_eq!(b1.charged(), forced.charged(), "{ctx} (forced spill)");
-                } else {
-                    assert!(spilled.is_err(), "{ctx} (forced spill)");
-                }
-
-                let limit = 1_000 + g.below(60_000);
-                let mut capped = Budget::unlimited().with_mem_limit(limit);
-                match (&want, finalize_c(&ca, &whole, &mut capped)) {
-                    (_, Err(EvalError::MemoryExceeded { .. })) => seen[5] += 1,
-                    (Ok(_), got) => {
-                        assert_eq!(bag(&want), bag(&got), "{ctx} (limit {limit})");
-                        assert!(capped.charged() >= b1.charged(), "{ctx} (limit {limit})");
-                    }
-                    (Err(_), got) => assert!(got.is_err(), "{ctx} (limit {limit})"),
-                }
-
-                let w: Vec<u64> = (0..a.len()).map(|_| 1 + g.below(3)).collect();
-                let mut b3 = Budget::unlimited();
-                let want = finalize_c(&CRel::from_vrel(&repeat(&a, &w)), q, &mut b3);
-                let mut b4 = Budget::unlimited();
-                match finalize_weighted(&ca, &w, q, &mut b4) {
-                    Ok(None) => {
-                        assert!(inexact_repeat(&a, &w, q), "{ctx} (weighted)");
-                        seen[6] += 1;
-                    }
-                    got => {
-                        let got = got.map(|r| r.expect("answered"));
-                        assert_eq!(bits(&want), bits(&got), "{ctx} (weighted)");
-                        assert_eq!(b3.charged(), b4.charged(), "{ctx} (weighted)");
-                    }
-                }
-            }
+            check_kernel_case(case, &mut seen);
         }
         if kernel_cases() >= 24 {
             assert!(seen.iter().all(|&n| n > 0), "{seen:?}");
+        }
+    }
+
+    /// Case 2177 of the generator: a `MIN` over a column holding `Int(0)`
+    /// and `Float(0.0)` under `LIMIT 1`, where the in-memory and the
+    /// spilled path once kept different rows (the groups are equal in
+    /// [`Value`]'s order and kept their arrival order).
+    #[test]
+    fn equal_groups_keep_one_order_under_a_limit() {
+        check_kernel_case(2177, &mut [0; 7]);
+    }
+
+    /// One case of [`the_kernel_answers_what_the_row_reference_answers`],
+    /// counting what it exercised in `seen`.
+    fn check_kernel_case(case: u64, seen: &mut [usize; 7]) {
+        use crate::error::SpillMode;
+        let mut g = Gen(case.wrapping_mul(0x2545_F491_4F6C_DD1D));
+        let (a, queries) = kernel_case(&mut g);
+        let ca = CRel::from_vrel(&a);
+        for q in &queries {
+            let ctx = format!(
+                "case {case}, {} rows: {:?} GROUP BY {:?} HAVING {:?} ORDER BY {:?} LIMIT {:?}",
+                a.len(),
+                q.output,
+                q.group_by,
+                q.having,
+                q.order_by,
+                q.limit
+            );
+            if let Ok(idx) = group_layout(ca.cols(), q, &visible_output(q).0) {
+                let reader = dict::reader();
+                match GroupIds::new(&ca, &idx, 8 * ca.len() as u64, &reader) {
+                    GroupIds::Direct { .. } => seen[0] += 1,
+                    GroupIds::Hashed { .. } => seen[1] += 1,
+                    GroupIds::One => {}
+                }
+            }
+            let mut b1 = Budget::unlimited();
+            let want = row_finalize(&a, q, &mut b1);
+            let mut b2 = Budget::unlimited();
+            let got = finalize_c(&ca, q, &mut b2);
+            assert_eq!(bits(&want), bits(&got), "{ctx}");
+            assert_eq!(b1.charged(), b2.charged(), "{ctx}");
+            match &want {
+                Ok(w) if a.len() > EVAL_BLOCK && w.len() > 500 => seen[2] += 1,
+                Ok(_) => {}
+                Err(_) => seen[3] += 1,
+            }
+            seen[4] += want.is_ok() as usize;
+            if !q.has_aggregates() {
+                continue;
+            }
+
+            // Spilled, the groups arrive in partition order; the tail
+            // still puts them in one order, so a LIMIT keeps the same rows.
+            let mut forced = Budget::unlimited().with_spill_mode(SpillMode::Force);
+            let spilled = finalize_c(&ca, q, &mut forced);
+            if want.is_ok() {
+                assert_eq!(bits(&want), bits(&spilled), "{ctx} (forced spill)");
+                assert_eq!(b1.charged(), forced.charged(), "{ctx} (forced spill)");
+            } else {
+                assert!(spilled.is_err(), "{ctx} (forced spill)");
+            }
+
+            let limit = 1_000 + g.below(60_000);
+            let mut capped = Budget::unlimited().with_mem_limit(limit);
+            match (&want, finalize_c(&ca, q, &mut capped)) {
+                (_, Err(EvalError::MemoryExceeded { .. })) => seen[5] += 1,
+                (Ok(_), got) => {
+                    assert_eq!(bits(&want), bits(&got), "{ctx} (limit {limit})");
+                    assert!(capped.charged() >= b1.charged(), "{ctx} (limit {limit})");
+                }
+                (Err(_), got) => assert!(got.is_err(), "{ctx} (limit {limit})"),
+            }
+
+            let w: Vec<u64> = (0..a.len()).map(|_| 1 + g.below(3)).collect();
+            let mut b3 = Budget::unlimited();
+            let want = finalize_c(&CRel::from_vrel(&repeat(&a, &w)), q, &mut b3);
+            let counted = ca
+                .clone()
+                .with_counts(w.iter().map(|&m| m as i64).collect());
+            let mut b4 = Budget::unlimited();
+            let got = finalize_c(&counted, q, &mut b4);
+            assert_eq!(bits(&want), bits(&got), "{ctx} (counted)");
+            if inexact_repeat(&a, &w, q) {
+                seen[6] += 1;
+            } else {
+                assert_eq!(b3.charged(), b4.charged(), "{ctx} (counted)");
+            }
         }
     }
 }

@@ -73,7 +73,7 @@ impl ChainTable {
     }
 
     /// The row after `i` in its chain, or [`CHAIN_END`]. Cursor primitive
-    /// for the factorized cover's count pass ([`crate::factorized`]).
+    /// for the projections' chain walks ([`crate::cops::project`]).
     #[inline]
     pub(crate) fn next_row(&self, i: u32) -> u32 {
         self.next[i as usize]

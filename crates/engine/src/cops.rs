@@ -40,7 +40,7 @@
 
 use crate::chain::{ChainTable, DirectTable, CHAIN_END};
 use crate::column::{compact, finish_hash, Column};
-use crate::crel::{read_source, CRel, Name, Selection};
+use crate::crel::{count_cells, read_source, CRel, Name, Selection, COUNT};
 use crate::dict::{self, DictReader};
 use crate::error::{Budget, EvalError};
 use crate::hash::FxHashMap;
@@ -170,8 +170,47 @@ fn caller_order(out: CRel, a: &CRel, b: &CRel, swapped: bool) -> CRel {
 /// variables this degenerates to a cross product (still budget-charged).
 /// One tuple charged per output row; rows in probe-major order, ascending
 /// build row within a probe row.
+///
+/// The [`COUNT`] column of a counted input is never a key: it is carried
+/// into the output, and where both inputs are counted the output's count
+/// is the product of the two (past `u64`: [`EvalError::CountOverflow`]).
 pub fn natural_join(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalError> {
     crate::fail_point!("cops::join");
+    let (Some(_), Some(j)) = (a.col_index(COUNT), b.col_index(COUNT)) else {
+        return join_plain(a, b, budget);
+    };
+    let (mut cols, columns, len) = b.clone().into_parts();
+    cols[j] = PARTNER_COUNT.into();
+    let joined = join_plain(a, &CRel::new(cols, columns, len), budget)?;
+    multiply_counts(joined)
+}
+
+/// The name a join gives its second input's [`COUNT`] column while it
+/// runs, so that the column is not a key.
+const PARTNER_COUNT: &str = "#partner-count";
+
+/// `r` with its [`COUNT`] column multiplied by its `PARTNER_COUNT`
+/// column, which it drops.
+fn multiply_counts(r: CRel) -> Result<CRel, EvalError> {
+    let (mut cols, mut columns, len) = r.into_parts();
+    let j = cols
+        .iter()
+        .position(|c| **c == *PARTNER_COUNT)
+        .expect("joined");
+    cols.remove(j);
+    let partner = columns.remove(j);
+    let i = cols.iter().position(|c| **c == *COUNT).expect("joined");
+    let product = (count_cells(&columns[i]).iter().zip(count_cells(&partner)))
+        .map(|(&x, &y)| (x as u64).checked_mul(y as u64).map(|p| p as i64))
+        .collect::<Option<Vec<i64>>>()
+        .ok_or(EvalError::CountOverflow)?;
+    columns[i] = Arc::new(Column::from_ints(product));
+    Ok(CRel::new(cols, columns, len))
+}
+
+/// [`natural_join`] with every column, [`COUNT`] included, an ordinary
+/// one.
+fn join_plain(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalError> {
     budget.join_stats().add_hash_build();
     let (build, probe, swapped) = sides(a, b);
     let layout = join_layout(build, probe);
@@ -322,12 +361,61 @@ const POS_BYTES: u64 = 4;
 /// the topological order" the paper grants the evaluator (§4), applied
 /// within one vertex.
 pub fn join_vertex(
-    mut inputs: Vec<Selection<'_>>,
+    inputs: Vec<Selection<'_>>,
     chi: &[Name],
     budget: &mut Budget,
 ) -> Result<CRel, EvalError> {
+    join_vertex_with(inputs, chi, false, budget)
+}
+
+/// [`join_vertex`] as a counted relation ([`COUNT`]): each row of the
+/// projection onto `chi` counts the join rows it stands for. The join
+/// and its charges are [`join_vertex`]'s; the last step sums instead of
+/// deduplicating, or, where it keeps every column, appends a count of 1
+/// per row.
+pub fn join_vertex_counted(
+    inputs: Vec<Selection<'_>>,
+    chi: &[Name],
+    budget: &mut Budget,
+) -> Result<CRel, EvalError> {
+    join_vertex_with(inputs, chi, true, budget)
+}
+
+/// An input of a counted vertex join that must only bound it, not count
+/// in it (a λ atom the vertex does not enforce): its distinct rows over
+/// the variables of `chi` it carries, or `None` if it carries none of
+/// them — it then bounds nothing `chi` holds.
+pub fn bound(
+    mut input: Selection<'_>,
+    chi: &[Name],
+    budget: &mut Budget,
+) -> Result<Option<Selection<'static>>, EvalError> {
+    input.pay(budget)?;
+    let (rel, fresh_bytes) = input.gather();
+    budget.charge_bytes(fresh_bytes)?;
+    let idx: Vec<usize> = chi.iter().filter_map(|v| rel.col_index(v)).collect();
+    if idx.is_empty() {
+        return Ok(None);
+    }
+    Ok(Some(Selection::from(project_columns(
+        &rel, idx, true, budget,
+    )?)))
+}
+
+/// [`join_vertex`], counted or not.
+fn join_vertex_with(
+    mut inputs: Vec<Selection<'_>>,
+    chi: &[Name],
+    counted: bool,
+    budget: &mut Budget,
+) -> Result<CRel, EvalError> {
     let Some(first) = smallest(inputs.iter().enumerate()) else {
-        return Ok(CRel::neutral());
+        let neutral = CRel::neutral();
+        return Ok(if counted {
+            neutral.with_counts(vec![1])
+        } else {
+            neutral
+        });
     };
     for s in &inputs {
         budget.charge_bytes(POS_BYTES * s.rows.as_ref().map_or(0, Vec::len) as u64)?;
@@ -345,7 +433,7 @@ pub fn join_vertex(
             .expect("non-empty");
         acc.join(inputs.swap_remove(i), budget)?;
     }
-    acc.finish(chi, budget)
+    acc.finish(chi, counted, budget)
 }
 
 /// Position of the input with the fewest rows (the first of equals).
@@ -590,8 +678,8 @@ impl<'a> Positions<'a> {
     }
 
     /// [`project_onto_available`] over the accumulator, gathering only the
-    /// columns that survive.
-    fn finish(self, chi: &[Name], budget: &mut Budget) -> Result<CRel, EvalError> {
+    /// columns that survive; counted, each join row counts 1.
+    fn finish(self, chi: &[Name], counted: bool, budget: &mut Budget) -> Result<CRel, EvalError> {
         let avail = chi.iter().filter_map(|v| self.var(v));
         let keep_all = avail.clone().count() == self.vars.len();
         let (rel, fresh_bytes) = if keep_all {
@@ -600,12 +688,18 @@ impl<'a> Positions<'a> {
             self.gather(avail)
         };
         budget.charge_bytes(fresh_bytes)?;
-        if keep_all {
+        let all = || (0..rel.cols().len()).collect();
+        match (keep_all, counted) {
             // Joins of duplicate-free inputs are duplicate-free.
-            return Ok(rel);
+            (true, false) => Ok(rel),
+            (true, true) => {
+                budget.charge_bytes(8 * rel.len() as u64)?;
+                let ones = vec![1; rel.len()];
+                Ok(rel.with_counts(ones))
+            }
+            (false, false) => project_columns(&rel, all(), true, budget),
+            (false, true) => sum_counts(&rel, all(), None, budget),
         }
-        let all = (0..rel.cols().len()).collect();
-        project_columns(&rel, all, true, budget)
     }
 }
 
@@ -847,8 +941,18 @@ fn probe_hashed(
 /// Semijoin `a ⋉ b`: the rows of `a` (in input order) with at least one
 /// match in `b` on the shared variables. With no shared variables,
 /// returns `a` unchanged if `b` is non-empty, else the empty relation.
+///
+/// When `b` is counted ([`COUNT`]) it still adds no row and no column to
+/// `a`, but each row of `a` stands for its own count times the summed
+/// counts of its partners in `b`: `a` joined with `b` projected onto the
+/// shared variables ([`project`] sums the counts).
 pub fn semijoin(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalError> {
     crate::fail_point!("cops::semijoin");
+    if b.col_index(COUNT).is_some() {
+        let shared = (b.cols().iter()).filter(|c| ***c != *COUNT && a.col_index(c).is_some());
+        let partners = project(b, &shared.collect::<Vec<_>>(), true, budget)?;
+        return natural_join(a, &partners, budget);
+    }
     let layout = join_layout(a, b);
     let (a_shared, b_shared, _) = layout.parts();
     if a_shared.is_empty() {
@@ -1031,6 +1135,10 @@ pub fn narrow(
 /// the first occurrence of each row, in input order, deduplicating via
 /// per-row key hashes with typed verification; bag mode shares `a`'s
 /// columns (no per-cell work, no bytes charged).
+///
+/// A counted input ([`COUNT`]) gives a counted output: its count column
+/// is kept whether `vars` names it or not, and in distinct mode each kept
+/// row's count is the sum of the counts of the rows it stands for.
 pub fn project<S: AsRef<str>>(
     a: &CRel,
     vars: &[S],
@@ -1051,11 +1159,18 @@ pub fn project<S: AsRef<str>>(
 /// [`project`] onto `a`'s columns `idx`, named as in `a`.
 fn project_columns(
     a: &CRel,
-    idx: Vec<usize>,
+    mut idx: Vec<usize>,
     distinct: bool,
     budget: &mut Budget,
 ) -> Result<CRel, EvalError> {
     crate::fail_point!("cops::project");
+    if let Some(c) = a.col_index(COUNT) {
+        idx.retain(|&i| i != c);
+        if distinct {
+            return sum_counts(a, idx, a.counts(), budget);
+        }
+        idx.push(c);
+    }
     let names = idx.iter().map(|&c| a.cols()[c].clone()).collect();
     if distinct {
         // Dedup state: the hash array plus the chained table over it —
@@ -1122,19 +1237,107 @@ fn project_columns(
     }
 }
 
+/// The counted projection of `a` onto its columns `idx`: the distinct
+/// rows, each kept at its first occurrence, in input order, with a
+/// [`COUNT`] column holding the summed `counts` of the rows each stands
+/// for (every row counts 1 without `counts`). Charges what the distinct
+/// projection charges, and reserves 4 more bytes per row for the row →
+/// kept-row map. A sum past `u64` is [`EvalError::CountOverflow`].
+fn sum_counts(
+    a: &CRel,
+    idx: Vec<usize>,
+    counts: Option<&[i64]>,
+    budget: &mut Budget,
+) -> Result<CRel, EvalError> {
+    let n = a.len();
+    let map_bytes = 12 * n as u64 + ChainTable::byte_estimate(n);
+    budget.reserve_bytes(map_bytes)?;
+    let mut keep: Vec<u32> = Vec::with_capacity(n.min(BLOCK));
+    let mut sums: Vec<u64> = Vec::with_capacity(n.min(BLOCK));
+    let count = |i: usize| counts.map_or(1, |c| c[i] as u64);
+    let mut add = |slot: u32, i: usize, keep: &mut Vec<u32>, budget: &mut Budget| {
+        if slot as usize == keep.len() {
+            budget.charge(1)?;
+            budget.charge_bytes(4)?;
+            keep.push(i as u32);
+            sums.push(0);
+        }
+        let sum = &mut sums[slot as usize];
+        *sum = sum.checked_add(count(i)).ok_or(EvalError::CountOverflow)?;
+        Ok::<(), EvalError>(())
+    };
+    // A direct table from packed key to kept row where the key has a plan
+    // whose range fits the reservation, else chains over the key hashes.
+    let dense = KeyPlan::resolve(a, &idx, a, &idx).and_then(|plan| {
+        let range = plan.range_fitting(map_bytes, |r| r.checked_mul(4))?;
+        Some((plan, range))
+    });
+    let run = || {
+        if let Some((plan, range)) = dense {
+            let mut slots = vec![u32::MAX; range];
+            let mut blk = plan.block(n);
+            for rows in blocks(0..n) {
+                let lo = rows.start;
+                for (j, &k) in plan.pack(a, &idx, rows, &mut blk).iter().enumerate() {
+                    let slot = &mut slots[k as usize];
+                    if *slot == u32::MAX {
+                        *slot = keep.len() as u32;
+                    }
+                    add(*slot, lo + j, &mut keep, budget)?;
+                }
+            }
+        } else {
+            let reader = dict::reader();
+            let hashes = key_hashes(a, &idx, &reader);
+            let table = ChainTable::build(n, |i| hashes[i]);
+            let mut slot_of = vec![0u32; n];
+            for (i, &h) in hashes.iter().enumerate() {
+                // Chains ascend and row `i` is on its own chain: the first
+                // row there holding its key is the one kept for it.
+                let mut j = table.head(h) as usize;
+                while j < i && !rows_key_eq(a, i, a, j, &idx, &idx, &reader) {
+                    j = table.next_row(j as u32) as usize;
+                }
+                slot_of[i] = if j == i {
+                    keep.len() as u32
+                } else {
+                    slot_of[j]
+                };
+                add(slot_of[i], i, &mut keep, budget)?;
+            }
+        }
+        Ok(())
+    };
+    let result: Result<(), EvalError> = run();
+    budget.uncharge_bytes(map_bytes);
+    result?;
+    let names = (idx.iter().map(|&c| a.cols()[c].clone())).chain([COUNT.into()]);
+    let columns = (idx.iter().map(|&c| Arc::new(a.column(c).gather(&keep))))
+        .chain([Arc::new(Column::from_ints(
+            sums.into_iter().map(|s| s as i64).collect(),
+        ))])
+        .collect();
+    let out = CRel::new(names.collect(), columns, keep.len());
+    budget.charge_bytes(crel_payload_bytes(&out))?;
+    Ok(out)
+}
+
 /// Projects onto the intersection of `a`'s columns and `vars`, with
-/// distinct rows. This is the "project onto χ(p)" step of decomposition
-/// evaluation, where χ(p) may mention variables `a` does not carry yet.
+/// distinct rows (a counted input keeps its counts, summed: [`project`]).
+/// This is the "project onto χ(p)" step of decomposition evaluation,
+/// where χ(p) may mention variables `a` does not carry yet.
 ///
 /// When the projection keeps every column it is the identity: joins of
 /// duplicate-free inputs are duplicate-free, so the (expensive) dedup pass
-/// is skipped entirely and `a` comes back as it went in.
+/// is skipped entirely and `a` comes back as it went in. (A counted
+/// relation may repeat a row: it then stands for the bag its counts say,
+/// whether or not its rows are merged.)
 pub fn project_onto_available(
     a: CRel,
     vars: &[Name],
     budget: &mut Budget,
 ) -> Result<CRel, EvalError> {
-    if a.cols().iter().all(|c| vars.contains(c)) {
+    if (a.cols().iter()).all(|c| **c == *COUNT || vars.contains(c)) {
         return Ok(a);
     }
     let avail = vars.iter().filter_map(|v| a.col_index(v)).collect();

@@ -23,7 +23,7 @@
 //! join ([`crate::cops::join_vertex`]), which gathers each column once, at
 //! the end, through the position lists it composes.
 
-use crate::column::Column;
+use crate::column::{Column, ColumnData};
 use crate::dict;
 use crate::error::{Budget, EvalError};
 use crate::index::JoinIndex;
@@ -36,6 +36,17 @@ use std::sync::Arc;
 /// The name of a query variable as a relation carries it: a shared
 /// handle, so cloning a name — or a relation — copies no string.
 pub type Name = Arc<str>;
+
+/// The column under which a *counted* relation carries each row's
+/// multiplicity: an `Int` column of `u64` counts (stored as their bits),
+/// one per row, never NULL. A counted relation stands for the bag in
+/// which row `i` occurs `count[i]` times. Gathers, spill files and the
+/// chunk codec carry the column like any other; [`crate::cops`]'s join
+/// multiplies it, its semijoin by a counted relation multiplies by the
+/// summed partner counts, and its projection sums it. No query variable
+/// can take the name: `#` starts no SQL identifier and no variable the
+/// isolator names.
+pub const COUNT: &str = "#count";
 
 /// A columnar relation whose columns are named by query variables.
 #[derive(Clone, Debug)]
@@ -118,6 +129,20 @@ impl CRel {
     /// Position of variable `v`.
     pub fn col_index(&self, v: &str) -> Option<usize> {
         self.cols.iter().position(|c| **c == *v)
+    }
+
+    /// The per-row multiplicities of a counted relation (the [`COUNT`]
+    /// column, as `u64` bits), or `None` if the relation is not counted.
+    pub fn counts(&self) -> Option<&[i64]> {
+        Some(count_cells(self.column(self.col_index(COUNT)?)))
+    }
+
+    /// This relation with a [`COUNT`] column of `counts` appended.
+    pub fn with_counts(self, counts: Vec<i64>) -> CRel {
+        let (mut cols, mut columns, len) = self.into_parts();
+        cols.push(COUNT.into());
+        columns.push(Arc::new(Column::from_ints(counts)));
+        CRel::new(cols, columns, len)
     }
 
     /// Converts a row relation to columnar form. Each column is typed by
@@ -285,6 +310,16 @@ impl From<CRel> for Selection<'static> {
             indexes: Vec::new(),
             unpaid: 0,
         }
+    }
+}
+
+/// The cells of a [`COUNT`] column.
+pub(crate) fn count_cells(col: &Column) -> &[i64] {
+    match col.data() {
+        ColumnData::Int(v) => v,
+        // `CRel::empty` types no column.
+        _ if col.is_empty() => &[],
+        _ => unreachable!("a count column holds integers"),
     }
 }
 

@@ -102,6 +102,11 @@ pub enum EvalError {
         /// The width bound the search was given.
         max_width: usize,
     },
+    /// A multiplicity past `u64::MAX`: some row of a counted relation
+    /// (see [`crate::crel::COUNT`]), or the answer an aggregate reads,
+    /// stands for more join rows than `u64` counts. Final: every plan
+    /// counts the same join rows.
+    CountOverflow,
     /// Anything else (plan inconsistencies, type errors in expressions).
     Internal(String),
 }
@@ -149,6 +154,7 @@ impl fmt::Display for EvalError {
                 f,
                 "no q-hypertree decomposition of width ≤ {max_width} covers the output variables"
             ),
+            EvalError::CountOverflow => write!(f, "more than 2^64 - 1 join rows to count"),
             EvalError::Internal(m) => write!(f, "internal error: {m}"),
         }
     }

@@ -1,8 +1,8 @@
 //! Execution options of the evaluators ([`ExecOptions`]) and the one
 //! process-wide default behind them: the memory limit, resolved as
-//! [`set_mem_limit_default`] > `HTQO_MEM_LIMIT` > unlimited. Whether an
-//! aggregate runs on a factorized cover and whether a vertex join seeks an
-//! index are decided from the query and the data, not by an option.
+//! [`set_mem_limit_default`] > `HTQO_MEM_LIMIT` > unlimited. Whether a
+//! vertex join seeks an index is decided from the query and the data, not
+//! by an option.
 //!
 //! A query runs on the thread that asked for it; there is no intra-query
 //! worker pool (DESIGN.md §3.6 records the measurement that retired it).

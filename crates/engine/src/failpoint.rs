@@ -55,7 +55,6 @@ pub const SITES: &[&str] = &[
     "cops::project",
     "cops::seek",
     "cops::semijoin",
-    "factorized::build",
     "qeval::bottom_up",
     "qeval::vertex",
     "scan::atom",

@@ -12,19 +12,18 @@
 //! - [`crel::CRel`] / [`cops`]: columnar intermediate relations named by
 //!   query variables and their kernels (hash join, semijoin, projection)
 //!   — the one executor every planner runs on, the decomposition
-//!   evaluators and the join-order baselines alike. Every kernel charges
+//!   evaluators and the join-order baselines alike. A relation may carry
+//!   a count per row ([`crel::COUNT`]), which the kernels multiply and
+//!   sum: bag semantics for aggregates. Every kernel charges
 //!   an [`error::Budget`], so baseline blow-ups become reproducible `DNF`
 //!   data points instead of runaway processes;
 //! - [`vrel::VRelation`]: the row form answers are handed to clients in,
 //!   with [`vrel::nested_loop_join`], the reference the columnar join is
 //!   tested against;
 //! - [`scan`]: atom scans with selection push-down and the hidden
-//!   `__rowid` multiplicity guard;
+//!   `__rowid` column;
 //! - [`aggregate`]: GROUP BY / aggregate finalization (step (4) of the
 //!   paper's evaluation pipeline);
-//! - [`factorized`]: the factorized cover over a decomposition tree —
-//!   aggregates from per-vertex answer counts, without materializing the
-//!   join;
 //! - [`spill`]: the Grace spill path of joins and aggregation under a
 //!   memory cap;
 //! - [`exec`] / [`hash`]: the process-wide defaults of the execution
@@ -42,7 +41,6 @@ pub mod dict;
 pub mod error;
 pub mod exec;
 pub mod expr;
-pub mod factorized;
 pub mod failpoint;
 mod fsum;
 pub mod hash;
@@ -60,7 +58,6 @@ pub use crel::{CRel, Name};
 pub use csv::{read_csv, read_csv_budgeted, write_csv, CsvError};
 pub use error::{Budget, CancelToken, EvalError, JoinStats, SpillMode, SpillStats};
 pub use exec::ExecOptions;
-pub use factorized::{aggregate_cover, CoverError, CoverInput};
 pub use index::{JoinIndex, MemIndex};
 pub use relation::{Relation, RelationError, RowLoader};
 pub use schema::{Column, ColumnType, Database, Schema};

@@ -1,7 +1,7 @@
 //! Atom scans: turn a stored relation into an intermediate relation over
 //! the atom's query variables, applying the atom's constant filters
 //! (selection push-down) and materializing the hidden `__rowid` column when
-//! the isolator's multiplicity guard asked for it.
+//! the query names it.
 //!
 //! The scan is columnar end to end ([`scan_atom_c`]) and costs what its
 //! filters cost, not what its width costs: each filter runs as a typed

@@ -156,6 +156,20 @@ impl Ord for Value {
     }
 }
 
+impl Value {
+    /// Breaks the ties of [`Value::cmp`]: by type rank, then a float by
+    /// its bits. Two values equal in both orders are identical — `Int(0)`
+    /// and `Float(0.0)`, `-0.0` and `0.0`, NaNs of another sign or payload
+    /// are equal in [`Value::cmp`] but not here.
+    pub fn cmp_identity(&self, other: &Self) -> Ordering {
+        let bits = |v: &Value| match v {
+            Value::Float(x) => x.to_bits(),
+            _ => 0,
+        };
+        (self.type_rank().cmp(&other.type_rank())).then_with(|| bits(self).cmp(&bits(other)))
+    }
+}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

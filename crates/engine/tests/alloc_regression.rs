@@ -492,7 +492,7 @@ fn aggregate_c_allocates_no_row_per_answer_row() {
     let mut flags = Column::new(ColumnType::Str);
     (0..n).for_each(|i| assert!(flags.push_str(["A", "N", "R"][i % 3])));
     let answer = CRel::new(
-        ["RF", "EP", "D", "__rid_l"].map(Into::into).to_vec(),
+        ["RF", "EP", "D", "L"].map(Into::into).to_vec(),
         vec![
             Arc::new(flags),
             float(&|i| i as f64 * 0.25),
@@ -509,11 +509,10 @@ fn aggregate_c_allocates_no_row_per_answer_row() {
     );
     let revenue = ScalarExpr::Binary(var("EP"), ArithOp::Mul, Box::new(one_minus_d));
     let q = CqBuilder::new()
-        .atom_vars("lineitem", &["RF", "EP", "D", "__rid_l"])
+        .atom_vars("lineitem", &["RF", "EP", "D", "L"])
         .out_var("RF")
         .out_agg(AggFunc::Sum, Some(revenue), "revenue")
         .out_agg(AggFunc::Count, None, "n")
-        .out_var("__rid_l")
         .group("RF")
         .build();
     let finalize = || {
@@ -545,18 +544,17 @@ fn aggregate_c_allocates_one_row_per_group() {
     (0..n).for_each(|i| assert!(ep.push_float(i as f64 * 0.25)));
     let ep = Arc::new(ep);
     let q = CqBuilder::new()
-        .atom_vars("r", &["G", "EP", "__rid_r"])
+        .atom_vars("r", &["G", "EP", "R"])
         .out_var("G")
         .out_agg(AggFunc::Sum, Some(ScalarExpr::Var("EP".into())), "s")
         .out_agg(AggFunc::Count, None, "n")
         .out_agg(AggFunc::Max, Some(ScalarExpr::Var("EP".into())), "hi")
-        .out_var("__rid_r")
         .group("G")
         .build();
     for (what, stride) in [("direct", 1), ("hashed", 500_000)] {
         let keys = (0..n as i64).map(|i| i * 7_919 % groups as i64 * stride);
         let answer = CRel::new(
-            ["G", "EP", "__rid_r"].map(Into::into).to_vec(),
+            ["G", "EP", "R"].map(Into::into).to_vec(),
             vec![
                 Arc::new(Column::from_ints(keys.collect())),
                 Arc::clone(&ep),

@@ -19,10 +19,29 @@ use htqo_engine::schema::Database;
 use htqo_engine::vrel::VRelation;
 
 /// Evaluates `q` by scanning every atom and joining left-deep in `order`
-/// (defaults to body order), returning the answer over `out(Q)` under set
-/// semantics. An `order` that is not a permutation of `q`'s atoms is
-/// [`EvalError::Internal`].
+/// (defaults to body order), returning the answer over `out(Q)`: under
+/// set semantics, or, for an aggregate query, every join row (SQL's bag,
+/// which the aggregate reads). An `order` that is not a permutation of
+/// `q`'s atoms is [`EvalError::Internal`].
 pub fn evaluate_join_order(
+    db: &Database,
+    q: &ConjunctiveQuery,
+    order: Option<&[AtomId]>,
+    budget: &mut Budget,
+) -> Result<CRel, EvalError> {
+    let joined = join_rows(db, q, order, budget)?;
+    let answer = cops::project(&joined, &q.out_vars(), !q.has_aggregates(), budget)?;
+    // A session's budget is a shared handle whose charges are batched and
+    // may not trip inline (see `Budget::charge`); check before declaring
+    // success.
+    budget.check_exceeded()?;
+    Ok(answer)
+}
+
+/// Every join row of `q`'s atoms, joined left-deep in `order` (defaults
+/// to body order), over all their variables: [`evaluate_join_order`]
+/// before its projection onto `out(Q)`.
+pub fn join_rows(
     db: &Database,
     q: &ConjunctiveQuery,
     order: Option<&[AtomId]>,
@@ -64,13 +83,7 @@ pub fn evaluate_join_order(
             Some(prev) => cops::natural_join(&prev, &scanned, budget)?,
         });
     }
-    let joined = acc.unwrap_or_else(CRel::neutral);
-    let answer = cops::project(&joined, &q.out_vars(), true, budget)?;
-    // A session's budget is a shared handle whose charges are batched and
-    // may not trip inline (see `Budget::charge`); check before declaring
-    // success.
-    budget.check_exceeded()?;
-    Ok(answer)
+    Ok(acc.unwrap_or_else(CRel::neutral))
 }
 
 /// Evaluates `q` in body order, answer in rows.

@@ -22,6 +22,18 @@
 //! Because the root covers all output variables (Condition 2), no top-down
 //! or second bottom-up pass is needed.
 //!
+//! An aggregate query is answered over SQL's bag, not the set `CQ(Q)`:
+//! the same pass runs on *counted* relations ([`htqo_engine::crel::COUNT`]).
+//! A `P′` row counts the join rows of the atoms *assigned* to its vertex
+//! (each `⊆ χ(p)`); a λ atom the vertex does not enforce only bounds it,
+//! as the distinct rows of its χ variables ([`cops::bound`]); narrowing
+//! only filters. In `P″` a filter child multiplies each row's count by
+//! its partners' summed counts, a supplying child is joined (counts
+//! multiply) and projected with counts summed. The root relation and its
+//! counts go to the aggregate without `P‴`: every atom is counted at
+//! exactly one vertex, and the decomposition's connectedness makes the
+//! bottom-up sums count every combination of base rows once.
+//!
 //! Intermediate relations are columnar [`CRel`]s (flat typed columns,
 //! dictionary-encoded strings, gather-based output) from the scans to the
 //! root; the answer is converted to the client-facing [`VRelation`] once,
@@ -69,22 +81,16 @@ pub fn evaluate_qhd_with(
     Ok(evaluate_qhd_c(db, q, plan, budget)?.to_vrel())
 }
 
-/// χ(p) per vertex (as names) and the per-vertex `P′` relations, both
-/// indexed by [`NodeId::index`].
-pub(crate) type Vertices = (Vec<Vec<Name>>, Vec<CRel>);
-
-/// The `P′` phase as a reusable front ([`Vertices`]). Computed once per
-/// query and shared by the materialized pipeline ([`join_up`]) and the
-/// factorized cover build ([`crate::factorized`]), which borrows the
-/// relations (their columns are shared, not copied) and leaves them to
-/// [`join_up`] if it is refused. Every name is the plan's own ([`Name`]),
-/// cloned, never rebuilt.
-pub(crate) fn vertex_relations(
+/// `P′` and `P″`: the root's relation over χ(root), counted when
+/// `counted` (see the module docs). Every name is the plan's own
+/// ([`Name`]), cloned, never rebuilt.
+fn root_relation(
     db: &Database,
     q: &ConjunctiveQuery,
     plan: &QhdPlan,
+    counted: bool,
     budget: &mut Budget,
-) -> Result<Vertices, EvalError> {
+) -> Result<CRel, EvalError> {
     let tree = &plan.tree;
     let h = &plan.cq_hypergraph.hypergraph;
 
@@ -101,14 +107,11 @@ pub(crate) fn vertex_relations(
             .collect();
         let chi = &chi_names[p.index()];
         let scan = (db, q, &plan.cq_hypergraph);
-        let joined = vertex_join(scan, node, chi, &children, budget)?;
+        let joined = vertex_join(scan, node, chi, &children, counted, budget)?;
         rels[p.index()] = Some(joined);
     }
-    let rels = rels
-        .into_iter()
-        .map(|r| r.expect("postorder visits every vertex"))
-        .collect();
-    Ok((chi_names, rels))
+    // P″: single bottom-up pass, support children joined first.
+    eval_bottom_up(tree, tree.root(), &chi_names, &mut rels, budget)
 }
 
 /// How many times smaller than an atom's selection a child's `P′`
@@ -122,29 +125,13 @@ fn decisively_smaller(small: usize, big: usize) -> bool {
 }
 
 /// The pipeline behind [`evaluate_qhd_with`], answer still columnar.
-pub(crate) fn evaluate_qhd_c(
+fn evaluate_qhd_c(
     db: &Database,
     q: &ConjunctiveQuery,
     plan: &QhdPlan,
     budget: &mut Budget,
 ) -> Result<CRel, EvalError> {
-    let vertices = vertex_relations(db, q, plan, budget)?;
-    join_up(q, plan, vertices, budget)
-}
-
-/// `P″` and `P‴` over the `P′` relations of [`vertex_relations`]: the
-/// answer over `out(Q)`, columnar.
-pub(crate) fn join_up(
-    q: &ConjunctiveQuery,
-    plan: &QhdPlan,
-    (chi_names, rels): Vertices,
-    budget: &mut Budget,
-) -> Result<CRel, EvalError> {
-    let tree = &plan.tree;
-    let mut vertex_rel: Vec<Option<CRel>> = rels.into_iter().map(Some).collect();
-
-    // P″: single bottom-up pass, support children joined first.
-    let result_root = eval_bottom_up(tree, tree.root(), &chi_names, &mut vertex_rel, budget)?;
+    let result_root = root_relation(db, q, plan, false, budget)?;
 
     // P‴: project the root onto out(Q).
     let out = q.out_vars();
@@ -161,12 +148,15 @@ pub(crate) fn join_up(
 /// than it ([`cops::narrow`]), join them, project onto χ(p) (restricted to
 /// available variables). An atom read from an indexed column may be
 /// joined by index seek inside the join ([`cops::join_vertex`]); the
-/// answer is the same set either way.
+/// answer is the same set either way. Counted, only the assigned atoms
+/// count: each λ atom outside `assigned(p)` joins as its distinct rows
+/// over χ(p) ([`cops::bound`]).
 fn vertex_join(
     (db, q, ch): (&Database, &ConjunctiveQuery, &CqHypergraph),
     n: &Node,
     chi: &[Name],
     children: &[&CRel],
+    counted: bool,
     budget: &mut Budget,
 ) -> Result<CRel, EvalError> {
     budget.check_time()?;
@@ -185,7 +175,20 @@ fn vertex_join(
         let worth = |rows| decisively_smaller(child.len(), rows);
         cops::narrow(&mut selected, child, worth, budget);
     }
-    cops::join_vertex(selected, chi, budget)
+    if !counted {
+        return cops::join_vertex(selected, chi, budget);
+    }
+    let atoms =
+        (ch.hypergraph.edge_ids()).filter(|&e| n.assigned.contains(e) || n.lambda.contains(e));
+    let mut inputs = Vec::with_capacity(selected.len());
+    for (e, s) in atoms.zip(selected) {
+        if n.assigned.contains(e) {
+            inputs.push(s);
+        } else if let Some(bound) = cops::bound(s, chi, budget)? {
+            inputs.push(bound);
+        }
+    }
+    cops::join_vertex_counted(inputs, chi, budget)
 }
 
 /// `P″` below and at `p`: the children's results first, then each child
@@ -287,10 +290,9 @@ pub fn evaluate_qhd_query(
 
 /// [`evaluate_qhd_query`] with explicit execution options. The answer
 /// stays columnar end to end — the final aggregation front runs
-/// column-at-a-time too ([`htqo_engine::aggregate::finalize_c`]). When
-/// the query and plan qualify, the aggregate is computed from a
-/// factorized cover without materializing the join
-/// ([`crate::factorized`]).
+/// column-at-a-time too ([`htqo_engine::aggregate::finalize_c`]). An
+/// aggregate query reads the counted root relation (module docs): SQL's
+/// bag, without `P‴`.
 pub fn evaluate_qhd_query_with(
     db: &Database,
     q: &ConjunctiveQuery,
@@ -298,8 +300,34 @@ pub fn evaluate_qhd_query_with(
     budget: &mut Budget,
     opts: &ExecOptions,
 ) -> Result<VRelation, EvalError> {
-    let mut trace = crate::factorized::FactorizedTrace::default();
-    crate::factorized::evaluate_qhd_query_traced(db, q, plan, budget, opts, &mut trace)
+    budget.apply_mem_limit(opts.mem_limit);
+    let answer = if q.has_aggregates() {
+        let root = root_relation(db, q, plan, true, budget)?;
+        budget.check_exceeded()?;
+        root
+    } else {
+        evaluate_qhd_c(db, q, plan, budget)?
+    };
+    htqo_engine::aggregate::finalize_c(&answer, q, budget)
+}
+
+/// Nothing: which path answered a query once went here. Kept, with
+/// [`evaluate_qhd_query_traced`], only because the `e2e/` benchmark calls
+/// them by these names; a change to the benchmark drops the calls and
+/// then both.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FactorizedTrace;
+
+/// [`evaluate_qhd_query_with`]; `trace` is not written.
+pub fn evaluate_qhd_query_traced(
+    db: &Database,
+    q: &ConjunctiveQuery,
+    plan: &QhdPlan,
+    budget: &mut Budget,
+    opts: &ExecOptions,
+    _trace: &mut FactorizedTrace,
+) -> Result<VRelation, EvalError> {
+    evaluate_qhd_query_with(db, q, plan, budget, opts)
 }
 
 #[cfg(test)]

@@ -11,8 +11,8 @@ use htqo_engine::scan::scan_query_atom_c;
 use htqo_engine::schema::Database;
 
 /// Evaluates a bushy join tree bottom-up, returning the answer over
-/// `out(Q)` (set semantics, matching the other evaluators), still
-/// columnar. Uses the process-wide [`ExecOptions`] defaults; see
+/// `out(Q)` (set semantics, matching the other evaluators; an aggregate
+/// query keeps every join row, SQL's bag), still columnar. Uses the process-wide [`ExecOptions`] defaults; see
 /// [`evaluate_join_tree_with`] to pass them.
 pub fn evaluate_join_tree(
     db: &Database,
@@ -33,7 +33,7 @@ pub fn evaluate_join_tree_with(
 ) -> Result<CRel, EvalError> {
     budget.apply_mem_limit(opts.mem_limit);
     let joined = eval_node(db, q, tree, budget)?;
-    let answer = cops::project(&joined, &q.out_vars(), true, budget)?;
+    let answer = cops::project(&joined, &q.out_vars(), !q.has_aggregates(), budget)?;
     // A session's budget is a shared handle whose charges are batched and
     // may not trip inline (see `Budget::charge`); check before declaring
     // success.

@@ -147,11 +147,10 @@ pub struct QueryOutcome {
     /// Spill partitions created across every rung (the partition
     /// fan-out, summed over every spilling operator and recursion level).
     pub spill_partitions: u64,
-    /// True when the answer came from the factorized (cover-based)
-    /// aggregate front instead of a materialized join.
+    /// Always `false`: no rung answers from a factorized cover (the q-HD
+    /// rung counts join rows in its one pass). Kept because `e2e/` reads it.
     pub factorized: bool,
-    /// Why the factorized front declined the query, when it was tried
-    /// and found ineligible (`None` when it answered or was never tried).
+    /// Always `None`, for the same reason as `factorized`.
     pub factorized_fallback: Option<String>,
     /// Planner-side cardinality estimate for the answer relation, when
     /// statistics were available to produce one.

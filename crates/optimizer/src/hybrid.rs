@@ -26,7 +26,7 @@ use htqo_cq::{isolate, parse_select, ConjunctiveQuery, CqHypergraph, IsolatorOpt
 use htqo_engine::error::{Budget, EvalError, SpillMode};
 use htqo_engine::schema::Database;
 use htqo_engine::vrel::VRelation;
-use htqo_eval::{evaluate_join_order, evaluate_qhd_query_traced, ExecOptions, FactorizedTrace};
+use htqo_eval::{evaluate_join_order, evaluate_qhd_query_with, ExecOptions};
 use htqo_hypergraph::{canonical_form, CanonicalForm, VarSet};
 use htqo_stats::{DbStats, StatsDecompCost};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -710,20 +710,13 @@ impl HybridOptimizer {
         let mut attempts: Vec<FallbackAttempt> = Vec::new();
         let mut tuples: u64 = 0;
         let mut answer: Option<(VRelation, Rung, &str)> = None;
-        // Shared with the rung-0 closure (which `run_rung` may invoke
-        // twice under spill retry — the traced evaluator resets it on
-        // entry, so it always reflects the pass that produced the answer).
-        let trace: std::cell::RefCell<FactorizedTrace> = std::cell::RefCell::default();
 
-        // Rung 0: q-hypertree evaluation, through the factorized front
-        // (aggregate pushdown over the cover when eligible, materialized
-        // join otherwise — see `htqo_eval::factorized`).
+        // Rung 0: q-hypertree evaluation (an aggregate counts the join
+        // rows along the decomposition — see `htqo_eval::qeval`).
         match &compiled.plan {
             Ok(plan) => {
                 let opts = ExecOptions::default();
-                let eval = |bud: &mut Budget| {
-                    evaluate_qhd_query_traced(db, q, plan, bud, &opts, &mut trace.borrow_mut())
-                };
+                let eval = |bud: &mut Budget| evaluate_qhd_query_with(db, q, plan, bud, &opts);
                 match self.run_rung(&budget, 0, Rung::QHd, &mut attempts, &mut tuples, &eval) {
                     Some(rel) => answer = Some((rel, Rung::QHd, &compiled.description)),
                     // Don't serve a plan that just failed for a reason a
@@ -803,29 +796,17 @@ impl HybridOptimizer {
             .iter()
             .map(|a| format!("{} failure: {}", a.rung, a.error))
             .collect();
-        // The trace only describes the q-HD rung; a fallback rung's
-        // answer always came from a materialized join.
-        let trace = trace.into_inner();
-        let (result, rung, plan, factorized, factorized_fallback) = match answer {
+        let (result, rung, plan) = match answer {
             Some((rel, rung, desc)) => {
-                let (factorized, fallback) = if rung == Rung::QHd {
-                    (trace.factorized, trace.fallback)
-                } else {
-                    (false, None)
-                };
                 let mut plan = desc.to_string();
-                if factorized {
-                    plan.push_str(" [factorized]");
-                }
                 if !failed.is_empty() {
                     plan = format!("{plan} [fallback after {}]", failed.join("; "));
                 }
-                (Ok(rel), rung, plan, factorized, fallback)
+                (Ok(rel), rung, plan)
             }
             None => {
                 let last = attempts.last().expect("the q-HD rung always runs");
-                let plan = failed.join("; ");
-                (Err(last.error.clone()), last.rung, plan, false, None)
+                (Err(last.error.clone()), last.rung, failed.join("; "))
             }
         };
         QueryOutcome {
@@ -841,8 +822,8 @@ impl HybridOptimizer {
             // and join statistics, so these are the whole query's.
             spill_bytes: budget.spill_stats().bytes_written(),
             spill_partitions: budget.spill_stats().partitions(),
-            factorized,
-            factorized_fallback,
+            factorized: false,
+            factorized_fallback: None,
             estimated_answer_rows: compiled.estimated_answer_rows,
             plan_cache,
             index_seek_joins: budget.join_stats().index_seeks(),
@@ -1394,38 +1375,13 @@ mod tests {
         assert!(out.result.is_ok());
     }
 
-    /// A grouped count runs on the factorized cover, the outcome records
-    /// it, and the answer matches the left-deep simulator's (which always
-    /// materializes).
+    /// Query Q1 of the paper's Example 4, `SUM(X)` over a nine-atom chain
+    /// grouped by its two ends: with statistics, Optimize leaves `X` to
+    /// the root's children, which the counted pass joins in; the
+    /// structural plan keeps `X` at its root. Both answer on q-HD, the
+    /// same rows in the same order, with no cover flag set.
     #[test]
-    fn factorized_aggregate_is_recorded_and_agrees() {
-        let db = chain_db(3, 60, 5);
-        let stats = analyze(&db);
-        let sql = "SELECT p0.l, COUNT(*) AS n FROM p0, p1, p2 \
-                   WHERE p0.r = p1.l AND p1.r = p2.l GROUP BY p0.l";
-        let hybrid = HybridOptimizer::with_stats(QhdOptions::default(), stats.clone());
-        let out = hybrid.execute_sql(&db, sql, Budget::unlimited()).unwrap();
-        assert_eq!(out.rung, Rung::QHd, "{}", out.plan);
-        assert!(out.factorized, "{:?}", out.factorized_fallback);
-        assert!(out.plan.contains("[factorized]"), "{}", out.plan);
-        assert!(out.factorized_fallback.is_none());
-        let rel = out.result.unwrap();
-        assert_eq!(out.answer_rows, Some(rel.len() as u64));
-        assert!(out.estimated_answer_rows.is_some());
-        let oracle = DbmsSim::commdb(Some(stats))
-            .execute_sql(&db, sql, Budget::unlimited())
-            .unwrap();
-        assert!(!oracle.factorized);
-        assert!(rel.set_eq(&oracle.result.unwrap()));
-    }
-
-    /// An aggregate whose input the root does not carry is ineligible
-    /// for the cover: the outcome still answers on q-HD but records the
-    /// fallback reason. Query Q1 of the paper's Example 4, `SUM(X)` over a
-    /// nine-atom chain grouped by its two ends: with statistics, Optimize
-    /// leaves `X` to the root's children.
-    #[test]
-    fn ineligible_aggregate_records_fallback_reason() {
+    fn supplied_aggregate_inputs_answer_on_qhd() {
         let db = chain_db(9, 40, 5);
         let vars = ["A", "B", "C", "T", "R", "Y", "X", "S", "Z", "ZP"];
         let mut b = CqBuilder::new();
@@ -1444,48 +1400,45 @@ mod tests {
         let opt = HybridOptimizer::with_stats(QhdOptions::default(), analyze(&db));
         let out = opt.execute_cq(&db, &q, Budget::unlimited());
         assert_eq!(out.rung, Rung::QHd, "{}", out.plan);
-        assert!(!out.factorized);
-        let reason = out.factorized_fallback.expect("a recorded reason");
-        assert!(reason.contains("`X`"), "{reason}");
-        // The structural plan keeps `X` at its root and answers from the
-        // cover: the same rows, in the same order.
+        assert!(!out.factorized && out.factorized_fallback.is_none());
         let structural = HybridOptimizer::structural(QhdOptions::default());
         let want = structural.execute_cq(&db, &q, Budget::unlimited());
-        assert!(want.factorized, "{:?}", want.factorized_fallback);
+        assert_eq!(want.rung, Rung::QHd, "{}", want.plan);
         assert_eq!(out.result.unwrap(), want.result.unwrap());
         // Structural mode has no statistics, so no estimate.
         assert!(want.estimated_answer_rows.is_none());
     }
 
-    /// The `COUNT(*)` variant of TPC-H Q5 puts every atom's row id in
-    /// `out(Q)`, so no q-HD of width ≤ 4 has a root covering it: the
-    /// ladder records a typed, retryable planning failure as its first
-    /// attempt, and the bushy rung answers.
+    /// The `COUNT(*)` variants of TPC-H Q5 and Q8 are answered by rung 0,
+    /// with no failed attempt, and equal CommDB's answer.
     #[test]
-    fn count_star_q5_has_no_decomposition_and_bushy_answers() {
+    fn count_star_q5_and_q8_are_answered_by_rung_0() {
         let db = htqo_tpch::generate(&htqo_tpch::DbgenOptions {
             scale: 0.002,
             seed: 77,
         });
         let stats = analyze(&db);
-        let sql = htqo_tpch::q5("ASIA", 1994)
+        let q5 = htqo_tpch::q5("ASIA", 1994)
             .replace(
                 "sum(l_extendedprice * (1 - l_discount)) AS revenue",
                 "count(*) AS n",
             )
             .replace("ORDER BY revenue", "ORDER BY n");
-        let opt = HybridOptimizer::with_stats(QhdOptions::default(), stats.clone());
-        let out = opt.execute_sql(&db, &sql, Budget::unlimited()).unwrap();
-        assert_eq!(out.attempts[0].rung, Rung::QHd);
-        assert_eq!(
-            out.attempts[0].error,
-            EvalError::NoDecomposition { max_width: 4 }
+        let q8 = htqo_tpch::q8("AMERICA", "ECONOMY ANODIZED STEEL").replacen(
+            "SELECT ",
+            "SELECT count(*) AS n, ",
+            1,
         );
-        assert!(out.attempts[0].error.is_retryable());
-        assert_eq!(out.rung, Rung::Bushy, "{}", out.plan);
-        let want = DbmsSim::commdb(Some(stats))
-            .execute_sql(&db, &sql, Budget::unlimited())
-            .unwrap();
-        assert_eq!(out.result.unwrap(), want.result.unwrap());
+        assert_ne!(q8, htqo_tpch::q8("AMERICA", "ECONOMY ANODIZED STEEL"));
+        let opt = HybridOptimizer::with_stats(QhdOptions::default(), stats.clone());
+        for sql in [q5, q8] {
+            let out = opt.execute_sql(&db, &sql, Budget::unlimited()).unwrap();
+            assert!(out.attempts.is_empty(), "{:?}", out.attempts);
+            assert_eq!(out.rung, Rung::QHd, "{}", out.plan);
+            let want = DbmsSim::commdb(Some(stats.clone()))
+                .execute_sql(&db, &sql, Budget::unlimited())
+                .unwrap();
+            assert_eq!(out.result.unwrap(), want.result.unwrap(), "{sql}");
+        }
     }
 }

@@ -70,13 +70,8 @@ pub fn estimate_answer_rows(
             distinct_bound(&q.group_by)
         }
     } else {
-        // Answers are distinct over out(Q); hidden rowid guards carry bag
-        // multiplicity and are projected away before the result surfaces.
-        let visible: Vec<String> = q
-            .out_vars()
-            .into_iter()
-            .filter(|v| !htqo_cq::isolator::is_hidden_label(v))
-            .collect();
+        // Answers are distinct over out(Q).
+        let visible = q.out_vars();
         if visible.is_empty() {
             joined.card.min(1.0)
         } else {

@@ -96,11 +96,7 @@ fn flatten_at(
         let (sub_db, sub_stmt) = flatten_at(&db, subquery, budget, depth + 1)?;
         let q = isolate(&sub_stmt, &sub_db, IsolatorOptions::default())
             .map_err(NestedError::Isolate)?;
-        let visible = q
-            .output
-            .iter()
-            .filter(|o| !htqo_cq::isolator::is_hidden_label(o.label()))
-            .count();
+        let visible = q.output.len();
         if visible != 1 {
             return Err(NestedError::NotSingleColumn(visible));
         }

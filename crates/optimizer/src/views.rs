@@ -6,25 +6,34 @@
 //!
 //! Each view selects `DISTINCT` the vertex's available χ variables from
 //! the vertex's atoms and its children's views, with the variable
-//! equalities and pushed-down constant filters in its `WHERE` clause. The
-//! module also contains [`execute_views`], which replays the generated
-//! script through our own parser and engine — the round-trip test that the
-//! rewriting is faithful.
+//! equalities and pushed-down constant filters in its `WHERE` clause.
+//!
+//! An aggregate query must see SQL's bag, so its vertex views drop
+//! `DISTINCT`: a vertex view is the bag projection of its join, and a row
+//! of the root view stands for each combination of base rows behind it.
+//! Only the atoms *assigned* to a vertex count there; each λ atom it does
+//! not enforce becomes its own `DISTINCT` bound view over its χ
+//! variables, joined in as a set. The final `SELECT` then computes SQL's
+//! answer on any DBMS.
+//!
+//! The module also contains [`execute_views`], which replays the
+//! generated script through our own parser and engine — the round-trip
+//! test that the rewriting is faithful.
 
 use htqo_core::hypertree::NodeId;
 use htqo_core::QhdPlan;
 use htqo_cq::date::format_date;
-use htqo_cq::isolator::ROWID_VAR_PREFIX;
 use htqo_cq::{
     isolate, parse_select, AggFunc, AtomId, ConjunctiveQuery, IsolatorOptions, Literal, OutputItem,
     ScalarExpr, SortDir,
 };
+use htqo_engine::cops;
 use htqo_engine::error::{Budget, EvalError};
 use htqo_engine::relation::Relation;
 use htqo_engine::schema::{ColumnType, Database, Schema};
 use htqo_engine::value::Value;
 use htqo_engine::vrel::VRelation;
-use htqo_eval::evaluate_join_order;
+use htqo_eval::{evaluate_join_order, join_rows};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -35,6 +44,9 @@ pub struct ViewDef {
     pub name: String,
     /// The view body (a plain SELECT).
     pub select_sql: String,
+    /// True for a `SELECT DISTINCT` view (a set), false for a bag view
+    /// of an aggregate query, whose rows repeat as the join's do.
+    pub distinct: bool,
 }
 
 /// A rewritten query: views in dependency order plus the final SELECT.
@@ -58,20 +70,124 @@ impl SqlViews {
     }
 }
 
-/// Maps a query variable to the column name its views expose (hidden
-/// rowid variables get a visible alias so DBMSs — and our own final
-/// aggregation — keep them around until the end).
-fn view_column(var: &str) -> String {
-    match var.strip_prefix(ROWID_VAR_PREFIX) {
-        Some(rest) => format!("ridq_{rest}"),
-        None => var.to_string(),
+/// One `FROM` entry of a view: a base atom or another view.
+struct Source {
+    from_clause: String,
+    /// var → column term (`binding.column`)
+    terms: BTreeMap<String, String>,
+    /// extra within-source equalities (repeated vars in one atom)
+    self_equalities: Vec<(String, String)>,
+    filters: Vec<String>,
+}
+
+impl Source {
+    /// Atom `a` of `q`, bound as `{alias}_{index}`.
+    fn atom(q: &ConjunctiveQuery, a: AtomId) -> Source {
+        let atom = q.atom(a);
+        let binding = format!("{}_{}", atom.alias, a.0);
+        let mut terms: BTreeMap<String, String> = BTreeMap::new();
+        let mut self_equalities = Vec::new();
+        for (col, var) in &atom.args {
+            let term = format!("{binding}.{col}");
+            match terms.get(var) {
+                Some(existing) => self_equalities.push((existing.clone(), term)),
+                None => {
+                    terms.insert(var.clone(), term);
+                }
+            }
+        }
+        let filters = (q.filters_of(a))
+            .map(|f| {
+                format!(
+                    "{binding}.{} {} {}",
+                    f.column,
+                    f.op.sql(),
+                    sql_literal(&f.value)
+                )
+            })
+            .collect();
+        Source {
+            from_clause: format!("{} {}", atom.relation, binding),
+            terms,
+            self_equalities,
+            filters,
+        }
+    }
+
+    /// The view `name`, which exposes `vars`.
+    fn view(name: String, vars: &[String]) -> Source {
+        Source {
+            terms: (vars.iter())
+                .map(|v| (v.clone(), format!("{name}.{v}")))
+                .collect(),
+            from_clause: name,
+            self_equalities: Vec::new(),
+            filters: Vec::new(),
+        }
     }
 }
 
-/// Rewrites `q` along `plan` into SQL views named `{prefix}_{i}`.
+/// The view over `sources` exposing the variables of `chi` they provide:
+/// its `SELECT` (with `DISTINCT` when `distinct`) and those variables.
+fn view_select(sources: &[Source], chi: &[String], distinct: bool) -> (String, Vec<String>) {
+    // Exposed vars: χ variables some source provides.
+    let exp: Vec<String> = (chi.iter())
+        .filter(|v| sources.iter().any(|s| s.terms.contains_key(*v)))
+        .cloned()
+        .collect();
+    let select_list: Vec<String> = exp
+        .iter()
+        .map(|v| {
+            let term =
+                (sources.iter().find_map(|s| s.terms.get(v))).expect("exposed var has a source");
+            format!("{term} AS {v}")
+        })
+        .collect();
+
+    // WHERE: join equalities + self equalities + filters, over every var
+    // provided by ≥ 2 sources (including non-χ vars shared among the
+    // vertex's own atoms).
+    let mut conjuncts: Vec<String> = Vec::new();
+    let mut all_vars: Vec<&String> = Vec::new();
+    for s in sources {
+        for v in s.terms.keys() {
+            if !all_vars.contains(&v) {
+                all_vars.push(v);
+            }
+        }
+    }
+    for v in all_vars {
+        let terms: Vec<&String> = sources.iter().filter_map(|s| s.terms.get(v)).collect();
+        for w in terms.windows(2) {
+            conjuncts.push(format!("{} = {}", w[0], w[1]));
+        }
+    }
+    for s in sources {
+        for (a, b) in &s.self_equalities {
+            conjuncts.push(format!("{a} = {b}"));
+        }
+        conjuncts.extend(s.filters.iter().cloned());
+    }
+
+    let from: Vec<&str> = sources.iter().map(|s| s.from_clause.as_str()).collect();
+    let mut sql = format!(
+        "SELECT {}{}\nFROM {}",
+        if distinct { "DISTINCT " } else { "" },
+        select_list.join(", "),
+        from.join(", ")
+    );
+    if !conjuncts.is_empty() {
+        let _ = write!(sql, "\nWHERE {}", conjuncts.join("\n  AND "));
+    }
+    (sql, exp)
+}
+
+/// Rewrites `q` along `plan` into SQL views named `{prefix}_{i}` (and,
+/// for an aggregate query, bound views `{prefix}_{i}_b{atom}`).
 pub fn rewrite_to_views(q: &ConjunctiveQuery, plan: &QhdPlan, prefix: &str) -> SqlViews {
     let tree = &plan.tree;
     let h = &plan.cq_hypergraph.hypergraph;
+    let bag = q.has_aggregates();
 
     // Exposed variables per node, computed bottom-up.
     let mut exposed: Vec<Vec<String>> = vec![Vec::new(); tree.len()];
@@ -83,146 +199,49 @@ pub fn rewrite_to_views(q: &ConjunctiveQuery, plan: &QhdPlan, prefix: &str) -> S
         let node = tree.node(p);
         let chi: Vec<String> = node.chi.iter().map(|v| h.var_name(v).to_string()).collect();
 
-        // Sources: base atoms then child views.
-        struct Source {
-            from_clause: String,
-            binding: String,
-            /// var → column term (`binding.column`)
-            terms: BTreeMap<String, String>,
-            /// extra within-source equalities (repeated vars in one atom)
-            self_equalities: Vec<(String, String)>,
-            filters: Vec<String>,
-        }
+        // Sources: base atoms (or their bound views) then child views.
         let mut sources: Vec<Source> = Vec::new();
-
         for e in node.assigned.union(&node.lambda).iter() {
             let a = AtomId(e.0);
-            let atom = q.atom(a);
-            let binding = format!("{}_{}", atom.alias, a.0);
-            let mut terms: BTreeMap<String, String> = BTreeMap::new();
-            let mut self_eq = Vec::new();
-            for (col, var) in &atom.args {
-                let term = format!("{binding}.{col}");
-                match terms.get(var) {
-                    Some(existing) => self_eq.push((existing.clone(), term)),
-                    None => {
-                        terms.insert(var.clone(), term);
-                    }
-                }
+            if !bag || node.assigned.contains(e) {
+                sources.push(Source::atom(q, a));
+                continue;
             }
-            let filters = q
-                .filters_of(a)
-                .map(|f| {
-                    format!(
-                        "{binding}.{} {} {}",
-                        f.column,
-                        f.op.sql(),
-                        sql_literal(&f.value)
-                    )
-                })
-                .collect();
-            sources.push(Source {
-                from_clause: format!("{} {}", atom.relation, binding),
-                binding,
-                terms,
-                self_equalities: self_eq,
-                filters,
+            let (select_sql, vars) = view_select(&[Source::atom(q, a)], &chi, true);
+            if vars.is_empty() {
+                continue; // it bounds no χ variable
+            }
+            let name = format!("{}_b{}", view_name_of(prefix, p), a.0);
+            sources.push(Source::view(name.clone(), &vars));
+            views.push(ViewDef {
+                name,
+                select_sql,
+                distinct: true,
             });
         }
         for &c in &node.children {
-            let view_name = view_name_of(prefix, c);
-            let terms: BTreeMap<String, String> = exposed[c.index()]
-                .iter()
-                .map(|v| (v.clone(), format!("{view_name}.{}", view_column(v))))
-                .collect();
-            sources.push(Source {
-                from_clause: view_name.clone(),
-                binding: view_name,
-                terms,
-                self_equalities: Vec::new(),
-                filters: Vec::new(),
-            });
+            sources.push(Source::view(view_name_of(prefix, c), &exposed[c.index()]));
         }
         assert!(
             !sources.is_empty(),
             "decomposition vertex with no atoms and no children"
         );
-        let _ = &sources[0].binding; // bindings are embedded in terms
-
-        // Exposed vars: χ(p) variables some source provides.
-        let mut exp: Vec<String> = Vec::new();
-        for v in &chi {
-            if sources.iter().any(|s| s.terms.contains_key(v)) {
-                exp.push(v.clone());
-            }
-        }
-
-        // SELECT list.
-        let select_list: Vec<String> = exp
-            .iter()
-            .map(|v| {
-                let term = sources
-                    .iter()
-                    .find_map(|s| s.terms.get(v))
-                    .expect("exposed var has a source");
-                format!("{term} AS {}", view_column(v))
-            })
-            .collect();
-
-        // WHERE: join equalities + self equalities + filters.
-        let mut conjuncts: Vec<String> = Vec::new();
-        // All vars provided by ≥ 2 sources (including non-χ vars shared
-        // among the vertex's own atoms).
-        let mut all_vars: Vec<String> = Vec::new();
-        for s in &sources {
-            for v in s.terms.keys() {
-                if !all_vars.contains(v) {
-                    all_vars.push(v.clone());
-                }
-            }
-        }
-        for v in &all_vars {
-            let terms: Vec<&String> = sources.iter().filter_map(|s| s.terms.get(v)).collect();
-            for w in terms.windows(2) {
-                conjuncts.push(format!("{} = {}", w[0], w[1]));
-            }
-        }
-        for s in &sources {
-            for (a, b) in &s.self_equalities {
-                conjuncts.push(format!("{a} = {b}"));
-            }
-            conjuncts.extend(s.filters.iter().cloned());
-        }
-
-        let mut sql = format!(
-            "SELECT DISTINCT {}\nFROM {}",
-            select_list.join(", "),
-            sources
-                .iter()
-                .map(|s| s.from_clause.clone())
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        if !conjuncts.is_empty() {
-            let _ = write!(sql, "\nWHERE {}", conjuncts.join("\n  AND "));
-        }
+        let (select_sql, exp) = view_select(&sources, &chi, !bag);
         exposed[p.index()] = exp;
         views.push(ViewDef {
             name: view_name_of(prefix, p),
-            select_sql: sql,
+            select_sql,
+            distinct: !bag,
         });
     }
 
     // Final SELECT from the root view.
     let root_view = view_name_of(prefix, tree.root());
-    let term_of_var = |v: &str| format!("{root_view}.{}", view_column(v));
+    let term_of_var = |v: &str| format!("{root_view}.{v}");
     let mut items: Vec<String> = Vec::new();
     for item in &q.output {
         match item {
             OutputItem::Var { var, label } => {
-                if htqo_cq::isolator::is_hidden_label(label) {
-                    continue; // multiplicity guards stop at the root view
-                }
                 items.push(format!("{} AS {label}", term_of_var(var)));
             }
             OutputItem::Aggregate { func, expr, label } => {
@@ -311,19 +330,34 @@ pub fn execute_views(
 ) -> Result<VRelation, EvalError> {
     let mut scratch = db.clone();
     for v in &views.views {
-        let rel = run_select(&scratch, &v.select_sql, budget)?;
+        let rel = run_select(&scratch, &v.select_sql, v.distinct, budget)?;
         scratch.insert_table(&v.name, vrel_to_relation(&rel)?);
     }
-    run_select(&scratch, &views.final_query, budget)
+    run_select(&scratch, &views.final_query, true, budget)
 }
 
-fn run_select(db: &Database, sql: &str, budget: &mut Budget) -> Result<VRelation, EvalError> {
+/// Runs one statement of a view script; a plain `SELECT` that is not
+/// `distinct` keeps every join row (our parser reads no `DISTINCT`).
+fn run_select(
+    db: &Database,
+    sql: &str,
+    distinct: bool,
+    budget: &mut Budget,
+) -> Result<VRelation, EvalError> {
     let stmt = parse_select(sql)
         .map_err(|e| EvalError::Internal(format!("view SQL failed to parse: {e}\n{sql}")))?;
     let q = isolate(&stmt, db, IsolatorOptions::default())
         .map_err(|e| EvalError::Internal(format!("view SQL failed to isolate: {e}\n{sql}")))?;
-    let answer = evaluate_join_order(db, &q, None, budget)?;
-    htqo_engine::aggregate::finalize_c(&answer, &q, budget)
+    if distinct || q.has_aggregates() {
+        let answer = evaluate_join_order(db, &q, None, budget)?;
+        return htqo_engine::aggregate::finalize_c(&answer, &q, budget);
+    }
+    // A bag view selects each variable once, under its own name.
+    let joined = join_rows(db, &q, None, budget)?;
+    let bag = cops::project(&joined, &q.out_vars(), false, budget)?.to_vrel();
+    budget.check_exceeded()?;
+    let labels = q.output.iter().map(|o| o.label().to_string()).collect();
+    Ok(VRelation::from_rows(labels, bag.into_rows()))
 }
 
 /// Materializes an intermediate relation as a stored [`Relation`],

@@ -221,11 +221,7 @@ mod reference {
                 distinct_bound(&q.group_by)
             }
         } else {
-            let visible: Vec<String> = q
-                .out_vars()
-                .into_iter()
-                .filter(|v| !htqo_cq::isolator::is_hidden_label(v))
-                .collect();
+            let visible = q.out_vars();
             if visible.is_empty() {
                 joined.card.min(1.0)
             } else {

@@ -143,13 +143,12 @@ fn bits(v: &VRelation) -> Vec<String> {
         .collect()
 }
 
-/// TPC-H Q3/Q5/Q8/Q10, with their ORDER BY and without it, are answered
-/// from the factorized cover in one pass: `P′` runs once, so the cover
-/// charges no more tuples than the materialized q-HD pipeline on the same
-/// plan, and the rows are bit-identical to that pipeline's and CommDB's,
-/// in the same order.
+/// TPC-H Q3, Q5, Q8 and Q10 (with and without their `ORDER BY`) answer on
+/// the q-HD rung in one counted pass, with no failed attempt and no cover
+/// flag, and the rows are bit-identical to CommDB's (full join rows,
+/// then the aggregate), in the same order.
 #[test]
-fn tpch_aggregates_answer_from_the_cover_in_one_pass() {
+fn tpch_aggregates_answer_from_the_counted_pass() {
     let (db, stats) = tpch();
     let hybrid = HybridOptimizer::with_stats(QhdOptions::default(), stats.clone());
     let commdb = DbmsSim::commdb(Some(stats));
@@ -163,27 +162,10 @@ fn tpch_aggregates_answer_from_the_cover_in_one_pass() {
         assert_ne!(unordered, ordered);
         for sql in [ordered.clone(), unordered] {
             let out = hybrid.execute_sql(&db, &sql, Budget::unlimited()).unwrap();
-            assert!(out.factorized, "{:?}:\n{sql}", out.factorized_fallback);
+            assert!(!out.factorized && out.factorized_fallback.is_none());
+            assert!(out.attempts.is_empty(), "{:?}", out.attempts);
             assert_eq!(out.rung, Rung::QHd);
             let got = out.result.unwrap();
-
-            let q = isolate(
-                &parse_select(&sql).unwrap(),
-                &db,
-                IsolatorOptions::default(),
-            )
-            .unwrap();
-            let plan = hybrid.plan_cq(&q).unwrap();
-            let mut budget = Budget::unlimited();
-            let answer = evaluate_qhd(&db, &q, &plan, &mut budget).unwrap();
-            let materialized = htqo_engine::finalize(&answer, &q, &mut budget).unwrap();
-            assert!(
-                out.tuples <= budget.charged(),
-                "cover {} > materialized {} tuples:\n{sql}",
-                out.tuples,
-                budget.charged()
-            );
-            assert_eq!(bits(&got), bits(&materialized), "{sql}");
             let reference = commdb.execute_sql(&db, &sql, Budget::unlimited()).unwrap();
             assert_eq!(bits(&got), bits(&reference.result.unwrap()), "{sql}");
         }

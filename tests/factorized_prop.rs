@@ -1,28 +1,25 @@
-//! Property tests for the factorized result layer: on random
-//! star-with-rowids aggregate queries — COUNT, integer and float SUM,
-//! AVG, GROUP BY, ORDER BY and LIMIT — aggregation pushed down into the
-//! cover must agree **bit-identically and in order** with the
-//! materialized oracle, also under random byte limits (where the
-//! factorized path must degrade to materialization rather than change the
-//! answer), and over a plan no cover can link it must refuse for that
-//! reason and still answer. The byte-limit
-//! property also holds the join-order baseline (`evaluate_join_order` +
-//! `finalize_c`) to the same limits: it is the unlimited oracle, and
-//! under a limit it spills to the same answer or fails with a typed
-//! error.
+//! Property tests for the counted q-HD pass: on random star aggregate
+//! queries whose joins are not key-preserving — COUNT, integer and float
+//! SUM, AVG, GROUP BY, ORDER BY and LIMIT — the aggregate the q-HD
+//! evaluator computes from its counted relations must agree
+//! **bit-identically and in order** with the same aggregate over the
+//! materialized bag (the nested-loop join, every row kept), also under
+//! random byte limits, and on a plan whose vertices are supplied by their
+//! children. The bag is the join-order baseline's (`evaluate_join_order`
+//! keeps every join row of an aggregate query), held columnar: a star
+//! over a one-value key joins millions of rows. The byte-limit property
+//! also holds that baseline to the same limits: under a limit it spills
+//! to the bag's answer or fails with a typed error.
 
 use htqo::prelude::*;
 use htqo_cq::{AggFunc, CqBuilder, ScalarExpr, SortDir};
 use htqo_engine::schema::{ColumnType, Schema};
-use htqo_eval::{
-    evaluate_qhd_query_traced, evaluate_qhd_query_with, evaluate_qhd_with, ExecOptions,
-    FactorizedTrace,
-};
+use htqo_eval::{evaluate_join_order, evaluate_qhd_query_with, ExecOptions};
 use proptest::prelude::*;
 
-/// A random star query: `hub(X, rid)` with `sats` satellite atoms
-/// `s_i(X, P_i, F_i, rid_i)`, every atom guarded by a rowid-style key
-/// column (SQL bag semantics). Aggregates over the join: `COUNT(*)`,
+/// A random star query: `hub(X)` with `sats` satellite atoms
+/// `s_i(X, P_i, F_i)` over tables with repeated keys and rows (a join
+/// row per combination, SQL's bag). Aggregates over the join: `COUNT(*)`,
 /// optionally `SUM(P_0)`, `SUM(F_0)` and `AVG(F_0)` (`F` holds money
 /// amounts; with `exotic`, one of them is `1e300`, which no weight above 1
 /// can repeat exactly), optionally `GROUP BY X`, `ORDER BY` one of the
@@ -95,7 +92,7 @@ fn build(shape: &Shape) -> (Database, ConjunctiveQuery) {
         .unwrap();
     }
     db.insert_table("hub", hub);
-    let mut b = CqBuilder::new().atom("hub", "hub", &[("x", "X"), ("id", "__rid_hub")]);
+    let mut b = CqBuilder::new().atom("hub", "hub", &[("x", "X")]);
 
     for i in 0..shape.sats {
         let mut s = Relation::new(Schema::new(&[
@@ -125,12 +122,7 @@ fn build(shape: &Shape) -> (Database, ConjunctiveQuery) {
         let name = format!("s{i}");
         db.insert_table(&name, s);
         let (p, f) = (format!("P{i}"), format!("F{i}"));
-        let rid = format!("__rid_{name}");
-        b = b.atom(
-            &name,
-            &name,
-            &[("x", "X"), ("p", &p), ("f", &f), ("id", &rid)],
-        );
+        b = b.atom(&name, &name, &[("x", "X"), ("p", &p), ("f", &f)]);
     }
 
     let mut labels = vec!["cnt"];
@@ -151,10 +143,6 @@ fn build(shape: &Shape) -> (Database, ConjunctiveQuery) {
     if shape.avg {
         b = b.out_agg(AggFunc::Avg, var("F0"), "a");
         labels.push("a");
-    }
-    b = b.out_var("__rid_hub");
-    for i in 0..shape.sats {
-        b = b.out_var(&format!("__rid_s{i}"));
     }
     if shape.group {
         b = b.group("X");
@@ -182,23 +170,26 @@ fn bits(v: &VRelation) -> Vec<String> {
         .collect()
 }
 
-/// The materialized q-HD answer, finalized: the reference the cover is
-/// held to.
-fn materialized(
-    db: &Database,
-    q: &ConjunctiveQuery,
-    plan: &QhdPlan,
-    budget: &mut Budget,
-) -> Result<VRelation, EvalError> {
-    let answer = evaluate_qhd_with(db, q, plan, budget, &ExecOptions::default())?;
-    htqo_engine::aggregate::finalize(&answer, q, budget)
+/// Tuples the materialized bag may charge: a one-value key over 50-row
+/// tables joins millions of rows, and a 7-atom cycle far more.
+const BAG_TUPLES: u64 = 1_000_000;
+
+/// The aggregate over the materialized bag: the reference the counted
+/// pass is held to, or `None` past [`BAG_TUPLES`].
+fn materialized(db: &Database, q: &ConjunctiveQuery) -> Option<VRelation> {
+    let mut budget = Budget::unlimited().with_max_tuples(BAG_TUPLES);
+    match evaluate_join_order(db, q, None, &mut budget) {
+        Ok(bag) => Some(htqo_engine::aggregate::finalize_c(&bag, q, &mut budget).unwrap()),
+        Err(EvalError::TupleBudgetExceeded { .. }) => None,
+        Err(e) => panic!("{e}"),
+    }
 }
 
 /// A 6-cycle `p_i(V_i, V_{i+1})` with the chord `c(V0, V2)`, answering
 /// `COUNT(*)` and `SUM(V4)` grouped by `V1, V4` (so `out(Q) = {V1, V4}`),
-/// over the shape's sizes and seed. Its q-HD is not stitchable — a
-/// vertex's χ holds a variable only its children supply — so no cover can
-/// link its vertices, whatever the data.
+/// over the shape's sizes and seed. In its q-HD a vertex's χ holds a
+/// variable only its children supply, so `P″` joins them in (counts
+/// multiply, then sum) rather than filtering.
 fn unstitchable(shape: &Shape) -> (Database, ConjunctiveQuery) {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -228,63 +219,47 @@ fn unstitchable(shape: &Shape) -> (Database, ConjunctiveQuery) {
     (db, q)
 }
 
-/// True if some float the aggregates read cannot be repeated exactly, so
-/// the cover may refuse its weights and the front materialize instead.
-fn may_refuse(shape: &Shape) -> bool {
-    shape.exotic && (shape.float || shape.avg)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Pushed-down aggregation over the q-HD cover is bit-identical to the
-    /// materialized join + aggregate, rows in the same order — and the
-    /// factorized path must actually run (the star-with-rowids family is
-    /// always eligible), unless a float it reads cannot be weighted.
+    /// The counted q-HD aggregate is bit-identical to the aggregate over
+    /// the materialized bag, rows in the same order — whatever floats the
+    /// sums read (a weight a float sum cannot take exactly is answered
+    /// over the repeated rows).
     #[test]
     fn qhd_factorized_aggregate_matches_materialized(shape in arb_shape()) {
         let (db, q) = build(&shape);
         let plan = q_hypertree_decomp(&q, &QhdOptions::default(), &StructuralCost)
             .expect("width 4 covers a ≤4-atom star");
-        let mut trace = FactorizedTrace::default();
         let mut b1 = Budget::unlimited();
-        let fact = evaluate_qhd_query_traced(
-            &db, &q, &plan, &mut b1, &ExecOptions::default(), &mut trace,
-        ).unwrap();
-        prop_assert!(trace.factorized || may_refuse(&shape), "fell back: {:?}", trace.fallback);
-        let mat = materialized(&db, &q, &plan, &mut Budget::unlimited()).unwrap();
-        prop_assert_eq!(fact.cols(), mat.cols());
-        prop_assert_eq!(bits(&fact), bits(&mat));
+        let counted = evaluate_qhd_query_with(&db, &q, &plan, &mut b1, &ExecOptions::default())
+            .unwrap();
+        let Some(mat) = materialized(&db, &q) else {
+            return Ok(());
+        };
+        prop_assert_eq!(counted.cols(), mat.cols());
+        prop_assert_eq!(bits(&counted), bits(&mat));
     }
 
-    /// Over the unstitchable plan, an aggregate whose inputs the root
-    /// carries passes the root-coverage check and is refused for
-    /// stitchability, and the front answers it from the materialized join
-    /// with the oracle's bits.
+    /// Over a plan whose vertices are supplied by their children, the
+    /// counted pass joins them in and still answers the bag's aggregate.
     #[test]
-    fn unstitchable_aggregate_falls_back_for_stitchability(shape in arb_shape()) {
+    fn supplied_vertices_count_through_joins(shape in arb_shape()) {
         let (db, q) = unstitchable(&shape);
         let plan = q_hypertree_decomp(&q, &QhdOptions::default(), &StructuralCost).unwrap();
-        let mut trace = FactorizedTrace::default();
-        let out = evaluate_qhd_query_traced(
-            &db, &q, &plan, &mut Budget::unlimited(), &ExecOptions::default(), &mut trace,
+        let out = evaluate_qhd_query_with(
+            &db, &q, &plan, &mut Budget::unlimited(), &ExecOptions::default(),
         ).unwrap();
-        prop_assert!(!trace.factorized);
-        let reason = trace.fallback.unwrap_or_default();
-        prop_assert!(reason.contains("only its children supply it"), "fell back for: {}", reason);
-        let mat = materialized(&db, &q, &plan, &mut Budget::unlimited()).unwrap();
-        prop_assert_eq!(bits(&out), bits(&mat));
+        if let Some(mat) = materialized(&db, &q) {
+            prop_assert_eq!(bits(&out), bits(&mat));
+        }
     }
 
-    /// Under a random byte limit the factorized front never *loses*
-    /// answers: whenever the materialized pipeline completes, the
-    /// factorized one completes with the identical result (degrading to
-    /// materialization internally if the cover's reservations are
-    /// denied); and when it completes on its own, its answer matches the
-    /// unlimited oracle, rows in order. The oracle is the join-order
-    /// baseline, which under the same limit runs `cops::natural_join`'s
-    /// Grace spill and the aggregation's spill: same answer or a typed
-    /// memory/spill error.
+    /// Under a random byte limit the counted pass answers the bag's
+    /// aggregate, rows in order, or fails with a typed error only where
+    /// the join-order baseline — which under the same limit runs
+    /// `cops::natural_join`'s Grace spill and the aggregation's spill —
+    /// fails too: same answer or a typed memory/spill error.
     #[test]
     fn byte_limits_degrade_without_changing_answers(
         shape in arb_shape(),
@@ -293,10 +268,12 @@ proptest! {
         let (db, q) = build(&shape);
         let plan = q_hypertree_decomp(&q, &QhdOptions::default(), &StructuralCost).unwrap();
         let baseline = |budget: &mut Budget| {
-            let answer = htqo_eval::evaluate_join_order(&db, &q, None, budget)?;
+            let answer = evaluate_join_order(&db, &q, None, budget)?;
             htqo_engine::aggregate::finalize_c(&answer, &q, budget)
         };
-        let oracle = baseline(&mut Budget::unlimited()).unwrap();
+        let Some(oracle) = materialized(&db, &q) else {
+            return Ok(());
+        };
         match baseline(&mut Budget::unlimited().with_mem_limit(limit)) {
             Ok(b) => prop_assert_eq!(bits(&b), bits(&oracle), "limit={}", limit),
             Err(e) => prop_assert!(
@@ -306,15 +283,12 @@ proptest! {
         }
 
         let mut b1 = Budget::unlimited().with_mem_limit(limit);
-        let fact = evaluate_qhd_query_with(&db, &q, &plan, &mut b1, &ExecOptions::default());
-        let mat = materialized(&db, &q, &plan, &mut Budget::unlimited().with_mem_limit(limit));
-        match (fact, mat) {
-            (Ok(f), _) => prop_assert_eq!(bits(&f), bits(&oracle), "limit={}", limit),
-            (Err(e), Ok(_)) => prop_assert!(
-                false,
-                "factorized failed ({e}) where materialized succeeded (limit={})", limit
+        match evaluate_qhd_query_with(&db, &q, &plan, &mut b1, &ExecOptions::default()) {
+            Ok(got) => prop_assert_eq!(bits(&got), bits(&oracle), "limit={}", limit),
+            Err(e) => prop_assert!(
+                matches!(e, EvalError::MemoryExceeded { .. } | EvalError::SpillIo(_)),
+                "unexpected error class from the q-HD under limit {limit}: {e:?}"
             ),
-            (Err(_), Err(_)) => {}
         }
     }
 }
