@@ -1138,7 +1138,7 @@ fn bench_factorized_count(c: &mut Criterion) {
     // along the decomposition the planner picks.
     use htqo_cq::{AggFunc, CqBuilder};
     use htqo_engine::{ColumnType, Database, Relation, Schema, Value};
-    use htqo_eval::{evaluate_join_order, evaluate_qhd_query_with, ExecOptions};
+    use htqo_eval::{evaluate_join_order, evaluate_qhd_query};
 
     const CHAIN_ROWS: usize = 20_000;
     const DOMAIN: u64 = CHAIN_ROWS as u64 / 3;
@@ -1187,10 +1187,7 @@ fn bench_factorized_count(c: &mut Criterion) {
     let q = b.out_agg(AggFunc::Count, None, "n").group("A").build();
 
     let plan = q_hypertree_decomp(&q, &QhdOptions::default(), &StructuralCost).unwrap();
-    let counted = || {
-        let (mut budget, opts) = (Budget::unlimited(), ExecOptions::default());
-        evaluate_qhd_query_with(&db, &q, &plan, &mut budget, &opts).unwrap()
-    };
+    let counted = || evaluate_qhd_query(&db, &q, &plan, &mut Budget::unlimited()).unwrap();
     let materialized = || {
         let mut budget = Budget::unlimited();
         let answer = evaluate_join_order(&db, &q, None, &mut budget).unwrap();

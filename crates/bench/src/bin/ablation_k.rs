@@ -13,9 +13,9 @@
 //! cargo run -p htqo-bench --release --bin ablation_k
 //! ```
 
+use htqo_bench::harness::memory_budget;
 use htqo_core::QhdOptions;
 use htqo_cq::{isolate, parse_select, ConjunctiveQuery, IsolatorOptions};
-use htqo_engine::error::Budget;
 use htqo_engine::schema::Database;
 use htqo_optimizer::{HybridOptimizer, RetryPolicy};
 use htqo_stats::analyze;
@@ -25,6 +25,9 @@ use std::time::Instant;
 
 fn main() {
     htqo_bench::harness::reject_unknown_args(&[]);
+    // Parse `HTQO_MEM_LIMIT` / `HTQO_SPILL_DIR` before any work; every
+    // execution's budget carries them.
+    let _ = htqo_bench::harness::mem_limit_from_args();
     println!("# Ablation: width bound k of Algorithm q-HypertreeDecomp");
     println!("{}", htqo_bench::harness::measured_on());
     println!("\n| query | k | outcome | plan time | plan width | exec time | tuples |");
@@ -72,7 +75,7 @@ fn main() {
                 }
                 Ok(plan) => {
                     let plan_time = t0.elapsed();
-                    let out = opt.execute_cq(db, q, Budget::unlimited());
+                    let out = opt.execute_cq(db, q, memory_budget());
                     println!(
                         "| {name} | {k} | ok | {plan_time:.2?} | {} | {:.2?} | {} |",
                         plan.tree.width(),

@@ -25,6 +25,9 @@ use htqo_workloads::{chain_query, workload_db, WorkloadSpec};
 
 fn main() {
     htqo_bench::harness::reject_unknown_args(&[]);
+    // Parse `HTQO_MEM_LIMIT` / `HTQO_SPILL_DIR` before any work; every
+    // `run_budget` carries them.
+    let _ = htqo_bench::harness::mem_limit_from_args();
     println!("# Ablation: Zipf skew vs estimation quality and runtimes");
     println!("(chain-6, cardinality 300, selectivity 50)");
     println!("{}", htqo_bench::harness::measured_on());

@@ -142,8 +142,9 @@ fn tpch_q5() -> (ConjunctiveQuery, DbStats) {
 
 fn main() {
     htqo_bench::harness::reject_unknown_args(&["--mem-limit"]);
-    // Decomposition search carries no relation data, but the TPC-H Q5
-    // workload generation below does; honor the shared memory knob.
+    // Nothing here runs a query (the search carries no relation data),
+    // but the shared flag and `HTQO_MEM_LIMIT` are still parsed, so that
+    // a malformed value exits with status 2 like in every harness.
     let _ = htqo_bench::harness::mem_limit_from_args();
 
     // Statistics for the synthetic families: the e2e `plan_cold` shape

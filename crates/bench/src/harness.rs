@@ -7,7 +7,9 @@
 //! terminate after more than 10 minutes" data points.
 
 use htqo_engine::error::Budget;
+use htqo_engine::exec::MemorySettings;
 use htqo_optimizer::QueryOutcome;
+use std::sync::OnceLock;
 use std::time::Duration;
 
 /// The "when and where" sentence checked-in results carry: today's UTC
@@ -85,15 +87,6 @@ impl Measurement {
             format!("{:.3}s", self.seconds)
         }
     }
-
-    /// Rendering including the tuple count.
-    pub fn cell_with_tuples(&self) -> String {
-        if self.dnf {
-            format!("DNF (>{} tuples)", self.tuples)
-        } else {
-            format!("{:.3}s / {} tuples", self.seconds, self.tuples)
-        }
-    }
 }
 
 /// A named series of measurements over an x axis.
@@ -157,16 +150,22 @@ pub fn print_table(title: &str, x_label: &str, series: &[Series]) {
     }
 }
 
-/// The evaluation budget used for one measured run, controlled by the
-/// `HTQO_TIMEOUT_SECS` (default 10) and `HTQO_MAX_TUPLES` (default 20M)
-/// environment variables. The paper used a 10-minute cutoff on 2007
+/// The evaluation budget used for one measured run: [`memory_budget`]
+/// with the `HTQO_TIMEOUT_SECS` (default 10) and `HTQO_MAX_TUPLES`
+/// (default 20M) limits. The paper used a 10-minute cutoff on 2007
 /// hardware; the defaults keep a full harness run to a few minutes.
 pub fn run_budget() -> Budget {
     let secs = env_f64("HTQO_TIMEOUT_SECS", 10.0);
     let tuples = env_f64("HTQO_MAX_TUPLES", 20_000_000.0) as u64;
-    Budget::unlimited()
+    memory_budget()
         .with_timeout(Duration::from_secs_f64(secs))
         .with_max_tuples(tuples)
+}
+
+/// A budget with no tuple or time limit, carrying this run's memory
+/// limit ([`mem_limit_from_args`]) and `HTQO_SPILL_DIR`, if set.
+pub fn memory_budget() -> Budget {
+    memory_settings().budget()
 }
 
 /// Finds `<flag> V` / `<flag>=V` in `args` (the last occurrence wins) and
@@ -246,19 +245,33 @@ fn parse_mem_limit(v: &str) -> Option<u64> {
     htqo_engine::exec::parse_bytes(v).filter(|&n| n > 0)
 }
 
-/// Applies the `--mem-limit N` (or `--mem-limit=N`) command-line knob
-/// shared by the figure harnesses: parses a positive byte count with
-/// optional `K`/`M`/`G` suffix and pins the process-wide memory limit via
-/// [`htqo_engine::exec::set_mem_limit_default`], returning the limit now
-/// in effect. Without the flag, the `HTQO_MEM_LIMIT` env var (0 =
-/// unlimited) / unlimited default stands. A malformed flag value or env
-/// var exits with status 2.
+/// Parses the memory settings at their first use: `--mem-limit N[K|M|G]`
+/// (or `--mem-limit=N`; the last one wins) over `HTQO_MEM_LIMIT` (0 =
+/// unlimited), and `HTQO_SPILL_DIR` (empty = the system temp dir). A
+/// malformed flag value or variable exits with status 2.
+fn memory_settings() -> &'static MemorySettings {
+    static SETTINGS: OnceLock<MemorySettings> = OnceLock::new();
+    SETTINGS.get_or_init(|| {
+        let var = std::env::var_os;
+        let mut settings = MemorySettings::parse(
+            var("HTQO_MEM_LIMIT").as_deref(),
+            var("HTQO_SPILL_DIR").as_deref(),
+        )
+        .unwrap_or_else(|e| exit_usage(&e));
+        if let Some(n) = flag_from_args("--mem-limit", parse_mem_limit) {
+            settings.limit = Some(n);
+        }
+        settings
+    })
+}
+
+/// The memory limit of this run's budgets ([`memory_budget`],
+/// [`run_budget`]): the `--mem-limit N` flag shared by the figure
+/// harnesses, else `HTQO_MEM_LIMIT`, else unlimited. Every harness calls
+/// it at start, so that a malformed value exits with status 2 before any
+/// work.
 pub fn mem_limit_from_args() -> Option<u64> {
-    env_from_process("HTQO_MEM_LIMIT", htqo_engine::exec::parse_bytes);
-    if let Some(n) = flag_from_args("--mem-limit", parse_mem_limit) {
-        htqo_engine::exec::set_mem_limit_default(Some(n));
-    }
-    htqo_engine::exec::mem_limit_default()
+    memory_settings().limit
 }
 
 /// `raw`, the value of environment knob `name`, through `parse`: `None`

@@ -118,14 +118,6 @@ impl Atom {
             .map(|(_, v)| v.as_str())
     }
 
-    /// The columns bound to variable `var` (usually one).
-    pub fn columns_of_var<'a>(&'a self, var: &'a str) -> impl Iterator<Item = &'a str> + 'a {
-        self.args
-            .iter()
-            .filter(move |(_, v)| v == var)
-            .map(|(c, _)| c.as_str())
-    }
-
     /// Distinct variables of the atom, in first-occurrence order.
     pub fn vars(&self) -> Vec<&str> {
         let mut seen = Vec::new();
@@ -671,10 +663,6 @@ mod tests {
         };
         assert_eq!(atom.var_of_column("o_custkey"), Some("CustKey"));
         assert_eq!(atom.var_of_column("nope"), None);
-        assert_eq!(
-            atom.columns_of_var("OrdKey").collect::<Vec<_>>(),
-            vec!["o_orderkey"]
-        );
         assert_eq!(atom.vars(), vec!["OrdKey", "CustKey"]);
     }
 

@@ -19,7 +19,7 @@ use crate::conjunctive::{
 };
 use crate::sql::ast::{ColumnRef, OrderKey, Predicate, SelectItem, SelectStmt, SqlExpr};
 use crate::union_find::UnionFind;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// The hidden per-row identifier column every relation exposes.
@@ -478,27 +478,31 @@ impl Resolver<'_> {
     }
 }
 
-/// Assigns human-readable, unique variable names to equivalence classes.
+/// Assigns human-readable, unique variable names to equivalence classes:
+/// the upper-cased column name, then `_2`, `_3`, … — skipping a name
+/// another class already took, such as the class of a column that is
+/// itself called `b_2` (the SQL-view rewriter's labels are).
 struct ClassNamer {
-    used: HashMap<String, usize>,
+    taken: HashSet<String>,
 }
 
 impl ClassNamer {
     fn new() -> Self {
         ClassNamer {
-            used: HashMap::new(),
+            taken: HashSet::new(),
         }
     }
 
     fn name_for(&mut self, column: &str) -> String {
         let base = column.to_ascii_uppercase();
-        let n = self.used.entry(base.clone()).or_insert(0);
-        *n += 1;
-        if *n == 1 {
-            base
-        } else {
-            format!("{base}_{n}")
+        let mut name = base.clone();
+        for n in 2.. {
+            if self.taken.insert(name.clone()) {
+                break;
+            }
+            name = format!("{base}_{n}");
         }
+        name
     }
 }
 
@@ -700,6 +704,20 @@ mod tests {
         let v0 = q.atoms[0].args[0].1.clone();
         let v1 = q.atoms[1].args[0].1.clone();
         assert_ne!(v0, v1);
+    }
+
+    /// A suffixed name is never one a column already took: `t.b` does
+    /// not become `B_2` when `r.b_2` named its class `B_2` first.
+    #[test]
+    fn suffixed_names_skip_column_names() {
+        let schema = (MapSchema::new().table("r", &["b_2"]))
+            .table("s", &["b"])
+            .table("t", &["b"]);
+        let stmt = parse_select("SELECT r.b_2, s.b, t.b FROM r, s, t").unwrap();
+        let q = isolate(&stmt, &schema, IsolatorOptions::default()).unwrap();
+        let vars: Vec<&str> = q.atoms.iter().map(|a| a.args[0].1.as_str()).collect();
+        assert_eq!(vars, ["B_2", "B", "B_3"]);
+        assert_eq!(q.out_vars().len(), 3);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!              [WHERE pred (AND pred)*]
 //!              [GROUP BY colref (',' colref)*]
 //!              [HAVING ident cmp literal (AND ident cmp literal)*]
-//!              [LIMIT int]
-//!              [ORDER BY okey [ASC|DESC] (',' okey [ASC|DESC])*] [';']
+//!              [ORDER BY okey [ASC|DESC] (',' okey [ASC|DESC])*]
+//!              [LIMIT int] [';']
 //! item      := agg | expr [AS ident]
 //! agg       := (SUM|COUNT|MIN|MAX|AVG) '(' ('*' | expr) ')' [AS ident]
 //! expr      := mul (('+'|'-') mul)*
@@ -704,6 +704,17 @@ mod tests {
         assert!(err.offset.is_some());
         let err2 = parse_select("SELECT a FROM t WHERE").unwrap_err();
         assert!(err2.message.contains("expected"));
+    }
+
+    /// ORDER BY goes before LIMIT, as the grammar says: the other order
+    /// is refused at the `ORDER` token.
+    #[test]
+    fn order_by_after_limit_is_refused_at_order() {
+        let sql = "SELECT a FROM t LIMIT 5 ORDER BY 1";
+        let err = parse_select(sql).unwrap_err();
+        assert_eq!(err.offset, sql.find("ORDER"), "{err}");
+        let ok = parse_select("SELECT a FROM t ORDER BY 1 LIMIT 5").unwrap();
+        assert_eq!((ok.order_by.len(), ok.limit), (1, Some(5)));
     }
 
     #[test]

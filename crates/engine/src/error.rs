@@ -244,7 +244,7 @@ pub enum SpillMode {
 }
 
 /// Spill-volume counters shared (via `Arc`) by every handle cloned from
-/// one root budget, including the renewed/escalated budgets of the
+/// one root budget, including the renewed budgets of the
 /// fallback ladder — so `QueryOutcome` can report the whole query's spill
 /// traffic no matter which rung produced it.
 #[derive(Debug, Default)]
@@ -277,7 +277,7 @@ impl SpillStats {
 }
 
 /// Per-query join-strategy counters, shared (via `Arc`) like
-/// [`SpillStats`]: every handle cloned, forked, renewed or escalated from
+/// [`SpillStats`]: every handle cloned, forked or renewed from
 /// one root budget accumulates into the same counters, so `QueryOutcome`
 /// can report how many vertex joins ran as hash builds vs index seeks no
 /// matter which rung executed them.
@@ -351,8 +351,8 @@ pub struct Budget {
     /// Bytes counter, batched/forked exactly like the tuple counter.
     bytes: Counter,
     spill_mode: SpillMode,
-    /// Override for the spill temp directory (default: `HTQO_SPILL_DIR`
-    /// or the system temp dir, resolved by `crate::spill`).
+    /// Directory spill temp files are created under (default: the
+    /// system temp dir, resolved by `crate::spill`).
     spill_dir: Option<Arc<PathBuf>>,
     spill_stats: Arc<SpillStats>,
     join_stats: Arc<JoinStats>,
@@ -444,20 +444,11 @@ impl Budget {
     }
 
     /// Caps the bytes this query may hold reserved at once (the memory
-    /// governor's per-query pool, usually sized from `HTQO_MEM_LIMIT` /
-    /// `ExecOptions::mem_limit`).
+    /// governor's per-query pool). This is the one way to limit a query's
+    /// memory; the binaries set it from `HTQO_MEM_LIMIT` / `--mem-limit`.
     pub fn with_mem_limit(mut self, bytes: u64) -> Self {
         self.mem_limit = Some(bytes);
         self
-    }
-
-    /// Sets the byte limit only if none is configured yet — how
-    /// evaluator entry points apply `ExecOptions::mem_limit` without
-    /// overriding an explicitly budgeted caller.
-    pub fn apply_mem_limit(&mut self, limit: Option<u64>) {
-        if self.mem_limit.is_none() {
-            self.mem_limit = limit;
-        }
     }
 
     /// Sets the spill policy (see [`SpillMode`]).
@@ -492,14 +483,14 @@ impl Budget {
         self.spill_dir.as_deref().map(|p| p.as_path())
     }
 
-    /// Spill-volume counters for this query (shared across forks,
-    /// renewals and escalations of this budget).
+    /// Spill-volume counters for this query (shared across forks
+    /// and renewals of this budget).
     pub fn spill_stats(&self) -> Arc<SpillStats> {
         Arc::clone(&self.spill_stats)
     }
 
-    /// Join-strategy counters for this query (shared across forks,
-    /// renewals and escalations of this budget).
+    /// Join-strategy counters for this query (shared across forks
+    /// and renewals of this budget).
     pub fn join_stats(&self) -> Arc<JoinStats> {
         Arc::clone(&self.join_stats)
     }
@@ -529,23 +520,6 @@ impl Budget {
         // query.
         b.spill_stats = Arc::clone(&self.spill_stats);
         b.join_stats = Arc::clone(&self.join_stats);
-        b
-    }
-
-    /// Like [`Budget::renewed`], but with both limits scaled by `factor`
-    /// (the ladder's optional budget escalation). Unlimited dimensions
-    /// stay unlimited; `factor` must be positive.
-    pub fn escalated(&self, factor: f64) -> Budget {
-        let mut b = self.renewed();
-        if let Some(n) = b.max_tuples {
-            b.max_tuples = Some((n as f64 * factor).min(u64::MAX as f64) as u64);
-        }
-        if let Some((_, limit)) = self.deadline {
-            b = b.with_timeout(limit.mul_f64(factor));
-        }
-        if let Some(n) = b.mem_limit {
-            b.mem_limit = Some((n as f64 * factor).min(u64::MAX as f64) as u64);
-        }
         b
     }
 
@@ -913,18 +887,6 @@ mod tests {
     }
 
     #[test]
-    fn escalated_scales_limits() {
-        let b = Budget::unlimited()
-            .with_max_tuples(100)
-            .with_timeout(Duration::from_secs(2));
-        let e = b.escalated(10.0);
-        assert_eq!(e.max_tuples(), Some(1000));
-        assert_eq!(e.timeout(), Some(Duration::from_secs(20)));
-        // Unlimited stays unlimited.
-        assert_eq!(Budget::unlimited().escalated(10.0).max_tuples(), None);
-    }
-
-    #[test]
     fn forked_handles_share_the_pool() {
         let mut b = Budget::unlimited().with_max_tuples(100);
         b.charge(30).unwrap();
@@ -1112,7 +1074,7 @@ mod tests {
     }
 
     #[test]
-    fn renewed_and_escalated_carry_memory_config() {
+    fn renewed_carries_memory_config() {
         let b = Budget::unlimited()
             .with_mem_limit(1000)
             .with_spill_mode(SpillMode::Force)
@@ -1128,20 +1090,6 @@ mod tests {
         assert_eq!(r.spill_mode(), SpillMode::Force);
         assert_eq!(r.spill_dir(), Some(Path::new("/tmp/htqo-test-spill")));
         assert_eq!(r.spill_stats().bytes_written(), 7, "stats span renewals");
-        let e = b.escalated(2.0);
-        assert_eq!(e.mem_limit(), Some(2000));
-        assert_eq!(Budget::unlimited().escalated(2.0).mem_limit(), None);
-    }
-
-    #[test]
-    fn apply_mem_limit_only_fills_unset() {
-        let mut b = Budget::unlimited();
-        b.apply_mem_limit(Some(500));
-        assert_eq!(b.mem_limit(), Some(500));
-        b.apply_mem_limit(Some(900));
-        assert_eq!(b.mem_limit(), Some(500), "explicit limit wins");
-        b.apply_mem_limit(None);
-        assert_eq!(b.mem_limit(), Some(500));
     }
 
     /// Byte analog of `forked_charges_from_threads_are_exact`: the pool

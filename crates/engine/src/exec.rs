@@ -1,8 +1,11 @@
-//! Execution options of the evaluators ([`ExecOptions`]) and the one
-//! process-wide default behind them: the memory limit, resolved as
-//! [`set_mem_limit_default`] > `HTQO_MEM_LIMIT` > unlimited. Whether a
-//! vertex join seeks an index is decided from the query and the data, not
-//! by an option.
+//! Process-level helpers of the evaluators: the memory settings a binary
+//! reads from its users ([`MemorySettings`], [`parse_bytes`]) and the
+//! thread functions `e2e/` reads. The library reads no environment: a
+//! query's memory limit and spill directory are set on its
+//! [`crate::Budget`] ([`crate::Budget::with_mem_limit`],
+//! [`crate::Budget::with_spill_dir`]); a binary reads `HTQO_MEM_LIMIT` and
+//! `HTQO_SPILL_DIR` once, at start, and hands their raw values to
+//! [`MemorySettings::parse`].
 //!
 //! A query runs on the thread that asked for it; there is no intra-query
 //! worker pool (DESIGN.md §3.6 records the measurement that retired it).
@@ -11,7 +14,9 @@
 //! because the `e2e/` benchmark calls them and a library PR may not edit
 //! it; a `[benchmark]` follow-up drops the calls and then the functions.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::Budget;
+use std::ffi::OsStr;
+use std::path::PathBuf;
 use std::sync::OnceLock;
 
 /// The machine's available parallelism (cached; at least 1).
@@ -36,13 +41,9 @@ pub fn num_threads() -> usize {
 /// that call and then this function.
 pub fn set_threads(_n: usize) {}
 
-/// Process-wide memory-pool override: `0` = unset (env var), `u64::MAX`
-/// = explicitly unlimited, anything else = the byte limit.
-static MEM_LIMIT: AtomicU64 = AtomicU64::new(0);
-
 /// Parses a byte count with an optional `K`/`M`/`G` suffix (case
 /// insensitive, powers of 1024): `"512M"` → 536870912. Shared by the
-/// `HTQO_MEM_LIMIT` env knob and the harnesses' `--mem-limit` flag.
+/// binaries' `HTQO_MEM_LIMIT` and the harnesses' `--mem-limit` flag.
 pub fn parse_bytes(s: &str) -> Option<u64> {
     let s = s.trim();
     let (digits, shift) = match s.as_bytes().last()? {
@@ -55,49 +56,48 @@ pub fn parse_bytes(s: &str) -> Option<u64> {
     n.checked_mul(1 << shift)
 }
 
-/// The process-wide memory limit in effect, if any. Resolution order:
-/// [`set_mem_limit_default`] > `HTQO_MEM_LIMIT` env var (bytes, with
-/// optional `K`/`M`/`G` suffix) > unlimited.
-pub fn mem_limit_default() -> Option<u64> {
-    match MEM_LIMIT.load(Ordering::Relaxed) {
-        0 => {
-            static DEFAULT: OnceLock<Option<u64>> = OnceLock::new();
-            *DEFAULT.get_or_init(|| {
-                std::env::var("HTQO_MEM_LIMIT")
-                    .ok()
-                    .and_then(|v| parse_bytes(&v))
-                    .filter(|&n| n > 0)
-            })
-        }
-        u64::MAX => None,
-        n => Some(n),
+/// The memory settings of a binary's queries: a byte limit and the
+/// directory spill partitions go under (`None`: unlimited, the system
+/// temp dir).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct MemorySettings {
+    /// The per-query byte limit.
+    pub limit: Option<u64>,
+    /// Where spill partitions are created.
+    pub spill_dir: Option<PathBuf>,
+}
+
+impl MemorySettings {
+    /// The settings from the raw values of `HTQO_MEM_LIMIT` (a
+    /// [`parse_bytes`] count, 0 = unlimited) and `HTQO_SPILL_DIR` (empty =
+    /// the system temp dir), `None` where unset. A limit that does not
+    /// parse is an error naming the variable and the value.
+    pub fn parse(limit: Option<&OsStr>, spill_dir: Option<&OsStr>) -> Result<Self, String> {
+        let limit = match limit {
+            None => None,
+            Some(raw) => raw
+                .to_str()
+                .and_then(parse_bytes)
+                .ok_or_else(|| {
+                    let raw = raw.to_string_lossy();
+                    format!("invalid value '{raw}' for HTQO_MEM_LIMIT")
+                })
+                .map(|n| (n > 0).then_some(n))?,
+        };
+        let spill_dir = spill_dir.filter(|d| !d.is_empty()).map(PathBuf::from);
+        Ok(MemorySettings { limit, spill_dir })
     }
-}
 
-/// Overrides the memory limit process-wide (the `--mem-limit` knob of
-/// the figure harnesses). `None` means explicitly unlimited.
-pub fn set_mem_limit_default(limit: Option<u64>) {
-    MEM_LIMIT.store(limit.unwrap_or(u64::MAX).max(1), Ordering::Relaxed);
-}
-
-/// Execution options for the evaluators (`evaluate_qhd_with` and friends
-/// in the downstream crates).
-#[derive(Clone, Copy, Debug)]
-pub struct ExecOptions {
-    /// Byte budget for this query's materialized state (hash tables,
-    /// intermediate rows, aggregation state, dictionary growth). `None`
-    /// = unlimited. When set, kernels that would exceed it spill to disk
-    /// (see [`crate::spill`]) or fail with
-    /// [`crate::EvalError::MemoryExceeded`]. The default is the
-    /// process-wide [`mem_limit_default`] (`HTQO_MEM_LIMIT`).
-    pub mem_limit: Option<u64>,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions {
-            mem_limit: mem_limit_default(),
+    /// A budget with no tuple or time limit carrying these settings.
+    pub fn budget(&self) -> Budget {
+        let mut budget = Budget::unlimited();
+        if let Some(n) = self.limit {
+            budget = budget.with_mem_limit(n);
         }
+        if let Some(dir) = &self.spill_dir {
+            budget = budget.with_spill_dir(dir.clone());
+        }
+        budget
     }
 }
 
@@ -110,5 +110,23 @@ mod tests {
         assert_eq!(parse_bytes("17179869183G"), Some(17179869183 << 30));
         assert_eq!(parse_bytes("17179869184G"), None);
         assert_eq!(parse_bytes("17179869185G"), None);
+    }
+
+    #[test]
+    fn memory_settings_parse_raw_values() {
+        let parse = |l: Option<&str>, d: Option<&str>| {
+            MemorySettings::parse(l.map(OsStr::new), d.map(OsStr::new))
+        };
+        assert_eq!(parse(None, None), Ok(MemorySettings::default()));
+        assert_eq!(parse(Some("0"), Some("")), Ok(MemorySettings::default()));
+        let s = parse(Some("2M"), Some("/spill")).unwrap();
+        assert_eq!(s.limit, Some(2 << 20));
+        assert_eq!(s.budget().mem_limit(), Some(2 << 20));
+        assert_eq!(s.budget().spill_dir(), Some(std::path::Path::new("/spill")));
+        let err = parse(Some("12Q"), None).unwrap_err();
+        assert!(
+            err.contains("HTQO_MEM_LIMIT") && err.contains("'12Q'"),
+            "{err}"
+        );
     }
 }

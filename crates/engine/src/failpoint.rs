@@ -13,12 +13,14 @@
 //! - feature on but no site armed: one relaxed atomic load per site hit;
 //! - armed: a mutex-guarded registry lookup per hit (testing only).
 //!
-//! Sites are armed programmatically with [`configure`] or from the
-//! environment via `HTQO_FAILPOINTS`, a `;`-separated list of
-//! `site=action[@skip]` clauses where `action` is `error`, `panic`, or
-//! `delay(<ms>)` and the optional `@skip` lets the first *skip* hits pass
-//! (e.g. `HTQO_FAILPOINTS="cops::join=error;scan::atom=delay(5)@2"`).
-//! [`clear`] resets everything (tests must call it between cases).
+//! Sites are armed with [`configure`] or [`configure_from_spec`], which
+//! takes a `;`-separated list of `site=action[@skip]` clauses where
+//! `action` is `error`, `panic`, or `delay(<ms>)` and the optional
+//! `@skip` lets the first *skip* hits pass (e.g.
+//! `"cops::join=error;scan::atom=delay(5)@2"`). The library reads no
+//! environment; the `htqo` REPL arms the spec in `HTQO_FAILPOINTS` at
+//! start and refuses a malformed one. [`clear`] resets everything (tests
+//! must call it between cases).
 
 use crate::error::EvalError;
 use std::collections::HashMap;
@@ -44,8 +46,7 @@ pub const PANIC_MARKER: &str = "htqo-failpoint";
 
 /// Every fail-point site compiled into the engine and the downstream
 /// evaluator/optimizer crates, sorted by name. [`configure_from_spec`]
-/// (and therefore `HTQO_FAILPOINTS`) validates site names against this
-/// list, so a typo'd site is a hard error instead of a silently dormant
+/// validates site names against this list, so a typo'd site is a hard error instead of a silently dormant
 /// clause. Keep in sync with the `fail_point!` invocations; the
 /// `sites_are_sorted_and_documented` test cross-checks DESIGN.md.
 pub const SITES: &[&str] = &[
@@ -75,7 +76,7 @@ pub fn sites() -> &'static [&'static str] {
     SITES
 }
 
-/// Why an `HTQO_FAILPOINTS`-style spec was rejected.
+/// Why a fail-point spec was rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SpecError {
     /// A clause failed to parse (missing `=`, bad action, bad number).
@@ -120,27 +121,10 @@ static ARMED: AtomicBool = AtomicBool::new(false);
 
 /// Fast dormancy check used by the [`fail_point!`](crate::fail_point!) macros. With the
 /// `failpoints` feature off this is a constant `false` (the whole site
-/// folds away); with it on, the first call reads `HTQO_FAILPOINTS` once,
-/// then it is a single relaxed load.
+/// folds away); with it on, it is a single relaxed load.
 #[inline]
 pub fn armed() -> bool {
-    #[cfg(not(feature = "failpoints"))]
-    {
-        false
-    }
-    #[cfg(feature = "failpoints")]
-    {
-        use std::sync::Once;
-        static ENV_INIT: Once = Once::new();
-        ENV_INIT.call_once(|| {
-            if let Ok(spec) = std::env::var("HTQO_FAILPOINTS") {
-                if let Err(e) = configure_from_spec(&spec) {
-                    eprintln!("HTQO_FAILPOINTS ignored: {e}");
-                }
-            }
-        });
-        ARMED.load(Ordering::Relaxed)
-    }
+    cfg!(feature = "failpoints") && ARMED.load(Ordering::Relaxed)
 }
 
 /// Arms `site` with `action`, letting the first `skip` hits pass and
@@ -166,7 +150,7 @@ pub fn clear() {
     ARMED.store(false, Ordering::Relaxed);
 }
 
-/// Parses and applies an `HTQO_FAILPOINTS`-style spec (see module docs).
+/// Parses and applies a fail-point spec (see the module docs).
 /// Site names are validated against [`sites`]; an unknown name is a
 /// [`SpecError::UnknownSite`] and nothing from the spec is armed.
 pub fn configure_from_spec(spec: &str) -> Result<(), SpecError> {

@@ -26,8 +26,8 @@
 //!   paper's evaluation pipeline);
 //! - [`spill`]: the Grace spill path of joins and aggregation under a
 //!   memory cap;
-//! - [`exec`] / [`hash`]: the process-wide defaults of the execution
-//!   options, and the Fx hashing the kernels are built on.
+//! - [`exec`] / [`hash`]: the byte-count syntax of the memory settings
+//!   the binaries parse, and the Fx hashing the kernels are built on.
 
 #![warn(missing_docs)]
 
@@ -57,7 +57,6 @@ pub use aggregate::{finalize, finalize_c};
 pub use crel::{CRel, Name};
 pub use csv::{read_csv, read_csv_budgeted, write_csv, CsvError};
 pub use error::{Budget, CancelToken, EvalError, JoinStats, SpillMode, SpillStats};
-pub use exec::ExecOptions;
 pub use index::{JoinIndex, MemIndex};
 pub use relation::{Relation, RelationError, RowLoader};
 pub use schema::{Column, ColumnType, Database, Schema};

@@ -44,8 +44,8 @@
 //! tags, 1 to `BLOCK` rows, no byte left over — so a torn write, bit rot,
 //! truncation or a forged chunk surfaces as a clean
 //! [`EvalError::SpillIo`], never a panic, an allocation sized by a
-//! corrupt field or a wrong answer. Temp files live in `HTQO_SPILL_DIR`
-//! (or the system temp dir) and are removed when the `SpillDir` guard
+//! corrupt field or a wrong answer. Temp files live under the budget's
+//! spill directory (or the system temp dir) and are removed when the `SpillDir` guard
 //! drops — including on panic or cancellation unwinds — with an explicit,
 //! failpoint-instrumented `SpillDir::cleanup` for the normal path.
 //!
@@ -121,17 +121,10 @@ pub(crate) struct SpillDir {
 }
 
 impl SpillDir {
-    /// Creates a fresh unique directory under `base` (when `Some`, e.g.
-    /// from `Budget::spill_dir`), else under `HTQO_SPILL_DIR`, else the
-    /// system temp dir.
+    /// Creates a fresh unique directory under `base` (`Budget::spill_dir`)
+    /// when `Some`, else under the system temp dir.
     pub(crate) fn create(base: Option<&Path>) -> Result<SpillDir, EvalError> {
-        let base = match base {
-            Some(p) => p.to_path_buf(),
-            None => match std::env::var_os("HTQO_SPILL_DIR") {
-                Some(d) if !d.is_empty() => PathBuf::from(d),
-                _ => std::env::temp_dir(),
-            },
-        };
+        let base = base.map_or_else(std::env::temp_dir, Path::to_path_buf);
         let unique = format!(
             "htqo-spill-{}-{}",
             std::process::id(),

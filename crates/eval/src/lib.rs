@@ -17,8 +17,6 @@ pub mod naive;
 pub mod qeval;
 
 pub use naive::{evaluate_join_order, evaluate_naive, join_rows};
-pub use qeval::{
-    evaluate_qhd, evaluate_qhd_query, evaluate_qhd_query_with, evaluate_qhd_with, ExecOptions,
-};
+pub use qeval::{evaluate_qhd, evaluate_qhd_query};
 #[doc(hidden)]
-pub use qeval::{evaluate_qhd_query_traced, FactorizedTrace};
+pub use qeval::{evaluate_qhd_query_traced, evaluate_qhd_with, ExecOptions, FactorizedTrace};

@@ -55,30 +55,35 @@ use htqo_engine::scan::select_atom;
 use htqo_engine::schema::Database;
 use htqo_engine::vrel::VRelation;
 
-pub use htqo_engine::exec::ExecOptions;
-
 /// Evaluates `q` on `db` along the decomposition in `plan`, returning the
-/// answer relation over `out(Q)` (set semantics). Uses the process-wide
-/// [`ExecOptions`] defaults; see [`evaluate_qhd_with`] to pass them.
+/// answer relation over `out(Q)` (set semantics). Every limit, the
+/// memory limit included, is the budget's.
 pub fn evaluate_qhd(
     db: &Database,
     q: &ConjunctiveQuery,
     plan: &QhdPlan,
     budget: &mut Budget,
 ) -> Result<VRelation, EvalError> {
-    evaluate_qhd_with(db, q, plan, budget, &ExecOptions::default())
+    Ok(evaluate_qhd_c(db, q, plan, budget)?.to_vrel())
 }
 
-/// [`evaluate_qhd`] with explicit execution options.
+/// Nothing: evaluator options once went here. Kept, with
+/// [`evaluate_qhd_with`], only because the `e2e/` benchmark names them; a
+/// change to the benchmark drops the calls and then both.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ExecOptions;
+
+/// [`evaluate_qhd`]; `opts` is not read.
+#[doc(hidden)]
 pub fn evaluate_qhd_with(
     db: &Database,
     q: &ConjunctiveQuery,
     plan: &QhdPlan,
     budget: &mut Budget,
-    opts: &ExecOptions,
+    _opts: &ExecOptions,
 ) -> Result<VRelation, EvalError> {
-    budget.apply_mem_limit(opts.mem_limit);
-    Ok(evaluate_qhd_c(db, q, plan, budget)?.to_vrel())
+    evaluate_qhd(db, q, plan, budget)
 }
 
 /// `P′` and `P″`: the root's relation over χ(root), counted when
@@ -124,7 +129,7 @@ fn decisively_smaller(small: usize, big: usize) -> bool {
     small.saturating_mul(MARGIN) <= big
 }
 
-/// The pipeline behind [`evaluate_qhd_with`], answer still columnar.
+/// The pipeline behind [`evaluate_qhd`], answer still columnar.
 fn evaluate_qhd_c(
     db: &Database,
     q: &ConjunctiveQuery,
@@ -278,29 +283,17 @@ fn join(acc: CRel, child: CRel, chi: &[Name], budget: &mut Budget) -> Result<CRe
 }
 
 /// Evaluates `q` end-to-end: q-hypertree evaluation followed by the final
-/// aggregation/ordering step (step (4) of the paper's pipeline).
+/// aggregation/ordering step (step (4) of the paper's pipeline). The
+/// answer stays columnar end to end — the final aggregation front runs
+/// column-at-a-time too ([`htqo_engine::aggregate::finalize_c`]). An
+/// aggregate query reads the counted root relation (module docs): SQL's
+/// bag, without `P‴`.
 pub fn evaluate_qhd_query(
     db: &Database,
     q: &ConjunctiveQuery,
     plan: &QhdPlan,
     budget: &mut Budget,
 ) -> Result<VRelation, EvalError> {
-    evaluate_qhd_query_with(db, q, plan, budget, &ExecOptions::default())
-}
-
-/// [`evaluate_qhd_query`] with explicit execution options. The answer
-/// stays columnar end to end — the final aggregation front runs
-/// column-at-a-time too ([`htqo_engine::aggregate::finalize_c`]). An
-/// aggregate query reads the counted root relation (module docs): SQL's
-/// bag, without `P‴`.
-pub fn evaluate_qhd_query_with(
-    db: &Database,
-    q: &ConjunctiveQuery,
-    plan: &QhdPlan,
-    budget: &mut Budget,
-    opts: &ExecOptions,
-) -> Result<VRelation, EvalError> {
-    budget.apply_mem_limit(opts.mem_limit);
     let answer = if q.has_aggregates() {
         let root = root_relation(db, q, plan, true, budget)?;
         budget.check_exceeded()?;
@@ -318,16 +311,16 @@ pub fn evaluate_qhd_query_with(
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FactorizedTrace;
 
-/// [`evaluate_qhd_query_with`]; `trace` is not written.
+/// [`evaluate_qhd_query`]; `opts` is not read and `trace` is not written.
 pub fn evaluate_qhd_query_traced(
     db: &Database,
     q: &ConjunctiveQuery,
     plan: &QhdPlan,
     budget: &mut Budget,
-    opts: &ExecOptions,
+    _opts: &ExecOptions,
     _trace: &mut FactorizedTrace,
 ) -> Result<VRelation, EvalError> {
-    evaluate_qhd_query_with(db, q, plan, budget, opts)
+    evaluate_qhd_query(db, q, plan, budget)
 }
 
 #[cfg(test)]

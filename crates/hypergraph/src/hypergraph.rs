@@ -126,12 +126,6 @@ impl Hypergraph {
         let names: Vec<&str> = vs.iter().map(|v| self.var_name(v)).collect();
         format!("{{{}}}", names.join(", "))
     }
-
-    /// Renders edge-set contents with human-readable names (debugging).
-    pub fn display_edges(&self, es: &EdgeSet) -> String {
-        let names: Vec<&str> = es.iter().map(|e| self.edge_name(e)).collect();
-        format!("{{{}}}", names.join(", "))
-    }
 }
 
 impl fmt::Display for Hypergraph {

@@ -6,32 +6,18 @@ use htqo_cq::ConjunctiveQuery;
 use htqo_engine::cops;
 use htqo_engine::crel::CRel;
 use htqo_engine::error::{Budget, EvalError};
-use htqo_engine::exec::ExecOptions;
 use htqo_engine::scan::scan_query_atom_c;
 use htqo_engine::schema::Database;
 
 /// Evaluates a bushy join tree bottom-up, returning the answer over
 /// `out(Q)` (set semantics, matching the other evaluators; an aggregate
-/// query keeps every join row, SQL's bag), still columnar. Uses the process-wide [`ExecOptions`] defaults; see
-/// [`evaluate_join_tree_with`] to pass them.
+/// query keeps every join row, SQL's bag), still columnar.
 pub fn evaluate_join_tree(
     db: &Database,
     q: &ConjunctiveQuery,
     tree: &JoinTree,
     budget: &mut Budget,
 ) -> Result<CRel, EvalError> {
-    evaluate_join_tree_with(db, q, tree, budget, &ExecOptions::default())
-}
-
-/// [`evaluate_join_tree`] with explicit execution options.
-pub fn evaluate_join_tree_with(
-    db: &Database,
-    q: &ConjunctiveQuery,
-    tree: &JoinTree,
-    budget: &mut Budget,
-    opts: &ExecOptions,
-) -> Result<CRel, EvalError> {
-    budget.apply_mem_limit(opts.mem_limit);
     let joined = eval_node(db, q, tree, budget)?;
     let answer = cops::project(&joined, &q.out_vars(), !q.has_aggregates(), budget)?;
     // A session's budget is a shared handle whose charges are batched and

@@ -243,11 +243,6 @@ impl DbmsSim {
         }
     }
 
-    /// True if the simulator is allowed to use gathered statistics.
-    pub fn has_stats(&self) -> bool {
-        self.stats.is_some()
-    }
-
     /// Plans a join order for `q` over `db`.
     ///
     /// Without statistics the cost model has nothing to distinguish plans
@@ -280,7 +275,6 @@ impl DbmsSim {
         q: &ConjunctiveQuery,
         mut budget: Budget,
     ) -> QueryOutcome {
-        budget.apply_mem_limit(htqo_engine::exec::mem_limit_default());
         let t0 = Instant::now();
         let order = self.plan(db, q);
         let planning = t0.elapsed();
@@ -396,7 +390,6 @@ mod tests {
     fn without_stats_still_runs() {
         let db = db();
         let sim = DbmsSim::commdb(None);
-        assert!(!sim.has_stats());
         let out = sim
             .execute_sql(
                 &db,

@@ -10,7 +10,7 @@
 //! *retryable* reason (budget exhaustion, a contained panic, an
 //! internal error), execution falls back to a cost-based bushy join tree
 //! and finally to the naive join order, each rung running under a renewed
-//! (optionally escalated) budget. [`QueryOutcome::rung`] records which
+//! budget. [`QueryOutcome::rung`] records which
 //! strategy answered and [`QueryOutcome::attempts`] what failed before it.
 
 use crate::bushy::dp_bushy;
@@ -26,7 +26,7 @@ use htqo_cq::{isolate, parse_select, ConjunctiveQuery, CqHypergraph, IsolatorOpt
 use htqo_engine::error::{Budget, EvalError, SpillMode};
 use htqo_engine::schema::Database;
 use htqo_engine::vrel::VRelation;
-use htqo_eval::{evaluate_join_order, evaluate_qhd_query_with, ExecOptions};
+use htqo_eval::{evaluate_join_order, evaluate_qhd_query};
 use htqo_hypergraph::{canonical_form, CanonicalForm, VarSet};
 use htqo_stats::{DbStats, StatsDecompCost};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -34,38 +34,27 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// How [`HybridOptimizer::execute_cq`] degrades when a strategy fails.
+/// How [`HybridOptimizer::execute_cq`] degrades when a strategy fails:
+/// with the ladder on (the default), or not at all ([`RetryPolicy::none`]).
 ///
-/// The ladder descends q-HD → bushy tree → naive join. A rung is only
-/// retried on *retryable* failures ([`EvalError::is_retryable`]):
+/// The ladder descends q-HD → bushy tree → naive join, each rung under a
+/// renewed budget (same limits, counter and clock restarted). A rung is
+/// only retried on *retryable* failures ([`EvalError::is_retryable`]):
 /// cancellation and semantic errors (unknown tables/columns) abort the
-/// ladder immediately, since no amount of re-planning fixes them.
-#[derive(Clone, Debug)]
+/// ladder immediately, since no amount of re-planning fixes them. On
+/// [`EvalError::MemoryExceeded`] a rung is first re-run once with spill
+/// forced on: a memory hit is better served by external memory with the
+/// same plan than by a structurally worse plan.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Fall back to a cost-based bushy join tree when q-HD fails.
-    pub fallback_bushy: bool,
-    /// Fall back to the naive join order when the bushy rung also fails
-    /// (or is inapplicable).
-    pub fallback_naive: bool,
-    /// Multiply the tuple/time limits by this factor on each fallback
-    /// rung (compounding), e.g. `Some(2.0)` doubles then quadruples.
-    /// `None` renews the original limits unchanged.
-    pub escalate: Option<f64>,
-    /// On [`EvalError::MemoryExceeded`], re-run the *same* rung once with
-    /// spill-to-disk forced on before descending the ladder: a memory
-    /// hit is better served by external memory with the same plan than
-    /// by a structurally worse plan.
-    pub spill_retry: bool,
+    /// Descend the ladder (with the spill retry) after a retryable
+    /// failure; `false` makes the first failure the final answer.
+    pub ladder: bool,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            fallback_bushy: true,
-            fallback_naive: true,
-            escalate: None,
-            spill_retry: true,
-        }
+        RetryPolicy { ladder: true }
     }
 }
 
@@ -74,12 +63,7 @@ impl RetryPolicy {
     /// figure harnesses, where a DNF data point must stay a DNF data
     /// point rather than being rescued by another strategy.
     pub fn none() -> Self {
-        RetryPolicy {
-            fallback_bushy: false,
-            fallback_naive: false,
-            escalate: None,
-            spill_retry: false,
-        }
+        RetryPolicy { ladder: false }
     }
 }
 
@@ -564,32 +548,22 @@ impl HybridOptimizer {
         self.with_cost(q, |cost| q_hypertree_decomp(q, &self.options, cost))
     }
 
-    /// Budget for the rung at `index` (0 = first choice): same limits and
-    /// cancellation token as the caller's budget with the clock and
-    /// counter restarted, limits compounded by [`RetryPolicy::escalate`]
-    /// on fallback rungs.
-    fn rung_budget(&self, base: &Budget, index: usize) -> Budget {
-        match self.retry.escalate {
-            Some(f) if index > 0 => base.escalated(f.powi(index as i32)),
-            _ => base.renewed(),
-        }
-    }
-
-    /// Runs one ladder rung with panic containment, retrying the *same*
-    /// rung once with spill forced on when it fails with
-    /// [`EvalError::MemoryExceeded`] and [`RetryPolicy::spill_retry`] is
-    /// on (and spill wasn't already forced). Failed attempts are recorded
-    /// in `attempts`; returns the answer if either pass produced one.
+    /// Runs one ladder rung with panic containment under a renewed
+    /// budget (same limits and cancellation token as the caller's, clock
+    /// and counter restarted), retrying the *same* rung once with spill
+    /// forced on when it fails with [`EvalError::MemoryExceeded`] and the
+    /// ladder is on (and spill wasn't already forced). Failed attempts are
+    /// recorded in `attempts`; returns the answer if either pass produced
+    /// one.
     fn run_rung(
         &self,
         base: &Budget,
-        index: usize,
         rung: Rung,
         attempts: &mut Vec<FallbackAttempt>,
         tuples: &mut u64,
         eval: &dyn Fn(&mut Budget) -> Result<VRelation, EvalError>,
     ) -> Option<VRelation> {
-        let mut b = self.rung_budget(base, index);
+        let mut b = base.renewed();
         let (result, spent) = run_contained(&mut b, eval);
         *tuples += spent;
         let error = match result {
@@ -603,10 +577,8 @@ impl HybridOptimizer {
             error,
             tuples: spent,
         });
-        if self.retry.spill_retry && memory_hit && !spill_was_forced {
-            let mut b = self
-                .rung_budget(base, index)
-                .with_spill_mode(SpillMode::Force);
+        if self.retry.ladder && memory_hit && !spill_was_forced {
+            let mut b = base.renewed().with_spill_mode(SpillMode::Force);
             let (result, spent) = run_contained(&mut b, eval);
             *tuples += spent;
             match result {
@@ -690,7 +662,7 @@ impl HybridOptimizer {
         &self,
         db: &Database,
         compiled: &CompiledQuery,
-        mut budget: Budget,
+        budget: Budget,
     ) -> QueryOutcome {
         let t0 = Instant::now();
         let stale = compiled.epoch != self.stats_epoch.load(Ordering::Relaxed);
@@ -700,10 +672,6 @@ impl HybridOptimizer {
             .map_or(PlanCacheStatus::Hit, |c| c.plan_cache);
         let compiled = recompiled.as_deref().unwrap_or(compiled);
         let q = &compiled.query;
-        // Govern every rung — including the naive fallback, whose
-        // evaluator takes no ExecOptions — by the process-wide default;
-        // an explicitly budgeted caller wins (apply fills only if unset).
-        budget.apply_mem_limit(htqo_engine::exec::mem_limit_default());
         let planning = t0.elapsed();
         let t1 = Instant::now();
 
@@ -715,9 +683,8 @@ impl HybridOptimizer {
         // rows along the decomposition — see `htqo_eval::qeval`).
         match &compiled.plan {
             Ok(plan) => {
-                let opts = ExecOptions::default();
-                let eval = |bud: &mut Budget| evaluate_qhd_query_with(db, q, plan, bud, &opts);
-                match self.run_rung(&budget, 0, Rung::QHd, &mut attempts, &mut tuples, &eval) {
+                let eval = |bud: &mut Budget| evaluate_qhd_query(db, q, plan, bud);
+                match self.run_rung(&budget, Rung::QHd, &mut attempts, &mut tuples, &eval) {
                     Some(rel) => answer = Some((rel, Rung::QHd, &compiled.description)),
                     // Don't serve a plan that just failed for a reason a
                     // fresh decomposition might cure to the next caller:
@@ -746,7 +713,7 @@ impl HybridOptimizer {
             |attempts: &[FallbackAttempt]| attempts.last().is_some_and(|a| a.error.is_retryable());
 
         // Rung 1: cost-based bushy join tree.
-        if answer.is_none() && self.retry.fallback_bushy && retryable(&attempts) {
+        if answer.is_none() && self.retry.ladder && retryable(&attempts) {
             let stats = match &self.stats {
                 Some(s) => s.clone(),
                 None => DbStats::defaults_for(db),
@@ -754,39 +721,27 @@ impl HybridOptimizer {
             // `dp_bushy` is None above the exhaustive-DP size limit; the
             // ladder then skips straight to the naive rung.
             if let Some((_, tree)) = dp_bushy(q, &stats) {
-                let index = attempts.len();
                 let eval = |bud: &mut Budget| {
                     evaluate_join_tree(db, q, &tree, bud)
                         .and_then(|ans| htqo_engine::aggregate::finalize_c(&ans, q, bud))
                 };
-                if let Some(rel) = self.run_rung(
-                    &budget,
-                    index,
-                    Rung::Bushy,
-                    &mut attempts,
-                    &mut tuples,
-                    &eval,
-                ) {
+                if let Some(rel) =
+                    self.run_rung(&budget, Rung::Bushy, &mut attempts, &mut tuples, &eval)
+                {
                     answer = Some((rel, Rung::Bushy, "bushy join tree"));
                 }
             }
         }
 
         // Rung 2: naive join order (always applicable).
-        if answer.is_none() && self.retry.fallback_naive && retryable(&attempts) {
-            let index = attempts.len();
+        if answer.is_none() && self.retry.ladder && retryable(&attempts) {
             let eval = |bud: &mut Budget| {
                 evaluate_join_order(db, q, None, bud)
                     .and_then(|ans| htqo_engine::aggregate::finalize_c(&ans, q, bud))
             };
-            if let Some(rel) = self.run_rung(
-                &budget,
-                index,
-                Rung::Naive,
-                &mut attempts,
-                &mut tuples,
-                &eval,
-            ) {
+            if let Some(rel) =
+                self.run_rung(&budget, Rung::Naive, &mut attempts, &mut tuples, &eval)
+            {
                 answer = Some((rel, Rung::Naive, "naive join order"));
             }
         }
@@ -1006,30 +961,7 @@ mod tests {
         assert_eq!(out.attempts.len(), 1, "{}", out.plan);
     }
 
-    /// Budget escalation: a tuple budget too small for any rung at 1x
-    /// succeeds once the escalated fallback rungs get enough room.
-    #[test]
-    fn escalation_widens_fallback_budgets() {
-        let db = chain_db(3, 30, 5);
-        let q = triangle_query();
-        let mut opt = HybridOptimizer::structural(QhdOptions::default());
-        opt.retry.escalate = Some(100.0);
-        // First find a budget that q-HD alone exhausts.
-        let tight = 5;
-        let strict =
-            HybridOptimizer::structural(QhdOptions::default()).with_retry(RetryPolicy::none());
-        let out = strict.execute_cq(&db, &q, Budget::unlimited().with_max_tuples(tight));
-        assert!(out.is_dnf(), "{}", out.plan);
-        // With escalation the ladder rescues it.
-        let out = opt.execute_cq(&db, &q, Budget::unlimited().with_max_tuples(tight));
-        assert!(out.result.is_ok(), "{:?}", out.result);
-        assert!(out.degraded());
-        let mut b = Budget::unlimited();
-        let oracle = htqo_eval::evaluate_naive(&db, &q, &mut b).unwrap();
-        assert!(out.result.unwrap().set_eq(&oracle));
-    }
-
-    /// A DNF stays a DNF when every rung exhausts its (un-escalated)
+    /// A DNF stays a DNF when every rung exhausts its
     /// budget, and the per-rung charges in `attempts` sum to `tuples`.
     #[test]
     fn exhausted_ladder_reports_dnf_and_exact_charges() {

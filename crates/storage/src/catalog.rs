@@ -55,52 +55,16 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Default page-cache budget when `HTQO_PAGE_CACHE` is unset: 64 MiB.
+/// Capacity of a buffer pool that [`StorageDb::apply`] creates: 64 MiB.
 pub const DEFAULT_CACHE_BYTES: u64 = 64 * 1024 * 1024;
 
-/// Default WAL size that triggers an automatic checkpoint when
-/// `HTQO_WAL_CHECKPOINT` is unset: 4 MiB.
+/// WAL size that triggers an automatic checkpoint under
+/// [`StorageDb::open`]: 4 MiB.
 pub const DEFAULT_CHECKPOINT_BYTES: u64 = 4 * 1024 * 1024;
 
 /// The persisted indexes of one loaded table: `(column name, index)`
 /// pairs, ready to register on a [`Database`].
 pub type LoadedIndexes = Vec<(String, Arc<PagedIndex>)>;
-
-/// Resolves the page-cache byte budget from `HTQO_PAGE_CACHE`
-/// (suffixes as in [`htqo_engine::exec::parse_bytes`]; unset means
-/// [`DEFAULT_CACHE_BYTES`], a value that does not parse is an error).
-pub fn cache_bytes_from_env() -> Result<u64, EvalError> {
-    let raw = wal::env_value("HTQO_PAGE_CACHE")?;
-    bytes_knob("HTQO_PAGE_CACHE", raw.as_deref(), DEFAULT_CACHE_BYTES)
-}
-
-/// Resolves the auto-checkpoint threshold from `HTQO_WAL_CHECKPOINT`
-/// (suffixes as in [`htqo_engine::exec::parse_bytes`]; unset means
-/// [`DEFAULT_CHECKPOINT_BYTES`], a value that does not parse is an error —
-/// the threshold bounds the log a restart has to read).
-pub fn checkpoint_bytes_from_env() -> Result<u64, EvalError> {
-    let raw = wal::env_value("HTQO_WAL_CHECKPOINT")?;
-    bytes_knob(
-        "HTQO_WAL_CHECKPOINT",
-        raw.as_deref(),
-        DEFAULT_CHECKPOINT_BYTES,
-    )
-}
-
-fn bytes_knob(name: &str, raw: Option<&str>, default: u64) -> Result<u64, EvalError> {
-    match raw {
-        None => Ok(default),
-        Some(v) => htqo_engine::exec::parse_bytes(v).ok_or_else(|| wal::bad_env(name, v)),
-    }
-}
-
-/// Resolves the storage directory from `HTQO_STORAGE_DIR` (default
-/// `.htqo_storage` under the working directory).
-pub fn dir_from_env() -> PathBuf {
-    std::env::var_os("HTQO_STORAGE_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from(".htqo_storage"))
-}
 
 /// Catalog format header. v2 marks the checksum-trailer page layout
 /// introduced with the WAL; v1 stores (no trailer) are rejected with a
@@ -364,9 +328,6 @@ pub struct StorageDb {
     dir: PathBuf,
     policy: WalPolicy,
     checkpoint_bytes: u64,
-    /// Capacity of a pool `apply` has to create (`HTQO_PAGE_CACHE`,
-    /// resolved at open).
-    cache_bytes: u64,
     shared: Arc<DbShared>,
 }
 
@@ -380,12 +341,11 @@ impl std::fmt::Debug for StorageDb {
 }
 
 impl StorageDb {
-    /// Opens (creating if needed) the storage directory, with the WAL
-    /// policy from `HTQO_WAL` and the checkpoint threshold from
-    /// `HTQO_WAL_CHECKPOINT`. A variable set to a value that does not
-    /// parse is an error naming it, never the default.
+    /// Opens (creating if needed) the storage directory, fsyncing every
+    /// commit ([`WalPolicy::Commit`]) and checkpointing past
+    /// [`DEFAULT_CHECKPOINT_BYTES`] of log.
     pub fn open(dir: &Path) -> Result<Self, EvalError> {
-        Self::open_with(dir, WalPolicy::from_env()?, checkpoint_bytes_from_env()?)
+        Self::open_with(dir, WalPolicy::Commit, DEFAULT_CHECKPOINT_BYTES)
     }
 
     /// Opens with an explicit WAL policy and auto-checkpoint threshold
@@ -395,13 +355,11 @@ impl StorageDb {
         policy: WalPolicy,
         checkpoint_bytes: u64,
     ) -> Result<Self, EvalError> {
-        let cache_bytes = cache_bytes_from_env()?;
         std::fs::create_dir_all(dir).map_err(|e| io_err(dir, "create dir", e))?;
         Ok(StorageDb {
             dir: dir.to_path_buf(),
             policy,
             checkpoint_bytes,
-            cache_bytes,
             shared: Arc::new(DbShared {
                 wal: Mutex::new(None),
                 wal_retired: Mutex::new(WalStats::default()),
@@ -1143,7 +1101,7 @@ impl StorageDb {
         let budget = lock(&self.shared.budget).clone();
         let meta = {
             let mut tables = lock(&self.shared.tables);
-            let table = self.open_table(&mut tables, &batch.table, self.cache_bytes, budget)?;
+            let table = self.open_table(&mut tables, &batch.table, DEFAULT_CACHE_BYTES, budget)?;
             self.commit_batch(table, batch)?
         };
         if self.wal_handle()?.size() > self.checkpoint_bytes {
@@ -1394,7 +1352,7 @@ impl StorageDb {
         self.ensure_recovered()?;
         let budget = lock(&self.shared.budget).clone();
         let mut tables = lock(&self.shared.tables);
-        let t = self.open_table(&mut tables, table, self.cache_bytes, budget)?;
+        let t = self.open_table(&mut tables, table, DEFAULT_CACHE_BYTES, budget)?;
         Ok(SlotDirectory::of(&t.pool, &t.meta.heap, &mut t.slots)?.locate(rowid))
     }
 
@@ -2077,22 +2035,6 @@ mod tests {
             expected
         );
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn byte_knobs_parse_or_are_refused_by_name() {
-        for name in ["HTQO_WAL_CHECKPOINT", "HTQO_PAGE_CACHE"] {
-            assert_eq!(bytes_knob(name, None, 77).unwrap(), 77, "unset: default");
-            assert_eq!(bytes_knob(name, Some("4096"), 77).unwrap(), 4096);
-            assert_eq!(bytes_knob(name, Some("2M"), 77).unwrap(), 2 << 20);
-            for bad in ["", "1 MiB", "4x", "-1"] {
-                let err = format!("{}", bytes_knob(name, Some(bad), 77).unwrap_err());
-                assert!(
-                    err.contains(name) && err.contains(&format!("'{bad}'")),
-                    "{err}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! 3. [`wal`] — a checksummed redo log ([`wal::Wal`]) of slot records
 //!    (the cells a commit changes) and full page images (logged before a
 //!    page is overwritten in place), giving mutations crash durability
-//!    (`HTQO_WAL=off|commit|batch` picks the fsync policy);
+//!    ([`WalPolicy`], chosen at [`StorageDb::open_with`], picks the fsync
+//!    policy);
 //! 4. [`buffer`] — a pinned/unpinned page cache with clock eviction,
-//!    capacity from `HTQO_PAGE_CACHE`, byte-charged against the engine's
+//!    capacity chosen by the caller, byte-charged against the engine's
 //!    [`htqo_engine::Budget`] so cached pages compete with query memory —
 //!    which keeps the committed cells of pages whose file copy is behind
 //!    and writes a page back only behind a durable image of it;
@@ -45,8 +46,8 @@ pub mod wal;
 pub use btree::{IndexMeta, PagedIndex};
 pub use buffer::{BufferPool, PagePin, PoolStats};
 pub use catalog::{
-    cache_bytes_from_env, checkpoint_bytes_from_env, dir_from_env, MutationBatch, RecoveryReport,
-    StorageDb, TableMeta, DEFAULT_CACHE_BYTES, DEFAULT_CHECKPOINT_BYTES,
+    MutationBatch, RecoveryReport, StorageDb, TableMeta, DEFAULT_CACHE_BYTES,
+    DEFAULT_CHECKPOINT_BYTES,
 };
 pub use page::{PAGE_DATA, PAGE_SIZE};
 pub use pager::PageFile;

@@ -148,38 +148,6 @@ pub enum WalPolicy {
     Batch,
 }
 
-impl WalPolicy {
-    /// Resolves the policy from `HTQO_WAL` (`off`/`commit`/`batch`;
-    /// unset means `commit`). Any other value is an error naming it: a
-    /// mistyped policy must not quietly decide what a power cut loses.
-    pub fn from_env() -> Result<Self, EvalError> {
-        Self::parse(env_value("HTQO_WAL")?.as_deref())
-    }
-
-    fn parse(raw: Option<&str>) -> Result<Self, EvalError> {
-        match raw {
-            None | Some("commit") => Ok(WalPolicy::Commit),
-            Some("off") => Ok(WalPolicy::Off),
-            Some("batch") => Ok(WalPolicy::Batch),
-            Some(other) => Err(bad_env("HTQO_WAL", other)),
-        }
-    }
-}
-
-/// The value of environment variable `name`, `None` when it is unset; a
-/// value that is not Unicode is an error, not an unset variable.
-pub(crate) fn env_value(name: &str) -> Result<Option<String>, EvalError> {
-    match std::env::var(name) {
-        Ok(value) => Ok(Some(value)),
-        Err(std::env::VarError::NotPresent) => Ok(None),
-        Err(std::env::VarError::NotUnicode(raw)) => Err(bad_env(name, &raw.to_string_lossy())),
-    }
-}
-
-pub(crate) fn bad_env(name: &str, value: &str) -> EvalError {
-    EvalError::SpillIo(format!("invalid value '{value}' for {name}"))
-}
-
 /// What one edit of a slot record does to its page.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SlotOp {
@@ -1158,18 +1126,6 @@ mod tests {
         drop(wal);
         assert_eq!(scan(&path).unwrap().batches(), 0);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn policy_values_parse_or_are_refused_by_name() {
-        assert_eq!(WalPolicy::parse(None).unwrap(), WalPolicy::Commit);
-        assert_eq!(WalPolicy::parse(Some("commit")).unwrap(), WalPolicy::Commit);
-        assert_eq!(WalPolicy::parse(Some("off")).unwrap(), WalPolicy::Off);
-        assert_eq!(WalPolicy::parse(Some("batch")).unwrap(), WalPolicy::Batch);
-        for bad in ["", "Batch", "comit", "group"] {
-            let err = format!("{}", WalPolicy::parse(Some(bad)).unwrap_err());
-            assert!(err.contains("HTQO_WAL") && err.contains(&format!("'{bad}'")));
-        }
     }
 
     #[test]

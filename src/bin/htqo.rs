@@ -13,8 +13,16 @@
 //!             WHERE ... GROUP BY n_name
 //! htqo> SELECT ...;
 //! ```
+//!
+//! Three environment variables are read once, at start: `HTQO_MEM_LIMIT`
+//! (bytes, `K`/`M`/`G` suffixes, 0 = unlimited) and `HTQO_SPILL_DIR`
+//! (where spill partitions live) go on every query's budget, and
+//! `HTQO_FAILPOINTS` arms fail points
+//! (`htqo_engine::failpoint::configure_from_spec`). A malformed value is
+//! a usage error naming the variable: exit status 2.
 
 use htqo::prelude::*;
+use htqo_engine::exec::MemorySettings;
 use htqo_optimizer::{explain_join_order, explain_qhd, flatten_subqueries};
 use htqo_workloads::{workload_db, WorkloadSpec};
 use std::io::{BufRead, Write};
@@ -23,14 +31,44 @@ struct Shell {
     db: Database,
     stats: Option<DbStats>,
     timing: bool,
+    memory: MemorySettings,
+}
+
+impl Shell {
+    /// An empty shell with the memory settings of the environment; arms
+    /// the fail points `HTQO_FAILPOINTS` names.
+    fn start() -> Result<Shell, String> {
+        let var = std::env::var_os;
+        let memory = MemorySettings::parse(
+            var("HTQO_MEM_LIMIT").as_deref(),
+            var("HTQO_SPILL_DIR").as_deref(),
+        )?;
+        if let Some(raw) = var("HTQO_FAILPOINTS") {
+            let spec = raw.to_string_lossy();
+            let armed = if !cfg!(feature = "failpoints") {
+                Err("this build has no fail points (the `failpoints` feature is off)".into())
+            } else if let Some(spec) = raw.to_str() {
+                htqo_engine::failpoint::configure_from_spec(spec).map_err(|e| e.to_string())
+            } else {
+                Err("not UTF-8".into())
+            };
+            armed
+                .map_err(|e: String| format!("invalid value '{spec}' for HTQO_FAILPOINTS: {e}"))?;
+        }
+        Ok(Shell {
+            db: Database::new(),
+            stats: None,
+            timing: true,
+            memory,
+        })
+    }
 }
 
 fn main() {
-    let mut shell = Shell {
-        db: Database::new(),
-        stats: None,
-        timing: true,
-    };
+    let mut shell = Shell::start().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
     println!("htqo — hypertree decompositions for query optimization (ICDE'07 reproduction)");
     println!("type \\help for commands; end SQL with a newline");
     let stdin = std::io::stdin();
@@ -169,7 +207,7 @@ impl Shell {
                 let sql = rest.strip_prefix("baseline").unwrap_or("").trim();
                 let sim = DbmsSim::commdb(self.stats.clone());
                 let out = sim
-                    .execute_sql(&self.db, sql, Budget::unlimited())
+                    .execute_sql(&self.db, sql, self.memory.budget())
                     .map_err(|e| e.to_string())?;
                 self.report(out);
                 Ok(())
@@ -180,7 +218,7 @@ impl Shell {
 
     fn isolated(&self, sql: &str) -> Result<(Database, ConjunctiveQuery), String> {
         let stmt = parse_select(sql).map_err(|e| e.to_string())?;
-        let mut budget = Budget::unlimited();
+        let mut budget = self.memory.budget();
         let (db, stmt) =
             flatten_subqueries(&self.db, &stmt, &mut budget).map_err(|e| e.to_string())?;
         let q = isolate(&stmt, &db, IsolatorOptions::default()).map_err(|e| e.to_string())?;
@@ -227,7 +265,7 @@ impl Shell {
     fn run_sql(&self, sql: &str) -> Result<(), String> {
         let out = self
             .optimizer()
-            .execute_sql(&self.db, sql.trim_end_matches(';'), Budget::unlimited())
+            .execute_sql(&self.db, sql.trim_end_matches(';'), self.memory.budget())
             .map_err(|e| e.to_string())?;
         self.report(out);
         Ok(())

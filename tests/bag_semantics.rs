@@ -6,8 +6,10 @@
 //!
 //! The generated data has repeated base rows, join keys that repeat on
 //! both sides (no join is key-preserving) and NULLs in the aggregated
-//! columns; the statements aggregate with `SUM`, `COUNT(*)`, `COUNT(x)`,
-//! `AVG`, `MIN` and `MAX`, grouped or not, ordered or not, limited or
+//! columns; the statements join 3 to 6 tables in chains, cycles and stars
+//! and aggregate with `SUM`, `COUNT(*)`, `COUNT(x)`, `AVG`, `MIN` and
+//! `MAX` — mostly over one table, so that plans have several vertices
+//! whose counted rows merge —, grouped or not, ordered or not, limited or
 //! not. Every entry point must give the reference's rows, in its order:
 //! the q-HD rung, a q-HD plan of width 2 (several vertices, where one
 //! exists), the bushy join tree, CommDB, the stand-alone views
@@ -55,21 +57,29 @@ impl Rng {
     }
 }
 
-/// Three tables `t0..t2(a, b, v, f)`: keys `a`, `b` from a small domain,
-/// `v` an integer and `f` a float in quarters (sums are exact in any
-/// order), each NULL now and then; some rows repeated.
-fn database(g: &mut Rng) -> Database {
+/// Tables `t0..t{n-1}(a, b, v, f)`: keys `a`, `b` from a domain of one to
+/// three values, `v` an integer and `f` a float in quarters (sums are
+/// exact in any order), each NULL now and then; some rows repeated, now
+/// and then a table empty. The more tables, the fewer rows each, so that
+/// the nested-loop reference stays small.
+fn database(g: &mut Rng, n: usize) -> Database {
+    let most_rows = [9, 7, 5, 4][n - 3];
     let mut db = Database::new();
-    for t in 0..3 {
+    for t in 0..n {
         let mut rel = Relation::new(Schema::new(&[
             ("a", ColumnType::Int),
             ("b", ColumnType::Int),
             ("v", ColumnType::Int),
             ("f", ColumnType::Float),
         ]));
-        let domain = 1 + g.below(4) as i64;
+        let domain = 1 + g.below(3) as i64;
         let mut rows: Vec<Vec<Value>> = Vec::new();
-        for _ in 0..g.below(9) {
+        let len = if g.chance(50) {
+            0
+        } else {
+            2 + g.below(most_rows - 1)
+        };
+        for _ in 0..len {
             let v = if g.chance(150) {
                 Value::Null
             } else {
@@ -93,30 +103,50 @@ fn database(g: &mut Rng) -> Database {
     db
 }
 
-/// A statement over `t0, t1, t2` joined in a chain (closed into a cycle
-/// now and then), with an optional filter, an optional grouping column,
-/// one to four aggregates (now and then all over `t0`), and optional
-/// `ORDER BY` and `LIMIT`.
-fn statement(g: &mut Rng) -> String {
-    let mut preds = vec!["t0.b = t1.a".to_string(), "t1.b = t2.a".to_string()];
-    if g.chance(300) {
-        preds.push("t2.b = t0.a".into());
+/// How many tables a case joins: 3 to 6.
+fn atoms(g: &mut Rng) -> usize {
+    3 + g.below(4) as usize
+}
+
+/// The join conditions of an `n`-atom shape over `t0..t{n-1}`: a chain
+/// (`ti.b = t{i+1}.a`), the chain closed into a cycle, or a star whose
+/// satellites join the hub `t0` each on a column picked at random.
+fn shape(g: &mut Rng, n: usize) -> Vec<String> {
+    let chain = (1..n).map(|i| format!("t{}.b = t{i}.a", i - 1));
+    match g.below(3) {
+        0 => chain.collect(),
+        1 => chain.chain([format!("t{}.b = t0.a", n - 1)]).collect(),
+        _ => (1..n)
+            .map(|i| {
+                let [hub, sat] = [0, 1].map(|_| ["a", "b"][g.below(2) as usize]);
+                format!("t0.{hub} = t{i}.{sat}")
+            })
+            .collect(),
     }
+}
+
+/// A statement joining `t0..t{n-1}` in a chain, cycle or star, with an
+/// optional filter, an optional grouping column, one to four aggregates
+/// and optional `ORDER BY` and `LIMIT`. Mostly the aggregates and the
+/// grouping column read one table, so that a plan can root at it with the
+/// other atoms in vertices below, whose counted rows `P″` merges; now and
+/// then they spread over every table.
+fn statement(g: &mut Rng, n: usize) -> String {
+    let mut preds = shape(g, n);
     if g.chance(300) {
-        preds.push(format!("t1.v > {}", g.below(11) as i64 - 5));
+        let t = g.below(n as u64);
+        preds.push(format!("t{t}.v > {}", g.below(11) as i64 - 5));
     }
     let group = g.chance(600);
-    // Aggregates over `t0` alone let a plan root at `t0` with `t1`, `t2`
-    // below it, so `P″` merges counted rows.
-    let only_t0 = g.chance(400);
+    let one = g.chance(800).then(|| g.below(n as u64));
     let mut items = Vec::new();
     let mut labels = Vec::new();
     if group {
-        items.push("t0.a AS g".to_string());
+        items.push(format!("t{}.a AS g", one.unwrap_or(0)));
         labels.push("g".to_string());
     }
     for k in 0..1 + g.below(4) {
-        let t = if only_t0 { 0 } else { g.below(3) };
+        let t = one.unwrap_or_else(|| g.below(n as u64));
         let col = ["v", "f"][g.below(2) as usize];
         let agg = match g.below(6) {
             0 => "count(*)".to_string(),
@@ -129,13 +159,15 @@ fn statement(g: &mut Rng) -> String {
         items.push(format!("{agg} AS x{k}"));
         labels.push(format!("x{k}"));
     }
+    let tables: Vec<String> = (0..n).map(|t| format!("t{t}")).collect();
     let mut sql = format!(
-        "SELECT {} FROM t0, t1, t2 WHERE {}",
+        "SELECT {} FROM {} WHERE {}",
         items.join(", "),
+        tables.join(", "),
         preds.join(" AND ")
     );
     if group {
-        sql.push_str(" GROUP BY t0.a");
+        sql.push_str(&format!(" GROUP BY t{}.a", one.unwrap_or(0)));
     }
     if g.chance(500) {
         let l = &labels[g.below(labels.len() as u64) as usize];
@@ -157,19 +189,16 @@ fn reference(db: &Database, sql: &str) -> VRelation {
     let rows: Vec<Vec<Vec<Value>>> = (tables.iter())
         .map(|(_, rel)| rel.iter_rows().map(Vec::from).collect())
         .collect();
-    // Every combination of base rows, as one row index per table.
-    let mut combos: Vec<Vec<usize>> = vec![Vec::new()];
-    for r in &rows {
-        combos = (combos.iter())
-            .flat_map(|c| (0..r.len()).map(move |i| [c.clone(), vec![i]].concat()))
-            .collect();
-    }
+    let table_of = |e: &SqlExpr| match e {
+        SqlExpr::Col(c) => (tables.iter())
+            .position(|(b, _)| Some(b.as_str()) == c.qualifier.as_deref())
+            .expect("qualified column"),
+        _ => 0,
+    };
     let cell = |combo: &[usize], e: &SqlExpr| -> Value {
         match e {
             SqlExpr::Col(c) => {
-                let t = (tables.iter())
-                    .position(|(b, _)| Some(b.as_str()) == c.qualifier.as_deref())
-                    .expect("qualified column");
+                let t = table_of(e);
                 let col = tables[t].1.schema().index_of(&c.column).expect("column");
                 rows[t][combo[t]][col].clone()
             }
@@ -191,9 +220,25 @@ fn reference(db: &Database, sql: &str) -> VRelation {
             CmpOp::Ge => o.is_ge(),
         })
     };
-    let kept: Vec<&Vec<usize>> = (combos.iter())
-        .filter(|c| stmt.predicates.iter().all(|p| holds(c, p)))
-        .collect();
+    // The last table each conjunct reads: it is tested as soon as the
+    // combinations bind that table, so no loop holds the whole product.
+    let last_table = |p: &Predicate| match p {
+        Predicate::Cmp { left, right, .. } => table_of(left).max(table_of(right)),
+        _ => unimplemented!("no subqueries"),
+    };
+    // Every combination of base rows that the conjuncts keep, as one row
+    // index per table.
+    let mut combos: Vec<Vec<usize>> = vec![Vec::new()];
+    for (t, r) in rows.iter().enumerate() {
+        combos = (combos.iter())
+            .flat_map(|c| (0..r.len()).map(move |i| [c.clone(), vec![i]].concat()))
+            .filter(|c| {
+                (stmt.predicates.iter())
+                    .filter(|p| last_table(p) == t)
+                    .all(|p| holds(c, p))
+            })
+            .collect();
+    }
     // Groups in first-seen order (the tail sorts them anyway).
     let key = |c: &[usize]| -> Vec<Value> {
         (stmt.group_by.iter())
@@ -201,7 +246,7 @@ fn reference(db: &Database, sql: &str) -> VRelation {
             .collect()
     };
     let mut groups: Vec<(Vec<Value>, Vec<&Vec<usize>>)> = Vec::new();
-    for c in kept {
+    for c in &combos {
         let k = key(c);
         match groups.iter_mut().find(|(gk, _)| *gk == k) {
             Some((_, members)) => members.push(c),
@@ -314,7 +359,12 @@ fn answers(
     let hybrid = HybridOptimizer::with_stats(QhdOptions::default(), stats.clone());
     let q = isolate(&parse_select(sql).unwrap(), db, IsolatorOptions::default()).unwrap();
     let outcome = hybrid.execute_sql(db, sql, budget()).unwrap();
-    if outcome.result.is_ok() {
+    // The answer is q-HD's, unless every rung before the one that answered
+    // ran out of memory under a byte cap: then a lower rung's answer is
+    // held to the reference all the same.
+    let out_of_memory = !outcome.attempts.is_empty()
+        && (outcome.attempts.iter()).all(|a| matches!(a.error, EvalError::MemoryExceeded { .. }));
+    if outcome.result.is_ok() && !out_of_memory {
         assert_eq!(outcome.rung, Rung::QHd, "{sql}: {}", outcome.plan);
     }
     let mut out = vec![("q-HD", outcome.result)];
@@ -328,11 +378,10 @@ fn answers(
         .plan_cq(&q)
         .ok();
     if let Some(plan) = &narrow {
-        let (mut b, opts) = (budget(), htqo_eval::ExecOptions::default());
-        let answer = htqo_eval::evaluate_qhd_query_with(db, &q, plan, &mut b, &opts);
+        let answer = htqo_eval::evaluate_qhd_query(db, &q, plan, &mut budget());
         out.push(("q-HD at width 2", answer));
     }
-    let (_, tree) = dp_bushy(&q, &stats).expect("three atoms");
+    let (_, tree) = dp_bushy(&q, &stats).expect("at most six atoms");
     let mut b = budget();
     let bushy = evaluate_join_tree(db, &q, &tree, &mut b)
         .and_then(|answer| htqo_engine::finalize_c(&answer, &q, &mut b));
@@ -359,9 +408,10 @@ fn every_entry_point_answers_the_bag_reference() {
     let mut repeated = 0;
     for case in 0..cases() {
         let mut g = Rng(case);
-        let db = database(&mut g);
+        let n = atoms(&mut g);
+        let db = database(&mut g, n);
         for _ in 0..3 {
-            let sql = statement(&mut g);
+            let sql = statement(&mut g, n);
             let with_count = sql.replacen(" FROM ", ", count(*) AS rows FROM ", 1);
             let counts = reference(&db, &with_count);
             let last = counts.cols().len() - 1;
@@ -413,8 +463,9 @@ fn qhd(db: &Database, sql: &str) -> VRelation {
 fn adding_count_star_changes_no_other_column() {
     for case in 0..cases() {
         let mut g = Rng(case ^ 0xC0FF_EE00);
-        let db = database(&mut g);
-        let sql = statement(&mut g);
+        let n = atoms(&mut g);
+        let db = database(&mut g, n);
+        let sql = statement(&mut g, n);
         let with = sql.replacen(" FROM ", ", count(*) AS extra FROM ", 1);
         let (plain, counted) = (qhd(&db, &sql), qhd(&db, &with));
         let n = plain.cols().len();
@@ -440,7 +491,7 @@ fn adding_count_star_changes_no_other_column() {
 fn duplicating_a_table_doubles_counts_and_sums() {
     for case in 0..cases() {
         let mut g = Rng(case ^ 0xD0B1_E000);
-        let db = database(&mut g);
+        let db = database(&mut g, 3);
         let t = g.below(3);
         let sql = format!(
             "SELECT t0.a AS g, count(*) AS n, sum(t{t}.v) AS sv, sum(t{u}.f) AS sf \

@@ -4,22 +4,37 @@
 use std::io::Write;
 use std::process::{Command, Stdio};
 
-fn run_script(script: &str) -> String {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_htqo"))
+/// Runs the shell on `script` with the `HTQO_*` variables `env` set (every
+/// other `HTQO_*` variable removed): its exit code, stdout and stderr.
+fn run_with_env(script: &str, env: &[(&str, &str)]) -> (Option<i32>, String, String) {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_htqo"));
+    for (name, _) in std::env::vars_os() {
+        if name.to_string_lossy().starts_with("HTQO_") {
+            cmd.env_remove(name);
+        }
+    }
+    let mut child = cmd
+        .envs(env.iter().copied())
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
         .expect("binary spawns");
-    child
+    // A shell that refuses its environment exits before reading stdin.
+    let _ = child
         .stdin
         .as_mut()
         .expect("stdin piped")
-        .write_all(script.as_bytes())
-        .expect("script written");
+        .write_all(script.as_bytes());
     let out = child.wait_with_output().expect("shell exits");
-    assert!(out.status.success(), "shell exited with {:?}", out.status);
-    String::from_utf8(out.stdout).expect("utf8 output")
+    let text = |b: Vec<u8>| String::from_utf8(b).expect("utf8 output");
+    (out.status.code(), text(out.stdout), text(out.stderr))
+}
+
+fn run_script(script: &str) -> String {
+    let (code, out, err) = run_with_env(script, &[]);
+    assert_eq!(code, Some(0), "shell exited with {code:?}: {err}");
+    out
 }
 
 #[test]
@@ -85,4 +100,67 @@ fn shell_csv_round_trip() {
     assert!(out.contains("loaded 10 rows into `copy`"));
     assert!(out.contains("1 rows"));
     let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A malformed setting is a usage error naming the variable: exit status
+/// 2 before the shell reads anything.
+#[test]
+fn malformed_settings_exit_2_naming_the_variable() {
+    for (name, value) in [
+        ("HTQO_MEM_LIMIT", "12Q"),
+        ("HTQO_FAILPOINTS", "nosuch=error"),
+        ("HTQO_FAILPOINTS", "qeval::vertex"),
+    ] {
+        let (code, out, err) = run_with_env("\\quit\n", &[(name, value)]);
+        assert_eq!(code, Some(2), "{name}={value}: {out}{err}");
+        assert!(
+            err.contains(name) && err.contains(&format!("'{value}'")),
+            "{name}={value}: {err}"
+        );
+    }
+}
+
+/// `HTQO_MEM_LIMIT` reaches the query's budget: at 1 KiB a TPC-H join
+/// fails with `MemoryExceeded`.
+#[test]
+fn the_memory_limit_reaches_the_budget() {
+    let script = "\\load tpch 0.001\n\
+         SELECT n_name, sum(l_extendedprice) AS r FROM customer, orders, lineitem, nation \
+         WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey AND c_nationkey = n_nationkey \
+         GROUP BY n_name\n\
+         \\quit\n";
+    let (code, out, err) = run_with_env(script, &[("HTQO_MEM_LIMIT", "1K")]);
+    assert_eq!(code, Some(0), "{err}");
+    assert!(
+        out.contains("memory budget exceeded"),
+        "no memory failure at 1 KiB: {out}"
+    );
+    let (_, unlimited, _) = run_with_env(script, &[("HTQO_MEM_LIMIT", "0")]);
+    assert!(
+        !unlimited.contains("memory budget exceeded") && unlimited.contains(" rows"),
+        "0 is unlimited: {unlimited}"
+    );
+}
+
+/// `HTQO_FAILPOINTS` arms its sites: `\baseline` runs the CommDB-style
+/// optimizer, which has no fallback ladder, so an armed `cops::join`
+/// fails the query. (A build without fail points refuses the variable
+/// with exit status 2.)
+#[cfg(feature = "failpoints")]
+#[test]
+fn fail_points_from_the_environment_are_armed() {
+    let script = "\\load chain 3 30 5\n\
+         \\baseline SELECT p0.l FROM p0, p1, p2 WHERE p0.r = p1.l AND p1.r = p2.l\n\
+         \\quit\n";
+    let (code, out, err) = run_with_env(script, &[("HTQO_FAILPOINTS", "cops::join=error")]);
+    assert_eq!(code, Some(0), "{err}");
+    assert!(
+        out.contains("execution failed: internal error: injected failure at `cops::join`"),
+        "{out}"
+    );
+    let (_, plain, _) = run_with_env(script, &[]);
+    assert!(
+        !plain.contains("execution failed") && plain.contains(" rows"),
+        "{plain}"
+    );
 }

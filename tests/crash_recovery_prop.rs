@@ -1252,7 +1252,7 @@ fn orphan_generation_files_are_garbage_collected() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Regression: under group commit (`HTQO_WAL=batch`) the on-disk
+/// Regression: under group commit (`WalPolicy::Batch`) the on-disk
 /// catalog must never run ahead of the durable WAL. A power cut that
 /// loses the un-fsynced log group used to leave a renamed catalog whose
 /// row count was ahead of the data pages — a torn, unreadable table.
@@ -1380,7 +1380,7 @@ fn legacy_v1_catalog_is_rejected_with_reingest_error() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `HTQO_WAL=off` still survives a *process* crash (the pending buffer
+/// `WalPolicy::Off` still survives a *process* crash (the pending buffer
 /// is written to the OS at commit); it only gives up power-loss
 /// durability.
 #[test]

@@ -14,7 +14,7 @@
 use htqo::prelude::*;
 use htqo_cq::{AggFunc, CqBuilder, ScalarExpr, SortDir};
 use htqo_engine::schema::{ColumnType, Schema};
-use htqo_eval::{evaluate_join_order, evaluate_qhd_query_with, ExecOptions};
+use htqo_eval::{evaluate_join_order, evaluate_qhd_query};
 use proptest::prelude::*;
 
 /// A random star query: `hub(X)` with `sats` satellite atoms
@@ -232,7 +232,7 @@ proptest! {
         let plan = q_hypertree_decomp(&q, &QhdOptions::default(), &StructuralCost)
             .expect("width 4 covers a ≤4-atom star");
         let mut b1 = Budget::unlimited();
-        let counted = evaluate_qhd_query_with(&db, &q, &plan, &mut b1, &ExecOptions::default())
+        let counted = evaluate_qhd_query(&db, &q, &plan, &mut b1)
             .unwrap();
         let Some(mat) = materialized(&db, &q) else {
             return Ok(());
@@ -247,8 +247,8 @@ proptest! {
     fn supplied_vertices_count_through_joins(shape in arb_shape()) {
         let (db, q) = unstitchable(&shape);
         let plan = q_hypertree_decomp(&q, &QhdOptions::default(), &StructuralCost).unwrap();
-        let out = evaluate_qhd_query_with(
-            &db, &q, &plan, &mut Budget::unlimited(), &ExecOptions::default(),
+        let out = evaluate_qhd_query(
+            &db, &q, &plan, &mut Budget::unlimited(),
         ).unwrap();
         if let Some(mat) = materialized(&db, &q) {
             prop_assert_eq!(bits(&out), bits(&mat));
@@ -283,7 +283,7 @@ proptest! {
         }
 
         let mut b1 = Budget::unlimited().with_mem_limit(limit);
-        match evaluate_qhd_query_with(&db, &q, &plan, &mut b1, &ExecOptions::default()) {
+        match evaluate_qhd_query(&db, &q, &plan, &mut b1) {
             Ok(got) => prop_assert_eq!(bits(&got), bits(&oracle), "limit={}", limit),
             Err(e) => prop_assert!(
                 matches!(e, EvalError::MemoryExceeded { .. } | EvalError::SpillIo(_)),

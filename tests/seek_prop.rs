@@ -12,7 +12,7 @@
 //! and `Date` keys and NULL keys. The join must answer what the
 //! nested-loop reference answers, seek exactly when the rule says so,
 //! and then charge the probe's scan and one tuple per output row, nothing
-//! for the fact table; `evaluate_qhd_with` must answer the reference over
+//! for the fact table; `evaluate_qhd` must answer the reference over
 //! the indexed catalog and over its tables without indexes.
 //! `the_seek_fires_on_a_share_of_the_cases`
 //! reports the share of cases that seek and requires every feature among
@@ -31,7 +31,7 @@ use htqo_engine::scan::{scan_query_atom_c, select_query_atom};
 use htqo_engine::schema::ColumnType;
 use htqo_engine::vrel::nested_loop_join;
 use htqo_engine::{cops, Row};
-use htqo_eval::{evaluate_qhd_with, ExecOptions};
+use htqo_eval::evaluate_qhd;
 use htqo_storage::{StorageDb, PAGE_SIZE};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -315,8 +315,7 @@ proptest! {
             plain.insert_table(name, rel.clone());
         }
         for (db, indexed) in [(&case.db, true), (&plain, false)] {
-            let opts = ExecOptions::default();
-            let got = evaluate_qhd_with(db, &case.q, &plan, &mut Budget::unlimited(), &opts)
+            let got = evaluate_qhd(db, &case.q, &plan, &mut Budget::unlimited())
                 .unwrap();
             prop_assert!(is_reference(&got, &want), "seed {} indexed {}", case.seed, indexed);
         }
@@ -416,7 +415,7 @@ fn a_one_row_atom_seeks_the_large_table_not_the_small_one() {
     assert_eq!(plan.tree.len(), 1, "one vertex holds the three atoms");
 
     let mut budget = Budget::unlimited();
-    let got = evaluate_qhd_with(&db, &q, &plan, &mut budget, &ExecOptions::default()).unwrap();
+    let got = evaluate_qhd(&db, &q, &plan, &mut budget).unwrap();
     assert!(is_reference(&got, &reference(&db, &q)));
     assert_eq!(budget.join_stats().index_seeks(), 1);
     let matched = got.len() as u64;

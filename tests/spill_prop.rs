@@ -40,8 +40,8 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 
 /// True if any spill directory created by *this process* is still on
 /// disk. Spill directories are named `htqo-spill-<pid>-<seq>` and live in
-/// the system temp dir unless `HTQO_SPILL_DIR` redirects them (these
-/// tests don't set it).
+/// the system temp dir unless a budget's spill directory redirects them
+/// (these tests set none).
 fn spill_dirs_leaked() -> bool {
     let prefix = format!("htqo-spill-{}-", std::process::id());
     std::fs::read_dir(std::env::temp_dir())

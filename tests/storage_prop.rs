@@ -47,7 +47,7 @@ use htqo_engine::index::SEEK_MARGIN;
 use htqo_engine::schema::{ColumnType, Schema};
 use htqo_engine::vrel::nested_loop_join;
 use htqo_engine::{cops, scan, MemIndex, Row};
-use htqo_eval::{evaluate_qhd_with, ExecOptions};
+use htqo_eval::evaluate_qhd;
 use htqo_storage::wal;
 use htqo_storage::{codec, page, MutationBatch, StorageDb, WalPolicy, PAGE_DATA, PAGE_SIZE};
 use proptest::prelude::*;
@@ -345,7 +345,7 @@ fn evaluator_takes_the_seek_path_when_profitable() {
     let plan = q_hypertree_decomp(&q, &QhdOptions::default(), &StructuralCost).unwrap();
     let run = |db: &Database| {
         let mut b = Budget::unlimited();
-        let r = evaluate_qhd_with(db, &q, &plan, &mut b, &ExecOptions::default()).unwrap();
+        let r = evaluate_qhd(db, &q, &plan, &mut b).unwrap();
         (r, b.charged(), b.join_stats().index_seeks())
     };
     let (classic, classic_charge, classic_seeks) = run(&without_indexes(&db));
@@ -451,7 +451,7 @@ proptest! {
         let run = |indexed: bool| {
             let mut b = Budget::unlimited();
             let db = if indexed { &db } else { &plain };
-            let r = evaluate_qhd_with(db, &q, &plan, &mut b, &ExecOptions::default()).unwrap();
+            let r = evaluate_qhd(db, &q, &plan, &mut b).unwrap();
             (r, b.charged())
         };
         let (classic, classic_charge) = run(false);
