@@ -401,7 +401,6 @@ fn bench_vertex_join(c: &mut Criterion) {
     // lineitem ⋈ σ part — all 120k lineitems pass the second join, the
     // part filter keeps under 1 %) and Q3's only vertex (σ customer ⋈
     // σ orders ⋈ σ lineitem).
-    use htqo_cq::isolator::ROWID_COLUMN;
     use htqo_cq::{CmpOp, CqBuilder, Literal};
     use htqo_engine::scan::select_query_atom;
     let db = generate(&DbgenOptions {
@@ -425,7 +424,7 @@ fn bench_vertex_join(c: &mut Criterion) {
                 ("l_orderkey", "O"),
                 ("l_extendedprice", "EP"),
                 ("l_discount", "D"),
-                (ROWID_COLUMN, "RID"),
+                ("l_linenumber", "LN"),
             ],
         )
         .atom("nation", "n2", &[("n_nationkey", "SN"), ("n_name", "NN")])
@@ -449,7 +448,7 @@ fn bench_vertex_join(c: &mut Criterion) {
                 ("l_orderkey", "O"),
                 ("l_extendedprice", "EP"),
                 ("l_discount", "D"),
-                (ROWID_COLUMN, "RID"),
+                ("l_linenumber", "LN"),
             ],
         )
         .filter(
@@ -496,7 +495,8 @@ fn bench_vertex_join(c: &mut Criterion) {
                 ("l_returnflag", "RF"),
                 ("l_extendedprice", "EP"),
                 ("l_discount", "D"),
-                (ROWID_COLUMN, "RID"),
+                ("l_orderkey", "O"),
+                ("l_linenumber", "LN"),
             ],
         )
         .filter(0, "l_shipdate", CmpOp::Gt, day(1995, 3, 15))

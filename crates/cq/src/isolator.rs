@@ -22,9 +22,6 @@ use crate::union_find::UnionFind;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-/// The hidden per-row identifier column every relation exposes.
-pub const ROWID_COLUMN: &str = "__rowid";
-
 /// Provides table schemas to the isolator (implemented by the engine's
 /// catalog, and by test fixtures).
 pub trait SchemaProvider {
@@ -451,11 +448,6 @@ impl Resolver<'_> {
                     .enumerate()
                     .find(|(_, (b, _, _))| b.eq_ignore_ascii_case(q))
                     .ok_or_else(|| IsolateError::UnknownBinding(q.clone()))?;
-                // The hidden rowid pseudo-column resolves on any table
-                // (used by the SQL-view rewriter round-trip).
-                if c.column.eq_ignore_ascii_case(ROWID_COLUMN) {
-                    return Ok((idx, ROWID_COLUMN.to_string()));
-                }
                 let col = cols
                     .iter()
                     .find(|col| col.eq_ignore_ascii_case(&c.column))
@@ -605,8 +597,6 @@ mod tests {
             want.sort();
             want.dedup();
             assert_eq!(out, want, "{sql}");
-            let args = q.atoms.iter().flat_map(|a| &a.args);
-            assert!(args.clone().all(|(col, _)| col != ROWID_COLUMN), "{sql}");
         }
     }
 

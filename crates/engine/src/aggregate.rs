@@ -10,11 +10,13 @@
 //!
 //! - each aggregate's expression is evaluated a block of rows at a time
 //!   into typed values (`Expr`);
-//! - a row's group id comes from a direct table over its packed key when
-//!   the GROUP BY columns have a `KeyPlan` whose range fits the
-//!   kernel's reservation, and otherwise from one open-addressed table of
-//!   the groups by key hash, a candidate verified against the group's
-//!   first row; groups keep their first-seen order;
+//! - a row's group id comes from `cops::GroupIds`, the table the
+//!   distinct and counted projections group by too: a direct table over
+//!   its packed key when the GROUP BY columns have a `KeyPlan` whose
+//!   range fits the kernel's reservation, and otherwise one
+//!   open-addressed table of the groups by key hash, a candidate
+//!   verified against the group's first row; groups keep their
+//!   first-seen order;
 //! - each aggregate keeps one flat vector of typed state indexed by group
 //!   id (`SUM` an `i64` and a `FloatSum`, `COUNT` a count, `AVG` a
 //!   `FloatSum` and a count, `MIN`/`MAX` the best number, or the row of
@@ -26,13 +28,13 @@
 //! the only `Value`s aggregation makes.
 
 use crate::column::Column;
-use crate::cops;
+use crate::cops::{self, GroupIds};
 use crate::crel::CRel;
 use crate::dict::{self, DictReader};
 use crate::error::{Budget, EvalError, SpillMode};
 use crate::expr::{cmp_matches, Block, Expr, Num, RowError};
 use crate::fsum::FloatSum;
-use crate::keyplan::{self, KeyBlock, KeyPlan};
+use crate::keyplan;
 use crate::spill::{self, SpillDir, SpillFile, MAX_SPILL_LEVEL};
 use crate::value::{row_heap_bytes, Value};
 use crate::vrel::VRelation;
@@ -260,9 +262,9 @@ fn finalize_tail(
 
     // ORDER BY over output labels, ties broken on the whole row, then
     // LIMIT. Groups are put in that order without ORDER BY too, so every
-    // path — the cover, the materialized join, every planner — yields one
-    // order; a plain projection keeps the order its path produced, and a
-    // LIMIT without ORDER BY truncates it.
+    // path — the counted q-HD pass, the materialized join, every planner
+    // — yields one order; a plain projection keeps the order its path
+    // produced, and a LIMIT without ORDER BY truncates it.
     if !q.order_by.is_empty() || q.has_aggregates() {
         let keys = (q.order_by.iter())
             .map(|(l, dir)| Ok((label(l)?, *dir == SortDir::Desc)))
@@ -293,21 +295,18 @@ fn finalize_tail(
     Ok(VRelation::from_rows(labels, rows))
 }
 
-/// True if no row of `a` repeats — [`finalize_c`]'s precondition. The
-/// rows are sorted by key hash and each is compared with the rows of
-/// equal hash before it; no fail point or budget is involved.
+/// True if no row of `a` repeats — [`finalize_c`]'s precondition: a
+/// [`GroupIds`] over every column, sized as a distinct projection's,
+/// opens as many groups as `a` has rows. No fail point or budget is
+/// involved.
 fn rows_distinct(a: &CRel) -> bool {
-    let all: Vec<usize> = (0..a.cols().len()).collect();
+    let all = cops::iota(a.cols().len());
     let reader = dict::reader();
-    let hashes = cops::key_hashes(a, &all, &reader);
-    let mut order: Vec<usize> = (0..a.len()).collect();
-    order.sort_unstable_by_key(|&i| hashes[i]);
-    order.chunk_by(|&i, &j| hashes[i] == hashes[j]).all(|run| {
-        (0..run.len()).all(|k| {
-            let i = run[k];
-            (run[..k].iter()).all(|&j| !cops::rows_key_eq(a, i, a, j, &all, &all, &reader))
-        })
-    })
+    let mut ids = GroupIds::new(a, &all, cops::distinct_bytes(a.len()), &reader);
+    let mut first_row = Vec::with_capacity(a.len());
+    let grouped = keyplan::blocks(0..a.len())
+        .try_for_each(|rows| ids.assign(a, &all, rows, &mut first_row, &reader, |_, _| Ok(())));
+    grouped.is_ok() && first_row.len() == a.len()
 }
 
 /// Renames each repeated label `l` to `l_k`, with `k ≥ 2` the smallest
@@ -496,9 +495,6 @@ fn aggregate_c_mem(
 const EVAL_BLOCK: usize = 1024;
 const _: () = assert!(EVAL_BLOCK.is_multiple_of(64) && EVAL_BLOCK <= keyplan::BLOCK);
 
-/// A slot of a group table that holds no group.
-const NO_GROUP: u32 = u32::MAX;
-
 /// `COUNT(*)`'s input: a value in every row.
 static ONE: ScalarExpr = ScalarExpr::Lit(Literal::Int(1));
 
@@ -540,9 +536,12 @@ fn aggregate_c_inner(
             group_idx,
             lo..hi,
             &mut first_row,
-            &mut gids,
             &reader,
-        );
+            |i, g| {
+                gids[i - lo] = g;
+                Ok(())
+            },
+        )?;
         for item in &mut items {
             first_row[known..].iter().for_each(|&r| item.acc.open(r));
         }
@@ -579,126 +578,6 @@ fn aggregate_c_inner(
         .map(|item| item.finish(answer, &first_row))
         .collect();
     Ok(Grouped { cols, len })
-}
-
-/// Where the kernel takes a row's group id from. (One per kernel call,
-/// on the stack: the key plan's size is not worth a box.)
-#[allow(clippy::large_enum_variant)]
-enum GroupIds {
-    /// No GROUP BY: one group.
-    One,
-    /// The GROUP BY columns have a key plan whose packed range fits the
-    /// kernel's reservation: a direct table from packed key to group id.
-    Direct {
-        plan: KeyPlan,
-        blk: KeyBlock,
-        table: Vec<u32>,
-    },
-    /// Any other key: every row's key hash, and an open-addressed table
-    /// of `(hash, group)` probed linearly, at most half full; a candidate
-    /// is verified against the group's first row.
-    Hashed {
-        hashes: Vec<u64>,
-        slots: Vec<(u64, u32)>,
-    },
-}
-
-impl GroupIds {
-    fn new(answer: &CRel, idx: &[usize], reserved: u64, reader: &DictReader) -> GroupIds {
-        if idx.is_empty() {
-            return GroupIds::One;
-        }
-        let direct = KeyPlan::resolve(answer, idx, answer, idx).and_then(|plan| {
-            let range = plan.range_fitting(reserved, |r| r.checked_mul(4))?;
-            Some((plan, range))
-        });
-        match direct {
-            Some((plan, range)) => GroupIds::Direct {
-                blk: plan.block(answer.len()),
-                plan,
-                table: vec![NO_GROUP; range],
-            },
-            None => GroupIds::Hashed {
-                hashes: cops::key_hashes(answer, idx, reader),
-                slots: vec![(0, NO_GROUP); 16],
-            },
-        }
-    }
-
-    /// Sets `gids[j]` to the group of row `rows.start + j`, opening each
-    /// group a row has first (its first row appended to `first_row`).
-    fn assign(
-        &mut self,
-        answer: &CRel,
-        idx: &[usize],
-        rows: Range<usize>,
-        first_row: &mut Vec<u32>,
-        gids: &mut [u32],
-        reader: &DictReader,
-    ) {
-        let lo = rows.start;
-        match self {
-            GroupIds::One => {
-                if first_row.is_empty() {
-                    first_row.push(lo as u32);
-                }
-                gids.fill(0);
-            }
-            GroupIds::Direct { plan, blk, table } => {
-                for (j, &k) in plan.pack(answer, idx, rows, blk).iter().enumerate() {
-                    let g = &mut table[k as usize];
-                    if *g == NO_GROUP {
-                        *g = first_row.len() as u32;
-                        first_row.push((lo + j) as u32);
-                    }
-                    gids[j] = *g;
-                }
-            }
-            GroupIds::Hashed { hashes, slots } => {
-                let same = |first_row: &[u32], i: usize, g: u32| {
-                    let j = first_row[g as usize] as usize;
-                    (idx.iter()).all(|&c| answer.column(c).eq_at(i, answer.column(c), j, reader))
-                };
-                for i in rows {
-                    let h = hashes[i];
-                    let mask = slots.len() - 1;
-                    let mut s = h as usize & mask;
-                    gids[i - lo] = loop {
-                        let (sh, g) = slots[s];
-                        if g == NO_GROUP {
-                            break NO_GROUP;
-                        }
-                        if sh == h && same(first_row, i, g) {
-                            break g;
-                        }
-                        s = (s + 1) & mask;
-                    };
-                    if gids[i - lo] == NO_GROUP {
-                        let g = first_row.len() as u32;
-                        slots[s] = (h, g);
-                        first_row.push(i as u32);
-                        gids[i - lo] = g;
-                        if 2 * first_row.len() > slots.len() {
-                            grow(slots);
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Doubles an open-addressed group table, re-placing its groups.
-fn grow(slots: &mut Vec<(u64, u32)>) {
-    let old = std::mem::replace(slots, vec![(0, NO_GROUP); 2 * slots.len()]);
-    let mask = slots.len() - 1;
-    for (h, g) in old.into_iter().filter(|&(_, g)| g != NO_GROUP) {
-        let mut s = h as usize & mask;
-        while slots[s].1 != NO_GROUP {
-            s = (s + 1) & mask;
-        }
-        slots[s] = (h, g);
-    }
 }
 
 /// A visible output item: its compiled expression (none for a grouping

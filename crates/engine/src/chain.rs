@@ -1,6 +1,7 @@
-//! The chained-index hash table shared by the columnar join kernels
-//! ([`crate::cops`]) and the spilled join's partitions
-//! ([`crate::spill`]).
+//! The chained-index hash tables of the columnar joins and key sets
+//! ([`crate::cops`]) and of the spilled join's partitions
+//! ([`crate::spill`]). Grouping rows by key takes no chain: it finds a
+//! row's group in `cops::GroupIds`.
 
 use crate::error::EvalError;
 use crate::keyplan::MISS;
@@ -70,13 +71,6 @@ impl ChainTable {
             }
             s = (s + 1) & self.mask;
         }
-    }
-
-    /// The row after `i` in its chain, or [`CHAIN_END`]. Cursor primitive
-    /// for the projections' chain walks ([`crate::cops::project`]).
-    #[inline]
-    pub(crate) fn next_row(&self, i: u32) -> u32 {
-        self.next[i as usize]
     }
 
     /// Iterates the chain for `hash`, calling `f` with each row index.

@@ -272,8 +272,8 @@ impl Column {
         }
     }
 
-    /// An all-valid `Int` column over `data` — how scans and seek joins
-    /// write `__rowid` without boxing a `Value` per row.
+    /// An all-valid `Int` column over `data` — how the kernels write
+    /// counts and products without boxing a `Value` per row.
     pub fn from_ints(data: Vec<i64>) -> Column {
         Column {
             data: ColumnData::Int(data),

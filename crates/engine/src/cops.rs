@@ -15,7 +15,7 @@
 //!   relative to the build side's minima. When that range fits in the
 //!   bytes the kernel has reserved anyway, the join runs on a
 //!   `DirectTable` indexed by packed key — no hashes, no verification —
-//!   and semijoin and distinct projection on a bitmap over it;
+//!   and semijoin on a bitmap over it;
 //! - when it does not fit, the join puts one exact bitmap per key column
 //!   in front of the hashed table and hashes only the probe rows that
 //!   pass all of them;
@@ -25,6 +25,12 @@
 //!   chained-index hash table, candidates verified by typed cell
 //!   comparisons ([`crate::column::Column::eq_at`], strings by `u32`
 //!   dictionary code).
+//!
+//! The distinct and the counted projection group rows by their key in
+//! `GroupIds`, the engine's one table from a key to its group, which
+//! the grouping kernel of [`crate::aggregate`] uses too: a direct table
+//! by packed key when it fits the reservation, else an open-addressed
+//! table over the key hashes.
 //!
 //! Every kernel first collects the matching `(build, probe)` row index
 //! pairs, charging the budget once per block of probe rows (`BLOCK`),
@@ -45,12 +51,11 @@ use crate::dict::{self, DictReader};
 use crate::error::{Budget, EvalError};
 use crate::hash::FxHashMap;
 use crate::index::{encode_cell, JoinIndex, SEEK_MARGIN};
-use crate::keyplan::{blocks, Bitmap, KeyPlan, BLOCK};
+use crate::keyplan::{blocks, Bitmap, KeyBlock, KeyPlan, BLOCK};
 use crate::spill::{
     self, join_build_bytes, join_build_reservation, Concat, SpillDir, SpillFile, SpillReader,
     MAX_SPILL_LEVEL,
 };
-use crate::value::Value;
 use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
@@ -92,7 +97,7 @@ impl JoinLayout {
 }
 
 /// `0..n` as a slice: borrowed for the short keys nearly every join has.
-fn iota(n: usize) -> Cow<'static, [usize]> {
+pub(crate) fn iota(n: usize) -> Cow<'static, [usize]> {
     const SHORT: [usize; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
     SHORT
         .get(..n)
@@ -341,12 +346,11 @@ const POS_BYTES: u64 = 4;
 /// one position list per input joined so far; each join gathers only the
 /// accumulator's key columns, runs the kernel the key calls for
 /// (`join_pairs`) and composes the lists with the pairs; each column
-/// that survives into `chi` is gathered once, at the end (`__rowid`
-/// straight from its list). Bytes charged: the position lists (4 B per
-/// row per input), the pair lists, and the final columns. A join whose
-/// build reservation is denied materializes both sides and takes the
-/// grace spill route of [`natural_join`]; its output is the accumulator
-/// from then on.
+/// that survives into `chi` is gathered once, at the end. Bytes charged:
+/// the position lists (4 B per row per input), the pair lists, and the
+/// final columns. A join whose build reservation is denied materializes
+/// both sides and takes the grace spill route of [`natural_join`]; its
+/// output is the accumulator from then on.
 ///
 /// An input that carries an index on a variable the accumulator holds
 /// (`select_atom` with `seek`) is joined by index seek instead when the
@@ -453,7 +457,7 @@ struct Positions<'a> {
 /// An input joined into [`Positions`]: its sources (as in [`Selection`])
 /// and the row of them each accumulator row reads (`None`: row `i` reads
 /// row `i`).
-type Joined<'a> = (Vec<Option<Cow<'a, Arc<Column>>>>, Option<Vec<u32>>);
+type Joined<'a> = (Vec<Cow<'a, Arc<Column>>>, Option<Vec<u32>>);
 
 impl<'a> Positions<'a> {
     /// The rows of `s` alone; `width` is the number of variables the
@@ -478,7 +482,7 @@ impl<'a> Positions<'a> {
     fn column(&self, k: usize) -> Cow<'_, Arc<Column>> {
         let (i, j) = self.vars[k].1;
         let (sources, rows) = &self.inputs[i];
-        read_source(sources[j].as_deref(), rows.as_deref(), self.len)
+        read_source(&sources[j], rows.as_deref())
     }
 
     /// Variables `idx`, gathered, as a relation, and the payload bytes
@@ -607,11 +611,9 @@ impl<'a> Positions<'a> {
         let reader = dict::reader();
         let agrees = |i: usize, r: u32| {
             keys.iter().enumerate().all(|(c, &(_, n))| {
-                let acc = acc_keys.column(c);
-                match next.sources[n].as_deref() {
-                    Some(col) => acc.eq_at(i, col, r as usize, &reader),
-                    None => acc.eq_value(i, &Value::Int(i64::from(r)), &reader),
-                }
+                acc_keys
+                    .column(c)
+                    .eq_at(i, &next.sources[n], r as usize, &reader)
             })
         };
         // Per distinct key, its kept rows as a range of `fetched`.
@@ -1173,56 +1175,7 @@ fn project_columns(
     }
     let names = idx.iter().map(|&c| a.cols()[c].clone()).collect();
     if distinct {
-        // Dedup state: the hash array plus the chained table over it —
-        // or, on a dense key, a bitmap over the packed keys that fits in
-        // the same bytes — reserved as one block and released once the
-        // kept indices are known.
-        let map_bytes = 8 * a.len() as u64 + ChainTable::byte_estimate(a.len());
-        budget.reserve_bytes(map_bytes)?;
-        let mut keep: Vec<u32> = Vec::with_capacity(a.len().min(BLOCK));
-        let mut keep_row = |i: usize| {
-            budget.charge(1)?;
-            budget.charge_bytes(4)?;
-            keep.push(i as u32);
-            Ok::<(), EvalError>(())
-        };
-        let dense = KeyPlan::resolve(a, &idx, a, &idx).and_then(|plan| {
-            let range = plan.range_fitting(map_bytes, Bitmap::byte_estimate)?;
-            Some((plan, range))
-        });
-        let run = || {
-            if let Some((plan, range)) = dense {
-                let mut seen = Bitmap::new(range as u64);
-                let mut blk = plan.block(a.len());
-                for rows in blocks(0..a.len()) {
-                    let lo = rows.start;
-                    for (j, &k) in plan.pack(a, &idx, rows, &mut blk).iter().enumerate() {
-                        if seen.insert(k) {
-                            keep_row(lo + j)?;
-                        }
-                    }
-                }
-            } else {
-                let reader = dict::reader();
-                let hashes = key_hashes(a, &idx, &reader);
-                let table = ChainTable::build(a.len(), |i| hashes[i]);
-                for (i, &h) in hashes.iter().enumerate() {
-                    // Chains ascend and row `i` is on its own chain: it
-                    // repeats a key iff a row ahead of it there holds it.
-                    let mut j = table.head(h) as usize;
-                    while j < i && !rows_key_eq(a, i, a, j, &idx, &idx, &reader) {
-                        j = table.next_row(j as u32) as usize;
-                    }
-                    if j == i {
-                        keep_row(i)?;
-                    }
-                }
-            }
-            Ok(())
-        };
-        let result: Result<(), EvalError> = run();
-        budget.uncharge_bytes(map_bytes);
-        result?;
+        let keep = group_rows(a, &idx, distinct_bytes(a.len()), budget, |_, _| Ok(()))?;
         let columns = idx
             .iter()
             .map(|&c| Arc::new(a.column(c).gather(&keep)))
@@ -1241,8 +1194,8 @@ fn project_columns(
 /// rows, each kept at its first occurrence, in input order, with a
 /// [`COUNT`] column holding the summed `counts` of the rows each stands
 /// for (every row counts 1 without `counts`). Charges what the distinct
-/// projection charges, and reserves 4 more bytes per row for the row →
-/// kept-row map. A sum past `u64` is [`EvalError::CountOverflow`].
+/// projection charges, and reserves 4 more bytes per row toward the
+/// sums. A sum past `u64` is [`EvalError::CountOverflow`].
 fn sum_counts(
     a: &CRel,
     idx: Vec<usize>,
@@ -1250,67 +1203,16 @@ fn sum_counts(
     budget: &mut Budget,
 ) -> Result<CRel, EvalError> {
     let n = a.len();
-    let map_bytes = 12 * n as u64 + ChainTable::byte_estimate(n);
-    budget.reserve_bytes(map_bytes)?;
-    let mut keep: Vec<u32> = Vec::with_capacity(n.min(BLOCK));
     let mut sums: Vec<u64> = Vec::with_capacity(n.min(BLOCK));
-    let count = |i: usize| counts.map_or(1, |c| c[i] as u64);
-    let mut add = |slot: u32, i: usize, keep: &mut Vec<u32>, budget: &mut Budget| {
-        if slot as usize == keep.len() {
-            budget.charge(1)?;
-            budget.charge_bytes(4)?;
-            keep.push(i as u32);
+    let keep = group_rows(a, &idx, distinct_bytes(n) + 4 * n as u64, budget, |i, g| {
+        if g as usize == sums.len() {
             sums.push(0);
         }
-        let sum = &mut sums[slot as usize];
-        *sum = sum.checked_add(count(i)).ok_or(EvalError::CountOverflow)?;
-        Ok::<(), EvalError>(())
-    };
-    // A direct table from packed key to kept row where the key has a plan
-    // whose range fits the reservation, else chains over the key hashes.
-    let dense = KeyPlan::resolve(a, &idx, a, &idx).and_then(|plan| {
-        let range = plan.range_fitting(map_bytes, |r| r.checked_mul(4))?;
-        Some((plan, range))
-    });
-    let run = || {
-        if let Some((plan, range)) = dense {
-            let mut slots = vec![u32::MAX; range];
-            let mut blk = plan.block(n);
-            for rows in blocks(0..n) {
-                let lo = rows.start;
-                for (j, &k) in plan.pack(a, &idx, rows, &mut blk).iter().enumerate() {
-                    let slot = &mut slots[k as usize];
-                    if *slot == u32::MAX {
-                        *slot = keep.len() as u32;
-                    }
-                    add(*slot, lo + j, &mut keep, budget)?;
-                }
-            }
-        } else {
-            let reader = dict::reader();
-            let hashes = key_hashes(a, &idx, &reader);
-            let table = ChainTable::build(n, |i| hashes[i]);
-            let mut slot_of = vec![0u32; n];
-            for (i, &h) in hashes.iter().enumerate() {
-                // Chains ascend and row `i` is on its own chain: the first
-                // row there holding its key is the one kept for it.
-                let mut j = table.head(h) as usize;
-                while j < i && !rows_key_eq(a, i, a, j, &idx, &idx, &reader) {
-                    j = table.next_row(j as u32) as usize;
-                }
-                slot_of[i] = if j == i {
-                    keep.len() as u32
-                } else {
-                    slot_of[j]
-                };
-                add(slot_of[i], i, &mut keep, budget)?;
-            }
-        }
+        let count = counts.map_or(1, |c| c[i] as u64);
+        let sum = &mut sums[g as usize];
+        *sum = sum.checked_add(count).ok_or(EvalError::CountOverflow)?;
         Ok(())
-    };
-    let result: Result<(), EvalError> = run();
-    budget.uncharge_bytes(map_bytes);
-    result?;
+    })?;
     let names = (idx.iter().map(|&c| a.cols()[c].clone())).chain([COUNT.into()]);
     let columns = (idx.iter().map(|&c| Arc::new(a.column(c).gather(&keep))))
         .chain([Arc::new(Column::from_ints(
@@ -1320,6 +1222,185 @@ fn sum_counts(
     let out = CRel::new(names.collect(), columns, keep.len());
     budget.charge_bytes(crel_payload_bytes(&out))?;
     Ok(out)
+}
+
+/// The bytes a distinct projection of `n` rows reserves for its group
+/// table: the key hashes and `ChainTable::byte_estimate(n)`, room for a
+/// hashed [`GroupIds`] of `2n` slots, which then never grows.
+pub(crate) fn distinct_bytes(n: usize) -> u64 {
+    8 * n as u64 + ChainTable::byte_estimate(n)
+}
+
+/// The first row of each group of `a`'s rows by their key over `idx`,
+/// in input order — the rows a distinct projection keeps. Each group is
+/// charged one tuple and 4 bytes when its first row comes, before `each`
+/// sees that row ([`GroupIds::assign`]). The group table lives in
+/// `map_bytes` reserved up front and released once the groups are known.
+fn group_rows(
+    a: &CRel,
+    idx: &[usize],
+    map_bytes: u64,
+    budget: &mut Budget,
+    mut each: impl FnMut(usize, u32) -> Result<(), EvalError>,
+) -> Result<Vec<u32>, EvalError> {
+    budget.reserve_bytes(map_bytes)?;
+    let reader = dict::reader();
+    let mut ids = GroupIds::new(a, idx, map_bytes, &reader);
+    let mut first_row: Vec<u32> = Vec::with_capacity(a.len().min(BLOCK));
+    let mut groups = 0;
+    let result = blocks(0..a.len()).try_for_each(|rows| {
+        ids.assign(a, idx, rows, &mut first_row, &reader, |i, g| {
+            if g == groups {
+                groups += 1;
+                budget.charge(1)?;
+                budget.charge_bytes(4)?;
+            }
+            each(i, g)
+        })
+    });
+    budget.uncharge_bytes(map_bytes);
+    result.map(|()| first_row)
+}
+
+/// A slot of a group table that holds no group.
+const NO_GROUP: u32 = u32::MAX;
+
+/// The engine's one table from a key to its group: the group of each row
+/// of a relation by its key columns, groups numbered in the order their
+/// first rows come. The distinct projection keeps each group's first row,
+/// the counted projection ([`COUNT`]) sums each group's counts, and the
+/// grouping kernel of [`crate::aggregate`] feeds each group's aggregates.
+/// (One per call, on the stack: the key plan's size is not worth a box.)
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum GroupIds {
+    /// No key column: one group.
+    One,
+    /// The key columns have a key plan whose packed range fits the
+    /// caller's reservation at 4 bytes a key: a direct table from packed
+    /// key to group.
+    Direct {
+        plan: KeyPlan,
+        blk: KeyBlock,
+        table: Vec<u32>,
+    },
+    /// Any other key: every row's key hash, and an open-addressed table
+    /// of `(hash, group)` probed linearly, at most half full; a candidate
+    /// is verified against the group's first row.
+    Hashed {
+        hashes: Vec<u64>,
+        slots: Vec<(u64, u32)>,
+    },
+}
+
+impl GroupIds {
+    /// The table for `rel`'s key columns `idx`, sized from the `reserved`
+    /// bytes the caller holds for it. The hashed table starts with the
+    /// slots the reservation holds past the key hashes (8 bytes a row) —
+    /// a power of two, at least 16, and no more than every row opening a
+    /// group needs — and doubles when half full.
+    pub(crate) fn new(rel: &CRel, idx: &[usize], reserved: u64, reader: &DictReader) -> GroupIds {
+        if idx.is_empty() {
+            return GroupIds::One;
+        }
+        let direct = KeyPlan::resolve(rel, idx, rel, idx).and_then(|plan| {
+            let range = plan.range_fitting(reserved, |r| r.checked_mul(4))?;
+            Some((plan, range))
+        });
+        match direct {
+            Some((plan, range)) => GroupIds::Direct {
+                blk: plan.block(rel.len()),
+                plan,
+                table: vec![NO_GROUP; range],
+            },
+            None => {
+                let n = rel.len();
+                let slot = std::mem::size_of::<(u64, u32)>() as u64;
+                let held = reserved.saturating_sub(8 * n as u64) / slot;
+                let fits = ((held + 1).next_power_of_two() / 2) as usize;
+                let cap = fits.min((2 * n).next_power_of_two()).max(16);
+                GroupIds::Hashed {
+                    hashes: key_hashes(rel, idx, reader),
+                    slots: vec![(0, NO_GROUP); cap],
+                }
+            }
+        }
+    }
+
+    /// Hands `each` the group of every row of `rows` (at most one
+    /// [`BLOCK`]), in order, opening the groups rows have first: a new
+    /// group's id is the number of groups before it, and its first row is
+    /// appended to `first_row` before `each` sees it. Stops at `each`'s
+    /// first error.
+    pub(crate) fn assign(
+        &mut self,
+        rel: &CRel,
+        idx: &[usize],
+        rows: Range<usize>,
+        first_row: &mut Vec<u32>,
+        reader: &DictReader,
+        mut each: impl FnMut(usize, u32) -> Result<(), EvalError>,
+    ) -> Result<(), EvalError> {
+        let lo = rows.start;
+        match self {
+            GroupIds::One => {
+                if first_row.is_empty() && !rows.is_empty() {
+                    first_row.push(lo as u32);
+                }
+                for i in rows {
+                    each(i, 0)?;
+                }
+            }
+            GroupIds::Direct { plan, blk, table } => {
+                for (j, &k) in plan.pack(rel, idx, rows, blk).iter().enumerate() {
+                    let g = &mut table[k as usize];
+                    if *g == NO_GROUP {
+                        *g = first_row.len() as u32;
+                        first_row.push((lo + j) as u32);
+                    }
+                    each(lo + j, *g)?;
+                }
+            }
+            GroupIds::Hashed { hashes, slots } => {
+                for i in rows {
+                    let h = hashes[i];
+                    let mask = slots.len() - 1;
+                    let mut s = h as usize & mask;
+                    let g = loop {
+                        let (sh, g) = slots[s];
+                        if g == NO_GROUP {
+                            let g = first_row.len() as u32;
+                            slots[s] = (h, g);
+                            first_row.push(i as u32);
+                            if 2 * first_row.len() > slots.len() {
+                                grow(slots);
+                            }
+                            break g;
+                        }
+                        let first = first_row[g as usize] as usize;
+                        if sh == h && rows_key_eq(rel, i, rel, first, idx, idx, reader) {
+                            break g;
+                        }
+                        s = (s + 1) & mask;
+                    };
+                    each(i, g)?;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Doubles an open-addressed group table, re-placing its groups.
+fn grow(slots: &mut Vec<(u64, u32)>) {
+    let old = std::mem::replace(slots, vec![(0, NO_GROUP); 2 * slots.len()]);
+    let mask = slots.len() - 1;
+    for (h, g) in old.into_iter().filter(|&(_, g)| g != NO_GROUP) {
+        let mut s = h as usize & mask;
+        while slots[s].1 != NO_GROUP {
+            s = (s + 1) & mask;
+        }
+        slots[s] = (h, g);
+    }
 }
 
 /// Projects onto the intersection of `a`'s columns and `vars`, with
@@ -1681,6 +1762,221 @@ mod tests {
             assert_eq!(variants(&got), variants(&want));
             assert_eq!(rows(&got), rows(&want));
             assert_eq!(spill.charged(), mem.charged());
+        }
+    }
+
+    /// A splitmix64 stream: the one-table suite's source of randomness.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+            xs[self.below(xs.len() as u64) as usize]
+        }
+    }
+
+    /// Key kinds: `int`, `date` and `str` are packed (the direct table
+    /// when their range fits), the rest hashed: a sparse `Int` range,
+    /// `Float` (`-0.0`/`0.0` and NaNs of two payloads share a group, so
+    /// which row a group keeps shows in the bits), NULLs, `Mixed`.
+    const KINDS: [&str; 7] = [
+        "int",
+        "date",
+        "str",
+        "int_sparse",
+        "float",
+        "nulls",
+        "mixed",
+    ];
+
+    /// Key `k` of a column of `kind`, at row `i`.
+    fn key_cell(kind: &str, k: u64, i: usize) -> Value {
+        let nan2 = f64::from_bits(f64::NAN.to_bits() ^ 1);
+        match kind {
+            "int" => Value::Int(k as i64 - 3),
+            "date" => Value::Date(9_000 + k as i32),
+            "str" => Value::str(&format!("g{k}")),
+            "int_sparse" => Value::Int(k as i64 * 1_000_003),
+            "float" => match k {
+                0 => Value::Float([0.0, -0.0][i % 2]),
+                1 => Value::Float([f64::NAN, nan2][i % 2]),
+                k => Value::Float(k as f64 * 0.5),
+            },
+            "nulls" if k == 0 => Value::Null,
+            "nulls" => Value::Int(k as i64),
+            _ if k.is_multiple_of(2) => Value::Int(k as i64),
+            _ => Value::str(&format!("m{k}")),
+        }
+    }
+
+    /// Row `i`'s cells over `idx`, floats by their bits.
+    fn cells(r: &CRel, i: usize, idx: &[usize], reader: &DictReader) -> Vec<String> {
+        (idx.iter()
+            .map(|&c| match r.column(c).value_with(i, reader) {
+                Value::Float(x) => format!("F{:x}", x.to_bits()),
+                v => format!("{v:?}"),
+            }))
+        .collect()
+    }
+
+    /// What a projection of `a` onto `idx` must give, by a `Vec` scan: the
+    /// first row of each key (in input order), each key's summed count,
+    /// and the groups opened — or, where a sum passes `u64`, the groups
+    /// opened up to that row.
+    fn first_occurrences(
+        a: &CRel,
+        idx: &[usize],
+        counts: Option<&[i64]>,
+    ) -> (Vec<u32>, Result<Vec<u64>, usize>) {
+        let rows = a.to_vrel();
+        let key = |i: usize| idx.iter().map(|&c| rows.rows()[i][c].clone()).collect();
+        let mut seen: Vec<(Vec<Value>, u64)> = Vec::new();
+        let mut first = Vec::new();
+        for i in 0..a.len() {
+            let k: Vec<Value> = key(i);
+            let g = match seen.iter().position(|(s, _)| *s == k) {
+                Some(g) => g,
+                None => {
+                    seen.push((k, 0));
+                    first.push(i as u32);
+                    seen.len() - 1
+                }
+            };
+            let add = counts.map_or(1, |c| c[i] as u64);
+            match seen[g].1.checked_add(add) {
+                Some(sum) => seen[g].1 = sum,
+                None => return (first, Err(seen.len())),
+            }
+        }
+        (first, Ok(seen.into_iter().map(|(_, sum)| sum).collect()))
+    }
+
+    /// One case: its relation (key columns first, then the row number
+    /// `p`), the key columns and, for a counted case, the counts.
+    fn one_table_case(g: &mut Gen) -> (CRel, Vec<usize>, Option<Vec<i64>>) {
+        let n = g.pick(&[0usize, 1, 2, 9, 70, 600, 4_200, 9_000]);
+        let width = g.pick(&[0usize, 1, 1, 1, 2]);
+        // Few keys over any number of rows, or (up to 600 rows) about as
+        // many keys as rows: a table that must hold many groups.
+        let keys = match n {
+            0..=600 if g.below(2) == 0 => n as u64 + 1,
+            _ => 1 + g.below(12),
+        };
+        let kinds: Vec<&str> = (0..width).map(|_| g.pick(&KINDS)).collect();
+        let cols = (0..width).map(|c| format!("k{c}")).chain(["p".into()]);
+        let rows = (0..n)
+            .map(|i| {
+                let k = (kinds.iter()).map(|kind| key_cell(kind, g.below(keys), i));
+                k.chain([Value::Int(i as i64)]).collect()
+            })
+            .collect();
+        let a = CRel::from_vrel(&VRelation::from_rows(cols.collect(), rows));
+        let counts = (g.below(2) == 0).then(|| {
+            let huge = g.below(4) == 0;
+            (0..n)
+                .map(|_| match g.below(50) {
+                    0 if huge => i64::MAX,
+                    c => 1 + c as i64 % 4,
+                })
+                .collect()
+        });
+        (a, (0..width).collect(), counts)
+    }
+
+    /// The distinct and the counted projection find a row's group in the
+    /// one table, `GroupIds`, whichever way it goes: no key, packed keys
+    /// (the direct table), `Float`/NULL/`Mixed`/sparse keys (the hashed
+    /// table), many groups (presized) and few, past one block of rows.
+    /// Each must give what a first-occurrence `Vec` scan gives: the kept
+    /// rows (floats by their bits) in order, the summed counts or the
+    /// overflow, and `charged()` — one tuple per group opened.
+    #[test]
+    fn projections_over_the_one_table_match_a_first_occurrence_scan() {
+        let cases = 120;
+        // No key, direct, hashed with few groups, hashed with many,
+        // counted, overflowed, past one block.
+        let mut seen = [0usize; 7];
+        for case in 0..cases {
+            let mut g = Gen(case);
+            let (a, idx, counts) = one_table_case(&mut g);
+            let reader = dict::reader();
+            let map_bytes = distinct_bytes(a.len());
+            let (want_rows, _) = first_occurrences(&a, &idx, None);
+            let (_, want_sums) = first_occurrences(&a, &idx, counts.as_deref());
+            match GroupIds::new(&a, &idx, map_bytes, &reader) {
+                GroupIds::One => seen[0] += 1,
+                GroupIds::Direct { .. } => seen[1] += 1,
+                GroupIds::Hashed { .. } if want_rows.len() <= 8 => seen[2] += 1,
+                GroupIds::Hashed { .. } => seen[3] += 1,
+            }
+            seen[4] += counts.is_some() as usize;
+            seen[5] += want_sums.is_err() as usize;
+            seen[6] += (a.len() > BLOCK) as usize;
+            drop(reader);
+
+            let mut budget = Budget::unlimited();
+            let kept = group_rows(&a, &idx, map_bytes, &mut budget, |_, _| Ok(())).unwrap();
+            assert_eq!(kept, want_rows, "case {case}: kept rows");
+
+            let input = match &counts {
+                Some(c) => a.clone().with_counts(c.clone()),
+                None => a.clone(),
+            };
+            let mut budget = Budget::unlimited();
+            let got = project_columns(&input, idx.clone(), true, &mut budget);
+            match (got, &want_sums) {
+                (Ok(got), Ok(sums)) => {
+                    let reader = dict::reader();
+                    let out_idx: Vec<usize> = (0..idx.len()).collect();
+                    let rows: Vec<_> = (0..got.len())
+                        .map(|i| cells(&got, i, &out_idx, &reader))
+                        .collect();
+                    let want: Vec<_> = (want_rows.iter())
+                        .map(|&r| cells(&a, r as usize, &idx, &reader))
+                        .collect();
+                    assert_eq!(rows, want, "case {case}: rows");
+                    match &counts {
+                        Some(_) => assert_eq!(
+                            got.counts()
+                                .unwrap()
+                                .iter()
+                                .map(|&c| c as u64)
+                                .collect::<Vec<_>>(),
+                            *sums,
+                            "case {case}: sums"
+                        ),
+                        None => assert_eq!(got.counts(), None, "case {case}"),
+                    }
+                    assert_eq!(budget.charged(), want_rows.len() as u64, "case {case}");
+                }
+                (Err(EvalError::CountOverflow), Err(groups)) if counts.is_some() => {
+                    assert_eq!(budget.charged(), *groups as u64, "case {case}: overflow");
+                }
+                (got, _) => panic!("case {case}: {:?}", got.map(|r| r.len())),
+            }
+        }
+        let what = [
+            "no key",
+            "the direct table",
+            "the hashed table, few groups",
+            "the hashed table, many groups",
+            "counted inputs",
+            "overflowed sums",
+            "inputs past one block",
+        ];
+        for (n, what) in seen.iter().zip(what) {
+            assert!(*n >= 3, "{n} of {cases} cases reach {what}");
         }
     }
 }

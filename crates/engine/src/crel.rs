@@ -211,9 +211,8 @@ impl CRel {
 }
 
 /// A relation as the columns it reads and the rows of them it keeps.
-/// Variable `vars[j]` reads column `sources[j]`, or — where that is
-/// `None`, the hidden `__rowid` — the kept row's own position in those
-/// columns. `rows` lists the kept rows, ascending; `None` keeps every row.
+/// Variable `vars[j]` reads column `sources[j]`. `rows` lists the kept
+/// rows, ascending; `None` keeps every row.
 /// A selection borrows the columns of the relation it was selected from
 /// (no reference count moves until a column is shared into an output),
 /// and its names from the plan where there is one.
@@ -225,7 +224,7 @@ impl CRel {
 #[derive(Clone, Debug)]
 pub struct Selection<'a> {
     pub(crate) vars: Cow<'a, [Name]>,
-    pub(crate) sources: Vec<Option<Cow<'a, Arc<Column>>>>,
+    pub(crate) sources: Vec<Cow<'a, Arc<Column>>>,
     pub(crate) rows: Option<Vec<u32>>,
     pub(crate) len: usize,
     /// `(variable, index over its column)`, ascending by variable.
@@ -277,7 +276,7 @@ impl Selection<'_> {
 
     /// Variable `j` over the kept rows (see [`read_source`]).
     pub(crate) fn column(&self, j: usize) -> Cow<'_, Arc<Column>> {
-        read_source(self.sources[j].as_deref(), self.rows.as_deref(), self.len)
+        read_source(&self.sources[j], self.rows.as_deref())
     }
 
     /// The kept rows as a relation — one gather per column, none where
@@ -304,7 +303,7 @@ impl From<CRel> for Selection<'static> {
         let (vars, columns, len) = rel.into_parts();
         Selection {
             vars: vars.into(),
-            sources: columns.into_iter().map(|c| Some(Cow::Owned(c))).collect(),
+            sources: columns.into_iter().map(Cow::Owned).collect(),
             rows: None,
             len,
             indexes: Vec::new(),
@@ -323,20 +322,15 @@ pub(crate) fn count_cells(col: &Column) -> &[i64] {
     }
 }
 
-/// Column `source` (`None`: the row positions themselves) read at `rows`,
-/// or at every one of its `len` rows when `rows` is `None`: the column
-/// itself, borrowed, or a new one.
+/// Column `source` read at `rows`, or at every row when `rows` is
+/// `None`: the column itself, borrowed, or a new one.
 pub(crate) fn read_source<'s>(
-    source: Option<&'s Arc<Column>>,
+    source: &'s Arc<Column>,
     rows: Option<&[u32]>,
-    len: usize,
 ) -> Cow<'s, Arc<Column>> {
-    let ints = |v: Vec<i64>| Cow::Owned(Arc::new(Column::from_ints(v)));
-    match (source, rows) {
-        (Some(col), None) => Cow::Borrowed(col),
-        (Some(col), Some(rows)) => Cow::Owned(Arc::new(col.gather(rows))),
-        (None, None) => ints((0..len as i64).collect()),
-        (None, Some(rows)) => ints(rows.iter().map(|&i| i64::from(i)).collect()),
+    match rows {
+        None => Cow::Borrowed(source),
+        Some(rows) => Cow::Owned(Arc::new(source.gather(rows))),
     }
 }
 

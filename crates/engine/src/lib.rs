@@ -20,8 +20,7 @@
 //! - [`vrel::VRelation`]: the row form answers are handed to clients in,
 //!   with [`vrel::nested_loop_join`], the reference the columnar join is
 //!   tested against;
-//! - [`scan`]: atom scans with selection push-down and the hidden
-//!   `__rowid` column;
+//! - [`scan`]: atom scans with selection push-down;
 //! - [`aggregate`]: GROUP BY / aggregate finalization (step (4) of the
 //!   paper's evaluation pipeline);
 //! - [`spill`]: the Grace spill path of joins and aggregation under a

@@ -1,7 +1,6 @@
 //! Atom scans: turn a stored relation into an intermediate relation over
 //! the atom's query variables, applying the atom's constant filters
-//! (selection push-down) and materializing the hidden `__rowid` column when
-//! the query names it.
+//! (selection push-down).
 //!
 //! The scan is columnar end to end ([`scan_atom_c`]) and costs what its
 //! filters cost, not what its width costs: each filter runs as a typed
@@ -14,40 +13,39 @@
 //! the stored columns and the selection vector to the vertex join
 //! ([`crate::cops::join_vertex`]).
 
+use crate::column::Column;
 use crate::crel::{CRel, Name, Selection};
 use crate::dict;
 use crate::error::{Budget, EvalError};
 use crate::relation::Relation;
 use crate::schema::Database;
 use crate::value::Value;
-use htqo_cq::isolator::ROWID_COLUMN;
 use htqo_cq::{Atom, CmpOp, ConjunctiveQuery, Filter};
 use std::borrow::Cow;
 use std::sync::Arc;
 
 /// An atom resolved against its stored relation: what to filter on and
 /// where each output variable comes from.
-struct AtomLayout {
+struct AtomLayout<'r> {
     /// Constant filters as `(column index, op, constant)`.
     filters: Vec<(usize, CmpOp, Value)>,
-    /// Where each distinct output variable, in first-occurrence order,
-    /// reads: a column of the base relation, or (`None`) the hidden row
-    /// identifier.
-    sources: Vec<Option<usize>>,
+    /// The stored column each distinct output variable, in
+    /// first-occurrence order, reads.
+    sources: Vec<Cow<'r, Arc<Column>>>,
     /// Column pairs a repeated variable (e.g. `r(X, X)`) forces equal.
     equalities: Vec<(usize, usize)>,
 }
 
-impl AtomLayout {
+impl<'r> AtomLayout<'r> {
     /// Resolves `atom`, whose distinct variables are `vars` (in
     /// first-occurrence order), and `filters` (which must all belong to
     /// the atom) against `rel`'s schema.
     fn resolve(
-        rel: &Relation,
+        rel: &'r Relation,
         atom: &Atom,
         vars: &[Name],
         filters: &[&Filter],
-    ) -> Result<AtomLayout, EvalError> {
+    ) -> Result<AtomLayout<'r>, EvalError> {
         let index_of = |column: &String| {
             rel.schema()
                 .index_of(column)
@@ -61,23 +59,16 @@ impl AtomLayout {
             .map(|f| Ok((index_of(&f.column)?, f.op, Value::from(&f.value))))
             .collect::<Result<_, EvalError>>()?;
 
-        let mut sources: Vec<Option<usize>> = Vec::with_capacity(vars.len());
+        let mut sources = Vec::with_capacity(vars.len());
         let mut equalities: Vec<(usize, usize)> = Vec::new();
         for (column, var) in &atom.args {
-            let src = if column == ROWID_COLUMN {
-                None
-            } else {
-                Some(index_of(column)?)
-            };
-            let seen = &vars[..sources.len()];
-            if let Some(pos) = seen.iter().position(|v| **v == **var) {
-                // Rowid repetition cannot add a constraint (it is unique).
-                if let (Some(a), Some(b)) = (sources[pos], src) {
-                    equalities.push((a, b));
-                }
+            let src = index_of(column)?;
+            if vars[..sources.len()].iter().any(|v| **v == **var) {
+                let (first, _) = (atom.args.iter()).find(|(_, v)| v == var).expect("seen");
+                equalities.push((index_of(first)?, src));
             } else {
                 assert_eq!(vars.get(sources.len()).map(|v| &**v), Some(&**var));
-                sources.push(src);
+                sources.push(Cow::Borrowed(rel.shared_column(src)));
             }
         }
         assert_eq!(sources.len(), vars.len(), "the atom's variables");
@@ -116,7 +107,7 @@ pub fn atom_names(atom: &Atom) -> Vec<Name> {
 
 /// The scan before its gather: the stored columns `atom`'s variables read
 /// and the rows that pass `filters` and the atom's repeated-variable
-/// equalities (`__rowid` reads the row positions). `vars` names the
+/// equalities. `vars` names the
 /// atom's distinct variables in first-occurrence order ([`atom_names`],
 /// or the plan's shared names); they become the selection's. Charges one
 /// tuple per surviving row and no bytes; whoever keeps the selection
@@ -156,9 +147,10 @@ pub fn select_atom<'d>(
     let sel = sel.filter(|s| s.len() < rel.len());
     let n = sel.as_ref().map_or(rel.len(), Vec::len);
 
-    let indexes: Vec<_> = (layout.sources.iter().enumerate())
-        .filter_map(|(j, s)| {
-            let column = &rel.schema().columns()[(*s).filter(|_| seek)?].name;
+    let indexes: Vec<_> = (vars.iter().enumerate())
+        .filter(|_| seek)
+        .filter_map(|(j, v)| {
+            let (column, _) = atom.args.iter().find(|(_, w)| **w == **v)?;
             Some((j, Arc::clone(db.index_on(&atom.relation, column)?)))
         })
         .collect();
@@ -169,13 +161,9 @@ pub fn select_atom<'d>(
         n as u64
     };
 
-    // Reuses the layout's list: the two element types are the same size.
-    let sources = (layout.sources.into_iter())
-        .map(|s| Some(Cow::Borrowed(rel.shared_column(s?))))
-        .collect();
     Ok(Selection {
         vars,
-        sources,
+        sources: layout.sources,
         rows: sel,
         len: n,
         indexes,
@@ -273,20 +261,6 @@ mod tests {
         // Only rows with a == b survive.
         assert_eq!(v.len(), 2);
         assert_eq!(v.cols(), &["X".to_string()]);
-    }
-
-    #[test]
-    fn rowid_column_materializes_indices() {
-        let q = CqBuilder::new()
-            .atom("r", "r", &[("a", "X"), (ROWID_COLUMN, "RID")])
-            .out_var("X")
-            .build();
-        let mut budget = Budget::unlimited();
-        let v = scan_query_atom_c(&db(), &q, AtomId(0), &mut budget)
-            .unwrap()
-            .to_vrel();
-        assert_eq!(v.len(), 3);
-        assert_eq!(v.value(2, "RID"), Some(&Value::Int(2)));
     }
 
     #[test]

@@ -367,6 +367,7 @@ fn q8_vertex(extra: usize) -> Q8Vertex {
         .map(|c| (c.to_string(), ColumnType::Int))
         .collect();
     lineitem.push(("l_extendedprice".into(), ColumnType::Float));
+    lineitem.push(("l_id".into(), ColumnType::Int));
     lineitem.extend((0..extra).map(|w| (format!("l_extra{w}"), ColumnType::Int)));
     let cols: Vec<(&str, ColumnType)> = lineitem.iter().map(|(c, t)| (c.as_str(), *t)).collect();
     db.insert_table(
@@ -376,6 +377,7 @@ fn q8_vertex(extra: usize) -> Q8Vertex {
             1 => Value::Int(i % 200),
             2 => Value::Int(i / 4),
             3 => Value::Float(i as f64 * 0.5),
+            4 => Value::Int(i),
             _ => Value::Int(i + c as i64),
         }),
     );
@@ -392,11 +394,11 @@ fn q8_vertex(extra: usize) -> Q8Vertex {
         ("l_suppkey", "S"),
         ("l_orderkey", "O"),
         ("l_extendedprice", "EP"),
+        ("l_id", "RID"),
     ]
     .iter()
     .map(|(c, v)| (c.to_string(), v.to_string()))
     .collect();
-    l_args.push((htqo_cq::isolator::ROWID_COLUMN.into(), "RID".into()));
     l_args.extend((0..extra).map(|w| (format!("l_extra{w}"), format!("W{w}"))));
     let l_args: Vec<(&str, &str)> = l_args
         .iter()

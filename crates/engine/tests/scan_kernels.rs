@@ -6,7 +6,6 @@
 //! `cmp_matches(op, cmp_value(..))` and every repeated variable through
 //! `eq_at`. Rows, their order, and the tuple charge must agree exactly.
 
-use htqo_cq::isolator::ROWID_COLUMN;
 use htqo_cq::{Atom, AtomId, CmpOp, Filter, Literal};
 use htqo_engine::column::Column;
 use htqo_engine::crel::CRel;
@@ -85,9 +84,10 @@ fn relation_of(rows: &[RowSpec]) -> Relation {
         ("s", ColumnType::Str),
         ("t", ColumnType::Str),
         ("d", ColumnType::Date),
+        ("id", ColumnType::Int),
     ]));
     let cell = |v: Option<Value>| v.unwrap_or(Value::Null);
-    rel.extend_rows(rows.iter().map(|(i, j, f, s, t, d)| {
+    rel.extend_rows(rows.iter().enumerate().map(|(r, (i, j, f, s, t, d))| {
         vec![
             cell(i.map(Value::Int)),
             cell(j.map(Value::Int)),
@@ -95,6 +95,7 @@ fn relation_of(rows: &[RowSpec]) -> Relation {
             cell(s.as_deref().map(Value::str)),
             cell(t.as_deref().map(Value::str)),
             cell(d.map(Value::Date)),
+            Value::Int(r as i64),
         ]
     }))
     .unwrap();
@@ -116,7 +117,8 @@ fn arb_literal() -> impl Strategy<Value = Literal> {
     ]
 }
 
-/// The columns of [`relation_of`].
+/// The columns of [`relation_of`] filters are drawn on (all but its key,
+/// `id`, the row's position).
 const COLUMNS: [&str; 6] = ["i", "j", "f", "s", "t", "d"];
 
 /// A filter on any column. Four times in five the constant is one the
@@ -184,10 +186,7 @@ fn reference_scan(rel: &Relation, atom: &Atom, filters: &[Filter]) -> Vec<Row> {
         if keep {
             let row: Vec<Value> = out
                 .iter()
-                .map(|(column, _)| match *column {
-                    ROWID_COLUMN => Value::Int(r as i64),
-                    c => col(c).value_with(r, &reader),
-                })
+                .map(|(column, _)| col(column).value_with(r, &reader))
                 .collect();
             rows.push(row.into_boxed_slice());
         }
@@ -246,13 +245,13 @@ proptest! {
     /// the same tuple charge, over typed columns with NULLs, NaN/±0.0,
     /// duplicate and never-interned strings, every operator, Int-vs-Float
     /// and type-mismatched constants, 0–3 filters, repeated variables and
-    /// `__rowid`.
+    /// the key column.
     #[test]
     fn scan_kernels_match_reference(
         rows in prop::collection::vec(arb_row(), 0..40),
         filters in prop::collection::vec(arb_filter(), 0..4),
         repeat in 0u32..6,
-        rowid in any::<bool>(),
+        key in any::<bool>(),
     ) {
         let (repeat_int, repeat_str) = (repeat == 0, repeat == 1);
         let mut args: Vec<(String, String)> = vec![
@@ -260,8 +259,8 @@ proptest! {
             ("f".into(), "F".into()),
             ("s".into(), "S".into()),
         ];
-        if rowid {
-            args.push((ROWID_COLUMN.into(), "RID".into()));
+        if key {
+            args.push(("id".into(), "RID".into()));
         }
         args.push(("j".into(), if repeat_int { "I" } else { "J" }.into()));
         args.push(("t".into(), if repeat_str { "S" } else { "T" }.into()));
@@ -377,18 +376,6 @@ fn unfiltered_scan_shares_storage_and_charges_no_bytes() {
     let out = scan_atom_c(&db, &atom(&[("name", "N")]), &[&keep_all], &mut budget).unwrap();
     assert!(Arc::ptr_eq(&out.columns()[0], rel.shared_column(1)));
     assert_eq!(budget.mem_used(), 0);
-
-    // `__rowid` is the one column an unfiltered scan has to write.
-    let out = scan_atom_c(
-        &db,
-        &atom(&[("k", "K"), (ROWID_COLUMN, "RID")]),
-        &[],
-        &mut budget,
-    )
-    .unwrap();
-    assert!(Arc::ptr_eq(&out.columns()[0], rel.shared_column(0)));
-    assert_eq!(out.column(1).value(99), Value::Int(99));
-    assert_eq!(budget.mem_used(), 100 * 8);
 }
 
 #[test]

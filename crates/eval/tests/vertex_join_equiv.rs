@@ -4,7 +4,7 @@
 //! The vertex join carries one position list per joined atom and gathers
 //! each surviving column once, at the end. Nothing about that may be
 //! visible: over random 2–5-atom vertices — constant filters, repeated
-//! variables, `__rowid` (also shared between atoms), cross products,
+//! variables, a key column (also shared between atoms), cross products,
 //! empty sides, and NULL / `Str` / `Float` / `Date` keys — it must give
 //! what a fold of the public kernels gives: `scan_atom_c` per atom,
 //! `cops::natural_join` in the greedy order, `cops::project_onto_available`
@@ -15,7 +15,6 @@
 //!
 //! Case count is `HTQO_CHAOS_CASES` (default 200).
 
-use htqo_cq::isolator::ROWID_COLUMN;
 use htqo_cq::{Atom, AtomId, CmpOp, Filter, Literal};
 use htqo_engine::cops;
 use htqo_engine::crel::{CRel, Name};
@@ -109,14 +108,17 @@ impl Case {
         let mut vars: Vec<String> = vec!["W".into()];
         for a in 0..2 + rng.below(4) as usize {
             // 1–3 bound columns (a variable drawn twice is a repeated
-            // variable) and one filter-only column.
+            // variable), one filter-only column and the key `id`, the
+            // row's position.
             let bound: Vec<u64> = (0..1 + rng.below(3)).map(|_| rng.below(n_vars)).collect();
             let mut cols: Vec<(String, ColumnType)> = (bound.iter().enumerate())
                 .map(|(j, &v)| (format!("c{j}"), var_ty[v as usize]))
                 .collect();
             cols.push(("f".into(), rng.pick(&TYPES)));
-            let schema: Vec<(&str, ColumnType)> =
-                cols.iter().map(|(c, t)| (c.as_str(), *t)).collect();
+            let schema: Vec<(&str, ColumnType)> = (cols.iter())
+                .map(|(c, t)| (c.as_str(), *t))
+                .chain([("id", ColumnType::Int)])
+                .collect();
             let mut rel = Relation::new(Schema::new(&schema));
             let rows = match rng.below(32) {
                 0 => 0,
@@ -124,8 +126,8 @@ impl Case {
                 _ => 1 + rng.below(40),
             };
             let nulls = rng.below(3) == 0;
-            for _ in 0..rows {
-                let row = cols
+            for r in 0..rows {
+                let mut row: Vec<Value> = cols
                     .iter()
                     .map(|&(_, ty)| {
                         if nulls && rng.below(8) == 0 {
@@ -135,6 +137,7 @@ impl Case {
                         }
                     })
                     .collect();
+                row.push(Value::Int(r as i64));
                 rel.push_row(row).unwrap();
             }
             let table = format!("t{a}");
@@ -144,7 +147,7 @@ impl Case {
                 .map(|(j, v)| (format!("c{j}"), format!("V{v}")))
                 .collect();
             if rng.below(3) == 0 {
-                // A row id of its own, or one shared with another atom's.
+                // A key of its own, or one shared with another atom's.
                 let rid = if rng.below(2) == 0 {
                     "RID".into()
                 } else {
@@ -152,7 +155,7 @@ impl Case {
                 };
                 args.insert(
                     rng.below(args.len() as u64 + 1) as usize,
-                    (ROWID_COLUMN.into(), rid),
+                    ("id".into(), rid),
                 );
             }
             let filters = (0..rng.pick(&[0, 0, 0, 0, 1, 1, 1, 2]))
@@ -325,7 +328,7 @@ proptest! {
     }
 }
 
-/// The generator reaches what the suite is for: cross products, row ids
+/// The generator reaches what the suite is for: cross products, keys
 /// shared between atoms, empty inputs, projections that drop columns,
 /// joins that spill — and most cases finish inside the cap.
 #[test]
@@ -371,7 +374,7 @@ fn the_generator_covers_the_shapes() {
     }
     let wanted = [
         ("cross products", 10),
-        ("shared row ids", 10),
+        ("shared keys", 10),
         ("empty inputs", 10),
         ("dropped columns", 10),
         ("spilled joins", 10),

@@ -145,16 +145,8 @@ impl<'a> QueryProfiles<'a> {
 
         let mut distinct: Vec<(VarId, f64)> = Vec::with_capacity(atom.args.len());
         for (column, var) in &atom.args {
-            let d = table
-                .and_then(|t| t.column(column))
-                .map(|c| c.distinct.max(1) as f64)
-                .unwrap_or_else(|| {
-                    if column == htqo_cq::isolator::ROWID_COLUMN {
-                        base_rows // the hidden rowid is a key
-                    } else {
-                        100.0
-                    }
-                });
+            let d =
+                (table.and_then(|t| t.column(column))).map_or(100.0, |c| c.distinct.max(1) as f64);
             // Filters reduce distinct counts proportionally (standard
             // assumption), capped at the cardinality.
             let reduced = (d * selectivity).max(1.0).min(card);
@@ -380,23 +372,5 @@ mod tests {
         let (stats, query) = (DbStats::default(), q());
         let p = QueryProfiles::new(&stats, &query).atom(AtomId(0)).clone();
         assert_eq!(p.card, 1000.0);
-    }
-
-    #[test]
-    fn rowid_column_is_a_key() {
-        let stats = analyze(&db());
-        let qr = CqBuilder::new()
-            .atom(
-                "r",
-                "r",
-                &[("a", "A"), (htqo_cq::isolator::ROWID_COLUMN, "RID")],
-            )
-            .out_var("A")
-            .build();
-        let profiles = QueryProfiles::new(&stats, &qr);
-        assert_eq!(
-            profiles.distinct_by_name(profiles.atom(AtomId(0)), "RID"),
-            100.0
-        );
     }
 }

@@ -49,7 +49,8 @@ pub struct Case {
 /// fold case. `u0`/`u1` appear in queries but never in the statistics.
 const KNOWN_TABLES: [&str; 4] = ["t0", "T1", "t2", "t3"];
 const UNKNOWN_TABLES: [&str; 2] = ["u0", "u1"];
-const COLUMNS: [&str; 4] = ["a", "b", "c", htqo_cq::isolator::ROWID_COLUMN];
+/// `id` is each known table's key: its statistics always say so.
+const COLUMNS: [&str; 4] = ["a", "b", "c", "id"];
 /// Names whose sorted order differs from their pool order (and from any
 /// first-occurrence order), so name-ordered arithmetic is exercised.
 const VARS: [&str; 16] = [
@@ -104,6 +105,14 @@ fn random_stats(rng: &mut Rng) -> DbStats {
                     .insert(column.to_string(), column_stats(rng, rows));
             }
         }
+        let key = ColumnStats {
+            distinct: rows,
+            nulls: 0,
+            min: None,
+            max: None,
+            histogram: None,
+        };
+        t.columns.insert(COLUMNS[3].to_string(), key);
         stats.tables.insert(table.to_string(), t);
     }
     stats

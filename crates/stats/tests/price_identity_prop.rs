@@ -71,13 +71,7 @@ mod reference {
             let d = table
                 .and_then(|t| t.column(column))
                 .map(|c| c.distinct.max(1) as f64)
-                .unwrap_or_else(|| {
-                    if column == htqo_cq::isolator::ROWID_COLUMN {
-                        base_rows
-                    } else {
-                        100.0
-                    }
-                });
+                .unwrap_or(100.0);
             let reduced = (d * selectivity).max(1.0).min(card);
             distinct
                 .entry(var.clone())

@@ -8,8 +8,8 @@
 //! large fact atom whose key column carries a B-tree, read back through a
 //! pool of one to sixteen pages — with what the old per-row kernel never
 //! saw: a filter on the fact atom, a child relation narrowing it
-//! (`cops::narrow`), two shared variables, the fact atom's `__rowid`, `Str`
-//! and `Date` keys and NULL keys. The join must answer what the
+//! (`cops::narrow`), two shared variables, the fact atom's key column
+//! bound to a second variable, `Str` and `Date` keys and NULL keys. The join must answer what the
 //! nested-loop reference answers, seek exactly when the rule says so,
 //! and then charge the probe's scan and one tuple per output row, nothing
 //! for the fact table; `evaluate_qhd` must answer the reference over
@@ -23,7 +23,6 @@
 mod support;
 
 use htqo::prelude::*;
-use htqo_cq::isolator::ROWID_COLUMN;
 use htqo_cq::{AtomId, CmpOp, Literal};
 use htqo_engine::crel::CRel;
 use htqo_engine::index::SEEK_MARGIN;
@@ -105,7 +104,7 @@ struct Features {
     fact_filter: bool,
     child: bool,
     two_keys: bool,
-    rowid: bool,
+    key_again: bool,
     str_key: bool,
     date_key: bool,
     nulls: bool,
@@ -175,9 +174,9 @@ impl Case {
 
         let second = if two_keys { "K2" } else { "Q" };
         let mut fact_args = vec![("c0", "K"), ("c1", second), ("p", "P")];
-        let rowid = rng.one_in(3);
-        if rowid {
-            fact_args.push((ROWID_COLUMN, "R"));
+        let key_again = rng.one_in(3);
+        if key_again {
+            fact_args.push(("p", "R"));
         }
         let mut b = CqBuilder::new()
             .atom("probe", "probe", &[("c0", "K"), ("c1", "K2"), ("p", "T")])
@@ -219,7 +218,7 @@ impl Case {
                 fact_filter,
                 child: child.is_some(),
                 two_keys,
-                rowid,
+                key_again,
                 str_key: ty == ColumnType::Str,
                 date_key: ty == ColumnType::Date,
                 nulls,
@@ -323,7 +322,8 @@ proptest! {
 }
 
 /// The seek fires on a share of the generated cases — with a filter on
-/// the fact atom, a narrowing child, two shared variables, `__rowid`,
+/// the fact atom, a narrowing child, two shared variables, the fact's key
+/// bound twice,
 /// `Str`, `Date` and NULL keys and one-page pools among them — and not on
 /// the rest.
 #[test]
@@ -342,7 +342,7 @@ fn the_seek_fires_on_a_share_of_the_cases() {
             f.fact_filter,
             f.child,
             f.two_keys,
-            f.rowid,
+            f.key_again,
             f.str_key,
             f.date_key,
             f.nulls,
@@ -362,7 +362,7 @@ fn the_seek_fires_on_a_share_of_the_cases() {
         "a filter on the fact atom",
         "a narrowing child",
         "two shared variables",
-        "__rowid",
+        "the fact's key bound twice",
         "Str keys",
         "Date keys",
         "NULL keys",

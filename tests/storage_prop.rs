@@ -20,7 +20,7 @@
 //!    `evaluate_qhd` over the indexed catalog must match the classic path
 //!    over the same tables without indexes.
 //!    `tests/seek_prop.rs` covers filters, child narrowing, two-column
-//!    keys, `__rowid` and `Str`/`Date`/NULL keys.
+//!    keys, a key column bound twice and `Str`/`Date`/NULL keys.
 //!
 //! 3. **Slot directory and page → column loader**: after random
 //!    append/update/delete batches (appends that fill pages, a crash and

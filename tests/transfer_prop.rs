@@ -3,7 +3,8 @@
 //! filtered by the finished `P′` relation of every child at least four
 //! times smaller than it. The filter may remove only rows that no answer
 //! extends. On random queries with selective children — empty children,
-//! NULL keys, `Str`, `Date` and `Float` keys, atoms joined on `__rowid` —
+//! NULL keys, `Str`, `Date` and `Float` keys, atoms joined on a table's
+//! key column —
 //! q-HD evaluation must answer what the nested-loop reference answers: in
 //! memory, under `SpillMode::Force`, under byte caps (where a denied
 //! reservation skips the filter) and under tuple limits.
@@ -15,7 +16,6 @@
 mod support;
 
 use htqo::prelude::*;
-use htqo_cq::isolator::ROWID_COLUMN;
 use htqo_cq::{CmpOp, Literal};
 use htqo_engine::error::SpillMode;
 use htqo_engine::schema::ColumnType;
@@ -80,8 +80,8 @@ struct Features {
     float_key: bool,
     /// Some table holds NULLs in a joined column.
     nulls: bool,
-    /// Two atoms over one table are joined on its `__rowid`.
-    shared_rowid: bool,
+    /// Two atoms over one table are joined on its key column `id`.
+    shared_key: bool,
     /// Some atom selects no row.
     empty: bool,
 }
@@ -147,10 +147,13 @@ impl Case {
                 .map(|(j, &v)| (format!("c{j}"), var_ty[v as usize]))
                 .collect();
             schema.push(("f".into(), ColumnType::Int));
-            let cols: Vec<(&str, ColumnType)> =
-                schema.iter().map(|(c, t)| (c.as_str(), *t)).collect();
+            // The key `id`, the row's position, is the last column.
+            let cols: Vec<(&str, ColumnType)> = (schema.iter())
+                .map(|(c, t)| (c.as_str(), *t))
+                .chain([("id", ColumnType::Int)])
+                .collect();
             let mut rel = Relation::new(Schema::new(&cols));
-            for _ in 0..rows {
+            for r in 0..rows {
                 let mut row: Vec<Value> = (schema.iter())
                     .map(|&(_, ty)| match nulls && rng.below(6) == 0 {
                         true => Value::Null,
@@ -158,6 +161,7 @@ impl Case {
                     })
                     .collect();
                 *row.last_mut().unwrap() = Value::Int(rng.below(10) as i64);
+                row.push(Value::Int(r as i64));
                 rel.push_row(row).unwrap();
             }
             features.nulls |= nulls && rows > 0;
@@ -167,7 +171,7 @@ impl Case {
                 .map(|(j, v)| (format!("c{j}"), format!("V{v}")))
                 .collect();
             if rng.below(5) == 0 {
-                args.push((ROWID_COLUMN.into(), format!("R{a}")));
+                args.push(("id".into(), format!("R{a}")));
             }
             let filter = (!hub && rng.below(2) == 0).then(|| 1 + rng.below(6) as i64);
             features.empty |= rows == 0;
@@ -192,9 +196,9 @@ impl Case {
             });
         }
         if rng.below(3) == 0 {
-            // The first table again, joined to itself on its row id: the
+            // The first table again, joined to itself on its key: the
             // second atom binds another variable to the same row.
-            specs[0].args.push((ROWID_COLUMN.into(), "RID".into()));
+            specs[0].args.push(("id".into(), "RID".into()));
             let v = rng.below(n_vars);
             let first_ty = var_ty[specs[0].bound[0] as usize];
             let column = if var_ty[v as usize] == first_ty {
@@ -211,10 +215,10 @@ impl Case {
                 table: "t0".into(),
                 alias: "t0b".into(),
                 bound: Vec::new(),
-                args: vec![(ROWID_COLUMN.into(), "RID".into()), (column.into(), var)],
+                args: vec![("id".into(), "RID".into()), (column.into(), var)],
                 filter: Some(1 + rng.below(4) as i64),
             });
-            features.shared_rowid = true;
+            features.shared_key = true;
         }
 
         let mut b = CqBuilder::new();
@@ -349,7 +353,7 @@ fn the_transfer_fires_on_the_generated_shapes() {
             f.date_key,
             f.float_key,
             f.nulls,
-            f.shared_rowid,
+            f.shared_key,
             f.empty,
             skipped,
         ];
