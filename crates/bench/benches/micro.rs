@@ -1056,6 +1056,84 @@ fn bench_join_keys(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_probe(c: &mut Criterion) {
+    // One pass over a 120,000-row probe column (DESIGN.md §3.8, "Key
+    // plans"): each kernel computes a row's packed key in its loop over
+    // the typed column and tests or looks it up there. Selective joins,
+    // so the output gather is small; reported per probe row.
+    use htqo_engine::column::Column;
+    use htqo_engine::cops;
+    use htqo_engine::crel::CRel;
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    const PROBE_ROWS: usize = 120_000;
+    let state = std::cell::Cell::new(0x2545_F491_4F6C_DD1Du64);
+    let below = |n: u64| {
+        let next = state
+            .get()
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state.set(next);
+        (next >> 33) % n
+    };
+    let rel = |keys: Vec<Vec<i64>>, payload: &str| {
+        let n = keys[0].len();
+        let mut names: Vec<htqo_engine::Name> =
+            (0..keys.len()).map(|i| format!("k{i}").into()).collect();
+        names.push(payload.into());
+        let mut columns: Vec<Arc<Column>> = (keys.into_iter())
+            .map(|k| Arc::new(Column::from_ints(k)))
+            .collect();
+        columns.push(Arc::new(Column::from_ints((0..n as i64).collect())));
+        CRel::new(names, columns, n)
+    };
+    // Order keys as TPC-H spaces them (every fourth integer), one order
+    // in twenty kept; lineitem-like foreign keys, four rows per order.
+    let orders: Vec<i64> = (0..30_000)
+        .map(|o| 4 * o)
+        .filter(|_| below(20) == 0)
+        .collect();
+    let lines: Vec<i64> = (0..PROBE_ROWS as i64).map(|i| 4 * (i / 4)).collect();
+    let suppliers: Vec<i64> = orders.iter().map(|_| below(200) as i64).collect();
+    let line_suppliers: Vec<i64> = (0..PROBE_ROWS).map(|_| below(200) as i64).collect();
+    let one = (
+        rel(vec![orders.clone()], "b"),
+        rel(vec![lines.clone()], "p"),
+    );
+    let two = (
+        rel(vec![suppliers, orders], "b"),
+        rel(vec![line_suppliers, lines], "p"),
+    );
+    type Kernel = fn(&CRel, &CRel, &mut Budget) -> Result<CRel, htqo_engine::EvalError>;
+    let join: Kernel = |b, p, budget| cops::natural_join(b, p, budget);
+    let semijoin: Kernel = |b, p, budget| cops::semijoin(p, b, budget);
+    let cases: [(&str, &(CRel, CRel), Kernel); 3] = [
+        ("direct_1col", &one, join),
+        ("prefiltered_2col", &two, join),
+        ("semijoin_bitmap", &one, semijoin),
+    ];
+
+    let mut group = c.benchmark_group("probe");
+    for (name, (build, probe), kernel) in cases {
+        let mut best = Duration::MAX;
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let t = Instant::now();
+                let mut budget = Budget::unlimited();
+                let out = kernel(build, probe, &mut budget).unwrap();
+                best = best.min(t.elapsed());
+                out
+            })
+        });
+        if best != Duration::MAX {
+            let ns = best.as_nanos() as f64 / PROBE_ROWS as f64;
+            println!("probe/{name:<40} best {ns:>7.2} ns/probe row");
+        }
+    }
+    group.finish();
+}
+
 fn bench_spill_join(c: &mut Criterion) {
     // What a byte cap costs the columnar join: in memory vs a cap of a
     // quarter of its working set (Grace-style partitioned spilling).
@@ -1277,6 +1355,7 @@ criterion_group!(
     bench_service,
     bench_hash_join,
     bench_join_keys,
+    bench_probe,
     bench_spill_join,
     bench_factorized_count,
     bench_evaluators,

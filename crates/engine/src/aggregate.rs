@@ -34,7 +34,7 @@ use crate::dict::{self, DictReader};
 use crate::error::{Budget, EvalError, SpillMode};
 use crate::expr::{cmp_matches, Block, Expr, Num, RowError};
 use crate::fsum::FloatSum;
-use crate::keyplan;
+use crate::keyplan::{self, Keys};
 use crate::spill::{self, SpillDir, SpillFile, MAX_SPILL_LEVEL};
 use crate::value::{row_heap_bytes, Value};
 use crate::vrel::VRelation;
@@ -270,7 +270,7 @@ fn finalize_tail(
             .map(|(l, dir)| Ok((label(l)?, *dir == SortDir::Desc)))
             .collect::<Result<Vec<_>, EvalError>>()?;
         let keep = keep.get_or_insert_with(|| (0..len as u32).collect());
-        keep.sort_by(|&x, &y| {
+        let cmp = |&x: &u32, &y: &u32| {
             let (x, y) = (x as usize, y as usize);
             let by_key = keys.iter().map(|&(i, desc)| {
                 let ord = cols[i].cmp(x, y, &reader);
@@ -284,7 +284,17 @@ fn finalize_tail(
             let by_identity =
                 (cols.iter()).map(|c| c.value(x, &reader).cmp_identity(&c.value(y, &reader)));
             (by_key.chain(by_row).chain(by_identity).find(|o| o.is_ne())).unwrap_or(Ordering::Equal)
-        });
+        };
+        // The order is total up to identical rows, so an unstable sort
+        // gives the rows a stable one does; under a LIMIT the first `k`
+        // groups are selected first and only they are sorted.
+        if let Some(k) = q.limit.filter(|&k| k < keep.len()) {
+            if k > 0 {
+                keep.select_nth_unstable_by(k - 1, cmp);
+            }
+            keep.truncate(k);
+        }
+        keep.sort_unstable_by(cmp);
     }
     let limit = q.limit.unwrap_or(usize::MAX);
     let row = |g: usize| cols.iter().map(|c| c.value(g, &reader)).collect();
@@ -302,10 +312,11 @@ fn finalize_tail(
 fn rows_distinct(a: &CRel) -> bool {
     let all = cops::iota(a.cols().len());
     let reader = dict::reader();
-    let mut ids = GroupIds::new(a, &all, cops::distinct_bytes(a.len()), &reader);
+    let bytes = cops::distinct_bytes(a.len());
+    let mut ids = GroupIds::new(Keys::of(a, &all), None, bytes, &reader);
     let mut first_row = Vec::with_capacity(a.len());
     let grouped = keyplan::blocks(0..a.len())
-        .try_for_each(|rows| ids.assign(a, &all, rows, &mut first_row, &reader, |_, _| Ok(())));
+        .try_for_each(|rows| ids.assign(rows, &mut first_row, &reader, |_, _| Ok(())));
     grouped.is_ok() && first_row.len() == a.len()
 }
 
@@ -521,27 +532,21 @@ fn aggregate_c_inner(
     let reader = dict::reader();
     let n = answer.len();
     let block = n.min(EVAL_BLOCK);
-    let mut ids = GroupIds::new(answer, group_idx, reserved, &reader);
+    let mut ids = GroupIds::new(Keys::of(answer, group_idx), None, reserved, &reader);
     let mut items: Vec<Item> = (visible.iter())
         .map(|o| Item::new(o, answer, group_idx, q, block))
         .collect();
-    // Each group's first row, in group-id order.
-    let mut first_row: Vec<u32> = Vec::new();
+    // Each group's first row, in group-id order; room for a block's
+    // worth of groups before it grows.
+    let mut first_row: Vec<u32> = Vec::with_capacity(block);
     let mut gids = vec![0u32; block];
     for lo in (0..n).step_by(EVAL_BLOCK) {
         let hi = n.min(lo + EVAL_BLOCK);
         let known = first_row.len();
-        ids.assign(
-            answer,
-            group_idx,
-            lo..hi,
-            &mut first_row,
-            &reader,
-            |i, g| {
-                gids[i - lo] = g;
-                Ok(())
-            },
-        )?;
+        ids.assign(lo..hi, &mut first_row, &reader, |i, g| {
+            gids[i - lo] = g;
+            Ok(())
+        })?;
         for item in &mut items {
             first_row[known..].iter().for_each(|&r| item.acc.open(r));
         }
@@ -1495,6 +1500,66 @@ mod tests {
         }
     }
 
+    /// `ORDER BY … LIMIT k` selects the first `k` groups, then sorts
+    /// only them: `LIMIT 0`, `1`, the number of groups and one past it
+    /// keep the prefix of the unlimited order, in memory and spilled, with
+    /// the same charges. The minima `0.0`, `-0.0` and `Int(0)` tie in
+    /// `Value`'s order and come out in `Value::cmp_identity`'s whichever
+    /// group arrives first.
+    #[test]
+    fn limit_selects_then_sorts_the_first_groups() {
+        use crate::error::SpillMode;
+        let mins = [
+            Value::Float(-0.0),
+            Value::Int(2),
+            Value::Float(0.0),
+            Value::Int(0),
+            Value::Float(1.5),
+        ];
+        let n = mins.len();
+        // `(Int(0), 0.0, -0.0)`: type rank, then bits.
+        let want = [&mins[3], &mins[2], &mins[0], &mins[4], &mins[1]].map(|v| vec![v.clone()]);
+        let query = |limit| {
+            let b = CqBuilder::new()
+                .atom_vars("r", &["G", "X"])
+                .out_agg(AggFunc::Min, Some(ScalarExpr::Var("X".into())), "m")
+                .group("G")
+                .order("m", SortDir::Asc);
+            match limit {
+                Some(k) => b.limit(k),
+                None => b,
+            }
+            .build()
+        };
+        let cells =
+            |r: &VRelation| -> Vec<Vec<Value>> { r.rows().iter().map(|r| r.to_vec()).collect() };
+        for rotation in 0..n {
+            // Group `g` holds its minimum and a larger value.
+            let rows = (0..n)
+                .flat_map(|g| {
+                    let min = mins[(g + rotation) % n].clone();
+                    [
+                        vec![Value::Int(g as i64), Value::Int(9)],
+                        vec![Value::Int(g as i64), min],
+                    ]
+                })
+                .collect();
+            let a = CRel::from_vrel(&answer(&["G", "X"], rows));
+            let mut unlimited = Budget::unlimited();
+            let all = finalize_c(&a, &query(None), &mut unlimited).unwrap();
+            assert_eq!(cells(&all), want, "rotation {rotation}");
+            for k in [0, 1, n, n + 1] {
+                for spill in [SpillMode::Off, SpillMode::Force] {
+                    let mut budget = Budget::unlimited().with_spill_mode(spill);
+                    let out = finalize_c(&a, &query(Some(k)), &mut budget).unwrap();
+                    let ctx = format!("rotation {rotation}, LIMIT {k}, {spill:?}");
+                    assert_eq!(cells(&out), want[..k.min(n)], "{ctx}");
+                    assert_eq!(budget.charged(), unlimited.charged(), "{ctx}");
+                }
+            }
+        }
+    }
+
     /// The columnar front agrees with the row-at-a-time reference —
     /// answers and budget charges — across the aggregate, projection,
     /// HAVING and ORDER BY paths.
@@ -2268,7 +2333,7 @@ mod tests {
             );
             if let Ok(idx) = group_layout(ca.cols(), q, &visible_output(q).0) {
                 let reader = dict::reader();
-                match GroupIds::new(&ca, &idx, 8 * ca.len() as u64, &reader) {
+                match GroupIds::new(Keys::of(&ca, &idx), None, 8 * ca.len() as u64, &reader) {
                     GroupIds::Direct { .. } => seen[0] += 1,
                     GroupIds::Hashed { .. } => seen[1] += 1,
                     GroupIds::One => {}

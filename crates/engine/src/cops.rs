@@ -20,43 +20,42 @@
 //!   in front of the hashed table and hashes only the probe rows that
 //!   pass all of them;
 //! - every other key takes the hashed path: key hashes from one
-//!   vectorized pass per key column
-//!   ([`crate::column::Column::write_hashes`]), the `ChainTable`
-//!   chained-index hash table, candidates verified by typed cell
-//!   comparisons ([`crate::column::Column::eq_at`], strings by `u32`
-//!   dictionary code).
+//!   vectorized pass per key column, the `ChainTable` chained-index hash
+//!   table, candidates verified by typed cell comparisons
+//!   ([`crate::column::Column::eq_at`], strings by `u32` dictionary code).
 //!
-//! The distinct and the counted projection group rows by their key in
-//! `GroupIds`, the engine's one table from a key to its group, which
-//! the grouping kernel of [`crate::aggregate`] uses too: a direct table
-//! by packed key when it fits the reservation, else an open-addressed
-//! table over the key hashes.
+//! Each kernel makes one pass over its probe column, reading it where
+//! its input keeps its rows (`keyplan::Keys`, a filtered input through
+//! its selection vector): the loop computes a row's packed key and tests,
+//! looks up or inserts it there. Grouping rows by a key — the distinct
+//! and the counted projection, the partners of a counted semijoin, the
+//! grouping kernel of [`crate::aggregate`] — goes through `GroupIds`, a
+//! direct table by packed key when it fits the reservation, else an
+//! open-addressed table over the key hashes.
 //!
-//! Every kernel first collects the matching `(build, probe)` row index
-//! pairs, charging the budget once per block of probe rows (`BLOCK`),
-//! not once per pair. [`natural_join`] then runs one gather pass per
-//! output column. The vertex join of `P′` ([`join_vertex`]) gathers
-//! nothing between its joins: it composes the pairs into one position
-//! list per input, gathers only the key columns the next join reads, and
-//! gathers each surviving column once, at the end.
-//!
-//! The direct, filtered and hashed kernels emit the same pair sequence
-//! (probe-major, ascending build row), so the output row order does not
-//! depend on which table a key gets.
+//! A join collects the matching `(build, probe)` row index pairs,
+//! charging the budget once per block of probe rows (`BLOCK`), not once
+//! per pair; [`natural_join`] then runs one gather pass per output
+//! column. The vertex join of `P′` ([`join_vertex`]) gathers nothing
+//! between its joins: it composes the pairs into one position list per
+//! input and gathers each surviving column once, at the end. The direct,
+//! filtered and hashed kernels emit the same pair sequence (probe-major,
+//! ascending build row), so the output row order does not depend on
+//! which table a key gets.
 
 use crate::chain::{ChainTable, DirectTable, CHAIN_END};
-use crate::column::{compact, finish_hash, Column};
+use crate::column::Column;
 use crate::crel::{count_cells, read_source, CRel, Name, Selection, COUNT};
 use crate::dict::{self, DictReader};
 use crate::error::{Budget, EvalError};
 use crate::hash::FxHashMap;
 use crate::index::{encode_cell, JoinIndex, SEEK_MARGIN};
-use crate::keyplan::{blocks, Bitmap, KeyBlock, KeyPlan, BLOCK};
+use crate::keyplan::{blocks, Bitmap, KeyPlan, Keys, BLOCK};
 use crate::spill::{
     self, join_build_bytes, join_build_reservation, Concat, SpillDir, SpillFile, SpillReader,
     MAX_SPILL_LEVEL,
 };
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -73,16 +72,17 @@ pub(crate) fn crel_payload_bytes(r: &CRel) -> u64 {
     r.columns().iter().map(|c| c.payload_bytes() as u64).sum()
 }
 
-/// Column positions of the shared variables in `a` and `b`, plus the
-/// positions in `b` of its non-shared columns: three lists in one
-/// ([`JoinLayout::parts`]).
+/// Column positions of the shared variables in `a` and `b` ([`COUNT`] is
+/// never one), plus the positions in `b` of its non-shared columns:
+/// three lists in one ([`JoinLayout::parts`]).
 struct JoinLayout(Vec<usize>, usize);
 
 fn join_layout(a: &CRel, b: &CRel) -> JoinLayout {
     let mut idx = Vec::with_capacity(a.cols().len() + b.cols().len());
-    idx.extend((0..a.cols().len()).filter(|&i| b.col_index(&a.cols()[i]).is_some()));
+    let shared = |c: &Name| (**c != *COUNT).then(|| b.col_index(c)).flatten();
+    idx.extend((0..a.cols().len()).filter(|&i| shared(&a.cols()[i]).is_some()));
     let keys = idx.len();
-    idx.extend(a.cols().iter().filter_map(|c| b.col_index(c)));
+    idx.extend(a.cols().iter().filter_map(shared));
     idx.extend((0..b.cols().len()).filter(|&j| a.col_index(&b.cols()[j]).is_none()));
     JoinLayout(idx, keys)
 }
@@ -102,39 +102,6 @@ pub(crate) fn iota(n: usize) -> Cow<'static, [usize]> {
     SHORT
         .get(..n)
         .map_or_else(|| Cow::Owned((0..n).collect()), Cow::Borrowed)
-}
-
-/// 64-bit key hash of every row over the key columns `idx`: one
-/// [`Column::write_hashes`] pass per column, then the avalanche
-/// finalizer. An empty key hashes every row to the same constant (cross
-/// products).
-pub fn key_hashes(rel: &CRel, idx: &[usize], reader: &DictReader) -> Vec<u64> {
-    let mut acc = vec![0u64; rel.len()];
-    for &c in idx {
-        rel.column(c).write_hashes(&mut acc, reader);
-    }
-    for h in &mut acc {
-        *h = finish_hash(*h);
-    }
-    acc
-}
-
-/// True if row `i` of `a` and row `j` of `b` agree on the paired key
-/// columns (`Value` equality semantics).
-#[inline]
-pub(crate) fn rows_key_eq(
-    a: &CRel,
-    i: usize,
-    b: &CRel,
-    j: usize,
-    a_idx: &[usize],
-    b_idx: &[usize],
-    reader: &DictReader,
-) -> bool {
-    a_idx
-        .iter()
-        .zip(b_idx)
-        .all(|(&x, &y)| a.column(x).eq_at(i, b.column(y), j, reader))
 }
 
 /// Permutes the columns of `r` into the order `desired` names them (a
@@ -224,7 +191,8 @@ fn join_plain(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalError
         return grace_join(a, b, budget);
     }
 
-    let result = join_pairs(build, probe, build_shared, probe_shared, budget);
+    let keys = (Keys::of(build, build_shared), Keys::of(probe, probe_shared));
+    let result = join_pairs(&keys.0, &keys.1, budget);
     // The build table (and hash scratch) is gone either way.
     budget.uncharge_bytes(join_build_bytes(build.len(), probe.len()));
     let out = join_output(build, probe, probe_rest, &result?);
@@ -287,7 +255,11 @@ fn grace_join(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalError
             rows.push(&chunk?);
             if rows.len() >= batch || chunks.peek().is_none() {
                 let rows = rows.take();
-                let pairs = join_pairs(&build_part, &rows, build_shared, probe_shared, budget)?;
+                let keys = (
+                    Keys::of(&build_part, build_shared),
+                    Keys::of(&rows, probe_shared),
+                );
+                let pairs = join_pairs(&keys.0, &keys.1, budget)?;
                 let part = join_output(&build_part, &rows, probe_rest, &pairs);
                 budget.charge_bytes(crel_payload_bytes(&part))?;
                 out.push(&part);
@@ -478,11 +450,12 @@ impl<'a> Positions<'a> {
         self.vars.iter().position(|(c, _)| **c == *v)
     }
 
-    /// Variable `k` over the accumulator's rows (see `read_source`).
-    fn column(&self, k: usize) -> Cow<'_, Arc<Column>> {
+    /// Where variable `k` reads: its source column, and the row of it
+    /// each accumulator row reads (`None`: row `i` reads row `i`).
+    fn source(&self, k: usize) -> (&Arc<Column>, Option<&[u32]>) {
         let (i, j) = self.vars[k].1;
         let (sources, rows) = &self.inputs[i];
-        read_source(&sources[j], rows.as_deref())
+        (&sources[j], rows.as_deref())
     }
 
     /// Variables `idx`, gathered, as a relation, and the payload bytes
@@ -493,7 +466,8 @@ impl<'a> Positions<'a> {
         let mut fresh_bytes = 0;
         for k in idx {
             names.push(self.vars[k].0.clone());
-            columns.push(match self.column(k) {
+            let (source, rows) = self.source(k);
+            columns.push(match read_source(source, rows) {
                 Cow::Borrowed(col) => Arc::clone(col),
                 Cow::Owned(col) => {
                     fresh_bytes += col.payload_bytes() as u64;
@@ -537,20 +511,18 @@ impl<'a> Positions<'a> {
             return Ok(());
         }
 
-        let (acc_keys, _) = self.gather(keys.iter().map(|&(k, _)| k));
-        let next_keys = CRel::new(
-            acc_keys.cols().to_vec(),
-            keys.iter()
-                .map(|&(_, j)| next.column(j).into_owned())
-                .collect(),
-            next.len,
-        );
+        // Both sides' keys are read where they keep their rows.
+        let acc_keys = (keys.iter())
+            .map(|&(k, _)| self.source(k))
+            .map(|(c, rows)| (&**c, rows));
+        let acc_keys = Keys::new(acc_keys, self.len);
+        let next_keys = next.keys(keys.iter().map(|&(k, _)| &self.vars[k].0));
         let (build, probe) = if acc_builds {
             (&acc_keys, &next_keys)
         } else {
             (&next_keys, &acc_keys)
         };
-        let result = join_pairs(build, probe, &key_idx, &key_idx, budget);
+        let result = join_pairs(build, probe, budget);
         budget.uncharge_bytes(join_build_bytes(build_n, probe_n));
         let (build_idx, probe_idx) = result?;
         let (acc_idx, mut next_rows) = if acc_builds {
@@ -741,21 +713,23 @@ impl PairSink {
         Ok(())
     }
 
-    /// Appends `(heads[j], lo + j)` for each `j` whose head is a row —
-    /// one probe block against duplicate-free build keys — without a
-    /// branch per row: every pair is written, and the kept count advances
-    /// by whether its head is a row. At most one block of pairs, settled
-    /// by the caller's [`PairSink::end_block`].
-    fn push_heads(&mut self, lo: usize, heads: impl ExactSizeIterator<Item = u32>) {
+    /// Appends `(head, j)` for each position `j` of the probe block `at`
+    /// whose packed key's chain in `table` starts at a row `head` — one
+    /// probe block against duplicate-free build keys — in the loop that
+    /// packs the keys, without a branch per row: every pair is written,
+    /// and the kept count advances by whether its head is a row. At most
+    /// one block of pairs, settled by the caller's [`PairSink::end_block`].
+    fn push_heads(&mut self, plan: &KeyPlan, table: &DirectTable, probe: &Keys, at: Range<usize>) {
         let base = self.build_idx.len();
-        self.build_idx.resize(base + heads.len(), 0);
-        self.probe_idx.resize(base + heads.len(), 0);
+        self.build_idx.resize(base + at.len(), 0);
+        self.probe_idx.resize(base + at.len(), 0);
         let (bs, ps) = (&mut self.build_idx[base..], &mut self.probe_idx[base..]);
         let mut n = 0;
-        for (j, bi) in heads.enumerate() {
-            (bs[n], ps[n]) = (bi, (lo + j) as u32);
+        plan.keys(probe, at, |j, k| {
+            let bi = table.head(k);
+            (bs[n], ps[n]) = (bi, j as u32);
             n += usize::from(bi != CHAIN_END);
-        }
+        });
         self.build_idx.truncate(base + n);
         self.probe_idx.truncate(base + n);
     }
@@ -778,43 +752,30 @@ impl PairSink {
     }
 }
 
-/// Matching `(build, probe)` row pairs of an in-memory join, from the
-/// kernel the key calls for (DESIGN.md §3.8, "Key plans"): the direct
-/// table when the packed key range fits in the reservation, else the
-/// hashed table (behind range bitmaps when the key has a plan). Every
-/// kernel emits the same sequence: probe-major, ascending build row.
-fn join_pairs(
-    build: &CRel,
-    probe: &CRel,
-    build_shared: &[usize],
-    probe_shared: &[usize],
-    budget: &mut Budget,
-) -> Result<PairLists, EvalError> {
-    let reserved = join_build_bytes(build.len(), probe.len());
-    let plan = KeyPlan::resolve(build, build_shared, probe, probe_shared);
+/// Matching `(build, probe)` position pairs of an in-memory join on the
+/// keys `build` and `probe`, from the kernel the key calls for (DESIGN.md
+/// §3.8, "Key plans"): the direct table when the packed key range fits
+/// in the reservation, else the hashed table (behind range bitmaps when
+/// the key has a plan). Every kernel emits the same sequence:
+/// probe-major, ascending build row.
+fn join_pairs(build: &Keys, probe: &Keys, budget: &mut Budget) -> Result<PairLists, EvalError> {
+    let reserved = join_build_bytes(build.len, probe.len);
+    let plan = KeyPlan::resolve(build, probe);
     if let Some(plan) = &plan {
-        let fits = |range| DirectTable::byte_estimate(build.len(), range);
+        let fits = |range| DirectTable::byte_estimate(build.len, range);
         if let Some(range) = plan.range_fitting(reserved, fits) {
-            return join_pairs_direct(
-                plan,
-                range,
-                build,
-                probe,
-                build_shared,
-                probe_shared,
-                budget,
-            );
+            return join_pairs_direct(plan, range, build, probe, budget);
         }
     }
     // The bitmaps take the place of the probe side's hash array, which
     // the filtered probe never materializes.
-    let held = join_build_bytes(build.len(), 0);
+    let held = join_build_bytes(build.len, 0);
     let plan = plan.filter(|p| {
         p.range_bitmap_bytes()
             .and_then(|b| b.checked_add(held))
             .is_some_and(|b| b <= reserved)
     });
-    join_pairs_hashed(build, probe, build_shared, probe_shared, plan, budget)
+    join_pairs_hashed(build, probe, plan, budget)
 }
 
 /// Direct-table kernel: one pass over the build side fills a table
@@ -826,65 +787,53 @@ fn join_pairs(
 fn join_pairs_direct(
     plan: &KeyPlan,
     range: usize,
-    build: &CRel,
-    probe: &CRel,
-    build_shared: &[usize],
-    probe_shared: &[usize],
+    build: &Keys,
+    probe: &Keys,
     budget: &mut Budget,
 ) -> Result<PairLists, EvalError> {
-    let mut blk = plan.block(build.len().max(probe.len()));
-    let mut table = DirectTable::new(build.len(), range);
+    let mut table = DirectTable::new(build.len, range);
     let mut repeats = false;
     // Last row first, so every chain ascends.
-    for rows in blocks(0..build.len()).rev() {
-        let lo = rows.start;
-        let keys = plan.pack(build, build_shared, rows, &mut blk);
-        for (j, &k) in keys.iter().enumerate().rev() {
-            repeats |= table.push_front(k, (lo + j) as u32);
-        }
-    }
-    let mut sink = PairSink::with_capacity(probe.len());
-    for rows in blocks(0..probe.len()) {
-        let lo = rows.start;
-        let keys = plan.pack(probe, probe_shared, rows, &mut blk);
+    plan.keys(build, (0..build.len).rev(), |j, k| {
+        repeats |= table.push_front(k, j as u32);
+    });
+    let mut sink = PairSink::with_capacity(probe.len);
+    for rows in blocks(0..probe.len) {
         if !repeats {
-            sink.push_heads(lo, keys.iter().map(|&k| table.head(k)));
+            sink.push_heads(plan, &table, probe, rows);
         } else {
-            for (j, &k) in keys.iter().enumerate() {
+            plan.try_keys(probe, rows, |j, k| {
                 let mut bi = table.head(k);
                 while bi != CHAIN_END {
-                    sink.push(bi, (lo + j) as u32, budget)?;
+                    sink.push(bi, j as u32, budget)?;
                     bi = table.next_row(bi);
                 }
-            }
+                Ok(())
+            })?;
         }
         sink.end_block(budget)?;
     }
     Ok(sink.finish())
 }
 
-/// Hashed kernel: matching `(build, probe)` row pairs in
+/// Hashed kernel: matching `(build, probe)` position pairs in
 /// probe-major order (ascending build chain within a probe row). With a
 /// key plan, one exact bitmap per key column says which probe rows can
 /// match at all, and only those are hashed and looked up.
 fn join_pairs_hashed(
-    build: &CRel,
-    probe: &CRel,
-    build_shared: &[usize],
-    probe_shared: &[usize],
+    build: &Keys,
+    probe: &Keys,
     prefilter: Option<KeyPlan>,
     budget: &mut Budget,
 ) -> Result<PairLists, EvalError> {
     let reader = dict::reader();
-    let build_hashes = key_hashes(build, build_shared, &reader);
-    let table = ChainTable::build(build.len(), |i| build_hashes[i]);
-    let mut sink = PairSink::with_capacity(probe.len());
-    let key_eq = |bi: usize, pi: usize| {
-        rows_key_eq(build, bi, probe, pi, build_shared, probe_shared, &reader)
-    };
+    let build_hashes = build.hashes(&reader);
+    let table = ChainTable::build(build.len, |i| build_hashes[i]);
+    let mut sink = PairSink::with_capacity(probe.len);
+    let key_eq = |bi: usize, pi: usize| build.eq_at(bi, probe, pi, &reader);
     match prefilter {
         None => {
-            let probe_hashes = key_hashes(probe, probe_shared, &reader);
+            let probe_hashes = probe.hashes(&reader);
             for (b, block) in probe_hashes.chunks(BLOCK).enumerate() {
                 let rows = (b * BLOCK) as u32..;
                 probe_hashed(
@@ -897,21 +846,13 @@ fn join_pairs_hashed(
             }
         }
         Some(plan) => {
-            let mut blk = plan.block(build.len().max(probe.len()));
-            let maps = plan.range_bitmaps(build, build_shared, &mut blk);
-            let mut sel: Vec<u32> = Vec::with_capacity(BLOCK.min(probe.len()));
-            let mut hashes: Vec<u64> = Vec::with_capacity(sel.capacity());
-            for rows in blocks(0..probe.len()) {
-                plan.survivors(&maps, probe, probe_shared, rows, &mut blk, &mut sel);
-                hashes.clear();
-                hashes.resize(sel.len(), 0);
-                for &c in probe_shared {
-                    probe.column(c).write_hashes_at(&sel, &mut hashes, &reader);
-                }
-                let rows = sel
-                    .iter()
-                    .copied()
-                    .zip(hashes.iter().map(|&h| finish_hash(h)));
+            let maps = plan.range_bitmaps(build);
+            let mut sel = vec![0u32; BLOCK.min(probe.len)];
+            let mut hashes: Vec<u64> = Vec::with_capacity(sel.len());
+            for rows in blocks(0..probe.len) {
+                let n = plan.survivors(&maps, probe, rows, &mut sel);
+                probe.hashes_at(&sel[..n], &mut hashes, &reader);
+                let rows = sel[..n].iter().copied().zip(hashes.iter().copied());
                 probe_hashed(&table, rows, key_eq, &mut sink, budget)?;
             }
         }
@@ -945,19 +886,18 @@ fn probe_hashed(
 /// returns `a` unchanged if `b` is non-empty, else the empty relation.
 ///
 /// When `b` is counted ([`COUNT`]) it still adds no row and no column to
-/// `a`, but each row of `a` stands for its own count times the summed
-/// counts of its partners in `b`: `a` joined with `b` projected onto the
-/// shared variables ([`project`] sums the counts).
+/// `a` but a count: each kept row of `a` stands for its own count (1 if
+/// `a` is not counted) times the summed counts of its partners in `b`
+/// (past `u64`: [`EvalError::CountOverflow`]). `b`'s counts are summed
+/// per key in one `GroupIds`, probed once per row of `a`, and the
+/// product is `a`'s [`COUNT`] column — `a` joined with `b` projected onto
+/// the shared variables, in `a`'s row order.
 pub fn semijoin(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalError> {
     crate::fail_point!("cops::semijoin");
-    if b.col_index(COUNT).is_some() {
-        let shared = (b.cols().iter()).filter(|c| ***c != *COUNT && a.col_index(c).is_some());
-        let partners = project(b, &shared.collect::<Vec<_>>(), true, budget)?;
-        return natural_join(a, &partners, budget);
-    }
+    let counts = b.counts();
     let layout = join_layout(a, b);
     let (a_shared, b_shared, _) = layout.parts();
-    if a_shared.is_empty() {
+    if a_shared.is_empty() && counts.is_none() {
         return if b.is_empty() {
             Ok(CRel::empty(a.cols().to_vec()))
         } else {
@@ -968,27 +908,92 @@ pub fn semijoin(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalErr
         };
     }
 
-    // Build table + both hash arrays, released when the kernel returns
-    // (mirrors the row semijoin: the reducer side is expected to fit).
-    let table_bytes = join_build_bytes(b.len(), a.len());
+    // Build table + both hash arrays, and a counted `b`'s first rows and
+    // sums (12 B a row at most), released when the kernel returns (the
+    // reducer side is expected to fit).
+    let table_bytes =
+        join_build_bytes(b.len(), a.len()) + 12 * counts.map_or(0, |c| c.len()) as u64;
     budget.reserve_bytes(table_bytes)?;
-    let keep = KeySet::build(b, b_shared, [(a, a_shared)], table_bytes).members(a, a_shared);
+    let a_keys = Keys::of(a, a_shared);
+    let kept = match counts {
+        None => Ok((
+            KeySet::build(b, b_shared, [&a_keys], table_bytes).members(&a_keys),
+            Vec::new(),
+        )),
+        Some(counts) => partner_counts(&a_keys, Keys::of(b, b_shared), counts, table_bytes),
+    };
     // Row by row, so a limit trips where it did when rows were kept one
     // at a time.
-    let charged = keep.iter().try_for_each(|_| {
-        budget.charge(1)?;
-        budget.charge_bytes(4)
+    let charged = kept.as_ref().map_or(Ok(()), |(keep, _)| {
+        keep.iter().try_for_each(|_| {
+            budget.charge(1)?;
+            budget.charge_bytes(4)
+        })
     });
     budget.uncharge_bytes(table_bytes);
+    let (keep, by) = kept?;
     charged?;
-    let columns = a
-        .columns()
-        .iter()
+    let mut cols = a.cols().to_vec();
+    let mut columns: Vec<Arc<Column>> = (a.columns().iter())
         .map(|c| Arc::new(c.gather(&keep)))
         .collect();
-    let out = CRel::new(a.cols().to_vec(), columns, keep.len());
+    if counts.is_some() {
+        let own = |i: u32| a.counts().map_or(1, |c| c[i as usize] as u64);
+        let product = (keep.iter().zip(by))
+            .map(|(&i, m)| own(i).checked_mul(m).map(|p| p as i64))
+            .collect::<Option<Vec<i64>>>()
+            .ok_or(EvalError::CountOverflow)?;
+        let product = Arc::new(Column::from_ints(product));
+        match a.col_index(COUNT) {
+            Some(i) => columns[i] = product,
+            None => {
+                cols.push(COUNT.into());
+                columns.push(product);
+            }
+        }
+    }
+    let out = CRel::new(cols, columns, keep.len());
     budget.charge_bytes(crel_payload_bytes(&out))?;
     Ok(out)
+}
+
+/// The positions of `a_keys` with a partner in `b_keys`, ascending, and
+/// for each the summed `counts` of its partners: one [`GroupIds`] over
+/// `b_keys` within `reserved` bytes, each group's counts summed as it
+/// fills, then one probe per position.
+fn partner_counts(
+    a_keys: &Keys,
+    b_keys: Keys,
+    counts: &[i64],
+    reserved: u64,
+) -> Result<(Vec<u32>, Vec<u64>), EvalError> {
+    let reader = dict::reader();
+    let n = b_keys.len;
+    let mut ids = GroupIds::new(b_keys, Some(a_keys), reserved, &reader);
+    let (mut first_row, mut sums) = (Vec::new(), Vec::new());
+    for rows in blocks(0..n) {
+        ids.assign(rows, &mut first_row, &reader, |i, g| {
+            add_count(&mut sums, g, counts[i] as u64)
+        })?;
+    }
+    let (mut keep, mut by) = (Vec::new(), Vec::new());
+    ids.find_each(a_keys, &first_row, &reader, |i, g| {
+        if g != NO_GROUP {
+            keep.push(i as u32);
+            by.push(sums[g as usize]);
+        }
+    });
+    Ok((keep, by))
+}
+
+/// Adds `count` to group `g`'s sum, opening the sum when `g` is new.
+fn add_count(sums: &mut Vec<u64>, g: u32, count: u64) -> Result<(), EvalError> {
+    if g as usize == sums.len() {
+        sums.push(0);
+    }
+    let sum = &mut sums[g as usize];
+    *sum = sum.checked_add(count).ok_or(EvalError::CountOverflow)?;
+    Ok(())
 }
 
 /// The key tuples a relation holds — the reducer side of [`semijoin`] and
@@ -998,81 +1003,73 @@ pub fn semijoin(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalErr
 /// typed cell comparison.
 enum KeySet<'r> {
     Dense(KeyPlan, Bitmap),
-    Hashed {
-        rel: &'r CRel,
-        idx: &'r [usize],
-        table: ChainTable,
-    },
+    Hashed { keys: Keys<'r>, table: ChainTable },
 }
 
 impl<'r> KeySet<'r> {
-    /// The keys of `rel`'s columns `idx`, to be probed by `probes` (each a
-    /// relation and its key columns, paired with `idx` by position), in
-    /// at most `reserved` bytes.
+    /// The keys of `rel`'s columns `idx`, to be probed by `probes` (each
+    /// paired with `idx` by position), in at most `reserved` bytes.
     fn build<'p>(
         rel: &'r CRel,
-        idx: &'r [usize],
-        probes: impl IntoIterator<Item = (&'p CRel, &'p [usize])>,
+        idx: &[usize],
+        probes: impl IntoIterator<Item = impl Borrow<Keys<'p>>>,
         reserved: u64,
     ) -> KeySet<'r> {
+        let keys = Keys::of(rel, idx);
         // The plan depends on `rel` alone; each probe only has to admit it.
         let mut plan = None;
-        for (probe, probe_idx) in probes {
-            plan = KeyPlan::resolve(rel, idx, probe, probe_idx);
+        for probe in probes {
+            plan = KeyPlan::resolve(&keys, probe.borrow());
             if plan.is_none() {
                 break;
             }
         }
         let dense = plan.and_then(|plan| {
             let range = plan.range_fitting(reserved, Bitmap::byte_estimate)?;
-            let set = plan.packed_set(rel, idx, range);
+            let mut set = Bitmap::new(range as u64);
+            plan.keys(&keys, 0..keys.len, |_, k| set.insert(k));
             Some(KeySet::Dense(plan, set))
         });
         dense.unwrap_or_else(|| {
-            let hashes = key_hashes(rel, idx, &dict::reader());
+            let hashes = keys.hashes(&dict::reader());
             let table = ChainTable::build(rel.len(), |i| hashes[i]);
-            KeySet::Hashed { rel, idx, table }
+            KeySet::Hashed { keys, table }
         })
     }
 
-    /// The rows of `probe` whose key columns `idx` hold one of the set's
-    /// keys, ascending; on a dense set, compacted block by block without
-    /// a branch per row ([`compact`]).
-    fn members(&self, probe: &CRel, idx: &[usize]) -> Vec<u32> {
-        let mut kept: Vec<u32> = Vec::with_capacity(probe.len());
+    /// The positions of `probe` that hold one of the set's keys,
+    /// ascending; on a dense set, written by the loop that packs the keys,
+    /// without a branch per row.
+    fn members(&self, probe: &Keys) -> Vec<u32> {
         match self {
             KeySet::Dense(plan, set) => {
-                let mut blk = plan.block(probe.len());
-                for rows in blocks(0..probe.len()) {
-                    let (lo, base) = (rows.start, kept.len());
-                    kept.extend(lo as u32..rows.end as u32);
-                    let keys = plan.pack(probe, idx, rows, &mut blk);
-                    let n = compact(&mut kept[base..], |r| set.contains(keys[r as usize - lo]));
-                    kept.truncate(base + n);
-                }
+                let (mut kept, mut n) = (vec![0u32; probe.len], 0);
+                plan.keys(probe, 0..probe.len, |j, k| {
+                    kept[n] = j as u32;
+                    n += usize::from(set.contains(k));
+                });
+                kept.truncate(n);
+                kept
             }
-            KeySet::Hashed {
-                rel,
-                idx: rel_idx,
-                table,
-            } => {
+            KeySet::Hashed { keys, table } => {
                 let reader = dict::reader();
-                let hashes = key_hashes(probe, idx, &reader);
-                kept.extend((0..probe.len()).filter_map(|pi| {
-                    let partner = |ri| rows_key_eq(probe, pi, rel, ri, idx, rel_idx, &reader);
+                let hashes = probe.hashes(&reader);
+                let mut kept: Vec<u32> = Vec::with_capacity(probe.len);
+                kept.extend((0..probe.len).filter_map(|pi| {
+                    let partner = |ri| probe.eq_at(pi, keys, ri, &reader);
                     table.any(hashes[pi], partner).then_some(pi as u32)
                 }));
+                kept
             }
         }
-        kept
     }
 }
 
 /// The semijoin transfer of `P′` (DESIGN.md §3.4): narrows each of
 /// `inputs` that shares a variable with `child` and for which
 /// `worth(rows)` holds to its rows with a partner in `child` on the
-/// shared variables — `input ⋉ child`, without gathering anything but the
-/// input's key columns. Selections stay ascending.
+/// shared variables — `input ⋉ child`, reading the input's key columns
+/// through its selection, gathering nothing. Selections stay ascending.
 ///
 /// One key set is built per distinct key (the shared variables, in
 /// `child`'s column order), whoever probes it. It charges no tuples, and
@@ -1109,24 +1106,12 @@ pub fn narrow(
         if !budget.try_reserve_bytes(reserved) {
             continue;
         }
-        let names: Vec<Name> = key.iter().map(|&c| child.cols()[c].clone()).collect();
-        let probes: Vec<CRel> = (members.iter())
-            .map(|&i| {
-                let s = &inputs[i];
-                let var = |v: &Name| s.vars.iter().position(|x| x == v).expect("shared");
-                let columns = names.iter().map(|v| s.column(var(v)).into_owned());
-                CRel::new(names.clone(), columns.collect(), s.len)
-            })
-            .collect();
-        let probe_idx = iota(key.len());
-        let set = KeySet::build(
-            child,
-            &key,
-            probes.iter().map(|p| (p, &probe_idx[..])),
-            reserved,
-        );
-        for (&i, probe) in members.iter().zip(&probes) {
-            let removed = inputs[i].retain(set.members(probe, &probe_idx));
+        let names = || key.iter().map(|&c| &child.cols()[c]);
+        let probes = members.iter().map(|&i| inputs[i].keys(names()));
+        let set = KeySet::build(child, &key, probes, reserved);
+        for &i in &members {
+            let kept = set.members(&inputs[i].keys(names()));
+            let removed = inputs[i].retain(kept);
             budget.join_stats().add_transfer_removed(removed as u64);
         }
         budget.uncharge_bytes(reserved);
@@ -1175,7 +1160,7 @@ fn project_columns(
     }
     let names = idx.iter().map(|&c| a.cols()[c].clone()).collect();
     if distinct {
-        let keep = group_rows(a, &idx, distinct_bytes(a.len()), budget, |_, _| Ok(()))?;
+        let keep = group_rows(a, &idx, 0, budget, |_, _| Ok(()))?;
         let columns = idx
             .iter()
             .map(|&c| Arc::new(a.column(c).gather(&keep)))
@@ -1194,34 +1179,24 @@ fn project_columns(
 /// rows, each kept at its first occurrence, in input order, with a
 /// [`COUNT`] column holding the summed `counts` of the rows each stands
 /// for (every row counts 1 without `counts`). Charges what the distinct
-/// projection charges, and reserves 4 more bytes per row toward the
-/// sums. A sum past `u64` is [`EvalError::CountOverflow`].
+/// projection charges, and each group's 8-byte sum when the group opens:
+/// the sums become the [`COUNT`] column, whose bytes are not charged
+/// again. A sum past `u64` is [`EvalError::CountOverflow`].
 fn sum_counts(
     a: &CRel,
     idx: Vec<usize>,
     counts: Option<&[i64]>,
     budget: &mut Budget,
 ) -> Result<CRel, EvalError> {
-    let n = a.len();
-    let mut sums: Vec<u64> = Vec::with_capacity(n.min(BLOCK));
-    let keep = group_rows(a, &idx, distinct_bytes(n) + 4 * n as u64, budget, |i, g| {
-        if g as usize == sums.len() {
-            sums.push(0);
-        }
-        let count = counts.map_or(1, |c| c[i] as u64);
-        let sum = &mut sums[g as usize];
-        *sum = sum.checked_add(count).ok_or(EvalError::CountOverflow)?;
-        Ok(())
+    let mut sums: Vec<u64> = Vec::with_capacity(a.len().min(BLOCK));
+    let keep = group_rows(a, &idx, 8, budget, |i, g| {
+        add_count(&mut sums, g, counts.map_or(1, |c| c[i] as u64))
     })?;
-    let names = (idx.iter().map(|&c| a.cols()[c].clone())).chain([COUNT.into()]);
-    let columns = (idx.iter().map(|&c| Arc::new(a.column(c).gather(&keep))))
-        .chain([Arc::new(Column::from_ints(
-            sums.into_iter().map(|s| s as i64).collect(),
-        ))])
-        .collect();
-    let out = CRel::new(names.collect(), columns, keep.len());
+    let names = idx.iter().map(|&c| a.cols()[c].clone()).collect();
+    let columns = (idx.iter()).map(|&c| Arc::new(a.column(c).gather(&keep)));
+    let out = CRel::new(names, columns.collect(), keep.len());
     budget.charge_bytes(crel_payload_bytes(&out))?;
-    Ok(out)
+    Ok(out.with_counts(sums.into_iter().map(|s| s as i64).collect()))
 }
 
 /// The bytes a distinct projection of `n` rows reserves for its group
@@ -1233,27 +1208,29 @@ pub(crate) fn distinct_bytes(n: usize) -> u64 {
 
 /// The first row of each group of `a`'s rows by their key over `idx`,
 /// in input order — the rows a distinct projection keeps. Each group is
-/// charged one tuple and 4 bytes when its first row comes, before `each`
-/// sees that row ([`GroupIds::assign`]). The group table lives in
-/// `map_bytes` reserved up front and released once the groups are known.
+/// charged one tuple and `4 + state_bytes` bytes when its first row
+/// comes, before `each` sees that row ([`GroupIds::assign`]). The group
+/// table lives in the [`distinct_bytes`] reserved up front and released
+/// once the groups are known.
 fn group_rows(
     a: &CRel,
     idx: &[usize],
-    map_bytes: u64,
+    state_bytes: u64,
     budget: &mut Budget,
     mut each: impl FnMut(usize, u32) -> Result<(), EvalError>,
 ) -> Result<Vec<u32>, EvalError> {
+    let map_bytes = distinct_bytes(a.len());
     budget.reserve_bytes(map_bytes)?;
     let reader = dict::reader();
-    let mut ids = GroupIds::new(a, idx, map_bytes, &reader);
+    let mut ids = GroupIds::new(Keys::of(a, idx), None, map_bytes, &reader);
     let mut first_row: Vec<u32> = Vec::with_capacity(a.len().min(BLOCK));
     let mut groups = 0;
     let result = blocks(0..a.len()).try_for_each(|rows| {
-        ids.assign(a, idx, rows, &mut first_row, &reader, |i, g| {
+        ids.assign(rows, &mut first_row, &reader, |i, g| {
             if g == groups {
                 groups += 1;
                 budget.charge(1)?;
-                budget.charge_bytes(4)?;
+                budget.charge_bytes(4 + state_bytes)?;
             }
             each(i, g)
         })
@@ -1268,11 +1245,12 @@ const NO_GROUP: u32 = u32::MAX;
 /// The engine's one table from a key to its group: the group of each row
 /// of a relation by its key columns, groups numbered in the order their
 /// first rows come. The distinct projection keeps each group's first row,
-/// the counted projection ([`COUNT`]) sums each group's counts, and the
+/// the counted projection ([`COUNT`]) sums each group's counts, the
+/// counted [`semijoin`] looks its rows' partners up in it, and the
 /// grouping kernel of [`crate::aggregate`] feeds each group's aggregates.
 /// (One per call, on the stack: the key plan's size is not worth a box.)
 #[allow(clippy::large_enum_variant)]
-pub(crate) enum GroupIds {
+pub(crate) enum GroupIds<'r> {
     /// No key column: one group.
     One,
     /// The key columns have a key plan whose packed range fits the
@@ -1280,46 +1258,55 @@ pub(crate) enum GroupIds {
     /// key to group.
     Direct {
         plan: KeyPlan,
-        blk: KeyBlock,
+        keys: Keys<'r>,
         table: Vec<u32>,
     },
     /// Any other key: every row's key hash, and an open-addressed table
     /// of `(hash, group)` probed linearly, at most half full; a candidate
     /// is verified against the group's first row.
     Hashed {
+        keys: Keys<'r>,
         hashes: Vec<u64>,
         slots: Vec<(u64, u32)>,
     },
 }
 
-impl GroupIds {
-    /// The table for `rel`'s key columns `idx`, sized from the `reserved`
-    /// bytes the caller holds for it. The hashed table starts with the
-    /// slots the reservation holds past the key hashes (8 bytes a row) —
-    /// a power of two, at least 16, and no more than every row opening a
-    /// group needs — and doubles when half full.
-    pub(crate) fn new(rel: &CRel, idx: &[usize], reserved: u64, reader: &DictReader) -> GroupIds {
-        if idx.is_empty() {
+impl<'r> GroupIds<'r> {
+    /// The table for the key `keys`, sized from the `reserved` bytes the
+    /// caller holds for it; direct only if `probe`, the key
+    /// [`GroupIds::find_each`] will look up (if any), admits its plan. The
+    /// hashed table starts with the slots the reservation holds past the
+    /// key hashes (8 bytes a row) — a power of two, at least 16, and no
+    /// more than every row opening a group needs — and doubles when half
+    /// full.
+    pub(crate) fn new(
+        keys: Keys<'r>,
+        probe: Option<&Keys>,
+        reserved: u64,
+        reader: &DictReader,
+    ) -> GroupIds<'r> {
+        if keys.cols.is_empty() {
             return GroupIds::One;
         }
-        let direct = KeyPlan::resolve(rel, idx, rel, idx).and_then(|plan| {
+        let direct = KeyPlan::resolve(&keys, probe.unwrap_or(&keys)).and_then(|plan| {
             let range = plan.range_fitting(reserved, |r| r.checked_mul(4))?;
             Some((plan, range))
         });
         match direct {
             Some((plan, range)) => GroupIds::Direct {
-                blk: plan.block(rel.len()),
                 plan,
+                keys,
                 table: vec![NO_GROUP; range],
             },
             None => {
-                let n = rel.len();
+                let n = keys.len;
                 let slot = std::mem::size_of::<(u64, u32)>() as u64;
                 let held = reserved.saturating_sub(8 * n as u64) / slot;
                 let fits = ((held + 1).next_power_of_two() / 2) as usize;
                 let cap = fits.min((2 * n).next_power_of_two()).max(16);
                 GroupIds::Hashed {
-                    hashes: key_hashes(rel, idx, reader),
+                    hashes: keys.hashes(reader),
+                    keys,
                     slots: vec![(0, NO_GROUP); cap],
                 }
             }
@@ -1333,72 +1320,97 @@ impl GroupIds {
     /// first error.
     pub(crate) fn assign(
         &mut self,
-        rel: &CRel,
-        idx: &[usize],
         rows: Range<usize>,
         first_row: &mut Vec<u32>,
         reader: &DictReader,
         mut each: impl FnMut(usize, u32) -> Result<(), EvalError>,
     ) -> Result<(), EvalError> {
-        let lo = rows.start;
         match self {
             GroupIds::One => {
                 if first_row.is_empty() && !rows.is_empty() {
-                    first_row.push(lo as u32);
+                    first_row.push(rows.start as u32);
                 }
-                for i in rows {
-                    each(i, 0)?;
-                }
+                rows.into_iter().try_for_each(|i| each(i, 0))
             }
-            GroupIds::Direct { plan, blk, table } => {
-                for (j, &k) in plan.pack(rel, idx, rows, blk).iter().enumerate() {
-                    let g = &mut table[k as usize];
-                    if *g == NO_GROUP {
-                        *g = first_row.len() as u32;
-                        first_row.push((lo + j) as u32);
-                    }
-                    each(lo + j, *g)?;
+            GroupIds::Direct { plan, keys, table } => plan.try_keys(keys, rows, |i, k| {
+                let g = &mut table[k as usize];
+                if *g == NO_GROUP {
+                    *g = first_row.len() as u32;
+                    first_row.push(i as u32);
                 }
+                each(i, *g)
+            }),
+            GroupIds::Hashed {
+                keys,
+                hashes,
+                slots,
+            } => rows.into_iter().try_for_each(|i| {
+                let h = hashes[i];
+                let first = |g: u32| first_row[g as usize] as usize;
+                let s = slot(slots, h, |g| keys.eq_at(i, keys, first(g), reader));
+                if slots[s].1 == NO_GROUP {
+                    slots[s] = (h, first_row.len() as u32);
+                    first_row.push(i as u32);
+                }
+                let g = slots[s].1;
+                if 2 * first_row.len() > slots.len() {
+                    grow(slots);
+                }
+                each(i, g)
+            }),
+        }
+    }
+
+    /// Hands `f` the group of every position of `probe` (paired by
+    /// position with the key the table was built on), or [`NO_GROUP`]
+    /// where no row has its key; `first_row` is what
+    /// [`GroupIds::assign`] filled. Opens no group.
+    fn find_each(
+        &self,
+        probe: &Keys,
+        first_row: &[u32],
+        reader: &DictReader,
+        mut f: impl FnMut(usize, u32),
+    ) {
+        match self {
+            GroupIds::One => {
+                let g = if first_row.is_empty() { NO_GROUP } else { 0 };
+                (0..probe.len).for_each(|i| f(i, g));
             }
-            GroupIds::Hashed { hashes, slots } => {
-                for i in rows {
-                    let h = hashes[i];
-                    let mask = slots.len() - 1;
-                    let mut s = h as usize & mask;
-                    let g = loop {
-                        let (sh, g) = slots[s];
-                        if g == NO_GROUP {
-                            let g = first_row.len() as u32;
-                            slots[s] = (h, g);
-                            first_row.push(i as u32);
-                            if 2 * first_row.len() > slots.len() {
-                                grow(slots);
-                            }
-                            break g;
-                        }
-                        let first = first_row[g as usize] as usize;
-                        if sh == h && rows_key_eq(rel, i, rel, first, idx, idx, reader) {
-                            break g;
-                        }
-                        s = (s + 1) & mask;
-                    };
-                    each(i, g)?;
+            GroupIds::Direct { plan, table, .. } => plan.keys(probe, 0..probe.len, |i, k| {
+                f(i, table.get(k as usize).copied().unwrap_or(NO_GROUP));
+            }),
+            GroupIds::Hashed { keys, slots, .. } => {
+                for (i, h) in probe.hashes(reader).into_iter().enumerate() {
+                    let first = |g: u32| first_row[g as usize] as usize;
+                    let s = slot(slots, h, |g| probe.eq_at(i, keys, first(g), reader));
+                    f(i, slots[s].1);
                 }
             }
         }
-        Ok(())
+    }
+}
+
+/// The slot of an open-addressed group table holding the group whose key
+/// hash is `h` and for which `is_key` holds, or the empty slot where that
+/// group would go.
+fn slot(slots: &[(u64, u32)], h: u64, is_key: impl Fn(u32) -> bool) -> usize {
+    let mask = slots.len() - 1;
+    let mut s = h as usize & mask;
+    loop {
+        let (sh, g) = slots[s];
+        if g == NO_GROUP || (sh == h && is_key(g)) {
+            return s;
+        }
+        s = (s + 1) & mask;
     }
 }
 
 /// Doubles an open-addressed group table, re-placing its groups.
 fn grow(slots: &mut Vec<(u64, u32)>) {
     let old = std::mem::replace(slots, vec![(0, NO_GROUP); 2 * slots.len()]);
-    let mask = slots.len() - 1;
     for (h, g) in old.into_iter().filter(|&(_, g)| g != NO_GROUP) {
-        let mut s = h as usize & mask;
-        while slots[s].1 != NO_GROUP {
-            s = (s + 1) & mask;
-        }
+        let s = slot(slots, h, |_| false);
         slots[s] = (h, g);
     }
 }
@@ -1655,6 +1667,87 @@ mod tests {
             .unwrap()
             .to_vrel()
             .set_eq(&a.to_vrel()));
+    }
+
+    /// A counted filter child multiplies in place: each row of `a` with a
+    /// partner keeps its place and its count (1 for an uncounted `a`) is
+    /// multiplied by its partners' summed count — the bag of projecting
+    /// the child onto the shared variables and joining it, with no hash
+    /// build and one tuple per kept row. A product or a sum past `u64` is
+    /// `CountOverflow` both ways; with no shared variable every row is
+    /// multiplied by the child's total count.
+    #[test]
+    fn a_counted_semijoin_multiplies_in_place() {
+        let a = crel(&["x", "y"], &[&[1, 10], &[2, 20], &[3, 30], &[4, 10]]);
+        let child = |counts: Vec<i64>| {
+            crel(&["y", "z"], &[&[10, 0], &[30, 5], &[10, 1], &[40, 1]]).with_counts(counts)
+        };
+        let reference = |a: &CRel, b: &CRel, budget: &mut Budget| {
+            let shared = (b.cols().iter()).filter(|c| ***c != *COUNT && a.col_index(c).is_some());
+            let partners = project(b, &shared.collect::<Vec<_>>(), true, budget)?;
+            natural_join(a, &partners, budget)
+        };
+        let counted = a.clone().with_counts(vec![2, 3, 5, 7]);
+        let b = child(vec![1, 6, 4, 9]);
+        for (a, want) in [(&a, [5, 6, 5]), (&counted, [10, 30, 35])] {
+            let mut budget = Budget::unlimited();
+            let got = semijoin(a, &b, &mut budget).unwrap();
+            assert_eq!(budget.join_stats().hash_builds(), 0);
+            assert_eq!(budget.charged(), 3);
+            let expect = reference(a, &b, &mut Budget::unlimited()).unwrap();
+            assert_eq!(got.cols(), expect.cols());
+            assert_eq!(got.to_vrel().sorted_rows(), expect.to_vrel().sorted_rows());
+            // In `a`'s order: the rows x = 1, 3, 4.
+            let xs: Vec<Value> = got.to_vrel().rows().iter().map(|r| r[0].clone()).collect();
+            assert_eq!(xs, [1, 3, 4].map(Value::Int));
+            assert_eq!(got.counts().unwrap(), want);
+        }
+
+        // `2 · (1 + 2⁶³)` and `2⁶³ + 2⁶³` do not fit.
+        let half = (1u64 << 63) as i64;
+        for (a, b) in [
+            (&counted, child(vec![1, 6, half, 9])),
+            (&a, child(vec![half, 6, half, 9])),
+        ] {
+            let sizes = |r: Result<CRel, EvalError>| r.map(|r| r.len());
+            let got = sizes(semijoin(a, &b, &mut Budget::unlimited()));
+            assert_eq!(got, Err(EvalError::CountOverflow));
+            let want = sizes(reference(a, &b, &mut Budget::unlimited()));
+            assert_eq!(want, Err(EvalError::CountOverflow));
+        }
+
+        let unshared = crel(&["w"], &[&[1], &[2]]).with_counts(vec![3, 4]);
+        let got = semijoin(&counted, &unshared, &mut Budget::unlimited()).unwrap();
+        assert_eq!(got.counts().unwrap(), [14, 21, 35, 49]);
+        let empty = CRel::empty(vec!["y".into(), COUNT.into()]);
+        assert!(semijoin(&counted, &empty, &mut Budget::unlimited())
+            .unwrap()
+            .is_empty());
+    }
+
+    /// The counted projection keeps its group table in the distinct
+    /// projection's reservation and charges each group's 8-byte sum when
+    /// the group opens, beside its 4-byte first row: 1,000 rows into 10
+    /// groups fit a byte cap of `distinct_bytes(1000) + 12·10` and are
+    /// refused one byte below it (the cap was `distinct_bytes(1000) +
+    /// 4·1000 + 4·10` while 4 bytes a row were reserved toward the sums).
+    #[test]
+    fn a_counted_projection_reserves_its_table_and_charges_its_sums() {
+        let n = 1_000;
+        let columns = [(0..n).map(|i| i % 10).collect(), (0..n).collect()]
+            .map(|c: Vec<i64>| Arc::new(Column::from_ints(c)));
+        let a = CRel::new(vec!["x".into(), "y".into()], columns.to_vec(), n as usize);
+        let a = a.with_counts(vec![2; n as usize]);
+        let cap = distinct_bytes(n as usize) + 12 * 10;
+        let run = |cap| {
+            let mut budget = Budget::unlimited().with_mem_limit(cap);
+            project(&a, &["x"], true, &mut budget).map(|r| r.counts().unwrap().to_vec())
+        };
+        assert_eq!(run(cap), Ok(vec![200; 10]));
+        assert!(matches!(
+            run(cap - 1),
+            Err(EvalError::MemoryExceeded { .. })
+        ));
     }
 
     #[test]
@@ -1914,7 +2007,7 @@ mod tests {
             let map_bytes = distinct_bytes(a.len());
             let (want_rows, _) = first_occurrences(&a, &idx, None);
             let (_, want_sums) = first_occurrences(&a, &idx, counts.as_deref());
-            match GroupIds::new(&a, &idx, map_bytes, &reader) {
+            match GroupIds::new(Keys::of(&a, &idx), None, map_bytes, &reader) {
                 GroupIds::One => seen[0] += 1,
                 GroupIds::Direct { .. } => seen[1] += 1,
                 GroupIds::Hashed { .. } if want_rows.len() <= 8 => seen[2] += 1,
@@ -1926,7 +2019,7 @@ mod tests {
             drop(reader);
 
             let mut budget = Budget::unlimited();
-            let kept = group_rows(&a, &idx, map_bytes, &mut budget, |_, _| Ok(())).unwrap();
+            let kept = group_rows(&a, &idx, 0, &mut budget, |_, _| Ok(())).unwrap();
             assert_eq!(kept, want_rows, "case {case}: kept rows");
 
             let input = match &counts {

@@ -27,6 +27,7 @@ use crate::column::{Column, ColumnData};
 use crate::dict;
 use crate::error::{Budget, EvalError};
 use crate::index::JoinIndex;
+use crate::keyplan::Keys;
 use crate::schema::ColumnType;
 use crate::value::{Row, Value};
 use crate::vrel::VRelation;
@@ -277,6 +278,14 @@ impl Selection<'_> {
     /// Variable `j` over the kept rows (see [`read_source`]).
     pub(crate) fn column(&self, j: usize) -> Cow<'_, Arc<Column>> {
         read_source(&self.sources[j], self.rows.as_deref())
+    }
+
+    /// The variables `vars` (which it must carry) as the key of a kernel,
+    /// read through the kept rows: nothing is gathered.
+    pub(crate) fn keys<'n>(&self, vars: impl IntoIterator<Item = &'n Name>) -> Keys<'_> {
+        let rows = self.rows.as_deref();
+        let source = |v| &**self.sources[self.vars.iter().position(|x| x == v).expect("carried")];
+        Keys::new(vars.into_iter().map(|v| (source(v), rows)), self.len)
     }
 
     /// The kept rows as a relation — one gather per column, none where

@@ -16,13 +16,17 @@
 //! NULL, differing variants, a range that overflows — means the hashed
 //! path, unchanged.
 //!
-//! Kernels walk their rows in blocks of [`BLOCK`]: keys are packed a
-//! block at a time into a [`KeyBlock`] (one variant match per column per
-//! block, typed loops inside), and the budget is settled once per block.
+//! A kernel reads its key columns where its input keeps its rows
+//! ([`Keys`]: a filtered input through its selection vector, nothing
+//! gathered) and walks them once: one loop over the typed cells — one
+//! variant match per column per call — computes each row's packed key
+//! inline and hands it straight to the kernel's test, lookup or insert.
+//! No key is buffered; joins settle the budget once per [`BLOCK`] of
+//! probe rows.
 
-use crate::column::{compact, Column, ColumnData};
+use crate::column::{combine_hash, compact, finish_hash, Column, ColumnData};
 use crate::crel::CRel;
-use crate::dict::NULL_CODE;
+use crate::dict::{DictReader, NULL_CODE};
 use std::ops::Range;
 
 /// Rows a kernel handles between two budget settlements, and the most
@@ -41,6 +45,102 @@ pub(crate) const MISS: u64 = u64::MAX;
 /// The most key columns a plan covers; a wider key takes the hashed path.
 const MAX_DIMS: usize = 8;
 
+/// One key column of a kernel's input: the column, and the rows of it
+/// the input keeps, ascending (`None`: every row).
+pub(crate) type KeyCol<'a> = (&'a Column, Option<&'a [u32]>);
+
+/// The key columns of one input of a kernel, paired by position with the
+/// other input's. Position `j` of a column is its row `j`, or `rows[j]`
+/// where it lists rows: a filtered input is read through its selection
+/// vector, never gathered.
+pub(crate) struct Keys<'a> {
+    pub(crate) cols: Vec<KeyCol<'a>>,
+    pub(crate) len: usize,
+}
+
+/// The row position `j` reads (see [`Keys`]).
+#[inline]
+fn row(rows: Option<&[u32]>, j: usize) -> usize {
+    rows.map_or(j, |rows| rows[j] as usize)
+}
+
+/// `$body` with `$cell` the function from a position of the key column
+/// `$col` read at `$rows` ([`Keys`]) to its cell as an `i64`: one copy
+/// of `$body` per cell type, for listed and for unlisted rows, so the
+/// loops inside are typed.
+macro_rules! with_cells {
+    ($col:expr, $rows:expr, |$cell:ident| $body:expr) => {
+        match $col.data() {
+            ColumnData::Int(a) => with_cells!(a, $rows, $cell, $body),
+            ColumnData::Date(a) => with_cells!(a, $rows, $cell, $body),
+            ColumnData::Str(a) => with_cells!(a, $rows, $cell, $body),
+            ColumnData::Float(_) | ColumnData::Mixed(_) => {
+                unreachable!("key plans are resolved over Int, Date and Str columns only")
+            }
+        }
+    };
+    ($a:ident, $rows:expr, $cell:ident, $body:expr) => {
+        match $rows {
+            None => {
+                let $cell = |j: usize| i64::from($a[j]);
+                $body
+            }
+            Some(r) => {
+                let $cell = |j: usize| i64::from($a[r[j] as usize]);
+                $body
+            }
+        }
+    };
+}
+
+impl<'a> Keys<'a> {
+    /// Key columns of `len` positions each.
+    pub(crate) fn new(cols: impl IntoIterator<Item = KeyCol<'a>>, len: usize) -> Keys<'a> {
+        let cols = cols.into_iter().collect();
+        Keys { cols, len }
+    }
+
+    /// Columns `idx` of `rel`, every row.
+    pub(crate) fn of(rel: &'a CRel, idx: &[usize]) -> Keys<'a> {
+        Keys::new(idx.iter().map(|&c| (rel.column(c), None)), rel.len())
+    }
+
+    /// 64-bit key hash of every position: one [`Column::write_hashes`]
+    /// pass per column, then the avalanche finalizer. An empty key hashes
+    /// every row to the same constant (cross products).
+    pub(crate) fn hashes(&self, reader: &DictReader) -> Vec<u64> {
+        let mut acc = vec![0u64; self.len];
+        for &(col, rows) in &self.cols {
+            match rows {
+                None => col.write_hashes(&mut acc, reader),
+                Some(rows) => col.write_hashes_at(rows, &mut acc, reader),
+            }
+        }
+        acc.iter_mut().for_each(|h| *h = finish_hash(*h));
+        acc
+    }
+
+    /// The key hashes of positions `at`, one per position, into `out`.
+    pub(crate) fn hashes_at(&self, at: &[u32], out: &mut Vec<u64>, reader: &DictReader) {
+        out.clear();
+        out.resize(at.len(), 0);
+        for &(col, rows) in &self.cols {
+            for (h, &j) in out.iter_mut().zip(at) {
+                *h = combine_hash(*h, col.hash_at(row(rows, j as usize), reader));
+            }
+        }
+        out.iter_mut().for_each(|h| *h = finish_hash(*h));
+    }
+
+    /// True if position `i` and position `j` of `other` hold equal keys
+    /// (`Value` equality semantics, [`Column::eq_at`]).
+    #[inline]
+    pub(crate) fn eq_at(&self, i: usize, other: &Keys, j: usize, reader: &DictReader) -> bool {
+        (self.cols.iter().zip(&other.cols))
+            .all(|(&(a, ra), &(b, rb))| a.eq_at(row(ra, i), b, row(rb, j), reader))
+    }
+}
+
 /// One key column: the build side's value range and its place in the
 /// packed key.
 #[derive(Clone, Copy, Default)]
@@ -53,6 +153,19 @@ struct KeyDim {
     stride: u64,
 }
 
+impl KeyDim {
+    /// `x − min`, or [`MISS`] (all ones, set without a branch) where that
+    /// falls outside `0..width`. The subtraction wraps in `u64`, which is
+    /// exact here: a value below `min` wraps to at least
+    /// `2⁶⁴ − (min − i64::MIN)`, and that is `≥ width` because
+    /// `min + width − 1` is an `i64`.
+    #[inline]
+    fn offset(&self, x: i64) -> u64 {
+        let d = (x as u64).wrapping_sub(self.min as u64);
+        d | u64::from(d >= self.width).wrapping_neg()
+    }
+}
+
 /// See the module docs.
 pub(crate) struct KeyPlan {
     /// One per key column, in the first `n_dims` places: a plan is
@@ -63,17 +176,8 @@ pub(crate) struct KeyPlan {
     range: Option<u64>,
 }
 
-/// Per-call scratch for one block of packed keys: the keys, then — for a
-/// multi-column key — the offsets of its second and later columns.
-pub(crate) struct KeyBlock {
-    buf: Vec<u64>,
-    /// Rows in a block.
-    rows: usize,
-}
-
 /// A fixed-size set of packed keys or column offsets: the reducer side
-/// of a semijoin, the keys a distinct projection has seen, the values of
-/// one key column of a join's build side.
+/// of a semijoin, the values of one key column of a join's build side.
 pub(crate) struct Bitmap {
     words: Vec<u64>,
 }
@@ -100,93 +204,50 @@ impl Bitmap {
         hit & ((self.words[(i / 64) as usize] >> (i % 64)) & 1 == 1)
     }
 
-    /// Adds `i`; true if it was not in the set.
+    /// Adds `i`.
     #[inline]
-    pub(crate) fn insert(&mut self, i: u64) -> bool {
-        let (word, bit) = (&mut self.words[(i / 64) as usize], 1u64 << (i % 64));
-        let fresh = *word & bit == 0;
-        *word |= bit;
-        fresh
+    pub(crate) fn insert(&mut self, i: u64) {
+        self.words[(i / 64) as usize] |= 1u64 << (i % 64);
     }
 }
 
-/// Smallest and largest value of a non-empty slice.
-fn min_max<T: Copy + Ord + Into<i64>>(a: &[T]) -> (i64, i64) {
-    let (lo, hi) = a[1..]
-        .iter()
-        .fold((a[0], a[0]), |(lo, hi), &x| (lo.min(x), hi.max(x)));
-    (lo.into(), hi.into())
-}
-
-/// `out[j] = a[j] − min`, or [`MISS`] where that falls outside
-/// `0..width`. The subtraction wraps in `u64`, which is exact here: a
-/// value below `min` wraps to at least `2⁶⁴ − (min − i64::MIN)`, and that
-/// is `≥ width` because `min + width − 1` is an `i64`.
-fn offsets_of<T: Copy + Into<i64>>(a: &[T], dim: &KeyDim, out: &mut [u64]) {
-    for (o, &x) in out.iter_mut().zip(a) {
-        let d = (x.into() as u64).wrapping_sub(dim.min as u64);
-        *o = if d < dim.width { d } else { MISS };
-    }
-}
-
-impl KeyDim {
-    /// Offsets of rows `lo..lo + out.len()` of `col` (see [`offsets_of`]).
-    fn offsets(&self, col: &Column, lo: usize, out: &mut [u64]) {
-        let hi = lo + out.len();
-        match col.data() {
-            ColumnData::Int(a) => offsets_of(&a[lo..hi], self, out),
-            ColumnData::Date(a) => offsets_of(&a[lo..hi], self, out),
-            ColumnData::Str(a) => offsets_of(&a[lo..hi], self, out),
-            ColumnData::Float(_) | ColumnData::Mixed(_) => {
-                unreachable!("key plans are resolved over Int, Date and Str columns only")
-            }
-        }
-    }
+/// True if `col` holds no NULL at `rows`.
+fn null_free(col: &Column, rows: Option<&[u32]>) -> bool {
+    let nulls = col.nulls();
+    !nulls.any() || rows.is_some_and(|rows| rows.iter().all(|&r| !nulls.get(r as usize)))
 }
 
 impl KeyPlan {
-    /// The plan for joining `build`'s key columns `build_idx` with
-    /// `probe`'s `probe_idx` (paired by position), or `None` when the key
-    /// is not plannable: no key column, no build row, a column that is
-    /// not null-free `Int`/`Date`/`Str` on both sides, a build-side range
-    /// of `2⁶⁴` values, or more than `MAX_DIMS` key columns.
-    pub(crate) fn resolve(
-        build: &CRel,
-        build_idx: &[usize],
-        probe: &CRel,
-        probe_idx: &[usize],
-    ) -> Option<KeyPlan> {
-        if build_idx.is_empty() || build_idx.len() > MAX_DIMS || build.is_empty() {
+    /// The plan for joining the `build` key with the `probe` key (columns
+    /// paired by position), or `None` when the key is not plannable: no
+    /// key column, no build row, a column that is not null-free
+    /// `Int`/`Date`/`Str` on both sides, a build-side range of `2⁶⁴`
+    /// values, or more than `MAX_DIMS` key columns. Only the rows each
+    /// side keeps count.
+    pub(crate) fn resolve(build: &Keys, probe: &Keys) -> Option<KeyPlan> {
+        let n_dims = build.cols.len();
+        if n_dims == 0 || n_dims > MAX_DIMS || build.len == 0 {
             return None;
         }
         let mut dims = [KeyDim::default(); MAX_DIMS];
         let mut range = Some(1u64);
-        for (i, (&bc, &pc)) in build_idx.iter().zip(probe_idx).enumerate() {
-            let (b, p) = (build.column(bc), probe.column(pc));
-            let (min, max) = match (b.data(), p.data()) {
-                (ColumnData::Int(a), ColumnData::Int(_))
-                    if !b.nulls().any() && !p.nulls().any() =>
-                {
-                    min_max(a)
-                }
-                (ColumnData::Date(a), ColumnData::Date(_))
-                    if !b.nulls().any() && !p.nulls().any() =>
-                {
-                    min_max(a)
-                }
-                // String NULLs are the code `u32::MAX`: one on the build
-                // side shows up as the maximum, one on the probe side lies
-                // outside every null-free build range and is a miss, which
-                // is what `NULL = NULL` gives against a null-free side.
-                (ColumnData::Str(a), ColumnData::Str(_)) => {
-                    let (min, max) = min_max(a);
-                    if max == i64::from(NULL_CODE) {
-                        return None;
-                    }
-                    (min, max)
-                }
-                _ => return None,
-            };
+        for (i, (&(b, br), &(p, pr))) in build.cols.iter().zip(&probe.cols).enumerate() {
+            use ColumnData::{Date, Int, Str};
+            let alike = matches!((b.data(), p.data()), (Int(_), Int(_)) | (Date(_), Date(_)));
+            let strs = matches!((b.data(), p.data()), (Str(_), Str(_)));
+            if !(strs || alike && null_free(b, br) && null_free(p, pr)) {
+                return None;
+            }
+            let (min, max) = with_cells!(b, br, |cell| (0..build.len)
+                .map(cell)
+                .fold((i64::MAX, i64::MIN), |(lo, hi), x| (lo.min(x), hi.max(x))));
+            // String NULLs are the code `u32::MAX`: one on the build side
+            // shows up as the maximum, one on the probe side lies outside
+            // every null-free build range and is a miss, which is what
+            // `NULL = NULL` gives against a null-free side.
+            if strs && max == i64::from(NULL_CODE) {
+                return None;
+            }
             let width = (max as u64).wrapping_sub(min as u64).checked_add(1)?;
             dims[i] = KeyDim {
                 min,
@@ -195,7 +256,6 @@ impl KeyPlan {
             };
             range = range.and_then(|r| r.checked_mul(width));
         }
-        let n_dims = build_idx.len();
         Some(KeyPlan {
             dims,
             n_dims,
@@ -226,99 +286,104 @@ impl KeyPlan {
         })
     }
 
-    /// Scratch for walking relations of up to `rows` rows.
-    pub(crate) fn block(&self, rows: usize) -> KeyBlock {
-        let n = rows.min(BLOCK);
-        KeyBlock {
-            buf: vec![0; if self.n_dims > 1 { 2 * n } else { n }],
-            rows: n,
-        }
-    }
-
-    /// Packed keys of the block `rows` of `rel`'s key columns `idx`;
-    /// [`MISS`] for a row with a value outside the build side's range.
-    pub(crate) fn pack<'b>(
+    /// Hands `f` the packed key of each position `j` of `at` in `keys`
+    /// ([`MISS`] for a value outside the build side's range), in the
+    /// order of `at`, until `f` fails. One loop over the typed cells
+    /// computes each key inline: for a one-column key, a loop per cell
+    /// type and for listed and unlisted rows.
+    #[inline]
+    pub(crate) fn try_keys<E>(
         &self,
-        rel: &CRel,
-        idx: &[usize],
-        rows: Range<usize>,
-        blk: &'b mut KeyBlock,
-    ) -> &'b [u64] {
-        let (lo, len) = (rows.start, rows.len());
-        let (keys, tmp) = blk.buf.split_at_mut(blk.rows);
-        let keys = &mut keys[..len];
-        // The first stride is 1: its offsets are the keys so far.
-        self.dims[0].offsets(rel.column(idx[0]), lo, keys);
-        for (dim, &c) in self.dims().iter().zip(idx).skip(1) {
-            let tmp = &mut tmp[..len];
-            dim.offsets(rel.column(c), lo, tmp);
-            for (k, &t) in keys.iter_mut().zip(tmp.iter()) {
-                *k = if *k == MISS || t == MISS {
-                    MISS
-                } else {
-                    *k + t * dim.stride
-                };
-            }
-        }
-        keys
-    }
-
-    /// The set of packed keys of `rel`'s rows (the plan's build side).
-    pub(crate) fn packed_set(&self, rel: &CRel, idx: &[usize], range: usize) -> Bitmap {
-        let mut blk = self.block(rel.len());
-        let mut set = Bitmap::new(range as u64);
-        for rows in blocks(0..rel.len()) {
-            for &k in self.pack(rel, idx, rows, &mut blk) {
-                set.insert(k);
-            }
-        }
-        set
-    }
-
-    /// One exact bitmap per key column over the build side `rel`: bit
-    /// `v − minᵢ` of bitmap `i` is set iff some row holds `v` in column
-    /// `i`.
-    pub(crate) fn range_bitmaps(
-        &self,
-        rel: &CRel,
-        idx: &[usize],
-        blk: &mut KeyBlock,
-    ) -> Vec<Bitmap> {
-        let mut maps: Vec<Bitmap> = self.dims().iter().map(|d| Bitmap::new(d.width)).collect();
-        for rows in blocks(0..rel.len()) {
-            let offs = &mut blk.buf[..rows.len()];
-            for ((dim, &c), map) in self.dims().iter().zip(idx).zip(&mut maps) {
-                dim.offsets(rel.column(c), rows.start, offs);
-                for &d in offs.iter() {
-                    map.insert(d);
+        keys: &Keys,
+        at: impl Iterator<Item = usize>,
+        mut f: impl FnMut(usize, u64) -> Result<(), E>,
+    ) -> Result<(), E> {
+        if let [(col, rows)] = keys.cols[..] {
+            let dim = self.dims[0];
+            return with_cells!(col, rows, |cell| {
+                for j in at {
+                    f(j, dim.offset(cell(j)))?;
                 }
-            }
+                Ok(())
+            });
         }
-        maps
+        for j in at {
+            let (mut k, mut hit) = (0u64, true);
+            for (dim, &(col, rows)) in self.dims().iter().zip(&keys.cols) {
+                let d = dim.offset(with_cells!(col, rows, |cell| cell(j)));
+                hit &= d != MISS;
+                k = k.wrapping_add(d.wrapping_mul(dim.stride));
+            }
+            f(j, if hit { k } else { MISS })?;
+        }
+        Ok(())
     }
 
-    /// Replaces `sel` with the rows of the block `rows` of `probe` whose
-    /// every key value occurs in the build side's column (ascending):
-    /// the only rows that can have a match. Each key column compacts the
-    /// candidates the previous one left ([`compact`]).
+    /// [`KeyPlan::try_keys`] for an `f` that cannot fail.
+    #[inline]
+    pub(crate) fn keys(
+        &self,
+        keys: &Keys,
+        at: impl Iterator<Item = usize>,
+        mut f: impl FnMut(usize, u64),
+    ) {
+        let Ok(()) = self.try_keys(keys, at, |j, k| {
+            f(j, k);
+            Ok::<(), std::convert::Infallible>(())
+        });
+    }
+
+    /// One exact bitmap per key column `i` over the build side `keys`
+    /// (bit `v − minᵢ` set iff some row holds `v` in column `i`), with its
+    /// `i`, the sparsest first: a probe value spread over a column's range
+    /// passes its bitmap about as often as the bitmap's bits are set.
+    pub(crate) fn range_bitmaps(&self, keys: &Keys) -> Vec<(usize, Bitmap)> {
+        let mut maps: Vec<(f64, usize, Bitmap)> = (self.dims().iter().zip(&keys.cols))
+            .enumerate()
+            .map(|(i, (dim, &(col, rows)))| {
+                let mut map = Bitmap::new(dim.width);
+                with_cells!(col, rows, |cell| (0..keys.len)
+                    .for_each(|j| map.insert(dim.offset(cell(j)))));
+                let set: u32 = map.words.iter().map(|w| w.count_ones()).sum();
+                (f64::from(set) / dim.width as f64, i, map)
+            })
+            .collect();
+        maps.sort_by(|x, y| x.0.total_cmp(&y.0));
+        maps.into_iter().map(|(_, i, map)| (i, map)).collect()
+    }
+
+    /// Writes to the front of `sel` the positions of the block `at` of
+    /// `probe` whose every key value occurs in the build side's column
+    /// (`maps`, from [`KeyPlan::range_bitmaps`]), ascending — the only
+    /// rows that can have a match — and returns how many. The first
+    /// bitmap's loop over the block writes each position and keeps it by
+    /// its bit; each later one compacts what the earlier ones kept
+    /// ([`compact`]), reading only those rows.
     pub(crate) fn survivors(
         &self,
-        maps: &[Bitmap],
-        probe: &CRel,
-        idx: &[usize],
-        rows: Range<usize>,
-        blk: &mut KeyBlock,
-        sel: &mut Vec<u32>,
-    ) {
-        let (lo, len) = (rows.start, rows.len());
-        let offs = &mut blk.buf[..len];
-        sel.clear();
-        sel.extend(lo as u32..rows.end as u32);
-        for ((dim, &c), map) in self.dims().iter().zip(idx).zip(maps) {
-            dim.offsets(probe.column(c), lo, offs);
-            let kept = compact(sel, |r| map.contains(offs[r as usize - lo]));
-            sel.truncate(kept);
+        maps: &[(usize, Bitmap)],
+        probe: &Keys,
+        at: Range<usize>,
+        sel: &mut [u32],
+    ) -> usize {
+        let mut n = at.len();
+        for (i, (d, map)) in maps.iter().enumerate() {
+            let (dim, (col, rows)) = (self.dims[*d], probe.cols[*d]);
+            n = with_cells!(col, rows, |cell| {
+                let hit = |j: usize| map.contains(dim.offset(cell(j)));
+                if i == 0 {
+                    let mut kept = 0;
+                    for j in at.clone() {
+                        sel[kept] = j as u32;
+                        kept += usize::from(hit(j));
+                    }
+                    kept
+                } else {
+                    compact(&mut sel[..n], |j| hit(j as usize))
+                }
+            });
         }
+        n
     }
 }
 
@@ -339,58 +404,114 @@ mod tests {
         Column::from_ints(v.to_vec())
     }
 
+    /// The packed keys of positions `at` of `keys`, in order.
+    fn packed(plan: &KeyPlan, keys: &Keys, at: Range<usize>) -> Vec<u64> {
+        let mut out = Vec::new();
+        plan.keys(keys, at, |_, k| out.push(k));
+        out
+    }
+
     #[test]
     fn packing_is_exact_and_out_of_range_is_a_miss() {
         let build = rel(vec![ints(&[-3, 4, 0]), ints(&[10, 10, 12])]);
         let probe = rel(vec![ints(&[4, -3, 5, -4, 0]), ints(&[10, 12, 10, 10, 13])]);
-        let plan = KeyPlan::resolve(&build, &[0, 1], &probe, &[0, 1]).unwrap();
+        let (bk, pk) = (Keys::of(&build, &[0, 1]), Keys::of(&probe, &[0, 1]));
+        let plan = KeyPlan::resolve(&bk, &pk).unwrap();
         assert_eq!(plan.range, Some(8 * 3));
-        let mut blk = plan.block(5);
-        assert_eq!(
-            plan.pack(&build, &[0, 1], 0..3, &mut blk),
-            [0, 7, 3 + 2 * 8]
-        );
-        assert_eq!(
-            plan.pack(&probe, &[0, 1], 0..5, &mut blk),
-            [7, 2 * 8, MISS, MISS, MISS]
-        );
+        assert_eq!(packed(&plan, &bk, 0..3), [0, 7, 3 + 2 * 8]);
+        assert_eq!(packed(&plan, &pk, 0..5), [7, 2 * 8, MISS, MISS, MISS]);
         // A later block of the same relation.
-        assert_eq!(plan.pack(&probe, &[0, 1], 3..5, &mut blk), [MISS, MISS]);
+        assert_eq!(packed(&plan, &pk, 3..5), [MISS, MISS]);
+        // Read through a selection vector: positions 0, 1 are rows 4, 0.
+        let rows = [4, 0];
+        let selected = Keys::new(
+            [
+                (probe.column(0), Some(&rows[..])),
+                (probe.column(1), Some(&rows[..])),
+            ],
+            2,
+        );
+        assert_eq!(packed(&plan, &selected, 0..2), [MISS, 7]);
+        // One column: the same offsets, listed rows or not.
+        let one = KeyPlan::resolve(&Keys::of(&build, &[0]), &Keys::of(&probe, &[0])).unwrap();
+        let col = Keys::new([(probe.column(0), Some(&rows[..]))], 2);
+        assert_eq!(packed(&one, &col, 0..2), [3, 7]);
+        assert_eq!(
+            packed(&one, &Keys::of(&probe, &[0]), 0..5),
+            [7, 0, MISS, MISS, 3]
+        );
+    }
+
+    /// A two-column prefilter keeps the rows both columns' bitmaps hold:
+    /// a row that hits the first column and misses the second is dropped
+    /// by the second column's compaction, through a selection vector too.
+    #[test]
+    fn survivors_test_later_columns_on_the_earlier_survivors() {
+        let build = rel(vec![ints(&[1, 5, 9]), ints(&[100, 300, 500])]);
+        let probe = rel(vec![
+            ints(&[1, 5, 2, 9, 5, 1]),
+            ints(&[500, 200, 300, 100, 300, 101]),
+        ]);
+        let bk = Keys::of(&build, &[0, 1]);
+        let plan = KeyPlan::resolve(&bk, &Keys::of(&probe, &[0, 1])).unwrap();
+        let maps = plan.range_bitmaps(&bk);
+        // The second column's bitmap is the sparser: it goes first.
+        assert_eq!(maps.iter().map(|(i, _)| *i).collect::<Vec<_>>(), [1, 0]);
+        let mut sel = [0u32; 6];
+        let n = plan.survivors(&maps, &Keys::of(&probe, &[0, 1]), 0..6, &mut sel);
+        assert_eq!(sel[..n], [0, 3, 4]);
+        let n = plan.survivors(&maps, &Keys::of(&probe, &[0, 1]), 2..6, &mut sel);
+        assert_eq!(sel[..n], [3, 4]);
+        let rows = [1, 4, 5];
+        let listed = Keys::new(
+            [
+                (probe.column(0), Some(&rows[..])),
+                (probe.column(1), Some(&rows[..])),
+            ],
+            3,
+        );
+        let n = plan.survivors(&maps, &listed, 0..3, &mut sel);
+        assert_eq!(sel[..n], [1]);
     }
 
     #[test]
     fn the_whole_i64_range_has_no_plan_and_nearly_all_of_it_no_packed_range() {
         let all = rel(vec![ints(&[i64::MIN, i64::MAX])]);
-        assert!(KeyPlan::resolve(&all, &[0], &all, &[0]).is_none());
+        let all = Keys::of(&all, &[0]);
+        assert!(KeyPlan::resolve(&all, &all).is_none());
         let most = rel(vec![ints(&[i64::MIN + 1, i64::MAX]), ints(&[0, 1])]);
-        let plan = KeyPlan::resolve(&most, &[0, 1], &most, &[0, 1]).unwrap();
+        let most = Keys::of(&most, &[0, 1]);
+        let plan = KeyPlan::resolve(&most, &most).unwrap();
         assert_eq!(plan.range, None);
         assert!(plan.range_bitmap_bytes().unwrap() > 1 << 60);
         // Offsets stay exact at the extremes: below the minimum is a miss.
-        let probe = rel(vec![ints(&[i64::MIN, i64::MAX, i64::MIN + 1])]);
-        let mut out = [0u64; 3];
-        plan.dims[0].offsets(probe.column(0), 0, &mut out);
+        let out = [i64::MIN, i64::MAX, i64::MIN + 1].map(|x| plan.dims[0].offset(x));
         assert_eq!(out, [MISS, u64::MAX - 1, 0]);
     }
 
     #[test]
     fn nulls_floats_and_differing_variants_have_no_plan() {
+        let resolve = |b: &CRel, p: &CRel| KeyPlan::resolve(&Keys::of(b, &[0]), &Keys::of(p, &[0]));
         let mut nullable = Column::new(ColumnType::Int);
         nullable.push_value(&Value::Int(1));
         nullable.push_null();
         let (clean, nullable) = (rel(vec![ints(&[1, 2])]), rel(vec![nullable]));
-        assert!(KeyPlan::resolve(&clean, &[0], &nullable, &[0]).is_none());
-        assert!(KeyPlan::resolve(&nullable, &[0], &clean, &[0]).is_none());
+        assert!(resolve(&clean, &nullable).is_none());
+        assert!(resolve(&nullable, &clean).is_none());
+        // Only the rows a side keeps count: row 0 holds no NULL.
+        let rows = [0];
+        let kept = Keys::new([(nullable.column(0), Some(&rows[..]))], 1);
+        assert!(KeyPlan::resolve(&kept, &Keys::of(&clean, &[0])).is_some());
 
         let mut floats = Column::new(ColumnType::Float);
         assert!(floats.push_float(1.0) && floats.push_float(2.0));
         let floats = rel(vec![floats]);
-        assert!(KeyPlan::resolve(&floats, &[0], &floats, &[0]).is_none());
-        assert!(KeyPlan::resolve(&clean, &[0], &floats, &[0]).is_none());
+        assert!(resolve(&floats, &floats).is_none());
+        assert!(resolve(&clean, &floats).is_none());
 
         let mut dates = Column::new(ColumnType::Date);
         assert!(dates.push_date(1) && dates.push_date(2));
-        assert!(KeyPlan::resolve(&clean, &[0], &rel(vec![dates]), &[0]).is_none());
+        assert!(resolve(&clean, &rel(vec![dates])).is_none());
 
         // A string NULL on the build side is no plan; on the probe side
         // it is a miss.
@@ -403,13 +524,12 @@ mod tests {
             strs(&[Value::str("kp-a"), Value::str("kp-b")]),
             strs(&[Value::str("kp-a"), Value::Null]),
         );
-        assert!(KeyPlan::resolve(&holed, &[0], &full, &[0]).is_none());
-        let plan = KeyPlan::resolve(&full, &[0], &holed, &[0]).unwrap();
-        let mut blk = plan.block(2);
-        assert_eq!(plan.pack(&holed, &[0], 0..2, &mut blk)[1], MISS);
+        assert!(resolve(&holed, &full).is_none());
+        let plan = resolve(&full, &holed).unwrap();
+        assert_eq!(packed(&plan, &Keys::of(&holed, &[0]), 0..2)[1], MISS);
 
-        assert!(KeyPlan::resolve(&clean, &[], &clean, &[]).is_none());
+        assert!(KeyPlan::resolve(&Keys::of(&clean, &[]), &Keys::of(&clean, &[])).is_none());
         let empty = rel(vec![ints(&[])]);
-        assert!(KeyPlan::resolve(&empty, &[0], &clean, &[0]).is_none());
+        assert!(resolve(&empty, &clean).is_none());
     }
 }

@@ -56,12 +56,11 @@
 
 use crate::chain::ChainTable;
 use crate::column::{Column, ColumnData};
-use crate::cops::key_hashes;
 use crate::crel::{CRel, Name};
 use crate::dict;
 use crate::error::{Budget, EvalError, SpillMode, SpillStats};
 use crate::hash::FxHasher;
-use crate::keyplan::BLOCK;
+use crate::keyplan::{Keys, BLOCK};
 use crate::value::Value;
 use std::fs;
 use std::hash::{Hash, Hasher};
@@ -510,7 +509,7 @@ pub(crate) fn repartition(
 
 /// Writes the rows of `rels` into [`SPILL_FANOUT`] partition files:
 /// row `i` goes to partition `spill_partition(h, level)`, where `h` is
-/// its hash over the key columns `key` (`cops::key_hashes`, recomputed
+/// its hash over the key columns `key` (`keyplan::Keys::hashes`, recomputed
 /// for every chunk); rows keep their order within a partition.
 fn split(
     dir: &SpillDir,
@@ -526,7 +525,11 @@ fn split(
     for rel in rels {
         let rel = rel?;
         let mut parts: Vec<Vec<u32>> = vec![Vec::new(); SPILL_FANOUT];
-        for (i, &h) in key_hashes(&rel, key, &dict::reader()).iter().enumerate() {
+        for (i, &h) in Keys::of(&rel, key)
+            .hashes(&dict::reader())
+            .iter()
+            .enumerate()
+        {
             parts[spill_partition(h, level)].push(i as u32);
         }
         for (w, idx) in writers.iter_mut().zip(&parts) {
@@ -742,7 +745,7 @@ mod tests {
         let rel = sample(3 * BLOCK);
         let stats = SpillStats::default();
         let parts = partition(&dir, "p", &rel, &[0, 2], 0, &stats).unwrap();
-        let hashes = key_hashes(&rel, &[0, 2], &dict::reader());
+        let hashes = Keys::of(&rel, &[0, 2]).hashes(&dict::reader());
         let all = rows_of(&rel);
         for (p, file) in parts.iter().enumerate() {
             let want: Vec<&String> = (0..rel.len())

@@ -13,11 +13,14 @@
 #[path = "support/reference.rs"]
 mod reference;
 
+use htqo_cq::{Atom, AtomId, CmpOp, Filter, Literal};
 use htqo_engine::column::Column;
 use htqo_engine::cops;
 use htqo_engine::crel::CRel;
 use htqo_engine::error::{Budget, CancelToken, EvalError};
-use htqo_engine::schema::ColumnType;
+use htqo_engine::relation::Relation;
+use htqo_engine::scan::{atom_names, select_atom};
+use htqo_engine::schema::{ColumnType, Database, Schema};
 use htqo_engine::value::Value;
 use htqo_engine::vrel::{nested_loop_join, VRelation};
 use proptest::prelude::*;
@@ -519,5 +522,269 @@ fn unique_and_repeated_direct_keys_are_the_generic_join() {
                 }
             }
         }
+    }
+}
+
+/// A relation `(k0.., payload)` from typed key columns.
+fn keyed_by(keys: Vec<Column>, payload_name: &str) -> CRel {
+    let n = keys[0].len();
+    let mut names: Vec<htqo_engine::Name> =
+        (0..keys.len()).map(|i| format!("k{i}").into()).collect();
+    names.push(payload_name.into());
+    let mut columns: Vec<Arc<Column>> = keys.into_iter().map(Arc::new).collect();
+    columns.push(Arc::new(Column::from_ints((0..n as i64).collect())));
+    CRel::new(names, columns, n)
+}
+
+fn str_keys(keys: &[Option<u64>]) -> Column {
+    let mut c = Column::new(ColumnType::Str);
+    for k in keys {
+        match k {
+            Some(k) => assert!(c.push_str(&format!("jk-long-{k}"))),
+            None => c.push_null(),
+        }
+    }
+    c
+}
+
+/// Long probes, `(what, build, probe)`: 4,097–20,000 probe rows, so
+/// block boundaries fall mid-probe. A one-column direct key with unique
+/// and with repeated build keys; a two-column key too sparse for a direct
+/// table (range bitmaps in front of the hashed table) whose probe rows
+/// match, hit both columns' bitmaps but no pair, or hit the first column
+/// and miss on the second only; a two-column direct key whose probe rows
+/// match or fall outside the second column's range only; a `Str` key
+/// with NULL codes on the probe side.
+fn long_probe_cases() -> Vec<(&'static str, CRel, CRel)> {
+    let mut rng = Rng(0x10_4097);
+    let mut ints =
+        |n: usize, span: u64| -> Vec<i64> { (0..n).map(|_| rng.below(span) as i64).collect() };
+    let unique: Vec<i64> = (0..2_000).map(|i| 3 * i).collect();
+    let repeated: Vec<i64> = (0..2_000).map(|i| i / 4).collect();
+    let mut rng = Rng(0x2C01);
+    // Build pairs: 50 values in the first column, 100,000 in the second:
+    // 5 M packed keys, 20 MB of direct table against ≈ 0.1 MB reserved.
+    let pairs: Vec<(i64, i64)> = (0..2_000)
+        .map(|_| (rng.below(50) as i64, rng.below(100_000) as i64))
+        .collect();
+    let mut probe_pairs = |n: usize| -> (Vec<i64>, Vec<i64>) {
+        (0..n)
+            .map(|_| {
+                let (a, b) = pairs[rng.below(pairs.len() as u64) as usize];
+                match rng.below(3) {
+                    0 => (a, b),
+                    // Both values occur in the build side, rarely together.
+                    1 => (a, pairs[rng.below(pairs.len() as u64) as usize].1),
+                    // The second value is past every build row's.
+                    _ => (a, 100_000 + rng.below(1_000) as i64),
+                }
+            })
+            .unzip()
+    };
+    let (p0, p1) = probe_pairs(9_001);
+    let (b0, b1): (Vec<i64>, Vec<i64>) = pairs.iter().copied().unzip();
+    // 20 × 200 packed keys: a direct table. A probe row past the second
+    // column's range, or below it, misses on that column alone.
+    let mut rng = Rng(0xD2);
+    let small: Vec<(i64, i64)> = (0..2_000)
+        .map(|_| (rng.below(20) as i64, rng.below(200) as i64))
+        .collect();
+    let (s0, s1): (Vec<i64>, Vec<i64>) = small.iter().copied().unzip();
+    let (q0, q1): (Vec<i64>, Vec<i64>) = (0..6_000)
+        .map(|i| {
+            let (a, b) = small[rng.below(small.len() as u64) as usize];
+            match i % 3 {
+                0 => (a, b),
+                1 => (a, 200 + rng.below(50) as i64),
+                _ => (a, -1 - rng.below(50) as i64),
+            }
+        })
+        .unzip();
+    let mut rng = Rng(0x57);
+    let probe_strs: Vec<Option<u64>> = (0..4_097)
+        .map(|_| (rng.below(10) != 0).then(|| rng.below(1_500)))
+        .collect();
+    let build_strs: Vec<Option<u64>> = (0..1_000).map(Some).collect();
+    vec![
+        (
+            "unique direct keys, 20,000 probe rows",
+            keyed(int_keys(unique.clone()), "bv"),
+            keyed(int_keys(ints(20_000, 6_500)), "pv"),
+        ),
+        (
+            "unique direct keys, 4,097 probe rows",
+            keyed(int_keys(unique), "bv"),
+            keyed(int_keys(ints(4_097, 6_500)), "pv"),
+        ),
+        (
+            "repeated direct keys, 8,193 probe rows",
+            keyed(int_keys(repeated), "bv"),
+            keyed(int_keys(ints(8_193, 600)), "pv"),
+        ),
+        (
+            "two columns, misses on the second only",
+            keyed_by(vec![int_keys(b0), int_keys(b1)], "bv"),
+            keyed_by(vec![int_keys(p0), int_keys(p1)], "pv"),
+        ),
+        (
+            "two direct columns, misses on the second only",
+            keyed_by(vec![int_keys(s0), int_keys(s1)], "bv"),
+            keyed_by(vec![int_keys(q0), int_keys(q1)], "pv"),
+        ),
+        (
+            "strings with NULL codes on the probe side",
+            keyed(str_keys(&build_strs), "bv"),
+            keyed(str_keys(&probe_strs), "pv"),
+        ),
+    ]
+}
+
+/// Each long probe joined both ways round and semijoined both ways
+/// round: the typed run reproduces the `Mixed`-carried hashed run's row
+/// sequence and `charged()`, in full and under a tuple limit that trips
+/// mid-probe.
+#[test]
+fn long_probes_are_the_generic_join() {
+    for (what, build, probe) in long_probe_cases() {
+        let (gb, gp) = (generic(&build.to_vrel()), generic(&probe.to_vrel()));
+        for (x, y, gx, gy) in [(&build, &probe, &gb, &gp), (&probe, &build, &gp, &gb)] {
+            type Kernel = fn(&CRel, &CRel, &mut Budget) -> Result<CRel, EvalError>;
+            let kernels: [(&str, Kernel); 2] =
+                [("join", cops::natural_join), ("semijoin", cops::semijoin)];
+            for (kernel, run) in kernels {
+                let mut hashed = Budget::unlimited();
+                let want = run(gx, gy, &mut hashed).unwrap().to_vrel();
+                let mut typed = Budget::unlimited();
+                let got = run(x, y, &mut typed).unwrap().to_vrel();
+                assert!(!got.is_empty(), "{what}, {kernel}: nothing matched");
+                assert_eq!(got.cols(), want.cols(), "{what}, {kernel}");
+                assert!(got.rows() == want.rows(), "{what}, {kernel}: rows");
+                assert_eq!(typed.charged(), hashed.charged(), "{what}, {kernel}");
+
+                let limit = hashed.charged() / 2;
+                let limited = || Budget::unlimited().with_max_tuples(limit);
+                let (mut typed, mut hashed) = (limited(), limited());
+                let typed_err = run(x, y, &mut typed).unwrap_err();
+                let hashed_err = run(gx, gy, &mut hashed).unwrap_err();
+                assert_eq!(typed_err, hashed_err, "{what}, {kernel}");
+                assert_eq!(
+                    typed.charged(),
+                    hashed.charged(),
+                    "{what}, {kernel}: limited"
+                );
+            }
+        }
+    }
+}
+
+/// `rel` as table `name` of `db`, its columns typed as `rel`'s are.
+fn insert_table(db: &mut Database, name: &str, rel: &CRel, types: &[ColumnType]) {
+    let cols: Vec<(&str, ColumnType)> = (rel.cols().iter().zip(types))
+        .map(|(c, &t)| (&**c, t))
+        .collect();
+    let mut table = Relation::new(Schema::new(&cols));
+    for row in rel.to_vrel().rows() {
+        table.push_row(row.to_vec()).unwrap();
+    }
+    db.insert_table(name, table);
+}
+
+/// The vertex join and the semijoin transfer read a filtered input's
+/// key through its selection vector. Both sides selected by a filter on
+/// a column they do not bind (every third row dropped, then every
+/// fifth); the vertex join's rows, order and charges are the
+/// `Mixed`-carried hashed join's over the gathered selections, and
+/// narrowing keeps the rows the hashed semijoin keeps, in order.
+#[test]
+fn filtered_selections_are_read_through_their_rows() {
+    // NULL keys on the rows the probe's filter drops (`f = 5`) and on rows
+    // it keeps (`f = 7`): a NULL that is kept leaves the key without a plan.
+    let mut holed = Column::new(ColumnType::Int);
+    for i in 0..6_000i64 {
+        match i % 15 {
+            5 | 7 => holed.push_null(),
+            _ => holed.push_value(&Value::Int(i % 7_000)),
+        }
+    }
+    let mut cases = long_probe_cases();
+    cases.push((
+        "NULL keys kept by the probe's filter",
+        // Key 0, which a NULL's cell holds, on a row the build keeps.
+        keyed(
+            int_keys((0..2_000).map(|i| 3 * ((i + 1) % 2_000)).collect()),
+            "bv",
+        ),
+        keyed(holed, "pv"),
+    ));
+    for (what, build, probe) in cases {
+        let key_cols = build.cols().len() - 1;
+        let mut db = Database::new();
+        for (name, rel) in [("b", &build), ("p", &probe)] {
+            let n = rel.len() as i64;
+            let mut cols = rel.cols().to_vec();
+            cols.push("f".into());
+            let mut columns = rel.columns().to_vec();
+            columns.push(Arc::new(Column::from_ints(
+                (0..n).map(|i| i % 15).collect(),
+            )));
+            let with_f = CRel::new(cols, columns, rel.len());
+            let mut types: Vec<ColumnType> = (0..key_cols)
+                .map(|c| match rel.column(c).value(0) {
+                    Value::Str(_) => ColumnType::Str,
+                    _ => ColumnType::Int,
+                })
+                .collect();
+            types.extend([ColumnType::Int, ColumnType::Int]);
+            insert_table(&mut db, name, &with_f, &types);
+        }
+        let atom = |table: &str, rel: &CRel| Atom {
+            relation: table.into(),
+            alias: table.into(),
+            args: (rel.cols().iter())
+                .map(|c| (c.to_string(), c.to_uppercase()))
+                .collect(),
+        };
+        let (b_atom, p_atom) = (atom("b", &build), atom("p", &probe));
+        let filters: Vec<Filter> = [(0, CmpOp::Ne, 0), (1, CmpOp::Ne, 5)]
+            .iter()
+            .map(|&(a, op, v)| Filter {
+                atom: AtomId(a),
+                column: "f".into(),
+                op,
+                value: Literal::Int(v),
+            })
+            .collect();
+        let select = |atom: &Atom, f: &Filter| {
+            let mut budget = Budget::unlimited();
+            select_atom(&db, atom, atom_names(atom), &[f], false, &mut budget).unwrap()
+        };
+        let (b_sel, p_sel) = (select(&b_atom, &filters[0]), select(&p_atom, &filters[1]));
+        assert!(
+            b_sel.len() < build.len() && p_sel.len() < probe.len(),
+            "{what}"
+        );
+        let (b_rel, p_rel) = (b_sel.clone().gather().0, p_sel.clone().gather().0);
+        let (gb, gp) = (generic(&b_rel.to_vrel()), generic(&p_rel.to_vrel()));
+
+        let mut hashed = Budget::unlimited();
+        let want = cops::natural_join(&gb, &gp, &mut hashed).unwrap().to_vrel();
+        let chi: Vec<htqo_engine::Name> = want.cols().iter().map(|c| c.as_str().into()).collect();
+        let mut typed = Budget::unlimited();
+        let got = cops::join_vertex(vec![b_sel.clone(), p_sel.clone()], &chi, &mut typed)
+            .unwrap()
+            .to_vrel();
+        assert!(!want.is_empty(), "{what}: nothing matched");
+        assert_eq!(got.cols(), want.cols(), "{what}");
+        assert!(got.rows() == want.rows(), "{what}: vertex join rows");
+        assert_eq!(typed.charged(), hashed.charged(), "{what}");
+
+        let want = cops::semijoin(&gp, &gb, &mut Budget::unlimited())
+            .unwrap()
+            .to_vrel();
+        let mut inputs = [p_sel];
+        cops::narrow(&mut inputs, &b_rel, |_| true, &mut Budget::unlimited());
+        let [narrowed] = inputs;
+        let got = narrowed.gather().0.to_vrel();
+        assert!(got.rows() == want.rows(), "{what}: narrowed rows");
     }
 }
