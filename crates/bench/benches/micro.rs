@@ -1095,22 +1095,48 @@ fn bench_probe(c: &mut Criterion) {
         .filter(|_| below(20) == 0)
         .collect();
     let lines: Vec<i64> = (0..PROBE_ROWS as i64).map(|i| 4 * (i / 4)).collect();
-    let suppliers: Vec<i64> = orders.iter().map(|_| below(200) as i64).collect();
-    let line_suppliers: Vec<i64> = (0..PROBE_ROWS).map(|_| below(200) as i64).collect();
     let one = (
         rel(vec![orders.clone()], "b"),
         rel(vec![lines.clone()], "p"),
     );
-    let two = (
-        rel(vec![suppliers, orders], "b"),
+    // Q5's (supplier, order) key, in that order: the build side's
+    // suppliers are one in thirty-two (about 3 % of the range) and its
+    // orders one in five, so the key's first column is the sparser; the
+    // packed range is too wide for a direct table.
+    let (mut q5_suppliers, mut q5_orders) = (Vec::new(), Vec::new());
+    for o in (0..30_000).map(|o| 4 * o).filter(|_| below(5) == 0) {
+        q5_suppliers.push(32 * below(32) as i64);
+        q5_orders.push(o);
+    }
+    let line_suppliers: Vec<i64> = (0..PROBE_ROWS).map(|_| below(1024) as i64).collect();
+    let q5 = (
+        rel(vec![q5_suppliers, q5_orders], "b"),
         rel(vec![line_suppliers, lines], "p"),
+    );
+    // An (order, line number) key whose packed range fits a direct
+    // table: one order in five, each with one of its four lines.
+    let (mut pk_orders, mut pk_lines) = (Vec::new(), Vec::new());
+    for o in (0..30_000).filter(|_| below(5) == 0) {
+        pk_orders.push(o);
+        pk_lines.push(below(4) as i64);
+    }
+    let two = (
+        rel(vec![pk_orders, pk_lines], "b"),
+        rel(
+            vec![
+                (0..PROBE_ROWS as i64).map(|i| i / 4).collect(),
+                (0..PROBE_ROWS as i64).map(|i| i % 4).collect(),
+            ],
+            "p",
+        ),
     );
     type Kernel = fn(&CRel, &CRel, &mut Budget) -> Result<CRel, htqo_engine::EvalError>;
     let join: Kernel = |b, p, budget| cops::natural_join(b, p, budget);
     let semijoin: Kernel = |b, p, budget| cops::semijoin(p, b, budget);
-    let cases: [(&str, &(CRel, CRel), Kernel); 3] = [
+    let cases: [(&str, &(CRel, CRel), Kernel); 4] = [
         ("direct_1col", &one, join),
-        ("prefiltered_2col", &two, join),
+        ("direct_2col", &two, join),
+        ("prefiltered_2col", &q5, join),
         ("semijoin_bitmap", &one, semijoin),
     ];
 

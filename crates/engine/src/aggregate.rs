@@ -34,7 +34,7 @@ use crate::dict::{self, DictReader};
 use crate::error::{Budget, EvalError, SpillMode};
 use crate::expr::{cmp_matches, Block, Expr, Num, RowError};
 use crate::fsum::FloatSum;
-use crate::keyplan::{self, Keys};
+use crate::keyplan;
 use crate::spill::{self, SpillDir, SpillFile, MAX_SPILL_LEVEL};
 use crate::value::{row_heap_bytes, Value};
 use crate::vrel::VRelation;
@@ -312,8 +312,7 @@ fn finalize_tail(
 fn rows_distinct(a: &CRel) -> bool {
     let all = cops::iota(a.cols().len());
     let reader = dict::reader();
-    let bytes = cops::distinct_bytes(a.len());
-    let mut ids = GroupIds::new(Keys::of(a, &all), None, bytes, &reader);
+    let mut ids = GroupIds::new(a, &all, cops::distinct_bytes(a.len()), &reader);
     let mut first_row = Vec::with_capacity(a.len());
     let grouped = keyplan::blocks(0..a.len())
         .try_for_each(|rows| ids.assign(rows, &mut first_row, &reader, |_, _| Ok(())));
@@ -532,7 +531,7 @@ fn aggregate_c_inner(
     let reader = dict::reader();
     let n = answer.len();
     let block = n.min(EVAL_BLOCK);
-    let mut ids = GroupIds::new(Keys::of(answer, group_idx), None, reserved, &reader);
+    let mut ids = GroupIds::new(answer, group_idx, reserved, &reader);
     let mut items: Vec<Item> = (visible.iter())
         .map(|o| Item::new(o, answer, group_idx, q, block))
         .collect();
@@ -2333,7 +2332,7 @@ mod tests {
             );
             if let Ok(idx) = group_layout(ca.cols(), q, &visible_output(q).0) {
                 let reader = dict::reader();
-                match GroupIds::new(Keys::of(&ca, &idx), None, 8 * ca.len() as u64, &reader) {
+                match GroupIds::new(&ca, &idx, 8 * ca.len() as u64, &reader) {
                     GroupIds::Direct { .. } => seen[0] += 1,
                     GroupIds::Hashed { .. } => seen[1] += 1,
                     GroupIds::One => {}

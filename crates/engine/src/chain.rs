@@ -129,8 +129,8 @@ impl DirectTable {
     }
 
     /// Puts build row `i` at the front of key `k`'s chain; true if the
-    /// chain already held a row. Callers insert rows in descending order,
-    /// so every chain ascends — the order [`ChainTable::build`] produces.
+    /// chain already held a row. Rows inserted in ascending order make
+    /// every chain descend.
     #[inline]
     pub(crate) fn push_front(&mut self, k: u64, i: u32) -> bool {
         let head = std::mem::replace(&mut self.slots[k as usize], i);

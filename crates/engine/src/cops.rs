@@ -7,31 +7,16 @@
 //!
 //! A join builds on the smaller side (`a` on a tie) and lays its output
 //! out in the caller's column order (`a`'s columns, then `b`'s others).
-//! The kernels never touch a boxed `Value` on the hot path, and they
-//! address their keys by what the key columns show (a `KeyPlan`, resolved
-//! once per call; DESIGN.md §3.8 "Key plans"):
-//!
-//! - a key of null-free `Int`/`Date`/`Str` columns packs into one integer
-//!   relative to the build side's minima. When that range fits in the
-//!   bytes the kernel has reserved anyway, the join runs on a
-//!   `DirectTable` indexed by packed key — no hashes, no verification —
-//!   and semijoin on a bitmap over it;
-//! - when it does not fit, the join puts one exact bitmap per key column
-//!   in front of the hashed table and hashes only the probe rows that
-//!   pass all of them;
-//! - every other key takes the hashed path: key hashes from one
-//!   vectorized pass per key column, the `ChainTable` chained-index hash
-//!   table, candidates verified by typed cell comparisons
-//!   ([`crate::column::Column::eq_at`], strings by `u32` dictionary code).
-//!
-//! Each kernel makes one pass over its probe column, reading it where
-//! its input keeps its rows (`keyplan::Keys`, a filtered input through
-//! its selection vector): the loop computes a row's packed key and tests,
-//! looks up or inserts it there. Grouping rows by a key — the distinct
-//! and the counted projection, the partners of a counted semijoin, the
-//! grouping kernel of [`crate::aggregate`] — goes through `GroupIds`, a
-//! direct table by packed key when it fits the reservation, else an
-//! open-addressed table over the key hashes.
+//! The kernels never touch a boxed `Value` on the hot path. Each makes one
+//! pass over its probe column, read where its input keeps its rows, and
+//! addresses the key by what the key columns show (`keyplan`, DESIGN.md
+//! §3.8 "Key plans"): a `DirectTable` (a semijoin: a bitmap) indexed by
+//! packed key when the key's range fits the bytes the kernel has reserved
+//! anyway; else the `ChainTable` hash table over key hashes, candidates
+//! verified by typed cell comparisons ([`crate::column::Column::eq_at`]),
+//! behind one exact bitmap per key column when the key has a plan.
+//! Grouping rows by a key goes through `GroupIds`, the engine's one table
+//! from a key to its group.
 //!
 //! A join collects the matching `(build, probe)` row index pairs,
 //! charging the budget once per block of probe rows (`BLOCK`), not once
@@ -50,12 +35,13 @@ use crate::dict::{self, DictReader};
 use crate::error::{Budget, EvalError};
 use crate::hash::FxHashMap;
 use crate::index::{encode_cell, JoinIndex, SEEK_MARGIN};
-use crate::keyplan::{blocks, Bitmap, KeyPlan, Keys, BLOCK};
+use crate::keyplan::{self, blocks, Bitmap, KeyPlan, Keys, BLOCK};
 use crate::spill::{
     self, join_build_bytes, join_build_reservation, Concat, SpillDir, SpillFile, SpillReader,
     MAX_SPILL_LEVEL,
 };
 use std::borrow::{Borrow, Cow};
+use std::convert::Infallible;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -148,41 +134,6 @@ fn caller_order(out: CRel, a: &CRel, b: &CRel, swapped: bool) -> CRel {
 /// is the product of the two (past `u64`: [`EvalError::CountOverflow`]).
 pub fn natural_join(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalError> {
     crate::fail_point!("cops::join");
-    let (Some(_), Some(j)) = (a.col_index(COUNT), b.col_index(COUNT)) else {
-        return join_plain(a, b, budget);
-    };
-    let (mut cols, columns, len) = b.clone().into_parts();
-    cols[j] = PARTNER_COUNT.into();
-    let joined = join_plain(a, &CRel::new(cols, columns, len), budget)?;
-    multiply_counts(joined)
-}
-
-/// The name a join gives its second input's [`COUNT`] column while it
-/// runs, so that the column is not a key.
-const PARTNER_COUNT: &str = "#partner-count";
-
-/// `r` with its [`COUNT`] column multiplied by its `PARTNER_COUNT`
-/// column, which it drops.
-fn multiply_counts(r: CRel) -> Result<CRel, EvalError> {
-    let (mut cols, mut columns, len) = r.into_parts();
-    let j = cols
-        .iter()
-        .position(|c| **c == *PARTNER_COUNT)
-        .expect("joined");
-    cols.remove(j);
-    let partner = columns.remove(j);
-    let i = cols.iter().position(|c| **c == *COUNT).expect("joined");
-    let product = (count_cells(&columns[i]).iter().zip(count_cells(&partner)))
-        .map(|(&x, &y)| (x as u64).checked_mul(y as u64).map(|p| p as i64))
-        .collect::<Option<Vec<i64>>>()
-        .ok_or(EvalError::CountOverflow)?;
-    columns[i] = Arc::new(Column::from_ints(product));
-    Ok(CRel::new(cols, columns, len))
-}
-
-/// [`natural_join`] with every column, [`COUNT`] included, an ordinary
-/// one.
-fn join_plain(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalError> {
     budget.join_stats().add_hash_build();
     let (build, probe, swapped) = sides(a, b);
     let layout = join_layout(build, probe);
@@ -195,27 +146,37 @@ fn join_plain(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalError
     let result = join_pairs(&keys.0, &keys.1, budget);
     // The build table (and hash scratch) is gone either way.
     budget.uncharge_bytes(join_build_bytes(build.len(), probe.len()));
-    let out = join_output(build, probe, probe_rest, &result?);
+    let out = join_output(build, probe, probe_rest, &result?)?;
     budget.charge_bytes(crel_payload_bytes(&out))?;
     Ok(caller_order(out, a, b, swapped))
 }
 
 /// A join's output from its matching pairs: `build`'s columns, then
-/// `probe`'s columns `probe_rest`, one gather pass per column.
+/// `probe`'s columns `probe_rest`, one gather pass per column. Where both
+/// sides are counted, the build side's [`COUNT`] column (the probe side's
+/// is not in `probe_rest`) is multiplied in place by the probe side's.
 fn join_output(
     build: &CRel,
     probe: &CRel,
     probe_rest: &[usize],
     (build_idx, probe_idx): &PairLists,
-) -> CRel {
+) -> Result<CRel, EvalError> {
     let mut cols = Vec::with_capacity(build.cols().len() + probe_rest.len());
     cols.extend_from_slice(build.cols());
     cols.extend(probe_rest.iter().map(|&j| probe.cols()[j].clone()));
-    let columns = (build.columns().iter())
+    let mut columns: Vec<Arc<Column>> = (build.columns().iter())
         .map(|c| Arc::new(c.gather(build_idx)))
         .chain((probe_rest.iter()).map(|&j| Arc::new(probe.column(j).gather(probe_idx))))
         .collect();
-    CRel::new(cols, columns, build_idx.len())
+    if let (Some(i), Some(partner)) = (build.col_index(COUNT), probe.counts()) {
+        let product = (count_cells(&columns[i]).iter().zip(probe_idx))
+            .map(|(&x, &j)| (x as u64).checked_mul(partner[j as usize] as u64))
+            .map(|p| p.map(|p| p as i64))
+            .collect::<Option<Vec<i64>>>()
+            .ok_or(EvalError::CountOverflow)?;
+        columns[i] = Arc::new(Column::from_ints(product));
+    }
+    Ok(CRel::new(cols, columns, build_idx.len()))
 }
 
 /// The grace spill route of [`natural_join`], for a caller whose
@@ -241,7 +202,7 @@ fn grace_join(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalError
     let stats = budget.spill_stats();
     let mut dir = SpillDir::create(budget.spill_dir())?;
     let none = PairLists::default();
-    let mut out = Concat::new(&join_output(build, probe, probe_rest, &none), 0);
+    let mut out = Concat::new(&join_output(build, probe, probe_rest, &none)?, 0);
     let join_loaded = |build_file: &SpillFile,
                        probe_file: &SpillFile,
                        batch: usize,
@@ -260,7 +221,7 @@ fn grace_join(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalError
                     Keys::of(&rows, probe_shared),
                 );
                 let pairs = join_pairs(&keys.0, &keys.1, budget)?;
-                let part = join_output(&build_part, &rows, probe_rest, &pairs);
+                let part = join_output(&build_part, &rows, probe_rest, &pairs)?;
                 budget.charge_bytes(crel_payload_bytes(&part))?;
                 out.push(&part);
             }
@@ -458,6 +419,12 @@ impl<'a> Positions<'a> {
         (&sources[j], rows.as_deref())
     }
 
+    /// Variables `idx` as key columns, read where they keep their rows.
+    fn keys(&self, idx: impl Iterator<Item = usize>) -> Keys<'_> {
+        let cols = idx.map(|k| self.source(k)).map(|(c, rows)| (&**c, rows));
+        Keys::new(cols, self.len)
+    }
+
     /// Variables `idx`, gathered, as a relation, and the payload bytes
     /// that gathering made resident.
     fn gather(&self, idx: impl Iterator<Item = usize> + Clone) -> (CRel, u64) {
@@ -512,10 +479,7 @@ impl<'a> Positions<'a> {
         }
 
         // Both sides' keys are read where they keep their rows.
-        let acc_keys = (keys.iter())
-            .map(|&(k, _)| self.source(k))
-            .map(|(c, rows)| (&**c, rows));
-        let acc_keys = Keys::new(acc_keys, self.len);
+        let acc_keys = self.keys(keys.iter().map(|&(k, _)| k));
         let next_keys = next.keys(keys.iter().map(|&(k, _)| &self.vars[k].0));
         let (build, probe) = if acc_builds {
             (&acc_keys, &next_keys)
@@ -578,16 +542,13 @@ impl<'a> Positions<'a> {
         crate::fail_point!("cops::seek");
         budget.join_stats().add_index_seek();
         let keys = self.shared(&next);
-        let (acc_keys, _) = self.gather(keys.iter().map(|&(k, _)| k));
-        let probe_col = acc_keys.column(keys.iter().position(|&(_, n)| n == j).expect("shared"));
+        let acc_keys = self.keys(keys.iter().map(|&(k, _)| k));
+        let next_cols = keys.iter().map(|&(_, n)| (&**next.sources[n], None));
+        let next_keys = Keys::new(next_cols, next.sources[j].len());
+        let (probe_col, probe_rows) =
+            acc_keys.cols[keys.iter().position(|&(_, n)| n == j).expect("shared")];
         let reader = dict::reader();
-        let agrees = |i: usize, r: u32| {
-            keys.iter().enumerate().all(|(c, &(_, n))| {
-                acc_keys
-                    .column(c)
-                    .eq_at(i, &next.sources[n], r as usize, &reader)
-            })
-        };
+        let agrees = |i: usize, r: u32| acc_keys.eq_at(i, &next_keys, r as usize, &reader);
         // Per distinct key, its kept rows as a range of `fetched`.
         let mut probed: FxHashMap<Vec<u8>, Range<usize>> = FxHashMap::default();
         let mut fetched: Vec<u32> = Vec::new();
@@ -596,7 +557,7 @@ impl<'a> Positions<'a> {
         for rows in blocks(0..self.len) {
             for i in rows {
                 key.clear();
-                encode_cell(probe_col, i, &reader, &mut key);
+                encode_cell(probe_col, keyplan::row(probe_rows, i), &reader, &mut key);
                 let hits = match probed.get(&key) {
                     Some(hits) => hits.clone(),
                     None => {
@@ -725,10 +686,11 @@ impl PairSink {
         self.probe_idx.resize(base + at.len(), 0);
         let (bs, ps) = (&mut self.build_idx[base..], &mut self.probe_idx[base..]);
         let mut n = 0;
-        plan.keys(probe, at, |j, k| {
+        let Ok(()) = plan.try_keys(probe, at, |j, k| {
             let bi = table.head(k);
             (bs[n], ps[n]) = (bi, j as u32);
             n += usize::from(bi != CHAIN_END);
+            Ok::<_, Infallible>(())
         });
         self.build_idx.truncate(base + n);
         self.probe_idx.truncate(base + n);
@@ -793,9 +755,9 @@ fn join_pairs_direct(
 ) -> Result<PairLists, EvalError> {
     let mut table = DirectTable::new(build.len, range);
     let mut repeats = false;
-    // Last row first, so every chain ascends.
-    plan.keys(build, (0..build.len).rev(), |j, k| {
+    let Ok(()) = plan.try_keys(build, 0..build.len, |j, k| {
         repeats |= table.push_front(k, j as u32);
+        Ok::<_, Infallible>(())
     });
     let mut sink = PairSink::with_capacity(probe.len);
     for rows in blocks(0..probe.len) {
@@ -803,11 +765,14 @@ fn join_pairs_direct(
             sink.push_heads(plan, &table, probe, rows);
         } else {
             plan.try_keys(probe, rows, |j, k| {
+                // Chains descend: a probe row's pairs, reversed, ascend.
+                let first = sink.build_idx.len();
                 let mut bi = table.head(k);
                 while bi != CHAIN_END {
                     sink.push(bi, j as u32, budget)?;
                     bi = table.next_row(bi);
                 }
+                sink.build_idx[first..].reverse();
                 Ok(())
             })?;
         }
@@ -835,14 +800,8 @@ fn join_pairs_hashed(
         None => {
             let probe_hashes = probe.hashes(&reader);
             for (b, block) in probe_hashes.chunks(BLOCK).enumerate() {
-                let rows = (b * BLOCK) as u32..;
-                probe_hashed(
-                    &table,
-                    rows.zip(block.iter().copied()),
-                    key_eq,
-                    &mut sink,
-                    budget,
-                )?;
+                let rows = ((b * BLOCK) as u32..).zip(block.iter().copied());
+                probe_hashed(&table, rows, key_eq, &mut sink, budget)?;
             }
         }
         Some(plan) => {
@@ -888,10 +847,9 @@ fn probe_hashed(
 /// When `b` is counted ([`COUNT`]) it still adds no row and no column to
 /// `a` but a count: each kept row of `a` stands for its own count (1 if
 /// `a` is not counted) times the summed counts of its partners in `b`
-/// (past `u64`: [`EvalError::CountOverflow`]). `b`'s counts are summed
-/// per key in one `GroupIds`, probed once per row of `a`, and the
-/// product is `a`'s [`COUNT`] column — `a` joined with `b` projected onto
-/// the shared variables, in `a`'s row order.
+/// (past `u64`: [`EvalError::CountOverflow`]) — `a` joined with `b`
+/// projected onto the shared variables, in `a`'s row order, from `b`'s
+/// counts summed per key (`partner_counts`).
 pub fn semijoin(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalError> {
     crate::fail_point!("cops::semijoin");
     let counts = b.counts();
@@ -916,23 +874,19 @@ pub fn semijoin(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalErr
     budget.reserve_bytes(table_bytes)?;
     let a_keys = Keys::of(a, a_shared);
     let kept = match counts {
-        None => Ok((
-            KeySet::build(b, b_shared, [&a_keys], table_bytes).members(&a_keys),
-            Vec::new(),
-        )),
-        Some(counts) => partner_counts(&a_keys, Keys::of(b, b_shared), counts, table_bytes),
+        None => {
+            let keep = KeySet::build(b, b_shared, [&a_keys], table_bytes).members(&a_keys);
+            // Row by row, so a limit trips at the very row that crosses it.
+            let charged = keep.iter().try_for_each(|_| {
+                budget.charge(1)?;
+                budget.charge_bytes(4)
+            });
+            charged.map(|()| (keep, Vec::new()))
+        }
+        Some(counts) => partner_counts(&a_keys, b, b_shared, counts, table_bytes, budget),
     };
-    // Row by row, so a limit trips where it did when rows were kept one
-    // at a time.
-    let charged = kept.as_ref().map_or(Ok(()), |(keep, _)| {
-        keep.iter().try_for_each(|_| {
-            budget.charge(1)?;
-            budget.charge_bytes(4)
-        })
-    });
     budget.uncharge_bytes(table_bytes);
     let (keep, by) = kept?;
-    charged?;
     let mut cols = a.cols().to_vec();
     let mut columns: Vec<Arc<Column>> = (a.columns().iter())
         .map(|c| Arc::new(c.gather(&keep)))
@@ -957,33 +911,31 @@ pub fn semijoin(a: &CRel, b: &CRel, budget: &mut Budget) -> Result<CRel, EvalErr
     Ok(out)
 }
 
-/// The positions of `a_keys` with a partner in `b_keys`, ascending, and
-/// for each the summed `counts` of its partners: one [`GroupIds`] over
-/// `b_keys` within `reserved` bytes, each group's counts summed as it
-/// fills, then one probe per position.
+/// The positions of `a_keys` with a partner in `b`'s columns `b_shared`,
+/// ascending, each with its partners' summed `counts`: a [`GroupIds`]
+/// over `b`'s key (in `reserved` bytes) sums each group's counts, then
+/// `a_keys` joins the groups' first rows ([`join_pairs`]: one partner at
+/// most, each pair charged as a join charges it).
 fn partner_counts(
     a_keys: &Keys,
-    b_keys: Keys,
+    b: &CRel,
+    b_shared: &[usize],
     counts: &[i64],
     reserved: u64,
+    budget: &mut Budget,
 ) -> Result<(Vec<u32>, Vec<u64>), EvalError> {
     let reader = dict::reader();
-    let n = b_keys.len;
-    let mut ids = GroupIds::new(b_keys, Some(a_keys), reserved, &reader);
+    let mut ids = GroupIds::new(b, b_shared, reserved, &reader);
     let (mut first_row, mut sums) = (Vec::new(), Vec::new());
-    for rows in blocks(0..n) {
+    for rows in blocks(0..b.len()) {
         ids.assign(rows, &mut first_row, &reader, |i, g| {
             add_count(&mut sums, g, counts[i] as u64)
         })?;
     }
-    let (mut keep, mut by) = (Vec::new(), Vec::new());
-    ids.find_each(a_keys, &first_row, &reader, |i, g| {
-        if g != NO_GROUP {
-            keep.push(i as u32);
-            by.push(sums[g as usize]);
-        }
-    });
-    Ok((keep, by))
+    drop((ids, reader)); // `join_pairs` takes its own dictionary reader.
+    let firsts = b_shared.iter().map(|&c| (b.column(c), Some(&*first_row)));
+    let (groups, keep) = join_pairs(&Keys::new(firsts, first_row.len()), a_keys, budget)?;
+    Ok((keep, groups.iter().map(|&g| sums[g as usize]).collect()))
 }
 
 /// Adds `count` to group `g`'s sum, opening the sum when `g` is new.
@@ -1017,17 +969,17 @@ impl<'r> KeySet<'r> {
     ) -> KeySet<'r> {
         let keys = Keys::of(rel, idx);
         // The plan depends on `rel` alone; each probe only has to admit it.
-        let mut plan = None;
-        for probe in probes {
-            plan = KeyPlan::resolve(&keys, probe.borrow());
-            if plan.is_none() {
-                break;
-            }
-        }
+        let plan = (probes.into_iter())
+            .map(|probe| KeyPlan::resolve(&keys, probe.borrow()))
+            .reduce(Option::and)
+            .flatten();
         let dense = plan.and_then(|plan| {
             let range = plan.range_fitting(reserved, Bitmap::byte_estimate)?;
             let mut set = Bitmap::new(range as u64);
-            plan.keys(&keys, 0..keys.len, |_, k| set.insert(k));
+            let Ok(()) = plan.try_keys(&keys, 0..keys.len, |_, k| {
+                set.insert(k);
+                Ok::<_, Infallible>(())
+            });
             Some(KeySet::Dense(plan, set))
         });
         dense.unwrap_or_else(|| {
@@ -1044,9 +996,10 @@ impl<'r> KeySet<'r> {
         match self {
             KeySet::Dense(plan, set) => {
                 let (mut kept, mut n) = (vec![0u32; probe.len], 0);
-                plan.keys(probe, 0..probe.len, |j, k| {
+                let Ok(()) = plan.try_keys(probe, 0..probe.len, |j, k| {
                     kept[n] = j as u32;
                     n += usize::from(set.contains(k));
+                    Ok::<_, Infallible>(())
                 });
                 kept.truncate(n);
                 kept
@@ -1222,7 +1175,7 @@ fn group_rows(
     let map_bytes = distinct_bytes(a.len());
     budget.reserve_bytes(map_bytes)?;
     let reader = dict::reader();
-    let mut ids = GroupIds::new(Keys::of(a, idx), None, map_bytes, &reader);
+    let mut ids = GroupIds::new(a, idx, map_bytes, &reader);
     let mut first_row: Vec<u32> = Vec::with_capacity(a.len().min(BLOCK));
     let mut groups = 0;
     let result = blocks(0..a.len()).try_for_each(|rows| {
@@ -1245,9 +1198,8 @@ const NO_GROUP: u32 = u32::MAX;
 /// The engine's one table from a key to its group: the group of each row
 /// of a relation by its key columns, groups numbered in the order their
 /// first rows come. The distinct projection keeps each group's first row,
-/// the counted projection ([`COUNT`]) sums each group's counts, the
-/// counted [`semijoin`] looks its rows' partners up in it, and the
-/// grouping kernel of [`crate::aggregate`] feeds each group's aggregates.
+/// the counted projection ([`COUNT`]) and the counted [`semijoin`] sum
+/// each group's counts, and the grouping kernel of [`crate::aggregate`] feeds each group's aggregates.
 /// (One per call, on the stack: the key plan's size is not worth a box.)
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum GroupIds<'r> {
@@ -1272,23 +1224,22 @@ pub(crate) enum GroupIds<'r> {
 }
 
 impl<'r> GroupIds<'r> {
-    /// The table for the key `keys`, sized from the `reserved` bytes the
-    /// caller holds for it; direct only if `probe`, the key
-    /// [`GroupIds::find_each`] will look up (if any), admits its plan. The
-    /// hashed table starts with the slots the reservation holds past the
-    /// key hashes (8 bytes a row) — a power of two, at least 16, and no
-    /// more than every row opening a group needs — and doubles when half
-    /// full.
+    /// The table for `rel`'s key columns `idx`, sized from the `reserved`
+    /// bytes the caller holds for it. The hashed table starts with the
+    /// slots the reservation holds past the key hashes (8 bytes a row) — a
+    /// power of two, at least 16, and no more than every row opening a
+    /// group needs — and doubles when half full.
     pub(crate) fn new(
-        keys: Keys<'r>,
-        probe: Option<&Keys>,
+        rel: &'r CRel,
+        idx: &[usize],
         reserved: u64,
         reader: &DictReader,
     ) -> GroupIds<'r> {
+        let keys = Keys::of(rel, idx);
         if keys.cols.is_empty() {
             return GroupIds::One;
         }
-        let direct = KeyPlan::resolve(&keys, probe.unwrap_or(&keys)).and_then(|plan| {
+        let direct = KeyPlan::resolve(&keys, &keys).and_then(|plan| {
             let range = plan.range_fitting(reserved, |r| r.checked_mul(4))?;
             Some((plan, range))
         });
@@ -1358,35 +1309,6 @@ impl<'r> GroupIds<'r> {
                 }
                 each(i, g)
             }),
-        }
-    }
-
-    /// Hands `f` the group of every position of `probe` (paired by
-    /// position with the key the table was built on), or [`NO_GROUP`]
-    /// where no row has its key; `first_row` is what
-    /// [`GroupIds::assign`] filled. Opens no group.
-    fn find_each(
-        &self,
-        probe: &Keys,
-        first_row: &[u32],
-        reader: &DictReader,
-        mut f: impl FnMut(usize, u32),
-    ) {
-        match self {
-            GroupIds::One => {
-                let g = if first_row.is_empty() { NO_GROUP } else { 0 };
-                (0..probe.len).for_each(|i| f(i, g));
-            }
-            GroupIds::Direct { plan, table, .. } => plan.keys(probe, 0..probe.len, |i, k| {
-                f(i, table.get(k as usize).copied().unwrap_or(NO_GROUP));
-            }),
-            GroupIds::Hashed { keys, slots, .. } => {
-                for (i, h) in probe.hashes(reader).into_iter().enumerate() {
-                    let first = |g: u32| first_row[g as usize] as usize;
-                    let s = slot(slots, h, |g| probe.eq_at(i, keys, first(g), reader));
-                    f(i, slots[s].1);
-                }
-            }
         }
     }
 }
@@ -2007,7 +1929,7 @@ mod tests {
             let map_bytes = distinct_bytes(a.len());
             let (want_rows, _) = first_occurrences(&a, &idx, None);
             let (_, want_sums) = first_occurrences(&a, &idx, counts.as_deref());
-            match GroupIds::new(Keys::of(&a, &idx), None, map_bytes, &reader) {
+            match GroupIds::new(&a, &idx, map_bytes, &reader) {
                 GroupIds::One => seen[0] += 1,
                 GroupIds::Direct { .. } => seen[1] += 1,
                 GroupIds::Hashed { .. } if want_rows.len() <= 8 => seen[2] += 1,

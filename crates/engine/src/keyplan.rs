@@ -18,11 +18,9 @@
 //!
 //! A kernel reads its key columns where its input keeps its rows
 //! ([`Keys`]: a filtered input through its selection vector, nothing
-//! gathered) and walks them once: one loop over the typed cells — one
-//! variant match per column per call — computes each row's packed key
-//! inline and hands it straight to the kernel's test, lookup or insert.
-//! No key is buffered; joins settle the budget once per [`BLOCK`] of
-//! probe rows.
+//! gathered) and walks them once ([`KeyPlan::try_keys`]), handing each
+//! row's packed key straight to its test, lookup or insert. Joins settle
+//! the budget once per [`BLOCK`] of probe rows.
 
 use crate::column::{combine_hash, compact, finish_hash, Column, ColumnData};
 use crate::crel::CRel;
@@ -45,6 +43,9 @@ pub(crate) const MISS: u64 = u64::MAX;
 /// The most key columns a plan covers; a wider key takes the hashed path.
 const MAX_DIMS: usize = 8;
 
+/// Positions a key of several columns packs per typed pass over each.
+const CHUNK: usize = 256;
+
 /// One key column of a kernel's input: the column, and the rows of it
 /// the input keeps, ascending (`None`: every row).
 pub(crate) type KeyCol<'a> = (&'a Column, Option<&'a [u32]>);
@@ -60,33 +61,40 @@ pub(crate) struct Keys<'a> {
 
 /// The row position `j` reads (see [`Keys`]).
 #[inline]
-fn row(rows: Option<&[u32]>, j: usize) -> usize {
+pub(crate) fn row(rows: Option<&[u32]>, j: usize) -> usize {
     rows.map_or(j, |rows| rows[j] as usize)
 }
 
 /// `$body` with `$cell` the function from a position of the key column
-/// `$col` read at `$rows` ([`Keys`]) to its cell as an `i64`: one copy
+/// `$col` read at `$rows` ([`Keys`]) to its cell as an `i64`, and `$cells`
+/// the one from a range of positions to their cells, in order: one copy
 /// of `$body` per cell type, for listed and for unlisted rows, so the
-/// loops inside are typed.
+/// loops inside are typed (and over unlisted rows, over a slice).
 macro_rules! with_cells {
-    ($col:expr, $rows:expr, |$cell:ident| $body:expr) => {
+    ($col:expr, $rows:expr, |$cell:ident, $cells:ident| $body:expr) => {
         match $col.data() {
-            ColumnData::Int(a) => with_cells!(a, $rows, $cell, $body),
-            ColumnData::Date(a) => with_cells!(a, $rows, $cell, $body),
-            ColumnData::Str(a) => with_cells!(a, $rows, $cell, $body),
+            ColumnData::Int(a) => with_cells!(a, $rows, $cell, $cells, $body),
+            ColumnData::Date(a) => with_cells!(a, $rows, $cell, $cells, $body),
+            ColumnData::Str(a) => with_cells!(a, $rows, $cell, $cells, $body),
             ColumnData::Float(_) | ColumnData::Mixed(_) => {
                 unreachable!("key plans are resolved over Int, Date and Str columns only")
             }
         }
     };
-    ($a:ident, $rows:expr, $cell:ident, $body:expr) => {
+    ($a:ident, $rows:expr, $cell:ident, $cells:ident, $body:expr) => {
         match $rows {
             None => {
-                let $cell = |j: usize| i64::from($a[j]);
+                let ($cell, $cells) = (
+                    |j: usize| i64::from($a[j]),
+                    |r: Range<usize>| $a[r].iter().map(|&x| i64::from(x)),
+                );
                 $body
             }
-            Some(r) => {
-                let $cell = |j: usize| i64::from($a[r[j] as usize]);
+            Some(rows) => {
+                let ($cell, $cells) = (
+                    |j: usize| i64::from($a[rows[j] as usize]),
+                    |r: Range<usize>| rows[r].iter().map(|&j| i64::from($a[j as usize])),
+                );
                 $body
             }
         }
@@ -238,8 +246,7 @@ impl KeyPlan {
             if !(strs || alike && null_free(b, br) && null_free(p, pr)) {
                 return None;
             }
-            let (min, max) = with_cells!(b, br, |cell| (0..build.len)
-                .map(cell)
+            let (min, max) = with_cells!(b, br, |_cell, cells| cells(0..build.len)
                 .fold((i64::MAX, i64::MIN), |(lo, hi), x| (lo.min(x), hi.max(x))));
             // String NULLs are the code `u32::MAX`: one on the build side
             // shows up as the maximum, one on the probe side lies outside
@@ -287,99 +294,93 @@ impl KeyPlan {
     }
 
     /// Hands `f` the packed key of each position `j` of `at` in `keys`
-    /// ([`MISS`] for a value outside the build side's range), in the
-    /// order of `at`, until `f` fails. One loop over the typed cells
-    /// computes each key inline: for a one-column key, a loop per cell
-    /// type and for listed and unlisted rows.
+    /// ([`MISS`] for a value outside the build side's range), ascending,
+    /// until `f` fails. A one-column key is one loop over the typed cells;
+    /// a wider key packs [`CHUNK`] positions at a time into keys on the
+    /// stack, one typed loop per column.
     #[inline]
     pub(crate) fn try_keys<E>(
         &self,
         keys: &Keys,
-        at: impl Iterator<Item = usize>,
+        at: Range<usize>,
         mut f: impl FnMut(usize, u64) -> Result<(), E>,
     ) -> Result<(), E> {
         if let [(col, rows)] = keys.cols[..] {
             let dim = self.dims[0];
-            return with_cells!(col, rows, |cell| {
-                for j in at {
-                    f(j, dim.offset(cell(j)))?;
+            return with_cells!(col, rows, |_cell, cells| {
+                for (j, x) in at.clone().zip(cells(at)) {
+                    f(j, dim.offset(x))?;
                 }
                 Ok(())
             });
         }
-        for j in at {
-            let (mut k, mut hit) = (0u64, true);
-            for (dim, &(col, rows)) in self.dims().iter().zip(&keys.cols) {
-                let d = dim.offset(with_cells!(col, rows, |cell| cell(j)));
-                hit &= d != MISS;
-                k = k.wrapping_add(d.wrapping_mul(dim.stride));
+        let mut ks = [0u64; CHUNK];
+        for lo in at.clone().step_by(CHUNK) {
+            let chunk = lo..at.end.min(lo + CHUNK);
+            let ks = &mut ks[..chunk.len()];
+            let ((col, rows), first) = (keys.cols[0], self.dims[0]);
+            with_cells!(col, rows, |_cell, cells| {
+                for (k, x) in ks.iter_mut().zip(cells(chunk.clone())) {
+                    *k = first.offset(x);
+                }
+            });
+            for (dim, &(col, rows)) in self.dims().iter().zip(&keys.cols).skip(1) {
+                with_cells!(col, rows, |_cell, cells| {
+                    for (k, x) in ks.iter_mut().zip(cells(chunk.clone())) {
+                        let d = dim.offset(x);
+                        let packed = k.wrapping_add(d.wrapping_mul(dim.stride));
+                        *k = packed | u64::from(*k == MISS || d == MISS).wrapping_neg();
+                    }
+                });
             }
-            f(j, if hit { k } else { MISS })?;
+            for (t, &k) in ks.iter().enumerate() {
+                f(lo + t, k)?;
+            }
         }
         Ok(())
     }
 
-    /// [`KeyPlan::try_keys`] for an `f` that cannot fail.
-    #[inline]
-    pub(crate) fn keys(
-        &self,
-        keys: &Keys,
-        at: impl Iterator<Item = usize>,
-        mut f: impl FnMut(usize, u64),
-    ) {
-        let Ok(()) = self.try_keys(keys, at, |j, k| {
-            f(j, k);
-            Ok::<(), std::convert::Infallible>(())
-        });
-    }
-
-    /// One exact bitmap per key column `i` over the build side `keys`
-    /// (bit `v − minᵢ` set iff some row holds `v` in column `i`), with its
-    /// `i`, the sparsest first: a probe value spread over a column's range
-    /// passes its bitmap about as often as the bitmap's bits are set.
-    pub(crate) fn range_bitmaps(&self, keys: &Keys) -> Vec<(usize, Bitmap)> {
-        let mut maps: Vec<(f64, usize, Bitmap)> = (self.dims().iter().zip(&keys.cols))
-            .enumerate()
-            .map(|(i, (dim, &(col, rows)))| {
+    /// One exact bitmap per key column over the build side `keys`: bit
+    /// `v − minᵢ` of bitmap `i` is set iff some row holds `v` in column
+    /// `i`.
+    pub(crate) fn range_bitmaps(&self, keys: &Keys) -> Vec<Bitmap> {
+        (self.dims().iter().zip(&keys.cols))
+            .map(|(dim, &(col, rows))| {
                 let mut map = Bitmap::new(dim.width);
-                with_cells!(col, rows, |cell| (0..keys.len)
-                    .for_each(|j| map.insert(dim.offset(cell(j)))));
-                let set: u32 = map.words.iter().map(|w| w.count_ones()).sum();
-                (f64::from(set) / dim.width as f64, i, map)
+                with_cells!(col, rows, |_cell, cells| cells(0..keys.len)
+                    .for_each(|x| map.insert(dim.offset(x))));
+                map
             })
-            .collect();
-        maps.sort_by(|x, y| x.0.total_cmp(&y.0));
-        maps.into_iter().map(|(_, i, map)| (i, map)).collect()
+            .collect()
     }
 
     /// Writes to the front of `sel` the positions of the block `at` of
     /// `probe` whose every key value occurs in the build side's column
     /// (`maps`, from [`KeyPlan::range_bitmaps`]), ascending — the only
-    /// rows that can have a match — and returns how many. The first
-    /// bitmap's loop over the block writes each position and keeps it by
-    /// its bit; each later one compacts what the earlier ones kept
+    /// rows that can have a match — and returns how many. The first key
+    /// column's loop over the block writes each position and keeps it by
+    /// its bit; each later column compacts what the earlier ones kept
     /// ([`compact`]), reading only those rows.
     pub(crate) fn survivors(
         &self,
-        maps: &[(usize, Bitmap)],
+        maps: &[Bitmap],
         probe: &Keys,
         at: Range<usize>,
         sel: &mut [u32],
     ) -> usize {
-        let mut n = at.len();
-        for (i, (d, map)) in maps.iter().enumerate() {
-            let (dim, (col, rows)) = (self.dims[*d], probe.cols[*d]);
-            n = with_cells!(col, rows, |cell| {
-                let hit = |j: usize| map.contains(dim.offset(cell(j)));
+        let mut n = 0;
+        let columns = self.dims().iter().zip(&probe.cols).zip(maps);
+        for (i, ((dim, &(col, rows)), map)) in columns.enumerate() {
+            n = with_cells!(col, rows, |cell, cells| {
+                let hit = |x: i64| map.contains(dim.offset(x));
                 if i == 0 {
-                    let mut kept = 0;
-                    for j in at.clone() {
-                        sel[kept] = j as u32;
-                        kept += usize::from(hit(j));
+                    for (j, x) in at.clone().zip(cells(at.clone())) {
+                        sel[n] = j as u32;
+                        n += usize::from(hit(x));
                     }
-                    kept
+                    n
                 } else {
-                    compact(&mut sel[..n], |j| hit(j as usize))
+                    compact(&mut sel[..n], |j| hit(cell(j as usize)))
                 }
             });
         }
@@ -392,6 +393,7 @@ mod tests {
     use super::*;
     use crate::schema::ColumnType;
     use crate::value::Value;
+    use std::convert::Infallible;
     use std::sync::Arc;
 
     fn rel(cols: Vec<Column>) -> CRel {
@@ -407,21 +409,29 @@ mod tests {
     /// The packed keys of positions `at` of `keys`, in order.
     fn packed(plan: &KeyPlan, keys: &Keys, at: Range<usize>) -> Vec<u64> {
         let mut out = Vec::new();
-        plan.keys(keys, at, |_, k| out.push(k));
+        let Ok(()) = plan.try_keys(keys, at, |_, k| {
+            out.push(k);
+            Ok::<_, Infallible>(())
+        });
         out
     }
 
     #[test]
     fn packing_is_exact_and_out_of_range_is_a_miss() {
         let build = rel(vec![ints(&[-3, 4, 0]), ints(&[10, 10, 12])]);
-        let probe = rel(vec![ints(&[4, -3, 5, -4, 0]), ints(&[10, 12, 10, 10, 13])]);
+        let probe = rel(vec![
+            ints(&[4, -3, 5, -4, 0, 5]),
+            ints(&[10, 12, 10, 10, 13, 12]),
+        ]);
         let (bk, pk) = (Keys::of(&build, &[0, 1]), Keys::of(&probe, &[0, 1]));
         let plan = KeyPlan::resolve(&bk, &pk).unwrap();
         assert_eq!(plan.range, Some(8 * 3));
         assert_eq!(packed(&plan, &bk, 0..3), [0, 7, 3 + 2 * 8]);
-        assert_eq!(packed(&plan, &pk, 0..5), [7, 2 * 8, MISS, MISS, MISS]);
+        // The last row misses on its first column and holds an in-range
+        // second one: still a miss.
+        assert_eq!(packed(&plan, &pk, 0..6), [7, 2 * 8, MISS, MISS, MISS, MISS]);
         // A later block of the same relation.
-        assert_eq!(packed(&plan, &pk, 3..5), [MISS, MISS]);
+        assert_eq!(packed(&plan, &pk, 3..6), [MISS, MISS, MISS]);
         // Read through a selection vector: positions 0, 1 are rows 4, 0.
         let rows = [4, 0];
         let selected = Keys::new(
@@ -437,8 +447,8 @@ mod tests {
         let col = Keys::new([(probe.column(0), Some(&rows[..]))], 2);
         assert_eq!(packed(&one, &col, 0..2), [3, 7]);
         assert_eq!(
-            packed(&one, &Keys::of(&probe, &[0]), 0..5),
-            [7, 0, MISS, MISS, 3]
+            packed(&one, &Keys::of(&probe, &[0]), 0..6),
+            [7, 0, MISS, MISS, 3, MISS]
         );
     }
 
@@ -455,8 +465,6 @@ mod tests {
         let bk = Keys::of(&build, &[0, 1]);
         let plan = KeyPlan::resolve(&bk, &Keys::of(&probe, &[0, 1])).unwrap();
         let maps = plan.range_bitmaps(&bk);
-        // The second column's bitmap is the sparser: it goes first.
-        assert_eq!(maps.iter().map(|(i, _)| *i).collect::<Vec<_>>(), [1, 0]);
         let mut sel = [0u32; 6];
         let n = plan.survivors(&maps, &Keys::of(&probe, &[0, 1]), 0..6, &mut sel);
         assert_eq!(sel[..n], [0, 3, 4]);
