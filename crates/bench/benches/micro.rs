@@ -31,13 +31,22 @@ use htqo_hypergraph::acyclic::gyo;
 use htqo_optimizer::HybridOptimizer;
 use htqo_tpch::{generate, q5, DbgenOptions};
 use htqo_workloads::{acyclic_query, chain_query, star_db, star_query, workload_db, WorkloadSpec};
+use std::cell::LazyCell;
+
+/// A benchmark's inputs, built on first use: a benchmark that the
+/// command-line filter skips never builds them.
+type Lazy<'a, T> = LazyCell<T, Box<dyn FnOnce() -> T + 'a>>;
+
+fn lazy<'a, T>(build: impl FnOnce() -> T + 'a) -> Lazy<'a, T> {
+    LazyCell::new(Box::new(build))
+}
 
 fn bench_gyo(c: &mut Criterion) {
     let mut group = c.benchmark_group("gyo");
     for n in [4usize, 8, 12] {
-        let h = acyclic_query(n).hypergraph().hypergraph;
-        group.bench_with_input(BenchmarkId::new("line", n), &h, |b, h| {
-            b.iter(|| gyo(h).is_some())
+        let h = lazy(move || acyclic_query(n).hypergraph().hypergraph);
+        group.bench_function(BenchmarkId::new("line", n), |b| {
+            b.iter(|| gyo(&h).is_some())
         });
     }
     group.finish();
@@ -46,14 +55,14 @@ fn bench_gyo(c: &mut Criterion) {
 fn bench_decomposition(c: &mut Criterion) {
     let mut group = c.benchmark_group("decomposition");
     for n in [4usize, 6, 8, 10] {
-        let q = chain_query(n);
-        group.bench_with_input(BenchmarkId::new("detk_chain", n), &q, |b, q| {
+        let q = lazy(move || chain_query(n));
+        group.bench_function(BenchmarkId::new("detk_chain", n), |b| {
             let h = q.hypergraph().hypergraph;
             b.iter(|| det_k_decomp(&h, 2).expect("chains have width 2"))
         });
-        group.bench_with_input(BenchmarkId::new("qhd_chain", n), &q, |b, q| {
+        group.bench_function(BenchmarkId::new("qhd_chain", n), |b| {
             b.iter(|| {
-                q_hypertree_decomp(q, &QhdOptions::default(), &StructuralCost)
+                q_hypertree_decomp(&q, &QhdOptions::default(), &StructuralCost)
                     .expect("chains decompose")
             })
         });
@@ -65,8 +74,8 @@ fn bench_decomposition(c: &mut Criterion) {
     use htqo_core::{cost_k_decomp_instrumented, SearchOptions};
     use htqo_stats::StatsDecompCost;
     use std::time::{Duration, Instant};
-    let chain_stats = htqo_stats::analyze(&workload_db(&WorkloadSpec::new(12, 40, 80, 7)));
-    let star_stats = htqo_stats::analyze(&star_db(8, 40, 80, 7));
+    let chain_stats = lazy(|| htqo_stats::analyze(&workload_db(&WorkloadSpec::new(12, 40, 80, 7))));
+    let star_stats = lazy(|| htqo_stats::analyze(&star_db(8, 40, 80, 7)));
     for (name, q, stats) in [
         ("line12", acyclic_query(12), &chain_stats),
         ("cycle12", chain_query(12), &chain_stats),
@@ -106,16 +115,6 @@ fn bench_memo_lookup(c: &mut Criterion) {
     use htqo_hypergraph::{EdgeSet, VarSet};
     use std::collections::HashMap;
 
-    let h = chain_query(12).hypergraph().hypergraph;
-    // Key population: every (suffix component, connector) pair of the
-    // chain — the same shape the search memoizes.
-    let keys: Vec<(EdgeSet, VarSet)> = (0..h.num_edges())
-        .map(|i| {
-            let comp: EdgeSet = h.edge_ids().skip(i).collect();
-            let conn = h.vars_of_edges(&comp);
-            (comp, conn)
-        })
-        .collect();
     let word = |k: &(EdgeSet, VarSet)| {
         let fits = "a 12-atom chain fits one word";
         (
@@ -123,20 +122,33 @@ fn bench_memo_lookup(c: &mut Criterion) {
             k.1.bits().as_word().expect(fits),
         )
     };
-    let masks: Vec<(u64, u64)> = keys.iter().map(word).collect();
-
-    let mut seed_memo: HashMap<(EdgeSet, VarSet), usize> = HashMap::new();
-    let mut mask_memo: FxHashMap<(u64, u64), usize> = FxHashMap::default();
-    for (i, k) in keys.iter().enumerate() {
-        seed_memo.insert(k.clone(), i);
-        mask_memo.insert(word(k), i);
-    }
+    let memos = lazy(|| {
+        let h = chain_query(12).hypergraph().hypergraph;
+        // Key population: every (suffix component, connector) pair of the
+        // chain — the same shape the search memoizes.
+        let keys: Vec<(EdgeSet, VarSet)> = (0..h.num_edges())
+            .map(|i| {
+                let comp: EdgeSet = h.edge_ids().skip(i).collect();
+                let conn = h.vars_of_edges(&comp);
+                (comp, conn)
+            })
+            .collect();
+        let masks: Vec<(u64, u64)> = keys.iter().map(word).collect();
+        let mut seed_memo: HashMap<(EdgeSet, VarSet), usize> = HashMap::new();
+        let mut mask_memo: FxHashMap<(u64, u64), usize> = FxHashMap::default();
+        for (i, k) in keys.iter().enumerate() {
+            seed_memo.insert(k.clone(), i);
+            mask_memo.insert(word(k), i);
+        }
+        (keys, masks, seed_memo, mask_memo)
+    });
 
     let mut group = c.benchmark_group("memo_lookup");
     group.bench_function("seed_cloned_bitset_keys", |b| {
+        let (keys, _, seed_memo, _) = &*memos;
         b.iter(|| {
             let mut hits = 0usize;
-            for k in &keys {
+            for k in keys {
                 // The seed probed by building an owned key.
                 let key = (k.0.clone(), k.1.clone());
                 if seed_memo.contains_key(&key) {
@@ -147,6 +159,7 @@ fn bench_memo_lookup(c: &mut Criterion) {
         })
     });
     group.bench_function("word_mask_keys", |b| {
+        let (_, masks, _, mask_memo) = &*memos;
         b.iter(|| masks.iter().filter(|&k| mask_memo.contains_key(k)).count())
     });
     group.finish();
@@ -156,7 +169,7 @@ fn bench_costk_engines(c: &mut Criterion) {
     // Seed exhaustive search vs the branch-and-bound engine, end to end.
     use htqo_core::search::baseline;
     use htqo_core::{cost_k_decomp_instrumented, SearchOptions};
-    let h = chain_query(10).hypergraph().hypergraph;
+    let h = lazy(|| chain_query(10).hypergraph().hypergraph);
     let mut group = c.benchmark_group("costk_engine");
     group.bench_function("seed_cycle10_k3", |b| {
         b.iter(|| {
@@ -174,13 +187,14 @@ fn bench_costk_engines(c: &mut Criterion) {
 }
 
 fn bench_tpch_planning(c: &mut Criterion) {
-    let db = generate(&DbgenOptions {
-        scale: 0.001,
-        seed: 1,
+    let q = lazy(|| {
+        let db = generate(&DbgenOptions {
+            scale: 0.001,
+            seed: 1,
+        });
+        let stmt = parse_select(&q5("ASIA", 1994)).unwrap();
+        isolate(&stmt, &db, IsolatorOptions::default()).unwrap()
     });
-    let sql = q5("ASIA", 1994);
-    let stmt = parse_select(&sql).unwrap();
-    let q = isolate(&stmt, &db, IsolatorOptions::default()).unwrap();
     let optimizer = HybridOptimizer::structural(QhdOptions::default());
     c.bench_function("plan_tpch_q5", |b| {
         b.iter(|| optimizer.plan_cq(&q).expect("Q5 decomposes"))
@@ -211,8 +225,7 @@ fn bench_planner(c: &mut Criterion) {
     use htqo_core::DecompCost;
     use htqo_hypergraph::{EdgeId, EdgeSet, VarSet};
     use htqo_stats::StatsDecompCost;
-    let db = workload_db(&WorkloadSpec::new(12, 40, 80, 7));
-    let stats = htqo_stats::analyze(&db);
+    let stats = lazy(|| htqo_stats::analyze(&workload_db(&WorkloadSpec::new(12, 40, 80, 7))));
     let cycle = chain_query(12);
     let mut group = c.benchmark_group("planner");
 
@@ -226,7 +239,7 @@ fn bench_planner(c: &mut Criterion) {
         // set costs, model construction included.
         b.iter(|| StatsDecompCost::new(&stats, &cycle).vertex_cost(&h, &lambda, &assigned, &chi))
     });
-    let model = StatsDecompCost::new(&stats, &cycle);
+    let model = lazy(|| StatsDecompCost::new(&stats, &cycle));
     group.bench_function("vertex_cost_hit", |b| {
         b.iter(|| model.vertex_cost(&h, &lambda, &assigned, &chi))
     });
@@ -240,7 +253,7 @@ fn bench_plan_cold_search(c: &mut Criterion) {
     // fresh model per search as the optimizer builds one per query.
     use htqo_core::{cost_k_decomp_instrumented, cost_k_decomp_with_cost, SearchOptions};
     use htqo_stats::StatsDecompCost;
-    let stats = htqo_stats::analyze(&workload_db(&WorkloadSpec::new(12, 40, 80, 7)));
+    let stats = lazy(|| htqo_stats::analyze(&workload_db(&WorkloadSpec::new(12, 40, 80, 7))));
     let mut group = c.benchmark_group("planner/plan_cold_search");
     for (name, q) in [
         ("line12_k4", acyclic_query(12)),
@@ -248,20 +261,24 @@ fn bench_plan_cold_search(c: &mut Criterion) {
     ] {
         let ch = q.hypergraph();
         let opts = SearchOptions::width_with_root_cover(4, ch.out_var_set(&q));
-        let model = StatsDecompCost::new(&stats, &q);
-        let (_, _, s) =
-            cost_k_decomp_instrumented(&ch.hypergraph, &opts, &model).expect("width 2 suffices");
-        println!(
-            "planner/plan_cold_search/{name}: {} separators tried, \
-             {} dominated edges skipped, {} subproblems",
-            s.separators_tried, s.dominated_skips, s.subproblems
-        );
+        let mut ran = false;
         group.bench_function(name, |b| {
+            ran = true;
             b.iter(|| {
                 let model = StatsDecompCost::new(&stats, &q);
                 cost_k_decomp_with_cost(&ch.hypergraph, &opts, &model).expect("width 2 suffices")
             })
         });
+        if ran {
+            let model = StatsDecompCost::new(&stats, &q);
+            let (_, _, s) = cost_k_decomp_instrumented(&ch.hypergraph, &opts, &model)
+                .expect("width 2 suffices");
+            println!(
+                "planner/plan_cold_search/{name}: {} separators tried, \
+                 {} dominated edges skipped, {} subproblems",
+                s.separators_tried, s.dominated_skips, s.subproblems
+            );
+        }
     }
     group.finish();
 }
@@ -292,37 +309,47 @@ fn bench_analyze(c: &mut Criterion) {
     let cases = [
         (
             "tpch_sf0.02",
-            generate(&DbgenOptions {
-                scale: 0.02,
-                seed: 1,
+            lazy(|| {
+                generate(&DbgenOptions {
+                    scale: 0.02,
+                    seed: 1,
+                })
             }),
         ),
         (
             "int_dense_100k",
-            column(ColumnType::Int, &|l, i| {
-                l.push_int((scramble(i) % ROWS as u64) as i64)
+            lazy(|| {
+                column(ColumnType::Int, &|l, i| {
+                    l.push_int((scramble(i) % ROWS as u64) as i64)
+                })
             }),
         ),
         (
             "int_sparse_100k",
-            column(ColumnType::Int, &|l, i| l.push_int(scramble(i) as i64)),
+            lazy(|| column(ColumnType::Int, &|l, i| l.push_int(scramble(i) as i64))),
         ),
         (
             "float_100k",
-            column(ColumnType::Float, &|l, i| {
-                l.push_float((scramble(i) % 10_000_000) as f64 / 100.0)
+            lazy(|| {
+                column(ColumnType::Float, &|l, i| {
+                    l.push_float((scramble(i) % 10_000_000) as f64 / 100.0)
+                })
             }),
         ),
         (
             "str_3_values_100k",
-            column(ColumnType::Str, &|l, i| {
-                l.push_str(["N", "R", "A"][(scramble(i) % 3) as usize])
+            lazy(|| {
+                column(ColumnType::Str, &|l, i| {
+                    l.push_str(["N", "R", "A"][(scramble(i) % 3) as usize])
+                })
             }),
         ),
         (
             "str_all_distinct_100k",
-            column(ColumnType::Str, &|l, i| {
-                l.push_str(&format!("Customer#{:016x}", scramble(i)))
+            lazy(|| {
+                column(ColumnType::Str, &|l, i| {
+                    l.push_str(&format!("Customer#{:016x}", scramble(i)))
+                })
             }),
         ),
     ];
@@ -340,9 +367,11 @@ fn bench_scans(c: &mut Criterion) {
     // column.
     use htqo_cq::{CmpOp, CqBuilder, Literal};
     use htqo_engine::scan::scan_query_atom_c;
-    let db = generate(&DbgenOptions {
-        scale: 0.02,
-        seed: 1,
+    let db = lazy(|| {
+        generate(&DbgenOptions {
+            scale: 0.02,
+            seed: 1,
+        })
     });
     let lineitem = [
         ("l_orderkey", "OK"),
@@ -403,9 +432,11 @@ fn bench_vertex_join(c: &mut Criterion) {
     // σ orders ⋈ σ lineitem).
     use htqo_cq::{CmpOp, CqBuilder, Literal};
     use htqo_engine::scan::select_query_atom;
-    let db = generate(&DbgenOptions {
-        scale: 0.02,
-        seed: 1,
+    let db = lazy(|| {
+        generate(&DbgenOptions {
+            scale: 0.02,
+            seed: 1,
+        })
     });
     let day = |y, m, d| Literal::Date(htqo_cq::date::days_from_civil(y, m, d));
     let q8 = CqBuilder::new()
@@ -504,10 +535,10 @@ fn bench_vertex_join(c: &mut Criterion) {
         .out_agg(htqo_cq::AggFunc::Sum, Some(revenue_expr()), "revenue")
         .group("RF")
         .build();
-    let answer = {
+    let answer = lazy(|| {
         let mut budget = Budget::unlimited();
         htqo_engine::scan::scan_query_atom_c(&db, &q, htqo_cq::AtomId(0), &mut budget).unwrap()
-    };
+    });
     let mut group = c.benchmark_group("aggregate");
     group.bench_function("revenue", |b| {
         b.iter(|| {
@@ -558,19 +589,28 @@ fn bench_aggregate(c: &mut Criterion) {
         }
         b.build()
     };
-    let q10 = answer(1_500, 700, &|i| format!("Customer#{i:09}"));
-    let nations = ["ALGERIA", "ARGENTINA", "BRAZIL", "CANADA", "EGYPT"];
-    let q5 = answer(100_000, 5, &|i| nations[i].to_string());
-    // Row `i` (key `k = i % 997`) counts `1 + k % 3`.
-    let counts = (0..q5.len() as i64).map(|i| 1 + i % 997 % 3).collect();
-    let counted = q5.clone().with_counts(counts);
     let (q_q10, q_q5) = (query(true), query(false));
     let finalize = |answer: &CRel, q: &htqo_cq::ConjunctiveQuery| {
         htqo_engine::finalize_c(answer, q, &mut Budget::unlimited()).unwrap()
     };
-    assert_eq!(finalize(&q10, &q_q10).len(), 700);
-    assert_eq!(finalize(&q5, &q_q5).len(), 5);
-    assert_eq!(finalize(&counted, &q_q5).len(), 5);
+    let q10 = lazy(|| {
+        let q10 = answer(1_500, 700, &|i| format!("Customer#{i:09}"));
+        assert_eq!(finalize(&q10, &q_q10).len(), 700);
+        q10
+    });
+    let q5 = lazy(|| {
+        let nations = ["ALGERIA", "ARGENTINA", "BRAZIL", "CANADA", "EGYPT"];
+        let q5 = answer(100_000, 5, &|i| nations[i].to_string());
+        assert_eq!(finalize(&q5, &q_q5).len(), 5);
+        q5
+    });
+    let counted = lazy(|| {
+        // Row `i` (key `k = i % 997`) counts `1 + k % 3`.
+        let counts = (0..q5.len() as i64).map(|i| 1 + i % 997 % 3).collect();
+        let counted = q5.clone().with_counts(counts);
+        assert_eq!(finalize(&counted, &q_q5).len(), 5);
+        counted
+    });
     let mut group = c.benchmark_group("aggregate");
     group.bench_function("q10_like", |b| b.iter(|| finalize(&q10, &q_q10)));
     group.bench_function("q5_like", |b| b.iter(|| finalize(&q5, &q_q5)));
@@ -641,10 +681,13 @@ fn bench_storage(c: &mut Criterion) {
         // The log checkpoints itself every ~1 MiB — some 700 commits of
         // slot records — inside the timed commits.
         let dir = scratch("apply");
-        let storage = StorageDb::open_with(&dir, WalPolicy::Commit, 1 << 20).unwrap();
-        let meta = storage.ingest("t", &wide_table(base), &[]).unwrap();
-        assert!(meta.heap_pages() >= 200, "{} heap pages", meta.heap_pages());
-        storage.load_table("t", small_pool, None).unwrap();
+        let storage = lazy(|| {
+            let storage = StorageDb::open_with(&dir, WalPolicy::Commit, 1 << 20).unwrap();
+            let meta = storage.ingest("t", &wide_table(base), &[]).unwrap();
+            assert!(meta.heap_pages() >= 200, "{} heap pages", meta.heap_pages());
+            storage.load_table("t", small_pool, None).unwrap();
+            storage
+        });
         let mut doomed: Vec<u64> = (0..6).collect();
         let mut round = 0i64;
         group.bench_function("apply_16ops_commit", |b| {
@@ -654,33 +697,39 @@ fn bench_storage(c: &mut Criterion) {
                 storage.apply(&batch).unwrap()
             })
         });
-        let log = storage.wal_stats();
-        let commits = log.commits.max(1);
-        println!(
-            "storage/apply_16ops_commit: {} B logged per commit (slot records {}, catalog {}, \
-             marker {}), {} B of page images per commit (checkpoints), {} fsyncs over {} commits",
-            (log.bytes() - log.image_bytes) / commits,
-            log.slot_bytes / commits,
-            log.catalog_bytes / commits,
-            log.commit_bytes / commits,
-            log.image_bytes / commits,
-            log.fsyncs,
-            log.commits
-        );
+        if let Some(storage) = LazyCell::get(&storage) {
+            let log = storage.wal_stats();
+            let commits = log.commits.max(1);
+            println!(
+                "storage/apply_16ops_commit: {} B logged per commit (slot records {}, \
+                 catalog {}, marker {}), {} B of page images per commit (checkpoints), \
+                 {} fsyncs over {} commits",
+                (log.bytes() - log.image_bytes) / commits,
+                log.slot_bytes / commits,
+                log.catalog_bytes / commits,
+                log.commit_bytes / commits,
+                log.image_bytes / commits,
+                log.fsyncs,
+                log.commits
+            );
+        }
         drop(storage);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     {
         let dir = scratch("load");
-        let db = generate(&DbgenOptions {
-            scale: 0.01,
-            seed: 1,
+        let storage = lazy(|| {
+            let db = generate(&DbgenOptions {
+                scale: 0.01,
+                seed: 1,
+            });
+            let storage = StorageDb::open_with(&dir, WalPolicy::Commit, u64::MAX).unwrap();
+            storage
+                .ingest("lineitem", db.table("lineitem").unwrap(), &[])
+                .unwrap();
+            storage
         });
-        let storage = StorageDb::open_with(&dir, WalPolicy::Commit, u64::MAX).unwrap();
-        storage
-            .ingest("lineitem", db.table("lineitem").unwrap(), &[])
-            .unwrap();
         group.bench_function("load_table_lineitem_sf001", |b| {
             b.iter(|| storage.load_table("lineitem", small_pool, None).unwrap())
         });
@@ -702,13 +751,15 @@ fn bench_storage(c: &mut Criterion) {
         ("recover_40_rounds", 40),
     ] {
         let dir = scratch(name);
-        let storage = StorageDb::open_with(&dir, WalPolicy::Commit, u64::MAX).unwrap();
-        storage.ingest("t", &wide_table(base), &[]).unwrap();
-        let mut doomed: Vec<u64> = (0..6).collect();
-        for commit in 0..16 * rounds {
-            storage.apply(&next_batch(commit, &mut doomed)).unwrap();
-        }
-        let log = std::fs::metadata(dir.join("db.wal")).unwrap().len();
+        let storage = lazy(|| {
+            let storage = StorageDb::open_with(&dir, WalPolicy::Commit, u64::MAX).unwrap();
+            storage.ingest("t", &wide_table(base), &[]).unwrap();
+            let mut doomed: Vec<u64> = (0..6).collect();
+            for commit in 0..16 * rounds {
+                storage.apply(&next_batch(commit, &mut doomed)).unwrap();
+            }
+            storage
+        });
         let (mut pages, mut kept, mut runs) = (0, 0, 0u32);
         let mut recovering = std::time::Duration::ZERO;
         group.bench_function(name, |b| {
@@ -724,11 +775,14 @@ fn bench_storage(c: &mut Criterion) {
                 report
             })
         });
-        println!(
-            "storage/{name}: {log} B of log, {pages} pages with redo, {kept} B of kept edits, \
-             {:.2} ms per recovery alone",
-            recovering.as_secs_f64() * 1e3 / f64::from(runs)
-        );
+        if runs > 0 {
+            let log = std::fs::metadata(dir.join("db.wal")).unwrap().len();
+            println!(
+                "storage/{name}: {log} B of log, {pages} pages with redo, {kept} B of kept \
+                 edits, {:.2} ms per recovery alone",
+                recovering.as_secs_f64() * 1e3 / f64::from(runs)
+            );
+        }
         drop(storage);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -740,17 +794,21 @@ fn bench_storage(c: &mut Criterion) {
         // timed closure also makes the 8 commits that dirty the pages; the
         // checkpoint's own share is printed.
         let dir = scratch("checkpoint");
-        let storage = StorageDb::open_with(&dir, WalPolicy::Commit, u64::MAX).unwrap();
-        storage.ingest("t", &wide_table(15_000), &[]).unwrap();
-        storage.load_table("t", small_pool, None).unwrap();
-        // The first row of each of the first 128 heap pages.
-        let firsts: Vec<u64> = (0..15_000)
-            .filter(|&r| matches!(storage.locate("t", r), Ok(Some((_, 0)))))
-            .take(128)
-            .collect();
+        let store = lazy(|| {
+            let storage = StorageDb::open_with(&dir, WalPolicy::Commit, u64::MAX).unwrap();
+            storage.ingest("t", &wide_table(15_000), &[]).unwrap();
+            storage.load_table("t", small_pool, None).unwrap();
+            // The first row of each of the first 128 heap pages.
+            let firsts: Vec<u64> = (0..15_000)
+                .filter(|&r| matches!(storage.locate("t", r), Ok(Some((_, 0)))))
+                .take(128)
+                .collect();
+            (storage, firsts)
+        });
         let mut round = 0i64;
         let mut checkpoints = std::time::Duration::ZERO;
         group.bench_function("checkpoint_128_dirty_pages", |b| {
+            let (storage, firsts) = &*store;
             b.iter(|| {
                 round += 1;
                 for rowids in firsts.chunks(16) {
@@ -768,11 +826,13 @@ fn bench_storage(c: &mut Criterion) {
                 assert_eq!(images, 128, "dirty pages at the checkpoint");
             })
         });
-        println!(
-            "storage/checkpoint_128_dirty_pages: {:.2} ms per checkpoint alone",
-            checkpoints.as_secs_f64() * 1e3 / round as f64
-        );
-        drop(storage);
+        if round > 0 {
+            println!(
+                "storage/checkpoint_128_dirty_pages: {:.2} ms per checkpoint alone",
+                checkpoints.as_secs_f64() * 1e3 / round as f64
+            );
+        }
+        drop(store);
         std::fs::remove_dir_all(&dir).ok();
     }
     group.finish();
@@ -792,30 +852,43 @@ fn bench_seek_join(c: &mut Criterion) {
     use std::sync::Arc;
     let dir = std::env::temp_dir().join(format!("htqo-micro-{}-seek", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let tpch = generate(&DbgenOptions {
-        scale: 0.01,
-        seed: 1,
+    let paged = lazy(|| {
+        let tpch = generate(&DbgenOptions {
+            scale: 0.01,
+            seed: 1,
+        });
+        let storage = StorageDb::open_with(&dir, WalPolicy::Commit, u64::MAX).unwrap();
+        let lineitem = tpch.table("lineitem").unwrap();
+        storage
+            .ingest("lineitem", lineitem, &["l_partkey"])
+            .unwrap();
+        let (rel, indexes) = storage
+            .load_table("lineitem", 24 * PAGE_SIZE as u64, None)
+            .unwrap();
+        let mut db = Database::new();
+        db.insert_table("lineitem", rel);
+        db.insert_table("part", tpch.table("part").unwrap().clone());
+        let index = Arc::clone(&indexes[0].1);
+        db.register_index("lineitem", "l_partkey", index.clone());
+        let parts = tpch.table("part").unwrap().len() as i64;
+        let q = CqBuilder::new()
+            .atom("part", "part", &[("p_partkey", "P"), ("p_name", "N")])
+            .atom(
+                "lineitem",
+                "lineitem",
+                &[("l_partkey", "P"), ("l_quantity", "Q")],
+            )
+            .filter(0, "p_partkey", CmpOp::Eq, Literal::Int(parts / 2))
+            .out_var("Q")
+            .build();
+        (db, index, parts, q, storage)
     });
-    let storage = StorageDb::open_with(&dir, WalPolicy::Commit, u64::MAX).unwrap();
-    let lineitem = tpch.table("lineitem").unwrap();
-    storage
-        .ingest("lineitem", lineitem, &["l_partkey"])
-        .unwrap();
-    let (rel, indexes) = storage
-        .load_table("lineitem", 24 * PAGE_SIZE as u64, None)
-        .unwrap();
-    let mut db = Database::new();
-    db.insert_table("lineitem", rel);
-    db.insert_table("part", tpch.table("part").unwrap().clone());
-    let index = Arc::clone(&indexes[0].1);
-    db.register_index("lineitem", "l_partkey", index.clone());
-    let parts = tpch.table("part").unwrap().len() as i64;
-    let rows = lineitem.len() as f64;
 
     let mut group = c.benchmark_group("seek_join");
     let mut key = 0i64;
     let mut probes = (std::time::Duration::ZERO, 0u32);
     group.bench_function("paged_probe", |b| {
+        let (_, index, parts, ..) = &*paged;
         b.iter(|| {
             key = (key + 7919) % parts + 1;
             let t = std::time::Instant::now();
@@ -825,27 +898,17 @@ fn bench_seek_join(c: &mut Criterion) {
             hits
         })
     });
-    let q = CqBuilder::new()
-        .atom("part", "part", &[("p_partkey", "P"), ("p_name", "N")])
-        .atom(
-            "lineitem",
-            "lineitem",
-            &[("l_partkey", "P"), ("l_quantity", "Q")],
-        )
-        .filter(0, "p_partkey", CmpOp::Eq, Literal::Int(parts / 2))
-        .out_var("Q")
-        .build();
     let chi = ["P", "N", "Q"].map(htqo_engine::Name::from);
-    let select = |seek: bool| {
-        let mut budget = Budget::unlimited();
-        (q.atom_ids())
-            .map(|a| select_query_atom(&db, &q, a, seek, &mut budget).unwrap())
-            .collect::<Vec<_>>()
-    };
     let mut hashed = (std::time::Duration::ZERO, 0u32);
     for (name, seek) in [("hash_vertex", false), ("seek_vertex", true)] {
-        let selected = select(seek);
         group.bench_function(name, |b| {
+            let (db, _, _, q, _) = &*paged;
+            let selected: Vec<_> = {
+                let mut budget = Budget::unlimited();
+                (q.atom_ids())
+                    .map(|a| select_query_atom(db, q, a, seek, &mut budget).unwrap())
+                    .collect()
+            };
             b.iter(|| {
                 let mut budget = Budget::unlimited();
                 let t = std::time::Instant::now();
@@ -861,14 +924,17 @@ fn bench_seek_join(c: &mut Criterion) {
         });
     }
     group.finish();
-    let probe_ns = probes.0.as_secs_f64() * 1e9 / f64::from(probes.1.max(1));
-    let row_ns = hashed.0.as_secs_f64() * 1e9 / f64::from(hashed.1.max(1)) / rows;
-    println!(
-        "seek_join: {probe_ns:.0} ns per paged probe, {row_ns:.2} ns per hash-joined row \
-         ({rows} lineitem rows): ratio {:.0} (SEEK_MARGIN = {SEEK_MARGIN})",
-        probe_ns / row_ns
-    );
-    drop((db, index, indexes, storage));
+    if probes.1 > 0 && hashed.1 > 0 {
+        let rows = paged.0.table("lineitem").unwrap().len() as f64;
+        let probe_ns = probes.0.as_secs_f64() * 1e9 / f64::from(probes.1);
+        let row_ns = hashed.0.as_secs_f64() * 1e9 / f64::from(hashed.1) / rows;
+        println!(
+            "seek_join: {probe_ns:.0} ns per paged probe, {row_ns:.2} ns per hash-joined row \
+             ({rows} lineitem rows): ratio {:.0} (SEEK_MARGIN = {SEEK_MARGIN})",
+            probe_ns / row_ns
+        );
+    }
+    drop(paged);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -877,10 +943,6 @@ fn bench_service(c: &mut Criterion) {
     // relations evaluates in tens of microseconds, so what is timed is
     // the fixed cost around the evaluation.
     use htqo_service::{QueryService, ServiceConfig};
-    let db = workload_db(&WorkloadSpec::new(10, 50, 50, 7));
-    let opt = HybridOptimizer::with_stats(QhdOptions::default(), htqo_stats::analyze(&db));
-    let service = QueryService::new(db, opt, ServiceConfig::default());
-    let session = service.session();
     let cycle = |alias: &str| {
         format!(
             "SELECT {alias}0.l FROM p0 {alias}0, p1 {alias}1, p2 {alias}2, p3 {alias}3 \
@@ -889,14 +951,23 @@ fn bench_service(c: &mut Criterion) {
         )
     };
     let known = cycle("a");
-    let prepared = session.prepare(&known).unwrap();
-    assert!(session.execute_prepared(prepared).unwrap().result.is_ok());
+    let served = lazy(|| {
+        let db = workload_db(&WorkloadSpec::new(10, 50, 50, 7));
+        let opt = HybridOptimizer::with_stats(QhdOptions::default(), htqo_stats::analyze(&db));
+        let service = QueryService::new(db, opt, ServiceConfig::default());
+        let session = service.session();
+        let prepared = session.prepare(&known).unwrap();
+        assert!(session.execute_prepared(prepared).unwrap().result.is_ok());
+        (session, prepared, service)
+    });
 
     let mut group = c.benchmark_group("service");
     group.bench_function("execute_prepared_hit", |b| {
-        b.iter(|| session.execute_prepared(prepared).unwrap().tuples)
+        let (session, prepared, _) = &*served;
+        b.iter(|| session.execute_prepared(*prepared).unwrap().tuples)
     });
     group.bench_function("execute_sql_text_hit", |b| {
+        let session = &served.0;
         b.iter(|| session.execute_sql(&known).unwrap().tuples)
     });
     // A never-seen text every iteration (same shape, fresh aliases): the
@@ -904,6 +975,7 @@ fn bench_service(c: &mut Criterion) {
     // text miss, the insert and — once the cache is full — an eviction.
     let mut fresh = 0u64;
     group.bench_function("execute_sql_new_text_shape_hit", |b| {
+        let session = &served.0;
         b.iter(|| {
             fresh += 1;
             session
@@ -916,17 +988,20 @@ fn bench_service(c: &mut Criterion) {
 }
 
 fn bench_hash_join(c: &mut Criterion) {
-    let db = workload_db(&WorkloadSpec::new(2, 10_000, 100, 7));
-    let q = acyclic_query(2);
-    let mut budget = Budget::unlimited();
-    let left =
-        htqo_engine::scan::scan_query_atom_c(&db, &q, htqo_cq::AtomId(0), &mut budget).unwrap();
-    let right =
-        htqo_engine::scan::scan_query_atom_c(&db, &q, htqo_cq::AtomId(1), &mut budget).unwrap();
+    let sides = lazy(|| {
+        let db = workload_db(&WorkloadSpec::new(2, 10_000, 100, 7));
+        let q = acyclic_query(2);
+        let mut budget = Budget::unlimited();
+        let mut scan = |a| {
+            htqo_engine::scan::scan_query_atom_c(&db, &q, htqo_cq::AtomId(a), &mut budget).unwrap()
+        };
+        (scan(0), scan(1))
+    });
     c.bench_function("hash_join_10k_x_10k", |b| {
+        let (left, right) = &*sides;
         b.iter(|| {
             let mut budget = Budget::unlimited();
-            htqo_engine::cops::natural_join(&left, &right, &mut budget).unwrap()
+            htqo_engine::cops::natural_join(left, right, &mut budget).unwrap()
         })
     });
 }
@@ -987,59 +1062,66 @@ fn bench_join_keys(c: &mut Criterion) {
     let uniform =
         |domain: u64| -> Vec<i64> { (0..PROBE_ROWS).map(|_| below(domain) as i64).collect() };
 
-    let orderkeys = sample(7_346, 30_000);
-    // Orders → lineitem: a primary key (every fourth integer, as TPC-H
-    // spaces order keys) filtered to about one order in five, probed by
-    // 120,000 foreign keys in order, four per order — whether a probe row
-    // matches is a coin flip per order.
-    let open_orders: Vec<i64> = (0..30_000)
-        .map(|o| 4 * o)
-        .filter(|_| below(5) == 0)
-        .collect();
-    let line_orders: Vec<i64> = (0..PROBE_ROWS as i64).map(|i| 4 * (i / 4)).collect();
-    let cases: Vec<(&str, CRel, CRel)> = vec![
-        (
-            "direct_unique_fk",
-            rel(vec![ints(open_orders)], "b"),
-            rel(vec![ints(line_orders)], "p"),
-        ),
-        (
-            "int_200_all_hit",
-            rel(vec![ints((0..200).collect())], "b"),
-            rel(vec![ints(uniform(200))], "p"),
-        ),
-        (
-            "int_673_of_4000",
-            rel(vec![ints(sample(673, 4_000))], "b"),
-            rel(vec![ints(uniform(4_000))], "p"),
-        ),
-        (
-            "int2_7346_sparse",
-            rel(
-                vec![
-                    ints(orderkeys.iter().map(|k| k % 200).collect()),
-                    ints(orderkeys),
-                ],
-                "b",
+    // Every case is drawn from one generator stream, so the inputs are the
+    // same whichever cases the filter runs.
+    let cases: Lazy<Vec<(CRel, CRel)>> = lazy(|| {
+        let orderkeys = sample(7_346, 30_000);
+        // Orders → lineitem: a primary key (every fourth integer, as TPC-H
+        // spaces order keys) filtered to about one order in five, probed by
+        // 120,000 foreign keys in order, four per order — whether a probe row
+        // matches is a coin flip per order.
+        let open_orders: Vec<i64> = (0..30_000)
+            .map(|o| 4 * o)
+            .filter(|_| below(5) == 0)
+            .collect();
+        let line_orders: Vec<i64> = (0..PROBE_ROWS as i64).map(|i| 4 * (i / 4)).collect();
+        vec![
+            (
+                rel(vec![ints(open_orders)], "b"),
+                rel(vec![ints(line_orders)], "p"),
             ),
-            rel(vec![ints(uniform(200)), ints(uniform(30_000))], "p"),
-        ),
-        (
-            "str_5000_of_20000",
-            rel(vec![strs(sample(5_000, 20_000))], "b"),
-            rel(vec![strs(uniform(20_000))], "p"),
-        ),
-        (
-            "float_5000_of_20000",
-            rel(vec![floats(sample(5_000, 20_000))], "b"),
-            rel(vec![floats(uniform(20_000))], "p"),
-        ),
-    ];
+            (
+                rel(vec![ints((0..200).collect())], "b"),
+                rel(vec![ints(uniform(200))], "p"),
+            ),
+            (
+                rel(vec![ints(sample(673, 4_000))], "b"),
+                rel(vec![ints(uniform(4_000))], "p"),
+            ),
+            (
+                rel(
+                    vec![
+                        ints(orderkeys.iter().map(|k| k % 200).collect()),
+                        ints(orderkeys),
+                    ],
+                    "b",
+                ),
+                rel(vec![ints(uniform(200)), ints(uniform(30_000))], "p"),
+            ),
+            (
+                rel(vec![strs(sample(5_000, 20_000))], "b"),
+                rel(vec![strs(uniform(20_000))], "p"),
+            ),
+            (
+                rel(vec![floats(sample(5_000, 20_000))], "b"),
+                rel(vec![floats(uniform(20_000))], "p"),
+            ),
+        ]
+    });
 
+    let names = [
+        "direct_unique_fk",
+        "int_200_all_hit",
+        "int_673_of_4000",
+        "int2_7346_sparse",
+        "str_5000_of_20000",
+        "float_5000_of_20000",
+    ];
     let mut group = c.benchmark_group("join_keys");
-    for (name, build, probe) in &cases {
+    for (i, name) in names.into_iter().enumerate() {
         let mut best = Duration::MAX;
-        group.bench_function(*name, |b| {
+        group.bench_function(name, |b| {
+            let (build, probe) = &cases[i];
             b.iter(|| {
                 let t = Instant::now();
                 let mut budget = Budget::unlimited();
@@ -1088,62 +1170,68 @@ fn bench_probe(c: &mut Criterion) {
         columns.push(Arc::new(Column::from_ints((0..n as i64).collect())));
         CRel::new(names, columns, n)
     };
-    // Order keys as TPC-H spaces them (every fourth integer), one order
-    // in twenty kept; lineitem-like foreign keys, four rows per order.
-    let orders: Vec<i64> = (0..30_000)
-        .map(|o| 4 * o)
-        .filter(|_| below(20) == 0)
-        .collect();
-    let lines: Vec<i64> = (0..PROBE_ROWS as i64).map(|i| 4 * (i / 4)).collect();
-    let one = (
-        rel(vec![orders.clone()], "b"),
-        rel(vec![lines.clone()], "p"),
-    );
-    // Q5's (supplier, order) key, in that order: the build side's
-    // suppliers are one in thirty-two (about 3 % of the range) and its
-    // orders one in five, so the key's first column is the sparser; the
-    // packed range is too wide for a direct table.
-    let (mut q5_suppliers, mut q5_orders) = (Vec::new(), Vec::new());
-    for o in (0..30_000).map(|o| 4 * o).filter(|_| below(5) == 0) {
-        q5_suppliers.push(32 * below(32) as i64);
-        q5_orders.push(o);
-    }
-    let line_suppliers: Vec<i64> = (0..PROBE_ROWS).map(|_| below(1024) as i64).collect();
-    let q5 = (
-        rel(vec![q5_suppliers, q5_orders], "b"),
-        rel(vec![line_suppliers, lines], "p"),
-    );
-    // An (order, line number) key whose packed range fits a direct
-    // table: one order in five, each with one of its four lines.
-    let (mut pk_orders, mut pk_lines) = (Vec::new(), Vec::new());
-    for o in (0..30_000).filter(|_| below(5) == 0) {
-        pk_orders.push(o);
-        pk_lines.push(below(4) as i64);
-    }
-    let two = (
-        rel(vec![pk_orders, pk_lines], "b"),
-        rel(
-            vec![
-                (0..PROBE_ROWS as i64).map(|i| i / 4).collect(),
-                (0..PROBE_ROWS as i64).map(|i| i % 4).collect(),
-            ],
-            "p",
-        ),
-    );
+    // The three key shapes come from one generator stream, so the inputs
+    // are the same whichever cases the filter runs.
+    let pairs = lazy(|| {
+        // Order keys as TPC-H spaces them (every fourth integer), one order
+        // in twenty kept; lineitem-like foreign keys, four rows per order.
+        let orders: Vec<i64> = (0..30_000)
+            .map(|o| 4 * o)
+            .filter(|_| below(20) == 0)
+            .collect();
+        let lines: Vec<i64> = (0..PROBE_ROWS as i64).map(|i| 4 * (i / 4)).collect();
+        let one = (
+            rel(vec![orders.clone()], "b"),
+            rel(vec![lines.clone()], "p"),
+        );
+        // Q5's (supplier, order) key, in that order: the build side's
+        // suppliers are one in thirty-two (about 3 % of the range) and its
+        // orders one in five, so the key's first column is the sparser; the
+        // packed range is too wide for a direct table.
+        let (mut q5_suppliers, mut q5_orders) = (Vec::new(), Vec::new());
+        for o in (0..30_000).map(|o| 4 * o).filter(|_| below(5) == 0) {
+            q5_suppliers.push(32 * below(32) as i64);
+            q5_orders.push(o);
+        }
+        let line_suppliers: Vec<i64> = (0..PROBE_ROWS).map(|_| below(1024) as i64).collect();
+        let q5 = (
+            rel(vec![q5_suppliers, q5_orders], "b"),
+            rel(vec![line_suppliers, lines], "p"),
+        );
+        // An (order, line number) key whose packed range fits a direct
+        // table: one order in five, each with one of its four lines.
+        let (mut pk_orders, mut pk_lines) = (Vec::new(), Vec::new());
+        for o in (0..30_000).filter(|_| below(5) == 0) {
+            pk_orders.push(o);
+            pk_lines.push(below(4) as i64);
+        }
+        let two = (
+            rel(vec![pk_orders, pk_lines], "b"),
+            rel(
+                vec![
+                    (0..PROBE_ROWS as i64).map(|i| i / 4).collect(),
+                    (0..PROBE_ROWS as i64).map(|i| i % 4).collect(),
+                ],
+                "p",
+            ),
+        );
+        [one, two, q5]
+    });
     type Kernel = fn(&CRel, &CRel, &mut Budget) -> Result<CRel, htqo_engine::EvalError>;
     let join: Kernel = |b, p, budget| cops::natural_join(b, p, budget);
     let semijoin: Kernel = |b, p, budget| cops::semijoin(p, b, budget);
-    let cases: [(&str, &(CRel, CRel), Kernel); 4] = [
-        ("direct_1col", &one, join),
-        ("direct_2col", &two, join),
-        ("prefiltered_2col", &q5, join),
-        ("semijoin_bitmap", &one, semijoin),
+    let cases: [(&str, usize, Kernel); 4] = [
+        ("direct_1col", 0, join),
+        ("direct_2col", 1, join),
+        ("prefiltered_2col", 2, join),
+        ("semijoin_bitmap", 0, semijoin),
     ];
 
     let mut group = c.benchmark_group("probe");
-    for (name, (build, probe), kernel) in cases {
+    for (name, pair, kernel) in cases {
         let mut best = Duration::MAX;
         group.bench_function(name, |b| {
+            let (build, probe) = &pairs[pair];
             b.iter(|| {
                 let t = Instant::now();
                 let mut budget = Budget::unlimited();
@@ -1178,34 +1266,35 @@ fn bench_spill_join(c: &mut Criterion) {
         let columns = vec![Arc::clone(&keys), keys];
         CRel::new(vec![key.into(), payload.into()], columns, ROWS as usize)
     };
-    let left = side("Y", 0, "X");
-    let right = side("Y", ROWS - ROWS / 100, "Z");
-    let run = |b: &mut Budget| cops::natural_join(&left, &right, b).map(|r| r.len());
+    let sides = lazy(|| (side("Y", 0, "X"), side("Y", ROWS - ROWS / 100, "Z")));
+    let run = |b: &mut Budget| cops::natural_join(&sides.0, &sides.1, b).map(|r| r.len());
 
     // Working set: the smallest cap the join completes under with spilling
     // off (the budget's residual after a run is only the output; the build
     // table's transient charges are returned on completion).
-    let fits = |limit: u64| {
-        run(&mut Budget::unlimited()
-            .with_mem_limit(limit)
-            .with_spill_mode(SpillMode::Off))
-        .is_ok()
-    };
-    let mut hi = 1u64 << 16;
-    while !fits(hi) {
-        hi <<= 1;
-    }
-    let mut lo = 0u64;
-    while hi - lo > 1024 {
-        let mid = lo + (hi - lo) / 2;
-        if fits(mid) {
-            hi = mid;
-        } else {
-            lo = mid;
+    let sizes = lazy(|| {
+        let fits = |limit: u64| {
+            run(&mut Budget::unlimited()
+                .with_mem_limit(limit)
+                .with_spill_mode(SpillMode::Off))
+            .is_ok()
+        };
+        let mut hi = 1u64 << 16;
+        while !fits(hi) {
+            hi <<= 1;
         }
-    }
-    let (working_set, cap) = (hi, (hi / 4).max(1));
-    let rows = run(&mut Budget::unlimited()).unwrap();
+        let mut lo = 0u64;
+        while hi - lo > 1024 {
+            let mid = lo + (hi - lo) / 2;
+            if fits(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        // (working set, cap, output rows)
+        (hi, (hi / 4).max(1), run(&mut Budget::unlimited()).unwrap())
+    });
 
     let mut group = c.benchmark_group("spill_join");
     group.sample_size(10);
@@ -1214,6 +1303,7 @@ fn bench_spill_join(c: &mut Criterion) {
     });
     let (mut spilled, mut partitions) = (0, 0);
     group.bench_function("quarter_cap", |b| {
+        let (_, cap, rows) = *sizes;
         b.iter(|| {
             let mut budget = Budget::unlimited().with_mem_limit(cap);
             assert_eq!(
@@ -1226,6 +1316,7 @@ fn bench_spill_join(c: &mut Criterion) {
         })
     });
     if spilled > 0 {
+        let (working_set, cap, rows) = *sizes;
         println!(
             "spill_join/quarter_cap: working set {working_set} B, cap {cap} B, \
              {spilled} B spilled over {partitions} partitions, {rows} output rows"
@@ -1247,69 +1338,83 @@ fn bench_factorized_count(c: &mut Criterion) {
     const CHAIN_ROWS: usize = 20_000;
     const DOMAIN: u64 = CHAIN_ROWS as u64 / 3;
     const HUB_ROWS: usize = 20;
-    let mut state = 0x9E37_79B9_97F4_A7C5u64;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        Value::Int(((state >> 33) % DOMAIN) as i64)
-    };
-    let mut db = Database::new();
-    let mut hub = Relation::new(Schema::new(&[
-        ("a", ColumnType::Int),
-        ("b", ColumnType::Int),
-        ("c", ColumnType::Int),
-    ]));
-    for _ in 0..HUB_ROWS {
-        hub.push_row(vec![next(), next(), next()]).unwrap();
-    }
-    db.insert_table("hub", hub);
-    let mut b = CqBuilder::new()
-        .atom("hub", "hub", &[("a", "A"), ("b", "B"), ("c", "C")])
-        .out_var("A");
-    for v in ["A", "B", "C"] {
-        for k in 0..3usize {
-            let name = format!("{}{k}", v.to_lowercase());
-            let mut rel = Relation::new(Schema::new(&[
-                ("l", ColumnType::Int),
-                ("r", ColumnType::Int),
-            ]));
-            rel.reserve(CHAIN_ROWS);
-            for _ in 0..CHAIN_ROWS {
-                rel.push_row(vec![next(), next()]).unwrap();
-            }
-            db.insert_table(&name, rel);
-            let l = if k == 0 {
-                v.to_string()
-            } else {
-                format!("{v}{k}")
-            };
-            let r = format!("{v}{}", k + 1);
-            b = b.atom(&name, &name, &[("l", &l), ("r", &r)]);
+    let inputs = lazy(|| {
+        let mut state = 0x9E37_79B9_97F4_A7C5u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            Value::Int(((state >> 33) % DOMAIN) as i64)
+        };
+        let mut db = Database::new();
+        let mut hub = Relation::new(Schema::new(&[
+            ("a", ColumnType::Int),
+            ("b", ColumnType::Int),
+            ("c", ColumnType::Int),
+        ]));
+        for _ in 0..HUB_ROWS {
+            hub.push_row(vec![next(), next(), next()]).unwrap();
         }
-    }
-    let q = b.out_agg(AggFunc::Count, None, "n").group("A").build();
-
-    let plan = q_hypertree_decomp(&q, &QhdOptions::default(), &StructuralCost).unwrap();
-    let counted = || evaluate_qhd_query(&db, &q, &plan, &mut Budget::unlimited()).unwrap();
+        db.insert_table("hub", hub);
+        let mut b = CqBuilder::new()
+            .atom("hub", "hub", &[("a", "A"), ("b", "B"), ("c", "C")])
+            .out_var("A");
+        for v in ["A", "B", "C"] {
+            for k in 0..3usize {
+                let name = format!("{}{k}", v.to_lowercase());
+                let mut rel = Relation::new(Schema::new(&[
+                    ("l", ColumnType::Int),
+                    ("r", ColumnType::Int),
+                ]));
+                rel.reserve(CHAIN_ROWS);
+                for _ in 0..CHAIN_ROWS {
+                    rel.push_row(vec![next(), next()]).unwrap();
+                }
+                db.insert_table(&name, rel);
+                let l = if k == 0 {
+                    v.to_string()
+                } else {
+                    format!("{v}{k}")
+                };
+                let r = format!("{v}{}", k + 1);
+                b = b.atom(&name, &name, &[("l", &l), ("r", &r)]);
+            }
+        }
+        let q = b.out_agg(AggFunc::Count, None, "n").group("A").build();
+        let plan = q_hypertree_decomp(&q, &QhdOptions::default(), &StructuralCost).unwrap();
+        (db, q, plan)
+    });
+    let counted = || {
+        let (db, q, plan) = &*inputs;
+        evaluate_qhd_query(db, q, plan, &mut Budget::unlimited()).unwrap()
+    };
     let materialized = || {
+        let (db, q, _) = &*inputs;
         let mut budget = Budget::unlimited();
-        let answer = evaluate_join_order(&db, &q, None, &mut budget).unwrap();
-        let out = htqo_engine::aggregate::finalize_c(&answer, &q, &mut budget).unwrap();
+        let answer = evaluate_join_order(db, q, None, &mut budget).unwrap();
+        let out = htqo_engine::aggregate::finalize_c(&answer, q, &mut budget).unwrap();
         (out, answer.len())
     };
-    let (want, derivations) = materialized();
-    assert_eq!(counted(), want, "the counted pass disagrees");
-    println!(
-        "factorized_count: {derivations} derivations collapse into {} groups ({} vertices)",
-        want.len(),
-        plan.tree.len()
-    );
+    let checked = lazy(|| {
+        let (want, derivations) = materialized();
+        assert_eq!(counted(), want, "the counted pass disagrees");
+        println!(
+            "factorized_count: {derivations} derivations collapse into {} groups ({} vertices)",
+            want.len(),
+            inputs.2.tree.len()
+        );
+    });
 
     let mut group = c.benchmark_group("factorized_count");
     group.sample_size(10);
-    group.bench_function("materialized", |b| b.iter(|| materialized().0));
-    group.bench_function("counted", |b| b.iter(counted));
+    group.bench_function("materialized", |b| {
+        LazyCell::force(&checked);
+        b.iter(|| materialized().0)
+    });
+    group.bench_function("counted", |b| {
+        LazyCell::force(&checked);
+        b.iter(counted)
+    });
     group.finish();
 }
 
@@ -1317,19 +1422,23 @@ fn bench_evaluators(c: &mut Criterion) {
     let mut group = c.benchmark_group("evaluators");
     group.sample_size(10);
     let n = 5;
-    let db = workload_db(&WorkloadSpec::new(n, 300, 40, 11));
-    let q = chain_query(n);
-    let plan = q_hypertree_decomp(&q, &QhdOptions::default(), &StructuralCost).unwrap();
+    let inputs = lazy(|| {
+        let q = chain_query(n);
+        let plan = q_hypertree_decomp(&q, &QhdOptions::default(), &StructuralCost).unwrap();
+        (workload_db(&WorkloadSpec::new(n, 300, 40, 11)), q, plan)
+    });
     group.bench_function("qhd_chain5", |b| {
+        let (db, q, plan) = &*inputs;
         b.iter(|| {
             let mut budget = Budget::unlimited();
-            evaluate_qhd(&db, &q, &plan, &mut budget).unwrap()
+            evaluate_qhd(db, q, plan, &mut budget).unwrap()
         })
     });
     group.bench_function("naive_chain5", |b| {
+        let (db, q, _) = &*inputs;
         b.iter(|| {
             let mut budget = Budget::unlimited();
-            evaluate_naive(&db, &q, &mut budget).unwrap()
+            evaluate_naive(db, q, &mut budget).unwrap()
         })
     });
     group.finish();
@@ -1337,7 +1446,7 @@ fn bench_evaluators(c: &mut Criterion) {
 
 fn bench_structural_survey(c: &mut Criterion) {
     // The tree-decomposition baseline on a 10-atom chain.
-    let h = chain_query(10).hypergraph().hypergraph;
+    let h = lazy(|| chain_query(10).hypergraph().hypergraph);
     let mut group = c.benchmark_group("structural_methods");
     group.bench_function("treedecomp_minfill_chain10", |b| {
         b.iter(|| tree_decomposition(&h, EliminationHeuristic::MinFill))
@@ -1347,9 +1456,8 @@ fn bench_structural_survey(c: &mut Criterion) {
 
 fn bench_planners(c: &mut Criterion) {
     // DP vs GEQO planning on a 9-atom line over real statistics.
-    let db = workload_db(&WorkloadSpec::new(9, 200, 20, 5));
     let q = acyclic_query(9);
-    let stats = htqo_stats::analyze(&db);
+    let stats = lazy(|| htqo_stats::analyze(&workload_db(&WorkloadSpec::new(9, 200, 20, 5))));
     let mut group = c.benchmark_group("planners");
     group.bench_function("dp_9_atoms", |b| {
         b.iter(|| htqo_optimizer::dp_join_order(&q, &stats))

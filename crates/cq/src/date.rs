@@ -6,16 +6,28 @@
 
 /// Converts a civil date to days since 1970-01-01.
 ///
-/// Uses Howard Hinnant's `days_from_civil` algorithm; valid over the whole
-/// `i32` day range.
+/// Uses Howard Hinnant's `days_from_civil` algorithm; exact for every date
+/// whose day number fits `i32` (see [`parse_date`] for the checked form).
 pub fn days_from_civil(year: i32, month: u32, day: u32) -> i32 {
-    let y = if month <= 2 { year - 1 } else { year };
+    civil_to_days(year, month, day) as i32
+}
+
+fn civil_to_days(year: i32, month: u32, day: u32) -> i64 {
+    let y = year as i64 - i64::from(month <= 2);
     let era = if y >= 0 { y } else { y - 399 } / 400;
-    let yoe = (y - era * 400) as i64; // [0, 399]
+    let yoe = y - era * 400; // [0, 399]
     let mp = ((month as i64) + 9) % 12; // Mar=0 .. Feb=11
     let doy = (153 * mp + 2) / 5 + (day as i64) - 1; // [0, 365]
     let doe = yoe * 365 + yoe / 4 - yoe / 100 + doy; // [0, 146096]
-    (era as i64 * 146097 + doe - 719468) as i32
+    era * 146097 + doe - 719468
+}
+
+/// The day number of a date that exists, if it fits `i32`.
+fn checked_days(year: i32, month: u32, day: u32) -> Option<i32> {
+    if !(1..=12).contains(&month) || !(1..=days_in_month(year, month)).contains(&day) {
+        return None;
+    }
+    i32::try_from(civil_to_days(year, month, day)).ok()
 }
 
 /// Converts days since 1970-01-01 back to a civil `(year, month, day)`.
@@ -34,16 +46,17 @@ pub fn civil_from_days(days: i32) -> (i32, u32, u32) {
 }
 
 /// Parses `YYYY-MM-DD` into days since epoch. Returns `None` on malformed
-/// input or out-of-range components.
+/// input, a date that does not exist (`1994-02-31`) or one whose day
+/// number does not fit `i32`.
 pub fn parse_date(s: &str) -> Option<i32> {
     let mut parts = s.split('-');
     let year: i32 = parts.next()?.parse().ok()?;
     let month: u32 = parts.next()?.parse().ok()?;
     let day: u32 = parts.next()?.parse().ok()?;
-    if parts.next().is_some() || !(1..=12).contains(&month) || !(1..=31).contains(&day) {
+    if parts.next().is_some() {
         return None;
     }
-    Some(days_from_civil(year, month, day))
+    checked_days(year, month, day)
 }
 
 /// Formats days since epoch as `YYYY-MM-DD`.
@@ -52,21 +65,21 @@ pub fn format_date(days: i32) -> String {
     format!("{y:04}-{m:02}-{d:02}")
 }
 
-/// Adds `n` calendar units to a date (days since epoch). Month/year
-/// arithmetic clamps the day-of-month (e.g. Jan 31 + 1 month = Feb 28/29),
-/// matching common SQL behaviour.
-pub fn add_interval(days: i32, n: i32, unit: IntervalUnit) -> i32 {
+/// Adds `n` calendar units to a date (days since epoch), or `None` when
+/// the result's day number does not fit `i32`. Month/year arithmetic
+/// clamps the day-of-month (e.g. Jan 31 + 1 month = Feb 28/29), matching
+/// common SQL behaviour.
+pub fn add_interval(days: i32, n: i32, unit: IntervalUnit) -> Option<i32> {
     match unit {
-        IntervalUnit::Day => days + n,
+        IntervalUnit::Day => days.checked_add(n),
         IntervalUnit::Month => {
             let (y, m, d) = civil_from_days(days);
             let total = (y as i64) * 12 + (m as i64 - 1) + n as i64;
-            let ny = (total.div_euclid(12)) as i32;
+            let ny = i32::try_from(total.div_euclid(12)).ok()?;
             let nm = (total.rem_euclid(12)) as u32 + 1;
-            let nd = d.min(days_in_month(ny, nm));
-            days_from_civil(ny, nm, nd)
+            checked_days(ny, nm, d.min(days_in_month(ny, nm)))
         }
-        IntervalUnit::Year => add_interval(days, n * 12, IntervalUnit::Month),
+        IntervalUnit::Year => add_interval(days, n.checked_mul(12)?, IntervalUnit::Month),
     }
 }
 
@@ -133,7 +146,7 @@ mod tests {
     fn interval_year_addition() {
         let d = parse_date("1994-01-01").unwrap();
         assert_eq!(
-            format_date(add_interval(d, 1, IntervalUnit::Year)),
+            format_date(add_interval(d, 1, IntervalUnit::Year).unwrap()),
             "1995-01-01"
         );
     }
@@ -142,12 +155,12 @@ mod tests {
     fn interval_month_clamps() {
         let d = parse_date("1996-01-31").unwrap();
         assert_eq!(
-            format_date(add_interval(d, 1, IntervalUnit::Month)),
+            format_date(add_interval(d, 1, IntervalUnit::Month).unwrap()),
             "1996-02-29"
         );
         let d2 = parse_date("1995-01-31").unwrap();
         assert_eq!(
-            format_date(add_interval(d2, 1, IntervalUnit::Month)),
+            format_date(add_interval(d2, 1, IntervalUnit::Month).unwrap()),
             "1995-02-28"
         );
     }
@@ -156,7 +169,7 @@ mod tests {
     fn interval_day_addition() {
         let d = parse_date("1994-12-31").unwrap();
         assert_eq!(
-            format_date(add_interval(d, 1, IntervalUnit::Day)),
+            format_date(add_interval(d, 1, IntervalUnit::Day).unwrap()),
             "1995-01-01"
         );
     }
@@ -165,12 +178,50 @@ mod tests {
     fn negative_intervals() {
         let d = parse_date("1994-03-01").unwrap();
         assert_eq!(
-            format_date(add_interval(d, -1, IntervalUnit::Month)),
+            format_date(add_interval(d, -1, IntervalUnit::Month).unwrap()),
             "1994-02-01"
         );
         assert_eq!(
-            format_date(add_interval(d, -2, IntervalUnit::Year)),
+            format_date(add_interval(d, -2, IntervalUnit::Year).unwrap()),
             "1992-03-01"
+        );
+    }
+
+    #[test]
+    fn dates_that_do_not_exist_are_refused() {
+        assert_eq!(parse_date("1994-02-31"), None);
+        assert_eq!(parse_date("1995-02-29"), None);
+        assert_eq!(parse_date("1996-02-29"), Some(days_from_civil(1996, 2, 29)));
+        assert_eq!(parse_date("1994-04-31"), None);
+        assert_eq!(parse_date("1994-01-00"), None);
+    }
+
+    #[test]
+    fn day_numbers_past_i32_are_refused() {
+        // Read as day -1,627,438,756 when the day number wrapped.
+        assert_eq!(parse_date("2147483647-01-01"), None);
+        assert_eq!(parse_date("6000000-01-01"), None);
+        let last = parse_date("5881580-07-11").unwrap();
+        assert_eq!(last, i32::MAX);
+        assert_eq!(parse_date("5881580-07-12"), None);
+    }
+
+    #[test]
+    fn intervals_that_leave_the_day_range_are_none() {
+        let d = parse_date("1994-01-01").unwrap();
+        assert_eq!(add_interval(d, i32::MAX, IntervalUnit::Day), None);
+        assert_eq!(add_interval(d, i32::MAX, IntervalUnit::Year), None);
+        assert_eq!(add_interval(d, i32::MAX, IntervalUnit::Month), None);
+        assert_eq!(add_interval(d, i32::MIN, IntervalUnit::Month), None);
+        assert_eq!(add_interval(i32::MAX, 1, IntervalUnit::Day), None);
+        assert_eq!(
+            add_interval(i32::MAX - 1, 1, IntervalUnit::Day),
+            Some(i32::MAX)
+        );
+        assert_eq!(add_interval(i32::MIN, -1, IntervalUnit::Month), None);
+        assert_eq!(
+            add_interval(d, 5_000_000, IntervalUnit::Day),
+            Some(d + 5_000_000)
         );
     }
 }

@@ -4,8 +4,8 @@
 //! The crate covers Section 2 of the paper plus the *Sql Analyzer* box of
 //! its architecture (Figure 5):
 //!
-//! - [`sql`]: a lexer + recursive-descent parser for single-block
-//!   conjunctive `SELECT` statements with aggregates;
+//! - [`sql`]: a recursive-descent parser (combinators over a token list)
+//!   for single-block conjunctive `SELECT` statements with aggregates;
 //! - [`isolator`]: the *Conjunctive Query Isolator*, turning a parsed
 //!   statement into a [`ConjunctiveQuery`] by merging equality-linked
 //!   attributes into variables and pushing constant predicates into

@@ -130,6 +130,10 @@ pub enum OrderKey {
 /// A parsed single-block SELECT statement.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SelectStmt {
+    /// `SELECT DISTINCT`. The isolator answers every statement as a set;
+    /// the stand-alone view replay (`htqo_optimizer::execute_views`) keeps
+    /// the rows of a statement without it.
+    pub distinct: bool,
     /// SELECT list.
     pub select: Vec<SelectItem>,
     /// FROM tables.

@@ -1,5 +1,5 @@
-//! SQL front end: lexer, AST and parser for the paper's SQL subset.
+//! SQL front end: AST and parser (lexer included) for the paper's SQL
+//! subset.
 
 pub mod ast;
-pub mod lexer;
 pub mod parser;

@@ -1,34 +1,80 @@
-//! Recursive-descent parser for the SQL subset (see [`crate::sql::ast`]).
+//! Lexer and recursive-descent parser for the SQL subset (see
+//! [`crate::sql::ast`]).
 //!
-//! Grammar (keywords case-insensitive):
+//! The lexer cuts the text into words, numbers, strings and the symbols of
+//! `SYMBOLS`; a token is its byte offset and its source text. The grammar
+//! is written with a few combinators over the token list — `eat`/`expect`
+//! for a keyword or symbol, `list(sep, rule)`, `parenthesised(rule)`,
+//! `clause(keywords, sep, rule)` — and reads (keywords case-insensitive):
 //!
 //! ```text
-//! stmt      := SELECT item (',' item)* FROM table (',' table)*
-//!              [WHERE pred (AND pred)*]
-//!              [GROUP BY colref (',' colref)*]
-//!              [HAVING ident cmp literal (AND ident cmp literal)*]
-//!              [ORDER BY okey [ASC|DESC] (',' okey [ASC|DESC])*]
-//!              [LIMIT int] [';']
-//! item      := agg | expr [AS ident]
-//! agg       := (SUM|COUNT|MIN|MAX|AVG) '(' ('*' | expr) ')' [AS ident]
-//! expr      := mul (('+'|'-') mul)*
-//! mul       := atom (('*'|'/') atom)*
-//! atom      := literal | colref | '(' expr ')'
-//! literal   := int | float | string | DATE string [('+'|'-') INTERVAL string unit]
-//! pred      := expr cmp expr
-//! table     := ident [AS? ident]
+//! stmt      := SELECT [DISTINCT] list(',', item) FROM list(',', table)
+//!              [WHERE list(AND, pred)] [GROUP BY list(',', colref)]
+//!              [HAVING list(AND, ident cmp expr)]
+//!              [ORDER BY list(',', okey [ASC|DESC])] [LIMIT int] [';']
+//! item      := agg [AS ident] | expr [AS ident]
+//! agg       := (SUM|COUNT|MIN|MAX|AVG) parenthesised('*' | expr)
+//! expr      := term (('+'|'-') (term | INTERVAL string (YEAR|MONTH|DAY)))*
+//! term      := atom (('*'|'/') atom)*
+//! atom      := int | float | string | DATE string | '-' atom
+//!            | parenthesised(expr) | colref
+//! pred      := expr cmp expr | colref [NOT] IN parenthesised(stmt)
+//! table     := ident [[AS] ident]
 //! colref    := ident ['.' ident]
 //! okey      := int | ident
 //! ```
 //!
 //! Date arithmetic (`date '1994-01-01' + interval '1' year`) is folded into
-//! a plain [`Literal::Date`] at parse time.
+//! a plain [`Literal::Date`] at parse time; a date that does not exist or
+//! an interval that leaves the `i32` day range is an error. Parentheses,
+//! unary minus, subqueries and operator chains together nest at most
+//! `MAX_DEPTH` (128) levels deep, so no statement is deep enough to exhaust
+//! a thread's stack while it is parsed, dropped or translated.
 
 use super::ast::*;
-use super::lexer::{lex, LexError, Token, TokenKind};
 use crate::conjunctive::{AggFunc, ArithOp, CmpOp, Literal, SortDir};
 use crate::date::{add_interval, parse_date, IntervalUnit};
 use std::fmt;
+
+/// How deeply parentheses, unary minus, subqueries and the operators of a
+/// `+`/`*` chain may nest, counted together. The token that would go one
+/// level deeper is refused.
+const MAX_DEPTH: usize = 128;
+
+/// Every symbol the lexer knows, two-character ones first.
+const SYMBOLS: [&str; 16] = [
+    "<>", "!=", "<=", ">=", "(", ")", ",", ".", ";", "*", "+", "-", "/", "=", "<", ">",
+];
+
+/// Words that never name a table, column or label.
+const RESERVED: [&str; 12] = [
+    "SELECT", "FROM", "WHERE", "GROUP", "ORDER", "BY", "AS", "AND", "ASC", "DESC", "HAVING",
+    "LIMIT",
+];
+
+const AGGREGATES: [(&str, AggFunc); 5] = [
+    ("SUM", AggFunc::Sum),
+    ("COUNT", AggFunc::Count),
+    ("MIN", AggFunc::Min),
+    ("MAX", AggFunc::Max),
+    ("AVG", AggFunc::Avg),
+];
+
+const COMPARISONS: [(&str, CmpOp); 7] = [
+    ("=", CmpOp::Eq),
+    ("<>", CmpOp::Ne),
+    ("!=", CmpOp::Ne),
+    ("<", CmpOp::Lt),
+    ("<=", CmpOp::Le),
+    (">", CmpOp::Gt),
+    (">=", CmpOp::Ge),
+];
+
+const UNITS: [(&str, IntervalUnit); 3] = [
+    ("YEAR", IntervalUnit::Year),
+    ("MONTH", IntervalUnit::Month),
+    ("DAY", IntervalUnit::Day),
+];
 
 /// A parse error with byte offset (when available).
 #[derive(Clone, Debug, PartialEq)]
@@ -50,288 +96,322 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-impl From<LexError> for ParseError {
-    fn from(e: LexError) -> Self {
-        ParseError {
-            message: e.message,
-            offset: Some(e.offset),
-        }
-    }
-}
+type Parsed<T> = Result<T, ParseError>;
+
+/// A token: its byte offset and its source text. The first character
+/// tells the kind: a letter or `_` starts a word, a digit a number, `'` a
+/// string (quotes and `''` escapes kept); anything else is a symbol.
+type Token<'a> = (usize, &'a str);
 
 /// Parses a single SELECT statement.
 pub fn parse_select(input: &str) -> Result<SelectStmt, ParseError> {
-    let tokens = lex(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens: lex(input)?,
+        pos: 0,
+        depth: 0,
+    };
     let stmt = p.stmt()?;
-    p.eat_kind(&TokenKind::Semi); // optional trailing semicolon
-    if let Some(t) = p.peek() {
-        return Err(p.err_at(format!("unexpected trailing token `{}`", t.kind)));
+    p.eat(";");
+    match p.peek() {
+        Some(t) => Err(p.err(format!("unexpected trailing token `{t}`"))),
+        None => Ok(stmt),
     }
-    Ok(stmt)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+/// Tokenizes `input`. SQL comments (`-- ...`) are skipped.
+fn lex(input: &str) -> Parsed<Vec<Token<'_>>> {
+    let error = |offset, message: String| ParseError {
+        message,
+        offset: Some(offset),
+    };
+    let mut tokens = Vec::new();
+    let mut i = 0;
+    while let Some(c) = input[i..].chars().next() {
+        let rest = &input[i..];
+        let len = match c {
+            ' ' | '\t' | '\r' | '\n' => {
+                i += 1;
+                continue;
+            }
+            _ if rest.starts_with("--") => {
+                i += rest.find('\n').unwrap_or(rest.len());
+                continue;
+            }
+            '\'' => {
+                quoted_len(rest).ok_or_else(|| error(i, "unterminated string literal".into()))?
+            }
+            '0'..='9' => {
+                let int = span(rest, |c| c.is_ascii_digit());
+                match rest[int..]
+                    .strip_prefix('.')
+                    .map(|f| span(f, |c| c.is_ascii_digit()))
+                {
+                    Some(frac) if frac > 0 => int + 1 + frac,
+                    _ => int,
+                }
+            }
+            _ if c.is_ascii_alphabetic() || c == '_' => {
+                span(rest, |c| c.is_ascii_alphanumeric() || c == '_')
+            }
+            _ => (SYMBOLS.iter().find(|s| rest.starts_with(**s)))
+                .ok_or_else(|| error(i, format!("unexpected character `{c}`")))?
+                .len(),
+        };
+        tokens.push((i, &rest[..len]));
+        i += len;
+    }
+    Ok(tokens)
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
-    }
+/// The length of the prefix of `s` whose characters satisfy `f`.
+fn span(s: &str, f: impl Fn(char) -> bool) -> usize {
+    s.find(|c| !f(c)).unwrap_or(s.len())
+}
 
-    fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
+/// The length of the string literal that starts `s`, both quotes included.
+fn quoted_len(s: &str) -> Option<usize> {
+    let mut end = 1;
+    loop {
+        end += s[end..].find('\'')? + 1;
+        if !s[end..].starts_with('\'') {
+            return Some(end);
         }
-        t
+        end += 1; // `''` is a quote inside the string
+    }
+}
+
+/// The text a string token spells, or `None` for any other token.
+fn string(t: &str) -> Option<String> {
+    let body = t.strip_prefix('\'')?;
+    Some(body[..body.len() - 1].replace("''", "'"))
+}
+
+/// The literal a number or string token spells.
+fn literal(t: &str) -> Option<Literal> {
+    if !t.starts_with(|c: char| c.is_ascii_digit()) {
+        return string(t).map(Literal::Str);
+    }
+    if t.contains('.') {
+        t.parse().ok().map(Literal::Float)
+    } else {
+        t.parse().ok().map(Literal::Int)
+    }
+}
+
+/// A word that may name a table, column or label.
+fn is_name(t: &str) -> bool {
+    t.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')
+        && !RESERVED.iter().any(|r| t.eq_ignore_ascii_case(r))
+}
+
+/// The value `table` pairs with the keyword or symbol `t`.
+fn lookup<T: Copy>(table: &[(&str, T)], t: &str) -> Option<T> {
+    (table.iter().find(|(k, _)| t.eq_ignore_ascii_case(k))).map(|&(_, v)| v)
+}
+
+fn negate(e: SqlExpr) -> SqlExpr {
+    match e {
+        SqlExpr::Lit(Literal::Int(i)) => SqlExpr::Lit(Literal::Int(-i)),
+        SqlExpr::Lit(Literal::Float(x)) => SqlExpr::Lit(Literal::Float(-x)),
+        e => SqlExpr::Binary(
+            Box::new(SqlExpr::Lit(Literal::Int(0))),
+            ArithOp::Sub,
+            Box::new(e),
+        ),
+    }
+}
+
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
+    pos: usize,
+    depth: usize,
+}
+
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<&'a str> {
+        self.tokens.get(self.pos).map(|t| t.1)
     }
 
-    fn err_at(&self, message: String) -> ParseError {
+    fn err_at(&self, pos: usize, message: String) -> ParseError {
         ParseError {
             message,
-            offset: self.peek().map(|t| t.offset),
+            offset: self.tokens.get(pos).map(|t| t.0),
         }
     }
 
-    /// Consumes the next token if it equals `kind`.
-    fn eat_kind(&mut self, kind: &TokenKind) -> bool {
-        if self.peek().map(|t| &t.kind) == Some(kind) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
+    fn err(&self, message: String) -> ParseError {
+        self.err_at(self.pos, message)
     }
 
-    /// Peeks: is the next token the given keyword (case-insensitive)?
-    fn at_keyword(&self, kw: &str) -> bool {
-        matches!(self.peek(), Some(Token { kind: TokenKind::Ident(s), .. }) if s.eq_ignore_ascii_case(kw))
-    }
-
-    /// Consumes the given keyword if present.
-    fn eat_keyword(&mut self, kw: &str) -> bool {
-        if self.at_keyword(kw) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Requires the given keyword.
-    fn expect_keyword(&mut self, kw: &str) -> Result<(), ParseError> {
-        if self.eat_keyword(kw) {
-            Ok(())
-        } else {
-            Err(self.err_at(format!("expected keyword `{kw}`")))
-        }
-    }
-
-    /// Requires an identifier that is not a reserved keyword.
-    fn expect_ident(&mut self) -> Result<String, ParseError> {
-        match self.peek() {
-            Some(Token {
-                kind: TokenKind::Ident(s),
-                ..
-            }) if !is_reserved(s) => {
-                let s = s.clone();
-                self.pos += 1;
-                Ok(s)
-            }
-            _ => Err(self.err_at("expected identifier".into())),
-        }
-    }
-
-    fn expect_kind(&mut self, kind: &TokenKind) -> Result<(), ParseError> {
-        if self.eat_kind(kind) {
-            Ok(())
-        } else {
-            Err(self.err_at(format!("expected `{kind}`")))
-        }
-    }
-
-    fn stmt(&mut self) -> Result<SelectStmt, ParseError> {
-        self.expect_keyword("SELECT")?;
-        // DISTINCT is accepted and ignored: conjunctive-query answers are
-        // sets by definition (Section 2 of the paper), which is exactly
-        // SELECT DISTINCT semantics. The view rewriter emits it for
-        // portability to real DBMSs.
-        self.eat_keyword("DISTINCT");
-        let mut select = vec![self.select_item()?];
-        while self.eat_kind(&TokenKind::Comma) {
-            select.push(self.select_item()?);
-        }
-        self.expect_keyword("FROM")?;
-        let mut from = vec![self.table_ref()?];
-        while self.eat_kind(&TokenKind::Comma) {
-            from.push(self.table_ref()?);
-        }
-        let mut predicates = Vec::new();
-        if self.eat_keyword("WHERE") {
-            predicates.push(self.predicate()?);
-            while self.eat_keyword("AND") {
-                predicates.push(self.predicate()?);
-            }
-        }
-        let mut group_by = Vec::new();
-        if self.eat_keyword("GROUP") {
-            self.expect_keyword("BY")?;
-            group_by.push(self.column_ref()?);
-            while self.eat_kind(&TokenKind::Comma) {
-                group_by.push(self.column_ref()?);
-            }
-        }
-        let mut having = Vec::new();
-        if self.eat_keyword("HAVING") {
-            loop {
-                let label = self.expect_ident()?;
-                let op = self.cmp_op()?;
-                let value = match self.expr()? {
-                    SqlExpr::Lit(l) => l,
-                    other => {
-                        return Err(self.err_at(format!(
-                            "HAVING compares a SELECT label with a constant, found {other:?}"
-                        )))
-                    }
-                };
-                having.push((label, op, value));
-                if !self.eat_keyword("AND") {
-                    break;
-                }
-            }
-        }
-        let mut order_by = Vec::new();
-        if self.eat_keyword("ORDER") {
-            self.expect_keyword("BY")?;
-            loop {
-                let key = self.order_key()?;
-                let dir = if self.eat_keyword("DESC") {
-                    SortDir::Desc
-                } else {
-                    self.eat_keyword("ASC");
-                    SortDir::Asc
-                };
-                order_by.push((key, dir));
-                if !self.eat_kind(&TokenKind::Comma) {
-                    break;
-                }
-            }
-        }
-        let limit = if self.eat_keyword("LIMIT") {
-            match self.next() {
-                Some(Token {
-                    kind: TokenKind::Int(n),
-                    ..
-                }) if n >= 0 => Some(n as usize),
-                _ => return Err(self.err_at("expected a non-negative integer after LIMIT".into())),
-            }
-        } else {
-            None
-        };
-        Ok(SelectStmt {
-            select,
-            from,
-            predicates,
-            group_by,
-            having,
-            order_by,
-            limit,
+    fn expected(&self, what: &str) -> ParseError {
+        self.err(match self.peek() {
+            Some(t) => format!("expected {what}, found `{t}`"),
+            None => format!("expected {what} at the end of the input"),
         })
     }
 
-    fn select_item(&mut self) -> Result<SelectItem, ParseError> {
-        if let Some(func) = self.peek_agg_func() {
-            self.pos += 1;
-            self.expect_kind(&TokenKind::LParen)?;
-            let expr = if self.eat_kind(&TokenKind::Star) {
-                if func != AggFunc::Count {
-                    return Err(self.err_at("only COUNT may take `*`".into()));
-                }
-                None
-            } else {
-                Some(self.expr()?)
-            };
-            self.expect_kind(&TokenKind::RParen)?;
-            let alias = self.opt_alias()?;
-            return Ok(SelectItem::Aggregate { func, expr, alias });
-        }
-        let expr = self.expr()?;
-        let alias = self.opt_alias()?;
-        Ok(SelectItem::Expr { expr, alias })
+    /// Is the next token the keyword (case-insensitive) or symbol `s`?
+    fn at(&self, s: &str) -> bool {
+        self.peek().is_some_and(|t| t.eq_ignore_ascii_case(s))
     }
 
-    fn peek_agg_func(&self) -> Option<AggFunc> {
-        // An aggregate is an agg keyword immediately followed by `(`.
-        let Token {
-            kind: TokenKind::Ident(s),
-            ..
-        } = self.peek()?
+    /// Consumes the keyword or symbol `s` if it is next.
+    fn eat(&mut self, s: &str) -> bool {
+        let hit = self.at(s);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    fn expect(&mut self, s: &str) -> Parsed<()> {
+        if self.eat(s) {
+            Ok(())
+        } else {
+            Err(self.expected(&format!("`{s}`")))
+        }
+    }
+
+    /// Consumes the next token if `read` takes a value from it; otherwise
+    /// an error at that token saying `what` was expected.
+    fn take<T>(&mut self, what: &str, read: impl FnOnce(&'a str) -> Option<T>) -> Parsed<T> {
+        match self.peek().and_then(read) {
+            Some(v) => {
+                self.pos += 1;
+                Ok(v)
+            }
+            None => Err(self.expected(what)),
+        }
+    }
+
+    /// `[keyword rule]`.
+    fn opt<T>(&mut self, keyword: &str, rule: fn(&mut Self) -> Parsed<T>) -> Parsed<Option<T>> {
+        if self.eat(keyword) {
+            rule(self).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+
+    /// `rule (sep rule)*`.
+    fn list<T>(&mut self, sep: &str, rule: fn(&mut Self) -> Parsed<T>) -> Parsed<Vec<T>> {
+        let mut items = vec![rule(self)?];
+        while self.eat(sep) {
+            items.push(rule(self)?);
+        }
+        Ok(items)
+    }
+
+    /// `[keywords list(sep, rule)]`: empty when the first keyword is not next.
+    fn clause<T>(
+        &mut self,
+        keywords: &str,
+        sep: &str,
+        rule: fn(&mut Self) -> Parsed<T>,
+    ) -> Parsed<Vec<T>> {
+        let mut words = keywords.split(' ');
+        if !words.next().is_some_and(|w| self.eat(w)) {
+            return Ok(Vec::new());
+        }
+        for w in words {
+            self.expect(w)?;
+        }
+        self.list(sep, rule)
+    }
+
+    /// Goes one nesting level deeper, refused at the current token past
+    /// [`MAX_DEPTH`].
+    fn deeper(&mut self) -> Parsed<()> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nested more than {MAX_DEPTH} levels deep")));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Runs `rule` one nesting level deeper.
+    fn nested<T>(&mut self, rule: impl FnOnce(&mut Self) -> Parsed<T>) -> Parsed<T> {
+        self.deeper()?;
+        let v = rule(self);
+        self.depth -= 1;
+        v
+    }
+
+    /// `'(' rule ')'`, one nesting level deeper.
+    fn parenthesised<T>(&mut self, rule: impl FnOnce(&mut Self) -> Parsed<T>) -> Parsed<T> {
+        self.nested(|p| {
+            p.expect("(")?;
+            let v = rule(p)?;
+            p.expect(")")?;
+            Ok(v)
+        })
+    }
+
+    fn stmt(&mut self) -> Parsed<SelectStmt> {
+        self.expect("SELECT")?;
+        Ok(SelectStmt {
+            distinct: self.eat("DISTINCT"),
+            select: self.list(",", Self::select_item)?,
+            from: self
+                .expect("FROM")
+                .and_then(|()| self.list(",", Self::table_ref))?,
+            predicates: self.clause("WHERE", "AND", Self::predicate)?,
+            group_by: self.clause("GROUP BY", ",", Self::column_ref)?,
+            having: self.clause("HAVING", "AND", Self::having)?,
+            order_by: self.clause("ORDER BY", ",", Self::order_item)?,
+            limit: self.opt("LIMIT", |p| {
+                p.take("a non-negative integer after LIMIT", |t| t.parse().ok())
+            })?,
+        })
+    }
+
+    fn select_item(&mut self) -> Parsed<SelectItem> {
+        let call = self.tokens.get(self.pos + 1).is_some_and(|t| t.1 == "(");
+        let Some(func) = self
+            .peek()
+            .and_then(|t| lookup(&AGGREGATES, t))
+            .filter(|_| call)
         else {
-            return None;
+            let expr = self.expr()?;
+            let alias = self.opt("AS", Self::ident)?;
+            return Ok(SelectItem::Expr { expr, alias });
         };
-        if !matches!(
-            self.tokens.get(self.pos + 1),
-            Some(Token {
-                kind: TokenKind::LParen,
-                ..
-            })
-        ) {
-            return None;
-        }
-        match s.to_ascii_uppercase().as_str() {
-            "SUM" => Some(AggFunc::Sum),
-            "COUNT" => Some(AggFunc::Count),
-            "MIN" => Some(AggFunc::Min),
-            "MAX" => Some(AggFunc::Max),
-            "AVG" => Some(AggFunc::Avg),
-            _ => None,
-        }
+        self.pos += 1;
+        let expr = self.parenthesised(|p| match p.peek() {
+            Some("*") if func != AggFunc::Count => Err(p.err("only COUNT may take `*`".into())),
+            Some("*") => {
+                p.pos += 1;
+                Ok(None)
+            }
+            _ => p.expr().map(Some),
+        })?;
+        let alias = self.opt("AS", Self::ident)?;
+        Ok(SelectItem::Aggregate { func, expr, alias })
     }
 
-    fn opt_alias(&mut self) -> Result<Option<String>, ParseError> {
-        if self.eat_keyword("AS") {
-            return Ok(Some(self.expect_ident()?));
-        }
-        Ok(None)
-    }
-
-    fn table_ref(&mut self) -> Result<TableRef, ParseError> {
-        let table = self.expect_ident()?;
-        let has_bare_alias = matches!(
-            self.peek(),
-            Some(Token { kind: TokenKind::Ident(s), .. }) if !is_reserved(s)
-        );
-        let alias = if self.eat_keyword("AS") || has_bare_alias {
-            Some(self.expect_ident()?)
+    fn table_ref(&mut self) -> Parsed<TableRef> {
+        let table = self.ident()?;
+        let bare_alias = self.peek().is_some_and(is_name);
+        let alias = if self.eat("AS") || bare_alias {
+            Some(self.ident()?)
         } else {
             None
         };
         Ok(TableRef { table, alias })
     }
 
-    fn predicate(&mut self) -> Result<Predicate, ParseError> {
+    fn predicate(&mut self) -> Parsed<Predicate> {
+        let start = self.pos;
         let left = self.expr()?;
-        // `col [NOT] IN (SELECT …)` — the nested-query extension.
-        let negated = if self.at_keyword("NOT") {
-            self.pos += 1;
-            self.expect_keyword("IN")?;
-            true
-        } else if self.eat_keyword("IN") {
-            false
-        } else {
+        let negated = self.eat("NOT");
+        if !negated && !self.at("IN") {
             let op = self.cmp_op()?;
             let right = self.expr()?;
             return Ok(Predicate::Cmp { left, op, right });
-        };
+        }
+        self.expect("IN")?;
         let SqlExpr::Col(col) = left else {
-            return Err(self.err_at("IN requires a column on its left".into()));
+            return Err(self.err_at(start, "IN requires a column on its left".into()));
         };
-        self.expect_kind(&TokenKind::LParen)?;
-        let subquery = Box::new(self.stmt()?);
-        self.expect_kind(&TokenKind::RParen)?;
+        let subquery = Box::new(self.parenthesised(Self::stmt)?);
         Ok(Predicate::InSubquery {
             col,
             subquery,
@@ -339,204 +419,198 @@ impl Parser {
         })
     }
 
-    fn cmp_op(&mut self) -> Result<CmpOp, ParseError> {
-        let Some(t) = self.peek() else {
-            return Err(self.err_at("expected comparison operator".into()));
+    fn having(&mut self) -> Parsed<(String, CmpOp, Literal)> {
+        let (label, op, start) = (self.ident()?, self.cmp_op()?, self.pos);
+        match self.expr()? {
+            SqlExpr::Lit(value) => Ok((label, op, value)),
+            other => Err(self.err_at(
+                start,
+                format!("HAVING compares a SELECT label with a constant, found {other:?}"),
+            )),
+        }
+    }
+
+    fn order_item(&mut self) -> Parsed<(OrderKey, SortDir)> {
+        let key = self.take("an ORDER BY key", |t| match t.parse() {
+            Ok(0) => None,
+            Ok(n) => Some(OrderKey::Position(n)),
+            Err(_) => is_name(t).then(|| OrderKey::Name(t.to_string())),
+        })?;
+        let dir = if self.eat("DESC") {
+            SortDir::Desc
+        } else {
+            self.eat("ASC");
+            SortDir::Asc
         };
-        let op = match t.kind {
-            TokenKind::Eq => CmpOp::Eq,
-            TokenKind::Ne => CmpOp::Ne,
-            TokenKind::Lt => CmpOp::Lt,
-            TokenKind::Le => CmpOp::Le,
-            TokenKind::Gt => CmpOp::Gt,
-            TokenKind::Ge => CmpOp::Ge,
-            _ => {
-                return Err(self.err_at(format!("expected comparison operator, found `{}`", t.kind)))
-            }
+        Ok((key, dir))
+    }
+
+    fn cmp_op(&mut self) -> Parsed<CmpOp> {
+        self.take("a comparison operator", |t| lookup(&COMPARISONS, t))
+    }
+
+    fn expr(&mut self) -> Parsed<SqlExpr> {
+        self.chain(&[("+", ArithOp::Add), ("-", ArithOp::Sub)], Self::term)
+    }
+
+    fn term(&mut self) -> Parsed<SqlExpr> {
+        self.chain(&[("*", ArithOp::Mul), ("/", ArithOp::Div)], Self::atom)
+    }
+
+    /// `operand (op operand)*`, left-associative, over the operators `ops`.
+    /// Each operator nests the expression so far one level deeper.
+    fn chain(
+        &mut self,
+        ops: &[(&str, ArithOp)],
+        operand: fn(&mut Self) -> Parsed<SqlExpr>,
+    ) -> Parsed<SqlExpr> {
+        let depth = self.depth;
+        let mut left = operand(self)?;
+        while let Some(op) = self.peek().and_then(|t| lookup(ops, t)) {
+            self.deeper()?;
+            self.pos += 1;
+            left = match op {
+                ArithOp::Add | ArithOp::Sub if self.at("INTERVAL") => self.shift(left, op)?,
+                _ => SqlExpr::Binary(Box::new(left), op, Box::new(operand(self)?)),
+            };
+        }
+        self.depth = depth;
+        Ok(left)
+    }
+
+    /// Folds `± INTERVAL 'n' unit` (the sign read, `INTERVAL` next) into
+    /// the date literal `left`.
+    fn shift(&mut self, left: SqlExpr, op: ArithOp) -> Parsed<SqlExpr> {
+        let SqlExpr::Lit(Literal::Date(date)) = left else {
+            return Err(self.err("interval arithmetic requires a date literal".into()));
         };
         self.pos += 1;
-        Ok(op)
-    }
-
-    fn expr(&mut self) -> Result<SqlExpr, ParseError> {
-        let mut left = self.mul_expr()?;
-        loop {
-            let op = if self.eat_kind(&TokenKind::Plus) {
-                ArithOp::Add
-            } else if self.eat_kind(&TokenKind::Minus) {
-                ArithOp::Sub
-            } else {
-                break;
-            };
-            // `date '...' + interval ...` folding happens in `atom`, so a
-            // bare `+ interval` here applies to an arbitrary date expression
-            // only when the left side is a literal date.
-            if self.at_keyword("INTERVAL") {
-                let (n, unit) = self.interval()?;
-                let n = if op == ArithOp::Sub { -n } else { n };
-                match left {
-                    SqlExpr::Lit(Literal::Date(d)) => {
-                        left = SqlExpr::Lit(Literal::Date(add_interval(d, n, unit)));
-                        continue;
-                    }
-                    _ => {
-                        return Err(
-                            self.err_at("interval arithmetic requires a date literal".into())
-                        )
-                    }
-                }
-            }
-            let right = self.mul_expr()?;
-            left = SqlExpr::Binary(Box::new(left), op, Box::new(right));
+        let count = self.pos;
+        let n: i32 = self.take("a quoted count after INTERVAL", |t| {
+            string(t)?.trim().parse().ok()
+        })?;
+        let unit = self.take("YEAR, MONTH or DAY", |t| lookup(&UNITS, t))?;
+        let n = if op == ArithOp::Sub {
+            n.checked_neg()
+        } else {
+            Some(n)
+        };
+        match n.and_then(|n| add_interval(date, n, unit)) {
+            Some(d) => Ok(SqlExpr::Lit(Literal::Date(d))),
+            None => Err(self.err_at(count, "the interval leaves the date range".into())),
         }
-        Ok(left)
     }
 
-    fn mul_expr(&mut self) -> Result<SqlExpr, ParseError> {
-        let mut left = self.atom()?;
-        loop {
-            let op = if self.eat_kind(&TokenKind::Star) {
-                ArithOp::Mul
-            } else if self.eat_kind(&TokenKind::Slash) {
-                ArithOp::Div
-            } else {
-                break;
-            };
-            let right = self.atom()?;
-            left = SqlExpr::Binary(Box::new(left), op, Box::new(right));
-        }
-        Ok(left)
-    }
-
-    fn atom(&mut self) -> Result<SqlExpr, ParseError> {
-        match self.peek().map(|t| t.kind.clone()) {
-            Some(TokenKind::Int(i)) => {
+    fn atom(&mut self) -> Parsed<SqlExpr> {
+        match self.peek() {
+            Some("(") => self.parenthesised(Self::expr),
+            Some("-") => self.nested(|p| {
+                p.pos += 1;
+                p.atom().map(negate)
+            }),
+            Some(t) if t.eq_ignore_ascii_case("DATE") => {
                 self.pos += 1;
-                Ok(SqlExpr::Lit(Literal::Int(i)))
-            }
-            Some(TokenKind::Float(x)) => {
-                self.pos += 1;
-                Ok(SqlExpr::Lit(Literal::Float(x)))
-            }
-            Some(TokenKind::Str(s)) => {
-                self.pos += 1;
-                Ok(SqlExpr::Lit(Literal::Str(s)))
-            }
-            Some(TokenKind::Minus) => {
-                self.pos += 1;
-                match self.atom()? {
-                    SqlExpr::Lit(Literal::Int(i)) => Ok(SqlExpr::Lit(Literal::Int(-i))),
-                    SqlExpr::Lit(Literal::Float(x)) => Ok(SqlExpr::Lit(Literal::Float(-x))),
-                    e => Ok(SqlExpr::Binary(
-                        Box::new(SqlExpr::Lit(Literal::Int(0))),
-                        ArithOp::Sub,
-                        Box::new(e),
-                    )),
-                }
-            }
-            Some(TokenKind::LParen) => {
-                self.pos += 1;
-                let e = self.expr()?;
-                self.expect_kind(&TokenKind::RParen)?;
-                Ok(e)
-            }
-            Some(TokenKind::Ident(s)) if s.eq_ignore_ascii_case("DATE") => {
-                self.pos += 1;
-                let Some(Token {
-                    kind: TokenKind::Str(d),
-                    ..
-                }) = self.next()
-                else {
-                    return Err(self.err_at("expected string after DATE".into()));
-                };
-                let days = parse_date(&d)
-                    .ok_or_else(|| self.err_at(format!("invalid date literal '{d}'")))?;
+                let days = self.take("a date 'YYYY-MM-DD' after DATE", |t| {
+                    parse_date(&string(t)?)
+                })?;
                 Ok(SqlExpr::Lit(Literal::Date(days)))
             }
-            Some(TokenKind::Ident(_)) => {
-                let c = self.column_ref()?;
-                Ok(SqlExpr::Col(c))
-            }
-            other => Err(self.err_at(format!("expected expression, found {other:?}"))),
+            Some(t) if is_name(t) => self.column_ref().map(SqlExpr::Col),
+            _ => self.take("an expression", literal).map(SqlExpr::Lit),
         }
     }
 
-    /// Parses `INTERVAL 'n' (YEAR|MONTH|DAY)` (the INTERVAL keyword is the
-    /// current token).
-    fn interval(&mut self) -> Result<(i32, IntervalUnit), ParseError> {
-        self.expect_keyword("INTERVAL")?;
-        let Some(Token {
-            kind: TokenKind::Str(n),
-            ..
-        }) = self.next()
-        else {
-            return Err(self.err_at("expected quoted number after INTERVAL".into()));
-        };
-        let n: i32 = n
-            .trim()
-            .parse()
-            .map_err(|_| self.err_at(format!("invalid interval count '{n}'")))?;
-        let unit = if self.eat_keyword("YEAR") {
-            IntervalUnit::Year
-        } else if self.eat_keyword("MONTH") {
-            IntervalUnit::Month
-        } else if self.eat_keyword("DAY") {
-            IntervalUnit::Day
-        } else {
-            return Err(self.err_at("expected YEAR, MONTH or DAY".into()));
-        };
-        Ok((n, unit))
-    }
-
-    fn column_ref(&mut self) -> Result<ColumnRef, ParseError> {
-        let first = self.expect_ident()?;
-        if self.eat_kind(&TokenKind::Dot) {
-            let column = self.expect_ident()?;
-            Ok(ColumnRef {
+    fn column_ref(&mut self) -> Parsed<ColumnRef> {
+        let first = self.ident()?;
+        Ok(match self.opt(".", Self::ident)? {
+            Some(column) => ColumnRef {
                 qualifier: Some(first),
                 column,
-            })
-        } else {
-            Ok(ColumnRef {
+            },
+            None => ColumnRef {
                 qualifier: None,
                 column: first,
-            })
-        }
+            },
+        })
     }
 
-    fn order_key(&mut self) -> Result<OrderKey, ParseError> {
-        match self.peek().map(|t| t.kind.clone()) {
-            Some(TokenKind::Int(i)) if i >= 1 => {
-                self.pos += 1;
-                Ok(OrderKey::Position(i as usize))
-            }
-            Some(TokenKind::Ident(_)) => Ok(OrderKey::Name(self.expect_ident()?)),
-            _ => Err(self.err_at("expected ORDER BY key".into())),
-        }
+    fn ident(&mut self) -> Parsed<String> {
+        self.take("an identifier", |t| is_name(t).then(|| t.to_string()))
     }
-}
-
-fn is_reserved(s: &str) -> bool {
-    matches!(
-        s.to_ascii_uppercase().as_str(),
-        "SELECT"
-            | "FROM"
-            | "WHERE"
-            | "GROUP"
-            | "ORDER"
-            | "BY"
-            | "AS"
-            | "AND"
-            | "ASC"
-            | "DESC"
-            | "HAVING"
-            | "LIMIT"
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn texts(input: &str) -> Vec<&str> {
+        lex(input).unwrap().into_iter().map(|t| t.1).collect()
+    }
+
+    #[test]
+    fn simple_select() {
+        assert_eq!(texts("SELECT a FROM t;"), ["SELECT", "a", "FROM", "t", ";"]);
+    }
+
+    #[test]
+    fn operators() {
+        let ks = texts("a = b <> c <= d >= e < f > g != h");
+        let ops: Vec<&str> = ks.into_iter().filter(|t| !is_name(t)).collect();
+        assert_eq!(ops, ["=", "<>", "<=", ">=", "<", ">", "!="]);
+        assert_eq!(lookup(&COMPARISONS, "!="), Some(CmpOp::Ne));
+        assert_eq!(lookup(&COMPARISONS, "<>"), Some(CmpOp::Ne));
+    }
+
+    #[test]
+    fn numbers() {
+        assert_eq!(texts("42"), ["42"]);
+        assert_eq!(literal("42"), Some(Literal::Int(42)));
+        assert_eq!(texts("3.5"), ["3.5"]);
+        assert_eq!(literal("3.5"), Some(Literal::Float(3.5)));
+        // A dot not followed by a digit is a separate token.
+        assert_eq!(texts("t.c"), ["t", ".", "c"]);
+    }
+
+    #[test]
+    fn strings_with_escapes() {
+        assert_eq!(texts("'abc'"), ["'abc'"]);
+        assert_eq!(literal("'abc'"), Some(Literal::Str("abc".into())));
+        assert_eq!(texts("'it''s'"), ["'it''s'"]);
+        assert_eq!(literal("'it''s'"), Some(Literal::Str("it's".into())));
+    }
+
+    #[test]
+    fn unterminated_string_is_an_error() {
+        let err = lex("'oops").unwrap_err();
+        assert!(err.message.contains("unterminated"));
+        assert_eq!(err.offset, Some(0));
+    }
+
+    #[test]
+    fn comments_skipped() {
+        assert_eq!(texts("a -- comment here\n b").len(), 2);
+    }
+
+    #[test]
+    fn arithmetic_and_parens() {
+        let ks = texts("sum(x*(1-y))");
+        assert!(ks.contains(&"*"));
+        assert!(ks.contains(&"-"));
+        assert_eq!(ks.iter().filter(|t| **t == "(").count(), 2);
+    }
+
+    #[test]
+    fn unexpected_character() {
+        let err = lex("a ? b").unwrap_err();
+        assert!(err.message.contains('?'));
+    }
+
+    #[test]
+    fn offsets_are_recorded() {
+        let toks = lex("ab  cd").unwrap();
+        assert_eq!(toks[0].0, 0);
+        assert_eq!(toks[1].0, 4);
+    }
 
     #[test]
     fn minimal_select() {
@@ -704,6 +778,40 @@ mod tests {
         assert!(err.offset.is_some());
         let err2 = parse_select("SELECT a FROM t WHERE").unwrap_err();
         assert!(err2.message.contains("expected"));
+        // The token after LIMIT, DATE and INTERVAL is the one refused.
+        for (sql, at) in [
+            ("SELECT a FROM t LIMIT x", "x"),
+            ("SELECT a FROM t LIMIT -1", "-"),
+            ("SELECT a FROM t WHERE d < date 1994", "1994"),
+            (
+                "SELECT a FROM t WHERE d < date '1994-02-31' AND b = 1",
+                "'1994",
+            ),
+            (
+                "SELECT a FROM t WHERE d < date '1994-01-01' + interval 1 day",
+                "1 day",
+            ),
+            (
+                "SELECT a FROM t WHERE d < date '1994-01-01' + interval 'x' day",
+                "'x'",
+            ),
+            (
+                "SELECT a FROM t WHERE d < date '1994-01-01' + interval '1' week",
+                "week",
+            ),
+            (
+                "SELECT a FROM t WHERE d < date '1994-01-01' + interval '2147483647' day",
+                "'2147",
+            ),
+        ] {
+            let err = parse_select(sql).unwrap_err();
+            assert_eq!(err.offset, sql.find(at), "{sql}: {err}");
+        }
+        // Nothing follows LIMIT: there is no token to point at.
+        assert_eq!(
+            parse_select("SELECT a FROM t LIMIT").unwrap_err().offset,
+            None
+        );
     }
 
     /// ORDER BY goes before LIMIT, as the grammar says: the other order
@@ -747,5 +855,104 @@ mod tests {
     #[test]
     fn interval_requires_date_literal() {
         assert!(parse_select("SELECT a FROM t WHERE a < b + interval '1' year").is_err());
+    }
+
+    #[test]
+    fn distinct_is_recorded() {
+        assert!(parse_select("SELECT DISTINCT a FROM t").unwrap().distinct);
+        assert!(!parse_select("SELECT a FROM t").unwrap().distinct);
+    }
+
+    fn only_expr(sql: &str) -> SqlExpr {
+        match parse_select(sql).unwrap().select.remove(0) {
+            SelectItem::Expr { expr, .. } => expr,
+            other => panic!("unexpected item: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn string_literals_keep_their_utf8_text() {
+        assert_eq!(
+            only_expr("SELECT 'São' FROM t"),
+            SqlExpr::Lit(Literal::Str("São".into()))
+        );
+        assert_eq!(
+            only_expr("SELECT '日本 '' ß' FROM t"),
+            SqlExpr::Lit(Literal::Str("日本 ' ß".into()))
+        );
+        let sql = "SELECT a FROM t WHERE é = 1";
+        let err = parse_select(sql).unwrap_err();
+        assert!(err.message.contains("`é`"), "{err}");
+        assert_eq!(err.offset, sql.find('é'));
+    }
+
+    #[test]
+    fn date_and_interval_literals_are_checked() {
+        let where_ = |tail: &str| parse_select(&format!("SELECT a FROM t WHERE d < {tail}"));
+        for bad in [
+            "date '1994-02-31'",
+            "date '2147483647-01-01'",
+            "date '1994-01-01' + interval '2147483647' day",
+            "date '1994-01-01' + interval '2147483647' year",
+            "date '1994-01-01' + interval '2147483647' month",
+            "date '1994-01-01' - interval '-2147483648' day",
+            "date '1994-01-01' + interval '99999999999' day",
+        ] {
+            assert!(where_(bad).is_err(), "{bad}");
+        }
+        for (ok, days) in [
+            ("date '1970-01-01' + interval '2147483647' day", i32::MAX),
+            (
+                "date '1970-01-02' - interval '2147483647' day",
+                i32::MIN + 2,
+            ),
+            ("date '1994-01-01' - interval '-1' day", 8767),
+        ] {
+            let Predicate::Cmp { right, .. } = &where_(ok).unwrap().predicates[0] else {
+                panic!("{ok}");
+            };
+            assert_eq!(*right, SqlExpr::Lit(Literal::Date(days)), "{ok}");
+        }
+        assert!(where_("date '1996-02-29'").is_ok());
+    }
+
+    #[test]
+    fn nesting_stops_at_the_token_that_crosses_the_limit() {
+        let at = |depth: usize, open: &str, close: &str| {
+            format!(
+                "SELECT a FROM t WHERE a = {}a{}",
+                open.repeat(depth),
+                close.repeat(depth)
+            )
+        };
+        for (open, close) in [("(", ")"), ("- ", "")] {
+            assert!(parse_select(&at(MAX_DEPTH, open, close)).is_ok());
+            let sql = at(MAX_DEPTH + 1, open, close);
+            let err = parse_select(&sql).unwrap_err();
+            let crossing = "SELECT a FROM t WHERE a = ".len() + MAX_DEPTH * open.len();
+            assert_eq!(err.offset, Some(crossing), "{err}");
+            assert!(err.message.contains("nested"), "{err}");
+        }
+        let sub = |depth: usize| {
+            let inner = "SELECT a FROM t WHERE a IN (".repeat(depth);
+            format!("{inner}SELECT a FROM t{}", ")".repeat(depth))
+        };
+        assert!(parse_select(&sub(MAX_DEPTH)).is_ok());
+        let err = parse_select(&sub(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, Some(MAX_DEPTH * 28 + 27), "{err}");
+        // An operator chain nests its left side one level per operator.
+        let sum = |terms: usize| format!("SELECT a FROM t WHERE a = 1{}", " + 1".repeat(terms - 1));
+        assert!(parse_select(&sum(MAX_DEPTH + 1)).is_ok());
+        let err = parse_select(&sum(MAX_DEPTH + 2)).unwrap_err();
+        assert_eq!(
+            err.offset,
+            Some("SELECT a FROM t WHERE a = 1".len() + 4 * MAX_DEPTH + 1)
+        );
+        // Parentheses, minus signs, subqueries and chains share one counter.
+        let mixed = format!(
+            "SELECT a FROM t WHERE a IN (SELECT a FROM t WHERE a = {}a)",
+            "-(".repeat(MAX_DEPTH / 2)
+        );
+        assert!(parse_select(&mixed).is_err());
     }
 }

@@ -20,12 +20,12 @@ proptest! {
     /// never gain them).
     #[test]
     fn month_arithmetic_clamps_monotonically(days in -500_000i32..500_000, n in 1i32..48) {
-        let forward = add_interval(days, n, IntervalUnit::Month);
-        let back = add_interval(forward, -n, IntervalUnit::Month);
+        let forward = add_interval(days, n, IntervalUnit::Month).unwrap();
+        let back = add_interval(forward, -n, IntervalUnit::Month).unwrap();
         prop_assert!(back <= days);
         prop_assert!(days - back <= 3, "clamping loses at most 3 days");
         // Day intervals are exact.
-        let fd = add_interval(days, n, IntervalUnit::Day);
+        let fd = add_interval(days, n, IntervalUnit::Day).unwrap();
         prop_assert_eq!(fd - days, n);
     }
 
@@ -36,6 +36,30 @@ proptest! {
             add_interval(days, n, IntervalUnit::Year),
             add_interval(days, 12 * n, IntervalUnit::Month)
         );
+    }
+
+    /// Over the whole `i32` range, an interval is `None` exactly when its
+    /// result's day number leaves `i32`: a day interval is the exact sum,
+    /// and a month interval lands within a month's days of the date a
+    /// 30.44-day month would give.
+    #[test]
+    fn intervals_are_none_exactly_outside_the_day_range(
+        days in any::<i32>(),
+        n in any::<i32>(),
+        small in -100_000i32..100_000,
+    ) {
+        let exact = i64::from(days) + i64::from(n);
+        prop_assert_eq!(add_interval(days, n, IntervalUnit::Day), i32::try_from(exact).ok());
+        for n in [n, small] {
+            let approx = i64::from(days) + (f64::from(n) * 30.436_875) as i64;
+            match add_interval(days, n, IntervalUnit::Month) {
+                Some(d) => prop_assert!((i64::from(d) - approx).abs() <= 32, "{days} + {n} months"),
+                None => prop_assert!(
+                    approx > i64::from(i32::MAX) - 32 || approx < i64::from(i32::MIN) + 32,
+                    "{days} + {n} months refused"
+                ),
+            }
+        }
     }
 
     /// Any parsed conjunctive SELECT over a known schema isolates into a

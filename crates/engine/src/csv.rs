@@ -421,6 +421,29 @@ mod tests {
         assert!(matches!(err, CsvError::Format { column: None, .. }));
     }
 
+    /// A date that does not exist, or whose day number leaves `i32`, is a
+    /// CSV error at its cell, not a date shifted into the next month or
+    /// wrapped around.
+    #[test]
+    fn impossible_dates_are_format_errors() {
+        for bad in ["1994-02-31", "1995-02-29", "2147483647-01-01"] {
+            let text = format!("id:int,day:date\n1,1994-01-01\n2,{bad}\n");
+            let err = read_csv(text.as_bytes()).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CsvError::Format {
+                        line: 3,
+                        column: Some(2),
+                        ..
+                    }
+                ),
+                "{bad}: {err}"
+            );
+            assert!(err.to_string().contains(bad), "{err}");
+        }
+    }
+
     #[test]
     fn blank_lines_are_skipped() {
         let rel = read_csv("a:int\n1\n\n2\n".as_bytes()).unwrap();

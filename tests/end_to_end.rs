@@ -351,3 +351,111 @@ fn count_star_matches_join_cardinality() {
         .sum();
     assert_eq!(total as usize, db.table("supplier").unwrap().len());
 }
+
+fn cities() -> Database {
+    use htqo_engine::ColumnType;
+    let mut city = Relation::new(Schema::new(&[
+        ("id", ColumnType::Int),
+        ("name", ColumnType::Str),
+    ]));
+    // `SÃ£o` is what `'São'` read as when the lexer pushed bytes as chars.
+    for (id, name) in [(0, "São"), (1, "Sao"), (2, "SÃ£o"), (3, "Säo")] {
+        city.push_row(vec![Value::Int(id), Value::str(name)])
+            .unwrap();
+    }
+    let mut db = Database::new();
+    db.insert_table("city", city);
+    db
+}
+
+#[test]
+fn utf8_string_literals_match_the_stored_text() {
+    let db = cities();
+    let opt = HybridOptimizer::structural(QhdOptions::default());
+    let sql = "SELECT city.id FROM city WHERE city.name = 'São'";
+    let out = opt.execute_sql(&db, sql, Budget::unlimited()).unwrap();
+    let ans = out.result.unwrap();
+    assert_eq!(ans.sorted_rows(), [vec![Value::Int(0)].into_boxed_slice()]);
+}
+
+/// The deepest nesting the parser accepts, found through the public API.
+fn nesting_limit() -> usize {
+    let parens = |n: usize| {
+        format!(
+            "SELECT a FROM t WHERE a = {}1{}",
+            "(".repeat(n),
+            ")".repeat(n)
+        )
+    };
+    (1..)
+        .find(|&n| parse_select(&parens(n + 1)).is_err())
+        .unwrap()
+}
+
+/// Statements exactly at the parser's nesting limit run through a
+/// `Session` on a thread with a 2 MiB stack; one level more is a parse
+/// error there.
+#[test]
+fn statements_at_the_nesting_limit_run_in_a_session_on_a_small_stack() {
+    use htqo_optimizer::SqlError;
+    let limit = nesting_limit();
+    assert!(limit >= 32, "nesting limit {limit}");
+    // `sum(…)` is one level; its argument takes the other `limit - 1`.
+    let inside = limit - 1;
+    let parens = format!(
+        "SELECT sum({}city.id{}) AS s FROM city",
+        "(".repeat(inside),
+        ")".repeat(inside)
+    );
+    let minus = format!("SELECT sum({}city.id) AS s FROM city", "- ".repeat(inside));
+    let (pairs, odd) = (inside / 2, inside % 2);
+    let mixed = format!(
+        "SELECT sum({}{}city.id{}) AS s FROM city",
+        "-(".repeat(pairs),
+        "(".repeat(odd),
+        ")".repeat(pairs + odd)
+    );
+    let subqueries = format!(
+        "{}SELECT city.id FROM city{}",
+        "SELECT city.id FROM city WHERE city.id IN (".repeat(limit),
+        ")".repeat(limit)
+    );
+    let too_deep = format!(
+        "SELECT sum({}city.id{}) AS s FROM city",
+        "(".repeat(limit),
+        ")".repeat(limit)
+    );
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || {
+            let svc = QueryService::new(
+                cities(),
+                HybridOptimizer::structural(QhdOptions::default()),
+                ServiceConfig::default(),
+            );
+            let session = svc.session();
+            // 0 + 1 + 2 + 3, negated once per minus sign.
+            let signed = |minuses: usize| if minuses.is_multiple_of(2) { 6 } else { -6 };
+            for (sql, sum) in [
+                (&parens, 6),
+                (&minus, signed(inside)),
+                (&mixed, signed(pairs)),
+            ] {
+                let out = session.execute_sql(sql).unwrap();
+                let ans = out.result.unwrap();
+                assert_eq!(ans.rows()[0][0], Value::Int(sum), "{sql}");
+            }
+            // Flattening stops subqueries long before the parser's limit.
+            match session.execute_sql(&subqueries) {
+                Err(ServiceError::Sql(SqlError::Nested(_))) => {}
+                other => panic!("{limit} nested subqueries: {other:?}"),
+            }
+            match session.execute_sql(&too_deep) {
+                Err(ServiceError::Sql(SqlError::Parse(e))) => assert!(e.message.contains("nested")),
+                other => panic!("{} levels: {other:?}", limit + 1),
+            }
+        })
+        .unwrap()
+        .join()
+        .unwrap();
+}
