@@ -111,7 +111,6 @@ pub fn finalize_c(
         // selected more than once: a shared column, not a per-row copy).
         // The answer's rows are distinct already, so a projection that
         // keeps every column only permutes them and needs no dedup.
-        debug_assert!(rows_distinct(answer), "finalize_c: answer rows repeat");
         let vars = head_vars(&visible);
         let distinct_vars: Vec<&str> = (vars.iter().enumerate())
             .filter(|&(i, v)| !vars[..i].contains(v))
@@ -303,20 +302,6 @@ fn finalize_tail(
         None => (0..len).take(limit).map(row).collect(),
     };
     Ok(VRelation::from_rows(labels, rows))
-}
-
-/// True if no row of `a` repeats — [`finalize_c`]'s precondition: a
-/// [`GroupIds`] over every column, sized as a distinct projection's,
-/// opens as many groups as `a` has rows. No fail point or budget is
-/// involved.
-fn rows_distinct(a: &CRel) -> bool {
-    let all = cops::iota(a.cols().len());
-    let reader = dict::reader();
-    let mut ids = GroupIds::new(a, &all, cops::distinct_bytes(a.len()), &reader);
-    let mut first_row = Vec::with_capacity(a.len());
-    let grouped = keyplan::blocks(0..a.len())
-        .try_for_each(|rows| ids.assign(rows, &mut first_row, &reader, |_, _| Ok(())));
-    grouped.is_ok() && first_row.len() == a.len()
 }
 
 /// Renames each repeated label `l` to `l_k`, with `k ≥ 2` the smallest

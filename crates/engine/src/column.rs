@@ -785,51 +785,9 @@ impl Column {
     /// instead of per-row cell clones).
     pub fn gather(&self, idx: &[u32]) -> Column {
         match &self.data {
-            ColumnData::Int(a) => {
-                let data: Vec<i64> = idx.iter().map(|&i| a[i as usize]).collect();
-                let mut nulls = NullMask::default();
-                if self.nulls.any() {
-                    for (out, &i) in idx.iter().enumerate() {
-                        if self.nulls.get(i as usize) {
-                            nulls.set_null(out);
-                        }
-                    }
-                }
-                Column {
-                    data: ColumnData::Int(data),
-                    nulls,
-                }
-            }
-            ColumnData::Float(a) => {
-                let data: Vec<f64> = idx.iter().map(|&i| a[i as usize]).collect();
-                let mut nulls = NullMask::default();
-                if self.nulls.any() {
-                    for (out, &i) in idx.iter().enumerate() {
-                        if self.nulls.get(i as usize) {
-                            nulls.set_null(out);
-                        }
-                    }
-                }
-                Column {
-                    data: ColumnData::Float(data),
-                    nulls,
-                }
-            }
-            ColumnData::Date(a) => {
-                let data: Vec<i32> = idx.iter().map(|&i| a[i as usize]).collect();
-                let mut nulls = NullMask::default();
-                if self.nulls.any() {
-                    for (out, &i) in idx.iter().enumerate() {
-                        if self.nulls.get(i as usize) {
-                            nulls.set_null(out);
-                        }
-                    }
-                }
-                Column {
-                    data: ColumnData::Date(data),
-                    nulls,
-                }
-            }
+            ColumnData::Int(a) => self.gather_typed(a, idx, ColumnData::Int),
+            ColumnData::Float(a) => self.gather_typed(a, idx, ColumnData::Float),
+            ColumnData::Date(a) => self.gather_typed(a, idx, ColumnData::Date),
             ColumnData::Str(a) => Column {
                 data: ColumnData::Str(idx.iter().map(|&i| a[i as usize]).collect()),
                 nulls: NullMask::default(),
@@ -838,6 +796,29 @@ impl Column {
                 data: ColumnData::Mixed(idx.iter().map(|&i| a[i as usize].clone()).collect()),
                 nulls: NullMask::default(),
             },
+        }
+    }
+
+    /// [`Column::gather`] over this column's typed cells `a` and its null
+    /// mask, the cells wrapped back into their variant by `wrap`.
+    fn gather_typed<T: Copy>(
+        &self,
+        a: &[T],
+        idx: &[u32],
+        wrap: fn(Vec<T>) -> ColumnData,
+    ) -> Column {
+        let data = idx.iter().map(|&i| a[i as usize]).collect();
+        let mut nulls = NullMask::default();
+        if self.nulls.any() {
+            for (out, &i) in idx.iter().enumerate() {
+                if self.nulls.get(i as usize) {
+                    nulls.set_null(out);
+                }
+            }
+        }
+        Column {
+            data: wrap(data),
+            nulls,
         }
     }
 

@@ -1,9 +1,9 @@
 //! Columnar physical operators over [`CRel`]s: natural (hash) join,
-//! semijoin and projection — the executor under every planner (q-HD,
-//! bushy trees and the join-order baselines). Every operator
-//! charges freshly materialized tuples to a [`Budget`], which is how the
-//! harness reproduces the paper's "did not terminate" baseline data
-//! points deterministically.
+//! semijoin and projection — the executor under every planner (q-HD
+//! and the left-deep join orders). Every operator charges freshly
+//! materialized tuples to a [`Budget`], which is how the harness
+//! reproduces the paper's "did not terminate" baseline data points
+//! deterministically.
 //!
 //! A join builds on the smaller side (`a` on a tie) and lays its output
 //! out in the caller's column order (`a`'s columns, then `b`'s others).

@@ -51,7 +51,6 @@ pub const PANIC_MARKER: &str = "htqo-failpoint";
 /// `sites_are_sorted_and_documented` test cross-checks DESIGN.md.
 pub const SITES: &[&str] = &[
     "aggregate::finalize",
-    "bushy::node",
     "cops::join",
     "cops::project",
     "cops::seek",

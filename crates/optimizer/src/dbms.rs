@@ -20,6 +20,7 @@ use htqo_engine::schema::Database;
 use htqo_engine::vrel::VRelation;
 use htqo_eval::evaluate_join_order;
 use htqo_stats::DbStats;
+use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 /// Which join-order planner a simulator uses.
@@ -49,17 +50,15 @@ pub struct DbmsSim {
 }
 
 /// Which execution strategy produced (or last attempted) a query's
-/// answer. The hybrid optimizer's graceful-degradation ladder descends
-/// q-HD → bushy → naive; the DBMS simulators always execute left-deep.
+/// answer. The hybrid optimizer runs q-HD and, when that fails
+/// retryably, falls back to a left-deep join order; the DBMS simulators
+/// always execute left-deep.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Rung {
     /// q-hypertree decomposition evaluation (the paper's method).
     QHd,
-    /// Cost-based bushy join tree (the quantitative fallback).
-    Bushy,
-    /// Naive join of all atoms in syntactic order (always applicable).
-    Naive,
-    /// Left-deep pipeline of the DBMS simulators.
+    /// Left-deep join pipeline: the DBMS simulators' plan, and the
+    /// hybrid optimizer's fallback on the order [`dp_join_order`] plans.
     LeftDeep,
 }
 
@@ -67,11 +66,41 @@ impl std::fmt::Display for Rung {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Rung::QHd => write!(f, "q-HD"),
-            Rung::Bushy => write!(f, "bushy"),
-            Rung::Naive => write!(f, "naive"),
             Rung::LeftDeep => write!(f, "left-deep"),
         }
     }
+}
+
+/// Plan text of a left-deep join order: its atoms' aliases in join
+/// order and its estimated cost ([`order_cost`]).
+pub(crate) fn describe_join_order(
+    q: &ConjunctiveQuery,
+    stats: &DbStats,
+    order: &[AtomId],
+) -> String {
+    let aliases: Vec<&str> = order.iter().map(|a| q.atom(*a).alias.as_str()).collect();
+    format!(
+        "left-deep [{}] est_cost={:.0}",
+        aliases.join(" ⋈ "),
+        order_cost(q, stats, order)
+    )
+}
+
+/// Runs a left-deep join order to the final answer: the join rows in
+/// `order`, then aggregation and ordering.
+pub(crate) fn run_join_order(
+    db: &Database,
+    q: &ConjunctiveQuery,
+    order: &[AtomId],
+    budget: &mut Budget,
+) -> Result<VRelation, EvalError> {
+    evaluate_join_order(db, q, Some(order), budget)
+        .and_then(|ans| htqo_engine::aggregate::finalize_c(&ans, q, budget))
+}
+
+/// `stats`, or the default guesses for `db`'s tables when there are none.
+pub(crate) fn stats_or_defaults<'s>(stats: Option<&'s DbStats>, db: &Database) -> Cow<'s, DbStats> {
+    stats.map_or_else(|| Cow::Owned(DbStats::defaults_for(db)), Cow::Borrowed)
 }
 
 /// One failed rung of the hybrid optimizer's fallback ladder.
@@ -89,16 +118,19 @@ pub struct FallbackAttempt {
 /// How the plan cache participated in answering a query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum PlanCacheStatus {
-    /// No plan cache in play: capacity 0, or an executor (the DBMS
-    /// simulators) that never caches plans.
+    /// No plan cache in play: capacity 0, a query whose
+    /// canonicalization ran over its symmetry budget (planned without
+    /// the cache; the service's statement cache serves exact repeats of
+    /// its text), or an executor (the DBMS simulators) that never caches
+    /// plans.
     #[default]
     Uncached,
     /// No isomorphic entry existed; cost-k-decomp ran and its result was
     /// cached.
     Miss,
-    /// No planning work at all: a compiled statement was executed, or a
-    /// query whose canonicalization ran over budget was served the plan
-    /// cached under its exact rendering.
+    /// No planning work at all: a compiled statement was executed (a
+    /// prepared statement, or a text the service's statement cache
+    /// held).
     Hit,
     /// Shape hit: a repeated or isomorphic-but-renamed query reused the
     /// cached decomposition after transport through canonical space and
@@ -279,28 +311,11 @@ impl DbmsSim {
         let order = self.plan(db, q);
         let planning = t0.elapsed();
 
-        let defaults;
-        let stats = match &self.stats {
-            Some(s) => s,
-            None => {
-                defaults = DbStats::defaults_for(db);
-                &defaults
-            }
-        };
-        let plan_desc = format!(
-            "{} left-deep [{}] est_cost={:.0}",
-            self.name,
-            order
-                .iter()
-                .map(|a| q.atom(*a).alias.clone())
-                .collect::<Vec<_>>()
-                .join(" ⋈ "),
-            order_cost(q, stats, &order)
-        );
+        let stats = stats_or_defaults(self.stats.as_ref(), db);
+        let plan_desc = format!("{} {}", self.name, describe_join_order(q, &stats, &order));
 
         let t1 = Instant::now();
-        let result = evaluate_join_order(db, q, Some(&order), &mut budget)
-            .and_then(|ans| htqo_engine::aggregate::finalize_c(&ans, q, &mut budget));
+        let result = run_join_order(db, q, &order, &mut budget);
         let execution = t1.elapsed();
         let answer_rows = result.as_ref().ok().map(|r| r.len() as u64);
         QueryOutcome {

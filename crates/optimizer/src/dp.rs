@@ -95,9 +95,8 @@ pub fn greedy_join_order(q: &ConjunctiveQuery, stats: &DbStats) -> Vec<AtomId> {
 
 /// Estimated cost of a specific left-deep order: every base scan plus the
 /// sum of intermediate result sizes (the same accounting the engine's
-/// budget charges, and the same units as [`crate::bushy::dp_bushy`]).
-/// Adding the scans shifts all orders by the same constant, so rankings —
-/// and the DP/GEQO optima — are unaffected.
+/// budget charges). Adding the scans shifts all orders by the same
+/// constant, so rankings — and the DP/GEQO optima — are unaffected.
 pub fn order_cost(q: &ConjunctiveQuery, stats: &DbStats, order: &[AtomId]) -> f64 {
     order_cost_compiled(&QueryProfiles::new(stats, q), order)
 }

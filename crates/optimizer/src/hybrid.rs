@@ -5,17 +5,19 @@
 //! `cost-k-decomp` → q-hypertree evaluation (tight coupling) or SQL-view
 //! rewriting (stand-alone, see [`crate::views`]).
 //!
-//! On top of the paper's pipeline sits a graceful-degradation ladder (see
-//! [`RetryPolicy`]): when q-HD planning or evaluation fails for a
-//! *retryable* reason (budget exhaustion, a contained panic, an
-//! internal error), execution falls back to a cost-based bushy join tree
-//! and finally to the naive join order, each rung running under a renewed
-//! budget. [`QueryOutcome::rung`] records which
+//! As the paper's PostgreSQL integration hands a query the q-HD planner
+//! cannot serve to the host's own planner, a q-HD rung that fails for a
+//! *retryable* reason (budget exhaustion, a contained panic, an internal
+//! error, no decomposition within the width bound) falls back to the
+//! left-deep join order the CommDB baseline plans, under a renewed
+//! budget (see [`RetryPolicy`]). [`QueryOutcome::rung`] records which
 //! strategy answered and [`QueryOutcome::attempts`] what failed before it.
 
-use crate::bushy::dp_bushy;
-use crate::bushy_exec::evaluate_join_tree;
-use crate::dbms::{FallbackAttempt, PlanCacheStatus, QueryOutcome, Rung, SqlError};
+use crate::dbms::{
+    describe_join_order, run_join_order, stats_or_defaults, FallbackAttempt, PlanCacheStatus,
+    QueryOutcome, Rung, SqlError,
+};
+use crate::dp::dp_join_order;
 use crate::lru::ShardedLru;
 use htqo_core::cost::DecompCost;
 use htqo_core::{
@@ -26,7 +28,7 @@ use htqo_cq::{isolate, parse_select, ConjunctiveQuery, CqHypergraph, IsolatorOpt
 use htqo_engine::error::{Budget, EvalError, SpillMode};
 use htqo_engine::schema::Database;
 use htqo_engine::vrel::VRelation;
-use htqo_eval::{evaluate_join_order, evaluate_qhd_query};
+use htqo_eval::evaluate_qhd_query;
 use htqo_hypergraph::{canonical_form, CanonicalForm, VarSet};
 use htqo_stats::{DbStats, StatsDecompCost};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -37,18 +39,19 @@ use std::time::Instant;
 /// How [`HybridOptimizer::execute_cq`] degrades when a strategy fails:
 /// with the ladder on (the default), or not at all ([`RetryPolicy::none`]).
 ///
-/// The ladder descends q-HD → bushy tree → naive join, each rung under a
-/// renewed budget (same limits, counter and clock restarted). A rung is
-/// only retried on *retryable* failures ([`EvalError::is_retryable`]):
-/// cancellation and semantic errors (unknown tables/columns) abort the
-/// ladder immediately, since no amount of re-planning fixes them. On
-/// [`EvalError::MemoryExceeded`] a rung is first re-run once with spill
-/// forced on: a memory hit is better served by external memory with the
-/// same plan than by a structurally worse plan.
+/// The ladder has one fallback rung below q-HD: the left-deep join order
+/// [`dp_join_order`] plans (exhaustive up to 14 atoms, greedy above, so
+/// it always applies), under a renewed budget (same limits, counter and
+/// clock restarted). It runs only after a *retryable* failure
+/// ([`EvalError::is_retryable`]): cancellation and semantic errors
+/// (unknown tables/columns) are final, since no amount of re-planning
+/// fixes them. On [`EvalError::MemoryExceeded`] a rung is first re-run
+/// once with spill forced on: a memory hit is better served by external
+/// memory with the same plan than by a structurally worse plan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Descend the ladder (with the spill retry) after a retryable
-    /// failure; `false` makes the first failure the final answer.
+    /// Fall back (after the spill retry) on a retryable failure;
+    /// `false` makes the first failure the final answer.
     pub ladder: bool,
 }
 
@@ -67,46 +70,34 @@ impl RetryPolicy {
     }
 }
 
-/// Key identifying a cacheable planning problem. `Shape` keys carry the
-/// complete canonical invariant, so two queries share a key **iff** their
-/// marked hypergraphs are isomorphic — renamed relations, variables,
-/// aliases and permuted atoms all collapse onto one entry. `Exact` keys
-/// are the fallback when canonicalization exceeds its symmetry budget:
-/// plain rendered-query memoization, always sound, never shape-shared.
+/// Key identifying a cacheable planning problem: the complete canonical
+/// invariant, so two queries share a key **iff** their marked
+/// hypergraphs are isomorphic — renamed relations, variables, aliases
+/// and permuted atoms all collapse onto one entry. A query whose
+/// canonicalization exceeds its symmetry budget has no key and is
+/// planned without the cache.
 #[derive(Clone, PartialEq, Eq, Hash)]
-enum PlanKey {
-    /// Canonical shape encoding plus the planning options baked into the
-    /// cached tree (defensive: `options` is a public field).
-    Shape {
-        encoding: Vec<u32>,
-        max_width: usize,
-        run_optimize: bool,
-    },
-    /// Exact rendered query (already embeds the options — see
-    /// [`HybridOptimizer::cache_key`]).
-    Exact(String),
+struct PlanKey {
+    encoding: Vec<u32>,
+    /// The planning options baked into the cached tree (defensive:
+    /// `options` is a public field).
+    max_width: usize,
+    run_optimize: bool,
 }
 
-/// A cached decomposition.
-enum CacheEntry {
-    /// Shape-shared entry: the pre-`Optimize` tree transported into
-    /// canonical index space, reusable by any isomorphic query.
-    Shape {
-        canon_tree: Hypertree,
-        /// Preorder per-vertex cost sum at store time. A hit whose
-        /// transported tree prices to exactly this value under current
-        /// statistics skips λ re-costing entirely (stats unchanged ⇒
-        /// bit-identical plan).
-        stored_cost: f64,
-        /// Statistics epoch at store time. A hit from a later epoch
-        /// (ANALYZE ran) never takes that shortcut: it re-costs λ against
-        /// the new statistics, then refreshes the entry in place.
-        epoch: u64,
-    },
-    /// Exact-keyed entry (canonicalization over budget). A stale epoch
-    /// is a miss: the plan was priced under old statistics and there is
-    /// no canonical tree to revalidate, so it is replanned outright.
-    Plain { plan: Arc<QhdPlan>, epoch: u64 },
+/// A cached decomposition: the pre-`Optimize` tree transported into
+/// canonical index space, reusable by any isomorphic query.
+struct CacheEntry {
+    canon_tree: Hypertree,
+    /// Preorder per-vertex cost sum at store time. A hit whose
+    /// transported tree prices to exactly this value under current
+    /// statistics skips λ re-costing entirely (stats unchanged ⇒
+    /// bit-identical plan).
+    stored_cost: f64,
+    /// Statistics epoch at store time. A hit from a later epoch (ANALYZE
+    /// ran) never takes that shortcut: it re-costs λ against the new
+    /// statistics, then refreshes the entry in place.
+    epoch: u64,
 }
 
 /// Capacity of the plan cache of a new optimizer; change it per instance
@@ -117,7 +108,6 @@ const PLAN_CACHE_DEFAULT: usize = 128;
 /// counters.
 struct PlanCache {
     lru: ShardedLru<PlanKey, CacheEntry>,
-    hits: AtomicU64,
     misses: AtomicU64,
     revalidated: AtomicU64,
 }
@@ -126,7 +116,6 @@ impl PlanCache {
     fn new(capacity: usize) -> Self {
         PlanCache {
             lru: ShardedLru::new(capacity),
-            hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             revalidated: AtomicU64::new(0),
         }
@@ -134,12 +123,10 @@ impl PlanCache {
 }
 
 /// Counters of plan-cache traffic since the optimizer was built.
+/// Compiled statements and queries planned without the cache are not
+/// counted.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
-    /// Exact hits: a query whose canonicalization ran over budget was
-    /// served the finished plan cached under its rendering. (Compiled
-    /// statements never reach the plan cache and are not counted here.)
-    pub hits: u64,
     /// Misses: cost-k-decomp ran.
     pub misses: u64,
     /// Shape hits: an isomorphic query reused a cached decomposition
@@ -152,7 +139,7 @@ pub struct PlanCacheStats {
 /// eviction all reuse it).
 struct Keyed {
     key: PlanKey,
-    canon: Option<CanonicalForm>,
+    canon: CanonicalForm,
     ch: CqHypergraph,
     out_vars: VarSet,
 }
@@ -165,7 +152,7 @@ struct Keyed {
 pub struct CompiledQuery {
     query: ConjunctiveQuery,
     /// The q-hypertree plan, or why there is none (the ladder then starts
-    /// on its fallback rungs).
+    /// on its fallback rung).
     plan: Result<Arc<QhdPlan>, QhdFailure>,
     /// Rung-0 plan description (`q-HD width=…`), empty without a plan.
     description: String,
@@ -176,7 +163,8 @@ pub struct CompiledQuery {
     epoch: u64,
     /// How the plan cache participated in compiling this statement.
     plan_cache: PlanCacheStatus,
-    /// The plan-cache key, for evicting a plan whose execution failed.
+    /// The plan-cache key, for evicting a plan whose execution failed;
+    /// `None` when the plan was not cached.
     key: Option<PlanKey>,
     /// Set when the plan failed retryably at execution: like a stale
     /// epoch, every holder of this statement recompiles before running it
@@ -285,9 +273,9 @@ impl HybridOptimizer {
 
     /// Installs freshly gathered statistics (the ANALYZE hook) and bumps
     /// the statistics epoch. Cached plans priced under the old epoch are
-    /// not served verbatim again: shape entries deterministically re-cost
-    /// their λ choices against the new statistics on the next hit (and
-    /// re-stamp themselves), exact-keyed entries replan.
+    /// not served verbatim again: they deterministically re-cost their λ
+    /// choices against the new statistics on the next hit (and re-stamp
+    /// themselves).
     pub fn refresh_stats(&mut self, stats: Option<DbStats>) {
         self.stats = stats;
         self.stats_epoch.fetch_add(1, Ordering::Relaxed);
@@ -299,37 +287,30 @@ impl HybridOptimizer {
         self.stats_epoch.load(Ordering::Relaxed)
     }
 
-    /// The exact rendered cache key: query rule text (variables, atoms,
-    /// filters) plus the planning options. Rendered only for queries
-    /// without a canonical form.
-    fn cache_key(&self, q: &ConjunctiveQuery) -> String {
-        format!(
-            "{q}|k={}|opt={}",
-            self.options.max_width, self.options.run_optimize
-        )
-    }
-
     /// Keys a query for this attempt — the **single keying site**:
     /// lookup, store, and failed-plan eviction all reuse the returned
-    /// value, so the keying logic cannot drift between them.
-    fn key_query(&self, q: &ConjunctiveQuery) -> Keyed {
+    /// value, so the keying logic cannot drift between them. `None` when
+    /// the cache is off or the query's canonicalization ran over its
+    /// symmetry budget: the query is then planned without the cache
+    /// (exact repeats of its text are the service's statement cache's).
+    fn key_query(&self, q: &ConjunctiveQuery) -> Option<Keyed> {
+        if !self.cache.lru.enabled() {
+            return None;
+        }
         let ch = q.hypergraph();
         let out_vars = ch.out_var_set(q);
-        let canon = canonical_form(&ch.hypergraph, &out_vars);
-        let key = match &canon {
-            Some(c) => PlanKey::Shape {
-                encoding: c.encoding.clone(),
-                max_width: self.options.max_width,
-                run_optimize: self.options.run_optimize,
-            },
-            None => PlanKey::Exact(self.cache_key(q)),
+        let canon = canonical_form(&ch.hypergraph, &out_vars)?;
+        let key = PlanKey {
+            encoding: canon.encoding.clone(),
+            max_width: self.options.max_width,
+            run_optimize: self.options.run_optimize,
         };
-        Keyed {
+        Some(Keyed {
             key,
             canon,
             ch,
             out_vars,
-        }
+        })
     }
 
     /// Runs `f` with this optimizer's vertex cost model for `q`.
@@ -350,15 +331,12 @@ impl HybridOptimizer {
     /// isomorphic-but-renamed — skips cost-k-decomp and only re-costs λ
     /// (cover) choices, and those only when the tree's price moved under
     /// this optimizer's statistics. The key includes `out(Q)` via the
-    /// canonical marking.
+    /// canonical marking. A query without a key is planned uncached.
     pub fn plan_cq_cached(&self, q: &ConjunctiveQuery) -> Result<QhdPlan, QhdFailure> {
-        if !self.cache.lru.enabled() {
-            return self.plan_cq(q);
+        match self.key_query(q) {
+            Some(keyed) => self.plan_cq_keyed(q, &keyed).0,
+            None => self.plan_cq(q),
         }
-        let keyed = self.key_query(q);
-        // The deep copy this signature asks for happens here, after the
-        // shard lock is released.
-        self.plan_cq_keyed(q, &keyed).0.map(Arc::unwrap_or_clone)
     }
 
     /// The keyed planning path. Returns the plan and how the cache
@@ -367,83 +345,40 @@ impl HybridOptimizer {
         &self,
         q: &ConjunctiveQuery,
         keyed: &Keyed,
-    ) -> (Result<Arc<QhdPlan>, QhdFailure>, PlanCacheStatus) {
-        /// What the probe found under the shard lock.
-        enum Probe {
-            /// Exact-keyed hit: the finished plan, shared.
-            Plan(Arc<QhdPlan>),
-            /// Shape entry to revalidate outside the lock: canonical
-            /// tree, stored cost, and whether its epoch is behind.
-            Shape(Hypertree, f64, bool),
-        }
+    ) -> (Result<QhdPlan, QhdFailure>, PlanCacheStatus) {
         let epoch_now = self.stats_epoch.load(Ordering::Relaxed);
-        // Entries stamped by an older statistics epoch are not served as
-        // stored: stale shape entries force a λ re-cost (`stale` below),
-        // stale exact entries replan as a miss.
-        let probe = self
-            .cache
-            .lru
-            .with(&keyed.key, |entry| match entry {
-                CacheEntry::Plain { plan, epoch } => {
-                    (*epoch == epoch_now).then(|| Probe::Plan(Arc::clone(plan)))
+        // An entry stamped by an older statistics epoch is not served as
+        // stored: NAN never equals the current price, so a stale hit
+        // cannot take revalidate's cost-unchanged shortcut.
+        let probe = self.cache.lru.with(&keyed.key, |entry| {
+            let stale = entry.epoch != epoch_now;
+            let stored_cost = if stale { f64::NAN } else { entry.stored_cost };
+            (entry.canon_tree.clone(), stored_cost, stale)
+        });
+        // Shape hit: transport + re-cost, no cost-k-decomp. Planning work
+        // runs outside the shard lock.
+        if let Some((canon_tree, stored_cost, stale)) = probe {
+            if let Some((plan, final_tree, final_cost)) =
+                self.revalidate(q, keyed, &canon_tree, stored_cost)
+            {
+                self.cache.revalidated.fetch_add(1, Ordering::Relaxed);
+                if stale {
+                    // Re-stamp the entry under the new statistics so the
+                    // *next* hit skips the λ re-cost again — with the
+                    // choices this revalidation just settled.
+                    let canon = &keyed.canon;
+                    self.cache.lru.with(&keyed.key, |entry| {
+                        entry.canon_tree =
+                            remap_tree(&final_tree, &canon.var_to_canon, &canon.edge_to_canon);
+                        entry.stored_cost = final_cost;
+                        entry.epoch = epoch_now;
+                    });
                 }
-                CacheEntry::Shape {
-                    canon_tree,
-                    stored_cost,
-                    epoch,
-                } => {
-                    let stale = *epoch != epoch_now;
-                    // NAN never equals the current price, so a stale hit
-                    // cannot take revalidate's cost-unchanged shortcut.
-                    Some(Probe::Shape(
-                        canon_tree.clone(),
-                        if stale { f64::NAN } else { *stored_cost },
-                        stale,
-                    ))
-                }
-            })
-            .flatten();
-
-        match probe {
-            Some(Probe::Plan(plan)) => {
-                self.cache.hits.fetch_add(1, Ordering::Relaxed);
-                return (Ok(plan), PlanCacheStatus::Hit);
+                return (Ok(plan), PlanCacheStatus::Revalidated);
             }
-            // Shape hit: transport + re-cost, no cost-k-decomp. Planning
-            // work runs outside the shard lock.
-            Some(Probe::Shape(canon_tree, stored_cost, stale)) => {
-                if let Some((plan, final_tree, final_cost)) =
-                    self.revalidate(q, keyed, &canon_tree, stored_cost)
-                {
-                    self.cache.revalidated.fetch_add(1, Ordering::Relaxed);
-                    if stale {
-                        // Re-stamp the entry under the new statistics so
-                        // the *next* hit skips the λ re-cost again — with
-                        // the choices this revalidation just settled.
-                        self.cache.lru.with(&keyed.key, |entry| {
-                            let CacheEntry::Shape {
-                                canon_tree,
-                                stored_cost,
-                                epoch,
-                            } = entry
-                            else {
-                                return;
-                            };
-                            if let Some(c) = keyed.canon.as_ref() {
-                                *canon_tree =
-                                    remap_tree(&final_tree, &c.var_to_canon, &c.edge_to_canon);
-                            }
-                            *stored_cost = final_cost;
-                            *epoch = epoch_now;
-                        });
-                    }
-                    return (Ok(Arc::new(plan)), PlanCacheStatus::Revalidated);
-                }
-                // Defensive: a transported tree that fails validation
-                // (which soundness of the canonical key rules out) falls
-                // through to a full replan that overwrites the entry.
-            }
-            None => {}
+            // Defensive: a transported tree that fails validation (which
+            // soundness of the canonical key rules out) falls through to
+            // a full replan that overwrites the entry.
         }
 
         self.cache.misses.fetch_add(1, Ordering::Relaxed);
@@ -451,29 +386,18 @@ impl HybridOptimizer {
             Ok(raw) => raw,
             Err(fail) => return (Err(fail), PlanCacheStatus::Miss),
         };
-        // The shape entry keeps the pre-`Optimize` tree, so it is taken
-        // before `finish` consumes the raw decomposition.
-        let shape = keyed.canon.as_ref().map(|canon| {
-            let canon_tree = remap_tree(&raw.tree, &canon.var_to_canon, &canon.edge_to_canon);
-            let stored_cost = self.with_cost(q, |cost| {
+        // The entry keeps the pre-`Optimize` tree, so it is taken before
+        // `finish` consumes the raw decomposition.
+        let canon = &keyed.canon;
+        let entry = CacheEntry {
+            canon_tree: remap_tree(&raw.tree, &canon.var_to_canon, &canon.edge_to_canon),
+            stored_cost: self.with_cost(q, |cost| {
                 tree_cost(&raw.cq_hypergraph.hypergraph, &raw.tree, cost)
-            });
-            (canon_tree, stored_cost)
-        });
-        let plan = Arc::new(raw.finish(&self.options));
-        let entry = match shape {
-            Some((canon_tree, stored_cost)) => CacheEntry::Shape {
-                canon_tree,
-                stored_cost,
-                epoch: epoch_now,
-            },
-            None => CacheEntry::Plain {
-                plan: Arc::clone(&plan),
-                epoch: epoch_now,
-            },
+            }),
+            epoch: epoch_now,
         };
         self.cache.lru.insert(keyed.key.clone(), entry);
-        (Ok(plan), PlanCacheStatus::Miss)
+        (Ok(raw.finish(&self.options)), PlanCacheStatus::Miss)
     }
 
     /// The shape-hit path: transports a cached canonical tree onto `q`,
@@ -490,7 +414,7 @@ impl HybridOptimizer {
         canon_tree: &Hypertree,
         stored_cost: f64,
     ) -> Option<(QhdPlan, Hypertree, f64)> {
-        let canon = keyed.canon.as_ref()?;
+        let canon = &keyed.canon;
         let mut tree = remap_tree(canon_tree, &canon.canon_to_var(), &canon.canon_to_edge());
         if validate::check_qhd(&keyed.ch.hypergraph, &tree, &keyed.out_vars).is_err() {
             return None;
@@ -537,7 +461,6 @@ impl HybridOptimizer {
     /// Plan-cache traffic counters since this optimizer was built.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
         PlanCacheStats {
-            hits: self.cache.hits.load(Ordering::Relaxed),
             misses: self.cache.misses.load(Ordering::Relaxed),
             revalidated: self.cache.revalidated.load(Ordering::Relaxed),
         }
@@ -601,11 +524,12 @@ impl HybridOptimizer {
     pub fn compile_cq(&self, q: &ConjunctiveQuery) -> Arc<CompiledQuery> {
         let epoch = self.stats_epoch.load(Ordering::Relaxed);
         // Key once: lookup now and failed-plan eviction later share it.
-        let keyed = self.cache.lru.enabled().then(|| self.key_query(q));
+        let keyed = self.key_query(q);
         let (plan, plan_cache) = match &keyed {
             Some(keyed) => self.plan_cq_keyed(q, keyed),
-            None => (self.plan_cq(q).map(Arc::new), PlanCacheStatus::Uncached),
+            None => (self.plan_cq(q), PlanCacheStatus::Uncached),
         };
+        let plan = plan.map(Arc::new);
         let description = plan.as_ref().map_or_else(
             |_| String::new(),
             |plan| {
@@ -644,10 +568,10 @@ impl HybridOptimizer {
         outcome
     }
 
-    /// Executes a compiled statement on `db`, descending the fallback
-    /// ladder configured by [`HybridOptimizer::retry`]. Panics inside the
-    /// engine are contained and surface as [`EvalError::WorkerPanicked`]
-    /// (possibly rescued by a lower rung).
+    /// Executes a compiled statement on `db`, falling back as
+    /// [`HybridOptimizer::retry`] allows. Panics inside the engine are
+    /// contained and surface as [`EvalError::WorkerPanicked`] (possibly
+    /// rescued by the fallback rung).
     ///
     /// No planning runs here unless the statement is stale — compiled
     /// under an older statistics epoch, or retired because its plan
@@ -677,7 +601,7 @@ impl HybridOptimizer {
 
         let mut attempts: Vec<FallbackAttempt> = Vec::new();
         let mut tuples: u64 = 0;
-        let mut answer: Option<(VRelation, Rung, &str)> = None;
+        let mut answer: Option<(VRelation, Rung, String)> = None;
 
         // Rung 0: q-hypertree evaluation (an aggregate counts the join
         // rows along the decomposition — see `htqo_eval::qeval`).
@@ -685,7 +609,7 @@ impl HybridOptimizer {
             Ok(plan) => {
                 let eval = |bud: &mut Budget| evaluate_qhd_query(db, q, plan, bud);
                 match self.run_rung(&budget, Rung::QHd, &mut attempts, &mut tuples, &eval) {
-                    Some(rel) => answer = Some((rel, Rung::QHd, &compiled.description)),
+                    Some(rel) => answer = Some((rel, Rung::QHd, compiled.description.clone())),
                     // Don't serve a plan that just failed for a reason a
                     // fresh decomposition might cure to the next caller:
                     // evict it from the plan cache and retire this
@@ -709,40 +633,18 @@ impl HybridOptimizer {
             }),
         }
 
-        let retryable =
-            |attempts: &[FallbackAttempt]| attempts.last().is_some_and(|a| a.error.is_retryable());
-
-        // Rung 1: cost-based bushy join tree.
-        if answer.is_none() && self.retry.ladder && retryable(&attempts) {
-            let stats = match &self.stats {
-                Some(s) => s.clone(),
-                None => DbStats::defaults_for(db),
-            };
-            // `dp_bushy` is None above the exhaustive-DP size limit; the
-            // ladder then skips straight to the naive rung.
-            if let Some((_, tree)) = dp_bushy(q, &stats) {
-                let eval = |bud: &mut Budget| {
-                    evaluate_join_tree(db, q, &tree, bud)
-                        .and_then(|ans| htqo_engine::aggregate::finalize_c(&ans, q, bud))
-                };
-                if let Some(rel) =
-                    self.run_rung(&budget, Rung::Bushy, &mut attempts, &mut tuples, &eval)
-                {
-                    answer = Some((rel, Rung::Bushy, "bushy join tree"));
-                }
-            }
-        }
-
-        // Rung 2: naive join order (always applicable).
-        if answer.is_none() && self.retry.ladder && retryable(&attempts) {
-            let eval = |bud: &mut Budget| {
-                evaluate_join_order(db, q, None, bud)
-                    .and_then(|ans| htqo_engine::aggregate::finalize_c(&ans, q, bud))
-            };
+        // The fallback rung: the left-deep join order CommDB plans, run
+        // as `DbmsSim` runs it.
+        let retryable = attempts.last().is_some_and(|a| a.error.is_retryable());
+        if answer.is_none() && self.retry.ladder && retryable {
+            let stats = stats_or_defaults(self.stats.as_ref(), db);
+            let order = dp_join_order(q, &stats);
+            let eval = |bud: &mut Budget| run_join_order(db, q, &order, bud);
             if let Some(rel) =
-                self.run_rung(&budget, Rung::Naive, &mut attempts, &mut tuples, &eval)
+                self.run_rung(&budget, Rung::LeftDeep, &mut attempts, &mut tuples, &eval)
             {
-                answer = Some((rel, Rung::Naive, "naive join order"));
+                let description = describe_join_order(q, &stats, &order);
+                answer = Some((rel, Rung::LeftDeep, description));
             }
         }
 
@@ -752,8 +654,7 @@ impl HybridOptimizer {
             .map(|a| format!("{} failure: {}", a.rung, a.error))
             .collect();
         let (result, rung, plan) = match answer {
-            Some((rel, rung, desc)) => {
-                let mut plan = desc.to_string();
+            Some((rel, rung, mut plan)) => {
                 if !failed.is_empty() {
                     plan = format!("{plan} [fallback after {}]", failed.join("; "));
                 }
@@ -929,7 +830,7 @@ mod tests {
     }
 
     /// With the default policy, the same planning failure is rescued by
-    /// the bushy rung and the outcome records the degradation.
+    /// the left-deep rung and the outcome records the degradation.
     #[test]
     fn ladder_rescues_planning_failure() {
         let db = chain_db(3, 30, 5);
@@ -939,13 +840,76 @@ mod tests {
             run_optimize: true,
         });
         let out = opt.execute_cq(&db, &q, Budget::unlimited());
-        assert_eq!(out.rung, Rung::Bushy, "{}", out.plan);
+        assert_eq!(out.rung, Rung::LeftDeep, "{}", out.plan);
         assert_eq!(out.attempts.len(), 1);
         assert_eq!(out.attempts[0].rung, Rung::QHd);
         assert!(out.degraded());
         assert!(out.plan.contains("fallback"));
         let mut b = Budget::unlimited();
         let oracle = htqo_eval::evaluate_naive(&db, &q, &mut b).unwrap();
+        assert!(out.result.unwrap().set_eq(&oracle));
+    }
+
+    /// The fallback runs the order `dp_join_order` plans, with the
+    /// optimizer's statistics or, in structural mode, the defaults — not
+    /// the FROM order, which here starts with a cross product of `a` and
+    /// `c` — and its plan text names that order.
+    #[test]
+    fn fallback_runs_the_dp_order() {
+        let db = chain_db(4, 30, 5);
+        let q = CqBuilder::new()
+            .atom("p0", "a", &[("l", "W"), ("r", "X")])
+            .atom("p2", "c", &[("l", "Y"), ("r", "Z")])
+            .atom("p1", "b", &[("l", "X"), ("r", "Y")])
+            .atom("p3", "d", &[("l", "Z"), ("r", "W")])
+            .out_var("W")
+            .out_var("Y")
+            .build();
+        let narrow = QhdOptions {
+            max_width: 1,
+            run_optimize: true,
+        };
+        let oracle = htqo_eval::evaluate_naive(&db, &q, &mut Budget::unlimited()).unwrap();
+        for (opt, stats) in [
+            (
+                HybridOptimizer::with_stats(narrow.clone(), analyze(&db)),
+                analyze(&db),
+            ),
+            (
+                HybridOptimizer::structural(narrow.clone()),
+                DbStats::defaults_for(&db),
+            ),
+        ] {
+            let order = dp_join_order(&q, &stats);
+            assert_ne!(order, q.atom_ids().collect::<Vec<_>>());
+            let out = opt.execute_cq(&db, &q, Budget::unlimited());
+            assert_eq!(out.rung, Rung::LeftDeep, "{}", out.plan);
+            assert_eq!(out.attempts.len(), 1);
+            assert_eq!(out.attempts[0].rung, Rung::QHd);
+            let want = describe_join_order(&q, &stats, &order);
+            assert!(out.plan.starts_with(&want), "{} ≠ {want}", out.plan);
+            assert!(out.result.unwrap().set_eq(&oracle));
+        }
+    }
+
+    /// Above the DP's exhaustive limit the fallback orders greedily: a
+    /// 16-atom cycle at width 1 is answered on the greedy order.
+    #[test]
+    fn fallback_orders_greedily_above_the_exhaustive_limit() {
+        let db = chain_db(16, 20, 20);
+        let q = chain_query(16);
+        let opt = HybridOptimizer::structural(QhdOptions {
+            max_width: 1,
+            run_optimize: true,
+        });
+        let out = opt.execute_cq(&db, &q, Budget::unlimited());
+        assert_eq!(out.rung, Rung::LeftDeep, "{}", out.plan);
+        assert_eq!(out.attempts.len(), 1);
+        let stats = DbStats::defaults_for(&db);
+        let greedy = crate::dp::greedy_join_order(&q, &stats);
+        let want = describe_join_order(&q, &stats, &greedy);
+        assert!(out.plan.starts_with(&want), "{} ≠ {want}", out.plan);
+        let oracle = htqo_eval::evaluate_naive(&db, &q, &mut Budget::unlimited()).unwrap();
         assert!(out.result.unwrap().set_eq(&oracle));
     }
 
@@ -1203,7 +1167,7 @@ mod tests {
             );
         }
         let q2 = b.out_var("Name0").build();
-        assert_ne!(format!("{q1}"), format!("{q2}"), "exact keys must differ");
+        assert_ne!(format!("{q1}"), format!("{q2}"), "the texts differ");
 
         let opt = HybridOptimizer::with_stats(QhdOptions::default(), stats);
         let p1 = opt.plan_cq_cached(&q1).unwrap();

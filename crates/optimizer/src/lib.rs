@@ -13,8 +13,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bushy;
-pub mod bushy_exec;
 pub mod dbms;
 pub mod dp;
 pub mod explain;
@@ -24,8 +22,6 @@ pub mod lru;
 pub mod nested;
 pub mod views;
 
-pub use bushy::{dp_bushy, JoinTree};
-pub use bushy_exec::evaluate_join_tree;
 pub use dbms::{
     DbmsSim, FallbackAttempt, PlanCacheStatus, PlannerKind, QueryOutcome, Rung, SqlError,
 };

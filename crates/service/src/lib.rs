@@ -804,7 +804,7 @@ mod tests {
         );
         let m = svc.metrics();
         assert_eq!(m.plan_cache.misses, 1, "planned exactly once");
-        assert_eq!(m.plan_cache.hits + m.plan_cache.revalidated, 0);
+        assert_eq!(m.plan_cache.revalidated, 0);
         assert_eq!(
             m.statement_cache,
             StatementCacheStats {

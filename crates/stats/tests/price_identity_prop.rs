@@ -5,7 +5,7 @@
 //! `==` and ties decide plans, so "close" is not good enough. The module
 //! [`reference`] is a transcription of the pre-compilation estimator
 //! (`atom_profile` / `join_profiles` / `vertex_tuples` over
-//! `BTreeMap<String, f64>`, re-derived on every call) and of the three
+//! `BTreeMap<String, f64>`, re-derived on every call) and of the two
 //! consumers built on it; it lives only here. Every comparison is on
 //! `f64::to_bits`.
 
@@ -15,7 +15,7 @@ use common::{random_case, Case, Rng};
 use htqo_core::DecompCost;
 use htqo_cq::AtomId;
 use htqo_hypergraph::{EdgeId, EdgeSet, VarSet};
-use htqo_optimizer::{dp_bushy, dp_join_order, estimate_answer_rows, order_cost};
+use htqo_optimizer::{dp_join_order, estimate_answer_rows, order_cost};
 use htqo_stats::StatsDecompCost;
 use proptest::prelude::*;
 
@@ -24,7 +24,6 @@ mod reference {
     use htqo_cq::{AtomId, CmpOp, ConjunctiveQuery, Literal};
     use htqo_engine::index::SEEK_MARGIN;
     use htqo_engine::value::Value;
-    use htqo_optimizer::JoinTree;
     use htqo_stats::{ColumnStats, DbStats};
     use std::collections::BTreeMap;
 
@@ -274,44 +273,6 @@ mod reference {
         order.reverse();
         order
     }
-
-    pub fn dp_bushy(q: &ConjunctiveQuery, stats: &DbStats) -> (f64, JoinTree) {
-        let n = q.atoms.len();
-        let profiles: Vec<Profile> = q.atom_ids().map(|a| atom_profile(stats, q, a)).collect();
-        let full: usize = (1 << n) - 1;
-        let mut best: Vec<Option<(f64, Profile, JoinTree)>> = vec![None; full + 1];
-        for (i, p) in profiles.iter().enumerate() {
-            best[1 << i] = Some((p.card, p.clone(), JoinTree::Leaf(AtomId(i as u32))));
-        }
-        for mask in 1..=full {
-            if best[mask].is_some() {
-                continue;
-            }
-            let mut best_here: Option<(f64, Profile, JoinTree)> = None;
-            let low = mask & mask.wrapping_neg();
-            let mut left = (mask - 1) & mask;
-            while left > 0 {
-                if left & low != 0 {
-                    let right = mask ^ left;
-                    if let (Some((cl, pl, tl)), Some((cr, pr, tr))) = (&best[left], &best[right]) {
-                        let joined = join_profiles(pl, pr);
-                        let cost = cl + cr + joined.card;
-                        if best_here.as_ref().is_none_or(|(c, _, _)| cost < *c) {
-                            best_here = Some((
-                                cost,
-                                joined,
-                                JoinTree::Join(Box::new(tl.clone()), Box::new(tr.clone())),
-                            ));
-                        }
-                    }
-                }
-                left = (left - 1) & mask;
-            }
-            best[mask] = best_here;
-        }
-        let (cost, _, tree) = best[full].take().expect("non-empty query");
-        (cost, tree)
-    }
 }
 
 fn random_atoms(rng: &mut Rng, n: usize, allow_empty: bool) -> Vec<AtomId> {
@@ -373,7 +334,8 @@ proptest! {
         }
     }
 
-    /// The three consumers of the profiles outside the cost model.
+    /// The two consumers of the profiles outside the cost model: the
+    /// answer estimate and the left-deep DP with its order cost.
     #[test]
     fn estimators_and_join_planners_are_bit_identical(seed in any::<u64>(), atoms in 3usize..=8) {
         let Case { query, stats, .. } = random_case(seed, atoms, false);
@@ -387,10 +349,5 @@ proptest! {
             order_cost(&query, &stats, &order).to_bits(),
             reference::order_cost(&query, &stats, &order).to_bits()
         );
-
-        let (cost, tree) = dp_bushy(&query, &stats).expect("within the exhaustive limit");
-        let (want_cost, want_tree) = reference::dp_bushy(&query, &stats);
-        prop_assert_eq!(cost.to_bits(), want_cost.to_bits());
-        prop_assert_eq!(tree, want_tree);
     }
 }

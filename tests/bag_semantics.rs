@@ -12,12 +12,13 @@
 //! whose counted rows merge —, grouped or not, ordered or not, limited or
 //! not. Every entry point must give the reference's rows, in its order:
 //! the q-HD rung, a q-HD plan of width 2 (several vertices, where one
-//! exists), the bushy join tree, CommDB, the stand-alone views
-//! (`execute_views`) and a `Session` — in memory, under forced spill and
-//! under byte limits (where a typed resource error is the only other
-//! outcome). Two metamorphic relations close it: adding `count(*)` to a
-//! select list changes no other column, and duplicating every row of one
-//! table doubles every `COUNT(*)` and `SUM`.
+//! exists), CommDB, the stand-alone views (`execute_views`) and a
+//! `Session` — in memory, under forced spill and under byte limits (where
+//! a typed resource error is the only other outcome) —, and the hybrid
+//! optimizer's left-deep fallback rung on cycles of no width-1
+//! decomposition. Two metamorphic relations close it: adding `count(*)`
+//! to a select list changes no other column, and duplicating every row
+//! of one table doubles every `COUNT(*)` and `SUM`.
 //!
 //! Case count is `HTQO_CHAOS_CASES` (default 48).
 
@@ -26,7 +27,6 @@ use htqo_cq::sql::ast::{OrderKey, Predicate, SelectItem, SelectStmt, SqlExpr};
 use htqo_cq::{AggFunc, CmpOp, SortDir};
 use htqo_engine::error::SpillMode;
 use htqo_engine::schema::ColumnType;
-use htqo_optimizer::{dp_bushy, evaluate_join_tree};
 use std::cmp::Ordering;
 
 fn cases() -> u64 {
@@ -381,11 +381,6 @@ fn answers(
         let answer = htqo_eval::evaluate_qhd_query(db, &q, plan, &mut budget());
         out.push(("q-HD at width 2", answer));
     }
-    let (_, tree) = dp_bushy(&q, &stats).expect("at most six atoms");
-    let mut b = budget();
-    let bushy = evaluate_join_tree(db, &q, &tree, &mut b)
-        .and_then(|answer| htqo_engine::finalize_c(&answer, &q, &mut b));
-    out.push(("bushy", bushy));
     let commdb = DbmsSim::commdb(Some(stats.clone()));
     out.push((
         "CommDB",
@@ -448,6 +443,43 @@ fn every_entry_point_answers_the_bag_reference() {
         "{repeated} of {} statements",
         3 * cases()
     );
+}
+
+/// `SUM` and `COUNT(*)` over a cycle, which has no decomposition of
+/// width 1: at that bound the q-HD rung fails, and the left-deep order
+/// the fallback rung plans answers SQL's bag.
+#[test]
+fn the_fallback_rung_answers_the_bag_reference() {
+    let narrow = QhdOptions {
+        max_width: 1,
+        ..QhdOptions::default()
+    };
+    for case in 0..cases() {
+        let mut g = Rng(case ^ 0xFA11_BAC0);
+        let n = atoms(&mut g);
+        let db = database(&mut g, n);
+        let tables: Vec<String> = (0..n).map(|t| format!("t{t}")).collect();
+        let cycle: Vec<String> = (0..n)
+            .map(|i| format!("t{i}.b = t{}.a", (i + 1) % n))
+            .collect();
+        let sql = format!(
+            "SELECT t0.a AS g, count(*) AS n, sum(t{t}.v) AS sv, sum(t{u}.f) AS sf \
+             FROM {} WHERE {} GROUP BY t0.a ORDER BY g",
+            tables.join(", "),
+            cycle.join(" AND "),
+            t = g.below(n as u64),
+            u = g.below(n as u64),
+        );
+        let hybrid = HybridOptimizer::with_stats(narrow.clone(), analyze(&db));
+        let out = hybrid.execute_sql(&db, &sql, Budget::unlimited()).unwrap();
+        assert_eq!(out.rung, Rung::LeftDeep, "case {case}: {}\n{sql}", out.plan);
+        assert_eq!(out.attempts.len(), 1, "case {case}: {}", out.plan);
+        assert_eq!(
+            bits(&out.result.unwrap()),
+            bits(&reference(&db, &sql)),
+            "case {case}\n{sql}"
+        );
+    }
 }
 
 /// The q-HD answer to `sql`.

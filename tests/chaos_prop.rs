@@ -33,7 +33,7 @@ use std::time::Duration;
 /// Every named injection site compiled into the engine and evaluators —
 /// the enumerable registry, so new sites (e.g. the spill paths) are
 /// picked up automatically. Sites that a given schedule never reaches
-/// (e.g. `bushy::node` when the q-HD rung succeeds, spill sites when
+/// (e.g. `cops::seek` when no table has an index, spill sites when
 /// the case doesn't force spilling) simply stay dormant — the case then
 /// asserts the fault-free equality invariant.
 fn sites() -> &'static [&'static str] {
@@ -256,7 +256,7 @@ proptest! {
     }
 
     /// Default mode: the graceful-degradation ladder turns one-shot
-    /// faults into oracle-correct answers via a lower rung; persistent
+    /// faults into oracle-correct answers via the fallback rung; persistent
     /// faults still end in a clean error.
     #[test]
     fn ladder_degrades_gracefully_under_faults(case in arb_case()) {
@@ -296,7 +296,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// The join-order baseline under the same faults: it is the engine of
-    /// the ladder's naive rung and of every `DbmsSim`, joining left-deep
+    /// the ladder's fallback rung and of every `DbmsSim`, joining left-deep
     /// through `cops::join` with no semijoin pass. A single fault yields
     /// the fault-free answer with the fault-free charges, one clean typed
     /// error, or — no ladder rung contains it on this path — the injected
@@ -341,7 +341,7 @@ proptest! {
 /// The acceptance scenario spelled out: a panic injected into the q-HD
 /// evaluator is contained by its rung as `WorkerPanicked`, what the rung
 /// charged before it panicked is accounted exactly, and the default
-/// ladder still produces the oracle-correct answer on a lower rung.
+/// ladder still produces the oracle-correct answer on the fallback rung.
 #[test]
 fn worker_panic_is_contained_and_ladder_rescues() {
     let _g = lock();
@@ -360,8 +360,8 @@ fn worker_panic_is_contained_and_ladder_rescues() {
     let oracle = clean.result.as_ref().expect("fault-free run succeeds");
 
     // Only the q-HD rung runs the bottom-up pass (after every vertex
-    // join of P′ has been charged); the bushy/naive rungs never reach the
-    // site and run clean.
+    // join of P′ has been charged); the left-deep rung never reaches the
+    // site and runs clean.
     failpoint::configure("qeval::bottom_up", FailAction::Panic, 0, None);
     let strict = HybridOptimizer::structural(QhdOptions::default()).with_retry(RetryPolicy::none());
     let failed = strict.execute_cq(&db, &q, Budget::unlimited());
@@ -381,7 +381,8 @@ fn worker_panic_is_contained_and_ladder_rescues() {
     // The same panic after the same work, then a whole clean rung.
     assert_eq!(rescued.attempts[0].tuples, failed.tuples);
     assert!(rescued.tuples > failed.tuples);
-    assert_ne!(rescued.rung, Rung::QHd);
+    assert_eq!(rescued.rung, Rung::LeftDeep);
+    assert_eq!(rescued.attempts.len(), 1, "{}", rescued.plan);
     assert!(matches!(
         rescued.attempts[0].error,
         EvalError::WorkerPanicked { .. }

@@ -126,8 +126,8 @@ impl htqo_engine::index::JoinIndex for PanickingIndex {
 #[test]
 fn worker_panic_surfaces_as_typed_error() {
     // A panic inside a plan is contained by its ladder rung as
-    // `WorkerPanicked`, what the rung charged before it is kept, and a
-    // lower rung still answers.
+    // `WorkerPanicked`, what the rung charged before it is kept, and the
+    // fallback rung still answers.
     use htqo_engine::schema::ColumnType;
     install_quiet_hook();
     let keyed = |rows: i64, modulus: i64| {
@@ -171,11 +171,12 @@ fn worker_panic_surfaces_as_typed_error() {
     );
     assert_eq!(failed.tuples, failed.attempts[0].tuples);
 
-    // The bushy rung hash-joins and never seeks.
+    // The left-deep rung hash-joins and never seeks.
     let rescued =
         HybridOptimizer::structural(QhdOptions::default()).execute_cq(&db, &q, Budget::unlimited());
     assert!(rescued.degraded(), "{}", rescued.plan);
-    assert_ne!(rescued.rung, Rung::QHd);
+    assert_eq!(rescued.rung, Rung::LeftDeep);
+    assert_eq!(rescued.attempts.len(), 1, "{}", rescued.plan);
     assert_eq!(rescued.attempts[0].tuples, failed.tuples);
     let oracle = evaluate_naive(&db, &q, &mut Budget::unlimited()).unwrap();
     assert!(rescued.result.unwrap().set_eq(&oracle));
@@ -202,7 +203,7 @@ fn install_quiet_hook() {
 #[test]
 fn fallback_rung_selection_is_recorded() {
     // A width-1 bound makes q-HD planning fail on the cyclic triangle;
-    // the default policy answers via the bushy rung and says so.
+    // the default policy answers via the left-deep rung and says so.
     let db = db();
     let q = CqBuilder::new()
         .atom("p0", "a0", &[("l", "X"), ("r", "Y")])
@@ -217,8 +218,10 @@ fn fallback_rung_selection_is_recorded() {
         run_optimize: true,
     };
     let out = HybridOptimizer::structural(narrow.clone()).execute_cq(&db, &q, Budget::unlimited());
-    assert_eq!(out.rung, Rung::Bushy, "{}", out.plan);
+    assert_eq!(out.rung, Rung::LeftDeep, "{}", out.plan);
     assert!(out.degraded());
+    assert_eq!(out.attempts.len(), 1);
+    assert_eq!(out.attempts[0].rung, Rung::QHd);
     let mut b = Budget::unlimited();
     let oracle = evaluate_naive(&db, &q, &mut b).unwrap();
     assert!(out.result.unwrap().set_eq(&oracle));
